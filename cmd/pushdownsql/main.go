@@ -66,7 +66,6 @@ func main() {
 		sim     = flag.Float64("sim", 1, "simulate the data at N× its actual size for the virtual clock, cost model and join planner")
 		workers = flag.Int("workers", 1, "worker goroutines for server-side operators (capped at the cost model's cores); the virtual clock and the join planner both price row work at this parallelism")
 		cacheMB = flag.Int("cache-mb", 0, "select-result cache budget in MiB (0 = off): repeated scans are served from the compute tier with zero storage requests, and the planner prices resident scans as cache hits")
-		vector  = flag.Bool("vectorized", true, "run server-side operators on the vectorized columnar path; false pins the row-at-a-time reference (results are byte-identical either way)")
 	)
 	flag.Var(&tables, "table", "name=path.csv (repeatable)")
 	flag.Var(&indexes, "index", "col@table (repeatable): build a secondary index on the loaded table before planning, so selective predicates on that column can run as IndexScans")
@@ -131,7 +130,6 @@ func main() {
 	opts := []engine.Option{
 		engine.WithBackend(*backend, be),
 		engine.WithWorkers(*workers),
-		engine.WithVectorized(*vector),
 	}
 	if *sim != 1 {
 		opts = append(opts, engine.WithScale(cloudsim.Scale{DataRatio: *sim, PartRatio: 1}))

@@ -51,10 +51,9 @@ type DB struct {
 	// connection limit). Zero means one goroutine per partition.
 	MaxScanParallel int
 
-	// vectorized selects the batched columnar local operator path (the
-	// default). WithVectorized(false) pins the row-at-a-time operators —
-	// the two paths are byte-identical by contract, so the row path
-	// survives as the differential-testing reference.
+	// vectorized selects the batched columnar local operators (the
+	// default). WithVectorized(false) pins the sequential row-at-a-time
+	// reference they must match byte for byte (see operators.go).
 	vectorized bool
 
 	// statsCache holds planner table statistics keyed by
@@ -161,23 +160,6 @@ func WithTableBackend(table, backend string) Option {
 	}
 }
 
-// WithConfig replaces the cost-model constants (default: the paper's
-// calibrated DefaultConfig).
-func WithConfig(cfg cloudsim.Config) Option {
-	return func(db *DB) error {
-		db.Cfg = cfg
-		return nil
-	}
-}
-
-// WithPricing replaces the base price book (default DefaultPricing).
-func WithPricing(p cloudsim.Pricing) Option {
-	return func(db *DB) error {
-		db.Pricing = p
-		return nil
-	}
-}
-
 // WithScale sets the simulation scale mapping this run onto paper-size
 // data for the virtual clock and cost model.
 func WithScale(s cloudsim.Scale) Option {
@@ -219,20 +201,6 @@ func WithResultCache(budgetBytes int64) Option {
 	}
 }
 
-// WithResultCacheAdmission is WithResultCache with the second-touch
-// admission policy: a select result is only cached when the same request
-// misses twice, so one-off exploratory scans pass through a small ghost-key
-// set instead of evicting entries the workload actually repeats.
-// ResultCacheStats reports admissions vs rejections.
-func WithResultCacheAdmission(budgetBytes int64) Option {
-	return func(db *DB) error {
-		if budgetBytes > 0 {
-			db.resultCache = rescache.New(budgetBytes, rescache.WithSecondTouchAdmission())
-		}
-		return nil
-	}
-}
-
 // WithScanSharing enables the scan-sharing coordinator: concurrent
 // identical S3 Selects coalesce into one in-flight backend call
 // (singleflight), and — within cfg.Window — compatible simple scans on
@@ -250,9 +218,10 @@ func WithScanSharing(cfg scanshare.Config) Option {
 	}
 }
 
-// WithVectorized selects between the vectorized (default) and
-// row-at-a-time local operator paths. The results are byte-identical;
-// WithVectorized(false) exists for differential tests and benchmarks.
+// WithVectorized(false) runs every local operator on the sequential
+// row-at-a-time reference instead of the vectorized kernels. The results
+// are byte-identical; the switch exists so differential tests and the
+// benchmark oracle can compare the two, not as a tuning knob.
 func WithVectorized(on bool) Option {
 	return func(db *DB) error {
 		db.vectorized = on
@@ -645,11 +614,7 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 			if err != nil {
 				return err
 			}
-			rel := &Relation{Cols: b.Cols, Rows: make([]Row, b.Len())}
-			for j, r := range b.ToRows() {
-				rel.Rows[j] = r
-			}
-			rels[i] = rel
+			rels[i] = fromVecRows(b.Cols, b.ToRows())
 			return nil
 		}
 		header, rows, err := csvx.Decode(data, true)
@@ -835,24 +800,7 @@ func (e *Exec) SelectRowsLimit(phaseName string, stage int, table, sql string, t
 	if per < 1 {
 		per = 1
 	}
-	limited := fmt.Sprintf("%s LIMIT %d", sql, per)
-	sp := e.beginSpan(phaseName)
-	phase := e.tablePhase(phaseName, stage, table)
-	results, err := e.selectOnParts(phase, sp, table, limited, nil)
-	if err != nil {
-		endSpanErr(sp, err)
-		return nil, err
-	}
-	out := &Relation{}
-	for _, res := range results {
-		if err := out.Concat(FromStringsN(res.Columns, res.Rows, e.workers())); err != nil {
-			endSpanErr(sp, err)
-			return nil, err
-		}
-	}
-	sp.SetInt("rows", int64(len(out.Rows)))
-	e.endPhaseSpan(sp, phase)
-	return out, nil
+	return e.SelectRows(phaseName, stage, table, fmt.Sprintf("%s LIMIT %d", sql, per))
 }
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the
@@ -951,24 +899,8 @@ func (e *Exec) TableHeader(phaseName string, stage int, table string) ([]string,
 
 // cachedScanFrac reports what fraction of a table's partitions have the
 // given pushed scan SQL resident in the result cache (0 with caching off).
-// Used by Explain, which has no execution context; the planning path goes
-// through Exec.cachedScanFrac to reuse the execution's memoized listing.
-// Residency is peeked without promoting entries.
-func (db *DB) cachedScanFrac(ctx context.Context, table, sql string) float64 {
-	c := db.resultCache
-	if c == nil || c.Len() == 0 {
-		// Empty cache: skip the listing round trip entirely.
-		return 0
-	}
-	keys, err := db.backendFor(table).List(ctx, db.bucket, table+"/part")
-	if err != nil {
-		return 0
-	}
-	return db.cachedFracForKeys(table, keys, sql)
-}
-
-// cachedScanFrac is the Exec-side residency check: it shares the
-// execution's partition-listing memo, so planning adds no extra List call.
+// It shares the execution's partition-listing memo, so planning adds no
+// extra List call. Residency is peeked without promoting entries.
 func (e *Exec) cachedScanFrac(table, sql string) float64 {
 	c := e.db.resultCache
 	if c == nil || c.Len() == 0 {
@@ -980,22 +912,13 @@ func (e *Exec) cachedScanFrac(table, sql string) float64 {
 	if err != nil {
 		return 0
 	}
-	return e.db.cachedFracForKeys(table, keys, sql)
-}
-
-// cachedFracForKeys counts how many of the given partition objects hold
-// the table's pushed scan SQL in the result cache.
-func (db *DB) cachedFracForKeys(table string, keys []string, sql string) float64 {
-	if len(keys) == 0 {
-		return 0
-	}
-	backendName, backend := db.BackendFor(table)
+	backendName, backend := e.db.BackendFor(table)
 	q := selectCacheQuery(selectengine.Request{
 		SQL: sql, HasHeader: true, Capabilities: backend.Capabilities(),
 	})
 	hits := 0
 	for _, k := range keys {
-		if db.resultCache.Contains(rescache.Key{Backend: backendName, Bucket: db.bucket, Object: k, Query: q}) {
+		if c.Contains(rescache.Key{Backend: backendName, Bucket: e.db.bucket, Object: k, Query: q}) {
 			hits++
 		}
 	}

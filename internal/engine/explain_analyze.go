@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"pushdowndb/internal/obs"
@@ -124,31 +123,12 @@ func (p *QueryPlan) AnalyzeString() string {
 			fmt.Fprintf(&b, "    cost:   actual %.3fs $%.6f\n", st.ActualSec, st.ActualUSD)
 		}
 		fmt.Fprintf(&b, "    bytes:  actual %d returned\n", st.ActualBytes)
-		names := make([]string, 0, len(st.Estimates))
-		for name := range st.Estimates {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			est := st.Estimates[name]
-			fmt.Fprintf(&b, "    est %-8s %8.3fs  $%.6f\n", name+":", est.Seconds, est.USD)
-		}
+		writeEstimates(&b, "    ", 8, st.Estimates)
 	}
 	if p.Residual != nil {
 		fmt.Fprintf(&b, "  server: filter %s\n", p.Residual.String())
 	}
-	sel := p.Sel
-	if len(sel.GroupBy) > 0 {
-		fmt.Fprintf(&b, "  server: GROUP BY %s\n", renderExprs(sel.GroupBy))
-	} else if sel.HasAggregates() {
-		fmt.Fprintf(&b, "  server: aggregate\n")
-	}
-	if len(sel.OrderBy) > 0 {
-		fmt.Fprintf(&b, "  server: ORDER BY\n")
-	}
-	if sel.Limit >= 0 {
-		fmt.Fprintf(&b, "  server: LIMIT %d\n", sel.Limit)
-	}
+	writeLocalTail(&b, "  ", p.Sel)
 	return b.String()
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/obs"
+	"pushdowndb/internal/sqlparse"
 )
 
 // Section IV: filter strategies.
@@ -11,6 +13,20 @@ import (
 // ServerSideFilter loads the whole table with plain GETs and filters
 // locally — the baseline of Fig. 1.
 func (e *Exec) ServerSideFilter(table, predicate, projection string) (*Relation, error) {
+	pred, err := parsePredicate(predicate)
+	if err != nil {
+		return nil, err
+	}
+	items, err := parseProjection(projection)
+	if err != nil {
+		return nil, err
+	}
+	return e.serverSideFilter(table, pred, items)
+}
+
+// serverSideFilter is ServerSideFilter over a parsed predicate and select
+// list (nil items keep every column).
+func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	sp := e.beginSpan("server filter " + table)
 	defer sp.End()
 	prev := e.setSpanParent(sp)
@@ -21,14 +37,11 @@ func (e *Exec) ServerSideFilter(table, predicate, projection string) (*Relation,
 		return nil, err
 	}
 	e.Metrics.Phase("load "+table, stage).AddServerRows(int64(len(rel.Rows)))
-	filtered, err := e.filterLocal(rel, predicate, e.workers())
-	if err != nil {
-		return nil, err
+	filtered, err := e.filterLocal(rel, pred)
+	if err != nil || items == nil {
+		return filtered, err
 	}
-	if projection == "" || projection == "*" {
-		return filtered, nil
-	}
-	return e.projectLocal(filtered, projection, e.workers())
+	return e.projectLocal(filtered, items)
 }
 
 // S3SideFilter pushes both the predicate and the projection into S3
@@ -85,58 +98,72 @@ func (e *Exec) IndexFilter(table, column, indexedPredicate string, opts IndexFil
 	fsp := e.beginSpan("row fetch " + table)
 	defer func() { e.endPhaseSpan(fsp, fetch) }()
 	backend := e.db.backendFor(table)
-	out := &Relation{Cols: header}
+	return e.fetchRangeRows(fsp, header, dataKeys, partRanges, func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error) {
+		ksp.SetInt("ranges", int64(len(ranges)))
+		if opts.MultiRange {
+			frags, err := backend.GetRanges(ctx, e.db.bucket, key, ranges)
+			if err != nil {
+				return nil, err
+			}
+			fetch.AddGetRequest(fragBytes(frags))
+			return frags, nil
+		}
+		frags := make([][]byte, len(ranges))
+		for j, rg := range ranges {
+			frag, err := backend.GetRange(ctx, e.db.bucket, key, rg[0], rg[1])
+			if err != nil {
+				return nil, err
+			}
+			fetch.AddRowFetchRequest(int64(len(frag)))
+			frags[j] = frag
+		}
+		return frags, nil
+	})
+}
+
+// fetchRangeRows is phase 2 of both index access paths (the Fig. 1
+// IndexFilter and the planner's IndexScan): for every data partition with
+// matching byte ranges, get issues — and meters, each path in its own way —
+// the partition's ranged GETs under a "fetch <key>" child of sp; the
+// returned CSV fragments decode to rows, and the partitions' rows
+// concatenate in partition order under the table's header.
+func (e *Exec) fetchRangeRows(sp *obs.Span, header, dataKeys []string, partRanges [][][2]int64,
+	get func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error)) (*Relation, error) {
 	partRows := make([][][]string, len(dataKeys))
-	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
-		ranges := partRanges[i]
-		if len(ranges) == 0 {
+	err := e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
+		if len(partRanges[i]) == 0 {
 			return nil
 		}
-		ksp := fsp.Child("fetch " + key)
+		ksp := sp.Child("fetch " + key)
 		defer ksp.End()
-		ksp.SetInt("ranges", int64(len(ranges)))
-		var frags [][]byte
-		if opts.MultiRange {
-			var err error
-			frags, err = backend.GetRanges(ctx, e.db.bucket, key, ranges)
-			if err != nil {
-				return err
-			}
-			var total int64
-			for _, f := range frags {
-				total += int64(len(f))
-			}
-			fetch.AddGetRequest(total)
-		} else {
-			frags = make([][]byte, len(ranges))
-			for j, rg := range ranges {
-				frag, err := backend.GetRange(ctx, e.db.bucket, key, rg[0], rg[1])
-				if err != nil {
-					return err
-				}
-				fetch.AddRowFetchRequest(int64(len(frag)))
-				frags[j] = frag
-			}
+		frags, err := get(ctx, ksp, key, partRanges[i])
+		if err != nil {
+			return err
 		}
-		var rows [][]string
 		for _, frag := range frags {
-			_, rs, err := csvx.Decode(frag, false)
+			_, rows, err := csvx.Decode(frag, false)
 			if err != nil {
 				return err
 			}
-			rows = append(rows, rs...)
+			partRows[i] = append(partRows[i], rows...)
 		}
-		partRows[i] = rows
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range partRows {
-		if err := out.Concat(FromStringsN(header, rows, e.workers())); err != nil {
-			return nil, err
-		}
+	var rows [][]string
+	for _, part := range partRows {
+		rows = append(rows, part...)
 	}
-	out.Cols = header
-	return out, nil
+	return FromStringsN(header, rows, e.workers()), nil
+}
+
+// fragBytes totals the bytes a ranged GET returned.
+func fragBytes(frags [][]byte) int64 {
+	var total int64
+	for _, f := range frags {
+		total += int64(len(f))
+	}
+	return total
 }

@@ -80,11 +80,25 @@ func (e *Exec) ServerSideGroupBy(table, groupCol string, aggs []GroupAgg, filter
 		return nil, err
 	}
 	e.Metrics.Phase("load "+table, stage).AddServerRows(int64(len(rel.Rows)))
-	rel, err = e.filterLocal(rel, filter, e.workers())
+	pred, err := parsePredicate(filter)
 	if err != nil {
 		return nil, err
 	}
-	return e.groupByLocal(rel, groupCol, groupItems(groupCol, aggs), e.workers())
+	rel, err = e.filterLocal(rel, pred)
+	if err != nil {
+		return nil, err
+	}
+	return e.groupLocal(rel, groupCol, groupItems(groupCol, aggs))
+}
+
+// groupLocal runs the local group-by step of the Section VI algorithms,
+// whose group column and aggregate list arrive as SQL fragments.
+func (e *Exec) groupLocal(rel *Relation, groupCol, items string) (*Relation, error) {
+	keys, its, err := parseGroupBy(groupCol, items)
+	if err != nil {
+		return nil, err
+	}
+	return e.groupByLocal(rel, keys, its)
 }
 
 // FilteredGroupBy pushes the projection of the referenced columns into S3
@@ -105,7 +119,7 @@ func (e *Exec) FilteredGroupBy(table, groupCol string, aggs []GroupAgg, filter s
 		return nil, err
 	}
 	e.Metrics.Phase("project "+table, stage).AddServerRows(int64(len(rel.Rows)))
-	return e.groupByLocal(rel, groupCol, groupItems(groupCol, aggs), e.workers())
+	return e.groupLocal(rel, groupCol, groupItems(groupCol, aggs))
 }
 
 // groupEqPredicate renders the membership test for one discovered group
@@ -294,7 +308,7 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 	}
 
 	e.Metrics.Phase("tail scan", stage2).AddServerRows(int64(len(tailRel.Rows)))
-	tail, err := e.groupByLocal(tailRel, groupCol, groupItems(groupCol, aggs), e.workers())
+	tail, err := e.groupLocal(tailRel, groupCol, groupItems(groupCol, aggs))
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +444,7 @@ func (e *Exec) partialGroupBy(phaseName string, stage int, table, groupCol strin
 	for _, a := range aggs {
 		mergeParts = append(mergeParts, "SUM("+a.As+") AS "+a.As)
 	}
-	return e.groupByLocal(partials, groupCol, strings.Join(mergeParts, ", "), e.workers())
+	return e.groupLocal(partials, groupCol, strings.Join(mergeParts, ", "))
 }
 
 func projectColsForAggs(groupCol string, aggs []GroupAgg) []string {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/index"
 	"pushdowndb/internal/obs"
 	"pushdowndb/internal/selectengine"
@@ -209,50 +208,27 @@ func (e *Exec) indexFetch(table string, cand *IndexCandidate) (*Relation, int64,
 	fsp := e.beginSpan("index fetch " + table)
 	backend := e.db.backendFor(table)
 	var gets atomic.Int64
-	partRows := make([][][]string, len(dataKeys))
-	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
-		ranges := index.Coalesce(partRanges[i], index.DefaultCoalesceGap)
-		ksp := fsp.Child("fetch " + key)
-		defer ksp.End()
-		var rows [][]string
-		for _, batch := range index.Batches(ranges, index.DefaultMaxRangesPerGet) {
+	out, err := e.fetchRangeRows(fsp, header, dataKeys, partRanges, func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error) {
+		var all [][]byte
+		for _, batch := range index.Batches(index.Coalesce(ranges, index.DefaultCoalesceGap), index.DefaultMaxRangesPerGet) {
 			frags, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			var total int64
-			for _, f := range frags {
-				total += int64(len(f))
-			}
+			total := fragBytes(frags)
 			fetch.AddRangedGetRequest(total, int64(len(batch)))
 			gets.Add(1)
 			ksp.AddInt("bytes", total)
 			ksp.AddInt("ranges", int64(len(batch)))
-			for _, frag := range frags {
-				_, rs, err := csvx.Decode(frag, false)
-				if err != nil {
-					return err
-				}
-				rows = append(rows, rs...)
-			}
+			all = append(all, frags...)
 		}
-		partRows[i] = rows
-		return nil
+		return all, nil
 	})
 	if err != nil {
 		endSpanErr(fsp, err)
 		return nil, 0, 0, err
 	}
-	out := &Relation{Cols: header}
-	var candidates int64
-	for _, rows := range partRows {
-		candidates += int64(len(rows))
-		if err := out.Concat(FromStringsN(header, rows, e.workers())); err != nil {
-			endSpanErr(fsp, err)
-			return nil, 0, 0, err
-		}
-	}
-	out.Cols = header
+	candidates := int64(len(out.Rows))
 	fetch.AddServerRows(candidates)
 	fsp.SetInt("rows", candidates)
 	fsp.SetInt("gets", gets.Load())
@@ -271,12 +247,17 @@ func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Re
 	if err != nil {
 		return nil, 0, err
 	}
+	items, err := parseProjection(projection)
+	if err != nil {
+		return nil, 0, err
+	}
+	pred = sqlparse.StripQualifiers(pred)
 	man := e.db.indexManifest(e.ctx, table)
 	ent, ok := man.Lookup(column)
 	if !ok {
 		return nil, 0, fmt.Errorf("engine: no live index on %s(%s)", table, column)
 	}
-	ip := sqlparse.AndAll(indexableConjuncts(sqlparse.Conjuncts(sqlparse.StripQualifiers(pred)), ent.Column))
+	ip := sqlparse.AndAll(indexableConjuncts(sqlparse.Conjuncts(pred), ent.Column))
 	if ip == nil {
 		return nil, 0, fmt.Errorf("engine: predicate %q has no conjunct the index on %s(%s) can resolve",
 			predicate, table, column)
@@ -286,12 +267,12 @@ func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Re
 	if err != nil {
 		return nil, 0, err
 	}
-	rel, err = e.filterLocal(rel, sqlparse.StripQualifiers(pred).String(), e.workers())
+	rel, err = e.filterLocal(rel, pred)
 	if err != nil {
 		return nil, 0, err
 	}
-	if projection != "" && projection != "*" {
-		rel, err = e.projectLocal(rel, projection, e.workers())
+	if items != nil {
+		rel, err = e.projectLocal(rel, items)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -332,15 +313,7 @@ func (ap *AccessPlan) String() string {
 			ap.Table, ap.Index.Entry.Column, ap.Index.Pred.String(),
 			ap.Index.MatchedRows, ap.EstRanges, ap.EstRangedGets)
 	}
-	names := make([]string, 0, len(ap.Estimates))
-	for name := range ap.Estimates {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		est := ap.Estimates[name]
-		fmt.Fprintf(&b, "  est %-10s %8.3fs  $%.6f\n", name+":", est.Seconds, est.USD)
-	}
+	writeEstimates(&b, "  ", 10, ap.Estimates)
 	return b.String()
 }
 
@@ -532,7 +505,7 @@ func (e *Exec) runIndexScanSelect(sel *sqlparse.Select, ap *AccessPlan) (*Relati
 		return nil, err
 	}
 	ap.RangedGets = gets
-	rel, err = e.filterLocal(rel, sqlparse.StripQualifiers(sel.Where).String(), e.workers())
+	rel, err = e.filterLocal(rel, sqlparse.StripQualifiers(sel.Where))
 	if err != nil {
 		return nil, err
 	}

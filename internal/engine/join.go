@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	"pushdowndb/internal/bloom"
-	"pushdowndb/internal/expr"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
-	"pushdowndb/internal/value"
 )
 
 // ErrNonIntegerJoinKey reports a Bloom join attempted over a key column
@@ -55,6 +53,20 @@ func (js JoinSpec) fpr() float64 {
 // BaselineJoin loads both tables in full with plain GETs and evaluates
 // filters and the join locally. No S3 Select anywhere.
 func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) {
+	leftFilter, err := parsePredicate(js.LeftFilter)
+	if err != nil {
+		return nil, err
+	}
+	rightFilter, err := parsePredicate(js.RightFilter)
+	if err != nil {
+		return nil, err
+	}
+	return e.baselineJoin(js, leftFilter, rightFilter)
+}
+
+// baselineJoin is BaselineJoin over parsed filters (js's filter strings are
+// ignored): the planner hands its per-table predicates straight through.
+func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) (*Relation, error) {
 	sp := e.beginSpan("baseline join")
 	defer sp.End()
 	prev := e.setSpanParent(sp)
@@ -83,13 +95,13 @@ func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) {
 	e.Metrics.Phase("load "+js.LeftTable, stage).AddServerRows(int64(len(left.Rows)))
 	e.Metrics.Phase("load "+js.RightTable, stage).AddServerRows(int64(len(right.Rows)))
 	var err error
-	if left, err = e.filterLocal(left, js.LeftFilter, e.workers()); err != nil {
+	if left, err = e.filterLocal(left, leftFilter); err != nil {
 		return nil, err
 	}
-	if right, err = e.filterLocal(right, js.RightFilter, e.workers()); err != nil {
+	if right, err = e.filterLocal(right, rightFilter); err != nil {
 		return nil, err
 	}
-	return e.hashJoin(stage, js, left, right)
+	return e.hashJoinLocal(stage, left, right, js.LeftKey, js.RightKey)
 }
 
 // FilteredJoin pushes each side's selection (not projection) into S3
@@ -101,12 +113,12 @@ func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) {
 	errs := make(chan error, 2)
 	go func() {
 		var err error
-		left, err = e.SelectRows("filtered scan "+js.LeftTable, stage, js.LeftTable, selectAllSQL(js.LeftFilter))
+		left, err = e.SelectRows("filtered scan "+js.LeftTable, stage, js.LeftTable, projectionSQL(nil, js.LeftFilter))
 		errs <- err
 	}()
 	go func() {
 		var err error
-		right, err = e.SelectRows("filtered scan "+js.RightTable, stage, js.RightTable, selectAllSQL(js.RightFilter))
+		right, err = e.SelectRows("filtered scan "+js.RightTable, stage, js.RightTable, projectionSQL(nil, js.RightFilter))
 		errs <- err
 	}()
 	for i := 0; i < 2; i++ {
@@ -114,15 +126,7 @@ func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) {
 			return nil, err
 		}
 	}
-	return e.hashJoin(stage, js, left, right)
-}
-
-func selectAllSQL(filter string) string {
-	sql := "SELECT * FROM S3Object"
-	if filter != "" {
-		sql += " WHERE " + filter
-	}
-	return sql
+	return e.hashJoinLocal(stage, left, right, js.LeftKey, js.RightKey)
 }
 
 func projectionSQL(cols []string, filter string) string {
@@ -165,7 +169,7 @@ func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) {
 	// The final hash join overlaps the probe scan; the probe's own stage
 	// keeps the attribution correct even when concurrent work allocates
 	// stages on this Exec.
-	return e.hashJoin(stage2, js, left, right)
+	return e.hashJoinLocal(stage2, left, right, js.LeftKey, js.RightKey)
 }
 
 // BloomProbe builds a Bloom filter over left's key column and scans
@@ -189,14 +193,14 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 	if err := runSpans(sps, func(w int, sp span) error {
 		part := make([]int64, 0, sp.hi-sp.lo)
 		for i := sp.lo; i < sp.hi; i++ {
-			row := left.Rows[i]
-			if row[li].IsNull() {
+			v := cell(left.Rows[i], li)
+			if v.IsNull() {
 				continue
 			}
-			k, ok := row[li].IntNum()
+			k, ok := v.IntNum()
 			if !ok {
 				return fmt.Errorf("engine: %w, got %s (%v)",
-					ErrNonIntegerJoinKey, row[li].Kind(), row[li])
+					ErrNonIntegerJoinKey, v.Kind(), v)
 			}
 			part = append(part, k)
 		}
@@ -228,7 +232,7 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 			// FPR degradation decision is made against the paper-scale key
 			// count, so Section V-B1's behaviour appears at the right
 			// selectivities (e.g. Fig. 2's loose customer filters).
-			effKeys := int(float64(len(keys)) * maxf(e.db.Sim.DataRatio, 1))
+			effKeys := int(float64(len(keys)) * max(e.db.Sim.DataRatio, 1))
 			degraded, ok := bloom.DegradeFPR(effKeys, fpr, selectengine.MaxSQLBytes-1024)
 			if ok {
 				if _, sql, _, ok2 := bloom.Fit(keys, degraded, rightKey, selectengine.MaxSQLBytes-1024, rng); ok2 {
@@ -257,31 +261,15 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 	return rel, stage2, err
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// hashJoin performs the local build/probe and accounts the row work.
-func (e *Exec) hashJoin(stage int, js JoinSpec, left, right *Relation) (*Relation, error) {
-	sp := e.opSpan("hash join", len(left.Rows)+len(right.Rows))
-	phase := e.Metrics.Phase("hash join", stage)
-	phase.AddServerRows(int64(len(left.Rows)) + int64(len(right.Rows)))
-	out, err := e.hashJoinLocal(left, right, js.LeftKey, js.RightKey, e.workers())
-	endOpSpan(sp, out, err)
-	return out, err
-}
-
 // JoinAggregate is a convenience for the paper's evaluation query
 // (Listing 2): run the join with the chosen algorithm and return the
 // aggregate of an expression over the join result, e.g. SUM(o_totalprice).
 func (e *Exec) JoinAggregate(js JoinSpec, algorithm string, aggItems string) (*Relation, error) {
-	var (
-		joined *Relation
-		err    error
-	)
+	items, err := parseItems(aggItems)
+	if err != nil {
+		return nil, err
+	}
+	var joined *Relation
 	switch algorithm {
 	case "baseline":
 		joined, err = e.BaselineJoin(js)
@@ -295,62 +283,5 @@ func (e *Exec) JoinAggregate(js JoinSpec, algorithm string, aggItems string) (*R
 	if err != nil {
 		return nil, err
 	}
-	return e.aggregateLocal(joined, aggItems, e.workers())
-}
-
-// AggregateLocal evaluates aggregate-only select items over a relation,
-// returning a single-row relation. (GroupByLocal with a constant group
-// gives a single-row aggregate; see AggregateLocalN.)
-func AggregateLocal(rel *Relation, items string) (*Relation, error) {
-	return AggregateLocalN(rel, items, 1)
-}
-
-// emptyAggregateRow builds the single result row of an aggregation over
-// zero input rows with standard SQL semantics: aggregate nodes evaluate
-// to COUNT = 0 / others NULL, and any arithmetic around them is applied
-// (so COUNT(*) + 0 is 0, not NULL).
-func emptyAggregateRow(inputCols []string, items string) (*Relation, error) {
-	sel, err := sqlparse.Parse("SELECT " + items + " FROM t")
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad aggregate items %q: %w", items, err)
-	}
-	zero := func(a *sqlparse.Aggregate) sqlparse.Expr {
-		if a.Func == sqlparse.AggCount {
-			return &sqlparse.Literal{Val: value.Int(0)}
-		}
-		return &sqlparse.Literal{Val: value.Null()}
-	}
-	// Columns of the (empty) input look up as NULL.
-	nulls := make(Row, len(inputCols))
-	for i := range nulls {
-		nulls[i] = value.Null()
-	}
-	env := &rowEnv{rel: &Relation{Cols: inputCols}, row: nulls}
-	ev := expr.New()
-	out := &Relation{}
-	var row Row
-	for _, it := range sel.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			out.Cols = append(out.Cols, inputCols...)
-			row = append(row, nulls...)
-			continue
-		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*sqlparse.Column); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
-		out.Cols = append(out.Cols, name)
-		v, err := ev.Eval(sqlparse.MapAggregates(it.Expr, zero), env)
-		if err != nil {
-			// Same error a non-empty input would raise evaluating this item.
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	out.Rows = []Row{row}
-	return out, nil
+	return e.aggregateLocal(joined, items)
 }

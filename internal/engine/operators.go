@@ -1,0 +1,561 @@
+package engine
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"pushdowndb/internal/expr"
+	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
+)
+
+// Local operators: the server-side filter, project, group-by, aggregate
+// and hash join every algorithm of Sections IV–VII ends in. There is one
+// surface. Operators takes parsed input (sqlparse expressions, select
+// items, group keys) and runs either the batched internal/vec kernels
+// across the worker budget or the reference: a plain sequential
+// row-at-a-time loop whose answers the kernels must reproduce byte for
+// byte. The reference exists for the differential batteries and the
+// benchmark oracle (WithVectorized(false)) and as the fallback for ragged
+// relations, which the columnar layout cannot represent — so it is written
+// to be read, not to be fast. Query execution reaches the operators through
+// one dispatch point (Exec.runOp); SQL text is parsed once, by the front
+// end or by the fragment parsers below, never by an operator.
+
+// Operators is the local operator set. The zero value is the sequential
+// reference.
+type Operators struct {
+	// Vectorized runs the internal/vec kernels over Workers goroutines;
+	// false runs the sequential row-at-a-time reference.
+	Vectorized bool
+	Workers    int
+}
+
+// The string-taking entry points the hand-written paper algorithms use
+// (internal/tpch, internal/harness, the examples): parse the fragment
+// once, then run the reference.
+
+// FilterLocal keeps the rows matching the SQL predicate ("" keeps all).
+func FilterLocal(rel *Relation, predicate string) (*Relation, error) {
+	pred, err := parsePredicate(predicate)
+	if err != nil {
+		return nil, err
+	}
+	return Operators{}.Filter(rel, pred)
+}
+
+// ProjectLocal evaluates the comma-separated select items over each row.
+func ProjectLocal(rel *Relation, items string) (*Relation, error) {
+	its, err := parseItems(items)
+	if err != nil {
+		return nil, err
+	}
+	return Operators{}.Project(rel, its)
+}
+
+// GroupByLocal groups rel by the groupBy expressions and evaluates the
+// aggregate select items, e.g. GroupByLocal(rel, "c_nationkey",
+// "c_nationkey, SUM(c_acctbal) AS total").
+func GroupByLocal(rel *Relation, groupBy, items string) (*Relation, error) {
+	keys, its, err := parseGroupBy(groupBy, items)
+	if err != nil {
+		return nil, err
+	}
+	return Operators{}.GroupBy(rel, keys, its)
+}
+
+// AggregateLocal evaluates aggregate-only select items over a relation,
+// returning a single-row relation.
+func AggregateLocal(rel *Relation, items string) (*Relation, error) {
+	its, err := parseItems(items)
+	if err != nil {
+		return nil, err
+	}
+	return Operators{}.Aggregate(rel, its)
+}
+
+// HashJoinLocal joins left and right on equality of leftKey/rightKey. The
+// output concatenates both sides' columns.
+func HashJoinLocal(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
+	return Operators{}.HashJoin(left, right, leftKey, rightKey)
+}
+
+// SortLocal orders rows by the given keys.
+func SortLocal(rel *Relation, orderBy string) (*Relation, error) {
+	keys, err := parseOrderBy(orderBy)
+	if err != nil {
+		return nil, err
+	}
+	return sortLocal(rel, keys)
+}
+
+// Fragment parsers: the only places the engine turns a SQL fragment into
+// an AST — one per fragment kind.
+
+// parsePredicate parses a WHERE-clause fragment; "" is no predicate (nil).
+func parsePredicate(predicate string) (sqlparse.Expr, error) {
+	if predicate == "" {
+		return nil, nil
+	}
+	pred, err := sqlparse.ParseExpr(predicate)
+	if err != nil {
+		return nil, fmt.Errorf("engine: bad predicate %q: %w", predicate, err)
+	}
+	return pred, nil
+}
+
+// parseItems parses a select-list fragment.
+func parseItems(items string) ([]sqlparse.SelectItem, error) {
+	sel, err := sqlparse.Parse("SELECT " + items + " FROM t")
+	if err != nil {
+		return nil, fmt.Errorf("engine: bad select items %q: %w", items, err)
+	}
+	return sel.Items, nil
+}
+
+// parseProjection parses an optional projection fragment: "" and "*" keep
+// the relation as it is (nil).
+func parseProjection(projection string) ([]sqlparse.SelectItem, error) {
+	if projection == "" || projection == "*" {
+		return nil, nil
+	}
+	return parseItems(projection)
+}
+
+// parseGroupBy parses a group-by fragment together with its select list.
+func parseGroupBy(groupBy, items string) ([]sqlparse.Expr, []sqlparse.SelectItem, error) {
+	sel, err := sqlparse.Parse("SELECT " + items + " FROM t GROUP BY " + groupBy)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: bad group-by: %w", err)
+	}
+	return sel.GroupBy, sel.Items, nil
+}
+
+// parseOrderBy parses an ORDER BY fragment.
+func parseOrderBy(orderBy string) ([]sqlparse.OrderItem, error) {
+	sel, err := sqlparse.Parse("SELECT * FROM t ORDER BY " + orderBy)
+	if err != nil {
+		return nil, fmt.Errorf("engine: bad order by %q: %w", orderBy, err)
+	}
+	return sel.OrderBy, nil
+}
+
+// columnItems is the select list projecting the named columns.
+func columnItems(cols []string) []sqlparse.SelectItem {
+	items := make([]sqlparse.SelectItem, len(cols))
+	for i, c := range cols {
+		items[i] = sqlparse.SelectItem{Expr: &sqlparse.Column{Name: c}}
+	}
+	return items
+}
+
+// itemName derives the output column name of one select item.
+func itemName(it sqlparse.SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if c, ok := it.Expr.(*sqlparse.Column); ok {
+		return c.Name
+	}
+	return it.Expr.String()
+}
+
+// itemCols names the output columns of a select list over rel (* expands
+// to rel's columns).
+func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
+	var cols []string
+	for _, it := range items {
+		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			cols = append(cols, rel.Cols...)
+			continue
+		}
+		cols = append(cols, itemName(it))
+	}
+	return cols
+}
+
+// cell returns row[i], or NULL when the row is too short to hold column i
+// (a ragged CSV partition): a missing cell is a lookup miss, never a panic.
+func cell(row Row, i int) value.Value {
+	if i >= len(row) {
+		return value.Null()
+	}
+	return row[i]
+}
+
+// fromVecRows adopts kernel output rows as a relation.
+func fromVecRows(cols []string, rows [][]value.Value) *Relation {
+	out := &Relation{Cols: cols, Rows: make([]Row, len(rows))}
+	for i, r := range rows {
+		out.Rows[i] = r
+	}
+	return out
+}
+
+// referencedCols resolves every column the expressions reference against
+// the relation (first-match, case-insensitive — the reference's rule) and
+// returns the distinct column indices in first-seen order. Names that do
+// not resolve are dropped: they are lookup misses on both paths.
+func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
+	seen := map[int]bool{}
+	var keep []int
+	for _, e := range exprs {
+		for _, name := range sqlparse.Columns(e) {
+			if j := rel.ColIndex(name); j >= 0 && !seen[j] {
+				seen[j] = true
+				keep = append(keep, j)
+			}
+		}
+	}
+	return keep
+}
+
+// batch decodes the columns the expressions reference into vectors; ok is
+// false for a ragged relation, which only the reference can run.
+func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) (*vec.Batch, bool) {
+	return vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), o.Workers)
+}
+
+// Filter keeps the rows matching pred (nil keeps the relation as it is).
+// Kept rows share the input's row slices.
+func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) {
+	if pred == nil {
+		return rel, nil
+	}
+	if o.Vectorized {
+		if b, ok := o.batch(rel, []sqlparse.Expr{pred}); ok {
+			idx, err := vec.Filter(b, pred, o.Workers)
+			if err != nil {
+				return nil, err
+			}
+			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
+			for k, i := range idx {
+				out.Rows[k] = rel.Rows[i]
+			}
+			return out, nil
+		}
+	}
+	ev := expr.New()
+	out := &Relation{Cols: rel.Cols}
+	for i, row := range rel.Rows {
+		ok, err := ev.EvalBool(pred, rel.Env(i))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	return out, nil
+}
+
+// Project evaluates the select items over each row, preserving row order.
+func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	if o.Vectorized {
+		if b, ok := o.projectionBatch(rel, items); ok {
+			out, err := vec.Project(b, &sqlparse.Select{Items: items}, o.Workers)
+			if err != nil {
+				return nil, err
+			}
+			return fromVecRows(out.Cols, out.ToRows()), nil
+		}
+	}
+	ev := expr.New()
+	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, len(rel.Rows))}
+	for i, in := range rel.Rows {
+		env := rel.Env(i)
+		var row Row
+		for _, it := range items {
+			if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+				row = append(row, in...)
+				continue
+			}
+			v, err := ev.Eval(it.Expr, env)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
+		out.Rows[i] = row
+	}
+	return out, nil
+}
+
+// projectionBatch builds the batch a projection needs: the whole relation
+// when an item is *, only the referenced columns otherwise.
+func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) (*vec.Batch, bool) {
+	exprs := make([]sqlparse.Expr, 0, len(items))
+	for _, it := range items {
+		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			return vec.FromRows(rel.Cols, rel.Rows, o.Workers)
+		}
+		exprs = append(exprs, it.Expr)
+	}
+	return o.batch(rel, exprs)
+}
+
+// GroupBy groups rel by the key expressions and evaluates the aggregate
+// select items, one output row per group in first-seen group order.
+func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+	itemExprs := make([]sqlparse.Expr, len(items))
+	for i, it := range items {
+		itemExprs[i] = it.Expr
+	}
+	if o.Vectorized {
+		if b, ok := o.batch(rel, append(append([]sqlparse.Expr{}, itemExprs...), keys...)); ok {
+			cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
+			if err != nil {
+				return nil, err
+			}
+			return fromVecRows(cols, rows), nil
+		}
+	}
+	type group struct {
+		keyVals Row
+		agg     *expr.AggRunner
+	}
+	ev := expr.New()
+	groups := map[string]*group{}
+	var order []*group
+	for i := range rel.Rows {
+		env := rel.Env(i)
+		var kb strings.Builder
+		keyVals := make(Row, len(keys))
+		for j, k := range keys {
+			v, err := ev.Eval(k, env)
+			if err != nil {
+				return nil, err
+			}
+			keyVals[j] = v
+			kb.WriteString(v.String())
+			kb.WriteByte('\x00')
+		}
+		g, ok := groups[kb.String()]
+		if !ok {
+			g = &group{keyVals: keyVals, agg: expr.NewAggRunner(ev, itemExprs)}
+			groups[kb.String()] = g
+			order = append(order, g)
+		}
+		if err := g.agg.Add(env); err != nil {
+			return nil, err
+		}
+	}
+	out := &Relation{}
+	for _, it := range items {
+		out.Cols = append(out.Cols, itemName(it))
+	}
+	for _, g := range order {
+		genv := &groupKeyEnv{exprs: keys, vals: g.keyVals}
+		var row Row
+		for _, it := range items {
+			v, err := g.agg.Final(it.Expr, genv)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
+}
+
+type groupKeyEnv struct {
+	exprs []sqlparse.Expr
+	vals  Row
+}
+
+func (g *groupKeyEnv) Lookup(_, name string) (value.Value, bool) {
+	for i, e := range g.exprs {
+		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
+			return g.vals[i], true
+		}
+	}
+	return value.Null(), false
+}
+
+// Aggregate evaluates aggregate-only select items over the whole relation
+// and returns a single row: a group-by with no keys, except that zero
+// input rows still yield one row (COUNT = 0, other aggregates NULL).
+func (o Operators) Aggregate(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	if len(rel.Rows) == 0 {
+		return emptyAggregateRow(rel, items)
+	}
+	return o.GroupBy(rel, nil, items)
+}
+
+// emptyAggregateRow builds the single result row of an aggregation over
+// zero input rows with standard SQL semantics: aggregate nodes evaluate
+// to COUNT = 0 / others NULL, and any arithmetic around them is applied
+// (so COUNT(*) + 0 is 0, not NULL).
+func emptyAggregateRow(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	zero := func(a *sqlparse.Aggregate) sqlparse.Expr {
+		if a.Func == sqlparse.AggCount {
+			return &sqlparse.Literal{Val: value.Int(0)}
+		}
+		return &sqlparse.Literal{Val: value.Null()}
+	}
+	// Columns of the (empty) input look up as NULL.
+	nulls := make(Row, len(rel.Cols))
+	for i := range nulls {
+		nulls[i] = value.Null()
+	}
+	env := &rowEnv{rel: rel, row: nulls}
+	ev := expr.New()
+	var row Row
+	for _, it := range items {
+		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			row = append(row, nulls...)
+			continue
+		}
+		v, err := ev.Eval(sqlparse.MapAggregates(it.Expr, zero), env)
+		if err != nil {
+			// Same error a non-empty input would raise evaluating this item.
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return &Relation{Cols: itemCols(rel, items), Rows: []Row{row}}, nil
+}
+
+// HashJoin joins left (build side) and right (probe side) on equality of
+// the named key columns; the output concatenates both sides' columns, in
+// probe-row order with each probe row's matches in build-row order. NULL
+// keys — and the missing key cell of a short row — never match.
+func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
+	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
+	if li < 0 {
+		return nil, fmt.Errorf("engine: join key %q not in left relation %v", leftKey, left.Cols)
+	}
+	if ri < 0 {
+		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
+	}
+	out := &Relation{Cols: append(append([]string{}, left.Cols...), right.Cols...)}
+	concat := func(lrow, rrow Row) Row {
+		joined := make(Row, 0, len(lrow)+len(rrow))
+		joined = append(joined, lrow...)
+		return append(joined, rrow...)
+	}
+	if o.Vectorized {
+		bi, pi := vec.JoinPairs(keyVector(left, li), keyVector(right, ri), o.Workers)
+		out.Rows = make([]Row, len(bi))
+		// Materializing the joined rows is pure memory traffic with a fixed
+		// output slot per pair, so it parallelizes over contiguous spans.
+		_ = runSpans(rowSpans(len(bi), o.Workers), func(w int, sp span) error {
+			for k := sp.lo; k < sp.hi; k++ {
+				out.Rows[k] = concat(left.Rows[bi[k]], right.Rows[pi[k]])
+			}
+			return nil
+		})
+		return out, nil
+	}
+	build := map[uint64][]int{}
+	for i, lrow := range left.Rows {
+		if k := cell(lrow, li); !k.IsNull() {
+			build[k.Hash()] = append(build[k.Hash()], i)
+		}
+	}
+	for _, rrow := range right.Rows {
+		k := cell(rrow, ri)
+		if k.IsNull() {
+			continue
+		}
+		for _, i := range build[k.Hash()] {
+			if lrow := left.Rows[i]; value.Equal(lrow[li], k) {
+				out.Rows = append(out.Rows, concat(lrow, rrow))
+			}
+		}
+	}
+	return out, nil
+}
+
+// keyVector extracts column c of a relation as a vector (see cell for
+// short rows).
+func keyVector(rel *Relation, c int) *vec.Vector {
+	vals := make([]value.Value, len(rel.Rows))
+	for i, r := range rel.Rows {
+		vals[i] = cell(r, c)
+	}
+	return vec.FromValues(vals)
+}
+
+// sortLocal orders rows by the given keys (stable).
+func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
+	ev := expr.New()
+	type keyed struct {
+		keys Row
+		row  Row
+	}
+	ks := make([]keyed, len(rel.Rows))
+	for i := range rel.Rows {
+		env := rel.Env(i)
+		keys := make(Row, len(orderBy))
+		for j, o := range orderBy {
+			v, err := ev.Eval(o.Expr, env)
+			if err != nil {
+				return nil, err
+			}
+			keys[j] = v
+		}
+		ks[i] = keyed{keys: keys, row: rel.Rows[i]}
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		for j, o := range orderBy {
+			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
+			if o.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(ks))}
+	for i, k := range ks {
+		out.Rows[i] = k.row
+	}
+	return out, nil
+}
+
+// runOp is the one point where query execution reaches a local operator:
+// it opens the operator's span and hands fn the operator set this
+// execution runs — the vectorized kernels at the worker budget, or the
+// sequential reference under WithVectorized(false).
+func (e *Exec) runOp(name string, rowsIn int, fn func(Operators) (*Relation, error)) (*Relation, error) {
+	sp := e.opSpan(name, rowsIn)
+	out, err := fn(Operators{Vectorized: e.db.vectorized, Workers: e.workers()})
+	endOpSpan(sp, out, err)
+	return out, err
+}
+
+func (e *Exec) filterLocal(rel *Relation, pred sqlparse.Expr) (*Relation, error) {
+	return e.runOp("filter", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Filter(rel, pred) })
+}
+
+func (e *Exec) projectLocal(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	return e.runOp("project", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Project(rel, items) })
+}
+
+func (e *Exec) groupByLocal(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+	return e.runOp("groupby", len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
+}
+
+func (e *Exec) aggregateLocal(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	return e.runOp("aggregate", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Aggregate(rel, items) })
+}
+
+// hashJoinLocal performs the local build/probe and accounts the row work
+// on the given stage's "hash join" phase (the stage of the scan that
+// produced the probe side, which the join overlaps).
+func (e *Exec) hashJoinLocal(stage int, left, right *Relation, leftKey, rightKey string) (*Relation, error) {
+	rowsIn := len(left.Rows) + len(right.Rows)
+	sp := e.opSpan("hash join", rowsIn)
+	e.Metrics.Phase("hash join", stage).AddServerRows(int64(rowsIn))
+	out, err := e.runOp("hash join local", rowsIn, func(o Operators) (*Relation, error) {
+		return o.HashJoin(left, right, leftKey, rightKey)
+	})
+	endOpSpan(sp, out, err)
+	return out, err
+}

@@ -1,23 +1,20 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
-	"pushdowndb/internal/expr"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
-// Parallel server-side execution. The paper's compute node is a 32-core
+// The server-side worker pool. The paper's compute node is a 32-core
 // r4.8xlarge; pushdown only pays off against a server that is itself
-// well-utilized, so the local operators partition their row work across a
-// small worker pool governed by the cost model's Cores budget
-// (cloudsim.Config.Workers, capped at Cores). Every operator is
-// deterministic: workers own contiguous ascending row ranges and partial
-// results merge in worker order, so the output is byte-identical to the
-// sequential (workers=1) run regardless of the budget.
+// well-utilized, so row work (CSV value typing, top-K heaps, Bloom key
+// extraction, join materialization, and — inside internal/vec — the
+// operator kernels) partitions across a small pool governed by the cost
+// model's Cores budget (cloudsim.Config.Workers, capped at Cores). Every
+// user is deterministic: workers own contiguous ascending row ranges and
+// partial results merge in worker order, so the output is byte-identical
+// to the sequential (workers=1) run regardless of the budget.
 
 // span is one worker's contiguous half-open row range [lo, hi).
 type span struct{ lo, hi int }
@@ -74,282 +71,6 @@ func runSpans(sps []span, fn func(w int, sp span) error) error {
 		}
 	}
 	return nil
-}
-
-// itemName derives the output column name of one select item.
-func itemName(it sqlparse.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(*sqlparse.Column); ok {
-		return c.Name
-	}
-	return it.Expr.String()
-}
-
-// FilterLocalN is FilterLocal partitioned across workers goroutines: each
-// worker filters its own row range, and the kept ranges concatenate in
-// worker (= row) order.
-func FilterLocalN(rel *Relation, predicate string, workers int) (*Relation, error) {
-	if predicate == "" {
-		return rel, nil
-	}
-	pred, err := sqlparse.ParseExpr(predicate)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad predicate %q: %w", predicate, err)
-	}
-	sps := rowSpans(len(rel.Rows), workers)
-	kept := make([][]Row, len(sps))
-	err = runSpans(sps, func(w int, sp span) error {
-		ev := expr.New() // evaluators cache per-node state; one per worker
-		for i := sp.lo; i < sp.hi; i++ {
-			ok, err := ev.EvalBool(pred, rel.Env(i))
-			if err != nil {
-				return err
-			}
-			if ok {
-				kept[w] = append(kept[w], rel.Rows[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: rel.Cols}
-	for _, rows := range kept {
-		out.Rows = append(out.Rows, rows...)
-	}
-	return out, nil
-}
-
-// ProjectLocalN is ProjectLocal partitioned across workers goroutines;
-// each output row is written at its input row's index, so the result is
-// positionally identical to the sequential projection.
-func ProjectLocalN(rel *Relation, items string, workers int) (*Relation, error) {
-	sel, err := sqlparse.Parse("SELECT " + items + " FROM t")
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad projection %q: %w", items, err)
-	}
-	out := &Relation{}
-	for _, it := range sel.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			out.Cols = append(out.Cols, rel.Cols...)
-			continue
-		}
-		out.Cols = append(out.Cols, itemName(it))
-	}
-	out.Rows = make([]Row, len(rel.Rows))
-	err = runSpans(rowSpans(len(rel.Rows), workers), func(w int, sp span) error {
-		ev := expr.New()
-		for i := sp.lo; i < sp.hi; i++ {
-			env := rel.Env(i)
-			var row Row
-			for _, it := range sel.Items {
-				if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-					row = append(row, rel.Rows[i]...)
-					continue
-				}
-				v, err := ev.Eval(it.Expr, env)
-				if err != nil {
-					return err
-				}
-				row = append(row, v)
-			}
-			out.Rows[i] = row
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// HashJoinLocalN is HashJoinLocal with a partitioned build and a sharded
-// probe: workers hash contiguous build ranges into partial tables merged
-// in worker order (per-hash index lists stay ascending, exactly as the
-// sequential build appends them), then the probe rows partition across
-// workers whose match lists concatenate in worker (= probe row) order.
-func HashJoinLocalN(left, right *Relation, leftKey, rightKey string, workers int) (*Relation, error) {
-	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
-	if li < 0 {
-		return nil, fmt.Errorf("engine: join key %q not in left relation %v", leftKey, left.Cols)
-	}
-	if ri < 0 {
-		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
-	}
-	buildSpans := rowSpans(len(left.Rows), workers)
-	partMaps := make([]map[uint64][]int, len(buildSpans))
-	_ = runSpans(buildSpans, func(w int, sp span) error {
-		m := map[uint64][]int{}
-		for i := sp.lo; i < sp.hi; i++ {
-			row := left.Rows[i]
-			if row[li].IsNull() {
-				continue
-			}
-			m[row[li].Hash()] = append(m[row[li].Hash()], i)
-		}
-		partMaps[w] = m
-		return nil
-	})
-	build := map[uint64][]int{}
-	if len(partMaps) > 0 {
-		build = partMaps[0]
-		for _, m := range partMaps[1:] {
-			// Deterministic despite the map iteration: each key gets exactly
-			// one append per worker map, worker maps merge in slice (span)
-			// order, and every per-worker index list is already ascending —
-			// so build[h] is ascending regardless of which key goes first.
-			//lint:ignore mapdeterminism per-key append order is fixed by the worker-span order, not the map order
-			for h, idxs := range m {
-				build[h] = append(build[h], idxs...)
-			}
-		}
-	}
-	sps := rowSpans(len(right.Rows), workers)
-	parts := make([][]Row, len(sps))
-	_ = runSpans(sps, func(w int, sp span) error {
-		for p := sp.lo; p < sp.hi; p++ {
-			rrow := right.Rows[p]
-			if rrow[ri].IsNull() {
-				continue
-			}
-			for _, i := range build[rrow[ri].Hash()] {
-				lrow := left.Rows[i]
-				if !value.Equal(lrow[li], rrow[ri]) {
-					continue
-				}
-				joined := make(Row, 0, len(lrow)+len(rrow))
-				joined = append(joined, lrow...)
-				joined = append(joined, rrow...)
-				parts[w] = append(parts[w], joined)
-			}
-		}
-		return nil
-	})
-	out := &Relation{Cols: append(append([]string{}, left.Cols...), right.Cols...)}
-	for _, rows := range parts {
-		out.Rows = append(out.Rows, rows...)
-	}
-	return out, nil
-}
-
-// localGroup is one group's accumulated state.
-type localGroup struct {
-	keyVals Row
-	agg     *expr.AggRunner
-}
-
-// groupPartial is one worker's partial aggregation: its groups plus their
-// first-seen order within the worker's row range.
-type groupPartial struct {
-	groups map[string]*localGroup
-	order  []string
-}
-
-// GroupByLocalN is GroupByLocal partitioned across workers goroutines:
-// each worker aggregates its row range into a partial group map, and the
-// partials merge in worker order (aggregate states combine with the same
-// merge logic the partition-parallel scans use). Workers own contiguous
-// ascending ranges, so merging in worker order reproduces the sequential
-// run's global first-seen group order exactly.
-func GroupByLocalN(rel *Relation, groupBy, items string, workers int) (*Relation, error) {
-	sel, err := sqlparse.Parse("SELECT " + items + " FROM t GROUP BY " + groupBy)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad group-by: %w", err)
-	}
-	itemExprs := make([]sqlparse.Expr, len(sel.Items))
-	for i, it := range sel.Items {
-		itemExprs[i] = it.Expr
-	}
-	sps := rowSpans(len(rel.Rows), workers)
-	parts := make([]groupPartial, len(sps))
-	err = runSpans(sps, func(w int, sp span) error {
-		ev := expr.New()
-		p := groupPartial{groups: map[string]*localGroup{}}
-		for i := sp.lo; i < sp.hi; i++ {
-			env := rel.Env(i)
-			var kb strings.Builder
-			keyVals := make(Row, len(sel.GroupBy))
-			for j, g := range sel.GroupBy {
-				v, err := ev.Eval(g, env)
-				if err != nil {
-					return err
-				}
-				keyVals[j] = v
-				kb.WriteString(v.String())
-				kb.WriteByte('\x00')
-			}
-			k := kb.String()
-			gs, ok := p.groups[k]
-			if !ok {
-				gs = &localGroup{keyVals: keyVals, agg: expr.NewAggRunner(ev, itemExprs)}
-				p.groups[k] = gs
-				p.order = append(p.order, k)
-			}
-			if err := gs.agg.Add(env); err != nil {
-				return err
-			}
-		}
-		parts[w] = p
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	merged := map[string]*localGroup{}
-	var order []string
-	for _, p := range parts {
-		for _, k := range p.order {
-			g := p.groups[k]
-			if m, ok := merged[k]; ok {
-				if err := m.agg.Merge(g.agg); err != nil {
-					return nil, err
-				}
-			} else {
-				merged[k] = g
-				order = append(order, k)
-			}
-		}
-	}
-
-	out := &Relation{}
-	for _, it := range sel.Items {
-		out.Cols = append(out.Cols, itemName(it))
-	}
-	for _, k := range order {
-		gs := merged[k]
-		genv := &groupKeyEnv{exprs: sel.GroupBy, vals: gs.keyVals}
-		var row Row
-		for _, it := range sel.Items {
-			v, err := gs.agg.Final(it.Expr, genv)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// AggregateLocalN is AggregateLocal with the row work partitioned across
-// workers goroutines.
-func AggregateLocalN(rel *Relation, items string, workers int) (*Relation, error) {
-	out, err := GroupByLocalN(rel, "'all'", "'all' AS g, "+items, workers)
-	if err != nil {
-		return nil, err
-	}
-	if len(out.Rows) == 0 {
-		return emptyAggregateRow(rel.Cols, items)
-	}
-	trimmed := &Relation{Cols: out.Cols[1:]}
-	for _, r := range out.Rows {
-		trimmed.Rows = append(trimmed.Rows, r[1:])
-	}
-	return trimmed, nil
 }
 
 // FromStringsN is FromStrings with the per-cell CSV value typing

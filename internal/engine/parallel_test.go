@@ -78,85 +78,76 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 	}
 }
 
-// TestParallelOperatorsDeterministic is the tentpole's core guarantee:
-// every parallel operator yields a byte-identical relation at workers=1
-// and workers=N, for several N.
+// TestParallelOperatorsDeterministic pins what still runs on the worker
+// pool against its sequential form: the vectorized kernels at 1, 2, 8 and
+// 33 workers must reproduce the sequential reference byte for byte, and
+// topKLocalN and FromStringsN must not depend on the worker count.
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
+	pred, err := parsePredicate("v > 0 AND g <> 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := parseItems("id, v * 2 AS dbl, g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, groupItems, err := parseGroupBy("g", "g, SUM(v) AS s, COUNT(*) AS n, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggItems, err := parseItems("SUM(v) AS s, COUNT(*) AS n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func(Operators) (*Relation, error){
+		"filter":    func(o Operators) (*Relation, error) { return o.Filter(rel, pred) },
+		"project":   func(o Operators) (*Relation, error) { return o.Project(rel, proj) },
+		"hashjoin":  func(o Operators) (*Relation, error) { return o.HashJoin(rel, right, "g", "g") },
+		"groupby":   func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, groupItems) },
+		"aggregate": func(o Operators) (*Relation, error) { return o.Aggregate(rel, aggItems) },
+	}
+	for name, op := range ops {
+		ref, err := op(Operators{})
+		if err != nil {
+			t.Fatalf("%s reference: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 8, 33} {
+			got, err := op(Operators{Vectorized: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s@%d: %v", name, workers, err)
+			}
+			identicalRel(t, fmt.Sprintf("%s@%d", name, workers), ref, got)
+		}
+	}
+
+	cells := make([][]string, len(rel.Rows))
+	for i, r := range rel.Rows {
+		for _, v := range r {
+			cells[i] = append(cells[i], v.String())
+		}
+	}
 	for _, workers := range []int{2, 3, 8, 33} {
-		seq, err := FilterLocalN(rel, "v > 0 AND g <> 3", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := FilterLocalN(rel, "v > 0 AND g <> 3", workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("filter@%d", workers), seq, par)
-
-		seq, err = ProjectLocalN(rel, "id, v * 2 AS dbl, g", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = ProjectLocalN(rel, "id, v * 2 AS dbl, g", workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("project@%d", workers), seq, par)
-
-		seq, err = HashJoinLocalN(rel, right, "g", "g", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = HashJoinLocalN(rel, right, "g", "g", workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("hashjoin@%d", workers), seq, par)
-
-		const items = "g, SUM(v) AS s, COUNT(*) AS n, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av"
-		seq, err = GroupByLocalN(rel, "g", items, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = GroupByLocalN(rel, "g", items, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("groupby@%d", workers), seq, par)
-
-		seq, err = AggregateLocalN(rel, "SUM(v) AS s, COUNT(*) AS n", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = AggregateLocalN(rel, "SUM(v) AS s, COUNT(*) AS n", workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("aggregate@%d", workers), seq, par)
+		identicalRel(t, fmt.Sprintf("fromstrings@%d", workers),
+			FromStrings(rel.Cols, cells), FromStringsN(rel.Cols, cells, workers))
 
 		// The tie column exercises the (key, row index) total order: rows
 		// at the K boundary share key values.
-		seq, err = topKLocalN(rel, "tie", 17, true, 1)
-		if err != nil {
-			t.Fatal(err)
+		for _, tc := range []struct {
+			col string
+			asc bool
+		}{{"tie", true}, {"v", false}} {
+			seq, err := topKLocalN(rel, tc.col, 17, tc.asc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := topKLocalN(rel, tc.col, 17, tc.asc, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalRel(t, fmt.Sprintf("topk %s@%d", tc.col, workers), seq, par)
 		}
-		par, err = topKLocalN(rel, "tie", 17, true, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("topk-asc@%d", workers), seq, par)
-
-		seq, err = topKLocalN(rel, "v", 17, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = topKLocalN(rel, "v", 17, false, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("topk-desc@%d", workers), seq, par)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
 
@@ -626,23 +625,15 @@ func (e *Exec) tableStats(sc *TableScan, stage int) error {
 		sc.Index.MatchedRows = idxMatched
 	}
 	st.Cols = len(sc.Cols)
-	st.FilterNodes = scanFilterNodes(sc.Project, filter)
+	// The per-row expression work of the scan SQL execution will push for
+	// this table — select list included, matching what the select engine
+	// meters for the same request at run time.
+	st.FilterNodes = pushedNodes(projectionSQL(sc.Project, filter))
 	st.ProjCols = len(sc.Project)
 	st.Profile = backend.Profile()
 	st.CachedFrac = e.cachedScanFrac(sc.Table, projectionSQL(sc.Project, filter))
 	sc.Stats, sc.CachedStats = st, cached
 	return nil
-}
-
-// scanFilterNodes counts the per-row expression work of the scan SQL that
-// execution will push for this table — select list included, matching
-// what selectengine.CountNodes meters for the same request at run time.
-func scanFilterNodes(project []string, filter string) int64 {
-	sel, err := sqlparse.Parse(projectionSQL(project, filter))
-	if err != nil {
-		return 0
-	}
-	return selectengine.CountNodes(sel)
 }
 
 // runPlan executes a planned multi-table select, recording each step's
@@ -678,7 +669,7 @@ func (e *Exec) runPlan(p *QueryPlan) (*Relation, error) {
 		sp.End()
 	}
 	if p.Residual != nil {
-		cur, err = e.filterLocal(cur, p.Residual.String(), e.workers())
+		cur, err = e.filterLocal(cur, p.Residual)
 		if err != nil {
 			return nil, err
 		}
@@ -694,11 +685,12 @@ func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
 	js := JoinSpec{
 		LeftTable: build.Table, RightTable: probe.Table,
 		LeftKey: st.BuildKey, RightKey: st.ProbeKey,
-		LeftFilter: exprStr(build.Filter), RightFilter: exprStr(probe.Filter),
 		LeftProject: build.Project, RightProject: probe.Project,
 		TargetFPR: planFPR, Seed: planSeed,
 	}
 	if st.Strategy == StrategyBloom {
+		// The Bloom join pushes both filters into S3 Select as SQL text.
+		js.LeftFilter, js.RightFilter = exprStr(build.Filter), exprStr(probe.Filter)
 		rel, err := e.BloomJoin(js)
 		if err == nil || !errors.Is(err, ErrNonIntegerJoinKey) {
 			return rel, err
@@ -706,7 +698,7 @@ func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
 		st.Strategy = StrategyBaseline
 		st.Reason += "; fell back to baseline: Bloom filters need integer join keys"
 	}
-	return e.BaselineJoin(js)
+	return e.baselineJoin(js, build.Filter, probe.Filter)
 }
 
 // runChainJoin joins the materialized intermediate relation with the
@@ -726,12 +718,12 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 			return nil, err
 		}
 		st.RangedGets = gets
-		right, err = e.filterLocal(right, exprStr(sc.Filter), e.workers())
+		right, err = e.filterLocal(right, sc.Filter)
 		if err != nil {
 			return nil, err
 		}
 		if len(sc.Project) > 0 {
-			right, err = e.projectLocal(right, strings.Join(sc.Project, ", "), e.workers())
+			right, err = e.projectLocal(right, columnItems(sc.Project))
 			if err != nil {
 				return nil, err
 			}
@@ -766,12 +758,20 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 	}
 	// The hash join overlaps the scan that produced its probe side; using
 	// that scan's own stage keeps attribution correct under concurrency.
-	sp := e.opSpan("hash join", len(cur.Rows)+len(right.Rows))
-	phase := e.Metrics.Phase("hash join", joinStage)
-	phase.AddServerRows(int64(len(cur.Rows)) + int64(len(right.Rows)))
-	out, err := e.hashJoinLocal(cur, right, st.BuildKey, st.ProbeKey, e.workers())
-	endOpSpan(sp, out, err)
-	return out, err
+	return e.hashJoinLocal(joinStage, cur, right, st.BuildKey, st.ProbeKey)
+}
+
+// writeEstimates lists the candidate strategies' predicted runtime and
+// cost in strategy-name order, names padded to width.
+func writeEstimates(b *strings.Builder, indent string, width int, ests map[string]cloudsim.PlanEstimate) {
+	names := make([]string, 0, len(ests))
+	for name := range ests {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(b, "%sest %-*s %8.3fs  $%.6f\n", indent, width, name+":", ests[name].Seconds, ests[name].USD)
+	}
 }
 
 // String renders the plan as a readable tree (cmd/pushdownsql -explain).
@@ -803,30 +803,11 @@ func (p *QueryPlan) String() string {
 		fmt.Fprintf(&b, "  join %d: %s.%s = %s.%s  (~%d rows)\n",
 			i+1, st.BuildName, st.BuildKey, st.ProbeName, st.ProbeKey, st.EstRows)
 		fmt.Fprintf(&b, "    strategy: %s — %s\n", st.Strategy, st.Reason)
-		names := make([]string, 0, len(st.Estimates))
-		for name := range st.Estimates {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			est := st.Estimates[name]
-			fmt.Fprintf(&b, "    est %-8s %8.3fs  $%.6f\n", name+":", est.Seconds, est.USD)
-		}
+		writeEstimates(&b, "    ", 8, st.Estimates)
 	}
 	if p.Residual != nil {
 		fmt.Fprintf(&b, "  server: filter %s\n", p.Residual.String())
 	}
-	sel := p.Sel
-	if len(sel.GroupBy) > 0 {
-		fmt.Fprintf(&b, "  server: GROUP BY %s\n", renderExprs(sel.GroupBy))
-	} else if sel.HasAggregates() {
-		fmt.Fprintf(&b, "  server: aggregate\n")
-	}
-	if len(sel.OrderBy) > 0 {
-		fmt.Fprintf(&b, "  server: ORDER BY\n")
-	}
-	if sel.Limit >= 0 {
-		fmt.Fprintf(&b, "  server: LIMIT %d\n", sel.Limit)
-	}
+	writeLocalTail(&b, "  ", p.Sel)
 	return b.String()
 }

@@ -147,7 +147,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 		case StrategyIndexScan:
 			return e.runIndexScanSelect(sel, ap)
 		case StrategyBaseline:
-			rel, err := e.ServerSideFilter(table, sqlparse.StripQualifiers(sel.Where).String(), "")
+			rel, err := e.serverSideFilter(table, sqlparse.StripQualifiers(sel.Where), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -210,59 +210,44 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 	phase.AddServerRows(int64(len(rel.Rows)))
 
 	var err error
-	items := renderItems(sel.Items)
-	workers := e.workers()
-	sorted := false
+	orderBy := sel.OrderBy // the sort still owed once the switch is done
+	hidden := 0
 	switch {
 	case len(sel.GroupBy) > 0:
-		groupBy := renderExprs(sel.GroupBy)
 		// ORDER BY may reference group-by expressions the select list
 		// drops; carry them through the grouping as hidden trailing items
 		// and strip them after the sort.
-		augItems, orderBy, hidden := groupSortPlan(sel, items)
-		rel, err = e.groupByLocal(rel, groupBy, augItems, workers)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel.OrderBy) > 0 {
-			rel, err = SortLocal(rel, orderBy)
-			if err != nil {
-				return nil, err
-			}
-			if hidden > 0 {
-				rel = dropTrailingCols(rel, hidden)
-			}
-			sorted = true
-		}
+		var items []sqlparse.SelectItem
+		items, orderBy, hidden = groupSortPlan(sel)
+		rel, err = e.groupByLocal(rel, sel.GroupBy, items)
 	case sel.HasAggregates():
-		rel, err = e.aggregateLocal(rel, items, workers)
+		rel, err = e.aggregateLocal(rel, sel.Items)
 	default:
 		// Sort before projecting: the projection may drop a column ORDER
 		// BY references (queryColumns pushed it into the scan precisely so
 		// it is available here). Aliases are rewritten to their underlying
 		// expressions, which the pre-projection relation can evaluate; the
 		// projection preserves row order.
-		if len(sel.OrderBy) > 0 {
-			rel, err = SortLocal(rel, orderByOverInput(sel))
+		if len(orderBy) > 0 {
+			rel, err = sortLocal(rel, orderByOverInput(sel))
 			if err != nil {
 				return nil, err
 			}
-			sorted = true
+			orderBy = nil
 		}
-		rel, err = e.projectLocal(rel, items, workers)
+		rel, err = e.projectLocal(rel, sel.Items)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(sel.OrderBy) > 0 && !sorted {
-		var parts []string
-		for _, o := range sel.OrderBy {
-			parts = append(parts, o.String())
-		}
-		rel, err = SortLocal(rel, strings.Join(parts, ", "))
+	if len(orderBy) > 0 {
+		rel, err = sortLocal(rel, orderBy)
 		if err != nil {
 			return nil, err
 		}
+	}
+	if hidden > 0 {
+		rel = dropTrailingCols(rel, hidden)
 	}
 	if sel.Limit >= 0 {
 		rel = LimitLocal(rel, int(sel.Limit))
@@ -275,18 +260,16 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 // to select-list output names, no aggregates) sort directly; everything
 // else — typically a group-by column the select list drops — becomes a
 // hidden trailing item evaluated by the grouping and stripped after the
-// sort. Returns the augmented select items, the ORDER BY string over the
-// grouped output, and the hidden column count.
-func groupSortPlan(sel *sqlparse.Select, items string) (augItems, orderBy string, hidden int) {
+// sort. Returns the augmented select items, the ORDER BY over the grouped
+// output, and the hidden column count.
+func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy []sqlparse.OrderItem, hidden int) {
 	outNames := map[string]bool{}
 	for _, it := range sel.Items {
 		outNames[strings.ToLower(itemName(it))] = true
 	}
-	augItems = items
-	var parts []string
+	items = append(items, sel.Items...)
 	next := 0
 	for _, o := range sel.OrderBy {
-		key := o.Expr.String()
 		direct := len(expr.CollectAggregates([]sqlparse.Expr{o.Expr})) == 0
 		if direct {
 			for _, c := range sqlparse.Columns(o.Expr) {
@@ -305,16 +288,13 @@ func groupSortPlan(sel *sqlparse.Select, items string) (augItems, orderBy string
 				}
 			}
 			outNames[name] = true
-			augItems += ", " + key + " AS " + name
+			items = append(items, sqlparse.SelectItem{Expr: o.Expr, Alias: name})
 			hidden++
-			key = name
+			o.Expr = &sqlparse.Column{Name: name}
 		}
-		if o.Desc {
-			key += " DESC"
-		}
-		parts = append(parts, key)
+		orderBy = append(orderBy, o)
 	}
-	return augItems, strings.Join(parts, ", "), hidden
+	return items, orderBy, hidden
 }
 
 // dropTrailingCols strips the last n columns of rel (the hidden sort
@@ -328,11 +308,11 @@ func dropTrailingCols(rel *Relation, n int) *Relation {
 	return out
 }
 
-// orderByOverInput renders sel's ORDER BY for evaluation over the
+// orderByOverInput is sel's ORDER BY for evaluation over the
 // pre-projection relation: column references that name select-list
 // aliases — bare or nested inside larger expressions — are replaced by
 // the aliased expressions.
-func orderByOverInput(sel *sqlparse.Select) string {
+func orderByOverInput(sel *sqlparse.Select) []sqlparse.OrderItem {
 	subst := func(e sqlparse.Expr) sqlparse.Expr {
 		c, ok := e.(*sqlparse.Column)
 		if !ok || c.Qualifier != "" {
@@ -345,15 +325,11 @@ func orderByOverInput(sel *sqlparse.Select) string {
 		}
 		return e
 	}
-	parts := make([]string, len(sel.OrderBy))
+	orderBy := make([]sqlparse.OrderItem, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
-		s := sqlparse.Rewrite(o.Expr, subst).String()
-		if o.Desc {
-			s += " DESC"
-		}
-		parts[i] = s
+		orderBy[i] = sqlparse.OrderItem{Expr: sqlparse.Rewrite(o.Expr, subst), Desc: o.Desc}
 	}
-	return strings.Join(parts, ", ")
+	return orderBy
 }
 
 // queryColumns collects every column the query references, for projection
@@ -404,22 +380,6 @@ func isAlias(sel *sqlparse.Select, name string) bool {
 	return false
 }
 
-func renderItems(items []sqlparse.SelectItem) string {
-	parts := make([]string, len(items))
-	for i, it := range items {
-		parts[i] = it.String()
-	}
-	return strings.Join(parts, ", ")
-}
-
-func renderExprs(exprs []sqlparse.Expr) string {
-	parts := make([]string, len(exprs))
-	for i, e := range exprs {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ", ")
-}
-
 // Explain returns a description of how Query would execute sql: the plan
 // tree with per-join strategy decisions for multi-table queries, or the
 // pushdown split for single-table ones. Planning a join query issues the
@@ -452,11 +412,12 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 		return plan.String(), nil
 	}
 	var b strings.Builder
+	e := db.NewExecContext(ctx)
 	// With a result cache configured, report how much of the pushed scan is
 	// already resident ("cached scan") so a warm repeat's near-zero storage
 	// bill is visible before running.
 	cachedScan := func(pushedSQL string) string {
-		frac := db.cachedScanFrac(ctx, sel.Table, pushedSQL)
+		frac := e.cachedScanFrac(sel.Table, pushedSQL)
 		if frac <= 0 {
 			return ""
 		}
@@ -464,7 +425,7 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	}
 	// Access-path planning for indexed tables (issues the planner's metered
 	// header/stats probes, like join Explain does).
-	ap, err := db.NewExecContext(ctx).planAccess(sel)
+	ap, err := e.planAccess(sel)
 	if err != nil {
 		return "", err
 	}
@@ -486,16 +447,26 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	default:
 		fmt.Fprintf(&b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cachedScan(pushedSQL))
 	}
+	writeLocalTail(&b, "", sel)
+	return b.String(), nil
+}
+
+// writeLocalTail describes the server-side tail finishLocal will run for
+// sel, one indented "server:" line per step (Explain and QueryPlan.String).
+func writeLocalTail(b *strings.Builder, indent string, sel *sqlparse.Select) {
 	if len(sel.GroupBy) > 0 {
-		fmt.Fprintf(&b, "server: GROUP BY %s\n", renderExprs(sel.GroupBy))
+		keys := make([]string, len(sel.GroupBy))
+		for i, g := range sel.GroupBy {
+			keys[i] = g.String()
+		}
+		fmt.Fprintf(b, "%sserver: GROUP BY %s\n", indent, strings.Join(keys, ", "))
 	} else if sel.HasAggregates() {
-		fmt.Fprintf(&b, "server: aggregate\n")
+		fmt.Fprintf(b, "%sserver: aggregate\n", indent)
 	}
 	if len(sel.OrderBy) > 0 {
-		fmt.Fprintf(&b, "server: ORDER BY\n")
+		fmt.Fprintf(b, "%sserver: ORDER BY\n", indent)
 	}
 	if sel.Limit >= 0 {
-		fmt.Fprintf(&b, "server: LIMIT %d\n", sel.Limit)
+		fmt.Fprintf(b, "%sserver: LIMIT %d\n", indent, sel.Limit)
 	}
-	return b.String(), nil
 }

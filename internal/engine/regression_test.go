@@ -95,6 +95,49 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 	}
 }
 
+// TestSortPlansBuiltFromAST pins the two ORDER BY rewrites as AST list
+// edits (they used to be string surgery the operators re-parsed): a grouped
+// sort key the select list drops becomes a hidden aliased item plus a
+// reference to it, an alias inside a sort expression is replaced by the
+// aliased expression, and neither edit touches the statement's own lists.
+func TestSortPlansBuiltFromAST(t *testing.T) {
+	sel, err := sqlparse.Parse("SELECT COUNT(*) AS sortkey_0, MAX(v) FROM t GROUP BY g, h ORDER BY g DESC, sortkey_0, SUM(v)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, orderBy, hidden := groupSortPlan(sel)
+	if hidden != 2 || len(sel.Items) != 2 || len(items) != 4 {
+		t.Fatalf("groupSortPlan: hidden=%d, %d statement items, %d planned items", hidden, len(sel.Items), len(items))
+	}
+	var got []string
+	for _, it := range items[2:] {
+		got = append(got, it.String())
+	}
+	for _, o := range orderBy {
+		got = append(got, o.String())
+	}
+	// sortkey_0 is taken by a select-list alias, so hidden names start at 1.
+	want := "g AS sortkey_1, SUM(v) AS sortkey_2, sortkey_1 DESC, sortkey_0 ASC, sortkey_2 ASC"
+	if strings.Join(got, ", ") != want {
+		t.Errorf("groupSortPlan = %s\nwant %s", strings.Join(got, ", "), want)
+	}
+	if sel.OrderBy[0].Expr.String() != "g" {
+		t.Errorf("groupSortPlan rewrote the statement's ORDER BY to %s", sel.OrderBy[0].Expr)
+	}
+
+	sel, err = sqlparse.Parse("SELECT a * 2 AS dbl, b FROM t ORDER BY dbl + b DESC, t.dbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := orderByOverInput(sel)
+	if got := over[0].String() + ", " + over[1].String(); got != "((a * 2) + b) DESC, t.dbl ASC" {
+		t.Errorf("orderByOverInput = %s", got)
+	}
+	if sel.OrderBy[0].Expr.String() != "(dbl + b)" {
+		t.Errorf("orderByOverInput rewrote the statement's ORDER BY to %s", sel.OrderBy[0].Expr)
+	}
+}
+
 // --- sqlLiteral canonical round-trip (db.go) ---
 
 func TestSQLLiteralRoundTrip(t *testing.T) {

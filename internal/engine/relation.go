@@ -15,11 +15,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pushdowndb/internal/expr"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -65,92 +63,12 @@ func FromStrings(cols []string, rows [][]string) *Relation {
 	return FromStringsN(cols, rows, 1)
 }
 
-// FilterLocal keeps the rows matching the SQL predicate.
-func FilterLocal(rel *Relation, predicate string) (*Relation, error) {
-	return FilterLocalN(rel, predicate, 1)
-}
-
-// ProjectLocal evaluates the comma-separated select items over each row.
-func ProjectLocal(rel *Relation, items string) (*Relation, error) {
-	return ProjectLocalN(rel, items, 1)
-}
-
-// SortLocal orders rows by the given keys.
-func SortLocal(rel *Relation, orderBy string) (*Relation, error) {
-	sel, err := sqlparse.Parse("SELECT * FROM t ORDER BY " + orderBy)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad order by %q: %w", orderBy, err)
-	}
-	ev := expr.New()
-	type keyed struct {
-		keys Row
-		row  Row
-	}
-	ks := make([]keyed, len(rel.Rows))
-	for i := range rel.Rows {
-		env := rel.Env(i)
-		keys := make(Row, len(sel.OrderBy))
-		for j, o := range sel.OrderBy {
-			v, err := ev.Eval(o.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			keys[j] = v
-		}
-		ks[i] = keyed{keys: keys, row: rel.Rows[i]}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j, o := range sel.OrderBy {
-			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(ks))}
-	for i, k := range ks {
-		out.Rows[i] = k.row
-	}
-	return out, nil
-}
-
 // LimitLocal truncates to n rows.
 func LimitLocal(rel *Relation, n int) *Relation {
 	if n < 0 || n >= len(rel.Rows) {
 		return rel
 	}
 	return &Relation{Cols: rel.Cols, Rows: rel.Rows[:n]}
-}
-
-// HashJoinLocal joins left and right on equality of leftKey/rightKey. The
-// output concatenates both sides' columns.
-func HashJoinLocal(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
-	return HashJoinLocalN(left, right, leftKey, rightKey, 1)
-}
-
-// GroupByLocal groups rel by the groupBy expressions and evaluates the
-// aggregate select items, e.g. GroupByLocal(rel, "c_nationkey",
-// "c_nationkey, SUM(c_acctbal) AS total").
-func GroupByLocal(rel *Relation, groupBy, items string) (*Relation, error) {
-	return GroupByLocalN(rel, groupBy, items, 1)
-}
-
-type groupKeyEnv struct {
-	exprs []sqlparse.Expr
-	vals  Row
-}
-
-func (g *groupKeyEnv) Lookup(_, name string) (value.Value, bool) {
-	for i, e := range g.exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
-			return g.vals[i], true
-		}
-	}
-	return value.Null(), false
 }
 
 // Concat appends other's rows (columns must match in count).

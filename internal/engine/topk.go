@@ -101,7 +101,7 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 		}
 		return topKLocalN(rel, orderCol, k, asc, e.workers())
 	}
-	threshold, err := kthValue(sampled, 0, k, asc)
+	threshold, err := kthValue(sampled, sampled.Cols[0], k, asc)
 	if err != nil {
 		return nil, err
 	}
@@ -164,37 +164,18 @@ func (e *Exec) approxRowCount(stage int, table string) (int64, error) {
 	return int64(float64(totalBytes) / avg), nil
 }
 
-// kthValue returns the K-th smallest (asc) or largest (desc) value of
-// column idx, rendered as a SQL literal for the threshold predicate.
-func kthValue(rel *Relation, idx, k int, asc bool) (string, error) {
-	vals := make([]value.Value, 0, len(rel.Rows))
-	for _, r := range rel.Rows {
-		if !r[idx].IsNull() {
-			vals = append(vals, r[idx])
-		}
+// kthValue returns the K-th smallest (asc) or largest (desc) non-NULL
+// value of orderCol, rendered as a SQL literal for the threshold
+// predicate: the last row of the column's top K.
+func kthValue(rel *Relation, orderCol string, k int, asc bool) (string, error) {
+	top, err := topKLocal(rel, orderCol, k, asc)
+	if err != nil {
+		return "", err
 	}
-	if len(vals) < k {
-		return "", fmt.Errorf("engine: sample of %d rows cannot provide the %d-th value", len(vals), k)
+	if len(top.Rows) < k {
+		return "", fmt.Errorf("engine: sample of %d rows cannot provide the %d-th value", len(top.Rows), k)
 	}
-	h := &valueHeap{asc: !asc} // keep the K smallest: max-heap on top
-	for _, v := range vals {
-		if h.Len() < k {
-			heap.Push(h, v)
-		} else if better(v, h.vals[0], asc) {
-			h.vals[0] = v
-			heap.Fix(h, 0)
-		}
-	}
-	kth := h.vals[0]
-	return sqlLiteral(kth.String()), nil
-}
-
-// better reports whether a should replace b in the running top-K.
-func better(a, b value.Value, asc bool) bool {
-	if asc {
-		return value.Compare(a, b) < 0
-	}
-	return value.Compare(a, b) > 0
+	return sqlLiteral(top.Rows[k-1][rel.ColIndex(orderCol)].String()), nil
 }
 
 // topKLocal selects the top K rows of rel ordered by orderCol.
@@ -219,7 +200,7 @@ func topKLocalN(rel *Relation, orderCol string, k int, asc bool, workers int) (*
 		h := &topRowHeap{col: idx, asc: asc}
 		for i := sp.lo; i < sp.hi; i++ {
 			r := rel.Rows[i]
-			if r[idx].IsNull() {
+			if cell(r, idx).IsNull() {
 				continue
 			}
 			h.offer(topRow{idx: i, row: r}, k)
@@ -292,26 +273,5 @@ func (h *topRowHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.r
 func (h *topRowHeap) Push(x any)         { h.rows = append(h.rows, x.(topRow)) }
 func (h *topRowHeap) Pop() (out any) {
 	out, h.rows = h.rows[len(h.rows)-1], h.rows[:len(h.rows)-1]
-	return
-}
-
-// valueHeap orders values; asc=true makes it a min-heap.
-type valueHeap struct {
-	vals []value.Value
-	asc  bool
-}
-
-func (h *valueHeap) Len() int { return len(h.vals) }
-func (h *valueHeap) Less(i, j int) bool {
-	c := value.Compare(h.vals[i], h.vals[j])
-	if h.asc {
-		return c < 0
-	}
-	return c > 0
-}
-func (h *valueHeap) Swap(i, j int) { h.vals[i], h.vals[j] = h.vals[j], h.vals[i] }
-func (h *valueHeap) Push(x any)    { h.vals = append(h.vals, x.(value.Value)) }
-func (h *valueHeap) Pop() (out any) {
-	out, h.vals = h.vals[len(h.vals)-1], h.vals[:len(h.vals)-1]
 	return
 }

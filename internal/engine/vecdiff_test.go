@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/colformat"
@@ -222,10 +225,12 @@ func TestProbeStatsColumnar(t *testing.T) {
 	}
 }
 
-// TestVecOperatorWrappers pins wrapper-level edge cases the vec package's
-// own differential tests cannot reach: the empty-predicate identity, the
-// empty-input aggregate synthesis and the ragged-relation fallback.
-func TestVecOperatorWrappers(t *testing.T) {
+// TestOperatorEdgeCases pins operator-level edge cases the vec package's
+// own differential tests cannot reach, on both operator sets: the
+// nil-predicate identity, the empty-input aggregate synthesis and the
+// ragged-relation fallback to the reference.
+func TestOperatorEdgeCases(t *testing.T) {
+	ref, vecOps := Operators{}, Operators{Vectorized: true, Workers: 2}
 	rel := &Relation{
 		Cols: []string{"a", "b"},
 		Rows: []Row{
@@ -234,27 +239,39 @@ func TestVecOperatorWrappers(t *testing.T) {
 			{value.Int(3), value.Str("y")},
 		},
 	}
-	out, err := VecFilterLocalN(rel, "", 2)
-	if err != nil || out != rel {
-		t.Errorf("VecFilterLocalN with empty predicate: got (%p, %v), want the input relation", out, err)
+	for name, o := range map[string]Operators{"reference": ref, "vectorized": vecOps} {
+		if out, err := o.Filter(rel, nil); err != nil || out != rel {
+			t.Errorf("%s Filter with no predicate: got (%p, %v), want the input relation", name, out, err)
+		}
+	}
+	if out, err := FilterLocal(rel, ""); err != nil || out != rel {
+		t.Errorf("FilterLocal with empty predicate: got (%p, %v), want the input relation", out, err)
 	}
 
 	empty := &Relation{Cols: []string{"a", "b"}}
-	for _, items := range []string{"COUNT(*) AS n, SUM(a) AS s", "COUNT(*) + 0 AS n, AVG(a) AS av"} {
-		vecAgg, err := VecAggregateLocalN(empty, items, 2)
+	for _, src := range []string{"COUNT(*) AS n, SUM(a) AS s", "COUNT(*) + 0 AS n, AVG(a) AS av"} {
+		items, err := parseItems(src)
 		if err != nil {
-			t.Fatalf("VecAggregateLocalN(empty, %q): %v", items, err)
+			t.Fatal(err)
 		}
-		rowAgg, err := AggregateLocalN(empty, items, 2)
+		vecAgg, err := vecOps.Aggregate(empty, items)
 		if err != nil {
-			t.Fatalf("AggregateLocalN(empty, %q): %v", items, err)
+			t.Fatalf("vectorized Aggregate(empty, %q): %v", src, err)
 		}
-		if v, r := render(vecAgg, true), render(rowAgg, true); v != r {
-			t.Errorf("empty-input aggregate %q: vec\n%s\nrow\n%s", items, v, r)
+		refAgg, err := ref.Aggregate(empty, items)
+		if err != nil {
+			t.Fatalf("reference Aggregate(empty, %q): %v", src, err)
+		}
+		if v, r := render(vecAgg, true), render(refAgg, true); v != r {
+			t.Errorf("empty-input aggregate %q: vec\n%s\nreference\n%s", src, v, r)
+		}
+		if len(refAgg.Rows) != 1 || refAgg.Rows[0][0].String() != "0" {
+			t.Errorf("empty-input aggregate %q = %v, want one row with COUNT 0", src, refAgg.Rows)
 		}
 	}
 
-	// Ragged rows must take the row path's short-row semantics via fallback.
+	// Ragged rows must take the reference's short-row semantics (a missing
+	// cell is a lookup miss) via fallback.
 	ragged := &Relation{
 		Cols: []string{"a", "b"},
 		Rows: []Row{
@@ -262,12 +279,126 @@ func TestVecOperatorWrappers(t *testing.T) {
 			{value.Int(2)},
 		},
 	}
-	vecOut, vecErr := VecFilterLocalN(ragged, "a >= 1", 2)
-	rowOut, rowErr := FilterLocalN(ragged, "a >= 1", 2)
-	if (vecErr == nil) != (rowErr == nil) {
-		t.Fatalf("ragged filter: vec err %v, row err %v", vecErr, rowErr)
+	pred, err := parsePredicate("a >= 1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v, r := render(vecOut, false), render(rowOut, false); v != r {
-		t.Errorf("ragged filter: vec\n%s\nrow\n%s", v, r)
+	items, err := parseItems("b, a + 1 AS a1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, groupItems, err := parseGroupBy("b", "b, COUNT(*) AS n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func(Operators) (*Relation, error){
+		"filter":  func(o Operators) (*Relation, error) { return o.Filter(ragged, pred) },
+		"project": func(o Operators) (*Relation, error) { return o.Project(ragged, items) },
+		"groupby": func(o Operators) (*Relation, error) { return o.GroupBy(ragged, keys, groupItems) },
+	} {
+		vecOut, vecErr := op(vecOps)
+		refOut, refErr := op(ref)
+		if fmt.Sprint(vecErr) != fmt.Sprint(refErr) {
+			t.Fatalf("ragged %s: vec err %v, reference err %v", name, vecErr, refErr)
+		}
+		if refErr != nil {
+			// Evaluating the missing cell itself is the reference's
+			// unknown-column error, not a panic.
+			if name == "filter" {
+				t.Errorf("ragged filter: %v", refErr)
+			}
+			continue
+		}
+		if v, r := render(vecOut, false), render(refOut, false); v != r {
+			t.Errorf("ragged %s: vec\n%s\nreference\n%s", name, v, r)
+		}
+	}
+}
+
+// TestRaggedRowsDoNotPanic is the operator-level regression for the daemon
+// crash: a short row's missing join key or top-K order cell is a NULL — the
+// row never matches and never ranks — on both operator sets and at every
+// worker count, where it used to index out of range on a worker goroutine.
+func TestRaggedRowsDoNotPanic(t *testing.T) {
+	left := FromStrings([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
+	right := FromStrings([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}})
+	const want = "1 | 10 | 10 | x\n3 | 30 | 30 | y\n1 | 10 | 10 | z\n"
+	for name, o := range map[string]Operators{
+		"reference": {}, "vectorized@1": {Vectorized: true, Workers: 1}, "vectorized@4": {Vectorized: true, Workers: 4},
+	} {
+		for _, swap := range []bool{false, true} {
+			l, r, lk, rk := left, right, "k", "k2"
+			if swap {
+				l, r, lk, rk = right, left, "k2", "k"
+			}
+			out, err := o.HashJoin(l, r, lk, rk)
+			if err != nil {
+				t.Fatalf("%s join (swap=%v): %v", name, swap, err)
+			}
+			if len(out.Rows) != 3 {
+				t.Errorf("%s join (swap=%v) returned %d rows, want 3:\n%s", name, swap, len(out.Rows), out)
+			}
+			if !swap {
+				if got := strings.SplitN(out.String(), "\n", 2)[1]; got != want {
+					t.Errorf("%s join:\n%s\nwant\n%s", name, got, want)
+				}
+			}
+		}
+	}
+	if out, err := HashJoinLocal(left, right, "k", "k2"); err != nil || len(out.Rows) != 3 {
+		t.Errorf("HashJoinLocal over ragged rows: %v, %v", out, err)
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		top, err := topKLocalN(left, "k", 2, false, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(top, true); got != "a|k\n3|30\n1|10" {
+			t.Errorf("topKLocalN@%d over ragged rows = %q", workers, got)
+		}
+	}
+	short := &Relation{Cols: []string{"a", "k"}, Rows: []Row{{value.Int(1), value.Int(5)}, {value.Int(2)}, {value.Int(3), value.Int(7)}}}
+	if lit, err := kthValue(short, "k", 2, true); err != nil || lit != "7" {
+		t.Errorf("kthValue over ragged rows = %q, %v; want 7", lit, err)
+	}
+}
+
+// TestRaggedObjectEndToEnd is the end-to-end half of the ragged-row
+// regression: partitions holding a short row go through LoadTable into the
+// baseline join and the server-side top-K on both operator sets, which must
+// agree — the short rows' missing keys match and rank nowhere — and not panic.
+func TestRaggedObjectEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	if err := PartitionTable(ctx, st, diffBucket, "l", []string{"a", "k"},
+		[][]string{{"1", "10"}, {"2"}, {"3", "30"}, {"4", "10"}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := PartitionTable(ctx, st, diffBucket, "r", []string{"k2", "w"},
+		[][]string{{"10", "x"}, {"20"}, {"30", "y"}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	const wantJoin = "a|k|k2|w\n1|10|10|x\n3|30|30|y\n4|10|10|x"
+	const wantTop = "a|k\n3|30\n1|10"
+	for _, vectorized := range []bool{true, false} {
+		db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)), WithVectorized(vectorized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		join, err := db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "l", RightTable: "r", LeftKey: "k", RightKey: "k2"})
+		if err != nil {
+			t.Fatalf("vectorized=%v BaselineJoin: %v", vectorized, err)
+		}
+		if got := render(join, false); got != wantJoin {
+			t.Errorf("vectorized=%v BaselineJoin:\n%s\nwant\n%s", vectorized, got, wantJoin)
+		}
+		top, err := db.NewExecContext(ctx).ServerSideTopK("l", "k", 2, false)
+		if err != nil {
+			t.Fatalf("vectorized=%v ServerSideTopK: %v", vectorized, err)
+		}
+		if got := render(top, true); got != wantTop {
+			t.Errorf("vectorized=%v ServerSideTopK:\n%s\nwant\n%s", vectorized, got, wantTop)
+		}
 	}
 }

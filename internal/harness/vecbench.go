@@ -1,24 +1,16 @@
 package harness
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-
 	"pushdowndb/internal/engine"
-	"pushdowndb/internal/s3api"
-	"pushdowndb/internal/store"
-	"pushdowndb/internal/tpch"
+	"pushdowndb/internal/sqlparse"
 )
 
-// The vectorized-vs-row local operator benchmark: one fixture and one case
-// list shared by the root bench_vec_test.go (go test -bench=BenchmarkVec)
-// and cmd/benchvec (which times the same cases and writes BENCH_vec.json).
-// The cases run the engine's actual operator entry points — the vectorized
-// twins convert only the referenced columns, exactly as query execution
-// does — over a materialized TPC-H lineitem/part at the requested scale
-// factor, so the measured gap is the local execution gap, not scan or
-// decode differences.
+// The local operator benchmark fixture: one fixture and one case list that
+// bench/ times (vec.filter/groupby/join_mrows_per_s). The cases run the
+// engine's operator set over parsed input, exactly as query execution does
+// (only the referenced columns convert to vectors), over a materialized
+// TPC-H lineitem/part, so the measured cost is local execution, not scan or
+// decode.
 
 // VecBenchFixture holds the materialized relations the cases run over.
 type VecBenchFixture struct {
@@ -27,102 +19,47 @@ type VecBenchFixture struct {
 	Workers  int
 }
 
-// VecBenchCase is one operator comparison: Run executes the operator once
-// through the chosen path and reports the output row count (a cheap
-// checksum the callers compare across paths).
+// VecBenchCase is one operator: Run executes it once on the vectorized
+// kernels (at the fixture's worker count) or, with vectorized false, on the
+// sequential reference, and reports the output row count (a cheap checksum
+// the callers compare across the two).
 type VecBenchCase struct {
 	Name string
 	Run  func(f *VecBenchFixture, vectorized bool) (int, error)
 }
 
-// NewVecBenchFixture generates the TPC-H tables at sf (deterministic seed
-// 42, 4 partitions) and materializes lineitem and part.
-func NewVecBenchFixture(ctx context.Context, sf float64) (*VecBenchFixture, error) {
-	st := store.New()
-	ds, err := tpch.Load(ctx, st, tpch.Dataset{SF: sf, Seed: 42, Bucket: "vecbench", Partitions: 4})
-	if err != nil {
-		return nil, err
-	}
-	db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", s3api.NewInProc(st)))
-	if err != nil {
-		return nil, err
-	}
-	e := db.NewExec()
-	lineitem, err := e.LoadTable("load lineitem", 0, "lineitem")
-	if err != nil {
-		return nil, err
-	}
-	part, err := e.LoadTable("load part", 0, "part")
-	if err != nil {
-		return nil, err
-	}
-	return &VecBenchFixture{Lineitem: lineitem, Part: part, Workers: runtime.NumCPU()}, nil
-}
+// vecBenchSQL carries the cases' parsed input: a Q6-shaped filter (a date
+// range plus a numeric bound, the selection shape Fig. 1 sweeps) and a
+// Q1-shaped aggregation over the two flag columns, whose SUM over the
+// integer quantity column exercises the exact accumulator on its cheap path.
+const vecBenchSQL = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, COUNT(*) AS count_order " +
+	"FROM lineitem WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' AND l_quantity < 24 " +
+	"GROUP BY l_returnflag, l_linestatus"
 
-// vecBenchPred is the Q6-shaped filter: a date range plus a numeric bound,
-// the selection shape Fig. 1 sweeps.
-const vecBenchPred = "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' AND l_quantity < 24"
-
-// vecBenchGroupItems is the Q1-shaped aggregation over the two flag
-// columns; SUM over the integer quantity column exercises the exact
-// accumulator on its cheap path.
-const vecBenchGroupItems = "l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, COUNT(*) AS count_order"
-
-// VecBenchCases is the benchmark case list: filter, group-by and hash join
-// through the row-at-a-time or vectorized local operators.
+// VecBenchCases is the benchmark case list: filter, group-by and hash join.
 func VecBenchCases() []VecBenchCase {
+	sel, err := sqlparse.Parse(vecBenchSQL)
+	if err != nil {
+		panic(err) // a constant: only a bug can break it
+	}
+	run := func(op func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error)) func(*VecBenchFixture, bool) (int, error) {
+		return func(f *VecBenchFixture, vectorized bool) (int, error) {
+			out, err := op(engine.Operators{Vectorized: vectorized, Workers: f.Workers}, f)
+			if err != nil {
+				return 0, err
+			}
+			return len(out.Rows), nil
+		}
+	}
 	return []VecBenchCase{
-		{Name: "filter", Run: func(f *VecBenchFixture, vectorized bool) (int, error) {
-			op := engine.FilterLocalN
-			if vectorized {
-				op = engine.VecFilterLocalN
-			}
-			out, err := op(f.Lineitem, vecBenchPred, f.Workers)
-			if err != nil {
-				return 0, err
-			}
-			return len(out.Rows), nil
-		}},
-		{Name: "groupby", Run: func(f *VecBenchFixture, vectorized bool) (int, error) {
-			op := engine.GroupByLocalN
-			if vectorized {
-				op = engine.VecGroupByLocalN
-			}
-			out, err := op(f.Lineitem, "l_returnflag, l_linestatus", vecBenchGroupItems, f.Workers)
-			if err != nil {
-				return 0, err
-			}
-			return len(out.Rows), nil
-		}},
-		{Name: "join", Run: func(f *VecBenchFixture, vectorized bool) (int, error) {
-			op := engine.HashJoinLocalN
-			if vectorized {
-				op = engine.VecHashJoinLocalN
-			}
-			out, err := op(f.Part, f.Lineitem, "p_partkey", "l_partkey", f.Workers)
-			if err != nil {
-				return 0, err
-			}
-			return len(out.Rows), nil
-		}},
+		{Name: "filter", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
+			return o.Filter(f.Lineitem, sel.Where)
+		})},
+		{Name: "groupby", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
+			return o.GroupBy(f.Lineitem, sel.GroupBy, sel.Items)
+		})},
+		{Name: "join", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
+			return o.HashJoin(f.Part, f.Lineitem, "p_partkey", "l_partkey")
+		})},
 	}
-}
-
-// VecBenchVerify runs every case through both paths and errors unless the
-// outputs agree — the cheap cross-check cmd/benchvec applies before timing.
-func VecBenchVerify(f *VecBenchFixture) error {
-	for _, c := range VecBenchCases() {
-		rowN, err := c.Run(f, false)
-		if err != nil {
-			return fmt.Errorf("%s (row): %w", c.Name, err)
-		}
-		vecN, err := c.Run(f, true)
-		if err != nil {
-			return fmt.Errorf("%s (vec): %w", c.Name, err)
-		}
-		if rowN != vecN {
-			return fmt.Errorf("%s: row path returned %d rows, vectorized %d", c.Name, rowN, vecN)
-		}
-	}
-	return nil
 }

@@ -5,8 +5,8 @@
 // instead of dispatching an expression interpreter per row.
 //
 // Every kernel is a semantic mirror of the corresponding row-at-a-time
-// operator in internal/engine (FilterLocalN, ProjectLocalN, and so on):
-// the same values, the same order, the same errors, at any worker count.
+// operator in internal/engine (the engine.Operators reference): the
+// same values, the same order, the same errors, at any worker count.
 // The row path stays the reference implementation; the differential and
 // fuzz tests pin the two paths byte-identical.
 package vec

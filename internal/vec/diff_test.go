@@ -166,7 +166,7 @@ func TestFilterDiff(t *testing.T) {
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
 			label := fmt.Sprintf("w=%d pred=%q", w, pred)
-			want, wantErr := engine.FilterLocalN(rel, pred, w)
+			want, wantErr := engine.FilterLocal(rel, pred)
 			pe, perr := sqlparse.ParseExpr(pred)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
@@ -197,7 +197,7 @@ func TestFilterErrDiff(t *testing.T) {
 	// NOT over a non-boolean column errors in the evaluator; the vec path
 	// must fall back and surface the identical first-in-worker-order error.
 	pred := "NOT name"
-	_, wantErr := engine.FilterLocalN(rel, pred, 3)
+	_, wantErr := engine.FilterLocal(rel, pred)
 	pe, err := sqlparse.ParseExpr(pred)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestProjectDiff(t *testing.T) {
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
-			want, wantErr := engine.ProjectLocalN(rel, items, w)
+			want, wantErr := engine.ProjectLocal(rel, items)
 			sel, perr := sqlparse.Parse("SELECT " + items + " FROM t")
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
@@ -266,7 +266,7 @@ func TestGroupByDiff(t *testing.T) {
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
-			want, wantErr := engine.GroupByLocalN(rel, tc.groupBy, tc.items, w)
+			want, wantErr := engine.GroupByLocal(rel, tc.groupBy, tc.items)
 			sel, perr := sqlparse.Parse("SELECT " + tc.items + " FROM t GROUP BY " + tc.groupBy)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
@@ -318,7 +318,7 @@ func TestJoinPairsDiff(t *testing.T) {
 		rb, _ := vec.FromStrings(rcols, rrows, w)
 		for _, key := range []string{"id", "mix"} {
 			label := fmt.Sprintf("w=%d key=%s", w, key)
-			want, err := engine.HashJoinLocalN(left, right, key, "rid", w)
+			want, err := engine.HashJoinLocal(left, right, key, "rid")
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -354,7 +354,7 @@ func TestEmptyRelations(t *testing.T) {
 	if err != nil || len(idx) != 0 {
 		t.Fatalf("empty filter: idx=%v err=%v", idx, err)
 	}
-	want, _ := engine.GroupByLocalN(rel, "a", "a, COUNT(*) AS n", 3)
+	want, _ := engine.GroupByLocal(rel, "a", "a, COUNT(*) AS n")
 	sel, _ := sqlparse.Parse("SELECT a, COUNT(*) AS n FROM t GROUP BY a")
 	gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
 	if err != nil {

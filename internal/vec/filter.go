@@ -29,7 +29,7 @@ type node struct {
 }
 
 // Filter evaluates pred over the batch and returns the kept row indexes,
-// ascending — the selection the row path's FilterLocalN would keep.
+// ascending — the selection the engine's reference filter would keep.
 func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 	n := b.Len()
 	if root, post, ok := compilePred(pred, b); ok {
@@ -42,7 +42,7 @@ func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 		return root.t.Indices(), nil
 	}
 	// Whole-predicate fallback: the same spans, evaluator and first-error
-	// contract as FilterLocalN.
+	// contract as the reference filter (the lowest erroring row's error).
 	sps := rowSpans(n, workers)
 	kept := make([][]int, len(sps))
 	err := runSpans(sps, func(w int, sp span) error {

@@ -9,7 +9,7 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// GroupBy mirrors the row path's GroupByLocalN over a batch: contiguous
+// GroupBy mirrors the engine's reference group-by over a batch: contiguous
 // worker spans each build a partial group map, partials merge in worker
 // order (reproducing the sequential first-seen group order), and the
 // aggregate states are the exact big.Float accumulators the row path

@@ -9,8 +9,8 @@ import (
 // Project evaluates the select items of sel over the batch. Bare column
 // items and * share the input vectors without copying; anything else
 // evaluates per row with the shared interpreter, in the row path's
-// row-major order so the first error (if any) is the same one
-// ProjectLocalN would surface.
+// row-major order so the first error (if any) is the same one the
+// engine's reference projection would surface.
 func Project(b *Batch, sel *sqlparse.Select, workers int) (*Batch, error) {
 	var cols []string
 	var vecs []*Vector
