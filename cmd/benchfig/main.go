@@ -1,7 +1,7 @@
 // Command benchfig regenerates the paper's figures and prints them as
 // tables.
 //
-//	benchfig                 # all main figures at the default scale
+//	benchfig                 # every figure but the ablations, at the default scale
 //	benchfig -fig Fig5       # one figure
 //	benchfig -ablations      # the Section-X extension ablations
 //	benchfig -scale small    # faster, smaller datasets
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"pushdowndb/internal/harness"
 )
@@ -20,7 +21,7 @@ import (
 func main() {
 	var (
 		scaleName = flag.String("scale", "default", "dataset scale: small or default")
-		fig       = flag.String("fig", "", "single figure to run (Fig1..Fig11); empty = all")
+		fig       = flag.String("fig", "", "single figure to run, by harness.Figures ID (Fig1..Fig11, Planner, Fig1-S1, ...); empty = all")
 		ablations = flag.Bool("ablations", false, "run the Section-X extension ablations instead")
 	)
 	flag.Parse()
@@ -36,44 +37,27 @@ func main() {
 	}
 	env := harness.NewEnv(scale)
 
-	runs := map[string]func(context.Context, *harness.Env) (*harness.Result, error){
-		"Fig1": harness.RunFig1, "Fig2": harness.RunFig2, "Fig3": harness.RunFig3,
-		"Fig4": harness.RunFig4, "Fig5": harness.RunFig5, "Fig6": harness.RunFig6,
-		"Fig7": harness.RunFig7, "Fig8": harness.RunFig8, "Fig9": harness.RunFig9,
-		"Fig10": harness.RunFig10, "Fig11": harness.RunFig11,
-		"Planner": harness.RunPlanner, "Parallel": harness.RunParallel,
-		"Backends": harness.RunBackends, "Cache": harness.RunCache,
-		"Index": harness.RunIndex, "Serve": harness.RunServe,
-		"Shared": harness.RunShared,
+	if *fig != "" {
+		var ids []string
+		for _, f := range harness.Figures {
+			if f.ID == *fig {
+				r, err := f.Run(ctx, env)
+				if err != nil {
+					fatal(err)
+				}
+				fmt.Println(r)
+				return
+			}
+			ids = append(ids, f.ID)
+		}
+		fatal(fmt.Errorf("unknown figure %q (have %s)", *fig, strings.Join(ids, ", ")))
 	}
-
-	switch {
-	case *ablations:
-		results, err := harness.AblationFigures(ctx, env)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range results {
-			fmt.Println(r)
-		}
-	case *fig != "":
-		run, ok := runs[*fig]
-		if !ok {
-			fatal(fmt.Errorf("unknown figure %q (Fig1..Fig11, Planner, Parallel, Backends, Cache, Index, Serve, Shared)", *fig))
-		}
-		r, err := run(ctx, env)
-		if err != nil {
-			fatal(err)
-		}
+	results, err := harness.RunFigures(ctx, env, *ablations)
+	if err != nil {
+		fatal(err)
+	}
+	for _, r := range results {
 		fmt.Println(r)
-	default:
-		results, err := harness.AllFigures(ctx, env)
-		if err != nil {
-			fatal(err)
-		}
-		for _, r := range results {
-			fmt.Println(r)
-		}
 	}
 }
 

@@ -327,7 +327,8 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 	if err != nil {
 		return nil, err
 	}
-	backendName, backend := e.db.BackendFor(table)
+	backend := e.db.backendFor(table)
+	sel := e.db.selectFor(table)
 	caps := backend.Capabilities()
 	sp := e.beginSpan("sample " + table)
 	phase1 := e.tablePhase("sample", stage1, table)
@@ -343,9 +344,7 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		if end < 1 {
 			end = 1
 		}
-		psp := sp.Child("select " + key)
-		defer psp.End()
-		res, err := e.doSelect(ctx, phase1, psp, backendName, backend, key, selectengine.Request{
+		res, err := e.doSelect(ctx, phase1, sp, sel, key, selectengine.Request{
 			SQL:          "SELECT " + groupCol + " FROM S3Object",
 			HasHeader:    true,
 			Capabilities: caps,

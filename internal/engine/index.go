@@ -228,22 +228,10 @@ func (db *DB) validatedManifest(ctx context.Context, table string) *index.Manife
 }
 
 // dropIndexCaches invalidates what a rebuilt or dropped index makes stale:
-// the in-memory manifest view, cached select results against the index
-// objects, and cached planner stats of the table (their index-matched
-// counts referenced the old index).
+// the in-memory manifest view, cached planner stats of the table (their
+// index-matched counts referenced the old index), and select responses
+// against the index objects — resident, in flight to the cache, or in
+// flight as a shared pass.
 func (db *DB) dropIndexCaches(table, column string) {
-	db.idxMu.Lock()
-	delete(db.idxMemo, strings.ToLower(table))
-	db.idxMu.Unlock()
-	db.statsMu.Lock()
-	for k := range db.statsCache {
-		parts := strings.SplitN(k, "\x00", 4)
-		if len(parts) == 4 && baseTable(parts[2]) == table {
-			delete(db.statsCache, k)
-		}
-	}
-	db.statsMu.Unlock()
-	if db.resultCache != nil && column != "" {
-		db.resultCache.InvalidatePrefix(db.bucket, index.Table(table, column)+"/")
-	}
+	db.void(table, index.Table(table, column)+"/")
 }

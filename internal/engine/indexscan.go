@@ -153,7 +153,7 @@ func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTa
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
 	sql := "SELECT first_byte_offset, last_byte_offset FROM S3Object WHERE " + valuePred
-	results, err := e.selectOnParts(phase, sp, idxTable, sql, nil)
+	results, err := e.selectOnParts(phase, sp, idxTable, sql)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -426,7 +426,7 @@ func (e *Exec) probeStats(table, filter, idxPred string, stage int) (st cloudsim
 	sql := "SELECT " + strings.Join(sums, ", ") + " FROM S3Object"
 	sp := e.beginSpan("plan probe " + table)
 	phase := e.tablePhase("plan probe "+table, stage, table)
-	results, err := e.selectOnParts(phase, sp, table, sql, nil)
+	results, err := e.selectOnParts(phase, sp, table, sql)
 	if err != nil {
 		endSpanErr(sp, err)
 		return st, 0, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)

@@ -9,6 +9,7 @@ import (
 	"pushdowndb/internal/bloom"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/vec"
 )
 
 // ErrNonIntegerJoinKey reports a Bloom join attempted over a key column
@@ -188,11 +189,11 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 	// Key extraction partitions across the worker budget; the per-span
 	// slices concatenate in worker order, so the key sequence (and hence
 	// the fitted filter) matches the sequential walk exactly.
-	sps := rowSpans(len(left.Rows), e.workers())
+	sps := vec.RowSpans(len(left.Rows), e.workers())
 	keyParts := make([][]int64, len(sps))
-	if err := runSpans(sps, func(w int, sp span) error {
-		part := make([]int64, 0, sp.hi-sp.lo)
-		for i := sp.lo; i < sp.hi; i++ {
+	if err := vec.RunSpans(sps, func(w int, sp vec.Span) error {
+		part := make([]int64, 0, sp.Hi-sp.Lo)
+		for i := sp.Lo; i < sp.Hi; i++ {
 			v := cell(left.Rows[i], li)
 			if v.IsNull() {
 				continue

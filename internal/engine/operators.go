@@ -151,17 +151,6 @@ func columnItems(cols []string) []sqlparse.SelectItem {
 	return items
 }
 
-// itemName derives the output column name of one select item.
-func itemName(it sqlparse.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(*sqlparse.Column); ok {
-		return c.Name
-	}
-	return it.Expr.String()
-}
-
 // itemCols names the output columns of a select list over rel (* expands
 // to rel's columns).
 func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
@@ -171,7 +160,7 @@ func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 			cols = append(cols, rel.Cols...)
 			continue
 		}
-		cols = append(cols, itemName(it))
+		cols = append(cols, it.Name())
 	}
 	return cols
 }
@@ -344,10 +333,10 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 	}
 	out := &Relation{}
 	for _, it := range items {
-		out.Cols = append(out.Cols, itemName(it))
+		out.Cols = append(out.Cols, it.Name())
 	}
 	for _, g := range order {
-		genv := &groupKeyEnv{exprs: keys, vals: g.keyVals}
+		genv := &expr.GroupKeyEnv{Exprs: keys, Vals: g.keyVals}
 		var row Row
 		for _, it := range items {
 			v, err := g.agg.Final(it.Expr, genv)
@@ -359,20 +348,6 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
-}
-
-type groupKeyEnv struct {
-	exprs []sqlparse.Expr
-	vals  Row
-}
-
-func (g *groupKeyEnv) Lookup(_, name string) (value.Value, bool) {
-	for i, e := range g.exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
-			return g.vals[i], true
-		}
-	}
-	return value.Null(), false
 }
 
 // Aggregate evaluates aggregate-only select items over the whole relation
@@ -442,8 +417,8 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 		out.Rows = make([]Row, len(bi))
 		// Materializing the joined rows is pure memory traffic with a fixed
 		// output slot per pair, so it parallelizes over contiguous spans.
-		_ = runSpans(rowSpans(len(bi), o.Workers), func(w int, sp span) error {
-			for k := sp.lo; k < sp.hi; k++ {
+		_ = vec.RunSpans(vec.RowSpans(len(bi), o.Workers), func(w int, sp vec.Span) error {
+			for k := sp.Lo; k < sp.Hi; k++ {
 				out.Rows[k] = concat(left.Rows[bi[k]], right.Rows[pi[k]])
 			}
 			return nil

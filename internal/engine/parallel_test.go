@@ -9,40 +9,6 @@ import (
 	"pushdowndb/internal/cloudsim"
 )
 
-func TestRowSpans(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {3, 4}, {4, 4}, {10, 3}, {1000, 8}, {7, 1}, {5, 0},
-	} {
-		sps := rowSpans(tc.n, tc.workers)
-		if tc.n == 0 {
-			if len(sps) != 0 {
-				t.Errorf("rowSpans(%d,%d) = %v, want none", tc.n, tc.workers, sps)
-			}
-			continue
-		}
-		want := tc.workers
-		if want < 1 {
-			want = 1
-		}
-		if want > tc.n {
-			want = tc.n
-		}
-		if len(sps) != want {
-			t.Errorf("rowSpans(%d,%d) has %d spans, want %d", tc.n, tc.workers, len(sps), want)
-		}
-		next := 0
-		for _, sp := range sps {
-			if sp.lo != next || sp.hi <= sp.lo {
-				t.Fatalf("rowSpans(%d,%d) = %v: not contiguous ascending", tc.n, tc.workers, sps)
-			}
-			next = sp.hi
-		}
-		if next != tc.n {
-			t.Errorf("rowSpans(%d,%d) covers [0,%d), want [0,%d)", tc.n, tc.workers, next, tc.n)
-		}
-	}
-}
-
 // parallelTestRelation builds a relation with duplicate keys (top-K ties),
 // repeated group values, floats (summation-order sensitivity) and NULLs.
 func parallelTestRelation(n int) *Relation {

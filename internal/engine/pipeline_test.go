@@ -1,0 +1,353 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/colformat"
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/scanshare"
+	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/store"
+	"pushdowndb/internal/value"
+)
+
+// The select-pipeline battery: every composition of the two layers Open can
+// put over a backend's Select, over a CSV and a columnar table, must return
+// the rows of a plain DB and meter each way a response can be served —
+// direct, cache hit, shared pass — exactly as the cost model defines it.
+
+const (
+	pipeBucket = "pipe"
+	pipeParts  = 4
+	// pipeScan is the merge-eligible scan the concurrency checks share;
+	// pipeMark picks its pushed Selects out of everything else a query may
+	// issue (heldSelects holds only those).
+	pipeScan = "SELECT k, v FROM %s WHERE g = 5"
+	pipeMark = "= 5"
+)
+
+// pipelineFixture writes the same 240 rows (k, g, v) as CSV table "t" and
+// columnar table "c", unindexed, so every query takes the pushed-scan path.
+func pipelineFixture(t *testing.T) *store.Store {
+	t.Helper()
+	st := store.New()
+	var csv [][]string
+	var typed [][]value.Value
+	for i := 0; i < 240; i++ {
+		v := float64(i%31) * 1.5
+		csv = append(csv, []string{fmt.Sprint(i), fmt.Sprint(i % 7), fmt.Sprint(v)})
+		typed = append(typed, []value.Value{value.Int(int64(i)), value.Int(int64(i % 7)), value.Float(v)})
+	}
+	if err := PartitionTable(context.Background(), st, pipeBucket, "t", []string{"k", "g", "v"}, csv, pipeParts); err != nil {
+		t.Fatal(err)
+	}
+	schema := colformat.Schema{
+		{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "v", Kind: value.KindFloat},
+	}
+	if err := PartitionTableColumnar(st, pipeBucket, "c", schema, typed, pipeParts, 16, true); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+type composition struct {
+	name         string
+	cache, share bool
+}
+
+var compositions = []composition{
+	{"none", false, false}, {"cache", true, false}, {"share", false, true}, {"cache+share", true, true},
+}
+
+// open builds a DB with the composition's layers over backend; window is
+// the share layer's batching window.
+func (c composition) open(t *testing.T, backend s3api.Backend, window time.Duration) *DB {
+	t.Helper()
+	opts := []Option{WithBackend("s3sim", backend)}
+	if c.cache {
+		opts = append(opts, WithResultCache(testCacheBudget))
+	}
+	if c.share {
+		opts = append(opts, WithScanSharing(scanshare.Config{Window: window}))
+	}
+	db, err := Open(pipeBucket, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// heldSelects is a counting backend that holds every Select whose SQL
+// contains pipeMark until gate closes, announcing each on entered — an
+// in-flight backend pass on cue.
+type heldSelects struct {
+	*s3api.Counting
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+// newHeldSelects wraps st; the gate also opens when the test ends, so a
+// failed check never strands the queries it was holding.
+func newHeldSelects(t *testing.T, st *store.Store) *heldSelects {
+	g := &heldSelects{
+		Counting: s3api.NewCounting(s3api.NewInProc(st)),
+		entered:  make(chan struct{}, 64),
+		gate:     make(chan struct{}),
+	}
+	t.Cleanup(g.release)
+	return g
+}
+
+func (g *heldSelects) release() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *heldSelects) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	if strings.Contains(req.SQL, pipeMark) {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Counting.Select(ctx, bucket, key, req)
+}
+
+// awaitPasses waits for n held Selects.
+func (g *heldSelects) awaitPasses(t *testing.T, n int, what string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: only %d of %d backend passes started", what, i, n)
+		}
+	}
+}
+
+// bill is everything the cost model recorded for one execution.
+type bill struct {
+	requests, scan, returned, get int64
+	runtime                       float64
+	cost                          cloudsim.CostBreakdown
+}
+
+func billOf(e *Exec) bill {
+	b := bill{runtime: e.RuntimeSeconds(), cost: e.Cost()}
+	b.requests, b.scan, b.returned, b.get = e.Metrics.Totals()
+	return b
+}
+
+func identicalRows(t *testing.T, what string, want, got *Relation) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Cols, got.Cols) || !reflect.DeepEqual(want.Rows, got.Rows) {
+		t.Fatalf("%s: rows differ from the plain DB's\nwant %v\n got %v", what, want, got)
+	}
+}
+
+func TestSelectPipelineCompositions(t *testing.T) {
+	st := pipelineFixture(t)
+	for _, table := range []string{"t", "c"} {
+		for _, comp := range compositions {
+			t.Run(comp.name+"-"+table, func(t *testing.T) {
+				t.Run("sequential", func(t *testing.T) { pipelineSequential(t, st, table, comp) })
+				if comp.share {
+					t.Run("concurrent", func(t *testing.T) { pipelineConcurrent(t, st, table, comp) })
+				}
+				if comp.cache {
+					t.Run("fill-vs-invalidate", func(t *testing.T) { pipelineFillRace(t, st, table, comp) })
+				}
+				// Index builds read CSV partitions.
+				if comp.share && table == "t" {
+					t.Run("index-ddl", func(t *testing.T) { pipelineIndexDDL(t, st, table, comp) })
+				}
+			})
+		}
+	}
+}
+
+// pipelineSequential: one client, each query twice. The first run is a
+// direct pass through every composition and must bill exactly what the
+// plain DB bills; a cached repeat reaches the backend with no Select and
+// bills nothing but the re-parse, an uncached one bills a direct pass again.
+func pipelineSequential(t *testing.T, st *store.Store, table string, comp composition) {
+	plain := composition{}.open(t, s3api.NewInProc(st), 0)
+	counting := s3api.NewCounting(s3api.NewInProc(st))
+	db := comp.open(t, counting, 0)
+	for _, q := range []string{
+		fmt.Sprintf(pipeScan, table),
+		fmt.Sprintf("SELECT COUNT(*) AS n, SUM(v) AS s FROM %s WHERE g < 4", table),
+		fmt.Sprintf("SELECT g, COUNT(*) AS n FROM %s GROUP BY g ORDER BY g", table),
+	} {
+		var ref [2]bill
+		var want *Relation
+		for i := range ref {
+			rel, e, err := plain.Query(q)
+			if err != nil {
+				t.Fatalf("plain %q: %v", q, err)
+			}
+			want, ref[i] = rel, billOf(e)
+		}
+		for i := range ref {
+			before := counting.Selects()
+			rel, e, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%q run %d: %v", q, i, err)
+			}
+			identicalRows(t, q, want, rel)
+			selects, got := counting.Selects()-before, billOf(e)
+			hits, hitBytes := e.Metrics.CacheTotals()
+			if comp.cache && i == 1 {
+				if selects != 0 {
+					t.Errorf("%q warm: %d backend Selects, want 0", q, selects)
+				}
+				if got.requests != 0 || got.scan != 0 || got.returned != 0 || got.cost.Total() >= ref[1].cost.Total() {
+					t.Errorf("%q warm: billed %+v, want only the re-parse (direct pass: %+v)", q, got, ref[1])
+				}
+				if hits != ref[1].requests || hitBytes != ref[1].returned {
+					t.Errorf("%q warm: %d hits / %d bytes, want %d / %d", q, hits, hitBytes, ref[1].requests, ref[1].returned)
+				}
+				continue
+			}
+			if selects != ref[i].requests || got != ref[i] || hits != 0 {
+				t.Errorf("%q run %d: %d backend Selects, %d hits, billed %+v; a direct pass is %+v", q, i, selects, hits, got, ref[i])
+			}
+		}
+	}
+}
+
+// pipelineConcurrent: n identical scans released together reach the backend
+// once per partition and split exactly one direct pass between them. With a
+// cache on top, the request that led each pass fills, the riders record an
+// in-flight dedup, and the next query is all hits.
+func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp composition) {
+	const n = 4
+	q := fmt.Sprintf(pipeScan, table)
+	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := billOf(refExec)
+
+	counting := s3api.NewCounting(s3api.NewInProc(st))
+	db := comp.open(t, counting, 500*time.Millisecond)
+	rels, execs, errs := make([]*Relation, n), make([]*Exec, n), make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			rels[i], execs[i], errs[i] = db.Query(q)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if got := counting.Selects(); got != ref.requests {
+		t.Errorf("%d concurrent scans reached the backend with %d Selects, want the %d of one scan", n, got, ref.requests)
+	}
+	var requests, scan, returned float64
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		identicalRows(t, q, want, rels[i])
+		if b := billOf(execs[i]); b.requests != 0 {
+			t.Errorf("sharer %d was billed %d whole requests besides its shares", i, b.requests)
+		}
+		r, s, ret, _ := execs[i].Metrics.SharedTotals()
+		requests, scan, returned = requests+r, scan+s, returned+ret
+	}
+	if requests != float64(ref.requests) || scan != float64(ref.scan) || returned != float64(ref.returned) {
+		t.Errorf("sharer bills sum to %v requests / %v scanned / %v returned; one direct pass is %d / %d / %d",
+			requests, scan, returned, ref.requests, ref.scan, ref.returned)
+	}
+	if !comp.cache {
+		return
+	}
+	cs, _ := db.ResultCacheStats()
+	if cs.Puts != ref.requests || cs.InflightDedup != (n-1)*ref.requests || cs.Hits != 0 {
+		t.Errorf("after %d sharers: %+v, want %d leader fills and %d in-flight dedups", n, cs, ref.requests, (n-1)*ref.requests)
+	}
+	_, e, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := e.Metrics.CacheTotals(); hits != ref.requests || counting.Selects() != ref.requests {
+		t.Errorf("next query: %d hits, %d backend Selects in total; the leaders' fills should serve all %d", hits, counting.Selects(), ref.requests)
+	}
+}
+
+// pipelineFillRace: a response whose backend pass was in flight when
+// InvalidateTable ran is returned to its query but never cached.
+func pipelineFillRace(t *testing.T, st *store.Store, table string, comp composition) {
+	q := fmt.Sprintf(pipeScan, table)
+	backend := newHeldSelects(t, st)
+	db := comp.open(t, backend, 0)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := db.Query(q)
+		done <- err
+	}()
+	backend.awaitPasses(t, pipeParts, "racing query")
+	db.InvalidateTable(table)
+	backend.release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := db.ResultCacheStats(); cs.Puts != 0 || cs.Entries != 0 {
+		t.Fatalf("a fill that raced InvalidateTable landed: %+v", cs)
+	}
+	before := backend.Selects()
+	if _, _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := db.ResultCacheStats(); backend.Selects()-before != pipeParts || cs.Puts != pipeParts {
+		t.Fatalf("query after the invalidation: %d backend Selects, stats %+v; want %d fresh fills",
+			backend.Selects()-before, cs, pipeParts)
+	}
+}
+
+// pipelineIndexDDL: CREATE INDEX and DROP INDEX void the share space like
+// any other invalidation — a query arriving after the DDL starts its own
+// passes instead of riding ones that began before it.
+func pipelineIndexDDL(t *testing.T, st *store.Store, table string, comp composition) {
+	ctx := context.Background()
+	q := fmt.Sprintf(pipeScan, table)
+	want, _, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := newHeldSelects(t, st)
+	db := comp.open(t, backend, -1)
+	rels := make(chan *Relation, 3)
+	run := func(what string) {
+		go func() {
+			rel, _, err := db.Query(q)
+			if err != nil {
+				t.Error(what, err)
+			}
+			rels <- rel
+		}()
+		backend.awaitPasses(t, pipeParts, what)
+	}
+	run("query before CREATE INDEX")
+	if err := db.CreateIndex(ctx, table, "k"); err != nil {
+		t.Fatal(err)
+	}
+	run("query after CREATE INDEX (must not ride the passes in flight before it)")
+	if err := db.DropIndex(ctx, table, "k"); err != nil {
+		t.Fatal(err)
+	}
+	run("query after DROP INDEX (must not ride the passes in flight before it)")
+	backend.release()
+	for i := 0; i < 3; i++ {
+		if rel := <-rels; rel != nil {
+			identicalRows(t, q, want, rel)
+		}
+	}
+}

@@ -265,7 +265,7 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy []sqlparse.OrderItem, hidden int) {
 	outNames := map[string]bool{}
 	for _, it := range sel.Items {
-		outNames[strings.ToLower(itemName(it))] = true
+		outNames[strings.ToLower(it.Name())] = true
 	}
 	items = append(items, sel.Items...)
 	next := 0

@@ -1,0 +1,212 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+
+	"pushdowndb/internal/colformat"
+	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/expr"
+	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
+)
+
+// LoadTable fetches every partition with plain GETs and parses the CSV on
+// the server — the paper's "server-side" baseline path.
+func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, error) {
+	keys, err := e.parts(table)
+	if err != nil {
+		return nil, err
+	}
+	backend := e.db.backendFor(table)
+	sp := e.beginSpan(phaseName)
+	phase := e.tablePhase(phaseName, stage, table)
+	rels := make([]*Relation, len(keys))
+	// The per-partition decodes already run concurrently under
+	// forEachPart; split the worker budget across that fan-out so total
+	// decode concurrency matches the Cores budget the cost model prices.
+	fanout := e.db.MaxScanParallel
+	if fanout <= 0 || fanout > len(keys) {
+		fanout = len(keys)
+	}
+	decodeWorkers := e.workers() / fanout
+	if decodeWorkers < 1 {
+		decodeWorkers = 1
+	}
+	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
+		psp := sp.Child("get " + key)
+		defer psp.End()
+		data, err := backend.Get(ctx, e.db.bucket, key)
+		if err != nil {
+			return err
+		}
+		phase.AddGetRequest(int64(len(data)))
+		psp.SetInt("bytes", int64(len(data)))
+		if colformat.IsColumnar(data) {
+			// Columnar partitions decode straight into typed vectors; the
+			// CSV decoder would mis-parse the binary layout.
+			b, err := vec.FromColumnar(data, decodeWorkers)
+			if err != nil {
+				return err
+			}
+			rels[i] = fromVecRows(b.Cols, b.ToRows())
+			return nil
+		}
+		header, rows, err := csvx.Decode(data, true)
+		if err != nil {
+			return err
+		}
+		rels[i] = FromStringsN(header, rows, decodeWorkers)
+		return nil
+	})
+	if err != nil {
+		endSpanErr(sp, err)
+		return nil, err
+	}
+	out := &Relation{}
+	for _, r := range rels {
+		if err := out.Concat(r); err != nil {
+			endSpanErr(sp, err)
+			return nil, err
+		}
+	}
+	sp.SetInt("rows", int64(len(out.Rows)))
+	e.endPhaseSpan(sp, phase)
+	return out, nil
+}
+
+// SelectRows runs sql on every partition of table and concatenates the
+// returned rows into a typed relation.
+func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
+	sp := e.beginSpan(phaseName)
+	phase := e.tablePhase(phaseName, stage, table)
+	results, err := e.selectOnParts(phase, sp, table, sql)
+	if err != nil {
+		endSpanErr(sp, err)
+		return nil, err
+	}
+	dec := sp.Child("decode")
+	out := &Relation{}
+	for _, res := range results {
+		if err := out.Concat(FromStringsN(res.Columns, res.Rows, e.workers())); err != nil {
+			endSpanErr(dec, err)
+			endSpanErr(sp, err)
+			return nil, err
+		}
+	}
+	dec.SetInt("rows", int64(len(out.Rows)))
+	dec.End()
+	sp.SetInt("rows", int64(len(out.Rows)))
+	e.endPhaseSpan(sp, phase)
+	return out, nil
+}
+
+// SelectRowsLimit runs sql with a per-partition LIMIT so that the combined
+// row count approaches total (used by sampling operators).
+func (e *Exec) SelectRowsLimit(phaseName string, stage int, table, sql string, total int64) (*Relation, error) {
+	keys, err := e.parts(table)
+	if err != nil {
+		return nil, err
+	}
+	per := total / int64(len(keys))
+	if per < 1 {
+		per = 1
+	}
+	return e.SelectRows(phaseName, stage, table, fmt.Sprintf("%s LIMIT %d", sql, per))
+}
+
+// SelectAgg runs an aggregate-only sql on every partition and merges the
+// single-row results column-wise using the given aggregate functions
+// (SUM and COUNT merge by addition, MIN/MAX by comparison).
+func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (Row, error) {
+	sp := e.beginSpan(phaseName)
+	phase := e.tablePhase(phaseName, stage, table)
+	defer func() { e.endPhaseSpan(sp, phase) }()
+	results, err := e.selectOnParts(phase, sp, table, sql)
+	if err != nil {
+		return nil, err
+	}
+	states := make([]*expr.AggState, len(merge))
+	for i, fn := range merge {
+		// COUNT partial results merge by summation.
+		if fn == sqlparse.AggCount {
+			fn = sqlparse.AggSum
+		}
+		states[i] = expr.NewAggState(fn)
+	}
+	for _, res := range results {
+		if len(res.Rows) != 1 {
+			return nil, fmt.Errorf("engine: aggregate select returned %d rows", len(res.Rows))
+		}
+		if len(res.Rows[0]) != len(merge) {
+			return nil, fmt.Errorf("engine: aggregate select returned %d columns, expected %d",
+				len(res.Rows[0]), len(merge))
+		}
+		for j, f := range res.Rows[0] {
+			if err := states[j].Add(value.FromCSV(f)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := make(Row, len(merge))
+	for j, st := range states {
+		out[j] = st.Final()
+	}
+	return out, nil
+}
+
+// headerProbe is TableHeader's initial ranged-GET size.
+const headerProbe = 4096
+
+// TableHeader reads a table's column names with a small ranged GET against
+// the first partition (the partitions all share a header row). Header rows
+// longer than the probe retry with a doubled range until a newline turns
+// up or the object is exhausted (a header-only object with no trailing
+// newline is accepted whole).
+func (e *Exec) TableHeader(phaseName string, stage int, table string) ([]string, error) {
+	keys, err := e.parts(table)
+	if err != nil {
+		return nil, err
+	}
+	backend := e.db.backendFor(table)
+	sp := e.beginSpan("header " + table)
+	phase := e.tablePhase(phaseName, stage, table)
+	defer func() { e.endPhaseSpan(sp, phase) }()
+	for probe := int64(headerProbe); ; probe *= 2 {
+		data, err := backend.GetRange(e.ctx, e.db.bucket, keys[0], 0, probe-1)
+		if err != nil {
+			return nil, err
+		}
+		phase.AddGetRequest(int64(len(data)))
+		sp.AddInt("bytes", int64(len(data)))
+		if int64(len(data)) < probe && colformat.IsColumnar(data) {
+			// The whole object fit in the probe and carries the columnar
+			// magic (which is tail-only, so detection needs the complete
+			// object): answer from the footer schema. Larger columnar
+			// objects would need an extra tail request, which would shift
+			// the metered request counts this path is priced on.
+			r, err := colformat.Open(data)
+			if err != nil {
+				return nil, err
+			}
+			schema := r.Schema()
+			header := make([]string, len(schema))
+			for i, c := range schema {
+				header[i] = c.Name
+			}
+			return header, nil
+		}
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			header, _, err := csvx.Decode(data[:nl+1], true)
+			return header, err
+		}
+		if int64(len(data)) < probe {
+			// The whole object fit in the probe and holds no newline: it
+			// is a single (unterminated) header line.
+			header, _, err := csvx.Decode(data, true)
+			return header, err
+		}
+	}
+}

@@ -1,0 +1,123 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+
+	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/obs"
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/selectengine"
+)
+
+// The select path. Every S3 Select the engine issues goes through the
+// table's backend pipeline (composed in Open: result cache over scan
+// sharing over the backend, whichever are configured) and is metered and
+// traced in one place, meterSelect, from the Served stamp the pipeline
+// left on the response. Results may be shared with the cache and with
+// other queries — callers must not mutate them.
+
+// selectOnParts runs the same S3 Select SQL against every partition of the
+// table through its backend's pipeline (with the backend's advertised
+// capabilities) and returns the per-partition results, recording request
+// metrics. Each partition select becomes a child span of sp (nil when
+// untraced).
+func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql string) ([]*selectengine.Result, error) {
+	keys, err := e.parts(table)
+	if err != nil {
+		return nil, err
+	}
+	sel := e.db.selectFor(table)
+	req := selectengine.Request{SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()}
+	results := make([]*selectengine.Result, len(keys))
+	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
+		res, err := e.doSelect(ctx, phase, sp, sel, key, req)
+		if err != nil {
+			return fmt.Errorf("engine: select on %s: %w", key, err)
+		}
+		results[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// doSelect issues one S3 Select against an object through sel, under a
+// "select <key>" child span of sp, and meters the response on phase.
+func (e *Exec) doSelect(ctx context.Context, phase *cloudsim.Phase, sp *obs.Span, sel s3api.Selector, key string, req selectengine.Request) (*selectengine.Result, error) {
+	psp := sp.Child("select " + key)
+	defer psp.End()
+	res, err := sel.Select(ctx, e.db.bucket, key, req)
+	if err != nil {
+		return nil, err
+	}
+	meterSelect(phase, psp, res)
+	return res, nil
+}
+
+// meterSelect bills one select response to phase and describes it on sp,
+// keyed on how the pipeline served it: a cache hit reached no backend and
+// costs only the local re-parse; a pass shared by n requests is billed 1/n
+// to each plus the sharer's own local re-filter work; anything else is one
+// direct request.
+func meterSelect(phase *cloudsim.Phase, sp *obs.Span, res *selectengine.Result) {
+	how := res.Served
+	if how.Cache != "" {
+		sp.SetStr("cache", how.Cache)
+	}
+	switch {
+	case how.Cache == selectengine.CacheHit:
+		phase.AddCacheHit(res.Stats.BytesReturned)
+	case how.Sharers > 1:
+		phase.AddSharedSelectRequest(selectReqStats(how.Pass), int64(how.Sharers), how.LocalRows)
+		sp.SetInt("sharers", int64(how.Sharers))
+	default:
+		phase.AddSelectRequest(selectReqStats(res.Stats))
+	}
+	if how.Sharers > 0 {
+		share := "leader"
+		if how.Coalesced {
+			share = "sharer"
+		}
+		sp.SetStr("share", share)
+	}
+	sp.SetInt("rows", int64(len(res.Rows)))
+	sp.SetInt("bytes", res.Stats.BytesReturned)
+}
+
+// selectReqStats converts select-engine stats into the cost model's
+// request record.
+func selectReqStats(s selectengine.Stats) cloudsim.SelectReq {
+	return cloudsim.SelectReq{
+		ScanBytes:       s.BytesScanned,
+		ReturnedBytes:   s.BytesReturned,
+		Rows:            s.RowsScanned,
+		ExprNodes:       s.ExprNodes,
+		Cells:           s.CellsDecoded,
+		DecompressBytes: s.DecompressBytes,
+	}
+}
+
+// cachedScanFrac reports what fraction of a table's partitions have the
+// given pushed scan SQL resident in the result cache (0 with caching off).
+// It shares the execution's partition-listing memo, so planning adds no
+// extra List call. Residency is peeked without promoting entries.
+func (e *Exec) cachedScanFrac(table, sql string) float64 {
+	c := e.db.resultCache
+	if c == nil || c.Len() == 0 {
+		// Empty cache: skip even the (memoized) listing — this runs on
+		// every plan of every table, including fully cold first queries.
+		return 0
+	}
+	keys, err := e.parts(table)
+	if err != nil {
+		return 0
+	}
+	backendName, backend := e.db.BackendFor(table)
+	hits := c.Resident(backendName, e.db.bucket, keys, selectengine.Request{
+		SQL: sql, HasHeader: true, Capabilities: backend.Capabilities(),
+	})
+	return float64(hits) / float64(len(keys))
+}

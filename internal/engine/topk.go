@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // Section VII: top-K algorithms.
@@ -194,11 +195,11 @@ func topKLocalN(rel *Relation, orderCol string, k int, asc bool, workers int) (*
 	if idx < 0 {
 		return nil, fmt.Errorf("engine: order column %q not in %v", orderCol, rel.Cols)
 	}
-	sps := rowSpans(len(rel.Rows), workers)
+	sps := vec.RowSpans(len(rel.Rows), workers)
 	parts := make([][]topRow, len(sps))
-	_ = runSpans(sps, func(w int, sp span) error {
+	_ = vec.RunSpans(sps, func(w int, sp vec.Span) error {
 		h := &topRowHeap{col: idx, asc: asc}
-		for i := sp.lo; i < sp.hi; i++ {
+		for i := sp.Lo; i < sp.Hi; i++ {
 			r := rel.Rows[i]
 			if cell(r, idx).IsNull() {
 				continue

@@ -20,6 +20,24 @@ type Env interface {
 	Lookup(qualifier, name string) (value.Value, bool)
 }
 
+// GroupKeyEnv resolves bare group-by columns to one group's key values
+// while its aggregates finalize (so SELECT g, SUM(x) ... GROUP BY g can
+// output g).
+type GroupKeyEnv struct {
+	Exprs []sqlparse.Expr
+	Vals  []value.Value
+}
+
+// Lookup implements Env.
+func (g *GroupKeyEnv) Lookup(_, name string) (value.Value, bool) {
+	for i, e := range g.Exprs {
+		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
+			return g.Vals[i], true
+		}
+	}
+	return value.Null(), false
+}
+
 // MapEnv is a simple Env backed by a map (tests, constant folding).
 type MapEnv map[string]value.Value
 

@@ -16,6 +16,7 @@ func TestRunBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	profiles := BackendProfiles()
 	if len(res.Points) != len(profiles) {
 		t.Fatalf("points = %d, want one per backend profile", len(res.Points))

@@ -15,6 +15,7 @@ func TestRunCacheWarmBeatsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	queries := []string{"scan", "join"}
 	for _, profile := range []string{"s3", "s3-cross-region"} {
 		for _, q := range queries {

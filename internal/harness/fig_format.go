@@ -56,38 +56,3 @@ func RunFig11(ctx context.Context, env *Env) (*Result, error) {
 		"columnar results are still returned CSV-encoded (the paper's observed S3 Select behaviour), so transfer-bound points converge")
 	return res, nil
 }
-
-// AllFigures runs every reproduced figure in paper order. Canceling ctx
-// stops between (and, through the engine, inside) figure runs.
-func AllFigures(ctx context.Context, env *Env) ([]*Result, error) {
-	runs := []func(context.Context, *Env) (*Result, error){
-		RunFig1, RunFig2, RunFig3, RunFig4, RunFig5, RunFig6, RunFig7,
-		RunFig8, RunFig9, RunFig10, RunFig11, RunParallel, RunBackends,
-	}
-	var out []*Result
-	for _, run := range runs {
-		r, err := run(ctx, env)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// AblationFigures runs the Section-X extension ablations.
-func AblationFigures(ctx context.Context, env *Env) ([]*Result, error) {
-	runs := []func(context.Context, *Env) (*Result, error){
-		RunFig1MultiRange, RunFig4Bitwise, RunFig6PartialGroupBy, RunTopKModel,
-		RunSec9TPCHFormats, RunS5Pricing,
-	}
-	var out []*Result
-	for _, run := range runs {
-		r, err := run(ctx, env)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -30,6 +30,7 @@ func TestFig1Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// S3-side filter is ~10x faster than server-side, stable across the
@@ -72,6 +73,7 @@ func TestFig2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Baseline and filtered joins perform similarly (both load all of
@@ -103,6 +105,7 @@ func TestFig3Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Filtered join beats baseline when the orders filter is selective...
@@ -136,6 +139,7 @@ func TestFig4Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// The best FPR is in the middle (paper: 0.01): too-low FPR pays S3
@@ -161,6 +165,7 @@ func TestFig5Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Server-side and filtered are flat in the group count; filtered wins
@@ -197,6 +202,7 @@ func TestFig6Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// More S3-side groups: S3 time grows, server time and bytes shrink.
@@ -219,6 +225,7 @@ func TestFig7Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Server-side and filtered are insensitive to skew.
@@ -249,6 +256,7 @@ func TestFig8Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Sampling time grows with S; scanning time shrinks with S; traffic is
@@ -275,6 +283,7 @@ func TestFig9Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Sampling top-K is consistently faster and cheaper than server-side.
@@ -298,6 +307,7 @@ func TestFig10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Optimized beats baseline on every workload's runtime.
@@ -330,6 +340,7 @@ func TestFig11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Parquet wins clearly on wide tables at selective filters (column
@@ -358,11 +369,12 @@ func TestFig11Shapes(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	env := testEnv(t)
-	rs, err := AblationFigures(context.Background(), env)
+	rs, err := RunFigures(context.Background(), env, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rs {
+		checkGolden(t, r)
 		t.Log("\n" + r.String())
 	}
 	// Suggestion 1: multi-range GET strictly cheaper in requests at low

@@ -17,6 +17,7 @@ func TestRunIndexCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for _, profile := range []string{"s3", "s3-cross-region"} {
 		for _, pct := range []string{"0.1%", "1%"} {
 			x := pct + " " + profile

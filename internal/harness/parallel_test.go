@@ -13,6 +13,7 @@ func TestParallelFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	// Server-side group-by wall-clock shrinks as the budget grows, and

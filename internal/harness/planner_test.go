@@ -12,6 +12,7 @@ func TestPlannerFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, r)
 	t.Log("\n" + r.String())
 
 	if len(r.Points) != len(Fig2Acctbals) {

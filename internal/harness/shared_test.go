@@ -18,6 +18,7 @@ func TestRunSharedCostFallsWithClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for _, n := range sharedFigClientCounts {
 		un, ok1 := res.Get("unshared", strconv.Itoa(n))
 		sh, ok2 := res.Get("shared", strconv.Itoa(n))

@@ -120,7 +120,8 @@ func calleeIs(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 }
 
 // backendMethod returns the method name when call is a method call on the
-// s3api.Backend or s3api.Putter interface.
+// s3api.Backend, s3api.Selector (a backend's select pipeline) or
+// s3api.Putter interface.
 func backendMethod(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -131,7 +132,7 @@ func backendMethod(info *types.Info, call *ast.CallExpr) (name string, ok bool) 
 		return "", false
 	}
 	recv := s.Recv()
-	if namedAs(recv, pkgS3api, "Backend") || namedAs(recv, pkgS3api, "Putter") {
+	if namedAs(recv, pkgS3api, "Backend") || namedAs(recv, pkgS3api, "Selector") || namedAs(recv, pkgS3api, "Putter") {
 		return sel.Sel.Name, true
 	}
 	return "", false

@@ -30,12 +30,15 @@ var meteredOps = map[string]bool{
 // The check is lexical: a *cloudsim.Phase parameter or local declared
 // before the call (in the function or any enclosing one) satisfies it.
 // DB-level catalog reads that are documented as unmetered carry a
-// //lint:ignore metered suppression saying so.
+// //lint:ignore metered suppression saying so. The layers of a backend's
+// select pipeline (rescache, scanshare) are out of scope, like s3api's own
+// decorators: they forward a Select and stamp how it was served; the engine
+// call that entered the pipeline is the one that must be metered.
 var Metered = &analysis.Analyzer{
 	Name: "metered",
 	Doc: "require an open *cloudsim.Phase around every priced s3api.Backend call " +
 		"in engine/index so no S3 operation escapes the cost model",
-	InScope: scopeOf(pkgEngine, pkgIndex, pkgScanshare, pkgVec),
+	InScope: scopeOf(pkgEngine, pkgIndex, pkgVec),
 	Run:     runMetered,
 }
 

@@ -8,11 +8,18 @@ import (
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/selectengine"
 )
 
 // No phase anywhere in the function: the operation escapes the cost model.
 func unmetered(ctx context.Context, b s3api.Backend, bucket, key string) ([]byte, error) {
 	return b.Get(ctx, bucket, key) // want `s3api\.Backend\.Get with no \*cloudsim\.Phase open in the enclosing function`
+}
+
+// A backend's select pipeline is priced like the backend it ends in.
+func unmeteredPipeline(ctx context.Context, sel s3api.Selector, bucket, key string) error {
+	_, err := sel.Select(ctx, bucket, key, selectengine.Request{SQL: "SELECT * FROM S3Object"}) // want `s3api\.Backend\.Select with no \*cloudsim\.Phase open`
+	return err
 }
 
 // A phase opened before the call satisfies the invariant.

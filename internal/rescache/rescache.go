@@ -16,9 +16,11 @@ package rescache
 
 import (
 	"container/list"
+	"context"
 	"strings"
 	"sync"
 
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 )
 
@@ -32,8 +34,8 @@ type Key struct {
 	// Bucket and Object locate the scanned object.
 	Bucket, Object string
 	// Query is the canonical request fingerprint: the select SQL plus any
-	// request parameters that change the response (engine.selectCacheQuery
-	// builds it).
+	// request parameters that change the response
+	// (selectengine.Request.Fingerprint; Over's layer fills it in).
 	Query string
 }
 
@@ -137,6 +139,62 @@ func New(budgetBytes int64, opts ...Option) *Cache {
 		o(c)
 	}
 	return c
+}
+
+// layer is the cache as a stage of one backend's select pipeline.
+type layer struct {
+	cache   *Cache
+	backend string
+	inner   s3api.Selector
+}
+
+// Over returns a Selector that answers inner's Selects from c, keyed under
+// the registered backend name (one cache serves every backend of a DB). A
+// hit returns a per-caller copy of the shared entry stamped CacheHit and
+// never reaches inner. A miss snapshots the object's generation, asks
+// inner, stamps CacheMiss and fills at the snapshot — so a response that
+// raced an invalidation is dropped — unless the response was coalesced
+// onto another request's pass below (Served.Coalesced): the request that
+// led the pass fills, the riders only record an in-flight dedup.
+func (c *Cache) Over(backend string, inner s3api.Selector) s3api.Selector {
+	return &layer{cache: c, backend: backend, inner: inner}
+}
+
+func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	k := Key{Backend: l.backend, Bucket: bucket, Object: key, Query: req.Fingerprint()}
+	if cached, ok := l.cache.Get(k); ok {
+		res := *cached
+		res.Served = selectengine.Served{Cache: selectengine.CacheHit}
+		return &res, nil
+	}
+	gen := l.cache.Generation(bucket, key)
+	res, err := l.inner.Select(ctx, bucket, key, req)
+	if err != nil {
+		return nil, err
+	}
+	res.Served.Cache = selectengine.CacheMiss
+	if res.Served.Coalesced {
+		l.cache.NoteInflightDedup()
+	} else {
+		l.cache.Put(k, gen, res)
+	}
+	return res, nil
+}
+
+// Resident counts how many of a bucket's objects have req's response
+// resident and current under the named backend, without promoting entries
+// or touching the hit/miss counters — the planner estimates a scan's hit
+// ratio with it.
+func (c *Cache) Resident(backend, bucket string, objects []string, req selectengine.Request) int {
+	k := Key{Backend: backend, Bucket: bucket, Query: req.Fingerprint()}
+	n := 0
+	for _, obj := range objects {
+		k.Object = obj
+		if c.Contains(k) {
+			n++
+		}
+	}
+	return n
 }
 
 func genKey(bucket, object string) string { return bucket + "\x00" + object }
@@ -280,7 +338,8 @@ func (c *Cache) removeLocked(el *list.Element) {
 // InvalidatePrefix voids every cached response for objects of bucket whose
 // key starts with prefix: resident entries are dropped immediately and the
 // objects' generations are bumped so in-flight fills for them cannot land.
-// A table reload invalidates with the table's partition prefix.
+// A table reload invalidates with the table's partition prefix; the empty
+// prefix voids everything cached for the bucket.
 func (c *Cache) InvalidatePrefix(bucket, prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -305,26 +364,6 @@ func (c *Cache) InvalidatePrefix(bucket, prefix string) {
 		c.removeLocked(el)
 		c.invalidations++
 	}
-}
-
-// InvalidateAll voids the entire cache (and any in-flight fills).
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for gk := range c.gens {
-		c.gens[gk]++
-	}
-	for _, el := range c.entries {
-		ent := el.Value.(*entry)
-		gk := genKey(ent.key.Bucket, ent.key.Object)
-		if _, seen := c.gens[gk]; !seen {
-			c.gens[gk] = 1
-		}
-	}
-	c.invalidations += int64(c.ll.Len())
-	c.ll.Init()
-	c.entries = map[Key]*list.Element{}
-	c.used = 0
 }
 
 // NoteInflightDedup records one miss that was nonetheless served without

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -136,21 +137,21 @@ func TestInvalidatePrefixScopesToTable(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
+func TestInvalidateEmptyPrefixVoidsBucket(t *testing.T) {
 	c := New(1 << 20)
 	k := key("t/part0000.csv", "q")
 	gen := c.Generation(k.Bucket, k.Object)
 	fill(c, k, res("x"))
-	c.InvalidateAll()
+	c.InvalidatePrefix(k.Bucket, "")
 	if _, ok := c.Get(k); ok {
-		t.Error("InvalidateAll left an entry resident")
+		t.Error("the empty prefix left an entry resident")
 	}
 	c.Put(k, gen, res("stale"))
 	if _, ok := c.Get(k); ok {
-		t.Error("a pre-InvalidateAll fill landed afterwards")
+		t.Error("a pre-invalidation fill landed afterwards")
 	}
 	if st := c.Stats(); st.UsedBytes != 0 {
-		t.Errorf("used = %d after InvalidateAll, want 0", st.UsedBytes)
+		t.Errorf("used = %d after voiding the bucket, want 0", st.UsedBytes)
 	}
 }
 
@@ -338,5 +339,58 @@ func TestNoteInflightDedup(t *testing.T) {
 	c.NoteInflightDedup()
 	if s := c.Stats(); s.InflightDedup != 2 {
 		t.Fatalf("InflightDedup = %d, want 2", s.InflightDedup)
+	}
+}
+
+// innerFunc is the select stage below the cache layer.
+type innerFunc func(req selectengine.Request) (*selectengine.Result, error)
+
+func (f innerFunc) Select(_ context.Context, _, _ string, req selectengine.Request) (*selectengine.Result, error) {
+	return f(req)
+}
+
+// TestLayerStampsAndFillProtocol walks the layer's three outcomes: a miss
+// fills and is stamped a miss; a hit is the caller's own header over the
+// shared rows and never reaches the stage below; a response that rode
+// another request's pass below is returned but left for that request to
+// fill.
+func TestLayerStampsAndFillProtocol(t *testing.T) {
+	c := New(1 << 20)
+	calls := 0
+	var served selectengine.Served
+	sel := c.Over("b", innerFunc(func(selectengine.Request) (*selectengine.Result, error) {
+		calls++
+		r := res("1", "2")
+		r.Served = served
+		return r, nil
+	}))
+	ctx := context.Background()
+	req := selectengine.Request{SQL: "SELECT x FROM S3Object", HasHeader: true}
+
+	miss, err := sel.Select(ctx, "bkt", "t/part0000.csv", req)
+	if err != nil || miss.Served.Cache != selectengine.CacheMiss || calls != 1 {
+		t.Fatalf("first select: %+v, %v after %d inner calls; want a stamped miss", miss, err, calls)
+	}
+	hit, err := sel.Select(ctx, "bkt", "t/part0000.csv", req)
+	if err != nil || hit.Served != (selectengine.Served{Cache: selectengine.CacheHit}) || calls != 1 {
+		t.Fatalf("repeat: %+v, %v after %d inner calls; want a hit that reached nothing", hit, err, calls)
+	}
+	if hit == miss || &hit.Rows[0] != &miss.Rows[0] {
+		t.Fatal("a hit must be its own header over the shared rows")
+	}
+	if n := c.Resident("b", "bkt", []string{"t/part0000.csv", "t/part0001.csv"}, req); n != 1 {
+		t.Fatalf("Resident = %d, want 1 of the 2 objects", n)
+	}
+	if n := c.Resident("other", "bkt", []string{"t/part0000.csv"}, req); n != 0 {
+		t.Fatalf("Resident under another backend = %d, want 0", n)
+	}
+
+	served = selectengine.Served{Sharers: 3, Coalesced: true}
+	rider, err := sel.Select(ctx, "bkt", "t/part0001.csv", req)
+	if err != nil || rider.Served.Cache != selectengine.CacheMiss || rider.Served.Sharers != 3 {
+		t.Fatalf("coalesced select: %+v, %v", rider, err)
+	}
+	if st := c.Stats(); st.Puts != 1 || st.InflightDedup != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want the rider's response uncached and one in-flight dedup", st)
 	}
 }

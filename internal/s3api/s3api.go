@@ -39,8 +39,7 @@ type Backend interface {
 	GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error)
 	// GetRanges returns several inclusive ranges in one request.
 	GetRanges(ctx context.Context, bucket, key string, ranges [][2]int64) ([][]byte, error)
-	// Select runs an S3 Select request against one object.
-	Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error)
+	Selector
 	// List returns the keys under a prefix, sorted. A missing bucket
 	// lists empty, not an error (matching S3).
 	List(ctx context.Context, bucket, prefix string) ([]string, error)
@@ -52,6 +51,18 @@ type Backend interface {
 	// Profile advertises the backend's performance and pricing profile
 	// for the virtual clock and the planner.
 	Profile() Profile
+}
+
+// Selector is the S3 Select call on its own. The engine's select pipeline
+// is a stack of Selectors — the result cache and the scan-sharing
+// coordinator each wrap the one below and stamp Result.Served — bottoming
+// out in a Backend; every other storage operation keeps seeing the raw
+// Backend.
+type Selector interface {
+	// Select runs an S3 Select request against one object. The returned
+	// Result's header belongs to the caller; its Columns and Rows may be
+	// shared and must not be mutated.
+	Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error)
 }
 
 // Putter is the optional write surface backends expose for loading data

@@ -3,8 +3,9 @@
 // so under server concurrency many in-flight queries pay full request/
 // scan/transfer cost for the same partitions; SharedDB-style multi-query
 // execution (and the "Enhancing Computation Pushdown" follow-up) share one
-// storage pass across consumers instead. The Coordinator sits between
-// engine.Exec and s3api.Backend and shares passes two ways:
+// storage pass across consumers instead. The Coordinator is a layer of the
+// engine's select pipeline (Over wraps a backend's Select, below the
+// result cache) and shares passes two ways:
 //
 //   - Singleflight: concurrent identical requests against the same
 //     (backend, bucket, object, canonical request) join one in-flight
@@ -21,44 +22,30 @@
 //     original request over them reproduces the direct answer
 //     byte-for-byte.
 //
-// Cost attribution is the caller's job: the Outcome reports the pass
-// stats, the final sharer count and the local re-filter row volume, and
-// the engine meters one pass split across sharers
+// Cost attribution is the caller's job: every sharer gets its own Result
+// header stamped (selectengine.Served) with the pass stats, the final
+// sharer count, the local re-filter row volume and whether it rode another
+// request's pass, and the engine meters one pass split across sharers
 // (cloudsim.Phase.AddSharedSelectRequest).
 //
-// Invalidation composes two ways: the coordinator key carries the result
-// cache's generation snapshot for the object (so a table reload separates
-// pre- and post-reload sharers even mid-flight), and Invalidate bumps a
-// coordinator-wide epoch for cacheless deployments.
+// Invalidate bumps a coordinator-wide epoch that is part of every share
+// key, so requests arriving after a table reload never join a pass started
+// before it. The engine bumps it before voiding the result cache: a
+// post-reload miss can then only ride a post-reload pass.
 package scanshare
 
 import (
 	"context"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
-
-// SelectFunc issues one real backend Select. The coordinator never talks
-// to storage itself; the engine passes a closure binding the backend,
-// bucket and object so metering scope stays with the engine.
-type SelectFunc func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error)
-
-// ObjectKey identifies the object a request scans, plus the result-cache
-// generation the caller snapshotted for it (zero without a cache): shares
-// never straddle an invalidation.
-type ObjectKey struct {
-	Backend string
-	Bucket  string
-	Object  string
-	Gen     uint64
-}
 
 // Config tunes the coordinator.
 type Config struct {
@@ -78,29 +65,6 @@ type Config struct {
 // long enough for a barrier of concurrent queries fanning out over the
 // same partitions to meet, short next to any real storage round trip.
 const DefaultWindow = 2 * time.Millisecond
-
-// Outcome is what one coordinated Select produced for its caller.
-type Outcome struct {
-	// Res is the caller's result: the shared response verbatim for
-	// singleflight shares, the locally re-filtered rows for merged ones.
-	Res *selectengine.Result
-	// Sharers is how many requests shared the backend pass (1 = solo).
-	// Every sharer of one pass observes the same final count, so a
-	// pass's cost splits exactly once across them.
-	Sharers int
-	// Leader is true for exactly one sharer per pass — the caller that
-	// issued the backend request (cache fills belong to it).
-	Leader bool
-	// Merged reports whether the pass pushed a combined OR/union request
-	// rather than this caller's request verbatim.
-	Merged bool
-	// Pass is the backend pass's stats (what storage actually did), as
-	// opposed to Res.Stats which describes the caller's slice of it.
-	Pass selectengine.Stats
-	// LocalRows is how many merged-response rows this caller re-filtered
-	// locally (0 for unmerged shares) — priced at local row-work rates.
-	LocalRows int64
-}
 
 // Stats is a snapshot of the coordinator's counters.
 type Stats struct {
@@ -147,10 +111,11 @@ type identity struct {
 	fp  string
 }
 
-// objIdent is the batching key: one object at one epoch.
+// objIdent is the batching key: one object of one registered backend at
+// one epoch.
 type objIdent struct {
-	key   ObjectKey
-	epoch uint64
+	backend, bucket, object string
+	epoch                   uint64
 }
 
 // New returns a coordinator with cfg's zero fields defaulted.
@@ -174,8 +139,7 @@ func New(cfg Config) *Coordinator {
 // Invalidate voids the coordinator's share space: requests arriving after
 // the call can no longer join passes started before it. In-flight passes
 // complete for their existing waiters (their data predates the
-// invalidation for all of them equally). The engine calls this from
-// InvalidateStats/InvalidateTable alongside the result-cache bump.
+// invalidation for all of them equally).
 func (c *Coordinator) Invalidate() { c.epoch.Add(1) }
 
 // Stats snapshots the counters.
@@ -200,7 +164,7 @@ type call struct {
 	err     error
 	pass    selectengine.Stats
 	sharers int
-	// leaderTaken hands the Leader outcome to exactly one waiter (the
+	// leaderTaken hands the un-coalesced stamp to exactly one waiter (the
 	// cache fill belongs to it).
 	leaderTaken bool
 }
@@ -215,35 +179,6 @@ type entry struct {
 	res       *selectengine.Result
 	err       error
 	localRows int64
-}
-
-// Fingerprint renders the canonical identity of a select request: the SQL
-// plus every request parameter that changes the response. It matches the
-// engine's result-cache fingerprint so a coordinator share and a cache
-// entry describe the same response.
-func Fingerprint(req selectengine.Request) string {
-	var b strings.Builder
-	b.WriteString(req.SQL)
-	b.WriteString("\x00h=")
-	b.WriteString(boolTag(req.HasHeader))
-	b.WriteString("\x00g=")
-	b.WriteString(boolTag(req.Capabilities.AllowGroupBy))
-	b.WriteString("\x00b=")
-	b.WriteString(boolTag(req.Capabilities.AllowBloomContains))
-	if req.ScanRange != nil {
-		b.WriteString("\x00r=")
-		b.WriteString(strconv.FormatInt(req.ScanRange.Start, 10))
-		b.WriteString("-")
-		b.WriteString(strconv.FormatInt(req.ScanRange.End, 10))
-	}
-	return b.String()
-}
-
-func boolTag(v bool) string {
-	if v {
-		return "true"
-	}
-	return "false"
 }
 
 // mergeable parses req and reports whether it can participate in a
@@ -294,15 +229,32 @@ func mergedSQLLen(sel *sqlparse.Select) int {
 	return n
 }
 
+// layer is the coordinator as a stage of one backend's select pipeline.
+type layer struct {
+	c       *Coordinator
+	backend string
+	inner   s3api.Selector
+}
+
+// Over returns a Selector that coordinates inner's Selects, keyed under
+// the registered backend name (one coordinator serves every backend of a
+// DB). Every call that reaches inner is one backend pass.
+func (c *Coordinator) Over(backend string, inner s3api.Selector) s3api.Selector {
+	return &layer{c: c, backend: backend, inner: inner}
+}
+
 // Select coordinates one request: it joins an identical in-flight pass,
 // joins an open batch on the same object, or starts a new pass (waiting
 // out the batching window when the request is merge-eligible). The
-// returned Outcome carries the caller's rows plus the pass accounting.
-// On any shared-pass failure every waiter falls back to its own direct
-// backend call, so a sharer never fares worse than running alone.
-func (c *Coordinator) Select(ctx context.Context, key ObjectKey, req selectengine.Request, fn SelectFunc) (Outcome, error) {
-	fp := Fingerprint(req)
-	obj := objIdent{key: key, epoch: c.epoch.Load()}
+// returned Result is the caller's own header over its rows — the shared
+// response verbatim for singleflight shares, the locally re-filtered rows
+// for merged ones — stamped with the pass accounting. On any shared-pass
+// failure every waiter falls back to its own direct backend call, so a
+// sharer never fares worse than running alone.
+func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	c := l.c
+	fp := req.Fingerprint()
+	obj := objIdent{backend: l.backend, bucket: bucket, object: key, epoch: c.epoch.Load()}
 	id := identity{obj: obj, fp: fp}
 	var sel *sqlparse.Select
 	if c.cfg.Window > 0 {
@@ -316,7 +268,7 @@ func (c *Coordinator) Select(ctx context.Context, key ObjectKey, req selectengin
 		ent := cl.byFP[fp]
 		ent.waiters++
 		c.mu.Unlock()
-		return c.wait(ctx, cl, ent, req, fn)
+		return l.wait(ctx, obj, cl, ent, req)
 	}
 	// Join an open batch on the same object with a new predicate.
 	if cl, ok := c.open[obj]; ok && sel != nil && !cl.fired &&
@@ -332,7 +284,7 @@ func (c *Coordinator) Select(ctx context.Context, key ObjectKey, req selectengin
 			close(cl.full)
 		}
 		c.mu.Unlock()
-		return c.wait(ctx, cl, ent, req, fn)
+		return l.wait(ctx, obj, cl, ent, req)
 	}
 	// Start a new pass, leading it.
 	cl := &call{
@@ -355,14 +307,15 @@ func (c *Coordinator) Select(ctx context.Context, key ObjectKey, req selectengin
 	}
 	c.mu.Unlock()
 
-	c.lead(ctx, obj, cl, fn, batching)
-	return c.wait(ctx, cl, ent, req, fn)
+	l.lead(ctx, obj, cl, batching)
+	return l.wait(ctx, obj, cl, ent, req)
 }
 
 // lead runs the pass: wait out the batching window (mergeable passes
 // only), freeze the batch, issue one backend call, route rows to every
 // entry and publish the completion.
-func (c *Coordinator) lead(ctx context.Context, obj objIdent, cl *call, fn SelectFunc, batching bool) {
+func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool) {
+	c := l.c
 	if batching {
 		timer := time.NewTimer(c.cfg.Window)
 		select {
@@ -391,14 +344,14 @@ func (c *Coordinator) lead(ctx context.Context, obj objIdent, cl *call, fn Selec
 	if len(entries) == 1 {
 		// Solo pass (possibly with many identical waiters): push the
 		// request verbatim.
-		res, err = fn(ctx, entries[0].req)
+		res, err = l.inner.Select(ctx, obj.bucket, obj.object, entries[0].req)
 		if err == nil {
 			entries[0].res = res
 		}
 	} else {
 		merged := mergeRequest(entries)
 		cl.merged = true
-		res, err = fn(ctx, merged)
+		res, err = l.inner.Select(ctx, obj.bucket, obj.object, merged)
 		if err == nil {
 			// Route rows: re-execute each entry's own SQL over the merged
 			// response. The merged pass returned every referenced column
@@ -448,43 +401,39 @@ func (c *Coordinator) lead(ctx context.Context, obj objIdent, cl *call, fn Selec
 	close(cl.done)
 }
 
-// wait blocks until the call completes, then assembles the caller's
-// Outcome — falling back to a direct backend call when the pass or this
-// entry's slice of it failed.
-func (c *Coordinator) wait(ctx context.Context, cl *call, ent *entry, req selectengine.Request, fn SelectFunc) (Outcome, error) {
+// wait blocks until the call completes, then stamps the caller's own copy
+// of its entry's result — falling back to a direct backend call when the
+// pass or this entry's slice of it failed.
+func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, req selectengine.Request) (*selectengine.Result, error) {
 	<-cl.done
+	c := l.c
 	if cl.err != nil || ent.err != nil {
-		return c.fallback(ctx, req, fn)
+		// Re-issue the caller's own request directly; the result is
+		// exactly a solo pass.
+		c.mu.Lock()
+		c.stats.Fallbacks++
+		c.stats.BackendSelects++
+		c.mu.Unlock()
+		res, err := l.inner.Select(ctx, obj.bucket, obj.object, req)
+		if err != nil {
+			return nil, err
+		}
+		res.Served = selectengine.Served{Sharers: 1, Pass: res.Stats}
+		return res, nil
 	}
-	leader := false
 	c.mu.Lock()
-	if !cl.leaderTaken {
-		cl.leaderTaken = true
-		leader = true
-	}
+	coalesced := cl.leaderTaken
+	cl.leaderTaken = true
 	c.mu.Unlock()
-	return Outcome{
-		Res:       ent.res,
+	// The entry's result is shared by every waiter coalesced onto it.
+	res := *ent.res
+	res.Served = selectengine.Served{
 		Sharers:   cl.sharers,
-		Leader:    leader,
-		Merged:    cl.merged,
+		Coalesced: coalesced,
 		Pass:      cl.pass,
 		LocalRows: ent.localRows,
-	}, nil
-}
-
-// fallback re-issues the caller's own request directly after a shared
-// pass failed for it; the result is exactly a solo pass.
-func (c *Coordinator) fallback(ctx context.Context, req selectengine.Request, fn SelectFunc) (Outcome, error) {
-	c.mu.Lock()
-	c.stats.Fallbacks++
-	c.stats.BackendSelects++
-	c.mu.Unlock()
-	res, err := fn(ctx, req)
-	if err != nil {
-		return Outcome{}, err
 	}
-	return Outcome{Res: res, Sharers: 1, Leader: true, Pass: res.Stats}, nil
+	return &res, nil
 }
 
 // mergeRequest builds the one pushed Select standing in for every entry:

@@ -26,9 +26,22 @@ func testData() []byte {
 	return csvx.Encode([]string{"k", "g", "v"}, rows)
 }
 
-// backend returns a SelectFunc over data that counts calls and records
+// selectorFunc adapts a function to the s3api.Selector the coordinator
+// layers over; every call is one backend pass.
+type selectorFunc func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error)
+
+func (f selectorFunc) Select(ctx context.Context, _, _ string, req selectengine.Request) (*selectengine.Result, error) {
+	return f(ctx, req)
+}
+
+// share runs one request on the test object through c layered over fn.
+func share(c *Coordinator, fn selectorFunc, req selectengine.Request) (*selectengine.Result, error) {
+	return c.Over("s3", fn).Select(context.Background(), "b", "t/part0", req)
+}
+
+// backend returns a selector over data that counts calls and records
 // every pushed SQL.
-func backend(data []byte, calls *atomic.Int64, sqls *[]string, mu *sync.Mutex) SelectFunc {
+func backend(data []byte, calls *atomic.Int64, sqls *[]string, mu *sync.Mutex) selectorFunc {
 	return func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -47,13 +60,11 @@ func scanReq(sql string) selectengine.Request {
 	return selectengine.Request{SQL: sql, HasHeader: true}
 }
 
-var testKey = ObjectKey{Backend: "s3", Bucket: "b", Object: "t/part0"}
-
 // runConcurrent drives one coordinated Select per request from its own
-// goroutine, released together, and returns the outcomes in request order.
-func runConcurrent(t *testing.T, c *Coordinator, fn SelectFunc, key ObjectKey, reqs []selectengine.Request) []Outcome {
+// goroutine, released together, and returns the results in request order.
+func runConcurrent(t *testing.T, c *Coordinator, fn selectorFunc, reqs []selectengine.Request) []*selectengine.Result {
 	t.Helper()
-	outs := make([]Outcome, len(reqs))
+	outs := make([]*selectengine.Result, len(reqs))
 	errs := make([]error, len(reqs))
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -62,7 +73,7 @@ func runConcurrent(t *testing.T, c *Coordinator, fn SelectFunc, key ObjectKey, r
 		go func(i int, req selectengine.Request) {
 			defer wg.Done()
 			<-start
-			outs[i], errs[i] = c.Select(context.Background(), key, req, fn)
+			outs[i], errs[i] = share(c, fn, req)
 		}(i, req)
 	}
 	close(start)
@@ -75,18 +86,18 @@ func runConcurrent(t *testing.T, c *Coordinator, fn SelectFunc, key ObjectKey, r
 	return outs
 }
 
-// expectRows asserts an outcome's rows match a direct execution of req.
-func expectRows(t *testing.T, data []byte, req selectengine.Request, out Outcome) {
+// expectRows asserts a result's rows match a direct execution of req.
+func expectRows(t *testing.T, data []byte, req selectengine.Request, out *selectengine.Result) {
 	t.Helper()
 	want, err := selectengine.Execute(data, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out.Res.Columns, want.Columns) {
-		t.Fatalf("columns %v, want %v", out.Res.Columns, want.Columns)
+	if !reflect.DeepEqual(out.Columns, want.Columns) {
+		t.Fatalf("columns %v, want %v", out.Columns, want.Columns)
 	}
-	if !reflect.DeepEqual(out.Res.Rows, want.Rows) {
-		t.Fatalf("rows differ from direct execution:\n got %v\nwant %v", out.Res.Rows, want.Rows)
+	if !reflect.DeepEqual(out.Rows, want.Rows) {
+		t.Fatalf("rows differ from direct execution:\n got %v\nwant %v", out.Rows, want.Rows)
 	}
 }
 
@@ -96,20 +107,20 @@ func TestIdenticalRequestsCoalesce(t *testing.T) {
 	c := New(Config{Window: 200 * time.Millisecond, MaxBatch: 8})
 	req := scanReq("SELECT k, v FROM S3Object WHERE g = 3")
 	reqs := []selectengine.Request{req, req, req, req}
-	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), testKey, reqs)
+	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), reqs)
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("backend calls = %d, want 1", got)
 	}
 	leaders := 0
 	for i, out := range outs {
 		expectRows(t, data, req, out)
-		if out.Sharers != 4 {
-			t.Fatalf("outcome %d sharers = %d, want 4", i, out.Sharers)
+		if out.Served.Sharers != 4 {
+			t.Fatalf("result %d sharers = %d, want 4", i, out.Served.Sharers)
 		}
-		if out.Merged {
-			t.Fatalf("outcome %d unexpectedly merged", i)
+		if out.Served.LocalRows != 0 {
+			t.Fatalf("result %d re-filtered rows of a verbatim pass", i)
 		}
-		if out.Leader {
+		if !out.Served.Coalesced {
 			leaders++
 		}
 	}
@@ -139,7 +150,7 @@ func TestPredicateMergeRoutesExactRows(t *testing.T) {
 		scanReq("SELECT k FROM S3Object WHERE g = 2"),
 		scanReq("SELECT v, k FROM S3Object WHERE g = 3 AND v > 30"),
 	}
-	outs := runConcurrent(t, c, backend(data, &calls, &sqls, &mu), testKey, reqs)
+	outs := runConcurrent(t, c, backend(data, &calls, &sqls, &mu), reqs)
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("backend calls = %d, want 1 merged pass", got)
 	}
@@ -148,11 +159,11 @@ func TestPredicateMergeRoutesExactRows(t *testing.T) {
 	}
 	for i, out := range outs {
 		expectRows(t, data, reqs[i], out)
-		if !out.Merged || out.Sharers != 3 {
-			t.Fatalf("outcome %d = %+v, want merged with 3 sharers", i, out)
+		if out.Served.Sharers != 3 {
+			t.Fatalf("result %d = %+v, want 3 sharers", i, out.Served)
 		}
-		if out.LocalRows == 0 {
-			t.Fatalf("outcome %d has no local re-filter rows", i)
+		if out.Served.LocalRows == 0 {
+			t.Fatalf("result %d has no local re-filter rows", i)
 		}
 	}
 	st := c.Stats()
@@ -167,22 +178,22 @@ func TestSingleflightOnlyModeDoesNotMerge(t *testing.T) {
 	c := New(Config{Window: -1})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
 		return selectengine.Execute(data, req)
-	}
+	})
 	reqA := scanReq("SELECT k FROM S3Object WHERE g = 1")
 	reqB := scanReq("SELECT k FROM S3Object WHERE g = 2")
 	var wg sync.WaitGroup
-	outs := make([]Outcome, 3)
+	outs := make([]*selectengine.Result, 3)
 	run := func(i int, req selectengine.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var err error
-			outs[i], err = c.Select(context.Background(), testKey, req, fn)
+			outs[i], err = share(c, fn, req)
 			if err != nil {
 				t.Error(err)
 			}
@@ -201,11 +212,11 @@ func TestSingleflightOnlyModeDoesNotMerge(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("backend calls = %d, want 2 (identical coalesces, distinct does not merge)", got)
 	}
-	if outs[0].Sharers != 2 || outs[2].Sharers != 2 {
-		t.Fatalf("identical requests did not coalesce: %+v / %+v", outs[0], outs[2])
+	if outs[0].Served.Sharers != 2 || outs[2].Served.Sharers != 2 {
+		t.Fatalf("identical requests did not coalesce: %+v / %+v", outs[0].Served, outs[2].Served)
 	}
-	if outs[1].Sharers != 1 {
-		t.Fatalf("distinct request unexpectedly shared: %+v", outs[1])
+	if outs[1].Served.Sharers != 1 {
+		t.Fatalf("distinct request unexpectedly shared: %+v", outs[1].Served)
 	}
 	expectRows(t, data, reqA, outs[2])
 }
@@ -216,21 +227,21 @@ func TestAggregatesCoalesceButNeverMerge(t *testing.T) {
 	c := New(Config{Window: 200 * time.Millisecond})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
 		return selectengine.Execute(data, req)
-	}
+	})
 	req := scanReq("SELECT COUNT(*), SUM(v) FROM S3Object WHERE g < 4")
 	var wg sync.WaitGroup
-	outs := make([]Outcome, 2)
+	outs := make([]*selectengine.Result, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			outs[i], err = c.Select(context.Background(), testKey, req, fn)
+			outs[i], err = share(c, fn, req)
 			if err != nil {
 				t.Error(err)
 			}
@@ -245,11 +256,11 @@ func TestAggregatesCoalesceButNeverMerge(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("backend calls = %d, want 1", got)
 	}
-	if outs[0].Merged || outs[1].Merged {
-		t.Fatal("aggregate requests must never report a merged pass")
+	if c.Stats().MergedPasses != 0 {
+		t.Fatal("aggregate requests must never ride a merged pass")
 	}
-	if outs[0].Sharers != 2 {
-		t.Fatalf("sharers = %d, want 2", outs[0].Sharers)
+	if outs[0].Served.Sharers != 2 {
+		t.Fatalf("sharers = %d, want 2", outs[0].Served.Sharers)
 	}
 	expectRows(t, data, req, outs[1])
 }
@@ -260,19 +271,19 @@ func TestInvalidationSplitsShares(t *testing.T) {
 	c := New(Config{Window: -1})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
 		return selectengine.Execute(data, req)
-	}
+	})
 	req := scanReq("SELECT k FROM S3Object WHERE g = 1")
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Select(context.Background(), testKey, req, fn); err != nil {
+			if _, err := share(c, fn, req); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -288,32 +299,6 @@ func TestInvalidationSplitsShares(t *testing.T) {
 		t.Fatalf("backend calls = %d, want 2 after Invalidate between arrivals", got)
 	}
 
-	// A differing cache-generation snapshot separates shares the same way.
-	calls.Store(0)
-	gate2 := make(chan struct{})
-	fn2 := func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
-		calls.Add(1)
-		entered <- struct{}{}
-		<-gate2
-		return selectengine.Execute(data, req)
-	}
-	genKey := testKey
-	for i := 0; i < 2; i++ {
-		genKey.Gen = uint64(i + 1)
-		wg.Add(1)
-		go func(key ObjectKey) {
-			defer wg.Done()
-			if _, err := c.Select(context.Background(), key, req, fn2); err != nil {
-				t.Error(err)
-			}
-		}(genKey)
-		<-entered
-	}
-	close(gate2)
-	wg.Wait()
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("backend calls = %d, want 2 for distinct generations", got)
-	}
 }
 
 func TestMergedPassFailureFallsBackPerWaiter(t *testing.T) {
@@ -321,22 +306,22 @@ func TestMergedPassFailureFallsBackPerWaiter(t *testing.T) {
 	var calls atomic.Int64
 	c := New(Config{Window: 200 * time.Millisecond})
 	boom := errors.New("merged pass rejected")
-	fn := func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
 		calls.Add(1)
 		if strings.Contains(req.SQL, " OR ") {
 			return nil, boom
 		}
 		return selectengine.Execute(data, req)
-	}
+	})
 	reqs := []selectengine.Request{
 		scanReq("SELECT k FROM S3Object WHERE g = 1"),
 		scanReq("SELECT k FROM S3Object WHERE g = 2"),
 	}
-	outs := runConcurrent(t, c, fn, testKey, reqs)
+	outs := runConcurrent(t, c, fn, reqs)
 	for i, out := range outs {
 		expectRows(t, data, reqs[i], out)
-		if out.Sharers != 1 || !out.Leader || out.Merged {
-			t.Fatalf("fallback outcome %d = %+v, want a solo pass", i, out)
+		if out.Served.Sharers != 1 || out.Served.Coalesced || out.Served.LocalRows != 0 {
+			t.Fatalf("fallback result %d = %+v, want a solo pass", i, out.Served)
 		}
 	}
 	if got := calls.Load(); got != 3 {
@@ -359,7 +344,7 @@ func TestMaxBatchFiresEarly(t *testing.T) {
 		scanReq("SELECT k FROM S3Object WHERE g = 2"),
 	}
 	start := time.Now()
-	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), testKey, reqs)
+	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), reqs)
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("full batch waited %v, should have fired before the window", elapsed)
 	}
@@ -433,23 +418,5 @@ func TestMergeableRejectsComplexShapes(t *testing.T) {
 	}
 	if mergeable(scanReq("SELECT a + 1, b FROM S3Object WHERE a < 3")) == nil {
 		t.Error("non-aggregate expressions are merge-eligible")
-	}
-}
-
-func TestFingerprintSeparatesRequestParameters(t *testing.T) {
-	base := scanReq("SELECT a FROM S3Object")
-	variants := []selectengine.Request{
-		base,
-		{SQL: base.SQL},
-		{SQL: base.SQL, HasHeader: true, Capabilities: selectengine.Capabilities{AllowGroupBy: true}},
-		{SQL: base.SQL, HasHeader: true, ScanRange: &selectengine.ScanRange{Start: 0, End: 9}},
-	}
-	seen := map[string]int{}
-	for i, req := range variants {
-		fp := Fingerprint(req)
-		if j, dup := seen[fp]; dup {
-			t.Fatalf("requests %d and %d share fingerprint %q", j, i, fp)
-		}
-		seen[fp] = i
 	}
 }

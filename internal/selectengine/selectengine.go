@@ -15,6 +15,7 @@ package selectengine
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pushdowndb/internal/colformat"
@@ -69,6 +70,29 @@ type ScanRange struct {
 	Start, End int64
 }
 
+// Fingerprint renders the canonical identity of the request: the SQL plus
+// every parameter that changes the response (header mode, capability
+// flags, scan range). The result cache keys responses by it and the
+// scan-sharing coordinator joins in-flight passes by it, so a cache entry
+// and a shared pass always describe the same response.
+func (r Request) Fingerprint() string {
+	var b strings.Builder
+	b.WriteString(r.SQL)
+	b.WriteString("\x00h=")
+	b.WriteString(strconv.FormatBool(r.HasHeader))
+	b.WriteString("\x00g=")
+	b.WriteString(strconv.FormatBool(r.Capabilities.AllowGroupBy))
+	b.WriteString("\x00b=")
+	b.WriteString(strconv.FormatBool(r.Capabilities.AllowBloomContains))
+	if r.ScanRange != nil {
+		b.WriteString("\x00r=")
+		b.WriteString(strconv.FormatInt(r.ScanRange.Start, 10))
+		b.WriteString("-")
+		b.WriteString(strconv.FormatInt(r.ScanRange.End, 10))
+	}
+	return b.String()
+}
+
 // Stats describes what a request consumed — the inputs to the cost and
 // time model.
 type Stats struct {
@@ -98,7 +122,41 @@ type Result struct {
 	// format. The planner's stats probe reads it to learn a table's
 	// storage format without issuing any extra request.
 	Columnar bool
+	// Served is how the compute tier obtained this response; the layers
+	// over a backend's Select stamp it (see Served).
+	Served Served
 }
+
+// Served records how a response reached its caller, stamped by the layers
+// composed over a backend's Select (rescache, scanshare) on the per-caller
+// Result they return. The zero value is a plain direct backend pass, so a
+// backend — and a pipeline with no layers — never touches it. The engine
+// meters and traces a select from this stamp alone.
+type Served struct {
+	// Cache is CacheHit or CacheMiss when a result cache was consulted,
+	// empty otherwise. A hit reached no backend.
+	Cache string
+	// Sharers is how many requests shared the backend pass that produced
+	// the response (1 = a solo pass); 0 when no scan-sharing coordinator
+	// was in the path.
+	Sharers int
+	// Coalesced is set when another request led the pass (issued the
+	// backend call); exactly one sharer per pass has it clear, and the
+	// cache fill belongs to that one.
+	Coalesced bool
+	// Pass is what storage did for the whole shared pass (Sharers > 1), as
+	// opposed to Result.Stats, which describes this caller's slice of it.
+	Pass Stats
+	// LocalRows is how many rows of a predicate-merged pass this caller
+	// re-filtered locally (0 for verbatim passes).
+	LocalRows int64
+}
+
+// Served.Cache values.
+const (
+	CacheHit  = "hit"
+	CacheMiss = "miss"
+)
 
 // Execute runs the request against one object payload.
 func Execute(data []byte, req Request) (*Result, error) {
@@ -642,23 +700,6 @@ func (ex *executor) project(env expr.Env) ([]string, error) {
 	return out, nil
 }
 
-// groupEnv resolves group-by expressions to the group's key values during
-// finalization (so SELECT c_nationkey, SUM(x) ... GROUP BY c_nationkey can
-// output the key column).
-type groupEnv struct {
-	exprs []sqlparse.Expr
-	vals  []value.Value
-}
-
-func (g *groupEnv) Lookup(q, name string) (value.Value, bool) {
-	for i, e := range g.exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
-			return g.vals[i], true
-		}
-	}
-	return value.Null(), false
-}
-
 func (ex *executor) finish(stats *Stats) (*Result, error) {
 	res := &Result{Stats: *stats}
 	for _, it := range ex.sel.Items {
@@ -666,13 +707,13 @@ func (ex *executor) finish(stats *Stats) (*Result, error) {
 			res.Columns = append(res.Columns, ex.header...)
 			continue
 		}
-		res.Columns = append(res.Columns, itemName(it))
+		res.Columns = append(res.Columns, it.Name())
 	}
 	switch {
 	case ex.groupMode:
 		for _, k := range ex.groupKeys {
 			gs := ex.groups[k]
-			genv := &groupEnv{exprs: ex.sel.GroupBy, vals: gs.keyVals}
+			genv := &expr.GroupKeyEnv{Exprs: ex.sel.GroupBy, Vals: gs.keyVals}
 			var row []string
 			for _, it := range ex.sel.Items {
 				v, err := gs.agg.Final(it.Expr, genv)
@@ -705,14 +746,4 @@ func (ex *executor) finish(stats *Stats) (*Result, error) {
 	res.Stats.RowsReturned = int64(len(res.Rows))
 	res.Stats.BytesReturned = returned
 	return res, nil
-}
-
-func itemName(it sqlparse.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(*sqlparse.Column); ok {
-		return c.Name
-	}
-	return it.Expr.String()
 }

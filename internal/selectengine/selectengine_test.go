@@ -403,3 +403,26 @@ func TestQuickSumEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The fingerprint is the identity of a response for the result cache and
+// the scan-sharing coordinator alike: requests differing only in header
+// mode, one capability flag or the scan range must never collide.
+func TestFingerprintSeparatesRequestParameters(t *testing.T) {
+	const sql = "SELECT a FROM S3Object"
+	variants := []Request{
+		{SQL: sql, HasHeader: true},
+		{SQL: sql},
+		{SQL: sql, HasHeader: true, Capabilities: Capabilities{AllowGroupBy: true}},
+		{SQL: sql, HasHeader: true, Capabilities: Capabilities{AllowBloomContains: true}},
+		{SQL: sql, HasHeader: true, ScanRange: &ScanRange{Start: 0, End: 9}},
+		{SQL: sql, HasHeader: true, ScanRange: &ScanRange{Start: 0, End: 10}},
+	}
+	seen := map[string]int{}
+	for i, req := range variants {
+		fp := req.Fingerprint()
+		if j, dup := seen[fp]; dup {
+			t.Fatalf("requests %d and %d share fingerprint %q", j, i, fp)
+		}
+		seen[fp] = i
+	}
+}

@@ -293,6 +293,19 @@ type SelectItem struct {
 	Alias string // optional AS alias
 }
 
+// Name is the item's output column name: the alias if there is one, the
+// bare column name for a plain column reference, the printed expression
+// otherwise.
+func (s SelectItem) Name() string {
+	if s.Alias != "" {
+		return s.Alias
+	}
+	if c, ok := s.Expr.(*Column); ok {
+		return c.Name
+	}
+	return s.Expr.String()
+}
+
 func (s SelectItem) String() string {
 	if s.Alias != "" {
 		return s.Expr.String() + " AS " + quoteIdent(s.Alias)

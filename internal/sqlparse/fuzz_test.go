@@ -1,6 +1,9 @@
 package sqlparse
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseRoundTrip checks the parser/printer pair: anything that parses
 // must print to SQL that re-parses, and the canonical form must be a fixed
@@ -20,6 +23,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT SUBSTRING(s, 1 + MOD(k, 8), 1) FROM t WHERE CAST(v AS INT) = 4",
 		"SELECT -x, 'it''s', 1.5e3, .5 FROM t WHERE a <> b",
 		"SELECT \"quoted col\" FROM t ORDER BY 1",
+		"SELECT * FROM t WHERE " + strings.Repeat("(", 2*maxExprDepth) + "a = 1" + strings.Repeat(")", 2*maxExprDepth),
 	}
 	for _, s := range seeds {
 		f.Add(s)

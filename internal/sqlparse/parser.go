@@ -42,10 +42,29 @@ func ParseExpr(src string) (Expr, error) {
 }
 
 type parser struct {
-	lex *Lexer
-	src string
-	tok Token
+	lex   *Lexer
+	src   string
+	tok   Token
+	depth int // expression nesting so far; see nest
 }
+
+// maxExprDepth caps how deeply an expression may nest: parentheses, NOT and
+// unary-minus chains, call arguments, CASE arms. The parser recurses per
+// level (as does every walker over the tree it returns), so an unbounded
+// depth lets a few hundred KB of "((((" hold a request for seconds. The
+// figure is SQLite's default expression-depth limit; generated predicates
+// here nest a handful of levels.
+const maxExprDepth = 1000
+
+// nest enters one expression nesting level; callers defer p.unnest().
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return p.errf("expression nests deeper than %d levels", maxExprDepth)
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) advance() error {
 	t, err := p.lex.Next()
@@ -307,6 +326,10 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 //	mult     = unary { (*|/|%) unary }
 //	unary    = - unary | primary
 func (p *parser) parseExpr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -347,6 +370,10 @@ func (p *parser) parseNot() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -517,6 +544,10 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err

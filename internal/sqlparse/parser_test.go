@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pushdowndb/internal/value"
 )
@@ -283,5 +284,32 @@ func TestQuickLexerProgress(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A request body of nothing but "(" must be refused at the depth cap, not
+// parsed for seconds: 400 000 levels fit under pushdownd's 1 MiB body
+// limit and took 3.4 s before the cap existed.
+func TestNestingDepthIsCapped(t *testing.T) {
+	nested := func(open, close string, n int) string {
+		return "SELECT * FROM t WHERE " + strings.Repeat(open, n) + "a = 1" + strings.Repeat(close, n)
+	}
+	for _, sql := range []string{
+		nested("(", ")", 400_000),
+		nested("NOT ", "", 400_000),
+		nested("- ", "", 400_000),
+		nested("ABS(", ")", 400_000),
+	} {
+		start := time.Now()
+		_, err := Parse(sql)
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("%.20q...: refused after %v, want well under 100ms", sql[22:], elapsed)
+		}
+		if err == nil || !strings.Contains(err.Error(), "nests deeper") {
+			t.Errorf("%.20q...: err = %v, want the nesting-depth error", sql[22:], err)
+		}
+	}
+	if _, err := Parse(nested("(", ")", maxExprDepth-1)); err != nil {
+		t.Errorf("nesting just under the cap: %v", err)
 	}
 }

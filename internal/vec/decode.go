@@ -19,8 +19,8 @@ func FromStrings(cols []string, rows [][]string, workers int) (*Batch, bool) {
 		}
 	}
 	vecs := make([]*Vector, len(cols))
-	runSpans(colSpans(len(cols), workers), func(w int, sp span) error {
-		for c := sp.lo; c < sp.hi; c++ {
+	RunSpans(colSpans(len(cols), workers), func(w int, sp Span) error {
+		for c := sp.Lo; c < sp.Hi; c++ {
 			vals := make([]value.Value, len(rows))
 			for i, r := range rows {
 				vals[i] = value.FromCSV(r[c])
@@ -51,8 +51,8 @@ func FromColumnar(data []byte, workers int) (*Batch, error) {
 	}
 	vecs := make([]*Vector, len(schema))
 	n := int(r.NumRows())
-	err = runSpans(colSpans(len(schema), workers), func(w int, sp span) error {
-		for c := sp.lo; c < sp.hi; c++ {
+	err = RunSpans(colSpans(len(schema), workers), func(w int, sp Span) error {
+		for c := sp.Lo; c < sp.Hi; c++ {
 			vals := make([]value.Value, 0, n)
 			for g := 0; g < r.NumRowGroups(); g++ {
 				chunk, _, err := r.ReadColumn(g, c)

@@ -33,9 +33,9 @@ type node struct {
 func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 	n := b.Len()
 	if root, post, ok := compilePred(pred, b); ok {
-		_ = runSpans(alignedSpans(n, workers), func(w int, sp span) error {
+		_ = RunSpans(alignedSpans(n, workers), func(w int, sp Span) error {
 			for _, nd := range post {
-				nd.eval(nd, sp.lo, sp.hi)
+				nd.eval(nd, sp.Lo, sp.Hi)
 			}
 			return nil
 		})
@@ -43,12 +43,12 @@ func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
 	}
 	// Whole-predicate fallback: the same spans, evaluator and first-error
 	// contract as the reference filter (the lowest erroring row's error).
-	sps := rowSpans(n, workers)
+	sps := RowSpans(n, workers)
 	kept := make([][]int, len(sps))
-	err := runSpans(sps, func(w int, sp span) error {
+	err := RunSpans(sps, func(w int, sp Span) error {
 		ev := expr.New()
 		env := &rowEnv{b: b}
-		for i := sp.lo; i < sp.hi; i++ {
+		for i := sp.Lo; i < sp.Hi; i++ {
 			env.i = i
 			ok, err := ev.EvalBool(pred, env)
 			if err != nil {

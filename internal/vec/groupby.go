@@ -2,7 +2,6 @@ package vec
 
 import (
 	"strconv"
-	"strings"
 
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
@@ -67,9 +66,9 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		groups map[string]*vgroup
 		order  []string
 	}
-	sps := rowSpans(b.Len(), workers)
+	sps := RowSpans(b.Len(), workers)
 	parts := make([]partial, len(sps))
-	err := runSpans(sps, func(w int, sp span) error {
+	err := RunSpans(sps, func(w int, sp Span) error {
 		ev := expr.New()
 		env := &rowEnv{b: b}
 		p := partial{groups: map[string]*vgroup{}}
@@ -77,7 +76,7 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		var memoDays int64
 		var memoStr string
 		memoOK := false
-		for i := sp.lo; i < sp.hi; i++ {
+		for i := sp.Lo; i < sp.Hi; i++ {
 			env.i = i
 			buf = buf[:0]
 			for j := range keys {
@@ -184,12 +183,12 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 
 	cols := make([]string, len(sel.Items))
 	for i, it := range sel.Items {
-		cols[i] = itemName(it)
+		cols[i] = it.Name()
 	}
 	rows := make([][]value.Value, 0, len(order))
 	for _, k := range order {
 		gs := merged[k]
-		genv := &groupKeyEnv{exprs: sel.GroupBy, vals: gs.keyVals}
+		genv := &expr.GroupKeyEnv{Exprs: sel.GroupBy, Vals: gs.keyVals}
 		row := make([]value.Value, len(sel.Items))
 		for j, it := range sel.Items {
 			v, err := gs.runner.Final(it.Expr, genv)
@@ -201,31 +200,4 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		rows = append(rows, row)
 	}
 	return cols, rows, nil
-}
-
-// itemName mirrors the row path's output-column naming.
-func itemName(it sqlparse.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(*sqlparse.Column); ok {
-		return c.Name
-	}
-	return it.Expr.String()
-}
-
-// groupKeyEnv mirrors the row path's group-key environment: finalization
-// resolves bare group-by columns to the group's key values.
-type groupKeyEnv struct {
-	exprs []sqlparse.Expr
-	vals  []value.Value
-}
-
-func (g *groupKeyEnv) Lookup(_, name string) (value.Value, bool) {
-	for i, e := range g.exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
-			return g.vals[i], true
-		}
-	}
-	return value.Null(), false
 }

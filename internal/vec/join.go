@@ -11,11 +11,11 @@ import (
 // value.Hash/value.Equal the row path uses, so hash collisions and
 // numeric-vs-string key coercions behave identically.
 func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
-	buildSpans := rowSpans(build.Len(), workers)
+	buildSpans := RowSpans(build.Len(), workers)
 	partMaps := make([]map[uint64][]int, len(buildSpans))
-	_ = runSpans(buildSpans, func(w int, sp span) error {
+	_ = RunSpans(buildSpans, func(w int, sp Span) error {
 		m := map[uint64][]int{}
-		for i := sp.lo; i < sp.hi; i++ {
+		for i := sp.Lo; i < sp.Hi; i++ {
 			if build.IsNull(i) {
 				continue
 			}
@@ -39,11 +39,11 @@ func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
 			}
 		}
 	}
-	sps := rowSpans(probe.Len(), workers)
+	sps := RowSpans(probe.Len(), workers)
 	type pair struct{ b, p int }
 	parts := make([][]pair, len(sps))
-	_ = runSpans(sps, func(w int, sp span) error {
-		for p := sp.lo; p < sp.hi; p++ {
+	_ = RunSpans(sps, func(w int, sp Span) error {
+		for p := sp.Lo; p < sp.Hi; p++ {
 			if probe.IsNull(p) {
 				continue
 			}

@@ -49,10 +49,10 @@ func Project(b *Batch, sel *sqlparse.Select, workers int) (*Batch, error) {
 		for k := range colVals {
 			colVals[k] = make([]value.Value, n)
 		}
-		err := runSpans(rowSpans(n, workers), func(w int, sp span) error {
+		err := RunSpans(RowSpans(n, workers), func(w int, sp Span) error {
 			ev := expr.New()
 			env := &rowEnv{b: b}
-			for i := sp.lo; i < sp.hi; i++ {
+			for i := sp.Lo; i < sp.Hi; i++ {
 				env.i = i
 				for k := range evals {
 					v, err := ev.Eval(evals[k].e, env)

@@ -2,15 +2,17 @@ package vec
 
 import "sync"
 
-// span is one worker's contiguous half-open range [lo, hi). Row-range
-// partitioning mirrors engine.rowSpans exactly: result order never
-// depends on the split, and the error surfaced by a fallback evaluation
-// (first error in worker order) matches the row path's.
-type span struct{ lo, hi int }
+// The worker pool every parallel row loop runs on, here and in the engine:
+// workers own contiguous ascending ranges and partial results merge in
+// worker order, so output (and the first error surfaced) is identical for
+// every worker budget, including the sequential workers=1 run.
 
-// rowSpans partitions n rows into at most workers contiguous spans of
-// near-equal size, ascending; identical to the row path's partitioning.
-func rowSpans(n, workers int) []span {
+// Span is one worker's contiguous half-open range [Lo, Hi).
+type Span struct{ Lo, Hi int }
+
+// RowSpans partitions n rows into at most workers contiguous spans of
+// near-equal size, in ascending row order.
+func RowSpans(n, workers int) []Span {
 	if workers < 1 {
 		workers = 1
 	}
@@ -20,16 +22,16 @@ func rowSpans(n, workers int) []span {
 	if n == 0 {
 		return nil
 	}
-	sps := make([]span, 0, workers)
+	sps := make([]Span, 0, workers)
 	per := n / workers
-	extra := n % workers
+	extra := n % workers // the first `extra` spans get one more row
 	lo := 0
 	for w := 0; w < workers; w++ {
 		hi := lo + per
 		if w < extra {
 			hi++
 		}
-		sps = append(sps, span{lo: lo, hi: hi})
+		sps = append(sps, Span{Lo: lo, Hi: hi})
 		lo = hi
 	}
 	return sps
@@ -38,25 +40,25 @@ func rowSpans(n, workers int) []span {
 // alignedSpans partitions n rows on 64-bit word boundaries so concurrent
 // bitmap kernels never share a word. Only used for error-free compiled
 // kernels, where the split cannot affect results.
-func alignedSpans(n, workers int) []span {
-	sps := rowSpans((n+63)/64, workers)
+func alignedSpans(n, workers int) []Span {
+	sps := RowSpans((n+63)/64, workers)
 	for i := range sps {
-		sps[i].lo <<= 6
-		sps[i].hi <<= 6
+		sps[i].Lo <<= 6
+		sps[i].Hi <<= 6
 	}
-	if len(sps) > 0 && sps[len(sps)-1].hi > n {
-		sps[len(sps)-1].hi = n
+	if len(sps) > 0 && sps[len(sps)-1].Hi > n {
+		sps[len(sps)-1].Hi = n
 	}
 	return sps
 }
 
 // colSpans partitions column indexes across workers (column-parallel
 // decode and conversion).
-func colSpans(cols, workers int) []span { return rowSpans(cols, workers) }
+func colSpans(cols, workers int) []Span { return RowSpans(cols, workers) }
 
-// runSpans executes fn over every span, one goroutine per span, returning
-// the first error in span order — the same contract as the row path's.
-func runSpans(sps []span, fn func(w int, sp span) error) error {
+// RunSpans executes fn(w, span) for every span, one goroutine per span, and
+// returns the first error in span order. A single span runs inline.
+func RunSpans(sps []Span, fn func(w int, sp Span) error) error {
 	if len(sps) == 0 {
 		return nil
 	}

@@ -57,20 +57,21 @@ func TestBitmapIndicesSparse(t *testing.T) {
 func TestRowSpans(t *testing.T) {
 	cases := []struct {
 		n, w int
-		want []span
+		want []Span
 	}{
 		{0, 4, nil},
-		{10, 1, []span{{0, 10}}},
-		{10, 3, []span{{0, 4}, {4, 7}, {7, 10}}},
-		{3, 8, []span{{0, 1}, {1, 2}, {2, 3}}},
+		{10, 1, []Span{{0, 10}}},
+		{10, 3, []Span{{0, 4}, {4, 7}, {7, 10}}},
+		{3, 8, []Span{{0, 1}, {1, 2}, {2, 3}}},
+		{5, 0, []Span{{0, 5}}},
 	}
 	for _, c := range cases {
-		got := rowSpans(c.n, c.w)
+		got := RowSpans(c.n, c.w)
 		if len(got) == 0 {
 			got = nil
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("rowSpans(%d,%d)=%v want %v", c.n, c.w, got, c.want)
+			t.Errorf("RowSpans(%d,%d)=%v want %v", c.n, c.w, got, c.want)
 		}
 	}
 }
@@ -81,16 +82,16 @@ func TestAlignedSpans(t *testing.T) {
 			sps := alignedSpans(n, w)
 			next := 0
 			for _, sp := range sps {
-				if sp.lo != next {
+				if sp.Lo != next {
 					t.Fatalf("n=%d w=%d: gap at %d (spans %v)", n, w, next, sps)
 				}
-				if sp.lo%64 != 0 {
-					t.Fatalf("n=%d w=%d: span start %d not word-aligned", n, w, sp.lo)
+				if sp.Lo%64 != 0 {
+					t.Fatalf("n=%d w=%d: span start %d not word-aligned", n, w, sp.Lo)
 				}
-				if sp.hi <= sp.lo {
+				if sp.Hi <= sp.Lo {
 					t.Fatalf("n=%d w=%d: empty span %v", n, w, sp)
 				}
-				next = sp.hi
+				next = sp.Hi
 			}
 			if next != n {
 				t.Fatalf("n=%d w=%d: spans cover to %d, want %d", n, w, next, n)

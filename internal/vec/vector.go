@@ -240,8 +240,8 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 		}
 	}
 	vecs := make([]*Vector, len(cols))
-	runSpans(colSpans(len(cols), workers), func(w int, sp span) error {
-		for c := sp.lo; c < sp.hi; c++ {
+	RunSpans(colSpans(len(cols), workers), func(w int, sp Span) error {
+		for c := sp.Lo; c < sp.Hi; c++ {
 			vecs[c] = columnVector(rows, c)
 		}
 		return nil
@@ -338,8 +338,8 @@ func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int,
 	}
 	cols := make([]string, len(keep))
 	vecs := make([]*Vector, len(keep))
-	runSpans(colSpans(len(keep), workers), func(w int, sp span) error {
-		for k := sp.lo; k < sp.hi; k++ {
+	RunSpans(colSpans(len(keep), workers), func(w int, sp Span) error {
+		for k := sp.Lo; k < sp.Hi; k++ {
 			c := keep[k]
 			cols[k] = allCols[c]
 			vecs[k] = columnVector(rows, c)
