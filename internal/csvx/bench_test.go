@@ -16,8 +16,26 @@ func benchData(rows int) []byte {
 	return Encode([]string{"a", "b", "c", "d"}, data)
 }
 
+// plainData is benchData without the quoted field: every row takes the
+// index-only path, as TPC-H rows do.
+func plainData(rows int) []byte {
+	data := make([][]string, rows)
+	for i := range data {
+		data[i] = []string{
+			fmt.Sprint(i), "1994-01-01", fmt.Sprintf("%.4f", float64(i)*1.5),
+			"plain-text-field",
+		}
+	}
+	return Encode([]string{"a", "b", "c", "d"}, data)
+}
+
 func BenchmarkScan(b *testing.B) {
-	data := benchData(10000)
+	b.Run("quoted", func(b *testing.B) { benchScan(b, benchData(10000)) })
+	b.Run("plain", func(b *testing.B) { benchScan(b, plainData(10000)) })
+}
+
+func benchScan(b *testing.B, data []byte) {
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

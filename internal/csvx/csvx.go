@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unsafe"
 )
 
 // Writer encodes rows and tracks the byte offset of each.
@@ -78,109 +79,209 @@ func Encode(header []string, rows [][]string) []byte {
 }
 
 // Scanner iterates rows of CSV data, reporting each row's byte range.
+//
+// Fields are views, not copies: a field whose text appears verbatim in the
+// payload (every field of a row without quotes or carriage returns, and a
+// quoted field without "" escapes) is a string header over those payload
+// bytes; the rest are unescaped into a buffer the scanner appends to and
+// never rewrites. A field therefore stays valid for as long as the payload
+// is left unmodified, and keeps the whole payload reachable for as long as
+// it is held: anything that outlives the request must copy (CloneRow).
 type Scanner struct {
 	data   []byte
-	pos    int64
+	pos    int
 	fields []string
-	first  int64
-	last   int64
+	first  int
+	last   int
 	err    error
+
+	// The field being assembled by scanQuoted: data[lo:hi] while its text
+	// is one contiguous run of the payload, buf once it is not.
+	lo, hi int
+	copied bool
+	buf    []byte
 }
 
-// NewScanner returns a scanner over data.
+// NewScanner returns a scanner over data, which must not be modified
+// while any field of any row is still in use.
 func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
+
+// view returns b as a string without copying. It is the package's one
+// unsafe site and relies on the contract NewScanner states: the payload is
+// immutable (store.Put forbids mutating a stored object, and every other
+// caller scans a buffer it owns and does not write to), and the scanner
+// only appends to buf, so the bytes under a returned string never change.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
 
 // Scan advances to the next row, returning false at end of input or error.
 func (s *Scanner) Scan() bool {
-	if s.err != nil || s.pos >= int64(len(s.data)) {
+	if s.err != nil || s.pos >= len(s.data) {
 		return false
 	}
 	s.fields = s.fields[:0]
 	s.first = s.pos
-	var field strings.Builder
-	inQuotes := false
-	startedQuoted := false
-	fieldHasData := false
-	flush := func() {
-		s.fields = append(s.fields, field.String())
-		field.Reset()
-		fieldHasData = false
-		startedQuoted = false
+	// Rows without quotes or carriage returns, the common case, are split
+	// by index alone.
+	data, start := s.data, s.pos
+	for i := s.pos; i < len(data); i++ {
+		switch data[i] {
+		case ',':
+			s.fields = append(s.fields, view(data[start:i]))
+			start = i + 1
+		case '\n':
+			s.fields = append(s.fields, view(data[start:i]))
+			s.endRow(i)
+			return true
+		case '"', '\r':
+			return s.scanQuoted()
+		}
 	}
-	for s.pos < int64(len(s.data)) {
-		c := s.data[s.pos]
+	// Final row without trailing newline.
+	s.fields = append(s.fields, view(data[start:]))
+	s.pos = len(data)
+	s.last = len(data) - 1
+	return true
+}
+
+// endRow records the row terminated by the newline at nl.
+func (s *Scanner) endRow(nl int) {
+	s.last = nl - 1
+	if s.last >= 1 && s.data[s.last] == '\r' {
+		s.last--
+	}
+	s.pos = nl + 1
+}
+
+// scanQuoted rescans the current row with the full dialect: quoted fields,
+// "" escapes, and carriage returns, which are dropped outside quotes.
+func (s *Scanner) scanQuoted() bool {
+	s.fields = s.fields[:0]
+	data := s.data
+	inQuotes := false
+	fieldHasData := false
+	for i := s.first; i < len(data); i++ {
+		c := data[i]
 		if inQuotes {
-			if c == '"' {
-				if s.pos+1 < int64(len(s.data)) && s.data[s.pos+1] == '"' {
-					field.WriteByte('"')
-					s.pos += 2
-					continue
-				}
+			if c != '"' {
+				s.emit(i)
+			} else if i+1 < len(data) && data[i+1] == '"' {
+				i++
+				s.emit(i)
+			} else {
 				inQuotes = false
-				s.pos++
-				continue
 			}
-			field.WriteByte(c)
-			s.pos++
 			continue
 		}
 		switch c {
 		case '"':
 			if !fieldHasData {
 				inQuotes = true
-				startedQuoted = true
 				fieldHasData = true
 			} else {
-				field.WriteByte(c)
+				s.emit(i)
 			}
-			s.pos++
 		case ',':
-			flush()
-			s.pos++
+			s.flush()
+			fieldHasData = false
 		case '\r':
-			s.pos++
 		case '\n':
-			s.last = s.pos - 1
-			if s.last >= 1 && s.data[s.last] == '\r' {
-				s.last--
-			}
-			s.pos++
-			flush()
+			s.flush()
+			s.endRow(i)
 			return true
 		default:
-			field.WriteByte(c)
+			s.emit(i)
 			fieldHasData = true
-			s.pos++
 		}
 	}
+	s.pos = len(data)
 	if inQuotes {
 		s.err = fmt.Errorf("csvx: unterminated quoted field at offset %d", s.first)
 		return false
 	}
-	_ = startedQuoted
 	// Final row without trailing newline.
-	s.last = int64(len(s.data)) - 1
-	flush()
+	s.last = len(data) - 1
+	s.flush()
 	return true
 }
 
-// Fields returns the current row's fields; valid until the next Scan.
+// unescapeChunk is the least capacity scanQuoted allocates for unescaped
+// fields, so a payload full of them costs an allocation per few dozen
+// fields rather than one each.
+const unescapeChunk = 4096
+
+// emit appends the payload byte at p to the field being assembled.
+func (s *Scanner) emit(p int) {
+	switch {
+	case s.copied:
+		s.buf = append(s.buf, s.data[p])
+	case s.lo == s.hi:
+		s.lo, s.hi = p, p+1
+	case p == s.hi:
+		s.hi++
+	default:
+		// First gap (an escape, a dropped CR, text after a closing quote):
+		// continue in buf, past every field already handed out.
+		run := s.data[s.lo:s.hi]
+		if cap(s.buf)-len(s.buf) <= len(run) {
+			s.buf = make([]byte, 0, max(unescapeChunk, 2*len(run)))
+		}
+		s.buf = append(append(s.buf[len(s.buf):], run...), s.data[p])
+		s.copied = true
+	}
+}
+
+// flush ends the field being assembled.
+func (s *Scanner) flush() {
+	if s.copied {
+		s.fields = append(s.fields, view(s.buf))
+	} else {
+		s.fields = append(s.fields, view(s.data[s.lo:s.hi]))
+	}
+	s.lo, s.hi, s.copied = 0, 0, false
+}
+
+// Fields returns the current row's fields. The slice is reused by the next
+// Scan; the strings in it are views (see Scanner).
 func (s *Scanner) Fields() []string { return s.fields }
 
 // Range returns the inclusive byte range of the current row (newline
 // excluded).
-func (s *Scanner) Range() (first, last int64) { return s.first, s.last }
+func (s *Scanner) Range() (first, last int64) { return int64(s.first), int64(s.last) }
 
 // Err reports a scan error, if any.
 func (s *Scanner) Err() error { return s.err }
 
-// Decode parses all rows. If hasHeader, the first row is returned
-// separately.
+// CloneRow copies fields into a row that owns its bytes: the strings share
+// one fresh allocation, so the row pins nothing but itself.
+func CloneRow(fields []string) []string {
+	n := 0
+	for _, f := range fields {
+		n += len(f)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, f := range fields {
+		b.WriteString(f)
+	}
+	all := b.String()
+	row := make([]string, len(fields))
+	for i, f := range fields {
+		row[i], all = all[:len(f)], all[len(f):]
+	}
+	return row
+}
+
+// Decode parses all rows into strings that own their bytes. If hasHeader,
+// the first row is returned separately.
 func Decode(data []byte, hasHeader bool) (header []string, rows [][]string, err error) {
 	sc := NewScanner(data)
 	for sc.Scan() {
-		row := make([]string, len(sc.Fields()))
-		copy(row, sc.Fields())
+		row := CloneRow(sc.Fields())
 		if hasHeader && header == nil {
 			header = row
 			continue

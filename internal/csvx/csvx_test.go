@@ -1,10 +1,13 @@
 package csvx
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"pushdowndb/internal/race"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -196,5 +199,96 @@ func TestQuickRangesSliceToRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScannerMatchesReference holds the view-based scanner to the per-byte
+// reference on every corner of the dialect.
+func TestScannerMatchesReference(t *testing.T) {
+	cases := map[string]string{
+		"plain":               "a,b,c\n1,2,3\n",
+		"quoted commas":       "\"Smith, Al\",3\n\"x,y\",\"z\"\n",
+		"doubled quotes":      "\"O\"\"Hara\",\"\"\"\",\"a\"\"\"\n",
+		"embedded newlines":   "\"two\nlines\",x\n\"three\n\nlines\"\n",
+		"CRLF":                "a,b\r\nc,d\r\n",
+		"CRLF first row only": "\r\n\r\nx\r\n",
+		"lone CR":             "a\rb,c\r,\rd\n\r\n",
+		"CR in quotes":        "\"a\rb\",\"c\r\n\"\r\n",
+		"empty fields":        ",,\na,,b\n,\n",
+		"empty lines":         "\n\n\n",
+		"empty trailing line": "a,b\n\n",
+		"no trailing newline": "a,b\nc,d",
+		"trailing CR no LF":   "a,b\r",
+		"quote after data":    "ab\"cd,e\"\"f\n",
+		"text after quote":    "\"ab\"cd,\"a\"b\"c\"\n",
+		"CR before quote":     "\r\"q,r\",s\n",
+		"empty quoted":        "\"\",\"\",x\n\"\"\n",
+		"unterminated quote":  "a,b\nc,\"d\ne,f\n",
+		"unterminated at EOF": "\"",
+		"escape at EOF":       "\"a\"\"",
+		"empty input":         "",
+		"mixed":               "h1,h2\n1,plain\n2,\"q\"\"q\"\n3,plain again\n\"4\",\"x\ny\"\r\n5,z",
+	}
+	for name, in := range cases {
+		if got, want := gotTrace([]byte(in)), refTrace([]byte(in)); got != want {
+			t.Errorf("%s: %q\ngot:\n%s\nwant:\n%s", name, in, got, want)
+		}
+	}
+}
+
+// TestFieldsOutliveLaterScans pins the lifetime contract: fields stay
+// valid across later Scans, unescaped ones included, and Decode's rows
+// survive the payload being overwritten.
+func TestFieldsOutliveLaterScans(t *testing.T) {
+	var in strings.Builder
+	var want []string
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&in, "p%d,\"q%d\",\"e\"\"%d\",c\r%d\n", i, i, i, i)
+		want = append(want, fmt.Sprintf("p%d", i), fmt.Sprintf("q%d", i), fmt.Sprintf("e\"%d", i), fmt.Sprintf("c%d", i))
+	}
+	data := []byte(in.String())
+	var kept []string
+	sc := NewScanner(data)
+	for sc.Scan() {
+		kept = append(kept, sc.Fields()...)
+	}
+	if sc.Err() != nil || !reflect.DeepEqual(kept, want) {
+		t.Fatalf("fields kept across scans changed (err %v)", sc.Err())
+	}
+
+	_, rows, err := Decode(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 'X'
+	}
+	for i, r := range rows {
+		if !reflect.DeepEqual(r, want[4*i:4*i+4]) {
+			t.Fatalf("Decode row %d = %q after the payload was overwritten, want %q", i, r, want[4*i:4*i+4])
+		}
+	}
+}
+
+// TestScanDoesNotAllocate pins the scanner's cost: no allocation per row,
+// quoted or not, once the field slice and the unescape buffer have grown.
+func TestScanDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for name, row := range map[string]string{
+		"unquoted": "1,1994-01-01,0.04,TRUCK,some words\n",
+		"quoted":   "1,\"a,b\",\"c\"\"d\",e\r\n",
+	} {
+		data := []byte(strings.Repeat(row, 250))
+		sc := NewScanner(data)
+		sc.Scan()
+		if n := testing.AllocsPerRun(200, func() {
+			if !sc.Scan() || len(sc.Fields()) < 4 {
+				t.Fatal("short scan")
+			}
+		}); n != 0 {
+			t.Errorf("%s: Scan allocates %v times per row, want 0", name, n)
+		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 // must never panic, and whatever it accepts must survive an encode/decode
 // round trip unchanged (Encode canonicalizes quoting, so re-decoding the
 // encoding must reproduce the exact header and rows). Byte-range tracking
-// is exercised through RowRanges on the same input.
+// is exercised through RowRanges on the same input, and the scanner must
+// report exactly what the per-byte reference scanner reports.
 func FuzzCSVDecode(f *testing.F) {
 	seeds := [][]byte{
 		[]byte("a,b,c\n1,2,3\n4,5,6\n"),
@@ -21,12 +22,17 @@ func FuzzCSVDecode(f *testing.F) {
 		[]byte(""),
 		[]byte(`"quoted`),
 		[]byte("00501,1e3,-0.0,Inf\n"),
+		[]byte("a\rb,\r\"q\"\r,\"x\"y\"z\"\r\n\r\n,\n"),
+		[]byte("\"a\"\"b\",\"multi\nline\",plain\n\"\",\"\"\"\"\n"),
 	}
 	for _, s := range seeds {
 		f.Add(s, true)
 		f.Add(s, false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, hasHeader bool) {
+		if got, want := gotTrace(data), refTrace(data); got != want {
+			t.Fatalf("scanner disagrees with the reference on %q:\ngot:\n%s\nwant:\n%s", data, got, want)
+		}
 		header, rows, err := Decode(data, hasHeader)
 		if err != nil {
 			return // rejecting malformed input is fine; panicking is not

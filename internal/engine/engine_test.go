@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
@@ -190,6 +191,43 @@ func TestLoadTableMatchesSelectStar(t *testing.T) {
 	sameRows(t, "load vs select *", loaded, selected)
 	if len(loaded.Rows) != 1000 {
 		t.Fatalf("rows = %d", len(loaded.Rows))
+	}
+}
+
+// TestLoadTableOwnsItsBytes loads a table whose partitions live in buffers
+// the test keeps, overwrites them, and expects the relation unchanged — and
+// equal, cell for cell and kind for kind, to typing csvx.Decode's rows,
+// the two-step path LoadTable used to take.
+func TestLoadTableOwnsItsBytes(t *testing.T) {
+	parts := [][]byte{
+		[]byte("k,name,note,d\n1,ann,\"say \"\"hi\"\"\",1994-01-01\n2,,\"a,b\",x\r\n"),
+		[]byte("k,name,note,d\n3,cy\n4,dee,1e3,1994-13-45,extra\n,\" 5\",-0,Inf"),
+	}
+	st := store.New()
+	want := &Relation{}
+	for i, data := range parts {
+		st.Put(testBucket, fmt.Sprintf("t/part%04d.csv", i), data)
+		header, rows, err := csvx.Decode(data, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Concat(FromStrings(header, rows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := openTestDB(t, st).NewExec()
+	got, err := e.LoadTable("load", e.NextStage(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range parts {
+		for i := range data {
+			data[i] = 'X'
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded relation differs once its partitions are overwritten:\n got %v %v\nwant %v %v",
+			got.Cols, got.Rows, want.Cols, want.Rows)
 	}
 }
 

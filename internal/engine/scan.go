@@ -54,12 +54,8 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 			rels[i] = fromVecRows(b.Cols, b.ToRows())
 			return nil
 		}
-		header, rows, err := csvx.Decode(data, true)
-		if err != nil {
-			return err
-		}
-		rels[i] = FromStringsN(header, rows, decodeWorkers)
-		return nil
+		rels[i], err = decodeCSV(data)
+		return err
 	})
 	if err != nil {
 		endSpanErr(sp, err)
@@ -75,6 +71,41 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 	sp.SetInt("rows", int64(len(out.Rows)))
 	e.endPhaseSpan(sp, phase)
 	return out, nil
+}
+
+// decodeCSV types a CSV object's cells straight off the scanner: one pass,
+// no intermediate rows of strings. The scanner's fields are views of data,
+// and a Relation outlives the GET that fetched it, so this is where loaded
+// rows come to own their bytes: the cells that stay text are copied, each
+// row's into one allocation (numbers and dates hold no bytes at all).
+func decodeCSV(data []byte) (*Relation, error) {
+	sc := csvx.NewScanner(data)
+	rel := &Relation{}
+	if sc.Scan() {
+		rel.Cols = csvx.CloneRow(sc.Fields())
+		rel.Rows = make([]Row, 0, bytes.Count(data, []byte{'\n'})) // exact unless cells hold newlines
+	}
+	var text []byte
+	for sc.Scan() {
+		row := make(Row, len(sc.Fields()))
+		text = text[:0]
+		for j, f := range sc.Fields() {
+			row[j] = value.FromCSV(f)
+			if row[j].Kind() == value.KindString {
+				text = append(text, f...)
+			}
+		}
+		if owned := string(text); owned != "" {
+			for j, v := range row {
+				if v.Kind() == value.KindString {
+					n := len(v.AsString())
+					row[j], owned = value.Str(owned[:n]), owned[n:]
+				}
+			}
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel, sc.Err()
 }
 
 // SelectRows runs sql on every partition of table and concatenates the

@@ -21,7 +21,8 @@ type AggState struct {
 	count   int64
 	sumI    int64
 	sumF    *big.Float // exact finite sum; non-nil once a float arrives
-	tmp     big.Float  // reusable operand, keeps the hot path allocation-free
+	spare   *big.Float // the next sum's destination (see accumulate)
+	tmp     big.Float  // reusable operand
 	isFloat bool
 	sumNaN  bool // a NaN entered the sum (or infinities of mixed sign)
 	sumInf  int  // -1 or +1 once an infinity entered the sum
@@ -35,14 +36,29 @@ type AggState struct {
 // magnitude) plus headroom for the running count.
 const sumPrec = 2200
 
+// promote turns an integer accumulator into the exact float one.
+func (a *AggState) promote() {
+	a.isFloat = true
+	a.sumF = new(big.Float).SetPrec(sumPrec).SetInt64(a.sumI)
+	a.spare = new(big.Float).SetPrec(sumPrec)
+	a.sumI = 0
+}
+
+// accumulate adds x to the exact sum without allocating. big.Float.Add
+// builds a fresh mantissa whenever its destination aliases an operand, so
+// the sum alternates between two buffers, each reusing its mantissa's
+// storage once that has grown to the sum's width.
+func (a *AggState) accumulate(x *big.Float) {
+	a.spare.Add(a.sumF, x)
+	a.sumF, a.spare = a.spare, a.sumF
+}
+
 // addFloat folds one float64 into the exact sum, promoting an integer
 // accumulator on first use and tracking non-finite inputs separately
 // (big.Float has no NaN, and opposite infinities must yield NaN).
 func (a *AggState) addFloat(f float64) {
 	if !a.isFloat {
-		a.isFloat = true
-		a.sumF = new(big.Float).SetPrec(sumPrec).SetInt64(a.sumI)
-		a.sumI = 0
+		a.promote()
 	}
 	switch {
 	case math.IsNaN(f):
@@ -57,7 +73,7 @@ func (a *AggState) addFloat(f float64) {
 		}
 		a.sumInf = s
 	default:
-		a.sumF.Add(a.sumF, a.tmp.SetFloat64(f))
+		a.accumulate(a.tmp.SetFloat64(f))
 	}
 }
 
@@ -91,7 +107,7 @@ func (a *AggState) Add(v value.Value) error {
 		switch v.Kind() {
 		case value.KindInt:
 			if a.isFloat {
-				a.sumF.Add(a.sumF, a.tmp.SetInt64(v.AsInt()))
+				a.accumulate(a.tmp.SetInt64(v.AsInt()))
 			} else {
 				a.sumI += v.AsInt()
 			}
@@ -129,13 +145,11 @@ func (a *AggState) Merge(b *AggState) error {
 	switch a.fn {
 	case sqlparse.AggSum, sqlparse.AggAvg:
 		if b.isFloat && !a.isFloat {
-			a.isFloat = true
-			a.sumF = new(big.Float).SetPrec(sumPrec).SetInt64(a.sumI)
-			a.sumI = 0
+			a.promote()
 		}
 		if a.isFloat {
 			if b.isFloat {
-				a.sumF.Add(a.sumF, b.sumF)
+				a.accumulate(b.sumF)
 				a.sumNaN = a.sumNaN || b.sumNaN
 				if b.sumInf != 0 {
 					if a.sumInf != 0 && a.sumInf != b.sumInf {
@@ -144,7 +158,7 @@ func (a *AggState) Merge(b *AggState) error {
 					a.sumInf = b.sumInf
 				}
 			} else {
-				a.sumF.Add(a.sumF, a.tmp.SetInt64(b.sumI))
+				a.accumulate(a.tmp.SetInt64(b.sumI))
 			}
 		} else {
 			a.sumI += b.sumI

@@ -365,47 +365,26 @@ func evalArith(op sqlparse.BinaryOp, l, r value.Value) (value.Value, error) {
 	return value.Null(), fmt.Errorf("expr: unknown arithmetic op")
 }
 
+// intOperand and numOperand are arithmetic's reading of an operand. CSV
+// text counts as the number it parses to, trimmed, under value's one
+// parsing rule: an integer when written as one, so that keys stay integral.
 func intOperand(v value.Value) (int64, bool) {
-	switch v.Kind() {
-	case value.KindInt:
-		return v.AsInt(), true
-	case value.KindString:
-		// CSV semantics: an all-digit string behaves as an integer.
-		s := strings.TrimSpace(v.AsString())
-		if s == "" {
-			return 0, false
-		}
-		neg := false
-		i := 0
-		if s[0] == '-' || s[0] == '+' {
-			neg = s[0] == '-'
-			i = 1
-			if len(s) == 1 {
-				return 0, false
-			}
-		}
-		var n int64
-		for ; i < len(s); i++ {
-			c := s[i]
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return n, true
-	default:
+	if v.Kind() == value.KindString {
+		v, _ = value.ParseNum(strings.TrimSpace(v.AsString()))
+	}
+	if v.Kind() != value.KindInt {
 		return 0, false
 	}
+	return v.AsInt(), true
 }
 
 func numOperand(v value.Value) (float64, bool) {
 	if v.Kind() == value.KindString {
-		var f float64
-		_, err := fmt.Sscanf(strings.TrimSpace(v.AsString()), "%g", &f)
-		return f, err == nil
+		f, err := value.CastFloat(v)
+		if err != nil {
+			return 0, false
+		}
+		return f.AsFloat(), true
 	}
 	return v.Num()
 }

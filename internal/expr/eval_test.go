@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pushdowndb/internal/race"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
@@ -48,11 +49,16 @@ func TestArithmetic(t *testing.T) {
 		"-(2 + 3)":        value.Int(-5),
 		"10 % 4 % 3":      value.Int(2),
 		"'5' + 2":         value.Int(7), // CSV string coercion
+		"' +5 ' * '2'":    value.Int(10),
+		"'1.5' * 2":       value.Float(3),
+		"'1e2' + 1":       value.Float(101),
 		"'a' || 'b'":      value.Str("ab"),
 		"1 || 'x'":        value.Str("1x"),
 		"2.5 % 1":         value.Float(0.5),
 		"100.0 * 2 / 400": value.Float(0.5),
 	}
+	// Past int64, digits are a float, not an integer wrapped around.
+	cases["'92233720368547758070' / 10"] = value.Float(9223372036854775807)
 	for src, want := range cases {
 		got := evalStr(t, src, MapEnv{})
 		if got.Kind() != want.Kind() || value.Compare(got, want) != 0 {
@@ -62,7 +68,9 @@ func TestArithmetic(t *testing.T) {
 }
 
 func TestArithmeticErrors(t *testing.T) {
-	for _, src := range []string{"1 / 0", "1 % 0", "1.0 / 0", "'a' + 1"} {
+	// Text is an operand only when the whole of it is a number, the rule
+	// comparison and CAST apply: a numeric prefix does not count.
+	for _, src := range []string{"1 / 0", "1 % 0", "1.0 / 0", "'a' + 1", "'12abc' + 1", "'1994-01-01' + 1", "'1e400' * 1", "'' + 1"} {
 		if evalErr(t, src, MapEnv{}) == nil {
 			t.Errorf("%s: expected error", src)
 		}
@@ -259,6 +267,33 @@ func TestAggStates(t *testing.T) {
 	emptyCount := NewAggState(sqlparse.AggCount)
 	if emptyCount.Final().AsInt() != 0 {
 		t.Error("COUNT of empty is 0")
+	}
+}
+
+// TestAggSumDoesNotAllocate pins the claim accumulate's comment makes, and
+// that the two-buffer sum is the same exact sum: the values span the whole
+// float64 exponent range and each pass over them adds exactly 1.
+func TestAggSumDoesNotAllocate(t *testing.T) {
+	sum := NewAggState(sqlparse.AggSum)
+	vals := []value.Value{value.Float(1e308), value.Float(5e-324), value.Int(1), value.Float(-1e308), value.Float(0.25),
+		value.Float(-5e-324), value.Float(-0.25), value.Str("2.5"), value.Str(" -2.5 ")}
+	add := func() {
+		for _, v := range vals {
+			if err := sum.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add() // grows both buffers to the sum's full width
+	add()
+	if !race.Enabled {
+		if n := testing.AllocsPerRun(50, add); n != 0 {
+			t.Errorf("AggState.Add allocates %v times over %d values, want 0", n, len(vals))
+		}
+	}
+	passes := float64(sum.count) / float64(len(vals))
+	if got := sum.Final(); got.Kind() != value.KindFloat || got.AsFloat() != passes {
+		t.Errorf("sum = %v after %v passes", got, passes)
 	}
 }
 

@@ -353,23 +353,43 @@ func headerIndex(header []string) map[string]int {
 	for i, h := range header {
 		m[strings.ToLower(h)] = i
 	}
-	for i := range header {
-		m[fmt.Sprintf("_%d", i+1)] = i // S3 Select positional names
+	for i, name := range positionalNames(len(header)) {
+		m[name] = i
 	}
 	return m
+}
+
+// positionalNames returns S3 Select's positional column names _1 … _n:
+// aliases beside a header's names, and the only names (and what * expands
+// to) when the object has no header.
+func positionalNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "_" + strconv.Itoa(i+1)
+	}
+	return names
 }
 
 func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error) {
 	ev := expr.New()
 	nodes := CountNodes(sel)
 
+	// Fields are views of data (csvx.Scanner); they are read for as long as
+	// this call runs and no longer: everything that reaches the Result is
+	// copied on the way in (CloneRow here, executor.endRow for rows).
 	sc := csvx.NewScanner(data)
+	more := sc.Scan()
 	var header []string
-	if req.HasHeader {
-		if !sc.Scan() {
+	switch {
+	case req.HasHeader:
+		if !more {
 			return &Result{Stats: Stats{ExprNodes: nodes}}, sc.Err()
 		}
-		header = append(header, sc.Fields()...)
+		header = csvx.CloneRow(sc.Fields())
+		more = sc.Scan()
+	case more:
+		// No header: the first data row's width names the columns.
+		header = positionalNames(len(sc.Fields()))
 	}
 	env := &rowEnv{index: headerIndex(header)}
 
@@ -385,7 +405,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		start = req.ScanRange.Start
 	}
 	var lastScannedEnd int64
-	for sc.Scan() {
+	for ; more; more = sc.Scan() {
 		first, last := sc.Range()
 		if req.ScanRange != nil {
 			if first < req.ScanRange.Start {
@@ -600,8 +620,12 @@ type executor struct {
 	groupKeys []string
 
 	rows            [][]string
-	returned        int64
 	terminatedEarly bool
+
+	// The output row being rendered: its cells' text back to back, and
+	// where each cell ends.
+	text []byte
+	ends []int
 }
 
 type groupState struct {
@@ -681,13 +705,14 @@ func (ex *executor) groupRow(env expr.Env) error {
 	return gs.agg.Add(env)
 }
 
+// project renders one output row. A row costs two allocations however
+// many cells it has (see endRow).
 func (ex *executor) project(env expr.Env) ([]string, error) {
-	var out []string
 	for _, it := range ex.sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			for i := range ex.header {
 				v, _ := env.Lookup("", ex.header[i])
-				out = append(out, v.String())
+				ex.cell(v)
 			}
 			continue
 		}
@@ -695,9 +720,31 @@ func (ex *executor) project(env expr.Env) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v.String())
+		ex.cell(v)
 	}
-	return out, nil
+	return ex.endRow(), nil
+}
+
+// cell appends v's CSV text to the row being rendered.
+func (ex *executor) cell(v value.Value) {
+	ex.text = v.Append(ex.text)
+	ex.ends = append(ex.ends, len(ex.text))
+}
+
+// endRow returns the rendered row and starts the next. This is where
+// response rows come to own their bytes: the cells are cut from one fresh
+// string, so a Result — cached, shared between requests or put on the
+// wire — never keeps the scanned object reachable, whatever views of it
+// the cells' values were.
+func (ex *executor) endRow() []string {
+	all := string(ex.text)
+	row := make([]string, len(ex.ends))
+	start := 0
+	for i, end := range ex.ends {
+		row[i], start = all[start:end], end
+	}
+	ex.text, ex.ends = ex.text[:0], ex.ends[:0]
+	return row
 }
 
 func (ex *executor) finish(stats *Stats) (*Result, error) {
@@ -714,26 +761,24 @@ func (ex *executor) finish(stats *Stats) (*Result, error) {
 		for _, k := range ex.groupKeys {
 			gs := ex.groups[k]
 			genv := &expr.GroupKeyEnv{Exprs: ex.sel.GroupBy, Vals: gs.keyVals}
-			var row []string
 			for _, it := range ex.sel.Items {
 				v, err := gs.agg.Final(it.Expr, genv)
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, v.String())
+				ex.cell(v)
 			}
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, ex.endRow())
 		}
 	case ex.aggMode:
-		var row []string
 		for _, it := range ex.sel.Items {
 			v, err := ex.agg.Final(it.Expr, expr.MapEnv{})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v.String())
+			ex.cell(v)
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, ex.endRow())
 	default:
 		res.Rows = ex.rows
 	}

@@ -187,10 +187,36 @@ func (v Value) String() string {
 	}
 }
 
+// Append appends the text String returns to buf, without the intermediate
+// string.
+func (v Value) Append(buf []byte) []byte {
+	switch v.kind {
+	case KindBool:
+		if v.i != 0 {
+			return append(buf, "true"...)
+		}
+		return append(buf, "false"...)
+	case KindInt:
+		return strconv.AppendInt(buf, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(buf, v.f, 'f', -1, 64)
+	case KindString:
+		return append(buf, v.s...)
+	case KindDate:
+		return appendDays(buf, v.i)
+	default:
+		return buf
+	}
+}
+
 // FormatDays renders days-since-epoch as YYYY-MM-DD.
 func FormatDays(days int64) string {
-	t := time.Unix(days*86400, 0).UTC()
-	return t.Format("2006-01-02")
+	var buf [16]byte
+	return string(appendDays(buf[:0], days))
+}
+
+func appendDays(buf []byte, days int64) []byte {
+	return time.Unix(days*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
 }
 
 // ParseDate parses YYYY-MM-DD into a DATE value.
@@ -230,13 +256,80 @@ func FromCSV(field string) Value {
 			return v
 		}
 	}
-	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(field, 64); err == nil {
-		return Float(f)
+	if n, ok := ParseNum(field); ok {
+		return n
 	}
 	return Str(field)
+}
+
+// ParseNum is the one string-to-number conversion: it returns what
+// strconv.ParseInt(s, 10, 64) accepts as an INT, failing that what
+// strconv.ParseFloat(s, 64) accepts as a FLOAT (so "Inf", "0x1p-2" and
+// "1_000" are numbers and "1e400" is not), and false for everything else.
+// It does not trim; callers whose rule ignores surrounding space (CAST,
+// comparison) trim first.
+//
+// Most CSV cells are not numbers, and strconv reports that with a freshly
+// allocated *NumError holding a copy of the input. ParseNum therefore
+// looks at the shape first and calls strconv only on strings built like a
+// number: dates, flags and names are refused without allocating.
+func ParseNum(s string) (Value, bool) {
+	digits := s
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		digits = s[1:]
+	}
+	if len(digits) == 0 {
+		return Null(), false
+	}
+	i, n := 0, int64(0)
+	for i < len(digits) && digits[i] >= '0' && digits[i] <= '9' {
+		n = n*10 + int64(digits[i]-'0') // wraps past 18 digits; unused then
+		i++
+	}
+	if i < len(digits) {
+		if !floatShaped(digits, len(digits) != len(s)) {
+			return Null(), false
+		}
+	} else if i <= 18 { // cannot overflow
+		if s[0] == '-' {
+			n = -n
+		}
+		return Int(n), true
+	} else if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return Int(n), true
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return Float(f), err == nil
+}
+
+// floatShaped reports whether s, a number's text after its sign, could be
+// a float in strconv's grammar. It accepts every string strconv does and
+// refuses a sign anywhere but behind an exponent marker, any character no
+// decimal or hexadecimal float contains, and a first character no number
+// starts with — which is what tells 1994-01-01, 25-989-741-2988 and
+// 1-URGENT from 1e-3 at a glance.
+func floatShaped(s string, signed bool) bool {
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '.':
+	case c|0x20 == 'i':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
+	case c|0x20 == 'n':
+		return !signed && strings.EqualFold(s, "nan")
+	default:
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c, lower := s[i], s[i]|0x20; {
+		case c >= '0' && c <= '9', lower >= 'a' && lower <= 'f', lower == 'x', lower == 'p', c == '.', c == '_':
+		case c == '+', c == '-':
+			if prev := s[i-1] | 0x20; prev != 'e' && prev != 'p' {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // CastInt implements CAST(x AS INT).
@@ -251,16 +344,14 @@ func CastInt(v Value) (Value, error) {
 	case KindBool, KindDate:
 		return Int(v.i), nil
 	case KindString:
-		s := strings.TrimSpace(v.s)
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(s, 64)
-			if ferr != nil {
-				return Null(), fmt.Errorf("value: cannot CAST %q AS INT", v.s)
-			}
-			return Int(int64(f)), nil
+		n, ok := ParseNum(strings.TrimSpace(v.s))
+		if !ok {
+			return Null(), fmt.Errorf("value: cannot CAST %q AS INT", v.s)
 		}
-		return Int(i), nil
+		if n.kind == KindFloat {
+			return Int(int64(n.f)), nil
+		}
+		return n, nil
 	}
 	return Null(), fmt.Errorf("value: cannot CAST %s AS INT", v.kind)
 }
@@ -275,9 +366,14 @@ func CastFloat(v Value) (Value, error) {
 	case KindInt, KindBool, KindDate:
 		return Float(float64(v.i)), nil
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
-		if err != nil {
+		s := strings.TrimSpace(v.s)
+		n, ok := ParseNum(s)
+		if !ok {
 			return Null(), fmt.Errorf("value: cannot CAST %q AS FLOAT", v.s)
+		}
+		f, _ := n.Num()
+		if f == 0 && s[0] == '-' {
+			f = math.Copysign(0, -1) // "-0" is an INT to ParseNum; the float keeps its sign
 		}
 		return Float(f), nil
 	}
@@ -328,35 +424,52 @@ func Compare(a, b Value) int {
 		// CSV semantics: S3 Select sees every CSV field as text, so two
 		// fields that both parse as numbers compare numerically (account
 		// balances, keys); otherwise lexicographically (names, dates).
-		if an, aok := coerceNum(a); aok {
-			if bn, bok := coerceNum(b); bok {
+		if an, aok := CoerceNum(a); aok {
+			if bn, bok := CoerceNum(b); bok {
 				return cmpFloat(an, bn)
 			}
 		}
 		return strings.Compare(a.s, b.s)
 	}
-	if a.kind == KindString || b.kind == KindString {
-		// Try numeric comparison; dates compare as their textual form,
-		// which is order-preserving for YYYY-MM-DD.
-		if a.kind == KindDate || b.kind == KindDate {
-			return strings.Compare(a.String(), b.String())
+	if a.kind == KindString {
+		return -Compare(b, a)
+	}
+	if b.kind == KindString {
+		// Numeric when the string parses; otherwise, and for dates always,
+		// a's textual form against the string (order-preserving for
+		// YYYY-MM-DD).
+		if a.kind != KindDate {
+			an, _ := a.Num()
+			if bn, ok := CoerceNum(b); ok {
+				return cmpFloat(an, bn)
+			}
 		}
-		an, aok := coerceNum(a)
-		bn, bok := coerceNum(b)
-		if aok && bok {
-			return cmpFloat(an, bn)
+		// Rendered into the stack: this runs once per scanned row.
+		var buf [32]byte
+		switch text := string(a.Append(buf[:0])); {
+		case text < b.s:
+			return -1
+		case text > b.s:
+			return 1
 		}
-		return strings.Compare(a.String(), b.String())
+		return 0
 	}
 	an, _ := a.Num()
 	bn, _ := b.Num()
 	return cmpFloat(an, bn)
 }
 
-func coerceNum(v Value) (float64, bool) {
+// CoerceNum is the comparison rule's numeric reading of v: a string counts
+// when, trimmed, it parses. An INT's float64 is the float strconv would
+// have parsed from the same digits (both round the exact integer to
+// nearest-even; "-0" differs in sign only, which no comparison sees).
+func CoerceNum(v Value) (float64, bool) {
 	if v.kind == KindString {
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
-		return f, err == nil
+		n, ok := ParseNum(strings.TrimSpace(v.s))
+		if !ok {
+			return 0, false
+		}
+		return n.Num()
 	}
 	return v.Num()
 }

@@ -2,7 +2,6 @@ package vec
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -333,7 +332,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 			}
 			// INT/BOOL vs string: numeric when the string parses, else
 			// rendered-form string comparison (generic covers the latter).
-			if lf, ok := parseNum(lit.AsString()); ok {
+			if lf, ok := value.CoerceNum(lit); ok {
 				ints := v.Ints
 				return func(i int) int { return cmpFloat(float64(ints[i]), lf) }
 			}
@@ -343,7 +342,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 				floats := v.Floats
 				return func(i int) int { return cmpFloat(floats[i], lf) }
 			}
-			if lf, ok := parseNum(lit.AsString()); ok {
+			if lf, ok := value.CoerceNum(lit); ok {
 				floats := v.Floats
 				return func(i int) int { return cmpFloat(floats[i], lf) }
 			}
@@ -352,13 +351,13 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 			switch lit.Kind() {
 			case value.KindString:
 				litS := lit.AsString()
-				lf, litOk := parseNum(litS)
+				lf, litOk := value.CoerceNum(lit)
 				if !litOk {
 					// Neither side can compare numerically: raw string order.
 					return func(i int) int { return strings.Compare(strs[i], litS) }
 				}
 				return func(i int) int {
-					if rf, ok := parseNum(strs[i]); ok {
+					if rf, ok := value.CoerceNum(value.Str(strs[i])); ok {
 						return cmpFloat(rf, lf)
 					}
 					return strings.Compare(strs[i], litS)
@@ -371,7 +370,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 				lf, _ := lit.Num()
 				litS := lit.String()
 				return func(i int) int {
-					if rf, ok := parseNum(strs[i]); ok {
+					if rf, ok := value.CoerceNum(value.Str(strs[i])); ok {
 						return cmpFloat(rf, lf)
 					}
 					return strings.Compare(strs[i], litS)
@@ -380,12 +379,6 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 		}
 	}
 	return func(i int) int { return value.Compare(v.Value(i), lit) }
-}
-
-// parseNum replicates value's string-to-number coercion (coerceNum).
-func parseNum(s string) (float64, bool) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	return f, err == nil
 }
 
 // cmpFloat replicates value's total float order: NaN equals only NaN and
