@@ -51,10 +51,11 @@ func manyPartsDB(t *testing.T, g *gatedBackend, parts int) *DB {
 		t.Fatal(err)
 	}
 	g.Backend = s3api.NewInProc(st)
-	db, err := Open(testBucket, WithBackend("gated", g), WithMaxScanParallel(1))
+	db, err := Open(testBucket, WithBackend("gated", g))
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.MaxScanParallel = 1
 	return db
 }
 

@@ -86,14 +86,6 @@ type DB struct {
 // ctx. Hooks must be safe for concurrent use.
 type QueryHook func(ctx context.Context, sql string, exec *Exec, err error)
 
-// WithQueryHook installs a query hook at Open time.
-func WithQueryHook(h QueryHook) Option {
-	return func(db *DB) error {
-		db.queryHook = h
-		return nil
-	}
-}
-
 // SetQueryHook installs (or, with nil, removes) the query hook on a live
 // DB. Safe to call while queries are running; statements already past
 // their hook point are unaffected.
@@ -165,14 +157,6 @@ func WithScale(s cloudsim.Scale) Option {
 func WithWorkers(n int) Option {
 	return func(db *DB) error {
 		db.Cfg.Workers = n
-		return nil
-	}
-}
-
-// WithMaxScanParallel bounds concurrent partition requests.
-func WithMaxScanParallel(n int) Option {
-	return func(db *DB) error {
-		db.MaxScanParallel = n
 		return nil
 	}
 }

@@ -140,6 +140,30 @@ func (e *Exec) parts(table string) ([]string, error) {
 	return keys, nil
 }
 
+// concurrently runs the sibling scans of one stage at once and waits for
+// all of them, so that when an operator returns — with a result or with an
+// error — none of its scans is still issuing backend requests or adding
+// phases and spans to the execution. It returns the first error in
+// argument order.
+func concurrently(fns ...func() error) error {
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	for i, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // forEachPart runs fn over every partition with bounded parallelism. The
 // first error cancels the shared context and stops new partitions from
 // launching; in-flight calls see the cancellation through ctx. Canceling

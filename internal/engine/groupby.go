@@ -275,36 +275,30 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 		bigRel  *Relation
 		tailRel *Relation
 	)
-	errs := make(chan error, 2)
-	go func() {
-		if len(big) == 0 {
-			bigRel = &Relation{Cols: groupResultCols(groupCol, aggs)}
-			errs <- nil
-			return
-		}
-		var err error
-		if opts.UsePartialGroupBy {
-			bigRel, err = e.partialGroupBy("s3 big groups", stage2, table, groupCol, big, aggs)
-		} else {
-			bigRel, err = e.caseAggregate("s3 big groups", stage2, table, groupCol, big, aggs, "")
-		}
-		errs <- err
-	}()
-	go func() {
-		var err error
-		where := ""
-		if pred := tailPredicate(groupCol, big); pred != "" {
-			where = " WHERE " + pred
-		}
-		cols := projectColsForAggs(groupCol, aggs)
-		tailRel, err = e.SelectRows("tail scan", stage2, table,
-			"SELECT "+strings.Join(cols, ", ")+" FROM S3Object"+where)
-		errs <- err
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	err = concurrently(
+		func() (err error) {
+			switch {
+			case len(big) == 0:
+				bigRel = &Relation{Cols: groupResultCols(groupCol, aggs)}
+			case opts.UsePartialGroupBy:
+				bigRel, err = e.partialGroupBy("s3 big groups", stage2, table, groupCol, big, aggs)
+			default:
+				bigRel, err = e.caseAggregate("s3 big groups", stage2, table, groupCol, big, aggs, "")
+			}
+			return err
+		},
+		func() (err error) {
+			where := ""
+			if pred := tailPredicate(groupCol, big); pred != "" {
+				where = " WHERE " + pred
+			}
+			cols := projectColsForAggs(groupCol, aggs)
+			tailRel, err = e.SelectRows("tail scan", stage2, table,
+				"SELECT "+strings.Join(cols, ", ")+" FROM S3Object"+where)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	e.Metrics.Phase("tail scan", stage2).AddServerRows(int64(len(tailRel.Rows)))

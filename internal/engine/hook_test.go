@@ -30,16 +30,15 @@ func hookDB(t *testing.T) (*DB, *[]hookRecord, *sync.Mutex) {
 		mu   sync.Mutex
 		recs []hookRecord
 	)
-	db, err := Open("bkt",
-		WithBackend("s3sim", s3api.NewInProc(st)),
-		WithQueryHook(func(ctx context.Context, sql string, e *Exec, err error) {
-			mu.Lock()
-			recs = append(recs, hookRecord{sql: sql, hasExec: e != nil, err: err, ctxVal: ctx.Value(hookCtxKey{})})
-			mu.Unlock()
-		}))
+	db, err := Open("bkt", WithBackend("s3sim", s3api.NewInProc(st)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.SetQueryHook(func(ctx context.Context, sql string, e *Exec, err error) {
+		mu.Lock()
+		recs = append(recs, hookRecord{sql: sql, hasExec: e != nil, err: err, ctxVal: ctx.Value(hookCtxKey{})})
+		mu.Unlock()
+	})
 	return db, &recs, &mu
 }
 

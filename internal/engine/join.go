@@ -73,29 +73,16 @@ func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) 
 	prev := e.setSpanParent(sp)
 	defer e.restoreSpanParent(prev)
 	stage := e.NextStage()
-	var left, right *Relation
-	errs := make(chan error, 2)
-	go func() {
-		var err error
-		left, err = e.LoadTable("load "+js.LeftTable, stage, js.LeftTable)
-		errs <- err
-	}()
-	go func() {
-		var err error
-		right, err = e.LoadTable("load "+js.RightTable, stage, js.RightTable)
-		errs <- err
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	rels, err := e.LoadTables(stage, js.LeftTable, js.RightTable)
+	if err != nil {
+		return nil, err
 	}
+	left, right := rels[0], rels[1]
 	// The server-side filter pass touches every loaded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
 	e.Metrics.Phase("load "+js.LeftTable, stage).AddServerRows(int64(len(left.Rows)))
 	e.Metrics.Phase("load "+js.RightTable, stage).AddServerRows(int64(len(right.Rows)))
-	var err error
 	if left, err = e.filterLocal(left, leftFilter); err != nil {
 		return nil, err
 	}
@@ -111,21 +98,17 @@ func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) 
 func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) {
 	stage := e.NextStage()
 	var left, right *Relation
-	errs := make(chan error, 2)
-	go func() {
-		var err error
-		left, err = e.SelectRows("filtered scan "+js.LeftTable, stage, js.LeftTable, projectionSQL(nil, js.LeftFilter))
-		errs <- err
-	}()
-	go func() {
-		var err error
-		right, err = e.SelectRows("filtered scan "+js.RightTable, stage, js.RightTable, projectionSQL(nil, js.RightFilter))
-		errs <- err
-	}()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	err := concurrently(
+		func() (err error) {
+			left, err = e.SelectRows("filtered scan "+js.LeftTable, stage, js.LeftTable, projectionSQL(nil, js.LeftFilter))
+			return err
+		},
+		func() (err error) {
+			right, err = e.SelectRows("filtered scan "+js.RightTable, stage, js.RightTable, projectionSQL(nil, js.RightFilter))
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 	return e.hashJoinLocal(stage, left, right, js.LeftKey, js.RightKey)
 }

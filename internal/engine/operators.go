@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
@@ -16,13 +15,15 @@ import (
 // surface. Operators takes parsed input (sqlparse expressions, select
 // items, group keys) and runs either the batched internal/vec kernels
 // across the worker budget or the reference: a plain sequential
-// row-at-a-time loop whose answers the kernels must reproduce byte for
-// byte. The reference exists for the differential batteries and the
-// benchmark oracle (WithVectorized(false)) and as the fallback for ragged
-// relations, which the columnar layout cannot represent — so it is written
-// to be read, not to be fast. Query execution reaches the operators through
-// one dispatch point (Exec.runOp); SQL text is parsed once, by the front
-// end or by the fragment parsers below, never by an operator.
+// row-at-a-time loop feeding expr.RowExec — the executor the S3 Select
+// engine runs on the storage side — whose answers the kernels must
+// reproduce byte for byte. The reference exists for the differential
+// batteries and the benchmark oracle (WithVectorized(false)) and as the
+// fallback for ragged relations, which the columnar layout cannot
+// represent — so it is written to be read, not to be fast. Query execution
+// reaches the operators through one dispatch point (Exec.runOp); SQL text
+// is parsed once, by the front end or by the fragment parsers below, never
+// by an operator.
 
 // Operators is the local operator set. The zero value is the sequential
 // reference.
@@ -226,16 +227,14 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 			return out, nil
 		}
 	}
-	ev := expr.New()
+	cur := &rowEnv{rel: rel}
 	out := &Relation{Cols: rel.Cols}
-	for i, row := range rel.Rows {
-		ok, err := ev.EvalBool(pred, rel.Env(i))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-		}
+	err := cur.run(expr.NewProjection(pred, nil, nil, func([]value.Value) error {
+		out.Rows = append(out.Rows, cur.row)
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -251,23 +250,10 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 			return fromVecRows(out.Cols, out.ToRows()), nil
 		}
 	}
-	ev := expr.New()
-	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, len(rel.Rows))}
-	for i, in := range rel.Rows {
-		env := rel.Env(i)
-		var row Row
-		for _, it := range items {
-			if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-				row = append(row, in...)
-				continue
-			}
-			v, err := ev.Eval(it.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.Rows[i] = row
+	cur := &rowEnv{rel: rel}
+	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, 0, len(rel.Rows))}
+	if err := cur.run(expr.NewProjection(nil, sqlparse.ItemExprs(items), cur.star, out.add)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -288,12 +274,8 @@ func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) (
 // GroupBy groups rel by the key expressions and evaluates the aggregate
 // select items, one output row per group in first-seen group order.
 func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
-	itemExprs := make([]sqlparse.Expr, len(items))
-	for i, it := range items {
-		itemExprs[i] = it.Expr
-	}
 	if o.Vectorized {
-		if b, ok := o.batch(rel, append(append([]sqlparse.Expr{}, itemExprs...), keys...)); ok {
+		if b, ok := o.batch(rel, append(sqlparse.ItemExprs(items), keys...)); ok {
 			cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
 			if err != nil {
 				return nil, err
@@ -301,97 +283,44 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 			return fromVecRows(cols, rows), nil
 		}
 	}
-	type group struct {
-		keyVals Row
-		agg     *expr.AggRunner
-	}
-	ev := expr.New()
-	groups := map[string]*group{}
-	var order []*group
-	for i := range rel.Rows {
-		env := rel.Env(i)
-		var kb strings.Builder
-		keyVals := make(Row, len(keys))
-		for j, k := range keys {
-			v, err := ev.Eval(k, env)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[j] = v
-			kb.WriteString(v.String())
-			kb.WriteByte('\x00')
-		}
-		g, ok := groups[kb.String()]
-		if !ok {
-			g = &group{keyVals: keyVals, agg: expr.NewAggRunner(ev, itemExprs)}
-			groups[kb.String()] = g
-			order = append(order, g)
-		}
-		if err := g.agg.Add(env); err != nil {
-			return nil, err
-		}
-	}
-	out := &Relation{}
-	for _, it := range items {
-		out.Cols = append(out.Cols, it.Name())
-	}
-	for _, g := range order {
-		genv := &expr.GroupKeyEnv{Exprs: keys, Vals: g.keyVals}
-		var row Row
-		for _, it := range items {
-			v, err := g.agg.Final(it.Expr, genv)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.Rows = append(out.Rows, row)
+	cur := &rowEnv{rel: rel}
+	out := &Relation{Cols: itemCols(rel, items)}
+	if err := cur.run(expr.NewAggregation(nil, keys, sqlparse.ItemExprs(items), out.add)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // Aggregate evaluates aggregate-only select items over the whole relation
-// and returns a single row: a group-by with no keys, except that zero
-// input rows still yield one row (COUNT = 0, other aggregates NULL).
+// and returns a single row: a group-by with no keys, which yields its one
+// row (COUNT = 0, other aggregates NULL) over zero input rows too.
 func (o Operators) Aggregate(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	if len(rel.Rows) == 0 {
-		return emptyAggregateRow(rel, items)
-	}
 	return o.GroupBy(rel, nil, items)
 }
 
-// emptyAggregateRow builds the single result row of an aggregation over
-// zero input rows with standard SQL semantics: aggregate nodes evaluate
-// to COUNT = 0 / others NULL, and any arithmetic around them is applied
-// (so COUNT(*) + 0 is 0, not NULL).
-func emptyAggregateRow(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	zero := func(a *sqlparse.Aggregate) sqlparse.Expr {
-		if a.Func == sqlparse.AggCount {
-			return &sqlparse.Literal{Val: value.Int(0)}
+// The reference operators share one executor with the S3 Select engine,
+// expr.RowExec, and feed it through one cursor: a rowEnv moved over the
+// relation's rows, so evaluating a row allocates no environment.
+
+// run feeds every row of the cursor's relation to x, then finishes it.
+func (cur *rowEnv) run(x *expr.RowExec) error {
+	for _, cur.row = range cur.rel.Rows {
+		if err := x.Add(cur); err != nil {
+			return err
 		}
-		return &sqlparse.Literal{Val: value.Null()}
 	}
-	// Columns of the (empty) input look up as NULL.
-	nulls := make(Row, len(rel.Cols))
-	for i := range nulls {
-		nulls[i] = value.Null()
-	}
-	env := &rowEnv{rel: rel, row: nulls}
-	ev := expr.New()
-	var row Row
-	for _, it := range items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			row = append(row, nulls...)
-			continue
-		}
-		v, err := ev.Eval(sqlparse.MapAggregates(it.Expr, zero), env)
-		if err != nil {
-			// Same error a non-empty input would raise evaluating this item.
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	return &Relation{Cols: itemCols(rel, items), Rows: []Row{row}}, nil
+	return x.Finish()
+}
+
+// star is the reference's * expansion: the input row as it is, so ragged
+// rows stay ragged.
+func (cur *rowEnv) star(dst []value.Value) []value.Value { return append(dst, cur.row...) }
+
+// add is the RowExec emit callback that collects output rows into r; the
+// executor reuses vals, so the row is copied.
+func (r *Relation) add(vals []value.Value) error {
+	r.Rows = append(r.Rows, append(Row(nil), vals...))
+	return nil
 }
 
 // HashJoin joins left (build side) and right (probe side) on equality of
@@ -457,23 +386,22 @@ func keyVector(rel *Relation, c int) *vec.Vector {
 
 // sortLocal orders rows by the given keys (stable).
 func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
-	ev := expr.New()
 	type keyed struct {
 		keys Row
 		row  Row
 	}
-	ks := make([]keyed, len(rel.Rows))
-	for i := range rel.Rows {
-		env := rel.Env(i)
-		keys := make(Row, len(orderBy))
-		for j, o := range orderBy {
-			v, err := ev.Eval(o.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			keys[j] = v
-		}
-		ks[i] = keyed{keys: keys, row: rel.Rows[i]}
+	keyExprs := make([]sqlparse.Expr, len(orderBy))
+	for j, o := range orderBy {
+		keyExprs[j] = o.Expr
+	}
+	cur := &rowEnv{rel: rel}
+	ks := make([]keyed, 0, len(rel.Rows))
+	err := cur.run(expr.NewProjection(nil, keyExprs, nil, func(keys []value.Value) error {
+		ks = append(ks, keyed{keys: append(Row(nil), keys...), row: cur.row})
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(ks, func(a, b int) bool {
 		for j, o := range orderBy {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 )
 
@@ -270,7 +269,7 @@ func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy [
 	items = append(items, sel.Items...)
 	next := 0
 	for _, o := range sel.OrderBy {
-		direct := len(expr.CollectAggregates([]sqlparse.Expr{o.Expr})) == 0
+		direct := !sqlparse.ContainsAggregate(o.Expr)
 		if direct {
 			for _, c := range sqlparse.Columns(o.Expr) {
 				if !outNames[strings.ToLower(c)] {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pushdowndb/internal/expr"
 	"pushdowndb/internal/value"
 )
 
@@ -40,11 +39,8 @@ func (r *Relation) ColIndex(name string) int {
 	return -1
 }
 
-// Env returns an expr.Env view of row i.
-func (r *Relation) Env(i int) expr.Env {
-	return &rowEnv{rel: r, row: r.Rows[i]}
-}
-
+// rowEnv is the expr.Env view of one row of a relation. The reference
+// operators use one as a cursor, moving row over the relation's rows.
 type rowEnv struct {
 	rel *Relation
 	row Row

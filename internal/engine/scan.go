@@ -13,6 +13,24 @@ import (
 	"pushdowndb/internal/vec"
 )
 
+// LoadTables loads the tables of one stage concurrently (see LoadTable),
+// each on its own "load <table>" phase, and returns them in argument
+// order — the opening move of the baseline plans.
+func (e *Exec) LoadTables(stage int, tables ...string) ([]*Relation, error) {
+	rels := make([]*Relation, len(tables))
+	loads := make([]func() error, len(tables))
+	for i, table := range tables {
+		loads[i] = func() (err error) {
+			rels[i], err = e.LoadTable("load "+table, stage, table)
+			return err
+		}
+	}
+	if err := concurrently(loads...); err != nil {
+		return nil, err
+	}
+	return rels, nil
+}
+
 // LoadTable fetches every partition with plain GETs and parses the CSV on
 // the server — the paper's "server-side" baseline path.
 func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, error) {

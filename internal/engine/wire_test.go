@@ -1,0 +1,161 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"pushdowndb/internal/race"
+	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
+)
+
+// Both sides of the wire: the S3 Select engine and PushdownDB's local
+// operators run one SELECT block executor (expr.RowExec), and the vec
+// kernels must reproduce it. The same rows go through all three — as a CSV
+// payload to selectengine.Execute, as a relation of the very values the
+// storage side sees (CSV text, an empty field NULL) to the reference and
+// the vectorized operator sets — and the rendered columns, rows and error
+// text must be identical.
+
+var (
+	wireHeader = []string{"id", "qty", "price", "flag", "name"}
+	wireRows   = [][]string{
+		{"1", "5", "10.50", "A", "alpha"},
+		{"2", "", "3.25", "B", "  "},
+		{"3", "12", "", "A", "beta"},
+		{"4", "7", "NaN", "", "Alpha"},
+		{"5", "5", "100", "B", ""},
+		{"6", "40", "0.5", "", " 7"},
+		{"7", "1", "8", "C", "7"},
+	}
+	wireStatements = []string{
+		"SELECT id, name FROM S3Object WHERE qty >= 5 AND flag = 'A'",
+		"SELECT id FROM S3Object WHERE name LIKE 'a%' OR price BETWEEN 3 AND 9 OR flag IN ('C')",
+		"SELECT id FROM S3Object WHERE flag IS NULL",
+		"SELECT id, qty * 2 + 1 AS q, price * (1 - 0.5) AS half, name || '!' AS n FROM S3Object",
+		"SELECT UPPER(name) AS u, CAST(qty AS INT) + 1, CASE WHEN qty > 6 THEN 'big' ELSE 'small' END FROM S3Object WHERE qty IS NOT NULL",
+		"SELECT * FROM S3Object WHERE id < 4",
+		"SELECT *, id FROM S3Object WHERE flag = 'B'",
+		"SELECT COUNT(*) AS n, SUM(qty) AS s, AVG(price) AS a, MIN(name) AS lo, MAX(name) AS hi FROM S3Object",
+		"SELECT 100 * SUM(qty) / COUNT(*) AS r, 'k' AS k FROM S3Object WHERE flag = 'A'",
+		"SELECT COUNT(*) AS n, COUNT(*) + 0 AS n0, SUM(qty) AS s, AVG(price) AS a, MIN(id) AS m FROM S3Object WHERE id > 1000",
+		"SELECT flag, COUNT(*) AS n, SUM(qty) AS s FROM S3Object GROUP BY flag",
+		"SELECT flag, qty, MAX(price) AS hi FROM S3Object GROUP BY flag, qty",
+		"SELECT COUNT(*) AS n, SUM(id) AS ids FROM S3Object GROUP BY qty % 2",
+		"SELECT COUNT(*) AS n, MIN(id) AS first FROM S3Object GROUP BY TRIM(name)",
+		"SELECT flag, COUNT(*) AS n FROM S3Object WHERE id > 1000 GROUP BY flag",
+		"SELECT id / (qty - 5) FROM S3Object",
+		"SELECT nosuch FROM S3Object",
+		"SELECT SUM(name) FROM S3Object",
+		"SELECT name, COUNT(*) FROM S3Object GROUP BY flag",
+	}
+)
+
+// wireRelation is the relation the storage side's rowEnv presents.
+func wireRelation() *Relation {
+	rel := &Relation{Cols: wireHeader}
+	for _, fields := range wireRows {
+		row := make(Row, len(fields))
+		for i, f := range fields {
+			if f != "" {
+				row[i] = value.Str(f)
+			}
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel
+}
+
+// runLocal runs sel's SELECT block with the operator set.
+func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
+	rel, err := o.Filter(rel, sel.Where)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(sel.GroupBy) > 0:
+		return o.GroupBy(rel, sel.GroupBy, sel.Items)
+	case sel.HasAggregates():
+		return o.Aggregate(rel, sel.Items)
+	}
+	return o.Project(rel, sel.Items)
+}
+
+func TestBothSidesOfTheWire(t *testing.T) {
+	var payload strings.Builder
+	for _, fields := range append([][]string{wireHeader}, wireRows...) {
+		payload.WriteString(strings.Join(fields, ",") + "\n")
+	}
+	rel := wireRelation()
+	for _, sql := range wireStatements {
+		res, wantErr := selectengine.Execute([]byte(payload.String()), selectengine.Request{
+			SQL: sql, HasHeader: true, Capabilities: selectengine.Capabilities{AllowGroupBy: true},
+		})
+		sel, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for name, o := range map[string]Operators{"reference": {}, "vectorized": {Vectorized: true, Workers: 3}} {
+			got, gotErr := runLocal(o, rel, sel)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s\n%s: err %v, storage side: %v", sql, name, gotErr, wantErr)
+				continue
+			}
+			if wantErr != nil {
+				continue
+			}
+			rows := make([][]string, len(got.Rows))
+			for i, row := range got.Rows {
+				rows[i] = make([]string, len(row))
+				for j, v := range row {
+					rows[i][j] = v.String()
+				}
+			}
+			local, storage := fmt.Sprintf("%v %q", got.Cols, rows), fmt.Sprintf("%v %q", res.Columns, res.Rows)
+			if local != storage {
+				t.Errorf("%s\n%s: %s\nstorage side: %s", sql, name, local, storage)
+			}
+		}
+	}
+}
+
+// TestReferenceAllocatesNothingPerRow pins what the one-cursor reference
+// costs: evaluating a row builds no environment and an existing group's
+// key is looked up without being materialized, so the allocations of a
+// filter or a group-by do not depend on how many rows go in.
+func TestReferenceAllocatesNothingPerRow(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	relOf := func(n int) *Relation {
+		rel := &Relation{Cols: []string{"k", "g", "v"}}
+		for i := 0; i < n; i++ {
+			rel.Rows = append(rel.Rows, Row{value.Int(int64(i)), value.Str([]string{"a", "b", "c"}[i%3]), value.Int(int64(i % 7))})
+		}
+		return rel
+	}
+	pred, err := parsePredicate("v > 100 OR g = 'none'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, items, err := parseGroupBy("g, v % 2", "g, COUNT(*) AS n, SUM(v) AS s, MAX(k) AS hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func(*Relation) (*Relation, error){
+		"Filter":  func(rel *Relation) (*Relation, error) { return Operators{}.Filter(rel, pred) },
+		"GroupBy": func(rel *Relation) (*Relation, error) { return Operators{}.GroupBy(rel, keys, items) },
+	} {
+		allocs := func(rel *Relation) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := op(rel); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(relOf(60)), allocs(relOf(6000)); small != large {
+			t.Errorf("reference %s allocates %v times over 60 rows and %v over 6000; want no per-row allocation", name, small, large)
+		}
+	}
+}

@@ -217,125 +217,19 @@ func (a *AggState) Final() value.Value {
 
 // CollectAggregates extracts every Aggregate node under the given
 // expressions, in evaluation order. The same node appearing twice (shared
-// subtree) is returned once.
+// subtree) is returned once. An aggregate's argument is not searched.
 func CollectAggregates(exprs []sqlparse.Expr) []*sqlparse.Aggregate {
 	var out []*sqlparse.Aggregate
 	seen := map[*sqlparse.Aggregate]bool{}
-	var walk func(sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		switch t := e.(type) {
-		case *sqlparse.Aggregate:
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		case *sqlparse.Binary:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparse.Unary:
-			walk(t.X)
-		case *sqlparse.Case:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *sqlparse.Cast:
-			walk(t.X)
-		case *sqlparse.Call:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqlparse.Between:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparse.In:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *sqlparse.Like:
-			walk(t.X)
-			walk(t.Pattern)
-		case *sqlparse.IsNull:
-			walk(t.X)
-		}
-	}
 	for _, e := range exprs {
-		walk(e)
+		sqlparse.Walk(e, func(n sqlparse.Expr) bool {
+			a, isAgg := n.(*sqlparse.Aggregate)
+			if isAgg && !seen[a] {
+				seen[a] = true
+				out = append(out, a)
+			}
+			return !isAgg
+		})
 	}
 	return out
-}
-
-// AggRunner evaluates a set of aggregate expressions over a row stream:
-// the arguments of each aggregate are evaluated per row, and Final
-// substitutes aggregate results back into the wrapping expressions.
-type AggRunner struct {
-	ev     *Evaluator
-	aggs   []*sqlparse.Aggregate
-	states []*AggState
-}
-
-// NewAggRunner builds a runner for the aggregates found in items.
-func NewAggRunner(ev *Evaluator, items []sqlparse.Expr) *AggRunner {
-	aggs := CollectAggregates(items)
-	states := make([]*AggState, len(aggs))
-	for i, a := range aggs {
-		states[i] = NewAggState(a.Func)
-	}
-	return &AggRunner{ev: ev, aggs: aggs, states: states}
-}
-
-// Aggregates exposes the aggregate nodes (for pushdown rewriting).
-func (r *AggRunner) Aggregates() []*sqlparse.Aggregate { return r.aggs }
-
-// States exposes the accumulators (for merging partition-local runners).
-func (r *AggRunner) States() []*AggState { return r.states }
-
-// Add folds one row into every aggregate.
-func (r *AggRunner) Add(env Env) error {
-	for i, a := range r.aggs {
-		if _, isStar := a.X.(*sqlparse.Star); isStar {
-			if err := r.states[i].Add(value.Int(1)); err != nil {
-				return err
-			}
-			continue
-		}
-		v, err := r.ev.Eval(a.X, env)
-		if err != nil {
-			return err
-		}
-		if err := r.states[i].Add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Merge combines another runner built over the same expressions.
-func (r *AggRunner) Merge(o *AggRunner) error {
-	if len(o.states) != len(r.states) {
-		return fmt.Errorf("expr: merging mismatched agg runners")
-	}
-	for i := range r.states {
-		if err := r.states[i].Merge(o.states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Final evaluates item with every aggregate replaced by its result.
-func (r *AggRunner) Final(item sqlparse.Expr, env Env) (value.Value, error) {
-	vals := make(map[*sqlparse.Aggregate]value.Value, len(r.aggs))
-	for i, a := range r.aggs {
-		vals[a] = r.states[i].Final()
-	}
-	saved := r.ev.AggValues
-	r.ev.AggValues = vals
-	defer func() { r.ev.AggValues = saved }()
-	return r.ev.Eval(item, env)
 }

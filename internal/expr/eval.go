@@ -1,7 +1,10 @@
-// Package expr evaluates sqlparse expression trees over rows. It is shared
-// by the S3 Select engine (storage-side evaluation) and by PushdownDB's
-// local operators (server-side evaluation), so the two sides agree exactly
-// on the dialect's semantics.
+// Package expr evaluates sqlparse expression trees over rows and runs the
+// row-at-a-time SELECT block built on them. It is shared by the S3 Select
+// engine (storage-side evaluation) and by PushdownDB's local operators
+// (server-side evaluation), so the two sides agree exactly on the dialect's
+// semantics: Evaluator is the one expression interpreter, AggState the one
+// (order-independent) accumulator, Groups the one group table, and RowExec
+// the one WHERE → project | aggregate executor both sides feed rows to.
 package expr
 
 import (
@@ -53,9 +56,10 @@ func (m MapEnv) Lookup(_, name string) (value.Value, bool) {
 type Evaluator struct {
 	likeCache  map[*sqlparse.Like]*likeMatcher
 	bloomCache map[*sqlparse.Call][]byte
-	// AggValues supplies finalized aggregate results when evaluating a
-	// select item that wraps aggregates (e.g. 100 * SUM(a) / SUM(b)).
-	AggValues map[*sqlparse.Aggregate]value.Value
+	// aggValues supplies finalized aggregate results while Groups.Finish
+	// evaluates a select item that wraps aggregates (e.g. 100 * SUM(a) /
+	// SUM(b)).
+	aggValues map[*sqlparse.Aggregate]value.Value
 }
 
 // New returns a fresh Evaluator.
@@ -176,10 +180,8 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 	case *sqlparse.Call:
 		return ev.evalCall(t, env)
 	case *sqlparse.Aggregate:
-		if ev.AggValues != nil {
-			if v, ok := ev.AggValues[t]; ok {
-				return v, nil
-			}
+		if v, ok := ev.aggValues[t]; ok {
+			return v, nil
 		}
 		return value.Null(), fmt.Errorf("expr: aggregate %s evaluated outside aggregation", t.String())
 	default:

@@ -322,52 +322,56 @@ func TestAggMerge(t *testing.T) {
 	}
 }
 
-func TestAggRunnerExpressionOverAggregates(t *testing.T) {
+// finishRows collects what a Groups table finalizes to.
+func finishRows(t *testing.T, g *Groups) [][]value.Value {
+	t.Helper()
+	var rows [][]value.Value
+	if err := g.Finish(func(row []value.Value) error {
+		rows = append(rows, append([]value.Value(nil), row...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestGroupsExpressionOverAggregates(t *testing.T) {
 	// Q14 shape: 100.0 * SUM(CASE ...) / SUM(x)
 	sel, err := sqlparse.Parse("SELECT 100.0 * SUM(CASE WHEN promo = 1 THEN v ELSE 0 END) / SUM(v) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := New()
-	items := []sqlparse.Expr{sel.Items[0].Expr}
-	r := NewAggRunner(ev, items)
+	g := NewGroups(New(), nil, sqlparse.ItemExprs(sel.Items))
 	rows := []MapEnv{
 		{"promo": value.Int(1), "v": value.Float(10)},
 		{"promo": value.Int(0), "v": value.Float(30)},
 	}
 	for _, row := range rows {
-		if err := r.Add(row); err != nil {
+		if err := g.Add(g.Find(nil), row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := r.Final(items[0], MapEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AsFloat() != 25 {
+	if got := finishRows(t, g); len(got) != 1 || got[0][0].AsFloat() != 25 {
 		t.Errorf("promo revenue = %v, want 25", got)
 	}
 }
 
-func TestAggRunnerCountStarAndMerge(t *testing.T) {
+func TestGroupsCountStarAndMerge(t *testing.T) {
 	sel, _ := sqlparse.Parse("SELECT COUNT(*), SUM(v) FROM t")
-	ev := New()
-	items := []sqlparse.Expr{sel.Items[0].Expr, sel.Items[1].Expr}
-	r1, r2 := NewAggRunner(ev, items), NewAggRunner(ev, items)
-	if len(r1.Aggregates()) != 2 {
-		t.Fatalf("aggregates = %d", len(r1.Aggregates()))
+	items := sqlparse.ItemExprs(sel.Items)
+	g1, g2 := NewGroups(New(), nil, items), NewGroups(New(), nil, items)
+	if n := len(CollectAggregates(items)); n != 2 {
+		t.Fatalf("aggregates = %d", n)
 	}
-	// Different runners over same exprs share the same agg nodes, so merge works.
-	_ = r1.Add(MapEnv{"v": value.Int(1)})
-	_ = r2.Add(MapEnv{"v": value.Int(2)})
-	_ = r2.Add(MapEnv{"v": value.Null()})
-	if err := r1.Merge(r2); err != nil {
+	// Different tables over the same exprs share the same agg nodes, so merge works.
+	_ = g1.Add(g1.Find(nil), MapEnv{"v": value.Int(1)})
+	_ = g2.Add(g2.Find(nil), MapEnv{"v": value.Int(2)})
+	_ = g2.Add(g2.Find(nil), MapEnv{"v": value.Null()})
+	if err := g1.Merge(g2); err != nil {
 		t.Fatal(err)
 	}
-	cnt, _ := r1.Final(items[0], MapEnv{})
-	sum, _ := r1.Final(items[1], MapEnv{})
-	if cnt.AsInt() != 3 || sum.AsInt() != 3 {
-		t.Errorf("count=%v sum=%v", cnt, sum)
+	if got := finishRows(t, g1); len(got) != 1 || got[0][0].AsInt() != 3 || got[0][1].AsInt() != 3 {
+		t.Errorf("count, sum = %v", got)
 	}
 }
 

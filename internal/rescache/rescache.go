@@ -53,11 +53,6 @@ type Stats struct {
 	// Evictions counts entries dropped to fit the byte budget;
 	// Invalidations counts entries dropped by generation bumps.
 	Evictions, Invalidations int64
-	// Admissions and AdmissionRejects track the second-touch policy (both
-	// zero when the policy is off): an admission is a Put accepted because
-	// its key was seen before; a reject is a first-touch Put parked in the
-	// ghost set instead of the cache.
-	Admissions, AdmissionRejects int64
 	// InflightDedup counts lookups that missed the cache but were served
 	// by joining another query's in-flight backend request (scanshare
 	// singleflight), so /stats can tell "the response was resident" from
@@ -92,53 +87,20 @@ type Cache struct {
 	// generations, which also voids fills that started before the bump.
 	gens map[string]uint64
 
-	// secondTouch enables the admission policy: a response is stored only
-	// on its second Put (the ghost set remembers first touches), so a
-	// one-off scan cannot evict entries the workload actually repeats.
-	secondTouch bool
-	// ghost maps first-touched keys to their FIFO element (carrying the
-	// touch generation); ghostFIFO bounds it to ghostCap keys, oldest
-	// evicted first.
-	ghost     map[Key]*list.Element
-	ghostFIFO *list.List // values are ghostEntry
-
 	hits, misses, puts, evictions, invalidations int64
-	admissions, admissionRejects                 int64
 	inflightDedup                                int64
-}
-
-// ghostCap bounds the second-touch ghost set: keys are small (no response
-// payload), so a few thousand first touches of history cost little.
-const ghostCap = 4096
-
-// Option configures New.
-type Option func(*Cache)
-
-// WithSecondTouchAdmission turns on the second-touch admission policy:
-// Put stores a response only when its key was already Put (and rejected)
-// once before at the same generation. One-off scans park in a small
-// ghost-key set and never displace resident entries; anything the
-// workload repeats is admitted on its second fill.
-func WithSecondTouchAdmission() Option {
-	return func(c *Cache) { c.secondTouch = true }
 }
 
 // New returns a cache holding at most budgetBytes of response payload.
 // A budget <= 0 yields a cache that never stores anything (every Put is
 // dropped), which keeps call sites branch-free.
-func New(budgetBytes int64, opts ...Option) *Cache {
-	c := &Cache{
-		budget:    budgetBytes,
-		ll:        list.New(),
-		entries:   map[Key]*list.Element{},
-		gens:      map[string]uint64{},
-		ghost:     map[Key]*list.Element{},
-		ghostFIFO: list.New(),
+func New(budgetBytes int64) *Cache {
+	return &Cache{
+		budget:  budgetBytes,
+		ll:      list.New(),
+		entries: map[Key]*list.Element{},
+		gens:    map[string]uint64{},
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // layer is the cache as a stage of one backend's select pipeline.
@@ -267,9 +229,6 @@ func (c *Cache) Put(k Key, gen uint64, res *selectengine.Result) {
 	if gen != c.gens[genKey(k.Bucket, k.Object)] {
 		return // invalidated while the fill was in flight
 	}
-	if !c.admitLocked(k, gen) {
-		return
-	}
 	if el, ok := c.entries[k]; ok {
 		// Same key re-filled (e.g. two concurrent misses): keep the newer
 		// response, which was produced at the same generation.
@@ -287,44 +246,6 @@ func (c *Cache) Put(k Key, gen uint64, res *selectengine.Result) {
 		c.removeLocked(back)
 		c.evictions++
 	}
-}
-
-// admitLocked applies the second-touch policy to a Put of k at gen: true
-// admits the fill. First touches are parked in the bounded ghost set; a
-// ghost hit from an older generation counts as a fresh first touch (the
-// object changed in between). Re-fills of resident keys always pass — the
-// key earned admission already. Caller holds mu.
-func (c *Cache) admitLocked(k Key, gen uint64) bool {
-	if !c.secondTouch {
-		return true
-	}
-	if _, resident := c.entries[k]; resident {
-		return true
-	}
-	if el, seen := c.ghost[k]; seen {
-		g := el.Value.(ghostEntry).gen
-		delete(c.ghost, k)
-		c.ghostFIFO.Remove(el)
-		if g == gen {
-			c.admissions++
-			return true
-		}
-		// Stale ghost: fall through and re-park at the current generation.
-	}
-	c.ghost[k] = c.ghostFIFO.PushBack(ghostEntry{key: k, gen: gen})
-	for c.ghostFIFO.Len() > ghostCap {
-		oldest := c.ghostFIFO.Front()
-		delete(c.ghost, oldest.Value.(ghostEntry).key)
-		c.ghostFIFO.Remove(oldest)
-	}
-	c.admissionRejects++
-	return false
-}
-
-// ghostEntry is one parked first touch.
-type ghostEntry struct {
-	key Key
-	gen uint64
 }
 
 // removeLocked unlinks el from the LRU and the index. Caller holds mu.
@@ -391,7 +312,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Puts: c.puts,
 		Evictions: c.evictions, Invalidations: c.invalidations,
-		Admissions: c.admissions, AdmissionRejects: c.admissionRejects,
 		InflightDedup: c.inflightDedup,
 		Entries:       c.ll.Len(), UsedBytes: c.used, BudgetBytes: c.budget,
 	}

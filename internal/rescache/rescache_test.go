@@ -210,107 +210,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// --- second-touch admission policy ---
-
-func TestSecondTouchAdmission(t *testing.T) {
-	c := New(1<<20, WithSecondTouchAdmission())
-	k := key("t/part0000.csv", "q")
-	r := res("1")
-
-	// First touch: parked in the ghost set, nothing stored.
-	fill(c, k, r)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("first-touch Put must not be resident")
-	}
-	st := c.Stats()
-	if st.AdmissionRejects != 1 || st.Admissions != 0 || st.Entries != 0 {
-		t.Fatalf("after first touch: %+v", st)
-	}
-
-	// Second touch: admitted.
-	fill(c, k, r)
-	if got, ok := c.Get(k); !ok || got != r {
-		t.Fatal("second-touch Put must be resident")
-	}
-	st = c.Stats()
-	if st.Admissions != 1 || st.AdmissionRejects != 1 || st.Puts != 1 {
-		t.Fatalf("after second touch: %+v", st)
-	}
-
-	// Re-fills of a resident key stay admitted (concurrent miss refill).
-	fill(c, k, res("2"))
-	if st := c.Stats(); st.Puts != 2 || st.Admissions != 1 {
-		t.Fatalf("resident refill: %+v", st)
-	}
-}
-
-func TestSecondTouchOneOffsDoNotEvictHotEntries(t *testing.T) {
-	// Budget fits ~2 small entries. The hot key is admitted, then a long
-	// stream of one-off keys passes through; the hot entry must survive.
-	c := New(700, WithSecondTouchAdmission())
-	hot := key("t/part0000.csv", "hot")
-	fill(c, hot, res("1"))
-	fill(c, hot, res("1"))
-	if _, ok := c.Get(hot); !ok {
-		t.Fatal("hot key not admitted on second touch")
-	}
-	for i := 0; i < 200; i++ {
-		fill(c, key("t/part0000.csv", fmt.Sprintf("oneoff-%03d", i)), res("x"))
-	}
-	if _, ok := c.Get(hot); !ok {
-		t.Fatal("one-off stream evicted the hot entry")
-	}
-	st := c.Stats()
-	if st.AdmissionRejects < 200 {
-		t.Errorf("one-offs were not rejected: %+v", st)
-	}
-	// Without the policy the same stream evicts the hot entry.
-	lru := New(700)
-	fill(lru, hot, res("1"))
-	for i := 0; i < 200; i++ {
-		fill(lru, key("t/part0000.csv", fmt.Sprintf("oneoff-%03d", i)), res("x"))
-	}
-	if _, ok := lru.Get(hot); ok {
-		t.Fatal("plain LRU unexpectedly kept the hot entry; the policy test proves nothing")
-	}
-}
-
-func TestSecondTouchGhostInvalidatedByGeneration(t *testing.T) {
-	c := New(1<<20, WithSecondTouchAdmission())
-	k := key("t/part0000.csv", "q")
-	fill(c, k, res("old"))
-	// The object is reloaded between the two touches: the ghost entry is
-	// from a dead generation, so the next Put is a first touch again.
-	c.InvalidatePrefix("bkt", "t/part")
-	fill(c, k, res("new"))
-	if _, ok := c.Get(k); ok {
-		t.Fatal("post-invalidation Put treated a stale ghost as a second touch")
-	}
-	fill(c, k, res("new"))
-	if got, ok := c.Get(k); !ok || got.Rows[0][0] != "new" {
-		t.Fatalf("second post-invalidation touch must admit: %v %v", got, ok)
-	}
-	if st := c.Stats(); st.Admissions != 1 || st.AdmissionRejects != 2 {
-		t.Errorf("generation-aware ghost counters: %+v", st)
-	}
-}
-
-func TestGhostSetBounded(t *testing.T) {
-	c := New(1<<20, WithSecondTouchAdmission())
-	for i := 0; i < ghostCap+100; i++ {
-		fill(c, key("t/part0000.csv", fmt.Sprintf("q-%05d", i)), res("x"))
-	}
-	if n := len(c.ghost); n != ghostCap {
-		t.Errorf("ghost set grew to %d, cap is %d", n, ghostCap)
-	}
-	// The oldest touch fell off the FIFO: touching it again is a reject.
-	old := key("t/part0000.csv", "q-00000")
-	fill(c, old, res("x"))
-	if _, ok := c.Get(old); ok {
-		t.Error("evicted ghost behaved like a second touch")
-	}
-}
-
 func TestStatsHitRate(t *testing.T) {
 	if r := (Stats{}).HitRate(); r != 0 {
 		t.Fatalf("zero stats hit rate: %g", r)

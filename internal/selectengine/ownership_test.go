@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pushdowndb/internal/csvx"
-	"pushdowndb/internal/expr"
 	"pushdowndb/internal/race"
 	"pushdowndb/internal/sqlparse"
 )
@@ -92,16 +91,15 @@ func TestProjectAllocatesTwicePerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate", "l_shipmode"}
-	ex, err := newExecutor(sel, expr.New(), header)
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := &rowEnv{index: headerIndex(header), fields: strings.Split("4001,21168.23,0.04,1996-03-13,TRUCK", ",")}
+	ex := newExecutor(sel, header, env)
 	var row []string
 	if n := testing.AllocsPerRun(100, func() {
-		if row, err = ex.project(env); err != nil {
+		ex.rows = ex.rows[:0]
+		if err = ex.rx.Add(env); err != nil {
 			t.Fatal(err)
 		}
+		row = ex.rows[0]
 	}); n != 2 {
 		t.Errorf("project allocates %v times per row, want 2", n)
 	}

@@ -212,60 +212,26 @@ func isConstant(e sqlparse.Expr) bool {
 	return len(sqlparse.Columns(e)) == 0 && !sqlparse.ContainsAggregate(e)
 }
 
+// walkSelect visits every expression node the storage side evaluates per
+// row: the select list, WHERE and GROUP BY.
+func walkSelect(sel *sqlparse.Select, f func(sqlparse.Expr) bool) {
+	for _, it := range sel.Items {
+		sqlparse.Walk(it.Expr, f)
+	}
+	sqlparse.Walk(sel.Where, f)
+	for _, g := range sel.GroupBy {
+		sqlparse.Walk(g, f)
+	}
+}
+
 func containsCallNamed(sel *sqlparse.Select, name string) bool {
 	found := false
-	var walk func(sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		if found || e == nil {
-			return
+	walkSelect(sel, func(e sqlparse.Expr) bool {
+		if c, ok := e.(*sqlparse.Call); ok && c.Name == name {
+			found = true
 		}
-		switch t := e.(type) {
-		case *sqlparse.Call:
-			if t.Name == name {
-				found = true
-				return
-			}
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqlparse.Binary:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparse.Unary:
-			walk(t.X)
-		case *sqlparse.Case:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(t.Else)
-		case *sqlparse.Cast:
-			walk(t.X)
-		case *sqlparse.Aggregate:
-			walk(t.X)
-		case *sqlparse.Between:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparse.In:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *sqlparse.Like:
-			walk(t.X)
-			walk(t.Pattern)
-		case *sqlparse.IsNull:
-			walk(t.X)
-		}
-	}
-	for _, it := range sel.Items {
-		walk(it.Expr)
-	}
-	walk(sel.Where)
-	for _, g := range sel.GroupBy {
-		walk(g)
-	}
+		return !found
+	})
 	return found
 }
 
@@ -274,55 +240,7 @@ func containsCallNamed(sel *sqlparse.Select, name string) bool {
 // storage-compute term.
 func CountNodes(sel *sqlparse.Select) int64 {
 	var n int64
-	var walk func(sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		if e == nil {
-			return
-		}
-		n++
-		switch t := e.(type) {
-		case *sqlparse.Binary:
-			walk(t.L)
-			walk(t.R)
-		case *sqlparse.Unary:
-			walk(t.X)
-		case *sqlparse.Case:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(t.Else)
-		case *sqlparse.Cast:
-			walk(t.X)
-		case *sqlparse.Call:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *sqlparse.Aggregate:
-			walk(t.X)
-		case *sqlparse.Between:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *sqlparse.In:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *sqlparse.Like:
-			walk(t.X)
-			walk(t.Pattern)
-		case *sqlparse.IsNull:
-			walk(t.X)
-		}
-	}
-	for _, it := range sel.Items {
-		walk(it.Expr)
-	}
-	walk(sel.Where)
-	for _, g := range sel.GroupBy {
-		walk(g)
-	}
+	walkSelect(sel, func(sqlparse.Expr) bool { n++; return true })
 	return n
 }
 
@@ -371,12 +289,11 @@ func positionalNames(n int) []string {
 }
 
 func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error) {
-	ev := expr.New()
 	nodes := CountNodes(sel)
 
 	// Fields are views of data (csvx.Scanner); they are read for as long as
 	// this call runs and no longer: everything that reaches the Result is
-	// copied on the way in (CloneRow here, executor.endRow for rows).
+	// copied on the way in (CloneRow here, executor.emit for rows).
 	sc := csvx.NewScanner(data)
 	more := sc.Scan()
 	var header []string
@@ -392,11 +309,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		header = positionalNames(len(sc.Fields()))
 	}
 	env := &rowEnv{index: headerIndex(header)}
-
-	exec, err := newExecutor(sel, ev, header)
-	if err != nil {
-		return nil, err
-	}
+	exec := newExecutor(sel, header, env)
 
 	var stats Stats
 	stats.ExprNodes = nodes
@@ -419,11 +332,10 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		stats.RowsScanned++
 		stats.CellsDecoded += int64(len(sc.Fields()))
 		env.fields = sc.Fields()
-		done, err := exec.row(env)
-		if err != nil {
+		if err := exec.rx.Add(env); err != nil {
 			return nil, err
 		}
-		if done {
+		if exec.terminatedEarly {
 			break
 		}
 	}
@@ -442,7 +354,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 	default:
 		stats.BytesScanned = int64(len(data))
 	}
-	return exec.finish(&stats)
+	return exec.finish(sel, header, &stats)
 }
 
 func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, error) {
@@ -455,11 +367,8 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	for i, c := range schema {
 		header[i] = c.Name
 	}
-	ev := expr.New()
-	exec, err := newExecutor(sel, ev, header)
-	if err != nil {
-		return nil, err
-	}
+	env := &colEnv{index: headerIndex(header)}
+	exec := newExecutor(sel, header, env)
 
 	// Column pruning: only the referenced columns are read.
 	needed := neededColumns(sel, header)
@@ -468,7 +377,6 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	// The footer always has to be read.
 	stats.BytesScanned = footerBytes(data)
 
-	env := &colEnv{index: headerIndex(header)}
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
 		if skipGroup(r, g, sel.Where, env.index) {
@@ -490,17 +398,15 @@ scan:
 			stats.CellsDecoded += int64(len(needed))
 			env.cols = cols
 			env.row = i
-			env.nCols = len(header)
-			done, err := exec.row(env)
-			if err != nil {
+			if err := exec.rx.Add(env); err != nil {
 				return nil, err
 			}
-			if done {
+			if exec.terminatedEarly {
 				break scan
 			}
 		}
 	}
-	res, err := exec.finish(&stats)
+	res, err := exec.finish(sel, header, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +497,6 @@ type colEnv struct {
 	index map[string]int
 	cols  map[int][]value.Value
 	row   int
-	nCols int
 }
 
 func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
@@ -606,20 +511,16 @@ func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
 	return col[c.row], true
 }
 
-// executor runs the per-row pipeline: filter, then either accumulate
-// aggregates/groups or project.
+// executor is the storage-specific half of a request. expr.RowExec runs
+// the SELECT block (WHERE, then projection, aggregation or grouping); the
+// executor expands * over the object's header, renders each output row as
+// CSV text, stops a projecting scan at LIMIT and names the result columns.
 type executor struct {
-	sel    *sqlparse.Select
-	ev     *expr.Evaluator
-	header []string
-
-	aggMode   bool
-	groupMode bool
-	agg       *expr.AggRunner
-	groups    map[string]*groupState
-	groupKeys []string
-
-	rows            [][]string
+	rx   *expr.RowExec
+	rows [][]string
+	// limit is the row count at which a projecting scan stops (-1: never;
+	// LIMIT does not bound aggregated or grouped output).
+	limit           int64
 	terminatedEarly bool
 
 	// The output row being rendered: its cells' text back to back, and
@@ -628,115 +529,36 @@ type executor struct {
 	ends []int
 }
 
-type groupState struct {
-	keyVals []value.Value
-	agg     *expr.AggRunner
+// newExecutor builds the executor for sel over an object with the given
+// header; env is the scan's row cursor, which * reads the current row from.
+func newExecutor(sel *sqlparse.Select, header []string, env expr.Env) *executor {
+	ex := &executor{limit: -1}
+	items := sqlparse.ItemExprs(sel.Items)
+	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
+		ex.rx = expr.NewAggregation(sel.Where, sel.GroupBy, items, ex.emit)
+		return ex
+	}
+	ex.limit = sel.Limit
+	ex.rx = expr.NewProjection(sel.Where, items, func(dst []value.Value) []value.Value {
+		for _, name := range header {
+			v, _ := env.Lookup("", name)
+			dst = append(dst, v)
+		}
+		return dst
+	}, ex.emit)
+	return ex
 }
 
-func newExecutor(sel *sqlparse.Select, ev *expr.Evaluator, header []string) (*executor, error) {
-	ex := &executor{sel: sel, ev: ev, header: header}
-	if len(sel.GroupBy) > 0 {
-		ex.groupMode = true
-		ex.groups = map[string]*groupState{}
-	} else if sel.HasAggregates() {
-		ex.aggMode = true
-		ex.agg = expr.NewAggRunner(ev, itemExprs(sel))
+// emit renders one output row. This is where response rows come to own
+// their bytes: the cells are cut from one fresh string, so a Result —
+// cached, shared between requests or put on the wire — never keeps the
+// scanned object reachable, whatever views of it the cells' values were.
+// A row costs two allocations however many cells it has.
+func (ex *executor) emit(vals []value.Value) error {
+	for _, v := range vals {
+		ex.text = v.Append(ex.text)
+		ex.ends = append(ex.ends, len(ex.text))
 	}
-	return ex, nil
-}
-
-func itemExprs(sel *sqlparse.Select) []sqlparse.Expr {
-	out := make([]sqlparse.Expr, len(sel.Items))
-	for i, it := range sel.Items {
-		out[i] = it.Expr
-	}
-	return out
-}
-
-// row processes one input row; returns true when the scan can stop early.
-func (ex *executor) row(env expr.Env) (bool, error) {
-	if ex.sel.Where != nil {
-		ok, err := ex.ev.EvalBool(ex.sel.Where, env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	switch {
-	case ex.groupMode:
-		return false, ex.groupRow(env)
-	case ex.aggMode:
-		return false, ex.agg.Add(env)
-	default:
-		out, err := ex.project(env)
-		if err != nil {
-			return false, err
-		}
-		ex.rows = append(ex.rows, out)
-		if ex.sel.Limit >= 0 && int64(len(ex.rows)) >= ex.sel.Limit {
-			ex.terminatedEarly = true
-			return true, nil
-		}
-		return false, nil
-	}
-}
-
-func (ex *executor) groupRow(env expr.Env) error {
-	var key strings.Builder
-	keyVals := make([]value.Value, len(ex.sel.GroupBy))
-	for i, g := range ex.sel.GroupBy {
-		v, err := ex.ev.Eval(g, env)
-		if err != nil {
-			return err
-		}
-		keyVals[i] = v
-		key.WriteString(v.String())
-		key.WriteByte('\x00')
-	}
-	k := key.String()
-	gs, ok := ex.groups[k]
-	if !ok {
-		gs = &groupState{keyVals: keyVals, agg: expr.NewAggRunner(ex.ev, itemExprs(ex.sel))}
-		ex.groups[k] = gs
-		ex.groupKeys = append(ex.groupKeys, k)
-	}
-	return gs.agg.Add(env)
-}
-
-// project renders one output row. A row costs two allocations however
-// many cells it has (see endRow).
-func (ex *executor) project(env expr.Env) ([]string, error) {
-	for _, it := range ex.sel.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			for i := range ex.header {
-				v, _ := env.Lookup("", ex.header[i])
-				ex.cell(v)
-			}
-			continue
-		}
-		v, err := ex.ev.Eval(it.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		ex.cell(v)
-	}
-	return ex.endRow(), nil
-}
-
-// cell appends v's CSV text to the row being rendered.
-func (ex *executor) cell(v value.Value) {
-	ex.text = v.Append(ex.text)
-	ex.ends = append(ex.ends, len(ex.text))
-}
-
-// endRow returns the rendered row and starts the next. This is where
-// response rows come to own their bytes: the cells are cut from one fresh
-// string, so a Result — cached, shared between requests or put on the
-// wire — never keeps the scanned object reachable, whatever views of it
-// the cells' values were.
-func (ex *executor) endRow() []string {
 	all := string(ex.text)
 	row := make([]string, len(ex.ends))
 	start := 0
@@ -744,43 +566,24 @@ func (ex *executor) endRow() []string {
 		row[i], start = all[start:end], end
 	}
 	ex.text, ex.ends = ex.text[:0], ex.ends[:0]
-	return row
+	ex.rows = append(ex.rows, row)
+	if ex.limit >= 0 && int64(len(ex.rows)) >= ex.limit {
+		ex.terminatedEarly = true
+	}
+	return nil
 }
 
-func (ex *executor) finish(stats *Stats) (*Result, error) {
-	res := &Result{Stats: *stats}
-	for _, it := range ex.sel.Items {
+func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) (*Result, error) {
+	if err := ex.rx.Finish(); err != nil {
+		return nil, err
+	}
+	res := &Result{Stats: *stats, Rows: ex.rows}
+	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			res.Columns = append(res.Columns, ex.header...)
+			res.Columns = append(res.Columns, header...)
 			continue
 		}
 		res.Columns = append(res.Columns, it.Name())
-	}
-	switch {
-	case ex.groupMode:
-		for _, k := range ex.groupKeys {
-			gs := ex.groups[k]
-			genv := &expr.GroupKeyEnv{Exprs: ex.sel.GroupBy, Vals: gs.keyVals}
-			for _, it := range ex.sel.Items {
-				v, err := gs.agg.Final(it.Expr, genv)
-				if err != nil {
-					return nil, err
-				}
-				ex.cell(v)
-			}
-			res.Rows = append(res.Rows, ex.endRow())
-		}
-	case ex.aggMode:
-		for _, it := range ex.sel.Items {
-			v, err := ex.agg.Final(it.Expr, expr.MapEnv{})
-			if err != nil {
-				return nil, err
-			}
-			ex.cell(v)
-		}
-		res.Rows = append(res.Rows, ex.endRow())
-	default:
-		res.Rows = ex.rows
 	}
 	var returned int64
 	for _, r := range res.Rows {

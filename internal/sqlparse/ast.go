@@ -412,47 +412,71 @@ func (s *Select) HasAggregates() bool {
 	return false
 }
 
-// ContainsAggregate walks e looking for an Aggregate node.
-func ContainsAggregate(e Expr) bool {
+// Walk visits e and the nodes under it in pre-order (a node before its
+// children, children left to right); a nil e is no node. When f returns
+// false the node's children are skipped. Walk and Rewrite are the only
+// enumerations of the composite node types: every read-only traversal is a
+// caller of Walk.
+func Walk(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
 	switch t := e.(type) {
-	case *Aggregate:
-		return true
 	case *Binary:
-		return ContainsAggregate(t.L) || ContainsAggregate(t.R)
+		Walk(t.L, f)
+		Walk(t.R, f)
 	case *Unary:
-		return ContainsAggregate(t.X)
+		Walk(t.X, f)
 	case *Case:
 		for _, w := range t.Whens {
-			if ContainsAggregate(w.Cond) || ContainsAggregate(w.Result) {
-				return true
-			}
+			Walk(w.Cond, f)
+			Walk(w.Result, f)
 		}
-		return t.Else != nil && ContainsAggregate(t.Else)
+		Walk(t.Else, f)
 	case *Cast:
-		return ContainsAggregate(t.X)
+		Walk(t.X, f)
 	case *Call:
 		for _, a := range t.Args {
-			if ContainsAggregate(a) {
-				return true
-			}
+			Walk(a, f)
 		}
+	case *Aggregate:
+		Walk(t.X, f)
 	case *Between:
-		return ContainsAggregate(t.X) || ContainsAggregate(t.Lo) || ContainsAggregate(t.Hi)
+		Walk(t.X, f)
+		Walk(t.Lo, f)
+		Walk(t.Hi, f)
 	case *In:
-		if ContainsAggregate(t.X) {
-			return true
-		}
+		Walk(t.X, f)
 		for _, a := range t.List {
-			if ContainsAggregate(a) {
-				return true
-			}
+			Walk(a, f)
 		}
 	case *Like:
-		return ContainsAggregate(t.X) || ContainsAggregate(t.Pattern)
+		Walk(t.X, f)
+		Walk(t.Pattern, f)
 	case *IsNull:
-		return ContainsAggregate(t.X)
+		Walk(t.X, f)
 	}
-	return false
+}
+
+// ContainsAggregate reports whether an Aggregate node is anywhere in e.
+func ContainsAggregate(e Expr) bool {
+	found := false
+	Walk(e, func(n Expr) bool {
+		if _, isAgg := n.(*Aggregate); isAgg {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// ItemExprs returns the select items' expressions.
+func ItemExprs(items []SelectItem) []Expr {
+	out := make([]Expr, len(items))
+	for i, it := range items {
+		out[i] = it.Expr
+	}
+	return out
 }
 
 // Conjuncts splits e on top-level ANDs, returning the flat conjunct list.
@@ -537,66 +561,17 @@ func StripQualifiers(e Expr) Expr {
 	})
 }
 
-// MapAggregates returns a copy of e with every Aggregate node replaced by
-// f's result. Used to evaluate aggregate expressions over zero input rows
-// (COUNT becomes 0, other aggregates become NULL).
-func MapAggregates(e Expr, f func(*Aggregate) Expr) Expr {
-	return Rewrite(e, func(n Expr) Expr {
-		if a, ok := n.(*Aggregate); ok {
-			return f(a)
-		}
-		return n
-	})
-}
-
 // ColumnRefs collects every column node referenced by e (with qualifiers,
 // duplicates included). The join planner resolves each reference against
 // the FROM tables' headers.
 func ColumnRefs(e Expr) []*Column {
 	var out []*Column
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch t := e.(type) {
-		case *Column:
-			out = append(out, t)
-		case *Binary:
-			walk(t.L)
-			walk(t.R)
-		case *Unary:
-			walk(t.X)
-		case *Case:
-			for _, w := range t.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		case *Cast:
-			walk(t.X)
-		case *Call:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		case *Aggregate:
-			walk(t.X)
-		case *Between:
-			walk(t.X)
-			walk(t.Lo)
-			walk(t.Hi)
-		case *In:
-			walk(t.X)
-			for _, a := range t.List {
-				walk(a)
-			}
-		case *Like:
-			walk(t.X)
-			walk(t.Pattern)
-		case *IsNull:
-			walk(t.X)
+	Walk(e, func(n Expr) bool {
+		if c, ok := n.(*Column); ok {
+			out = append(out, c)
 		}
-	}
-	walk(e)
+		return true
+	})
 	return out
 }
 

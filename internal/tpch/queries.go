@@ -124,17 +124,11 @@ const (
 func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var cust, ords, line *engine.Relation
-	errs := make(chan error, 3)
-	go func() { var err error; cust, err = e.LoadTable("load customer", stage, "customer"); errs <- err }()
-	go func() { var err error; ords, err = e.LoadTable("load orders", stage, "orders"); errs <- err }()
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "customer", "orders", "lineitem")
+	if err != nil {
+		return nil, e, err
 	}
-	var err error
+	cust, ords, line := rels[0], rels[1], rels[2]
 	if cust, err = engine.FilterLocal(cust, "c_mktsegment = '"+q3Segment+"'"); err != nil {
 		return nil, e, err
 	}
@@ -247,16 +241,12 @@ const (
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var line, part *engine.Relation
-	errs := make(chan error, 2)
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	go func() { var err error; part, err = e.LoadTable("load part", stage, "part"); errs <- err }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "lineitem", "part")
+	if err != nil {
+		return nil, e, err
 	}
-	line, err := engine.FilterLocal(line, q14Filter)
+	line, part := rels[0], rels[1]
+	line, err = engine.FilterLocal(line, q14Filter)
 	if err != nil {
 		return nil, e, err
 	}
@@ -299,16 +289,12 @@ const q17PartFilter = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
 func Q17Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var line, part *engine.Relation
-	errs := make(chan error, 2)
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	go func() { var err error; part, err = e.LoadTable("load part", stage, "part"); errs <- err }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "lineitem", "part")
+	if err != nil {
+		return nil, e, err
 	}
-	part, err := engine.FilterLocal(part, q17PartFilter)
+	line, part := rels[0], rels[1]
+	part, err = engine.FilterLocal(part, q17PartFilter)
 	if err != nil {
 		return nil, e, err
 	}
@@ -373,16 +359,12 @@ const (
 func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var line, part *engine.Relation
-	errs := make(chan error, 2)
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	go func() { var err error; part, err = e.LoadTable("load part", stage, "part"); errs <- err }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "lineitem", "part")
+	if err != nil {
+		return nil, e, err
 	}
-	line, err := engine.FilterLocal(line, q19LineFilter)
+	line, part := rels[0], rels[1]
+	line, err = engine.FilterLocal(line, q19LineFilter)
 	if err != nil {
 		return nil, e, err
 	}

@@ -36,16 +36,12 @@ const (
 func Q4Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var ords, line *engine.Relation
-	errs := make(chan error, 2)
-	go func() { var err error; ords, err = e.LoadTable("load orders", stage, "orders"); errs <- err }()
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "orders", "lineitem")
+	if err != nil {
+		return nil, e, err
 	}
-	ords, err := engine.FilterLocal(ords, q4OrdersFilter)
+	ords, line := rels[0], rels[1]
+	ords, err = engine.FilterLocal(ords, q4OrdersFilter)
 	if err != nil {
 		return nil, e, err
 	}
@@ -126,21 +122,9 @@ const (
 func Q10Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	tables := []string{"customer", "orders", "lineitem", "nation"}
-	rels := make([]*engine.Relation, len(tables))
-	errs := make(chan error, len(tables))
-	for i, table := range tables {
-		i, table := i, table
-		go func() {
-			var err error
-			rels[i], err = e.LoadTable("load "+table, stage, table)
-			errs <- err
-		}()
-	}
-	for range tables {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "customer", "orders", "lineitem", "nation")
+	if err != nil {
+		return nil, e, err
 	}
 	ords, err := engine.FilterLocal(rels[1], q10OrdersFilter)
 	if err != nil {
@@ -229,16 +213,12 @@ const (
 func Q12Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	var ords, line *engine.Relation
-	errs := make(chan error, 2)
-	go func() { var err error; ords, err = e.LoadTable("load orders", stage, "orders"); errs <- err }()
-	go func() { var err error; line, err = e.LoadTable("load lineitem", stage, "lineitem"); errs <- err }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			return nil, e, err
-		}
+	rels, err := e.LoadTables(stage, "orders", "lineitem")
+	if err != nil {
+		return nil, e, err
 	}
-	line, err := engine.FilterLocal(line, q12LineFilter)
+	ords, line := rels[0], rels[1]
+	line, err = engine.FilterLocal(line, q12LineFilter)
 	if err != nil {
 		return nil, e, err
 	}

@@ -9,17 +9,14 @@ import (
 )
 
 // GroupBy mirrors the engine's reference group-by over a batch: contiguous
-// worker spans each build a partial group map, partials merge in worker
-// order (reproducing the sequential first-seen group order), and the
-// aggregate states are the exact big.Float accumulators the row path
-// uses. The speedup comes from rendering group keys straight from typed
-// payloads and feeding aggregate inputs without per-row environment
-// lookups. Returns the output column names and rows.
+// worker spans each fill a partial expr.Groups table — the row path's own
+// group table and exact big.Float accumulators — and the partials merge in
+// worker order (reproducing the sequential first-seen group order). The
+// speedup comes from rendering group keys straight from typed payloads and
+// feeding aggregate inputs without per-row environment lookups. Returns
+// the output column names and rows.
 func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.Value, error) {
-	itemExprs := make([]sqlparse.Expr, len(sel.Items))
-	for i, it := range sel.Items {
-		itemExprs[i] = it.Expr
-	}
+	itemExprs := sqlparse.ItemExprs(sel.Items)
 	// Classify each group key: a resolvable bare column renders its key
 	// bytes from the typed payload; anything else evaluates per row.
 	type keySrc struct {
@@ -58,20 +55,12 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		}
 	}
 
-	type vgroup struct {
-		keyVals []value.Value
-		runner  *expr.AggRunner
-	}
-	type partial struct {
-		groups map[string]*vgroup
-		order  []string
-	}
 	sps := RowSpans(b.Len(), workers)
-	parts := make([]partial, len(sps))
+	parts := make([]*expr.Groups, len(sps))
 	err := RunSpans(sps, func(w int, sp Span) error {
 		ev := expr.New()
 		env := &rowEnv{b: b}
-		p := partial{groups: map[string]*vgroup{}}
+		p := expr.NewGroups(ev, sel.GroupBy, itemExprs)
 		var buf []byte
 		var memoDays int64
 		var memoStr string
@@ -115,11 +104,8 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 				}
 				buf = append(buf, 0)
 			}
-			// Map lookup keyed by string(buf) compiles without the string
-			// allocation; the key is only materialized on first sight.
-			gs, ok := p.groups[string(buf)]
-			if !ok {
-				k := string(buf)
+			gs := p.Find(buf)
+			if gs == nil {
 				keyVals := make([]value.Value, len(keys))
 				for j := range keys {
 					if c := keys[j].col; c >= 0 {
@@ -132,11 +118,9 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 						keyVals[j] = v
 					}
 				}
-				gs = &vgroup{keyVals: keyVals, runner: expr.NewAggRunner(ev, itemExprs)}
-				p.groups[k] = gs
-				p.order = append(p.order, k)
+				gs = p.Insert(buf, keyVals)
 			}
-			states := gs.runner.States()
+			states := gs.States
 			for a := range aggSrcs {
 				switch {
 				case aggSrcs[a].star:
@@ -165,39 +149,23 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		return nil, nil, err
 	}
 
-	merged := map[string]*vgroup{}
-	var order []string
+	merged := expr.NewGroups(expr.New(), sel.GroupBy, itemExprs)
 	for _, p := range parts {
-		for _, k := range p.order {
-			g := p.groups[k]
-			if m, ok := merged[k]; ok {
-				if err := m.runner.Merge(g.runner); err != nil {
-					return nil, nil, err
-				}
-			} else {
-				merged[k] = g
-				order = append(order, k)
-			}
+		if err := merged.Merge(p); err != nil {
+			return nil, nil, err
 		}
 	}
-
 	cols := make([]string, len(sel.Items))
 	for i, it := range sel.Items {
 		cols[i] = it.Name()
 	}
-	rows := make([][]value.Value, 0, len(order))
-	for _, k := range order {
-		gs := merged[k]
-		genv := &expr.GroupKeyEnv{Exprs: sel.GroupBy, Vals: gs.keyVals}
-		row := make([]value.Value, len(sel.Items))
-		for j, it := range sel.Items {
-			v, err := gs.runner.Final(it.Expr, genv)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[j] = v
-		}
-		rows = append(rows, row)
+	var rows [][]value.Value
+	err = merged.Finish(func(row []value.Value) error {
+		rows = append(rows, append([]value.Value(nil), row...))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return cols, rows, nil
 }

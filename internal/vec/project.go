@@ -25,15 +25,7 @@ func Project(b *Batch, sel *sqlparse.Select, workers int) (*Batch, error) {
 			vecs = append(vecs, b.Vecs...)
 			continue
 		}
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*sqlparse.Column); ok {
-				name = c.Name
-			} else {
-				name = it.Expr.String()
-			}
-		}
-		cols = append(cols, name)
+		cols = append(cols, it.Name())
 		if c, ok := it.Expr.(*sqlparse.Column); ok {
 			if j := b.ColIndex(c.Name); j >= 0 {
 				vecs = append(vecs, b.Vecs[j])

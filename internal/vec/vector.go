@@ -228,29 +228,14 @@ func (b *Batch) ColIndex(name string) int {
 	return -1
 }
 
-// FromRows builds a batch from row-major values. ok is false when the
-// rows are ragged (some row length differs from the column count); ragged
-// relations keep the row path's lookup-miss semantics, so callers must
-// fall back to row-at-a-time execution. Generic over the row type so the
-// engine's []Row passes without reslicing.
+// FromRows builds a batch from row-major values: FromRowsProjected over
+// every column.
 func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, bool) {
-	for _, r := range rows {
-		if len(r) != len(cols) {
-			return nil, false
-		}
+	keep := make([]int, len(cols))
+	for i := range keep {
+		keep[i] = i
 	}
-	vecs := make([]*Vector, len(cols))
-	RunSpans(colSpans(len(cols), workers), func(w int, sp Span) error {
-		for c := sp.Lo; c < sp.Hi; c++ {
-			vecs[c] = columnVector(rows, c)
-		}
-		return nil
-	})
-	b := NewBatch(cols, vecs)
-	if len(cols) == 0 {
-		b.n = len(rows)
-	}
-	return b, true
+	return FromRowsProjected(cols, rows, keep, workers)
 }
 
 // columnVector builds one column's vector straight from row-major input —
@@ -324,12 +309,14 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 	return out
 }
 
-// FromRowsProjected is FromRows restricted to columns keep (indices into
-// allCols): only those columns are decoded into vectors, which is what
-// makes vectorized filtering cheap on wide relations — a predicate over 2
-// of 16 columns converts 2, not 16. The raggedness contract is FromRows':
-// every row must span all of allCols, or ok is false and the caller falls
-// back to the row path.
+// FromRowsProjected builds a batch from the columns keep (indices into
+// allCols) of row-major values: only those columns are decoded into
+// vectors, which is what makes vectorized filtering cheap on wide
+// relations — a predicate over 2 of 16 columns converts 2, not 16. ok is
+// false when the rows are ragged (some row length differs from the column
+// count); ragged relations keep the row path's lookup-miss semantics, so
+// callers must fall back to row-at-a-time execution. Generic over the row
+// type so the engine's []Row passes without reslicing.
 func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) (*Batch, bool) {
 	for _, r := range rows {
 		if len(r) != len(allCols) {
