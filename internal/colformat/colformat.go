@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // Magic trails every object.
@@ -31,6 +33,15 @@ type ColumnDef struct {
 
 // Schema is the ordered column list.
 type Schema []ColumnDef
+
+// Names returns the column names in order.
+func (s Schema) Names() []string {
+	names := make([]string, len(s))
+	for i, c := range s {
+		names[i] = c.Name
+	}
+	return names
+}
 
 // chunkMeta locates one column chunk within the object.
 type chunkMeta struct {
@@ -65,6 +76,11 @@ type Writer struct {
 	meta    footer
 	pending [][]value.Value // column-major buffer for the open row group
 	nRows   int
+
+	// One compressor, Reset per chunk (same bytes as a fresh one): a new
+	// flate.Writer is ~650 KB, which per chunk dwarfed the rest of a load.
+	deflated bytes.Buffer
+	deflater *flate.Writer
 }
 
 // NewWriter returns a writer with the given schema, rows-per-row-group and
@@ -74,6 +90,9 @@ func NewWriter(schema Schema, groupRows int, compress bool) *Writer {
 		groupRows = 1 << 16
 	}
 	w := &Writer{schema: schema, groupRows: groupRows, compress: compress}
+	if compress {
+		w.deflater, _ = flate.NewWriter(&w.deflated, flate.BestSpeed) // fails only on a bad level
+	}
 	w.meta.Version = 1
 	w.meta.Columns = schema
 	w.pending = make([][]value.Value, len(schema))
@@ -137,19 +156,16 @@ func (w *Writer) flushGroup() error {
 		payload := raw
 		compressed := false
 		if w.compress {
-			var cb bytes.Buffer
-			fw, err := flate.NewWriter(&cb, flate.BestSpeed)
-			if err != nil {
+			w.deflated.Reset()
+			w.deflater.Reset(&w.deflated)
+			if _, err := w.deflater.Write(raw); err != nil {
 				return err
 			}
-			if _, err := fw.Write(raw); err != nil {
+			if err := w.deflater.Close(); err != nil {
 				return err
 			}
-			if err := fw.Close(); err != nil {
-				return err
-			}
-			if cb.Len() < len(raw) {
-				payload = cb.Bytes()
+			if w.deflated.Len() < len(raw) {
+				payload = w.deflated.Bytes()
 				compressed = true
 			}
 		}
@@ -252,53 +268,62 @@ func encodeChunk(k value.Kind, col []value.Value) []byte {
 	return out
 }
 
-func decodeChunk(k value.Kind, raw []byte) ([]value.Value, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("colformat: chunk too short")
+// decodeChunk decodes one column chunk of a rows-row group straight into
+// the typed vector layout: no boxed value per cell, and the strings of a
+// chunk are cut from one copy of its body.
+func decodeChunk(k value.Kind, raw []byte, rows int) (*vec.Vector, error) {
+	bmLen := (rows + 7) / 8
+	if len(raw) < 4+bmLen || int(binary.LittleEndian.Uint32(raw)) != rows {
+		return nil, fmt.Errorf("colformat: chunk does not hold its row group's %d rows", rows)
 	}
-	n := int(binary.LittleEndian.Uint32(raw[:4]))
-	bmLen := (n + 7) / 8
-	if len(raw) < 4+bmLen {
-		return nil, fmt.Errorf("colformat: chunk bitmap truncated")
-	}
-	bitmap := raw[4 : 4+bmLen]
-	body := raw[4+bmLen:]
-	out := make([]value.Value, n)
-	pos := 0
-	for i := 0; i < n; i++ {
+	bitmap, body := raw[4:4+bmLen], raw[4+bmLen:]
+	var nulls *vec.Bitmap
+	live := rows
+	for i := 0; i < rows; i++ {
 		if bitmap[i/8]&(1<<uint(i%8)) != 0 {
-			out[i] = value.Null()
-			continue
+			if nulls == nil {
+				nulls = vec.NewBitmap(rows)
+			}
+			nulls.Set(i)
+			live--
 		}
-		switch k {
-		case value.KindInt, value.KindDate:
-			if pos+8 > len(body) {
-				return nil, fmt.Errorf("colformat: int chunk truncated")
+	}
+	if live == 0 {
+		return vec.NewVector(value.KindNull, rows, nil), nil
+	}
+	out := vec.NewVector(k, rows, nulls)
+	pos := 0
+	switch k {
+	case value.KindInt, value.KindDate, value.KindFloat:
+		if len(body) < 8*live {
+			return nil, fmt.Errorf("colformat: %s chunk truncated", k)
+		}
+		for i := 0; i < rows; i++ {
+			if out.IsNull(i) {
+				continue
 			}
-			x := int64(binary.LittleEndian.Uint64(body[pos : pos+8]))
-			pos += 8
-			if k == value.KindDate {
-				out[i] = value.Date(x)
+			if bits := binary.LittleEndian.Uint64(body[pos:]); k == value.KindFloat {
+				out.Floats[i] = math.Float64frombits(bits)
 			} else {
-				out[i] = value.Int(x)
+				out.Ints[i] = int64(bits)
 			}
-		case value.KindFloat:
-			if pos+8 > len(body) {
-				return nil, fmt.Errorf("colformat: float chunk truncated")
-			}
-			out[i] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(body[pos : pos+8])))
 			pos += 8
-		case value.KindString:
+		}
+	case value.KindString:
+		text := string(body) // the chunk's one string; the cells are views of it
+		for i := 0; i < rows; i++ {
+			if out.IsNull(i) {
+				continue
+			}
 			l, m := binary.Uvarint(body[pos:])
-			if m <= 0 || l > uint64(len(body)) || pos+m+int(l) > len(body) {
+			if m <= 0 || l > uint64(len(body)-pos-m) {
 				return nil, fmt.Errorf("colformat: string chunk truncated")
 			}
-			pos += m
-			out[i] = value.Str(string(body[pos : pos+int(l)]))
-			pos += int(l)
-		default:
-			return nil, fmt.Errorf("colformat: unsupported column kind %s", k)
+			out.Strs[i] = text[pos+m : pos+m+int(l)]
+			pos += m + int(l)
 		}
+	default:
+		return nil, fmt.Errorf("colformat: unsupported column kind %s", k)
 	}
 	return out, nil
 }
@@ -331,7 +356,41 @@ func Open(data []byte) (*Reader, error) {
 	for i, c := range r.meta.Columns {
 		r.cols[c.Name] = i
 	}
+	if err := r.meta.validate(fStart); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// validate checks, once, everything the accessors and ReadColumn index,
+// loop over or size an allocation by, so a footer that lies about its
+// object is an error from Open, not a panic, a hang or a huge allocation
+// later: a chunk per column in every group, each inside the data region,
+// within deflate's reach (1032:1) of its raw size and large enough for the
+// group's null bitmap (which bounds row counts by bytes present), and group
+// rows adding up to the object's (a column-less object has none to count).
+func (f *footer) validate(dataEnd int64) error {
+	var rows int64
+	for g, gm := range f.RowGroups {
+		if gm.NumRows < 0 || len(gm.Chunks) != len(f.Columns) || len(gm.Chunks) == 0 {
+			return fmt.Errorf("colformat: row group %d: %d rows in %d chunks under %d columns", g, gm.NumRows, len(gm.Chunks), len(f.Columns))
+		}
+		for c, cm := range gm.Chunks {
+			end, raw := cm.Offset+cm.Len, cm.Len
+			if cm.Compressed {
+				raw = cm.RawLen
+			}
+			if cm.Offset < 0 || cm.Len < 0 || end < cm.Offset || end > dataEnd ||
+				raw < 4+(int64(gm.NumRows)+7)/8 || raw > 1032*cm.Len+64 {
+				return fmt.Errorf("colformat: chunk (%d,%d): range [%d,%d), %d raw bytes for %d rows", g, c, cm.Offset, end, raw, gm.NumRows)
+			}
+		}
+		rows += int64(gm.NumRows)
+	}
+	if len(f.Columns) > 0 && rows != f.NumRows {
+		return fmt.Errorf("colformat: row groups hold %d rows, footer says %d", rows, f.NumRows)
+	}
+	return nil
 }
 
 // IsColumnar reports whether data looks like a colformat object.
@@ -402,39 +461,46 @@ func parseStat(s string, k value.Kind) value.Value {
 	return value.Str(s)
 }
 
-// ReadColumn decodes chunk (g, col), returning the values and the number of
-// object bytes that had to be read (the compressed chunk size — this is the
-// "bytes scanned" a column-pruning scan pays).
-func (r *Reader) ReadColumn(g, col int) ([]value.Value, int64, error) {
-	if g < 0 || g >= len(r.meta.RowGroups) {
-		return nil, 0, fmt.Errorf("colformat: row group %d out of range", g)
+// ReadColumn decodes chunk (g, col) into a typed vector, returning it and
+// the number of object bytes that had to be read (the compressed chunk size
+// — this is the "bytes scanned" a column-pruning scan pays).
+func (r *Reader) ReadColumn(g, col int) (*vec.Vector, int64, error) {
+	if g < 0 || g >= len(r.meta.RowGroups) || col < 0 || col >= len(r.meta.Columns) {
+		return nil, 0, fmt.Errorf("colformat: chunk (%d,%d) out of range", g, col)
 	}
-	if col < 0 || col >= len(r.meta.Columns) {
-		return nil, 0, fmt.Errorf("colformat: column %d out of range", col)
-	}
-	cms := r.meta.RowGroups[g].Chunks
-	if col >= len(cms) {
-		return nil, 0, fmt.Errorf("colformat: row group %d has %d chunks, column %d out of range", g, len(cms), col)
-	}
-	cm := cms[col]
-	end := cm.Offset + cm.Len
-	if cm.Offset < 0 || cm.Len < 0 || end < cm.Offset || end > int64(len(r.data)) {
-		return nil, 0, fmt.Errorf("colformat: chunk (%d,%d) range [%d,%d) outside object", g, col, cm.Offset, end)
-	}
-	raw := r.data[cm.Offset:end]
+	gm := r.meta.RowGroups[g]
+	cm := gm.Chunks[col]
+	raw := r.data[cm.Offset : cm.Offset+cm.Len]
 	if cm.Compressed {
-		fr := flate.NewReader(bytes.NewReader(raw))
-		dec, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("colformat: decompress: %w", err)
+		var err error
+		if raw, err = inflate(raw, cm.RawLen); err != nil {
+			return nil, 0, fmt.Errorf("colformat: decompress chunk (%d,%d): %w", g, col, err)
 		}
-		raw = dec
 	}
-	vals, err := decodeChunk(r.meta.Columns[col].Kind, raw)
+	v, err := decodeChunk(r.meta.Columns[col].Kind, raw, gm.NumRows)
 	if err != nil {
 		return nil, 0, err
 	}
-	return vals, cm.Len, nil
+	return v, cm.Len, nil
+}
+
+// inflaters pools flate readers (window and tables, ~40 KB): scratch state
+// that never outlives the call — the one pool on this path.
+var inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+
+// inflate decompresses a chunk into a buffer of exactly rawLen bytes (Open
+// bounded it): the spare byte stays unread only if the stream ends there.
+func inflate(stored []byte, rawLen int64) ([]byte, error) {
+	fr := inflaters.Get().(io.ReadCloser)
+	defer inflaters.Put(fr)
+	if err := fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
+		return nil, err
+	}
+	out := make([]byte, rawLen+1)
+	if n, err := io.ReadFull(fr, out); int64(n) != rawLen || err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("%d raw bytes, footer says %d (%v)", n, rawLen, err)
+	}
+	return out[:rawLen], nil
 }
 
 // Encode is a convenience that writes an entire row-major table.

@@ -2,8 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -396,24 +397,27 @@ func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	}
 	cur := &rowEnv{rel: rel}
 	ks := make([]keyed, 0, len(rel.Rows))
+	var slab arena.Slab[value.Value]
+	slab.Grow(len(rel.Rows) * len(orderBy))
 	err := cur.run(expr.NewProjection(nil, keyExprs, nil, func(keys []value.Value) error {
-		ks = append(ks, keyed{keys: append(Row(nil), keys...), row: cur.row})
+		own := slab.Make(len(keys)) // the executor reuses keys
+		copy(own, keys)
+		ks = append(ks, keyed{keys: own, row: cur.row})
 		return nil
 	}))
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(ks, func(a, b int) bool {
+	slices.SortStableFunc(ks, func(a, b keyed) int {
 		for j, o := range orderBy {
-			c := value.Compare(ks[a].keys[j], ks[b].keys[j])
-			if o.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
+			if c := value.Compare(a.keys[j], b.keys[j]); c != 0 {
+				if o.Desc {
+					c = -c
+				}
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(ks))}
 	for i, k := range ks {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
 )
@@ -16,13 +17,20 @@ import (
 // to the sequential (workers=1) run regardless of the budget.
 
 // FromStringsN is FromStrings with the per-cell CSV value typing
-// partitioned across workers goroutines (the loader's decode work).
+// partitioned across workers goroutines (the loader's decode work). Each
+// worker's rows are windows of one array sized to its span's cells.
 func FromStringsN(cols []string, rows [][]string, workers int) *Relation {
 	rel := &Relation{Cols: cols}
 	rel.Rows = make([]Row, len(rows))
 	_ = vec.RunSpans(vec.RowSpans(len(rows), workers), func(w int, sp vec.Span) error {
+		cells := 0
+		for _, r := range rows[sp.Lo:sp.Hi] {
+			cells += len(r)
+		}
+		var slab arena.Slab[value.Value]
+		slab.Grow(cells)
 		for i := sp.Lo; i < sp.Hi; i++ {
-			row := make(Row, len(rows[i]))
+			row := slab.Make(len(rows[i]))
 			for j, f := range rows[i] {
 				row[j] = value.FromCSV(f)
 			}

@@ -15,6 +15,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pushdowndb/internal/value"
@@ -67,15 +68,23 @@ func LimitLocal(rel *Relation, n int) *Relation {
 	return &Relation{Cols: rel.Cols, Rows: rel.Rows[:n]}
 }
 
-// Concat appends other's rows (columns must match in count).
-func (r *Relation) Concat(other *Relation) error {
-	if len(r.Cols) == 0 {
-		r.Cols = other.Cols
+// Concat appends the others' rows (columns must match in count), growing
+// the row slice once for all of them.
+func (r *Relation) Concat(others ...*Relation) error {
+	n := 0
+	for _, other := range others {
+		n += len(other.Rows)
 	}
-	if len(other.Cols) != len(r.Cols) {
-		return fmt.Errorf("engine: concat arity mismatch: %v vs %v", r.Cols, other.Cols)
+	r.Rows = slices.Grow(r.Rows, n)
+	for _, other := range others {
+		if len(r.Cols) == 0 {
+			r.Cols = other.Cols
+		}
+		if len(other.Cols) != len(r.Cols) {
+			return fmt.Errorf("engine: concat arity mismatch: %v vs %v", r.Cols, other.Cols)
+		}
+		r.Rows = append(r.Rows, other.Rows...)
 	}
-	r.Rows = append(r.Rows, other.Rows...)
 	return nil
 }
 

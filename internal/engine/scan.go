@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
@@ -65,47 +66,75 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 		if colformat.IsColumnar(data) {
 			// Columnar partitions decode straight into typed vectors; the
 			// CSV decoder would mis-parse the binary layout.
-			b, err := vec.FromColumnar(data, decodeWorkers)
-			if err != nil {
-				return err
-			}
-			rels[i] = fromVecRows(b.Cols, b.ToRows())
-			return nil
+			rels[i], err = fromColumnar(data, decodeWorkers)
+			return err
 		}
 		rels[i], err = decodeCSV(data)
 		return err
 	})
+	out := &Relation{}
+	if err == nil {
+		err = out.Concat(rels...)
+	}
 	if err != nil {
 		endSpanErr(sp, err)
 		return nil, err
-	}
-	out := &Relation{}
-	for _, r := range rels {
-		if err := out.Concat(r); err != nil {
-			endSpanErr(sp, err)
-			return nil, err
-		}
 	}
 	sp.SetInt("rows", int64(len(out.Rows)))
 	e.endPhaseSpan(sp, phase)
 	return out, nil
 }
 
+// fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
+// layout) one row group at a time: the chunks' typed vectors are adopted as
+// a batch as they are and rendered to rows, each group's cut from one
+// array. Rows come from decoded chunks, never from a count a footer claims.
+func fromColumnar(data []byte, workers int) (*Relation, error) {
+	r, err := colformat.Open(data)
+	if err != nil {
+		return nil, err
+	}
+	rel := &Relation{Cols: r.Schema().Names()}
+	for g := 0; g < r.NumRowGroups(); g++ {
+		vecs := make([]*vec.Vector, len(rel.Cols))
+		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
+			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
+				vecs[c], _, err = r.ReadColumn(g, c)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, row := range vec.NewBatch(rel.Cols, vecs).ToRows() {
+			rel.Rows = append(rel.Rows, row)
+		}
+	}
+	return rel, nil
+}
+
 // decodeCSV types a CSV object's cells straight off the scanner: one pass,
 // no intermediate rows of strings. The scanner's fields are views of data,
 // and a Relation outlives the GET that fetched it, so this is where loaded
-// rows come to own their bytes: the cells that stay text are copied, each
-// row's into one allocation (numbers and dates hold no bytes at all).
+// rows come to own their bytes: the cells that stay text are copied into
+// the partition's chunks (numbers and dates hold no bytes at all) and rows
+// are windows of one array sized from the line count — an allocation per
+// chunk, not per row; a surviving row keeps its partition's array reachable.
 func decodeCSV(data []byte) (*Relation, error) {
 	sc := csvx.NewScanner(data)
 	rel := &Relation{}
+	var cells arena.Slab[value.Value]
 	if sc.Scan() {
 		rel.Cols = csvx.CloneRow(sc.Fields())
-		rel.Rows = make([]Row, 0, bytes.Count(data, []byte{'\n'})) // exact unless cells hold newlines
+		lines := bytes.Count(data, []byte{'\n'}) // the row count, unless cells hold newlines
+		rel.Rows = make([]Row, 0, lines)
+		// A cell takes a byte at least: linear in the object, wide header or not.
+		cells.Grow(min(lines*len(rel.Cols), len(data)))
 	}
 	var text []byte
+	var chunks arena.Text
 	for sc.Scan() {
-		row := make(Row, len(sc.Fields()))
+		row := cells.Make(len(sc.Fields()))
 		text = text[:0]
 		for j, f := range sc.Fields() {
 			row[j] = value.FromCSV(f)
@@ -113,7 +142,7 @@ func decodeCSV(data []byte) (*Relation, error) {
 				text = append(text, f...)
 			}
 		}
-		if owned := string(text); owned != "" {
+		if owned := chunks.String(text); owned != "" {
 			for j, v := range row {
 				if v.Kind() == value.KindString {
 					n := len(v.AsString())
@@ -137,13 +166,15 @@ func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Rela
 		return nil, err
 	}
 	dec := sp.Child("decode")
+	rels := make([]*Relation, len(results))
+	for i, res := range results {
+		rels[i] = FromStringsN(res.Columns, res.Rows, e.workers())
+	}
 	out := &Relation{}
-	for _, res := range results {
-		if err := out.Concat(FromStringsN(res.Columns, res.Rows, e.workers())); err != nil {
-			endSpanErr(dec, err)
-			endSpanErr(sp, err)
-			return nil, err
-		}
+	if err := out.Concat(rels...); err != nil {
+		endSpanErr(dec, err)
+		endSpanErr(sp, err)
+		return nil, err
 	}
 	dec.SetInt("rows", int64(len(out.Rows)))
 	dec.End()
@@ -240,12 +271,7 @@ func (e *Exec) TableHeader(phaseName string, stage int, table string) ([]string,
 			if err != nil {
 				return nil, err
 			}
-			schema := r.Schema()
-			header := make([]string, len(schema))
-			for i, c := range schema {
-				header[i] = c.Name
-			}
-			return header, nil
+			return r.Schema().Names(), nil
 		}
 		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 			header, _, err := csvx.Decode(data[:nl+1], true)

@@ -2,12 +2,11 @@ package selectengine
 
 import (
 	"reflect"
-	"strings"
+	"strconv"
 	"testing"
 
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/race"
-	"pushdowndb/internal/sqlparse"
 )
 
 // Header-less objects (FileHeaderInfo=NONE) are addressed by position
@@ -79,31 +78,57 @@ func TestResultOwnsItsBytes(t *testing.T) {
 	}
 }
 
-// TestProjectAllocatesTwicePerRow pins what an output row costs: its
-// []string and the one string its cells are cut from — not one allocation
-// per cell, number or text.
-func TestProjectAllocatesTwicePerRow(t *testing.T) {
+// lineitemCSV is a rows-row object shaped like the benchmark's scans.
+func lineitemCSV(rows int) []byte {
+	cells := make([][]string, rows)
+	for i := range cells {
+		cells[i] = []string{strconv.Itoa(4001 + i), "21168.23", "0.04", "1996-03-13", "TRUCK"}
+	}
+	return csvx.Encode([]string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate", "l_shipmode"}, cells)
+}
+
+const projectSQL = "SELECT l_orderkey, l_extendedprice * (1 - l_discount), l_shipdate, l_shipmode FROM S3Object"
+
+// TestResponseAllocatesPerChunk pins what a response costs: parsing and
+// set-up, then an allocation per chunk of text, of cell headers and of the
+// row list as they double — not two per row, let alone one per cell.
+func TestResponseAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	sel, err := sqlparse.Parse("SELECT l_orderkey, l_extendedprice * (1 - l_discount), l_shipdate, l_shipmode FROM S3Object")
+	for _, rows := range []int{60, 6000} {
+		data := lineitemCSV(rows)
+		var res *Result
+		total := testing.AllocsPerRun(10, func() {
+			var err error
+			if res, err = Execute(data, Request{SQL: projectSQL, HasHeader: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(110 + rows/50); total > limit {
+			t.Errorf("a %d-row response allocates %v times, want at most %v", rows, total, limit)
+		}
+		if want := []string{"4001", "20321.500799999998", "1996-03-13", "TRUCK"}; len(res.Rows) != rows || !reflect.DeepEqual(res.Rows[0], want) {
+			t.Errorf("%d rows, first %q; want %d, first %q", len(res.Rows), res.Rows[0], rows, want)
+		}
+	}
+}
+
+// TestResultRowsDoNotAlias: a response's rows are windows of shared arrays,
+// cut so that growing one reallocates it instead of writing into the next.
+func TestResultRowsDoNotAlias(t *testing.T) {
+	res, err := Execute(lineitemCSV(50), Request{SQL: projectSQL, HasHeader: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate", "l_shipmode"}
-	env := &rowEnv{index: headerIndex(header), fields: strings.Split("4001,21168.23,0.04,1996-03-13,TRUCK", ",")}
-	ex := newExecutor(sel, header, env)
-	var row []string
-	if n := testing.AllocsPerRun(100, func() {
-		ex.rows = ex.rows[:0]
-		if err = ex.rx.Add(env); err != nil {
-			t.Fatal(err)
+	for i := 0; i+1 < len(res.Rows); i++ {
+		next := append([]string{}, res.Rows[i+1]...)
+		if cap(res.Rows[i]) != len(res.Rows[i]) {
+			t.Fatalf("row %d has capacity %d beyond its %d cells", i, cap(res.Rows[i]), len(res.Rows[i]))
 		}
-		row = ex.rows[0]
-	}); n != 2 {
-		t.Errorf("project allocates %v times per row, want 2", n)
-	}
-	if want := []string{"4001", "20321.500799999998", "1996-03-13", "TRUCK"}; !reflect.DeepEqual(row, want) {
-		t.Errorf("row = %q, want %q", row, want)
+		_ = append(res.Rows[i], "overflow")
+		if !reflect.DeepEqual(res.Rows[i+1], next) {
+			t.Fatalf("append to row %d rewrote row %d: %q, was %q", i, i+1, res.Rows[i+1], next)
+		}
 	}
 }

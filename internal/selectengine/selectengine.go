@@ -18,11 +18,13 @@ import (
 	"strconv"
 	"strings"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // MaxSQLBytes is S3 Select's SQL expression size limit (Section V-B1).
@@ -362,11 +364,7 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	schema := r.Schema()
-	header := make([]string, len(schema))
-	for i, c := range schema {
-		header[i] = c.Name
-	}
+	header := r.Schema().Names()
 	env := &colEnv{index: headerIndex(header)}
 	exec := newExecutor(sel, header, env)
 
@@ -382,7 +380,7 @@ scan:
 		if skipGroup(r, g, sel.Where, env.index) {
 			continue
 		}
-		cols := make(map[int][]value.Value, len(needed))
+		cols := make(map[int]*vec.Vector, len(needed))
 		for _, ci := range needed {
 			vals, n, err := r.ReadColumn(g, ci)
 			if err != nil {
@@ -492,10 +490,10 @@ func skipGroup(r *colformat.Reader, g int, where sqlparse.Expr, idx map[string]i
 	return false
 }
 
-// colEnv adapts one row of decoded column chunks.
+// colEnv adapts one row of decoded column chunks, read off typed vectors.
 type colEnv struct {
 	index map[string]int
-	cols  map[int][]value.Value
+	cols  map[int]*vec.Vector
 	row   int
 }
 
@@ -508,7 +506,7 @@ func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
 	if !ok {
 		return value.Null(), false // not loaded -> not referenced
 	}
-	return col[c.row], true
+	return col.Value(c.row), true
 }
 
 // executor is the storage-specific half of a request. expr.RowExec runs
@@ -527,6 +525,9 @@ type executor struct {
 	// where each cell ends.
 	text []byte
 	ends []int
+
+	chunks arena.Text // what the response's rows are cut from (see emit)
+	cells  arena.Slab[string]
 }
 
 // newExecutor builds the executor for sel over an object with the given
@@ -550,17 +551,19 @@ func newExecutor(sel *sqlparse.Select, header []string, env expr.Env) *executor 
 }
 
 // emit renders one output row. This is where response rows come to own
-// their bytes: the cells are cut from one fresh string, so a Result —
-// cached, shared between requests or put on the wire — never keeps the
-// scanned object reachable, whatever views of it the cells' values were.
-// A row costs two allocations however many cells it has.
+// their bytes: the row's text is copied into the response's own chunks and
+// its cells are cut from there, so a Result — cached, shared between
+// requests or put on the wire — never keeps the scanned object reachable,
+// whatever views of it the cells' values were, and pins only its own
+// chunks. A response costs an allocation per chunk, not per row, and
+// appending to one row cannot reach the next (see package arena).
 func (ex *executor) emit(vals []value.Value) error {
 	for _, v := range vals {
 		ex.text = v.Append(ex.text)
 		ex.ends = append(ex.ends, len(ex.text))
 	}
-	all := string(ex.text)
-	row := make([]string, len(ex.ends))
+	all := ex.chunks.String(ex.text)
+	row := ex.cells.Make(len(ex.ends))
 	start := 0
 	for i, end := range ex.ends {
 		row[i], start = all[start:end], end

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/rescache"
@@ -152,8 +153,9 @@ func encodeRelation(rel *engine.Relation) ([]string, [][]Cell) {
 		return []string{}, [][]Cell{}
 	}
 	rows := make([][]Cell, len(rel.Rows))
+	var slab arena.Slab[Cell]
 	for i, row := range rel.Rows {
-		cells := make([]Cell, len(row))
+		cells := slab.Make(len(row))
 		for j, v := range row {
 			cells[j] = encodeCell(v)
 		}
@@ -168,8 +170,9 @@ func encodeRelation(rel *engine.Relation) ([]string, [][]Cell) {
 
 func decodeRelation(cols []string, rows [][]Cell) (*engine.Relation, error) {
 	rel := &engine.Relation{Cols: cols, Rows: make([]engine.Row, len(rows))}
+	var slab arena.Slab[value.Value]
 	for i, cells := range rows {
-		row := make(engine.Row, len(cells))
+		row := slab.Make(len(cells))
 		for j, c := range cells {
 			v, err := decodeCell(c)
 			if err != nil {

@@ -22,10 +22,9 @@ func refParseNum(s string) (Value, bool) {
 	return Null(), false
 }
 
-// identical is bitwise: it tells -0 from 0 and equates NaN with NaN.
-func identical(a, b Value) bool {
-	return a.kind == b.kind && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
-}
+// identical is bitwise (a FLOAT is held as its IEEE bits): it tells -0 from
+// 0 and equates NaN with NaN.
+func identical(a, b Value) bool { return a == b }
 
 // checkNumericEntryPoints holds every string-to-number entry point to the
 // strconv calls it made before ParseNum existed.
@@ -44,7 +43,7 @@ func checkNumericEntryPoints(t *testing.T, s string) {
 	}
 	wantInt, wantIntOK := refParseNum(trimmed)
 	if wantIntOK && wantInt.kind == KindFloat {
-		wantInt = Int(int64(wantInt.f))
+		wantInt = Int(int64(wantInt.float()))
 	}
 	if v, err := CastInt(Str(s)); (err == nil) != wantIntOK || (err == nil && !identical(v, wantInt)) {
 		t.Fatalf("CastInt(%q) = %v, %v; want %v, %v", s, v, err, wantInt, wantIntOK)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -30,6 +31,23 @@ func TestZeroValueIsNull(t *testing.T) {
 	}
 	if v.String() != "" {
 		t.Fatalf("NULL renders as empty string, got %q", v.String())
+	}
+}
+
+// TestValueIsFourWords pins the size every row slab of every relation
+// multiplies: a kind, one payload word shared by INT and FLOAT (a FLOAT is
+// held as its IEEE bits), and the string header.
+func TestValueIsFourWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -2.25e300, math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		if got := Float(f).AsFloat(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v).AsFloat() = %v", f, got)
+		}
+	}
+	if !math.IsNaN(Float(math.NaN()).AsFloat()) {
+		t.Error("NaN did not survive Float")
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 	"pushdowndb/internal/vec"
 )
 
-// FuzzVecDecode feeds arbitrary bytes through both vectorized decode
-// routes. The columnar route must never panic (random footers, truncated
-// chunks, bogus null bitmaps all surface as errors); the CSV route must
-// agree cell-for-cell and kernel-for-kernel with the row-at-a-time
-// reference.
+// FuzzVecDecode feeds arbitrary bytes through the vectorized CSV decode
+// route, which must agree cell-for-cell and kernel-for-kernel with the
+// row-at-a-time reference. (The columnar route moved with its decoder:
+// engine.FuzzColformatRead. The colformat seed stays: binary bytes are CSV
+// input too.)
 func FuzzVecDecode(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n3,\n"))
 	f.Add([]byte("h\nNaN\n 7\n1994-03-15\n00501\n"))
@@ -27,18 +27,8 @@ func FuzzVecDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Columnar route: decode errors are fine, panics are findings.
-		if b, err := vec.FromColumnar(data, 3); err == nil {
-			for _, v := range b.Vecs {
-				for i := 0; i < b.Len(); i++ {
-					_ = v.Value(i)
-					_ = v.IsNull(i)
-				}
-			}
-		}
-
-		// CSV route, against the row path. Synthetic column names keep
-		// fuzz-shaped headers out of the SQL strings.
+		// Against the row path. Synthetic column names keep fuzz-shaped
+		// headers out of the SQL strings.
 		header, rows, err := csvx.Decode(data, true)
 		if err != nil || len(header) == 0 {
 			return

@@ -72,6 +72,23 @@ func (v *Vector) typed(k value.Kind) bool {
 	return v.Boxed == nil && v.Kind == k
 }
 
+// NewVector returns an n-row typed vector of kind k with a zeroed payload
+// for the caller to fill in place: how a decoder that knows a column's kind
+// (colformat) builds the layout FromValues infers. nulls flags the NULL
+// rows (nil: none); KindNull, the all-NULL column, has no payload.
+func NewVector(k value.Kind, n int, nulls *Bitmap) *Vector {
+	v := &Vector{Kind: k, Nulls: nulls, n: n}
+	switch k {
+	case value.KindInt, value.KindDate, value.KindBool:
+		v.Ints = make([]int64, n)
+	case value.KindFloat:
+		v.Floats = make([]float64, n)
+	case value.KindString:
+		v.Strs = make([]string, n)
+	}
+	return v
+}
+
 // FromValues builds a vector from a column of values: typed when every
 // non-NULL value shares one Kind, boxed otherwise. The input slice is
 // retained when boxing.
@@ -88,14 +105,13 @@ func FromValues(vals []value.Value) *Vector {
 			return &Vector{Boxed: vals, n: n}
 		}
 	}
-	out := &Vector{Kind: kind, n: n}
+	out := NewVector(kind, n, nil)
 	if kind == value.KindNull {
 		return out // entirely NULL
 	}
 	var nulls *Bitmap
 	switch kind {
 	case value.KindInt, value.KindDate, value.KindBool:
-		out.Ints = make([]int64, n)
 		for i, v := range vals {
 			if v.IsNull() {
 				if nulls == nil {
@@ -113,7 +129,6 @@ func FromValues(vals []value.Value) *Vector {
 			}
 		}
 	case value.KindFloat:
-		out.Floats = make([]float64, n)
 		for i, v := range vals {
 			if v.IsNull() {
 				if nulls == nil {
@@ -125,7 +140,6 @@ func FromValues(vals []value.Value) *Vector {
 			out.Floats[i] = v.AsFloat()
 		}
 	case value.KindString:
-		out.Strs = make([]string, n)
 		for i, v := range vals {
 			if v.IsNull() {
 				if nulls == nil {
@@ -259,7 +273,7 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 			return &Vector{Boxed: vals, n: n}
 		}
 	}
-	out := &Vector{Kind: kind, n: n}
+	out := NewVector(kind, n, nil)
 	if kind == value.KindNull {
 		return out // entirely NULL
 	}
@@ -272,7 +286,6 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 	}
 	switch kind {
 	case value.KindInt, value.KindDate, value.KindBool:
-		out.Ints = make([]int64, n)
 		for i, r := range rows {
 			v := r[c]
 			switch {
@@ -287,7 +300,6 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 			}
 		}
 	case value.KindFloat:
-		out.Floats = make([]float64, n)
 		for i, r := range rows {
 			if v := r[c]; v.IsNull() {
 				null(i)
@@ -296,7 +308,6 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 			}
 		}
 	case value.KindString:
-		out.Strs = make([]string, n)
 		for i, r := range rows {
 			if v := r[c]; v.IsNull() {
 				null(i)
