@@ -186,6 +186,8 @@ type Phase struct {
 	getBytes          int64 // plain GET bytes returned
 	cacheHits         int64 // select responses served from the result cache
 	cacheReturnBytes  int64 // response bytes served from the result cache
+	catalogRequests   int64 // fixed-size catalog GETs and their bytes: billed
+	catalogBytes      int64 // unscaled, timed when added (AddCatalogRequest)
 	// Shared-scan accounting (scanshare): billing counters carry this
 	// query's 1/sharers slice of each shared pass, while sharedWireBytes
 	// carries the full pass response — the query still receives and
@@ -291,6 +293,23 @@ func (p *Phase) AddGetRequest(n int64) {
 	}
 }
 
+// AddCatalogRequest records one GET of a fixed-size catalog object (a
+// table's statistics object) returning n bytes. A 2048-row sample is as
+// large at SF 10 as at SF 0.01, so nothing here is multiplied by the Scale:
+// a round trip plus n bytes on the stream, n bytes of bulk parse plus one
+// request issue on the server, one request and n bytes on the bill.
+func (p *Phase) AddCatalogRequest(n int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.catalogRequests++
+	p.catalogBytes += n
+	p.serverExtraSec += float64(n)/p.cfg.BulkParseBytesPerSec + p.cfg.RequestCPUSec
+	t := p.cfg.RequestRTTSec + float64(n)/p.cfg.NetworkBytesPerSec
+	if t > p.s3MaxStreamSec {
+		p.s3MaxStreamSec = t
+	}
+}
+
 // AddRowFetchRequest records one per-row ranged GET returning n bytes (the
 // Section IV-A index strategy). Unlike bulk requests, the number of these
 // scales with the data: their request-CPU and request-pricing terms are
@@ -354,6 +373,8 @@ func (p *Phase) snapshot() phaseTotals {
 		getBytes:          p.getBytes,
 		cacheHits:         p.cacheHits,
 		cacheReturnBytes:  p.cacheReturnBytes,
+		catalogRequests:   p.catalogRequests,
+		catalogBytes:      p.catalogBytes,
 		sharedRequests:    p.sharedRequests,
 		sharedScanBytes:   p.sharedScanBytes,
 		sharedReturnBytes: p.sharedReturnBytes,
@@ -373,6 +394,8 @@ type phaseTotals struct {
 	getBytes          int64
 	cacheHits         int64
 	cacheReturnBytes  int64
+	catalogRequests   int64
+	catalogBytes      int64
 	sharedRequests    float64
 	sharedScanBytes   float64
 	sharedReturnBytes float64
@@ -408,6 +431,20 @@ func (t phaseTotals) seconds(cfg Config, scale Scale) float64 {
 	return math.Max(t.s3MaxStreamSec, math.Max(transfer, server))
 }
 
+// billed prices the totals' storage activity at the (profile-applied)
+// rates pp; see Metrics.Cost for what scales. Catalog requests do not.
+func (t phaseTotals) billed(pp Pricing, scale Scale) CostBreakdown {
+	dr := scale.DataRatio
+	requests := (float64(t.requests)+t.sharedRequests)*scale.PartRatio +
+		float64(t.rowFetchRequests)*dr + float64(t.catalogRequests)
+	return CostBreakdown{
+		RequestUSD: requests / 1000 * pp.RequestPer1000,
+		ScanUSD:    (float64(t.scanBytes) + t.sharedScanBytes) * dr / gb * pp.ScanPerGB,
+		TransferUSD: (float64(t.selectReturnBytes)+t.sharedReturnBytes)*dr/gb*pp.ReturnPerGB +
+			(float64(t.getBytes)*dr+float64(t.catalogBytes))/gb*pp.TransferPerGB,
+	}
+}
+
 // Seconds evaluates this phase's duration alone under the roofline model
 // (per-span observability; RuntimeSeconds is the authority for whole-query
 // time — it overlaps phases within a stage).
@@ -419,17 +456,7 @@ func (p *Phase) Seconds() float64 {
 // pricing, mirroring Metrics.Cost for a single phase. Compute is a
 // whole-query quantity and is not attributed to individual phases.
 func (p *Phase) BilledCost(base Pricing) CostBreakdown {
-	t := p.snapshot()
-	pp := base.ForProfile(p.profile)
-	dr := p.scale.DataRatio
-	requests := (float64(t.requests)+t.sharedRequests)*p.scale.PartRatio +
-		float64(t.rowFetchRequests)*dr
-	return CostBreakdown{
-		RequestUSD: requests / 1000 * pp.RequestPer1000,
-		ScanUSD:    (float64(t.scanBytes) + t.sharedScanBytes) * dr / gb * pp.ScanPerGB,
-		TransferUSD: (float64(t.selectReturnBytes)+t.sharedReturnBytes)*dr/gb*pp.ReturnPerGB +
-			float64(t.getBytes)*dr/gb*pp.TransferPerGB,
-	}
+	return p.snapshot().billed(base.ForProfile(p.profile), p.scale)
 }
 
 // Metrics collects the phases of one query execution.
@@ -521,10 +548,10 @@ func (m *Metrics) Totals() (requests, scanBytes, selectReturnBytes, getBytes int
 	defer m.mu.Unlock()
 	for _, p := range m.phases {
 		t := p.snapshot()
-		requests += t.requests + t.rowFetchRequests
+		requests += t.requests + t.rowFetchRequests + t.catalogRequests
 		scanBytes += t.scanBytes
 		selectReturnBytes += t.selectReturnBytes
-		getBytes += t.getBytes
+		getBytes += t.getBytes + t.catalogBytes
 	}
 	return
 }
@@ -609,17 +636,9 @@ const gb = 1 << 30
 // ComputePerHour (the node is the same wherever the bytes come from).
 func (m *Metrics) Cost(p Pricing) CostBreakdown {
 	m.mu.Lock()
-	dr := m.scale.DataRatio
 	var c CostBreakdown
 	for _, ph := range m.phases {
-		t := ph.snapshot()
-		pp := p.ForProfile(ph.profile)
-		requests := (float64(t.requests)+t.sharedRequests)*m.scale.PartRatio +
-			float64(t.rowFetchRequests)*dr
-		c.RequestUSD += requests / 1000 * pp.RequestPer1000
-		c.ScanUSD += (float64(t.scanBytes) + t.sharedScanBytes) * dr / gb * pp.ScanPerGB
-		c.TransferUSD += (float64(t.selectReturnBytes)+t.sharedReturnBytes)*dr/gb*pp.ReturnPerGB +
-			float64(t.getBytes)*dr/gb*pp.TransferPerGB
+		c = c.Add(ph.snapshot().billed(p.ForProfile(ph.profile), m.scale))
 	}
 	m.mu.Unlock()
 	c.ComputeUSD = m.RuntimeSeconds() / 3600 * p.ComputePerHour
@@ -659,9 +678,9 @@ func (m *Metrics) Report() string {
 		// Shared-pass slices fold into the billed scan/return columns so
 		// the table still sums to what the query paid for.
 		fmt.Fprintf(&b, "%-24s %5d %10d %12.2f %12.2f %10.3f\n",
-			p.Name, p.Stage, t.requests+t.rowFetchRequests,
+			p.Name, p.Stage, t.requests+t.rowFetchRequests+t.catalogRequests,
 			(float64(t.scanBytes)+t.sharedScanBytes)/1e6,
-			(float64(t.selectReturnBytes+t.getBytes)+t.sharedReturnBytes)/1e6,
+			(float64(t.selectReturnBytes+t.getBytes+t.catalogBytes)+t.sharedReturnBytes)/1e6,
 			t.seconds(p.cfg, m.scale))
 	}
 	return b.String()

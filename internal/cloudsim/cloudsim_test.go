@@ -348,3 +348,50 @@ func TestCostBreakdownSharedAcrossN(t *testing.T) {
 		t.Fatal("n <= 1 must be the identity")
 	}
 }
+
+// TestCatalogRequestIsScaleInvariant: a statistics object is as large at
+// SF 10 as at SF 0.01, so its GET costs the same seconds and dollars at any
+// Scale — where AddGetRequest would charge 340 KB as 340 MB — and is one
+// request, its bytes and its parse in every total.
+func TestCatalogRequestIsScaleInvariant(t *testing.T) {
+	const n = 340_000
+	cfg, pricing := DefaultConfig(), DefaultPricing()
+	measure := func(scale Scale, profile Profile, catalog bool) (float64, CostBreakdown, *Metrics) {
+		m := NewMetricsScaled(cfg, scale)
+		p := m.PhaseProfile("plan stats t", 0, profile)
+		if catalog {
+			p.AddCatalogRequest(n)
+		} else {
+			p.AddGetRequest(n)
+		}
+		billed := m.Cost(pricing)
+		billed.ComputeUSD = 0
+		if p.Seconds() != m.RuntimeSeconds() || p.BilledCost(pricing) != billed {
+			t.Errorf("scale %+v: the phase's own view (%v s, %v) disagrees with the metrics' (%v s, %v)",
+				scale, p.Seconds(), p.BilledCost(pricing), m.RuntimeSeconds(), billed)
+		}
+		return m.RuntimeSeconds(), m.Cost(pricing), m
+	}
+	for _, profile := range []Profile{{}, CrossRegionS3Profile()} {
+		unitSec, unitUSD, m := measure(Unit(), profile, true)
+		paperSec, paperUSD, _ := measure(Scale{DataRatio: 1000, PartRatio: 8}, profile, true)
+		if unitSec != paperSec || unitUSD != paperUSD {
+			t.Errorf("catalog request: %v s %v at unit scale, %v s %v at paper scale", unitSec, unitUSD, paperSec, paperUSD)
+		}
+		// At unit scale it is an ordinary GET of n bytes.
+		getSec, getUSD, _ := measure(Unit(), profile, false)
+		if math.Abs(unitSec-getSec) > 1e-12 || math.Abs(unitUSD.Total()-getUSD.Total()) > 1e-15 {
+			t.Errorf("catalog request at unit scale: %v s $%v, a GET of the same bytes: %v s $%v", unitSec, unitUSD.Total(), getSec, getUSD.Total())
+		}
+		pc := cfg.ForProfile(profile)
+		if want := math.Max(pc.RequestRTTSec+n/pc.NetworkBytesPerSec, n/pc.BulkParseBytesPerSec+pc.RequestCPUSec); math.Abs(unitSec-want) > 1e-12 {
+			t.Errorf("catalog request took %v s, want max(stream, server) = %v", unitSec, want)
+		}
+		if req, _, _, get := m.Totals(); req != 1 || get != n || !strings.Contains(m.Report(), " 1 ") {
+			t.Errorf("totals: %d requests, %d GET bytes; report:\n%s", req, get, m.Report())
+		}
+	}
+	if sec, _, _ := measure(Scale{DataRatio: 1000, PartRatio: 8}, Profile{}, false); sec < 3 {
+		t.Errorf("the scaled GET this replaces took %v s; the test's premise is gone", sec)
+	}
+}

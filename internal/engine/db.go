@@ -52,9 +52,14 @@ type DB struct {
 
 	// statsCache holds planner table statistics keyed by
 	// backend/bucket/table/filter/index-predicate, so repeated queries plan
-	// from cached stats instead of re-issuing COUNT(*) probes.
+	// from cached stats instead of re-estimating. statsObjs memoizes each
+	// table's statistics object (see statsObject; nil = none usable, so
+	// such a table costs one read per DB, not one per query); statsGen
+	// counts voids, so a read that raced one is not remembered.
 	statsMu    sync.Mutex
 	statsCache map[string]cachedStats
+	statsObjs  map[string]*statsObj
+	statsGen   int64
 
 	// idxMu guards idxMemo, the per-table cache of validated index
 	// manifests (see indexManifest). Keyed by lower(table); an empty
@@ -326,8 +331,9 @@ func (db *DB) InvalidateStats() { db.void("", "") }
 func (db *DB) InvalidateTable(table string) { db.void(table, table+"/") }
 
 // void is the one place that knows what the DB caches across queries. It
-// drops the planner statistics and the index-manifest view of table (every
-// table when table is empty), cached select responses for the bucket's
+// drops the planner statistics — cached estimates and the decoded
+// statistics object — and the index-manifest view of table (every table
+// when table is empty), cached select responses for the bucket's
 // objects under objPrefix, and the scan-sharing space. The share epoch is
 // coordinator-wide (cheap and always correct) and moves first: once the
 // cache generations bump, a miss can only join a pass that started after
@@ -344,6 +350,12 @@ func (db *DB) void(table, objPrefix string) {
 			delete(db.statsCache, k)
 		}
 	}
+	if table == "" {
+		db.statsObjs = nil
+	} else {
+		delete(db.statsObjs, table)
+	}
+	db.statsGen++
 	db.statsMu.Unlock()
 	db.idxMu.Lock()
 	if table == "" {

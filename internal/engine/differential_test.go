@@ -55,7 +55,7 @@ var diffQueries = []struct {
 // diffRows builds the shared dataset, deliberately nasty: NULLs (empty CSV
 // fields), NaN scores, numeric-looking zip strings that must not round-trip
 // as numbers, and names containing CSV metacharacters.
-func diffLoad(t *testing.T, put s3api.Putter) {
+func diffLoad(t testing.TB, put s3api.Putter) {
 	t.Helper()
 	ctx := context.Background()
 	people := [][]string{

@@ -23,7 +23,7 @@ const testBucket = "test"
 //	events(k INT, g INT, v FLOAT)  — 1000 rows, g in [0,10), partitioned x4
 //	cust(ck INT, bal FLOAT)        — 100 rows, partitioned x2
 //	ords(ok INT, ck INT, price FLOAT) — 400 rows, partitioned x4
-func newTestStore(t *testing.T) *store.Store {
+func newTestStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.New()
 	rng := rand.New(rand.NewSource(12345))

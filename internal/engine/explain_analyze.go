@@ -108,8 +108,8 @@ func (p *QueryPlan) AnalyzeString() string {
 	for _, sc := range p.Scans {
 		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),
 			projectionSQL(sc.Project, exprStr(sc.Filter)))
-		fmt.Fprintf(&b, "  [est %d rows, %d after filter]\n",
-			sc.Stats.Rows, sc.Stats.FilteredRows)
+		fmt.Fprintf(&b, "  [est %d rows, %s]\n",
+			sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats))
 	}
 	for i, st := range p.Steps {
 		fmt.Fprintf(&b, "  join %d: %s.%s = %s.%s\n",

@@ -205,19 +205,9 @@ func (db *DB) validatedManifest(ctx context.Context, table string) *index.Manife
 	if len(m.Indexes) == 0 {
 		return m
 	}
-	backend := db.backendFor(table)
-	keys, err := backend.List(ctx, db.bucket, table+"/part")
+	sizes, err := db.livePartSizes(ctx, table)
 	if err != nil {
 		return index.NewManifest()
-	}
-	sizes := make([]int64, len(keys))
-	for i, k := range keys {
-		//lint:ignore metered catalog read: staleness stamps validate the manifest per DB, never billed to a query
-		n, err := backend.Size(ctx, db.bucket, k)
-		if err != nil {
-			return index.NewManifest()
-		}
-		sizes[i] = n
 	}
 	for col, e := range m.Indexes {
 		if e.Stale(sizes) {
@@ -225,6 +215,24 @@ func (db *DB) validatedManifest(ctx context.Context, table string) *index.Manife
 		}
 	}
 	return m
+}
+
+// livePartSizes lists the table's partitions and sizes them: the staleness
+// stamps an index manifest and a statistics object are checked against.
+func (db *DB) livePartSizes(ctx context.Context, table string) ([]int64, error) {
+	backend := db.backendFor(table)
+	keys, err := backend.List(ctx, db.bucket, table+"/part")
+	if err != nil {
+		return nil, err
+	}
+	sizes := make([]int64, len(keys))
+	for i, k := range keys {
+		//lint:ignore metered catalog read: staleness stamps validate engine metadata per DB, never billed to a query
+		if sizes[i], err = backend.Size(ctx, db.bucket, k); err != nil {
+			return nil, err
+		}
+	}
+	return sizes, nil
 }
 
 // dropIndexCaches invalidates what a rebuilt or dropped index makes stale:

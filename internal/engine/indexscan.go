@@ -299,8 +299,10 @@ type AccessPlan struct {
 	// RangedGets is the number of multi-range GETs actually issued (filled
 	// in by execution when the IndexScan strategy ran).
 	RangedGets int64
-	// Stats is the planning statistics probe's view of the table.
+	// Stats, StatsSource and CachedStats are the planner's view of the
+	// table, as on a TableScan.
 	Stats       cloudsim.PlanTableStats
+	StatsSource string
 	CachedStats bool
 }
 
@@ -308,6 +310,7 @@ type AccessPlan struct {
 func (ap *AccessPlan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "access plan for %s (on %s): %s — %s\n", ap.Table, ap.Backend, ap.Strategy, ap.Reason)
+	fmt.Fprintf(&b, "  [%d rows, %s]\n", ap.Stats.Rows, statsNote(ap.Stats, ap.StatsSource, ap.CachedStats))
 	if ap.Index != nil {
 		fmt.Fprintf(&b, "  index %s(%s): predicate %s, ~%d matching rows, ~%d ranges in ~%d multi-range GETs\n",
 			ap.Table, ap.Index.Entry.Column, ap.Index.Pred.String(),
@@ -336,16 +339,20 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 	}
 	backendName, backend := e.db.BackendFor(table)
 
+	psp := e.beginSpan("plan")
+	defer psp.End()
+	defer e.restoreSpanParent(e.setSpanParent(psp))
 	stage := e.NextStage()
-	cols, err := e.TableHeader("plan header "+table, stage, table)
+	ts, cols, err := e.tableShape(table, stage)
 	if err != nil {
 		return nil, err
 	}
 	pushedSQL := pushedScanSQL(sel)
-	st, idxMatched, cached, err := e.probeStats(table, filter.String(), indexProbePred(cand), stage)
+	cs, cached, err := e.probeStats(ts, table, filter.String(), indexProbePred(cand), stage)
 	if err != nil {
 		return nil, err
 	}
+	st, idxMatched := cs.stats, cs.idxMatched
 	cand.MatchedRows = idxMatched
 	st.Cols = len(cols)
 	st.FilterNodes = pushedNodes(pushedSQL)
@@ -368,7 +375,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 	ap := &AccessPlan{
 		Table: table, Backend: backendName,
 		Strategy: strategy, Index: cand,
-		Estimates: ests, Stats: st, CachedStats: cached,
+		Estimates: ests, Stats: st, StatsSource: cs.source, CachedStats: cached,
 	}
 	ap.EstRanges = cloudsim.ExpectedCoalescedRanges(idxMatched, st.Rows)
 	if ap.EstRanges > 0 {
@@ -402,78 +409,77 @@ func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 }
 
 // probeStats returns the table's planning statistics plus the row count
-// matching idxPred, probing storage once per partition on a stats-cache
-// miss: COUNT(*) and per-predicate SUM(CASE ...) counts in a single pushed
-// scan. Shape-dependent fields (Cols, FilterNodes, ProjCols, Profile,
+// matching idxPred, from the DB's stats cache or else from one probe SQL —
+// COUNT(*) and a SUM(CASE ...) count per predicate — run over the sample of
+// the table's statistics object ts, locally, or, for a table with no usable
+// object (ts == nil), pushed to storage once per partition: a scan of the
+// whole table. Shape-dependent fields (Cols, FilterNodes, ProjCols, Profile,
 // CachedFrac) are left for the caller.
-func (e *Exec) probeStats(table, filter, idxPred string, stage int) (st cloudsim.PlanTableStats, idxMatched int64, cached bool, err error) {
+func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int) (cs cachedStats, cached bool, err error) {
 	backendName, _ := e.db.BackendFor(table)
 	key := backendName + "\x00" + e.db.bucket + "\x00" + table + "\x00" + filter + "\x00idx=" + idxPred
 	e.db.statsMu.Lock()
-	if cs, ok := e.db.statsCache[key]; ok {
-		e.db.statsMu.Unlock()
-		return cs.stats, cs.idxMatched, true, nil
-	}
+	cs, ok := e.db.statsCache[key]
 	e.db.statsMu.Unlock()
+	if ok {
+		return cs, true, nil
+	}
 
 	sums := []string{"COUNT(*)"}
-	if filter != "" {
-		sums = append(sums, "SUM(CASE WHEN "+filter+" THEN 1 ELSE 0 END)")
-	}
-	if idxPred != "" {
-		sums = append(sums, "SUM(CASE WHEN "+idxPred+" THEN 1 ELSE 0 END)")
+	for _, pred := range []string{filter, idxPred} {
+		if pred != "" {
+			sums = append(sums, "SUM(CASE WHEN "+pred+" THEN 1 ELSE 0 END)")
+		}
 	}
 	sql := "SELECT " + strings.Join(sums, ", ") + " FROM S3Object"
-	sp := e.beginSpan("plan probe " + table)
-	phase := e.tablePhase("plan probe "+table, stage, table)
-	results, err := e.selectOnParts(phase, sp, table, sql)
-	if err != nil {
-		endSpanErr(sp, err)
-		return st, 0, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)
-	}
-	e.endPhaseSpan(sp, phase)
-	var rows, matched, idxm, bytes int64
-	columnar := len(results) > 0
-	for _, res := range results {
-		if len(res.Rows) != 1 || len(res.Rows[0]) != len(sums) {
-			return st, 0, false, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
+	counts := e.sampleCounts(ts, table, sql, stage)
+	cs.source = StatsFromObject
+	if counts != nil {
+		cs.stats = cloudsim.PlanTableStats{
+			Bytes: ts.bytes, Rows: ts.rows,
+			Partitions: len(ts.partSizes), Columnar: ts.columnar,
 		}
-		n, _ := value.FromCSV(res.Rows[0][0]).IntNum()
-		rows += n
-		col := 1
-		if filter != "" {
-			if m, ok := value.FromCSV(res.Rows[0][col]).IntNum(); ok {
-				matched += m
+	} else {
+		cs.source = StatsFromProbe
+		sp := e.beginSpan("plan probe " + table)
+		phase := e.tablePhase("plan probe "+table, stage, table)
+		results, err := e.selectOnParts(phase, sp, table, sql)
+		if err != nil {
+			endSpanErr(sp, err)
+			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)
+		}
+		e.endPhaseSpan(sp, phase)
+		counts = make([]int64, len(sums))
+		cs.stats = cloudsim.PlanTableStats{Partitions: len(results), Columnar: len(results) > 0}
+		for _, res := range results {
+			if len(res.Rows) != 1 || len(res.Rows[0]) != len(sums) {
+				return cs, false, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
 			}
-			col++
-		}
-		if idxPred != "" {
-			if m, ok := value.FromCSV(res.Rows[0][col]).IntNum(); ok {
-				idxm += m
+			for i, f := range res.Rows[0] {
+				n, _ := value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
+				counts[i] += n
 			}
+			cs.stats.Bytes += res.Stats.BytesScanned
+			cs.stats.Columnar = cs.stats.Columnar && res.Columnar
 		}
-		bytes += res.Stats.BytesScanned
-		if !res.Columnar {
-			columnar = false
-		}
+		cs.stats.Rows = counts[0]
 	}
-	if filter == "" {
-		matched = rows
+	// counts follow sums: every row, then the rows the filter and the index
+	// predicate keep, where there is one.
+	cs.stats.FilteredRows, cs.idxMatched = counts[0], counts[0]
+	if filter != "" {
+		cs.stats.FilteredRows = counts[1]
 	}
-	if idxPred == "" {
-		idxm = rows
-	}
-	st = cloudsim.PlanTableStats{
-		Bytes: bytes, Rows: rows, FilteredRows: matched,
-		Partitions: len(results), Columnar: columnar,
+	if idxPred != "" {
+		cs.idxMatched = counts[len(counts)-1]
 	}
 	e.db.statsMu.Lock()
 	if e.db.statsCache == nil {
 		e.db.statsCache = map[string]cachedStats{}
 	}
-	e.db.statsCache[key] = cachedStats{stats: st, idxMatched: idxm}
+	e.db.statsCache[key] = cs
 	e.db.statsMu.Unlock()
-	return st, idxm, false, nil
+	return cs, false, nil
 }
 
 // pushedNodes counts the per-row expression work of a pushed SQL string

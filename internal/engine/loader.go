@@ -28,27 +28,30 @@ func PartitionTable(ctx context.Context, st *store.Store, bucket, table string, 
 // that accepts writes (s3api.Putter) — the loading path for backends that
 // are not a *store.Store, e.g. localfs.
 func PartitionTableTo(ctx context.Context, p s3api.Putter, bucket, table string, header []string, rows [][]string, parts int) error {
-	if parts < 1 {
-		parts = 1
-	}
-	per := (len(rows) + parts - 1) / parts
-	if per == 0 {
-		per = 1
-	}
-	for i := 0; i < parts; i++ {
-		lo, hi := i*per, (i+1)*per
-		if lo > len(rows) {
-			lo = len(rows)
+	return writeTable(func(key string, data []byte) error { return p.Put(ctx, bucket, key, data) },
+		table, "csv", header, len(rows), parts, strideSample(rows),
+		func(lo, hi int) ([]byte, error) { return csvx.Encode(header, rows[lo:hi]), nil })
+}
+
+// writeTable writes a table of nrows rows as parts partition objects —
+// encode renders rows [lo, hi) — and then, last, its statistics object
+// (tablestats.go): a reader racing a reload finds stale stamps, not a lie.
+func writeTable(put func(key string, data []byte) error, table, format string, cols []string, nrows, parts int,
+	sample [][]string, encode func(lo, hi int) ([]byte, error)) error {
+	parts = max(parts, 1)
+	per := max((nrows+parts-1)/parts, 1)
+	sizes := make([]int64, parts)
+	for i := range sizes {
+		data, err := encode(min(i*per, nrows), min((i+1)*per, nrows))
+		if err == nil {
+			err = put(store.PartitionKey(table, i), data)
 		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		data := csvx.Encode(header, rows[lo:hi])
-		if err := p.Put(ctx, bucket, store.PartitionKey(table, i), data); err != nil {
+		if err != nil {
 			return err
 		}
+		sizes[i] = int64(len(data))
 	}
-	return nil
+	return put(StatsKey(table), encodeTableStats(format, cols, nrows, sizes, sample))
 }
 
 // IndexTableName returns the canonical name of the index table for a
@@ -67,6 +70,9 @@ func BuildIndexTable(st *store.Store, bucket, table, column string) error {
 		return fmt.Errorf("engine: no partitions for table %q", table)
 	}
 	idxTable := IndexTableName(table, column)
+	idxHeader := []string{"value", "first_byte_offset", "last_byte_offset"}
+	var all [][]string
+	sizes := make([]int64, len(keys))
 	for p, key := range keys {
 		data, err := st.Get(bucket, key)
 		if err != nil {
@@ -98,9 +104,12 @@ func BuildIndexTable(st *store.Store, bucket, table, column string) error {
 		if err := sc.Err(); err != nil {
 			return err
 		}
-		idxData := csvx.Encode([]string{"value", "first_byte_offset", "last_byte_offset"}, rows)
+		idxData := csvx.Encode(idxHeader, rows)
 		st.Put(bucket, store.PartitionKey(idxTable, p), idxData)
+		sizes[p] = int64(len(idxData))
+		all = append(all, rows...)
 	}
+	st.Put(bucket, StatsKey(idxTable), encodeTableStats("csv", idxHeader, len(all), sizes, strideSample(all)))
 	return nil
 }
 
@@ -108,26 +117,17 @@ func BuildIndexTable(st *store.Store, bucket, table, column string) error {
 // partitions under table/partNNNN.csv keys. The key suffix stays .csv so
 // partition listing is uniform; readers detect the format by magic.
 func PartitionTableColumnar(st *store.Store, bucket, table string, schema colformat.Schema, rows [][]value.Value, parts, groupRows int, compress bool) error {
-	if parts < 1 {
-		parts = 1
-	}
-	per := (len(rows) + parts - 1) / parts
-	if per == 0 {
-		per = 1
-	}
-	for p := 0; p < parts; p++ {
-		lo, hi := p*per, (p+1)*per
-		if lo > len(rows) {
-			lo = len(rows)
+	// The sample is stored as the CSV text S3 Select would render the rows
+	// as, whatever the table's own format.
+	typed := strideSample(rows)
+	sample := make([][]string, len(typed))
+	for i, row := range typed {
+		sample[i] = make([]string, len(row))
+		for j, v := range row {
+			sample[i][j] = v.String()
 		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		data, err := colformat.Encode(schema, rows[lo:hi], groupRows, compress)
-		if err != nil {
-			return err
-		}
-		st.Put(bucket, store.PartitionKey(table, p), data)
 	}
-	return nil
+	return writeTable(func(key string, data []byte) error { st.Put(bucket, key, data); return nil },
+		table, "columnar", schema.Names(), len(rows), parts, sample,
+		func(lo, hi int) ([]byte, error) { return colformat.Encode(schema, rows[lo:hi], groupRows, compress) })
 }

@@ -63,13 +63,13 @@ func (e *Exec) restoreSpanParent(prev *obs.Span) {
 
 // endPhaseSpan stamps the phase's simulated seconds and billed storage
 // cost onto sp and ends it — the bridge between a span's wall-clock view
-// and the cloudsim roofline view of the same work.
+// and the cloudsim roofline view of the same work. A nil phase (work that
+// turned out to cost nothing) stamps nothing.
 func (e *Exec) endPhaseSpan(sp *obs.Span, ph *cloudsim.Phase) {
-	if sp == nil {
-		return
+	if sp != nil && ph != nil {
+		sp.SetFloat("sim_sec", ph.Seconds())
+		sp.SetFloat("cost_usd", ph.BilledCost(e.db.Pricing).Total())
 	}
-	sp.SetFloat("sim_sec", ph.Seconds())
-	sp.SetFloat("cost_usd", ph.BilledCost(e.db.Pricing).Total())
 	sp.End()
 }
 

@@ -64,11 +64,12 @@ type TableScan struct {
 	// Project lists the columns any part of the query needs from this
 	// table (nil = all, e.g. when the select list has a *).
 	Project []string
-	// Stats are the planner's cardinality and size statistics, from a
-	// pushed-down COUNT(*) probe or the DB's stats cache.
-	Stats cloudsim.PlanTableStats
-	// CachedStats reports whether Stats came from the cache (no probe was
-	// issued for this query).
+	// Stats are the planner's cardinality and size statistics; StatsSource
+	// is where they were made: StatsFromObject or StatsFromProbe.
+	Stats       cloudsim.PlanTableStats
+	StatsSource string
+	// CachedStats reports whether Stats came from the DB's stats cache
+	// (nothing was read or evaluated for this query).
 	CachedStats bool
 	// Index is the scan's secondary-index candidate: a live index on a
 	// filtered column, with the indexable predicate and its matched-row
@@ -199,8 +200,9 @@ type equiPred struct {
 }
 
 // planJoins builds the cost-based plan for a multi-table select. Planning
-// issues real (metered) requests: header probes and, on stats-cache
-// misses, one pushed-down COUNT(*) probe per table.
+// issues real (metered) requests: one GET of each table's statistics object
+// per DB, or, for a table without a usable one, a header probe and, on
+// stats-cache misses, one pushed-down COUNT(*) probe.
 func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 	p := &QueryPlan{Sel: sel}
 	p.Scans = append(p.Scans, &TableScan{Table: sel.Table, Alias: sel.Alias})
@@ -216,18 +218,19 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 		names[k] = true
 	}
 
-	// Headers: one cheap ranged GET per table, all in one stage.
+	// Shapes: one small GET per table — its statistics object, or failing
+	// that its header — all in one stage.
 	psp := e.beginSpan("plan")
 	defer psp.End()
 	prevParent := e.setSpanParent(psp)
 	defer e.restoreSpanParent(prevParent)
-	hdrStage := e.NextStage()
-	for _, sc := range p.Scans {
-		cols, err := e.TableHeader("plan header "+sc.Table, hdrStage, sc.Table)
-		if err != nil {
+	shapeStage := e.NextStage()
+	objs := make([]*statsObj, len(p.Scans))
+	for i, sc := range p.Scans {
+		var err error
+		if objs[i], sc.Cols, err = e.tableShape(sc.Table, shapeStage); err != nil {
 			return nil, err
 		}
-		sc.Cols = cols
 	}
 
 	// Classify every WHERE / ON conjunct: single-table predicates push
@@ -295,10 +298,11 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 		return nil, err
 	}
 
-	// Statistics: pushed-down COUNT(*) probes (cached on the DB).
+	// Statistics (cached on the DB): the probe SQL over each table's sample,
+	// or pushed down when the table has no statistics object.
 	probeStage := e.NextStage()
-	for _, sc := range p.Scans {
-		if err := e.tableStats(sc, probeStage); err != nil {
+	for i, sc := range p.Scans {
+		if err := e.tableStats(sc, objs[i], probeStage); err != nil {
 			return nil, err
 		}
 	}
@@ -368,6 +372,10 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 			}
 			build, probe := p.Scans[buildIdx], p.Scans[probeIdx]
 			matchFrac := build.Stats.Selectivity()
+			// Output estimate, whichever side builds: the smaller table is
+			// taken to hold the key, so each row of the larger matches one of
+			// its rows, and both filters thin the larger table independently.
+			keyRows := float64(max(min(build.Stats.Rows, probe.Stats.Rows), 1))
 			ests := map[string]cloudsim.PlanEstimate{
 				StrategyBaseline: cloudsim.EstimateBaselineJoin(db.Cfg, db.Sim, db.Pricing, build.Stats, probe.Stats),
 				StrategyBloom:    cloudsim.EstimateBloomJoin(db.Cfg, db.Sim, db.Pricing, build.Stats, probe.Stats, matchFrac, planFPR),
@@ -380,7 +388,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 				BuildName: build.Name(), ProbeName: probe.Name(),
 				BuildKey: buildKey, ProbeKey: probeKey,
 				Strategy: strategy, Estimates: ests,
-				EstRows: int64(float64(probe.Stats.FilteredRows) * matchFrac),
+				EstRows: int64(float64(build.Stats.FilteredRows) * float64(probe.Stats.FilteredRows) / keyRows),
 				first:   true, buildIdx: buildIdx, probeIdx: probeIdx,
 			}
 			step.Reason = fmt.Sprintf(
@@ -604,25 +612,28 @@ func (p *QueryPlan) computeProjections() error {
 type cachedStats struct {
 	stats      cloudsim.PlanTableStats
 	idxMatched int64
+	source     string // StatsFromObject or StatsFromProbe
 }
 
 // tableStats fills sc.Stats (and sc.Index) from the DB's stats cache or,
-// on a miss, a pushed-down probe: COUNT(*) plus SUM(CASE ...) counts for
-// the pushed filter and the indexable predicate, all evaluated
-// storage-side in a single scan. The table's backend profile is stamped
+// on a miss, from one probe SQL: COUNT(*) plus SUM(CASE ...) counts for
+// the pushed filter and the indexable predicate, evaluated over the sample
+// of the table's statistics object ts or, without one, storage-side in a
+// single scan (see probeStats). The table's backend profile is stamped
 // onto the stats so every strategy estimate prices the scan at that
 // backend's bandwidth, latency and rates.
-func (e *Exec) tableStats(sc *TableScan, stage int) error {
+func (e *Exec) tableStats(sc *TableScan, ts *statsObj, stage int) error {
 	filter := exprStr(sc.Filter)
 	backendName, backend := e.db.BackendFor(sc.Table)
 	sc.Backend = backendName
 	sc.Index = e.db.indexCandidate(e.ctx, sc.Table, sc.Filter)
-	st, idxMatched, cached, err := e.probeStats(sc.Table, filter, indexProbePred(sc.Index), stage)
+	cs, cached, err := e.probeStats(ts, sc.Table, filter, indexProbePred(sc.Index), stage)
 	if err != nil {
 		return err
 	}
+	st := cs.stats
 	if sc.Index != nil {
-		sc.Index.MatchedRows = idxMatched
+		sc.Index.MatchedRows = cs.idxMatched
 	}
 	st.Cols = len(sc.Cols)
 	// The per-row expression work of the scan SQL execution will push for
@@ -632,7 +643,7 @@ func (e *Exec) tableStats(sc *TableScan, stage int) error {
 	st.ProjCols = len(sc.Project)
 	st.Profile = backend.Profile()
 	st.CachedFrac = e.cachedScanFrac(sc.Table, projectionSQL(sc.Project, filter))
-	sc.Stats, sc.CachedStats = st, cached
+	sc.Stats, sc.StatsSource, sc.CachedStats = st, cs.source, cached
 	return nil
 }
 
@@ -761,6 +772,19 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 	return e.hashJoinLocal(joinStage, cur, right, st.BuildKey, st.ProbeKey)
 }
 
+// statsNote renders a scan's filtered cardinality and where it came from,
+// for EXPLAIN: a count scaled from a sample (see sampleCounts) carries a ~.
+func statsNote(st cloudsim.PlanTableStats, source string, cached bool) string {
+	note := fmt.Sprintf("%d after filter, from %s", st.FilteredRows, source)
+	if source == StatsFromObject && st.Rows > statsSampleRows && st.FilteredRows != st.Rows {
+		note = "~" + note
+	}
+	if cached {
+		note += ", cached stats"
+	}
+	return note
+}
+
 // writeEstimates lists the candidate strategies' predicted runtime and
 // cost in strategy-name order, names padded to width.
 func writeEstimates(b *strings.Builder, indent string, width int, ests map[string]cloudsim.PlanEstimate) {
@@ -782,18 +806,15 @@ func (p *QueryPlan) String() string {
 		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),
 			projectionSQL(sc.Project, exprStr(sc.Filter)))
 		cached := ""
-		if sc.CachedStats {
-			cached = ", cached stats"
-		}
 		if sc.Stats.CachedFrac > 0 {
-			cached += fmt.Sprintf(", cached scan %.0f%%", 100*sc.Stats.CachedFrac)
+			cached = fmt.Sprintf(", cached scan %.0f%%", 100*sc.Stats.CachedFrac)
 		}
 		backend := ""
 		if sc.Backend != "" {
 			backend = ", on " + sc.Backend
 		}
-		fmt.Fprintf(&b, "  [%d rows, %d after filter%s%s]\n",
-			sc.Stats.Rows, sc.Stats.FilteredRows, cached, backend)
+		fmt.Fprintf(&b, "  [%d rows, %s%s%s]\n",
+			sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats), cached, backend)
 		if sc.Index != nil {
 			fmt.Fprintf(&b, "    index on %s: ~%d rows match %s\n",
 				sc.Index.Entry.Column, sc.Index.MatchedRows, sc.Index.Pred.String())

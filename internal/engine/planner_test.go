@@ -394,15 +394,28 @@ func TestPlannerErrors(t *testing.T) {
 }
 
 func TestPlannerProbeCostIsAccounted(t *testing.T) {
-	db, _ := newTestDB(t)
-	_, e, err := db.Query("SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500")
+	db, st := newTestDB(t)
+	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"
+	_, e, err := db.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The planner's COUNT(*) probes scan both tables; their scan bytes
-	// must show up in the query's own metrics.
-	_, scan, _, _ := e.Metrics.Totals()
-	if scan == 0 {
+	// Planning reads each table's statistics object and evaluates the
+	// filter over its sample: both must show up in the query's own metrics.
+	if req, scan, _, get := e.Metrics.Totals(); req < 2 || get == 0 || scan != 0 || e.Metrics.PhaseSeconds("plan stats ") <= 0 {
+		t.Errorf("planning from statistics objects: %d requests, %d GET bytes, %d scanned, %.4fs; want 2 metered GETs and no scan",
+			req, get, scan, e.Metrics.PhaseSeconds("plan stats "))
+	}
+	// Without the objects the planner's COUNT(*) probes scan both tables;
+	// their scan bytes must show up the same way.
+	for _, table := range []string{"cust", "ords"} {
+		st.Delete(testBucket, StatsKey(table))
+	}
+	db.InvalidateStats()
+	if _, e, err = db.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	if _, scan, _, _ := e.Metrics.Totals(); scan == 0 {
 		t.Error("planning probes should be metered")
 	}
 }

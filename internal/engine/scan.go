@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"unicode/utf8"
 
 	"pushdowndb/internal/arena"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -274,6 +276,12 @@ func (e *Exec) TableHeader(phaseName string, stage int, table string) ([]string,
 			return r.Schema().Names(), nil
 		}
 		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			if line := data[:nl]; bytes.IndexByte(line, 0) >= 0 || !utf8.Valid(line) {
+				// Most likely a columnar object too large for the branch
+				// above: its bytes are no header, and no error message.
+				return nil, s3api.NewError("get_range", e.db.bucket, keys[0], s3api.KindBadRequest,
+					fmt.Errorf("engine: table %q has no CSV header row (%d bytes of binary data) and no usable statistics object to name its columns", table, nl))
+			}
 			header, _, err := csvx.Decode(data[:nl+1], true)
 			return header, err
 		}

@@ -67,13 +67,29 @@ func TestTraceThreeTableJoinShape(t *testing.T) {
 		t.Errorf("select rows attr = %d (ok=%v), want %d", rows, ok, len(rel.Rows))
 	}
 
-	// Planning: a plan span with a probe per joined table.
+	// Planning: a plan span over, per joined table, the statistics-object
+	// GET and then the estimate from its sample.
 	if sel.Find("plan") == nil {
 		t.Error("no plan span under the statement")
 	}
-	probes := spansWithPrefix(d, "plan probe ")
-	if len(probes) < 2 {
-		t.Errorf("plan probe spans = %d, want >= 2 (one per estimated table)", len(probes))
+	var gets, estimates int
+	for _, sp := range spansWithPrefix(d, "plan stats ") {
+		bytes, _ := sp.Int("bytes")
+		rows, _ := sp.Int("sample_rows")
+		if bytes <= 0 || rows <= 0 {
+			t.Errorf("%s: bytes=%d sample_rows=%d, want both set", sp.Name, bytes, rows)
+		}
+		if source, ok := sp.Str("source"); ok {
+			estimates++
+			if _, ok := sp.Int("matched"); !ok || source != StatsFromObject {
+				t.Errorf("%s: source=%q, matched set: %v", sp.Name, source, ok)
+			}
+		} else {
+			gets++
+		}
+	}
+	if gets != 3 || estimates != 3 {
+		t.Errorf("plan stats spans: %d GETs and %d estimates, want 3 and 3 (one per table)", gets, estimates)
 	}
 
 	// One join span per plan step, named in step order, carrying the

@@ -82,7 +82,7 @@ func TestVecRowDifferentialCorpus(t *testing.T) {
 
 // columnarFixture writes a nasty columnar table: NULLs in every column, a
 // numeric-looking string column, dates, floats with a NaN.
-func columnarFixture(t *testing.T) *store.Store {
+func columnarFixture(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.New()
 	schema := colformat.Schema{
@@ -189,9 +189,11 @@ func TestVecRowColumnarTable(t *testing.T) {
 	}
 }
 
-// TestProbeStatsColumnar pins the planner's format detection: the stats
-// probe marks columnar tables (every partition answered by the columnar
-// select path) and leaves CSV tables unmarked — with no extra requests.
+// TestProbeStatsColumnar pins the planner's format detection on both of
+// its paths: the statistics object records the table's format, and without
+// one the stats probe marks columnar tables (every partition answered by
+// the columnar select path) and leaves CSV tables unmarked — with no extra
+// requests.
 func TestProbeStatsColumnar(t *testing.T) {
 	st := columnarFixture(t)
 	ctxPut := s3api.NewInProc(st)
@@ -200,28 +202,41 @@ func TestProbeStatsColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := db.NewExec()
-	colStats, _, _, err := e.probeStats("c", "id < 10", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !colStats.Columnar {
-		t.Error("probeStats over a colformat table did not set Columnar")
-	}
-	csvStats, _, _, err := e.probeStats("p", "", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if csvStats.Columnar {
-		t.Error("probeStats over a CSV table set Columnar")
-	}
-	// The flag must survive the stats cache.
-	again, _, cached, err := e.probeStats("c", "id < 10", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || !again.Columnar {
-		t.Errorf("cached probeStats: cached=%v Columnar=%v, want true/true", cached, again.Columnar)
+	for _, path := range []string{StatsFromObject, StatsFromProbe} {
+		db.InvalidateStats()
+		e := db.NewExec()
+		obj := func(table string) *statsObj {
+			if path == StatsFromProbe {
+				return nil
+			}
+			ts := e.statsObject(table, 0)
+			if ts == nil {
+				t.Fatalf("table %s has no usable statistics object", table)
+			}
+			return ts
+		}
+		col, cached, err := e.probeStats(obj("c"), "c", "id < 10", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached || col.source != path || !col.stats.Columnar {
+			t.Errorf("%s: probeStats over a colformat table: cached %v, source %q, Columnar %v", path, cached, col.source, col.stats.Columnar)
+		}
+		csv, _, err := e.probeStats(obj("p"), "p", "", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csv.stats.Columnar {
+			t.Errorf("%s: probeStats over a CSV table set Columnar", path)
+		}
+		// The flag and the source must survive the stats cache.
+		again, cached, err := e.probeStats(obj("c"), "c", "id < 10", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached || again != col {
+			t.Errorf("%s: cached probeStats: cached %v, %+v; want what the first call returned, %+v", path, cached, again, col)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 			res.add("Baseline", x, e3, nil)
 
 			// The SQL path: the access planner picks a strategy and pays
-			// for its own statistics probes.
+			// for its own statistics (the table's statistics object).
 			sql := fmt.Sprintf("SELECT COUNT(*) AS n FROM lineitem WHERE %s", pred)
 			rel, e, err := db.QueryContext(ctx, sql)
 			if err != nil {
@@ -101,6 +101,6 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"IndexScan: pushed probe of the sorted index objects, coalesced multi-range GETs, local re-filter",
 		"the crossover: IndexScan wins while few scattered ranges are fetched, loses when per-range overhead scales with matches",
-		"Planner series records the access-path choice of the SQL front end (its cost includes the stats probes)")
+		"Planner series records the access-path choice of the SQL front end (its cost includes reading the table's statistics object)")
 	return res, nil
 }

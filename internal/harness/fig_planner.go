@@ -59,6 +59,6 @@ func RunPlanner(ctx context.Context, env *Env) (*Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"series name records the strategy the cost model picked at each selectivity",
-		"runtime/cost include the planner's own COUNT(*) statistics probes")
+		"runtime/cost include the planner's own statistics: one GET of each table's statistics object, no COUNT(*) probe")
 	return res, nil
 }

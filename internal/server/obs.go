@@ -29,14 +29,20 @@ type serverObs struct {
 	reg    *obs.Registry
 	traces *obs.TraceLog
 
-	queries    *obs.Counter // {tenant, kind, status}
-	rejections *obs.Counter // {kind}
-	joinSteps  *obs.Counter // {strategy}
+	queries    *obs.Counter   // {tenant, kind, status}
+	rejections *obs.Counter   // {kind}
+	joinSteps  *obs.Counter   // {strategy}
+	planStats  *obs.Counter   // {source}
+	qerrHist   *obs.Histogram // {strategy}
 	slow       *obs.Counter
 	wallHist   *obs.Histogram // {status}
 	simHist    *obs.Histogram
 	phaseHist  *obs.Histogram // {phase}, names normalized by phaseKind
 }
+
+// qerrBuckets resolve a join step's q-error, max(est/actual, actual/est)
+// with both floored at one row: 1 is a perfect estimate.
+var qerrBuckets = []float64{1, 1.25, 1.5, 2, 3, 5, 10, 30, 100, 1000}
 
 // wallBuckets resolve the in-process latencies (typically sub-ms to tens
 // of ms) that DefBuckets, sized for virtual storage time, would flatten.
@@ -58,6 +64,12 @@ func newServerObs(s *Server) *serverObs {
 		joinSteps: reg.Counter("pushdownd_join_steps_total",
 			"Join plan steps executed, by chosen strategy.",
 			"strategy"),
+		planStats: reg.Counter("pushdownd_plan_stats_total",
+			"Table scans planned, by where their statistics came from: the table's statistics object (stats), a full-table probe (probe) or the stats cache (cached).",
+			"source"),
+		qerrHist: reg.Histogram("pushdownd_join_step_qerror",
+			"Cardinality q-error of executed join steps, max(est/actual, actual/est), by chosen strategy.",
+			qerrBuckets, "strategy"),
 		slow: reg.Counter("pushdownd_slow_queries_total",
 			"Queries over the slow-query wall-clock threshold."),
 		wallHist: reg.Histogram("pushdownd_query_wall_seconds",
@@ -134,9 +146,19 @@ func (s *Server) observeQuery(tenant, kind, id, sql string, tr *obs.Trace, exec 
 			s.obs.phaseHist.Observe(p.Seconds(), phaseKind(p.Name))
 		}
 		if plan := exec.QueryPlan(); plan != nil {
+			for _, sc := range plan.Scans {
+				s.obs.planStats.Inc(statsSource(sc.StatsSource, sc.CachedStats))
+			}
 			for _, st := range plan.Steps {
 				s.obs.joinSteps.Inc(st.Strategy)
+				if err == nil { // a failed query's steps have no actuals
+					est, act := float64(max(st.EstRows, 1)), float64(max(st.ActualRows, 1))
+					s.obs.qerrHist.Observe(max(est/act, act/est), st.Strategy)
+				}
 			}
+		}
+		if ap := exec.Access(); ap != nil {
+			s.obs.planStats.Inc(statsSource(ap.StatsSource, ap.CachedStats))
 		}
 	}
 	d := tr.Snapshot()
@@ -152,6 +174,14 @@ func (s *Server) observeQuery(tenant, kind, id, sql string, tr *obs.Trace, exec 
 			WallSec: wall.Seconds(), Trace: json.RawMessage(d.JSON()),
 		})
 	}
+}
+
+// statsSource labels a planned scan for plan_stats_total.
+func statsSource(source string, cached bool) string {
+	if cached {
+		return "cached"
+	}
+	return source
 }
 
 // statementKind labels a parsed statement for the queries_total metric.
@@ -181,7 +211,7 @@ func statementKind(st sqlparse.Statement) string {
 // explode metric cardinality. First match wins, so longer prefixes come
 // first ("plan probe" before "probe", "index select" before "select").
 var phaseKinds = []string{
-	"plan header", "plan probe", "index select", "index fetch", "index lookup",
+	"plan header", "plan probe", "plan stats", "index select", "index fetch", "index lookup",
 	"row fetch", "bloom build", "bloom probe", "filtered scan", "threshold scan",
 	"tail scan", "hash join", "header", "load", "sample", "probe", "scan",
 	"select", "local",

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pushdowndb/internal/engine"
+	"pushdowndb/internal/obs"
 )
 
 // The daemon observability surface: /metrics scrapes parse as Prometheus
@@ -397,4 +400,115 @@ func TestObsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// scrape fetches and parses /metrics.
+func scrape(t *testing.T, f *fixture) map[string]float64 {
+	t.Helper()
+	_, body := get(t, f.base+"/metrics")
+	return parsePromText(t, string(body))
+}
+
+// TestPlanStatsSourceMetric: pushdownd_plan_stats_total says where each
+// planned scan's statistics came from, so a table still planning by
+// full-table probe shows up on a dashboard.
+func TestPlanStatsSourceMetric(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	c := NewClient(f.base)
+	ctx := context.Background()
+	join := testQueries[3]
+	want := map[string]float64{}
+	check := func(when string) {
+		t.Helper()
+		series := scrape(t, f)
+		for _, source := range []string{engine.StatsFromObject, engine.StatsFromProbe, "cached"} {
+			if got := series[`pushdownd_plan_stats_total{source="`+source+`"}`]; got != want[source] {
+				t.Errorf("%s: plan_stats_total{source=%q} = %v, want %v", when, source, got, want[source])
+			}
+		}
+	}
+	if _, err := c.QueryID(ctx, join, "stats-1"); err != nil {
+		t.Fatal(err)
+	}
+	want[engine.StatsFromObject] = 2
+	check("first plan")
+	if _, err := c.Query(ctx, join); err != nil {
+		t.Fatal(err)
+	}
+	want["cached"] = 2
+	check("repeat")
+	// A table whose statistics object is unusable plans by probe.
+	if err := f.counting.Put(ctx, "shop", engine.StatsKey("orders"), []byte("not statistics")); err != nil {
+		t.Fatal(err)
+	}
+	f.db.InvalidateStats()
+	if _, err := c.Query(ctx, join); err != nil {
+		t.Fatal(err)
+	}
+	want[engine.StatsFromObject], want[engine.StatsFromProbe] = 3, 1
+	check("orders without a usable object")
+
+	// The phase histogram files the new phase under its own kind, and the
+	// first plan's trace shows the read and the estimate per table.
+	if got := scrape(t, f)[`pushdownd_phase_sim_seconds_count{phase="plan stats"}`]; got < 4 {
+		t.Errorf(`phase_sim_seconds_count{phase="plan stats"} = %v, want the GET and the estimate of two tables at least`, got)
+	}
+	d, err := c.Trace(ctx, "stats-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	d.Walk(func(sp *obs.SpanData, _ int) {
+		if !strings.HasPrefix(sp.Name, "plan stats ") {
+			return
+		}
+		bytes, _ := sp.Int("bytes")
+		rows, _ := sp.Int("sample_rows")
+		if bytes <= 0 || rows <= 0 {
+			t.Errorf("span %q: bytes=%d sample_rows=%d", sp.Name, bytes, rows)
+		}
+		if source, ok := sp.Str("source"); ok {
+			if _, ok := sp.Int("matched"); !ok || source != engine.StatsFromObject {
+				t.Errorf("span %q: source=%q, matched set: %v", sp.Name, source, ok)
+			}
+			seen[sp.Name] = true
+		}
+	})
+	if !seen["plan stats orders"] || !seen["plan stats customers"] {
+		t.Errorf("no estimate span per table in the trace: %v", seen)
+	}
+}
+
+// TestJoinStepQErrorMetric: every executed join step lands in the
+// per-strategy q-error histogram beside join_steps_total.
+func TestJoinStepQErrorMetric(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	c := NewClient(f.base)
+	res, err := c.Query(context.Background(), "EXPLAIN ANALYZE "+testQueries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(context.Background(), "EXPLAIN "+testQueries[3]); err != nil { // plans, runs no step
+		t.Fatal(err)
+	}
+	series := scrape(t, f)
+	var steps, observed, sum float64
+	for _, strategy := range []string{engine.StrategyBaseline, engine.StrategyBloom, engine.StrategyFiltered} {
+		steps += series[`pushdownd_join_steps_total{strategy="`+strategy+`"}`]
+		observed += series[`pushdownd_join_step_qerror_count{strategy="`+strategy+`"}`]
+		sum += series[`pushdownd_join_step_qerror_sum{strategy="`+strategy+`"}`]
+	}
+	if steps != 1 || observed != 1 || sum < 1 {
+		t.Fatalf("join steps %v, q-errors observed %v summing to %v; want one step with a q-error of at least 1", steps, observed, sum)
+	}
+	// The histogram agrees with the plan the client was shown.
+	var est, act float64
+	for _, row := range res.Relation.Rows {
+		if _, err := fmt.Sscanf(strings.TrimSpace(row[0].AsString()), "rows:   est ~%f, actual %f", &est, &act); err == nil {
+			break
+		}
+	}
+	if q := max(max(est, 1)/max(act, 1), max(act, 1)/max(est, 1)); est == 0 || sum != q {
+		t.Errorf("q-error sum %v, the rendered plan says est %v actual %v (q %v)", sum, est, act, q)
+	}
 }
