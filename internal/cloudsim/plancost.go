@@ -47,6 +47,11 @@ type PlanTableStats struct {
 	// the select cache. This asymmetry is what lets an already-resident
 	// probe side flip the planner from a Bloom probe to a filtered scan.
 	CachedFrac float64
+	// LocalRows is how many rows the access path hands the server-side tail,
+	// which charges each one unit of row work on a stage of its own
+	// (engine.finishLocal); 0 prices no tail. Only the single-table estimates
+	// (EstimateFilteredScan, EstimateBaselineScan, EstimateIndexScan) read it.
+	LocalRows int64
 }
 
 // Selectivity is the fraction of rows passing the table's filter.
@@ -96,6 +101,15 @@ func (e PlanEstimate) Cheaper(other PlanEstimate) bool {
 		return e.USD < other.USD
 	}
 	return e.Seconds < other.Seconds
+}
+
+// estimateWithTail replays the server-side tail of a single-table access
+// path on the given (last) stage, then snapshots the estimate.
+func estimateWithTail(m *Metrics, pricing Pricing, stage int, s PlanTableStats) PlanEstimate {
+	if s.LocalRows > 0 {
+		m.Phase("local", stage).AddServerRows(s.LocalRows)
+	}
+	return estimate(m, pricing)
 }
 
 // estimate snapshots a scratch metrics replay into a PlanEstimate.
@@ -243,7 +257,7 @@ func ExpectedCoalescedRanges(matched, rows int64) int64 {
 func EstimateIndexScan(cfg Config, scale Scale, pricing Pricing, s PlanTableStats, idx IndexScanStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
 	addIndexScan(m, s, idx)
-	return estimate(m, pricing)
+	return estimateWithTail(m, pricing, 2, s)
 }
 
 // EstimateIndexScanJoin prices joining an already-materialized intermediate
@@ -304,15 +318,16 @@ func addIndexScan(m *Metrics, s PlanTableStats, idx IndexScanStats) {
 	fp.AddServerRows(idx.MatchedRows)
 }
 
-// EstimateFilteredScan prices a table's plain pushed scan on its own: one
-// S3 Select per partition with selection+projection pushed down, resident
-// partitions served from the result cache. This is the single-table
-// comparator the access-path planner weighs IndexScan against.
+// EstimateFilteredScan prices a table's pushed scan on its own: one S3 Select
+// per partition returning FilteredRows rows in all, resident partitions
+// served from the result cache, then the server-side tail. The access planner
+// prices the plain scan and the scan with its tail pushed through it, each
+// from the request it would really send.
 func EstimateFilteredScan(cfg Config, scale Scale, pricing Pricing, s PlanTableStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
 	ph := m.PhaseProfile("filtered scan", 0, s.Profile)
 	addScan(ph, s, s.Selectivity(), s.FilterNodes, s.CachedFrac)
-	return estimate(m, pricing)
+	return estimateWithTail(m, pricing, 1, s)
 }
 
 // EstimateBaselineScan prices the server-side baseline for one table: every
@@ -325,7 +340,7 @@ func EstimateBaselineScan(cfg Config, scale Scale, pricing Pricing, s PlanTableS
 		ph.AddGetRequest(per)
 	}
 	ph.AddServerRows(s.Rows)
-	return estimate(m, pricing)
+	return estimateWithTail(m, pricing, 1, s)
 }
 
 // addScan records a full-table S3 Select scan over s returning retFrac of

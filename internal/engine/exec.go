@@ -52,7 +52,7 @@ type Exec struct {
 func (e *Exec) QueryPlan() *QueryPlan { return e.plan }
 
 // Access returns the single-table access-path plan this execution ran
-// (nil when no secondary index was considered).
+// (nil when the statement had no access decision to make: planAccess).
 func (e *Exec) Access() *AccessPlan { return e.access }
 
 // NewExec starts a query execution context with background cancellation.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -76,14 +77,28 @@ func renderAnalyze(sel *sqlparse.Select, rel *Relation, e *Exec) string {
 }
 
 // renderAnalyzeSingle annotates a single-table query: the access strategy
-// that ran and its actual output.
+// that ran, what its pushed tail brought back and whether that was trusted,
+// the chosen candidate's estimate beside the statement's actuals, and the
+// output.
 func renderAnalyzeSingle(b *strings.Builder, sel *sqlparse.Select, rel *Relation, e *Exec) {
-	if ap := e.Access(); ap != nil {
-		b.WriteString(ap.String())
+	ap := e.Access()
+	if ap == nil {
+		fmt.Fprintf(b, "scan %s: %s\n", sel.Table, pushedScan(sel, nil))
 		fmt.Fprintf(b, "  actual: %d rows out\n", len(rel.Rows))
 		return
 	}
-	fmt.Fprintf(b, "scan %s: %s\n", sel.Table, pushedScanSQL(sel))
+	b.WriteString(ap.String())
+	if ap.Pushed != "" {
+		check := "its check held"
+		if ap.Fallback != "" {
+			check = "its check failed (" + ap.Fallback + "): reran on the plain filtered path"
+		}
+		fmt.Fprintf(b, "  rows back: est ~%d, actual %d; %s\n", ap.EstRows, ap.ActualRows, check)
+	}
+	if est, ok := ap.Estimates[cmp.Or(ap.Pushed, ap.Strategy)]; ok {
+		fmt.Fprintf(b, "  cost:   est %.3fs $%.6f, actual %.3fs $%.6f\n",
+			est.Seconds, est.USD, e.RuntimeSeconds(), e.Cost().Total())
+	}
 	fmt.Fprintf(b, "  actual: %d rows out\n", len(rel.Rows))
 }
 

@@ -280,18 +280,35 @@ func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Re
 	return rel, gets, nil
 }
 
-// AccessPlan records the planner's access-path decision for a single-table
-// query whose table has a usable secondary index: the three-way choice
-// between the pushed filtered scan, the IndexScan and the server-side
-// baseline load, with the estimates that drove it.
+// AccessPlan records the planner's access decision for a single-table query
+// that has one to make — its table has a usable secondary index, or its tail
+// has a shape storage could decide (pushdown.go): the choice between the
+// pushed filtered scan, plain or with its tail pushed, the IndexScan and the
+// server-side baseline load, with the estimates that drove it.
 type AccessPlan struct {
 	Table    string
 	Backend  string
 	Strategy string // StrategyIndexScan, StrategyFiltered or StrategyBaseline
 	Reason   string
+	// Pushed is what a filtered plan pushes beyond selection + projection:
+	// PushedTopK, PushedGroupBy or nothing. NotPushed says what ruled the tail
+	// of a grouped or top-K statement out; PushedSQL is the S3 Select SQL a
+	// filtered plan sends every partition.
+	Pushed, NotPushed, PushedSQL string
+	// The sample facts behind the tail: the top-K threshold literal; the
+	// groups the sample showed and how often it showed the rarest.
+	Threshold              string
+	Groups, MinGroupSample int
+	// EstRows and ActualRows are the rows the pushed-tail request was expected
+	// to return and did. Fallback is, after execution, which check of the
+	// pushed tail failed (a Fallback* reason), so that the statement reran on
+	// the plain filtered path; empty when it held.
+	EstRows, ActualRows int64
+	Fallback            string
 	// Index is the chosen (or rejected-but-considered) index candidate.
 	Index *IndexCandidate
-	// Estimates maps each candidate strategy to its predicted runtime/cost.
+	// Estimates maps each candidate to its predicted runtime/cost: the
+	// strategies by name, the filtered scan with its tail pushed by Pushed's.
 	Estimates map[string]cloudsim.PlanEstimate
 	// EstRanges and EstRangedGets are the predicted coalesced-range and
 	// multi-range-GET counts of the IndexScan strategy.
@@ -300,92 +317,180 @@ type AccessPlan struct {
 	// in by execution when the IndexScan strategy ran).
 	RangedGets int64
 	// Stats, StatsSource and CachedStats are the planner's view of the
-	// table, as on a TableScan.
+	// table, as on a TableScan; StatsSource is empty when it had none.
 	Stats       cloudsim.PlanTableStats
 	StatsSource string
 	CachedStats bool
+
+	push *tailPush // the planned tail; run when Pushed is set
 }
+
+// Why a pushed tail's answer was not trusted (AccessPlan.Fallback).
+const (
+	FallbackGroupsMissed   = "groups_missed"   // filtered rows fell outside every sampled group
+	FallbackGroupsOverlap  = "groups_overlap"  // the groups' row counts do not add up to COUNT(*)
+	FallbackShortThreshold = "short_threshold" // fewer than K rows passed the threshold
+)
 
 // String renders the access plan for Explain and -explain.
 func (ap *AccessPlan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "access plan for %s (on %s): %s — %s\n", ap.Table, ap.Backend, ap.Strategy, ap.Reason)
-	fmt.Fprintf(&b, "  [%d rows, %s]\n", ap.Stats.Rows, statsNote(ap.Stats, ap.StatsSource, ap.CachedStats))
+	strategy := ap.Strategy
+	if ap.Pushed != "" {
+		strategy += " + " + ap.Pushed
+	}
+	fmt.Fprintf(&b, "access plan for %s (on %s): %s — %s\n", ap.Table, ap.Backend, strategy, ap.Reason)
+	if ap.StatsSource != "" {
+		fmt.Fprintf(&b, "  [%d rows, %s]\n", ap.Stats.Rows, statsNote(ap.Stats, ap.StatsSource, ap.CachedStats))
+	}
+	switch {
+	case ap.Pushed == PushedTopK:
+		fmt.Fprintf(&b, "  pushed: %s, threshold %s from the sample, ~%d rows expected back\n", ap.Pushed, ap.Threshold, ap.EstRows)
+	case ap.Pushed == PushedGroupBy && ap.Groups > 0:
+		fmt.Fprintf(&b, "  pushed: %s, %d groups in the sample, the rarest %d times\n", ap.Pushed, ap.Groups, ap.MinGroupSample)
+	case ap.Pushed != "":
+		fmt.Fprintf(&b, "  pushed: %s, a plain aggregation\n", ap.Pushed)
+	case ap.NotPushed != "":
+		fmt.Fprintf(&b, "  not pushed beyond selection + projection: %s\n", ap.NotPushed)
+	}
 	if ap.Index != nil {
 		fmt.Fprintf(&b, "  index %s(%s): predicate %s, ~%d matching rows, ~%d ranges in ~%d multi-range GETs\n",
 			ap.Table, ap.Index.Entry.Column, ap.Index.Pred.String(),
 			ap.Index.MatchedRows, ap.EstRanges, ap.EstRangedGets)
 	}
-	writeEstimates(&b, "  ", 10, ap.Estimates)
+	writeEstimates(&b, "  ", 16, ap.Estimates)
 	return b.String()
 }
 
-// planAccess decides the access path of a single-table SELECT. It returns
-// nil — and the legacy pushed-scan path runs untouched, with zero extra
-// requests — unless the table has a live index that resolves part of the
-// WHERE clause. When it does, the planner pays for its statistics like the
-// join planner (a header probe plus one pushed COUNT probe per partition,
-// cached on the DB) and weighs IndexScan against the pushed filtered scan
-// and the baseline load.
+// planAccess is the one access decision of a single-table SELECT. It returns
+// nil — and the plain pushed scan runs with zero extra requests — unless the
+// table has a live index that resolves part of the WHERE clause or the
+// statement's tail has a pushable shape (decided from the AST alone). Then
+// it reads the table's statistics object and prices every candidate by
+// replaying what its execution will meter: the pushed filtered scan and, with
+// an index, the IndexScan and the baseline load (whose statistics, without an
+// object, are a header GET and a pushed COUNT probe, as the join planner's);
+// with an object, the filtered scan with its tail pushed (planTail). Cheaper
+// chooses; in doubt — no object, or keys its sample cannot evaluate — filtered,
+// unpriced, with no further request.
 func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
-	if sel.Where == nil {
-		return nil, nil
-	}
 	table := sel.Table
-	filter := sqlparse.StripQualifiers(sel.Where)
-	cand := e.db.indexCandidate(e.ctx, table, filter)
-	if cand == nil {
+	var filter sqlparse.Expr
+	var cand *IndexCandidate
+	if sel.Where != nil {
+		filter = sqlparse.StripQualifiers(sel.Where)
+		cand = e.db.indexCandidate(e.ctx, table, filter)
+	}
+	kind, _ := pushableShape(sel)
+	if cand == nil && kind == "" {
 		return nil, nil
 	}
 	backendName, backend := e.db.BackendFor(table)
+	db := e.db
+	var err error
 
 	psp := e.beginSpan("plan")
 	defer psp.End()
 	defer e.restoreSpanParent(e.setSpanParent(psp))
 	stage := e.NextStage()
-	ts, cols, err := e.tableShape(table, stage)
-	if err != nil {
+	ap := &AccessPlan{Table: table, Backend: backendName, Strategy: StrategyFiltered, Index: cand}
+	var ts *statsObj
+	var cols []string
+	if cand == nil {
+		if ts = e.statsObject(table, stage); ts != nil {
+			cols = ts.cols
+		}
+	} else if ts, cols, err = e.tableShape(table, stage); err != nil {
 		return nil, err
 	}
-	pushedSQL := pushedScanSQL(sel)
-	cs, cached, err := e.probeStats(ts, table, filter.String(), indexProbePred(cand), stage)
-	if err != nil {
-		return nil, err
+	filtered := int64(-1)
+	if kind != "" {
+		filtered = e.planTail(sel, kind, ts, stage, ap)
 	}
-	st, idxMatched := cs.stats, cs.idxMatched
-	cand.MatchedRows = idxMatched
-	st.Cols = len(cols)
-	st.FilterNodes = pushedNodes(pushedSQL)
-	st.ProjCols = pushedProjCols(sel, len(cols))
-	st.Profile = backend.Profile()
-	st.CachedFrac = e.cachedScanFrac(table, pushedSQL)
+	plain := pushedScan(sel, nil)
+	ap.PushedSQL = plain.String()
+	if cand == nil && (ts == nil || (ap.push == nil && filtered < 0)) {
+		// In doubt, filtered, and no further request: nothing to price with.
+		ap.Reason = "not priced: the plain pushed scan"
+		if ap.push != nil { // a plain aggregation: planTail needs no sample for it
+			ap.Pushed, ap.PushedSQL = kind, ap.push.sql
+			ap.Reason = "not priced: one row per partition whatever the table holds"
+		}
+		return ap, nil
+	}
 
-	db := e.db
-	ests := map[string]cloudsim.PlanEstimate{
-		StrategyIndexScan: cloudsim.EstimateIndexScan(db.Cfg, db.Sim, db.Pricing, st, indexScanStats(cand)),
-		StrategyFiltered:  cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, st),
-		StrategyBaseline:  cloudsim.EstimateBaselineScan(db.Cfg, db.Sim, db.Pricing, st),
+	var st cloudsim.PlanTableStats
+	if cand != nil || filtered < 0 {
+		cs, cached, err := e.probeStats(ts, table, exprStr(filter), indexProbePred(cand), stage)
+		if err != nil {
+			return nil, err
+		}
+		st, ap.StatsSource, ap.CachedStats = cs.stats, cs.source, cached
+		if cand != nil {
+			cand.MatchedRows = cs.idxMatched
+		}
+	} else {
+		st, ap.StatsSource = ts.tableStats(), StatsFromObject
+		st.FilteredRows = filtered
 	}
-	strategy := StrategyFiltered
-	for _, s := range []string{StrategyBaseline, StrategyIndexScan} {
-		if ests[s].Cheaper(ests[strategy]) {
-			strategy = s
+	st.Cols = len(cols)
+	st.Profile = backend.Profile()
+
+	// scan prices a pushed scan sending req (as SQL, sql), returning
+	// `returned` rows in all and handing `local` of them to the server-side
+	// tail.
+	scan := func(req *sqlparse.Select, sql string, returned, local int64) (cloudsim.PlanTableStats, cloudsim.PlanEstimate) {
+		s := st
+		s.FilteredRows, s.LocalRows = returned, local
+		s.FilterNodes, s.ProjCols = selectengine.CountNodes(req), returnedCols(req, len(cols))
+		s.CachedFrac = e.cachedScanFrac(table, sql)
+		return s, cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, s)
+	}
+	ap.Estimates = map[string]cloudsim.PlanEstimate{}
+	tailRows := st.FilteredRows
+	if isSimple(sel) {
+		tailRows = 0 // the whole statement is pushed: nothing is left to finish
+	}
+	ap.Stats, ap.Estimates[StrategyFiltered] = scan(plain, ap.PushedSQL, st.FilteredRows, tailRows)
+	if cand != nil {
+		withTail := ap.Stats
+		withTail.LocalRows = st.FilteredRows
+		ap.Estimates[StrategyIndexScan] = cloudsim.EstimateIndexScan(db.Cfg, db.Sim, db.Pricing, withTail, indexScanStats(cand))
+		ap.Estimates[StrategyBaseline] = cloudsim.EstimateBaselineScan(db.Cfg, db.Sim, db.Pricing, withTail)
+		ap.EstRanges = cloudsim.ExpectedCoalescedRanges(cand.MatchedRows, st.Rows)
+		if ap.EstRanges > 0 {
+			parts := int64(max(st.Partitions, 1))
+			perPart := (ap.EstRanges + parts - 1) / parts
+			ap.EstRangedGets = parts * ((perPart + index.DefaultMaxRangesPerGet - 1) / index.DefaultMaxRangesPerGet)
+		}
+		ap.Reason = fmt.Sprintf("index on %s matches ~%d of %d rows (%.2f%%); ",
+			cand.Entry.Column, cand.MatchedRows, st.Rows,
+			100*float64(cand.MatchedRows)/float64(max(st.Rows, 1)))
+	}
+	if push := ap.push; push != nil {
+		ap.EstRows = push.estRows
+		local := push.estRows
+		if kind == PushedGroupBy { // one row back per partition, one merged row per group to finish
+			ap.EstRows, local = int64(max(st.Partitions, 1)), int64(len(push.groups))
+		}
+		_, ap.Estimates[kind] = scan(push.req, push.sql, ap.EstRows, local)
+	}
+	best := StrategyFiltered
+	for _, c := range []string{StrategyBaseline, StrategyIndexScan, kind} {
+		if est, ok := ap.Estimates[c]; ok && est.Cheaper(ap.Estimates[best]) {
+			best = c
 		}
 	}
-	ap := &AccessPlan{
-		Table: table, Backend: backendName,
-		Strategy: strategy, Index: cand,
-		Estimates: ests, Stats: st, StatsSource: cs.source, CachedStats: cached,
+	switch {
+	case best == kind:
+		ap.Pushed, ap.PushedSQL = kind, ap.push.sql
+	case best != StrategyFiltered:
+		ap.Strategy, ap.PushedSQL = best, ""
 	}
-	ap.EstRanges = cloudsim.ExpectedCoalescedRanges(idxMatched, st.Rows)
-	if ap.EstRanges > 0 {
-		parts := int64(max(st.Partitions, 1))
-		perPart := (ap.EstRanges + parts - 1) / parts
-		ap.EstRangedGets = parts * ((perPart + index.DefaultMaxRangesPerGet - 1) / index.DefaultMaxRangesPerGet)
+	if ap.push != nil && ap.Pushed == "" {
+		ap.NotPushed = "the plan without it is estimated cheaper"
 	}
-	ap.Reason = fmt.Sprintf("index on %s matches ~%d of %d rows (%.2f%%); %s estimated cheapest",
-		cand.Entry.Column, idxMatched, st.Rows,
-		100*float64(idxMatched)/float64(max(st.Rows, 1)), strategy)
+	ap.Reason += best + " estimated cheapest"
 	return ap, nil
 }
 
@@ -435,10 +540,7 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 	counts := e.sampleCounts(ts, table, sql, stage)
 	cs.source = StatsFromObject
 	if counts != nil {
-		cs.stats = cloudsim.PlanTableStats{
-			Bytes: ts.bytes, Rows: ts.rows,
-			Partitions: len(ts.partSizes), Columnar: ts.columnar,
-		}
+		cs.stats = ts.tableStats()
 	} else {
 		cs.source = StatsFromProbe
 		sp := e.beginSpan("plan probe " + table)
@@ -492,14 +594,22 @@ func pushedNodes(sql string) int64 {
 	return selectengine.CountNodes(sel)
 }
 
-// pushedProjCols reports how many columns the legacy pushed scan would
-// return for sel (0 = all, matching PlanTableStats.ProjCols semantics).
-func pushedProjCols(sel *sqlparse.Select, tableCols int) int {
-	cols := queryColumns(sel)
-	if cols == nil || len(cols) >= tableCols {
-		return 0
+// returnedCols reports how many columns a pushed scan returns (0 = all,
+// matching PlanTableStats.ProjCols semantics).
+func returnedCols(req *sqlparse.Select, tableCols int) int {
+	seen := map[string]bool{}
+	for _, it := range req.Items {
+		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+			return 0
+		}
+		for _, c := range sqlparse.Columns(it.Expr) {
+			seen[strings.ToLower(c)] = true
+		}
 	}
-	return len(cols)
+	if n := max(len(seen), 1); n < tableCols {
+		return n
+	}
+	return 0
 }
 
 // runIndexScanSelect executes a single-table SELECT through the IndexScan

@@ -33,7 +33,7 @@ const (
 	pipeMark = "= 5"
 )
 
-// pipelineFixture writes the same 240 rows (k, g, v) as CSV table "t" and
+// pipelineFixture writes the same 240 rows (k, g, v, tag) as CSV table "t" and
 // columnar table "c", unindexed, so every query takes the pushed-scan path.
 func pipelineFixture(t *testing.T) *store.Store {
 	t.Helper()
@@ -42,14 +42,16 @@ func pipelineFixture(t *testing.T) *store.Store {
 	var typed [][]value.Value
 	for i := 0; i < 240; i++ {
 		v := float64(i%31) * 1.5
-		csv = append(csv, []string{fmt.Sprint(i), fmt.Sprint(i % 7), fmt.Sprint(v)})
-		typed = append(typed, []value.Value{value.Int(int64(i)), value.Int(int64(i % 7)), value.Float(v)})
+		tag := fmt.Sprintf("tag-%d", i%5)
+		csv = append(csv, []string{fmt.Sprint(i), fmt.Sprint(i % 7), fmt.Sprint(v), tag})
+		typed = append(typed, []value.Value{value.Int(int64(i)), value.Int(int64(i % 7)), value.Float(v), value.Str(tag)})
 	}
-	if err := PartitionTable(context.Background(), st, pipeBucket, "t", []string{"k", "g", "v"}, csv, pipeParts); err != nil {
+	if err := PartitionTable(context.Background(), st, pipeBucket, "t", []string{"k", "g", "v", "tag"}, csv, pipeParts); err != nil {
 		t.Fatal(err)
 	}
 	schema := colformat.Schema{
 		{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "v", Kind: value.KindFloat},
+		{Name: "tag", Kind: value.KindString},
 	}
 	if err := PartitionTableColumnar(st, pipeBucket, "c", schema, typed, pipeParts, 16, true); err != nil {
 		t.Fatal(err)
@@ -70,7 +72,8 @@ var compositions = []composition{
 // the share layer's batching window.
 func (c composition) open(t *testing.T, backend s3api.Backend, window time.Duration) *DB {
 	t.Helper()
-	opts := []Option{WithBackend("s3sim", backend)}
+	// Priced at a scale where pushing a tail pays: the fixture is 240 rows.
+	opts := []Option{WithBackend("s3sim", backend), WithScale(cloudsim.Scale{DataRatio: 1e5, PartRatio: 8})}
 	if c.cache {
 		opts = append(opts, WithResultCache(testCacheBudget))
 	}
@@ -156,6 +159,7 @@ func TestSelectPipelineCompositions(t *testing.T) {
 				t.Run("sequential", func(t *testing.T) { pipelineSequential(t, st, table, comp) })
 				if comp.share {
 					t.Run("concurrent", func(t *testing.T) { pipelineConcurrent(t, st, table, comp) })
+					t.Run("singleflight", func(t *testing.T) { pipelineSingleflight(t, st, table, comp) })
 				}
 				if comp.cache {
 					t.Run("fill-vs-invalidate", func(t *testing.T) { pipelineFillRace(t, st, table, comp) })
@@ -173,23 +177,35 @@ func TestSelectPipelineCompositions(t *testing.T) {
 // direct pass through every composition and must bill exactly what the
 // plain DB bills; a cached repeat reaches the backend with no Select and
 // bills nothing but the re-parse, an uncached one bills a direct pass again.
+// The last two statements run with their tails pushed (a thresholded top-K,
+// an S3-side group-by), and the one before them reads the statistics object
+// only to find its keys numeric: the catalog GET is a request on the bill,
+// not a Select.
 func pipelineSequential(t *testing.T, st *store.Store, table string, comp composition) {
-	plain := composition{}.open(t, s3api.NewInProc(st), 0)
+	plainCounting := s3api.NewCounting(s3api.NewInProc(st))
+	plain := composition{}.open(t, plainCounting, 0)
 	counting := s3api.NewCounting(s3api.NewInProc(st))
 	db := comp.open(t, counting, 0)
-	for _, q := range []string{
+	for qi, q := range []string{
 		fmt.Sprintf(pipeScan, table),
 		fmt.Sprintf("SELECT COUNT(*) AS n, SUM(v) AS s FROM %s WHERE g < 4", table),
 		fmt.Sprintf("SELECT g, COUNT(*) AS n FROM %s GROUP BY g ORDER BY g", table),
+		fmt.Sprintf("SELECT k, v FROM %s WHERE g < 6 ORDER BY v DESC, k LIMIT 5", table),
+		fmt.Sprintf("SELECT tag, COUNT(*) AS n, MAX(v) AS hi FROM %s WHERE g < 6 GROUP BY tag ORDER BY tag", table),
 	} {
 		var ref [2]bill
+		var refSelects [2]int64
 		var want *Relation
 		for i := range ref {
+			before := plainCounting.Selects()
 			rel, e, err := plain.Query(q)
 			if err != nil {
 				t.Fatalf("plain %q: %v", q, err)
 			}
-			want, ref[i] = rel, billOf(e)
+			want, ref[i], refSelects[i] = rel, billOf(e), plainCounting.Selects()-before
+			if pushed := qi >= 3; pushed != (e.Access() != nil && e.Access().Pushed != "" && e.Access().Fallback == "") {
+				t.Fatalf("plain %q: access plan %+v, want its tail pushed: %v", q, e.Access(), pushed)
+			}
 		}
 		for i := range ref {
 			before := counting.Selects()
@@ -207,12 +223,12 @@ func pipelineSequential(t *testing.T, st *store.Store, table string, comp compos
 				if got.requests != 0 || got.scan != 0 || got.returned != 0 || got.cost.Total() >= ref[1].cost.Total() {
 					t.Errorf("%q warm: billed %+v, want only the re-parse (direct pass: %+v)", q, got, ref[1])
 				}
-				if hits != ref[1].requests || hitBytes != ref[1].returned {
+				if hits != refSelects[1] || hitBytes != ref[1].returned {
 					t.Errorf("%q warm: %d hits / %d bytes, want %d / %d", q, hits, hitBytes, ref[1].requests, ref[1].returned)
 				}
 				continue
 			}
-			if selects != ref[i].requests || got != ref[i] || hits != 0 {
+			if selects != refSelects[i] || got != ref[i] || hits != 0 {
 				t.Errorf("%q run %d: %d backend Selects, %d hits, billed %+v; a direct pass is %+v", q, i, selects, hits, got, ref[i])
 			}
 		}
@@ -279,6 +295,59 @@ func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp compos
 	}
 	if hits, _ := e.Metrics.CacheTotals(); hits != ref.requests || counting.Selects() != ref.requests {
 		t.Errorf("next query: %d hits, %d backend Selects in total; the leaders' fills should serve all %d", hits, counting.Selects(), ref.requests)
+	}
+}
+
+// pipelineSingleflight: a pushed aggregate is no scan the batching window
+// holds, so identical S3-side group-bys share a pass only while it is in
+// flight. Held there, one pass per partition serves all n, each billed 1/n.
+func pipelineSingleflight(t *testing.T, st *store.Store, table string, comp composition) {
+	const n = 4
+	q := fmt.Sprintf("SELECT tag, COUNT(*) AS n, MIN(v) AS lo FROM %s WHERE g < 5 OR g = 5 GROUP BY tag ORDER BY tag", table)
+	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap := refExec.Access(); ap == nil || ap.Pushed != PushedGroupBy || ap.Fallback != "" {
+		t.Fatalf("the statement did not run as an S3-side group-by: %+v", ap)
+	}
+	ref := billOf(refExec)
+
+	backend := newHeldSelects(t, st)
+	db := comp.open(t, backend, -1)
+	rels, execs, errs := make([]*Relation, n), make([]*Exec, n), make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rels[i], execs[i], errs[i] = db.Query(q)
+		}(i)
+	}
+	backend.awaitPasses(t, pipeParts, "the leaders' passes")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if ss, _ := db.ScanShareStats(); ss.Selects == n*pipeParts {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests reached the coordinator", ss.Selects, n*pipeParts)
+		}
+	}
+	backend.release()
+	wg.Wait()
+	if got := backend.Selects(); got != pipeParts {
+		t.Errorf("%d identical group-bys reached the backend with %d Selects, want the %d of one", n, got, pipeParts)
+	}
+	var requests, scan float64
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		identicalRows(t, q, want, rels[i])
+		r, s, _, _ := execs[i].Metrics.SharedTotals()
+		requests, scan = requests+r, scan+s
+	}
+	if requests != pipeParts || scan != float64(ref.scan) {
+		t.Errorf("sharer bills sum to %v requests / %v scanned; one direct pass is %d / %d", requests, scan, pipeParts, ref.scan)
 	}
 }
 

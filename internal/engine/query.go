@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
 )
 
 // Query is PushdownDB's SQL front end. Single-table SELECTs (WHERE, GROUP
@@ -132,35 +133,38 @@ func (db *DB) planParsed(ctx context.Context, sel *sqlparse.Select) (*QueryPlan,
 
 func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 	table := sel.Table
-	// Access-path planning: when the table has a live secondary index that
-	// resolves part of the WHERE clause, weigh IndexScan against the
-	// pushed filtered scan and the baseline load (metered stats probes,
-	// cached on the DB). Unindexed tables skip this entirely.
+	// The access decision (planAccess): statements with none to make — no
+	// usable index, no tail storage could decide — skip it entirely.
 	ap, err := e.planAccess(sel)
 	if err != nil {
 		return nil, err
 	}
 	if ap != nil {
 		e.access = ap
-		switch ap.Strategy {
-		case StrategyIndexScan:
+		switch {
+		case ap.Strategy == StrategyIndexScan:
 			return e.runIndexScanSelect(sel, ap)
-		case StrategyBaseline:
+		case ap.Strategy == StrategyBaseline:
 			rel, err := e.serverSideFilter(table, sqlparse.StripQualifiers(sel.Where), nil)
 			if err != nil {
 				return nil, err
 			}
 			return e.finishLocal(rel, sel)
+		case ap.Pushed != "":
+			if rel, err := e.runTail(sel, ap); rel != nil || err != nil {
+				return rel, err
+			}
+			// The pushed tail's check failed: the right answer is one plain
+			// filtered pass away.
+			e.curSpanParent().SetStr("pushdown_fallback", ap.Fallback)
 		}
-		// StrategyFiltered: the legacy pushed scan below.
 	}
 
-	simple := len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0 && !sel.HasAggregates()
-	rel, err := e.SelectRows("scan "+table, e.NextStage(), table, pushedScanSQL(sel))
+	rel, err := e.SelectRows("scan "+table, e.NextStage(), table, pushedScan(sel, nil).String())
 	if err != nil {
 		return nil, err
 	}
-	if simple {
+	if isSimple(sel) {
 		// Fully pushable: selection, projection and LIMIT all went to S3.
 		if sel.Limit >= 0 {
 			rel = LimitLocal(rel, int(sel.Limit))
@@ -170,30 +174,36 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 	return e.finishLocal(rel, sel)
 }
 
-// pushedScanSQL renders the S3 Select SQL the pushed-scan path sends for a
-// single-table query: the whole statement for fully pushable selects,
-// selection plus referenced-column projection otherwise. Explain, the
-// access planner's result-cache residency check and execution all use this
-// one rendering, so they can never disagree about what the cache holds.
-func pushedScanSQL(sel *sqlparse.Select) string {
-	simple := len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0 && !sel.HasAggregates()
-	if simple {
-		pushed := &sqlparse.Select{
-			Items: sel.Items, Table: "S3Object",
-			Where: sel.Where, Limit: sel.Limit,
+// pushedScan is the S3 Select request the pushed-scan path sends for a
+// single-table query: the whole statement for fully pushable selects;
+// otherwise the selection — WHERE with extra ANDed onto it (the top-K
+// threshold; nil for none) — plus the projection of the columns the
+// server-side tail reads. Explain, the access planner's estimates and
+// result-cache residency check, and execution all use this one rendering, so
+// they can never disagree about what is sent or what the cache holds.
+func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
+	pushed := &sqlparse.Select{Items: sel.Items, Table: "S3Object", Where: sel.Where, Limit: sel.Limit}
+	if !isSimple(sel) {
+		if cols, star := queryColumns(sel); len(cols) > 0 {
+			pushed.Items = columnItems(cols)
+		} else if !star {
+			// The tail reads no column (COUNT(*)): one constant per row.
+			pushed.Items = []sqlparse.SelectItem{{Expr: &sqlparse.Literal{Val: value.Int(1)}}}
 		}
-		return pushed.String()
+		pushed.Limit = -1
+		if sel.Where == nil {
+			pushed.Where = extra
+		} else if extra != nil {
+			pushed.Where = &sqlparse.Binary{Op: sqlparse.OpAnd, L: sel.Where, R: extra}
+		}
 	}
-	cols := queryColumns(sel)
-	proj := "*"
-	if len(cols) > 0 {
-		proj = strings.Join(cols, ", ")
-	}
-	sql := "SELECT " + proj + " FROM S3Object"
-	if sel.Where != nil {
-		sql += " WHERE " + sel.Where.String()
-	}
-	return sql
+	return pushed
+}
+
+// isSimple reports a statement S3 Select runs whole: selection, projection
+// and LIMIT, no tail for the server.
+func isSimple(sel *sqlparse.Select) bool {
+	return len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0 && !sel.HasAggregates()
 }
 
 // finishLocal runs the server-side tail of a query over an already-scanned
@@ -331,10 +341,10 @@ func orderByOverInput(sel *sqlparse.Select) []sqlparse.OrderItem {
 	return orderBy
 }
 
-// queryColumns collects every column the query references, for projection
-// pushdown; returns nil when a * appears anywhere.
-func queryColumns(sel *sqlparse.Select) []string {
-	var cols []string
+// queryColumns collects the columns the server-side tail of the query reads
+// — everything referenced outside WHERE, which is pushed whole — for
+// projection pushdown; star reports a * in the select list (every column).
+func queryColumns(sel *sqlparse.Select) (cols []string, star bool) {
 	seen := map[string]bool{}
 	add := func(names []string) {
 		for _, n := range names {
@@ -347,12 +357,9 @@ func queryColumns(sel *sqlparse.Select) []string {
 	}
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			return nil
+			return nil, true
 		}
 		add(sqlparse.Columns(it.Expr))
-	}
-	if sel.Where != nil {
-		add(sqlparse.Columns(sel.Where))
 	}
 	for _, g := range sel.GroupBy {
 		add(sqlparse.Columns(g))
@@ -367,7 +374,7 @@ func queryColumns(sel *sqlparse.Select) []string {
 			add([]string{c})
 		}
 	}
-	return cols
+	return cols, false
 }
 
 func isAlias(sel *sqlparse.Select, name string) bool {
@@ -412,27 +419,26 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	}
 	var b strings.Builder
 	e := db.NewExecContext(ctx)
-	// With a result cache configured, report how much of the pushed scan is
-	// already resident ("cached scan") so a warm repeat's near-zero storage
-	// bill is visible before running.
-	cachedScan := func(pushedSQL string) string {
-		frac := e.cachedScanFrac(sel.Table, pushedSQL)
-		if frac <= 0 {
-			return ""
-		}
-		return fmt.Sprintf("  [cached scan %.0f%%]", 100*frac)
-	}
-	// Access-path planning for indexed tables (issues the planner's metered
-	// header/stats probes, like join Explain does).
+	// The access decision (issues the planner's metered catalog GET and,
+	// with an index, its probes, like join Explain does).
 	ap, err := e.planAccess(sel)
 	if err != nil {
 		return "", err
 	}
+	pushedSQL := pushedScan(sel, nil).String()
 	if ap != nil {
 		b.WriteString(ap.String())
+		pushedSQL = ap.PushedSQL
+	} else if _, why := pushableShape(sel); why != "" {
+		fmt.Fprintf(&b, "not pushed beyond selection + projection: %s\n", why)
 	}
-	simple := len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0 && !sel.HasAggregates()
-	pushedSQL := pushedScanSQL(sel)
+	// With a result cache configured, report how much of the scan really
+	// pushed is already resident ("cached scan") so a warm repeat's near-zero
+	// storage bill is visible before running.
+	cached := ""
+	if frac := e.cachedScanFrac(sel.Table, pushedSQL); frac > 0 {
+		cached = fmt.Sprintf("  [cached scan %.0f%%]", 100*frac)
+	}
 	switch {
 	case ap != nil && ap.Strategy == StrategyIndexScan:
 		fmt.Fprintf(&b, "IndexScan: probe index %s(%s), fetch ~%d ranges in ~%d multi-range GETs, re-filter %s locally\n",
@@ -440,11 +446,16 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	case ap != nil && ap.Strategy == StrategyBaseline:
 		fmt.Fprintf(&b, "server-side baseline: GET every partition of %s, filter %s locally\n",
 			sel.Table, sel.Where.String())
-	case simple:
-		fmt.Fprintf(&b, "S3 Select (full pushdown): %s%s\n", sel.String(), cachedScan(pushedSQL))
+	case isSimple(sel):
+		fmt.Fprintf(&b, "S3 Select (full pushdown): %s%s\n", sel.String(), cached)
 		return b.String(), nil
+	case ap != nil && ap.Pushed != "":
+		fmt.Fprintf(&b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, pushedSQL, cached)
+		if len(sel.GroupBy) > 0 {
+			b.WriteString("server: merge the partitions' rows, check that every filtered row fell in exactly one group\n")
+		}
 	default:
-		fmt.Fprintf(&b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cachedScan(pushedSQL))
+		fmt.Fprintf(&b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cached)
 	}
 	writeLocalTail(&b, "", sel)
 	return b.String(), nil

@@ -12,6 +12,7 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/value"
@@ -202,44 +203,66 @@ func (e *Exec) tableShape(table string, stage int) (*statsObj, []string, error) 
 	return nil, cols, err
 }
 
-// sampleCounts runs a probe SQL — COUNT(*), then SUM(CASE …) counts — over
-// the table's sample with the select engine itself and scales every count
-// but the first to the table: matches × rows / sample rows, or, when no
-// sample row matched, half of one sample row's weight (at least 1). A
-// sample that is the whole table gives exact counts. The query is charged
-// sample_rows units of row work. nil means no object, or SQL that cannot be
-// evaluated locally: the remote probe gives the counts, or the reason.
-func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 {
-	if ts == nil {
-		return nil
+// tableStats is the object's exact half of the planner's view of the table.
+func (ts *statsObj) tableStats() cloudsim.PlanTableStats {
+	return cloudsim.PlanTableStats{Bytes: ts.bytes, Rows: ts.rows, Partitions: len(ts.partSizes), Columnar: ts.columnar}
+}
+
+// scaled is a count of sample rows as an estimate for the table: n × rows /
+// sample rows, or, when no sample row counted, half of one sample row's
+// weight (at least 1). A sample that is the whole table counts exactly.
+func (ts *statsObj) scaled(n int64) int64 {
+	weight := float64(ts.rows) / float64(max(ts.sampleRows, 1))
+	switch {
+	case ts.sampleRows == ts.rows:
+		return n
+	case n == 0:
+		return max(1, int64(math.Round(weight/2)))
 	}
+	return int64(math.Round(float64(n) * weight))
+}
+
+// sampleSelect runs sql over the table's sample with the select engine itself
+// — the one estimator — and charges the query sample_rows units of row work,
+// as the phase and span "plan stats <table>". The caller ends the span with
+// endPhaseSpan once it has said what it found; a failed evaluation has ended
+// it already.
+func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) (*selectengine.Result, *obs.Span, *cloudsim.Phase, error) {
 	sp := e.beginSpan("plan stats " + table)
 	phase := e.tablePhase("plan stats "+table, stage, table)
 	phase.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
 	res, err := selectengine.Execute(ts.sample, selectengine.Request{
 		SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()})
+	if err != nil {
+		endSpanErr(sp, err)
+		return nil, nil, nil, err
+	}
+	sp.SetInt("bytes", int64(len(ts.sample)))
+	sp.SetInt("sample_rows", ts.sampleRows)
+	sp.SetStr("source", StatsFromObject)
+	return res, sp, phase, nil
+}
+
+// sampleCounts runs a probe SQL — COUNT(*), then SUM(CASE …) counts — over
+// the table's sample (sampleSelect) and scales every count but the first to
+// the table (scaled). nil means no object, or SQL that cannot be evaluated
+// locally: the remote probe gives the counts, or the reason.
+func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 {
+	if ts == nil {
+		return nil
+	}
+	res, sp, phase, err := e.sampleSelect(ts, table, sql, stage)
 	if err != nil || len(res.Rows) != 1 {
 		endSpanErr(sp, err)
 		return nil
 	}
-	weight := float64(ts.rows) / float64(max(ts.sampleRows, 1))
 	counts := make([]int64, len(res.Rows[0]))
 	for i, f := range res.Rows[0] {
 		counts[i], _ = value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
-		switch {
-		case i == 0:
-			counts[i] = ts.rows
-		case ts.sampleRows == ts.rows: // the whole table was counted
-		case counts[i] == 0:
-			counts[i] = max(1, int64(math.Round(weight/2)))
-		default:
-			counts[i] = int64(math.Round(float64(counts[i]) * weight))
-		}
+		counts[i] = ts.scaled(counts[i])
 	}
-	sp.SetInt("bytes", int64(len(ts.sample)))
-	sp.SetInt("sample_rows", ts.sampleRows)
+	counts[0] = ts.rows
 	sp.SetInt("matched", counts[min(1, len(counts)-1)])
-	sp.SetStr("source", StatsFromObject)
 	e.endPhaseSpan(sp, phase)
 	return counts
 }

@@ -26,10 +26,13 @@ const sharedFigWindow = 250 * time.Millisecond
 // per-client filter variant on the same table (exercising predicate
 // merging — compatible shapes, different predicates). Predicates go
 // through l_quantity, which has no secondary index, so every client takes
-// the pushed-scan path where sharing applies.
+// the pushed-scan path where sharing applies; the aggregate is a SUM, which
+// the access planner never pushes, so its scan stays one the batching window
+// holds for every client (a pushed COUNT would coalesce only while in flight:
+// by timing, which engine's pipeline battery pins on a held backend instead).
 func sharedFigQueries(c int) []struct{ name, sql string } {
 	return []struct{ name, sql string }{
-		{"agg", "SELECT l_returnflag, COUNT(*) AS n FROM lineitem " +
+		{"agg", "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem " +
 			"WHERE l_quantity < 30 GROUP BY l_returnflag ORDER BY l_returnflag"},
 		{"filter", fmt.Sprintf(
 			"SELECT l_returnflag, l_quantity FROM lineitem WHERE l_quantity < %d", 8+2*c)},

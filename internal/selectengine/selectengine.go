@@ -369,7 +369,7 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	exec := newExecutor(sel, header, env)
 
 	// Column pruning: only the referenced columns are read.
-	needed := neededColumns(sel, header)
+	needed := neededColumns(sel, env.index, len(header))
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
 	// The footer always has to be read.
@@ -421,43 +421,50 @@ func footerBytes(data []byte) int64 {
 	return 13
 }
 
-func neededColumns(sel *sqlparse.Select, header []string) []int {
-	idx := headerIndex(header)
-	seen := map[int]bool{}
+// neededColumns lists the header positions a columnar scan has to read: every
+// column for a * item, else the columns the select list, WHERE and GROUP BY
+// reference, in first-seen order. One walk, whatever the select list's length.
+func neededColumns(sel *sqlparse.Select, idx map[string]int, ncols int) []int {
+	seen := make([]bool, ncols)
 	var out []int
-	add := func(names []string) {
-		for _, n := range names {
-			if i, ok := idx[strings.ToLower(n)]; ok && !seen[i] {
-				seen[i] = true
-				out = append(out, i)
-			}
+	add := func(i int) {
+		if !seen[i] {
+			seen[i] = true
+			out = append(out, i)
 		}
 	}
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			for i := range header {
-				if !seen[i] {
-					seen[i] = true
-					out = append(out, i)
-				}
+			for i := 0; i < ncols; i++ {
+				add(i)
 			}
-			continue
 		}
-		add(sqlparse.Columns(it.Expr))
 	}
-	if sel.Where != nil {
-		add(sqlparse.Columns(sel.Where))
-	}
-	for _, g := range sel.GroupBy {
-		add(sqlparse.Columns(g))
-	}
+	walkSelect(sel, func(e sqlparse.Expr) bool {
+		if c, ok := e.(*sqlparse.Column); ok {
+			if i, ok := idx[strings.ToLower(c.Name)]; ok {
+				add(i)
+			}
+		}
+		return true
+	})
 	return out
 }
 
-// skipGroup prunes a row group when WHERE is a simple comparison against a
-// literal and the chunk min/max statistics prove no row matches.
+// skipGroup prunes a row group when the chunk min/max statistics refute any
+// top-level AND conjunct of WHERE that compares a column against a literal:
+// one conjunct no row can pass is enough.
 func skipGroup(r *colformat.Reader, g int, where sqlparse.Expr, idx map[string]int) bool {
-	cmp, ok := where.(*sqlparse.Binary)
+	for _, c := range sqlparse.Conjuncts(where) {
+		if refuted(r, g, c, idx) {
+			return true
+		}
+	}
+	return false
+}
+
+func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, idx map[string]int) bool {
+	cmp, ok := conjunct.(*sqlparse.Binary)
 	if !ok {
 		return false
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
@@ -33,6 +34,8 @@ type serverObs struct {
 	rejections *obs.Counter   // {kind}
 	joinSteps  *obs.Counter   // {strategy}
 	planStats  *obs.Counter   // {source}
+	access     *obs.Counter   // {strategy, pushed}
+	fallbacks  *obs.Counter   // {reason}
 	qerrHist   *obs.Histogram // {strategy}
 	slow       *obs.Counter
 	wallHist   *obs.Histogram // {status}
@@ -67,6 +70,12 @@ func newServerObs(s *Server) *serverObs {
 		planStats: reg.Counter("pushdownd_plan_stats_total",
 			"Table scans planned, by where their statistics came from: the table's statistics object (stats), a full-table probe (probe) or the stats cache (cached).",
 			"source"),
+		access: reg.Counter("pushdownd_access_total",
+			"Single-table access decisions executed, by chosen strategy and by what was pushed beyond selection + projection (none, topk-threshold or s3-groupby).",
+			"strategy", "pushed"),
+		fallbacks: reg.Counter("pushdownd_pushdown_fallback_total",
+			"Pushed tails whose check failed, so that the statement reran on the plain filtered path, by reason (groups_missed, groups_overlap or short_threshold).",
+			"reason"),
 		qerrHist: reg.Histogram("pushdownd_join_step_qerror",
 			"Cardinality q-error of executed join steps, max(est/actual, actual/est), by chosen strategy.",
 			qerrBuckets, "strategy"),
@@ -158,7 +167,13 @@ func (s *Server) observeQuery(tenant, kind, id, sql string, tr *obs.Trace, exec 
 			}
 		}
 		if ap := exec.Access(); ap != nil {
-			s.obs.planStats.Inc(statsSource(ap.StatsSource, ap.CachedStats))
+			if ap.StatsSource != "" {
+				s.obs.planStats.Inc(statsSource(ap.StatsSource, ap.CachedStats))
+			}
+			s.obs.access.Inc(ap.Strategy, cmp.Or(ap.Pushed, "none"))
+			if ap.Fallback != "" {
+				s.obs.fallbacks.Inc(ap.Fallback)
+			}
 		}
 	}
 	d := tr.Snapshot()
@@ -213,7 +228,7 @@ func statementKind(st sqlparse.Statement) string {
 var phaseKinds = []string{
 	"plan header", "plan probe", "plan stats", "index select", "index fetch", "index lookup",
 	"row fetch", "bloom build", "bloom probe", "filtered scan", "threshold scan",
-	"tail scan", "hash join", "header", "load", "sample", "probe", "scan",
+	"tail scan", "s3 aggregate", "hash join", "header", "load", "sample", "probe", "scan",
 	"select", "local",
 }
 

@@ -512,3 +512,86 @@ func TestJoinStepQErrorMetric(t *testing.T) {
 		t.Errorf("q-error sum %v, the rendered plan says est %v actual %v (q %v)", sum, est, act, q)
 	}
 }
+
+// TestAccessMetric: pushdownd_access_total says how each single-table
+// statement that had an access decision to make ran — the strategy, and what
+// it pushed beyond selection + projection — and the pushed tails' phases have
+// kinds of their own.
+func TestAccessMetric(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	c := NewClient(f.base)
+	ctx := context.Background()
+	for _, q := range []string{
+		"SELECT COUNT(*) AS n, MAX(o_price) AS hi FROM orders WHERE o_qty < 5",          // a plain aggregation
+		"SELECT o_id, o_price FROM orders ORDER BY o_price DESC, o_id LIMIT 3",          // a top-K
+		"SELECT o_cust, COUNT(*) AS n FROM orders GROUP BY o_cust ORDER BY o_cust",      // numeric keys: not pushed
+		"EXPLAIN SELECT o_id, o_price FROM orders ORDER BY o_price DESC, o_id LIMIT 3",  // plans, runs nothing
+		"SELECT o_cust, SUM(o_price) AS total FROM orders GROUP BY o_cust",              // no decision to make
+		"EXPLAIN ANALYZE SELECT o_id FROM orders WHERE o_qty < 5 ORDER BY o_id LIMIT 2", // runs
+	} {
+		if _, err := c.Query(ctx, q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+	}
+	series := scrape(t, f)
+	for labels, want := range map[string]float64{
+		`strategy="filtered",pushed="s3-groupby"`:     1,
+		`strategy="filtered",pushed="topk-threshold"`: 2,
+		`strategy="filtered",pushed="none"`:           1,
+	} {
+		if got := series[`pushdownd_access_total{`+labels+`}`]; got != want {
+			t.Errorf("access_total{%s} = %v, want %v", labels, got, want)
+		}
+	}
+	for _, phase := range []string{"s3 aggregate", "threshold scan"} {
+		if got := series[`pushdownd_phase_sim_seconds_count{phase="`+phase+`"}`]; got < 1 {
+			t.Errorf("phase_sim_seconds_count{phase=%q} = %v, want the pushed tail's phase filed under its own kind", phase, got)
+		}
+	}
+}
+
+// TestPushdownFallbackMetric: a pushed tail whose check fails is counted by
+// reason, and the statement still answers from what the table holds now. The
+// partitions are overwritten at equal size, so the statistics object's stamps
+// still match and its sample promises K rows over a threshold none passes.
+func TestPushdownFallbackMetric(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	ctx := context.Background()
+	keys, err := f.counting.List(ctx, "shop", "orders/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if key == engine.StatsKey("orders") {
+			continue
+		}
+		data, err := f.counting.Get(ctx, "shop", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		for i, line := range lines[1:] {
+			if cells := strings.Split(strings.TrimSuffix(line, "\n"), ","); len(cells) == 4 {
+				cells[2] = strings.Repeat("0", len(cells[2]))
+				lines[i+1] = strings.Join(cells, ",") + "\n"
+			}
+		}
+		if err := f.counting.Put(ctx, "shop", key, []byte(strings.Join(lines, ""))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := NewClient(f.base).Query(ctx, "SELECT o_id, o_price FROM orders ORDER BY o_price DESC, o_id LIMIT 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Relation.Rows) != 3 || res.Relation.Rows[0][1].String() != "0" {
+		t.Errorf("the rerun answers from the overwritten table:\n%s", res.Relation)
+	}
+	series := scrape(t, f)
+	if got := series[`pushdownd_pushdown_fallback_total{reason="`+engine.FallbackShortThreshold+`"}`]; got != 1 {
+		t.Errorf("pushdown_fallback_total{reason=%q} = %v, want 1", engine.FallbackShortThreshold, got)
+	}
+	if got := series[`pushdownd_access_total{strategy="filtered",pushed="topk-threshold"}`]; got != 1 {
+		t.Errorf("access_total counts the decision that ran, fallback or not: %v", got)
+	}
+}

@@ -215,6 +215,9 @@ func (p *parser) parseSelect() (*Select, error) {
 			if err != nil {
 				return nil, err
 			}
+			if e, err = p.orderKey(sel, e); err != nil {
+				return nil, err
+			}
 			item := OrderItem{Expr: e}
 			if p.isKeyword("ASC") {
 				if err := p.advance(); err != nil {
@@ -253,6 +256,29 @@ func (p *parser) parseSelect() (*Select, error) {
 		}
 	}
 	return sel, nil
+}
+
+// orderKey resolves an ORDER BY key that is an integer literal to the select
+// item at that position (SQL-92 ordinals): the key becomes that item's own
+// expression, so every reader of the tree sees what it sorts by. Any other
+// key that reads no column orders nothing and is refused, like a position
+// outside the select list or on a *.
+func (p *parser) orderKey(sel *Select, e Expr) (Expr, error) {
+	if len(ColumnRefs(e)) > 0 || ContainsAggregate(e) {
+		return e, nil
+	}
+	lit, ok := e.(*Literal)
+	if !ok || lit.Val.Kind() != value.KindInt {
+		return nil, p.errf("ORDER BY key %s is a constant", e.String())
+	}
+	n := lit.Val.AsInt()
+	if n < 1 || n > int64(len(sel.Items)) {
+		return nil, p.errf("ORDER BY position %d is not in the select list (1 to %d)", n, len(sel.Items))
+	}
+	if _, isStar := sel.Items[n-1].Expr.(*Star); isStar {
+		return nil, p.errf("ORDER BY position %d names *, not a column", n)
+	}
+	return sel.Items[n-1].Expr, nil
 }
 
 // parseTableRef parses `table [AS alias | alias]`.
