@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -295,10 +296,9 @@ type AccessPlan struct {
 	// of a grouped or top-K statement out; PushedSQL is the S3 Select SQL a
 	// filtered plan sends every partition.
 	Pushed, NotPushed, PushedSQL string
-	// The sample facts behind the tail: the top-K threshold literal; the
-	// groups the sample showed and how often it showed the rarest.
-	Threshold              string
-	Groups, MinGroupSample int
+	// Sample is what the statistics sample said of the tail's keys: a top-K's
+	// threshold literal; the groups it showed and how often the rarest.
+	Sample string
 	// EstRows and ActualRows are the rows the pushed-tail request was expected
 	// to return and did. Fallback is, after execution, which check of the
 	// pushed tail failed (a Fallback* reason), so that the statement reran on
@@ -344,12 +344,8 @@ func (ap *AccessPlan) String() string {
 		fmt.Fprintf(&b, "  [%d rows, %s]\n", ap.Stats.Rows, statsNote(ap.Stats, ap.StatsSource, ap.CachedStats))
 	}
 	switch {
-	case ap.Pushed == PushedTopK:
-		fmt.Fprintf(&b, "  pushed: %s, threshold %s from the sample, ~%d rows expected back\n", ap.Pushed, ap.Threshold, ap.EstRows)
-	case ap.Pushed == PushedGroupBy && ap.Groups > 0:
-		fmt.Fprintf(&b, "  pushed: %s, %d groups in the sample, the rarest %d times\n", ap.Pushed, ap.Groups, ap.MinGroupSample)
 	case ap.Pushed != "":
-		fmt.Fprintf(&b, "  pushed: %s, a plain aggregation\n", ap.Pushed)
+		fmt.Fprintf(&b, "  pushed: %s, %s, ~%d rows expected back\n", ap.Pushed, cmp.Or(ap.Sample, "a plain aggregation"), ap.EstRows)
 	case ap.NotPushed != "":
 		fmt.Fprintf(&b, "  not pushed beyond selection + projection: %s\n", ap.NotPushed)
 	}
@@ -381,7 +377,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 		filter = sqlparse.StripQualifiers(sel.Where)
 		cand = e.db.indexCandidate(e.ctx, table, filter)
 	}
-	kind, _ := pushableShape(sel)
+	kind, why := e.db.pushableShape(sel)
 	if cand == nil && kind == "" {
 		return nil, nil
 	}
@@ -393,7 +389,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 	defer psp.End()
 	defer e.restoreSpanParent(e.setSpanParent(psp))
 	stage := e.NextStage()
-	ap := &AccessPlan{Table: table, Backend: backendName, Strategy: StrategyFiltered, Index: cand}
+	ap := &AccessPlan{Table: table, Backend: backendName, Strategy: StrategyFiltered, Index: cand, NotPushed: why}
 	var ts *statsObj
 	var cols []string
 	if cand == nil {
@@ -412,8 +408,9 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 	if cand == nil && (ts == nil || (ap.push == nil && filtered < 0)) {
 		// In doubt, filtered, and no further request: nothing to price with.
 		ap.Reason = "not priced: the plain pushed scan"
-		if ap.push != nil { // a plain aggregation: planTail needs no sample for it
-			ap.Pushed, ap.PushedSQL = kind, ap.push.sql
+		if ap.push != nil { // a plain COUNT: planTail needs no sample for it
+			parts, _ := e.parts(table) // a table that cannot be listed fails at its scan
+			ap.Pushed, ap.PushedSQL, ap.EstRows = kind, ap.push.sql, int64(len(parts))
 			ap.Reason = "not priced: one row per partition whatever the table holds"
 		}
 		return ap, nil

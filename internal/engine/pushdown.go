@@ -67,17 +67,25 @@ func exactOnStorage(e sqlparse.Expr) bool {
 	return ok
 }
 
-// pushableShape decides from the AST alone whether storage could decide sel's
+// pushableShape decides with no request — from the AST, and for a grouped
+// statement from how the DB was opened — whether storage could decide sel's
 // tail, and which way; why says what rules a grouped or top-K statement out.
 // Statements with neither shape plan for free, as they always did.
-func pushableShape(sel *sqlparse.Select) (kind, why string) {
+func (db *DB) pushableShape(sel *sqlparse.Select) (kind, why string) {
 	grouped := len(sel.GroupBy) > 0 || sel.HasAggregates()
 	for _, o := range sel.OrderBy {
 		grouped = grouped || sqlparse.ContainsAggregate(o.Expr)
 	}
 	switch {
 	case grouped:
-		if why = groupShape(sel); why != "" {
+		if why = groupShape(sel); why == "" && db.scanShare.Batches() {
+			// The price below knows one client. Under a sharing window the
+			// plain scan batches and predicate-merges with every other
+			// client's scan of the table and is billed 1/n of one pass; an
+			// aggregate request joins no batch (scanshare.mergeable).
+			why = "a scan-sharing window is open: the plain scan batches with other clients' scans, an aggregate request does not"
+		}
+		if why != "" {
 			return "", why
 		}
 		return PushedGroupBy, ""
@@ -142,13 +150,25 @@ func groupShape(sel *sqlparse.Select) (why string) {
 // into the request that pushes its tail — ap.push, with the sample facts
 // behind it — or says in ap.NotPushed why there is none. It returns the table
 // rows WHERE is estimated to keep, -1 when the sample was not read (a plain
-// aggregation has no key to look for and needs none).
+// COUNT has no key to look for and nothing to order).
 func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage int, ap *AccessPlan) (filtered int64) {
-	keys := sel.GroupBy
+	// What is read off the sample: the keys, then everything else that has to
+	// order the same on both sides of the wire — a top-K's every sort key
+	// (its own first included), a group-by's MIN and MAX arguments.
+	exprs, nkeys, ordered := slices.Clone(sel.GroupBy), len(sel.GroupBy), len(sel.GroupBy)
 	if kind == PushedTopK {
-		keys = []sqlparse.Expr{orderByOverInput(sel)[0].Expr}
+		nkeys, ordered = 1, 0
+		for _, o := range orderByOverInput(sel) {
+			exprs = append(exprs, o.Expr)
+		}
+	} else {
+		for _, a := range pushedAggs(sel) {
+			if a.Func != sqlparse.AggCount {
+				exprs = append(exprs, a.X)
+			}
+		}
 	}
-	if len(keys) == 0 {
+	if len(exprs) == 0 {
 		ap.push = groupPush(sel, [][]string{nil})
 		return -1
 	}
@@ -156,12 +176,12 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		ap.NotPushed = "the table has no usable statistics object"
 		return -1
 	}
-	// The keys of the sample rows WHERE keeps, by the rule sampleCounts
+	// Their values in the sample rows WHERE keeps, by the rule sampleCounts
 	// follows: the sample is a CSV object and the select engine the one
 	// estimator.
 	probe := &sqlparse.Select{Table: "S3Object", Where: sel.Where, Limit: -1}
-	for _, k := range keys {
-		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: k})
+	for _, x := range exprs {
+		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
 	}
 	res, sp, phase, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
 	if err != nil {
@@ -171,10 +191,20 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	sp.SetInt("matched", int64(len(res.Rows)))
 	e.endPhaseSpan(sp, phase)
 	filtered = ts.scaled(int64(len(res.Rows)))
+	for i := ordered; i < len(exprs); i++ {
+		if !oneClass(res.Rows, i) {
+			ap.NotPushed = fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[i])
+			return filtered
+		}
+	}
 	if kind == PushedTopK {
-		if ap.NotPushed = topKPush(sel, keys[0], res.Rows, ap); ap.push != nil {
+		if ap.NotPushed = topKPush(sel, exprs[0], res.Rows, ap); ap.push != nil {
 			ap.push.estRows = ts.scaled(ap.push.estRows)
 		}
+		return filtered
+	}
+	if nkeys == 0 {
+		ap.push = groupPush(sel, [][]string{nil})
 		return filtered
 	}
 
@@ -188,12 +218,13 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	var groups [][]string
 	var counts []int
 	for _, r := range res.Rows {
+		r = r[:nkeys]
 		tuple := strings.Join(r, "\x00")
 		g, ok := seen[tuple]
 		if !ok {
 			for i, c := range r {
 				if _, numeric := value.CoerceNum(value.Str(c)); numeric {
-					ap.NotPushed = fmt.Sprintf("key value %s = %q reads as a number: comparison would coerce it, and = must be byte equality", keys[i], c)
+					ap.NotPushed = fmt.Sprintf("key value %s = %q reads as a number: comparison would coerce it, and = must be byte equality", exprs[i], c)
 					return filtered
 				}
 			}
@@ -206,8 +237,8 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		ap.NotPushed = "no sample row passes the filter"
 		return filtered
 	}
-	ap.Groups, ap.MinGroupSample = len(groups), slices.Min(counts)
-	if ap.MinGroupSample < 2 {
+	ap.Sample = fmt.Sprintf("%d groups in the sample, the rarest %d times", len(groups), slices.Min(counts))
+	if slices.Min(counts) < 2 {
 		ap.NotPushed = fmt.Sprintf("group (%s) is in the sample once: groups it never met are likely",
 			strings.Join(groups[slices.Index(counts, 1)], ", "))
 		return filtered
@@ -222,13 +253,42 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	return filtered
 }
 
+// oneClass reports whether the non-NULL cells of a sample column are all
+// numbers, all dates, or all text that does not read as a number. Within a
+// class comparison is one total order on both sides of the wire; across them
+// it is not an order at all (9 < 10 as numbers, 10 < 5x and 5x < 9 as text),
+// and storage compares a CSV cell as text where the server compares the typed
+// cell it decodes — so what a threshold keeps, what a stable sort makes of the
+// survivors, and which cell is a partition's MIN would depend on the path.
+func oneClass(rows [][]string, col int) bool {
+	class := value.KindNull
+	for _, r := range rows {
+		v := value.FromCSV(r[col])
+		k := v.Kind()
+		switch _, numeric := value.CoerceNum(v); {
+		case v.IsNull():
+			continue
+		case k == value.KindString && numeric: // " 5": text to the loader, a number to a comparison
+			return false
+		case k == value.KindFloat:
+			k = value.KindInt
+		}
+		if class != value.KindNull && k != class {
+			return false
+		}
+		class = k
+	}
+	return true
+}
+
 // topKPush reads the threshold off the sample — rows holds the first sort key
-// of every sample row WHERE keeps — into ap.push and ap.Threshold, or says why
+// of every sample row WHERE keeps — into ap.push and ap.Sample, or says why
 // it cannot. The K best must all be non-NULL and, if numeric, finite. The
 // sample is a subset of the table, so at least K table rows pass `key >= T`;
 // >= and <= are value.Compare, which is also the comparator of the server's
-// stable sort, so every row of the answer comes back, ties at T included, in
-// table order. estRows counts the sample rows that pass.
+// stable sort and, over keys of one class (planTail has checked the sample's),
+// one order on both sides, so every row of the answer comes back, ties at T
+// included, in table order. estRows counts the sample rows that pass.
 func topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *AccessPlan) (why string) {
 	if sel.Limit > int64(len(rows)) {
 		return fmt.Sprintf("LIMIT %d is more than the %d sample rows the filter keeps", sel.Limit, len(rows))
@@ -261,7 +321,7 @@ func topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *Acce
 			L: &sqlparse.Binary{Op: sqlparse.OpLe, L: key, R: t}, R: &sqlparse.IsNull{X: key}}
 	}
 	req := pushedScan(sel, pred)
-	ap.push, ap.Threshold = &tailPush{req: req, sql: req.String(), estRows: int64(pass)}, t.String()
+	ap.push, ap.Sample = &tailPush{req: req, sql: req.String(), estRows: int64(pass)}, "threshold "+t.String()+" from the sample"
 	return ""
 }
 
@@ -273,16 +333,7 @@ func topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *Acce
 // alias: unaliased, the storage side names each column by its SQL text. A
 // plain aggregation (one group, no keys) sends the aggregates as they are.
 func groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
-	push := &tailPush{groups: groups}
-	exprs := sqlparse.ItemExprs(sel.Items)
-	for _, o := range sel.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	for _, a := range expr.CollectAggregates(exprs) {
-		if _, isStar := a.X.(*sqlparse.Star); !isStar && push.aggIndex(a) < 0 {
-			push.aggs = append(push.aggs, a)
-		}
-	}
+	push := &tailPush{groups: groups, aggs: pushedAggs(sel)}
 	var items []sqlparse.SelectItem
 	add := func(fn sqlparse.AggFunc, x sqlparse.Expr) {
 		items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Aggregate{Func: fn, X: x}, Alias: "a" + strconv.Itoa(len(items))})
@@ -325,6 +376,22 @@ func groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
 	push.req = &sqlparse.Select{Items: items, Table: "S3Object", Where: sel.Where, Limit: -1}
 	push.sql = push.req.String()
 	return push
+}
+
+// pushedAggs lists the statement's distinct aggregates, by their SQL text,
+// other than COUNT(*): the ones a group's row count does not answer.
+func pushedAggs(sel *sqlparse.Select) (aggs []*sqlparse.Aggregate) {
+	exprs := sqlparse.ItemExprs(sel.Items)
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, a := range expr.CollectAggregates(exprs) {
+		_, isStar := a.X.(*sqlparse.Star)
+		if !isStar && !slices.ContainsFunc(aggs, func(b *sqlparse.Aggregate) bool { return b.String() == a.String() }) {
+			aggs = append(aggs, a)
+		}
+	}
+	return aggs
 }
 
 // orTree ORs the predicates as a balanced tree: a chain would nest one

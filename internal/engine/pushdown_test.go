@@ -7,10 +7,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/scanshare"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
@@ -222,7 +224,7 @@ func TestPushdownGuards(t *testing.T) {
 		// reruns on the filtered path and is right.
 		want, _, _ := answer(plain, grouped)
 		got, ap, e := answer(db, grouped)
-		if ap.Pushed != PushedGroupBy || ap.Fallback != FallbackGroupsMissed || ap.Groups != 6 {
+		if ap.Pushed != PushedGroupBy || ap.Fallback != FallbackGroupsMissed || !strings.HasPrefix(ap.Sample, "6 groups") {
 			t.Errorf("columnar=%v: the rare group should fail the guard as groups_missed:\n%s", columnar, ap)
 		}
 		if got != want || !strings.Contains(got, "rare|1|") {
@@ -236,7 +238,7 @@ func TestPushdownGuards(t *testing.T) {
 		// at least K rows all the same, and the answer is right.
 		want, _, _ = answer(plain, topK)
 		got, ap, _ = answer(db, topK)
-		if ap.Pushed != PushedTopK || ap.Fallback != "" || ap.Threshold != "496" || ap.ActualRows < 10 {
+		if ap.Pushed != PushedTopK || ap.Fallback != "" || ap.Sample != "threshold 496 from the sample" || ap.ActualRows < 10 {
 			t.Errorf("columnar=%v: top-K over an unlucky sample:\n%s", columnar, ap)
 		}
 		if got != want || !strings.HasPrefix(got, "id|score\n2701|3701\n") {
@@ -292,6 +294,12 @@ func TestPushdownEligibility(t *testing.T) {
 		wide = append(wide, []string{fmt.Sprint(i), strings.Repeat("k", 300) + fmt.Sprint(i%900)})
 	}
 	loadPush(t, st, "w", []string{"id", "k"}, nil, wide, 2, false)
+	// Numbers beside text: 9 < 10 as numbers, 10 < 5x and 5x < 9 as text.
+	var mixed [][]string
+	for i := 0; i < 30; i++ {
+		mixed = append(mixed, []string{fmt.Sprint(i), []string{"9", "5x", "10"}[i%3], []string{"u", "v"}[i%2]})
+	}
+	loadPush(t, st, "m", []string{"id", "c", "g"}, nil, mixed, 2, false)
 	db := openOver(t, pushBucket, st, pushScale)
 	for _, c := range []struct {
 		sql, why    string
@@ -309,6 +317,10 @@ func TestPushdownEligibility(t *testing.T) {
 		{sql: "SELECT tag, COUNT(*) AS n FROM n GROUP BY tag LIMIT 2", why: "LIMIT without ORDER BY"},
 		{sql: "SELECT UPPER(tag) AS u, COUNT(*) AS n FROM n GROUP BY UPPER(tag)", why: "is not a bare column", explainOnly: true},
 		{sql: "SELECT id FROM n ORDER BY LOWER(name), id LIMIT 3", why: "more than columns and arithmetic"},
+		{sql: "SELECT id, c FROM m ORDER BY c DESC LIMIT 1", why: "c mixes numbers, dates and text in the sample"},
+		{sql: "SELECT id FROM m WHERE id < 20 ORDER BY g, c, id LIMIT 4", why: "c mixes numbers, dates and text in the sample"},
+		{sql: "SELECT g, COUNT(*) AS n, MAX(c) AS hi FROM m GROUP BY g", why: "c mixes numbers, dates and text in the sample"},
+		{sql: "SELECT MIN(c) AS lo, COUNT(c) AS n FROM m", why: "c mixes numbers, dates and text in the sample"},
 	} {
 		text, err := db.Explain(c.sql)
 		if err != nil {
@@ -327,6 +339,43 @@ func TestPushdownEligibility(t *testing.T) {
 		}
 		if ap := e.Access(); ap != nil && (ap.Strategy != StrategyFiltered || ap.Pushed != "") {
 			t.Errorf("%q ran as\n%s", c.sql, ap)
+		}
+	}
+}
+
+// TestPushdownUnderSharing: under a scan-sharing window a grouped statement
+// keeps its plain scan — the one request that batches with other clients'
+// scans of the table — and reads no statistics object to decide so; a
+// thresholded top-K is a scan like any other and is still pushed.
+func TestPushdownUnderSharing(t *testing.T) {
+	st := store.New()
+	loadPush(t, st, "n", nastyHeader, nastyKinds, nastyRows(), 3, false)
+	for _, window := range []time.Duration{0, -1} {
+		db := openOver(t, pushBucket, st, pushScale, WithScanSharing(scanshare.Config{Window: window}))
+		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed
+		batches := window >= 0
+		for _, sql := range []string{"SELECT tag, COUNT(*) AS n FROM n GROUP BY tag ORDER BY tag", "SELECT COUNT(*) FROM n"} {
+			text, err := db.Explain(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batches != strings.Contains(text, "not pushed beyond selection + projection: a scan-sharing window is open") {
+				t.Errorf("window %v, EXPLAIN %q:\n%s", window, sql, text)
+			}
+			_, e, err := db.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batches != (e.Access() == nil) || batches == strings.Contains(e.Metrics.Report(), "s3 aggregate") {
+				t.Errorf("window %v, %q ran as\n%s\n%s", window, sql, e.Access(), e.Metrics.Report())
+			}
+		}
+		_, e, err := db.Query("SELECT id, score FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap := e.Access(); ap == nil || ap.Pushed != PushedTopK {
+			t.Errorf("window %v: top-K ran as\n%s", window, ap)
 		}
 	}
 }
@@ -372,7 +421,7 @@ func TestPushedProjection(t *testing.T) {
 		"SELECT a, SUM(b) FROM t WHERE c > 1 AND a < 5 GROUP BY a ORDER BY d": "SELECT a, b, d FROM S3Object WHERE ((c > 1) AND (a < 5))",
 		"SELECT COUNT(*) FROM t WHERE c > 1":                                  "SELECT 1 FROM S3Object WHERE (c > 1)",
 		"SELECT SUM(1) FROM t":                                                "SELECT 1 FROM S3Object",
-		"SELECT *, a + 1 FROM t WHERE c > 1 ORDER BY b":                       "SELECT *, (a + 1) FROM S3Object WHERE (c > 1)",
+		"SELECT *, a + 1 FROM t WHERE c > 1 ORDER BY b":                       "SELECT * FROM S3Object WHERE (c > 1)",
 		"SELECT a AS x FROM t WHERE c > 1 ORDER BY x":                         "SELECT a FROM S3Object WHERE (c > 1)",
 		"SELECT a FROM t WHERE c > 1 LIMIT 3":                                 "SELECT a FROM S3Object WHERE (c > 1) LIMIT 3",
 	} {
@@ -392,6 +441,38 @@ func TestPushedProjection(t *testing.T) {
 		}
 		if got := render(rel, true); got != "n|s\n70|140" || !strings.Contains(e.Metrics.Report(), "scan n") {
 			t.Errorf("vectorized=%v: %s\n%s", vectorized, got, e.Metrics.Report())
+		}
+	}
+
+	// A * beside other items is pushed as one *: the server-side projection
+	// expands it and evaluates the rest, so the pushed scan — plain, and
+	// behind a top-K threshold — answers column for column what the baseline
+	// load of whole rows answers.
+	db := openOver(t, pushBucket, st, pushScale)
+	for _, sql := range []string{
+		"SELECT *, id + 1 AS nxt FROM n WHERE id > 70 ORDER BY score, id",
+		"SELECT *, id + 1 AS nxt FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 4",
+		"SELECT id * 2 AS dbl, * FROM n WHERE id > 70 ORDER BY id DESC LIMIT 3",
+	} {
+		sel := mustParse(t, sql)
+		e := db.NewExec()
+		rows, err := e.serverSideFilter("n", sel.Where, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.finishLocal(rows, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, e, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Cols) != len(nastyHeader)+1 || render(got, true) != render(want, true) {
+			t.Errorf("%q\npushed:\n%s\nbaseline:\n%s", sql, render(got, true), render(want, true))
+		}
+		if limited := sel.Limit >= 0; limited != (e.Access() != nil && e.Access().Pushed == PushedTopK) {
+			t.Errorf("%q ran as\n%s", sql, e.Access())
 		}
 	}
 }
@@ -499,21 +580,19 @@ func TestOrderByOrdinal(t *testing.T) {
 	}
 }
 
-// fuzzCells is FuzzSingleTablePushdown's hostile alphabet for each column of
-// nastyHeader after id, then that column's cells of the differential dataset:
-// NULL, zeros that differ in text only, floats that read as integers and NaN
-// where the dataset holds numbers; case twins, LIKE metacharacters, a quote
-// and dates where it holds text. A column stays of one class because storage
-// compares a CSV cell as text where the server compares the typed cell it
-// decodes, with or without a pushed tail (ARCHITECTURE, "Single-table pushdown
-// beyond selection": dates among numbers, or 00501 among names, order
-// differently on the two sides of the wire).
+// fuzzCells is FuzzSingleTablePushdown's alphabet for each column of
+// nastyHeader after id: one hostile set for all of them — NULL, zeros that
+// differ in text only, floats that read as integers, NaN, case twins, LIKE
+// metacharacters, a quote, dates, and 9, 10, 5x, which no comparison orders
+// (9 < 10 as numbers, 10 < 5x and 5x < 9 as text) — then that column's cells
+// of the differential dataset. A column that mixes numbers, dates and text
+// must plan filtered: storage compares a CSV cell as text where the server
+// compares the typed cell it decodes.
 var fuzzCells = func() [][]string {
-	numbers := []string{"", "0", "00", "1.0", "1e0", "-0", "NaN"}
-	text := []string{"", "a", "A", "a%", "x_y", "'", "1994-01-01", "1998-12-01"}
-	cells := [][]string{text, numbers, numbers, text, text}
+	hostile := []string{"", "0", "00", "1.0", "1e0", "-0", "NaN", "a", "A", "a%", "x_y", "'", "1994-01-01", "1998-12-01", "9", "10", "5x"}
+	cells := make([][]string, len(nastyHeader)-1)
 	for c := range cells {
-		cells[c] = slices.Clone(cells[c])
+		cells[c] = slices.Clone(hostile)
 		for _, r := range nastyRows() {
 			if !slices.Contains(cells[c], r[c+1]) {
 				cells[c] = append(cells[c], r[c+1])
@@ -545,9 +624,12 @@ func fuzzInput(layout, statement byte, rows [][]string) []byte {
 func FuzzSingleTablePushdown(f *testing.F) {
 	pair := [][]string{{"1", "a", "0", "00501", "web", "x"}, {"2", "a", "00", "501", "web", "x"},
 		{"3", "a", "1.0", "00501", "web", "X"}, {"4", "a", "1e0", "501", "web", "X"}}
+	cycle := [][]string{{"1", "a", "9", "9", "web", "x"}, {"2", "a", "5x", "5x", "web", "x"}, {"3", "a", "10", "10", "web", "x"},
+		{"4", "a", "1998-12-01", "9", "web", "x"}}
 	for q := range pushStatements {
 		f.Add(fuzzInput(byte(q), byte(q), nastyRows()))
 		f.Add(fuzzInput(byte(q+3), byte(q), pair))
+		f.Add(fuzzInput(byte(q), byte(q), cycle))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -568,8 +650,18 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		if len(rows) == 0 {
 			return
 		}
+		// A colformat column is typed: a float one where every cell reads
+		// as a float, text otherwise.
+		kinds := slices.Clone(nastyKinds)
+		for _, r := range rows {
+			for c, cell := range r {
+				if _, err := value.CastFloat(value.Str(cell)); err != nil && c > 0 && cell != "" {
+					kinds[c] = value.KindString
+				}
+			}
+		}
 		st := store.New()
-		loadPush(t, st, "n", nastyHeader, nastyKinds, rows, parts, columnar)
+		loadPush(t, st, "n", nastyHeader, kinds, rows, parts, columnar)
 		sql := fmt.Sprintf(q.sql, "n")
 		db := openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized))
 		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed

@@ -184,9 +184,13 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
 	pushed := &sqlparse.Select{Items: sel.Items, Table: "S3Object", Where: sel.Where, Limit: sel.Limit}
 	if !isSimple(sel) {
-		if cols, star := queryColumns(sel); len(cols) > 0 {
+		if cols, star := queryColumns(sel); star {
+			// Every column once: the server-side projection expands the * and
+			// evaluates the items beside it.
+			pushed.Items = []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}
+		} else if len(cols) > 0 {
 			pushed.Items = columnItems(cols)
-		} else if !star {
+		} else {
 			// The tail reads no column (COUNT(*)): one constant per row.
 			pushed.Items = []sqlparse.SelectItem{{Expr: &sqlparse.Literal{Val: value.Int(1)}}}
 		}
@@ -429,7 +433,7 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	if ap != nil {
 		b.WriteString(ap.String())
 		pushedSQL = ap.PushedSQL
-	} else if _, why := pushableShape(sel); why != "" {
+	} else if _, why := db.pushableShape(sel); why != "" {
 		fmt.Fprintf(&b, "not pushed beyond selection + projection: %s\n", why)
 	}
 	// With a result cache configured, report how much of the scan really

@@ -26,13 +26,12 @@ const sharedFigWindow = 250 * time.Millisecond
 // per-client filter variant on the same table (exercising predicate
 // merging — compatible shapes, different predicates). Predicates go
 // through l_quantity, which has no secondary index, so every client takes
-// the pushed-scan path where sharing applies; the aggregate is a SUM, which
-// the access planner never pushes, so its scan stays one the batching window
-// holds for every client (a pushed COUNT would coalesce only while in flight:
-// by timing, which engine's pipeline battery pins on a held backend instead).
+// the pushed-scan path where sharing applies. The unshared series runs the
+// aggregate as an S3-side group-by; under the sharing window the access
+// planner keeps its plain scan, the request that batches.
 func sharedFigQueries(c int) []struct{ name, sql string } {
 	return []struct{ name, sql string }{
-		{"agg", "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem " +
+		{"agg", "SELECT l_returnflag, COUNT(*) AS n FROM lineitem " +
 			"WHERE l_quantity < 30 GROUP BY l_returnflag ORDER BY l_returnflag"},
 		{"filter", fmt.Sprintf(
 			"SELECT l_returnflag, l_quantity FROM lineitem WHERE l_quantity < %d", 8+2*c)},
@@ -118,6 +117,12 @@ func RunShared(ctx context.Context, env *Env) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The planner's statistics are read before the round, off the
+			// bill: clients arriving together at a fresh DB would each pay
+			// the catalog GET the first of them caches, or not, by timing.
+			if _, err := db.ExplainContext(ctx, sharedFigQueries(0)[0].sql); err != nil {
+				return nil, err
+			}
 			srv := server.New(db, server.Config{
 				MaxClients:     2 * n,
 				RequestTimeout: time.Minute,
@@ -162,9 +167,10 @@ func RunShared(ctx context.Context, env *Env) (*Result, error) {
 		}
 	}
 	res.Notes = append(res.Notes,
-		"fresh server + DB per point; no result cache in either mode, so the gap is scan sharing alone",
+		"fresh server + DB per point, its planner statistics read once before the round; no result cache in either mode, so the gap is scan sharing alone",
 		"clients are step-locked per query: all n submit together, the batch the coordinator sees is exactly the client count",
 		"unshared: every client buys its own pushed scans; shared: one pass per partition serves the batch, billed 1/n to each sharer",
+		"the aggregate runs as an S3-side group-by unshared; under the window its plain scan is kept (an aggregate request joins no batch), which a lone client pays for",
 		"scan_saved_MB counts bytes the coordinator did not re-scan; sharers_avg is the mean batch size of shared passes")
 	return res, nil
 }

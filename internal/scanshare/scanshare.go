@@ -136,6 +136,12 @@ func New(cfg Config) *Coordinator {
 	}
 }
 
+// Batches reports whether compatible scans wait out a window to merge into
+// one pass (false on a nil coordinator: no sharing at all). The engine's
+// access planner asks: a scan it turns into an aggregate request leaves the
+// batch.
+func (c *Coordinator) Batches() bool { return c != nil && c.cfg.Window > 0 && c.cfg.MaxBatch > 1 }
+
 // Invalidate voids the coordinator's share space: requests arriving after
 // the call can no longer join passes started before it. In-flight passes
 // complete for their existing waiters (their data predates the

@@ -30,16 +30,9 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		// Upper-cased on the stack: most words are column names, and a
-		// statement holds hundreds of them.
-		var up [maxKeywordLen]byte
-		if len(word) <= maxKeywordLen {
-			for i := 0; i < len(word); i++ {
-				up[i] = word[i] &^ 0x20 // letters only ever match: keywords hold nothing else
-			}
-			if keywords[string(up[:len(word)])] {
-				return Token{Type: TokKeyword, Text: strings.ToUpper(word), Pos: start}, nil
-			}
+		up := strings.ToUpper(word)
+		if keywords[up] {
+			return Token{Type: TokKeyword, Text: up, Pos: start}, nil
 		}
 		return Token{Type: TokIdent, Text: word, Pos: start}, nil
 	case c >= '0' && c <= '9':
@@ -106,12 +99,6 @@ done:
 
 func (l *Lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
-	// No '' escape before the closing quote: the literal is a view of src.
-	if end := strings.IndexByte(l.src[l.pos:], '\''); end >= 0 && !strings.HasPrefix(l.src[l.pos+end+1:], "'") {
-		text := l.src[l.pos : l.pos+end]
-		l.pos += end + 1
-		return Token{Type: TokString, Text: text, Pos: start}, nil
-	}
 	var b strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]

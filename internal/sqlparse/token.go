@@ -54,9 +54,6 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// maxKeywordLen is the length of the longest keyword (SUBSTRING, TIMESTAMP).
-const maxKeywordLen = 9
-
 // keywords reserved by the dialect. Identifiers matching these (case
 // insensitively) lex as TokKeyword.
 var keywords = map[string]bool{
