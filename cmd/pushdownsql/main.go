@@ -152,7 +152,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "built index on %s(%s)\n", table, col)
 	}
 	if *explain {
-		plan, err := db.Explain(*query)
+		plan, err := db.ExplainContext(ctx, *query)
 		if err != nil {
 			fatal(err)
 		}

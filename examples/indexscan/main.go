@@ -60,12 +60,12 @@ func main() {
 		"SELECT k FROM events WHERE v = 123",
 		"SELECT COUNT(*) AS n FROM events WHERE v >= 8",
 	} {
-		plan, err := db.Explain(sql)
+		plan, err := db.ExplainContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s\n%s", sql, plan)
-		rel, e, err := db.Query(sql)
+		rel, e, err := db.QueryContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func main() {
 		"FROM customers c JOIN orders o ON c.ck = o.ck " +
 		"WHERE c.bal < 0 GROUP BY c.name ORDER BY spent DESC"
 
-	plan, err := db.Explain(sql)
+	plan, err := db.ExplainContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

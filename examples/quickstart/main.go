@@ -65,7 +65,7 @@ func main() {
 
 	// 4. Or just use SQL — selection and projection are pushed
 	// automatically, grouping runs on the server.
-	rel, e3, err := db.Query(
+	rel, e3, err := db.QueryContext(ctx,
 		"SELECT city, temp_c FROM readings WHERE temp_c < 0 ORDER BY temp_c LIMIT 3")
 	if err != nil {
 		log.Fatal(err)

@@ -46,13 +46,13 @@ func main() {
 	fmt.Println(sql)
 	fmt.Println()
 
-	plan, _, err := db.Plan(sql)
+	plan, _, err := db.PlanContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(plan)
 
-	rel, e, err := db.Query(sql)
+	rel, e, err := db.QueryContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

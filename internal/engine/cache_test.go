@@ -38,7 +38,7 @@ func TestWarmJoinRepeatIssuesNoBackendSelects(t *testing.T) {
 	db, counting := cachedTestDB(t, WithScale(bigSim()))
 	sql := "SELECT SUM(o.price) AS total, COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"
 
-	cold, e1, err := db.Query(sql)
+	cold, e1, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestWarmJoinRepeatIssuesNoBackendSelects(t *testing.T) {
 			e1.QueryPlan().Steps[0].Strategy)
 	}
 
-	warm, e2, err := db.Query(sql)
+	warm, e2, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestWarmJoinRepeatIssuesNoBackendSelects(t *testing.T) {
 func TestWarmRepeatSingleTable(t *testing.T) {
 	db, counting := cachedTestDB(t)
 	sql := "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM events WHERE v >= 0 GROUP BY g ORDER BY g"
-	cold, _, err := db.Query(sql)
+	cold, _, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldSelects := counting.Selects()
-	warm, e2, err := db.Query(sql)
+	warm, e2, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestCacheOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT k FROM events WHERE v >= 49"
-	if _, _, err := db.Query(sql); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	coldSelects := counting.Selects()
-	if _, e, err := db.Query(sql); err != nil {
+	if _, e, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	} else if hits, _ := e.Metrics.CacheTotals(); hits != 0 {
 		t.Errorf("cache hits with caching off: %d", hits)
@@ -146,7 +146,7 @@ func TestReloadedTableNeverServesStaleRows(t *testing.T) {
 	}
 	const sql = "SELECT v FROM mut"
 	query := func() string {
-		rel, _, err := db.Query(sql)
+		rel, _, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestReloadedTableNeverServesStaleRows(t *testing.T) {
 func TestInvalidateTableScopes(t *testing.T) {
 	db, counting := cachedTestDB(t)
 	warm := func(sql string) {
-		if _, _, err := db.Query(sql); err != nil {
+		if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 	}
 	sql := "SELECT COUNT(*) AS n FROM ta JOIN tb ON ta.ak = tb.ak JOIN tc ON tb.sk = tc.sk WHERE ta.af <= 9"
 
-	coldPlan, _, err := db.Plan(sql)
+	coldPlan, _, err := db.PlanContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 			chain.Strategy, chain.Estimates)
 	}
 
-	cold, e1, err := db.Query(sql)
+	cold, e1, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 		t.Fatalf("cold execution did not fall back to filtered: %s (%s)", got.Strategy, got.Reason)
 	}
 
-	warmPlan, _, err := db.Plan(sql)
+	warmPlan, _, err := db.PlanContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 		t.Errorf("plan tree does not surface the cached scan:\n%s", s)
 	}
 
-	warm, e2, err := db.Query(sql)
+	warm, e2, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +305,17 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 func TestExplainShowsCachedScanSingleTable(t *testing.T) {
 	db, _ := cachedTestDB(t)
 	sql := "SELECT g, COUNT(*) AS n FROM events WHERE v >= 0 GROUP BY g"
-	before, err := db.Explain(sql)
+	before, err := db.ExplainContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(before, "cached scan") {
 		t.Fatalf("cold Explain already claims a cached scan:\n%s", before)
 	}
-	if _, _, err := db.Query(sql); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
-	after, err := db.Explain(sql)
+	after, err := db.ExplainContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

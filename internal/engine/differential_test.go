@@ -164,14 +164,14 @@ func TestDifferentialAcrossBackends(t *testing.T) {
 			}
 			var warmHits int64
 			for _, q := range diffQueries {
-				cold, _, err := db.Query(q.sql)
+				cold, _, err := db.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (cold): %v", q.name, err)
 				}
 				coldOut := render(cold, q.ordered)
 
 				selectsBefore := counting.Selects()
-				warm, e, err := db.Query(q.sql)
+				warm, e, err := db.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (warm): %v", q.name, err)
 				}
@@ -238,7 +238,7 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 				}
 			}
 			for _, q := range queries {
-				cold, e, err := db.Query(q.sql)
+				cold, e, err := db.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (cold): %v", q.name, err)
 				}
@@ -260,7 +260,7 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 					t.Errorf("%s: forced IndexScan issued no multi-range GETs on %s", q.name, name)
 				}
 				selectsBefore := counting.Selects()
-				warm, _, err := db.Query(q.sql)
+				warm, _, err := db.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (warm): %v", q.name, err)
 				}

@@ -39,9 +39,6 @@ func newTestStore(t testing.TB) *store.Store {
 	if err := PartitionTable(context.Background(), st, testBucket, "events", []string{"k", "g", "v"}, events, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildIndexTable(st, testBucket, "events", "v"); err != nil {
-		t.Fatal(err)
-	}
 
 	var cust [][]string
 	for i := 0; i < 100; i++ {
@@ -63,6 +60,19 @@ func newTestStore(t testing.TB) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// buildIndex builds the secondary index on table(column) the way every
+// caller does: through a DB's catalog.
+func buildIndex(t testing.TB, st *store.Store, bucket, table, column string) {
+	t.Helper()
+	db, err := Open(bucket, WithBackend("s3sim", s3api.NewInProc(st)))
+	if err == nil {
+		err = db.CreateIndex(context.Background(), table, column)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // openTestDB opens a DB over st with one in-process backend built with the
@@ -271,7 +281,8 @@ func TestTableHeader(t *testing.T) {
 // --- Section IV: filter strategies ---
 
 func TestFilterStrategiesAgree(t *testing.T) {
-	db, _ := newTestDB(t)
+	db, st := newTestDB(t)
+	buildIndex(t, st, testBucket, "events", "v")
 	pred := "v <= -40"
 
 	e1 := db.NewExec()

@@ -49,6 +49,7 @@ func (f *flakyBackend) GetRanges(ctx context.Context, bucket, key string, ranges
 func flakyDB(t *testing.T, mutate func(*flakyBackend)) *DB {
 	t.Helper()
 	st := newTestStore(t)
+	buildIndex(t, st, testBucket, "events", "v") // read by the operator API only: no SQL here plans with it
 	fc := &flakyBackend{Backend: s3api.NewInProc(st)}
 	mutate(fc)
 	db, err := Open(testBucket, WithBackend("flaky", fc))

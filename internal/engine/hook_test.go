@@ -82,7 +82,7 @@ func TestQueryHookFiresOnEveryEntryPoint(t *testing.T) {
 func TestSetQueryHook(t *testing.T) {
 	db, recs, mu := hookDB(t)
 	db.SetQueryHook(nil)
-	if _, _, err := db.Query("SELECT id FROM t"); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT id FROM t"); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -93,7 +93,7 @@ func TestSetQueryHook(t *testing.T) {
 	}
 	var fired bool
 	db.SetQueryHook(func(ctx context.Context, sql string, e *Exec, err error) { fired = true })
-	if _, _, err := db.Query("SELECT id FROM t"); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT id FROM t"); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {

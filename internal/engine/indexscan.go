@@ -5,13 +5,14 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/index"
 	"pushdowndb/internal/obs"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -124,22 +125,49 @@ func isIndexableConjunct(e sqlparse.Expr, column string) bool {
 }
 
 // indexValuePred rewrites a data-column predicate into the index objects'
-// schema: every reference to the indexed column becomes the "value"
-// column.
-func indexValuePred(pred sqlparse.Expr) sqlparse.Expr {
+// schema: every reference to the indexed column becomes the value column.
+func indexValuePred(pred sqlparse.Expr) string {
 	return sqlparse.Rewrite(pred, func(n sqlparse.Expr) sqlparse.Expr {
 		if _, ok := n.(*sqlparse.Column); ok {
-			return &sqlparse.Column{Name: "value"}
+			return &sqlparse.Column{Name: index.ValueColumn}
 		}
 		return n
-	})
+	}).String()
 }
 
-// indexRangeProbe is hop 1 of every index access path (the manifest-backed
-// IndexScan and the legacy Fig. 1 IndexFilter): it lists the data and
-// index partitions, checks they are aligned, pushes the offsets select
-// against every index object (result-cache aware via selectOnParts) and
-// parses the matching byte ranges, per data partition and in index order.
+// liveIndex returns the table's index on column from the validated
+// manifest: an index that was never built, was dropped, or whose data
+// partitions were rewritten since (index.Entry.Stale) is not there.
+func (e *Exec) liveIndex(table, column string) (index.Entry, error) {
+	ent, ok := e.db.indexManifest(e.ctx, table).Lookup(column)
+	if !ok {
+		return ent, s3api.NewError("index", e.db.bucket, index.ManifestKey(table), s3api.KindNotFound,
+			fmt.Errorf("engine: no live index on %s(%s)", table, column))
+	}
+	return ent, nil
+}
+
+// fetchPolicy is how hop 2 of the index path turns one data partition's
+// matched byte ranges into GETs.
+type fetchPolicy int
+
+const (
+	// fetchCoalesced is the IndexScan's: ranges merged over small gaps, at
+	// most index.DefaultMaxRangesPerGet per multi-range GET; the caller
+	// re-filters the candidates, which may include gap neighbours.
+	fetchCoalesced fetchPolicy = iota
+	// fetchPerRow is Fig. 1's: one ranged GET per matched row, all the 2020
+	// S3 API offered.
+	fetchPerRow
+	// fetchMultiRange is Fig1-S1's (Suggestion 1): every range of a
+	// partition in one multi-range GET, uncoalesced.
+	fetchMultiRange
+)
+
+// indexRangeProbe is hop 1 of the index path: it lists the data and index
+// partitions, checks they are aligned, pushes the offsets select against
+// every index object (result-cache aware via selectOnParts) and parses the
+// matching byte ranges, per data partition and in index order.
 func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTable, valuePred string) (dataKeys []string, partRanges [][][2]int64, err error) {
 	dataKeys, err = e.parts(table)
 	if err != nil {
@@ -153,75 +181,91 @@ func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTa
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	sql := "SELECT first_byte_offset, last_byte_offset FROM S3Object WHERE " + valuePred
-	results, err := e.selectOnParts(phase, sp, idxTable, sql)
+	results, err := e.selectOnParts(phase, sp, idxTable, index.ProbeSQL(valuePred))
 	if err != nil {
 		return nil, nil, err
 	}
 	partRanges = make([][][2]int64, len(results))
 	for i, res := range results {
-		ranges := make([][2]int64, 0, len(res.Rows))
-		for _, r := range res.Rows {
-			if len(r) != 2 {
-				return nil, nil, fmt.Errorf("engine: bad index entry %v in %s", r, idxKeys[i])
-			}
-			first, err1 := strconv.ParseInt(r[0], 10, 64)
-			last, err2 := strconv.ParseInt(r[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				return nil, nil, fmt.Errorf("engine: bad index entry %v in %s", r, idxKeys[i])
-			}
-			ranges = append(ranges, [2]int64{first, last})
+		if partRanges[i], err = index.ParseRanges(res.Rows); err != nil {
+			return nil, nil, fmt.Errorf("engine: %s: %w", idxKeys[i], err)
 		}
-		partRanges[i] = ranges
 	}
 	return dataKeys, partRanges, nil
 }
 
-// indexFetch runs the two-hop index access: the pushed probe against the
-// index objects, then coalesced multi-range fetches of the matching data
-// rows. It returns the candidate relation (full-width rows, superset of
-// the matches — coalescing gaps may add neighbours), the number of
-// multi-range GET requests issued, and the fetch stage (hash joins overlap
-// it). Callers must re-apply their filter over the candidates.
-func (e *Exec) indexFetch(table string, cand *IndexCandidate) (*Relation, int64, int, error) {
-	idxTable := index.Table(table, cand.Entry.Column)
+// indexFetch runs the two-hop index access over the index on
+// table(column): the pushed probe of the index objects with valuePred (a
+// predicate over the value column) and the data table's header from a tiny
+// ranged GET, then the matching data rows fetched by byte range under pol.
+// It returns the fetched relation (full-width rows; under fetchCoalesced a
+// superset of the matches, which callers must re-filter), the number of
+// multi-range GETs fetchCoalesced issued, and the fetch stage (hash joins
+// overlap it). The two figure policies meter under the phase names Fig. 1
+// has always reported and charge no server row work: they fetch exactly
+// the matching rows.
+func (e *Exec) indexFetch(table, column, valuePred string, pol fetchPolicy) (*Relation, int64, int, error) {
+	idxTable := index.Table(table, column)
+	probeName, fetchName := "index select "+table, "index fetch "+table
+	probeSpan, fetchSpan := probeName, fetchName
+	if pol != fetchCoalesced {
+		probeName, fetchName = "index lookup", "row fetch"
+		probeSpan, fetchSpan = probeName+" "+table, fetchName+" "+table
+	}
 
-	// Hop 1: predicate pushed to the index objects, plus the data table's
-	// header from a tiny ranged GET.
 	stage1 := e.NextStage()
-	psp := e.beginSpan("index select " + table)
-	probe := e.tablePhase("index select "+table, stage1, idxTable)
-	dataKeys, partRanges, err := e.indexRangeProbe(probe, psp, table, idxTable, indexValuePred(cand.Pred).String())
+	psp := e.beginSpan(probeSpan)
+	probe := e.tablePhase(probeName, stage1, idxTable)
+	dataKeys, partRanges, err := e.indexRangeProbe(probe, psp, table, idxTable, valuePred)
 	if err != nil {
 		endSpanErr(psp, err)
 		return nil, 0, 0, err
 	}
 	e.endPhaseSpan(psp, probe)
-	header, err := e.TableHeader("index select "+table, stage1, table)
+	header, err := e.TableHeader(probeName, stage1, table)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 
-	// Hop 2: coalesce each partition's ranges and fetch them in batched
-	// multi-range GETs.
 	stage2 := e.NextStage()
-	fetch := e.tablePhase("index fetch "+table, stage2, table)
-	fsp := e.beginSpan("index fetch " + table)
+	fetch := e.tablePhase(fetchName, stage2, table)
+	fsp := e.beginSpan(fetchSpan)
 	backend := e.db.backendFor(table)
 	var gets atomic.Int64
 	out, err := e.fetchRangeRows(fsp, header, dataKeys, partRanges, func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error) {
 		var all [][]byte
-		for _, batch := range index.Batches(index.Coalesce(ranges, index.DefaultCoalesceGap), index.DefaultMaxRangesPerGet) {
-			frags, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
+		switch pol {
+		case fetchPerRow:
+			ksp.SetInt("ranges", int64(len(ranges)))
+			for _, rg := range ranges {
+				frag, err := backend.GetRange(ctx, e.db.bucket, key, rg[0], rg[1])
+				if err != nil {
+					return nil, err
+				}
+				fetch.AddRowFetchRequest(int64(len(frag)))
+				all = append(all, frag)
+			}
+		case fetchMultiRange:
+			ksp.SetInt("ranges", int64(len(ranges)))
+			frags, err := backend.GetRanges(ctx, e.db.bucket, key, ranges)
 			if err != nil {
 				return nil, err
 			}
-			total := fragBytes(frags)
-			fetch.AddRangedGetRequest(total, int64(len(batch)))
-			gets.Add(1)
-			ksp.AddInt("bytes", total)
-			ksp.AddInt("ranges", int64(len(batch)))
-			all = append(all, frags...)
+			fetch.AddGetRequest(fragBytes(frags))
+			all = frags
+		default:
+			for _, batch := range index.Batches(index.Coalesce(ranges, index.DefaultCoalesceGap), index.DefaultMaxRangesPerGet) {
+				frags, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
+				if err != nil {
+					return nil, err
+				}
+				total := fragBytes(frags)
+				fetch.AddRangedGetRequest(total, int64(len(batch)))
+				gets.Add(1)
+				ksp.AddInt("bytes", total)
+				ksp.AddInt("ranges", int64(len(batch)))
+				all = append(all, frags...)
+			}
 		}
 		return all, nil
 	})
@@ -229,12 +273,75 @@ func (e *Exec) indexFetch(table string, cand *IndexCandidate) (*Relation, int64,
 		endSpanErr(fsp, err)
 		return nil, 0, 0, err
 	}
-	candidates := int64(len(out.Rows))
-	fetch.AddServerRows(candidates)
-	fsp.SetInt("rows", candidates)
-	fsp.SetInt("gets", gets.Load())
+	if pol == fetchCoalesced {
+		candidates := int64(len(out.Rows))
+		fetch.AddServerRows(candidates)
+		fsp.SetInt("rows", candidates)
+		fsp.SetInt("gets", gets.Load())
+	}
 	e.endPhaseSpan(fsp, fetch)
 	return out, gets.Load(), stage2, nil
+}
+
+// fetchRangeRows is hop 2's fan-out: for every data partition with
+// matching byte ranges, get issues and meters the partition's ranged GETs
+// under a "fetch <key>" child of sp; the returned CSV fragments decode to
+// rows, and the partitions' rows concatenate in partition order under the
+// table's header.
+func (e *Exec) fetchRangeRows(sp *obs.Span, header, dataKeys []string, partRanges [][][2]int64,
+	get func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error)) (*Relation, error) {
+	partRows := make([][][]string, len(dataKeys))
+	err := e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
+		if len(partRanges[i]) == 0 {
+			return nil
+		}
+		ksp := sp.Child("fetch " + key)
+		defer ksp.End()
+		frags, err := get(ctx, ksp, key, partRanges[i])
+		if err != nil {
+			return err
+		}
+		for _, frag := range frags {
+			_, rows, err := csvx.Decode(frag, false)
+			if err != nil {
+				return err
+			}
+			partRows[i] = append(partRows[i], rows...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows [][]string
+	for _, part := range partRows {
+		rows = append(rows, part...)
+	}
+	return FromStringsN(header, rows, e.workers()), nil
+}
+
+// fragBytes totals the bytes a ranged GET returned.
+func fragBytes(frags [][]byte) int64 {
+	var total int64
+	for _, f := range frags {
+		total += int64(len(f))
+	}
+	return total
+}
+
+// indexScan is the IndexScan access path whole: the two-hop fetch through
+// cand's index, the full filter re-applied over the fetched candidates,
+// then the projection (nil items keep every column). Beside the rows it
+// returns the multi-range GETs issued and the fetch stage.
+func (e *Exec) indexScan(table string, cand *IndexCandidate, filter sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, int64, int, error) {
+	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred), fetchCoalesced)
+	if err == nil {
+		rel, err = e.filterLocal(rel, filter)
+	}
+	if err == nil && items != nil {
+		rel, err = e.projectLocal(rel, items)
+	}
+	return rel, gets, stage, err
 }
 
 // IndexScanFilter is the forced IndexScan operator (harness figures and
@@ -253,32 +360,17 @@ func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Re
 		return nil, 0, err
 	}
 	pred = sqlparse.StripQualifiers(pred)
-	man := e.db.indexManifest(e.ctx, table)
-	ent, ok := man.Lookup(column)
-	if !ok {
-		return nil, 0, fmt.Errorf("engine: no live index on %s(%s)", table, column)
+	ent, err := e.liveIndex(table, column)
+	if err != nil {
+		return nil, 0, err
 	}
 	ip := sqlparse.AndAll(indexableConjuncts(sqlparse.Conjuncts(pred), ent.Column))
 	if ip == nil {
 		return nil, 0, fmt.Errorf("engine: predicate %q has no conjunct the index on %s(%s) can resolve",
 			predicate, table, column)
 	}
-	cand := &IndexCandidate{Entry: ent, Pred: ip}
-	rel, gets, _, err := e.indexFetch(table, cand)
-	if err != nil {
-		return nil, 0, err
-	}
-	rel, err = e.filterLocal(rel, pred)
-	if err != nil {
-		return nil, 0, err
-	}
-	if items != nil {
-		rel, err = e.projectLocal(rel, items)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return rel, gets, nil
+	rel, gets, _, err := e.indexScan(table, &IndexCandidate{Entry: ent, Pred: ip}, pred, items)
+	return rel, gets, err
 }
 
 // AccessPlan records the planner's access decision for a single-table query
@@ -502,10 +594,9 @@ func indexProbePred(cand *IndexCandidate) string {
 // indexScanStats builds the cost model's view of an index candidate.
 func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 	return cloudsim.IndexScanStats{
-		IndexBytes:  cand.Entry.IndexBytes,
-		MatchedRows: cand.MatchedRows,
-		PredNodes: pushedNodes("SELECT first_byte_offset, last_byte_offset FROM S3Object WHERE " +
-			indexValuePred(cand.Pred).String()),
+		IndexBytes:      cand.Entry.IndexBytes,
+		MatchedRows:     cand.MatchedRows,
+		PredNodes:       pushedNodes(index.ProbeSQL(indexValuePred(cand.Pred))),
 		MaxRangesPerGet: index.DefaultMaxRangesPerGet,
 	}
 }
@@ -613,14 +704,10 @@ func returnedCols(req *sqlparse.Select, tableCols int) int {
 // access path: fetch candidates, re-apply the full WHERE locally, then run
 // the usual local tail (grouping, ordering, projection, limit).
 func (e *Exec) runIndexScanSelect(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) {
-	rel, gets, _, err := e.indexFetch(sel.Table, ap.Index)
+	rel, gets, _, err := e.indexScan(sel.Table, ap.Index, sqlparse.StripQualifiers(sel.Where), nil)
 	if err != nil {
 		return nil, err
 	}
 	ap.RangedGets = gets
-	rel, err = e.filterLocal(rel, sqlparse.StripQualifiers(sel.Where))
-	if err != nil {
-		return nil, err
-	}
 	return e.finishLocal(rel, sel)
 }

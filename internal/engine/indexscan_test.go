@@ -132,6 +132,91 @@ func TestIndexScanFilterMatchesPushedScan(t *testing.T) {
 	}
 }
 
+// TestIndexPathsAgreeOverOneIndex is the differential case of the one
+// Section IV-A path: the Fig. 1 operator under both of its fetch policies
+// and the IndexScan operator read the same live index objects and must
+// return the row set the pushed scan returns.
+func TestIndexPathsAgreeOverOneIndex(t *testing.T) {
+	ctx := context.Background()
+	st := newIndexStore(t)
+	db := openIndexDB(t, st)
+	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ pred, valuePred string }{
+		{"v = 7", "value = 7"},
+		{"v <= 3", "value <= 3"},
+		{"v BETWEEN 5 AND 9", "value BETWEEN 5 AND 9"},
+		{"v > 1000", "value > 1000"}, // no match: no fetch at all
+	} {
+		want, err := db.NewExec().S3SideFilter("wide", c.pred, "*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, multi := range []bool{false, true} {
+			got, err := db.NewExec().IndexFilter("wide", "v", c.valuePred, IndexFilterOptions{MultiRange: multi})
+			if err != nil {
+				t.Fatalf("%s (multi-range %v): %v", c.pred, multi, err)
+			}
+			sameRows(t, fmt.Sprintf("%s, IndexFilter multi-range %v", c.pred, multi), want, got)
+		}
+		got, _, err := db.NewExec().IndexScanFilter("wide", "v", c.pred, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, c.pred+", IndexScanFilter", want, got)
+	}
+}
+
+// TestIndexFilterRefusesStaleIndex: a table reloaded with different
+// partition sizes after its index was built must make the Fig. 1 operator
+// refuse — through the manifest's staleness stamps, as the planner's
+// IndexScan does — instead of cutting rows at the old byte offsets.
+func TestIndexFilterRefusesStaleIndex(t *testing.T) {
+	ctx := context.Background()
+	st := newIndexStore(t)
+	db := openIndexDB(t, st)
+	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{})
+	if err != nil || len(rel.Rows) != 10 {
+		t.Fatalf("live index: %v rows, err %v; want 10", rel, err)
+	}
+
+	// Reload: other rows, other widths, so every recorded offset is wrong.
+	var rows [][]string
+	for i := 0; i < 1777; i++ {
+		rows = append(rows, []string{fmt.Sprint(i + 100000), fmt.Sprint(i % 1000), "y"})
+	}
+	if err := PartitionTable(ctx, st, testBucket, "wide", []string{"k", "v", "pad"}, rows, 4); err != nil {
+		t.Fatal(err)
+	}
+	db.InvalidateTable("wide")
+	for name, d := range map[string]*DB{"the invalidated DB": db, "a fresh DB": openIndexDB(t, st)} {
+		for _, multi := range []bool{false, true} {
+			rel, err := d.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{MultiRange: multi})
+			if s3api.KindOf(err) != s3api.KindNotFound {
+				t.Errorf("%s, multi-range %v: stale index served %v (err %v), want a not-found refusal", name, multi, rel, err)
+			}
+		}
+	}
+
+	// A rebuild makes it live again, over the new bytes.
+	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
+		t.Fatal(err)
+	}
+	rel, err = db.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{MultiRange: true})
+	if err != nil || len(rel.Rows) != 2 { // i = 43 and 1043
+		t.Fatalf("rebuilt index: %v, err %v; want 2 rows", rel, err)
+	}
+	for _, r := range rel.Rows {
+		if n, ok := r[0].IntNum(); !ok || n < 100000 {
+			t.Fatalf("row %v is cut from the old table's bytes", r)
+		}
+	}
+}
+
 func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	ctx := context.Background()
 	st := newIndexStore(t)
@@ -141,7 +226,7 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	}
 
 	// Selective equality: IndexScan must win and actually run.
-	rel, e, err := db.Query("SELECT k FROM wide WHERE v = 123")
+	rel, e, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE v = 123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +249,7 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 
 	// Unselective range: the pushed scan (or baseline) must win; the index
 	// candidate is still reported.
-	_, e2, err := db.Query("SELECT k FROM wide WHERE v >= 10")
+	_, e2, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE v >= 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +259,7 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	}
 
 	// Tables without a usable index plan nothing and run the legacy path.
-	_, e3, err := db.Query("SELECT k FROM wide WHERE pad LIKE 'x%'")
+	_, e3, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE pad LIKE 'x%'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +275,7 @@ func TestExplainNamesIndexScanAndRangedGets(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.Explain("SELECT k FROM wide WHERE v = 123")
+	out, err := db.ExplainContext(context.Background(), "SELECT k FROM wide WHERE v = 123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +307,7 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	// statistics sample's stride of 2, so the sample holds every row of an
 	// even v and none of an odd one. "Under one sample row" keeps the
 	// estimate low enough for the index scan this test is about.
-	rel, e, err := db.Query("SELECT k FROM wide WHERE v = 43")
+	rel, e, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE v = 43")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +329,7 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	}
 	db.InvalidateTable("wide")
 
-	rel2, e2, err := db.Query("SELECT k FROM wide WHERE v = 2")
+	rel2, e2, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE v = 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +351,7 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	rel3, e3, err := db.Query("SELECT k FROM wide WHERE v = 3")
+	rel3, e3, err := db.QueryContext(context.Background(), "SELECT k FROM wide WHERE v = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +389,7 @@ func TestChainJoinOffersIndexScan(t *testing.T) {
 	}
 	sql := "SELECT COUNT(*) AS n FROM drv JOIN mid ON drv.dk = mid.dk " +
 		"JOIN wide ON mid.mk = wide.v WHERE wide.v <= 2 AND drv.dv <= 400"
-	rel, e, err := db.Query(sql)
+	rel, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +418,7 @@ func TestChainJoinOffersIndexScan(t *testing.T) {
 	if err := PartitionTable(context.Background(), stPlain, testBucket, "mid", []string{"mk", "dk"}, mid, 2); err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := openIndexDB(t, stPlain).Query(sql)
+	want, _, err := openIndexDB(t, stPlain).QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

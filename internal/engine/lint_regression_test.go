@@ -26,7 +26,7 @@ func TestExplainHonorsContextDeadline(t *testing.T) {
 	}
 	// Warm the result cache: with an empty cache the residency check
 	// short-circuits before the backend listing it must be cut from.
-	if _, _, err := db.Query("SELECT * FROM cust WHERE bal <= 0"); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT * FROM cust WHERE bal <= 0"); err != nil {
 		t.Fatal(err)
 	}
 	if db.resultCache.Len() == 0 {
@@ -58,7 +58,7 @@ func TestExplainHonorsContextDeadline(t *testing.T) {
 // the server reports it as the client's mistake, not a 500.
 func TestUnknownTableErrorCarriesNotFoundKind(t *testing.T) {
 	db, _ := newTestDB(t)
-	_, _, err := db.Query("SELECT * FROM nosuchtable")
+	_, _, err := db.QueryContext(context.Background(), "SELECT * FROM nosuchtable")
 	if err == nil {
 		t.Fatal("query over a missing table succeeded")
 	}

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
@@ -52,65 +50,6 @@ func writeTable(put func(key string, data []byte) error, table, format string, c
 		sizes[i] = int64(len(data))
 	}
 	return put(StatsKey(table), encodeTableStats(format, cols, nrows, sizes, sample))
-}
-
-// IndexTableName returns the canonical name of the index table for a
-// column of a data table.
-func IndexTableName(table, column string) string {
-	return table + "_index_" + column
-}
-
-// BuildIndexTable scans every partition of a data table and writes the
-// paper's Section IV-A index table — |value|first_byte_offset|
-// last_byte_offset| — partition-aligned with the data table so that byte
-// offsets refer to the matching data partition object.
-func BuildIndexTable(st *store.Store, bucket, table, column string) error {
-	keys := st.TableParts(bucket, table)
-	if len(keys) == 0 {
-		return fmt.Errorf("engine: no partitions for table %q", table)
-	}
-	idxTable := IndexTableName(table, column)
-	idxHeader := []string{"value", "first_byte_offset", "last_byte_offset"}
-	var all [][]string
-	sizes := make([]int64, len(keys))
-	for p, key := range keys {
-		data, err := st.Get(bucket, key)
-		if err != nil {
-			return err
-		}
-		sc := csvx.NewScanner(data)
-		if !sc.Scan() {
-			return fmt.Errorf("engine: empty partition %s", key)
-		}
-		col := -1
-		for i, h := range sc.Fields() {
-			if strings.EqualFold(h, column) {
-				col = i
-				break
-			}
-		}
-		if col < 0 {
-			return fmt.Errorf("engine: column %q not in %s", column, key)
-		}
-		var rows [][]string
-		for sc.Scan() {
-			first, last := sc.Range()
-			rows = append(rows, []string{
-				sc.Fields()[col],
-				fmt.Sprint(first),
-				fmt.Sprint(last),
-			})
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		idxData := csvx.Encode(idxHeader, rows)
-		st.Put(bucket, store.PartitionKey(idxTable, p), idxData)
-		sizes[p] = int64(len(idxData))
-		all = append(all, rows...)
-	}
-	st.Put(bucket, StatsKey(idxTable), encodeTableStats("csv", idxHeader, len(all), sizes, strideSample(all)))
-	return nil
 }
 
 // PartitionTableColumnar writes rows as columnar (Parquet stand-in)

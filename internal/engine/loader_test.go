@@ -8,11 +8,11 @@ import (
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/index"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
-
 
 func TestPartitionTableSplitsEvenly(t *testing.T) {
 	st := store.New()
@@ -67,16 +67,14 @@ func TestPartitionTableMorePartsThanRows(t *testing.T) {
 	}
 }
 
-func TestBuildIndexTableOffsets(t *testing.T) {
+func TestCreateIndexOffsets(t *testing.T) {
 	st := store.New()
 	rows := [][]string{{"10", "a"}, {"20", "b,with,commas"}, {"30", "c"}}
 	if err := PartitionTable(context.Background(), st, "b", "t", []string{"k", "s"}, rows, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildIndexTable(st, "b", "t", "k"); err != nil {
-		t.Fatal(err)
-	}
-	idxData, err := st.Get("b", store.PartitionKey(IndexTableName("t", "k"), 0))
+	buildIndex(t, st, "b", "t", "k")
+	idxData, err := st.Get("b", index.ObjectKey("t", "k", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +101,22 @@ func TestBuildIndexTableOffsets(t *testing.T) {
 	}
 }
 
-func TestBuildIndexTableErrors(t *testing.T) {
+func TestCreateIndexErrors(t *testing.T) {
+	ctx := context.Background()
 	st := store.New()
-	if err := BuildIndexTable(st, "b", "missing", "k"); err == nil {
+	db, err := Open("b", WithBackend("s3sim", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex(ctx, "missing", "k"); err == nil {
 		t.Error("missing table should error")
 	}
-	_ = PartitionTable(context.Background(), st, "b", "t", []string{"a"}, [][]string{{"1"}}, 1)
-	if err := BuildIndexTable(st, "b", "t", "nosuch"); err == nil {
+	_ = PartitionTable(ctx, st, "b", "t", []string{"a"}, [][]string{{"1"}}, 1)
+	if err := db.CreateIndex(ctx, "t", "nosuch"); err == nil {
 		t.Error("missing column should error")
+	}
+	if got := db.Indexes(ctx, "t"); len(got) != 0 {
+		t.Errorf("a failed build left manifest entries: %+v", got)
 	}
 }
 
@@ -137,8 +143,24 @@ func TestPartitionTableColumnar(t *testing.T) {
 	}
 }
 
-func TestIndexTableName(t *testing.T) {
-	if IndexTableName("lineitem", "l_orderkey") != "lineitem_index_l_orderkey" {
-		t.Error("index table naming changed — Fig. 1 setup depends on it")
+// TestIndexIsNamedByItsManifest pins what replaced the index-table naming
+// convention: an index is found through the table's manifest, and its
+// objects live under the table's own prefix, outside every partition
+// listing.
+func TestIndexIsNamedByItsManifest(t *testing.T) {
+	ctx := context.Background()
+	db, st := newTestDB(t)
+	if err := db.CreateIndex(ctx, "events", "v"); err != nil {
+		t.Fatal(err)
+	}
+	ents := db.Indexes(ctx, "events")
+	if len(ents) != 1 || ents[0].Column != "v" || ents[0].Name != "ix_events_v" || ents[0].Partitions != 4 {
+		t.Fatalf("Indexes(events) = %+v", ents)
+	}
+	if got := st.TableParts(testBucket, "events"); len(got) != 4 {
+		t.Errorf("data partition listing sees index objects: %v", got)
+	}
+	if got := st.TableParts(testBucket, index.Table("events", "v")); len(got) != 4 {
+		t.Errorf("index objects of events(v): %v", got)
 	}
 }

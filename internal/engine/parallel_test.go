@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -130,13 +131,13 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 	for _, sql := range queries {
 		db.Cfg.Workers = 1
 		db.InvalidateStats()
-		seq, _, err := db.Query(sql)
+		seq, _, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s @1: %v", sql, err)
 		}
 		db.Cfg.Workers = 8
 		db.InvalidateStats()
-		par, _, err := db.Query(sql)
+		par, _, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s @8: %v", sql, err)
 		}

@@ -203,7 +203,7 @@ func pipelineSequential(t *testing.T, st *store.Store, table string, comp compos
 		var want *Relation
 		for i := range ref {
 			before := plainCounting.Selects()
-			rel, e, err := plain.Query(q)
+			rel, e, err := plain.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("plain %q: %v", q, err)
 			}
@@ -214,7 +214,7 @@ func pipelineSequential(t *testing.T, st *store.Store, table string, comp compos
 		}
 		for i := range ref {
 			before := counting.Selects()
-			rel, e, err := db.Query(q)
+			rel, e, err := db.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%q run %d: %v", q, i, err)
 			}
@@ -247,7 +247,7 @@ func pipelineSequential(t *testing.T, st *store.Store, table string, comp compos
 func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp composition) {
 	const n = 4
 	q := fmt.Sprintf(pipeScan, table)
-	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp compos
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			rels[i], execs[i], errs[i] = db.Query(q)
+			rels[i], execs[i], errs[i] = db.QueryContext(context.Background(), q)
 		}(i)
 	}
 	close(start)
@@ -294,7 +294,7 @@ func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp compos
 	if cs.Puts != ref.requests || cs.InflightDedup != (n-1)*ref.requests || cs.Hits != 0 {
 		t.Errorf("after %d sharers: %+v, want %d leader fills and %d in-flight dedups", n, cs, ref.requests, (n-1)*ref.requests)
 	}
-	_, e, err := db.Query(q)
+	_, e, err := db.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func pipelineConcurrent(t *testing.T, st *store.Store, table string, comp compos
 func pipelineSingleflight(t *testing.T, st *store.Store, table string, comp composition) {
 	const n = 4
 	q := fmt.Sprintf("SELECT tag, COUNT(*) AS n, MIN(v) AS lo FROM %s WHERE g < 5 OR g = 5 GROUP BY tag ORDER BY tag", table)
-	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	want, refExec, err := composition{}.open(t, s3api.NewInProc(st), 0).QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func pipelineSingleflight(t *testing.T, st *store.Store, table string, comp comp
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rels[i], execs[i], errs[i] = db.Query(q)
+			rels[i], execs[i], errs[i] = db.QueryContext(context.Background(), q)
 		}(i)
 	}
 	backend.awaitPasses(t, pipeParts, "the leaders' passes")
@@ -364,7 +364,7 @@ func pipelineFillRace(t *testing.T, st *store.Store, table string, comp composit
 	db := comp.open(t, backend, 0)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := db.Query(q)
+		_, _, err := db.QueryContext(context.Background(), q)
 		done <- err
 	}()
 	backend.awaitPasses(t, pipeParts, "racing query")
@@ -377,7 +377,7 @@ func pipelineFillRace(t *testing.T, st *store.Store, table string, comp composit
 		t.Fatalf("a fill that raced InvalidateTable landed: %+v", cs)
 	}
 	before := backend.Selects()
-	if _, _, err := db.Query(q); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if cs, _ := db.ResultCacheStats(); backend.Selects()-before != pipeParts || cs.Puts != pipeParts {
@@ -392,7 +392,7 @@ func pipelineFillRace(t *testing.T, st *store.Store, table string, comp composit
 func pipelineIndexDDL(t *testing.T, st *store.Store, table string, comp composition) {
 	ctx := context.Background()
 	q := fmt.Sprintf(pipeScan, table)
-	want, _, err := composition{}.open(t, s3api.NewInProc(st), 0).Query(q)
+	want, _, err := composition{}.open(t, s3api.NewInProc(st), 0).QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func pipelineIndexDDL(t *testing.T, st *store.Store, table string, comp composit
 	rels := make(chan *Relation, 3)
 	run := func(what string) {
 		go func() {
-			rel, _, err := db.Query(q)
+			rel, _, err := db.QueryContext(context.Background(), q)
 			if err != nil {
 				t.Error(what, err)
 			}

@@ -723,21 +723,13 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 		// Probe side through the secondary index: fetch the candidate byte
 		// ranges, re-apply the full pushed filter locally, project to what
 		// the query needs.
-		var gets int64
-		right, gets, joinStage, err = e.indexFetch(sc.Table, sc.Index)
-		if err != nil {
-			return nil, err
-		}
-		st.RangedGets = gets
-		right, err = e.filterLocal(right, sc.Filter)
-		if err != nil {
-			return nil, err
-		}
+		var items []sqlparse.SelectItem
 		if len(sc.Project) > 0 {
-			right, err = e.projectLocal(right, columnItems(sc.Project))
-			if err != nil {
-				return nil, err
-			}
+			items = columnItems(sc.Project)
+		}
+		right, st.RangedGets, joinStage, err = e.indexScan(sc.Table, sc.Index, sc.Filter, items)
+		if err != nil {
+			return nil, err
 		}
 	}
 	if st.Strategy == StrategyBloom {

@@ -19,7 +19,7 @@ func TestPlannerPicksBloomJoinWhenSelective(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
 	sql := "SELECT SUM(o.price) AS total, COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"
-	rel, e, err := db.Query(sql)
+	rel, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPlannerPicksBaselineJoinWhenUnselective(t *testing.T) {
 	// Unit scale, no filters: pushdown scans cost money while plain GETs
 	// transfer for free in-region, so baseline wins.
 	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck"
-	rel, e, err := db.Query(sql)
+	rel, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func assertSameAgg(t *testing.T, got, want *Relation) {
 func TestPlannerCommaJoin(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
-	rel, e, err := db.Query(
+	rel, e, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM cust c, ords o WHERE c.ck = o.ck AND c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestPlannerCommaJoin(t *testing.T) {
 
 func TestPlannerJoinGroupByOrderByLimit(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.Query(
+	rel, _, err := db.QueryContext(context.Background(), 
 		"SELECT c.ck, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck GROUP BY c.ck ORDER BY total DESC LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPlannerResidualPredicate(t *testing.T) {
 	db, _ := newTestDB(t)
 	// bal < price compares columns of different tables: not pushable, not
 	// an equi-join key — must be evaluated locally after the join.
-	rel, e, err := db.Query(
+	rel, e, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < o.price")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestPlannerThreeTableChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Sim = bigSim()
-	rel, e, err := db.Query(
+	rel, e, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n, SUM(i.qty) AS q FROM cust c JOIN ords o ON c.ck = o.ck JOIN items i ON o.ok = i.iok WHERE c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)
@@ -193,10 +193,10 @@ func TestPlannerThreeTableChain(t *testing.T) {
 func TestPlannerStatsCache(t *testing.T) {
 	db, _ := newTestDB(t)
 	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"
-	if _, _, err := db.Query(sql); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := db.Plan(sql)
+	plan, _, err := db.PlanContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPlannerStatsCache(t *testing.T) {
 		}
 	}
 	db.InvalidateStats()
-	plan, _, err = db.Plan(sql)
+	plan, _, err = db.PlanContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestPlannerStatsCache(t *testing.T) {
 func TestPlannerExplain(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
-	plan, err := db.Explain(
+	plan, err := db.ExplainContext(context.Background(), 
 		"SELECT SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500 LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -250,29 +250,29 @@ func TestPlannerRejectsAmbiguousColumns(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM cust c JOIN acct b ON c.ck = b.ck2 WHERE c.bal < b.bal",
 		"SELECT COUNT(*) AS n, bal FROM cust c JOIN acct b ON c.ck = b.ck2 GROUP BY bal",
 	} {
-		if _, _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		if _, _, err := db.QueryContext(context.Background(), sql); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 			t.Errorf("%s: err = %v, want ambiguous-column rejection", sql, err)
 		}
 	}
 	// An unqualified pushed WHERE filter over a duplicated name is the
 	// same silent guess and must be rejected too.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM cust c JOIN acct b ON c.ck = b.ck2 WHERE bal < 100"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("unqualified filter over duplicate name: err = %v, want ambiguity rejection", err)
 	}
 	// A qualified pushed filter names its table explicitly: allowed.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM cust c JOIN acct b ON c.ck = b.ck2 WHERE c.bal < 100"); err != nil {
 		t.Errorf("qualified pushed filter should be allowed: %v", err)
 	}
 	// Same-name join keys are exempt: both copies are equal in the result.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT c.ck, COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck GROUP BY c.ck"); err != nil {
 		t.Errorf("equated duplicate key should be allowed: %v", err)
 	}
 	// An unqualified filter on an equated key is sound (copies are equal).
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE ck < 50"); err != nil {
 		t.Errorf("unqualified filter on equated key should be allowed: %v", err)
 	}
@@ -292,14 +292,14 @@ func TestPlannerRejectsAmbiguousChainJoinKey(t *testing.T) {
 	mk("tc", []string{"id", "y"}, [][]string{{"7", "111"}, {"100", "999"}})
 	// The second step's build key "id" is ambiguous on the intermediate
 	// (ta.id vs tb.id) — must be rejected, not silently joined on ta.id.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT c.y FROM ta a JOIN tb b ON a.x = b.a_x JOIN tc c ON b.id = c.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("chain key over duplicated name: err = %v, want ambiguity rejection", err)
 	}
 	// A qualified reference to a partially-equated duplicate is rejected
 	// too: b.id ~ c.id, but a.id is a distinct value in the same rows.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT b.id FROM ta a JOIN tb b ON a.x = b.a_x JOIN tc c ON b.id = c.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("partially-equated duplicate: err = %v, want ambiguity rejection", err)
@@ -308,7 +308,7 @@ func TestPlannerRejectsAmbiguousChainJoinKey(t *testing.T) {
 
 func TestPlannerEmptyJoinCountIsZero(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.Query(
+	rel, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < -99999")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestPlannerEmptyJoinCountIsZero(t *testing.T) {
 		t.Errorf("SUM over empty join = %v, want NULL", rel.Rows[0][1])
 	}
 	// Arithmetic wrapping a COUNT still evaluates (0 + 0 = 0, not NULL).
-	rel, _, err = db.Query(
+	rel, _, err = db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) + 0 AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < -99999")
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestPlannerRejectsDuplicateAliases(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM cust c JOIN ords c ON c.ck = c.ck",
 		"SELECT COUNT(*) AS n FROM cust JOIN cust ON ck = ck",
 	} {
-		if _, _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), "duplicate table") {
+		if _, _, err := db.QueryContext(context.Background(), sql); err == nil || !strings.Contains(err.Error(), "duplicate table") {
 			t.Errorf("%s: err = %v, want duplicate-alias rejection", sql, err)
 		}
 	}
@@ -357,7 +357,7 @@ func TestPlannerRejectsAmbiguousJoinKey(t *testing.T) {
 		[]string{"id", "user_id"}, [][]string{{"10", "1"}, {"11", "2"}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM users u JOIN torders o ON id = user_id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("unqualified ambiguous join key: err = %v, want ambiguity rejection", err)
@@ -365,13 +365,13 @@ func TestPlannerRejectsAmbiguousJoinKey(t *testing.T) {
 	// Same query with the tables flipped mis-classifies the condition as a
 	// single-table filter; it must still surface an ambiguity error, not a
 	// cross-join complaint.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM torders o JOIN users u ON id = user_id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("flipped ambiguous join key: err = %v, want ambiguity rejection", err)
 	}
 	// Qualified keys are fine.
-	if _, _, err := db.Query(
+	if _, _, err := db.QueryContext(context.Background(), 
 		"SELECT COUNT(*) AS n FROM users u JOIN torders o ON u.id = o.user_id"); err != nil {
 		t.Errorf("qualified join key should work: %v", err)
 	}
@@ -380,15 +380,15 @@ func TestPlannerRejectsAmbiguousJoinKey(t *testing.T) {
 func TestPlannerErrors(t *testing.T) {
 	db, _ := newTestDB(t)
 	// No connecting predicate: cross joins are rejected.
-	if _, _, err := db.Query("SELECT COUNT(*) AS n FROM cust, ords"); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n FROM cust, ords"); err == nil {
 		t.Error("cross join should error")
 	}
 	// Unknown column in a join condition.
-	if _, _, err := db.Query("SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.nope = o.ck"); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.nope = o.ck"); err == nil {
 		t.Error("unknown join column should error")
 	}
 	// Unknown qualifier.
-	if _, _, err := db.Query("SELECT COUNT(*) AS n FROM cust c JOIN ords o ON x.ck = o.ck"); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON x.ck = o.ck"); err == nil {
 		t.Error("unknown alias should error")
 	}
 }
@@ -396,7 +396,7 @@ func TestPlannerErrors(t *testing.T) {
 func TestPlannerProbeCostIsAccounted(t *testing.T) {
 	db, st := newTestDB(t)
 	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"
-	_, e, err := db.Query(sql)
+	_, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestPlannerProbeCostIsAccounted(t *testing.T) {
 		st.Delete(testBucket, StatsKey(table))
 	}
 	db.InvalidateStats()
-	if _, e, err = db.Query(sql); err != nil {
+	if _, e, err = db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	if _, scan, _, _ := e.Metrics.Totals(); scan == 0 {

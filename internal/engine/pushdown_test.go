@@ -133,7 +133,7 @@ var pushStatements = []struct {
 // queryOrErr renders a statement's answer, or its error: two paths that both
 // fail agree, whatever the wording.
 func queryOrErr(db *DB, sql string, ordered bool) (string, *Exec) {
-	rel, e, err := db.Query(sql)
+	rel, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		return "error", e
 	}
@@ -213,7 +213,7 @@ func TestPushdownGuards(t *testing.T) {
 		plain := openOver(t, pushBucket, without, pushScale)
 		answer := func(db *DB, sql string) (string, *AccessPlan, *Exec) {
 			t.Helper()
-			rel, e, err := db.Query(sql)
+			rel, e, err := db.QueryContext(context.Background(), sql)
 			if err != nil {
 				t.Fatalf("columnar=%v %q: %v", columnar, sql, err)
 			}
@@ -260,7 +260,7 @@ func TestPushdownGuards(t *testing.T) {
 		}
 		st.Put(pushBucket, key, []byte(strings.Join(lines, "")))
 	}
-	rel, e, err := db.Query(topK)
+	rel, e, err := db.QueryContext(context.Background(), topK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPushdownEligibility(t *testing.T) {
 		{sql: "SELECT g, COUNT(*) AS n, MAX(c) AS hi FROM m GROUP BY g", why: "c mixes numbers, dates and text in the sample"},
 		{sql: "SELECT MIN(c) AS lo, COUNT(c) AS n FROM m", why: "c mixes numbers, dates and text in the sample"},
 	} {
-		text, err := db.Explain(c.sql)
+		text, err := db.ExplainContext(context.Background(), c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
@@ -333,7 +333,7 @@ func TestPushdownEligibility(t *testing.T) {
 		if c.explainOnly {
 			continue
 		}
-		_, e, err := db.Query(c.sql)
+		_, e, err := db.QueryContext(context.Background(), c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
@@ -355,14 +355,14 @@ func TestPushdownUnderSharing(t *testing.T) {
 		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed
 		batches := window >= 0
 		for _, sql := range []string{"SELECT tag, COUNT(*) AS n FROM n GROUP BY tag ORDER BY tag", "SELECT COUNT(*) FROM n"} {
-			text, err := db.Explain(sql)
+			text, err := db.ExplainContext(context.Background(), sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batches != strings.Contains(text, "not pushed beyond selection + projection: a scan-sharing window is open") {
 				t.Errorf("window %v, EXPLAIN %q:\n%s", window, sql, text)
 			}
-			_, e, err := db.Query(sql)
+			_, e, err := db.QueryContext(context.Background(), sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +370,7 @@ func TestPushdownUnderSharing(t *testing.T) {
 				t.Errorf("window %v, %q ran as\n%s\n%s", window, sql, e.Access(), e.Metrics.Report())
 			}
 		}
-		_, e, err := db.Query("SELECT id, score FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 5")
+		_, e, err := db.QueryContext(context.Background(), "SELECT id, score FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestPushdownChoice(t *testing.T) {
 			pushed string
 		}{{"few", PushedGroupBy}, {"many", ""}} {
 			sql := fmt.Sprintf("SELECT %s, COUNT(*) AS n, MAX(id) AS hi FROM g GROUP BY %s ORDER BY %s", c.key, c.key, c.key)
-			_, e, err := db.Query(sql)
+			_, e, err := db.QueryContext(context.Background(), sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func TestPushdownChoice(t *testing.T) {
 			}
 		}
 		unscaled := openOver(t, pushBucket, st)
-		if _, e, err := unscaled.Query("SELECT few, COUNT(*) AS n FROM g GROUP BY few"); err != nil || e.Access().Pushed != "" {
+		if _, e, err := unscaled.QueryContext(context.Background(), "SELECT few, COUNT(*) AS n FROM g GROUP BY few"); err != nil || e.Access().Pushed != "" {
 			t.Errorf("columnar=%v: at unit scale the request's expression work outweighs 6000 rows: %v\n%s", columnar, err, e.Access())
 		}
 	}
@@ -435,7 +435,7 @@ func TestPushedProjection(t *testing.T) {
 	loadPush(t, st, "n", nastyHeader, nastyKinds, nastyRows(), 3, false)
 	for _, vectorized := range []bool{false, true} {
 		db := openOver(t, pushBucket, st, WithVectorized(vectorized))
-		rel, e, err := db.Query("SELECT COUNT(*) AS n, SUM(2) AS s FROM n WHERE id > 7")
+		rel, e, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n, SUM(2) AS s FROM n WHERE id > 7")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +464,7 @@ func TestPushedProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, e, err := db.Query(sql)
+		got, e, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,7 +512,7 @@ func TestRowGroupPruningSeesConjuncts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, e, err := db.Query(sql)
+		rel, e, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,14 +556,14 @@ func TestOrderByOrdinal(t *testing.T) {
 	st := store.New()
 	loadPush(t, st, "n", nastyHeader, nastyKinds, nastyRows(), 3, false)
 	db := openOver(t, pushBucket, st)
-	rel, _, err := db.Query("SELECT tag, name, COUNT(*) FROM n WHERE tag IS NOT NULL GROUP BY tag, name ORDER BY 3 DESC, 1, 2 LIMIT 3")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT tag, name, COUNT(*) FROM n WHERE tag IS NOT NULL GROUP BY tag, name ORDER BY 3 DESC, 1, 2 LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := render(rel, true); got != "tag|name|COUNT(*)\nweb||4\nweb|Alice|3\nweb|Bob|3" {
 		t.Errorf("ORDER BY 3 DESC, 1, 2:\n%s", got)
 	}
-	rel, _, err = db.Query("SELECT id, score * 2 FROM n WHERE score < 50 ORDER BY 2 DESC, 1 LIMIT 2")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT id, score * 2 FROM n WHERE score < 50 ORDER BY 2 DESC, 1 LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestOrderByOrdinal(t *testing.T) {
 		"SELECT id FROM n ORDER BY 2", "SELECT id FROM n ORDER BY 0", "SELECT id FROM n ORDER BY 'id'",
 		"SELECT id FROM n ORDER BY 1 + 1", "SELECT * FROM n ORDER BY 1", "SELECT id FROM n ORDER BY NULL",
 	} {
-		if _, _, err := db.Query(bad); err == nil || !strings.Contains(err.Error(), "ORDER BY") {
+		if _, _, err := db.QueryContext(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "ORDER BY") {
 			t.Errorf("%q: error %v, want the ORDER BY key refused", bad, err)
 		}
 	}

@@ -9,20 +9,13 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// Query is PushdownDB's SQL front end. Single-table SELECTs (WHERE, GROUP
+// QueryContext is PushdownDB's SQL front end. Single-table SELECTs (WHERE, GROUP
 // BY, ORDER BY, LIMIT) push selection and projection into S3 Select and
 // run the rest on the server, as in the paper's Section III "minimal
 // optimizer". Multi-table SELECTs (JOIN ... ON, or comma joins with
 // equality predicates in WHERE) go through the cost-based join planner
 // (plan.go), which picks a Section-V join strategy per join; the chosen
-// plan is available from Exec.QueryPlan.
-func (db *DB) Query(sql string) (*Relation, *Exec, error) {
-	//lint:ignore ctxflow context-free compatibility wrapper; the root context is born here
-	return db.QueryContext(context.Background(), sql)
-}
-
-// QueryContext is Query with cancellation: canceling ctx aborts the
-// query's storage fan-outs promptly.
+// plan is available from Exec.QueryPlan. Canceling ctx aborts the query's storage fan-outs promptly.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -99,17 +92,10 @@ func (db *DB) execStatement(ctx context.Context, sql string) (*Relation, *Exec, 
 	}
 }
 
-// Plan parses sql and builds its execution plan without running it. For
+// PlanContext parses sql and builds its execution plan without running it. For
 // join queries the returned Exec has already accrued the planning cost
 // (header and statistics probes); single-table queries plan for free and
-// return a nil QueryPlan (they bypass the join planner).
-func (db *DB) Plan(sql string) (*QueryPlan, *Exec, error) {
-	//lint:ignore ctxflow context-free compatibility wrapper; the root context is born here
-	return db.PlanContext(context.Background(), sql)
-}
-
-// PlanContext is Plan with cancellation: the planner's header and
-// statistics probes run under ctx.
+// return a nil QueryPlan (they bypass the join planner). The planner's header and statistics probes run under ctx.
 func (db *DB) PlanContext(ctx context.Context, sql string) (*QueryPlan, *Exec, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -390,19 +376,12 @@ func isAlias(sel *sqlparse.Select, name string) bool {
 	return false
 }
 
-// Explain returns a description of how Query would execute sql: the plan
+// ExplainContext returns a description of how QueryContext would execute sql: the plan
 // tree with per-join strategy decisions for multi-table queries, or the
 // pushdown split for single-table ones. Planning a join query issues the
-// planner's (cheap) header and statistics probes.
-func (db *DB) Explain(sql string) (string, error) {
-	//lint:ignore ctxflow context-free compatibility wrapper; the root context is born here
-	return db.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain with cancellation: the planner's probes and
-// the cached-scan residency check honor ctx, so a caller's deadline (e.g.
-// the server's per-request timeout) cuts a stalled backend listing instead
-// of hanging Explain.
+// planner's (cheap) header and statistics probes. The planner's probes and the cached-scan residency check honor ctx, so a
+// caller's deadline (e.g. the server's per-request timeout) cuts a stalled
+// backend listing instead of hanging.
 func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {

@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestQueryFullPushdown(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, e, err := db.Query("SELECT k, v FROM events WHERE v <= -45 LIMIT 5")
+	rel, e, err := db.QueryContext(context.Background(), "SELECT k, v FROM events WHERE v <= -45 LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestQueryFullPushdown(t *testing.T) {
 
 func TestQueryGroupByOrderBy(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.Query("SELECT g, SUM(v) AS total, COUNT(*) AS n FROM events GROUP BY g ORDER BY g")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT g, SUM(v) AS total, COUNT(*) AS n FROM events GROUP BY g ORDER BY g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestQueryGroupByOrderBy(t *testing.T) {
 
 func TestQueryAggregateOnly(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.Query("SELECT COUNT(*) AS n, MIN(v) AS mn FROM events WHERE g = 3")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n, MIN(v) AS mn FROM events WHERE g = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestQueryAggregateOnly(t *testing.T) {
 
 func TestQueryOrderByAlias(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.Query("SELECT g, SUM(v) AS total FROM events GROUP BY g ORDER BY total DESC LIMIT 3")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT g, SUM(v) AS total FROM events GROUP BY g ORDER BY total DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,21 +84,21 @@ func TestQueryOrderByAlias(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	db, _ := newTestDB(t)
-	if _, _, err := db.Query("not sql"); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), "not sql"); err == nil {
 		t.Error("bad sql should error")
 	}
-	if _, _, err := db.Query("SELECT x FROM nosuchtable"); err == nil {
+	if _, _, err := db.QueryContext(context.Background(), "SELECT x FROM nosuchtable"); err == nil {
 		t.Error("missing table should error")
 	}
 }
 
 func TestExplain(t *testing.T) {
 	db, _ := newTestDB(t)
-	plan, err := db.Explain("SELECT k FROM events WHERE v < 0 LIMIT 3")
+	plan, err := db.ExplainContext(context.Background(), "SELECT k FROM events WHERE v < 0 LIMIT 3")
 	if err != nil || !strings.Contains(plan, "full pushdown") {
 		t.Errorf("plan = %q, %v", plan, err)
 	}
-	plan, err = db.Explain("SELECT g, SUM(v) FROM events GROUP BY g ORDER BY g LIMIT 2")
+	plan, err = db.ExplainContext(context.Background(), "SELECT g, SUM(v) FROM events GROUP BY g ORDER BY g LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestExplain(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", frag, plan)
 		}
 	}
-	if _, err := db.Explain("garbage"); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "garbage"); err == nil {
 		t.Error("bad sql should error")
 	}
 }

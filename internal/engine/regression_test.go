@@ -29,7 +29,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 
 	// The projection drops age, but ORDER BY references it; the scan
 	// pushed age down, and the sort must run before the projection.
-	rel, _, err := db.Query("SELECT name FROM people ORDER BY age")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT name FROM people ORDER BY age")
 	if err != nil {
 		t.Fatalf("ORDER BY on a non-projected column: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 	}
 
 	// DESC and a computed sort key, still dropped by the projection.
-	rel, _, err = db.Query("SELECT name FROM people ORDER BY score * 2 DESC LIMIT 2")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT name FROM people ORDER BY score * 2 DESC LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 
 	// Aliases still resolve: ORDER BY names a select-list alias whose
 	// underlying expression is evaluated over the scan.
-	rel, _, err = db.Query("SELECT age * 2 AS dbl FROM people ORDER BY dbl DESC LIMIT 1")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT age * 2 AS dbl FROM people ORDER BY dbl DESC LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 	}
 
 	// Aliases nested inside a larger ORDER BY expression substitute too.
-	rel, _, err = db.Query("SELECT age * 2 AS dbl FROM people ORDER BY dbl + 1 DESC LIMIT 2")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT age * 2 AS dbl FROM people ORDER BY dbl + 1 DESC LIMIT 2")
 	if err != nil {
 		t.Fatalf("alias inside ORDER BY expression: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 	// Same shape through the GROUP BY path: the sort key is a group-by
 	// column the select list drops, carried through the grouping as a
 	// hidden item.
-	rel, _, err = db.Query("SELECT COUNT(*) AS n FROM people GROUP BY name ORDER BY name DESC LIMIT 2")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT COUNT(*) AS n FROM people GROUP BY name ORDER BY name DESC LIMIT 2")
 	if err != nil {
 		t.Fatalf("grouped ORDER BY on a dropped group column: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestOrderByColumnDroppedByProjection(t *testing.T) {
 
 	// And ordering a grouped query by an aggregate that is not in the
 	// select list.
-	rel, _, err = db.Query("SELECT name FROM people GROUP BY name ORDER BY SUM(score) DESC LIMIT 1")
+	rel, _, err = db.QueryContext(context.Background(), "SELECT name FROM people GROUP BY name ORDER BY SUM(score) DESC LIMIT 1")
 	if err != nil {
 		t.Fatalf("grouped ORDER BY on a hidden aggregate: %v", err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -39,14 +40,14 @@ func TestScanSharingDifferential(t *testing.T) {
 	}
 	want := make([]*Relation, len(queries))
 	for i, q := range queries {
-		rel, _, err := direct.Query(q)
+		rel, _, err := direct.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
 		want[i] = rel
 		// Re-run on the counting DB purely to measure how many Selects the
 		// workload costs without sharing.
-		if _, _, err := directDB.Query(q); err != nil {
+		if _, _, err := directDB.QueryContext(context.Background(), q); err != nil {
 			t.Fatalf("direct counting %q: %v", q, err)
 		}
 	}
@@ -69,7 +70,7 @@ func TestScanSharingDifferential(t *testing.T) {
 		go func(i int, q string) {
 			defer wg.Done()
 			<-start
-			got[i], _, errs[i] = shared.Query(q)
+			got[i], _, errs[i] = shared.QueryContext(context.Background(), q)
 		}(i, q)
 	}
 	close(start)
@@ -127,7 +128,7 @@ func TestScanSharingComposesWithResultCache(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			rels[i], _, errs[i] = db.Query(q)
+			rels[i], _, errs[i] = db.QueryContext(context.Background(), q)
 		}(i)
 	}
 	close(start)
@@ -148,7 +149,7 @@ func TestScanSharingComposesWithResultCache(t *testing.T) {
 	}
 
 	before := db.scanShare.Stats().Selects
-	if _, _, err := db.Query(q); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	cs2, _ := db.ResultCacheStats()
@@ -163,7 +164,7 @@ func TestScanSharingComposesWithResultCache(t *testing.T) {
 	// query refetches rather than reusing a stale pass or cache entry.
 	selectsBefore := counting.Selects()
 	db.InvalidateTable("cust")
-	if _, _, err := db.Query(q); err != nil {
+	if _, _, err := db.QueryContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if counting.Selects() <= selectsBefore {

@@ -114,11 +114,11 @@ func TestStatsObjectExactForSmallTables(t *testing.T) {
 	dropStats(without, diffBucket, "p", "ord", "item")
 	dbWith, dbWithout := openOver(t, diffBucket, with), openOver(t, diffBucket, without)
 	for _, q := range diffJoins() {
-		sampled, _, err := dbWith.Plan(q.sql)
+		sampled, _, err := dbWith.PlanContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
-		probed, _, err := dbWithout.Plan(q.sql)
+		probed, _, err := dbWithout.PlanContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
@@ -163,11 +163,11 @@ func TestJoinsIdenticalWithAndWithoutStats(t *testing.T) {
 		dropStats(without, diffBucket, "p", "ord", "item")
 		dbWith, dbWithout := openOver(t, diffBucket, with), openOver(t, diffBucket, without)
 		for _, q := range diffJoins() {
-			a, ea, err := dbWith.Query(q.sql)
+			a, ea, err := dbWith.QueryContext(context.Background(), q.sql)
 			if err != nil {
 				t.Fatalf("columnar=%v %s with statistics: %v", columnar, q.name, err)
 			}
-			b, eb, err := dbWithout.Query(q.sql)
+			b, eb, err := dbWithout.QueryContext(context.Background(), q.sql)
 			if err != nil {
 				t.Fatalf("columnar=%v %s without statistics: %v", columnar, q.name, err)
 			}
@@ -192,7 +192,7 @@ func TestJoinsIdenticalWithAndWithoutStats(t *testing.T) {
 
 	db, sql := threeTableDB(t)
 	db.backends["s3sim"] = noStats{db.backends["s3sim"]}
-	_, e, err := db.Query(sql)
+	_, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250"
 	sourceOf := func(table string) string {
 		t.Helper()
-		plan, _, err := db.Plan(sql)
+		plan, _, err := db.PlanContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 	if got := sourceOf("ords"); got != StatsFromObject {
 		t.Fatalf("fresh table planned from %q", got)
 	}
-	want, _, err := db.Query(sql)
+	want, _, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 	if got := sourceOf("cust"); got == StatsFromProbe {
 		t.Errorf("cust was not touched, planned from %q", got)
 	}
-	rel, _, err := db.Query(sql)
+	rel, _, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := db2.Plan(sql); err != nil {
+		if _, _, err := db2.PlanContext(context.Background(), sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 	if got := sourceOf("ords"); got != StatsFromObject {
 		t.Errorf("reloaded table planned from %q, want its new object", got)
 	}
-	rel, _, err = db.Query(sql)
+	rel, _, err = db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestHostileStatsObjects(t *testing.T) {
 	}
 	db := openOver(t, testBucket, st)
 	sql := "SELECT COUNT(*) AS n, SUM(o.price) AS s FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250"
-	want, _, err := db.Query(sql)
+	want, _, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestHostileStatsObjects(t *testing.T) {
 		}
 		st.Put(testBucket, StatsKey("ords"), data)
 		db.InvalidateStats()
-		rel, e, err := db.Query(sql)
+		rel, e, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -424,7 +424,7 @@ func TestHostileStatsObjects(t *testing.T) {
 	big := append(append([]byte{}, good...), bytes.Repeat([]byte("1,1,1.00\n"), maxStatsObjectBytes/9+1)...)
 	st.Put(testBucket, StatsKey("ords"), big)
 	db.InvalidateStats()
-	plan, e, err := db.Plan(sql)
+	plan, e, err := db.PlanContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,13 +497,13 @@ func TestTableHeaderRefusesBinary(t *testing.T) {
 	}
 	db := openOver(t, testBucket, st)
 	sql := "SELECT COUNT(*) AS n FROM big a JOIN big2 b ON a.k = b.k WHERE a.k < 10"
-	rel, _, err := db.Query(sql)
+	rel, _, err := db.QueryContext(context.Background(), sql)
 	if err != nil || rel.Rows[0][0].AsInt() != 10 {
 		t.Fatalf("join over large columnar tables: %v, %v", rel, err)
 	}
 	dropStats(st, testBucket, "big", "big2")
 	db.InvalidateStats()
-	_, _, err = db.Query(sql)
+	_, _, err = db.QueryContext(context.Background(), sql)
 	if err == nil || s3api.KindOf(err) != s3api.KindBadRequest || !strings.Contains(err.Error(), "no CSV header row") {
 		t.Fatalf("without statistics objects: %v, want a bad_request naming the missing header", err)
 	}
@@ -541,7 +541,7 @@ func FuzzTableStatsDecode(f *testing.F) {
 			db.statsMu.Lock()
 			db.statsObjs = map[string]*statsObj{"ords": ts}
 			db.statsMu.Unlock()
-			if plan, _, err := db.Plan("SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250 AND o.ck >= 3"); err == nil {
+			if plan, _, err := db.PlanContext(context.Background(), "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250 AND o.ck >= 3"); err == nil {
 				_ = plan.String()
 			}
 		}

@@ -46,11 +46,11 @@ func TestVecRowDifferentialCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range diffQueries {
-				vecCold, _, err := dbVec.Query(q.sql)
+				vecCold, _, err := dbVec.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (vec cold): %v", q.name, err)
 				}
-				rowCold, _, err := dbRow.Query(q.sql)
+				rowCold, _, err := dbRow.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (row cold): %v", q.name, err)
 				}
@@ -59,11 +59,11 @@ func TestVecRowDifferentialCorpus(t *testing.T) {
 					t.Errorf("%s: vectorized differs from row path (cold)\nvec:\n%s\nrow:\n%s",
 						q.name, vecOut, rowOut)
 				}
-				vecWarm, _, err := dbVec.Query(q.sql)
+				vecWarm, _, err := dbVec.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (vec warm): %v", q.name, err)
 				}
-				rowWarm, _, err := dbRow.Query(q.sql)
+				rowWarm, _, err := dbRow.QueryContext(context.Background(), q.sql)
 				if err != nil {
 					t.Fatalf("%s (row warm): %v", q.name, err)
 				}
@@ -143,11 +143,11 @@ func TestVecRowColumnarTable(t *testing.T) {
 	}
 	dbVec, dbRow := open(true), open(false)
 	for _, q := range queries {
-		vecRel, _, err := dbVec.Query(q.sql)
+		vecRel, _, err := dbVec.QueryContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s (vec): %v", q.name, err)
 		}
-		rowRel, _, err := dbRow.Query(q.sql)
+		rowRel, _, err := dbRow.QueryContext(context.Background(), q.sql)
 		if err != nil {
 			t.Fatalf("%s (row): %v", q.name, err)
 		}

@@ -98,7 +98,7 @@ func (env *Env) scaledDB(st *store.Store, bucket string, dataRatio float64, eopt
 	return engine.Open(bucket, opts...)
 }
 
-// TPCH returns a DB over the TPC-H dataset (with the Fig. 1 index tables),
+// TPCH returns a DB over the TPC-H dataset (with the Fig. 1 index built),
 // with virtual time reported at PaperSF. Backend options configure the
 // simulated S3 backend (capabilities, profile). Canceling ctx aborts a
 // first-call dataset build.
@@ -110,6 +110,7 @@ func (env *Env) TPCH(ctx context.Context, bopts ...s3api.InProcOption) (*engine.
 func (env *Env) TPCHWith(ctx context.Context, eopts []engine.Option, bopts ...s3api.InProcOption) (*engine.DB, error) {
 	env.mu.Lock()
 	defer env.mu.Unlock()
+	ratio := env.Scale.PaperSF / env.Scale.TPCHSF
 	if env.tpchStore == nil {
 		st := store.New()
 		ds, err := tpch.LoadWithIndexes(ctx, st, tpch.Dataset{
@@ -119,13 +120,17 @@ func (env *Env) TPCHWith(ctx context.Context, eopts []engine.Option, bopts ...s3
 		if err != nil {
 			return nil, err
 		}
-		if err := engine.BuildIndexTable(st, ds.Bucket, "lineitem", "l_orderkey"); err != nil {
+		// Fig. 1's index, built as any index is: through the catalog.
+		db, err := env.scaledDB(st, ds.Bucket, ratio, nil)
+		if err == nil {
+			err = db.CreateIndex(ctx, "lineitem", "l_orderkey")
+		}
+		if err != nil {
 			return nil, err
 		}
 		env.tpchStore = st
 		env.tpchDataset = ds
 	}
-	ratio := env.Scale.PaperSF / env.Scale.TPCHSF
 	return env.scaledDB(env.tpchStore, env.tpchDataset.Bucket, ratio, eopts, bopts...)
 }
 

@@ -124,11 +124,11 @@ func TestEngineOverHTTPMatchesInProc(t *testing.T) {
 
 	t.Run("SQLFrontEnd", func(t *testing.T) {
 		sql := "SELECT o_orderpriority, COUNT(*) AS n FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority"
-		a, _, err := inprocDB.Query(sql)
+		a, _, err := inprocDB.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := httpDB.Query(sql)
+		b, _, err := httpDB.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}

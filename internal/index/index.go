@@ -18,7 +18,9 @@ package index
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pushdowndb/internal/csvx"
@@ -27,7 +29,10 @@ import (
 
 // Header is the schema of every index object, matching the paper's
 // |value|first_byte_offset|last_byte_offset| table.
-var Header = []string{"value", "first_byte_offset", "last_byte_offset"}
+var Header = []string{ValueColumn, "first_byte_offset", "last_byte_offset"}
+
+// ValueColumn is the index-object column predicates are pushed against.
+const ValueColumn = "value"
 
 // DefaultCoalesceGap is how many unselected bytes two matched ranges may be
 // apart and still merge into one fetched range. One byte covers the row
@@ -180,6 +185,7 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 		return nil, fmt.Errorf("index: column %q not in header %v", column, sc.Fields())
 	}
 	type idxRow struct {
+		key         value.Value // the cell, parsed once: the sort compares typed values
 		val         string
 		first, last int64
 	}
@@ -190,19 +196,42 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 			return nil, fmt.Errorf("index: row with %d fields, column %q is #%d", len(fields), column, col+1)
 		}
 		first, last := sc.Range()
-		rows = append(rows, idxRow{val: fields[col], first: first, last: last})
+		rows = append(rows, idxRow{key: value.FromCSV(fields[col]), val: fields[col], first: first, last: last})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return value.Compare(value.FromCSV(rows[i].val), value.FromCSV(rows[j].val)) < 0
-	})
+	slices.SortStableFunc(rows, func(a, b idxRow) int { return value.Compare(a.key, b.key) })
 	out := make([][]string, len(rows))
 	for i, r := range rows {
-		out[i] = []string{r.val, fmt.Sprint(r.first), fmt.Sprint(r.last)}
+		out[i] = []string{r.val, strconv.FormatInt(r.first, 10), strconv.FormatInt(r.last, 10)}
 	}
 	return csvx.Encode(Header, out), nil
+}
+
+// ProbeSQL is the S3 Select every index object is probed with: the byte
+// ranges of the rows whose indexed value satisfies valuePred, a predicate
+// over ValueColumn.
+func ProbeSQL(valuePred string) string {
+	return "SELECT " + Header[1] + ", " + Header[2] + " FROM S3Object WHERE " + valuePred
+}
+
+// ParseRanges decodes the rows a ProbeSQL select returned into inclusive
+// byte ranges, in the order returned.
+func ParseRanges(rows [][]string) ([][2]int64, error) {
+	ranges := make([][2]int64, 0, len(rows))
+	for _, r := range rows {
+		if len(r) != 2 {
+			return nil, fmt.Errorf("index: bad index entry %v", r)
+		}
+		first, err1 := strconv.ParseInt(r[0], 10, 64)
+		last, err2 := strconv.ParseInt(r[1], 10, 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("index: bad index entry %v", r)
+		}
+		ranges = append(ranges, [2]int64{first, last})
+	}
+	return ranges, nil
 }
 
 // Coalesce sorts ranges by start offset and merges ranges that overlap or

@@ -163,7 +163,7 @@ func directAnswers(t *testing.T, db *engine.DB) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, q := range testQueries {
-		rel, _, err := db.Query(q)
+		rel, _, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
@@ -392,7 +392,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := direct.Query(testQueries[0])
+	want, _, err := direct.QueryContext(context.Background(), testQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pushdowndb/internal/engine"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/store"
 )
 
@@ -65,15 +66,18 @@ func Load(ctx context.Context, st *store.Store, d Dataset) (Dataset, error) {
 	return d, nil
 }
 
-// LoadWithIndexes loads the dataset and builds the index tables the
-// Fig. 1 indexing experiment needs (lineitem.l_extendedprice).
+// LoadWithIndexes loads the dataset and builds, through the engine's own
+// index catalog (DB.CreateIndex), a secondary index on
+// lineitem(l_extendedprice): what pushdownd -demo serves, so a statement
+// filtering on the price has an IndexScan to plan.
 func LoadWithIndexes(ctx context.Context, st *store.Store, d Dataset) (Dataset, error) {
 	d, err := Load(ctx, st, d)
 	if err != nil {
 		return d, err
 	}
-	if err := engine.BuildIndexTable(st, d.Bucket, "lineitem", "l_extendedprice"); err != nil {
+	db, err := engine.Open(d.Bucket, engine.WithBackend("load", s3api.NewInProc(st)))
+	if err != nil {
 		return d, err
 	}
-	return d, nil
+	return d, db.CreateIndex(ctx, "lineitem", "l_extendedprice")
 }

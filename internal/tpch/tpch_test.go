@@ -157,10 +157,20 @@ func TestLoadCreatesAllTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []string{"customer", "orders", "lineitem", "part", "supplier", "nation", "region", "lineitem_index_l_extendedprice"} {
+	for _, table := range []string{"customer", "orders", "lineitem", "part", "supplier", "nation", "region"} {
 		if parts := st.TableParts(ds.Bucket, table); len(parts) == 0 {
 			t.Errorf("table %s missing", table)
 		}
+	}
+	// The index is in lineitem's manifest, where any DB over the store
+	// finds it (and the planner with it).
+	db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := db.Indexes(context.Background(), "lineitem")
+	if len(ents) != 1 || ents[0].Column != "l_extendedprice" || ents[0].Partitions != 2 {
+		t.Errorf("lineitem indexes = %+v", ents)
 	}
 }
 
