@@ -32,7 +32,7 @@ func main() {
 
 	const k = 40
 	n := int64(tpch.SizesFor(0.005).Orders) * 4 // ~4 lineitems per order
-	sStar := engine.OptimalSampleSize(k, n, 0.1)
+	sStar := engine.OptimalSampleSize(k, n, engine.SamplingAlpha)
 	fmt.Printf("K=%d over ~%d rows; the Section VII-B model gives S* = %d\n\n", k, n, sStar)
 
 	e0 := db.NewExec()

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -258,18 +257,6 @@ func Open(bucket string, opts ...Option) (*DB, error) {
 
 // Bucket returns the bucket name this DB reads tables from.
 func (db *DB) Bucket() string { return db.bucket }
-
-// BackendNames lists the registered backends, sorted, default first.
-func (db *DB) BackendNames() []string {
-	names := make([]string, 0, len(db.backends))
-	for n := range db.backends {
-		if n != db.defaultName {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return append([]string{db.defaultName}, names...)
-}
 
 // baseTable maps an object-namespace name to the catalog table owning it:
 // index pseudo-tables ("t/_index/col") resolve to "t", so index objects

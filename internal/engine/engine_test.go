@@ -129,7 +129,7 @@ func TestLocalOperators(t *testing.T) {
 	if err != nil || len(f.Rows) != 2 {
 		t.Fatalf("filter: %v, %v", f, err)
 	}
-	p, err := ProjectLocal(rel, "a * 2 AS dbl, b")
+	p, err := projectRef(rel, "a * 2 AS dbl, b")
 	if err != nil || p.Cols[0] != "dbl" || p.Rows[0][0].AsInt() != 6 {
 		t.Fatalf("project: %v, %v", p, err)
 	}

@@ -48,15 +48,6 @@ func FilterLocal(rel *Relation, predicate string) (*Relation, error) {
 	return Operators{}.Filter(rel, pred)
 }
 
-// ProjectLocal evaluates the comma-separated select items over each row.
-func ProjectLocal(rel *Relation, items string) (*Relation, error) {
-	its, err := parseItems(items)
-	if err != nil {
-		return nil, err
-	}
-	return Operators{}.Project(rel, its)
-}
-
 // GroupByLocal groups rel by the groupBy expressions and evaluates the
 // aggregate select items, e.g. GroupByLocal(rel, "c_nationkey",
 // "c_nationkey, SUM(c_acctbal) AS total").

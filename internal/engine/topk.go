@@ -49,13 +49,15 @@ func (e *Exec) ServerSideTopK(table, orderCol string, k int, asc bool) (*Relatio
 	return topKLocalN(rel, orderCol, k, asc, e.workers())
 }
 
+// SamplingAlpha is Section VII-B's alpha, the fraction of a row's bytes the
+// sampling phase returns (the ORDER BY column only), as the paper sets it.
+const SamplingAlpha = 0.1
+
 // SamplingTopKOptions tunes Section VII-A.
 type SamplingTopKOptions struct {
 	// SampleSize S; 0 derives the optimal size from the closed form using
-	// Alpha and the table's (approximate) row count.
+	// SamplingAlpha and the table's (approximate) row count.
 	SampleSize int64
-	// Alpha is the byte fraction needed during sampling (default 0.1).
-	Alpha float64
 }
 
 // SamplingTopK implements the two-phase sampling algorithm of Section
@@ -67,10 +69,6 @@ type SamplingTopKOptions struct {
 func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts SamplingTopKOptions) (*Relation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("engine: top-K requires K >= 1")
-	}
-	alpha := opts.Alpha
-	if alpha <= 0 {
-		alpha = 0.1
 	}
 	sample := opts.SampleSize
 	sp := e.beginSpan("sampling topk " + table)
@@ -85,7 +83,7 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 		if err != nil {
 			return nil, err
 		}
-		sample = OptimalSampleSize(k, n, alpha)
+		sample = OptimalSampleSize(k, n, SamplingAlpha)
 	}
 	sampled, err := e.SelectRowsLimit("sample "+table, stage1, table,
 		"SELECT "+orderCol+" FROM S3Object", sample)

@@ -46,54 +46,23 @@ func RunBackends(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "Backends",
 		Title:  "Join strategy choice vs storage backend (Listing-2 join, loosest filter)",
 		XLabel: "backend",
+		Notes: []string{
+			fmt.Sprintf("same Listing-2 join (c_acctbal <= %s) on every backend; answers are identical", loosestAcctbal),
+			"series name records the strategy chosen per backend profile; est columns are its per-strategy runtime estimates",
+		},
 	}
-	acctbal := Fig2Acctbals[len(Fig2Acctbals)-1]
-	sql := fmt.Sprintf(
-		"SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n "+
-			"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "+
-			"WHERE c.c_acctbal <= %s", acctbal)
-
-	var refCount int64
-	seen := map[string]bool{}
+	sameOnEveryBackend := acrossX(sameJoinCount)
 	for _, profile := range BackendProfiles() {
-		db, err := env.TPCH(ctx, s3api.WithProfile(profile))
-		if err != nil {
+		if _, err := res.sweep(ctx, env.TPCH(s3api.WithProfile(profile)), []string{profile.Name}, func(db *engine.DB, _ int) ([]series, check) {
+			// Full worker budget: server-side parse and row work run across
+			// all 32 cores, so the backend link is what differentiates.
+			db.Cfg.Workers = db.Cfg.Cores
+			return []series{{name: "Planner", run: query(db, listing2SQL(loosestAcctbal)), note: planned(true)}}, sameOnEveryBackend
+		}); err != nil {
 			return nil, err
 		}
-		// Full worker budget: server-side parse and row work run across
-		// all 32 cores, so the backend link is what differentiates.
-		db.Cfg.Workers = db.Cfg.Cores
-		rel, e, err := db.QueryContext(ctx, sql)
-		if err != nil {
-			return nil, fmt.Errorf("harness: backends on %s: %w", profile.Name, err)
-		}
-		plan := e.QueryPlan()
-		if plan == nil || len(plan.Steps) != 1 {
-			return nil, fmt.Errorf("harness: backends on %s produced no join plan", profile.Name)
-		}
-		step := plan.Steps[0]
-		seen[step.Strategy] = true
-
-		n, _ := rel.Rows[0][1].IntNum()
-		if refCount == 0 {
-			refCount = n
-		} else if n != refCount {
-			return nil, fmt.Errorf("harness: backend %s changed the answer: %d rows vs %d",
-				profile.Name, n, refCount)
-		}
-
-		strategyCode := map[string]float64{
-			engine.StrategyBaseline: 0, engine.StrategyBloom: 1,
-		}[step.Strategy]
-		res.add("Planner ("+step.Strategy+")", profile.Name, e, map[string]float64{
-			"bloom":        strategyCode,
-			"baseline_est": step.Estimates[engine.StrategyBaseline].Seconds,
-			"bloom_est":    step.Estimates[engine.StrategyBloom].Seconds,
-		})
 	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("same Listing-2 join (c_acctbal <= %s) on every backend; answers are identical", acctbal),
-		"series name records the strategy chosen per backend profile; est columns are its per-strategy runtime estimates",
-		fmt.Sprintf("distinct strategies chosen across backends: %d", len(seen)))
+	// Every series is named after a strategy.
+	res.Notes = append(res.Notes, fmt.Sprintf("distinct strategies chosen across backends: %d", len(res.SeriesNames())))
 	return res, nil
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/engine"
@@ -19,13 +18,24 @@ const cacheFigBudget = 256 << 20
 // plan a GET-based baseline join that owes the select cache nothing, which
 // the figure reports rather than hides).
 func cacheFigQueries() []struct{ name, sql string } {
-	acctbal := Fig2Acctbals[len(Fig2Acctbals)-1]
 	return []struct{ name, sql string }{
 		{"scan", "SELECT l_returnflag, COUNT(*) AS n, SUM(l_extendedprice) AS total " +
 			"FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag ORDER BY l_returnflag"},
-		{"join", fmt.Sprintf("SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n "+
-			"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "+
-			"WHERE c.c_acctbal <= %s", acctbal)},
+		{"join", listing2SQL(loosestAcctbal)},
+	}
+}
+
+// cacheExtras is the note of the Cache figure's series: the requests the
+// run issued and, on a warm run, what the result cache served.
+func cacheExtras(warm bool) note {
+	return func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+		requests, _, _, _ := e.Metrics.Totals()
+		extra := map[string]float64{"requests": float64(requests)}
+		if warm {
+			hits, hitBytes := e.Metrics.CacheTotals()
+			extra["cache_hits"], extra["cache_MB"] = float64(hits), float64(hitBytes)/1e6
+		}
+		return "", extra, nil
 	}
 }
 
@@ -41,48 +51,30 @@ func RunCache(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "Cache",
 		Title:  "Cold vs warm result cache per backend profile",
 		XLabel: "backend",
+		Notes: []string{
+			"same DB per profile: the cold run fills the result cache, the warm run repeats the query",
+			"warm scans are served from the compute tier: no Select requests, no scan/transfer dollars, decode only",
+			"the join row reports whatever strategy the planner picked per profile; a GET-based baseline join is unaffected by the select cache beyond free planning",
+		},
 	}
-	profiles := []cloudsim.Profile{
-		cloudsim.S3Profile(),
-		cloudsim.CrossRegionS3Profile(),
-		cloudsim.LocalFSProfile(),
-	}
-	for _, profile := range profiles {
-		db, err := env.TPCHWith(ctx, 
-			[]engine.Option{engine.WithResultCache(cacheFigBudget)},
-			s3api.WithProfile(profile))
-		if err != nil {
+	for _, profile := range []cloudsim.Profile{cloudsim.S3Profile(), cloudsim.CrossRegionS3Profile(), cloudsim.LocalFSProfile()} {
+		cached := env.TPCHWith([]engine.Option{engine.WithResultCache(cacheFigBudget)}, s3api.WithProfile(profile))
+		if _, err := res.sweep(ctx, cached, []string{profile.Name}, func(db *engine.DB, _ int) ([]series, check) {
+			var ss []series
+			for _, q := range cacheFigQueries() {
+				ss = append(ss,
+					series{name: q.name + " cold", run: query(db, q.sql), note: cacheExtras(false)},
+					series{name: q.name + " warm", run: query(db, q.sql), note: cacheExtras(true)})
+			}
+			return ss, func(rels []*engine.Relation) error { // each warm answer is its cold one
+				if err := sameAnswer(rels[:2]); err != nil {
+					return err
+				}
+				return sameAnswer(rels[2:])
+			}
+		}); err != nil {
 			return nil, err
 		}
-		for _, q := range cacheFigQueries() {
-			cold, e1, err := db.QueryContext(ctx, q.sql)
-			if err != nil {
-				return nil, fmt.Errorf("harness: cache %s cold on %s: %w", q.name, profile.Name, err)
-			}
-			warm, e2, err := db.QueryContext(ctx, q.sql)
-			if err != nil {
-				return nil, fmt.Errorf("harness: cache %s warm on %s: %w", q.name, profile.Name, err)
-			}
-			if cold.String() != warm.String() {
-				return nil, fmt.Errorf("harness: cache %s on %s changed the answer between cold and warm",
-					q.name, profile.Name)
-			}
-			coldReq, _, _, _ := e1.Metrics.Totals()
-			warmReq, _, _, _ := e2.Metrics.Totals()
-			hits, hitBytes := e2.Metrics.CacheTotals()
-			res.add(q.name+" cold", profile.Name, e1, map[string]float64{
-				"requests": float64(coldReq),
-			})
-			res.add(q.name+" warm", profile.Name, e2, map[string]float64{
-				"requests":   float64(warmReq),
-				"cache_hits": float64(hits),
-				"cache_MB":   float64(hitBytes) / 1e6,
-			})
-		}
 	}
-	res.Notes = append(res.Notes,
-		"same DB per profile: the cold run fills the result cache, the warm run repeats the query",
-		"warm scans are served from the compute tier: no Select requests, no scan/transfer dollars, decode only",
-		"the join row reports whatever strategy the planner picked per profile; a GET-based baseline join is unaffected by the select cache beyond free planning")
 	return res, nil
 }

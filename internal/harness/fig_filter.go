@@ -12,94 +12,66 @@ import (
 // Fig1Selectivities is the paper's x-axis: 1e-7 .. 1e-2.
 var Fig1Selectivities = []float64{1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2}
 
+// fig1Threshold is the order key T for which "l_orderkey <= T" selects the
+// fraction sel of lineitem: the keys are dense and uniform.
+func fig1Threshold(env *Env, sel float64) int {
+	return max(int(math.Ceil(sel*float64(tpch.SizesFor(env.Scale.TPCHSF).Orders))), 1)
+}
+
+// filter is a series' call of one Section IV scan strategy — a method
+// expression such as (*engine.Exec).S3SideFilter — over lineitem.
+func filter(db *engine.DB, strategy func(*engine.Exec, string, string, string) (*engine.Relation, error), pred, proj string) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return strategy(e, "lineitem", pred, proj) })
+}
+
+// indexing is Section IV-A's strategy over the l_orderkey index: the rows
+// with a key up to threshold, fetched one GET per row or in one multi-range
+// GET per partition.
+func indexing(db *engine.DB, threshold int, opts engine.IndexFilterOptions) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
+		return e.IndexFilter("lineitem", "l_orderkey", fmt.Sprintf("value <= %d", threshold), opts)
+	})
+}
+
 // RunFig1 reproduces Fig. 1: runtime and cost of the three filter
 // strategies (server-side, S3-side, indexing) as selectivity grows. The
 // filter is a range predicate over lineitem's order key, whose dense
 // uniform values make "l_orderkey <= X" select exactly the target
 // fraction of rows.
 func RunFig1(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
-	maxOrder := tpch.SizesFor(env.Scale.TPCHSF).Orders
 	res := &Result{
 		ID:     "Fig1",
 		Title:  "Filter algorithms vs selectivity",
 		XLabel: "selectivity",
+		Notes:  []string{"predicate: l_orderkey <= selectivity * |orders| (dense keys make selectivity exact)"},
 	}
-	for _, sel := range Fig1Selectivities {
-		x := fmt.Sprintf("%.0e", sel)
-		threshold := int(math.Ceil(sel * float64(maxOrder)))
-		if threshold < 1 {
-			threshold = 1
-		}
+	return res.sweep(ctx, env.TPCH(), labels("%.0e", Fig1Selectivities), func(db *engine.DB, i int) ([]series, check) {
+		threshold := fig1Threshold(env, Fig1Selectivities[i])
 		pred := fmt.Sprintf("l_orderkey <= %d", threshold)
-
-		e1 := db.NewExecContext(ctx)
-		serverRel, err := e1.ServerSideFilter("lineitem", pred, "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("Server-Side Filter", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		s3Rel, err := e2.S3SideFilter("lineitem", pred, "*")
-		if err != nil {
-			return nil, err
-		}
-		res.add("S3-Side Filter", x, e2, nil)
-
-		e3 := db.NewExecContext(ctx)
-		idxRel, err := e3.IndexFilter("lineitem", "l_orderkey",
-			fmt.Sprintf("value <= %d", threshold), engine.IndexFilterOptions{})
-		if err != nil {
-			return nil, err
-		}
-		res.add("Indexing", x, e3, map[string]float64{"rows": float64(len(idxRel.Rows))})
-
-		if len(serverRel.Rows) != len(s3Rel.Rows) || len(serverRel.Rows) != len(idxRel.Rows) {
-			return nil, fmt.Errorf("harness: Fig1 row mismatch at %s: %d/%d/%d",
-				x, len(serverRel.Rows), len(s3Rel.Rows), len(idxRel.Rows))
-		}
-	}
-	res.Notes = append(res.Notes,
-		"predicate: l_orderkey <= selectivity * |orders| (dense keys make selectivity exact)")
-	return res, nil
+		return []series{
+			{name: "Server-Side Filter", run: filter(db, (*engine.Exec).ServerSideFilter, pred, "")},
+			{name: "S3-Side Filter", run: filter(db, (*engine.Exec).S3SideFilter, pred, "*")},
+			{name: "Indexing", run: indexing(db, threshold, engine.IndexFilterOptions{}),
+				note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
+					return "", map[string]float64{"rows": float64(len(rel.Rows))}, nil
+				}},
+		}, sameRowCount
+	})
 }
 
 // RunFig1MultiRange is the Suggestion-1 ablation: indexing with one GET
 // per row (the 2020 S3 API) vs one multi-range GET per partition.
 func RunFig1MultiRange(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
-	maxOrder := tpch.SizesFor(env.Scale.TPCHSF).Orders
 	res := &Result{
 		ID:     "Fig1-S1",
 		Title:  "Indexing: per-row GETs vs multi-range GET (Suggestion 1)",
 		XLabel: "selectivity",
 	}
-	for _, sel := range Fig1Selectivities {
-		x := fmt.Sprintf("%.0e", sel)
-		threshold := int(math.Ceil(sel * float64(maxOrder)))
-		if threshold < 1 {
-			threshold = 1
-		}
-		pred := fmt.Sprintf("value <= %d", threshold)
-
-		e1 := db.NewExecContext(ctx)
-		if _, err := e1.IndexFilter("lineitem", "l_orderkey", pred, engine.IndexFilterOptions{}); err != nil {
-			return nil, err
-		}
-		res.add("Per-Row GETs", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		if _, err := e2.IndexFilter("lineitem", "l_orderkey", pred, engine.IndexFilterOptions{MultiRange: true}); err != nil {
-			return nil, err
-		}
-		res.add("Multi-Range GET", x, e2, nil)
-	}
-	return res, nil
+	return res.sweep(ctx, env.TPCH(), labels("%.0e", Fig1Selectivities), func(db *engine.DB, i int) ([]series, check) {
+		threshold := fig1Threshold(env, Fig1Selectivities[i])
+		return []series{
+			{name: "Per-Row GETs", run: indexing(db, threshold, engine.IndexFilterOptions{})},
+			{name: "Multi-Range GET", run: indexing(db, threshold, engine.IndexFilterOptions{MultiRange: true})},
+		}, nil
+	})
 }

@@ -21,6 +21,22 @@ func fig5Aggs() []engine.GroupAgg {
 	}
 }
 
+// groupBy is a series' call of one Section VI algorithm — a method
+// expression such as (*engine.Exec).ServerSideGroupBy — over the synthetic
+// table's groupCol.
+func groupBy(db *engine.DB, algorithm func(*engine.Exec, string, string, []engine.GroupAgg, string) (*engine.Relation, error), groupCol string) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
+		return algorithm(e, "groups", groupCol, fig5Aggs(), "")
+	})
+}
+
+// hybridGroupBy is a series' call of the hybrid algorithm over g1.
+func hybridGroupBy(db *engine.DB, opts engine.HybridGroupByOptions) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
+		return e.HybridGroupBy("groups", "g1", fig5Aggs(), opts)
+	})
+}
+
 // Fig5GroupCounts is the paper's x-axis: 2..32 groups. Group column gI has
 // 2^I distinct groups in the uniform synthetic table.
 var Fig5GroupCounts = []int{2, 4, 8, 16, 32}
@@ -28,46 +44,19 @@ var Fig5GroupCounts = []int{2, 4, 8, 16, 32}
 // RunFig5 reproduces Fig. 5: server-side, filtered and S3-side group-by as
 // the number of groups grows (uniform group sizes).
 func RunFig5(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.GroupTable(ctx, -1)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig5",
 		Title:  "Group-by algorithms vs number of groups (uniform sizes)",
 		XLabel: "groups",
 	}
-	for i, g := range Fig5GroupCounts {
-		x := fmt.Sprint(g)
+	return res.sweep(ctx, env.GroupTable(-1), labels("%d", Fig5GroupCounts), func(db *engine.DB, i int) ([]series, check) {
 		groupCol := fmt.Sprintf("g%d", i+1) // g1 has 2 groups, g5 has 32
-
-		e1 := db.NewExecContext(ctx)
-		server, err := e1.ServerSideGroupBy("groups", groupCol, fig5Aggs(), "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("Server-Side Group-By", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		filtered, err := e2.FilteredGroupBy("groups", groupCol, fig5Aggs(), "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("Filtered Group-By", x, e2, nil)
-
-		e3 := db.NewExecContext(ctx)
-		s3side, err := e3.S3SideGroupBy("groups", groupCol, fig5Aggs(), "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("S3-Side Group-By", x, e3, nil)
-
-		if len(server.Rows) != len(filtered.Rows) || len(server.Rows) != len(s3side.Rows) {
-			return nil, fmt.Errorf("harness: Fig5 group counts disagree at %s: %d/%d/%d",
-				x, len(server.Rows), len(filtered.Rows), len(s3side.Rows))
-		}
-	}
-	return res, nil
+		return []series{
+			{name: "Server-Side Group-By", run: groupBy(db, (*engine.Exec).ServerSideGroupBy, groupCol)},
+			{name: "Filtered Group-By", run: groupBy(db, (*engine.Exec).FilteredGroupBy, groupCol)},
+			{name: "S3-Side Group-By", run: groupBy(db, (*engine.Exec).S3SideGroupBy, groupCol)},
+		}, sameRowCount
+	})
 }
 
 // Fig6S3Groups is the paper's sweep of how many groups hybrid group-by
@@ -78,32 +67,25 @@ var Fig6S3Groups = []int{1, 4, 6, 8, 10, 12}
 // server-side time, the S3-side time and the bytes returned as more groups
 // are aggregated in S3. The query's runtime is the max of the two bars.
 func RunFig6(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.GroupTable(ctx, 1.1)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig6",
 		Title:  "Hybrid group-by: server- vs S3-side aggregation split (θ=1.1)",
 		XLabel: "groups in S3",
+		Notes:  []string{"s3SideSec/serverSideSec are the two phase-2 bars of the paper's Fig. 6; returnedGB is the line"},
 	}
-	for _, k := range Fig6S3Groups {
-		x := fmt.Sprint(k)
-		e := db.NewExecContext(ctx)
-		if _, err := e.HybridGroupBy("groups", "g1", fig5Aggs(),
-			engine.HybridGroupByOptions{S3Groups: k, SampleFraction: 0.01}); err != nil {
-			return nil, err
-		}
-		extra := map[string]float64{
-			"s3SideSec":     e.Metrics.PhaseSeconds("s3 big groups"),
-			"serverSideSec": e.Metrics.PhaseSeconds("tail scan"),
-			"returnedGB":    float64(e.Metrics.PhaseReturnedBytes("")) / 1e9,
-		}
-		res.add("Hybrid Group-By", x, e, extra)
-	}
-	res.Notes = append(res.Notes,
-		"s3SideSec/serverSideSec are the two phase-2 bars of the paper's Fig. 6; returnedGB is the line")
-	return res, nil
+	return res.sweep(ctx, env.GroupTable(1.1), labels("%d", Fig6S3Groups), func(db *engine.DB, i int) ([]series, check) {
+		return []series{{
+			name: "Hybrid Group-By",
+			run:  hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: Fig6S3Groups[i], SampleFraction: 0.01}),
+			note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+				return "", map[string]float64{
+					"s3SideSec":     e.Metrics.PhaseSeconds("s3 big groups"),
+					"serverSideSec": e.Metrics.PhaseSeconds("tail scan"),
+					"returnedGB":    float64(e.Metrics.PhaseReturnedBytes("")) / 1e9,
+				}, nil
+			},
+		}}, nil
+	})
 }
 
 // Fig7Thetas is the paper's skew sweep.
@@ -118,36 +100,14 @@ func RunFig7(ctx context.Context, env *Env) (*Result, error) {
 		XLabel: "θ",
 	}
 	for _, theta := range Fig7Thetas {
-		db, err := env.GroupTable(ctx, theta)
-		if err != nil {
+		if _, err := res.sweep(ctx, env.GroupTable(theta), []string{fmt.Sprintf("%g", theta)}, func(db *engine.DB, _ int) ([]series, check) {
+			return []series{
+				{name: "Server-Side Group-By", run: groupBy(db, (*engine.Exec).ServerSideGroupBy, "g1")},
+				{name: "Filtered Group-By", run: groupBy(db, (*engine.Exec).FilteredGroupBy, "g1")},
+				{name: "Hybrid Group-By", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8, SampleFraction: 0.01})},
+			}, sameGroupTotals
+		}); err != nil {
 			return nil, err
-		}
-		x := fmt.Sprintf("%g", theta)
-
-		e1 := db.NewExecContext(ctx)
-		server, err := e1.ServerSideGroupBy("groups", "g1", fig5Aggs(), "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("Server-Side Group-By", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		filtered, err := e2.FilteredGroupBy("groups", "g1", fig5Aggs(), "")
-		if err != nil {
-			return nil, err
-		}
-		res.add("Filtered Group-By", x, e2, nil)
-
-		e3 := db.NewExecContext(ctx)
-		hybrid, err := e3.HybridGroupBy("groups", "g1", fig5Aggs(),
-			engine.HybridGroupByOptions{S3Groups: 8, SampleFraction: 0.01})
-		if err != nil {
-			return nil, err
-		}
-		res.add("Hybrid Group-By", x, e3, nil)
-
-		if err := sameGroupTotals(server, filtered, hybrid); err != nil {
-			return nil, fmt.Errorf("harness: Fig7 at θ=%s: %w", x, err)
 		}
 	}
 	return res, nil
@@ -155,7 +115,7 @@ func RunFig7(ctx context.Context, env *Env) (*Result, error) {
 
 // sameGroupTotals cross-checks that the algorithms agree on the grand
 // total of the first aggregate (group order may differ).
-func sameGroupTotals(rels ...*engine.Relation) error {
+func sameGroupTotals(rels []*engine.Relation) error {
 	var totals []float64
 	for _, rel := range rels {
 		var t float64
@@ -176,33 +136,19 @@ func sameGroupTotals(rels ...*engine.Relation) error {
 // RunFig6PartialGroupBy is the Suggestion-4 ablation: hybrid group-by with
 // the CASE encoding vs a real partial GROUP BY pushed to the storage side.
 func RunFig6PartialGroupBy(ctx context.Context, env *Env) (*Result, error) {
-	// The partial-group-by path needs a storage side advertising the
-	// Suggestion-4 capability.
-	db, err := env.GroupTable(ctx, 1.1, s3api.WithCapabilities(
-		selectengine.Capabilities{AllowGroupBy: true}))
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig6-S4",
 		Title:  "Hybrid group-by: CASE encoding vs partial GROUP BY (Suggestion 4)",
 		XLabel: "groups in S3",
 	}
-	for _, k := range []int{4, 8, 12} {
-		x := fmt.Sprint(k)
-		e1 := db.NewExecContext(ctx)
-		if _, err := e1.HybridGroupBy("groups", "g1", fig5Aggs(),
-			engine.HybridGroupByOptions{S3Groups: k}); err != nil {
-			return nil, err
-		}
-		res.add("CASE Encoding", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		if _, err := e2.HybridGroupBy("groups", "g1", fig5Aggs(),
-			engine.HybridGroupByOptions{S3Groups: k, UsePartialGroupBy: true}); err != nil {
-			return nil, err
-		}
-		res.add("Partial Group-By", x, e2, nil)
-	}
-	return res, nil
+	// The partial-group-by path needs a storage side advertising the
+	// Suggestion-4 capability.
+	groupingS3 := env.GroupTable(1.1, s3api.WithCapabilities(selectengine.Capabilities{AllowGroupBy: true}))
+	s3Groups := []int{4, 8, 12}
+	return res.sweep(ctx, groupingS3, labels("%d", s3Groups), func(db *engine.DB, i int) ([]series, check) {
+		return []series{
+			{name: "CASE Encoding", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: s3Groups[i]})},
+			{name: "Partial Group-By", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: s3Groups[i], UsePartialGroupBy: true})},
+		}, nil
+	})
 }

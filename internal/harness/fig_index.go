@@ -2,9 +2,11 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/tpch"
 )
@@ -29,78 +31,61 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "Index",
 		Title:  "IndexScan vs filtered scan vs baseline over selectivity (lineitem, l_partkey <= ?)",
 		XLabel: "selectivity",
+		Notes: []string{
+			"IndexScan: pushed probe of the sorted index objects, coalesced multi-range GETs, local re-filter",
+			"the crossover: IndexScan wins while few scattered ranges are fetched, loses when per-range overhead scales with matches",
+			"Planner series records the access-path choice of the SQL front end (its cost includes reading the table's statistics object)",
+		},
 	}
 	maxPartkey := tpch.SizesFor(env.Scale.TPCHSF).Parts
-	profiles := []cloudsim.Profile{
-		cloudsim.S3Profile(),
-		cloudsim.CrossRegionS3Profile(),
-	}
 	const proj = "l_orderkey, l_partkey"
-	for _, profile := range profiles {
-		db, err := env.TPCH(ctx, s3api.WithProfile(profile))
+	// Build (idempotently rebuild) the index through the engine's own catalog
+	// path; the manifest persists in the shared store, where the DB of each
+	// profile finds it.
+	db, err := env.TPCH()(ctx)
+	if err == nil {
+		err = db.CreateIndex(ctx, "lineitem", "l_partkey")
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, profile := range []cloudsim.Profile{cloudsim.S3Profile(), cloudsim.CrossRegionS3Profile()} {
+		xs := make([]string, len(indexFigFracs))
+		for i, frac := range indexFigFracs {
+			xs[i] = fmt.Sprintf("%g%% %s", frac*100, profile.Name)
+		}
+		_, err := res.sweep(ctx, env.TPCH(s3api.WithProfile(profile)), xs, func(db *engine.DB, i int) ([]series, check) {
+			pred := fmt.Sprintf("l_partkey <= %d", max(int(indexFigFracs[i]*float64(maxPartkey)), 1))
+			var gets int64
+			return []series{
+					{name: "IndexScan", run: op(db, func(e *engine.Exec) (rel *engine.Relation, err error) {
+						rel, gets, err = e.IndexScanFilter("lineitem", "l_partkey", pred, proj)
+						return rel, err
+					}), note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
+						return "", map[string]float64{"rows": float64(len(rel.Rows)), "ranged_gets": float64(gets)}, nil
+					}},
+					{name: "S3-side filter", run: filter(db, (*engine.Exec).S3SideFilter, pred, proj)},
+					{name: "Baseline", run: filter(db, (*engine.Exec).ServerSideFilter, pred, proj)},
+					// The SQL path: the access planner picks a strategy and pays
+					// for its own statistics (the table's statistics object).
+					{name: "Planner", run: query(db, "SELECT COUNT(*) AS n FROM lineitem WHERE "+pred),
+						note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+							ap := e.Access()
+							if ap == nil {
+								return "", nil, errors.New("no access plan")
+							}
+							return " (" + ap.Strategy + ")", map[string]float64{"est_ranged_gets": float64(ap.EstRangedGets)}, nil
+						}},
+				}, func(rels []*engine.Relation) error {
+					if n, _ := rels[3].Rows[0][0].IntNum(); int(n) != len(rels[0].Rows) {
+						return fmt.Errorf("SQL count %d != operator rows %d", n, len(rels[0].Rows))
+					}
+					return sameRowCount(rels[:3])
+				}
+		})
 		if err != nil {
 			return nil, err
 		}
-		// Build (idempotently rebuild) the index through the engine's own
-		// catalog path; the manifest persists in the shared store.
-		if err := db.CreateIndex(ctx, "lineitem", "l_partkey"); err != nil {
-			return nil, err
-		}
-		for _, frac := range indexFigFracs {
-			threshold := int(frac * float64(maxPartkey))
-			if threshold < 1 {
-				threshold = 1
-			}
-			pred := fmt.Sprintf("l_partkey <= %d", threshold)
-			x := fmt.Sprintf("%g%% %s", frac*100, profile.Name)
-
-			e1 := db.NewExecContext(ctx)
-			idxRel, gets, err := e1.IndexScanFilter("lineitem", "l_partkey", pred, proj)
-			if err != nil {
-				return nil, fmt.Errorf("harness: index at %s: %w", x, err)
-			}
-			e2 := db.NewExecContext(ctx)
-			scanRel, err := e2.S3SideFilter("lineitem", pred, proj)
-			if err != nil {
-				return nil, err
-			}
-			e3 := db.NewExecContext(ctx)
-			baseRel, err := e3.ServerSideFilter("lineitem", pred, proj)
-			if err != nil {
-				return nil, err
-			}
-			if len(idxRel.Rows) != len(scanRel.Rows) || len(idxRel.Rows) != len(baseRel.Rows) {
-				return nil, fmt.Errorf("harness: strategies disagree at %s: index %d, scan %d, baseline %d rows",
-					x, len(idxRel.Rows), len(scanRel.Rows), len(baseRel.Rows))
-			}
-			res.add("IndexScan", x, e1, map[string]float64{
-				"rows": float64(len(idxRel.Rows)), "ranged_gets": float64(gets),
-			})
-			res.add("S3-side filter", x, e2, nil)
-			res.add("Baseline", x, e3, nil)
-
-			// The SQL path: the access planner picks a strategy and pays
-			// for its own statistics (the table's statistics object).
-			sql := fmt.Sprintf("SELECT COUNT(*) AS n FROM lineitem WHERE %s", pred)
-			rel, e, err := db.QueryContext(ctx, sql)
-			if err != nil {
-				return nil, err
-			}
-			ap := e.Access()
-			if ap == nil {
-				return nil, fmt.Errorf("harness: no access plan at %s", x)
-			}
-			if n, _ := rel.Rows[0][0].IntNum(); int(n) != len(idxRel.Rows) {
-				return nil, fmt.Errorf("harness: SQL count %d != operator rows %d at %s", n, len(idxRel.Rows), x)
-			}
-			res.add("Planner ("+ap.Strategy+")", x, e, map[string]float64{
-				"est_ranged_gets": float64(ap.EstRangedGets),
-			})
-		}
 	}
-	res.Notes = append(res.Notes,
-		"IndexScan: pushed probe of the sorted index objects, coalesced multi-range GETs, local re-filter",
-		"the crossover: IndexScan wins while few scattered ranges are fetched, loses when per-range overhead scales with matches",
-		"Planner series records the access-path choice of the SQL front end (its cost includes reading the table's statistics object)")
 	return res, nil
 }

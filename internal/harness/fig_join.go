@@ -2,7 +2,7 @@ package harness
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
@@ -15,7 +15,14 @@ import (
 //	WHERE o_custkey = c_custkey
 //	  AND c_acctbal <= upper_c_acctbal
 //	  AND o_orderdate < upper_o_orderdate
-const joinAggItems = "SUM(o_totalprice) AS total"
+//
+// joinAggItems is its select list for the operator API; joinCountItems also
+// counts the joined rows, which is what series are checked against each
+// other on.
+const (
+	joinAggItems   = "SUM(o_totalprice) AS total"
+	joinCountItems = joinAggItems + ", COUNT(*) AS n"
+)
 
 func listing2Spec(upperAcctbal string, upperOrderdate string, fpr float64) engine.JoinSpec {
 	js := engine.JoinSpec{
@@ -32,27 +39,55 @@ func listing2Spec(upperAcctbal string, upperOrderdate string, fpr float64) engin
 	return js
 }
 
-func runJoinPoint(ctx context.Context, res *Result, db *engine.DB, x string, js engine.JoinSpec, algorithms []string) error {
-	var counts []int
-	for _, algo := range algorithms {
-		e := db.NewExecContext(ctx)
-		rel, err := e.JoinAggregate(js, algo, joinAggItems+", COUNT(*) AS n")
-		if err != nil {
-			return fmt.Errorf("harness: %s join at %s: %w", algo, x, err)
+// listing2 is a series' call of the Listing-2 join under one algorithm
+// ("baseline", "filtered", "bloom").
+func listing2(db *engine.DB, js engine.JoinSpec, algorithm, items string) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.JoinAggregate(js, algorithm, items) })
+}
+
+// listing2SQL is Listing 2 (orders unfiltered) as the SQL front end takes
+// it, for the figures that watch the planner choose the algorithm.
+func listing2SQL(upperAcctbal string) string {
+	return "SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n " +
+		"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey " +
+		"WHERE c.c_acctbal <= " + upperAcctbal
+}
+
+// loosestAcctbal is the loosest Fig. 2 customer filter: the least selective
+// build side, where the bloom-vs-baseline decision is closest.
+var loosestAcctbal = Fig2Acctbals[len(Fig2Acctbals)-1]
+
+// planned is the note of a series that ran (or only planned) listing2SQL:
+// the series is named after the strategy the planner chose for the one
+// join, the extras carry its code (bloom 1, baseline 0) and, on request,
+// the two runtime estimates it chose between.
+func planned(estimates bool) note {
+	return func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+		plan := e.QueryPlan()
+		if plan == nil || len(plan.Steps) != 1 {
+			return "", nil, errors.New("no one-join plan")
 		}
-		n, _ := rel.Rows[0][1].IntNum()
-		counts = append(counts, int(n))
-		series := map[string]string{
-			"baseline": "Baseline Join", "filtered": "Filtered Join", "bloom": "Bloom Join",
-		}[algo]
-		res.add(series, x, e, nil)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			return fmt.Errorf("harness: join algorithms disagree at %s: %v", x, counts)
+		step := plan.Steps[0]
+		extra := map[string]float64{"bloom": 0}
+		if step.Strategy == engine.StrategyBloom {
+			extra["bloom"] = 1
 		}
+		if estimates {
+			extra["baseline_est"] = step.Estimates[engine.StrategyBaseline].Seconds
+			extra["bloom_est"] = step.Estimates[engine.StrategyBloom].Seconds
+		}
+		return " (" + step.Strategy + ")", extra, nil
 	}
-	return nil
+}
+
+// joinSeries is Section V's three algorithms over js, each counting the
+// joined rows beside the sum.
+func joinSeries(db *engine.DB, js engine.JoinSpec) []series {
+	return []series{
+		{name: "Baseline Join", run: listing2(db, js, "baseline", joinCountItems)},
+		{name: "Filtered Join", run: listing2(db, js, "filtered", joinCountItems)},
+		{name: "Bloom Join", run: listing2(db, js, "bloom", joinCountItems)},
+	}
 }
 
 // Fig2Acctbals is the paper's customer-selectivity sweep.
@@ -61,22 +96,14 @@ var Fig2Acctbals = []string{"-950", "-850", "-750", "-650", "-550", "-450"}
 // RunFig2 reproduces Fig. 2: the three join algorithms as the customer
 // filter (c_acctbal <= X) loosens. The orders side is unfiltered.
 func RunFig2(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig2",
 		Title:  "Join algorithms vs customer selectivity (c_acctbal <= ?)",
 		XLabel: "c_acctbal <=",
 	}
-	for _, ub := range Fig2Acctbals {
-		js := listing2Spec(ub, "", 0.01)
-		if err := runJoinPoint(ctx, res, db, ub, js, []string{"baseline", "filtered", "bloom"}); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res.sweep(ctx, env.TPCH(), Fig2Acctbals, func(db *engine.DB, i int) ([]series, check) {
+		return joinSeries(db, listing2Spec(Fig2Acctbals[i], "", 0.01)), sameJoinCount
+	})
 }
 
 // Fig3Orderdates is the paper's orders-selectivity sweep ("None" = no
@@ -86,26 +113,18 @@ var Fig3Orderdates = []string{"1992-03-01", "1992-06-01", "1993-01-01", "1994-01
 // RunFig3 reproduces Fig. 3: the join algorithms as the orders filter
 // (o_orderdate < D) loosens, with the customer filter fixed at -950.
 func RunFig3(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig3",
 		Title:  "Join algorithms vs orders selectivity (o_orderdate < ?)",
 		XLabel: "o_orderdate <",
 	}
-	for _, d := range Fig3Orderdates {
-		date := d
-		if d == "None" {
+	return res.sweep(ctx, env.TPCH(), Fig3Orderdates, func(db *engine.DB, i int) ([]series, check) {
+		date := Fig3Orderdates[i]
+		if date == "None" {
 			date = ""
 		}
-		js := listing2Spec("-950", date, 0.01)
-		if err := runJoinPoint(ctx, res, db, d, js, []string{"baseline", "filtered", "bloom"}); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		return joinSeries(db, listing2Spec("-950", date, 0.01)), sameJoinCount
+	})
 }
 
 // Fig4FPRs is the paper's Bloom-filter false-positive-rate sweep.
@@ -115,69 +134,46 @@ var Fig4FPRs = []float64{0.0001, 0.001, 0.01, 0.1, 0.3, 0.5}
 // baseline and filtered joins as flat references. Customer filter fixed at
 // -950, orders unfiltered.
 func RunFig4(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig4",
 		Title:  "Bloom join vs false positive rate",
 		XLabel: "FPR",
 	}
-	// References measured once, reported at every x for plotting parity.
-	baseExec := db.NewExecContext(ctx)
-	if _, err := baseExec.JoinAggregate(listing2Spec("-950", "", 0.01), "baseline", joinAggItems); err != nil {
-		return nil, err
-	}
-	filtExec := db.NewExecContext(ctx)
-	if _, err := filtExec.JoinAggregate(listing2Spec("-950", "", 0.01), "filtered", joinAggItems); err != nil {
-		return nil, err
-	}
-	for _, fpr := range Fig4FPRs {
-		x := fmt.Sprintf("%g", fpr)
-		res.add("Baseline Join", x, baseExec, nil)
-		res.add("Filtered Join", x, filtExec, nil)
-		e := db.NewExecContext(ctx)
-		if _, err := e.JoinAggregate(listing2Spec("-950", "", fpr), "bloom", joinAggItems); err != nil {
-			return nil, err
-		}
-		_, _, returned, _ := e.Metrics.Totals()
-		res.add("Bloom Join", x, e, map[string]float64{"returnedMB": float64(returned) / 1e6})
-	}
-	return res, nil
+	return res.sweep(ctx, env.TPCH(), labels("%g", Fig4FPRs), func(db *engine.DB, i int) ([]series, check) {
+		// The two references do not depend on x; on the virtual clock
+		// re-measuring them at every x reports the same flat lines.
+		return []series{
+			{name: "Baseline Join", run: listing2(db, listing2Spec("-950", "", 0.01), "baseline", joinAggItems)},
+			{name: "Filtered Join", run: listing2(db, listing2Spec("-950", "", 0.01), "filtered", joinAggItems)},
+			{name: "Bloom Join", run: listing2(db, listing2Spec("-950", "", Fig4FPRs[i]), "bloom", joinAggItems),
+				note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+					_, _, returned, _ := e.Metrics.Totals()
+					return "", map[string]float64{"returnedMB": float64(returned) / 1e6}, nil
+				}},
+		}, nil
+	})
 }
 
 // RunFig4Bitwise is the Suggestion-3 ablation: the '0'/'1'-string Bloom
 // predicate (the paper's encoding) vs the BLOOM_CONTAINS bitwise form at
 // the same FPR.
 func RunFig4Bitwise(ctx context.Context, env *Env) (*Result, error) {
-	// The bitwise predicate needs a storage side that supports
-	// BLOOM_CONTAINS: ask for a backend advertising the capability.
-	db, err := env.TPCH(ctx, s3api.WithCapabilities(
-		selectengine.Capabilities{AllowBloomContains: true}))
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		ID:     "Fig4-S3",
 		Title:  "Bloom predicate encoding: '0'/'1' string vs bitwise (Suggestion 3)",
 		XLabel: "FPR",
 	}
-	for _, fpr := range []float64{0.0001, 0.01, 0.3} {
-		x := fmt.Sprintf("%g", fpr)
-		e1 := db.NewExecContext(ctx)
-		if _, err := e1.JoinAggregate(listing2Spec("-950", "", fpr), "bloom", joinAggItems); err != nil {
-			return nil, err
-		}
-		res.add("String Bloom", x, e1, nil)
-
-		js := listing2Spec("-950", "", fpr)
-		js.Bitwise = true
-		e2 := db.NewExecContext(ctx)
-		if _, err := e2.JoinAggregate(js, "bloom", joinAggItems); err != nil {
-			return nil, err
-		}
-		res.add("Bitwise Bloom", x, e2, nil)
-	}
-	return res, nil
+	// The bitwise predicate needs a storage side that supports
+	// BLOOM_CONTAINS: ask for a backend advertising the capability.
+	bitwiseS3 := env.TPCH(s3api.WithCapabilities(selectengine.Capabilities{AllowBloomContains: true}))
+	fprs := []float64{0.0001, 0.01, 0.3}
+	return res.sweep(ctx, bitwiseS3, labels("%g", fprs), func(db *engine.DB, i int) ([]series, check) {
+		js := listing2Spec("-950", "", fprs[i])
+		bitwise := js
+		bitwise.Bitwise = true
+		return []series{
+			{name: "String Bloom", run: listing2(db, js, "bloom", joinAggItems)},
+			{name: "Bitwise Bloom", run: listing2(db, bitwise, "bloom", joinAggItems)},
+		}, nil
+	})
 }

@@ -21,11 +21,7 @@ var ParallelWorkerCounts = []int{1, 2, 4, 8, 16, 32}
 // the pushdown-vs-server-parallelism trade-off the paper's follow-up
 // work weighs.
 func RunParallel(ctx context.Context, env *Env) (*Result, error) {
-	gdb, err := env.GroupTable(ctx, -1)
-	if err != nil {
-		return nil, err
-	}
-	jdb, err := env.TPCH(ctx)
+	gdb, err := env.GroupTable(-1)(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -33,54 +29,22 @@ func RunParallel(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "Parallel",
 		Title:  "Server-side operators vs worker budget (32-core node)",
 		XLabel: "workers",
+		Notes: []string{
+			"group-by results are byte-identical at every worker count (deterministic merge order)",
+			fmt.Sprintf("planner series records the strategy chosen for the Listing-2 join at c_acctbal <= %s; est columns are its per-strategy runtime estimates", loosestAcctbal),
+			"row work and load parsing divide their wall-clock across the worker budget; request issuance, network transfer and S3-side scans do not",
+		},
 	}
-	// The loosest Fig. 2 customer filter: the least selective build side,
-	// where the bloom-vs-baseline decision is closest and parallelism can
-	// tip it.
-	acctbal := Fig2Acctbals[len(Fig2Acctbals)-1]
-	joinSQL := fmt.Sprintf(
-		"SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n "+
-			"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "+
-			"WHERE c.c_acctbal <= %s", acctbal)
-
-	var seq *engine.Relation
-	for _, w := range ParallelWorkerCounts {
-		x := fmt.Sprint(w)
-		gdb.Cfg.Workers = w
-
-		e1 := gdb.NewExecContext(ctx)
-		out, err := e1.ServerSideGroupBy("groups", "g5", fig5Aggs(), "")
-		if err != nil {
-			return nil, fmt.Errorf("harness: parallel group-by at %d workers: %w", w, err)
-		}
-		if seq == nil {
-			seq = out
-		} else if out.String() != seq.String() {
-			return nil, fmt.Errorf("harness: parallel group-by at %d workers changed the result", w)
-		}
-		res.add("Server-Side Group-By", x, e1, nil)
-
-		jdb.Cfg.Workers = w
-		plan, pe, err := jdb.PlanContext(ctx, joinSQL)
-		if err != nil {
-			return nil, fmt.Errorf("harness: planning join at %d workers: %w", w, err)
-		}
-		if plan == nil || len(plan.Steps) != 1 {
-			return nil, fmt.Errorf("harness: join at %d workers produced no plan", w)
-		}
-		step := plan.Steps[0]
-		strategyCode := map[string]float64{
-			engine.StrategyBaseline: 0, engine.StrategyBloom: 1,
-		}[step.Strategy]
-		res.add("Planner ("+step.Strategy+")", x, pe, map[string]float64{
-			"bloom":        strategyCode,
-			"baseline_est": step.Estimates[engine.StrategyBaseline].Seconds,
-			"bloom_est":    step.Estimates[engine.StrategyBloom].Seconds,
-		})
-	}
-	res.Notes = append(res.Notes,
-		"group-by results are byte-identical at every worker count (deterministic merge order)",
-		fmt.Sprintf("planner series records the strategy chosen for the Listing-2 join at c_acctbal <= %s; est columns are its per-strategy runtime estimates", acctbal),
-		"row work and load parsing divide their wall-clock across the worker budget; request issuance, network transfer and S3-side scans do not")
-	return res, nil
+	sameAtEveryBudget := acrossX(sameAnswer)
+	return res.sweep(ctx, env.TPCH(), labels("%d", ParallelWorkerCounts), func(jdb *engine.DB, i int) ([]series, check) {
+		gdb.Cfg.Workers, jdb.Cfg.Workers = ParallelWorkerCounts[i], ParallelWorkerCounts[i]
+		return []series{
+			{name: "Server-Side Group-By", run: groupBy(gdb, (*engine.Exec).ServerSideGroupBy, "g5")},
+			// Planned, not run: the figure reports the choice and its estimates.
+			{name: "Planner", note: planned(true), run: func(ctx context.Context) (*engine.Relation, *engine.Exec, error) {
+				_, e, err := jdb.PlanContext(ctx, listing2SQL(loosestAcctbal))
+				return nil, e, err
+			}},
+		}, sameAtEveryBudget
+	})
 }

@@ -15,7 +15,7 @@ import (
 // queries (Section X, Suggestion 5: "data scan costs dominate a majority
 // of queries ... the current pricing model may have overcharged").
 func RunS5Pricing(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
+	db, err := env.TPCH()(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -24,51 +24,30 @@ func RunS5Pricing(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "S5",
 		Title:  "Flat vs computation-aware scan pricing (Suggestion 5)",
 		XLabel: "query",
+		Notes:  []string{"computation-aware pricing discounts light scans; heavy expressions (large Bloom filters) converge to list price"},
 	}
-	cases := []struct {
-		name string
-		run  func() (*engine.Exec, int64, error) // exec, approx nodes/row
+	// One execution per case, priced twice: this figure sweeps the price
+	// list, not the call.
+	for _, c := range []struct {
+		name  string
+		nodes float64 // approximate expression nodes evaluated per row
+		run   call
 	}{
-		{
-			name: "plain projection",
-			run: func() (*engine.Exec, int64, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.S3SideFilter("lineitem", "", "l_orderkey")
-				return e, 2, err
-			},
-		},
-		{
-			name: "simple filter",
-			run: func() (*engine.Exec, int64, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.S3SideFilter("lineitem", "l_quantity < 10", "l_orderkey, l_quantity")
-				return e, 7, err
-			},
-		},
-		{
-			name: "bloom probe",
-			run: func() (*engine.Exec, int64, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.JoinAggregate(listing2Spec("-950", "", 0.01), "bloom", joinAggItems)
-				return e, 95, err
-			},
-		},
-	}
-	for _, c := range cases {
-		e, nodes, err := c.run()
+		{"plain projection", 2, filter(db, (*engine.Exec).S3SideFilter, "", "l_orderkey")},
+		{"simple filter", 7, filter(db, (*engine.Exec).S3SideFilter, "l_quantity < 10", "l_orderkey, l_quantity")},
+		{"bloom probe", 95, listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},
+	} {
+		_, e, err := c.run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("harness: S5 %s: %w", c.name, err)
 		}
 		flat := e.Cost()
-		aware := e.Metrics.CostComputationAware(capPricing, float64(nodes))
+		aware := e.Metrics.CostComputationAware(capPricing, c.nodes)
 		res.Points = append(res.Points,
 			Point{Series: "Flat Pricing", X: c.name, RuntimeSec: e.RuntimeSeconds(), Cost: flat},
 			Point{Series: "Computation-Aware", X: c.name, RuntimeSec: e.RuntimeSeconds(), Cost: aware,
-				Extra: map[string]float64{"scanDiscountPct": 100 * (1 - aware.ScanUSD/maxPos(flat.ScanUSD))}},
-		)
+				Extra: map[string]float64{"scanDiscountPct": 100 * (1 - aware.ScanUSD/maxPos(flat.ScanUSD))}})
 	}
-	res.Notes = append(res.Notes,
-		"computation-aware pricing discounts light scans; heavy expressions (large Bloom filters) converge to list price")
 	return res, nil
 }
 

@@ -16,9 +16,10 @@ import (
 // serveFigClientCounts is the concurrency sweep (benchfig -fig Serve).
 var serveFigClientCounts = []int{1, 2, 4, 8}
 
-// serveRound is one measured round of the Serve figure: every client ran
-// every query once through the wire.
-type serveRound struct {
+// round is one measured round of a served figure (Serve, Shared): the
+// meter readings the server reported, summed over every query every
+// client ran through the wire.
+type round struct {
 	queries    int
 	runtimeSec float64 // summed virtual runtimes
 	cost       cloudsim.CostBreakdown
@@ -26,68 +27,93 @@ type serveRound struct {
 	cacheHits  int64
 }
 
-// runServeRound drives n concurrent clients through the server, each
-// running the whole query set once, and sums the per-query meter readings
-// the server reports. Each client accumulates into its own slot and the
-// slots fold in client order after the barrier — summing shared floats in
+// runRound drives n concurrent clients through the server at base, in
+// steps: at step k client c runs queries(c, k) in order, and step k+1
+// starts when every client has its step-k answers. One step is n
+// free-running clients; one query per step is a lockstep in which all n
+// submit together. Each client accumulates into its own slot and the slots
+// fold in client order after the last barrier — summing shared floats in
 // goroutine-completion order would make the figure's totals vary run to
 // run. Canceling ctx aborts every client's in-flight request.
-func runServeRound(ctx context.Context, base string, n int, queries []struct{ name, sql string }) (*serveRound, error) {
-	rounds := make([]serveRound, n)
+func runRound(ctx context.Context, base string, n, steps int, queries func(c, k int) []struct{ name, sql string }) (*round, error) {
+	slots := make([]round, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := server.NewClient(base)
-			cl.Tenant = fmt.Sprintf("client-%d", c)
-			mine := &rounds[c]
-			for _, q := range queries {
-				res, err := cl.Query(ctx, q.sql)
-				if err != nil {
-					errs[c] = fmt.Errorf("client %d %s: %w", c, q.name, err)
-					return
+	for k := 0; k < steps; k++ {
+		var wg sync.WaitGroup
+		for c := 0; c < n; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cl := server.NewClient(base)
+				cl.Tenant = fmt.Sprintf("client-%d", c)
+				mine := &slots[c]
+				for _, q := range queries(c, k) {
+					res, err := cl.Query(ctx, q.sql)
+					if err != nil {
+						errs[c] = fmt.Errorf("client %d %s: %w", c, q.name, err)
+						return
+					}
+					mine.queries++
+					mine.runtimeSec += res.RuntimeSec
+					mine.cost = mine.cost.Add(res.Cost)
+					mine.requests += res.Requests
+					mine.cacheHits += res.CacheHits
 				}
-				mine.queries++
-				mine.runtimeSec += res.RuntimeSec
-				mine.cost = mine.cost.Add(res.Cost)
-				mine.requests += res.Requests
-				mine.cacheHits += res.CacheHits
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
-	var round serveRound
-	for _, r := range rounds {
-		round.queries += r.queries
-		round.runtimeSec += r.runtimeSec
-		round.cost = round.cost.Add(r.cost)
-		round.requests += r.requests
-		round.cacheHits += r.cacheHits
+	var total round
+	for _, s := range slots {
+		total.queries += s.queries
+		total.runtimeSec += s.runtimeSec
+		total.cost = total.cost.Add(s.cost)
+		total.requests += s.requests
+		total.cacheHits += s.cacheHits
 	}
-	return &round, nil
+	return &total, nil
 }
 
-// add renders a round as one figure point: simulated cost and virtual
+// point renders a round as one figure point: simulated cost and virtual
 // runtime per query, averaged over everything the round's clients ran.
-func (r *serveRound) add(res *Result, series string, clients int) {
+func (r *round) point(series string, clients int, extra map[string]float64) Point {
 	per := 1.0 / float64(r.queries)
-	res.Points = append(res.Points, Point{
+	return Point{
 		Series:     series,
 		X:          fmt.Sprint(clients),
 		RuntimeSec: r.runtimeSec * per,
 		Cost:       r.cost.Scale(per),
-		Extra: map[string]float64{
-			"requests_per_query": float64(r.requests) * per,
-			"cache_hits":         float64(r.cacheHits),
-		},
+		Extra:      extra,
+	}
+}
+
+// withServer runs f against a pushdownd serving db on a loopback port,
+// sized for n clients, and shuts the server down before it returns.
+func withServer(ctx context.Context, db *engine.DB, n int, f func(base string) error) error {
+	srv := server.New(db, server.Config{
+		MaxClients:     2 * n,
+		RequestTimeout: time.Minute,
 	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	serveDone := make(chan struct{})
+	go func() { _ = srv.Serve(l); close(serveDone) }()
+	err = f("http://" + l.Addr().String())
+	sdctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	sderr := srv.Shutdown(sdctx)
+	cancel()
+	<-serveDone
+	if err == nil && sderr != nil {
+		err = fmt.Errorf("harness: server shutdown at %d clients: %w", n, sderr)
+	}
+	return err
 }
 
 // RunServe measures pushdownd under concurrency (benchfig -fig Serve):
@@ -105,61 +131,46 @@ func RunServe(ctx context.Context, env *Env) (*Result, error) {
 		ID:     "Serve",
 		Title:  "pushdownd: simulated cost per query vs concurrent clients, cold vs warm cache",
 		XLabel: "clients",
+		Notes: []string{
+			"fresh server + DB per client count; every client runs the scan and join workloads once per round over HTTP",
+			"cold round: concurrent clients share one result cache and one stats cache, so later arrivals ride earlier fills",
+			"warm round: repeats are served from the compute tier — no Select requests, no scan/transfer dollars",
+		},
 	}
-	queries := cacheFigQueries()
+	everything := func(int, int) []struct{ name, sql string } { return cacheFigQueries() }
 	for _, n := range serveFigClientCounts {
 		// Result cache plus scan sharing at its defaults — the same pair
 		// pushdownd ships with. Sharing only changes the cold round: cache
 		// misses arriving together coalesce, and the non-leaders show up as
 		// in-flight dedups on the cache stats rather than hits.
-		db, err := env.TPCHWith(ctx, []engine.Option{
+		db, err := env.TPCHWith([]engine.Option{
 			engine.WithResultCache(cacheFigBudget),
 			engine.WithScanSharing(scanshare.Config{}),
-		})
+		})(ctx)
 		if err != nil {
 			return nil, err
 		}
-		srv := server.New(db, server.Config{
-			MaxClients:     2 * n,
-			RequestTimeout: time.Minute,
-		})
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		serveDone := make(chan struct{})
-		go func() { _ = srv.Serve(l); close(serveDone) }()
-		base := "http://" + l.Addr().String()
-
-		cold, err := runServeRound(ctx, base, n, queries)
-		if err == nil {
-			var warm *serveRound
-			warm, err = runServeRound(ctx, base, n, queries)
-			if err == nil {
-				cold.add(res, "cold", n)
-				warm.add(res, "warm", n)
-				// Split the refill dedups out of the hit count on the warm
-				// point, so the figure distinguishes "served from cache"
-				// from "rode a neighbor's in-flight miss".
-				if cs, ok := db.ResultCacheStats(); ok {
-					res.Points[len(res.Points)-1].Extra["inflight_dedup"] = float64(cs.InflightDedup)
+		if err := withServer(ctx, db, n, func(base string) error {
+			for _, series := range []string{"cold", "warm"} {
+				r, err := runRound(ctx, base, n, 1, everything)
+				if err != nil {
+					return err
 				}
+				res.Points = append(res.Points, r.point(series, n, map[string]float64{
+					"requests_per_query": float64(r.requests) * (1.0 / float64(r.queries)),
+					"cache_hits":         float64(r.cacheHits),
+				}))
 			}
-		}
-		sdctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		sderr := srv.Shutdown(sdctx)
-		cancel()
-		<-serveDone
-		if err != nil {
+			// Split the refill dedups out of the hit count on the warm
+			// point, so the figure distinguishes "served from cache"
+			// from "rode a neighbor's in-flight miss".
+			if cs, ok := db.ResultCacheStats(); ok {
+				res.Points[len(res.Points)-1].Extra["inflight_dedup"] = float64(cs.InflightDedup)
+			}
+			return nil
+		}); err != nil {
 			return nil, err
-		}
-		if sderr != nil {
-			return nil, fmt.Errorf("harness: serve shutdown at %d clients: %w", n, sderr)
 		}
 	}
-	res.Notes = append(res.Notes,
-		"fresh server + DB per client count; every client runs the scan and join workloads once per round over HTTP",
-		"cold round: concurrent clients share one result cache and one stats cache, so later arrivals ride earlier fills",
-		"warm round: repeats are served from the compute tier — no Select requests, no scan/transfer dollars")
 	return res, nil
 }

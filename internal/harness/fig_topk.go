@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/tpch"
@@ -11,12 +13,7 @@ import (
 // fig8K scales the paper's K=100 (over 60M rows) to the generated
 // lineitem's row count, keeping K << N so the sampling optimum is interior.
 func fig8K(env *Env) int {
-	n := approxLineitemRows(env)
-	k := n / 500
-	if k < 25 {
-		k = 25
-	}
-	return k
+	return max(approxLineitemRows(env)/500, 25)
 }
 
 func approxLineitemRows(env *Env) int {
@@ -24,106 +21,99 @@ func approxLineitemRows(env *Env) int {
 	return tpch.SizesFor(env.Scale.TPCHSF).Orders * 4
 }
 
+// serverTopK and samplingTopK are a series' call of Section VII's two
+// algorithms for the k most expensive lineitems.
+func serverTopK(db *engine.DB, k int) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
+		return e.ServerSideTopK("lineitem", "l_extendedprice", k, true)
+	})
+}
+
+func samplingTopK(db *engine.DB, k int, opts engine.SamplingTopKOptions) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
+		return e.SamplingTopK("lineitem", "l_extendedprice", k, true, opts)
+	})
+}
+
 // RunFig8 reproduces Fig. 8: the sampling top-K's runtime split (sampling
 // phase vs scanning phase) and bytes returned as the sample size S sweeps
 // around the analytic optimum S* = sqrt(KN/alpha).
 func RunFig8(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
 	k := fig8K(env)
 	n := int64(approxLineitemRows(env))
-	sStar := engine.OptimalSampleSize(k, n, 0.1)
+	sStar := engine.OptimalSampleSize(k, n, engine.SamplingAlpha)
 	res := &Result{
 		ID:     "Fig8",
 		Title:  fmt.Sprintf("Sampling top-K vs sample size (K=%d, S*=%d)", k, sStar),
 		XLabel: "sample size",
+		Notes:  []string{"samplingSec/scanningSec are the two bar segments of the paper's Fig. 8a; returnedGB is the line"},
 	}
-	for _, mult := range []struct {
-		label string
-		f     float64
-	}{
-		{"S*/16", 1.0 / 16}, {"S*/4", 1.0 / 4}, {"S*", 1},
-		{"4*S*", 4}, {"16*S*", 16},
-	} {
-		s := int64(float64(sStar) * mult.f)
-		if s <= int64(k) {
-			s = int64(k) + 1
+	mults := []float64{1.0 / 16, 1.0 / 4, 1, 4, 16}
+	return res.sweep(ctx, env.TPCH(), []string{"S*/16", "S*/4", "S*", "4*S*", "16*S*"}, func(db *engine.DB, i int) ([]series, check) {
+		s := min(max(int64(float64(sStar)*mults[i]), int64(k)+1), n)
+		return []series{{
+			name: "Sampling Top-K",
+			run:  samplingTopK(db, k, engine.SamplingTopKOptions{SampleSize: s}),
+			note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
+				return "", map[string]float64{
+					"samplingSec": e.Metrics.PhaseSeconds("sample lineitem"),
+					"scanningSec": e.Metrics.PhaseSeconds("threshold scan lineitem"),
+					"returnedGB":  float64(e.Metrics.PhaseReturnedBytes("")) / 1e9,
+					"S":           float64(s),
+				}, nil
+			},
+		}}, kRows(k)
+	})
+}
+
+// kRows checks that every series returned exactly k rows.
+func kRows(k int) check {
+	return func(rels []*engine.Relation) error {
+		for _, rel := range rels {
+			if len(rel.Rows) != k {
+				return fmt.Errorf("returned %d rows, want %d", len(rel.Rows), k)
+			}
 		}
-		if s > n {
-			s = n
-		}
-		e := db.NewExecContext(ctx)
-		rel, err := e.SamplingTopK("lineitem", "l_extendedprice", k, true,
-			engine.SamplingTopKOptions{SampleSize: s})
-		if err != nil {
-			return nil, err
-		}
-		if len(rel.Rows) != k {
-			return nil, fmt.Errorf("harness: Fig8 returned %d rows, want %d", len(rel.Rows), k)
-		}
-		extra := map[string]float64{
-			"samplingSec": e.Metrics.PhaseSeconds("sample lineitem"),
-			"scanningSec": e.Metrics.PhaseSeconds("threshold scan lineitem"),
-			"returnedGB":  float64(e.Metrics.PhaseReturnedBytes("")) / 1e9,
-			"S":           float64(s),
-		}
-		res.add("Sampling Top-K", mult.label, e, extra)
+		return nil
 	}
-	res.Notes = append(res.Notes,
-		"samplingSec/scanningSec are the two bar segments of the paper's Fig. 8a; returnedGB is the line")
-	return res, nil
 }
 
 // RunFig9 reproduces Fig. 9: server-side vs sampling top-K as K grows.
 // The sampling algorithm derives S from the Section VII-B model.
 func RunFig9(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := approxLineitemRows(env)
 	res := &Result{
 		ID:     "Fig9",
 		Title:  "Top-K algorithms vs K",
 		XLabel: "K",
 	}
+	var ks []int
 	for _, k := range []int{1, 10, 100, 1000} {
-		if k >= n/4 {
-			break
-		}
-		x := fmt.Sprint(k)
-		e1 := db.NewExecContext(ctx)
-		server, err := e1.ServerSideTopK("lineitem", "l_extendedprice", k, true)
-		if err != nil {
-			return nil, err
-		}
-		res.add("Server-Side Top-K", x, e1, nil)
-
-		e2 := db.NewExecContext(ctx)
-		sampled, err := e2.SamplingTopK("lineitem", "l_extendedprice", k, true,
-			engine.SamplingTopKOptions{Alpha: 0.1})
-		if err != nil {
-			return nil, err
-		}
-		res.add("Sampling Top-K", x, e2, nil)
-
-		if len(server.Rows) != k || len(sampled.Rows) != k {
-			return nil, fmt.Errorf("harness: Fig9 K=%d row counts %d/%d",
-				k, len(server.Rows), len(sampled.Rows))
-		}
-		vi := server.ColIndex("l_extendedprice")
-		for i := range server.Rows {
-			a, _ := server.Rows[i][vi].Num()
-			b, _ := sampled.Rows[i][vi].Num()
-			if a != b {
-				return nil, fmt.Errorf("harness: Fig9 K=%d row %d differs: %v vs %v", k, i, a, b)
-			}
+		if k < approxLineitemRows(env)/4 {
+			ks = append(ks, k)
 		}
 	}
-	return res, nil
+	return res.sweep(ctx, env.TPCH(), labels("%d", ks), func(db *engine.DB, i int) ([]series, check) {
+		return []series{
+				{name: "Server-Side Top-K", run: serverTopK(db, ks[i])},
+				{name: "Sampling Top-K", run: samplingTopK(db, ks[i], engine.SamplingTopKOptions{})},
+			}, func(rels []*engine.Relation) error {
+				if err := kRows(ks[i])(rels); err != nil {
+					return err
+				}
+				return samePrices(rels)
+			}
+	})
 }
+
+// samePrices checks that the series return the same prices, row by row.
+var samePrices = agreeOn("the top-K prices", func(rel *engine.Relation) string {
+	var prices []float64
+	for _, r := range rel.Rows {
+		p, _ := r[rel.ColIndex("l_extendedprice")].Num()
+		prices = append(prices, p)
+	}
+	return fmt.Sprint(prices)
+})
 
 // RunTopKModel validates the Section VII-B analysis: measured bytes
 // returned across sample sizes should be minimized near the analytic
@@ -133,20 +123,14 @@ func RunTopKModel(ctx context.Context, env *Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	best := slices.MinFunc(fig8.Points, func(a, b Point) int {
+		return cmp.Compare(a.Extra["returnedGB"], b.Extra["returnedGB"])
+	})
+	return &Result{
 		ID:     "TopKModel",
 		Title:  "Sampling top-K: analytic optimum vs measured data traffic",
 		XLabel: "sample size",
 		Points: fig8.Points,
-	}
-	best, bestVal := "", -1.0
-	for _, p := range fig8.Points {
-		gb := p.Extra["returnedGB"]
-		if bestVal < 0 || gb < bestVal {
-			bestVal, best = gb, p.X
-		}
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("minimum measured traffic at %s (model predicts S*)", best))
-	return res, nil
+		Notes:  []string{fmt.Sprintf("minimum measured traffic at %s (model predicts S*)", best.X)},
+	}, nil
 }

@@ -15,11 +15,7 @@ import (
 // baseline PushdownDB (no S3 Select) and the optimized PushdownDB, plus
 // the geometric means the paper's headline numbers come from.
 func RunFig10(ctx context.Context, env *Env) (*Result, error) {
-	db, err := env.TPCH(ctx)
-	if err != nil {
-		return nil, err
-	}
-	groupDB, err := env.GroupTable(ctx, -1)
+	groupDB, err := env.GroupTable(-1)(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -28,130 +24,52 @@ func RunFig10(ctx context.Context, env *Env) (*Result, error) {
 		Title:  "Operators and TPC-H queries: baseline vs optimized PushdownDB",
 		XLabel: "workload",
 	}
-
-	type workItem struct {
-		name      string
-		baseline  func() (*engine.Exec, error)
-		optimized func() (*engine.Exec, error)
-	}
-
-	maxOrder := tpch.SizesFor(env.Scale.TPCHSF).Orders
-	filterPred := fmt.Sprintf("l_orderkey <= %d", maxOrder/1000+1) // ~1e-3
-
-	k := fig8K(env)
-	items := []workItem{
-		{
-			name: "Filter",
-			baseline: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.ServerSideFilter("lineitem", filterPred, "")
-				return e, err
-			},
-			optimized: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.S3SideFilter("lineitem", filterPred, "*")
-				return e, err
-			},
-		},
-		{
-			name: "Group-by",
-			baseline: func() (*engine.Exec, error) {
-				e := groupDB.NewExecContext(ctx)
-				_, err := e.ServerSideGroupBy("groups", "g3", fig5Aggs(), "")
-				return e, err
-			},
-			optimized: func() (*engine.Exec, error) {
-				e := groupDB.NewExecContext(ctx)
-				_, err := e.S3SideGroupBy("groups", "g3", fig5Aggs(), "")
-				return e, err
-			},
-		},
-		{
-			name: "Top-K",
-			baseline: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.ServerSideTopK("lineitem", "l_extendedprice", k, true)
-				return e, err
-			},
-			optimized: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.SamplingTopK("lineitem", "l_extendedprice", k, true,
-					engine.SamplingTopKOptions{Alpha: 0.1})
-				return e, err
-			},
-		},
-		{
-			name: "Join",
-			baseline: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.JoinAggregate(listing2Spec("-950", "", 0.01), "baseline", joinAggItems)
-				return e, err
-			},
-			optimized: func() (*engine.Exec, error) {
-				e := db.NewExecContext(ctx)
-				_, err := e.JoinAggregate(listing2Spec("-950", "", 0.01), "bloom", joinAggItems)
-				return e, err
-			},
-		},
-	}
+	names := []string{"Filter", "Group-by", "Top-K", "Join"}
 	for _, q := range tpch.Queries() {
-		q := q
-		items = append(items, workItem{
-			name: "TPCH " + q.Name,
-			baseline: func() (*engine.Exec, error) {
-				_, e, err := q.Baseline(db)
-				return e, err
-			},
-			optimized: func() (*engine.Exec, error) {
-				_, e, err := q.Optimized(db)
-				return e, err
-			},
-		})
+		names = append(names, "TPCH "+q.Name)
+	}
+	filterPred := fmt.Sprintf("l_orderkey <= %d", tpch.SizesFor(env.Scale.TPCHSF).Orders/1000+1) // ~1e-3
+	k := fig8K(env)
+	if _, err := res.sweep(ctx, env.TPCH(), names, func(db *engine.DB, i int) ([]series, check) {
+		// Every workload as its {baseline, optimized} pair of calls.
+		pairs := [][2]call{
+			{filter(db, (*engine.Exec).ServerSideFilter, filterPred, ""), filter(db, (*engine.Exec).S3SideFilter, filterPred, "*")},
+			{groupBy(groupDB, (*engine.Exec).ServerSideGroupBy, "g3"), groupBy(groupDB, (*engine.Exec).S3SideGroupBy, "g3")},
+			{serverTopK(db, k), samplingTopK(db, k, engine.SamplingTopKOptions{})},
+			{listing2(db, listing2Spec("-950", "", 0.01), "baseline", joinAggItems),
+				listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},
+		}
+		for _, q := range tpch.Queries() {
+			pairs = append(pairs, [2]call{
+				func(context.Context) (*engine.Relation, *engine.Exec, error) { return q.Baseline(db) },
+				func(context.Context) (*engine.Relation, *engine.Exec, error) { return q.Optimized(db) },
+			})
+		}
+		return []series{
+			{name: "PushdownDB (Baseline)", run: pairs[i][0]},
+			{name: "PushdownDB (Optimized)", run: pairs[i][1]},
+		}, nil
+	}); err != nil {
+		return nil, err
 	}
 
-	type pair struct{ runtime, cost float64 }
-	var basePairs, optPairs []pair
-	for _, it := range items {
-		be, err := it.baseline()
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s baseline: %w", it.name, err)
-		}
-		res.add("PushdownDB (Baseline)", it.name, be, nil)
-		basePairs = append(basePairs, pair{be.RuntimeSeconds(), be.Cost().Total()})
-
-		oe, err := it.optimized()
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s optimized: %w", it.name, err)
-		}
-		res.add("PushdownDB (Optimized)", it.name, oe, nil)
-		optPairs = append(optPairs, pair{oe.RuntimeSeconds(), oe.Cost().Total()})
+	// Geometric means over the workloads, per series; the points alternate
+	// baseline, optimized.
+	var logRuntime, logCost [2]float64
+	for i, p := range res.Points {
+		logRuntime[i%2] += math.Log(p.RuntimeSec)
+		logCost[i%2] += math.Log(p.Cost.Total())
 	}
-
-	geo := func(ps []pair) pair {
-		lr, lc := 0.0, 0.0
-		for _, p := range ps {
-			lr += math.Log(p.runtime)
-			lc += math.Log(p.cost)
-		}
-		n := float64(len(ps))
-		return pair{math.Exp(lr / n), math.Exp(lc / n)}
+	n := float64(len(names))
+	var runtime, cost [2]float64
+	for s, name := range []string{"PushdownDB (Baseline)", "PushdownDB (Optimized)"} {
+		runtime[s], cost[s] = math.Exp(logRuntime[s]/n), math.Exp(logCost[s]/n)
+		// A geo-mean has no meaningful component split: it goes in one.
+		res.Points = append(res.Points, Point{Series: name, X: "Geo-Mean", RuntimeSec: runtime[s],
+			Cost: cloudsim.CostBreakdown{ComputeUSD: cost[s]}})
 	}
-	bg, og := geo(basePairs), geo(optPairs)
-	res.Points = append(res.Points,
-		Point{Series: "PushdownDB (Baseline)", X: "Geo-Mean", RuntimeSec: bg.runtime,
-			Cost: costOf(bg.cost)},
-		Point{Series: "PushdownDB (Optimized)", X: "Geo-Mean", RuntimeSec: og.runtime,
-			Cost: costOf(og.cost)},
-	)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"geo-mean speedup %.1fx, cost ratio %.2f (paper: 6.7x faster, 30%% cheaper)",
-		bg.runtime/og.runtime, og.cost/bg.cost))
+		runtime[0]/runtime[1], cost[1]/cost[0]))
 	return res, nil
-}
-
-// costOf wraps a scalar total into a breakdown-shaped value (geo-means
-// have no meaningful component split).
-func costOf(total float64) (c cloudsim.CostBreakdown) {
-	c.ComputeUSD = total
-	return c
 }

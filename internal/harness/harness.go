@@ -1,14 +1,15 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (Figures 1-11). Each RunFigN function sets up the workload,
-// executes the swept configurations on the engine, and returns a Result
-// whose String() prints the same series the paper plots.
+// evaluation (Figures 1-11). Each RunFigN function states what its figure
+// varies — dataset, x-axis, one engine call per series, the check that the
+// series agree, notes — and Result.sweep executes it; the Result's String()
+// prints the same series the paper plots.
 //
 // Experiments run on laptop-sized datasets but report paper-scale virtual
 // runtimes and costs via cloudsim's Scaled config/pricing (see
 // cloudsim.Config.Scaled); selectivities, request counts and row mixes all
 // scale linearly, so the figures' shapes — who wins, by what factor, where
-// the crossovers fall — are preserved. EXPERIMENTS.md records paper-vs-
-// measured values per figure.
+// the crossovers fall — are preserved. The measured tables are pinned under
+// testdata/golden, one file per figure.
 package harness
 
 import (
@@ -60,20 +61,33 @@ type Env struct {
 	Scale Scale
 
 	mu           sync.Mutex
-	tpchStore    *store.Store
-	tpchDataset  tpch.Dataset
+	stores       map[string]*store.Store // by dataset: "tpch", "groups skew1.1", "floats 10", ...
 	tpchColumnar bool
-	groupStores  map[string]*store.Store // key: "uniform" or "skew<theta>"
-	floatStores  map[string]*store.Store // key: "<cols>"
 }
 
 // NewEnv returns an Env at the given scale.
 func NewEnv(s Scale) *Env {
-	return &Env{
-		Scale:       s,
-		groupStores: map[string]*store.Store{},
-		floatStores: map[string]*store.Store{},
+	return &Env{Scale: s, stores: map[string]*store.Store{}}
+}
+
+// dataset opens a DB over one of the Env's datasets, building the dataset
+// on first use; canceling ctx aborts a first-call build. A figure hands
+// Result.sweep the dataset it runs over.
+type dataset func(ctx context.Context) (*engine.DB, error)
+
+// stored returns the store cached under key, built on first use.
+func (env *Env) stored(key string, build func(*store.Store) error) (*store.Store, error) {
+	env.mu.Lock()
+	defer env.mu.Unlock()
+	st, ok := env.stores[key]
+	if !ok {
+		st = store.New()
+		if err := build(st); err != nil {
+			return nil, err
+		}
+		env.stores[key] = st
 	}
+	return st, nil
 }
 
 // paperPartitions is the paper's per-table object count (Section III runs
@@ -98,102 +112,79 @@ func (env *Env) scaledDB(st *store.Store, bucket string, dataRatio float64, eopt
 	return engine.Open(bucket, opts...)
 }
 
-// TPCH returns a DB over the TPC-H dataset (with the Fig. 1 index built),
-// with virtual time reported at PaperSF. Backend options configure the
-// simulated S3 backend (capabilities, profile). Canceling ctx aborts a
-// first-call dataset build.
-func (env *Env) TPCH(ctx context.Context, bopts ...s3api.InProcOption) (*engine.DB, error) {
-	return env.TPCHWith(ctx, nil, bopts...)
+// tpchSpec is the TPC-H instance the Env generates.
+func (env *Env) tpchSpec() tpch.Dataset {
+	return tpch.Dataset{SF: env.Scale.TPCHSF, Seed: env.Scale.Seed, Bucket: "tpch", Partitions: env.Scale.Partitions}
 }
 
+// TPCH is the TPC-H dataset (with the Fig. 1 index built), virtual time
+// reported at PaperSF. Backend options configure the simulated S3 backend
+// (capabilities, profile).
+func (env *Env) TPCH(bopts ...s3api.InProcOption) dataset { return env.TPCHWith(nil, bopts...) }
+
 // TPCHWith is TPCH with additional engine options.
-func (env *Env) TPCHWith(ctx context.Context, eopts []engine.Option, bopts ...s3api.InProcOption) (*engine.DB, error) {
-	env.mu.Lock()
-	defer env.mu.Unlock()
-	ratio := env.Scale.PaperSF / env.Scale.TPCHSF
-	if env.tpchStore == nil {
-		st := store.New()
-		ds, err := tpch.LoadWithIndexes(ctx, st, tpch.Dataset{
-			SF: env.Scale.TPCHSF, Seed: env.Scale.Seed,
-			Bucket: "tpch", Partitions: env.Scale.Partitions,
+func (env *Env) TPCHWith(eopts []engine.Option, bopts ...s3api.InProcOption) dataset {
+	return func(ctx context.Context) (*engine.DB, error) {
+		ratio := env.Scale.PaperSF / env.Scale.TPCHSF
+		st, err := env.stored("tpch", func(st *store.Store) error {
+			if _, err := tpch.LoadWithIndexes(ctx, st, env.tpchSpec()); err != nil {
+				return err
+			}
+			// Fig. 1's index, built as any index is: through the catalog.
+			db, err := env.scaledDB(st, "tpch", ratio, nil)
+			if err != nil {
+				return err
+			}
+			return db.CreateIndex(ctx, "lineitem", "l_orderkey")
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Fig. 1's index, built as any index is: through the catalog.
-		db, err := env.scaledDB(st, ds.Bucket, ratio, nil)
-		if err == nil {
-			err = db.CreateIndex(ctx, "lineitem", "l_orderkey")
-		}
-		if err != nil {
-			return nil, err
-		}
-		env.tpchStore = st
-		env.tpchDataset = ds
+		return env.scaledDB(st, "tpch", ratio, eopts, bopts...)
 	}
-	return env.scaledDB(env.tpchStore, env.tpchDataset.Bucket, ratio, eopts, bopts...)
 }
 
 const paperGroupTableBytes = 10 << 30 // the 10 GB synthetic table
 
-// GroupTable returns a DB over the synthetic group-by table: uniform
-// (Fig. 5) when theta < 0, Zipf-skewed otherwise (Figs. 6-7).
-func (env *Env) GroupTable(ctx context.Context, theta float64, bopts ...s3api.InProcOption) (*engine.DB, error) {
-	key := "uniform"
-	if theta >= 0 {
-		key = fmt.Sprintf("skew%.1f", theta)
-	}
-	env.mu.Lock()
-	st, ok := env.groupStores[key]
-	env.mu.Unlock()
-	if !ok {
-		var spec workload.GroupTableSpec
-		if theta < 0 {
-			spec = workload.UniformSpec(env.Scale.GroupRows, env.Scale.Seed)
-		} else {
+// GroupTable is the synthetic group-by table: uniform (Fig. 5) when
+// theta < 0, Zipf-skewed otherwise (Figs. 6-7).
+func (env *Env) GroupTable(theta float64, bopts ...s3api.InProcOption) dataset {
+	return func(ctx context.Context) (*engine.DB, error) {
+		spec := workload.UniformSpec(env.Scale.GroupRows, env.Scale.Seed)
+		if theta >= 0 {
 			spec = workload.SkewedSpec(env.Scale.GroupRows, theta, env.Scale.Seed)
 		}
-		st = store.New()
-		if err := engine.PartitionTable(ctx, st, "synth", "groups",
-			spec.Header(), spec.Generate(), env.Scale.Partitions); err != nil {
+		st, err := env.stored(fmt.Sprintf("groups skew%.1f", theta), func(st *store.Store) error {
+			return engine.PartitionTable(ctx, st, "synth", "groups", spec.Header(), spec.Generate(), env.Scale.Partitions)
+		})
+		if err != nil {
 			return nil, err
 		}
-		env.mu.Lock()
-		env.groupStores[key] = st
-		env.mu.Unlock()
+		ratio := float64(paperGroupTableBytes) / float64(st.TableSize("synth", "groups"))
+		return env.scaledDB(st, "synth", ratio, nil, bopts...)
 	}
-	ratio := float64(paperGroupTableBytes) / float64(st.TableSize("synth", "groups"))
-	return env.scaledDB(st, "synth", ratio, nil, bopts...)
 }
 
-// FloatTables returns a DB over the Fig. 11 tables: for each column count,
-// a CSV table "fcsv<cols>" and a columnar table "fcol<cols>". The returned
-// ratio scales to the paper's 100 MB-per-column objects.
-func (env *Env) FloatTables(ctx context.Context, cols int) (*engine.DB, error) {
-	key := fmt.Sprint(cols)
-	env.mu.Lock()
-	st, ok := env.floatStores[key]
-	env.mu.Unlock()
-	if !ok {
-		header, rows := workload.FloatTable(env.Scale.FloatRows, cols, env.Scale.Seed)
-		st = store.New()
-		if err := engine.PartitionTable(ctx, st, "fmt", "fcsv",
-			header, rows, env.Scale.Partitions); err != nil {
+// FloatTables is the Fig. 11 tables of one column count: a CSV table
+// "fcsv" and a columnar table "fcol", scaled to the paper's 100
+// MB-per-column objects.
+func (env *Env) FloatTables(cols int) dataset {
+	return func(ctx context.Context) (*engine.DB, error) {
+		st, err := env.stored(fmt.Sprint("floats ", cols), func(st *store.Store) error {
+			header, rows := workload.FloatTable(env.Scale.FloatRows, cols, env.Scale.Seed)
+			if err := engine.PartitionTable(ctx, st, "fmt", "fcsv", header, rows, env.Scale.Partitions); err != nil {
+				return err
+			}
+			groupRows := env.Scale.FloatRows/env.Scale.Partitions/4 + 1
+			return engine.PartitionTableColumnar(st, "fmt", "fcol",
+				workload.FloatSchema(cols), workload.FloatRowsTyped(rows), env.Scale.Partitions, groupRows, true)
+		})
+		if err != nil {
 			return nil, err
 		}
-		typed := workload.FloatRowsTyped(rows)
-		groupRows := env.Scale.FloatRows/env.Scale.Partitions/4 + 1
-		if err := engine.PartitionTableColumnar(st, "fmt", "fcol",
-			workload.FloatSchema(cols), typed, env.Scale.Partitions, groupRows, true); err != nil {
-			return nil, err
-		}
-		env.mu.Lock()
-		env.floatStores[key] = st
-		env.mu.Unlock()
+		ratio := float64(cols) * 100e6 / float64(st.TableSize("fmt", "fcsv"))
+		return env.scaledDB(st, "fmt", ratio, nil)
 	}
-	paperBytes := float64(cols) * 100e6
-	ratio := paperBytes / float64(st.TableSize("fmt", "fcsv"))
-	return env.scaledDB(st, "fmt", ratio, nil)
 }
 
 // Point is one measured configuration of an experiment.
@@ -217,27 +208,144 @@ type Result struct {
 	Notes  []string
 }
 
-func (r *Result) add(series, x string, e *engine.Exec, extra map[string]float64) {
-	r.Points = append(r.Points, Point{
-		Series:     series,
-		X:          x,
-		RuntimeSec: e.RuntimeSeconds(),
-		Cost:       e.Cost(),
-		Extra:      extra,
-	})
+// call is what a series does at one x value: it returns its answer and the
+// execution that carries the meter. note reads a point's extras off the
+// finished execution, and a suffix for the series name (what the planner
+// chose). check is a figure's agreement check over the series' answers, in
+// series order.
+type (
+	call  = func(context.Context) (*engine.Relation, *engine.Exec, error)
+	note  = func(*engine.Exec, *engine.Relation) (suffix string, extra map[string]float64, err error)
+	check = func([]*engine.Relation) error
+)
+
+// series is one line of a figure: at every x value it makes one engine
+// call, and the execution's virtual runtime and cost become the point.
+type series struct {
+	// name labels the line; a series without one is a reference: it runs,
+	// the agreement check sees its answer, nothing is plotted.
+	name string
+	// run makes the call: see op and query.
+	run  call
+	note note // optional
+}
+
+// op is a series' call through the operator API: f runs on a fresh Exec of
+// db.
+func op(db *engine.DB, f func(*engine.Exec) (*engine.Relation, error)) call {
+	return func(ctx context.Context) (*engine.Relation, *engine.Exec, error) {
+		e := db.NewExecContext(ctx)
+		rel, err := f(e)
+		return rel, e, err
+	}
+}
+
+// query is a series' call through the SQL front end.
+func query(db *engine.DB, sql string) call {
+	return func(ctx context.Context) (*engine.Relation, *engine.Exec, error) { return db.QueryContext(ctx, sql) }
+}
+
+// sweep runs a figure over the dataset it opens: at the i-th x value, at
+// states the series and the check their answers must pass (nil for none);
+// every series runs, in order, its point is recorded, and the check is
+// applied to the answers in series order. It returns r so a body can end
+// in it.
+func (r *Result) sweep(ctx context.Context, open dataset, xs []string, at func(db *engine.DB, i int) ([]series, check)) (*Result, error) {
+	db, err := open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i, x := range xs {
+		ss, agree := at(db, i)
+		rels := make([]*engine.Relation, len(ss))
+		for j, s := range ss {
+			rel, e, err := s.run(ctx)
+			var suffix string
+			var extra map[string]float64
+			if err == nil && s.note != nil {
+				suffix, extra, err = s.note(e, rel)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("harness: %s: %s at %s: %w", r.ID, s.name, x, err)
+			}
+			rels[j] = rel
+			if s.name != "" {
+				r.Points = append(r.Points, Point{Series: s.name + suffix, X: x, RuntimeSec: e.RuntimeSeconds(), Cost: e.Cost(), Extra: extra})
+			}
+		}
+		if agree != nil {
+			if err := agree(rels); err != nil {
+				return nil, fmt.Errorf("harness: %s at %s: %w", r.ID, x, err)
+			}
+		}
+	}
+	return r, nil
+}
+
+// agreeOn builds the commonest check: every series' answer has the same
+// key (a row count, a COUNT(*) cell, the rendered relation).
+func agreeOn[K comparable](what string, key func(*engine.Relation) K) check {
+	return func(rels []*engine.Relation) error {
+		keys := make([]K, len(rels))
+		for i, rel := range rels {
+			keys[i] = key(rel)
+			if keys[i] != keys[0] {
+				return fmt.Errorf("series disagree on %s: %v", what, keys[:i+1])
+			}
+		}
+		return nil
+	}
+}
+
+var (
+	sameRowCount = agreeOn("row count", func(rel *engine.Relation) int { return len(rel.Rows) })
+	sameAnswer   = agreeOn("the answer", (*engine.Relation).String)
+)
+
+// sameJoinCount checks the COUNT(*) every series returned beside the
+// Listing-2 sum (joinCountItems, listing2SQL).
+var sameJoinCount = agreeOn("COUNT(*)", func(rel *engine.Relation) int64 {
+	n, _ := rel.Rows[0][1].IntNum()
+	return n
+})
+
+// acrossX extends an agreement check over the whole sweep: at every x the
+// first series' answer must agree with its answer at the first x.
+func acrossX(c check) check {
+	var first *engine.Relation
+	return func(rels []*engine.Relation) error {
+		if first == nil {
+			first = rels[0]
+		}
+		return c([]*engine.Relation{first, rels[0]})
+	}
+}
+
+// labels renders an x-axis.
+func labels[T any](format string, vals []T) []string {
+	xs := make([]string, len(vals))
+	for i, v := range vals {
+		xs[i] = fmt.Sprintf(format, v)
+	}
+	return xs
 }
 
 // SeriesNames returns the distinct series in first-seen order.
 func (r *Result) SeriesNames() []string {
-	var names []string
+	return r.distinct(func(p Point) string { return p.Series })
+}
+
+// distinct returns the points' distinct keys in first-seen order.
+func (r *Result) distinct(key func(Point) string) []string {
+	var keys []string
 	seen := map[string]bool{}
 	for _, p := range r.Points {
-		if !seen[p.Series] {
-			seen[p.Series] = true
-			names = append(names, p.Series)
+		if k := key(p); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
 		}
 	}
-	return names
+	return keys
 }
 
 // Get returns the point for (series, x).
@@ -256,14 +364,7 @@ func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
 	series := r.SeriesNames()
-	var xs []string
-	seenX := map[string]bool{}
-	for _, p := range r.Points {
-		if !seenX[p.X] {
-			seenX[p.X] = true
-			xs = append(xs, p.X)
-		}
-	}
+	xs := r.distinct(func(p Point) string { return p.X })
 	fmt.Fprintf(&b, "%-16s", r.XLabel)
 	for _, s := range series {
 		fmt.Fprintf(&b, " | %22s", s)

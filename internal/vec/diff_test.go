@@ -223,11 +223,11 @@ func TestProjectDiff(t *testing.T) {
 		b, _ := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
-			want, wantErr := engine.ProjectLocal(rel, items)
 			sel, perr := sqlparse.Parse("SELECT " + items + " FROM t")
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			want, wantErr := engine.Operators{}.Project(rel, sel.Items)
 			out, gotErr := vec.Project(b, sel, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
