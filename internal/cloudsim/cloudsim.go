@@ -16,8 +16,9 @@
 // Calibration: the constants in DefaultConfig are fitted once against the
 // absolute runtimes the paper reports (Section III: r4.8xlarge, 32 cores,
 // 10 GigE, 10 GB TPC-H CSV in 32-way partitioned objects) and are shared by
-// every experiment — no per-figure tuning. EXPERIMENTS.md records where the
-// resulting factors deviate from the paper's.
+// every experiment — no per-figure tuning. The resulting figures are pinned
+// under internal/harness/testdata/golden; Fig10's note sets its factors
+// beside the paper's.
 package cloudsim
 
 import (
@@ -655,7 +656,7 @@ func (m *Metrics) CostComputationAware(p ComputationAwarePricing, avgNodesPerRow
 	return c
 }
 
-// Report renders a per-phase table (debugging and EXPERIMENTS.md evidence).
+// Report renders a per-phase table (debugging).
 func (m *Metrics) Report() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
