@@ -144,7 +144,7 @@ func TestTableHeaderWiderThanProbe(t *testing.T) {
 		t.Fatalf("header = %d cols, want %d", len(got), len(cols))
 	}
 	// And the whole query path over it still works.
-	rel, _, err := db.QueryContext(context.Background(), "SELECT " + cols[599] + " FROM widehdr")
+	rel, _, err := db.QueryContext(context.Background(), "SELECT "+cols[599]+" FROM widehdr")
 	if err != nil || len(rel.Rows) != 1 {
 		t.Fatalf("query over wide-header table: %v %v", rel, err)
 	}
@@ -192,7 +192,7 @@ func TestOpenValidation(t *testing.T) {
 func TestCrossBackendJoin(t *testing.T) {
 	st := newTestStore(t) // cust + ords together (reference)
 	ref := openTestDB(t, st)
-	want, _, err := ref.QueryContext(context.Background(), 
+	want, _, err := ref.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestCrossBackendJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, e, err := db.QueryContext(context.Background(), 
+	got, e, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)

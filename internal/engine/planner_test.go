@@ -86,7 +86,7 @@ func assertSameAgg(t *testing.T, got, want *Relation) {
 func TestPlannerCommaJoin(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
-	rel, e, err := db.QueryContext(context.Background(), 
+	rel, e, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM cust c, ords o WHERE c.ck = o.ck AND c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestPlannerCommaJoin(t *testing.T) {
 
 func TestPlannerJoinGroupByOrderByLimit(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.QueryContext(context.Background(), 
+	rel, _, err := db.QueryContext(context.Background(),
 		"SELECT c.ck, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck GROUP BY c.ck ORDER BY total DESC LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPlannerResidualPredicate(t *testing.T) {
 	db, _ := newTestDB(t)
 	// bal < price compares columns of different tables: not pushable, not
 	// an equi-join key — must be evaluated locally after the join.
-	rel, e, err := db.QueryContext(context.Background(), 
+	rel, e, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < o.price")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestPlannerThreeTableChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Sim = bigSim()
-	rel, e, err := db.QueryContext(context.Background(), 
+	rel, e, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n, SUM(i.qty) AS q FROM cust c JOIN ords o ON c.ck = o.ck JOIN items i ON o.ok = i.iok WHERE c.bal <= -500")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestPlannerStatsCache(t *testing.T) {
 func TestPlannerExplain(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
-	plan, err := db.ExplainContext(context.Background(), 
+	plan, err := db.ExplainContext(context.Background(),
 		"SELECT SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500 LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -256,23 +256,23 @@ func TestPlannerRejectsAmbiguousColumns(t *testing.T) {
 	}
 	// An unqualified pushed WHERE filter over a duplicated name is the
 	// same silent guess and must be rejected too.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM cust c JOIN acct b ON c.ck = b.ck2 WHERE bal < 100"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("unqualified filter over duplicate name: err = %v, want ambiguity rejection", err)
 	}
 	// A qualified pushed filter names its table explicitly: allowed.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM cust c JOIN acct b ON c.ck = b.ck2 WHERE c.bal < 100"); err != nil {
 		t.Errorf("qualified pushed filter should be allowed: %v", err)
 	}
 	// Same-name join keys are exempt: both copies are equal in the result.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT c.ck, COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck GROUP BY c.ck"); err != nil {
 		t.Errorf("equated duplicate key should be allowed: %v", err)
 	}
 	// An unqualified filter on an equated key is sound (copies are equal).
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE ck < 50"); err != nil {
 		t.Errorf("unqualified filter on equated key should be allowed: %v", err)
 	}
@@ -292,14 +292,14 @@ func TestPlannerRejectsAmbiguousChainJoinKey(t *testing.T) {
 	mk("tc", []string{"id", "y"}, [][]string{{"7", "111"}, {"100", "999"}})
 	// The second step's build key "id" is ambiguous on the intermediate
 	// (ta.id vs tb.id) — must be rejected, not silently joined on ta.id.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT c.y FROM ta a JOIN tb b ON a.x = b.a_x JOIN tc c ON b.id = c.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("chain key over duplicated name: err = %v, want ambiguity rejection", err)
 	}
 	// A qualified reference to a partially-equated duplicate is rejected
 	// too: b.id ~ c.id, but a.id is a distinct value in the same rows.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT b.id FROM ta a JOIN tb b ON a.x = b.a_x JOIN tc c ON b.id = c.id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("partially-equated duplicate: err = %v, want ambiguity rejection", err)
@@ -308,7 +308,7 @@ func TestPlannerRejectsAmbiguousChainJoinKey(t *testing.T) {
 
 func TestPlannerEmptyJoinCountIsZero(t *testing.T) {
 	db, _ := newTestDB(t)
-	rel, _, err := db.QueryContext(context.Background(), 
+	rel, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n, SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < -99999")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestPlannerEmptyJoinCountIsZero(t *testing.T) {
 		t.Errorf("SUM over empty join = %v, want NULL", rel.Rows[0][1])
 	}
 	// Arithmetic wrapping a COUNT still evaluates (0 + 0 = 0, not NULL).
-	rel, _, err = db.QueryContext(context.Background(), 
+	rel, _, err = db.QueryContext(context.Background(),
 		"SELECT COUNT(*) + 0 AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal < -99999")
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestPlannerRejectsAmbiguousJoinKey(t *testing.T) {
 		[]string{"id", "user_id"}, [][]string{{"10", "1"}, {"11", "2"}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM users u JOIN torders o ON id = user_id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("unqualified ambiguous join key: err = %v, want ambiguity rejection", err)
@@ -365,13 +365,13 @@ func TestPlannerRejectsAmbiguousJoinKey(t *testing.T) {
 	// Same query with the tables flipped mis-classifies the condition as a
 	// single-table filter; it must still surface an ambiguity error, not a
 	// cross-join complaint.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM torders o JOIN users u ON id = user_id"); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("flipped ambiguous join key: err = %v, want ambiguity rejection", err)
 	}
 	// Qualified keys are fine.
-	if _, _, err := db.QueryContext(context.Background(), 
+	if _, _, err := db.QueryContext(context.Background(),
 		"SELECT COUNT(*) AS n FROM users u JOIN torders o ON u.id = o.user_id"); err != nil {
 		t.Errorf("qualified join key should work: %v", err)
 	}

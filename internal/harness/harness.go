@@ -225,9 +225,10 @@ type series struct {
 	// name labels the line; a series without one is a reference: it runs,
 	// the agreement check sees its answer, nothing is plotted.
 	name string
-	// run makes the call: see op and query.
+	// run makes the call (see op and query); note, where the figure reports
+	// extras or names the series after the planner's choice, reads them off.
 	run  call
-	note note // optional
+	note note
 }
 
 // op is a series' call through the operator API: f runs on a fresh Exec of
