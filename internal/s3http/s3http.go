@@ -254,7 +254,8 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, bucket, key string)
 
 func (s *Server) sel(w http.ResponseWriter, r *http.Request, bucket, key string) {
 	var body SelectBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	// selectengine.MaxSQLBytes is 256 KiB; the rest of a request is small.
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
 		httpError(w, err.Error(), http.StatusBadRequest, s3api.KindBadRequest)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/cloudsim"
@@ -174,6 +175,30 @@ func TestBadRequests(t *testing.T) {
 	}
 	if kind := resp.Header.Get("X-Pushdowndb-Error-Kind"); kind != string(s3api.KindBadRequest) {
 		t.Errorf("error kind header = %q", kind)
+	}
+}
+
+// TestSelectRequestBodyIsBounded: the select handler reads at most 1 MiB
+// of request (the SQL limit is selectengine.MaxSQLBytes, 256 KiB) and
+// answers more with a bad_request, not with a buffer of whatever arrives.
+func TestSelectRequestBodyIsBounded(t *testing.T) {
+	st := store.New()
+	st.Put("b", "t.csv", csvx.Encode([]string{"k"}, [][]string{{"1"}}))
+	srv := httptest.NewServer(NewServer(st))
+	defer srv.Close()
+	for pad, want := range map[int]int{1 << 10: 200, 1 << 20: 400} {
+		body := `{"has_header":true,` + strings.Repeat(" ", pad) + `"sql":"SELECT k FROM S3Object"}`
+		resp, err := srv.Client().Post(srv.URL+"/b/t.csv?select", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%d-byte select request: status %d, want %d", len(body), resp.StatusCode, want)
+		}
+		if kind := resp.Header.Get("X-Pushdowndb-Error-Kind"); want == 400 && kind != string(s3api.KindBadRequest) {
+			t.Errorf("oversized select request: error kind %q", kind)
+		}
 	}
 }
 

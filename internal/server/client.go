@@ -96,12 +96,8 @@ func (c *Client) QueryID(ctx context.Context, sql, requestID string) (*Result, e
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		return nil, fmt.Errorf("server: bad query response: %w", err)
 	}
-	rel, err := decodeRelation(qr.Columns, qr.Rows)
-	if err != nil {
-		return nil, err
-	}
 	return &Result{
-		Relation:   rel,
+		Relation:   &engine.Relation{Cols: qr.Columns, Rows: qr.Rows},
 		RuntimeSec: qr.RuntimeSec,
 		Cost:       qr.Cost,
 		Requests:   qr.Requests,

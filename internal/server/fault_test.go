@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -80,5 +84,37 @@ func TestFailingBackendSurfacesInternal(t *testing.T) {
 	fx.fault.Reset()
 	if _, err := NewClient(fx.base).Query(context.Background(), testQueries[0]); err != nil {
 		t.Fatalf("after recovery: %v", err)
+	}
+}
+
+// TestCutResponseIsAnError: a success body cut inside "rows" — the server
+// killed mid-write (it had declared the whole length) or a proxy giving up
+// (a clean, short body) — is an error and no Result, never a short answer.
+func TestCutResponseIsAnError(t *testing.T) {
+	fx := newFixture(t, "inproc", Config{})
+	body := postQuery(t, fx.base, testQueries[0])
+	serve := func(cut int, declare bool) (*Result, error) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if declare {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			}
+			_, _ = w.Write(body[:cut])
+		}))
+		defer ts.Close()
+		return NewClient(ts.URL).Query(context.Background(), testQueries[0])
+	}
+	if res, err := serve(len(body), true); err != nil || len(res.Relation.Rows) == 0 {
+		t.Fatalf("the whole body: %v, %v", res, err)
+	}
+	from, to := bytes.Index(body, []byte(`"rows":[`)), bytes.Index(body, []byte(`"runtime_sec"`))
+	if from < 0 || to-from < 100 {
+		t.Fatalf("no rows to cut in %s", body)
+	}
+	for cut := from + len(`"rows":[`); cut < to; cut += (to - from) / 12 {
+		for _, declare := range []bool{true, false} {
+			if res, err := serve(cut, declare); err == nil || res != nil {
+				t.Errorf("body cut at %d of %d (length declared: %v): %v, %v", cut, len(body), declare, res, err)
+			}
+		}
 	}
 }

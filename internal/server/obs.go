@@ -38,6 +38,8 @@ type serverObs struct {
 	fallbacks  *obs.Counter   // {reason}
 	qerrHist   *obs.Histogram // {strategy}
 	slow       *obs.Counter
+	respRows   *obs.Counter
+	respBytes  *obs.Counter
 	wallHist   *obs.Histogram // {status}
 	simHist    *obs.Histogram
 	phaseHist  *obs.Histogram // {phase}, names normalized by phaseKind
@@ -81,6 +83,10 @@ func newServerObs(s *Server) *serverObs {
 			qerrBuckets, "strategy"),
 		slow: reg.Counter("pushdownd_slow_queries_total",
 			"Queries over the slow-query wall-clock threshold."),
+		respRows: reg.Counter("pushdownd_response_rows_total",
+			"Rows returned in POST /query success bodies."),
+		respBytes: reg.Counter("pushdownd_response_bytes_total",
+			"Bytes of POST /query success bodies; over response_rows_total, the wire's bytes per row."),
 		wallHist: reg.Histogram("pushdownd_query_wall_seconds",
 			"Wall-clock query latency on the server, by outcome.",
 			wallBuckets, "status"),

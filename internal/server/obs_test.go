@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,6 +36,23 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// postQuery posts one statement raw and returns the reply's body, whatever
+// its status.
+func postQuery(t *testing.T, base, sql string) []byte {
+	t.Helper()
+	req, _ := json.Marshal(queryRequest{SQL: sql})
+	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // parsePromText is a strict parser for the subset of the Prometheus text
@@ -170,6 +188,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strip(body) != strip(body2) {
 		t.Error("idle scrapes differ")
+	}
+}
+
+// TestResponseSizeMetrics: one statement moves response_rows_total by its
+// rows and response_bytes_total by its body, so bytes per row reads off a
+// running daemon; a rejection moves neither.
+func TestResponseSizeMetrics(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	scrape := func() (rows, bytes float64) {
+		_, body := get(t, f.base+"/metrics")
+		series := parsePromText(t, string(body))
+		return series["pushdownd_response_rows_total"], series["pushdownd_response_bytes_total"]
+	}
+	rows0, bytes0 := scrape()
+	body := postQuery(t, f.base, "SELECT o_id, o_price FROM orders WHERE o_id <= 25")
+	postQuery(t, f.base, "SELECT FROM nothing")
+	rows1, bytes1 := scrape()
+	if rows1-rows0 != 25 || bytes1-bytes0 != float64(len(body)) {
+		t.Errorf("25 rows in %d bytes moved the counters by %v rows and %v bytes", len(body), rows1-rows0, bytes1-bytes0)
 	}
 }
 

@@ -423,10 +423,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	cols, rows := encodeRelation(rel)
+	if rel == nil {
+		rel = &engine.Relation{}
+	}
 	resp := queryResponse{
-		Columns:    cols,
-		Rows:       rows,
+		Columns:    append([]string{}, rel.Cols...), // [] on the wire, never null
+		Rows:       rel.Rows,
 		RuntimeSec: runtime,
 		Cost:       cost,
 		Tenant:     tenant,
@@ -438,7 +440,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Requests = requests
 		resp.CacheHits = hits
 	}
-	writeJSON(w, http.StatusOK, resp)
+	cw := &countingWriter{ResponseWriter: w}
+	writeJSON(cw, http.StatusOK, resp)
+	s.obs.respRows.Add(float64(len(resp.Rows)))
+	s.obs.respBytes.Add(float64(cw.n))
+}
+
+// countingWriter counts the body bytes of a success response.
+type countingWriter struct {
+	http.ResponseWriter
+	n int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.ResponseWriter.Write(p)
+	c.n += n
+	return n, err
 }
 
 // classifyExecError maps an engine/storage failure onto the wire error

@@ -13,14 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
-	"pushdowndb/internal/arena"
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/engine"
 	"pushdowndb/internal/rescache"
 	"pushdowndb/internal/scanshare"
-	"pushdowndb/internal/value"
 )
 
 // ErrorKind classifies a server rejection so clients can branch without
@@ -89,102 +85,6 @@ func httpStatus(k ErrorKind) int {
 	}
 }
 
-// Cell is the wire form of one engine value: a kind tag and a string
-// payload chosen so decoding reproduces the exact value.Value (floats ride
-// as round-tripping 'g' format, dates as epoch days).
-type Cell struct {
-	K string `json:"k,omitempty"` // "" null, "b" bool, "i" int, "f" float, "s" string, "d" date
-	V string `json:"v,omitempty"`
-}
-
-func encodeCell(v value.Value) Cell {
-	switch v.Kind() {
-	case value.KindBool:
-		if v.AsBool() {
-			return Cell{K: "b", V: "t"}
-		}
-		return Cell{K: "b", V: "f"}
-	case value.KindInt:
-		return Cell{K: "i", V: strconv.FormatInt(v.AsInt(), 10)}
-	case value.KindFloat:
-		return Cell{K: "f", V: strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)}
-	case value.KindString:
-		return Cell{K: "s", V: v.AsString()}
-	case value.KindDate:
-		return Cell{K: "d", V: strconv.FormatInt(v.Days(), 10)}
-	default:
-		return Cell{}
-	}
-}
-
-func decodeCell(c Cell) (value.Value, error) {
-	switch c.K {
-	case "":
-		return value.Null(), nil
-	case "b":
-		return value.Bool(c.V == "t"), nil
-	case "i":
-		i, err := strconv.ParseInt(c.V, 10, 64)
-		if err != nil {
-			return value.Null(), fmt.Errorf("server: bad int cell %q: %w", c.V, err)
-		}
-		return value.Int(i), nil
-	case "f":
-		f, err := strconv.ParseFloat(c.V, 64)
-		if err != nil {
-			return value.Null(), fmt.Errorf("server: bad float cell %q: %w", c.V, err)
-		}
-		return value.Float(f), nil
-	case "s":
-		return value.Str(c.V), nil
-	case "d":
-		d, err := strconv.ParseInt(c.V, 10, 64)
-		if err != nil {
-			return value.Null(), fmt.Errorf("server: bad date cell %q: %w", c.V, err)
-		}
-		return value.Date(d), nil
-	default:
-		return value.Null(), fmt.Errorf("server: unknown cell kind %q", c.K)
-	}
-}
-
-func encodeRelation(rel *engine.Relation) ([]string, [][]Cell) {
-	if rel == nil {
-		return []string{}, [][]Cell{}
-	}
-	rows := make([][]Cell, len(rel.Rows))
-	var slab arena.Slab[Cell]
-	for i, row := range rel.Rows {
-		cells := slab.Make(len(row))
-		for j, v := range row {
-			cells[j] = encodeCell(v)
-		}
-		rows[i] = cells
-	}
-	cols := rel.Cols
-	if cols == nil {
-		cols = []string{}
-	}
-	return cols, rows
-}
-
-func decodeRelation(cols []string, rows [][]Cell) (*engine.Relation, error) {
-	rel := &engine.Relation{Cols: cols, Rows: make([]engine.Row, len(rows))}
-	var slab arena.Slab[value.Value]
-	for i, cells := range rows {
-		row := slab.Make(len(cells))
-		for j, c := range cells {
-			v, err := decodeCell(c)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
-		}
-		rel.Rows[i] = row
-	}
-	return rel, nil
-}
-
 // queryRequest is the POST /query body.
 type queryRequest struct {
 	SQL string `json:"sql"`
@@ -199,7 +99,7 @@ type queryRequest struct {
 // queryResponse is the success body of POST /query.
 type queryResponse struct {
 	Columns    []string               `json:"columns"`
-	Rows       [][]Cell               `json:"rows"`
+	Rows       wireRows               `json:"rows"`
 	RuntimeSec float64                `json:"runtime_sec"`
 	Cost       cloudsim.CostBreakdown `json:"cost"`
 	Requests   int64                  `json:"requests"`
