@@ -35,7 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
@@ -80,14 +79,11 @@ func main() {
 	flag.Parse()
 
 	ctx := context.Background()
-	var (
-		be     s3api.Backend
-		putter s3api.Putter
-	)
+	st := store.New() // the inproc backend's objects; -demo loads into it
+	var be *s3api.Local
 	switch *backend {
 	case "inproc":
-		inproc := s3api.NewInProc(store.New())
-		be, putter = inproc, inproc
+		be = s3api.NewInProc(st)
 	case "localfs":
 		root := *fsroot
 		if root == "" {
@@ -98,8 +94,7 @@ func main() {
 			defer os.RemoveAll(dir)
 			root = dir
 		}
-		fs := localfs.New(root)
-		be, putter = fs, fs
+		be = localfs.New(root)
 		fmt.Fprintf(os.Stderr, "pushdownd: localfs backend rooted at %s\n", root)
 	default:
 		fatal(fmt.Errorf("unknown -backend %q (want inproc or localfs)", *backend))
@@ -110,14 +105,11 @@ func main() {
 			fatal(fmt.Errorf("-demo needs the inproc backend"))
 		}
 		*bucket = "tpch"
-		st := store.New()
 		if _, err := tpch.LoadWithIndexes(ctx, st, tpch.Dataset{
 			SF: *demoSF, Seed: 42, Bucket: *bucket, Partitions: *parts,
 		}); err != nil {
 			fatal(err)
 		}
-		inproc := s3api.NewInProc(st)
-		be, putter = inproc, inproc
 		fmt.Fprintf(os.Stderr, "pushdownd: demo TPC-H dataset loaded at SF %g\n", *demoSF)
 	}
 	for _, spec := range tables {
@@ -125,18 +117,11 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("bad -table %q, want name=path", spec))
 		}
-		data, err := os.ReadFile(path)
+		rows, err := engine.LoadCSVFile(ctx, be, *bucket, name, path, *parts)
 		if err != nil {
 			fatal(err)
 		}
-		header, rows, err := csvx.Decode(data, true)
-		if err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", path, err))
-		}
-		if err := engine.PartitionTableTo(ctx, putter, *bucket, name, header, rows, *parts); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pushdownd: loaded %s: %d rows, %d partitions\n", name, len(rows), *parts)
+		fmt.Fprintf(os.Stderr, "pushdownd: loaded %s: %d rows, %d partitions\n", name, rows, *parts)
 	}
 
 	opts := []engine.Option{engine.WithBackend(*backend, be)}

@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
@@ -83,14 +82,10 @@ func main() {
 
 	// Pick the backend and its loading path.
 	ctx := context.Background()
-	var (
-		be     s3api.Backend
-		putter s3api.Putter
-	)
+	var be *s3api.Local
 	switch *backend {
 	case "inproc":
-		inproc := s3api.NewInProc(store.New())
-		be, putter = inproc, inproc
+		be = s3api.NewInProc(store.New())
 	case "localfs":
 		root := *fsroot
 		if root == "" {
@@ -101,8 +96,7 @@ func main() {
 			defer os.RemoveAll(dir)
 			root = dir
 		}
-		fs := localfs.New(root)
-		be, putter = fs, fs
+		be = localfs.New(root)
 		fmt.Fprintf(os.Stderr, "localfs backend rooted at %s\n", root)
 	default:
 		fatal(fmt.Errorf("unknown -backend %q (want inproc or localfs)", *backend))
@@ -113,18 +107,11 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("bad -table %q, want name=path", spec))
 		}
-		data, err := os.ReadFile(path)
+		rows, err := engine.LoadCSVFile(ctx, be, "local", name, path, *parts)
 		if err != nil {
 			fatal(err)
 		}
-		header, rows, err := csvx.Decode(data, true)
-		if err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", path, err))
-		}
-		if err := engine.PartitionTableTo(ctx, putter, "local", name, header, rows, *parts); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "loaded %s: %d rows, %d partitions\n", name, len(rows), *parts)
+		fmt.Fprintf(os.Stderr, "loaded %s: %d rows, %d partitions\n", name, rows, *parts)
 	}
 
 	opts := []engine.Option{

@@ -1,8 +1,11 @@
 // Command s3server serves the simulated S3 service (ranged GETs, the
-// multi-range extension, and S3 Select) over HTTP. CSV files in -dir are
-// loaded as single-partition tables named after the file.
+// multi-range extension, and S3 Select) over HTTP. With -state its objects
+// live in that directory, <state>/<bucket>/<key> — the layout the localfs
+// backend reads — so an object is on disk when its PUT returns and a
+// restart serves what is there; without it they live in memory. CSV files
+// in -dir are loaded as tables named after the file.
 //
-//	s3server -addr :9000 -bucket tpch -dir ./data
+//	s3server -addr :9000 -bucket tpch -dir ./data -state ./objects
 //
 // Then, for example:
 //
@@ -28,8 +31,9 @@ import (
 	"strings"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
+	"pushdowndb/internal/localfs"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3http"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/store"
@@ -40,7 +44,7 @@ func main() {
 		addr        = flag.String("addr", ":9000", "listen address")
 		bucket      = flag.String("bucket", "data", "bucket name for loaded files")
 		dir         = flag.String("dir", "", "directory of CSV files to load as tables")
-		state       = flag.String("state", "", "store state directory: loaded at startup if present, saved after -dir ingestion")
+		state       = flag.String("state", "", "directory the objects live in, as <state>/<bucket>/<key> (default: in memory)")
 		parts       = flag.Int("parts", 4, "partitions per loaded table")
 		allowGB     = flag.Bool("allow-groupby", false, "execute and advertise the Suggestion-4 partial GROUP BY extension")
 		allowBloom  = flag.Bool("allow-bloom", false, "execute and advertise the Suggestion-3 BLOOM_CONTAINS extension")
@@ -49,12 +53,18 @@ func main() {
 	flag.Parse()
 	ctx := context.Background()
 
-	st := store.New()
+	profile := cloudsim.S3Profile()
+	if *crossRegion {
+		profile = cloudsim.CrossRegionS3Profile()
+	}
+	opts := []s3api.Option{
+		s3api.WithCapabilities(selectengine.Capabilities{AllowGroupBy: *allowGB, AllowBloomContains: *allowBloom}),
+		s3api.WithProfile(profile),
+	}
+	be := s3api.NewInProc(store.New(), opts...)
 	if *state != "" {
-		if loaded, err := store.LoadDir(*state); err == nil {
-			st = loaded
-			fmt.Printf("restored store state from %s\n", *state)
-		}
+		be = localfs.New(*state, opts...)
+		fmt.Printf("objects live in %s\n", *state)
 	}
 	if *dir != "" {
 		entries, err := os.ReadDir(*dir)
@@ -62,45 +72,20 @@ func main() {
 			fatal(err)
 		}
 		for _, ent := range entries {
-			if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".csv") {
+			table, isCSV := strings.CutSuffix(ent.Name(), ".csv")
+			if ent.IsDir() || !isCSV {
 				continue
 			}
-			path := filepath.Join(*dir, ent.Name())
-			data, err := os.ReadFile(path)
+			rows, err := engine.LoadCSVFile(ctx, be, *bucket, table, filepath.Join(*dir, ent.Name()), *parts)
 			if err != nil {
 				fatal(err)
 			}
-			header, rows, err := csvx.Decode(data, true)
-			if err != nil {
-				fatal(fmt.Errorf("parsing %s: %w", path, err))
-			}
-			table := strings.TrimSuffix(ent.Name(), ".csv")
-			if err := engine.PartitionTable(ctx, st, *bucket, table, header, rows, *parts); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("loaded %s/%s (%d rows, %d partitions)\n", *bucket, table, len(rows), *parts)
+			fmt.Printf("loaded %s/%s (%d rows, %d partitions)\n", *bucket, table, rows, *parts)
 		}
 	}
 
-	if *state != "" {
-		if err := st.SaveDir(*state); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved store state to %s\n", *state)
-	}
-
-	profile := cloudsim.S3Profile()
-	if *crossRegion {
-		profile = cloudsim.CrossRegionS3Profile()
-	}
-	srv := s3http.NewServer(st,
-		s3http.WithCapabilities(selectengine.Capabilities{
-			AllowGroupBy:       *allowGB,
-			AllowBloomContains: *allowBloom,
-		}),
-		s3http.WithProfile(profile))
 	fmt.Printf("simulated S3 listening on %s (profile %s; see GET /?describe)\n", *addr, profile.Name)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	if err := http.ListenAndServe(*addr, s3http.NewServer(be)); err != nil {
 		fatal(err)
 	}
 }

@@ -120,8 +120,7 @@ func diffBackends(t *testing.T) map[string]*s3api.Counting {
 	diffLoad(t, fs)
 	out["localfs"] = s3api.NewCounting(fs)
 
-	st := store.New()
-	srv := httptest.NewServer(s3http.NewServer(st))
+	srv := httptest.NewServer(s3http.NewServer(s3api.NewInProc(store.New())))
 	t.Cleanup(srv.Close)
 	client := s3http.NewClient(srv.URL, srv.Client())
 	diffLoad(t, client)

@@ -77,7 +77,7 @@ func buildIndex(t testing.TB, st *store.Store, bucket, table, column string) {
 
 // openTestDB opens a DB over st with one in-process backend built with the
 // given options.
-func openTestDB(t *testing.T, st *store.Store, bopts ...s3api.InProcOption) *DB {
+func openTestDB(t *testing.T, st *store.Store, bopts ...s3api.Option) *DB {
 	t.Helper()
 	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st, bopts...)))
 	if err != nil {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"os"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
@@ -29,6 +31,20 @@ func PartitionTableTo(ctx context.Context, p s3api.Putter, bucket, table string,
 	return writeTable(func(key string, data []byte) error { return p.Put(ctx, bucket, key, data) },
 		table, "csv", header, len(rows), parts, strideSample(rows),
 		func(lo, hi int) ([]byte, error) { return csvx.Encode(header, rows[lo:hi]), nil })
+}
+
+// LoadCSVFile reads the CSV file at path (first line the header) and writes
+// it through p as table, in parts partitions; it returns the row count.
+func LoadCSVFile(ctx context.Context, p s3api.Putter, bucket, table, path string, parts int) (rows int, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	header, recs, err := csvx.Decode(data, true)
+	if err != nil {
+		return 0, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return len(recs), PartitionTableTo(ctx, p, bucket, table, header, recs, parts)
 }
 
 // writeTable writes a table of nrows rows as parts partition objects —

@@ -100,7 +100,7 @@ const paperPartitions = 32
 // simulates in-region S3 (cloudsim.S3Profile); bopts configure it, e.g.
 // enabling Section-X select capabilities or swapping the profile; eopts add
 // engine options (e.g. engine.WithResultCache for the Cache figure).
-func (env *Env) scaledDB(st *store.Store, bucket string, dataRatio float64, eopts []engine.Option, bopts ...s3api.InProcOption) (*engine.DB, error) {
+func (env *Env) scaledDB(st *store.Store, bucket string, dataRatio float64, eopts []engine.Option, bopts ...s3api.Option) (*engine.DB, error) {
 	opts := []engine.Option{
 		engine.WithBackend("s3sim", s3api.NewInProc(st, bopts...)),
 		engine.WithScale(cloudsim.Scale{
@@ -120,10 +120,10 @@ func (env *Env) tpchSpec() tpch.Dataset {
 // TPCH is the TPC-H dataset (with the Fig. 1 index built), virtual time
 // reported at PaperSF. Backend options configure the simulated S3 backend
 // (capabilities, profile).
-func (env *Env) TPCH(bopts ...s3api.InProcOption) dataset { return env.TPCHWith(nil, bopts...) }
+func (env *Env) TPCH(bopts ...s3api.Option) dataset { return env.TPCHWith(nil, bopts...) }
 
 // TPCHWith is TPCH with additional engine options.
-func (env *Env) TPCHWith(eopts []engine.Option, bopts ...s3api.InProcOption) dataset {
+func (env *Env) TPCHWith(eopts []engine.Option, bopts ...s3api.Option) dataset {
 	return func(ctx context.Context) (*engine.DB, error) {
 		ratio := env.Scale.PaperSF / env.Scale.TPCHSF
 		st, err := env.stored("tpch", func(st *store.Store) error {
@@ -148,7 +148,7 @@ const paperGroupTableBytes = 10 << 30 // the 10 GB synthetic table
 
 // GroupTable is the synthetic group-by table: uniform (Fig. 5) when
 // theta < 0, Zipf-skewed otherwise (Figs. 6-7).
-func (env *Env) GroupTable(theta float64, bopts ...s3api.InProcOption) dataset {
+func (env *Env) GroupTable(theta float64, bopts ...s3api.Option) dataset {
 	return func(ctx context.Context) (*engine.DB, error) {
 		spec := workload.UniformSpec(env.Scale.GroupRows, env.Scale.Seed)
 		if theta >= 0 {

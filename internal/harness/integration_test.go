@@ -24,7 +24,7 @@ func TestEngineOverHTTPMatchesInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(s3http.NewServer(st))
+	srv := httptest.NewServer(s3http.NewServer(s3api.NewInProc(st)))
 	defer srv.Close()
 
 	inprocDB, err := engine.Open(ds.Bucket,

@@ -1,7 +1,10 @@
 package localfs_test
 
 import (
+	"bytes"
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pushdowndb/internal/localfs"
@@ -41,5 +44,52 @@ func TestLocalFSRejectsEscapingKeys(t *testing.T) {
 		if _, err := b.Get(ctx, bucket, "k"); err == nil {
 			t.Errorf("Get(bucket %q) should be rejected", bucket)
 		}
+	}
+}
+
+// TestLocalFSPutIsAtomic: a reader racing an overwrite sees the old object
+// or the new one, never a truncated or mixed one (engine.writeTable relies
+// on it: "a reader racing a reload finds stale stamps, not a lie"), and
+// List never shows the temporary file a Put writes through.
+func TestLocalFSPutIsAtomic(t *testing.T) {
+	b := localfs.New(t.TempDir())
+	ctx := context.Background()
+	payloads := [2][]byte{bytes.Repeat([]byte("a"), 3<<20), bytes.Repeat([]byte("b"), 4<<20)}
+	if err := b.Put(ctx, "bkt", "t/part0000.csv", payloads[0]); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg          sync.WaitGroup
+		done        atomic.Bool
+		reads, torn atomic.Int64
+	)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				got, err := b.Get(ctx, "bkt", "t/part0000.csv")
+				reads.Add(1)
+				if err != nil || !(bytes.Equal(got, payloads[0]) || bytes.Equal(got, payloads[1])) {
+					torn.Add(1)
+				}
+				keys, err := b.List(ctx, "bkt", "")
+				if err != nil || len(keys) != 1 {
+					t.Errorf("List during a Put = %q, %v", keys, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 100; i++ {
+		if err := b.Put(ctx, "bkt", "t/part0000.csv", payloads[i%2]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Errorf("%d of %d reads saw neither payload", n, reads.Load())
 	}
 }

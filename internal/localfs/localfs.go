@@ -1,19 +1,14 @@
-// Package localfs implements s3api.Backend over a directory tree on the
-// local filesystem: objects live at <root>/<bucket>/<key>, with key
-// slashes mapped to subdirectories. It is the "fast local tier" backend —
-// by default it advertises cloudsim.LocalFSProfile (wide, sub-millisecond,
-// no dollar cost), which is exactly what makes the planner's per-backend
-// pricing interesting: the same join that warrants a Bloom pushdown
-// against remote S3 is usually cheapest as a plain baseline load here.
-//
-// S3 Select requests execute in-process against the file bytes (the
-// storage node and the file server are the same machine), so pushdown
-// still works — it just costs nothing extra on the wire.
+// Package localfs keeps objects in a directory tree on the local
+// filesystem: <root>/<bucket>/<key>, key slashes mapped to subdirectories.
+// Dir is the object source; New serves it through s3api.Local, so S3 Select
+// runs in-process against the file bytes (storage node and file server are
+// one machine): pushdown works, it just costs nothing extra on the wire. By
+// default it advertises cloudsim.LocalFSProfile (wide, sub-millisecond, no
+// dollar cost) — the "fast local tier" where the join that warrants a Bloom
+// pushdown against remote S3 is usually cheapest as a plain baseline load.
 package localfs
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -24,226 +19,112 @@ import (
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/s3api"
-	"pushdowndb/internal/selectengine"
 )
 
-// Backend stores objects under a root directory.
-type Backend struct {
-	root    string
-	caps    selectengine.Capabilities
-	profile s3api.Profile
+// Dir is an s3api.Objects rooted at a directory (created lazily by Write).
+type Dir string
+
+// New returns the backend over the objects under dir.
+func New(dir string, opts ...s3api.Option) *s3api.Local {
+	return s3api.NewLocal(Dir(dir), append([]s3api.Option{s3api.WithProfile(cloudsim.LocalFSProfile())}, opts...)...)
 }
 
-// Option configures New.
-type Option func(*Backend)
+// tmpPrefix names a Write's temporary files; no key ends in such a name.
+const tmpPrefix = ".tmp-"
 
-// WithCapabilities sets the advertised S3 Select extension flags.
-func WithCapabilities(caps selectengine.Capabilities) Option {
-	return func(b *Backend) { b.caps = caps }
-}
-
-// WithProfile overrides the advertised performance/pricing profile
-// (default cloudsim.LocalFSProfile).
-func WithProfile(p s3api.Profile) Option {
-	return func(b *Backend) { b.profile = p }
-}
-
-// New returns a Backend rooted at dir (created lazily by Put).
-func New(dir string, opts ...Option) *Backend {
-	b := &Backend{root: dir, profile: cloudsim.LocalFSProfile()}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
-}
-
-// objectPath validates bucket/key and maps them under the root. Empty or
-// escaping names (".." elements, absolute keys) are rejected rather than
-// resolved.
-func (b *Backend) objectPath(bucket, key string) (string, error) {
+// bucketDir validates bucket and maps it under the root.
+func (d Dir) bucketDir(bucket string) (string, error) {
 	if bucket == "" || bucket == "." || bucket == ".." || strings.ContainsAny(bucket, `/\`) {
-		return "", fmt.Errorf("localfs: bad bucket %q", bucket)
+		return "", fmt.Errorf("localfs: bad bucket %q: %w", bucket, fs.ErrInvalid)
 	}
-	if key == "" || strings.HasPrefix(key, "/") || path.Clean("/"+key) != "/"+key {
-		return "", fmt.Errorf("localfs: bad key %q", key)
-	}
-	return filepath.Join(b.root, bucket, filepath.FromSlash(key)), nil
+	return filepath.Join(string(d), bucket), nil
 }
 
-// read loads a whole object, classifying the error.
-func (b *Backend) read(op string, bucket, key string) ([]byte, error) {
-	p, err := b.objectPath(bucket, key)
+// path validates bucket/key and maps them under the root; empty or
+// escaping names (".." elements, absolute keys) are rejected, not resolved.
+func (d Dir) path(bucket, key string) (string, error) {
+	dir, err := d.bucketDir(bucket)
 	if err != nil {
-		return nil, s3api.NewError(op, bucket, key, s3api.KindBadRequest, err)
+		return "", err
 	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		kind := s3api.KindInternal
-		if os.IsNotExist(err) {
-			kind = s3api.KindNotFound
-		}
-		return nil, s3api.NewError(op, bucket, key, kind, err)
+	if key == "" || strings.HasPrefix(key, "/") || path.Clean("/"+key) != "/"+key ||
+		strings.HasPrefix(path.Base(key), tmpPrefix) {
+		return "", fmt.Errorf("localfs: bad key %q: %w", key, fs.ErrInvalid)
 	}
-	return data, nil
+	return filepath.Join(dir, filepath.FromSlash(key)), nil
 }
 
-func ctxErr(ctx context.Context, op, bucket, key string) error {
-	if err := ctx.Err(); err != nil {
-		return s3api.NewError(op, bucket, key, s3api.KindCanceled, err)
-	}
-	return nil
-}
-
-// sliceRange cuts [first, last] out of data with the shared Backend range
-// semantics: last clamps to the end, a first at/past the end is invalid.
-func sliceRange(op, bucket, key string, data []byte, first, last int64) ([]byte, error) {
-	if first < 0 || first >= int64(len(data)) || last < first {
-		return nil, s3api.NewError(op, bucket, key, s3api.KindInvalidRange,
-			fmt.Errorf("localfs: range [%d,%d] for %s/%s (len %d)", first, last, bucket, key, len(data)))
-	}
-	if last >= int64(len(data)) {
-		last = int64(len(data)) - 1
-	}
-	return data[first : last+1], nil
-}
-
-// Get implements s3api.Backend.
-func (b *Backend) Get(ctx context.Context, bucket, key string) ([]byte, error) {
-	if err := ctxErr(ctx, "get", bucket, key); err != nil {
-		return nil, err
-	}
-	return b.read("get", bucket, key)
-}
-
-// GetRange implements s3api.Backend.
-func (b *Backend) GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error) {
-	if err := ctxErr(ctx, "get_range", bucket, key); err != nil {
-		return nil, err
-	}
-	data, err := b.read("get_range", bucket, key)
+// Read implements s3api.Objects.
+func (d Dir) Read(bucket, key string) ([]byte, error) {
+	p, err := d.path(bucket, key)
 	if err != nil {
 		return nil, err
 	}
-	return sliceRange("get_range", bucket, key, data, first, last)
+	return os.ReadFile(p)
 }
 
-// GetRanges implements s3api.Backend.
-func (b *Backend) GetRanges(ctx context.Context, bucket, key string, ranges [][2]int64) ([][]byte, error) {
-	if err := ctxErr(ctx, "get_ranges", bucket, key); err != nil {
-		return nil, err
-	}
-	data, err := b.read("get_ranges", bucket, key)
+// Size implements s3api.Objects.
+func (d Dir) Size(bucket, key string) (int64, error) {
+	p, err := d.path(bucket, key)
 	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ranges))
-	for i, r := range ranges {
-		frag, err := sliceRange("get_ranges", bucket, key, data, r[0], r[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = frag
-	}
-	return out, nil
-}
-
-// Select implements s3api.Backend. As on every backend, the request's
-// capabilities are clamped to what this backend advertises; asking for a
-// switched-off extension fails with s3api.KindUnsupported.
-func (b *Backend) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
-	if err := ctxErr(ctx, "select", bucket, key); err != nil {
-		return nil, err
-	}
-	data, err := b.read("select", bucket, key)
-	if err != nil {
-		return nil, err
-	}
-	req.Capabilities = req.Capabilities.Intersect(b.caps)
-	res, err := selectengine.Execute(data, req)
-	if err != nil {
-		kind := s3api.KindBadRequest
-		if errors.Is(err, selectengine.ErrUnsupported) {
-			kind = s3api.KindUnsupported
-		}
-		return nil, s3api.NewError("select", bucket, key, kind, err)
-	}
-	return res, nil
-}
-
-// List implements s3api.Backend. A missing bucket directory lists empty.
-func (b *Backend) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	if err := ctxErr(ctx, "list", bucket, prefix); err != nil {
-		return nil, err
-	}
-	dir := filepath.Join(b.root, bucket)
-	var keys []string
-	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(dir, p)
-		if err != nil {
-			return err
-		}
-		key := filepath.ToSlash(rel)
-		if strings.HasPrefix(key, prefix) {
-			keys = append(keys, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, s3api.NewError("list", bucket, prefix, s3api.KindInternal, err)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Size implements s3api.Backend.
-func (b *Backend) Size(ctx context.Context, bucket, key string) (int64, error) {
-	if err := ctxErr(ctx, "size", bucket, key); err != nil {
 		return 0, err
-	}
-	p, err := b.objectPath(bucket, key)
-	if err != nil {
-		return 0, s3api.NewError("size", bucket, key, s3api.KindBadRequest, err)
 	}
 	fi, err := os.Stat(p)
 	if err != nil {
-		kind := s3api.KindInternal
-		if os.IsNotExist(err) {
-			kind = s3api.KindNotFound
-		}
-		return 0, s3api.NewError("size", bucket, key, kind, err)
+		return 0, err
 	}
 	return fi.Size(), nil
 }
 
-// Put implements s3api.Putter (loading helper).
-func (b *Backend) Put(ctx context.Context, bucket, key string, data []byte) error {
-	if err := ctxErr(ctx, "put", bucket, key); err != nil {
-		return err
-	}
-	p, err := b.objectPath(bucket, key)
+// List implements s3api.Objects. A missing bucket directory lists empty.
+func (d Dir) List(bucket, prefix string) ([]string, error) {
+	dir, err := d.bucketDir(bucket)
 	if err != nil {
-		return s3api.NewError("put", bucket, key, s3api.KindBadRequest, err)
+		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return s3api.NewError("put", bucket, key, s3api.KindInternal, err)
-	}
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		return s3api.NewError("put", bucket, key, s3api.KindInternal, err)
-	}
-	return nil
+	var keys []string
+	err = filepath.WalkDir(dir, func(p string, ent fs.DirEntry, err error) error {
+		if os.IsNotExist(err) {
+			return nil // no such bucket, or a file gone mid-walk
+		} else if err != nil || ent.IsDir() || strings.HasPrefix(ent.Name(), tmpPrefix) {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if key := filepath.ToSlash(rel); err == nil && strings.HasPrefix(key, prefix) {
+			keys = append(keys, key)
+		}
+		return err
+	})
+	sort.Strings(keys)
+	return keys, err
 }
 
-// Capabilities implements s3api.Backend.
-func (b *Backend) Capabilities() selectengine.Capabilities { return b.caps }
-
-// Profile implements s3api.Backend.
-func (b *Backend) Profile() s3api.Profile { return b.profile }
+// Write implements s3api.Objects. The bytes go to a temporary file beside
+// the target and are renamed over it, so a concurrent Read sees the old
+// object or the new one, never a torn one.
+func (d Dir) Write(bucket, key string, data []byte) error {
+	p, err := d.path(bucket, key)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(filepath.Dir(p), tmpPrefix)
+	if err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), p)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write already failed
+	}
+	return err
+}

@@ -12,14 +12,17 @@ import (
 	"reflect"
 	"testing"
 
+	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/value"
 )
 
 // Env is one backend under test: the backend plus a loader for seeding
 // objects (which may bypass the backend, e.g. writing straight into the
-// store behind an HTTP server).
+// store behind an HTTP server). A Backend that is also an s3api.Putter has
+// its own Put exercised as well.
 type Env struct {
 	Backend s3api.Backend
 	// Put seeds an object; the suite calls it before exercising reads.
@@ -38,6 +41,8 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("MultiRanges", func(t *testing.T) { testMultiRanges(t, mk(t)) })
 	t.Run("MultiRangeEdges", func(t *testing.T) { testMultiRangeEdges(t, mk(t)) })
 	t.Run("Select", func(t *testing.T) { testSelect(t, mk(t)) })
+	t.Run("SelectReportsFormat", func(t *testing.T) { testSelectReportsFormat(t, mk(t)) })
+	t.Run("ReservedKeyCharacters", func(t *testing.T) { testReservedKeyCharacters(t, mk(t)) })
 	t.Run("ListAndSize", func(t *testing.T) { testListAndSize(t, mk(t)) })
 	t.Run("CanceledContext", func(t *testing.T) { testCanceledContext(t, mk(t)) })
 	t.Run("SelfDescription", func(t *testing.T) { testSelfDescription(t, mk(t)) })
@@ -229,6 +234,60 @@ func testSelect(t *testing.T, env Env) {
 		Capabilities: selectengine.Capabilities{AllowGroupBy: true},
 	})
 	wantKind(t, err, s3api.KindUnsupported, "Select(unadvertised GROUP BY)")
+}
+
+// testSelectReportsFormat: Result.Columnar says which format storage
+// scanned — the planner prices a probed table by it — on every backend.
+func testSelectReportsFormat(t *testing.T, env Env) {
+	col, err := colformat.Encode(colformat.Schema{{Name: "k", Kind: value.KindInt}},
+		[][]value.Value{{value.Int(1)}, {value.Int(2)}}, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Put("b", "col", col)
+	env.Put("b", "csv", csvx.Encode([]string{"k"}, [][]string{{"1"}, {"2"}}))
+	for key, want := range map[string]bool{"col": true, "csv": false} {
+		res, err := env.Backend.Select(ctxb(), "b", key, selectengine.Request{SQL: "SELECT k FROM S3Object", HasHeader: true})
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("Select(%s) = %+v, %v", key, res, err)
+		}
+		if res.Columnar != want {
+			t.Errorf("Select(%s).Columnar = %v, want %v", key, res.Columnar, want)
+		}
+	}
+}
+
+// testReservedKeyCharacters: a key is bytes, not URL syntax. Keys holding
+// characters a URL reserves name exactly their own object on every call.
+func testReservedKeyCharacters(t *testing.T, env Env) {
+	put := func(key string, data []byte) { env.Put("b", key, data) }
+	if p, ok := env.Backend.(s3api.Putter); ok {
+		put = func(key string, data []byte) {
+			if err := p.Put(ctxb(), "b", key, data); err != nil {
+				t.Errorf("Put(%q): %v", key, err)
+			}
+		}
+	}
+	put("t/pA", []byte("decoy: what %41 decodes to"))
+	names := []string{"a b", "q?x", "h#y", "p%41", "p%zz", "plus+", "amp&x"}
+	for _, name := range names {
+		put("t/"+name, []byte(name))
+	}
+	for _, name := range names {
+		key := "t/" + name
+		got, err := env.Backend.Get(ctxb(), "b", key)
+		if err != nil || string(got) != name {
+			t.Errorf("Get(%q) = %q, %v", key, got, err)
+		}
+		n, err := env.Backend.Size(ctxb(), "b", key)
+		if err != nil || n != int64(len(name)) {
+			t.Errorf("Size(%q) = %d, %v; want %d", key, n, err, len(name))
+		}
+		keys, err := env.Backend.List(ctxb(), "b", key)
+		if err != nil || !reflect.DeepEqual(keys, []string{key}) {
+			t.Errorf("List(prefix %q) = %q, %v", key, keys, err)
+		}
+	}
 }
 
 func testListAndSize(t *testing.T, env Env) {

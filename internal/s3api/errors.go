@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 
 	"pushdowndb/internal/store"
 )
@@ -70,14 +71,16 @@ func KindOf(err error) Kind {
 func IsNotFound(err error) bool { return KindOf(err) == KindNotFound }
 
 // NewError builds a structured backend error, classifying well-known
-// causes: store sentinels map to their kinds, context cancellation maps to
-// KindCanceled, and anything else takes the given default kind.
+// causes — a miss in the store or on disk is KindNotFound, a name the
+// filesystem layout cannot hold (fs.ErrInvalid) KindBadRequest, context
+// cancellation KindCanceled — so an Objects returns plain wrapped errors;
+// anything else takes the given default kind.
 func NewError(op, bucket, key string, kind Kind, err error) *Error {
 	switch {
-	case errors.Is(err, store.ErrNotFound):
+	case errors.Is(err, store.ErrNotFound), errors.Is(err, fs.ErrNotExist):
 		kind = KindNotFound
-	case errors.Is(err, store.ErrInvalidRange):
-		kind = KindInvalidRange
+	case errors.Is(err, fs.ErrInvalid):
+		kind = KindBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		kind = KindCanceled
 	}

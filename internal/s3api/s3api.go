@@ -1,10 +1,10 @@
 // Package s3api defines the storage-backend surface PushdownDB uses to
-// talk to object stores, with an in-process implementation. Two more
-// implementations live in internal/s3http (the simulated S3 wire protocol)
-// and internal/localfs (objects laid out on the local filesystem); all
-// three satisfy Backend and pass the shared conformance suite in
-// s3api/conformancetest, so the engine is independent of where a table's
-// bytes actually live.
+// talk to object stores, and its one storage-side implementation: Local
+// executes every Backend call over an Objects — the in-memory store
+// (NewInProc) or a directory (internal/localfs). internal/s3http carries
+// any Backend over the simulated S3 wire. All three pass the shared
+// conformance suite in s3api/conformancetest, so the engine is independent
+// of where a table's bytes actually live.
 //
 // A Backend is context-aware (cancellation propagates through the
 // engine's partition fan-outs) and self-describing: it advertises the
@@ -17,6 +17,7 @@ package s3api
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/selectengine"
@@ -71,116 +72,160 @@ type Putter interface {
 	Put(ctx context.Context, bucket, key string, data []byte) error
 }
 
-// InProc is the embedded Backend over a *store.Store, simulating in-region
-// S3: it advertises cloudsim.S3Profile by default.
-type InProc struct {
-	store   *store.Store
+// Objects is where a Local's bytes live: whole objects addressed by
+// (bucket, key). Implementations return plain wrapped errors — a miss
+// wraps store.ErrNotFound or fs.ErrNotExist, a malformed name fs.ErrInvalid
+// — and NewError kinds them; a missing bucket lists empty.
+type Objects interface {
+	// Read returns a whole object. Local hands the slice to callers as is
+	// and never writes to it.
+	Read(bucket, key string) ([]byte, error)
+	Size(bucket, key string) (int64, error)
+	List(bucket, prefix string) ([]string, error)
+	Write(bucket, key string, data []byte) error
+}
+
+// Local is the storage-side executor: the one implementation of the
+// context check, the range rule, the capability clamp, the S3 Select call
+// and the error kinds, over any Objects. It is both Backend and Putter.
+type Local struct {
+	objs    Objects
 	caps    selectengine.Capabilities
 	profile Profile
 }
 
-// InProcOption configures NewInProc.
-type InProcOption func(*InProc)
+// Option configures a Local.
+type Option func(*Local)
 
 // WithCapabilities sets the S3 Select extension flags the backend's select
 // engine accepts (all off by default, matching 2020 AWS).
-func WithCapabilities(caps selectengine.Capabilities) InProcOption {
-	return func(c *InProc) { c.caps = caps }
+func WithCapabilities(caps selectengine.Capabilities) Option {
+	return func(l *Local) { l.caps = caps }
 }
 
 // WithProfile overrides the advertised performance/pricing profile
 // (default cloudsim.S3Profile).
-func WithProfile(p Profile) InProcOption {
-	return func(c *InProc) { c.profile = p }
+func WithProfile(p Profile) Option {
+	return func(l *Local) { l.profile = p }
 }
 
-// NewInProc wraps st.
-func NewInProc(st *store.Store, opts ...InProcOption) *InProc {
-	c := &InProc{store: st, profile: cloudsim.S3Profile()}
+// NewLocal returns the backend over objs.
+func NewLocal(objs Objects, opts ...Option) *Local {
+	l := &Local{objs: objs, profile: cloudsim.S3Profile()}
 	for _, o := range opts {
-		o(c)
+		o(l)
 	}
-	return c
+	return l
+}
+
+// NewInProc is the Local over the in-memory store, simulating in-region S3.
+func NewInProc(st *store.Store, opts ...Option) *Local {
+	return NewLocal(memObjects{st}, opts...)
+}
+
+// memObjects adapts *store.Store to Objects. Read hands out the slice the
+// store retains: the in-memory path makes no copy.
+type memObjects struct{ *store.Store }
+
+func (m memObjects) Read(bucket, key string) ([]byte, error) { return m.Get(bucket, key) }
+func (m memObjects) List(bucket, prefix string) ([]string, error) {
+	return m.Store.List(bucket, prefix), nil
+}
+func (m memObjects) Write(bucket, key string, data []byte) error {
+	m.Put(bucket, key, data)
+	return nil
+}
+
+// read is the entry of every object read: the context check, then the
+// whole object, its failure kinded.
+func (l *Local) read(ctx context.Context, op, bucket, key string) ([]byte, error) {
+	if err := ctxErr(ctx, op, bucket, key); err != nil {
+		return nil, err
+	}
+	data, err := l.objs.Read(bucket, key)
+	if err != nil {
+		return nil, NewError(op, bucket, key, KindInternal, err)
+	}
+	return data, nil
+}
+
+// cut is the range rule: the inclusive [first, last] of data, last clamped
+// to the object end, a first at/past the end (or an inverted or negative
+// range) a KindInvalidRange error.
+func cut(op, bucket, key string, data []byte, first, last int64) ([]byte, error) {
+	if first < 0 || first >= int64(len(data)) || last < first {
+		return nil, NewError(op, bucket, key, KindInvalidRange,
+			fmt.Errorf("range [%d,%d] of %d bytes not satisfiable", first, last, len(data)))
+	}
+	return data[first:min(last+1, int64(len(data)))], nil
 }
 
 // Get implements Backend.
-func (c *InProc) Get(ctx context.Context, bucket, key string) ([]byte, error) {
-	if err := ctxErr(ctx, "get", bucket, key); err != nil {
-		return nil, err
-	}
-	data, err := c.store.Get(bucket, key)
-	if err != nil {
-		return nil, NewError("get", bucket, key, KindInternal, err)
-	}
-	return data, nil
+func (l *Local) Get(ctx context.Context, bucket, key string) ([]byte, error) {
+	return l.read(ctx, "get", bucket, key)
 }
 
 // GetRange implements Backend.
-func (c *InProc) GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error) {
-	if err := ctxErr(ctx, "get_range", bucket, key); err != nil {
+func (l *Local) GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error) {
+	data, err := l.read(ctx, "get_range", bucket, key)
+	if err != nil {
 		return nil, err
 	}
-	data, err := c.store.GetRange(bucket, key, first, last)
-	if err != nil {
-		return nil, NewError("get_range", bucket, key, KindInternal, err)
-	}
-	return data, nil
+	return cut("get_range", bucket, key, data, first, last)
 }
 
-// GetRanges implements Backend.
-func (c *InProc) GetRanges(ctx context.Context, bucket, key string, ranges [][2]int64) ([][]byte, error) {
-	if err := ctxErr(ctx, "get_ranges", bucket, key); err != nil {
+// GetRanges implements Backend. Any unsatisfiable range fails the whole
+// request; parts come back in request order.
+func (l *Local) GetRanges(ctx context.Context, bucket, key string, ranges [][2]int64) ([][]byte, error) {
+	data, err := l.read(ctx, "get_ranges", bucket, key)
+	if err != nil {
 		return nil, err
 	}
-	parts, err := c.store.GetRanges(bucket, key, ranges)
-	if err != nil {
-		return nil, NewError("get_ranges", bucket, key, KindInternal, err)
+	out := make([][]byte, len(ranges))
+	for i, r := range ranges {
+		if out[i], err = cut("get_ranges", bucket, key, data, r[0], r[1]); err != nil {
+			return nil, err
+		}
 	}
-	return parts, nil
+	return out, nil
 }
 
 // Select implements Backend. The request's capabilities are clamped to
 // what this backend advertises, so asking for a switched-off extension
-// fails with KindUnsupported on every backend alike.
-func (c *InProc) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
-	if err := ctxErr(ctx, "select", bucket, key); err != nil {
+// fails with KindUnsupported; any other rejection is a bad request.
+func (l *Local) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	data, err := l.read(ctx, "select", bucket, key)
+	if err != nil {
 		return nil, err
 	}
-	data, err := c.store.Get(bucket, key)
-	if err != nil {
-		return nil, NewError("select", bucket, key, KindInternal, err)
-	}
-	req.Capabilities = req.Capabilities.Intersect(c.caps)
+	req.Capabilities = req.Capabilities.Intersect(l.caps)
 	res, err := selectengine.Execute(data, req)
-	if err != nil {
-		return nil, NewError("select", bucket, key, selectKind(err), err)
+	if errors.Is(err, selectengine.ErrUnsupported) {
+		return nil, NewError("select", bucket, key, KindUnsupported, err)
+	} else if err != nil {
+		return nil, NewError("select", bucket, key, KindBadRequest, err)
 	}
 	return res, nil
 }
 
-// selectKind classifies a select-engine rejection: capability misses are
-// KindUnsupported, everything else is a bad request.
-func selectKind(err error) Kind {
-	if errors.Is(err, selectengine.ErrUnsupported) {
-		return KindUnsupported
-	}
-	return KindBadRequest
-}
-
 // List implements Backend.
-func (c *InProc) List(ctx context.Context, bucket, prefix string) ([]string, error) {
+func (l *Local) List(ctx context.Context, bucket, prefix string) ([]string, error) {
 	if err := ctxErr(ctx, "list", bucket, prefix); err != nil {
 		return nil, err
 	}
-	return c.store.List(bucket, prefix), nil
+	keys, err := l.objs.List(bucket, prefix)
+	if err != nil {
+		return nil, NewError("list", bucket, prefix, KindInternal, err)
+	}
+	return keys, nil
 }
 
 // Size implements Backend.
-func (c *InProc) Size(ctx context.Context, bucket, key string) (int64, error) {
+func (l *Local) Size(ctx context.Context, bucket, key string) (int64, error) {
 	if err := ctxErr(ctx, "size", bucket, key); err != nil {
 		return 0, err
 	}
-	n, err := c.store.Size(bucket, key)
+	n, err := l.objs.Size(bucket, key)
 	if err != nil {
 		return 0, NewError("size", bucket, key, KindInternal, err)
 	}
@@ -188,16 +233,18 @@ func (c *InProc) Size(ctx context.Context, bucket, key string) (int64, error) {
 }
 
 // Put implements Putter (loading helper; not a metered query operation).
-func (c *InProc) Put(ctx context.Context, bucket, key string, data []byte) error {
+func (l *Local) Put(ctx context.Context, bucket, key string, data []byte) error {
 	if err := ctxErr(ctx, "put", bucket, key); err != nil {
 		return err
 	}
-	c.store.Put(bucket, key, data)
+	if err := l.objs.Write(bucket, key, data); err != nil {
+		return NewError("put", bucket, key, KindInternal, err)
+	}
 	return nil
 }
 
 // Capabilities implements Backend.
-func (c *InProc) Capabilities() selectengine.Capabilities { return c.caps }
+func (l *Local) Capabilities() selectengine.Capabilities { return l.caps }
 
 // Profile implements Backend.
-func (c *InProc) Profile() Profile { return c.profile }
+func (l *Local) Profile() Profile { return l.profile }

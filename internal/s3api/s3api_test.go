@@ -1,9 +1,12 @@
 package s3api
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/csvx"
@@ -13,8 +16,9 @@ import (
 
 // The behavioural surface (Get/GetRange/GetRanges/Select/List/Size, error
 // kinds, context handling) is covered by the shared suite in
-// conformance_test.go; these tests pin InProc-specific construction and
-// error classification details.
+// conformance_test.go; these tests pin NewInProc's construction and error
+// classification details, and the range rule (moved here from the store,
+// which no longer has one).
 
 func TestInProcSelfDescription(t *testing.T) {
 	st := store.New()
@@ -78,5 +82,79 @@ func TestInProcCanceledContextKind(t *testing.T) {
 	_, err := c.Get(ctx, "b", "k")
 	if KindOf(err) != KindCanceled || !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled Get = %v (kind %q)", err, KindOf(err))
+	}
+}
+
+func TestGetRange(t *testing.T) {
+	st := store.New()
+	st.Put("b", "k", []byte("0123456789"))
+	c, ctx := NewInProc(st), context.Background()
+	got, err := c.GetRange(ctx, "b", "k", 2, 5)
+	if err != nil || string(got) != "2345" {
+		t.Fatalf("GetRange = %q, %v", got, err)
+	}
+	// Clamp past end.
+	got, err = c.GetRange(ctx, "b", "k", 8, 100)
+	if err != nil || string(got) != "89" {
+		t.Fatalf("clamped GetRange = %q, %v", got, err)
+	}
+	// Unsatisfiable.
+	for name, r := range map[string][2]int64{"start past end": {10, 12}, "negative start": {-1, 3}, "inverted range": {5, 2}} {
+		if _, err := c.GetRange(ctx, "b", "k", r[0], r[1]); KindOf(err) != KindInvalidRange {
+			t.Errorf("%s: kind %q (%v), want invalid_range", name, KindOf(err), err)
+		}
+	}
+}
+
+func TestGetRanges(t *testing.T) {
+	st := store.New()
+	st.Put("b", "k", []byte("abcdefgh"))
+	c, ctx := NewInProc(st), context.Background()
+	got, err := c.GetRanges(ctx, "b", "k", [][2]int64{{0, 1}, {4, 5}, {7, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{[]byte("ab"), []byte("ef"), []byte("h")}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("GetRanges = %q", got)
+	}
+	if _, err := c.GetRanges(ctx, "b", "k", [][2]int64{{0, 1}, {99, 100}}); KindOf(err) != KindInvalidRange {
+		t.Errorf("any bad range should fail the request: %v", err)
+	}
+}
+
+// Property: GetRange(first, last) equals slicing the original payload.
+func TestQuickRangeMatchesSlice(t *testing.T) {
+	st := store.New()
+	c, ctx := NewInProc(st), context.Background()
+	f := func(data []byte, a, b uint16) bool {
+		if len(data) == 0 {
+			return true
+		}
+		st.Put("q", "k", data)
+		first := int64(a) % int64(len(data))
+		last := first + int64(b)%8
+		got, err := c.GetRange(ctx, "q", "k", first, last)
+		return err == nil && bytes.Equal(got, data[first:min(last+1, int64(len(data)))])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInProcReadsWithoutCopy: the in-memory path hands out the slice the
+// store retains — Get, and the ranges cut from it, alias the stored bytes.
+func TestInProcReadsWithoutCopy(t *testing.T) {
+	st := store.New()
+	data := []byte("0123456789")
+	st.Put("b", "k", data)
+	c, ctx := NewInProc(st), context.Background()
+	got, err := c.Get(ctx, "b", "k")
+	if err != nil || &got[0] != &data[0] {
+		t.Errorf("Get copied the object (%v)", err)
+	}
+	part, err := c.GetRange(ctx, "b", "k", 3, 4)
+	if err != nil || &part[0] != &data[3] {
+		t.Errorf("GetRange copied the range (%v)", err)
 	}
 }

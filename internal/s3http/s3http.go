@@ -1,6 +1,7 @@
-// Package s3http exposes the simulated S3 service over HTTP and provides
-// the matching s3api.Backend client. The protocol mirrors the parts of the
-// S3 REST API PushdownDB needs:
+// Package s3http is the simulated S3 wire: Server carries any s3api.Backend
+// over HTTP — it executes nothing itself — and Client is the matching
+// s3api.Backend. The protocol mirrors the parts of the S3 REST API
+// PushdownDB needs:
 //
 //	PUT    /{bucket}/{key}                 store an object
 //	GET    /{bucket}/{key}                 fetch an object; honours Range
@@ -20,7 +21,9 @@
 // Failed operations carry a structured error kind in the
 // X-Pushdowndb-Error-Kind response header (s3api.Kind values), which the
 // client folds back into *s3api.Error, so error classification survives
-// the wire instead of being guessed from status codes.
+// the wire instead of being guessed from status codes. Path segments are
+// percent-escaped, so any key the backend holds can be named; no object,
+// request or response body may exceed MaxObjectBytes.
 package s3http
 
 import (
@@ -28,10 +31,10 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,13 +43,18 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
-	"pushdowndb/internal/store"
 )
 
 // errorKindHeader carries the s3api.Kind of a failed operation.
 const errorKindHeader = "X-Pushdowndb-Error-Kind"
 
-// SelectBody is the JSON body of a select POST.
+// MaxObjectBytes bounds every body on this wire: the server refuses a PUT
+// declared or found larger, the client a response.
+const MaxObjectBytes = 1 << 30
+
+// SelectBody is the JSON body of a select POST: selectengine.Request field
+// for field (each end converts), so a Request field the wire does not
+// carry cannot compile.
 type SelectBody struct {
 	SQL          string                    `json:"sql"`
 	HasHeader    bool                      `json:"has_header"`
@@ -56,9 +64,10 @@ type SelectBody struct {
 
 // SelectResponse is the JSON response of a select POST.
 type SelectResponse struct {
-	Columns []string           `json:"columns"`
-	Rows    [][]string         `json:"rows"`
-	Stats   selectengine.Stats `json:"stats"`
+	Columns  []string           `json:"columns"`
+	Rows     [][]string         `json:"rows"`
+	Stats    selectengine.Stats `json:"stats"`
+	Columnar bool               `json:"columnar,omitempty"`
 }
 
 // DescribeResponse is the JSON self-description served at GET /?describe.
@@ -72,38 +81,12 @@ type multiRangeResponse struct {
 	Parts []string `json:"parts"` // base64
 }
 
-// Server serves a store over HTTP.
-type Server struct {
-	store   *store.Store
-	caps    selectengine.Capabilities
-	profile cloudsim.Profile
-}
+// Server is the wire adapter in front of a Backend: every handler decodes
+// its request, calls b, and encodes the answer or b's error kind.
+type Server struct{ b s3api.Backend }
 
-// ServerOption configures NewServer.
-type ServerOption func(*Server)
-
-// WithCapabilities sets the S3 Select extensions this server executes and
-// advertises (all off by default, matching 2020 AWS). Select requests
-// asking for extensions the server does not allow fail with an
-// "unsupported" error kind.
-func WithCapabilities(caps selectengine.Capabilities) ServerOption {
-	return func(s *Server) { s.caps = caps }
-}
-
-// WithProfile sets the performance/pricing profile the server advertises
-// (default cloudsim.S3Profile).
-func WithProfile(p cloudsim.Profile) ServerOption {
-	return func(s *Server) { s.profile = p }
-}
-
-// NewServer wraps st.
-func NewServer(st *store.Store, opts ...ServerOption) *Server {
-	s := &Server{store: st, profile: cloudsim.S3Profile()}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
+// NewServer serves b. PUT needs b to be an s3api.Putter as well.
+func NewServer(b s3api.Backend) *Server { return &Server{b: b} }
 
 // httpError writes status plus the structured error kind header.
 func httpError(w http.ResponseWriter, msg string, status int, kind s3api.Kind) {
@@ -111,16 +94,21 @@ func httpError(w http.ResponseWriter, msg string, status int, kind s3api.Kind) {
 	http.Error(w, msg, status)
 }
 
-// storeError maps a store error to its HTTP rendering.
-func storeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		httpError(w, err.Error(), http.StatusNotFound, s3api.KindNotFound)
-	case errors.Is(err, store.ErrInvalidRange):
-		httpError(w, err.Error(), http.StatusRequestedRangeNotSatisfiable, s3api.KindInvalidRange)
-	default:
-		httpError(w, err.Error(), http.StatusInternalServerError, s3api.KindInternal)
+// backendError renders a Backend's error: its kind in the header, the
+// matching status. (A HEAD answer has no body; the header is the detail.)
+func backendError(w http.ResponseWriter, err error) {
+	kind, status := s3api.KindOf(err), http.StatusInternalServerError
+	switch kind {
+	case s3api.KindNotFound:
+		status = http.StatusNotFound
+	case s3api.KindInvalidRange:
+		status = http.StatusRequestedRangeNotSatisfiable
+	case s3api.KindBadRequest, s3api.KindUnsupported:
+		status = http.StatusBadRequest
+	case "":
+		kind = s3api.KindInternal
 	}
+	httpError(w, err.Error(), status, kind)
 }
 
 // ServeHTTP implements http.Handler.
@@ -151,7 +139,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodGet && key != "":
 		s.get(w, r, bucket, key)
 	case r.Method == http.MethodHead && key != "":
-		s.head(w, bucket, key)
+		s.head(w, r, bucket, key)
 	default:
 		httpError(w, "unsupported operation", http.StatusMethodNotAllowed, s3api.KindUnsupported)
 	}
@@ -159,33 +147,44 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) describe(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&DescribeResponse{Capabilities: s.caps, Profile: s.profile})
+	_ = json.NewEncoder(w).Encode(&DescribeResponse{Capabilities: s.b.Capabilities(), Profile: s.b.Profile()})
 }
 
 func (s *Server) put(w http.ResponseWriter, r *http.Request, bucket, key string) {
-	data, err := io.ReadAll(r.Body)
+	p, ok := s.b.(s3api.Putter)
+	if !ok {
+		httpError(w, "backend is read-only", http.StatusMethodNotAllowed, s3api.KindUnsupported)
+		return
+	}
+	if r.ContentLength > MaxObjectBytes {
+		httpError(w, fmt.Sprintf("object over %d bytes", MaxObjectBytes), http.StatusRequestEntityTooLarge, s3api.KindBadRequest)
+		return
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
 	if err != nil {
 		httpError(w, err.Error(), http.StatusBadRequest, s3api.KindBadRequest)
 		return
 	}
-	s.store.Put(bucket, key, data)
-	w.WriteHeader(http.StatusOK)
+	if err := p.Put(r.Context(), bucket, key, data); err != nil {
+		backendError(w, err)
+	}
 }
 
-func (s *Server) head(w http.ResponseWriter, bucket, key string) {
-	n, err := s.store.Size(bucket, key)
+func (s *Server) head(w http.ResponseWriter, r *http.Request, bucket, key string) {
+	n, err := s.b.Size(r.Context(), bucket, key)
 	if err != nil {
-		// HEAD responses have no body; the kind header is the only detail.
-		w.Header().Set(errorKindHeader, string(s3api.KindNotFound))
-		w.WriteHeader(http.StatusNotFound)
+		backendError(w, err)
 		return
 	}
 	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	w.WriteHeader(http.StatusOK)
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request, bucket string) {
-	keys := s.store.List(bucket, r.URL.Query().Get("prefix"))
+	keys, err := s.b.List(r.Context(), bucket, r.URL.Query().Get("prefix"))
+	if err != nil {
+		backendError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(keys)
 }
@@ -214,9 +213,9 @@ func parseRanges(h string) ([][2]int64, error) {
 func (s *Server) get(w http.ResponseWriter, r *http.Request, bucket, key string) {
 	rangeHeader := r.Header.Get("Range")
 	if rangeHeader == "" {
-		data, err := s.store.Get(bucket, key)
+		data, err := s.b.Get(r.Context(), bucket, key)
 		if err != nil {
-			storeError(w, err)
+			backendError(w, err)
 			return
 		}
 		_, _ = w.Write(data)
@@ -227,20 +226,15 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, bucket, key string)
 		httpError(w, err.Error(), http.StatusBadRequest, s3api.KindBadRequest)
 		return
 	}
-	if len(ranges) == 1 {
-		data, err := s.store.GetRange(bucket, key, ranges[0][0], ranges[0][1])
-		if err != nil {
-			storeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusPartialContent)
-		_, _ = w.Write(data)
+	// More than one range is the Suggestion-1 extension.
+	parts, err := s.b.GetRanges(r.Context(), bucket, key, ranges)
+	if err != nil {
+		backendError(w, err)
 		return
 	}
-	// Suggestion-1 extension: multiple ranges in one request.
-	parts, err := s.store.GetRanges(bucket, key, ranges)
-	if err != nil {
-		storeError(w, err)
+	if len(parts) == 1 {
+		w.WriteHeader(http.StatusPartialContent)
+		_, _ = w.Write(parts[0])
 		return
 	}
 	resp := multiRangeResponse{Parts: make([]string, len(parts))}
@@ -259,29 +253,13 @@ func (s *Server) sel(w http.ResponseWriter, r *http.Request, bucket, key string)
 		httpError(w, err.Error(), http.StatusBadRequest, s3api.KindBadRequest)
 		return
 	}
-	data, err := s.store.Get(bucket, key)
+	res, err := s.b.Select(r.Context(), bucket, key, selectengine.Request(body))
 	if err != nil {
-		storeError(w, err)
-		return
-	}
-	// The server enforces its own capability set: requests may use at most
-	// the extensions the server was started with.
-	res, err := selectengine.Execute(data, selectengine.Request{
-		SQL:          body.SQL,
-		HasHeader:    body.HasHeader,
-		Capabilities: body.Capabilities.Intersect(s.caps),
-		ScanRange:    body.ScanRange,
-	})
-	if err != nil {
-		kind := s3api.KindBadRequest
-		if errors.Is(err, selectengine.ErrUnsupported) {
-			kind = s3api.KindUnsupported
-		}
-		httpError(w, err.Error(), http.StatusBadRequest, kind)
+		backendError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&SelectResponse{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats})
+	_ = json.NewEncoder(w).Encode(&SelectResponse{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Columnar: res.Columnar})
 }
 
 // Client is the HTTP implementation of s3api.Backend. It is
@@ -307,11 +285,18 @@ func NewClient(base string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
+// url names an object (or, with key "", a bucket), escaping each path
+// segment so reserved characters in a key ('?', '#', '%', ' ') reach the
+// server as the key's bytes.
 func (c *Client) url(bucket, key string) string {
+	u := c.base + "/" + url.PathEscape(bucket)
 	if key == "" {
-		return c.base + "/" + bucket
+		return u
 	}
-	return c.base + "/" + bucket + "/" + key
+	for _, seg := range strings.Split(key, "/") {
+		u += "/" + url.PathEscape(seg)
+	}
+	return u
 }
 
 // kindFromResponse recovers the error kind: the wire header when present,
@@ -332,68 +317,77 @@ func kindFromResponse(resp *http.Response) s3api.Kind {
 	}
 }
 
-// do runs the request and returns the body, folding failures into
-// structured *s3api.Error values.
-func (c *Client) do(req *http.Request, op, bucket, key string, wantStatus ...int) ([]byte, error) {
+var errTooLarge = fmt.Errorf("s3http: response over %d bytes", MaxObjectBytes)
+
+// do runs one request — rng, when set, is its Range header — and returns
+// the body of a response with status want, folding every failure into a
+// structured *s3api.Error about (op, bucket, key).
+func (c *Client) do(ctx context.Context, op, bucket, key, method, target, rng string, reqBody []byte, want int) ([]byte, error) {
+	fail := func(kind s3api.Kind, err error) ([]byte, error) {
+		return nil, s3api.NewError(op, bucket, key, kind, err)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, bytes.NewReader(reqBody))
+	if err != nil {
+		return fail(s3api.KindBadRequest, err)
+	}
+	if rng != "" {
+		req.Header.Set("Range", rng)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, s3api.NewError(op, bucket, key, s3api.KindInternal, err)
+		return fail(s3api.KindInternal, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	if resp.ContentLength > MaxObjectBytes {
+		return fail(s3api.KindInternal, errTooLarge)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxObjectBytes+1))
+	if err == nil && len(body) > MaxObjectBytes {
+		err = errTooLarge
+	}
 	if err != nil {
-		return nil, s3api.NewError(op, bucket, key, s3api.KindInternal, err)
+		return fail(s3api.KindInternal, err)
 	}
-	for _, s := range wantStatus {
-		if resp.StatusCode == s {
-			return body, nil
-		}
+	if resp.StatusCode != want {
+		return fail(kindFromResponse(resp),
+			fmt.Errorf("s3http: %s %s: %s: %s", method, target, resp.Status, strings.TrimSpace(string(body))))
 	}
-	return nil, s3api.NewError(op, bucket, key, kindFromResponse(resp),
-		fmt.Errorf("s3http: %s %s: %s: %s", req.Method, req.URL, resp.Status, strings.TrimSpace(string(body))))
+	return body, nil
 }
 
 // Put stores an object (s3api.Putter).
 func (c *Client) Put(ctx context.Context, bucket, key string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.url(bucket, key), bytes.NewReader(data))
-	if err != nil {
-		return s3api.NewError("put", bucket, key, s3api.KindBadRequest, err)
-	}
-	_, err = c.do(req, "put", bucket, key, http.StatusOK)
+	_, err := c.do(ctx, "put", bucket, key, http.MethodPut, c.url(bucket, key), "", data, http.StatusOK)
 	return err
 }
 
 // Get implements s3api.Backend.
 func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(bucket, key), nil)
-	if err != nil {
-		return nil, s3api.NewError("get", bucket, key, s3api.KindBadRequest, err)
-	}
-	return c.do(req, "get", bucket, key, http.StatusOK)
+	return c.do(ctx, "get", bucket, key, http.MethodGet, c.url(bucket, key), "", nil, http.StatusOK)
 }
 
-// checkRange rejects ranges the HTTP Range header cannot even express
-// (negative offsets, inverted bounds) before they hit the wire, with the
-// same error kind the server would use.
-func checkRange(op, bucket, key string, first, last int64) error {
-	if first < 0 || last < first {
-		return s3api.NewError(op, bucket, key, s3api.KindInvalidRange,
-			fmt.Errorf("s3http: range [%d,%d] for %s/%s: %w", first, last, bucket, key, store.ErrInvalidRange))
+// ranged is a GET with a Range header of one or more inclusive ranges. A
+// range the header cannot even express (negative offset, inverted bounds)
+// fails here with the kind the server would have used.
+func (c *Client) ranged(ctx context.Context, op, bucket, key string, ranges [][2]int64) ([]byte, error) {
+	var rng strings.Builder // an index scan batches hundreds of ranges
+	rng.WriteString("bytes=")
+	for i, r := range ranges {
+		if r[0] < 0 || r[1] < r[0] {
+			return nil, s3api.NewError(op, bucket, key, s3api.KindInvalidRange,
+				fmt.Errorf("s3http: range [%d,%d] not satisfiable", r[0], r[1]))
+		}
+		if i > 0 {
+			rng.WriteByte(',')
+		}
+		fmt.Fprintf(&rng, "%d-%d", r[0], r[1])
 	}
-	return nil
+	return c.do(ctx, op, bucket, key, http.MethodGet, c.url(bucket, key), rng.String(), nil, http.StatusPartialContent)
 }
 
 // GetRange implements s3api.Backend.
 func (c *Client) GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error) {
-	if err := checkRange("get_range", bucket, key, first, last); err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(bucket, key), nil)
-	if err != nil {
-		return nil, s3api.NewError("get_range", bucket, key, s3api.KindBadRequest, err)
-	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", first, last))
-	return c.do(req, "get_range", bucket, key, http.StatusPartialContent)
+	return c.ranged(ctx, "get_range", bucket, key, [][2]int64{{first, last}})
 }
 
 // GetRanges implements s3api.Backend (Suggestion-1 extension).
@@ -402,33 +396,11 @@ func (c *Client) GetRanges(ctx context.Context, bucket, key string, ranges [][2]
 		// No Range header to send; a HEAD keeps the contract that a
 		// missing object is KindNotFound even for an empty request.
 		if _, err := c.Size(ctx, bucket, key); err != nil {
-			kind := s3api.KindOf(err)
-			if kind == "" {
-				kind = s3api.KindInternal
-			}
-			return nil, s3api.NewError("get_ranges", bucket, key, kind, err)
+			return nil, s3api.NewError("get_ranges", bucket, key, s3api.KindOf(err), err)
 		}
 		return [][]byte{}, nil
 	}
-	for _, r := range ranges {
-		if err := checkRange("get_ranges", bucket, key, r[0], r[1]); err != nil {
-			return nil, err
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(bucket, key), nil)
-	if err != nil {
-		return nil, s3api.NewError("get_ranges", bucket, key, s3api.KindBadRequest, err)
-	}
-	var sb strings.Builder
-	sb.WriteString("bytes=")
-	for i, r := range ranges {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d-%d", r[0], r[1])
-	}
-	req.Header.Set("Range", sb.String())
-	body, err := c.do(req, "get_ranges", bucket, key, http.StatusPartialContent)
+	body, err := c.ranged(ctx, "get_ranges", bucket, key, ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -452,21 +424,11 @@ func (c *Client) GetRanges(ctx context.Context, bucket, key string, ranges [][2]
 
 // Select implements s3api.Backend.
 func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengine.Request) (*selectengine.Result, error) {
-	body, err := json.Marshal(&SelectBody{
-		SQL:          sreq.SQL,
-		HasHeader:    sreq.HasHeader,
-		Capabilities: sreq.Capabilities,
-		ScanRange:    sreq.ScanRange,
-	})
+	body, err := json.Marshal(SelectBody(sreq))
 	if err != nil {
 		return nil, s3api.NewError("select", bucket, key, s3api.KindBadRequest, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(bucket, key)+"?select", bytes.NewReader(body))
-	if err != nil {
-		return nil, s3api.NewError("select", bucket, key, s3api.KindBadRequest, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	respBody, err := c.do(req, "select", bucket, key, http.StatusOK)
+	respBody, err := c.do(ctx, "select", bucket, key, http.MethodPost, c.url(bucket, key)+"?select", "", body, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
@@ -474,16 +436,13 @@ func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengi
 	if err := json.Unmarshal(respBody, &resp); err != nil {
 		return nil, s3api.NewError("select", bucket, key, s3api.KindInternal, err)
 	}
-	return &selectengine.Result{Columns: resp.Columns, Rows: resp.Rows, Stats: resp.Stats}, nil
+	return &selectengine.Result{Columns: resp.Columns, Rows: resp.Rows, Stats: resp.Stats, Columnar: resp.Columnar}, nil
 }
 
 // List implements s3api.Backend.
 func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(bucket, "")+"?list&prefix="+prefix, nil)
-	if err != nil {
-		return nil, s3api.NewError("list", bucket, prefix, s3api.KindBadRequest, err)
-	}
-	body, err := c.do(req, "list", bucket, prefix, http.StatusOK)
+	query := url.Values{"list": {""}, "prefix": {prefix}}.Encode()
+	body, err := c.do(ctx, "list", bucket, prefix, http.MethodGet, c.url(bucket, "")+"?"+query, "", nil, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}

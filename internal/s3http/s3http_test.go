@@ -2,6 +2,9 @@ package s3http
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -9,6 +12,7 @@ import (
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/store"
@@ -19,10 +23,10 @@ import (
 
 func ctxb() context.Context { return context.Background() }
 
-func newPair(t *testing.T, opts ...ServerOption) (*store.Store, *Client) {
+func newPair(t *testing.T, opts ...s3api.Option) (*store.Store, *Client) {
 	t.Helper()
 	st := store.New()
-	srv := httptest.NewServer(NewServer(st, opts...))
+	srv := httptest.NewServer(NewServer(s3api.NewInProc(st, opts...)))
 	t.Cleanup(srv.Close)
 	return st, NewClient(srv.URL, srv.Client())
 }
@@ -103,8 +107,8 @@ func TestDescribeEndpoint(t *testing.T) {
 	// A server with capabilities and a custom profile is self-describing:
 	// the client learns both over the wire.
 	_, c := newPair(t,
-		WithCapabilities(selectengine.Capabilities{AllowGroupBy: true}),
-		WithProfile(cloudsim.CrossRegionS3Profile()))
+		s3api.WithCapabilities(selectengine.Capabilities{AllowGroupBy: true}),
+		s3api.WithProfile(cloudsim.CrossRegionS3Profile()))
 	if !c.Capabilities().AllowGroupBy {
 		t.Error("client should learn the server's capabilities from ?describe")
 	}
@@ -138,7 +142,7 @@ func TestServerEnforcesItsCapabilities(t *testing.T) {
 
 func TestClientSatisfiesInterface(t *testing.T) {
 	var _ s3api.Backend = (*Client)(nil)
-	var _ s3api.Backend = (*s3api.InProc)(nil)
+	var _ s3api.Backend = (*s3api.Local)(nil)
 	var _ s3api.Putter = (*Client)(nil)
 }
 
@@ -162,7 +166,7 @@ func TestHTTPAndInProcAgree(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	st := store.New()
 	st.Put("b", "k", []byte("xyz"))
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServer(s3api.NewInProc(st)))
 	defer srv.Close()
 	// Empty bucket path without ?describe is a bad request.
 	resp, err := srv.Client().Get(srv.URL + "/")
@@ -184,7 +188,7 @@ func TestBadRequests(t *testing.T) {
 func TestSelectRequestBodyIsBounded(t *testing.T) {
 	st := store.New()
 	st.Put("b", "t.csv", csvx.Encode([]string{"k"}, [][]string{{"1"}}))
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServer(s3api.NewInProc(st)))
 	defer srv.Close()
 	for pad, want := range map[int]int{1 << 10: 200, 1 << 20: 400} {
 		body := `{"has_header":true,` + strings.Repeat(" ", pad) + `"sql":"SELECT k FROM S3Object"}`
@@ -211,5 +215,89 @@ func TestParseRanges(t *testing.T) {
 		if _, err := parseRanges(bad); err == nil {
 			t.Errorf("parseRanges(%q) should fail", bad)
 		}
+	}
+}
+
+// TestServerSurvivesRestart: a server over localfs.New(dir) — what
+// `s3server -state dir` runs — has an object on disk when its PUT returns,
+// so a second server over the same directory serves it.
+func TestServerSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	data := csvx.Encode([]string{"k", "v"}, [][]string{{"1", "10"}, {"2", "20"}})
+	first := httptest.NewServer(NewServer(localfs.New(dir)))
+	if err := NewClient(first.URL, first.Client()).Put(ctxb(), "b", "t/part0000.csv", data); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	second := httptest.NewServer(NewServer(localfs.New(dir)))
+	defer second.Close()
+	c := NewClient(second.URL, second.Client())
+	if got, err := c.Get(ctxb(), "b", "t/part0000.csv"); err != nil || string(got) != string(data) {
+		t.Errorf("Get after restart = %q, %v", got, err)
+	}
+	if keys, err := c.List(ctxb(), "b", "t/"); err != nil || !reflect.DeepEqual(keys, []string{"t/part0000.csv"}) {
+		t.Errorf("List after restart = %v, %v", keys, err)
+	}
+	res, err := c.Select(ctxb(), "b", "t/part0000.csv", selectengine.Request{
+		SQL: "SELECT k FROM S3Object WHERE v >= 20", HasHeader: true,
+	})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "2" {
+		t.Errorf("Select after restart = %+v, %v", res, err)
+	}
+}
+
+// TestHeadReportsTheBackendsKind: HEAD answers with the kind the backend
+// gave, not with not_found for every failure.
+func TestHeadReportsTheBackendsKind(t *testing.T) {
+	srv := httptest.NewServer(NewServer(localfs.New(t.TempDir())))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	if _, err := c.Size(ctxb(), "..", "k"); s3api.KindOf(err) != s3api.KindBadRequest {
+		t.Errorf("Size(bad bucket) kind = %q (%v), want bad_request", s3api.KindOf(err), err)
+	}
+	if _, err := c.Size(ctxb(), "b", "missing"); s3api.KindOf(err) != s3api.KindNotFound {
+		t.Errorf("Size(missing) kind = %q (%v), want not_found", s3api.KindOf(err), err)
+	}
+}
+
+// unreadBody fails the test if anything reads it: an oversize body must be
+// refused on its declared length, not buffered.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("an oversize body was read")
+	return 0, io.EOF
+}
+func (unreadBody) Close() error { return nil }
+
+// roundTrip answers every request with one canned response.
+type roundTrip func(*http.Request) *http.Response
+
+func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r), nil }
+
+// TestObjectSizeCeiling: neither end buffers more than MaxObjectBytes. A
+// declared oversize length is refused before the body is touched, on the
+// PUT handler (bad_request) and in the client (internal).
+func TestObjectSizeCeiling(t *testing.T) {
+	st := store.New()
+	srv := NewServer(s3api.NewInProc(st))
+	req := httptest.NewRequest(http.MethodPut, "/b/k", unreadBody{t})
+	req.ContentLength = MaxObjectBytes + 1
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if kind := rec.Header().Get(errorKindHeader); rec.Code != http.StatusRequestEntityTooLarge || kind != string(s3api.KindBadRequest) {
+		t.Errorf("oversize PUT: status %d kind %q, want 413 bad_request", rec.Code, kind)
+	}
+	if _, err := st.Get("b", "k"); err == nil {
+		t.Error("the refused PUT stored an object")
+	}
+
+	c := NewClient("http://storage.invalid", &http.Client{Transport: roundTrip(func(*http.Request) *http.Response {
+		return &http.Response{StatusCode: 200, ContentLength: MaxObjectBytes + 1, Body: unreadBody{t}}
+	})})
+	_, err := c.Get(ctxb(), "b", "k")
+	if s3api.KindOf(err) != s3api.KindInternal || !errors.Is(err, errTooLarge) {
+		t.Errorf("oversize response: %v (kind %q), want errTooLarge as internal", err, s3api.KindOf(err))
 	}
 }

@@ -1,7 +1,7 @@
 // Package store implements the object-store substrate standing in for
-// Amazon S3: buckets of immutable byte objects addressed by key, with
-// whole-object GET, single-range GET (what the real S3 API offers) and a
-// multi-range GET extension (the paper's Suggestion 1).
+// Amazon S3: buckets of immutable byte objects addressed by key. Ranged
+// reads, S3 Select and error kinds are s3api.Local's, over this store or a
+// directory alike.
 //
 // Tables are stored as one or more partition objects under a common prefix,
 // e.g. customer/part0000.csv — the layout PushdownDB uses to load
@@ -16,15 +16,9 @@ import (
 	"sync"
 )
 
-// Sentinel error classes. Store errors wrap one of these so callers (the
-// s3api backends) can map them to structured error kinds without parsing
-// messages.
-var (
-	// ErrNotFound marks a missing bucket or key.
-	ErrNotFound = errors.New("not found")
-	// ErrInvalidRange marks an unsatisfiable byte range (HTTP 416).
-	ErrInvalidRange = errors.New("range not satisfiable")
-)
+// ErrNotFound marks a missing bucket or key. Store errors wrap it so
+// s3api.NewError can kind them without parsing messages.
+var ErrNotFound = errors.New("not found")
 
 // Store is an in-memory object store.
 type Store struct {
@@ -90,51 +84,6 @@ func (s *Store) Size(bucket, key string) (int64, error) {
 		return 0, err
 	}
 	return int64(len(data)), nil
-}
-
-// GetRange returns bytes [first, last] inclusive, mirroring the HTTP Range
-// header semantics S3 implements. last is clamped to the object end; a
-// first past the end is an error (HTTP 416).
-func (s *Store) GetRange(bucket, key string, first, last int64) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, err := s.lookup(bucket, key)
-	if err != nil {
-		return nil, err
-	}
-	if first < 0 || first >= int64(len(data)) || last < first {
-		return nil, fmt.Errorf("store: range [%d,%d] for %s/%s (len %d): %w",
-			first, last, bucket, key, len(data), ErrInvalidRange)
-	}
-	if last >= int64(len(data)) {
-		last = int64(len(data)) - 1
-	}
-	return data[first : last+1], nil
-}
-
-// GetRanges returns multiple inclusive ranges in one request — the
-// multi-range GET of the paper's Suggestion 1. Results are in request
-// order. Any unsatisfiable range fails the whole request.
-func (s *Store) GetRanges(bucket, key string, ranges [][2]int64) ([][]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, err := s.lookup(bucket, key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ranges))
-	for i, r := range ranges {
-		first, last := r[0], r[1]
-		if first < 0 || first >= int64(len(data)) || last < first {
-			return nil, fmt.Errorf("store: range [%d,%d] for %s/%s: %w",
-				first, last, bucket, key, ErrInvalidRange)
-		}
-		if last >= int64(len(data)) {
-			last = int64(len(data)) - 1
-		}
-		out[i] = data[first : last+1]
-	}
-	return out, nil
 }
 
 // List returns the keys in bucket with the given prefix, sorted.

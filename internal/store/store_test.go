@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestPutGet(t *testing.T) {
@@ -57,46 +54,6 @@ func TestSize(t *testing.T) {
 	}
 }
 
-func TestGetRange(t *testing.T) {
-	s := New()
-	s.Put("b", "k", []byte("0123456789"))
-	got, err := s.GetRange("b", "k", 2, 5)
-	if err != nil || string(got) != "2345" {
-		t.Fatalf("GetRange = %q, %v", got, err)
-	}
-	// Clamp past end.
-	got, err = s.GetRange("b", "k", 8, 100)
-	if err != nil || string(got) != "89" {
-		t.Fatalf("clamped GetRange = %q, %v", got, err)
-	}
-	// Unsatisfiable.
-	if _, err := s.GetRange("b", "k", 10, 12); err == nil {
-		t.Error("start past end should error")
-	}
-	if _, err := s.GetRange("b", "k", -1, 3); err == nil {
-		t.Error("negative start should error")
-	}
-	if _, err := s.GetRange("b", "k", 5, 2); err == nil {
-		t.Error("inverted range should error")
-	}
-}
-
-func TestGetRanges(t *testing.T) {
-	s := New()
-	s.Put("b", "k", []byte("abcdefgh"))
-	got, err := s.GetRanges("b", "k", [][2]int64{{0, 1}, {4, 5}, {7, 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]byte{[]byte("ab"), []byte("ef"), []byte("h")}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("GetRanges = %q", got)
-	}
-	if _, err := s.GetRanges("b", "k", [][2]int64{{0, 1}, {99, 100}}); err == nil {
-		t.Error("any bad range should fail the request")
-	}
-}
-
 func TestListAndTableParts(t *testing.T) {
 	s := New()
 	for i := 0; i < 3; i++ {
@@ -139,30 +96,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if got := len(s.List("b", "")); got != 16 {
 		t.Errorf("keys = %d, want 16", got)
-	}
-}
-
-// Property: GetRange(first, last) equals slicing the original payload.
-func TestQuickRangeMatchesSlice(t *testing.T) {
-	s := New()
-	f := func(data []byte, a, b uint16) bool {
-		if len(data) == 0 {
-			return true
-		}
-		s.Put("q", "k", data)
-		first := int64(a) % int64(len(data))
-		last := first + int64(b)%8
-		got, err := s.GetRange("q", "k", first, last)
-		if err != nil {
-			return false
-		}
-		end := last + 1
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		return bytes.Equal(got, data[first:end])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
