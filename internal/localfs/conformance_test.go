@@ -3,11 +3,15 @@ package localfs_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pushdowndb/internal/localfs"
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3api/conformancetest"
 )
 
@@ -44,6 +48,37 @@ func TestLocalFSRejectsEscapingKeys(t *testing.T) {
 		if _, err := b.Get(ctx, bucket, "k"); err == nil {
 			t.Errorf("Get(bucket %q) should be rejected", bucket)
 		}
+	}
+}
+
+// TestLocalFSReservesItsTempPrefix states the one legal key localfs refuses:
+// a last element starting ".tmp-" (the name of a Put's temporary file) is a
+// bad request on every call, such a file left on disk by a crashed Put is
+// not an object, and the prefix is free anywhere else in a key.
+func TestLocalFSReservesItsTempPrefix(t *testing.T) {
+	dir := t.TempDir()
+	b := localfs.New(dir)
+	ctx := context.Background()
+	if err := b.Put(ctx, "bkt", ".tmp-dir/real", []byte("x")); err != nil {
+		t.Fatalf("the prefix on a non-final element must be storable: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bkt", ".tmp-123"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{".tmp-123", ".tmp-", ".tmp-dir/.tmp-x"} {
+		if err := b.Put(ctx, "bkt", key, []byte("x")); s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("Put(%q) = %v, want bad_request", key, err)
+		}
+		if _, err := b.Get(ctx, "bkt", key); s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("Get(%q) = %v, want bad_request", key, err)
+		}
+		if _, err := b.Size(ctx, "bkt", key); s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("Size(%q) = %v, want bad_request", key, err)
+		}
+	}
+	keys, err := b.List(ctx, "bkt", "")
+	if err != nil || !reflect.DeepEqual(keys, []string{".tmp-dir/real"}) {
+		t.Errorf("List = %q, %v; want only the real object", keys, err)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package localfs keeps objects in a directory tree on the local
 // filesystem: <root>/<bucket>/<key>, key slashes mapped to subdirectories.
 // Dir is the object source; New serves it through s3api.Local, so S3 Select
-// runs in-process against the file bytes (storage node and file server are
-// one machine): pushdown works, it just costs nothing extra on the wire. By
-// default it advertises cloudsim.LocalFSProfile (wide, sub-millisecond, no
-// dollar cost) — the "fast local tier" where the join that warrants a Bloom
-// pushdown against remote S3 is usually cheapest as a plain baseline load.
+// runs in-process against the file bytes: pushdown works, it just costs
+// nothing extra on the wire. By default it advertises cloudsim.LocalFSProfile
+// (wide, sub-millisecond, no dollar cost) — the "fast local tier" where a
+// Bloom-pushdown join is usually cheapest as a plain baseline load.
 package localfs
 
 import (
@@ -29,7 +28,9 @@ func New(dir string, opts ...s3api.Option) *s3api.Local {
 	return s3api.NewLocal(Dir(dir), append([]s3api.Option{s3api.WithProfile(cloudsim.LocalFSProfile())}, opts...)...)
 }
 
-// tmpPrefix names a Write's temporary files; no key ends in such a name.
+// tmpPrefix starts the name of a Write's temporary file and is reserved: a key
+// whose last element has it is a bad request and List hides such files (one
+// a crash mid-Write left behind is no object and may be deleted).
 const tmpPrefix = ".tmp-"
 
 // bucketDir validates bucket and maps it under the root.
@@ -40,8 +41,8 @@ func (d Dir) bucketDir(bucket string) (string, error) {
 	return filepath.Join(string(d), bucket), nil
 }
 
-// path validates bucket/key and maps them under the root; empty or
-// escaping names (".." elements, absolute keys) are rejected, not resolved.
+// path maps a validated bucket/key under the root; empty, reserved or escaping
+// names (".." elements, absolute keys) are rejected, not resolved.
 func (d Dir) path(bucket, key string) (string, error) {
 	dir, err := d.bucketDir(bucket)
 	if err != nil {
@@ -99,9 +100,8 @@ func (d Dir) List(bucket, prefix string) ([]string, error) {
 	return keys, err
 }
 
-// Write implements s3api.Objects. The bytes go to a temporary file beside
-// the target and are renamed over it, so a concurrent Read sees the old
-// object or the new one, never a torn one.
+// Write implements s3api.Objects: a temporary file beside the target, renamed
+// over it, so a concurrent Read sees the old or the new object, never a torn one.
 func (d Dir) Write(bucket, key string, data []byte) error {
 	p, err := d.path(bucket, key)
 	if err != nil {

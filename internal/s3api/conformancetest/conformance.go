@@ -9,6 +9,7 @@ package conformancetest
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -38,6 +39,7 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("EmptyObject", func(t *testing.T) { testEmptyObject(t, mk(t)) })
 	t.Run("MissingKeyKinds", func(t *testing.T) { testMissingKeyKinds(t, mk(t)) })
 	t.Run("Ranges", func(t *testing.T) { testRanges(t, mk(t)) })
+	t.Run("RangeToMaxInt64", func(t *testing.T) { testRangeToMaxInt64(t, mk(t)) })
 	t.Run("MultiRanges", func(t *testing.T) { testMultiRanges(t, mk(t)) })
 	t.Run("MultiRangeEdges", func(t *testing.T) { testMultiRangeEdges(t, mk(t)) })
 	t.Run("Select", func(t *testing.T) { testSelect(t, mk(t)) })
@@ -131,6 +133,20 @@ func testRanges(t *testing.T, env Env) {
 	wantKind(t, err, s3api.KindInvalidRange, "GetRange(negative)")
 	_, err = env.Backend.GetRange(ctxb(), "b", "k", 5, 3)
 	wantKind(t, err, s3api.KindInvalidRange, "GetRange(inverted)")
+}
+
+// testRangeToMaxInt64 pins the clamp at the far end of int64 (an HTTP
+// client's open-ended Range arrives that way): last+1 must not wrap.
+func testRangeToMaxInt64(t *testing.T, env Env) {
+	env.Put("b", "k", []byte("0123456789"))
+	got, err := env.Backend.GetRange(ctxb(), "b", "k", 8, math.MaxInt64)
+	if err != nil || string(got) != "89" {
+		t.Fatalf("GetRange(8, MaxInt64) = %q, %v", got, err)
+	}
+	parts, err := env.Backend.GetRanges(ctxb(), "b", "k", [][2]int64{{0, math.MaxInt64}, {9, math.MaxInt64 - 1}})
+	if err != nil || len(parts) != 2 || string(parts[0]) != "0123456789" || string(parts[1]) != "9" {
+		t.Fatalf("GetRanges(to MaxInt64) = %q, %v", parts, err)
+	}
 }
 
 func testMultiRanges(t *testing.T, env Env) {

@@ -74,8 +74,9 @@ type Putter interface {
 
 // Objects is where a Local's bytes live: whole objects addressed by
 // (bucket, key). Implementations return plain wrapped errors — a miss
-// wraps store.ErrNotFound or fs.ErrNotExist, a malformed name fs.ErrInvalid
-// — and NewError kinds them; a missing bucket lists empty.
+// wraps store.ErrNotFound or fs.ErrNotExist, a name it cannot hold (malformed,
+// or reserved: see localfs.Dir) fs.ErrInvalid — and NewError kinds them; a
+// missing bucket lists empty.
 type Objects interface {
 	// Read returns a whole object. Local hands the slice to callers as is
 	// and never writes to it.
@@ -157,7 +158,7 @@ func cut(op, bucket, key string, data []byte, first, last int64) ([]byte, error)
 		return nil, NewError(op, bucket, key, KindInvalidRange,
 			fmt.Errorf("range [%d,%d] of %d bytes not satisfiable", first, last, len(data)))
 	}
-	return data[first:min(last+1, int64(len(data)))], nil
+	return data[first : min(last, int64(len(data))-1)+1], nil
 }
 
 // Get implements Backend.

@@ -278,7 +278,8 @@ func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f
 
 // TestObjectSizeCeiling: neither end buffers more than MaxObjectBytes. A
 // declared oversize length is refused before the body is touched, on the
-// PUT handler (bad_request) and in the client (internal).
+// PUT handler (bad_request) and in the client (internal). A HEAD answer's
+// Content-Length is a size, not a body: it is reported whatever it is.
 func TestObjectSizeCeiling(t *testing.T) {
 	st := store.New()
 	srv := NewServer(s3api.NewInProc(st))
@@ -300,4 +301,17 @@ func TestObjectSizeCeiling(t *testing.T) {
 	if s3api.KindOf(err) != s3api.KindInternal || !errors.Is(err, errTooLarge) {
 		t.Errorf("oversize response: %v (kind %q), want errTooLarge as internal", err, s3api.KindOf(err))
 	}
+
+	hs := httptest.NewServer(NewServer(hugeObject{s3api.NewInProc(st)}))
+	defer hs.Close()
+	if n, err := NewClient(hs.URL, hs.Client()).Size(ctxb(), "b", "huge"); err != nil || n != 5*MaxObjectBytes {
+		t.Errorf("Size over HEAD = %d, %v; want %d", n, err, int64(5*MaxObjectBytes))
+	}
+}
+
+// hugeObject is a backend holding objects larger than the wire will carry.
+type hugeObject struct{ s3api.Backend }
+
+func (hugeObject) Size(context.Context, string, string) (int64, error) {
+	return 5 * MaxObjectBytes, nil
 }
