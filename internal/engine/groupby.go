@@ -98,7 +98,7 @@ func (e *Exec) groupLocal(rel *Relation, groupCol, items string) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return e.groupByLocal(rel, keys, its)
+	return e.groupByLocal(rel, nil, keys, its)
 }
 
 // FilteredGroupBy pushes the projection of the referenced columns into S3

@@ -181,7 +181,7 @@ func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTa
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	results, err := e.selectOnParts(phase, sp, idxTable, index.ProbeSQL(valuePred))
+	results, err := e.selectOnParts(phase, sp, idxTable, index.ProbeSQL(valuePred), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -633,7 +633,7 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 		cs.source = StatsFromProbe
 		sp := e.beginSpan("plan probe " + table)
 		phase := e.tablePhase("plan probe "+table, stage, table)
-		results, err := e.selectOnParts(phase, sp, table, sql)
+		results, err := e.selectOnParts(phase, sp, table, sql, nil)
 		if err != nil {
 			endSpanErr(sp, err)
 			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)

@@ -267,5 +267,5 @@ func (e *Exec) JoinAggregate(js JoinSpec, algorithm string, aggItems string) (*R
 	if err != nil {
 		return nil, err
 	}
-	return e.aggregateLocal(joined, items)
+	return e.groupByLocal(joined, nil, nil, items)
 }

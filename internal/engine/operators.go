@@ -436,12 +436,39 @@ func (e *Exec) projectLocal(rel *Relation, items []sqlparse.SelectItem) (*Relati
 	return e.runOp("project", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Project(rel, items) })
 }
 
-func (e *Exec) groupByLocal(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
-	return e.runOp("groupby", len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
+// groupByLocal runs the grouping operator (no keys: a plain aggregation)
+// over rel or, with rel nil, over the typed batches of a grouped scan,
+// folded in partition order into one group table — first-seen group order
+// and the first error are the concatenated relation's.
+func (e *Exec) groupByLocal(rel *Relation, batches []*vec.Batch, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+	name := "groupby"
+	if len(keys) == 0 {
+		name = "aggregate"
+	}
+	return e.runOp(name, inputRows(rel, batches), func(o Operators) (*Relation, error) {
+		if rel != nil {
+			return o.GroupBy(rel, keys, items)
+		}
+		t := expr.NewGroups(expr.New(), keys, sqlparse.ItemExprs(items))
+		for _, b := range batches {
+			if err := vec.Accumulate(t, b, o.Workers); err != nil {
+				return nil, err
+			}
+		}
+		cols, rows, err := vec.Finish(t, items)
+		return fromVecRows(cols, rows), err
+	})
 }
 
-func (e *Exec) aggregateLocal(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	return e.runOp("aggregate", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Aggregate(rel, items) })
+// inputRows counts a tail's input rows: rel's, or with rel nil the batches'.
+func inputRows(rel *Relation, batches []*vec.Batch) (n int) {
+	if rel != nil {
+		return len(rel.Rows)
+	}
+	for _, b := range batches {
+		n += b.Len()
+	}
+	return n
 }
 
 // hashJoinLocal performs the local build/probe and accounts the row work

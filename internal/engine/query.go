@@ -7,6 +7,7 @@ import (
 
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // QueryContext is PushdownDB's SQL front end. Single-table SELECTs (WHERE, GROUP
@@ -146,9 +147,18 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 		}
 	}
 
-	rel, err := e.SelectRows("scan "+table, e.NextStage(), table, pushedScan(sel, nil).String())
+	// A grouped tail folds the scan's responses as typed vectors and never
+	// sees a row; a ragged response comes back as rows, for the row path.
+	grouped := e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates())
+	rel, batches, err := e.selectDecoded("scan "+table, e.NextStage(), table, pushedScan(sel, nil).String(), grouped)
 	if err != nil {
 		return nil, err
+	}
+	if grouped {
+		if rel != nil {
+			e.curSpanParent().SetStr("row_fallback", "ragged")
+		}
+		return e.finishTail(sel, rel, batches)
 	}
 	if isSimple(sel) {
 		// Fully pushable: selection, projection and LIMIT all went to S3.
@@ -200,13 +210,21 @@ func isSimple(sel *sqlparse.Select) bool {
 // (or joined) relation: grouping/aggregation/projection, ordering and
 // limiting, with the row work accounted on the virtual clock.
 func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
+	return e.finishTail(sel, rel, nil)
+}
+
+// finishTail is finishLocal whose grouping step reads rel or, with rel nil,
+// the typed batches of a grouped scan (groupByLocal): the one tail either
+// input finishes through.
+func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Batch) (*Relation, error) {
+	rowsIn := int64(inputRows(rel, batches))
 	sp := e.beginSpan("local")
-	sp.SetInt("rows_in", int64(len(rel.Rows)))
+	sp.SetInt("rows_in", rowsIn)
 	defer sp.End()
 	prevParent := e.setSpanParent(sp)
 	defer e.restoreSpanParent(prevParent)
 	phase := e.Metrics.Phase("local", e.NextStage())
-	phase.AddServerRows(int64(len(rel.Rows)))
+	phase.AddServerRows(rowsIn)
 
 	var err error
 	orderBy := sel.OrderBy // the sort still owed once the switch is done
@@ -218,9 +236,9 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 		// and strip them after the sort.
 		var items []sqlparse.SelectItem
 		items, orderBy, hidden = groupSortPlan(sel)
-		rel, err = e.groupByLocal(rel, sel.GroupBy, items)
+		rel, err = e.groupByLocal(rel, batches, sel.GroupBy, items)
 	case sel.HasAggregates():
-		rel, err = e.aggregateLocal(rel, sel.Items)
+		rel, err = e.groupByLocal(rel, batches, nil, sel.Items)
 	default:
 		// Sort before projecting: the projection may drop a column ORDER
 		// BY references (queryColumns pushed it into the scan precisely so
@@ -238,6 +256,9 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 	}
 	if err != nil {
 		return nil, err
+	}
+	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
+		sp.SetInt("groups", int64(len(rel.Rows)))
 	}
 	if len(orderBy) > 0 {
 		rel, err = sortLocal(rel, orderBy)

@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/store"
 )
 
 func TestQueryFullPushdown(t *testing.T) {
@@ -109,5 +113,78 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := db.ExplainContext(context.Background(), "garbage"); err == nil {
 		t.Error("bad sql should error")
+	}
+}
+
+// TestLongChainRefusedAtTheDoor: `x = 0 OR x = 1 OR …` nests nothing as it
+// parses, but prints — as the pushed WHERE — one parenthesis per term, and
+// 1,500 of them used to be planned, sent, and refused by storage's parser.
+// The front-door parse now gives the same error before any request, and a
+// 900-term chain, which storage can parse, still answers.
+func TestLongChainRefusedAtTheDoor(t *testing.T) {
+	counting := s3api.NewCounting(s3api.NewInProc(newTestStore(t)))
+	db, err := Open(testBucket, WithBackend("s3sim", counting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(n int) string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("k = %d", i)
+		}
+		return "SELECT k FROM events WHERE " + strings.Join(terms, " OR ")
+	}
+	_, e, err := db.QueryContext(context.Background(), chain(1500))
+	if err == nil || !strings.Contains(err.Error(), "sqlparse: expression nests deeper than 1000 levels") {
+		t.Errorf("1500 terms: err = %v, want the parser's nesting-depth error", err)
+	}
+	if n := counting.Selects() + counting.Gets() + counting.GetRangeCalls() + counting.Lists() + counting.Sizes(); e != nil || n != 0 {
+		t.Errorf("1500 terms: %d storage requests and execution %v, want none: refused by the front-door parse", n, e)
+	}
+	rel, _, err := db.QueryContext(context.Background(), chain(900))
+	if err != nil || len(rel.Rows) != 900 {
+		t.Fatalf("900 terms: %v, %v; want the 900 rows", rel, err)
+	}
+	if counting.Selects() == 0 {
+		t.Error("900 terms: answered without a select")
+	}
+}
+
+// TestTextThatIsNotANumberFailsArithmetic pins `'12abc' + 1`: text is a
+// number only when the whole of it parses (value.ParseNum), so arithmetic
+// over a cell that merely starts like one is an evaluation error — never
+// 13, never NULL — wherever the expression runs: pushed whole to storage,
+// in a pushed WHERE, in the server's projection, as a sort key, a group
+// key or an aggregate's argument, on the kernels and on the reference.
+func TestTextThatIsNotANumberFailsArithmetic(t *testing.T) {
+	st := store.New()
+	if err := PartitionTable(context.Background(), st, testBucket, "t", []string{"k", "c"},
+		[][]string{{"1", "12"}, {"2", "12abc"}, {"3", " 7 "}}, 2); err != nil {
+		t.Fatal(err)
+	}
+	const want = "expr: arithmetic on non-numeric STRING and INT"
+	for _, vectorized := range []bool{true, false} {
+		db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(vectorized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for where, sql := range map[string]string{
+			"pushed projection":  "SELECT c + 1 FROM t",
+			"pushed WHERE":       "SELECT k FROM t WHERE c + 1 > 0",
+			"server projection":  "SELECT c + 1 AS x FROM t ORDER BY k",
+			"ORDER BY key":       "SELECT k FROM t ORDER BY c + 1",
+			"aggregate argument": "SELECT SUM(c + 1) AS s FROM t",
+			"group key":          "SELECT COUNT(*) AS n FROM t GROUP BY c + 1",
+			"literal":            "SELECT k FROM t WHERE '12abc' + 1 = 13",
+		} {
+			if _, _, err := db.QueryContext(context.Background(), sql); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("vectorized=%v, %s (%s): err = %v, want %q", vectorized, where, sql, err, want)
+			}
+		}
+		// Text that is a number, space around it or not, computes.
+		rel, _, err := db.QueryContext(context.Background(), "SELECT SUM(c + 1) AS s FROM t WHERE k <> 2")
+		if err != nil || render(rel, true) != "s\n21" {
+			t.Errorf("vectorized=%v: SUM(c + 1) over '12' and ' 7 ' = %v, %v; want 21", vectorized, rel, err)
+		}
 	}
 }

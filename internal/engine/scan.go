@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"unicode/utf8"
 
 	"pushdowndb/internal/arena"
@@ -11,6 +12,7 @@ import (
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -45,17 +47,7 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 	sp := e.beginSpan(phaseName)
 	phase := e.tablePhase(phaseName, stage, table)
 	rels := make([]*Relation, len(keys))
-	// The per-partition decodes already run concurrently under
-	// forEachPart; split the worker budget across that fan-out so total
-	// decode concurrency matches the Cores budget the cost model prices.
-	fanout := e.db.MaxScanParallel
-	if fanout <= 0 || fanout > len(keys) {
-		fanout = len(keys)
-	}
-	decodeWorkers := e.workers() / fanout
-	if decodeWorkers < 1 {
-		decodeWorkers = 1
-	}
+	decodeWorkers := e.partWorkers(len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
 		psp := sp.Child("get " + key)
 		defer psp.End()
@@ -85,6 +77,18 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 	sp.SetInt("rows", int64(len(out.Rows)))
 	e.endPhaseSpan(sp, phase)
 	return out, nil
+}
+
+// partWorkers is the worker budget of one partition's decode inside a
+// fan-out over n partitions, whose decodes already run concurrently: the
+// budget splits across the fan-out, so total decode concurrency matches the
+// Cores budget the cost model prices.
+func (e *Exec) partWorkers(n int) int {
+	fanout := e.db.MaxScanParallel
+	if fanout <= 0 || fanout > n {
+		fanout = n
+	}
+	return max(e.workers()/fanout, 1)
 }
 
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
@@ -160,29 +164,55 @@ func decodeCSV(data []byte) (*Relation, error) {
 // SelectRows runs sql on every partition of table and concatenates the
 // returned rows into a typed relation.
 func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
+	rel, _, err := e.selectDecoded(phaseName, stage, table, sql, false)
+	return rel, err
+}
+
+// selectDecoded runs sql on every partition of table and decodes the
+// responses. For a consumer that folds vectors (typed) each response becomes
+// a vec.Batch inside the fan-out, where LoadTable decodes too, and no row
+// is built; a ragged response — all vec.FromStrings refuses — or a row
+// consumer gets the relation instead, and nil batches.
+func (e *Exec) selectDecoded(phaseName string, stage int, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
 	sp := e.beginSpan(phaseName)
 	phase := e.tablePhase(phaseName, stage, table)
-	results, err := e.selectOnParts(phase, sp, table, sql)
+	var batches []*vec.Batch
+	var each func(int, *selectengine.Result)
+	if typed {
+		keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
+		batches = make([]*vec.Batch, len(keys))
+		workers := e.partWorkers(len(keys))
+		each = func(i int, res *selectengine.Result) {
+			dec := sp.Child("decode")
+			batches[i], _ = vec.FromStrings(res.Columns, res.Rows, workers)
+			dec.SetInt("rows", int64(len(res.Rows)))
+			dec.End()
+		}
+	}
+	results, err := e.selectOnParts(phase, sp, table, sql, each)
 	if err != nil {
 		endSpanErr(sp, err)
-		return nil, err
+		return nil, nil, err
 	}
-	dec := sp.Child("decode")
-	rels := make([]*Relation, len(results))
-	for i, res := range results {
-		rels[i] = FromStringsN(res.Columns, res.Rows, e.workers())
+	var out *Relation
+	if batches == nil || slices.Contains(batches, nil) {
+		batches, out = nil, &Relation{}
+		dec := sp.Child("decode")
+		rels := make([]*Relation, len(results))
+		for i, res := range results {
+			rels[i] = FromStringsN(res.Columns, res.Rows, e.workers())
+		}
+		if err := out.Concat(rels...); err != nil {
+			endSpanErr(dec, err)
+			endSpanErr(sp, err)
+			return nil, nil, err
+		}
+		dec.SetInt("rows", int64(len(out.Rows)))
+		dec.End()
 	}
-	out := &Relation{}
-	if err := out.Concat(rels...); err != nil {
-		endSpanErr(dec, err)
-		endSpanErr(sp, err)
-		return nil, err
-	}
-	dec.SetInt("rows", int64(len(out.Rows)))
-	dec.End()
-	sp.SetInt("rows", int64(len(out.Rows)))
+	sp.SetInt("rows", int64(inputRows(out, batches)))
 	e.endPhaseSpan(sp, phase)
-	return out, nil
+	return out, batches, nil
 }
 
 // SelectRowsLimit runs sql with a per-partition LIMIT so that the combined
@@ -206,7 +236,7 @@ func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge [
 	sp := e.beginSpan(phaseName)
 	phase := e.tablePhase(phaseName, stage, table)
 	defer func() { e.endPhaseSpan(sp, phase) }()
-	results, err := e.selectOnParts(phase, sp, table, sql)
+	results, err := e.selectOnParts(phase, sp, table, sql, nil)
 	if err != nil {
 		return nil, err
 	}

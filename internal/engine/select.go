@@ -21,8 +21,9 @@ import (
 // table through its backend's pipeline (with the backend's advertised
 // capabilities) and returns the per-partition results, recording request
 // metrics. Each partition select becomes a child span of sp (nil when
-// untraced).
-func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql string) ([]*selectengine.Result, error) {
+// untraced). each, when non-nil, sees partition i's response inside the
+// fan-out: a consumer's decode, overlapping the selects still in flight.
+func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql string, each func(i int, res *selectengine.Result)) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -36,6 +37,9 @@ func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql str
 			return fmt.Errorf("engine: select on %s: %w", key, err)
 		}
 		results[i] = res
+		if each != nil {
+			each(i, res)
+		}
 		return nil
 	})
 	if err != nil {

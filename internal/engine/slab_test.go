@@ -1,13 +1,18 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/race"
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // ordersCells is a rows-row table with a number, a date, a float and two
@@ -23,7 +28,9 @@ func ordersCells(rows int) ([]string, [][]string) {
 // TestDecodeAllocatesPerChunk pins the per-response rule on the compute
 // side: typing a select response, decoding a GET's CSV and sorting cost a
 // fixed number of allocations plus one per chunk as chunks double — not
-// one per row (FromStringsN, sortLocal) or two (decodeCSV).
+// one per row (FromStringsN, sortLocal) or two (decodeCSV) — and the typed
+// decode of a grouped scan (vec.FromStrings) a few per column, none per
+// cell, and no more than 12 bytes for a cell that is a number.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -38,6 +45,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		rel := FromStrings(cols, cells)
 		for name, run := range map[string]func() error{
 			"FromStringsN": func() error { FromStringsN(cols, cells, 2); return nil },
+			"FromStrings":  func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":    func() error { _, err := decodeCSV(data); return err },
 			"sortLocal":    func() error { _, err := sortLocal(rel, orderBy); return err },
 		} {
@@ -51,6 +59,71 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 			}
 		}
 	}
+	numCols, numbers := []string{"a", "b", "c", "d", "e"}, make([][]string, 6000)
+	for i := range numbers {
+		numbers[i] = []string{fmt.Sprint(i), fmt.Sprintf("%d.5", i%89), "1996-03-13", fmt.Sprint(-i), "0.04"}
+	}
+	perCell := float64(allocatedBytes(func() { vec.FromStrings(numCols, numbers, 2) })) / float64(len(numbers)*len(numCols))
+	if perCell > 12 {
+		t.Errorf("vec.FromStrings allocates %.1f bytes per numeric cell, want at most 12", perCell)
+	}
+}
+
+// allocatedBytes is what the heap handed out while fn ran.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGroupedScanAllocatesPerColumn pins what the grouped scan is for: the
+// compute side of a Q1-shaped statement over a 4-partition table — the
+// responses come from the result cache, so storage's own work is not in the
+// figure; parse, plan, typed decode, fold and finish are — allocates under
+// 24 bytes per returned cell. Decoding the same responses to rows first cost
+// about 50: 32 for the cell's value.Value and as much again re-laying it out.
+func TestGroupedScanAllocatesPerColumn(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const rows = 8000
+	cells := make([][]string, rows)
+	for i := range cells {
+		cells[i] = []string{"ANR"[i%3 : i%3+1], "OF"[i%2 : i%2+1], fmt.Sprint(1 + i%50), fmt.Sprintf("%d.%02d", 900+i%9000, i%100),
+			fmt.Sprintf("0.%02d", i%11), fmt.Sprintf("0.%02d", i%9), fmt.Sprintf("199%d-0%d-1%d", i%8, 1+i%9, i%10)}
+	}
+	st := store.New()
+	cols := []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}
+	if err := PartitionTable(context.Background(), st, testBucket, "lineitem", cols, cells, 4); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithResultCache(testCacheBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q1 = `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, SUM(l_extendedprice) AS sum_base_price,
+		SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
+		AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
+		FROM lineitem WHERE l_shipdate <= '1998-09-01' GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`
+	var returned int64
+	run := func() {
+		rel, e, err := db.QueryContext(context.Background(), q1)
+		if err != nil || len(rel.Rows) != 6 {
+			t.Fatalf("q1: %v, %v", rel, err)
+		}
+		_, returned = e.Metrics.CacheTotals()
+	}
+	run() // fills the cache
+	perCell := float64(allocatedBytes(run)) / float64(rows*6)
+	if returned == 0 {
+		t.Fatal("the measured run was not served from the result cache")
+	}
+	if perCell > 24 {
+		t.Errorf("a grouped scan's compute side allocates %.1f bytes per returned cell, want at most 24", perCell)
+	}
+	t.Logf("%.1f bytes per returned cell", perCell)
 }
 
 // checkRowsDoNotAlias appends to every row of rel and expects the row

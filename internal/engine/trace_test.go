@@ -150,6 +150,53 @@ func TestTraceThreeTableJoinShape(t *testing.T) {
 	})
 }
 
+// TestTraceGroupedScanShape: a grouped scan's trace keeps the names the
+// layer breakdown classifies by. The typed decode is one "decode" span per
+// partition under the scan, the fold a groupby operator span under "local",
+// and the cardinalities are attributes: rows in, groups out.
+func TestTraceGroupedScanShape(t *testing.T) {
+	db, _ := newTestDB(t)
+	tr := obs.New("t", "query")
+	rel, _, err := db.QueryContext(obs.WithTrace(context.Background(), tr),
+		"SELECT g, COUNT(*) AS n, SUM(v) AS s FROM events WHERE k < 900 GROUP BY g ORDER BY g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	scan := tr.Snapshot().Find("scan events")
+	if scan == nil {
+		t.Fatal("no scan span")
+	}
+	var decoded int64
+	for _, dec := range scan.FindAll("decode") {
+		n, _ := dec.Int("rows")
+		decoded += n
+	}
+	if parts := len(scan.FindAll("decode")); parts != 4 || decoded != 900 {
+		t.Errorf("%d decode spans over %d rows, want one per partition (4) over 900", parts, decoded)
+	}
+	loc := tr.Snapshot().Find("local")
+	if loc == nil || loc.Find("groupby") == nil {
+		t.Fatalf("no local > groupby spans: %v", tr.Snapshot().Tree())
+	}
+	if in, _ := loc.Int("rows_in"); in != 900 {
+		t.Errorf("local rows_in = %d, want 900", in)
+	}
+	if groups, ok := loc.Int("groups"); !ok || groups != int64(len(rel.Rows)) || groups != 10 {
+		t.Errorf("local groups = %d (ok=%v), want the %d groups returned (10)", groups, ok, len(rel.Rows))
+	}
+	op := loc.Find("groupby")
+	if path, _ := op.Str("path"); path != "vec" {
+		t.Errorf("groupby path = %q, want vec", path)
+	}
+	if in, _ := op.Int("rows_in"); in != 900 {
+		t.Errorf("groupby rows_in = %d, want 900", in)
+	}
+	if _, fellBack := tr.Snapshot().Find("select").Str("row_fallback"); fellBack {
+		t.Error("row_fallback set on a rectangular response")
+	}
+}
+
 // TestTraceConcurrentIsolation runs 8 traced queries at once against one
 // DB and checks that no span leaks into the wrong trace: simple scans must
 // never grow join spans, joins must keep theirs, and every statement span

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,7 +9,9 @@ import (
 	"pushdowndb/internal/race"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
+	"pushdowndb/internal/vec"
 )
 
 // Both sides of the wire: the S3 Select engine and PushdownDB's local
@@ -82,6 +85,30 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 	return o.Project(rel, sel.Items)
 }
 
+// runFolded runs sel's SELECT block as a grouped scan does: the filtered
+// rows cut into three batches (the middle one empty) and folded into one
+// group table. A block that groups nothing runs as runLocal runs it.
+func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
+	o := Operators{Vectorized: true, Workers: 2}
+	if len(sel.GroupBy) == 0 && !sel.HasAggregates() {
+		return runLocal(o, rel, sel)
+	}
+	rel, err := o.Filter(rel, sel.Where)
+	if err != nil {
+		return nil, err
+	}
+	cut := len(rel.Rows) / 2
+	var batches []*vec.Batch
+	for _, rows := range [][]Row{rel.Rows[:cut], nil, rel.Rows[cut:]} {
+		b, ok := vec.FromRows(rel.Cols, rows, 1)
+		if !ok {
+			t.Fatalf("ragged wire rows")
+		}
+		batches = append(batches, b)
+	}
+	return openTestDB(t, store.New()).NewExecContext(context.Background()).groupByLocal(nil, batches, sel.GroupBy, sel.Items)
+}
+
 func TestBothSidesOfTheWire(t *testing.T) {
 	var payload strings.Builder
 	for _, fields := range append([][]string{wireHeader}, wireRows...) {
@@ -96,8 +123,12 @@ func TestBothSidesOfTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		for name, o := range map[string]Operators{"reference": {}, "vectorized": {Vectorized: true, Workers: 3}} {
-			got, gotErr := runLocal(o, rel, sel)
+		for name, run := range map[string]func() (*Relation, error){
+			"reference":  func() (*Relation, error) { return runLocal(Operators{}, rel, sel) },
+			"vectorized": func() (*Relation, error) { return runLocal(Operators{Vectorized: true, Workers: 3}, rel, sel) },
+			"folded":     func() (*Relation, error) { return runFolded(t, rel, sel) },
+		} {
+			got, gotErr := run()
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Errorf("%s\n%s: err %v, storage side: %v", sql, name, gotErr, wantErr)
 				continue

@@ -37,6 +37,15 @@ func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) *Groups {
 	return t
 }
 
+// Keys and Aggregates are the table's group-key expressions and the
+// aggregate nodes of its items, the latter in Group.States order.
+func (t *Groups) Keys() []sqlparse.Expr             { return t.keys }
+func (t *Groups) Aggregates() []*sqlparse.Aggregate { return t.aggs }
+
+// Partial returns an empty table over t's keys and items, for a worker to
+// fill and Merge to fold back.
+func (t *Groups) Partial() *Groups { return NewGroups(New(), t.keys, t.items) }
+
 // Find returns the group with the rendered key, or nil. The lookup does
 // not materialize the key.
 func (t *Groups) Find(key []byte) *Group { return t.index[string(key)] }

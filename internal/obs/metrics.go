@@ -187,7 +187,11 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		c.mu.Unlock()
 	}
 	for _, g := range gauges {
-		header(w, g.name, g.help, "gauge")
+		typ := "gauge"
+		if strings.HasSuffix(g.name, "_total") {
+			typ = "counter" // a running total read from its owner (the Go runtime's)
+		}
+		header(w, g.name, g.help, typ)
 		samples := g.collect()
 		sort.Slice(samples, func(i, j int) bool {
 			return strings.Join(samples[i].Labels, labelSep) < strings.Join(samples[j].Labels, labelSep)

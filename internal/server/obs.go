@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"time"
@@ -130,6 +131,23 @@ func newServerObs(s *Server) *serverObs {
 			}
 			return float64(ss.Sharers) / float64(ss.SharedPasses)
 		})
+	// The Go runtime, read at scrape time: alloc bytes over queries_total is
+	// the production view of the benchmark's alloc_mb_per_query.
+	for _, m := range [][3]string{
+		{"pushdownd_go_alloc_bytes_total", "Bytes the Go heap has handed out since the process started.", "/gc/heap/allocs:bytes"},
+		{"pushdownd_go_heap_live_bytes", "Heap bytes the last garbage collection found live.", "/gc/heap/live:bytes"},
+		{"pushdownd_go_gc_cycles_total", "Completed garbage collection cycles.", "/gc/cycles/total:gc-cycles"},
+		{"pushdownd_go_goroutines", "Live goroutines.", "/sched/goroutines:goroutines"},
+	} {
+		reg.GaugeFunc(m[0], m[1], func() float64 {
+			sample := []metrics.Sample{{Name: m[2]}}
+			metrics.Read(sample)
+			if sample[0].Value.Kind() != metrics.KindUint64 {
+				return 0 // a runtime without the metric
+			}
+			return float64(sample[0].Value.Uint64())
+		})
+	}
 	reg.Gauge("pushdownd_tenant_in_flight",
 		"Queries executing right now, by tenant.",
 		[]string{"tenant"}, func() []obs.Sample {

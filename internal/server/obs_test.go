@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,11 +177,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Scrapes are deterministic given no traffic in between.
 	_, body2 := get(t, f.base+"/metrics")
-	// Uptime moves between scrapes; drop it before comparing.
+	// Uptime and the Go runtime's figures move between scrapes; drop them
+	// before comparing.
 	strip := func(b []byte) string {
 		var keep []string
 		for _, l := range strings.Split(string(b), "\n") {
-			if !strings.Contains(l, "pushdownd_uptime_seconds") {
+			if !strings.Contains(l, "pushdownd_uptime_seconds") && !strings.Contains(l, "pushdownd_go_") {
 				keep = append(keep, l)
 			}
 		}
@@ -207,6 +209,40 @@ func TestResponseSizeMetrics(t *testing.T) {
 	rows1, bytes1 := scrape()
 	if rows1-rows0 != 25 || bytes1-bytes0 != float64(len(body)) {
 		t.Errorf("25 rows in %d bytes moved the counters by %v rows and %v bytes", len(body), rows1-rows0, bytes1-bytes0)
+	}
+}
+
+// TestGoRuntimeMetrics: /metrics reads the Go runtime at scrape time —
+// heap handed out (a counter, so alloc bytes over queries_total is the
+// allocation per query on a running daemon), live heap, GC cycles,
+// goroutines — and a query moves the running totals, never backwards.
+func TestGoRuntimeMetrics(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	scrape := func() (map[string]float64, string) {
+		_, body := get(t, f.base+"/metrics")
+		return parsePromText(t, string(body)), string(body)
+	}
+	runtime.GC() // live heap is what the last collection found
+	before, text := scrape()
+	for name, typ := range map[string]string{
+		"pushdownd_go_alloc_bytes_total": "counter", "pushdownd_go_gc_cycles_total": "counter",
+		"pushdownd_go_heap_live_bytes": "gauge", "pushdownd_go_goroutines": "gauge",
+	} {
+		if !strings.Contains(text, "# TYPE "+name+" "+typ+"\n") {
+			t.Errorf("%s is not exposed as a %s", name, typ)
+		}
+		if before[name] <= 0 {
+			t.Errorf("%s = %v, want a positive reading", name, before[name])
+		}
+	}
+	body := postQuery(t, f.base, "SELECT o_id, o_price FROM orders WHERE o_id <= 25")
+	runtime.GC()
+	after, _ := scrape()
+	if grew := after["pushdownd_go_alloc_bytes_total"] - before["pushdownd_go_alloc_bytes_total"]; grew < float64(len(body)) {
+		t.Errorf("alloc_bytes_total grew by %v over a query whose body alone is %d bytes", grew, len(body))
+	}
+	if after["pushdownd_go_gc_cycles_total"] <= before["pushdownd_go_gc_cycles_total"] {
+		t.Errorf("gc_cycles_total %v -> %v across a forced collection", before["pushdownd_go_gc_cycles_total"], after["pushdownd_go_gc_cycles_total"])
 	}
 }
 

@@ -46,6 +46,10 @@ type parser struct {
 	src   string
 	tok   Token
 	depth int // expression nesting so far; see nest
+	// The tree's depth, for leftAssoc: parens counts the open parenthesis
+	// groups — levels of depth the tree does not have — and peak is the
+	// deepest the tree has nested since the enclosing leftAssoc began.
+	parens, peak int
 }
 
 // maxExprDepth caps how deeply an expression may nest: parentheses, NOT and
@@ -61,6 +65,7 @@ func (p *parser) nest() error {
 	if p.depth++; p.depth > maxExprDepth {
 		return p.errf("expression nests deeper than %d levels", maxExprDepth)
 	}
+	p.peak = max(p.peak, p.depth-p.parens)
 	return nil
 }
 
@@ -262,7 +267,8 @@ func (p *parser) parseSelect() (*Select, error) {
 // item at that position (SQL-92 ordinals): the key becomes that item's own
 // expression, so every reader of the tree sees what it sorts by. Any other
 // key that reads no column orders nothing and is refused, like a position
-// outside the select list or on a *.
+// outside the select list, on a * or on such a constant (whose printed form
+// would read as a position again).
 func (p *parser) orderKey(sel *Select, e Expr) (Expr, error) {
 	if len(ColumnRefs(e)) > 0 || ContainsAggregate(e) {
 		return e, nil
@@ -275,10 +281,14 @@ func (p *parser) orderKey(sel *Select, e Expr) (Expr, error) {
 	if n < 1 || n > int64(len(sel.Items)) {
 		return nil, p.errf("ORDER BY position %d is not in the select list (1 to %d)", n, len(sel.Items))
 	}
-	if _, isStar := sel.Items[n-1].Expr.(*Star); isStar {
+	it := sel.Items[n-1].Expr
+	if _, isStar := it.(*Star); isStar {
 		return nil, p.errf("ORDER BY position %d names *, not a column", n)
 	}
-	return sel.Items[n-1].Expr, nil
+	if len(ColumnRefs(it)) == 0 && !ContainsAggregate(it) {
+		return nil, p.errf("ORDER BY position %d names the constant %s", n, it.String())
+	}
+	return it, nil
 }
 
 // parseTableRef parses `table [AS alias | alias]`.
@@ -356,39 +366,46 @@ func (p *parser) parseExpr() (Expr, error) {
 		return nil, err
 	}
 	defer p.unnest()
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("OR") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: OpOr, L: l, R: r}
-	}
-	return l, nil
+	return p.leftAssoc(p.parseAnd, func() (BinaryOp, bool) { return OpOr, p.isKeyword("OR") })
 }
 
 func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+	return p.leftAssoc(p.parseNot, func() (BinaryOp, bool) { return OpAnd, p.isKeyword("AND") })
+}
+
+// leftAssoc parses `operand { op operand }` into a left-deep tree. The loop
+// nests nothing, but its tree does: a level per link, which every walker
+// recurses through and which prints as a pair of parentheses — how the
+// storage side meets a pushed predicate. So each link counts against
+// maxExprDepth on top of the deepest nesting under it, as a function of the
+// tree alone (the printed form parses to the same verdict), and a chain
+// storage would refuse is refused at the door with the same error. One
+// level is held back for the parentheses a comparison operand prints in.
+func (p *parser) leftAssoc(operand func() (Expr, error), opAt func() (BinaryOp, bool)) (Expr, error) {
+	outer := p.peak
+	p.peak = p.depth - p.parens
+	defer func() { p.peak = max(p.peak, outer) }()
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("AND") {
+	for {
+		op, ok := opAt()
+		if !ok {
+			return l, nil
+		}
+		if p.peak++; p.peak >= maxExprDepth {
+			return nil, p.errf("expression nests deeper than %d levels", maxExprDepth)
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		r, err := p.parseNot()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: OpAnd, L: l, R: r}
+		l = &Binary{Op: op, L: l, R: r}
 	}
-	return l, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
@@ -516,53 +533,27 @@ func (p *parser) parsePredicate() (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMult()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("+") || p.isOp("-") || p.isOp("||") {
-		op := OpAdd
-		switch p.tok.Text {
-		case "-":
-			op = OpSub
-		case "||":
-			op = OpConcat
+	return p.leftAssoc(p.parseMult, func() (BinaryOp, bool) {
+		switch {
+		case p.isOp("+"):
+			return OpAdd, true
+		case p.isOp("-"):
+			return OpSub, true
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseMult()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
+		return OpConcat, p.isOp("||")
+	})
 }
 
 func (p *parser) parseMult() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("*") || p.isOp("/") || p.isOp("%") {
-		op := OpMul
-		switch p.tok.Text {
-		case "/":
-			op = OpDiv
-		case "%":
-			op = OpMod
+	return p.leftAssoc(p.parseUnary, func() (BinaryOp, bool) {
+		switch {
+		case p.isOp("*"):
+			return OpMul, true
+		case p.isOp("/"):
+			return OpDiv, true
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
+		return OpMod, p.isOp("%")
+	})
 }
 
 func (p *parser) parseUnary() (Expr, error) {
@@ -615,10 +606,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		p.parens++
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		p.parens--
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -311,5 +313,51 @@ func TestNestingDepthIsCapped(t *testing.T) {
 	}
 	if _, err := Parse(nested("(", ")", maxExprDepth-1)); err != nil {
 		t.Errorf("nesting just under the cap: %v", err)
+	}
+}
+
+// A left-deep operator chain nests nothing while it parses, but its tree is
+// as deep as it is long and prints one pair of parentheses per link, which
+// is how storage meets it in a pushed predicate. The door refuses exactly
+// the chains storage would: whatever parses here re-parses from its printed
+// form, at the boundary too.
+func TestChainLengthIsCapped(t *testing.T) {
+	chain := func(n int, term func(i int) string, op string) string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = term(i)
+		}
+		return "SELECT k FROM t WHERE " + strings.Join(terms, op)
+	}
+	cmp := func(i int) string { return fmt.Sprintf("x = %d", i) }
+	num := func(i int) string { return strconv.Itoa(i) }
+	for name, build := range map[string]func(n int) string{
+		"OR":  func(n int) string { return chain(n, cmp, " OR ") },
+		"AND": func(n int) string { return chain(n, cmp, " AND ") },
+		"+":   func(n int) string { return chain(n, num, " + ") + " > 0" },
+		"*":   func(n int) string { return chain(n, num, " * ") + " > 0" },
+		"||":  func(n int) string { return chain(n, num, " || ") + " = 'x'" },
+		// The links count on top of what nests under them, and a
+		// parenthesised operand is no deeper than its tree.
+		"calls under +": func(n int) string {
+			return "SELECT k FROM t WHERE " + strings.Repeat("ABS(", 499) + "1" + strings.Repeat(")", 499) + " + " + chain(n-500, num, " + ")[22:] + " > 0"
+		},
+		"parens under OR": func(n int) string {
+			return chain(n-1, cmp, " OR ") + " OR " + strings.Repeat("(", 800) + "x = 1" + strings.Repeat(")", 800)
+		},
+	} {
+		sel, err := Parse(build(maxExprDepth - 1))
+		if err != nil {
+			t.Errorf("%s chain of %d terms: %v", name, maxExprDepth-1, err)
+			continue
+		}
+		if _, err := Parse(sel.String()); err != nil {
+			t.Errorf("%s chain of %d terms parses but its printed form does not: %v", name, maxExprDepth-1, err)
+		}
+		for _, n := range []int{maxExprDepth, 400_000} {
+			if _, err := Parse(build(n)); err == nil || !strings.Contains(err.Error(), "nests deeper") {
+				t.Errorf("%s chain of %d terms: err = %v, want the nesting-depth error", name, n, err)
+			}
+		}
 	}
 }

@@ -2,11 +2,14 @@ package vec
 
 import "pushdowndb/internal/value"
 
-// FromStrings decodes CSV cells straight into typed column vectors: each
-// cell goes through value.FromCSV exactly once (the same typing rule the
-// row path's FromStringsN applies), then each column is laid out typed.
-// ok is false for ragged input, which must keep the row path's
-// short-row lookup semantics.
+// FromStrings decodes a select response's CSV cells straight into typed
+// column vectors — what a grouped scan folds, with no row of values in
+// between. Each cell goes through value.FromCSV exactly once (the typing
+// rule the row path's FromStringsN applies) and its payload is written
+// once, into the column's []int64, []float64 or []string; only a column
+// that mixes kinds is boxed. Text cells share the response's bytes. ok is
+// false for ragged input, which must keep the row path's short-row lookup
+// semantics.
 func FromStrings(cols []string, rows [][]string, workers int) (*Batch, bool) {
 	for _, r := range rows {
 		if len(r) != len(cols) {
@@ -16,17 +19,14 @@ func FromStrings(cols []string, rows [][]string, workers int) (*Batch, bool) {
 	vecs := make([]*Vector, len(cols))
 	RunSpans(colSpans(len(cols), workers), func(w int, sp Span) error {
 		for c := sp.Lo; c < sp.Hi; c++ {
-			vals := make([]value.Value, len(rows))
+			vecs[c] = NewVector(value.KindNull, len(rows), nil)
 			for i, r := range rows {
-				vals[i] = value.FromCSV(r[c])
+				vecs[c].put(i, value.FromCSV(r[c]))
 			}
-			vecs[c] = FromValues(vals)
 		}
 		return nil
 	})
 	b := NewBatch(cols, vecs)
-	if len(cols) == 0 {
-		b.n = len(rows)
-	}
+	b.n = len(rows)
 	return b, true
 }

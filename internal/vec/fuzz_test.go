@@ -2,11 +2,13 @@ package vec_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -76,19 +78,45 @@ func FuzzVecDecode(f *testing.F) {
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("group-by err: vec=%v row=%v", err, wantErr)
 		}
-		if err == nil {
+		sameGroups := func(what string, gotRows [][]value.Value) {
 			if len(gotRows) != len(wantG.Rows) || len(gotCols) != len(wantG.Cols) {
-				t.Fatalf("group-by %d x %d, reference %d x %d",
-					len(gotRows), len(gotCols), len(wantG.Rows), len(wantG.Cols))
+				t.Fatalf("%s %d x %d, reference %d x %d",
+					what, len(gotRows), len(gotCols), len(wantG.Rows), len(wantG.Cols))
 			}
 			for i := range gotRows {
 				for c := range gotCols {
 					w, g := wantG.Rows[i][c], gotRows[i][c]
 					if w.Kind() != g.Kind() || w.String() != g.String() {
-						t.Fatalf("group[%d][%d]: row=%#v vec=%#v", i, c, w, g)
+						t.Fatalf("%s[%d][%d]: row=%#v vec=%#v", what, i, c, w, g)
 					}
 				}
 			}
 		}
+		if err != nil {
+			return
+		}
+		sameGroups("group-by", gotRows)
+
+		// The grouped scan's fold: the rows cut into one to three slices (the
+		// input's first and last byte choose where), each decoded on its own — so a
+		// column may be typed one way in one slice and another in the next —
+		// and accumulated into one table, against the whole-table reference.
+		cuts := []int{0, int(data[0]) % (len(rows) + 1), int(data[len(data)-1]) % (len(rows) + 1), len(rows)}
+		sort.Ints(cuts)
+		table := expr.NewGroups(expr.New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+		for k := 1; k < len(cuts); k++ {
+			part, _ := vec.FromStrings(cols, rows[cuts[k-1]:cuts[k]], 2)
+			if err := vec.Accumulate(table, part, k); err != nil {
+				t.Fatalf("accumulate slice %d: %v", k, err)
+			}
+		}
+		var folded [][]value.Value
+		if err := table.Finish(func(row []value.Value) error {
+			folded = append(folded, append([]value.Value(nil), row...))
+			return nil
+		}); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
+		sameGroups("fold", folded)
 	})
 }

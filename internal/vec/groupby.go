@@ -8,23 +8,49 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// GroupBy mirrors the engine's reference group-by over a batch: contiguous
-// worker spans each fill a partial expr.Groups table — the row path's own
-// group table and exact big.Float accumulators — and the partials merge in
-// worker order (reproducing the sequential first-seen group order). The
-// speedup comes from rendering group keys straight from typed payloads and
-// feeding aggregate inputs without per-row environment lookups. Returns
+// GroupBy mirrors the engine's reference group-by over a batch: a fresh
+// group table, the batch accumulated into it, the table finished. Returns
 // the output column names and rows.
 func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.Value, error) {
-	itemExprs := sqlparse.ItemExprs(sel.Items)
+	t := expr.NewGroups(expr.New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+	if err := Accumulate(t, b, workers); err != nil {
+		return nil, nil, err
+	}
+	return Finish(t, sel.Items)
+}
+
+// Finish finalizes t, a table over items' expressions: the output column
+// names and one row per group, in first-seen order.
+func Finish(t *expr.Groups, items []sqlparse.SelectItem) ([]string, [][]value.Value, error) {
+	cols := make([]string, len(items))
+	for i, it := range items {
+		cols[i] = it.Name()
+	}
+	var rows [][]value.Value
+	err := t.Finish(func(row []value.Value) error {
+		rows = append(rows, append([]value.Value(nil), row...))
+		return nil
+	})
+	return cols, rows, err
+}
+
+// Accumulate folds the rows of b, in row order, into t — the row path's own
+// group table and exact big.Float accumulators — so batches accumulated in
+// sequence (a scan's partitions, say) group exactly as their concatenation
+// would. One worker folds straight into t; more each fill a partial table
+// over a contiguous span, and the partials merge into t in span order
+// (reproducing the sequential first-seen group order). The speedup comes
+// from rendering group keys straight from typed payloads and feeding
+// aggregate inputs without per-row environment lookups.
+func Accumulate(t *expr.Groups, b *Batch, workers int) error {
 	// Classify each group key: a resolvable bare column renders its key
 	// bytes from the typed payload; anything else evaluates per row.
 	type keySrc struct {
 		col int // -1: evaluate expr
 		e   sqlparse.Expr
 	}
-	keys := make([]keySrc, len(sel.GroupBy))
-	for j, g := range sel.GroupBy {
+	keys := make([]keySrc, len(t.Keys()))
+	for j, g := range t.Keys() {
 		keys[j] = keySrc{col: -1, e: g}
 		if c, ok := g.(*sqlparse.Column); ok {
 			if idx := b.ColIndex(c.Name); idx >= 0 {
@@ -35,7 +61,7 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 	// Classify each aggregate argument the same way. The classification is
 	// over the aggregate nodes CollectAggregates finds, in the same order
 	// every runner's States() uses.
-	aggNodes := expr.CollectAggregates(itemExprs)
+	aggNodes := t.Aggregates()
 	type aggSrc struct {
 		star bool
 		col  int // -1: evaluate expr
@@ -60,7 +86,10 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 	err := RunSpans(sps, func(w int, sp Span) error {
 		ev := expr.New()
 		env := &rowEnv{b: b}
-		p := expr.NewGroups(ev, sel.GroupBy, itemExprs)
+		p := t
+		if len(sps) > 1 {
+			p = t.Partial()
+		}
 		var buf []byte
 		var memoDays int64
 		var memoStr string
@@ -145,27 +174,13 @@ func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.V
 		parts[w] = p
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
+	if err != nil || len(sps) == 1 {
+		return err
 	}
-
-	merged := expr.NewGroups(expr.New(), sel.GroupBy, itemExprs)
 	for _, p := range parts {
-		if err := merged.Merge(p); err != nil {
-			return nil, nil, err
+		if err := t.Merge(p); err != nil {
+			return err
 		}
 	}
-	cols := make([]string, len(sel.Items))
-	for i, it := range sel.Items {
-		cols[i] = it.Name()
-	}
-	var rows [][]value.Value
-	err = merged.Finish(func(row []value.Value) error {
-		rows = append(rows, append([]value.Value(nil), row...))
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return cols, rows, nil
+	return nil
 }

@@ -77,81 +77,85 @@ func (v *Vector) typed(k value.Kind) bool {
 // (colformat) builds the layout FromValues infers. nulls flags the NULL
 // rows (nil: none); KindNull, the all-NULL column, has no payload.
 func NewVector(k value.Kind, n int, nulls *Bitmap) *Vector {
-	v := &Vector{Kind: k, Nulls: nulls, n: n}
-	switch k {
-	case value.KindInt, value.KindDate, value.KindBool:
-		v.Ints = make([]int64, n)
-	case value.KindFloat:
-		v.Floats = make([]float64, n)
-	case value.KindString:
-		v.Strs = make([]string, n)
-	}
+	v := &Vector{Nulls: nulls, n: n}
+	v.setKind(k)
 	return v
 }
 
-// FromValues builds a vector from a column of values: typed when every
-// non-NULL value shares one Kind, boxed otherwise. The input slice is
-// retained when boxing.
-func FromValues(vals []value.Value) *Vector {
-	n := len(vals)
-	kind := value.KindNull
-	for _, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		if kind == value.KindNull {
-			kind = v.Kind()
-		} else if v.Kind() != kind {
-			return &Vector{Boxed: vals, n: n}
-		}
-	}
-	out := NewVector(kind, n, nil)
-	if kind == value.KindNull {
-		return out // entirely NULL
-	}
-	var nulls *Bitmap
-	switch kind {
+// setKind gives an all-NULL vector kind k and its zeroed payload.
+func (v *Vector) setKind(k value.Kind) {
+	v.Kind = k
+	switch k {
 	case value.KindInt, value.KindDate, value.KindBool:
-		for i, v := range vals {
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = NewBitmap(n)
-				}
-				nulls.Set(i)
-				continue
-			}
-			if kind == value.KindBool {
-				if v.AsBool() {
-					out.Ints[i] = 1
-				}
-			} else {
-				out.Ints[i] = v.AsInt()
-			}
-		}
+		v.Ints = make([]int64, v.n)
 	case value.KindFloat:
-		for i, v := range vals {
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = NewBitmap(n)
-				}
-				nulls.Set(i)
-				continue
-			}
-			out.Floats[i] = v.AsFloat()
-		}
+		v.Floats = make([]float64, v.n)
 	case value.KindString:
-		for i, v := range vals {
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = NewBitmap(n)
-				}
-				nulls.Set(i)
-				continue
-			}
-			out.Strs[i] = v.AsString()
-		}
+		v.Strs = make([]string, v.n)
 	}
-	out.Nulls = nulls
+}
+
+// put writes x as row i of a vector under construction, rows arriving in
+// ascending order: the first non-NULL value fixes the kind (the rows before
+// it are NULL), and the first value of another kind re-lays the column
+// boxed. Every decoder lays a column out through here, so they cannot
+// disagree about what is typed.
+func (v *Vector) put(i int, x value.Value) {
+	switch k := x.Kind(); {
+	case v.Boxed != nil:
+		v.Boxed[i] = x
+	case k == value.KindNull:
+		if v.Kind != value.KindNull {
+			v.setNull(i)
+		}
+	case k == v.Kind:
+		v.store(i, x)
+	case v.Kind == value.KindNull:
+		v.setKind(k)
+		for j := 0; j < i; j++ {
+			v.setNull(j)
+		}
+		v.store(i, x)
+	default:
+		boxed := make([]value.Value, v.n)
+		for j := 0; j < i; j++ {
+			boxed[j] = v.Value(j)
+		}
+		boxed[i] = x
+		*v = Vector{Boxed: boxed, n: v.n}
+	}
+}
+
+// store writes the payload of x, a value of the vector's kind, at row i.
+func (v *Vector) store(i int, x value.Value) {
+	switch v.Kind {
+	case value.KindFloat:
+		v.Floats[i] = x.AsFloat()
+	case value.KindString:
+		v.Strs[i] = x.AsString()
+	case value.KindBool:
+		if x.AsBool() {
+			v.Ints[i] = 1
+		}
+	default:
+		v.Ints[i] = x.AsInt()
+	}
+}
+
+func (v *Vector) setNull(i int) {
+	if v.Nulls == nil {
+		v.Nulls = NewBitmap(v.n)
+	}
+	v.Nulls.Set(i)
+}
+
+// FromValues builds a vector from a column of values: typed when every
+// non-NULL value shares one Kind, boxed otherwise.
+func FromValues(vals []value.Value) *Vector {
+	out := NewVector(value.KindNull, len(vals), nil)
+	for i, x := range vals {
+		out.put(i, x)
+	}
 	return out
 }
 
@@ -252,71 +256,13 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 	return FromRowsProjected(cols, rows, keep, workers)
 }
 
-// columnVector builds one column's vector straight from row-major input —
-// the same typed/boxed decision FromValues makes, fused into two row-major
-// passes with no intermediate []value.Value.
+// columnVector builds one column's vector straight from row-major input,
+// with no intermediate []value.Value.
 func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
-	n := len(rows)
-	kind := value.KindNull
-	for _, r := range rows {
-		v := r[c]
-		if v.IsNull() {
-			continue
-		}
-		if kind == value.KindNull {
-			kind = v.Kind()
-		} else if v.Kind() != kind {
-			vals := make([]value.Value, n)
-			for i, r := range rows {
-				vals[i] = r[c]
-			}
-			return &Vector{Boxed: vals, n: n}
-		}
+	out := NewVector(value.KindNull, len(rows), nil)
+	for i, r := range rows {
+		out.put(i, r[c])
 	}
-	out := NewVector(kind, n, nil)
-	if kind == value.KindNull {
-		return out // entirely NULL
-	}
-	var nulls *Bitmap
-	null := func(i int) {
-		if nulls == nil {
-			nulls = NewBitmap(n)
-		}
-		nulls.Set(i)
-	}
-	switch kind {
-	case value.KindInt, value.KindDate, value.KindBool:
-		for i, r := range rows {
-			v := r[c]
-			switch {
-			case v.IsNull():
-				null(i)
-			case kind == value.KindBool:
-				if v.AsBool() {
-					out.Ints[i] = 1
-				}
-			default:
-				out.Ints[i] = v.AsInt()
-			}
-		}
-	case value.KindFloat:
-		for i, r := range rows {
-			if v := r[c]; v.IsNull() {
-				null(i)
-			} else {
-				out.Floats[i] = v.AsFloat()
-			}
-		}
-	case value.KindString:
-		for i, r := range rows {
-			if v := r[c]; v.IsNull() {
-				null(i)
-			} else {
-				out.Strs[i] = v.AsString()
-			}
-		}
-	}
-	out.Nulls = nulls
 	return out
 }
 
