@@ -187,7 +187,7 @@ func WithResultCache(budgetBytes int64) Option {
 // the same partition merge into one pushed Select carrying the OR of
 // their filters and the union of their columns, with each query's own
 // predicate re-applied locally. Shared passes are billed once and split
-// across sharers (see meterSelect), so under concurrency the per-query
+// across sharers (see doSelect), so under concurrency the per-query
 // cost of touching a hot table falls with the number of queries touching
 // it. Composes with WithResultCache: hits skip sharing entirely; misses
 // share the refill.
@@ -288,11 +288,6 @@ func (db *DB) backendFor(table string) s3api.Backend {
 func (db *DB) selectFor(table string) s3api.Selector {
 	name, _ := db.BackendFor(table)
 	return db.selects[name]
-}
-
-// profileFor returns the cost profile of the table's backend.
-func (db *DB) profileFor(table string) cloudsim.Profile {
-	return db.backendFor(table).Profile()
 }
 
 // InvalidateStats drops everything the DB has cached across queries: the

@@ -36,10 +36,10 @@ type Exec struct {
 
 	// trace is the query's obs span tree, picked up from the context in
 	// NewExecContext; nil when the caller attached none (the untraced
-	// fast path: every span helper short-circuits on this pointer).
+	// fast path: every span is nil).
 	trace *obs.Trace
-	// spanParent is the span sequential statement code attaches children
-	// to (the trace root until a statement span installs itself).
+	// spanParent is the innermost scope's span, which sequential statement
+	// code attaches children to (the trace root when nil; step.go).
 	spanMu     sync.Mutex
 	spanParent *obs.Span
 
@@ -100,13 +100,6 @@ func (e *Exec) RuntimeSeconds() float64 { return e.Metrics.RuntimeSeconds() }
 // Cost returns the query's cost so far under the DB's pricing (phases run
 // against a backend bill at that backend's profile rates).
 func (e *Exec) Cost() cloudsim.CostBreakdown { return e.Metrics.Cost(e.db.Pricing) }
-
-// tablePhase opens a metrics phase whose storage requests run against the
-// table's backend, so the phase is timed and priced under that backend's
-// profile.
-func (e *Exec) tablePhase(name string, stage int, table string) *cloudsim.Phase {
-	return e.Metrics.PhaseProfile(name, stage, e.db.profileFor(table))
-}
 
 // parts lists the partition objects of a table on its backend, memoized
 // for the lifetime of this execution (tables must not change mid-query —

@@ -24,23 +24,32 @@ import (
 // the annotated render together with the Exec that ran the query, so
 // runtime and billing ride the server wire like any SELECT's.
 func (db *DB) runExplain(ctx context.Context, ex *sqlparse.Explain) (*Relation, *Exec, error) {
-	if !ex.Analyze {
-		text, err := db.explainSelect(ctx, ex.Sel)
+	if ex.Analyze {
+		text, e, err := db.analyze(ctx, ex.Sel)
 		if err != nil {
 			return nil, nil, err
 		}
-		return textRelation(text), nil, nil
+		return textRelation(text), e, nil
 	}
-	// ANALYZE always runs traced: reuse the caller's trace (the daemon
-	// attaches one per request) or start a private one.
-	if obs.FromContext(ctx) == nil {
-		ctx = obs.WithTrace(ctx, obs.New("explain", "query"))
-	}
-	rel, e, err := db.runSelectStatement(ctx, ex.Sel)
+	text, err := db.explainSelect(ctx, ex.Sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	return textRelation(renderAnalyze(ex.Sel, rel, e)), e, nil
+	return textRelation(text), nil, nil
+}
+
+// analyze runs sel and renders its EXPLAIN ANALYZE report. It always runs
+// traced: under the caller's trace (the daemon attaches one per request) or
+// a private one.
+func (db *DB) analyze(ctx context.Context, sel *sqlparse.Select) (string, *Exec, error) {
+	if obs.FromContext(ctx) == nil {
+		ctx = obs.WithTrace(ctx, obs.New("explain", "query"))
+	}
+	rel, e, err := db.runSelectStatement(ctx, sel)
+	if err != nil {
+		return "", nil, err
+	}
+	return renderAnalyze(sel, rel, e), e, nil
 }
 
 // textRelation wraps a multi-line render as a one-column relation, so
@@ -60,7 +69,7 @@ func renderAnalyze(sel *sqlparse.Select, rel *Relation, e *Exec) string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
 	if p := e.QueryPlan(); p != nil {
-		b.WriteString(p.AnalyzeString())
+		b.WriteString(p.String())
 	} else {
 		renderAnalyzeSingle(&b, sel, rel, e)
 	}
@@ -113,40 +122,6 @@ func wallOf(e *Exec) string {
 	return fmt.Sprintf("%.3fms", float64(d.Root.DurUS)/1000)
 }
 
-// AnalyzeString renders the plan like String, with each join step
-// additionally annotated with its actuals: output rows next to the
-// estimate, and the step's measured virtual seconds, dollars and returned
-// bytes next to the per-strategy estimates that drove the decision.
-func (p *QueryPlan) AnalyzeString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "join plan (%d tables)\n", len(p.Scans))
-	for _, sc := range p.Scans {
-		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),
-			projectionSQL(sc.Project, exprStr(sc.Filter)))
-		fmt.Fprintf(&b, "  [est %d rows, %s]\n",
-			sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats))
-	}
-	for i, st := range p.Steps {
-		fmt.Fprintf(&b, "  join %d: %s.%s = %s.%s\n",
-			i+1, st.BuildName, st.BuildKey, st.ProbeName, st.ProbeKey)
-		fmt.Fprintf(&b, "    strategy: %s — %s\n", st.Strategy, st.Reason)
-		fmt.Fprintf(&b, "    rows:   est ~%d, actual %d\n", st.EstRows, st.ActualRows)
-		if est, ok := st.Estimates[st.Strategy]; ok {
-			fmt.Fprintf(&b, "    cost:   est %.3fs $%.6f, actual %.3fs $%.6f\n",
-				est.Seconds, est.USD, st.ActualSec, st.ActualUSD)
-		} else {
-			fmt.Fprintf(&b, "    cost:   actual %.3fs $%.6f\n", st.ActualSec, st.ActualUSD)
-		}
-		fmt.Fprintf(&b, "    bytes:  actual %d returned\n", st.ActualBytes)
-		writeEstimates(&b, "    ", 8, st.Estimates)
-	}
-	if p.Residual != nil {
-		fmt.Fprintf(&b, "  server: filter %s\n", p.Residual.String())
-	}
-	writeLocalTail(&b, "  ", p.Sel)
-	return b.String()
-}
-
 // ExplainAnalyze runs `EXPLAIN ANALYZE sql` directly (convenience for
 // tests and tools that bypass ExecStatement).
 func (db *DB) ExplainAnalyze(ctx context.Context, sql string) (string, *Exec, error) {
@@ -154,13 +129,5 @@ func (db *DB) ExplainAnalyze(ctx context.Context, sql string) (string, *Exec, er
 	if err != nil {
 		return "", nil, err
 	}
-	rel, e, err := db.runExplain(ctx, &sqlparse.Explain{Analyze: true, Sel: sel})
-	if err != nil {
-		return "", nil, err
-	}
-	var lines []string
-	for _, r := range rel.Rows {
-		lines = append(lines, r[0].AsString())
-	}
-	return strings.Join(lines, "\n") + "\n", e, nil
+	return db.analyze(ctx, sel)
 }

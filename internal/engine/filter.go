@@ -21,16 +21,11 @@ func (e *Exec) ServerSideFilter(table, predicate, projection string) (*Relation,
 // serverSideFilter is ServerSideFilter over a parsed predicate and select
 // list (nil items keep every column).
 func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
-	sp := e.beginSpan("server filter " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
-	stage := e.NextStage()
-	rel, err := e.LoadTable("load "+table, stage, table)
+	defer e.scope("server filter " + table).end(nil)
+	rel, _, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Phase("load "+table, stage).AddServerRows(int64(len(rel.Rows)))
 	filtered, err := e.filterLocal(rel, pred)
 	if err != nil || items == nil {
 		return filtered, err

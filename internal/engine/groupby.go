@@ -70,16 +70,11 @@ func checkPushableAggs(aggs []GroupAgg, algo string) error {
 // ServerSideGroupBy loads the entire table, filters and groups locally
 // (Fig. 5's baseline). filter may be empty.
 func (e *Exec) ServerSideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	sp := e.beginSpan("server groupby " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
-	stage := e.NextStage()
-	rel, err := e.LoadTable("load "+table, stage, table)
+	defer e.scope("server groupby " + table).end(nil)
+	rel, _, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Phase("load "+table, stage).AddServerRows(int64(len(rel.Rows)))
 	pred, err := parsePredicate(filter)
 	if err != nil {
 		return nil, err
@@ -109,16 +104,11 @@ func (e *Exec) FilteredGroupBy(table, groupCol string, aggs []GroupAgg, filter s
 	if filter != "" {
 		sql += " WHERE " + filter
 	}
-	sp := e.beginSpan("filtered groupby " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
-	stage := e.NextStage()
-	rel, err := e.SelectRows("project "+table, stage, table, sql)
+	defer e.scope("filtered groupby " + table).end(nil)
+	rel, err := e.selectMetered("project "+table, e.NextStage(), table, sql, 1)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Phase("project "+table, stage).AddServerRows(int64(len(rel.Rows)))
 	return e.groupLocal(rel, groupCol, groupItems(groupCol, aggs))
 }
 
@@ -258,10 +248,7 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 	if err := checkPushableAggs(aggs, "hybrid group-by"); err != nil {
 		return nil, err
 	}
-	sp := e.beginSpan("hybrid groupby " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
+	defer e.scope("hybrid groupby " + table).end(nil)
 
 	big, err := e.sampleTopGroups(table, groupCol, opts)
 	if err != nil {
@@ -293,15 +280,14 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 				where = " WHERE " + pred
 			}
 			cols := projectColsForAggs(groupCol, aggs)
-			tailRel, err = e.SelectRows("tail scan", stage2, table,
-				"SELECT "+strings.Join(cols, ", ")+" FROM S3Object"+where)
+			tailRel, err = e.selectMetered("tail scan", stage2, table,
+				"SELECT "+strings.Join(cols, ", ")+" FROM S3Object"+where, 1)
 			return err
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	e.Metrics.Phase("tail scan", stage2).AddServerRows(int64(len(tailRel.Rows)))
 	tail, err := e.groupLocal(tailRel, groupCol, groupItems(groupCol, aggs))
 	if err != nil {
 		return nil, err
@@ -315,7 +301,7 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 
 // sampleTopGroups is phase 1 of hybrid group-by: scan the first
 // SampleFraction of each partition and rank groups by sampled frequency.
-func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions) ([]string, error) {
+func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions) (_ []string, err error) {
 	stage1 := e.NextStage()
 	keys, err := e.parts(table)
 	if err != nil {
@@ -324,9 +310,8 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 	backend := e.db.backendFor(table)
 	sel := e.db.selectFor(table)
 	caps := backend.Capabilities()
-	sp := e.beginSpan("sample " + table)
-	phase1 := e.tablePhase("sample", stage1, table)
-	defer func() { e.endPhaseSpan(sp, phase1) }()
+	st := e.step("sample "+table, "sample", stage1, table)
+	defer func() { st.end(err) }()
 	counts := map[string]int64{}
 	var mu sync.Mutex
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
@@ -338,7 +323,7 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		if end < 1 {
 			end = 1
 		}
-		res, err := e.doSelect(ctx, phase1, sp, sel, key, selectengine.Request{
+		res, err := e.doSelect(ctx, st, sel, key, selectengine.Request{
 			SQL:          "SELECT " + groupCol + " FROM S3Object",
 			HasHeader:    true,
 			Capabilities: caps,

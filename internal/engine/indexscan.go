@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/index"
-	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
@@ -168,7 +168,7 @@ const (
 // partitions, checks they are aligned, pushes the offsets select against
 // every index object (result-cache aware via selectOnParts) and parses the
 // matching byte ranges, per data partition and in index order.
-func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTable, valuePred string) (dataKeys []string, partRanges [][][2]int64, err error) {
+func (e *Exec) indexRangeProbe(st step, table, idxTable, valuePred string) (dataKeys []string, partRanges [][][2]int64, err error) {
 	dataKeys, err = e.parts(table)
 	if err != nil {
 		return nil, nil, err
@@ -181,7 +181,7 @@ func (e *Exec) indexRangeProbe(phase *cloudsim.Phase, sp *obs.Span, table, idxTa
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	results, err := e.selectOnParts(phase, sp, idxTable, index.ProbeSQL(valuePred), nil)
+	results, err := e.selectOnParts(st, idxTable, index.ProbeSQL(valuePred), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,92 +214,65 @@ func (e *Exec) indexFetch(table, column, valuePred string, pol fetchPolicy) (*Re
 	}
 
 	stage1 := e.NextStage()
-	psp := e.beginSpan(probeSpan)
-	probe := e.tablePhase(probeName, stage1, idxTable)
-	dataKeys, partRanges, err := e.indexRangeProbe(probe, psp, table, idxTable, valuePred)
+	probe := e.step(probeSpan, probeName, stage1, idxTable)
+	dataKeys, partRanges, err := e.indexRangeProbe(probe, table, idxTable, valuePred)
+	probe.end(err)
 	if err != nil {
-		endSpanErr(psp, err)
 		return nil, 0, 0, err
 	}
-	e.endPhaseSpan(psp, probe)
 	header, err := e.TableHeader(probeName, stage1, table)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 
+	// Hop 2: every data partition with matching byte ranges has them fetched
+	// and metered under pol, under a "fetch <key>" child of the step's span;
+	// the CSV fragments decode to rows, concatenated in partition order under
+	// the table's header.
 	stage2 := e.NextStage()
-	fetch := e.tablePhase(fetchName, stage2, table)
-	fsp := e.beginSpan(fetchSpan)
+	fetch := e.step(fetchSpan, fetchName, stage2, table)
 	backend := e.db.backendFor(table)
 	var gets atomic.Int64
-	out, err := e.fetchRangeRows(fsp, header, dataKeys, partRanges, func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error) {
-		var all [][]byte
+	partRows := make([][][]string, len(dataKeys))
+	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
+		ranges := partRanges[i]
+		if len(ranges) == 0 {
+			return nil
+		}
+		ksp := fetch.sp.Child("fetch " + key)
+		defer ksp.End()
+		var frags [][]byte
 		switch pol {
 		case fetchPerRow:
 			ksp.SetInt("ranges", int64(len(ranges)))
 			for _, rg := range ranges {
 				frag, err := backend.GetRange(ctx, e.db.bucket, key, rg[0], rg[1])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				fetch.AddRowFetchRequest(int64(len(frag)))
-				all = append(all, frag)
+				frags = append(frags, frag)
 			}
 		case fetchMultiRange:
 			ksp.SetInt("ranges", int64(len(ranges)))
-			frags, err := backend.GetRanges(ctx, e.db.bucket, key, ranges)
-			if err != nil {
-				return nil, err
+			var err error
+			if frags, err = backend.GetRanges(ctx, e.db.bucket, key, ranges); err != nil {
+				return err
 			}
 			fetch.AddGetRequest(fragBytes(frags))
-			all = frags
 		default:
 			for _, batch := range index.Batches(index.Coalesce(ranges, index.DefaultCoalesceGap), index.DefaultMaxRangesPerGet) {
-				frags, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
+				got, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				total := fragBytes(frags)
+				total := fragBytes(got)
 				fetch.AddRangedGetRequest(total, int64(len(batch)))
 				gets.Add(1)
 				ksp.AddInt("bytes", total)
 				ksp.AddInt("ranges", int64(len(batch)))
-				all = append(all, frags...)
+				frags = append(frags, got...)
 			}
-		}
-		return all, nil
-	})
-	if err != nil {
-		endSpanErr(fsp, err)
-		return nil, 0, 0, err
-	}
-	if pol == fetchCoalesced {
-		candidates := int64(len(out.Rows))
-		fetch.AddServerRows(candidates)
-		fsp.SetInt("rows", candidates)
-		fsp.SetInt("gets", gets.Load())
-	}
-	e.endPhaseSpan(fsp, fetch)
-	return out, gets.Load(), stage2, nil
-}
-
-// fetchRangeRows is hop 2's fan-out: for every data partition with
-// matching byte ranges, get issues and meters the partition's ranged GETs
-// under a "fetch <key>" child of sp; the returned CSV fragments decode to
-// rows, and the partitions' rows concatenate in partition order under the
-// table's header.
-func (e *Exec) fetchRangeRows(sp *obs.Span, header, dataKeys []string, partRanges [][][2]int64,
-	get func(ctx context.Context, ksp *obs.Span, key string, ranges [][2]int64) ([][]byte, error)) (*Relation, error) {
-	partRows := make([][][]string, len(dataKeys))
-	err := e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
-		if len(partRanges[i]) == 0 {
-			return nil
-		}
-		ksp := sp.Child("fetch " + key)
-		defer ksp.End()
-		frags, err := get(ctx, ksp, key, partRanges[i])
-		if err != nil {
-			return err
 		}
 		for _, frag := range frags {
 			_, rows, err := csvx.Decode(frag, false)
@@ -310,14 +283,21 @@ func (e *Exec) fetchRangeRows(sp *obs.Span, header, dataKeys []string, partRange
 		}
 		return nil
 	})
+	var out *Relation
+	if err == nil {
+		out = FromStringsN(header, slices.Concat(partRows...), e.workers())
+		if pol == fetchCoalesced {
+			candidates := int64(len(out.Rows))
+			fetch.AddServerRows(candidates)
+			fetch.sp.SetInt("rows", candidates)
+			fetch.sp.SetInt("gets", gets.Load())
+		}
+	}
+	fetch.end(err)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	var rows [][]string
-	for _, part := range partRows {
-		rows = append(rows, part...)
-	}
-	return FromStringsN(header, rows, e.workers()), nil
+	return out, gets.Load(), stage2, nil
 }
 
 // fragBytes totals the bytes a ranged GET returned.
@@ -477,9 +457,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 	db := e.db
 	var err error
 
-	psp := e.beginSpan("plan")
-	defer psp.End()
-	defer e.restoreSpanParent(e.setSpanParent(psp))
+	defer e.scope("plan").end(nil)
 	stage := e.NextStage()
 	ap := &AccessPlan{Table: table, Backend: backendName, Strategy: StrategyFiltered, Index: cand, NotPushed: why}
 	var ts *statsObj
@@ -631,14 +609,12 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 		cs.stats = ts.tableStats()
 	} else {
 		cs.source = StatsFromProbe
-		sp := e.beginSpan("plan probe " + table)
-		phase := e.tablePhase("plan probe "+table, stage, table)
-		results, err := e.selectOnParts(phase, sp, table, sql, nil)
+		st := e.step("plan probe "+table, "plan probe "+table, stage, table)
+		results, err := e.selectOnParts(st, table, sql, nil)
+		st.end(err)
 		if err != nil {
-			endSpanErr(sp, err)
 			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)
 		}
-		e.endPhaseSpan(sp, phase)
 		counts = make([]int64, len(sums))
 		cs.stats = cloudsim.PlanTableStats{Partitions: len(results), Columnar: len(results) > 0}
 		for _, res := range results {

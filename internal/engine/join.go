@@ -68,21 +68,16 @@ func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) {
 // baselineJoin is BaselineJoin over parsed filters (js's filter strings are
 // ignored): the planner hands its per-table predicates straight through.
 func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) (*Relation, error) {
-	sp := e.beginSpan("baseline join")
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
+	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
-	rels, err := e.LoadTables(stage, js.LeftTable, js.RightTable)
+	// The server-side filter pass touches every loaded row; meter it in
+	// the load phases so execution matches the planner's baseline
+	// estimate (cloudsim.EstimateBaselineJoin).
+	rels, err := e.loadTables(stage, 1, js.LeftTable, js.RightTable)
 	if err != nil {
 		return nil, err
 	}
 	left, right := rels[0], rels[1]
-	// The server-side filter pass touches every loaded row; meter it in
-	// the load phases so execution matches the planner's baseline
-	// estimate (cloudsim.EstimateBaselineJoin).
-	e.Metrics.Phase("load "+js.LeftTable, stage).AddServerRows(int64(len(left.Rows)))
-	e.Metrics.Phase("load "+js.RightTable, stage).AddServerRows(int64(len(right.Rows)))
 	if left, err = e.filterLocal(left, leftFilter); err != nil {
 		return nil, err
 	}
@@ -132,19 +127,14 @@ func projectionSQL(cols []string, filter string) string {
 // degradation, it falls back to a filtered join whose two scans are forced
 // serial (the paper's "degraded Bloom join").
 func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) {
-	sp := e.beginSpan("bloom join")
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
-	// Phase 1: build side with pushdown.
-	stage1 := e.NextStage()
-	left, err := e.SelectRows("bloom build "+js.LeftTable, stage1,
-		js.LeftTable, projectionSQL(js.LeftProject, js.LeftFilter))
+	defer e.scope("bloom join").end(nil)
+	// Phase 1: build side with pushdown; two units of row work per build
+	// row: the hash table and the filter insert.
+	left, err := e.selectMetered("bloom build "+js.LeftTable, e.NextStage(),
+		js.LeftTable, projectionSQL(js.LeftProject, js.LeftFilter), 2)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Phase("bloom build "+js.LeftTable, stage1).
-		AddServerRows(int64(len(left.Rows)) * 2) // hash table + filter insert
 	right, stage2, err := e.BloomProbe(left, js.LeftKey, js.RightTable, js.RightKey,
 		js.RightFilter, js.RightProject, js.fpr(), js.Bitwise, js.Seed)
 	if err != nil {

@@ -418,13 +418,23 @@ func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 }
 
 // runOp is the one point where query execution reaches a local operator:
-// it opens the operator's span and hands fn the operator set this
-// execution runs — the vectorized kernels at the worker budget, or the
-// sequential reference under WithVectorized(false).
+// it hands fn the operator set this execution runs — the vectorized kernels
+// at the worker budget, or the sequential reference under
+// WithVectorized(false) — under a span recording the input and output
+// cardinalities and which path ran.
 func (e *Exec) runOp(name string, rowsIn int, fn func(Operators) (*Relation, error)) (*Relation, error) {
-	sp := e.opSpan(name, rowsIn)
+	sp := e.parent().Child(name)
+	path := "row"
+	if e.db.vectorized {
+		path = "vec"
+	}
+	sp.SetInt("rows_in", int64(rowsIn))
+	sp.SetStr("path", path)
 	out, err := fn(Operators{Vectorized: e.db.vectorized, Workers: e.workers()})
-	endOpSpan(sp, out, err)
+	if err == nil {
+		sp.SetInt("rows_out", int64(len(out.Rows)))
+	}
+	sp.EndErr(err)
 	return out, err
 }
 
@@ -476,11 +486,12 @@ func inputRows(rel *Relation, batches []*vec.Batch) (n int) {
 // produced the probe side, which the join overlaps).
 func (e *Exec) hashJoinLocal(stage int, left, right *Relation, leftKey, rightKey string) (*Relation, error) {
 	rowsIn := len(left.Rows) + len(right.Rows)
-	sp := e.opSpan("hash join", rowsIn)
-	e.Metrics.Phase("hash join", stage).AddServerRows(int64(rowsIn))
+	st := e.step("hash join", "hash join", stage, "")
+	st.sp.SetInt("rows_in", int64(rowsIn))
+	st.AddServerRows(int64(rowsIn))
 	out, err := e.runOp("hash join local", rowsIn, func(o Operators) (*Relation, error) {
 		return o.HashJoin(left, right, leftKey, rightKey)
 	})
-	endOpSpan(sp, out, err)
+	st.end(err)
 	return out, err
 }

@@ -122,6 +122,8 @@ type QueryPlan struct {
 	Scans    []*TableScan
 	Steps    []*JoinStep
 	Residual sqlparse.Expr // conjuncts evaluated on the server after all joins
+
+	ran bool // every step has run and holds its actuals (String renders them)
 }
 
 func exprStr(e sqlparse.Expr) string {
@@ -220,10 +222,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 
 	// Shapes: one small GET per table — its statistics object, or failing
 	// that its header — all in one stage.
-	psp := e.beginSpan("plan")
-	defer psp.End()
-	prevParent := e.setSpanParent(psp)
-	defer e.restoreSpanParent(prevParent)
+	defer e.scope("plan").end(nil)
 	shapeStage := e.NextStage()
 	objs := make([]*statsObj, len(p.Scans))
 	for i, sc := range p.Scans {
@@ -656,17 +655,15 @@ func (e *Exec) runPlan(p *QueryPlan) (*Relation, error) {
 		t0 := e.Metrics.RuntimeSeconds()
 		c0 := e.Cost().Total()
 		_, _, ret0, get0 := e.Metrics.Totals()
-		sp := e.beginSpan(fmt.Sprintf("join %d", i+1))
-		sp.SetStr("strategy", st.Strategy)
-		prev := e.setSpanParent(sp)
+		sc := e.scope(fmt.Sprintf("join %d", i+1))
+		sc.sp.SetStr("strategy", st.Strategy)
 		if st.first {
 			cur, err = e.runFirstJoin(p, st)
 		} else {
 			cur, err = e.runChainJoin(p, st, cur)
 		}
-		e.restoreSpanParent(prev)
 		if err != nil {
-			endSpanErr(sp, err)
+			sc.end(err)
 			return nil, err
 		}
 		st.ActualRows = int64(len(cur.Rows))
@@ -674,11 +671,12 @@ func (e *Exec) runPlan(p *QueryPlan) (*Relation, error) {
 		st.ActualUSD = e.Cost().Total() - c0
 		_, _, ret1, get1 := e.Metrics.Totals()
 		st.ActualBytes = (ret1 + get1) - (ret0 + get0)
-		sp.SetInt("rows", st.ActualRows)
-		sp.SetFloat("sim_sec", st.ActualSec)
-		sp.SetFloat("cost_usd", st.ActualUSD)
-		sp.End()
+		sc.sp.SetInt("rows", st.ActualRows)
+		sc.sp.SetFloat("actual_sec", st.ActualSec)
+		sc.sp.SetFloat("actual_usd", st.ActualUSD)
+		sc.end(nil)
 	}
+	p.ran = true
 	if p.Residual != nil {
 		cur, err = e.filterLocal(cur, p.Residual)
 		if err != nil {
@@ -735,11 +733,10 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 	if st.Strategy == StrategyBloom {
 		// Building the Bloom filter walks every intermediate row; meter
 		// it to match cloudsim.EstimateBloomProbe's build charge.
-		bsp := e.beginSpan("bloom build intermediate")
-		bsp.SetInt("rows_in", int64(len(cur.Rows)))
-		bsp.End()
-		e.Metrics.Phase("bloom build intermediate", e.NextStage()).
-			AddServerRows(int64(len(cur.Rows)))
+		build := e.step("bloom build intermediate", "bloom build intermediate", e.NextStage(), "")
+		build.sp.SetInt("rows_in", int64(len(cur.Rows)))
+		build.AddServerRows(int64(len(cur.Rows)))
+		build.end(nil)
 		right, joinStage, err = e.BloomProbe(cur, st.BuildKey, sc.Table, st.ProbeKey,
 			exprStr(sc.Filter), sc.Project, planFPR, false, planSeed)
 		if err != nil && errors.Is(err, ErrNonIntegerJoinKey) {
@@ -791,12 +788,21 @@ func writeEstimates(b *strings.Builder, indent string, width int, ests map[strin
 }
 
 // String renders the plan as a readable tree (cmd/pushdownsql -explain).
+// Once the steps have run (EXPLAIN ANALYZE), each join step carries its
+// actuals: output rows next to the estimate, and the step's measured virtual
+// seconds, dollars and returned bytes next to the per-strategy estimates
+// that drove the decision.
 func (p *QueryPlan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "join plan (%d tables)\n", len(p.Scans))
 	for _, sc := range p.Scans {
 		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),
 			projectionSQL(sc.Project, exprStr(sc.Filter)))
+		if p.ran {
+			fmt.Fprintf(&b, "  [est %d rows, %s]\n",
+				sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats))
+			continue
+		}
 		cached := ""
 		if sc.Stats.CachedFrac > 0 {
 			cached = fmt.Sprintf(", cached scan %.0f%%", 100*sc.Stats.CachedFrac)
@@ -813,9 +819,18 @@ func (p *QueryPlan) String() string {
 		}
 	}
 	for i, st := range p.Steps {
-		fmt.Fprintf(&b, "  join %d: %s.%s = %s.%s  (~%d rows)\n",
-			i+1, st.BuildName, st.BuildKey, st.ProbeName, st.ProbeKey, st.EstRows)
-		fmt.Fprintf(&b, "    strategy: %s — %s\n", st.Strategy, st.Reason)
+		fmt.Fprintf(&b, "  join %d: %s.%s = %s.%s", i+1, st.BuildName, st.BuildKey, st.ProbeName, st.ProbeKey)
+		if !p.ran {
+			fmt.Fprintf(&b, "  (~%d rows)", st.EstRows)
+		}
+		fmt.Fprintf(&b, "\n    strategy: %s — %s\n", st.Strategy, st.Reason)
+		if p.ran {
+			fmt.Fprintf(&b, "    rows:   est ~%d, actual %d\n    cost:   ", st.EstRows, st.ActualRows)
+			if est, ok := st.Estimates[st.Strategy]; ok {
+				fmt.Fprintf(&b, "est %.3fs $%.6f, ", est.Seconds, est.USD)
+			}
+			fmt.Fprintf(&b, "actual %.3fs $%.6f\n    bytes:  actual %d returned\n", st.ActualSec, st.ActualUSD, st.ActualBytes)
+		}
 		writeEstimates(&b, "    ", 8, st.Estimates)
 	}
 	if p.Residual != nil {

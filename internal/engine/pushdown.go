@@ -183,13 +183,15 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	for _, x := range exprs {
 		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
 	}
-	res, sp, phase, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
+	res, st, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
+	if err == nil {
+		st.sp.SetInt("matched", int64(len(res.Rows)))
+	}
+	st.end(err)
 	if err != nil {
 		ap.NotPushed = "the keys do not evaluate over the sample: " + err.Error()
 		return -1
 	}
-	sp.SetInt("matched", int64(len(res.Rows)))
-	e.endPhaseSpan(sp, phase)
 	filtered = ts.scaled(int64(len(res.Rows)))
 	for i := ordered; i < len(exprs); i++ {
 		if !oneClass(res.Rows, i) {

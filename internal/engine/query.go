@@ -31,8 +31,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, e
 // runSelectStatement executes an already-parsed SELECT.
 func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Relation, *Exec, error) {
 	e := db.NewExecContext(ctx)
-	sp := e.beginSpan("select")
-	prev := e.setSpanParent(sp)
+	sc := e.scope("select")
 	var (
 		rel *Relation
 		err error
@@ -41,8 +40,7 @@ func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Re
 		var plan *QueryPlan
 		plan, err = e.planJoins(sel)
 		if err != nil {
-			e.restoreSpanParent(prev)
-			endSpanErr(sp, err)
+			sc.end(err)
 			return nil, nil, err
 		}
 		e.plan = plan
@@ -50,13 +48,10 @@ func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Re
 	} else {
 		rel, err = e.runSelect(sel)
 	}
-	e.restoreSpanParent(prev)
-	if err != nil {
-		endSpanErr(sp, err)
-	} else {
-		sp.SetInt("rows", int64(len(rel.Rows)))
-		sp.End()
+	if err == nil {
+		sc.sp.SetInt("rows", int64(len(rel.Rows)))
 	}
+	sc.end(err)
 	return rel, e, err
 }
 
@@ -143,20 +138,22 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 			}
 			// The pushed tail's check failed: the right answer is one plain
 			// filtered pass away.
-			e.curSpanParent().SetStr("pushdown_fallback", ap.Fallback)
+			e.parent().SetStr("pushdown_fallback", ap.Fallback)
 		}
 	}
 
 	// A grouped tail folds the scan's responses as typed vectors and never
 	// sees a row; a ragged response comes back as rows, for the row path.
 	grouped := e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates())
-	rel, batches, err := e.selectDecoded("scan "+table, e.NextStage(), table, pushedScan(sel, nil).String(), grouped)
+	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
+	rel, batches, err := e.selectDecoded(scan, table, pushedScan(sel, nil).String(), grouped)
+	scan.end(err)
 	if err != nil {
 		return nil, err
 	}
 	if grouped {
 		if rel != nil {
-			e.curSpanParent().SetStr("row_fallback", "ragged")
+			e.parent().SetStr("row_fallback", "ragged")
 		}
 		return e.finishTail(sel, rel, batches)
 	}
@@ -218,13 +215,10 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 // input finishes through.
 func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Batch) (*Relation, error) {
 	rowsIn := int64(inputRows(rel, batches))
-	sp := e.beginSpan("local")
-	sp.SetInt("rows_in", rowsIn)
-	defer sp.End()
-	prevParent := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prevParent)
-	phase := e.Metrics.Phase("local", e.NextStage())
-	phase.AddServerRows(rowsIn)
+	st := e.step("local", "local", e.NextStage(), "")
+	st.sp.SetInt("rows_in", rowsIn)
+	st.AddServerRows(rowsIn)
+	defer e.enter(st.sp).end(nil)
 
 	var err error
 	orderBy := sel.OrderBy // the sort still owed once the switch is done
@@ -258,7 +252,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 		return nil, err
 	}
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
-		sp.SetInt("groups", int64(len(rel.Rows)))
+		st.sp.SetInt("groups", int64(len(rel.Rows)))
 	}
 	if len(orderBy) > 0 {
 		rel, err = sortLocal(rel, orderBy)

@@ -150,6 +150,60 @@ func TestLongChainRefusedAtTheDoor(t *testing.T) {
 	}
 }
 
+// TestPrefixChainDepth: a run of NOT or unary minus prints, as the pushed
+// SQL, one parenthesis per operator, and the door counts it that way. A
+// 600-deep run of either used to parse at the door and be refused by
+// storage's parse of its printed form; now it answers, identically pushed to
+// storage and evaluated on the server, and a run too deep for storage is
+// refused at the door before any request.
+func TestPrefixChainDepth(t *testing.T) {
+	counting := s3api.NewCounting(s3api.NewInProc(newTestStore(t)))
+	db, err := Open(testBucket, WithBackend("s3sim", counting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(sql string) string {
+		t.Helper()
+		rel, _, err := db.QueryContext(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%.60s…: %v", sql, err)
+		}
+		return render(rel, false)
+	}
+	nots := func(n int) string { return strings.Repeat("NOT ", n) + "(k < 5)" }
+	negs := func(n int) string { return strings.Repeat("- ", n) + "k" }
+	for _, n := range []int{499, 600} {
+		// The whole statement pushes; with ORDER BY the server evaluates the
+		// select list over the pushed projection.
+		for _, item := range []string{"CASE WHEN " + nots(n) + " THEN 1 ELSE 0 END AS b", negs(n) + " AS x"} {
+			sql := "SELECT k, " + item + " FROM events WHERE k < 20"
+			if pushed, local := run(sql), run(sql+" ORDER BY k"); pushed != local {
+				t.Errorf("%d-deep %.30s…: pushed and local answers differ\npushed:\n%s\nlocal:\n%s", n, item, pushed, local)
+			}
+		}
+		want := 5 // NOT NOT p is p
+		if n%2 == 1 {
+			want = 1000 - 5
+		}
+		if got := strings.Count(run("SELECT k FROM events WHERE "+nots(n)), "\n"); got != want {
+			t.Errorf("%d NOTs in WHERE: %d rows, want %d", n, got, want)
+		}
+	}
+	before := counting.Selects() + counting.Gets() + counting.GetRangeCalls() + counting.Lists() + counting.Sizes()
+	for _, sql := range []string{"SELECT k FROM events WHERE " + nots(1000), "SELECT " + negs(1000) + " AS x FROM events"} {
+		_, e, err := db.QueryContext(context.Background(), sql)
+		if err == nil || !strings.Contains(err.Error(), "sqlparse: expression nests deeper than 1000 levels") {
+			t.Errorf("1000-deep %.40s…: err = %v, want the parser's nesting-depth error", sql[7:], err)
+		}
+		if e != nil {
+			t.Errorf("1000-deep run: an execution %v, want none", e)
+		}
+	}
+	if n := counting.Selects() + counting.Gets() + counting.GetRangeCalls() + counting.Lists() + counting.Sizes(); n != before {
+		t.Errorf("1000-deep runs issued %d storage requests, want none: refused at the door", n-before)
+	}
+}
+
 // TestTextThatIsNotANumberFailsArithmetic pins `'12abc' + 1`: text is a
 // number only when the whole of it parses (value.ParseNum), so arithmetic
 // over a cell that merely starts like one is an evaluation error — never

@@ -22,11 +22,17 @@ import (
 // each on its own "load <table>" phase, and returns them in argument
 // order — the opening move of the baseline plans.
 func (e *Exec) LoadTables(stage int, tables ...string) ([]*Relation, error) {
+	return e.loadTables(stage, 0, tables...)
+}
+
+// loadTables is LoadTables metering, on each load's step, perRow units of
+// the server's row work per loaded row.
+func (e *Exec) loadTables(stage int, perRow int64, tables ...string) ([]*Relation, error) {
 	rels := make([]*Relation, len(tables))
 	loads := make([]func() error, len(tables))
 	for i, table := range tables {
 		loads[i] = func() (err error) {
-			rels[i], err = e.LoadTable("load "+table, stage, table)
+			rels[i], _, err = e.loadMetered("load "+table, stage, table, perRow)
 			return err
 		}
 	}
@@ -39,23 +45,40 @@ func (e *Exec) LoadTables(stage int, tables ...string) ([]*Relation, error) {
 // LoadTable fetches every partition with plain GETs and parses the CSV on
 // the server — the paper's "server-side" baseline path.
 func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, error) {
+	rel, _, err := e.loadMetered(phaseName, stage, table, 0)
+	return rel, err
+}
+
+// loadMetered is LoadTable on a step of its own, which it returns after
+// metering there perRow units of the server's row work per loaded row: the
+// server-side baselines' pass over every row.
+func (e *Exec) loadMetered(name string, stage int, table string, perRow int64) (*Relation, step, error) {
+	st := e.step(name, name, stage, table)
+	rel, err := e.loadTable(st, table)
+	if err == nil {
+		st.AddServerRows(int64(len(rel.Rows)) * perRow)
+	}
+	st.end(err)
+	return rel, st, err
+}
+
+// loadTable is LoadTable metered on st.
+func (e *Exec) loadTable(st step, table string) (*Relation, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
 	backend := e.db.backendFor(table)
-	sp := e.beginSpan(phaseName)
-	phase := e.tablePhase(phaseName, stage, table)
 	rels := make([]*Relation, len(keys))
 	decodeWorkers := e.partWorkers(len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		psp := sp.Child("get " + key)
+		psp := st.sp.Child("get " + key)
 		defer psp.End()
 		data, err := backend.Get(ctx, e.db.bucket, key)
 		if err != nil {
 			return err
 		}
-		phase.AddGetRequest(int64(len(data)))
+		st.AddGetRequest(int64(len(data)))
 		psp.SetInt("bytes", int64(len(data)))
 		if colformat.IsColumnar(data) {
 			// Columnar partitions decode straight into typed vectors; the
@@ -71,11 +94,9 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, 
 		err = out.Concat(rels...)
 	}
 	if err != nil {
-		endSpanErr(sp, err)
 		return nil, err
 	}
-	sp.SetInt("rows", int64(len(out.Rows)))
-	e.endPhaseSpan(sp, phase)
+	st.sp.SetInt("rows", int64(len(out.Rows)))
 	return out, nil
 }
 
@@ -164,18 +185,28 @@ func decodeCSV(data []byte) (*Relation, error) {
 // SelectRows runs sql on every partition of table and concatenates the
 // returned rows into a typed relation.
 func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
-	rel, _, err := e.selectDecoded(phaseName, stage, table, sql, false)
+	return e.selectMetered(phaseName, stage, table, sql, 0)
+}
+
+// selectMetered is SelectRows metering, on its step, perRow units of the
+// server's row work per returned row: what the operators finishing a pushed
+// scan on the server (group-by, top-K, the Bloom build) begin with.
+func (e *Exec) selectMetered(name string, stage int, table, sql string, perRow int64) (*Relation, error) {
+	st := e.step(name, name, stage, table)
+	rel, _, err := e.selectDecoded(st, table, sql, false)
+	if err == nil {
+		st.AddServerRows(int64(len(rel.Rows)) * perRow)
+	}
+	st.end(err)
 	return rel, err
 }
 
-// selectDecoded runs sql on every partition of table and decodes the
-// responses. For a consumer that folds vectors (typed) each response becomes
-// a vec.Batch inside the fan-out, where LoadTable decodes too, and no row
-// is built; a ragged response — all vec.FromStrings refuses — or a row
-// consumer gets the relation instead, and nil batches.
-func (e *Exec) selectDecoded(phaseName string, stage int, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
-	sp := e.beginSpan(phaseName)
-	phase := e.tablePhase(phaseName, stage, table)
+// selectDecoded runs sql on every partition of table, metered on st, and
+// decodes the responses. For a consumer that folds vectors (typed) each
+// response becomes a vec.Batch inside the fan-out, where LoadTable decodes
+// too, and no row is built; a ragged response — all vec.FromStrings refuses
+// — or a row consumer gets the relation instead, and nil batches.
+func (e *Exec) selectDecoded(st step, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
 	var batches []*vec.Batch
 	var each func(int, *selectengine.Result)
 	if typed {
@@ -183,60 +214,52 @@ func (e *Exec) selectDecoded(phaseName string, stage int, table, sql string, typ
 		batches = make([]*vec.Batch, len(keys))
 		workers := e.partWorkers(len(keys))
 		each = func(i int, res *selectengine.Result) {
-			dec := sp.Child("decode")
+			dec := st.sp.Child("decode")
 			batches[i], _ = vec.FromStrings(res.Columns, res.Rows, workers)
 			dec.SetInt("rows", int64(len(res.Rows)))
 			dec.End()
 		}
 	}
-	results, err := e.selectOnParts(phase, sp, table, sql, each)
+	results, err := e.selectOnParts(st, table, sql, each)
 	if err != nil {
-		endSpanErr(sp, err)
 		return nil, nil, err
 	}
 	var out *Relation
 	if batches == nil || slices.Contains(batches, nil) {
 		batches, out = nil, &Relation{}
-		dec := sp.Child("decode")
+		dec := st.sp.Child("decode")
 		rels := make([]*Relation, len(results))
 		for i, res := range results {
 			rels[i] = FromStringsN(res.Columns, res.Rows, e.workers())
 		}
 		if err := out.Concat(rels...); err != nil {
-			endSpanErr(dec, err)
-			endSpanErr(sp, err)
+			dec.EndErr(err)
 			return nil, nil, err
 		}
 		dec.SetInt("rows", int64(len(out.Rows)))
 		dec.End()
 	}
-	sp.SetInt("rows", int64(inputRows(out, batches)))
-	e.endPhaseSpan(sp, phase)
+	st.sp.SetInt("rows", int64(inputRows(out, batches)))
 	return out, batches, nil
 }
 
-// SelectRowsLimit runs sql with a per-partition LIMIT so that the combined
-// row count approaches total (used by sampling operators).
-func (e *Exec) SelectRowsLimit(phaseName string, stage int, table, sql string, total int64) (*Relation, error) {
+// limitPerPart appends to sql a per-partition LIMIT under which table's
+// partitions return about total rows together (used by sampling operators).
+func (e *Exec) limitPerPart(table, sql string, total int64) (string, error) {
 	keys, err := e.parts(table)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	per := total / int64(len(keys))
-	if per < 1 {
-		per = 1
-	}
-	return e.SelectRows(phaseName, stage, table, fmt.Sprintf("%s LIMIT %d", sql, per))
+	return fmt.Sprintf("%s LIMIT %d", sql, max(total/int64(len(keys)), 1)), nil
 }
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the
 // single-row results column-wise using the given aggregate functions
 // (SUM and COUNT merge by addition, MIN/MAX by comparison).
-func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (Row, error) {
-	sp := e.beginSpan(phaseName)
-	phase := e.tablePhase(phaseName, stage, table)
-	defer func() { e.endPhaseSpan(sp, phase) }()
-	results, err := e.selectOnParts(phase, sp, table, sql, nil)
+func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (_ Row, err error) {
+	st := e.step(phaseName, phaseName, stage, table)
+	defer func() { st.end(err) }()
+	results, err := e.selectOnParts(st, table, sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,22 +300,21 @@ const headerProbe = 4096
 // longer than the probe retry with a doubled range until a newline turns
 // up or the object is exhausted (a header-only object with no trailing
 // newline is accepted whole).
-func (e *Exec) TableHeader(phaseName string, stage int, table string) ([]string, error) {
+func (e *Exec) TableHeader(phaseName string, stage int, table string) (_ []string, err error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
 	backend := e.db.backendFor(table)
-	sp := e.beginSpan("header " + table)
-	phase := e.tablePhase(phaseName, stage, table)
-	defer func() { e.endPhaseSpan(sp, phase) }()
+	st := e.step("header "+table, phaseName, stage, table)
+	defer func() { st.end(err) }()
 	for probe := int64(headerProbe); ; probe *= 2 {
 		data, err := backend.GetRange(e.ctx, e.db.bucket, keys[0], 0, probe-1)
 		if err != nil {
 			return nil, err
 		}
-		phase.AddGetRequest(int64(len(data)))
-		sp.AddInt("bytes", int64(len(data)))
+		st.AddGetRequest(int64(len(data)))
+		st.sp.AddInt("bytes", int64(len(data)))
 		if int64(len(data)) < probe && colformat.IsColumnar(data) {
 			// The whole object fit in the probe and carries the columnar
 			// magic (which is tail-only, so detection needs the complete

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 )
@@ -13,17 +12,17 @@ import (
 // The select path. Every S3 Select the engine issues goes through the
 // table's backend pipeline (composed in Open: result cache over scan
 // sharing over the backend, whichever are configured) and is metered and
-// traced in one place, meterSelect, from the Served stamp the pipeline
+// traced in one place, doSelect, from the Served stamp the pipeline
 // left on the response. Results may be shared with the cache and with
 // other queries — callers must not mutate them.
 
 // selectOnParts runs the same S3 Select SQL against every partition of the
 // table through its backend's pipeline (with the backend's advertised
-// capabilities) and returns the per-partition results, recording request
-// metrics. Each partition select becomes a child span of sp (nil when
-// untraced). each, when non-nil, sees partition i's response inside the
-// fan-out: a consumer's decode, overlapping the selects still in flight.
-func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql string, each func(i int, res *selectengine.Result)) ([]*selectengine.Result, error) {
+// capabilities) and returns the per-partition results, metered on st. Each
+// partition select becomes a child span of st's. each, when non-nil, sees
+// partition i's response inside the fan-out: a consumer's decode,
+// overlapping the selects still in flight.
+func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *selectengine.Result)) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -32,7 +31,7 @@ func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql str
 	req := selectengine.Request{SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()}
 	results := make([]*selectengine.Result, len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		res, err := e.doSelect(ctx, phase, sp, sel, key, req)
+		res, err := e.doSelect(ctx, st, sel, key, req)
 		if err != nil {
 			return fmt.Errorf("engine: select on %s: %w", key, err)
 		}
@@ -48,37 +47,31 @@ func (e *Exec) selectOnParts(phase *cloudsim.Phase, sp *obs.Span, table, sql str
 	return results, nil
 }
 
-// doSelect issues one S3 Select against an object through sel, under a
-// "select <key>" child span of sp, and meters the response on phase.
-func (e *Exec) doSelect(ctx context.Context, phase *cloudsim.Phase, sp *obs.Span, sel s3api.Selector, key string, req selectengine.Request) (*selectengine.Result, error) {
-	psp := sp.Child("select " + key)
-	defer psp.End()
-	res, err := sel.Select(ctx, e.db.bucket, key, req)
-	if err != nil {
-		return nil, err
-	}
-	meterSelect(phase, psp, res)
-	return res, nil
-}
-
-// meterSelect bills one select response to phase and describes it on sp,
+// doSelect issues one S3 Select against an object through sel, bills the
+// response to st and describes it on a "select <key>" child of st's span,
 // keyed on how the pipeline served it: a cache hit reached no backend and
 // costs only the local re-parse; a pass shared by n requests is billed 1/n
 // to each plus the sharer's own local re-filter work; anything else is one
 // direct request.
-func meterSelect(phase *cloudsim.Phase, sp *obs.Span, res *selectengine.Result) {
+func (e *Exec) doSelect(ctx context.Context, st step, sel s3api.Selector, key string, req selectengine.Request) (*selectengine.Result, error) {
+	sp := st.sp.Child("select " + key)
+	defer sp.End()
+	res, err := sel.Select(ctx, e.db.bucket, key, req)
+	if err != nil {
+		return nil, err
+	}
 	how := res.Served
 	if how.Cache != "" {
 		sp.SetStr("cache", how.Cache)
 	}
 	switch {
 	case how.Cache == selectengine.CacheHit:
-		phase.AddCacheHit(res.Stats.BytesReturned)
+		st.AddCacheHit(res.Stats.BytesReturned)
 	case how.Sharers > 1:
-		phase.AddSharedSelectRequest(selectReqStats(how.Pass), int64(how.Sharers), how.LocalRows)
+		st.AddSharedSelectRequest(selectReqStats(how.Pass), int64(how.Sharers), how.LocalRows)
 		sp.SetInt("sharers", int64(how.Sharers))
 	default:
-		phase.AddSelectRequest(selectReqStats(res.Stats))
+		st.AddSelectRequest(selectReqStats(res.Stats))
 	}
 	if how.Sharers > 0 {
 		share := "leader"
@@ -89,6 +82,7 @@ func meterSelect(phase *cloudsim.Phase, sp *obs.Span, res *selectengine.Result) 
 	}
 	sp.SetInt("rows", int64(len(res.Rows)))
 	sp.SetInt("bytes", res.Stats.BytesReturned)
+	return res, nil
 }
 
 // selectReqStats converts select-engine stats into the cost model's

@@ -12,7 +12,6 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
-	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/value"
@@ -149,15 +148,14 @@ func (e *Exec) statsObject(table string, stage int) *statsObj {
 	if _, err := e.parts(table); err != nil {
 		return nil // no such table: the fallback reports it, nothing is remembered
 	}
-	sp := e.beginSpan("plan stats " + table)
-	// The phase opens only once there is an object to pay for, so a table
-	// without one leaves the same phases behind as it always did.
-	var phase *cloudsim.Phase
+	// The step's phase opens only once there is an object to pay for, so a
+	// table without one leaves the same phases behind as it always did.
+	st := step{sp: e.parent().Child("plan stats " + table)}
 	data, err := db.backendFor(table).GetRange(e.ctx, db.bucket, StatsKey(table), 0, maxStatsObjectBytes)
 	if err == nil {
-		phase = e.tablePhase("plan stats "+table, stage, table)
-		phase.AddCatalogRequest(int64(len(data)))
-		sp.SetInt("bytes", int64(len(data)))
+		st.open(e, "plan stats "+table, stage, table)
+		st.AddCatalogRequest(int64(len(data)))
+		st.sp.SetInt("bytes", int64(len(data)))
 		if len(data) > maxStatsObjectBytes {
 			err = fmt.Errorf("over %d bytes", maxStatsObjectBytes)
 		} else if ts, err = decodeTableStats(data); err == nil {
@@ -169,16 +167,16 @@ func (e *Exec) statsObject(table string, stage int) *statsObj {
 			}
 		}
 	} else if kind := s3api.KindOf(err); kind != s3api.KindNotFound && kind != s3api.KindInvalidRange {
-		endSpanErr(sp, err)
+		st.end(err)
 		return nil // the backend's trouble, not the table's: ask again next time
 	}
 	if err != nil { // no object (or an empty one), or one not to be trusted
 		ts = nil
-		sp.SetStr("ignored", err.Error())
+		st.sp.SetStr("ignored", err.Error())
 	} else {
-		sp.SetInt("sample_rows", ts.sampleRows)
+		st.sp.SetInt("sample_rows", ts.sampleRows)
 	}
-	e.endPhaseSpan(sp, phase)
+	st.end(nil)
 	if e.ctx.Err() != nil {
 		return nil // a canceled check is no verdict
 	}
@@ -224,23 +222,20 @@ func (ts *statsObj) scaled(n int64) int64 {
 
 // sampleSelect runs sql over the table's sample with the select engine itself
 // — the one estimator — and charges the query sample_rows units of row work,
-// as the phase and span "plan stats <table>". The caller ends the span with
-// endPhaseSpan once it has said what it found; a failed evaluation has ended
-// it already.
-func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) (*selectengine.Result, *obs.Span, *cloudsim.Phase, error) {
-	sp := e.beginSpan("plan stats " + table)
-	phase := e.tablePhase("plan stats "+table, stage, table)
-	phase.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
+// on the step "plan stats <table>", which the caller ends once it has said
+// what it found.
+func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) (*selectengine.Result, step, error) {
+	st := e.step("plan stats "+table, "plan stats "+table, stage, table)
+	st.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
 	res, err := selectengine.Execute(ts.sample, selectengine.Request{
 		SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()})
 	if err != nil {
-		endSpanErr(sp, err)
-		return nil, nil, nil, err
+		return nil, st, err
 	}
-	sp.SetInt("bytes", int64(len(ts.sample)))
-	sp.SetInt("sample_rows", ts.sampleRows)
-	sp.SetStr("source", StatsFromObject)
-	return res, sp, phase, nil
+	st.sp.SetInt("bytes", int64(len(ts.sample)))
+	st.sp.SetInt("sample_rows", ts.sampleRows)
+	st.sp.SetStr("source", StatsFromObject)
+	return res, st, nil
 }
 
 // sampleCounts runs a probe SQL — COUNT(*), then SUM(CASE …) counts — over
@@ -251,9 +246,9 @@ func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 
 	if ts == nil {
 		return nil
 	}
-	res, sp, phase, err := e.sampleSelect(ts, table, sql, stage)
+	res, st, err := e.sampleSelect(ts, table, sql, stage)
 	if err != nil || len(res.Rows) != 1 {
-		endSpanErr(sp, err)
+		st.end(err)
 		return nil
 	}
 	counts := make([]int64, len(res.Rows[0]))
@@ -262,7 +257,7 @@ func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 
 		counts[i] = ts.scaled(counts[i])
 	}
 	counts[0] = ts.rows
-	sp.SetInt("matched", counts[min(1, len(counts)-1)])
-	e.endPhaseSpan(sp, phase)
+	st.sp.SetInt("matched", counts[min(1, len(counts)-1)])
+	st.end(nil)
 	return counts
 }

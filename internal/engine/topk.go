@@ -32,20 +32,14 @@ func OptimalSampleSize(k int, n int64, alpha float64) int64 {
 // ServerSideTopK loads the whole table and selects the top K locally with
 // a bounded heap — the Fig. 9 baseline.
 func (e *Exec) ServerSideTopK(table, orderCol string, k int, asc bool) (*Relation, error) {
-	sp := e.beginSpan("server topk " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
-	stage := e.NextStage()
-	rel, err := e.LoadTable("load "+table, stage, table)
+	defer e.scope("server topk " + table).end(nil)
+	rel, load, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
 	if err != nil {
 		return nil, err
 	}
-	phase := e.Metrics.Phase("load "+table, stage)
-	phase.AddServerRows(int64(len(rel.Rows)))
 	// Heap maintenance grows with log K; charge an extra unit per row per
 	// factor-of-1024 of K to reflect the paper's K sensitivity.
-	phase.AddServerRows(int64(len(rel.Rows)) * int64(math.Log2(float64(k)+2)) / 10)
+	load.AddServerRows(int64(len(rel.Rows)) * int64(math.Log2(float64(k)+2)) / 10)
 	return topKLocalN(rel, orderCol, k, asc, e.workers())
 }
 
@@ -71,10 +65,7 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 		return nil, fmt.Errorf("engine: top-K requires K >= 1")
 	}
 	sample := opts.SampleSize
-	sp := e.beginSpan("sampling topk " + table)
-	defer sp.End()
-	prev := e.setSpanParent(sp)
-	defer e.restoreSpanParent(prev)
+	defer e.scope("sampling topk " + table).end(nil)
 
 	// Phase 1: sample the order column.
 	stage1 := e.NextStage()
@@ -85,12 +76,14 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 		}
 		sample = OptimalSampleSize(k, n, SamplingAlpha)
 	}
-	sampled, err := e.SelectRowsLimit("sample "+table, stage1, table,
-		"SELECT "+orderCol+" FROM S3Object", sample)
+	sql, err := e.limitPerPart(table, "SELECT "+orderCol+" FROM S3Object", sample)
 	if err != nil {
 		return nil, err
 	}
-	e.Metrics.Phase("sample "+table, stage1).AddServerRows(int64(len(sampled.Rows)))
+	sampled, err := e.selectMetered("sample "+table, stage1, table, sql, 1)
+	if err != nil {
+		return nil, err
+	}
 	if int64(len(sampled.Rows)) < int64(k) {
 		// The sample cannot bound the top K (tiny table or tiny sample):
 		// degrade to the server-side algorithm for correctness.
@@ -111,19 +104,17 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 	if !asc {
 		op = ">="
 	}
-	scanned, err := e.SelectRows("threshold scan "+table, stage2, table,
-		fmt.Sprintf("SELECT * FROM S3Object WHERE %s %s %s", orderCol, op, threshold))
+	scanned, err := e.selectMetered("threshold scan "+table, stage2, table,
+		fmt.Sprintf("SELECT * FROM S3Object WHERE %s %s %s", orderCol, op, threshold), 1)
 	if err != nil {
 		return nil, err
 	}
-	phase := e.Metrics.Phase("threshold scan "+table, stage2)
-	phase.AddServerRows(int64(len(scanned.Rows)))
 	return topKLocalN(scanned, orderCol, k, asc, e.workers())
 }
 
 // approxRowCount estimates the table's row count from one partition's
 // average row width — a tiny metered probe, not a full scan.
-func (e *Exec) approxRowCount(stage int, table string) (int64, error) {
+func (e *Exec) approxRowCount(stage int, table string) (_ int64, err error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return 0, err
@@ -131,22 +122,24 @@ func (e *Exec) approxRowCount(stage int, table string) (int64, error) {
 	backend := e.db.backendFor(table)
 	// The per-partition size probes are priced requests (S3 HEADs) like
 	// everything else this estimate costs; they meter as zero-byte GETs on
-	// the same phase the row probe below opens.
-	sp := e.beginSpan("probe " + table)
-	phase := e.tablePhase("probe "+table, stage, table)
-	defer func() { e.endPhaseSpan(sp, phase) }()
+	// the step the row probe below runs on.
+	st := e.step("probe "+table, "probe "+table, stage, table)
+	defer func() { st.end(err) }()
 	var totalBytes int64
 	for _, k := range keys {
 		n, err := backend.Size(e.ctx, e.db.bucket, k)
 		if err != nil {
 			return 0, err
 		}
-		phase.AddGetRequest(0)
+		st.AddGetRequest(0)
 		totalBytes += n
 	}
 	const probeRows = 64
-	probe, err := e.SelectRowsLimit("probe "+table, stage, table,
-		"SELECT * FROM S3Object", probeRows*int64(len(keys)))
+	sql, err := e.limitPerPart(table, "SELECT * FROM S3Object", probeRows*int64(len(keys)))
+	if err != nil {
+		return 0, err
+	}
+	probe, _, err := e.selectDecoded(st, table, sql, false)
 	if err != nil {
 		return 0, err
 	}

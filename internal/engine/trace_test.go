@@ -109,8 +109,13 @@ func TestTraceThreeTableJoinShape(t *testing.T) {
 		if rows, ok := jsp.Int("rows"); !ok || rows != st.ActualRows {
 			t.Errorf("join %d rows attr = %d (ok=%v), want %d", i+1, rows, ok, st.ActualRows)
 		}
-		if sec, ok := jsp.Float("sim_sec"); !ok || sec < 0 {
-			t.Errorf("join %d sim_sec attr = %v (ok=%v)", i+1, sec, ok)
+		// A join step meters no phase of its own: it carries its actuals,
+		// not a phase's sim_sec.
+		if sec, ok := jsp.Float("actual_sec"); !ok || sec != st.ActualSec {
+			t.Errorf("join %d actual_sec attr = %v (ok=%v), want %v", i+1, sec, ok, st.ActualSec)
+		}
+		if _, ok := jsp.Float("sim_sec"); ok {
+			t.Errorf("join %d carries sim_sec, which is a metered step's", i+1)
 		}
 	}
 

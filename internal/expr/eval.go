@@ -213,6 +213,16 @@ func (ev *Evaluator) evalUnary(t *sqlparse.Unary, env Env) (value.Value, error) 
 		}
 		return value.Bool(!v.AsBool()), nil
 	case "-":
+		if v.Kind() == value.KindString {
+			// CSV text negates as the number arithmetic reads it as: storage's
+			// -x over a cell agrees with the server's over the typed cell.
+			if i, ok := intOperand(v); ok {
+				return value.Int(-i), nil
+			}
+			if f, ok := numOperand(v); ok {
+				return value.Float(-f), nil
+			}
+		}
 		switch v.Kind() {
 		case value.KindNull:
 			return v, nil

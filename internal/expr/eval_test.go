@@ -52,6 +52,8 @@ func TestArithmetic(t *testing.T) {
 		"' +5 ' * '2'":    value.Int(10),
 		"'1.5' * 2":       value.Float(3),
 		"'1e2' + 1":       value.Float(101),
+		"-'5'":            value.Int(-5), // a CSV cell negates as arithmetic reads it
+		"- -' 2.5 '":      value.Float(2.5),
 		"'a' || 'b'":      value.Str("ab"),
 		"1 || 'x'":        value.Str("1x"),
 		"2.5 % 1":         value.Float(0.5),
@@ -70,7 +72,7 @@ func TestArithmetic(t *testing.T) {
 func TestArithmeticErrors(t *testing.T) {
 	// Text is an operand only when the whole of it is a number, the rule
 	// comparison and CAST apply: a numeric prefix does not count.
-	for _, src := range []string{"1 / 0", "1 % 0", "1.0 / 0", "'a' + 1", "'12abc' + 1", "'1994-01-01' + 1", "'1e400' * 1", "'' + 1"} {
+	for _, src := range []string{"1 / 0", "1 % 0", "1.0 / 0", "'a' + 1", "'12abc' + 1", "'1994-01-01' + 1", "'1e400' * 1", "'' + 1", "-'12abc'", "-'1994-01-01'"} {
 		if evalErr(t, src, MapEnv{}) == nil {
 			t.Errorf("%s: expected error", src)
 		}

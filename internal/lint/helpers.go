@@ -19,7 +19,6 @@ const (
 	pkgHarness   = "pushdowndb/internal/harness"
 	pkgScanshare = "pushdowndb/internal/scanshare"
 	pkgVec       = "pushdowndb/internal/vec"
-	pkgObs       = "pushdowndb/internal/obs"
 )
 
 // scopeOf builds an InScope predicate admitting exactly the given paths.
@@ -165,8 +164,21 @@ func ctxParam(info *types.Info, fn ast.Node) (string, bool) {
 	return "", false
 }
 
+// meters reports a *cloudsim.Phase, or a step holding one: a struct with a
+// *cloudsim.Phase field, as the engine's span-bound step is.
+func meters(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Struct)
+	for i := 0; ok && i < s.NumFields(); i++ {
+		if isPhasePtr(s.Field(i).Type()) {
+			return true
+		}
+	}
+	return isPhasePtr(t)
+}
+
 // phaseVisible reports whether any of the functions declares — as a
-// parameter or a local, at or before pos — a *cloudsim.Phase.
+// parameter or a local, at or before pos — a *cloudsim.Phase or a step
+// holding one (meters).
 func phaseVisible(info *types.Info, fns []ast.Node, pos token.Pos) bool {
 	for _, fn := range fns {
 		found := false
@@ -175,7 +187,7 @@ func phaseVisible(info *types.Info, fns []ast.Node, pos token.Pos) bool {
 			if !isIdent {
 				return true
 			}
-			if obj := info.Defs[id]; obj != nil && id.Pos() < pos && isPhasePtr(obj.Type()) {
+			if obj := info.Defs[id]; obj != nil && id.Pos() < pos && meters(obj.Type()) {
 				found = true
 			}
 			return true

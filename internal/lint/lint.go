@@ -6,7 +6,8 @@
 //   - ctxflow: no context.Background()/TODO() in library code — per-request
 //     deadlines (PR 6) must reach every backend call.
 //   - metered: every s3api.Backend storage call in engine/index runs under
-//     an open *cloudsim.Phase — no S3 op escapes the cost model (PR 4/6).
+//     an open *cloudsim.Phase, or a step holding one — no S3 op escapes the
+//     cost model (PR 4/6).
 //   - errkind: errors born on backend paths carry an s3api.Kind — a naked
 //     fmt.Errorf surfaces at the server as "internal" (PR 6).
 //   - mapdeterminism: no order-sensitive work (float/string accumulation,
@@ -14,9 +15,9 @@
 //     paths — the byte-identical invariant (PR 2).
 //   - exactagg: no float64 accumulation where merge order can perturb
 //     results — aggregation merges through big.Float (PR 2).
-//   - spanphase: every cloudsim phase open in the engine has an *obs.Span
-//     declared before it — no execution phase invisible to query traces
-//     (PR 10).
+//   - spanphase: in the engine only step.go opens a cloudsim phase, each as
+//     a step bound to the trace span that reports it — no execution phase
+//     invisible to query traces, no stale span figures.
 //
 // See docs/ARCHITECTURE.md "Static analysis & invariants" for the rules
 // and the //lint:ignore suppression convention.

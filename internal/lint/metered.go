@@ -28,7 +28,8 @@ var meteredOps = map[string]bool{
 // what the engine actually did.
 //
 // The check is lexical: a *cloudsim.Phase parameter or local declared
-// before the call (in the function or any enclosing one) satisfies it.
+// before the call (in the function or any enclosing one) satisfies it, and
+// so does a step — a struct holding one, the engine's span-bound phase.
 // DB-level catalog reads that are documented as unmetered carry a
 // //lint:ignore metered suppression saying so. The layers of a backend's
 // select pipeline (rescache, scanshare) are out of scope, like s3api's own
@@ -56,7 +57,7 @@ func runMetered(pass *analysis.Pass) error {
 			return
 		}
 		pass.Reportf(call.Pos(),
-			"s3api.Backend.%s with no *cloudsim.Phase open in the enclosing function: this S3 operation escapes the cost model (open one via tablePhase/Metrics.Phase, or suppress a documented catalog read)",
+			"s3api.Backend.%s with no *cloudsim.Phase open in the enclosing function: this S3 operation escapes the cost model (run it on a step, or suppress a documented catalog read)",
 			name)
 	})
 	return nil

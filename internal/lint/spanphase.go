@@ -2,104 +2,44 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
+	"path/filepath"
 
 	"pushdowndb/internal/lint/analysis"
 )
 
-// Spanphase requires every cloudsim phase opened in the engine to have an
-// *obs.Span declared lexically before it in the enclosing function: the
-// span is how the phase's work becomes visible to query traces and EXPLAIN
-// ANALYZE. A phase opened with no span in scope is metered for billing but
-// invisible to tracing, so span trees silently drift from the phase table.
-//
-// A "phase open" is any call whose result is a *cloudsim.Phase —
-// Metrics.Phase, Metrics.PhaseProfile and the engine's own wrappers alike,
-// including counter-only re-opens (Metrics.Phase(...).AddServerRows(...)).
-// Functions that themselves return a *cloudsim.Phase are exempt: they are
-// phase-opening helpers (tablePhase) whose callers own the span.
+// stepFile is the one engine file that may open a cloudsim phase.
+const stepFile = "step.go"
+
+// Spanphase holds the engine to one place where cloudsim phases open: only
+// step.go may call a function whose result is a *cloudsim.Phase —
+// Metrics.Phase, Metrics.PhaseProfile or any wrapper of them. There every
+// phase opens as a step, bound to the trace span that reports its seconds
+// and dollars, so no execution phase is invisible to query traces and no
+// span's figures drift from the phase table. Everywhere else in the package
+// a phase is metered through the step that opened it, never re-opened by
+// name.
 var Spanphase = &analysis.Analyzer{
 	Name: "spanphase",
-	Doc: "require an *obs.Span declared before every cloudsim phase open in the " +
-		"engine so no execution phase is invisible to query traces",
+	Doc: "only internal/engine/step.go may open a cloudsim phase, each as a step " +
+		"bound to its trace span, so no execution phase is invisible to query traces",
 	InScope: scopeOf(pkgEngine),
 	Run:     runSpanphase,
 }
 
-func isSpanPtr(t types.Type) bool { return namedAs(t, pkgObs, "Span") }
-
-// spanVisible is phaseVisible's twin: does any enclosing function declare —
-// as a parameter or a local, at or before pos — an *obs.Span?
-func spanVisible(info *types.Info, fns []ast.Node, pos token.Pos) bool {
-	for _, fn := range fns {
-		found := false
-		ast.Inspect(fn, func(n ast.Node) bool {
-			id, isIdent := n.(*ast.Ident)
-			if !isIdent {
-				return true
-			}
-			if obj := info.Defs[id]; obj != nil && id.Pos() < pos && isSpanPtr(obj.Type()) {
-				found = true
+func runSpanphase(pass *analysis.Pass) error {
+	for _, f := range pass.Files {
+		if filepath.Base(pass.Fset.Position(f.Package).Filename) == stepFile {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if t := pass.Info.TypeOf(call); t != nil && isPhasePtr(t) {
+					pass.Reportf(call.Pos(),
+						"cloudsim phase opened outside %s: open it as a step there, bound to the span that reports it, and meter through that step", stepFile)
+				}
 			}
 			return true
 		})
-		if found {
-			return true
-		}
 	}
-	return false
-}
-
-// returnsPhase reports whether the function node's result list includes a
-// *cloudsim.Phase.
-func returnsPhase(info *types.Info, fn ast.Node) bool {
-	var ft *ast.FuncType
-	switch f := fn.(type) {
-	case *ast.FuncDecl:
-		ft = f.Type
-	case *ast.FuncLit:
-		ft = f.Type
-	default:
-		return false
-	}
-	if ft.Results == nil {
-		return false
-	}
-	for _, field := range ft.Results.List {
-		if t := info.TypeOf(field.Type); t != nil && isPhasePtr(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// opensPhase reports whether the call's (single) result is a
-// *cloudsim.Phase.
-func opensPhase(info *types.Info, call *ast.CallExpr) bool {
-	t := info.TypeOf(call)
-	return t != nil && isPhasePtr(t)
-}
-
-func runSpanphase(pass *analysis.Pass) error {
-	walk(pass.Files, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !opensPhase(pass.Info, call) {
-			return
-		}
-		fns := enclosingFuncs(stack)
-		// Phase-opening helpers return the phase for their caller to own;
-		// the span obligation travels with it.
-		for _, fn := range fns {
-			if returnsPhase(pass.Info, fn) {
-				return
-			}
-		}
-		if spanVisible(pass.Info, fns, call.Pos()) {
-			return
-		}
-		pass.Reportf(call.Pos(),
-			"cloudsim phase opened with no *obs.Span declared before it in the enclosing function: this execution phase is invisible to query traces (begin a span first, or suppress a documented case)")
-	})
 	return nil
 }

@@ -1,6 +1,7 @@
-// Fixture for the spanphase analyzer: cloudsim phase opens with and
-// without an *obs.Span declared first, the phase-returning-helper
-// exemption, closure visibility, and the suppression escape.
+// Fixture for the spanphase analyzer: outside step.go every call whose
+// result is a *cloudsim.Phase is a phase open, flagged whether or not a span
+// is in scope, through a wrapper or directly, and counter-only re-opens by
+// name too; metering through a step is not an open.
 package spanphase
 
 import (
@@ -8,57 +9,27 @@ import (
 	"pushdowndb/internal/obs"
 )
 
-// No span anywhere in the function: the phase is invisible to traces.
-func untraced(m *cloudsim.Metrics) {
-	phase := m.Phase("fixture scan", 0) // want `cloudsim phase opened with no \*obs\.Span declared before it`
-	phase.AddGetRequest(1)
-}
-
-// A span begun before the phase open satisfies the invariant.
-func traced(tr *obs.Trace, m *cloudsim.Metrics) {
+// A span in scope does not make an open outside step.go legal.
+func openedBesideASpan(tr *obs.Trace, m *cloudsim.Metrics) {
 	sp := tr.Root().Child("scan")
-	phase := m.Phase("fixture scan", 0)
+	phase := m.Phase("fixture scan", 0) // want `cloudsim phase opened outside step\.go`
 	phase.AddGetRequest(1)
 	sp.End()
 }
 
-// An *obs.Span parameter counts: the caller began it.
-func tracedByParam(sp *obs.Span, m *cloudsim.Metrics) {
-	m.Phase("fixture count", 1).AddServerRows(10)
-	sp.SetInt("rows", 10)
+// A by-name re-open to meter row work is an open.
+func reopenedByName(m *cloudsim.Metrics) {
+	m.Phase("fixture scan", 0).AddServerRows(10) // want `cloudsim phase opened outside step\.go`
 }
 
-// A span in an enclosing function is visible inside closures.
-func tracedInClosure(tr *obs.Trace, m *cloudsim.Metrics, keys []string) {
-	sp := tr.Root().Child("sweep")
-	for range keys {
-		open := func() *cloudsim.Metrics {
-			m.Phase("fixture part", 0).AddGetRequest(1)
-			return m
-		}
-		open()
-	}
-	sp.End()
+// Calling step.go's own opener is an open too: its result is the phase.
+func throughTheHelper(m *cloudsim.Metrics) {
+	openPhase(m, "fixture helper").AddGetRequest(1) // want `cloudsim phase opened outside step\.go`
 }
 
-// The declaration must precede the open: a span begun afterwards cannot
-// have covered it.
-func spanBegunTooLate(tr *obs.Trace, m *cloudsim.Metrics) {
-	m.Phase("fixture late", 0).AddServerRows(1) // want `cloudsim phase opened with no \*obs\.Span declared before it`
-	sp := tr.Root().Child("late")
-	sp.End()
-}
-
-// Functions returning a *cloudsim.Phase are phase-opening helpers: the
-// span obligation travels to their callers with the returned phase.
-func openHelper(m *cloudsim.Metrics, name string) *cloudsim.Phase {
-	return m.Phase(name, 0)
-}
-
-// Calling a helper is still an open site and still needs a span.
-func helperCallerUntraced(m *cloudsim.Metrics) {
-	phase := openHelper(m, "fixture helper") // want `cloudsim phase opened with no \*obs\.Span declared before it`
-	phase.AddGetRequest(1)
+// Metering through a step opened in step.go opens nothing.
+func meteredOnAStep(m *cloudsim.Metrics) {
+	newStep(m, "fixture scan").AddServerRows(10)
 }
 
 // The documented suppression escape.

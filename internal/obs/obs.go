@@ -77,7 +77,8 @@ type Span struct {
 	children []*Span
 }
 
-// Attr is one span attribute. Val is an int64, float64 or string.
+// Attr is one span attribute. Val is an int64, float64 or string, or a
+// func() float64 that Snapshot evaluates (SetFloatFunc).
 type Attr struct {
 	Key string
 	Val any
@@ -109,8 +110,17 @@ func (s *Span) End() {
 	s.tr.mu.Unlock()
 }
 
-// setAttr sets (replacing) the attribute under t.mu.
-func (s *Span) setAttr(key string, val any) {
+// EndErr ends the span, recording a non-nil err as its "error" attribute.
+func (s *Span) EndErr(err error) {
+	if s != nil && err != nil {
+		s.SetStr("error", err.Error())
+	}
+	s.End()
+}
+
+// setAttr sets (replacing) the attribute under t.mu. It takes the value
+// unboxed, so on a nil span nothing is boxed and nothing allocated.
+func setAttr[T any](s *Span, key string, v T) {
 	if s == nil {
 		return
 	}
@@ -118,21 +128,26 @@ func (s *Span) setAttr(key string, val any) {
 	defer s.tr.mu.Unlock()
 	for i := range s.attrs {
 		if s.attrs[i].Key == key {
-			s.attrs[i].Val = val
+			s.attrs[i].Val = v
 			return
 		}
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
+	s.attrs = append(s.attrs, Attr{Key: key, Val: v})
 }
 
 // SetInt sets an integer attribute (rows, bytes, partition counts).
-func (s *Span) SetInt(key string, v int64) { s.setAttr(key, v) }
+func (s *Span) SetInt(key string, v int64) { setAttr(s, key, v) }
 
 // SetFloat sets a float attribute (phase seconds, dollar cost).
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(key, v) }
+func (s *Span) SetFloat(key string, v float64) { setAttr(s, key, v) }
 
 // SetStr sets a string attribute (cache/share outcome, strategy, sql).
-func (s *Span) SetStr(key, v string) { s.setAttr(key, v) }
+func (s *Span) SetStr(key, v string) { setAttr(s, key, v) }
+
+// SetFloatFunc sets a float attribute read from f when the trace is
+// snapshotted, so a figure still accumulating after the span ends (its
+// phase's seconds and dollars) is read final. f must not touch the trace.
+func (s *Span) SetFloatFunc(key string, f func() float64) { setAttr(s, key, f) }
 
 // AddInt accumulates onto an integer attribute, creating it at v. Safe
 // under concurrent partition fan-outs (trace-mutex serialized).

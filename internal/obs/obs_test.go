@@ -93,6 +93,31 @@ func TestSpanTreeAndSnapshot(t *testing.T) {
 	}
 }
 
+// A float func is read at Snapshot, so work metered after the span ended is
+// in the figure; EndErr ends a span with its error recorded.
+func TestFloatFuncReadsAtSnapshot(t *testing.T) {
+	tr := New("q-f", "query")
+	sec := 0.25
+	sp := tr.Root().Child("scan")
+	sp.SetFloatFunc("sim_sec", func() float64 { return sec })
+	sp.EndErr(fmt.Errorf("boom"))
+	sec = 0.75
+	d := tr.Snapshot()
+	got := d.Find("scan")
+	if f, ok := got.Float("sim_sec"); !ok || f != 0.75 {
+		t.Errorf("sim_sec = %v,%v; want the value at Snapshot, 0.75", f, ok)
+	}
+	if e, _ := got.Str("error"); e != "boom" {
+		t.Errorf("error = %q, want boom", e)
+	}
+	if _, err := json.Marshal(d); err != nil {
+		t.Errorf("snapshot with a float func does not marshal: %v", err)
+	}
+	var nilSpan *Span
+	nilSpan.SetFloatFunc("x", func() float64 { return 1 })
+	nilSpan.EndErr(fmt.Errorf("ignored"))
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	tr := New("q-3", "query")
 	tr.Root().Child("scan").SetInt("rows", 7)

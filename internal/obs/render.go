@@ -58,6 +58,9 @@ func snapshotSpan(s *Span, origin, now time.Time) *SpanData {
 	if len(s.attrs) > 0 {
 		d.Attrs = make(map[string]any, len(s.attrs))
 		for _, a := range s.attrs {
+			if f, ok := a.Val.(func() float64); ok {
+				a.Val = f()
+			}
 			d.Attrs[a.Key] = a.Val
 			d.attrOrder = append(d.attrOrder, a.Key)
 		}

@@ -56,9 +56,6 @@ type Config struct {
 	// MaxBatch bounds how many distinct requests merge into one pass
 	// (default 16); a full batch fires before the window closes.
 	MaxBatch int
-	// MaxSQLBytes bounds the merged SQL's size (default
-	// selectengine.MaxSQLBytes, the S3 Select expression limit).
-	MaxSQLBytes int
 }
 
 // DefaultWindow is the batching window used when Config.Window is zero:
@@ -125,9 +122,6 @@ func New(cfg Config) *Coordinator {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 16
-	}
-	if cfg.MaxSQLBytes <= 0 {
-		cfg.MaxSQLBytes = selectengine.MaxSQLBytes
 	}
 	return &Coordinator{
 		cfg:      cfg,
@@ -279,7 +273,7 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 	// Join an open batch on the same object with a new predicate.
 	if cl, ok := c.open[obj]; ok && sel != nil && !cl.fired &&
 		len(cl.entries) < c.cfg.MaxBatch &&
-		cl.sqlLen+mergedSQLLen(sel) < c.cfg.MaxSQLBytes/2 &&
+		cl.sqlLen+mergedSQLLen(sel) < selectengine.MaxSQLBytes/2 &&
 		compatible(cl, req, sel) {
 		ent := &entry{req: req, sel: sel, waiters: 1}
 		cl.entries = append(cl.entries, ent)

@@ -24,6 +24,8 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT -x, 'it''s', 1.5e3, .5 FROM t WHERE a <> b",
 		"SELECT \"quoted col\" FROM t ORDER BY 1",
 		"SELECT * FROM t WHERE " + strings.Repeat("(", 2*maxExprDepth) + "a = 1" + strings.Repeat(")", 2*maxExprDepth),
+		"SELECT * FROM t WHERE " + strings.Repeat("NOT ", 600) + "a = 1",
+		"SELECT " + strings.Repeat("- ", 600) + "a FROM t",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -52,12 +52,12 @@ type parser struct {
 	parens, peak int
 }
 
-// maxExprDepth caps how deeply an expression may nest: parentheses, NOT and
-// unary-minus chains, call arguments, CASE arms. The parser recurses per
-// level (as does every walker over the tree it returns), so an unbounded
-// depth lets a few hundred KB of "((((" hold a request for seconds. The
-// figure is SQLite's default expression-depth limit; generated predicates
-// here nest a handful of levels.
+// maxExprDepth caps how deeply an expression may nest: parentheses, call
+// arguments, CASE arms, and the operator and prefix chains leftAssoc and
+// prefixed count. The parser recurses per level (as does every walker over
+// the tree it returns), so an unbounded depth lets a few hundred KB of "(((("
+// hold a request for seconds. The figure is SQLite's default expression-depth
+// limit; generated predicates here nest a handful of levels.
 const maxExprDepth = 1000
 
 // nest enters one expression nesting level; callers defer p.unnest().
@@ -408,22 +408,42 @@ func (p *parser) leftAssoc(operand func() (Expr, error), opAt func() (BinaryOp, 
 	}
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.isKeyword("NOT") {
+// prefixed parses a run of one prefix operator (NOT, unary minus) over its
+// operand, wrapping it once per operator. Like a leftAssoc chain the run is
+// counted, not recursed: a tree level per operator on top of the deepest
+// nesting under it, as its printed form nests one parenthesis per operator.
+func (p *parser) prefixed(at func() bool, operand func() (Expr, error), wrap func(Expr) Expr) (Expr, error) {
+	n := 0
+	for ; at(); n++ {
+		if p.depth-p.parens+n >= maxExprDepth {
+			return nil, p.errf("expression nests deeper than %d levels", maxExprDepth)
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if err := p.nest(); err != nil {
-			return nil, err
-		}
-		defer p.unnest()
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", X: x}, nil
 	}
-	return p.parsePredicate()
+	if n == 0 {
+		return operand()
+	}
+	outer := p.peak
+	p.peak = p.depth - p.parens
+	defer func() { p.peak = max(p.peak, outer) }()
+	x, err := operand()
+	if err != nil {
+		return nil, err
+	}
+	if p.peak += n; p.peak >= maxExprDepth {
+		return nil, p.errf("expression nests deeper than %d levels", maxExprDepth)
+	}
+	for ; n > 0; n-- {
+		x = wrap(x)
+	}
+	return x, nil
+}
+
+func (p *parser) parseNot() (Expr, error) {
+	return p.prefixed(func() bool { return p.isKeyword("NOT") }, p.parsePredicate,
+		func(x Expr) Expr { return &Unary{Op: "NOT", X: x} })
 }
 
 var compOps = map[string]BinaryOp{
@@ -557,36 +577,27 @@ func (p *parser) parseMult() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.isOp("-") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.nest(); err != nil {
-			return nil, err
-		}
-		defer p.unnest()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		// Fold negation of numeric literals so -950 is a Literal.
-		if lit, ok := x.(*Literal); ok {
-			switch lit.Val.Kind() {
-			case value.KindInt:
-				return &Literal{Val: value.Int(-lit.Val.AsInt())}, nil
-			case value.KindFloat:
-				f := -lit.Val.AsFloat()
-				if f == 0 {
-					// Normalize -0.0: it would print as "-0", which re-parses
-					// as the integer 0 (so printing would not round-trip).
-					f = 0
-				}
-				return &Literal{Val: value.Float(f)}, nil
+	return p.prefixed(func() bool { return p.isOp("-") }, p.parsePrimary, negate)
+}
+
+// negate wraps x in a unary minus, folding the negation of a numeric literal
+// so -950 is a Literal.
+func negate(x Expr) Expr {
+	if lit, ok := x.(*Literal); ok {
+		switch lit.Val.Kind() {
+		case value.KindInt:
+			return &Literal{Val: value.Int(-lit.Val.AsInt())}
+		case value.KindFloat:
+			f := -lit.Val.AsFloat()
+			if f == 0 {
+				// Normalize -0.0: it would print as "-0", which re-parses
+				// as the integer 0 (so printing would not round-trip).
+				f = 0
 			}
+			return &Literal{Val: value.Float(f)}
 		}
-		return &Unary{Op: "-", X: x}, nil
 	}
-	return p.parsePrimary()
+	return &Unary{Op: "-", X: x}
 }
 
 var aggFuncs = map[string]AggFunc{

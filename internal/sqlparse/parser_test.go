@@ -337,6 +337,10 @@ func TestChainLengthIsCapped(t *testing.T) {
 		"+":   func(n int) string { return chain(n, num, " + ") + " > 0" },
 		"*":   func(n int) string { return chain(n, num, " * ") + " > 0" },
 		"||":  func(n int) string { return chain(n, num, " || ") + " = 'x'" },
+		// A prefix run is a level per operator too, and prints as one pair
+		// of parentheses per level, not two.
+		"NOT":     func(n int) string { return "SELECT k FROM t WHERE " + strings.Repeat("NOT ", n-1) + "x = 1" },
+		"unary -": func(n int) string { return "SELECT k FROM t WHERE " + strings.Repeat("- ", n-1) + "x > 0" },
 		// The links count on top of what nests under them, and a
 		// parenthesised operand is no deeper than its tree.
 		"calls under +": func(n int) string {
