@@ -22,7 +22,7 @@ func (e *Exec) ServerSideFilter(table, predicate, projection string) (*Relation,
 // list (nil items keep every column).
 func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	defer e.scope("server filter " + table).end(nil)
-	rel, _, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
+	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func checkPushableAggs(aggs []GroupAgg, algo string) error {
 // (Fig. 5's baseline). filter may be empty.
 func (e *Exec) ServerSideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
 	defer e.scope("server groupby " + table).end(nil)
-	rel, _, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
+	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
 	if err != nil {
 		return nil, err
 	}

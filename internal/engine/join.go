@@ -73,7 +73,7 @@ func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) 
 	// The server-side filter pass touches every loaded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	rels, err := e.loadTables(stage, 1, js.LeftTable, js.RightTable)
+	rels, err := e.loadTables(stage, 1, Load{Table: js.LeftTable}, Load{Table: js.RightTable})
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,8 @@ func LimitLocal(rel *Relation, n int) *Relation {
 }
 
 // Concat appends the others' rows (columns must match in count), growing
-// the row slice once for all of them.
+// the row slice once for all of them. A relation with neither columns nor
+// rows — a zero-byte partition's — is skipped.
 func (r *Relation) Concat(others ...*Relation) error {
 	n := 0
 	for _, other := range others {
@@ -77,6 +78,9 @@ func (r *Relation) Concat(others ...*Relation) error {
 	}
 	r.Rows = slices.Grow(r.Rows, n)
 	for _, other := range others {
+		if len(other.Cols) == 0 && len(other.Rows) == 0 {
+			continue
+		}
 		if len(r.Cols) == 0 {
 			r.Cols = other.Cols
 		}

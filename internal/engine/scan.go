@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"unicode/utf8"
@@ -18,43 +19,52 @@ import (
 	"pushdowndb/internal/vec"
 )
 
+// Load names a table to load and the columns its plan reads. No Cols
+// loads every column.
+type Load struct {
+	Table string
+	Cols  []string
+}
+
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
 // each on its own "load <table>" phase, and returns them in argument
 // order — the opening move of the baseline plans.
-func (e *Exec) LoadTables(stage int, tables ...string) ([]*Relation, error) {
-	return e.loadTables(stage, 0, tables...)
+func (e *Exec) LoadTables(stage int, loads ...Load) ([]*Relation, error) {
+	return e.loadTables(stage, 0, loads...)
 }
 
 // loadTables is LoadTables metering, on each load's step, perRow units of
 // the server's row work per loaded row.
-func (e *Exec) loadTables(stage int, perRow int64, tables ...string) ([]*Relation, error) {
-	rels := make([]*Relation, len(tables))
-	loads := make([]func() error, len(tables))
-	for i, table := range tables {
-		loads[i] = func() (err error) {
-			rels[i], _, err = e.loadMetered("load "+table, stage, table, perRow)
+func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, error) {
+	rels := make([]*Relation, len(loads))
+	fns := make([]func() error, len(loads))
+	for i, l := range loads {
+		fns[i] = func() (err error) {
+			rels[i], _, err = e.loadMetered("load "+l.Table, stage, l, perRow)
 			return err
 		}
 	}
-	if err := concurrently(loads...); err != nil {
+	if err := concurrently(fns...); err != nil {
 		return nil, err
 	}
 	return rels, nil
 }
 
 // LoadTable fetches every partition with plain GETs and parses the CSV on
-// the server — the paper's "server-side" baseline path.
-func (e *Exec) LoadTable(phaseName string, stage int, table string) (*Relation, error) {
-	rel, _, err := e.loadMetered(phaseName, stage, table, 0)
+// the server — the paper's "server-side" baseline path. Only cols are
+// typed (all of them when none are named); the GETs, and their bill, are
+// whole either way.
+func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
+	rel, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0)
 	return rel, err
 }
 
 // loadMetered is LoadTable on a step of its own, which it returns after
 // metering there perRow units of the server's row work per loaded row: the
 // server-side baselines' pass over every row.
-func (e *Exec) loadMetered(name string, stage int, table string, perRow int64) (*Relation, step, error) {
-	st := e.step(name, name, stage, table)
-	rel, err := e.loadTable(st, table)
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64) (*Relation, step, error) {
+	st := e.step(name, name, stage, l.Table)
+	rel, err := e.loadTable(st, l.Table, l.Cols)
 	if err == nil {
 		st.AddServerRows(int64(len(rel.Rows)) * perRow)
 	}
@@ -63,7 +73,7 @@ func (e *Exec) loadMetered(name string, stage int, table string, perRow int64) (
 }
 
 // loadTable is LoadTable metered on st.
-func (e *Exec) loadTable(st step, table string) (*Relation, error) {
+func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -83,10 +93,14 @@ func (e *Exec) loadTable(st step, table string) (*Relation, error) {
 		if colformat.IsColumnar(data) {
 			// Columnar partitions decode straight into typed vectors; the
 			// CSV decoder would mis-parse the binary layout.
-			rels[i], err = fromColumnar(data, decodeWorkers)
-			return err
+			rels[i], err = fromColumnar(data, decodeWorkers, cols)
+		} else {
+			rels[i], err = decodeCSV(data, cols)
 		}
-		rels[i], err = decodeCSV(data)
+		if errors.Is(err, errNoColumn) {
+			err = s3api.NewError("get", e.db.bucket, key, s3api.KindBadRequest,
+				fmt.Errorf("engine: table %q: %w", table, err))
+		}
 		return err
 	})
 	out := &Relation{}
@@ -97,7 +111,45 @@ func (e *Exec) loadTable(st step, table string) (*Relation, error) {
 		return nil, err
 	}
 	st.sp.SetInt("rows", int64(len(out.Rows)))
+	st.sp.SetInt("cols", int64(len(out.Cols)))
 	return out, nil
+}
+
+// errNoColumn marks a load naming a column its table's header lacks.
+var errNoColumn = errors.New("no column")
+
+// prune narrows r.Cols, a partition's header, to the columns cols name —
+// case-insensitively, each to its first match, in header order — and
+// returns their header positions, ascending. No cols keeps every column,
+// and prune returns nil: every position (see at).
+func (r *Relation) prune(cols []string) ([]int, error) {
+	if len(cols) == 0 {
+		return nil, nil
+	}
+	keep := make([]int, 0, len(cols))
+	for _, c := range cols {
+		i := r.ColIndex(c)
+		if i < 0 {
+			return nil, fmt.Errorf("%w %q", errNoColumn, c)
+		}
+		keep = append(keep, i)
+	}
+	slices.Sort(keep)
+	keep = slices.Compact(keep)
+	names := make([]string, len(keep))
+	for j, i := range keep {
+		names[j] = r.Cols[i]
+	}
+	r.Cols = names
+	return keep, nil
+}
+
+// at is the header position of the j-th kept column; nil keep keeps all.
+func at(keep []int, j int) int {
+	if keep == nil {
+		return j
+	}
+	return keep[j]
 }
 
 // partWorkers is the worker budget of one partition's decode inside a
@@ -113,20 +165,25 @@ func (e *Exec) partWorkers(n int) int {
 }
 
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
-// layout) one row group at a time: the chunks' typed vectors are adopted as
-// a batch as they are and rendered to rows, each group's cut from one
+// layout) one row group at a time, reading only the chunks of the columns
+// cols name (every column when none): the chunks' typed vectors are adopted
+// as a batch as they are and rendered to rows, each group's cut from one
 // array. Rows come from decoded chunks, never from a count a footer claims.
-func fromColumnar(data []byte, workers int) (*Relation, error) {
+func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 	r, err := colformat.Open(data)
 	if err != nil {
 		return nil, err
 	}
 	rel := &Relation{Cols: r.Schema().Names()}
+	keep, err := rel.prune(cols)
+	if err != nil {
+		return nil, err
+	}
 	for g := 0; g < r.NumRowGroups(); g++ {
 		vecs := make([]*vec.Vector, len(rel.Cols))
 		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
 			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
-				vecs[c], _, err = r.ReadColumn(g, c)
+				vecs[c], _, err = r.ReadColumn(g, at(keep, c))
 			}
 			return err
 		})
@@ -141,18 +198,28 @@ func fromColumnar(data []byte, workers int) (*Relation, error) {
 }
 
 // decodeCSV types a CSV object's cells straight off the scanner: one pass,
-// no intermediate rows of strings. The scanner's fields are views of data,
+// no intermediate rows of strings, and only the cells of the columns cols
+// name (every column when none). The scanner's fields are views of data,
 // and a Relation outlives the GET that fetched it, so this is where loaded
-// rows come to own their bytes: the cells that stay text are copied into
-// the partition's chunks (numbers and dates hold no bytes at all) and rows
-// are windows of one array sized from the line count — an allocation per
-// chunk, not per row; a surviving row keeps its partition's array reachable.
-func decodeCSV(data []byte) (*Relation, error) {
+// rows come to own their bytes: the kept cells that stay text are copied
+// into the partition's chunks (numbers and dates hold no bytes at all) and
+// rows are windows of one array sized from the line count — an allocation
+// per chunk, not per row; a surviving row keeps its partition's array
+// reachable. A short row keeps the kept positions it reaches, a prefix of
+// them, so a lookup past its end misses as it would on the full row. A
+// zero-byte object has no header to prune: it decodes to no columns and no
+// rows.
+func decodeCSV(data []byte, cols []string) (*Relation, error) {
 	sc := csvx.NewScanner(data)
 	rel := &Relation{}
+	var keep []int
 	var cells arena.Slab[value.Value]
 	if sc.Scan() {
 		rel.Cols = csvx.CloneRow(sc.Fields())
+		var err error
+		if keep, err = rel.prune(cols); err != nil {
+			return nil, err
+		}
 		lines := bytes.Count(data, []byte{'\n'}) // the row count, unless cells hold newlines
 		rel.Rows = make([]Row, 0, lines)
 		// A cell takes a byte at least: linear in the object, wide header or not.
@@ -161,9 +228,15 @@ func decodeCSV(data []byte) (*Relation, error) {
 	var text []byte
 	var chunks arena.Text
 	for sc.Scan() {
-		row := cells.Make(len(sc.Fields()))
+		fields := sc.Fields()
+		n := len(fields)
+		if keep != nil {
+			n, _ = slices.BinarySearch(keep, n)
+		}
+		row := cells.Make(n)
 		text = text[:0]
-		for j, f := range sc.Fields() {
+		for j := range row {
+			f := fields[at(keep, j)]
 			row[j] = value.FromCSV(f)
 			if row[j].Kind() == value.KindString {
 				text = append(text, f...)

@@ -46,7 +46,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		for name, run := range map[string]func() error{
 			"FromStringsN": func() error { FromStringsN(cols, cells, 2); return nil },
 			"FromStrings":  func() error { vec.FromStrings(cols, cells, 2); return nil },
-			"decodeCSV":    func() error { _, err := decodeCSV(data); return err },
+			"decodeCSV":    func() error { _, err := decodeCSV(data, nil); return err },
 			"sortLocal":    func() error { _, err := sortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
@@ -143,7 +143,7 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 	cols, cells := ordersCells(40)
 	cells[7] = cells[7][:2] // ragged rows are windows too
 	checkRowsDoNotAlias(t, FromStringsN(cols, cells, 3))
-	rel, err := decodeCSV(csvx.Encode(cols, cells))
+	rel, err := decodeCSV(csvx.Encode(cols, cells), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func OptimalSampleSize(k int, n int64, alpha float64) int64 {
 // a bounded heap — the Fig. 9 baseline.
 func (e *Exec) ServerSideTopK(table, orderCol string, k int, asc bool) (*Relation, error) {
 	defer e.scope("server topk " + table).end(nil)
-	rel, load, err := e.loadMetered("load "+table, e.NextStage(), table, 1)
+	rel, load, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -296,14 +296,13 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 	// Fields are views of data (csvx.Scanner); they are read for as long as
 	// this call runs and no longer: everything that reaches the Result is
 	// copied on the way in (CloneRow here, executor.emit for rows).
+	// An object with no lines at all is a partition with no rows, header
+	// or not: the statement still runs, so an aggregate yields its one row.
 	sc := csvx.NewScanner(data)
 	more := sc.Scan()
 	var header []string
 	switch {
-	case req.HasHeader:
-		if !more {
-			return &Result{Stats: Stats{ExprNodes: nodes}}, sc.Err()
-		}
+	case req.HasHeader && more:
 		header = csvx.CloneRow(sc.Fields())
 		more = sc.Scan()
 	case more:

@@ -238,13 +238,25 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestEmptyObject: a zero-byte object is a partition with no rows, header
+// or not. The statement runs over them, so SELECT * returns nothing and an
+// aggregate its one row: COUNT 0, SUM NULL.
 func TestEmptyObject(t *testing.T) {
-	res, err := Execute(nil, Request{SQL: "SELECT * FROM S3Object", HasHeader: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 0 {
-		t.Errorf("rows = %v", res.Rows)
+	for _, hasHeader := range []bool{true, false} {
+		res, err := Execute(nil, Request{SQL: "SELECT * FROM S3Object", HasHeader: hasHeader})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Errorf("header=%v: SELECT * rows = %v", hasHeader, res.Rows)
+		}
+		res, err = Execute(nil, Request{SQL: "SELECT COUNT(*), SUM(a) FROM S3Object", HasHeader: hasHeader})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := [][]string{{"0", ""}}; !reflect.DeepEqual(res.Rows, want) {
+			t.Errorf("header=%v: COUNT(*), SUM(a) rows = %q, want %q", hasHeader, res.Rows, want)
+		}
 	}
 }
 

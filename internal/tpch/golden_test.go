@@ -99,6 +99,26 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".golden")
 }
 
+// checkGolden compares rel, rendered, with the golden file name, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, rel *engine.Relation) {
+	t.Helper()
+	got := renderGolden(rel)
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath(name), []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("answer drifted from golden\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestGoldenQueries(t *testing.T) {
 	db, _ := goldenDB(t)
 	if *updateGolden {
@@ -112,20 +132,26 @@ func TestGoldenQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderGolden(rel)
-			if *updateGolden {
-				if err := os.WriteFile(goldenPath(q.name), []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(goldenPath(q.name))
+			checkGolden(t, q.name, rel)
+		})
+	}
+}
+
+// TestBaselineGoldens pins each hand-written Baseline plan's answer on the
+// golden dataset. The benchmark's oracle runs these same functions, so it
+// cannot see a mistake in what their loads decode; these files can.
+//
+// Regenerate with: go test ./internal/tpch -run TestBaselineGoldens -update
+func TestBaselineGoldens(t *testing.T) {
+	db, _ := goldenDB(t)
+	for _, q := range Queries() {
+		name := "base_" + strings.ToLower(q.Name)
+		t.Run(name, func(t *testing.T) {
+			rel, _, err := q.Baseline(db)
 			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update): %v", err)
+				t.Fatal(err)
 			}
-			if got != string(want) {
-				t.Errorf("answer drifted from golden\ngot:\n%s\nwant:\n%s", got, want)
-			}
+			checkGolden(t, name, rel)
 		})
 	}
 }

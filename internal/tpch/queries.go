@@ -46,10 +46,12 @@ const q1Items = `l_returnflag, l_linestatus,
 	AVG(l_discount) AS avg_disc,
 	COUNT(*) AS count_order`
 
-// Q1Baseline loads lineitem in full and evaluates everything locally.
+// Q1Baseline GETs lineitem in full, types the seven columns it reads and
+// evaluates everything locally.
 func Q1Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem")
+	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem",
+		"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate")
 	if err != nil {
 		return nil, e, err
 	}
@@ -119,12 +121,15 @@ const (
 	q3GroupCols = "l_orderkey, o_orderdate, o_shippriority"
 )
 
-// Q3Baseline loads customer, orders and lineitem in full and runs both
-// joins, the group-by and the top-10 locally.
+// Q3Baseline GETs customer, orders and lineitem in full, types the columns
+// it reads and runs both joins, the group-by and the top-10 locally.
 func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	rels, err := e.LoadTables(stage, "customer", "orders", "lineitem")
+	rels, err := e.LoadTables(stage,
+		engine.Load{Table: "customer", Cols: []string{"c_custkey", "c_mktsegment"}},
+		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}},
+		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}})
 	if err != nil {
 		return nil, e, err
 	}
@@ -202,10 +207,11 @@ func q3Finish(e *engine.Exec, cust, ords, line *engine.Relation) (*engine.Relati
 const q6Filter = "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'" +
 	" AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
 
-// Q6Baseline loads lineitem and filters/aggregates locally.
+// Q6Baseline GETs lineitem in full and filters/aggregates locally.
 func Q6Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem")
+	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem",
+		"l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
 	if err != nil {
 		return nil, e, err
 	}
@@ -237,11 +243,13 @@ const (
 		" / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue"
 )
 
-// Q14Baseline loads lineitem and part in full, joins and aggregates locally.
+// Q14Baseline GETs lineitem and part in full, joins and aggregates locally.
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	rels, err := e.LoadTables(stage, "lineitem", "part")
+	rels, err := e.LoadTables(stage,
+		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}})
 	if err != nil {
 		return nil, e, err
 	}
@@ -284,12 +292,14 @@ func Q14Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 
 const q17PartFilter = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
 
-// Q17Baseline loads part and lineitem in full and computes the correlated
+// Q17Baseline GETs part and lineitem in full and computes the correlated
 // average locally.
 func Q17Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	rels, err := e.LoadTables(stage, "lineitem", "part")
+	rels, err := e.LoadTables(stage,
+		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_quantity", "l_extendedprice"}},
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container"}})
 	if err != nil {
 		return nil, e, err
 	}
@@ -354,12 +364,15 @@ const (
 	q19Items = "SUM(l_extendedprice * (1 - l_discount)) AS revenue"
 )
 
-// Q19Baseline loads both tables and evaluates the whole disjunctive
+// Q19Baseline GETs both tables in full and evaluates the whole disjunctive
 // predicate locally.
 func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
-	rels, err := e.LoadTables(stage, "lineitem", "part")
+	rels, err := e.LoadTables(stage,
+		engine.Load{Table: "lineitem", Cols: []string{
+			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"}},
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}})
 	if err != nil {
 		return nil, e, err
 	}
