@@ -28,7 +28,6 @@ type Filter struct {
 	m      int64  // bit-array length
 	n      int64  // hash modulus: smallest prime >= max(m, 2)
 	hashes [][2]int64
-	count  int64
 }
 
 // Params reports the k and m the paper's formulas give for s elements at
@@ -78,9 +77,6 @@ func (f *Filter) K() int { return len(f.hashes) }
 // M returns the bit-array length.
 func (f *Filter) M() int64 { return f.m }
 
-// Count returns how many elements were added.
-func (f *Filter) Count() int64 { return f.count }
-
 func (f *Filter) pos(h [2]int64, x int64) int64 {
 	p := ((h[0]*x + h[1]) % f.n) % f.m
 	if p < 0 {
@@ -95,7 +91,6 @@ func (f *Filter) Add(x int64) {
 		p := f.pos(h, x)
 		f.bits[p/8] |= 1 << uint(p%8)
 	}
-	f.count++
 }
 
 // Contains reports whether x may be in the set (no false negatives).

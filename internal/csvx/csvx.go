@@ -25,9 +25,6 @@ type Writer struct {
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// Offset returns the byte offset the next row will start at.
-func (w *Writer) Offset() int64 { return w.off }
-
 // WriteRow writes one row and returns the inclusive byte range [first, last]
 // of the row's bytes excluding the trailing newline, matching the paper's
 // |value|first_byte_offset|last_byte_offset| index-table convention.

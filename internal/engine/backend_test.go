@@ -15,7 +15,7 @@ import (
 	"pushdowndb/internal/store"
 )
 
-// --- forEachPart: stop-on-error and context cancellation (satellite) ---
+// --- forEachPart: cancellation on the first error and by the caller ---
 
 // gatedBackend wraps a backend so Get calls can be counted and stalled
 // until their context dies.
@@ -23,12 +23,12 @@ type gatedBackend struct {
 	s3api.Backend
 	gets    int32
 	stall   bool  // block Gets until ctx is done
-	failGet int32 // 1-indexed call number to fail on (0 = never)
+	failGet int32 // 1-indexed call number to fail (0 = never)
 }
 
 func (g *gatedBackend) Get(ctx context.Context, bucket, key string) ([]byte, error) {
 	n := atomic.AddInt32(&g.gets, 1)
-	if g.failGet > 0 && n >= g.failGet {
+	if n == g.failGet {
 		return nil, fmt.Errorf("injected get failure #%d on %s", n, key)
 	}
 	if g.stall {
@@ -55,54 +55,48 @@ func manyPartsDB(t *testing.T, g *gatedBackend, parts int) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.MaxScanParallel = 1
 	return db
 }
 
-// TestForEachPartStopsLaunchingAfterError: with serial fan-out, a failure
-// on the first partition must stop the remaining partitions from being
-// fetched at all (the seed ran every partition to completion).
-func TestForEachPartStopsLaunchingAfterError(t *testing.T) {
-	g := &gatedBackend{failGet: 1}
-	db := manyPartsDB(t, g, 16)
-	e := db.NewExec()
-	_, err := e.LoadTable("load", e.NextStage(), "wide")
-	if err == nil || !strings.Contains(err.Error(), "injected get failure") {
-		t.Fatalf("err = %v", err)
-	}
-	// The failing call plus at most one already-admitted launch.
-	if n := atomic.LoadInt32(&g.gets); n > 2 {
-		t.Errorf("%d partition GETs ran after the first failure; the fan-out must stop", n)
-	}
-}
-
-// TestCanceledContextAbortsScan: canceling the query context mid-scan must
-// abort a multi-partition load promptly, with the cancellation visible in
-// the returned error.
+// TestCanceledContextAbortsScan: the GETs of a multi-partition load stall
+// until their context dies. Canceling the query context mid-scan, or one
+// partition's GET failing, must release every call in flight promptly, with
+// the cause — the cancellation or the first error — in the returned error.
 func TestCanceledContextAbortsScan(t *testing.T) {
-	g := &gatedBackend{stall: true}
-	db := manyPartsDB(t, g, 16)
-	ctx, cancel := context.WithCancel(context.Background())
-	e := db.NewExecContext(ctx)
+	for _, tc := range []struct {
+		name    string
+		failGet int32
+		want    func(error) bool
+	}{
+		{"caller cancels", 0, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"first error cancels", 5, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "injected get failure #5")
+		}},
+	} {
+		g := &gatedBackend{stall: true, failGet: tc.failGet}
+		db := manyPartsDB(t, g, 16)
+		ctx, cancel := context.WithCancel(context.Background())
+		e := db.NewExecContext(ctx)
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.LoadTable("load", e.NextStage(), "wide")
-		done <- err
-	}()
-	// Let the first (stalled) partition start, then cancel.
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.LoadTable("load", e.NextStage(), "wide")
+			done <- err
+		}()
+		if tc.failGet == 0 {
+			// Let the stalled partitions start, then cancel.
+			time.Sleep(20 * time.Millisecond)
+			cancel()
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled scan did not return promptly")
-	}
-	if n := atomic.LoadInt32(&g.gets); n >= 16 {
-		t.Errorf("all %d partitions were fetched despite cancellation", n)
+		select {
+		case err := <-done:
+			if !tc.want(err) {
+				t.Fatalf("%s: err = %v", tc.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the stalled GETs were not released", tc.name)
+		}
+		cancel()
 	}
 }
 

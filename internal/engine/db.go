@@ -40,9 +40,6 @@ type DB struct {
 	// Sim maps this run onto the paper's testbed dimensions for the
 	// virtual clock and pricing (unit scale by default).
 	Sim cloudsim.Scale
-	// MaxScanParallel bounds concurrent partition requests (compute node
-	// connection limit). Zero means one goroutine per partition.
-	MaxScanParallel int
 
 	// vectorized selects the batched columnar local operators (the
 	// default). WithVectorized(false) pins the sequential row-at-a-time
@@ -254,9 +251,6 @@ func Open(bucket string, opts ...Option) (*DB, error) {
 	}
 	return db, nil
 }
-
-// Bucket returns the bucket name this DB reads tables from.
-func (db *DB) Bucket() string { return db.bucket }
 
 // baseTable maps an object-namespace name to the catalog table owning it:
 // index pseudo-tables ("t/_index/col") resolve to "t", so index objects

@@ -50,11 +50,16 @@ var diffQueries = []struct {
 	{"join2-filters", "SELECT COUNT(*) AS n FROM p JOIN ord ON p.pk = ord.pk WHERE score >= 50 AND amount < 100", false},
 	{"join3-groupby", "SELECT pname, COUNT(*) AS n FROM p JOIN ord ON p.pk = ord.pk JOIN item ON ord.ok = item.ok WHERE qty >= 1 GROUP BY pname ORDER BY pname", true},
 	{"join3-topk", "SELECT pname, qty FROM p JOIN ord ON p.pk = ord.pk JOIN item ON ord.ok = item.ok ORDER BY qty DESC, pname, ik LIMIT 6", true},
+	{"ragged-missing-cell", "SELECT rk FROM rag WHERE rd > '1994-06-01'", false},
+	{"ragged-star", "SELECT * FROM rag", false},
+	{"ragged-aggregate", "SELECT COUNT(*) AS n, COUNT(rd) AS nd, SUM(rv) AS s FROM rag", false},
+	{"ragged-topk", "SELECT rk, rv FROM rag ORDER BY rv DESC, rk LIMIT 3", true},
 }
 
-// diffRows builds the shared dataset, deliberately nasty: NULLs (empty CSV
+// diffLoad builds the shared dataset, deliberately nasty: NULLs (empty CSV
 // fields), NaN scores, numeric-looking zip strings that must not round-trip
-// as numbers, and names containing CSV metacharacters.
+// as numbers, names containing CSV metacharacters, and a ragged table whose
+// CSV partitions hold short rows and an over-long one.
 func diffLoad(t testing.TB, put s3api.Putter) {
 	t.Helper()
 	ctx := context.Background()
@@ -90,6 +95,14 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"1005", "106", "4"},
 		{"1006", "108", "7"},
 	}
+	ragged := [][]string{
+		{"1", "ann", "1994-01-01", "10"},
+		{"2", "bo"},                              // no rd, no rv: NULL
+		{"3", "cy", "1995-02-02", "30", "extra"}, // a cell past the header
+		{"4", "dee", "1996-03-03", ""},
+		{"5", "eve", "1997-04-04", "50"},
+		{"6"},
+	}
 	for _, tbl := range []struct {
 		name   string
 		header []string
@@ -99,6 +112,7 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"p", []string{"pk", "pname", "score", "zip"}, people, 3},
 		{"ord", []string{"ok", "pk", "amount", "tag"}, orders, 2},
 		{"item", []string{"ik", "ok", "qty"}, items, 2},
+		{"rag", []string{"rk", "rname", "rd", "rv"}, ragged, 2},
 	} {
 		if err := PartitionTableTo(ctx, put, diffBucket, tbl.name, tbl.header, tbl.rows, tbl.parts); err != nil {
 			t.Fatal(err)
@@ -277,5 +291,79 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialRaggedTable: a short row reads NULL past its end and an
+// over-long row's extra cell is not part of the row, so each filter over
+// the ragged table answers byte-identically on every path the planner can
+// choose — the pushed scan, the baseline load, the IndexScan and the
+// planner's own choice — and so does a join, under both operator sets.
+func TestDifferentialRaggedTable(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	diffLoad(t, s3api.NewInProc(st))
+	filters := []struct{ pred, proj, want string }{
+		{"rd > '1994-06-01'", "rk", "rk\n3\n4\n5"},
+		{"rk >= 1", "*", "rk|rname|rd|rv\n1|ann|1994-01-01|10\n2|bo||\n3|cy|1995-02-02|30\n4|dee|1996-03-03|\n5|eve|1997-04-04|50\n6|||"},
+		{"rv IS NULL", "rk, rname", ""},
+		{"rd IS NULL OR rv > 20", "rk, rv", ""},
+	}
+	for _, vectorized := range []bool{true, false} {
+		db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)), WithVectorized(vectorized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex(ctx, "rag", "rk"); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range filters {
+			sql := "SELECT " + f.proj + " FROM rag WHERE " + f.pred
+			planned, _, err := db.QueryContext(ctx, sql)
+			if err != nil {
+				t.Fatalf("vectorized=%v %s: %v", vectorized, sql, err)
+			}
+			want := render(planned, false)
+			if f.want != "" && want != f.want {
+				t.Errorf("vectorized=%v %s:\n%s\nwant\n%s", vectorized, sql, want, f.want)
+			}
+			for path, run := range map[string]func(e *Exec) (*Relation, error){
+				"pushed":   func(e *Exec) (*Relation, error) { return e.S3SideFilter("rag", f.pred, f.proj) },
+				"baseline": func(e *Exec) (*Relation, error) { return e.ServerSideFilter("rag", f.pred, f.proj) },
+				"index": func(e *Exec) (*Relation, error) {
+					rel, _, err := e.IndexScanFilter("rag", "rk", "rk >= 1 AND ("+f.pred+")", f.proj)
+					return rel, err
+				},
+			} {
+				rel, err := run(db.NewExecContext(ctx))
+				if err != nil {
+					t.Fatalf("vectorized=%v %s %s: %v", vectorized, path, sql, err)
+				}
+				if got := render(rel, false); got != want {
+					t.Errorf("vectorized=%v %s %s:\n%s\nplanned\n%s", vectorized, path, sql, got, want)
+				}
+			}
+		}
+		// An index on rd holds the short row's missing cell as NULL.
+		if err := db.CreateIndex(ctx, "rag", "rd"); err != nil {
+			t.Fatal(err)
+		}
+		if rel, _, err := db.NewExecContext(ctx).IndexScanFilter("rag", "rd", filters[0].pred, filters[0].proj); err != nil ||
+			render(rel, false) != filters[0].want {
+			t.Errorf("vectorized=%v IndexScanFilter on rd: %v, %v; want\n%s", vectorized, rel, err, filters[0].want)
+		}
+		const joinSQL = "SELECT rk, rname, rd, rv, pk, pname, score, zip FROM rag JOIN p ON rag.rk = p.pk WHERE rd > '1994-06-01'"
+		planned, _, err := db.QueryContext(ctx, joinSQL)
+		if err != nil {
+			t.Fatalf("vectorized=%v join: %v", vectorized, err)
+		}
+		baseline, err := db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "rag", RightTable: "p",
+			LeftKey: "rk", RightKey: "pk", LeftFilter: "rd > '1994-06-01'"})
+		if err != nil {
+			t.Fatalf("vectorized=%v BaselineJoin: %v", vectorized, err)
+		}
+		if got, want := render(baseline, false), render(planned, false); got != want || len(planned.Rows) != 3 {
+			t.Errorf("vectorized=%v BaselineJoin:\n%s\nplanned\n%s", vectorized, got, want)
+		}
 	}
 }

@@ -124,7 +124,7 @@ func sameRows(t *testing.T, name string, a, b *Relation) {
 // --- local operators ---
 
 func TestLocalOperators(t *testing.T) {
-	rel := FromStrings([]string{"a", "b"}, [][]string{{"3", "x"}, {"1", "y"}, {"2", "x"}})
+	rel := FromStringsN([]string{"a", "b"}, [][]string{{"3", "x"}, {"1", "y"}, {"2", "x"}}, 1)
 	f, err := FilterLocal(rel, "b = 'x'")
 	if err != nil || len(f.Rows) != 2 {
 		t.Fatalf("filter: %v, %v", f, err)
@@ -147,8 +147,8 @@ func TestLocalOperators(t *testing.T) {
 }
 
 func TestHashJoinLocal(t *testing.T) {
-	left := FromStrings([]string{"id", "name"}, [][]string{{"1", "a"}, {"2", "b"}, {"3", "c"}})
-	right := FromStrings([]string{"fk", "val"}, [][]string{{"2", "x"}, {"2", "y"}, {"9", "z"}})
+	left := FromStringsN([]string{"id", "name"}, [][]string{{"1", "a"}, {"2", "b"}, {"3", "c"}}, 1)
+	right := FromStringsN([]string{"fk", "val"}, [][]string{{"2", "x"}, {"2", "y"}, {"9", "z"}}, 1)
 	j, err := HashJoinLocal(left, right, "id", "fk")
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestHashJoinLocal(t *testing.T) {
 }
 
 func TestGroupByLocal(t *testing.T) {
-	rel := FromStrings([]string{"g", "v"}, [][]string{{"a", "1"}, {"b", "2"}, {"a", "3"}})
+	rel := FromStringsN([]string{"g", "v"}, [][]string{{"a", "1"}, {"b", "2"}, {"a", "3"}}, 1)
 	out, err := GroupByLocal(rel, "g", "g, SUM(v) AS s, COUNT(*) AS n")
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestLoadTableOwnsItsBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := want.Concat(FromStrings(header, rows)); err != nil {
+		if err := want.Concat(FromStringsN(header, rows, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

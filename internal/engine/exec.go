@@ -78,9 +78,6 @@ func (db *DB) NewExecContext(ctx context.Context) *Exec {
 // DB returns the owning database.
 func (e *Exec) DB() *DB { return e.db }
 
-// Context returns the execution's cancellation context.
-func (e *Exec) Context() context.Context { return e.ctx }
-
 // workers is the server-side parallelism budget local operators run with
 // (the cost model's Workers knob, capped at Cores).
 func (e *Exec) workers() int { return e.db.Cfg.WorkerBudget() }
@@ -157,15 +154,11 @@ func concurrently(fns ...func() error) error {
 	return nil
 }
 
-// forEachPart runs fn over every partition with bounded parallelism. The
-// first error cancels the shared context and stops new partitions from
-// launching; in-flight calls see the cancellation through ctx. Canceling
-// the execution's own context aborts the fan-out the same way.
+// forEachPart runs fn over every partition, one goroutine each, and waits
+// for all of them. The first error cancels the shared context, which the
+// calls still in flight see; canceling the execution's own context aborts
+// the fan-out the same way.
 func (e *Exec) forEachPart(keys []string, fn func(ctx context.Context, i int, key string) error) error {
-	limit := e.db.MaxScanParallel
-	if limit <= 0 || limit > len(keys) {
-		limit = len(keys)
-	}
 	ctx, cancel := context.WithCancel(e.ctx)
 	defer cancel()
 	var (
@@ -173,45 +166,23 @@ func (e *Exec) forEachPart(keys []string, fn func(ctx context.Context, i int, ke
 		mu       sync.Mutex
 		firstErr error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	sem := make(chan struct{}, limit)
-launch:
 	for i, k := range keys {
-		// Acquire a slot, bailing out as soon as the fan-out is canceled
-		// (by an earlier error or by the caller) instead of queuing more
-		// work behind it.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break launch
-		}
-		if ctx.Err() != nil {
-			break launch
-		}
 		wg.Add(1)
-		go func(i int, k string) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
 			if err := fn(ctx, i, k); err != nil {
-				fail(err)
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				cancel()
 			}
-		}(i, k)
+		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
+	if firstErr != nil {
+		return firstErr
 	}
-	// All launched work succeeded, but the caller's context may have
-	// stopped the loop before every partition ran.
 	return e.ctx.Err()
 }

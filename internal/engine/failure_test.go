@@ -195,25 +195,6 @@ func eventsDB(t *testing.T, parts int) *DB {
 	return openTestDB(t, st)
 }
 
-// TestSerialModeMatchesParallel pins MaxScanParallel=1 (the paper's serial
-// execution mode) and checks results and accounting match the parallel
-// mode.
-func TestSerialModeMatchesParallel(t *testing.T) {
-	db, _ := newTestDB(t)
-	par, err := db.NewExec().S3SideGroupBy("events", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.MaxScanParallel = 1
-	ser, err := db.NewExec().S3SideGroupBy("events", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if normGroups(par) != normGroups(ser) {
-		t.Error("serial mode changed results")
-	}
-}
-
 func TestS3SideGroupByRejectsTooManyGroups(t *testing.T) {
 	db, _ := newTestDB(t)
 	// Force an enormous CASE query by grouping on the (distinct) key

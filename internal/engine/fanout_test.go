@@ -15,11 +15,11 @@ import (
 // TestSiblingScansFinishBeforeOperatorReturns pins the fan-out contract of
 // concurrently: an operator whose one scan fails returns only after its
 // sibling scans have stopped. The left table's backend fails every GET at
-// once; the right table's sixteen partitions load one at a time behind a
-// stall, so when BaselineJoin reports the left failure the right load is
-// still early in its run. Every one of its GETs must nevertheless have
-// happened by then — a request issued after the return would add phases and
-// spans to an execution whose query is over.
+// once; each of the right table's sixteen partitions loads behind a stall,
+// so when BaselineJoin reports the left failure the right load is still
+// running. Every one of its GETs must nevertheless have happened by then — a
+// request issued after the return would add phases and spans to an
+// execution whose query is over.
 func TestSiblingScansFinishBeforeOperatorReturns(t *testing.T) {
 	ctx := context.Background()
 	const parts = 16
@@ -47,7 +47,6 @@ func TestSiblingScansFinishBeforeOperatorReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.MaxScanParallel = 1
 	_, err = db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "l", RightTable: "r", LeftKey: "k", RightKey: "k2"})
 	if err == nil || !strings.Contains(err.Error(), "injected left failure") {
 		t.Fatalf("BaselineJoin err = %v, want the left table's failure", err)

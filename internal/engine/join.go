@@ -167,7 +167,7 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 	if err := vec.RunSpans(sps, func(w int, sp vec.Span) error {
 		part := make([]int64, 0, sp.Hi-sp.Lo)
 		for i := sp.Lo; i < sp.Hi; i++ {
-			v := cell(left.Rows[i], li)
+			v := left.Rows[i][li]
 			if v.IsNull() {
 				continue
 			}

@@ -65,7 +65,13 @@ func writeTable(put func(key string, data []byte) error, table, format string, c
 		}
 		sizes[i] = int64(len(data))
 	}
-	return put(StatsKey(table), encodeTableStats(format, cols, nrows, sizes, sample))
+	// Each sample row is as wide as the header (value.CSVCell): "" is NULL.
+	shaped := make([][]string, len(sample))
+	for i, row := range sample {
+		shaped[i] = make([]string, len(cols))
+		copy(shaped[i], row)
+	}
+	return put(StatsKey(table), encodeTableStats(format, cols, nrows, sizes, shaped))
 }
 
 // PartitionTableColumnar writes rows as columnar (Parquet stand-in)

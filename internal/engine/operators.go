@@ -19,9 +19,10 @@ import (
 // row-at-a-time loop feeding expr.RowExec — the executor the S3 Select
 // engine runs on the storage side — whose answers the kernels must
 // reproduce byte for byte. The reference exists for the differential
-// batteries and the benchmark oracle (WithVectorized(false)) and as the
-// fallback for ragged relations, which the columnar layout cannot
-// represent — so it is written to be read, not to be fast. Query execution
+// batteries and the benchmark oracle (WithVectorized(false)), so it is
+// written to be read, not to be fast. Every relation the engine builds is
+// as wide as its header (value.CSVCell), so the kernels run on all of them
+// and a row's cells are indexed directly. Query execution
 // reaches the operators through one dispatch point (Exec.runOp); SQL text
 // is parsed once, by the front end or by the fragment parsers below, never
 // by an operator.
@@ -158,15 +159,6 @@ func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 	return cols
 }
 
-// cell returns row[i], or NULL when the row is too short to hold column i
-// (a ragged CSV partition): a missing cell is a lookup miss, never a panic.
-func cell(row Row, i int) value.Value {
-	if i >= len(row) {
-		return value.Null()
-	}
-	return row[i]
-}
-
 // fromVecRows adopts kernel output rows as a relation.
 func fromVecRows(cols []string, rows [][]value.Value) *Relation {
 	out := &Relation{Cols: cols, Rows: make([]Row, len(rows))}
@@ -194,9 +186,8 @@ func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
 	return keep
 }
 
-// batch decodes the columns the expressions reference into vectors; ok is
-// false for a ragged relation, which only the reference can run.
-func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) (*vec.Batch, bool) {
+// batch decodes the columns the expressions reference into vectors.
+func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) *vec.Batch {
 	return vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), o.Workers)
 }
 
@@ -207,17 +198,15 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 		return rel, nil
 	}
 	if o.Vectorized {
-		if b, ok := o.batch(rel, []sqlparse.Expr{pred}); ok {
-			idx, err := vec.Filter(b, pred, o.Workers)
-			if err != nil {
-				return nil, err
-			}
-			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
-			for k, i := range idx {
-				out.Rows[k] = rel.Rows[i]
-			}
-			return out, nil
+		idx, err := vec.Filter(o.batch(rel, []sqlparse.Expr{pred}), pred, o.Workers)
+		if err != nil {
+			return nil, err
 		}
+		out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
+		for k, i := range idx {
+			out.Rows[k] = rel.Rows[i]
+		}
+		return out, nil
 	}
 	cur := &rowEnv{rel: rel}
 	out := &Relation{Cols: rel.Cols}
@@ -234,13 +223,11 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 // Project evaluates the select items over each row, preserving row order.
 func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
 	if o.Vectorized {
-		if b, ok := o.projectionBatch(rel, items); ok {
-			out, err := vec.Project(b, &sqlparse.Select{Items: items}, o.Workers)
-			if err != nil {
-				return nil, err
-			}
-			return fromVecRows(out.Cols, out.ToRows()), nil
+		out, err := vec.Project(o.projectionBatch(rel, items), &sqlparse.Select{Items: items}, o.Workers)
+		if err != nil {
+			return nil, err
 		}
+		return fromVecRows(out.Cols, out.ToRows()), nil
 	}
 	cur := &rowEnv{rel: rel}
 	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, 0, len(rel.Rows))}
@@ -252,11 +239,12 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 
 // projectionBatch builds the batch a projection needs: the whole relation
 // when an item is *, only the referenced columns otherwise.
-func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) (*vec.Batch, bool) {
+func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) *vec.Batch {
 	exprs := make([]sqlparse.Expr, 0, len(items))
 	for _, it := range items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			return vec.FromRows(rel.Cols, rel.Rows, o.Workers)
+			b, _ := vec.FromRows(rel.Cols, rel.Rows, o.Workers)
+			return b
 		}
 		exprs = append(exprs, it.Expr)
 	}
@@ -267,13 +255,9 @@ func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) (
 // select items, one output row per group in first-seen group order.
 func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	if o.Vectorized {
-		if b, ok := o.batch(rel, append(sqlparse.ItemExprs(items), keys...)); ok {
-			cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
-			if err != nil {
-				return nil, err
-			}
-			return fromVecRows(cols, rows), nil
-		}
+		b := o.batch(rel, append(sqlparse.ItemExprs(items), keys...))
+		cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
+		return fromVecRows(cols, rows), err
 	}
 	cur := &rowEnv{rel: rel}
 	out := &Relation{Cols: itemCols(rel, items)}
@@ -304,9 +288,14 @@ func (cur *rowEnv) run(x *expr.RowExec) error {
 	return x.Finish()
 }
 
-// star is the reference's * expansion: the input row as it is, so ragged
-// rows stay ragged.
-func (cur *rowEnv) star(dst []value.Value) []value.Value { return append(dst, cur.row...) }
+// star is the reference's * expansion: one cell per column, as Lookup reads
+// them.
+func (cur *rowEnv) star(dst []value.Value) []value.Value {
+	n := len(dst)
+	dst = append(dst, make([]value.Value, len(cur.rel.Cols))...)
+	copy(dst[n:], cur.row)
+	return dst
+}
 
 // add is the RowExec emit callback that collects output rows into r; the
 // executor reuses vals, so the row is copied.
@@ -318,7 +307,7 @@ func (r *Relation) add(vals []value.Value) error {
 // HashJoin joins left (build side) and right (probe side) on equality of
 // the named key columns; the output concatenates both sides' columns, in
 // probe-row order with each probe row's matches in build-row order. NULL
-// keys — and the missing key cell of a short row — never match.
+// keys never match.
 func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
 	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
 	if li < 0 {
@@ -348,12 +337,12 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 	}
 	build := map[uint64][]int{}
 	for i, lrow := range left.Rows {
-		if k := cell(lrow, li); !k.IsNull() {
+		if k := lrow[li]; !k.IsNull() {
 			build[k.Hash()] = append(build[k.Hash()], i)
 		}
 	}
 	for _, rrow := range right.Rows {
-		k := cell(rrow, ri)
+		k := rrow[ri]
 		if k.IsNull() {
 			continue
 		}
@@ -366,12 +355,11 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 	return out, nil
 }
 
-// keyVector extracts column c of a relation as a vector (see cell for
-// short rows).
+// keyVector extracts column c of a relation as a vector.
 func keyVector(rel *Relation, c int) *vec.Vector {
 	vals := make([]value.Value, len(rel.Rows))
 	for i, r := range rel.Rows {
-		vals[i] = cell(r, c)
+		vals[i] = r[c]
 	}
 	return vec.FromValues(vals)
 }

@@ -16,23 +16,20 @@ import (
 // partial results merge in worker order, so the output is byte-identical
 // to the sequential (workers=1) run regardless of the budget.
 
-// FromStringsN is FromStrings with the per-cell CSV value typing
-// partitioned across workers goroutines (the loader's decode work). Each
-// worker's rows are windows of one array sized to its span's cells.
+// FromStringsN types CSV cells into a relation, the value typing
+// partitioned across workers goroutines (the loader's decode work). Every
+// row is as wide as cols (see value.CSVCell). Each worker's rows are windows
+// of one array sized to its span's cells.
 func FromStringsN(cols []string, rows [][]string, workers int) *Relation {
 	rel := &Relation{Cols: cols}
 	rel.Rows = make([]Row, len(rows))
 	_ = vec.RunSpans(vec.RowSpans(len(rows), workers), func(w int, sp vec.Span) error {
-		cells := 0
-		for _, r := range rows[sp.Lo:sp.Hi] {
-			cells += len(r)
-		}
 		var slab arena.Slab[value.Value]
-		slab.Grow(cells)
+		slab.Grow((sp.Hi - sp.Lo) * len(cols))
 		for i := sp.Lo; i < sp.Hi; i++ {
-			row := slab.Make(len(rows[i]))
-			for j, f := range rows[i] {
-				row[j] = value.FromCSV(f)
+			row := slab.Make(len(cols))
+			for j := range row {
+				row[j] = value.CSVCell(rows[i], j)
 			}
 			rel.Rows[i] = row
 		}

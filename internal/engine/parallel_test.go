@@ -27,7 +27,7 @@ func parallelTestRelation(n int) *Relation {
 			v,
 		}
 	}
-	return FromStrings([]string{"id", "g", "tie", "v"}, rows)
+	return FromStringsN([]string{"id", "g", "tie", "v"}, rows, 1)
 }
 
 // identicalRel fails unless a and b are byte-identical (columns, row order
@@ -97,7 +97,7 @@ func TestParallelOperatorsDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8, 33} {
 		identicalRel(t, fmt.Sprintf("fromstrings@%d", workers),
-			FromStrings(rel.Cols, cells), FromStringsN(rel.Cols, cells, workers))
+			FromStringsN(rel.Cols, cells, 1), FromStringsN(rel.Cols, cells, workers))
 
 		// The tie column exercises the (key, row index) total order: rows
 		// at the K boundary share key values.

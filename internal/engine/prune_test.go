@@ -19,7 +19,7 @@ import (
 
 // The pruned-load battery: LoadTable with named columns must return the full
 // load projected onto those columns — the kept header positions in table
-// order, each row cut to the kept positions it reaches — and bill exactly
+// order — and bill exactly
 // what the full load bills, over CSV and colformat partitions alike.
 
 const pruneBucket = "prune"
@@ -70,9 +70,7 @@ func project(rel *engine.Relation, cols []string) *engine.Relation {
 	for _, row := range rel.Rows {
 		cut := engine.Row{}
 		for _, i := range keep {
-			if i < len(row) {
-				cut = append(cut, row[i])
-			}
+			cut = append(cut, row[i])
 		}
 		out.Rows = append(out.Rows, cut)
 	}
@@ -136,10 +134,11 @@ func TestPrunedLoadIsProjectedFullLoad(t *testing.T) {
 	}
 }
 
-// TestPrunedLoadShortRowFailsAsFullLoad: the short row "2,bo" has no D. A
-// predicate on D must fail on the pruned load exactly as on the full one,
-// not see a NULL.
-func TestPrunedLoadShortRowFailsAsFullLoad(t *testing.T) {
+// TestPrunedLoadShortRowReadsNull: every loaded row is as wide as its
+// header. The short row "2,bo" reads D as NULL and the over-long row
+// "3,cy,x,1995-02-02,extra" drops its extra cell, on the full and the pruned
+// load alike, so a predicate on D sees the same rows on both.
+func TestPrunedLoadShortRowReadsNull(t *testing.T) {
 	db, err := engine.Open(pruneBucket, engine.WithBackend("s3sim", s3api.NewInProc(pruneStore(t))))
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +151,26 @@ func TestPrunedLoadShortRowFailsAsFullLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fullErr := engine.FilterLocal(full, "d > '1994-06-01'")
-	_, prunedErr := engine.FilterLocal(pruned, "d > '1994-06-01'")
-	if fullErr == nil || prunedErr == nil || fullErr.Error() != prunedErr.Error() {
-		t.Errorf("filter over the short row: full load %v, pruned load %v; want the same error", fullErr, prunedErr)
+	for _, rel := range []*engine.Relation{full, pruned} {
+		for _, row := range rel.Rows {
+			if len(row) != len(rel.Cols) {
+				t.Errorf("row %v is not as wide as its header %v", row, rel.Cols)
+			}
+		}
+		if d := rel.Rows[1][rel.ColIndex("d")]; !d.IsNull() {
+			t.Errorf("the short row's D = %v, want NULL", d)
+		}
+		got, err := engine.FilterLocal(rel, "d > '1994-06-01'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ks []string
+		for _, row := range got.Rows {
+			ks = append(ks, row[got.ColIndex("k")].String())
+		}
+		if strings.Join(ks, ",") != "3,4,5" {
+			t.Errorf("%v: D > '1994-06-01' keeps K %v, want 3,4,5", rel.Cols, ks)
+		}
 	}
 }
 

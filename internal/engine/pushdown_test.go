@@ -44,10 +44,11 @@ func loadPush(t testing.TB, st *store.Store, name string, header []string, kinds
 	for i, h := range header {
 		schema[i] = colformat.ColumnDef{Name: h, Kind: kinds[i]}
 	}
+	// A colformat row is as wide as its header, as a decoded CSV row is.
 	typed := make([][]value.Value, len(rows))
 	for i, r := range rows {
-		typed[i] = make([]value.Value, len(r))
-		for j, f := range r {
+		typed[i] = make([]value.Value, len(header))
+		for j, f := range r[:min(len(r), len(header))] {
 			var err error
 			switch {
 			case f == "":
@@ -605,15 +606,27 @@ var fuzzCells = func() [][]string {
 // fuzzInput encodes a table over nastyHeader — id is the row number, every
 // other cell one byte indexing its column's fuzzCells — behind two bytes
 // choosing the layout (partitions, format, operator set) and the statement.
+// A row may be ragged: endRow ends it before its column, and the last cell's
+// byte with pastHeader set adds a cell past the header.
 func fuzzInput(layout, statement byte, rows [][]string) []byte {
 	data := []byte{layout, statement}
 	for _, r := range rows {
-		for c, cell := range r[1:] {
-			data = append(data, byte(slices.Index(fuzzCells[c], cell)))
+		for c := range fuzzCells {
+			if c+1 >= len(r) {
+				data = append(data, endRow)
+				continue
+			}
+			b := byte(slices.Index(fuzzCells[c], r[c+1]))
+			if c == len(fuzzCells)-1 && len(r) > len(nastyHeader) {
+				b |= pastHeader
+			}
+			data = append(data, b)
 		}
 	}
 	return data
 }
+
+const endRow, pastHeader = 0xff, 0x80
 
 // FuzzSingleTablePushdown: bytes become a table of at most 300 rows of hostile
 // cells in 1 to 3 partitions, CSV or colformat, and one statement of test
@@ -626,10 +639,14 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		{"3", "a", "1.0", "00501", "web", "X"}, {"4", "a", "1e0", "501", "web", "X"}}
 	cycle := [][]string{{"1", "a", "9", "9", "web", "x"}, {"2", "a", "5x", "5x", "web", "x"}, {"3", "a", "10", "10", "web", "x"},
 		{"4", "a", "1998-12-01", "9", "web", "x"}}
+	ragged := [][]string{{"1", "a", "0", "00501", "web", "x"}, {"2", "a"}, {"3", "a", "1.0", "00501", "web", "X", "extra"},
+		{"4"}, {"5", "A", "9", "501", "web", "x"}}
 	for q := range pushStatements {
 		f.Add(fuzzInput(byte(q), byte(q), nastyRows()))
 		f.Add(fuzzInput(byte(q+3), byte(q), pair))
 		f.Add(fuzzInput(byte(q), byte(q), cycle))
+		f.Add(fuzzInput(byte(q), byte(q), ragged))
+		f.Add(fuzzInput(byte(q+3), byte(q), ragged))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -643,7 +660,13 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		for cells := data[2:]; len(cells) >= 5 && len(rows) < 300; cells = cells[5:] {
 			r := []string{fmt.Sprint(len(rows) + 1)}
 			for c, b := range cells[:5] {
-				r = append(r, fuzzCells[c][int(b)%len(fuzzCells[c])])
+				if b == endRow {
+					break
+				}
+				r = append(r, fuzzCells[c][int(b&^pastHeader)%len(fuzzCells[c])])
+			}
+			if len(r) == len(nastyHeader) && cells[4]&pastHeader != 0 {
+				r = append(r, "extra")
 			}
 			rows = append(rows, r)
 		}
@@ -654,7 +677,7 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		// as a float, text otherwise.
 		kinds := slices.Clone(nastyKinds)
 		for _, r := range rows {
-			for c, cell := range r {
+			for c, cell := range r[:min(len(r), len(kinds))] {
 				if _, err := value.CastFloat(value.Str(cell)); err != nil && c > 0 && cell != "" {
 					kinds[c] = value.KindString
 				}

@@ -143,7 +143,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 	}
 
 	// A grouped tail folds the scan's responses as typed vectors and never
-	// sees a row; a ragged response comes back as rows, for the row path.
+	// sees a row.
 	grouped := e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates())
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
 	rel, batches, err := e.selectDecoded(scan, table, pushedScan(sel, nil).String(), grouped)
@@ -152,9 +152,6 @@ func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if grouped {
-		if rel != nil {
-			e.parent().SetStr("row_fallback", "ragged")
-		}
 		return e.finishTail(sel, rel, batches)
 	}
 	if isSimple(sel) {

@@ -47,17 +47,17 @@ type rowEnv struct {
 	row Row
 }
 
+// Lookup reads a cell past the row's end as NULL (value.CSVCell's rule), so
+// a hand-built relation reads as a decoded one.
 func (e *rowEnv) Lookup(_, name string) (value.Value, bool) {
 	i := e.rel.ColIndex(name)
-	if i < 0 || i >= len(e.row) {
+	if i < 0 {
 		return value.Null(), false
 	}
+	if i >= len(e.row) {
+		return value.Null(), true
+	}
 	return e.row[i], true
-}
-
-// FromStrings builds a typed relation from select-engine results.
-func FromStrings(cols []string, rows [][]string) *Relation {
-	return FromStringsN(cols, rows, 1)
 }
 
 // LimitLocal truncates to n rows.

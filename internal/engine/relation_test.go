@@ -16,8 +16,8 @@ func TestColIndexCaseInsensitive(t *testing.T) {
 }
 
 func TestFromStringsTyping(t *testing.T) {
-	rel := FromStrings([]string{"i", "f", "d", "s", "n"},
-		[][]string{{"42", "2.5", "1994-01-01", "text", ""}})
+	rel := FromStringsN([]string{"i", "f", "d", "s", "n"},
+		[][]string{{"42", "2.5", "1994-01-01", "text", ""}}, 1)
 	row := rel.Rows[0]
 	kinds := []value.Kind{value.KindInt, value.KindFloat, value.KindDate, value.KindString, value.KindNull}
 	for i, k := range kinds {
@@ -37,7 +37,7 @@ func projectRef(rel *Relation, items string) (*Relation, error) {
 }
 
 func TestProjectLocalStar(t *testing.T) {
-	rel := FromStrings([]string{"a", "b"}, [][]string{{"1", "2"}})
+	rel := FromStringsN([]string{"a", "b"}, [][]string{{"1", "2"}}, 1)
 	out, err := projectRef(rel, "*, a + b AS s")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestProjectLocalStar(t *testing.T) {
 }
 
 func TestProjectLocalErrors(t *testing.T) {
-	rel := FromStrings([]string{"a"}, [][]string{{"1"}})
+	rel := FromStringsN([]string{"a"}, [][]string{{"1"}}, 1)
 	if _, err := projectRef(rel, "nosuch + 1"); err == nil {
 		t.Error("unknown column should error")
 	}
@@ -61,9 +61,9 @@ func TestProjectLocalErrors(t *testing.T) {
 }
 
 func TestSortLocalStableTies(t *testing.T) {
-	rel := FromStrings([]string{"k", "tag"}, [][]string{
+	rel := FromStringsN([]string{"k", "tag"}, [][]string{
 		{"1", "first"}, {"2", "x"}, {"1", "second"}, {"1", "third"},
-	})
+	}, 1)
 	out, err := SortLocal(rel, "k")
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +81,9 @@ func TestSortLocalStableTies(t *testing.T) {
 }
 
 func TestSortLocalMultiKey(t *testing.T) {
-	rel := FromStrings([]string{"a", "b"}, [][]string{
+	rel := FromStringsN([]string{"a", "b"}, [][]string{
 		{"2", "1"}, {"1", "9"}, {"2", "0"}, {"1", "3"},
-	})
+	}, 1)
 	out, err := SortLocal(rel, "a ASC, b DESC")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSortLocalMultiKey(t *testing.T) {
 }
 
 func TestSortLocalErrors(t *testing.T) {
-	rel := FromStrings([]string{"a"}, [][]string{{"1"}})
+	rel := FromStringsN([]string{"a"}, [][]string{{"1"}}, 1)
 	if _, err := SortLocal(rel, "nosuch"); err == nil {
 		t.Error("unknown sort column should error")
 	}
@@ -109,8 +109,8 @@ func TestSortLocalErrors(t *testing.T) {
 }
 
 func TestConcatArityMismatch(t *testing.T) {
-	a := FromStrings([]string{"x"}, [][]string{{"1"}})
-	b := FromStrings([]string{"x", "y"}, [][]string{{"1", "2"}})
+	a := FromStringsN([]string{"x"}, [][]string{{"1"}}, 1)
+	b := FromStringsN([]string{"x", "y"}, [][]string{{"1", "2"}}, 1)
 	if err := a.Concat(b); err == nil {
 		t.Error("arity mismatch should error")
 	}
@@ -132,9 +132,9 @@ func TestRelationStringTruncates(t *testing.T) {
 }
 
 func TestGroupByLocalCompositeAndExpressions(t *testing.T) {
-	rel := FromStrings([]string{"a", "b", "v"}, [][]string{
+	rel := FromStringsN([]string{"a", "b", "v"}, [][]string{
 		{"x", "1", "10"}, {"x", "2", "20"}, {"x", "1", "30"}, {"y", "1", "40"},
-	})
+	}, 1)
 	out, err := GroupByLocal(rel, "a, b", "a, b, SUM(v) AS s")
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func TestAggregateLocalEmptyInput(t *testing.T) {
 }
 
 func TestHashJoinLocalNullKeys(t *testing.T) {
-	left := FromStrings([]string{"k", "l"}, [][]string{{"", "a"}, {"1", "b"}})
-	right := FromStrings([]string{"k2", "r"}, [][]string{{"", "x"}, {"1", "y"}})
+	left := FromStringsN([]string{"k", "l"}, [][]string{{"", "a"}, {"1", "b"}}, 1)
+	right := FromStringsN([]string{"k2", "r"}, [][]string{{"", "x"}, {"1", "y"}}, 1)
 	out, err := HashJoinLocal(left, right, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestQuickFilterPartition(t *testing.T) {
 		for i, v := range vals {
 			rows[i] = []string{value.Int(int64(v)).String()}
 		}
-		rel := FromStrings([]string{"x"}, rows)
+		rel := FromStringsN([]string{"x"}, rows, 1)
 		pred := "x <= " + value.Int(int64(threshold)).String()
 		yes, err1 := FilterLocal(rel, pred)
 		no, err2 := FilterLocal(rel, "NOT ("+pred+")")
@@ -215,7 +215,7 @@ func TestQuickTopKMatchesSortLimit(t *testing.T) {
 		for i, v := range vals {
 			rows[i] = []string{value.Int(int64(v)).String()}
 		}
-		rel := FromStrings([]string{"x"}, rows)
+		rel := FromStringsN([]string{"x"}, rows, 1)
 		top, err := topKLocal(rel, "x", k, true)
 		if err != nil {
 			return false

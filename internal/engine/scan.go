@@ -156,13 +156,7 @@ func at(keep []int, j int) int {
 // fan-out over n partitions, whose decodes already run concurrently: the
 // budget splits across the fan-out, so total decode concurrency matches the
 // Cores budget the cost model prices.
-func (e *Exec) partWorkers(n int) int {
-	fanout := e.db.MaxScanParallel
-	if fanout <= 0 || fanout > n {
-		fanout = n
-	}
-	return max(e.workers()/fanout, 1)
-}
+func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
 // layout) one row group at a time, reading only the chunks of the columns
@@ -205,8 +199,7 @@ func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 // into the partition's chunks (numbers and dates hold no bytes at all) and
 // rows are windows of one array sized from the line count — an allocation
 // per chunk, not per row; a surviving row keeps its partition's array
-// reachable. A short row keeps the kept positions it reaches, a prefix of
-// them, so a lookup past its end misses as it would on the full row. A
+// reachable. Every row is as wide as the kept header (value.CSVCell). A
 // zero-byte object has no header to prune: it decodes to no columns and no
 // rows.
 func decodeCSV(data []byte, cols []string) (*Relation, error) {
@@ -229,17 +222,11 @@ func decodeCSV(data []byte, cols []string) (*Relation, error) {
 	var chunks arena.Text
 	for sc.Scan() {
 		fields := sc.Fields()
-		n := len(fields)
-		if keep != nil {
-			n, _ = slices.BinarySearch(keep, n)
-		}
-		row := cells.Make(n)
+		row := cells.Make(len(rel.Cols))
 		text = text[:0]
 		for j := range row {
-			f := fields[at(keep, j)]
-			row[j] = value.FromCSV(f)
-			if row[j].Kind() == value.KindString {
-				text = append(text, f...)
+			if row[j] = value.CSVCell(fields, at(keep, j)); row[j].Kind() == value.KindString {
+				text = append(text, row[j].AsString()...)
 			}
 		}
 		if owned := chunks.String(text); owned != "" {
@@ -275,45 +262,38 @@ func (e *Exec) selectMetered(name string, stage int, table, sql string, perRow i
 }
 
 // selectDecoded runs sql on every partition of table, metered on st, and
-// decodes the responses. For a consumer that folds vectors (typed) each
-// response becomes a vec.Batch inside the fan-out, where LoadTable decodes
-// too, and no row is built; a ragged response — all vec.FromStrings refuses
-// — or a row consumer gets the relation instead, and nil batches.
+// decodes each response inside the fan-out, where LoadTable decodes too: to
+// a vec.Batch for a consumer that folds vectors (typed), and no row is
+// built, or to rows for the rest, concatenated in partition order into the
+// relation. The other result is nil.
 func (e *Exec) selectDecoded(st step, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
-	var batches []*vec.Batch
-	var each func(int, *selectengine.Result)
-	if typed {
-		keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
-		batches = make([]*vec.Batch, len(keys))
-		workers := e.partWorkers(len(keys))
-		each = func(i int, res *selectengine.Result) {
-			dec := st.sp.Child("decode")
-			batches[i], _ = vec.FromStrings(res.Columns, res.Rows, workers)
-			dec.SetInt("rows", int64(len(res.Rows)))
-			dec.End()
+	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
+	batches := make([]*vec.Batch, len(keys))
+	rels := make([]*Relation, len(keys))
+	workers := e.partWorkers(len(keys))
+	_, err := e.selectOnParts(st, table, sql, func(i int, res *selectengine.Result) {
+		dec := st.sp.Child("decode")
+		if typed {
+			batches[i] = vec.FromStrings(res.Columns, res.Rows, workers)
+		} else {
+			rels[i] = FromStringsN(res.Columns, res.Rows, workers)
 		}
-	}
-	results, err := e.selectOnParts(st, table, sql, each)
+		dec.SetInt("rows", int64(len(res.Rows)))
+		dec.End()
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	var out *Relation
-	if batches == nil || slices.Contains(batches, nil) {
-		batches, out = nil, &Relation{}
-		dec := st.sp.Child("decode")
-		rels := make([]*Relation, len(results))
-		for i, res := range results {
-			rels[i] = FromStringsN(res.Columns, res.Rows, e.workers())
-		}
-		if err := out.Concat(rels...); err != nil {
-			dec.EndErr(err)
-			return nil, nil, err
-		}
-		dec.SetInt("rows", int64(len(out.Rows)))
-		dec.End()
+	if typed {
+		st.sp.SetInt("rows", int64(inputRows(nil, batches)))
+		return nil, batches, nil
 	}
-	st.sp.SetInt("rows", int64(inputRows(out, batches)))
-	return out, batches, nil
+	out := &Relation{}
+	if err := out.Concat(rels...); err != nil {
+		return nil, nil, err
+	}
+	st.sp.SetInt("rows", int64(len(out.Rows)))
+	return out, nil, nil
 }
 
 // limitPerPart appends to sql a per-partition LIMIT under which table's

@@ -42,7 +42,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
 		data := csvx.Encode(cols, cells)
-		rel := FromStrings(cols, cells)
+		rel := FromStringsN(cols, cells, 1)
 		for name, run := range map[string]func() error{
 			"FromStringsN": func() error { FromStringsN(cols, cells, 2); return nil },
 			"FromStrings":  func() error { vec.FromStrings(cols, cells, 2); return nil },
@@ -148,7 +148,7 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, rel)
-	if want := FromStrings(cols, cells); !reflect.DeepEqual(rel, want) {
+	if want := FromStringsN(cols, cells, 1); !reflect.DeepEqual(rel, want) {
 		t.Errorf("decodeCSV and FromStrings disagree:\n got %v\nwant %v", rel.Rows, want.Rows)
 	}
 }

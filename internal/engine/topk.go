@@ -192,7 +192,7 @@ func topKLocalN(rel *Relation, orderCol string, k int, asc bool, workers int) (*
 		h := &topRowHeap{col: idx, asc: asc}
 		for i := sp.Lo; i < sp.Hi; i++ {
 			r := rel.Rows[i]
-			if cell(r, idx).IsNull() {
+			if r[idx].IsNull() {
 				continue
 			}
 			h.offer(topRow{idx: i, row: r}, k)

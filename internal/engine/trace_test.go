@@ -197,9 +197,6 @@ func TestTraceGroupedScanShape(t *testing.T) {
 	if in, _ := op.Int("rows_in"); in != 900 {
 		t.Errorf("groupby rows_in = %d, want 900", in)
 	}
-	if _, fellBack := tr.Snapshot().Find("select").Str("row_fallback"); fellBack {
-		t.Error("row_fallback set on a rectangular response")
-	}
 }
 
 // TestTraceConcurrentIsolation runs 8 traced queries at once against one

@@ -10,7 +10,6 @@ import (
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/localfs"
-	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/store"
@@ -247,7 +246,7 @@ func TestProbeStatsColumnar(t *testing.T) {
 // TestOperatorEdgeCases pins operator-level edge cases the vec package's
 // own differential tests cannot reach, on both operator sets: the
 // nil-predicate identity, the empty-input aggregate synthesis and the
-// ragged-relation fallback to the reference.
+// short-row rule over a ragged relation.
 func TestOperatorEdgeCases(t *testing.T) {
 	ref, vecOps := Operators{}, Operators{Vectorized: true, Workers: 2}
 	rel := &Relation{
@@ -289,20 +288,22 @@ func TestOperatorEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Ragged rows must take the reference's short-row semantics (a missing
-	// cell is a lookup miss) via fallback.
-	ragged := &Relation{
-		Cols: []string{"a", "b"},
-		Rows: []Row{
-			{value.Int(1), value.Str("x")},
-			{value.Int(2)},
-		},
-	}
-	pred, err := parsePredicate("a >= 1")
+	// A ragged relation follows the short-row rule (value.CSVCell): decoded,
+	// a short row reads NULL past its end and an over-long row's extra cell
+	// is not part of it, so the kernels equal the reference. Hand-built, the
+	// reference reads it the same way.
+	cols := []string{"a", "b"}
+	decoded := FromStringsN(cols, [][]string{{"1", "x"}, {"2"}, {"3", "y", "extra"}}, 1)
+	handBuilt := &Relation{Cols: cols, Rows: []Row{
+		{value.Int(1), value.Str("x")},
+		{value.Int(2)},
+		{value.Int(3), value.Str("y"), value.Str("extra")},
+	}}
+	pred, err := parsePredicate("a >= 2 AND b IS NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, err := parseItems("b, a + 1 AS a1")
+	items, err := parseItems("b, a + 1 AS a1, *")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,37 +311,40 @@ func TestOperatorEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, op := range map[string]func(Operators) (*Relation, error){
-		"filter":  func(o Operators) (*Relation, error) { return o.Filter(ragged, pred) },
-		"project": func(o Operators) (*Relation, error) { return o.Project(ragged, items) },
-		"groupby": func(o Operators) (*Relation, error) { return o.GroupBy(ragged, keys, groupItems) },
+	for name, op := range map[string]func(Operators, *Relation) (*Relation, error){
+		"filter":  func(o Operators, rel *Relation) (*Relation, error) { return o.Filter(rel, pred) },
+		"project": func(o Operators, rel *Relation) (*Relation, error) { return o.Project(rel, items) },
+		"groupby": func(o Operators, rel *Relation) (*Relation, error) { return o.GroupBy(rel, keys, groupItems) },
 	} {
-		vecOut, vecErr := op(vecOps)
-		refOut, refErr := op(ref)
-		if fmt.Sprint(vecErr) != fmt.Sprint(refErr) {
+		vecOut, vecErr := op(vecOps, decoded)
+		refOut, refErr := op(ref, decoded)
+		if vecErr != nil || refErr != nil {
 			t.Fatalf("ragged %s: vec err %v, reference err %v", name, vecErr, refErr)
-		}
-		if refErr != nil {
-			// Evaluating the missing cell itself is the reference's
-			// unknown-column error, not a panic.
-			if name == "filter" {
-				t.Errorf("ragged filter: %v", refErr)
-			}
-			continue
 		}
 		if v, r := render(vecOut, false), render(refOut, false); v != r {
 			t.Errorf("ragged %s: vec\n%s\nreference\n%s", name, v, r)
 		}
+		if name == "filter" {
+			// Filter hands back its input's rows as they are.
+			continue
+		}
+		if hand, err := op(ref, handBuilt); err != nil || render(hand, false) != render(refOut, false) {
+			t.Errorf("ragged %s over a hand-built relation: %v, %v; want\n%s", name, hand, err, render(refOut, false))
+		}
+	}
+	if got := render(decoded, true); got != "a|b\n1|x\n2|\n3|y" {
+		t.Errorf("decoded ragged relation:\n%s", got)
 	}
 }
 
 // TestRaggedRowsDoNotPanic is the operator-level regression for the daemon
-// crash: a short row's missing join key or top-K order cell is a NULL — the
-// row never matches and never ranks — on both operator sets and at every
-// worker count, where it used to index out of range on a worker goroutine.
+// crash: decoded, a short row's missing join key or top-K order cell is a
+// NULL — the row never matches and never ranks — on both operator sets and
+// at every worker count, where it used to index out of range on a worker
+// goroutine.
 func TestRaggedRowsDoNotPanic(t *testing.T) {
-	left := FromStrings([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
-	right := FromStrings([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}})
+	left := FromStringsN([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}}, 1)
+	right := FromStringsN([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}}, 1)
 	const want = "1 | 10 | 10 | x\n3 | 30 | 30 | y\n1 | 10 | 10 | z\n"
 	for name, o := range map[string]Operators{
 		"reference": {}, "vectorized@1": {Vectorized: true, Workers: 1}, "vectorized@4": {Vectorized: true, Workers: 4},
@@ -377,7 +381,7 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 			t.Errorf("topKLocalN@%d over ragged rows = %q", workers, got)
 		}
 	}
-	short := &Relation{Cols: []string{"a", "k"}, Rows: []Row{{value.Int(1), value.Int(5)}, {value.Int(2)}, {value.Int(3), value.Int(7)}}}
+	short := FromStringsN([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}}, 1)
 	if lit, err := kthValue(short, "k", 2, true); err != nil || lit != "7" {
 		t.Errorf("kthValue over ragged rows = %q, %v; want 7", lit, err)
 	}
@@ -387,6 +391,8 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 // regression: partitions holding a short row go through LoadTable into the
 // baseline join and the server-side top-K on both operator sets, which must
 // agree — the short rows' missing keys match and rank nowhere — and not panic.
+// The loader's statistics objects hold the short rows too, shaped to the
+// header, so the planner reads both tables from them.
 func TestRaggedObjectEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	st := store.New()
@@ -418,6 +424,15 @@ func TestRaggedObjectEndToEnd(t *testing.T) {
 		}
 		if got := render(top, true); got != wantTop {
 			t.Errorf("vectorized=%v ServerSideTopK:\n%s\nwant\n%s", vectorized, got, wantTop)
+		}
+		plan, _, err := db.PlanContext(ctx, "SELECT a, w FROM l JOIN r ON l.k = r.k2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range plan.Scans {
+			if sc.StatsSource != StatsFromObject {
+				t.Errorf("vectorized=%v: %s planned from %q, want %q", vectorized, sc.Table, sc.StatsSource, StatsFromObject)
+			}
 		}
 	}
 }
@@ -482,8 +497,8 @@ var foldStatements = []string{
 }
 
 // raggedSelects grows the last row of one partition's select response by a
-// cell, in a copy (responses are shared): ragged, the one input the typed
-// decode refuses, and to the row path the same rows.
+// cell, in a copy (responses are shared): a cell past the header, which no
+// decoder makes part of the row.
 type raggedSelects struct {
 	s3api.Backend
 	part string
@@ -505,18 +520,15 @@ func (r raggedSelects) Select(ctx context.Context, bucket, key string, req selec
 // decoded to typed vectors per partition and folded into one group table —
 // against the reference operators over the same responses, in every
 // composition of the select pipeline, over CSV and columnar partitions and
-// the empty table, cold and warm, and with a ragged response, which sends
-// the statement down the row path and says so on the trace.
+// the empty table, cold and warm, and with a ragged response.
 func TestFoldedScanDifferential(t *testing.T) {
 	st := foldFixture(t)
-	answer := func(db *DB, sql string) (string, *obs.TraceData) {
-		tr := obs.New("q", sql)
-		rel, _, err := db.QueryContext(obs.WithTrace(context.Background(), tr), sql)
-		tr.Finish()
+	answer := func(db *DB, sql string) string {
+		rel, _, err := db.QueryContext(context.Background(), sql)
 		if err != nil {
-			return "error: " + err.Error(), tr.Snapshot()
+			return "error: " + err.Error()
 		}
-		return render(rel, true), tr.Snapshot()
+		return render(rel, true)
 	}
 	for _, comp := range compositions {
 		for _, ragged := range []string{"", store.PartitionKey("f", 2)} {
@@ -529,21 +541,11 @@ func TestFoldedScanDifferential(t *testing.T) {
 			for _, table := range []string{"f", "fc", "e"} {
 				for _, stmt := range foldStatements {
 					sql := fmt.Sprintf(stmt, table)
-					want, _ := answer(reference, sql)
+					want := answer(reference, sql)
 					for _, run := range []string{"cold", "warm"} {
-						got, trace := answer(folded, sql)
+						got := answer(folded, sql)
 						if got != want {
 							t.Errorf("%s ragged=%q %s (%s):\nfolded:\n%s\nreference:\n%s", comp.name, ragged, sql, run, got, want)
-						}
-						fellBack := false
-						trace.Walk(func(sp *obs.SpanData, _ int) {
-							if v, ok := sp.Str("row_fallback"); ok && v == "ragged" {
-								fellBack = true
-							}
-						})
-						// A response with no row has none to grow.
-						if fellBack != (ragged != "" && table == "f" && !strings.Contains(sql, "s > 1000")) {
-							t.Errorf("%s ragged=%q %s (%s): row_fallback on the trace: %v", comp.name, ragged, sql, run, fellBack)
 						}
 					}
 				}
@@ -561,7 +563,7 @@ func TestFoldedScanDifferential(t *testing.T) {
 		"SELECT g, COUNT(*) AS n FROM e GROUP BY g":                                          "g|n\n",
 		"SELECT SUM(x) AS t FROM fc":                                                         `error: expr: SUM over non-numeric "12abc"`,
 	} {
-		if got, _ := answer(db, sql); got != want {
+		if got := answer(db, sql); got != want {
 			t.Errorf("%s:\n%s\nwant\n%s", sql, got, want)
 		}
 	}

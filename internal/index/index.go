@@ -191,12 +191,12 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 	}
 	var rows []idxRow
 	for sc.Scan() {
-		fields := sc.Fields()
-		if col >= len(fields) {
-			return nil, fmt.Errorf("index: row with %d fields, column %q is #%d", len(fields), column, col+1)
+		var cell string // a short row's missing cell is NULL, as value.CSVCell reads it
+		if fields := sc.Fields(); col < len(fields) {
+			cell = fields[col]
 		}
 		first, last := sc.Range()
-		rows = append(rows, idxRow{key: value.FromCSV(fields[col]), val: fields[col], first: first, last: last})
+		rows = append(rows, idxRow{key: value.FromCSV(cell), val: cell, first: first, last: last})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

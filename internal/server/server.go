@@ -181,10 +181,6 @@ func New(db *engine.DB, cfg Config) *Server {
 	return s
 }
 
-// Ledger exposes the per-tenant cost ledger (the harness and the stats
-// endpoint both read it).
-func (s *Server) Ledger() *cloudsim.Ledger { return s.ledger }
-
 // Handler returns the HTTP surface: POST /query, GET /stats, GET
 // /healthz, GET /metrics (unless disabled), GET /debug/trace/<id>, and
 // GET /debug/pprof/ when enabled.

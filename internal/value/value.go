@@ -136,9 +136,6 @@ func (v Value) Days() int64 {
 	return v.i
 }
 
-// IsNumeric reports whether the value is INT or FLOAT.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
-
 // Num returns the value as a float64 for arithmetic, coercing INT and DATE.
 // NULL and non-numeric kinds return (0, false).
 func (v Value) Num() (float64, bool) {
@@ -263,6 +260,17 @@ func FromCSV(field string) Value {
 		return n
 	}
 	return Str(field)
+}
+
+// CSVCell types cell j of a CSV row with FromCSV. This is the one short-row
+// rule every decoder applies, and the select engine too: a row is as wide
+// as its header, so a cell missing from the end of a short row is NULL and
+// a cell past the header is never read.
+func CSVCell(fields []string, j int) Value {
+	if j >= len(fields) {
+		return Null()
+	}
+	return FromCSV(fields[j])
 }
 
 // ParseNum is the one string-to-number conversion: it returns what

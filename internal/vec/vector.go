@@ -247,13 +247,13 @@ func (b *Batch) ColIndex(name string) int {
 }
 
 // FromRows builds a batch from row-major values: FromRowsProjected over
-// every column.
+// every column. ok is always true.
 func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, bool) {
 	keep := make([]int, len(cols))
 	for i := range keep {
 		keep[i] = i
 	}
-	return FromRowsProjected(cols, rows, keep, workers)
+	return FromRowsProjected(cols, rows, keep, workers), true
 }
 
 // columnVector builds one column's vector straight from row-major input,
@@ -269,17 +269,10 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 // FromRowsProjected builds a batch from the columns keep (indices into
 // allCols) of row-major values: only those columns are decoded into
 // vectors, which is what makes vectorized filtering cheap on wide
-// relations — a predicate over 2 of 16 columns converts 2, not 16. ok is
-// false when the rows are ragged (some row length differs from the column
-// count); ragged relations keep the row path's lookup-miss semantics, so
-// callers must fall back to row-at-a-time execution. Generic over the row
-// type so the engine's []Row passes without reslicing.
-func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) (*Batch, bool) {
-	for _, r := range rows {
-		if len(r) != len(allCols) {
-			return nil, false
-		}
-	}
+// relations — a predicate over 2 of 16 columns converts 2, not 16. Every
+// row is as wide as allCols. Generic over the row type so the engine's
+// []Row passes without reslicing.
+func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) *Batch {
 	cols := make([]string, len(keep))
 	vecs := make([]*Vector, len(keep))
 	RunSpans(colSpans(len(keep), workers), func(w int, sp Span) error {
@@ -292,7 +285,7 @@ func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int,
 	})
 	b := NewBatch(cols, vecs)
 	b.n = len(rows)
-	return b, true
+	return b
 }
 
 // ToRows materializes the batch row-major.
