@@ -34,7 +34,7 @@ func (w *Writer) WriteRow(fields []string) (first, last int64, err error) {
 		if i > 0 {
 			w.buf = append(w.buf, ',')
 		}
-		w.buf = appendField(w.buf, f)
+		w.buf = AppendField(w.buf, f)
 	}
 	rowLen := int64(len(w.buf))
 	w.buf = append(w.buf, '\n')
@@ -47,19 +47,31 @@ func (w *Writer) WriteRow(fields []string) (first, last int64, err error) {
 	return first, last, nil
 }
 
-func appendField(buf []byte, f string) []byte {
-	if !strings.ContainsAny(f, ",\"\n\r") {
+// AppendField appends f to buf as one field: verbatim, or double-quoted with
+// "" escapes when it holds a comma, a quote or a line break.
+func AppendField[T string | []byte](buf []byte, f T) []byte {
+	quote := false
+	for i := 0; i < len(f) && !quote; i++ {
+		quote = f[i] == ',' || f[i] == '"' || f[i] == '\n' || f[i] == '\r'
+	}
+	if !quote {
 		return append(buf, f...)
 	}
 	buf = append(buf, '"')
 	for i := 0; i < len(f); i++ {
 		if f[i] == '"' {
-			buf = append(buf, '"', '"')
-		} else {
-			buf = append(buf, f[i])
+			buf = append(buf, '"')
 		}
+		buf = append(buf, f[i])
 	}
 	return append(buf, '"')
+}
+
+// RowBound is how many rows a count claimed for a body of width-cell rows
+// may presize: no more than the body can hold, a row taking a byte per cell
+// at least (its separators and its line end).
+func RowBound(body []byte, width int, claimed int64) int {
+	return int(max(0, min(claimed, int64(len(body)/max(width, 1)))))
 }
 
 // Encode renders rows (with optional header) to a byte slice.

@@ -68,7 +68,7 @@ func hostileObjects(t testing.TB) []struct {
 func TestHostileColumnarObjectsAreErrors(t *testing.T) {
 	for _, h := range hostileObjects(t) {
 		if res, err := selectengine.Execute(h.data, selectengine.Request{SQL: "SELECT k, s FROM S3Object WHERE s > 'a'"}); err == nil {
-			t.Errorf("%s: Execute returned %q, want an error", h.name, res.Rows)
+			t.Errorf("%s: Execute returned %q, want an error", h.name, res.Body)
 		}
 		// No chunk is read for this one, so a self-consistent footer is
 		// believed; it must still not crash.
@@ -111,9 +111,9 @@ func TestFromColumnarMatchesSelectStar(t *testing.T) {
 					got[i] = append(got[i], v.String())
 				}
 			}
-			if !reflect.DeepEqual(rel.Cols, res.Columns) || !reflect.DeepEqual(got, res.Rows) {
+			if want := recordsOf(t, res); !reflect.DeepEqual(rel.Cols, res.Columns) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("compress=%v workers=%d: fromColumnar and SELECT * disagree:\n got %v %v\nwant %v %v",
-					compress, workers, rel.Cols, got, res.Columns, res.Rows)
+					compress, workers, rel.Cols, got, res.Columns, want)
 			}
 			checkRowsDoNotAlias(t, rel)
 		}

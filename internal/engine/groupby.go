@@ -332,8 +332,12 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		if err != nil {
 			return err
 		}
+		rows, err := res.Records()
+		if err != nil {
+			return err
+		}
 		mu.Lock()
-		for _, r := range res.Rows {
+		for _, r := range rows {
 			counts[r[0]]++
 		}
 		mu.Unlock()

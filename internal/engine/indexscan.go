@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/index"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
@@ -187,7 +187,11 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable, valuePred string) (data
 	}
 	partRanges = make([][][2]int64, len(results))
 	for i, res := range results {
-		if partRanges[i], err = index.ParseRanges(res.Rows); err != nil {
+		rows, err := res.Records()
+		if err == nil {
+			partRanges[i], err = index.ParseRanges(rows)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("engine: %s: %w", idxKeys[i], err)
 		}
 	}
@@ -226,14 +230,15 @@ func (e *Exec) indexFetch(table, column, valuePred string, pol fetchPolicy) (*Re
 	}
 
 	// Hop 2: every data partition with matching byte ranges has them fetched
-	// and metered under pol, under a "fetch <key>" child of the step's span;
-	// the CSV fragments decode to rows, concatenated in partition order under
-	// the table's header.
+	// and metered under pol, under a "fetch <key>" child of the step's span.
+	// The fragments are rows of the object with no header: copied in
+	// partition order into one body of the query's own, a line each, they
+	// decode under the table's header as a select response does.
 	stage2 := e.NextStage()
 	fetch := e.step(fetchSpan, fetchName, stage2, table)
 	backend := e.db.backendFor(table)
 	var gets atomic.Int64
-	partRows := make([][][]string, len(dataKeys))
+	bodies := make([][]byte, len(dataKeys))
 	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
 		ranges := partRanges[i]
 		if len(ranges) == 0 {
@@ -275,23 +280,20 @@ func (e *Exec) indexFetch(table, column, valuePred string, pol fetchPolicy) (*Re
 			}
 		}
 		for _, frag := range frags {
-			_, rows, err := csvx.Decode(frag, false)
-			if err != nil {
-				return err
-			}
-			partRows[i] = append(partRows[i], rows...)
+			bodies[i] = append(append(bodies[i], frag...), '\n')
 		}
 		return nil
 	})
 	var out *Relation
 	if err == nil {
-		out = FromStringsN(header, slices.Concat(partRows...), e.workers())
-		if pol == fetchCoalesced {
-			candidates := int64(len(out.Rows))
-			fetch.AddServerRows(candidates)
-			fetch.sp.SetInt("rows", candidates)
-			fetch.sp.SetInt("gets", gets.Load())
-		}
+		body := slices.Concat(bodies...)
+		out, err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}))
+	}
+	if err == nil && pol == fetchCoalesced {
+		candidates := int64(len(out.Rows))
+		fetch.AddServerRows(candidates)
+		fetch.sp.SetInt("rows", candidates)
+		fetch.sp.SetInt("gets", gets.Load())
 	}
 	fetch.end(err)
 	if err != nil {
@@ -618,10 +620,11 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 		counts = make([]int64, len(sums))
 		cs.stats = cloudsim.PlanTableStats{Partitions: len(results), Columnar: len(results) > 0}
 		for _, res := range results {
-			if len(res.Rows) != 1 || len(res.Rows[0]) != len(sums) {
+			rows, err := res.Records()
+			if err != nil || len(rows) != 1 || len(rows[0]) != len(sums) {
 				return cs, false, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
 			}
-			for i, f := range res.Rows[0] {
+			for i, f := range rows[0] {
 				n, _ := value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
 				counts[i] += n
 			}

@@ -27,7 +27,7 @@ func parallelTestRelation(n int) *Relation {
 			v,
 		}
 	}
-	return FromStringsN([]string{"id", "g", "tie", "v"}, rows, 1)
+	return relOf([]string{"id", "g", "tie", "v"}, rows)
 }
 
 // identicalRel fails unless a and b are byte-identical (columns, row order
@@ -48,7 +48,7 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 // TestParallelOperatorsDeterministic pins what still runs on the worker
 // pool against its sequential form: the vectorized kernels at 1, 2, 8 and
 // 33 workers must reproduce the sequential reference byte for byte, and
-// topKLocalN and FromStringsN must not depend on the worker count.
+// topKLocalN must not depend on the worker count.
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
@@ -89,16 +89,7 @@ func TestParallelOperatorsDeterministic(t *testing.T) {
 		}
 	}
 
-	cells := make([][]string, len(rel.Rows))
-	for i, r := range rel.Rows {
-		for _, v := range r {
-			cells[i] = append(cells[i], v.String())
-		}
-	}
 	for _, workers := range []int{2, 3, 8, 33} {
-		identicalRel(t, fmt.Sprintf("fromstrings@%d", workers),
-			FromStringsN(rel.Cols, cells, 1), FromStringsN(rel.Cols, cells, workers))
-
 		// The tie column exercises the (key, row index) total order: rows
 		// at the K boundary share key values.
 		for _, tc := range []struct {

@@ -183,24 +183,24 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	for _, x := range exprs {
 		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
 	}
-	res, st, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
+	rows, st, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
 	if err == nil {
-		st.sp.SetInt("matched", int64(len(res.Rows)))
+		st.sp.SetInt("matched", int64(len(rows)))
 	}
 	st.end(err)
 	if err != nil {
 		ap.NotPushed = "the keys do not evaluate over the sample: " + err.Error()
 		return -1
 	}
-	filtered = ts.scaled(int64(len(res.Rows)))
+	filtered = ts.scaled(int64(len(rows)))
 	for i := ordered; i < len(exprs); i++ {
-		if !oneClass(res.Rows, i) {
+		if !oneClass(rows, i) {
 			ap.NotPushed = fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[i])
 			return filtered
 		}
 	}
 	if kind == PushedTopK {
-		if ap.NotPushed = topKPush(sel, exprs[0], res.Rows, ap); ap.push != nil {
+		if ap.NotPushed = topKPush(sel, exprs[0], rows, ap); ap.push != nil {
 			ap.push.estRows = ts.scaled(ap.push.estRows)
 		}
 		return filtered
@@ -219,7 +219,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	seen := map[string]int{}
 	var groups [][]string
 	var counts []int
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		r = r[:nkeys]
 		tuple := strings.Join(r, "\x00")
 		g, ok := seen[tuple]

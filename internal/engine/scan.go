@@ -155,7 +155,13 @@ func at(keep []int, j int) int {
 // partWorkers is the worker budget of one partition's decode inside a
 // fan-out over n partitions, whose decodes already run concurrently: the
 // budget splits across the fan-out, so total decode concurrency matches the
-// Cores budget the cost model prices.
+// Cores budget the cost model prices. That budget (cloudsim.Config.Workers,
+// capped at Cores) is the server's worker pool: the paper's compute node is
+// a 32-core r4.8xlarge, and pushdown only pays off against a server that is
+// itself well-utilized, so row work (columnar chunk decode, top-K heaps,
+// Bloom keys, join materialization, the vec kernels) splits across it. Each
+// worker owns a contiguous ascending row range and partial results merge in
+// worker order, so the output is byte-identical to the workers=1 run.
 func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
@@ -242,6 +248,26 @@ func decodeCSV(data []byte, cols []string) (*Relation, error) {
 	return rel, sc.Err()
 }
 
+// decodeRows types CSV rows with no header line under cols — a select
+// response's body, or the rows an IndexScan fetched by range — by
+// decodeCSV's rule, every row as wide as cols (value.CSVCell). Rows are
+// windows of one slab grown for about n of them; text cells view body, which
+// its owner never modifies.
+func decodeRows(cols []string, body []byte, n int) (*Relation, error) {
+	rel := &Relation{Cols: cols, Rows: make([]Row, 0, n)}
+	var cells arena.Slab[value.Value]
+	cells.Grow(min(n*len(cols), len(body)))
+	sc := csvx.NewScanner(body)
+	for sc.Scan() {
+		row := cells.Make(len(cols))
+		for j := range row {
+			row[j] = value.CSVCell(sc.Fields(), j)
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel, sc.Err()
+}
+
 // SelectRows runs sql on every partition of table and concatenates the
 // returned rows into a typed relation.
 func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
@@ -262,24 +288,24 @@ func (e *Exec) selectMetered(name string, stage int, table, sql string, perRow i
 }
 
 // selectDecoded runs sql on every partition of table, metered on st, and
-// decodes each response inside the fan-out, where LoadTable decodes too: to
-// a vec.Batch for a consumer that folds vectors (typed), and no row is
-// built, or to rows for the rest, concatenated in partition order into the
-// relation. The other result is nil.
+// decodes each response's body once, inside the fan-out, where LoadTable
+// decodes too: to a vec.Batch for a consumer that folds vectors (typed), and
+// no row is built, or to rows for the rest, concatenated in partition order
+// into the relation. The other result is nil.
 func (e *Exec) selectDecoded(st step, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
 	batches := make([]*vec.Batch, len(keys))
 	rels := make([]*Relation, len(keys))
-	workers := e.partWorkers(len(keys))
-	_, err := e.selectOnParts(st, table, sql, func(i int, res *selectengine.Result) {
+	_, err := e.selectOnParts(st, table, sql, func(i int, res *selectengine.Result) (err error) {
 		dec := st.sp.Child("decode")
+		defer dec.End()
+		dec.SetInt("rows", res.Stats.RowsReturned)
 		if typed {
-			batches[i] = vec.FromStrings(res.Columns, res.Rows, workers)
+			batches[i], err = vec.FromCSV(res.Columns, res.Body, res.Stats.RowsReturned)
 		} else {
-			rels[i] = FromStringsN(res.Columns, res.Rows, workers)
+			rels[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), res.Stats.RowsReturned))
 		}
-		dec.SetInt("rows", int64(len(res.Rows)))
-		dec.End()
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -325,14 +351,18 @@ func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge [
 		states[i] = expr.NewAggState(fn)
 	}
 	for _, res := range results {
-		if len(res.Rows) != 1 {
-			return nil, fmt.Errorf("engine: aggregate select returned %d rows", len(res.Rows))
+		rows, err := res.Records()
+		if err != nil {
+			return nil, err
 		}
-		if len(res.Rows[0]) != len(merge) {
+		if len(rows) != 1 {
+			return nil, fmt.Errorf("engine: aggregate select returned %d rows", len(rows))
+		}
+		if len(rows[0]) != len(merge) {
 			return nil, fmt.Errorf("engine: aggregate select returned %d columns, expected %d",
-				len(res.Rows[0]), len(merge))
+				len(rows[0]), len(merge))
 		}
-		for j, f := range res.Rows[0] {
+		for j, f := range rows[0] {
 			if err := states[j].Add(value.FromCSV(f)); err != nil {
 				return nil, err
 			}

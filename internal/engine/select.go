@@ -21,8 +21,8 @@ import (
 // capabilities) and returns the per-partition results, metered on st. Each
 // partition select becomes a child span of st's. each, when non-nil, sees
 // partition i's response inside the fan-out: a consumer's decode,
-// overlapping the selects still in flight.
-func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *selectengine.Result)) ([]*selectengine.Result, error) {
+// overlapping the selects still in flight; its error fails the fan-out.
+func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -37,7 +37,7 @@ func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *s
 		}
 		results[i] = res
 		if each != nil {
-			each(i, res)
+			return each(i, res)
 		}
 		return nil
 	})
@@ -80,7 +80,7 @@ func (e *Exec) doSelect(ctx context.Context, st step, sel s3api.Selector, key st
 		}
 		sp.SetStr("share", share)
 	}
-	sp.SetInt("rows", int64(len(res.Rows)))
+	sp.SetInt("rows", res.Stats.RowsReturned)
 	sp.SetInt("bytes", res.Stats.BytesReturned)
 	return res, nil
 }

@@ -223,8 +223,9 @@ func (ts *statsObj) scaled(n int64) int64 {
 // sampleSelect runs sql over the table's sample with the select engine itself
 // — the one estimator — and charges the query sample_rows units of row work,
 // on the step "plan stats <table>", which the caller ends once it has said
-// what it found.
-func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) (*selectengine.Result, step, error) {
+// what it found. The response's rows come decoded (Result.Records): an
+// allocation per response, not per row.
+func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) ([][]string, step, error) {
 	st := e.step("plan stats "+table, "plan stats "+table, stage, table)
 	st.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
 	res, err := selectengine.Execute(ts.sample, selectengine.Request{
@@ -235,7 +236,8 @@ func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) (*select
 	st.sp.SetInt("bytes", int64(len(ts.sample)))
 	st.sp.SetInt("sample_rows", ts.sampleRows)
 	st.sp.SetStr("source", StatsFromObject)
-	return res, st, nil
+	rows, err := res.Records()
+	return rows, st, err
 }
 
 // sampleCounts runs a probe SQL — COUNT(*), then SUM(CASE …) counts — over
@@ -246,13 +248,13 @@ func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 
 	if ts == nil {
 		return nil
 	}
-	res, st, err := e.sampleSelect(ts, table, sql, stage)
-	if err != nil || len(res.Rows) != 1 {
+	rows, st, err := e.sampleSelect(ts, table, sql, stage)
+	if err != nil || len(rows) != 1 {
 		st.end(err)
 		return nil
 	}
-	counts := make([]int64, len(res.Rows[0]))
-	for i, f := range res.Rows[0] {
+	counts := make([]int64, len(rows[0]))
+	for i, f := range rows[0] {
 		counts[i], _ = value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
 		counts[i] = ts.scaled(counts[i])
 	}

@@ -293,7 +293,7 @@ func TestOperatorEdgeCases(t *testing.T) {
 	// is not part of it, so the kernels equal the reference. Hand-built, the
 	// reference reads it the same way.
 	cols := []string{"a", "b"}
-	decoded := FromStringsN(cols, [][]string{{"1", "x"}, {"2"}, {"3", "y", "extra"}}, 1)
+	decoded := relOf(cols, [][]string{{"1", "x"}, {"2"}, {"3", "y", "extra"}})
 	handBuilt := &Relation{Cols: cols, Rows: []Row{
 		{value.Int(1), value.Str("x")},
 		{value.Int(2)},
@@ -343,8 +343,8 @@ func TestOperatorEdgeCases(t *testing.T) {
 // at every worker count, where it used to index out of range on a worker
 // goroutine.
 func TestRaggedRowsDoNotPanic(t *testing.T) {
-	left := FromStringsN([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}}, 1)
-	right := FromStringsN([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}}, 1)
+	left := relOf([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
+	right := relOf([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}})
 	const want = "1 | 10 | 10 | x\n3 | 30 | 30 | y\n1 | 10 | 10 | z\n"
 	for name, o := range map[string]Operators{
 		"reference": {}, "vectorized@1": {Vectorized: true, Workers: 1}, "vectorized@4": {Vectorized: true, Workers: 4},
@@ -381,7 +381,7 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 			t.Errorf("topKLocalN@%d over ragged rows = %q", workers, got)
 		}
 	}
-	short := FromStringsN([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}}, 1)
+	short := relOf([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}})
 	if lit, err := kthValue(short, "k", 2, true); err != nil || lit != "7" {
 		t.Errorf("kthValue over ragged rows = %q, %v; want 7", lit, err)
 	}
@@ -497,8 +497,8 @@ var foldStatements = []string{
 }
 
 // raggedSelects grows the last row of one partition's select response by a
-// cell, in a copy (responses are shared): a cell past the header, which no
-// decoder makes part of the row.
+// cell, in a copy of its body (responses are shared): a cell past the
+// header, which no decoder makes part of the row.
 type raggedSelects struct {
 	s3api.Backend
 	part string
@@ -506,13 +506,11 @@ type raggedSelects struct {
 
 func (r raggedSelects) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
 	res, err := r.Backend.Select(ctx, bucket, key, req)
-	if err != nil || !strings.HasSuffix(key, r.part) || len(res.Rows) == 0 {
+	if err != nil || !strings.HasSuffix(key, r.part) || len(res.Body) == 0 {
 		return res, err
 	}
 	long := *res
-	long.Rows = slices.Clone(res.Rows)
-	last := len(long.Rows) - 1
-	long.Rows[last] = append(slices.Clone(long.Rows[last]), "stray")
+	long.Body = append(slices.Clip(res.Body[:len(res.Body)-1]), ",stray\n"...)
 	return &long, nil
 }
 

@@ -143,7 +143,7 @@ func TestBothSidesOfTheWire(t *testing.T) {
 					rows[i][j] = v.String()
 				}
 			}
-			local, storage := fmt.Sprintf("%v %q", got.Cols, rows), fmt.Sprintf("%v %q", res.Columns, res.Rows)
+			local, storage := fmt.Sprintf("%v %q", got.Cols, rows), fmt.Sprintf("%v %q", res.Columns, recordsOf(t, res))
 			if local != storage {
 				t.Errorf("%s\n%s: %s\nstorage side: %s", sql, name, local, storage)
 			}

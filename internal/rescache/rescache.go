@@ -323,23 +323,16 @@ func keySize(k Key) int64 {
 	return int64(len(k.Backend) + len(k.Bucket) + len(k.Object) + len(k.Query))
 }
 
-// resultSize approximates the memory footprint of a cached response:
-// string payloads plus per-row and per-field slice/header overheads.
+// resultSize approximates the memory footprint of a cached response: the
+// entry, the column names with their string headers, and the body.
 func resultSize(r *selectengine.Result) int64 {
 	const (
 		entryOverhead = 128
-		rowOverhead   = 24
 		fieldOverhead = 16
 	)
-	n := int64(entryOverhead)
+	n := int64(entryOverhead + len(r.Body))
 	for _, col := range r.Columns {
 		n += int64(len(col)) + fieldOverhead
-	}
-	for _, row := range r.Rows {
-		n += rowOverhead
-		for _, f := range row {
-			n += int64(len(f)) + fieldOverhead
-		}
 	}
 	return n
 }

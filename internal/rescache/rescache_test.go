@@ -11,11 +11,12 @@ import (
 )
 
 func res(fields ...string) *selectengine.Result {
-	rows := make([][]string, len(fields))
-	for i, f := range fields {
-		rows[i] = []string{f}
+	r := &selectengine.Result{Columns: []string{"x"}}
+	for _, f := range fields {
+		r.Body = append(append(r.Body, f...), '\n')
+		r.Stats.RowsReturned++
 	}
-	return &selectengine.Result{Columns: []string{"x"}, Rows: rows}
+	return r
 }
 
 func key(object, query string) Key {
@@ -110,7 +111,7 @@ func TestGenerationInvalidatesInFlightFill(t *testing.T) {
 	}
 	// A fresh fill at the new generation works.
 	fill(c, k, res("fresh"))
-	if got, ok := c.Get(k); !ok || got.Rows[0][0] != "fresh" {
+	if got, ok := c.Get(k); !ok || string(got.Body) != "fresh\n" {
 		t.Errorf("post-invalidation fill: got %v, %v", got, ok)
 	}
 }
@@ -274,8 +275,8 @@ func TestLayerStampsAndFillProtocol(t *testing.T) {
 	if err != nil || hit.Served != (selectengine.Served{Cache: selectengine.CacheHit}) || calls != 1 {
 		t.Fatalf("repeat: %+v, %v after %d inner calls; want a hit that reached nothing", hit, err, calls)
 	}
-	if hit == miss || &hit.Rows[0] != &miss.Rows[0] {
-		t.Fatal("a hit must be its own header over the shared rows")
+	if hit == miss || &hit.Body[0] != &miss.Body[0] {
+		t.Fatal("a hit must be its own header over the shared body")
 	}
 	if n := c.Resident("b", "bkt", []string{"t/part0000.csv", "t/part0001.csv"}, req); n != 1 {
 		t.Fatalf("Resident = %d, want 1 of the 2 objects", n)

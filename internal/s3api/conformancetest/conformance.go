@@ -225,8 +225,8 @@ func testSelect(t *testing.T, env Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0] != "2" {
-		t.Errorf("rows = %v", res.Rows)
+	if string(res.Body) != "2\n3\n" || res.Stats.RowsReturned != 2 {
+		t.Errorf("body = %q, %d rows", res.Body, res.Stats.RowsReturned)
 	}
 	if res.Stats.BytesScanned != int64(len(data)) {
 		t.Errorf("scan stats wrong: %+v", res.Stats)
@@ -264,7 +264,7 @@ func testSelectReportsFormat(t *testing.T, env Env) {
 	env.Put("b", "csv", csvx.Encode([]string{"k"}, [][]string{{"1"}, {"2"}}))
 	for key, want := range map[string]bool{"col": true, "csv": false} {
 		res, err := env.Backend.Select(ctxb(), "b", key, selectengine.Request{SQL: "SELECT k FROM S3Object", HasHeader: true})
-		if err != nil || len(res.Rows) != 2 {
+		if err != nil || string(res.Body) != "1\n2\n" {
 			t.Fatalf("Select(%s) = %+v, %v", key, res, err)
 		}
 		if res.Columnar != want {

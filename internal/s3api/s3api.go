@@ -61,7 +61,7 @@ type Backend interface {
 // Backend.
 type Selector interface {
 	// Select runs an S3 Select request against one object. The returned
-	// Result's header belongs to the caller; its Columns and Rows may be
+	// Result's header belongs to the caller; its Columns and Body may be
 	// shared and must not be mutated.
 	Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error)
 }

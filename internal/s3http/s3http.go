@@ -8,15 +8,15 @@
 //	                                       (single "bytes=a-b" range, plus
 //	                                       multiple ranges as the paper's
 //	                                       Suggestion-1 extension)
-//	POST   /{bucket}/{key}?select          run S3 Select (JSON body)
+//	POST   /{bucket}/{key}?select          run S3 Select (JSON request)
 //	GET    /{bucket}?list&prefix=p         list keys
 //	HEAD   /{bucket}/{key}                 object size
 //	GET    /?describe                      the server's self-description
 //	                                       (select capabilities + profile)
 //
-// S3 Select requests and responses use JSON rather than AWS's XML +
-// event-stream framing; the framing overhead is represented in the
-// cloudsim cost model instead of on this wire.
+// A select response is one JSON line (SelectHeader), then the CSV body byte
+// for byte. JSON stands in for AWS's XML + event-stream framing, whose
+// overhead the cloudsim cost model represents instead of this wire.
 //
 // Failed operations carry a structured error kind in the
 // X-Pushdowndb-Error-Kind response header (s3api.Kind values), which the
@@ -62,10 +62,10 @@ type SelectBody struct {
 	ScanRange    *selectengine.ScanRange   `json:"scan_range,omitempty"`
 }
 
-// SelectResponse is the JSON response of a select POST.
-type SelectResponse struct {
+// SelectHeader is the JSON line opening a select response; the CSV body
+// follows it.
+type SelectHeader struct {
 	Columns  []string           `json:"columns"`
-	Rows     [][]string         `json:"rows"`
 	Stats    selectengine.Stats `json:"stats"`
 	Columnar bool               `json:"columnar,omitempty"`
 }
@@ -258,8 +258,9 @@ func (s *Server) sel(w http.ResponseWriter, r *http.Request, bucket, key string)
 		backendError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&SelectResponse{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, Columnar: res.Columnar})
+	w.Header().Set("Content-Type", "text/csv")
+	_ = json.NewEncoder(w).Encode(&SelectHeader{Columns: res.Columns, Stats: res.Stats, Columnar: res.Columnar})
+	_, _ = w.Write(res.Body)
 }
 
 // Client is the HTTP implementation of s3api.Backend. It is
@@ -422,7 +423,9 @@ func (c *Client) GetRanges(ctx context.Context, bucket, key string, ranges [][2]
 	return out, nil
 }
 
-// Select implements s3api.Backend.
+// Select implements s3api.Backend. A response whose body does not hold the
+// rows its header claims, each as wide as its columns, is a KindInternal
+// error.
 func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengine.Request) (*selectengine.Result, error) {
 	body, err := json.Marshal(SelectBody(sreq))
 	if err != nil {
@@ -432,11 +435,17 @@ func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengi
 	if err != nil {
 		return nil, err
 	}
-	var resp SelectResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return nil, s3api.NewError("select", bucket, key, s3api.KindInternal, err)
+	line, csv, _ := bytes.Cut(respBody, []byte{'\n'})
+	var h SelectHeader
+	err = json.Unmarshal(line, &h)
+	res := &selectengine.Result{Columns: h.Columns, Body: csv, Stats: h.Stats, Columnar: h.Columnar}
+	if err == nil {
+		_, err = res.Records()
 	}
-	return &selectengine.Result{Columns: resp.Columns, Rows: resp.Rows, Stats: resp.Stats, Columnar: resp.Columnar}, nil
+	if err != nil {
+		return nil, s3api.NewError("select", bucket, key, s3api.KindInternal, fmt.Errorf("s3http: select response: %w", err))
+	}
+	return res, nil
 }
 
 // List implements s3api.Backend.

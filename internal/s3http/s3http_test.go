@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,8 +71,8 @@ func TestSelectOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0] != "2" {
-		t.Errorf("rows = %v", res.Rows)
+	if string(res.Body) != "2\n3\n" || res.Stats.RowsReturned != 2 {
+		t.Errorf("body = %q, %d rows", res.Body, res.Stats.RowsReturned)
 	}
 	if res.Stats.BytesScanned != int64(len(data)) {
 		t.Errorf("stats lost over the wire: %+v", res.Stats)
@@ -98,8 +99,8 @@ func TestSelectScanRangeOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0][0] != "3" {
-		t.Errorf("rows = %v", res.Rows)
+	if string(res.Body) != "3\n4\n" {
+		t.Errorf("body = %q", res.Body)
 	}
 }
 
@@ -158,8 +159,54 @@ func TestHTTPAndInProcAgree(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if !reflect.DeepEqual(r1.Rows, r2.Rows) || r1.Stats != r2.Stats {
+	if !reflect.DeepEqual(r1.Columns, r2.Columns) || string(r1.Body) != string(r2.Body) || r1.Stats != r2.Stats {
 		t.Errorf("in-proc %+v != http %+v", r1, r2)
+	}
+}
+
+// TestHostileSelectResponse: a select response whose body disagrees with its
+// header — rows of another width, another row count, an unterminated quote,
+// a header that is not JSON — is a KindInternal error, and a claimed row
+// count far past what the body holds presizes nothing.
+func TestHostileSelectResponse(t *testing.T) {
+	for _, resp := range []string{
+		`{"columns":["a","b"],"stats":{"RowsReturned":2}}` + "\n1,2\n3\n",
+		`{"columns":["a","b"],"stats":{"RowsReturned":2}}` + "\n1,2\n3,4,5\n",
+		`{"columns":["a","b"],"stats":{"RowsReturned":3}}` + "\n1,2\n3,4\n",
+		`{"columns":["a","b"],"stats":{"RowsReturned":1}}` + "\n1,2\n3,4\n",
+		`{"columns":["a"],"stats":{"RowsReturned":-1}}` + "\n",
+		`{"columns":["a"],"stats":{"RowsReturned":1}}` + "\n\"1\n",
+		`{"columns":["a","b"],"stats":{"RowsReturned":1099511627776}}` + "\n1,2\n",
+		`{"columns":["a"],"stats":{"RowsReturned":1}}`,
+		"1,2\n",
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = w.Write([]byte(resp))
+		}))
+		c := NewClient(srv.URL, srv.Client())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := c.Select(ctxb(), "b", "k", selectengine.Request{SQL: "SELECT a, b FROM S3Object"})
+		runtime.ReadMemStats(&after)
+		srv.Close()
+		if s3api.KindOf(err) != s3api.KindInternal {
+			t.Errorf("response %q: %+v, %v; want a %s error", resp, res, err, s3api.KindInternal)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("response %q: decoding allocated %d bytes", resp, n)
+		}
+	}
+	// The same header with a body that agrees is a response.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"columns":["a","b"],"stats":{"RowsReturned":2}}` + "\n1,2\n\"x,\"\"y\"\"\",\n"))
+	}))
+	defer srv.Close()
+	res, err := NewClient(srv.URL, srv.Client()).Select(ctxb(), "b", "k", selectengine.Request{SQL: "SELECT a, b FROM S3Object"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := res.Records(); err != nil || !reflect.DeepEqual(rows, [][]string{{"1", "2"}, {`x,"y"`, ""}}) {
+		t.Errorf("well-formed response decodes to %q, %v", rows, err)
 	}
 }
 
@@ -242,7 +289,7 @@ func TestServerSurvivesRestart(t *testing.T) {
 	res, err := c.Select(ctxb(), "b", "t/part0000.csv", selectengine.Request{
 		SQL: "SELECT k FROM S3Object WHERE v >= 20", HasHeader: true,
 	})
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "2" {
+	if err != nil || string(res.Body) != "2\n" {
 		t.Errorf("Select after restart = %+v, %v", res, err)
 	}
 }

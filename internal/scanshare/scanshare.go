@@ -354,9 +354,10 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 		res, err = l.inner.Select(ctx, obj.bucket, obj.object, merged)
 		if err == nil {
 			// Route rows: re-execute each entry's own SQL over the merged
-			// response. The merged pass returned every referenced column
-			// verbatim, so this reproduces each direct answer exactly.
-			data := csvx.Encode(res.Columns, res.Rows)
+			// response, its header line then its body. The merged pass
+			// returned every referenced column verbatim, so this reproduces
+			// each direct answer exactly.
+			data := append(csvx.Encode(res.Columns, nil), res.Body...)
 			for _, ent := range entries {
 				sub, subErr := selectengine.Execute(data, selectengine.Request{
 					SQL: ent.req.SQL, HasHeader: true, Capabilities: ent.req.Capabilities,
@@ -366,7 +367,7 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 					continue
 				}
 				ent.res = sub
-				ent.localRows = int64(len(res.Rows))
+				ent.localRows = res.Stats.RowsReturned
 			}
 		}
 	}

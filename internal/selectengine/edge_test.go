@@ -14,12 +14,12 @@ func TestExtractPushdown(t *testing.T) {
 		{"1994-03-15", "10"}, {"1995-07-01", "20"}, {"1994-12-31", "30"},
 	})
 	res := run(t, data, "SELECT v FROM S3Object WHERE EXTRACT(YEAR FROM d) = 1994")
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 2 {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
 	res = run(t, data, "SELECT SUM(CASE WHEN EXTRACT(MONTH FROM d) = 3 THEN v ELSE 0 END) FROM S3Object")
-	if res.Rows[0][0] != "10" {
-		t.Errorf("march sum = %q", res.Rows[0][0])
+	if rowsOf(t, res)[0][0] != "10" {
+		t.Errorf("march sum = %q", rowsOf(t, res)[0][0])
 	}
 }
 
@@ -29,15 +29,15 @@ func TestCoalesceNullifPushdown(t *testing.T) {
 	})
 	res := run(t, data, "SELECT COALESCE(a, b, 0) FROM S3Object")
 	var got []string
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		got = append(got, r[0])
 	}
 	if !reflect.DeepEqual(got, []string{"5", "3", "0"}) {
 		t.Errorf("coalesce column = %v", got)
 	}
 	res = run(t, data, "SELECT a FROM S3Object WHERE NULLIF(b, 5) IS NOT NULL")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "3" {
-		t.Errorf("nullif filter = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "3" {
+		t.Errorf("nullif filter = %v", rowsOf(t, res))
 	}
 }
 
@@ -45,8 +45,8 @@ func TestAggregateIgnoresLimitlessScan(t *testing.T) {
 	// Aggregates scan the whole object even when LIMIT is present (LIMIT
 	// applies to output rows, and aggregation yields one).
 	res := run(t, customerCSV, "SELECT COUNT(*) FROM S3Object LIMIT 1")
-	if res.Rows[0][0] != "5" {
-		t.Errorf("count = %q", res.Rows[0][0])
+	if rowsOf(t, res)[0][0] != "5" {
+		t.Errorf("count = %q", rowsOf(t, res)[0][0])
 	}
 	if res.Stats.BytesScanned != int64(len(customerCSV)) {
 		t.Errorf("aggregate under LIMIT should scan fully: %d", res.Stats.BytesScanned)
@@ -66,8 +66,8 @@ func TestScanRangeMidRowStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 || res.Rows[0][0] != "3" {
-		t.Errorf("rows = %v (range should start at the next row boundary)", res.Rows)
+	if len(rowsOf(t, res)) != 3 || rowsOf(t, res)[0][0] != "3" {
+		t.Errorf("rows = %v (range should start at the next row boundary)", rowsOf(t, res))
 	}
 }
 
@@ -80,8 +80,8 @@ func TestScanRangeEmptyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 0 {
+		t.Errorf("rows = %v", rowsOf(t, res))
 	}
 	if res.Stats.BytesScanned != 0 {
 		t.Errorf("empty window scanned %d bytes", res.Stats.BytesScanned)
@@ -94,8 +94,8 @@ func TestQuotedCSVDataThroughSelect(t *testing.T) {
 		{"plain", "multi\nline"},
 	})
 	res := run(t, data, "SELECT name, note FROM S3Object WHERE name = 'a,b'")
-	if len(res.Rows) != 1 || res.Rows[0][1] != `said "hi"` {
-		t.Errorf("rows = %q", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][1] != `said "hi"` {
+		t.Errorf("rows = %q", rowsOf(t, res))
 	}
 }
 
@@ -137,8 +137,8 @@ func TestColumnarCompressedDecompressAccounting(t *testing.T) {
 func TestColumnarLimitStopsEarly(t *testing.T) {
 	colData := columnarCustomer(t) // row groups of 2
 	res := run(t, colData, "SELECT c_custkey FROM S3Object LIMIT 2")
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 2 {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
 	if res.Stats.RowsScanned != 2 {
 		t.Errorf("scanned %d rows, early termination broken", res.Stats.RowsScanned)
@@ -148,8 +148,8 @@ func TestColumnarLimitStopsEarly(t *testing.T) {
 func TestColumnarLike(t *testing.T) {
 	colData := columnarCustomer(t)
 	res := run(t, colData, "SELECT c_name FROM S3Object WHERE c_name LIKE '%#4'")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "Customer#4" {
-		t.Errorf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "Customer#4" {
+		t.Errorf("rows = %v", rowsOf(t, res))
 	}
 }
 
@@ -168,23 +168,23 @@ func TestColumnarNullsInPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := run(t, data, "SELECT k FROM S3Object WHERE v > 5")
-	if len(res.Rows) != 2 {
-		t.Errorf("NULL must not satisfy the predicate: %v", res.Rows)
+	if len(rowsOf(t, res)) != 2 {
+		t.Errorf("NULL must not satisfy the predicate: %v", rowsOf(t, res))
 	}
 	res = run(t, data, "SELECT k FROM S3Object WHERE v IS NULL")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "2" {
-		t.Errorf("IS NULL rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "2" {
+		t.Errorf("IS NULL rows = %v", rowsOf(t, res))
 	}
 	// Aggregates skip NULLs.
 	res = run(t, data, "SELECT COUNT(v), AVG(v) FROM S3Object")
-	if res.Rows[0][0] != "2" || res.Rows[0][1] != "20" {
-		t.Errorf("agg over NULLs = %v", res.Rows[0])
+	if rowsOf(t, res)[0][0] != "2" || rowsOf(t, res)[0][1] != "20" {
+		t.Errorf("agg over NULLs = %v", rowsOf(t, res)[0])
 	}
 }
 
 func TestConstantItemsWithAggregates(t *testing.T) {
 	res := run(t, customerCSV, "SELECT 42, COUNT(*) FROM S3Object")
-	if res.Rows[0][0] != "42" || res.Rows[0][1] != "5" {
-		t.Errorf("row = %v", res.Rows[0])
+	if rowsOf(t, res)[0][0] != "42" || rowsOf(t, res)[0][1] != "5" {
+		t.Errorf("row = %v", rowsOf(t, res)[0])
 	}
 }

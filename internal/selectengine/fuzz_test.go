@@ -1,0 +1,35 @@
+package selectengine
+
+import "testing"
+
+// FuzzExecute runs a statement the fuzzer writes over an object it writes.
+// Execute may refuse either, but must not panic, and a response must be its
+// body: exactly Stats.RowsReturned rows of len(Columns) cells (Records), whose
+// text plus one separator each adds up to Stats.BytesReturned.
+func FuzzExecute(f *testing.F) {
+	f.Add("SELECT a FROM S3Object", []byte("a\n\nx\n"), true) // an empty cell is an empty line, and a row
+	f.Add("SELECT * FROM S3Object", []byte("a,b\n\",\",\"\"\"\"\n\"x\ny\",\"\r\"\n"), true)
+	f.Add("SELECT a FROM S3Object WHERE a = 'none'", []byte("a\n1\n2\n"), true)
+	f.Add("SELECT * FROM S3Object LIMIT 2", []byte("1,2\n3,4\n5,6\n"), false)
+	f.Add("SELECT g, COUNT(*), MIN(v) FROM S3Object GROUP BY g", []byte("g,v\nx,1\ny,\"2,5\"\nx,\n"), true)
+	f.Fuzz(func(t *testing.T, sql string, data []byte, header bool) {
+		res, err := Execute(data, Request{SQL: sql, HasHeader: header,
+			Capabilities: Capabilities{AllowGroupBy: true, AllowBloomContains: true}})
+		if err != nil {
+			return
+		}
+		rows, err := res.Records()
+		if err != nil {
+			t.Fatalf("the body %q does not decode to its %d rows of %q: %v", res.Body, res.Stats.RowsReturned, res.Columns, err)
+		}
+		var returned int64
+		for _, r := range rows {
+			for _, cell := range r {
+				returned += int64(len(cell)) + 1
+			}
+		}
+		if returned != res.Stats.BytesReturned {
+			t.Fatalf("the body %q holds %d bytes of cells and separators, its stats say %d", res.Body, returned, res.Stats.BytesReturned)
+		}
+	})
+}

@@ -6,6 +6,11 @@
 // that are always re-encoded as CSV regardless of the input format (the
 // behaviour behind the paper's Fig. 11 observation).
 //
+// A response is its CSV body, on every backend and on the wire: each output
+// row's text is appended to it once, and whoever reads the rows decodes that
+// body once. Stats is what storage counted while writing it, never derived
+// from it.
+//
 // Extensions the paper proposes in Section X are available behind
 // Capabilities flags so ablation benchmarks can compare with/without:
 // partial GROUP BY (Suggestion 4) and the BLOOM_CONTAINS bitwise Bloom
@@ -18,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pushdowndb/internal/arena"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
@@ -114,11 +118,12 @@ type Stats struct {
 	DecompressBytes int64
 }
 
-// Result holds the response rows. Fields are strings because S3 Select
-// always returns CSV text.
+// Result is one response: Columns names its cells, and Body holds its rows
+// as CSV text, a line per row and no header line (csvx's dialect). The body
+// is the response's own and is never modified once returned.
 type Result struct {
 	Columns []string
-	Rows    [][]string
+	Body    []byte
 	Stats   Stats
 	// Columnar reports that the scanned object was in the columnar
 	// format. The planner's stats probe reads it to learn a table's
@@ -159,6 +164,26 @@ const (
 	CacheHit  = "hit"
 	CacheMiss = "miss"
 )
+
+// Records decodes the body into rows of cells, each row as wide as Columns,
+// and fails unless it holds Stats.RowsReturned of them. It allocates one
+// array for every cell and one for the rows, sized by what the body can hold
+// (csvx.RowBound), not by the count a response claims. Cells view the body.
+func (r *Result) Records() ([][]string, error) {
+	w := len(r.Columns)
+	n := csvx.RowBound(r.Body, w, r.Stats.RowsReturned)
+	rows, cells := make([][]string, 0, n), make([]string, 0, n*w)
+	sc := csvx.NewScanner(r.Body)
+	more := sc.Scan()
+	for ; more && len(rows) < n && len(sc.Fields()) == w; more = sc.Scan() {
+		cells = append(cells, sc.Fields()...)
+		rows = append(rows, cells[len(cells)-w:len(cells):len(cells)])
+	}
+	if more || sc.Err() != nil || int64(len(rows)) != r.Stats.RowsReturned {
+		return nil, fmt.Errorf("selectengine: a %d-byte response body is not the %d rows of %d cells its stats claim", len(r.Body), r.Stats.RowsReturned, w)
+	}
+	return rows, nil
+}
 
 // Execute runs the request against one object payload.
 func Execute(data []byte, req Request) (*Result, error) {
@@ -295,7 +320,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 
 	// Fields are views of data (csvx.Scanner); they are read for as long as
 	// this call runs and no longer: everything that reaches the Result is
-	// copied on the way in (CloneRow here, executor.emit for rows).
+	// copied on the way in (CloneRow here, executor.emit for the body).
 	// An object with no lines at all is a partition with no rows, header
 	// or not: the statement still runs, so an aggregate yields its one row.
 	sc := csvx.NewScanner(data)
@@ -517,23 +542,19 @@ func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
 
 // executor is the storage-specific half of a request. expr.RowExec runs
 // the SELECT block (WHERE, then projection, aggregation or grouping); the
-// executor expands * over the object's header, renders each output row as
-// CSV text, stops a projecting scan at LIMIT and names the result columns.
+// executor expands * over the object's header, appends each output row to
+// the response body, stops a projecting scan at LIMIT and names the result
+// columns.
 type executor struct {
-	rx   *expr.RowExec
-	rows [][]string
+	rx *expr.RowExec
 	// limit is the row count at which a projecting scan stops (-1: never;
 	// LIMIT does not bound aggregated or grouped output).
 	limit           int64
 	terminatedEarly bool
 
-	// The output row being rendered: its cells' text back to back, and
-	// where each cell ends.
-	text []byte
-	ends []int
-
-	chunks arena.Text // what the response's rows are cut from (see emit)
-	cells  arena.Slab[string]
+	body           []byte // the response's rows so far (see emit)
+	text           []byte // the cell being rendered
+	rows, returned int64  // Stats.RowsReturned and BytesReturned so far
 }
 
 // newExecutor builds the executor for sel over an object with the given
@@ -556,27 +577,26 @@ func newExecutor(sel *sqlparse.Select, header []string, env expr.Env) *executor 
 	return ex
 }
 
-// emit renders one output row. This is where response rows come to own
-// their bytes: the row's text is copied into the response's own chunks and
-// its cells are cut from there, so a Result — cached, shared between
-// requests or put on the wire — never keeps the scanned object reachable,
-// whatever views of it the cells' values were, and pins only its own
-// chunks. A response costs an allocation per chunk, not per row, and
-// appending to one row cannot reach the next (see package arena).
+// emit appends one output row to the body, each cell rendered once and
+// quoted by csvx's rule, so a Result never keeps the scanned object
+// reachable, whatever views of it the values were. The body doubles when
+// full: an allocation per doubling, not per row or cell. BytesReturned
+// counts each cell's text and its separator, never the quotes.
 func (ex *executor) emit(vals []value.Value) error {
-	for _, v := range vals {
-		ex.text = v.Append(ex.text)
-		ex.ends = append(ex.ends, len(ex.text))
+	for i, v := range vals {
+		ex.text = v.Append(ex.text[:0])
+		ex.returned += int64(len(ex.text)) + 1
+		if need := len(ex.body) + 2*len(ex.text) + 4; need > cap(ex.body) {
+			ex.body = append(make([]byte, 0, max(2*cap(ex.body), need, 64)), ex.body...)
+		}
+		if i > 0 {
+			ex.body = append(ex.body, ',')
+		}
+		ex.body = csvx.AppendField(ex.body, ex.text)
 	}
-	all := ex.chunks.String(ex.text)
-	row := ex.cells.Make(len(ex.ends))
-	start := 0
-	for i, end := range ex.ends {
-		row[i], start = all[start:end], end
-	}
-	ex.text, ex.ends = ex.text[:0], ex.ends[:0]
-	ex.rows = append(ex.rows, row)
-	if ex.limit >= 0 && int64(len(ex.rows)) >= ex.limit {
+	ex.body = append(ex.body, '\n')
+	ex.rows++
+	if ex.limit >= 0 && ex.rows >= ex.limit {
 		ex.terminatedEarly = true
 	}
 	return nil
@@ -586,7 +606,7 @@ func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) 
 	if err := ex.rx.Finish(); err != nil {
 		return nil, err
 	}
-	res := &Result{Stats: *stats, Rows: ex.rows}
+	res := &Result{Stats: *stats, Body: ex.body}
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			res.Columns = append(res.Columns, header...)
@@ -594,13 +614,6 @@ func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) 
 		}
 		res.Columns = append(res.Columns, it.Name())
 	}
-	var returned int64
-	for _, r := range res.Rows {
-		for _, f := range r {
-			returned += int64(len(f)) + 1 // field + separator/newline
-		}
-	}
-	res.Stats.RowsReturned = int64(len(res.Rows))
-	res.Stats.BytesReturned = returned
+	res.Stats.RowsReturned, res.Stats.BytesReturned = ex.rows, ex.returned
 	return res, nil
 }

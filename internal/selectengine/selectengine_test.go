@@ -35,11 +35,11 @@ func run(t *testing.T, data []byte, sql string) *Result {
 
 func TestProjection(t *testing.T) {
 	res := run(t, customerCSV, "SELECT c_custkey, c_acctbal FROM S3Object")
-	if len(res.Rows) != 5 || len(res.Rows[0]) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 5 || len(rowsOf(t, res)[0]) != 2 {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
-	if res.Rows[0][0] != "1" || res.Rows[0][1] != "-980.5" {
-		t.Errorf("row0 = %v", res.Rows[0])
+	if rowsOf(t, res)[0][0] != "1" || rowsOf(t, res)[0][1] != "-980.5" {
+		t.Errorf("row0 = %v", rowsOf(t, res)[0])
 	}
 	if !reflect.DeepEqual(res.Columns, []string{"c_custkey", "c_acctbal"}) {
 		t.Errorf("columns = %v", res.Columns)
@@ -48,8 +48,8 @@ func TestProjection(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	res := run(t, customerCSV, "SELECT * FROM S3Object")
-	if len(res.Rows) != 5 || len(res.Rows[0]) != 4 {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 5 || len(rowsOf(t, res)[0]) != 4 {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
 }
 
@@ -57,7 +57,7 @@ func TestFilterNumericOnCSVStrings(t *testing.T) {
 	// The paper's Fig. 2 predicate: numeric comparison over CSV text.
 	res := run(t, customerCSV, "SELECT c_custkey FROM S3Object WHERE c_acctbal <= -950")
 	var got []string
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		got = append(got, r[0])
 	}
 	if !reflect.DeepEqual(got, []string{"1", "3", "5"}) {
@@ -67,10 +67,10 @@ func TestFilterNumericOnCSVStrings(t *testing.T) {
 
 func TestAggregates(t *testing.T) {
 	res := run(t, customerCSV, "SELECT COUNT(*), SUM(c_acctbal), MIN(c_acctbal), MAX(c_acctbal), AVG(c_nationkey) FROM S3Object")
-	if len(res.Rows) != 1 {
-		t.Fatalf("agg rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 {
+		t.Fatalf("agg rows = %v", rowsOf(t, res))
 	}
-	row := res.Rows[0]
+	row := rowsOf(t, res)[0]
 	if row[0] != "5" {
 		t.Errorf("count = %q", row[0])
 	}
@@ -88,7 +88,7 @@ func TestAggregateWithCase(t *testing.T) {
 	               SUM(CASE WHEN c_nationkey = 1 THEN c_acctbal ELSE 0 END)
 	        FROM S3Object`
 	res := run(t, customerCSV, sql)
-	row := res.Rows[0]
+	row := rowsOf(t, res)[0]
 	if row[0] != "-1940.5" {
 		t.Errorf("nation 0 sum = %q", row[0])
 	}
@@ -99,8 +99,8 @@ func TestAggregateWithCase(t *testing.T) {
 
 func TestLimitEarlyTermination(t *testing.T) {
 	res := run(t, customerCSV, "SELECT c_custkey FROM S3Object LIMIT 2")
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 2 {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
 	if res.Stats.BytesScanned >= int64(len(customerCSV)) {
 		t.Errorf("LIMIT should stop the scan early: scanned %d of %d",
@@ -126,7 +126,7 @@ func TestScanRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		got = append(got, r[0])
 	}
 	if !reflect.DeepEqual(got, []string{"3", "4", "5"}) {
@@ -145,7 +145,7 @@ func TestBloomStringPredicate(t *testing.T) {
 	sql := "SELECT c_custkey FROM S3Object WHERE SUBSTRING('01010', ((1 * CAST(c_custkey AS INT) + 0) % 7) % 5 + 1, 1) = '1'"
 	res := run(t, customerCSV, sql)
 	var got []string
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		got = append(got, r[0])
 	}
 	if !reflect.DeepEqual(got, []string{"1", "3"}) {
@@ -185,7 +185,7 @@ func TestGroupByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	sums := map[string]string{}
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		sums[r[0]] = r[1]
 	}
 	if sums["0"] != "-1940.5" || sums["1"] != "-804.6" || sums["2"] != "3000.25" {
@@ -207,7 +207,7 @@ func TestBloomContainsExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, r := range res.Rows {
+	for _, r := range rowsOf(t, res) {
 		got = append(got, r[0])
 	}
 	if !reflect.DeepEqual(got, []string{"1", "3"}) {
@@ -217,8 +217,8 @@ func TestBloomContainsExtension(t *testing.T) {
 
 func TestPositionalColumns(t *testing.T) {
 	res := run(t, customerCSV, "SELECT _1, _3 FROM S3Object WHERE _4 = 2")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "4" {
-		t.Errorf("positional rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "4" {
+		t.Errorf("positional rows = %v", rowsOf(t, res))
 	}
 }
 
@@ -247,15 +247,15 @@ func TestEmptyObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 0 {
-			t.Errorf("header=%v: SELECT * rows = %v", hasHeader, res.Rows)
+		if len(rowsOf(t, res)) != 0 {
+			t.Errorf("header=%v: SELECT * rows = %v", hasHeader, rowsOf(t, res))
 		}
 		res, err = Execute(nil, Request{SQL: "SELECT COUNT(*), SUM(a) FROM S3Object", HasHeader: hasHeader})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := [][]string{{"0", ""}}; !reflect.DeepEqual(res.Rows, want) {
-			t.Errorf("header=%v: COUNT(*), SUM(a) rows = %q, want %q", hasHeader, res.Rows, want)
+		if want := [][]string{{"0", ""}}; !reflect.DeepEqual(rowsOf(t, res), want) {
+			t.Errorf("header=%v: COUNT(*), SUM(a) rows = %q, want %q", hasHeader, rowsOf(t, res), want)
 		}
 	}
 }
@@ -263,8 +263,8 @@ func TestEmptyObject(t *testing.T) {
 func TestNullFieldsAreEmptyStrings(t *testing.T) {
 	data := csvx.Encode([]string{"a", "b"}, [][]string{{"", "1"}, {"2", ""}})
 	res := run(t, data, "SELECT a FROM S3Object WHERE a IS NOT NULL")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "2" {
-		t.Errorf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "2" {
+		t.Errorf("rows = %v", rowsOf(t, res))
 	}
 }
 
@@ -302,8 +302,8 @@ func TestColumnarFilterMatchesCSV(t *testing.T) {
 	for _, sql := range sqls {
 		a := run(t, customerCSV, sql)
 		b := run(t, colData, sql)
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Errorf("%q: CSV %v != columnar %v", sql, a.Rows, b.Rows)
+		if !reflect.DeepEqual(rowsOf(t, a), rowsOf(t, b)) {
+			t.Errorf("%q: CSV %v != columnar %v", sql, rowsOf(t, a), rowsOf(t, b))
 		}
 	}
 }
@@ -323,8 +323,8 @@ func TestColumnarRowGroupSkip(t *testing.T) {
 	// skip the first two groups via min/max stats.
 	colData := columnarCustomer(t)
 	res := run(t, colData, "SELECT c_custkey FROM S3Object WHERE c_custkey > 4")
-	if len(res.Rows) != 1 || res.Rows[0][0] != "5" {
-		t.Fatalf("rows = %v", res.Rows)
+	if len(rowsOf(t, res)) != 1 || rowsOf(t, res)[0][0] != "5" {
+		t.Fatalf("rows = %v", rowsOf(t, res))
 	}
 	if res.Stats.RowsScanned != 1 {
 		t.Errorf("row-group skipping failed: scanned %d rows", res.Stats.RowsScanned)
@@ -377,11 +377,11 @@ func TestQuickFilterEquivalence(t *testing.T) {
 				want = append(want, fmt.Sprint(v))
 			}
 		}
-		if len(res.Rows) != len(want) {
+		if len(rowsOf(t, res)) != len(want) {
 			return false
 		}
 		for i := range want {
-			if res.Rows[i][0] != want[i] {
+			if rowsOf(t, res)[i][0] != want[i] {
 				return false
 			}
 		}
@@ -407,9 +407,9 @@ func TestQuickSumEquivalence(t *testing.T) {
 			return false
 		}
 		if len(vals) == 0 {
-			return res.Rows[0][0] == "" // SUM over empty is NULL
+			return rowsOf(t, res)[0][0] == "" // SUM over empty is NULL
 		}
-		return res.Rows[0][0] == fmt.Sprint(want)
+		return rowsOf(t, res)[0][0] == fmt.Sprint(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -437,4 +437,15 @@ func TestFingerprintSeparatesRequestParameters(t *testing.T) {
 		}
 		seen[fp] = i
 	}
+}
+
+// rowsOf is the response's rows (Result.Records); a body that does not
+// decode to them fails t.
+func rowsOf(t testing.TB, res *Result) [][]string {
+	t.Helper()
+	rows, err := res.Records()
+	if err != nil {
+		t.Fatalf("Records: %v", err)
+	}
+	return rows
 }

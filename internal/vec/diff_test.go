@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -73,6 +74,21 @@ func nastyData() ([]string, [][]string) {
 	return cols, rows
 }
 
+// rowRel is the row path's reference: every cell typed on its own by the
+// one short-row rule (value.CSVCell), sharing nothing with the decoders
+// under test.
+func rowRel(cols []string, cells [][]string) *engine.Relation {
+	rel := &engine.Relation{Cols: cols}
+	for _, r := range cells {
+		row := make(engine.Row, len(cols))
+		for j := range row {
+			row[j] = value.CSVCell(r, j)
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel
+}
+
 // sameVal is the byte-identity check: same kind, same rendered form.
 // (Compare would call " 7" and "7" equal; the renderer does not.)
 func sameVal(a, b value.Value) bool {
@@ -103,19 +119,23 @@ func TestFromStringsDiff(t *testing.T) {
 		cols []string
 		rows [][]string
 	}{{cols, srows}, {[]string{"a", "b"}, ragged}} {
+		rel := rowRel(in.cols, in.rows)
+		fromCSV, err := vec.FromCSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := map[string]*vec.Batch{"FromCSV": fromCSV}
 		for _, w := range workerCounts {
-			rel := engine.FromStringsN(in.cols, in.rows, w)
-			b := vec.FromStrings(in.cols, in.rows, w)
+			batches[fmt.Sprintf("FromStrings w=%d", w)] = vec.FromStrings(in.cols, in.rows, w)
+		}
+		for name, b := range batches {
 			if b.Len() != len(rel.Rows) || len(b.Vecs) != len(rel.Cols) {
-				t.Fatalf("w=%d: shape %dx%d want %dx%d", w, b.Len(), len(b.Vecs), len(rel.Rows), len(rel.Cols))
+				t.Fatalf("%s: shape %dx%d want %dx%d", name, b.Len(), len(b.Vecs), len(rel.Rows), len(rel.Cols))
 			}
 			for i, row := range rel.Rows {
-				if len(row) != len(in.cols) {
-					t.Fatalf("w=%d: row %d has %d cells, the header %d", w, i, len(row), len(in.cols))
-				}
 				for c := range in.cols {
 					if want, got := row[c], b.Vecs[c].Value(i); !sameVal(want, got) {
-						t.Fatalf("w=%d: cell[%d][%s]: row=%#v vec=%#v", w, i, in.cols[c], want, got)
+						t.Fatalf("%s: cell[%d][%s]: row=%#v vec=%#v", name, i, in.cols[c], want, got)
 					}
 				}
 			}
@@ -164,7 +184,7 @@ func TestFilterDiff(t *testing.T) {
 		"name LIKE flag",
 	}
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
+		rel := rowRel(cols, srows)
 		b := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
 			label := fmt.Sprintf("w=%d pred=%q", w, pred)
@@ -194,7 +214,7 @@ func TestFilterDiff(t *testing.T) {
 
 func TestFilterErrDiff(t *testing.T) {
 	cols, srows := nastyData()
-	rel := engine.FromStringsN(cols, srows, 3)
+	rel := rowRel(cols, srows)
 	b := vec.FromStrings(cols, srows, 3)
 	// NOT over a non-boolean column errors in the evaluator; the vec path
 	// must fall back and surface the identical first-in-worker-order error.
@@ -221,7 +241,7 @@ func TestProjectDiff(t *testing.T) {
 		"ship, mix, name",
 	}
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
+		rel := rowRel(cols, srows)
 		b := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
@@ -264,7 +284,7 @@ func TestGroupByDiff(t *testing.T) {
 		{"flag", "flag, SUM(qty + 1) AS s1, AVG(qty) AS aq"},
 	}
 	for _, w := range workerCounts {
-		rel := engine.FromStringsN(cols, srows, w)
+		rel := rowRel(cols, srows)
 		b := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
@@ -314,8 +334,8 @@ func TestJoinPairsDiff(t *testing.T) {
 		rrows = append(rrows, []string{rid, fmt.Sprintf("tag%d", i)})
 	}
 	for _, w := range workerCounts {
-		left := engine.FromStringsN(cols, srows, w)
-		right := engine.FromStringsN(rcols, rrows, w)
+		left := rowRel(cols, srows)
+		right := rowRel(rcols, rrows)
 		lb := vec.FromStrings(cols, srows, w)
 		rb := vec.FromStrings(rcols, rrows, w)
 		for _, key := range []string{"id", "mix"} {
@@ -346,7 +366,7 @@ func TestJoinPairsDiff(t *testing.T) {
 
 func TestEmptyRelations(t *testing.T) {
 	cols := []string{"a", "b"}
-	rel := engine.FromStringsN(cols, nil, 3)
+	rel := rowRel(cols, nil)
 	b := vec.FromStrings(cols, nil, 3)
 	if b.Len() != 0 {
 		t.Fatalf("empty FromStrings: len=%d", b.Len())

@@ -41,15 +41,22 @@ func FuzzVecDecode(f *testing.F) {
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
 		b := vec.FromStrings(cols, rows, 3)
-		rel := engine.FromStringsN(cols, rows, 3)
-		if b.Len() != len(rel.Rows) {
-			t.Fatalf("decoded %d rows, reference %d", b.Len(), len(rel.Rows))
+		rel := rowRel(cols, rows)
+		// The same rows as a select response's body, decoded by FromCSV.
+		fromCSV, err := vec.FromCSV(cols, csvx.Encode(nil, rows), int64(len(rows)))
+		if err != nil {
+			t.Fatalf("FromCSV: %v", err)
 		}
-		for i := range rel.Rows {
-			for c := range cols {
-				w, g := rel.Rows[i][c], b.Vecs[c].Value(i)
-				if w.Kind() != g.Kind() || w.String() != g.String() {
-					t.Fatalf("cell[%d][%d]: row=%#v vec=%#v", i, c, w, g)
+		for _, b := range []*vec.Batch{b, fromCSV} {
+			if b.Len() != len(rel.Rows) {
+				t.Fatalf("decoded %d rows, reference %d", b.Len(), len(rel.Rows))
+			}
+			for i := range rel.Rows {
+				for c := range cols {
+					w, g := rel.Rows[i][c], b.Vecs[c].Value(i)
+					if w.Kind() != g.Kind() || w.String() != g.String() {
+						t.Fatalf("cell[%d][%d]: row=%#v vec=%#v", i, c, w, g)
+					}
 				}
 			}
 		}

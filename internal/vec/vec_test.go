@@ -192,3 +192,25 @@ func TestFromRowsRoundTrip(t *testing.T) {
 		t.Fatalf("ToRows=%v want %v", back, rows)
 	}
 }
+
+// TestFromCSVRefusesAMiscountedBody: the vectors are sized for the rows a
+// response claims, so a body holding more or fewer, a claim past what the
+// body's bytes can hold, or a body that does not scan is an error, never a
+// short batch, an index panic or an allocation the body cannot back.
+func TestFromCSVRefusesAMiscountedBody(t *testing.T) {
+	cols := []string{"a", "b"}
+	for _, tc := range []struct {
+		body string
+		rows int64
+	}{
+		{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
+	} {
+		if b, err := FromCSV(cols, []byte(tc.body), tc.rows); err == nil {
+			t.Errorf("FromCSV(%q, %d rows) = %d rows, want an error", tc.body, tc.rows, b.Len())
+		}
+	}
+	b, err := FromCSV(cols, []byte("1,x\n\n3,\"y,z\"\n"), 3)
+	if err != nil || b.Len() != 3 || b.Vecs[0].Value(2).AsInt() != 3 || b.Vecs[1].Value(2).AsString() != "y,z" || !b.Vecs[0].IsNull(1) {
+		t.Errorf("FromCSV over a well-formed body: %v, %v", b, err)
+	}
+}
