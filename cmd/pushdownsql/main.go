@@ -12,26 +12,25 @@
 // strategies win less often).
 //
 // Multi-table join queries go through the cost-based planner, which picks
-// a Section-V join strategy (baseline vs Bloom join) per join; pass
-// -explain to see the plan tree, strategy choice and cost estimates
-// without running the query:
+// a Section-V join strategy (baseline vs Bloom join) per join; prefix the
+// statement with EXPLAIN to see the plan tree, strategy choice and cost
+// estimates without running the query:
 //
-//	pushdownsql -table customer=./customer.csv -table orders=./orders.csv -explain \
-//	            -q "SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= -950"
+//	pushdownsql -table customer=./customer.csv -table orders=./orders.csv \
+//	            -q "EXPLAIN SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= -950"
 //
 // Secondary indexes: -index col@table (or a CREATE INDEX statement in -q)
 // builds sorted per-partition index objects, after which selective
 // predicates on that column can plan as IndexScans — index probe plus
-// batched multi-range GETs instead of a full scan; -explain shows the
+// batched multi-range GETs instead of a full scan; EXPLAIN shows the
 // three-way access-path estimate:
 //
-//	pushdownsql -table orders=./orders.csv -index o_custkey@orders -explain \
-//	            -q "SELECT o_totalprice FROM orders WHERE o_custkey = 41"
+//	pushdownsql -table orders=./orders.csv -index o_custkey@orders \
+//	            -q "EXPLAIN SELECT o_totalprice FROM orders WHERE o_custkey = 41"
 //
-// EXPLAIN and EXPLAIN ANALYZE also work as SQL statements in -q: plain
-// EXPLAIN prints the estimates without executing; ANALYZE runs the query
-// under a trace and annotates every plan step with the actual rows, bytes
-// and cost next to the estimates that picked it.
+// EXPLAIN ANALYZE runs the query under a trace instead and annotates every
+// plan step with the actual rows, bytes and cost next to the estimates that
+// picked it.
 package main
 
 import (
@@ -57,8 +56,7 @@ func main() {
 	var (
 		tables  tableFlags
 		indexes tableFlags
-		query   = flag.String("q", "", "SQL statement: a SELECT (single-table, or multi-table with JOIN ... ON / comma joins), CREATE INDEX name ON t (col), or DROP INDEX")
-		explain = flag.Bool("explain", false, "print the plan (join strategy choices and cost estimates) instead of executing")
+		query   = flag.String("q", "", "SQL statement: a SELECT (single-table, or multi-table with JOIN ... ON / comma joins), EXPLAIN [ANALYZE] SELECT ..., CREATE INDEX name ON t (col), or DROP INDEX")
 		parts   = flag.Int("parts", 4, "partitions per table")
 		backend = flag.String("backend", "inproc", "storage backend: inproc (simulated in-region S3) or localfs (objects on disk under -fsroot)")
 		fsroot  = flag.String("fsroot", "", "localfs backend root directory (default: a temp dir)")
@@ -137,14 +135,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "built index on %s(%s)\n", table, col)
-	}
-	if *explain {
-		plan, err := db.ExplainContext(ctx, *query)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(plan)
-		return
 	}
 	rel, e, err := db.ExecStatement(ctx, *query)
 	if err != nil {

@@ -7,8 +7,8 @@
 //
 // The planner probes each table with a pushed-down COUNT(*), prices the
 // baseline join against the Bloom join with the cloudsim cost model, and
-// runs the winner. The program prints the plan tree (what -explain shows
-// in cmd/pushdownsql), then the result with its virtual runtime and cost.
+// runs the winner. The program prints the plan tree (what -q "EXPLAIN …"
+// shows in cmd/pushdownsql), then the result with its virtual runtime and cost.
 package main
 
 import (

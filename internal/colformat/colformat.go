@@ -332,7 +332,6 @@ func decodeChunk(k value.Kind, raw []byte, rows int) (*vec.Vector, error) {
 type Reader struct {
 	data []byte
 	meta footer
-	cols map[string]int
 }
 
 // Open parses the footer of a columnar object.
@@ -349,12 +348,9 @@ func Open(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("colformat: bad footer length %d", fl)
 	}
 	fStart := int64(len(data)-tail) - int64(fl)
-	r := &Reader{data: data, cols: map[string]int{}}
+	r := &Reader{data: data}
 	if err := json.Unmarshal(data[fStart:int64(len(data)-tail)], &r.meta); err != nil {
 		return nil, fmt.Errorf("colformat: footer: %w", err)
-	}
-	for i, c := range r.meta.Columns {
-		r.cols[c.Name] = i
 	}
 	if err := r.meta.validate(fStart); err != nil {
 		return nil, err
@@ -409,14 +405,6 @@ func (r *Reader) NumRowGroups() int { return len(r.meta.RowGroups) }
 
 // GroupRows returns the row count of group g.
 func (r *Reader) GroupRows(g int) int { return r.meta.RowGroups[g].NumRows }
-
-// ColumnIndex resolves a column name, or -1.
-func (r *Reader) ColumnIndex(name string) int {
-	if i, ok := r.cols[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // ChunkRawLen returns the uncompressed size of chunk (g, col) when the
 // chunk is stored compressed, and 0 for stored-raw chunks (no inflate

@@ -1,6 +1,7 @@
 package colformat
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,13 +129,10 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestColumnIndex(t *testing.T) {
+func TestSchemaRoundTrip(t *testing.T) {
 	r := roundTrip(t, sampleRows(1), 0, false)
-	if r.ColumnIndex("price") != 1 || r.ColumnIndex("nosuch") != -1 {
-		t.Error("ColumnIndex broken")
-	}
-	if len(r.Schema()) != 4 {
-		t.Error("schema lost")
+	if !slices.Equal(r.Schema(), testSchema) {
+		t.Errorf("schema %v, want %v", r.Schema(), testSchema)
 	}
 }
 

@@ -137,9 +137,6 @@ func FuzzColformatRead(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		if r, err := colformat.Open(data); err == nil {
 			_ = r.NumRows()
-			for _, name := range r.Schema().Names() {
-				_ = r.ColumnIndex(name)
-			}
 			for g := 0; g < r.NumRowGroups(); g++ {
 				rows := r.GroupRows(g)
 				for c := range r.Schema() {

@@ -2,16 +2,20 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3http"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
+	"pushdowndb/internal/value"
 )
 
 // Cross-backend differential suite: the full query corpus must produce
@@ -56,10 +60,20 @@ var diffQueries = []struct {
 	{"ragged-topk", "SELECT rk, rv FROM rag ORDER BY rv DESC, rk LIMIT 3", true},
 }
 
+// namesRows is the names table under header k,v,K,_1: k and K are one name
+// in two cases, and _1 a column named like a positional alias.
+var namesRows = [][]string{
+	{"1", "10", "2", "a"},
+	{"3", "30", "4", "b"},
+	{"1", "30", "6", "c"},
+}
+
 // diffLoad builds the shared dataset, deliberately nasty: NULLs (empty CSV
 // fields), NaN scores, numeric-looking zip strings that must not round-trip
-// as numbers, names containing CSV metacharacters, and a ragged table whose
-// CSV partitions hold short rows and an over-long one.
+// as numbers, names containing CSV metacharacters, a ragged table whose
+// CSV partitions hold short rows and an over-long one, and two tables whose
+// headers test the name rule (names; sig, whose σ is Σ's lowercase and not
+// ς's).
 func diffLoad(t testing.TB, put s3api.Putter) {
 	t.Helper()
 	ctx := context.Background()
@@ -113,6 +127,8 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"ord", []string{"ok", "pk", "amount", "tag"}, orders, 2},
 		{"item", []string{"ik", "ok", "qty"}, items, 2},
 		{"rag", []string{"rk", "rname", "rd", "rv"}, ragged, 2},
+		{"names", []string{"k", "v", "K", "_1"}, namesRows, 2},
+		{"sig", []string{"σ", "v"}, [][]string{{"1", "2"}, {"3", "4"}}, 2},
 	} {
 		if err := PartitionTableTo(ctx, put, diffBucket, tbl.name, tbl.header, tbl.rows, tbl.parts); err != nil {
 			t.Fatal(err)
@@ -364,6 +380,109 @@ func TestDifferentialRaggedTable(t *testing.T) {
 		}
 		if got, want := render(baseline, false), render(planned, false); got != want || len(planned.Rows) != 3 {
 			t.Errorf("vectorized=%v BaselineJoin:\n%s\nplanned\n%s", vectorized, got, want)
+		}
+	}
+}
+
+// TestDifferentialColumnNames: a name denotes one column on every path the
+// planner can choose, because storage and server read it by one rule
+// (sqlparse.Names): the first header column equal to it case-insensitively,
+// else the positional _N, else none. Each statement answers alike — or
+// fails alike — planned, through the filter operators on either side, the
+// IndexScan, the server-side group-by or aggregate, and over a columnar
+// copy of names, under both operator sets.
+func TestDifferentialColumnNames(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	diffLoad(t, s3api.NewInProc(st))
+	schema := colformat.Schema{{Name: "k", Kind: value.KindInt}, {Name: "v", Kind: value.KindInt},
+		{Name: "K", Kind: value.KindInt}, {Name: "_1", Kind: value.KindString}}
+	typed := make([][]value.Value, len(namesRows))
+	for i, r := range namesRows {
+		for _, c := range r {
+			typed[i] = append(typed[i], value.FromCSV(c))
+		}
+	}
+	if err := PartitionTableColumnar(st, diffBucket, "names_col", schema, typed, 2, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		tables     []string // the %s of sql
+		sql        string
+		pred, proj string // its filter form ("" proj: none)
+		group      string // its ServerSideGroupBy column ("" none)
+		agg        string // its aggregate over the loaded table ("" none)
+		want       string // the rendered answer, or the error it fails with
+	}{
+		{tables: []string{"names", "names_col"}, sql: "SELECT k FROM %s WHERE k = 1", pred: "k = 1", proj: "k", want: "k\n1\n1"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT k, COUNT(*) AS n FROM %s GROUP BY k", group: "k", want: "k|n\n1|2\n3|1"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT MAX(k) AS m FROM %s", agg: "MAX(k) AS m", want: "m\n3"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT _1 FROM %s", proj: "_1", want: "_1\na\nb\nc"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT v FROM %s WHERE _2 = 30", pred: "_2 = 30", proj: "v", want: "v\n30\n30"},
+		{tables: []string{"sig"}, sql: `SELECT v FROM %s WHERE "Σ" = 1`, pred: `"Σ" = 1`, proj: "v", want: "v\n2"},
+		{tables: []string{"sig"}, sql: `SELECT v FROM %s WHERE "ς" = 1`, pred: `"ς" = 1`, proj: "v", want: "unknown column"},
+	}
+	// The IndexScan's index, and an always-true indexable conjunct on it.
+	indexes := map[string]string{"names": "k", "sig": "v"}
+	for _, vectorized := range []bool{true, false} {
+		db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)), WithVectorized(vectorized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for table, col := range indexes {
+			if err := db.CreateIndex(ctx, table, col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range cases {
+			for _, table := range c.tables {
+				paths := map[string]func(e *Exec) (*Relation, error){
+					"planned": func(e *Exec) (*Relation, error) {
+						rel, _, err := db.QueryContext(ctx, fmt.Sprintf(c.sql, table))
+						return rel, err
+					},
+				}
+				if c.proj != "" {
+					paths["pushed"] = func(e *Exec) (*Relation, error) { return e.S3SideFilter(table, c.pred, c.proj) }
+					paths["server"] = func(e *Exec) (*Relation, error) { return e.ServerSideFilter(table, c.pred, c.proj) }
+					if col, ok := indexes[table]; ok {
+						pred := col + " >= 0"
+						if c.pred != "" {
+							pred += " AND (" + c.pred + ")"
+						}
+						paths["index"] = func(e *Exec) (*Relation, error) {
+							rel, _, err := e.IndexScanFilter(table, col, pred, c.proj)
+							return rel, err
+						}
+					}
+				}
+				if c.group != "" {
+					paths["server groupby"] = func(e *Exec) (*Relation, error) {
+						return e.ServerSideGroupBy(table, c.group, []GroupAgg{{Func: sqlparse.AggCount, As: "n"}}, "")
+					}
+				}
+				if c.agg != "" {
+					paths["server aggregate"] = func(e *Exec) (*Relation, error) {
+						rel, err := e.LoadTable("load", 0, table)
+						if err != nil {
+							return nil, err
+						}
+						return AggregateLocal(rel, c.agg)
+					}
+				}
+				for path, run := range paths {
+					rel, err := run(db.NewExecContext(ctx))
+					got := ""
+					if err != nil {
+						got = err.Error()
+					} else {
+						got = render(rel, false)
+					}
+					if ok := got == c.want || (err != nil && strings.Contains(got, c.want)); !ok {
+						t.Errorf("vectorized=%v %s %s: got\n%s\nwant\n%s", vectorized, path, fmt.Sprintf(c.sql, table), got, c.want)
+					}
+				}
+			}
 		}
 	}
 }

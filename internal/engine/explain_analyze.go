@@ -121,13 +121,3 @@ func wallOf(e *Exec) string {
 	}
 	return fmt.Sprintf("%.3fms", float64(d.Root.DurUS)/1000)
 }
-
-// ExplainAnalyze runs `EXPLAIN ANALYZE sql` directly (convenience for
-// tests and tools that bypass ExecStatement).
-func (db *DB) ExplainAnalyze(ctx context.Context, sql string) (string, *Exec, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", nil, err
-	}
-	return db.analyze(ctx, sel)
-}

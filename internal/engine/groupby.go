@@ -431,7 +431,7 @@ func (e *Exec) partialGroupBy(phaseName string, stage int, table, groupCol strin
 
 func projectColsForAggs(groupCol string, aggs []GroupAgg) []string {
 	cols := []string{groupCol}
-	seen := map[string]bool{strings.ToLower(groupCol): true}
+	seen := map[string]bool{sqlparse.NameKey(groupCol): true}
 	for _, a := range aggs {
 		if a.Expr == "" {
 			continue
@@ -441,8 +441,8 @@ func projectColsForAggs(groupCol string, aggs []GroupAgg) []string {
 			continue
 		}
 		for _, c := range sqlparse.Columns(ex) {
-			if !seen[strings.ToLower(c)] {
-				seen[strings.ToLower(c)] = true
+			if k := sqlparse.NameKey(c); !seen[k] {
+				seen[k] = true
 				cols = append(cols, c)
 			}
 		}

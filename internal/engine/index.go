@@ -8,6 +8,7 @@ import (
 
 	"pushdowndb/internal/index"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/sqlparse"
 )
 
 // Secondary-index catalog operations. An index is built once (CreateIndex
@@ -49,7 +50,7 @@ func (db *DB) CreateNamedIndex(ctx context.Context, name, table, column string) 
 				table, db.bucket, backendName))
 	}
 	if name == "" {
-		name = "ix_" + table + "_" + strings.ToLower(column)
+		name = "ix_" + table + "_" + sqlparse.NameKey(column)
 	}
 	ent := index.Entry{
 		Name: name, Column: column,

@@ -94,7 +94,7 @@ func indexableConjuncts(conjs []sqlparse.Expr, column string) []sqlparse.Expr {
 func isIndexableConjunct(e sqlparse.Expr, column string) bool {
 	isCol := func(x sqlparse.Expr) bool {
 		c, ok := x.(*sqlparse.Column)
-		return ok && strings.EqualFold(c.Name, column)
+		return ok && sqlparse.SameName(c.Name, column)
 	}
 	isLit := func(x sqlparse.Expr) bool {
 		_, ok := x.(*sqlparse.Literal)
@@ -406,7 +406,7 @@ const (
 	FallbackShortThreshold = "short_threshold" // fewer than K rows passed the threshold
 )
 
-// String renders the access plan for Explain and -explain.
+// String renders the access plan for EXPLAIN.
 func (ap *AccessPlan) String() string {
 	var b strings.Builder
 	strategy := ap.Strategy
@@ -670,7 +670,7 @@ func returnedCols(req *sqlparse.Select, tableCols int) int {
 			return 0
 		}
 		for _, c := range sqlparse.Columns(it.Expr) {
-			seen[strings.ToLower(c)] = true
+			seen[sqlparse.NameKey(c)] = true
 		}
 	}
 	if n := max(len(seen), 1); n < tableCols {

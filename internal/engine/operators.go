@@ -169,9 +169,9 @@ func fromVecRows(cols []string, rows [][]value.Value) *Relation {
 }
 
 // referencedCols resolves every column the expressions reference against
-// the relation (first-match, case-insensitive — the reference's rule) and
-// returns the distinct column indices in first-seen order. Names that do
-// not resolve are dropped: they are lookup misses on both paths.
+// the relation (the name rule, as the reference resolves them) and returns
+// the distinct column indices in first-seen order. Names that do not
+// resolve are dropped: they are lookup misses on both paths.
 func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
 	seen := map[int]bool{}
 	var keep []int
@@ -208,7 +208,7 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 		}
 		return out, nil
 	}
-	cur := &rowEnv{rel: rel}
+	cur := cursor(rel)
 	out := &Relation{Cols: rel.Cols}
 	err := cur.run(expr.NewProjection(pred, nil, nil, func([]value.Value) error {
 		out.Rows = append(out.Rows, cur.row)
@@ -229,7 +229,7 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 		}
 		return fromVecRows(out.Cols, out.ToRows()), nil
 	}
-	cur := &rowEnv{rel: rel}
+	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, 0, len(rel.Rows))}
 	if err := cur.run(expr.NewProjection(nil, sqlparse.ItemExprs(items), cur.star, out.add)); err != nil {
 		return nil, err
@@ -259,7 +259,7 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 		cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
 		return fromVecRows(cols, rows), err
 	}
-	cur := &rowEnv{rel: rel}
+	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items)}
 	if err := cur.run(expr.NewAggregation(nil, keys, sqlparse.ItemExprs(items), out.add)); err != nil {
 		return nil, err
@@ -374,7 +374,7 @@ func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	for j, o := range orderBy {
 		keyExprs[j] = o.Expr
 	}
-	cur := &rowEnv{rel: rel}
+	cur := cursor(rel)
 	ks := make([]keyed, 0, len(rel.Rows))
 	var slab arena.Slab[value.Value]
 	slab.Grow(len(rel.Rows) * len(orderBy))

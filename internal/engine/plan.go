@@ -140,7 +140,7 @@ func (p *QueryPlan) resolve(c *sqlparse.Column) (int, error) {
 	if c.Qualifier != "" {
 		for i, sc := range p.Scans {
 			if strings.EqualFold(c.Qualifier, sc.Alias) || strings.EqualFold(c.Qualifier, sc.Table) {
-				if colIndex(sc.Cols, c.Name) < 0 {
+				if !sc.has(c.Name) {
 					return -1, fmt.Errorf("engine: column %q is not in table %s %v", c.Name, sc.Table, sc.Cols)
 				}
 				return i, nil
@@ -149,7 +149,7 @@ func (p *QueryPlan) resolve(c *sqlparse.Column) (int, error) {
 		return -1, fmt.Errorf("engine: unknown table or alias %q", c.Qualifier)
 	}
 	for i, sc := range p.Scans {
-		if colIndex(sc.Cols, c.Name) >= 0 {
+		if sc.has(c.Name) {
 			return i, nil
 		}
 	}
@@ -177,21 +177,15 @@ func (p *QueryPlan) scansOf(e sqlparse.Expr) ([]int, error) {
 func (p *QueryPlan) providerCount(name string) int {
 	n := 0
 	for _, sc := range p.Scans {
-		if colIndex(sc.Cols, name) >= 0 {
+		if sc.has(name) {
 			n++
 		}
 	}
 	return n
 }
 
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
-}
+// has reports whether the scanned table has a column name denotes.
+func (sc *TableScan) has(name string) bool { return sqlparse.NewNames(sc.Cols).Index(name) >= 0 }
 
 // equiPred is one `a.x = b.y` conjunct between two different tables.
 type equiPred struct {
@@ -460,7 +454,7 @@ type colEquiv struct{ parent map[string]string }
 func newColEquiv() *colEquiv { return &colEquiv{parent: map[string]string{}} }
 
 func colNode(scan int, name string) string {
-	return fmt.Sprintf("%d:%s", scan, strings.ToLower(name))
+	return fmt.Sprintf("%d:%s", scan, sqlparse.NameKey(name))
 }
 
 func (u *colEquiv) find(x string) string {
@@ -526,14 +520,14 @@ func (p *QueryPlan) checkAmbiguousColumns(equated *colEquiv, pushedNames []strin
 	}
 	checked := map[string]bool{}
 	for _, n := range names {
-		k := strings.ToLower(n)
+		k := sqlparse.NameKey(n)
 		if checked[k] {
 			continue
 		}
 		checked[k] = true
 		var provs []int
 		for i, sc := range p.Scans {
-			if colIndex(sc.Cols, n) >= 0 {
+			if sc.has(n) {
 				provs = append(provs, i)
 			}
 		}
@@ -594,7 +588,7 @@ func (p *QueryPlan) computeProjections() error {
 		if err != nil {
 			return err
 		}
-		key := strings.ToLower(c.Name)
+		key := sqlparse.NameKey(c.Name)
 		if !seen[i][key] {
 			seen[i][key] = true
 			p.Scans[i].Project = append(p.Scans[i].Project, c.Name)
@@ -787,7 +781,7 @@ func writeEstimates(b *strings.Builder, indent string, width int, ests map[strin
 	}
 }
 
-// String renders the plan as a readable tree (cmd/pushdownsql -explain).
+// String renders the plan as a readable tree (EXPLAIN).
 // Once the steps have run (EXPLAIN ANALYZE), each join step carries its
 // actuals: output rows next to the estimate, and the step's measured virtual
 // seconds, dollars and returned bytes next to the per-strategy estimates

@@ -111,7 +111,7 @@ func groupShape(sel *sqlparse.Select) (why string) {
 		if !ok {
 			return fmt.Sprintf("GROUP BY key %s is not a bare column", g)
 		}
-		keys[strings.ToLower(c.Name)] = true
+		keys[sqlparse.NameKey(c.Name)] = true
 	}
 	if len(keys) > 0 && sel.Limit >= 0 && len(sel.OrderBy) == 0 {
 		return "LIMIT without ORDER BY keeps the first groups in table order"
@@ -130,7 +130,7 @@ func groupShape(sel *sqlparse.Select) (why string) {
 			case *sqlparse.Star:
 				why = "* reads columns that are not GROUP BY keys"
 			case *sqlparse.Column:
-				if !keys[strings.ToLower(t.Name)] && !(aliases && isAlias(sel, t.Name)) {
+				if !keys[sqlparse.NameKey(t.Name)] && !(aliases && isAlias(sel, t.Name)) {
 					why = fmt.Sprintf("%s is read outside an aggregate and is not a GROUP BY key", t)
 				}
 			}

@@ -276,7 +276,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy []sqlparse.OrderItem, hidden int) {
 	outNames := map[string]bool{}
 	for _, it := range sel.Items {
-		outNames[strings.ToLower(it.Name())] = true
+		outNames[sqlparse.NameKey(it.Name())] = true
 	}
 	items = append(items, sel.Items...)
 	next := 0
@@ -284,7 +284,7 @@ func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy [
 		direct := !sqlparse.ContainsAggregate(o.Expr)
 		if direct {
 			for _, c := range sqlparse.Columns(o.Expr) {
-				if !outNames[strings.ToLower(c)] {
+				if !outNames[sqlparse.NameKey(c)] {
 					direct = false
 					break
 				}
@@ -330,7 +330,7 @@ func orderByOverInput(sel *sqlparse.Select) []sqlparse.OrderItem {
 			return e
 		}
 		for _, it := range sel.Items {
-			if it.Alias != "" && strings.EqualFold(it.Alias, c.Name) {
+			if it.Alias != "" && sqlparse.SameName(it.Alias, c.Name) {
 				return it.Expr
 			}
 		}
@@ -350,7 +350,7 @@ func queryColumns(sel *sqlparse.Select) (cols []string, star bool) {
 	seen := map[string]bool{}
 	add := func(names []string) {
 		for _, n := range names {
-			key := strings.ToLower(n)
+			key := sqlparse.NameKey(n)
 			if !seen[key] {
 				seen[key] = true
 				cols = append(cols, n)
@@ -381,7 +381,7 @@ func queryColumns(sel *sqlparse.Select) (cols []string, star bool) {
 
 func isAlias(sel *sqlparse.Select, name string) bool {
 	for _, it := range sel.Items {
-		if strings.EqualFold(it.Alias, name) {
+		if sqlparse.SameName(it.Alias, name) {
 			return true
 		}
 	}

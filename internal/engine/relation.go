@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -30,27 +31,28 @@ type Relation struct {
 	Rows []Row
 }
 
-// ColIndex resolves a column name case-insensitively, or -1.
+// ColIndex resolves a column name by the name rule (sqlparse.Names), or -1.
 func (r *Relation) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
+	return sqlparse.NewNames(r.Cols).Index(name)
 }
 
 // rowEnv is the expr.Env view of one row of a relation. The reference
 // operators use one as a cursor, moving row over the relation's rows.
 type rowEnv struct {
-	rel *Relation
-	row Row
+	rel   *Relation
+	names sqlparse.Names // rel's
+	row   Row
+}
+
+// cursor returns a reference cursor over rel.
+func cursor(rel *Relation) *rowEnv {
+	return &rowEnv{rel: rel, names: sqlparse.NewNames(rel.Cols)}
 }
 
 // Lookup reads a cell past the row's end as NULL (value.CSVCell's rule), so
 // a hand-built relation reads as a decoded one.
 func (e *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	i := e.rel.ColIndex(name)
+	i := e.names.Index(name)
 	if i < 0 {
 		return value.Null(), false
 	}

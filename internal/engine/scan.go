@@ -119,9 +119,9 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 var errNoColumn = errors.New("no column")
 
 // prune narrows r.Cols, a partition's header, to the columns cols name —
-// case-insensitively, each to its first match, in header order — and
-// returns their header positions, ascending. No cols keeps every column,
-// and prune returns nil: every position (see at).
+// by the name rule (sqlparse.Names), in header order — and returns their
+// header positions, ascending. No cols keeps every column, and prune
+// returns nil: every position (see at).
 func (r *Relation) prune(cols []string) ([]int, error) {
 	if len(cols) == 0 {
 		return nil, nil

@@ -185,7 +185,7 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 	for _, sim := range []cloudsim.Scale{{}, {DataRatio: 1e5, PartRatio: 8}} {
 		db.Sim = sim
 		tr := obs.New("q3", "query")
-		_, e, err := db.ExplainAnalyze(obs.WithTrace(ctx, tr), q3SQL)
+		_, e, err := db.ExecStatement(obs.WithTrace(ctx, tr), "EXPLAIN ANALYZE "+q3SQL)
 		if err != nil {
 			t.Fatal(err)
 		}

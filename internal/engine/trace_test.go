@@ -262,13 +262,14 @@ func TestTraceConcurrentIsolation(t *testing.T) {
 // and bytes, followed by the phase table and totals.
 func TestExplainAnalyzeThreeTable(t *testing.T) {
 	db, sql := threeTableDB(t)
-	text, e, err := db.ExplainAnalyze(context.Background(), sql)
+	rel, e, err := db.ExecStatement(context.Background(), "EXPLAIN ANALYZE "+sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e == nil {
-		t.Fatal("ExplainAnalyze returned no Exec")
+		t.Fatal("EXPLAIN ANALYZE returned no Exec")
 	}
+	text := relText(rel)
 	for _, want := range []string{
 		"EXPLAIN ANALYZE",
 		"join plan (3 tables)",

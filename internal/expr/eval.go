@@ -34,7 +34,7 @@ type GroupKeyEnv struct {
 // Lookup implements Env.
 func (g *GroupKeyEnv) Lookup(_, name string) (value.Value, bool) {
 	for i, e := range g.Exprs {
-		if c, ok := e.(*sqlparse.Column); ok && strings.EqualFold(c.Name, name) {
+		if c, ok := e.(*sqlparse.Column); ok && sqlparse.SameName(c.Name, name) {
 			return g.Vals[i], true
 		}
 	}
@@ -46,7 +46,7 @@ type MapEnv map[string]value.Value
 
 // Lookup implements Env.
 func (m MapEnv) Lookup(_, name string) (value.Value, bool) {
-	v, ok := m[strings.ToLower(name)]
+	v, ok := m[sqlparse.NameKey(name)]
 	return v, ok
 }
 

@@ -21,9 +21,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -60,7 +60,7 @@ func ManifestKey(table string) string { return Prefix(table) + "/manifest.json" 
 // Table(...)+"/partNNNN.csv", so the engine's partition listing and select
 // fan-out work on index objects unchanged.
 func Table(table, column string) string {
-	return Prefix(table) + "/" + strings.ToLower(column)
+	return Prefix(table) + "/" + sqlparse.NameKey(column)
 }
 
 // ObjectKey is the key of partition part of an index.
@@ -106,7 +106,7 @@ type Manifest struct {
 	// Generation counts manifest rewrites (builds and drops), so observers
 	// can tell a rebuilt index from the one they saw before.
 	Generation uint64 `json:"generation"`
-	// Indexes maps lower(column) to its index entry.
+	// Indexes maps its column's sqlparse.NameKey to each entry.
 	Indexes map[string]Entry `json:"indexes"`
 }
 
@@ -115,25 +115,25 @@ func NewManifest() *Manifest {
 	return &Manifest{Version: ManifestVersion, Indexes: map[string]Entry{}}
 }
 
-// Lookup returns the entry indexing column (case-insensitive).
+// Lookup returns the entry indexing column (sqlparse.SameName).
 func (m *Manifest) Lookup(column string) (Entry, bool) {
 	if m == nil {
 		return Entry{}, false
 	}
-	e, ok := m.Indexes[strings.ToLower(column)]
+	e, ok := m.Indexes[sqlparse.NameKey(column)]
 	return e, ok
 }
 
 // Set records an entry (keyed by its column) and bumps the generation.
 func (m *Manifest) Set(e Entry) {
-	m.Indexes[strings.ToLower(e.Column)] = e
+	m.Indexes[sqlparse.NameKey(e.Column)] = e
 	m.Generation++
 }
 
 // Remove drops the entry for column, reporting whether one existed;
 // removal bumps the generation.
 func (m *Manifest) Remove(column string) bool {
-	k := strings.ToLower(column)
+	k := sqlparse.NameKey(column)
 	if _, ok := m.Indexes[k]; !ok {
 		return false
 	}
@@ -174,13 +174,7 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("index: empty data partition")
 	}
-	col := -1
-	for i, h := range sc.Fields() {
-		if strings.EqualFold(h, column) {
-			col = i
-			break
-		}
-	}
+	col := sqlparse.NewNames(sc.Fields()).Index(column)
 	if col < 0 {
 		return nil, fmt.Errorf("index: column %q not in header %v", column, sc.Fields())
 	}

@@ -449,9 +449,8 @@ func mergeRequest(entries []*entry) selectengine.Request {
 		allHave = true
 	)
 	addCol := func(name string) {
-		lc := strings.ToLower(name)
-		if !seen[lc] {
-			seen[lc] = true
+		if k := sqlparse.NameKey(name); !seen[k] {
+			seen[k] = true
 			cols = append(cols, name)
 		}
 	}

@@ -11,6 +11,12 @@
 // body once. Stats is what storage counted while writing it, never derived
 // from it.
 //
+// A name denotes the first header column equal to it case-insensitively,
+// failing that _N (1 ≤ N ≤ width) the N-th column, and otherwise no column:
+// the server's rule too (sqlparse.Names), so a statement the planner pushes
+// reads the columns it would read locally. A header-less object's columns
+// are named _1 … _N.
+//
 // Extensions the paper proposes in Section X are available behind
 // Capabilities flags so ablation benchmarks can compare with/without:
 // partial GROUP BY (Suggestion 4) and the BLOOM_CONTAINS bitwise Bloom
@@ -271,42 +277,35 @@ func CountNodes(sel *sqlparse.Select) int64 {
 	return n
 }
 
+// cursor is a scan's row cursor: the expr.Env its statement evaluates, and
+// the current row's cells by header position, which * reads.
+type cursor interface {
+	expr.Env
+	at(i int) value.Value
+}
+
 // rowEnv adapts a CSV row to the expression evaluator. All fields are
 // strings, exactly as S3 Select sees CSV data.
 type rowEnv struct {
-	index  map[string]int
+	names  sqlparse.Names
 	fields []string
 }
 
 func (r *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	i, ok := r.index[strings.ToLower(name)]
-	if !ok {
-		return value.Null(), false
-	}
-	if i >= len(r.fields) {
-		return value.Null(), true
-	}
-	f := r.fields[i]
-	if f == "" {
-		return value.Null(), true
-	}
-	return value.Str(f), true
+	i := r.names.Index(name)
+	return r.at(i), i >= 0
 }
 
-func headerIndex(header []string) map[string]int {
-	m := make(map[string]int, len(header)*2)
-	for i, h := range header {
-		m[strings.ToLower(h)] = i
+// at reads cell i, NULL when it is empty or past the row's end.
+func (r *rowEnv) at(i int) value.Value {
+	if i < 0 || i >= len(r.fields) || r.fields[i] == "" {
+		return value.Null()
 	}
-	for i, name := range positionalNames(len(header)) {
-		m[name] = i
-	}
-	return m
+	return value.Str(r.fields[i])
 }
 
-// positionalNames returns S3 Select's positional column names _1 … _n:
-// aliases beside a header's names, and the only names (and what * expands
-// to) when the object has no header.
+// positionalNames returns S3 Select's positional column names _1 … _n: a
+// header-less object's header, and what * expands to over it.
 func positionalNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
@@ -334,7 +333,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		// No header: the first data row's width names the columns.
 		header = positionalNames(len(sc.Fields()))
 	}
-	env := &rowEnv{index: headerIndex(header)}
+	env := &rowEnv{names: sqlparse.NewNames(header)}
 	exec := newExecutor(sel, header, env)
 
 	var stats Stats
@@ -389,11 +388,11 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 		return nil, err
 	}
 	header := r.Schema().Names()
-	env := &colEnv{index: headerIndex(header)}
+	env := &colEnv{names: sqlparse.NewNames(header)}
 	exec := newExecutor(sel, header, env)
 
 	// Column pruning: only the referenced columns are read.
-	needed := neededColumns(sel, env.index, len(header))
+	needed := neededColumns(sel, env.names, len(header))
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
 	// The footer always has to be read.
@@ -401,7 +400,7 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
-		if skipGroup(r, g, sel.Where, env.index) {
+		if skipGroup(r, g, sel.Where, env.names) {
 			continue
 		}
 		cols := make(map[int]*vec.Vector, len(needed))
@@ -448,7 +447,7 @@ func footerBytes(data []byte) int64 {
 // neededColumns lists the header positions a columnar scan has to read: every
 // column for a * item, else the columns the select list, WHERE and GROUP BY
 // reference, in first-seen order. One walk, whatever the select list's length.
-func neededColumns(sel *sqlparse.Select, idx map[string]int, ncols int) []int {
+func neededColumns(sel *sqlparse.Select, names sqlparse.Names, ncols int) []int {
 	seen := make([]bool, ncols)
 	var out []int
 	add := func(i int) {
@@ -466,7 +465,7 @@ func neededColumns(sel *sqlparse.Select, idx map[string]int, ncols int) []int {
 	}
 	walkSelect(sel, func(e sqlparse.Expr) bool {
 		if c, ok := e.(*sqlparse.Column); ok {
-			if i, ok := idx[strings.ToLower(c.Name)]; ok {
+			if i := names.Index(c.Name); i >= 0 {
 				add(i)
 			}
 		}
@@ -478,16 +477,16 @@ func neededColumns(sel *sqlparse.Select, idx map[string]int, ncols int) []int {
 // skipGroup prunes a row group when the chunk min/max statistics refute any
 // top-level AND conjunct of WHERE that compares a column against a literal:
 // one conjunct no row can pass is enough.
-func skipGroup(r *colformat.Reader, g int, where sqlparse.Expr, idx map[string]int) bool {
+func skipGroup(r *colformat.Reader, g int, where sqlparse.Expr, names sqlparse.Names) bool {
 	for _, c := range sqlparse.Conjuncts(where) {
-		if refuted(r, g, c, idx) {
+		if refuted(r, g, c, names) {
 			return true
 		}
 	}
 	return false
 }
 
-func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, idx map[string]int) bool {
+func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, names sqlparse.Names) bool {
 	cmp, ok := conjunct.(*sqlparse.Binary)
 	if !ok {
 		return false
@@ -497,8 +496,8 @@ func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, idx map[string]
 	if !okc || !okl {
 		return false
 	}
-	ci, ok := idx[strings.ToLower(col.Name)]
-	if !ok {
+	ci := names.Index(col.Name)
+	if ci < 0 {
 		return false
 	}
 	mn, mx, ok := r.ChunkStats(g, ci)
@@ -523,22 +522,21 @@ func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, idx map[string]
 
 // colEnv adapts one row of decoded column chunks, read off typed vectors.
 type colEnv struct {
-	index map[string]int
+	names sqlparse.Names
 	cols  map[int]*vec.Vector
 	row   int
 }
 
 func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
-	i, ok := c.index[strings.ToLower(name)]
+	col, ok := c.cols[c.names.Index(name)]
 	if !ok {
-		return value.Null(), false
-	}
-	col, ok := c.cols[i]
-	if !ok {
-		return value.Null(), false // not loaded -> not referenced
+		return value.Null(), false // unknown, or not loaded: not referenced
 	}
 	return col.Value(c.row), true
 }
+
+// at reads column i, which a * loaded with every other.
+func (c *colEnv) at(i int) value.Value { return c.cols[i].Value(c.row) }
 
 // executor is the storage-specific half of a request. expr.RowExec runs
 // the SELECT block (WHERE, then projection, aggregation or grouping); the
@@ -559,7 +557,7 @@ type executor struct {
 
 // newExecutor builds the executor for sel over an object with the given
 // header; env is the scan's row cursor, which * reads the current row from.
-func newExecutor(sel *sqlparse.Select, header []string, env expr.Env) *executor {
+func newExecutor(sel *sqlparse.Select, header []string, env cursor) *executor {
 	ex := &executor{limit: -1}
 	items := sqlparse.ItemExprs(sel.Items)
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
@@ -568,9 +566,8 @@ func newExecutor(sel *sqlparse.Select, header []string, env expr.Env) *executor 
 	}
 	ex.limit = sel.Limit
 	ex.rx = expr.NewProjection(sel.Where, items, func(dst []value.Value) []value.Value {
-		for _, name := range header {
-			v, _ := env.Lookup("", name)
-			dst = append(dst, v)
+		for i := range header {
+			dst = append(dst, env.at(i))
 		}
 		return dst
 	}, ex.emit)

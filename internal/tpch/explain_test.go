@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"pushdowndb/internal/engine"
 )
 
 // EXPLAIN ANALYZE golden for TPC-H Q3: the full annotated render —
@@ -29,7 +31,7 @@ func TestExplainAnalyzeQ3Golden(t *testing.T) {
 	if q3 == "" {
 		t.Fatal("q3 missing from goldenQueries")
 	}
-	text, e, err := db.ExplainAnalyze(context.Background(), q3)
+	text, e, err := explainAnalyze(context.Background(), db, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,4 +63,19 @@ func TestExplainAnalyzeQ3Golden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("EXPLAIN ANALYZE drifted from golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// explainAnalyze runs EXPLAIN ANALYZE sql as a statement and returns its
+// render, a line per row, and the Exec that ran it.
+func explainAnalyze(ctx context.Context, db *engine.DB, sql string) (string, *engine.Exec, error) {
+	rel, e, err := db.ExecStatement(ctx, "EXPLAIN ANALYZE "+sql)
+	if err != nil {
+		return "", nil, err
+	}
+	var b strings.Builder
+	for _, row := range rel.Rows {
+		b.WriteString(row[0].AsString())
+		b.WriteByte('\n')
+	}
+	return b.String(), e, nil
 }

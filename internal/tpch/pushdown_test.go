@@ -137,7 +137,7 @@ func TestSingleTablePushdown(t *testing.T) {
 			if q.name != "topk" && q.name != "minmax" {
 				continue
 			}
-			text, e, err := db.ExplainAnalyze(ctx, fmt.Sprintf(q.sql, table))
+			text, e, err := explainAnalyze(ctx, db, fmt.Sprintf(q.sql, table))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func checkNumericEntryPoints(t *testing.T, s string) {
 	if v, err := CastInt(Str(s)); (err == nil) != wantIntOK || (err == nil && !identical(v, wantInt)) {
 		t.Fatalf("CastInt(%q) = %v, %v; want %v, %v", s, v, err, wantInt, wantIntOK)
 	}
-	if c, cok := CoerceNum(Str(s)); cok != (ferr == nil) || (cok && cmpFloat(c, f) != 0) {
+	if c, cok := CoerceNum(Str(s)); cok != (ferr == nil) || (cok && CompareFloat(c, f) != 0) {
 		t.Fatalf("CoerceNum(%q) = %v, %v; strconv.ParseFloat = %v, %v", s, c, cok, f, ferr)
 	}
 

@@ -437,7 +437,7 @@ func Compare(a, b Value) int {
 		// balances, keys); otherwise lexicographically (names, dates).
 		if an, aok := CoerceNum(a); aok {
 			if bn, bok := CoerceNum(b); bok {
-				return cmpFloat(an, bn)
+				return CompareFloat(an, bn)
 			}
 		}
 		return strings.Compare(a.s, b.s)
@@ -452,7 +452,7 @@ func Compare(a, b Value) int {
 		if a.kind != KindDate {
 			an, _ := a.Num()
 			if bn, ok := CoerceNum(b); ok {
-				return cmpFloat(an, bn)
+				return CompareFloat(an, bn)
 			}
 		}
 		// Rendered into the stack: this runs once per scanned row.
@@ -467,7 +467,7 @@ func Compare(a, b Value) int {
 	}
 	an, _ := a.Num()
 	bn, _ := b.Num()
-	return cmpFloat(an, bn)
+	return CompareFloat(an, bn)
 }
 
 // CoerceNum is the comparison rule's numeric reading of v: a string counts
@@ -485,10 +485,10 @@ func CoerceNum(v Value) (float64, bool) {
 	return v.Num()
 }
 
-// cmpFloat orders floats totally: NaN equals only NaN and sorts after
+// CompareFloat orders floats totally: NaN equals only NaN and sorts after
 // every number (otherwise `x = lit` would hold for any x when either side
-// is NaN, since both < and > are false).
-func cmpFloat(a, b float64) int {
+// is NaN, since both < and > are false). Compare orders numbers by it.
+func CompareFloat(a, b float64) int {
 	an, bn := math.IsNaN(a), math.IsNaN(b)
 	switch {
 	case an && bn:

@@ -1,7 +1,6 @@
 package vec
 
 import (
-	"math"
 	"strings"
 	"time"
 
@@ -299,10 +298,10 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 		switch v.Kind {
 		case value.KindInt, value.KindBool, value.KindDate:
 			if lit.Kind() != value.KindString {
-				// numeric vs numeric: cmpFloat over Num() coercions.
+				// numeric vs numeric: value.CompareFloat over Num() coercions.
 				lf, _ := lit.Num()
 				ints := v.Ints
-				return func(i int) int { return cmpFloat(float64(ints[i]), lf) }
+				return func(i int) int { return value.CompareFloat(float64(ints[i]), lf) }
 			}
 			if v.Kind == value.KindDate {
 				// DATE vs string literal: value.Compare compares the rendered
@@ -334,17 +333,17 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 			// rendered-form string comparison (generic covers the latter).
 			if lf, ok := value.CoerceNum(lit); ok {
 				ints := v.Ints
-				return func(i int) int { return cmpFloat(float64(ints[i]), lf) }
+				return func(i int) int { return value.CompareFloat(float64(ints[i]), lf) }
 			}
 		case value.KindFloat:
 			if lit.Kind() != value.KindString {
 				lf, _ := lit.Num()
 				floats := v.Floats
-				return func(i int) int { return cmpFloat(floats[i], lf) }
+				return func(i int) int { return value.CompareFloat(floats[i], lf) }
 			}
 			if lf, ok := value.CoerceNum(lit); ok {
 				floats := v.Floats
-				return func(i int) int { return cmpFloat(floats[i], lf) }
+				return func(i int) int { return value.CompareFloat(floats[i], lf) }
 			}
 		case value.KindString:
 			strs := v.Strs
@@ -358,7 +357,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 				}
 				return func(i int) int {
 					if rf, ok := value.CoerceNum(value.Str(strs[i])); ok {
-						return cmpFloat(rf, lf)
+						return value.CompareFloat(rf, lf)
 					}
 					return strings.Compare(strs[i], litS)
 				}
@@ -371,7 +370,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 				litS := lit.String()
 				return func(i int) int {
 					if rf, ok := value.CoerceNum(value.Str(strs[i])); ok {
-						return cmpFloat(rf, lf)
+						return value.CompareFloat(rf, lf)
 					}
 					return strings.Compare(strs[i], litS)
 				}
@@ -379,26 +378,6 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 		}
 	}
 	return func(i int) int { return value.Compare(v.Value(i), lit) }
-}
-
-// cmpFloat replicates value's total float order: NaN equals only NaN and
-// sorts after every number.
-func cmpFloat(a, b float64) int {
-	an, bn := math.IsNaN(a), math.IsNaN(b)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return 1
-	case bn:
-		return -1
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 func compileBetween(t *sqlparse.Between, b *Batch, alloc func(func(*node, int, int)) *node) *node {

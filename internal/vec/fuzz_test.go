@@ -43,7 +43,13 @@ func FuzzVecDecode(f *testing.F) {
 		b := vec.FromStrings(cols, rows, 3)
 		rel := rowRel(cols, rows)
 		// The same rows as a select response's body, decoded by FromCSV.
-		fromCSV, err := vec.FromCSV(cols, csvx.Encode(nil, rows), int64(len(rows)))
+		// Storage writes every row as wide as the columns (value.CSVCell).
+		wide := make([][]string, len(rows))
+		for i, r := range rows {
+			wide[i] = make([]string, len(cols))
+			copy(wide[i], r)
+		}
+		fromCSV, err := vec.FromCSV(cols, csvx.Encode(nil, wide), int64(len(rows)))
 		if err != nil {
 			t.Fatalf("FromCSV: %v", err)
 		}

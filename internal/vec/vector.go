@@ -1,8 +1,9 @@
 package vec
 
 import (
-	"strings"
+	"slices"
 
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -207,21 +208,18 @@ type Batch struct {
 	Cols []string
 	Vecs []*Vector
 	n    int
-	idx  map[string]int // lower-cased name -> first column index
+	// names resolves a name to a header position, and keep lists the
+	// header positions of the columns (nil: column c is position c): a
+	// projected batch resolves names against its relation's whole header.
+	names sqlparse.Names
+	keep  []int
 }
 
 // NewBatch assembles a batch. All vectors must share one length.
 func NewBatch(cols []string, vecs []*Vector) *Batch {
-	b := &Batch{Cols: cols, Vecs: vecs}
+	b := &Batch{Cols: cols, Vecs: vecs, names: sqlparse.NewNames(cols)}
 	if len(vecs) > 0 {
 		b.n = vecs[0].Len()
-	}
-	b.idx = make(map[string]int, len(cols))
-	for i, c := range cols {
-		key := strings.ToLower(c)
-		if _, ok := b.idx[key]; !ok {
-			b.idx[key] = i // first-wins, like Relation.ColIndex
-		}
 	}
 	return b
 }
@@ -229,21 +227,14 @@ func NewBatch(cols []string, vecs []*Vector) *Batch {
 // Len returns the row count.
 func (b *Batch) Len() int { return b.n }
 
-// ColIndex resolves a column name case-insensitively to its first match,
-// or -1 — the same resolution rule as engine.Relation.ColIndex, answered
-// from a map instead of a per-call linear scan.
+// ColIndex resolves a column name by the name rule (sqlparse.Names) to its
+// column, or -1.
 func (b *Batch) ColIndex(name string) int {
-	if i, ok := b.idx[strings.ToLower(name)]; ok {
+	i := b.names.Index(name)
+	if i < 0 || b.keep == nil {
 		return i
 	}
-	// ToLower and EqualFold can disagree on exotic Unicode; fall back to
-	// the row path's exact rule so resolution never diverges.
-	for i, c := range b.Cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(b.keep, i)
 }
 
 // FromRows builds a batch from row-major values: FromRowsProjected over
@@ -269,8 +260,9 @@ func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
 // FromRowsProjected builds a batch from the columns keep (indices into
 // allCols) of row-major values: only those columns are decoded into
 // vectors, which is what makes vectorized filtering cheap on wide
-// relations — a predicate over 2 of 16 columns converts 2, not 16. Every
-// row is as wide as allCols. Generic over the row type so the engine's
+// relations — a predicate over 2 of 16 columns converts 2, not 16. Names
+// resolve against allCols, as they would over the rows. Every row is as
+// wide as allCols. Generic over the row type so the engine's
 // []Row passes without reslicing.
 func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) *Batch {
 	cols := make([]string, len(keep))
@@ -283,9 +275,7 @@ func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int,
 		}
 		return nil
 	})
-	b := NewBatch(cols, vecs)
-	b.n = len(rows)
-	return b
+	return &Batch{Cols: cols, Vecs: vecs, n: len(rows), names: sqlparse.NewNames(allCols), keep: keep}
 }
 
 // ToRows materializes the batch row-major.
