@@ -6,9 +6,15 @@
 // (Parquet-style) indexes the chunks, so a reader touches only the bytes of
 // the columns a query references — the property that drives the paper's
 // Fig. 11 CSV-vs-Parquet comparison.
+//
+// A scan decodes each column's row groups into one vector (ReadColumn's
+// dst), valid until the next ReadColumn into it: what outlives that holds
+// copied numbers, or strings that view a chunk's own text, which each string
+// chunk allocates afresh and nothing ever reuses or rewrites.
 package colformat
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -16,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"strings"
 	"sync"
 
 	"pushdowndb/internal/value"
@@ -268,62 +276,103 @@ func encodeChunk(k value.Kind, col []value.Value) []byte {
 	return out
 }
 
-// decodeChunk decodes one column chunk of a rows-row group straight into
-// the typed vector layout: no boxed value per cell, and the strings of a
-// chunk are cut from one copy of its body.
-func decodeChunk(k value.Kind, raw []byte, rows int) (*vec.Vector, error) {
-	bmLen := (rows + 7) / 8
-	if len(raw) < 4+bmLen || int(binary.LittleEndian.Uint32(raw)) != rows {
-		return nil, fmt.Errorf("colformat: chunk does not hold its row group's %d rows", rows)
+// chunkReader streams a chunk's raw bytes, inflated or stored, through a 4 KB
+// window: no raw_len buffer exists, nor is a byte past raw_len + 1 inflated.
+// Pooled with its flate reader (~40 KB of tables): the one pool on the path.
+type chunkReader struct {
+	stored bytes.Reader
+	flate  io.ReadCloser    // reads stored
+	limit  io.LimitedReader // reads stored or flate, to one byte past raw_len
+	raw    *bufio.Reader    // reads limit
+}
+
+var chunkReaders = sync.Pool{New: func() any {
+	c := &chunkReader{}
+	c.flate, c.raw = flate.NewReader(&c.stored), bufio.NewReaderSize(&c.limit, 4<<10)
+	return c
+}}
+
+// decode decodes a rows-row chunk into dst (see ReadColumn): numbers into the
+// payload, strings cut from one string of its body; Open bounded every size.
+func (c *chunkReader) decode(stored []byte, cm chunkMeta, k value.Kind, rows int, dst *vec.Vector) (*vec.Vector, error) {
+	c.stored.Reset(stored)
+	c.limit = io.LimitedReader{R: &c.stored, N: cm.Len + 1}
+	if cm.Compressed {
+		if err := c.flate.(flate.Resetter).Reset(&c.stored, nil); err != nil {
+			return nil, err
+		}
+		c.limit = io.LimitedReader{R: c.flate, N: cm.RawLen + 1}
 	}
-	bitmap, body := raw[4:4+bmLen], raw[4+bmLen:]
-	var nulls *vec.Bitmap
-	live := rows
-	for i := 0; i < rows; i++ {
-		if bitmap[i/8]&(1<<uint(i%8)) != 0 {
-			if nulls == nil {
-				nulls = vec.NewBitmap(rows)
+	c.raw.Reset(&c.limit)
+	body := c.limit.N - 1
+	if hdr, err := c.raw.Peek(4); err != nil || int(binary.LittleEndian.Uint32(hdr)) != rows {
+		return nil, fmt.Errorf("does not hold its row group's %d rows (%v)", rows, err)
+	}
+	_, _ = c.raw.Discard(4) // cannot fail: Peek buffered it
+	body -= 4 + int64(rows+7)/8
+	out, live := vec.Over(dst, k, rows), rows
+	for i := 0; i < rows; i += 8 {
+		b, err := c.raw.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		for ; b != 0; b &= b - 1 { // each set bit, lowest first
+			if j := i + bits.TrailingZeros8(b); j < rows {
+				out.SetNull(j)
+				live--
 			}
-			nulls.Set(i)
-			live--
 		}
 	}
-	if live == 0 {
-		return vec.NewVector(value.KindNull, rows, nil), nil
-	}
-	out := vec.NewVector(k, rows, nulls)
-	pos := 0
-	switch k {
-	case value.KindInt, value.KindDate, value.KindFloat:
-		if len(body) < 8*live {
-			return nil, fmt.Errorf("colformat: %s chunk truncated", k)
+	switch {
+	case live == 0:
+		out = vec.Over(out, value.KindNull, rows)
+	case k == value.KindInt || k == value.KindDate || k == value.KindFloat:
+		for i, left := 0, live; left > 0; {
+			win, err := c.raw.Peek(8 * min(left, c.raw.Size()/8))
+			if err != nil {
+				return nil, err
+			}
+			left -= len(win) / 8
+			for cells := win; len(cells) > 0; i++ {
+				if out.IsNull(i) {
+					continue
+				}
+				if x := binary.LittleEndian.Uint64(cells); k == value.KindFloat {
+					out.Floats[i] = math.Float64frombits(x)
+				} else {
+					out.Ints[i] = int64(x)
+				}
+				cells = cells[8:]
+			}
+			_, _ = c.raw.Discard(len(win)) // cannot fail: Peek buffered it
 		}
+		body -= 8 * int64(live)
+	case k == value.KindString:
+		var sb strings.Builder
+		sb.Grow(int(body) + 1) // room for a byte past raw_len, refused below
+		if _, err := io.Copy(&sb, c.raw); err != nil {
+			return nil, err
+		}
+		text, pos := sb.String(), 0
 		for i := 0; i < rows; i++ {
 			if out.IsNull(i) {
 				continue
 			}
-			if bits := binary.LittleEndian.Uint64(body[pos:]); k == value.KindFloat {
-				out.Floats[i] = math.Float64frombits(bits)
-			} else {
-				out.Ints[i] = int64(bits)
-			}
-			pos += 8
-		}
-	case value.KindString:
-		text := string(body) // the chunk's one string; the cells are views of it
-		for i := 0; i < rows; i++ {
-			if out.IsNull(i) {
-				continue
-			}
-			l, m := binary.Uvarint(body[pos:])
-			if m <= 0 || l > uint64(len(body)-pos-m) {
-				return nil, fmt.Errorf("colformat: string chunk truncated")
+			l, m := binary.Uvarint([]byte(text[pos:min(pos+binary.MaxVarintLen64, len(text))]))
+			if m <= 0 || l > uint64(len(text)-pos-m) {
+				return nil, fmt.Errorf("string chunk truncated")
 			}
 			out.Strs[i] = text[pos+m : pos+m+int(l)]
 			pos += m + int(l)
 		}
+		body -= int64(len(text))
 	default:
-		return nil, fmt.Errorf("colformat: unsupported column kind %s", k)
+		return nil, fmt.Errorf("unsupported column kind %s", k)
+	}
+	// raw_len is the chunk's exact size: the stream must end there.
+	n, err := c.raw.Discard(int(body))
+	if _, end := c.raw.ReadByte(); err != nil || end != io.EOF {
+		return nil, fmt.Errorf("stream does not end at raw_len: %d bytes after the cells, footer says %d (%v, %v)", n, body, err, end)
 	}
 	return out, nil
 }
@@ -451,44 +500,26 @@ func parseStat(s string, k value.Kind) value.Value {
 
 // ReadColumn decodes chunk (g, col) into a typed vector, returning it and
 // the number of object bytes that had to be read (the compressed chunk size
-// — this is the "bytes scanned" a column-pruning scan pays).
-func (r *Reader) ReadColumn(g, col int) (*vec.Vector, int64, error) {
+// — this is the "bytes scanned" a column-pruning scan pays). Given a dst, it
+// decodes into dst's payload where it has room (vec.Over) and returns dst,
+// undefined after an error; with none, or a nil one, it allocates.
+func (r *Reader) ReadColumn(g, col int, dst ...*vec.Vector) (*vec.Vector, int64, error) {
 	if g < 0 || g >= len(r.meta.RowGroups) || col < 0 || col >= len(r.meta.Columns) {
 		return nil, 0, fmt.Errorf("colformat: chunk (%d,%d) out of range", g, col)
 	}
 	gm := r.meta.RowGroups[g]
 	cm := gm.Chunks[col]
-	raw := r.data[cm.Offset : cm.Offset+cm.Len]
-	if cm.Compressed {
-		var err error
-		if raw, err = inflate(raw, cm.RawLen); err != nil {
-			return nil, 0, fmt.Errorf("colformat: decompress chunk (%d,%d): %w", g, col, err)
-		}
+	var into *vec.Vector
+	if len(dst) > 0 {
+		into = dst[0]
 	}
-	v, err := decodeChunk(r.meta.Columns[col].Kind, raw, gm.NumRows)
+	c := chunkReaders.Get().(*chunkReader)
+	defer chunkReaders.Put(c)
+	v, err := c.decode(r.data[cm.Offset:cm.Offset+cm.Len], cm, r.meta.Columns[col].Kind, gm.NumRows, into)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("colformat: chunk (%d,%d): %v", g, col, err)
 	}
 	return v, cm.Len, nil
-}
-
-// inflaters pools flate readers (window and tables, ~40 KB): scratch state
-// that never outlives the call — the one pool on this path.
-var inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
-
-// inflate decompresses a chunk into a buffer of exactly rawLen bytes (Open
-// bounded it): the spare byte stays unread only if the stream ends there.
-func inflate(stored []byte, rawLen int64) ([]byte, error) {
-	fr := inflaters.Get().(io.ReadCloser)
-	defer inflaters.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
-		return nil, err
-	}
-	out := make([]byte, rawLen+1)
-	if n, err := io.ReadFull(fr, out); int64(n) != rawLen || err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("%d raw bytes, footer says %d (%v)", n, rawLen, err)
-	}
-	return out[:rawLen], nil
 }
 
 // Encode is a convenience that writes an entire row-major table.

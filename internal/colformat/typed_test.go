@@ -5,7 +5,9 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,9 +87,9 @@ func TestWriterReuseIsByteIdentical(t *testing.T) {
 				continue
 			}
 			compressed++
-			raw, err := inflate(data[cm.Offset:next], cm.RawLen)
-			if err != nil {
-				t.Fatal(err)
+			raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(data[cm.Offset:next])))
+			if err != nil || int64(len(raw)) != cm.RawLen {
+				t.Fatalf("chunk (%d,%d) inflates to %d bytes, footer says %d (%v)", g, c, len(raw), cm.RawLen, err)
 			}
 			var fresh bytes.Buffer
 			fw, _ := flate.NewWriter(&fresh, flate.BestSpeed)
@@ -183,23 +185,44 @@ func TestOpenRejectsLyingFooter(t *testing.T) {
 	}
 }
 
-// TestReadColumnAllocatesPerChunk pins what a string chunk costs: the
-// inflated buffer, one copy of the body every cell is cut from, the vector
-// and its payload — however many cells there are.
+// TestReadColumnAllocatesPerChunk pins what a chunk costs decoded into a
+// warm vector, as a scan reads every row group after its first: a numeric
+// chunk allocates neither its payload nor an inflate buffer (8 bytes a cell
+// each; what is left is flate's own Huffman tables), and a string chunk its
+// one text, the size of its body, however many cells there are.
 func TestReadColumnAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
-		t.Skip("allocation counts differ under the race detector")
+		t.Skip("allocation sizes differ under the race detector")
 	}
+	// One P, as in testing.AllocsPerRun: the pooled reader a decode Puts is
+	// private to its P, so a goroutine moved to another would make a new one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
 	for _, rows := range []int{60, 6000} {
 		for _, compress := range []bool{false, true} {
 			r := roundTrip(t, sampleRows(rows), 0, compress)
-			total := testing.AllocsPerRun(20, func() {
-				if _, _, err := r.ReadColumn(0, 2); err != nil {
+			for c, def := range testSchema {
+				dst, _, err := r.ReadColumn(0, c)
+				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			if limit := float64(8 + rows/50); total > limit {
-				t.Errorf("ReadColumn of %d strings (compress=%v) allocates %v times, want at most %v", rows, compress, total, limit)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					if _, _, err := r.ReadColumn(0, c, dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				got, want := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(4*rows)
+				if def.Kind == value.KindString {
+					raw := uint64(r.meta.RowGroups[0].Chunks[c].RawLen)
+					want = raw + raw/4 + 4<<10
+				}
+				if got > want {
+					t.Errorf("a %d-row %s chunk (compress=%v) into a warm vector allocates %d bytes, want at most %d",
+						rows, def.Kind, compress, got, want)
+				}
 			}
 		}
 	}

@@ -166,9 +166,10 @@ func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
 // layout) one row group at a time, reading only the chunks of the columns
-// cols name (every column when none): the chunks' typed vectors are adopted
-// as a batch as they are and rendered to rows, each group's cut from one
-// array. Rows come from decoded chunks, never from a count a footer claims.
+// cols name (every column when none), each into its one vector by the
+// worker whose span holds it, and renders the group's rows, cut from one
+// array, before the next overwrites them. Rows come from decoded chunks,
+// never from a count a footer claims.
 func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 	r, err := colformat.Open(data)
 	if err != nil {
@@ -179,11 +180,11 @@ func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	vecs := make([]*vec.Vector, len(rel.Cols))
 	for g := 0; g < r.NumRowGroups(); g++ {
-		vecs := make([]*vec.Vector, len(rel.Cols))
 		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
 			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
-				vecs[c], _, err = r.ReadColumn(g, at(keep, c))
+				vecs[c], _, err = r.ReadColumn(g, at(keep, c), vecs[c])
 			}
 			return err
 		})

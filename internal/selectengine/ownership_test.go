@@ -1,12 +1,16 @@
 package selectengine
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
+	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/race"
+	"pushdowndb/internal/value"
 )
 
 // Header-less objects (FileHeaderInfo=NONE) are addressed by position
@@ -115,6 +119,63 @@ func TestResponseAllocatesPerChunk(t *testing.T) {
 		if got, want := rowsOf(t, res), []string{"4001", "20321.500799999998", "1996-03-13", "TRUCK"}; len(got) != rows || !reflect.DeepEqual(got[0], want) {
 			t.Errorf("%d rows, first %q; want %d, first %q", len(got), got[0], rows, want)
 		}
+	}
+}
+
+// TestColumnarScanAllocatesPerScan pins that a columnar scan allocates per
+// scan, not per row group: each column decodes into the vector the previous
+// group's did, and no chunk inflates into a buffer of its own. So an object
+// of 16 row groups costs what one of its groups does, plus only what the
+// other 15 own: their string chunks' text, and under 3 KB a group for their
+// footer entries and flate's Huffman tables (1.8 KB measured). Decoding
+// each group into fresh vectors cost its four payloads and inflate buffers
+// again, 20 KB a group.
+func TestColumnarScanAllocatesPerScan(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep the pooled chunk reader on its P
+	const groupRows, runs = 250, 10
+	schema := colformat.Schema{{Name: "k", Kind: value.KindInt}, {Name: "f", Kind: value.KindFloat},
+		{Name: "s", Kind: value.KindString}, {Name: "d", Kind: value.KindDate}}
+	rows := make([][]value.Value, 16*groupRows)
+	for i := range rows {
+		rows[i] = []value.Value{value.Int(int64(i)), value.Float(float64(i) / 8), value.Str(fmt.Sprintf("row %d", i)), value.Date(int64(9000 + i))}
+	}
+	// Every column is read and no row group can be pruned, or returned from.
+	const sql = "SELECT * FROM S3Object WHERE s IS NULL"
+	scan := func(rows [][]value.Value) (allocated, text uint64) {
+		data, err := colformat.Encode(schema, rows, groupRows, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := colformat.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 1; g < r.NumRowGroups(); g++ {
+			text += uint64(r.ChunkRawLen(g, 2))
+		}
+		run := func() {
+			res, err := Execute(data, Request{SQL: sql})
+			if err != nil || res.Stats.RowsScanned != int64(len(rows)) || res.Stats.RowsReturned != 0 {
+				t.Fatalf("%v, %+v: want all %d rows scanned and none returned", err, res.Stats, len(rows))
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs, text
+	}
+	one, _ := scan(rows[:groupRows])
+	sixteen, text := scan(rows)
+	if limit := one + text + 15*3<<10; sixteen > limit {
+		t.Errorf("a scan of 16 row groups allocates %d bytes, one of its groups %d: want at most %d (%d of it the other groups' string text)",
+			sixteen, one, limit, text)
 	}
 }
 

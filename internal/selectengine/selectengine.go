@@ -388,28 +388,27 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 		return nil, err
 	}
 	header := r.Schema().Names()
-	env := &colEnv{names: sqlparse.NewNames(header)}
+	env := &colEnv{names: sqlparse.NewNames(header), cols: make([]*vec.Vector, len(header))}
 	exec := newExecutor(sel, header, env)
 
 	// Column pruning: only the referenced columns are read.
 	needed := neededColumns(sel, env.names, len(header))
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
-	// The footer always has to be read.
-	stats.BytesScanned = footerBytes(data)
+	// The footer's length and magic, which Open found, are always read.
+	stats.BytesScanned = int64(8 + len(colformat.Magic))
 
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
 		if skipGroup(r, g, sel.Where, env.names) {
 			continue
 		}
-		cols := make(map[int]*vec.Vector, len(needed))
 		for _, ci := range needed {
-			vals, n, err := r.ReadColumn(g, ci)
+			vals, n, err := r.ReadColumn(g, ci, env.cols[ci])
 			if err != nil {
 				return nil, err
 			}
-			cols[ci] = vals
+			env.cols[ci] = vals
 			stats.BytesScanned += n
 			stats.DecompressBytes += r.ChunkRawLen(g, ci)
 		}
@@ -417,7 +416,6 @@ scan:
 		for i := 0; i < nRows; i++ {
 			stats.RowsScanned++
 			stats.CellsDecoded += int64(len(needed))
-			env.cols = cols
 			env.row = i
 			if err := exec.rx.Add(env); err != nil {
 				return nil, err
@@ -433,15 +431,6 @@ scan:
 	}
 	res.Columnar = true
 	return res, nil
-}
-
-func footerBytes(data []byte) int64 {
-	// Footer length is encoded 13 bytes from the end (8-byte length +
-	// 5-byte magic); include both in the scan accounting.
-	if len(data) < 13 {
-		return int64(len(data))
-	}
-	return 13
 }
 
 // neededColumns lists the header positions a columnar scan has to read: every
@@ -501,10 +490,10 @@ func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, names sqlparse.
 		return false
 	}
 	mn, mx, ok := r.ChunkStats(g, ci)
-	if !ok {
+	v := lit.Val
+	if !ok || !ordered(r.Schema()[ci].Kind, mn, mx, v) {
 		return false
 	}
-	v := lit.Val
 	switch cmp.Op {
 	case sqlparse.OpEq:
 		return value.Compare(v, mn) < 0 || value.Compare(v, mx) > 0
@@ -520,19 +509,33 @@ func refuted(r *colformat.Reader, g int, conjunct sqlparse.Expr, names sqlparse.
 	return false
 }
 
-// colEnv adapts one row of decoded column chunks, read off typed vectors.
+// ordered reports whether comparing lit with a kind-k chunk's cells follows
+// the order its min/max were taken in: numbers against a literal that reads
+// as one, dates whose text sorts as they do. Never text: value.Compare is no
+// order across numeric-looking and other text (9 < 10 < 5x < 9).
+func ordered(k value.Kind, mn, mx, lit value.Value) bool {
+	if mn.Kind() != k || mx.Kind() != k {
+		return false // a statistic that does not read as its column's kind
+	}
+	_, num := value.CoerceNum(lit)
+	return num && (k == value.KindInt || k == value.KindFloat) ||
+		k == value.KindDate && value.FourDigitYear(mn.Days()) && value.FourDigitYear(mx.Days())
+}
+
+// colEnv adapts one row of the scan's column vectors, by header position
+// (nil: not referenced, so never loaded).
 type colEnv struct {
 	names sqlparse.Names
-	cols  map[int]*vec.Vector
+	cols  []*vec.Vector
 	row   int
 }
 
 func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
-	col, ok := c.cols[c.names.Index(name)]
-	if !ok {
-		return value.Null(), false // unknown, or not loaded: not referenced
+	i := c.names.Index(name)
+	if i < 0 || c.cols[i] == nil {
+		return value.Null(), false
 	}
-	return col.Value(c.row), true
+	return c.cols[i].Value(c.row), true
 }
 
 // at reads column i, which a * loaded with every other.

@@ -219,6 +219,10 @@ func appendDays(buf []byte, days int64) []byte {
 	return time.Unix(days*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
 }
 
+// FourDigitYear reports whether days renders with a four-digit year, 0001-01-01
+// to 9999-12-31: among such days, YYYY-MM-DD text sorts chronologically.
+func FourDigitYear(days int64) bool { return days >= -719162 && days <= 2932896 }
+
 // ParseDate parses YYYY-MM-DD into a DATE value.
 func ParseDate(s string) (Value, error) {
 	t, err := time.Parse("2006-01-02", s)

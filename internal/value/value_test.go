@@ -51,6 +51,17 @@ func TestValueIsFourWords(t *testing.T) {
 	}
 }
 
+// TestFourDigitYearBounds: the range FourDigitYear admits is exactly the
+// days whose rendering is a 10-character YYYY-MM-DD.
+func TestFourDigitYearBounds(t *testing.T) {
+	lo, hi := DateFromYMD(1, time.January, 1).Days(), DateFromYMD(9999, time.December, 31).Days()
+	for _, d := range []int64{lo - 1, lo, hi, hi + 1} {
+		if got, want := FourDigitYear(d), len(FormatDays(d)) == 10 && d >= lo && d <= hi; got != want {
+			t.Errorf("FourDigitYear(%d) (%s) = %v, want %v", d, FormatDays(d), got, want)
+		}
+	}
+}
+
 func TestConstructorsAndAccessors(t *testing.T) {
 	if !Bool(true).AsBool() || Bool(false).AsBool() {
 		t.Error("Bool round trip failed")

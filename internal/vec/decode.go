@@ -45,7 +45,7 @@ func FromCSV(cols []string, body []byte, rows int64) (*Batch, error) {
 func csvBatch(cols []string, n int) *Batch {
 	vecs := make([]*Vector, len(cols))
 	for c := range vecs {
-		vecs[c] = NewVector(value.KindNull, n, nil)
+		vecs[c] = NewVector(value.KindNull, n)
 	}
 	b := NewBatch(cols, vecs)
 	b.n = n

@@ -2,7 +2,6 @@ package vec
 
 import (
 	"strings"
-	"time"
 
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
@@ -283,12 +282,6 @@ func evalAllNull(nd *node, lo, hi int) {
 	}
 }
 
-// fourDigitYearDays bounds the days-since-epoch range whose YYYY-MM-DD
-// rendering is a zero-padded 10-character string, within which
-// lexicographic order equals chronological order.
-var minFourDigitDays = time.Date(1, time.January, 1, 0, 0, 0, 0, time.UTC).Unix() / 86400
-var maxFourDigitDays = time.Date(9999, time.December, 31, 0, 0, 0, 0, time.UTC).Unix() / 86400
-
 // cmpAgainst builds a per-row comparator returning value.Compare(row, lit)
 // for non-NULL rows. Typed fast paths replicate value.Compare's exact
 // branch for that kind pairing; everything else reconstructs the value and
@@ -314,7 +307,7 @@ func cmpAgainst(v *Vector, lit value.Value) func(i int) int {
 						ints := v.Ints
 						return func(i int) int {
 							days := ints[i]
-							if days >= minFourDigitDays && days <= maxFourDigitDays {
+							if value.FourDigitYear(days) {
 								switch {
 								case days < litDays:
 									return -1

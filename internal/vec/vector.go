@@ -74,26 +74,43 @@ func (v *Vector) typed(k value.Kind) bool {
 }
 
 // NewVector returns an n-row typed vector of kind k with a zeroed payload
-// for the caller to fill in place: how a decoder that knows a column's kind
-// (colformat) builds the layout FromValues infers. nulls flags the NULL
-// rows (nil: none); KindNull, the all-NULL column, has no payload.
-func NewVector(k value.Kind, n int, nulls *Bitmap) *Vector {
-	v := &Vector{Nulls: nulls, n: n}
-	v.setKind(k)
-	return v
+// and no NULLs: Over with no storage to reuse.
+func NewVector(k value.Kind, n int) *Vector { return Over(nil, k, n) }
+
+// Over lays an n-row kind-k vector, zeroed and with no NULLs, over dst's
+// payload array where it has room (a nil dst allocates), for the caller to
+// fill in place: how a decoder that knows a column's kind (colformat) builds
+// the layout FromValues infers, each row group into the previous one's
+// vector. KindNull, the all-NULL column, has no payload.
+func Over(dst *Vector, k value.Kind, n int) *Vector {
+	if dst == nil {
+		dst = &Vector{}
+	}
+	dst.Nulls, dst.Boxed, dst.n = nil, nil, n
+	dst.setKind(k)
+	return dst
 }
 
-// setKind gives an all-NULL vector kind k and its zeroed payload.
+// setKind gives an all-NULL vector kind k and its zeroed payload, in the
+// vector's own array of that payload type when it has room.
 func (v *Vector) setKind(k value.Kind) {
-	v.Kind = k
+	ints, floats, strs := v.Ints, v.Floats, v.Strs
+	v.Kind, v.Ints, v.Floats, v.Strs = k, nil, nil, nil
 	switch k {
 	case value.KindInt, value.KindDate, value.KindBool:
-		v.Ints = make([]int64, v.n)
+		v.Ints = zeroed(ints, v.n)
 	case value.KindFloat:
-		v.Floats = make([]float64, v.n)
+		v.Floats = zeroed(floats, v.n)
 	case value.KindString:
-		v.Strs = make([]string, v.n)
+		v.Strs = zeroed(strs, v.n)
 	}
+}
+
+// zeroed returns n zero elements, in s's array when it has room.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // put writes x as row i of a vector under construction, rows arriving in
@@ -107,14 +124,14 @@ func (v *Vector) put(i int, x value.Value) {
 		v.Boxed[i] = x
 	case k == value.KindNull:
 		if v.Kind != value.KindNull {
-			v.setNull(i)
+			v.SetNull(i)
 		}
 	case k == v.Kind:
 		v.store(i, x)
 	case v.Kind == value.KindNull:
 		v.setKind(k)
 		for j := 0; j < i; j++ {
-			v.setNull(j)
+			v.SetNull(j)
 		}
 		v.store(i, x)
 	default:
@@ -143,7 +160,8 @@ func (v *Vector) store(i int, x value.Value) {
 	}
 }
 
-func (v *Vector) setNull(i int) {
+// SetNull flags row i NULL.
+func (v *Vector) SetNull(i int) {
 	if v.Nulls == nil {
 		v.Nulls = NewBitmap(v.n)
 	}
@@ -153,7 +171,7 @@ func (v *Vector) setNull(i int) {
 // FromValues builds a vector from a column of values: typed when every
 // non-NULL value shares one Kind, boxed otherwise.
 func FromValues(vals []value.Value) *Vector {
-	out := NewVector(value.KindNull, len(vals), nil)
+	out := NewVector(value.KindNull, len(vals))
 	for i, x := range vals {
 		out.put(i, x)
 	}
@@ -169,32 +187,22 @@ func (v *Vector) Gather(idx []int) *Vector {
 		}
 		return &Vector{Boxed: out, n: len(idx)}
 	}
-	out := &Vector{Kind: v.Kind, n: len(idx)}
-	var nulls *Bitmap
-	if v.Nulls != nil {
-		for o, i := range idx {
-			if v.Nulls.Get(i) {
-				if nulls == nil {
-					nulls = NewBitmap(len(idx))
-				}
-				nulls.Set(o)
-			}
+	out := NewVector(v.Kind, len(idx))
+	for o, i := range idx {
+		if v.Nulls != nil && v.Nulls.Get(i) {
+			out.SetNull(o)
 		}
 	}
-	out.Nulls = nulls
 	switch {
 	case v.Ints != nil:
-		out.Ints = make([]int64, len(idx))
 		for o, i := range idx {
 			out.Ints[o] = v.Ints[i]
 		}
 	case v.Floats != nil:
-		out.Floats = make([]float64, len(idx))
 		for o, i := range idx {
 			out.Floats[o] = v.Floats[i]
 		}
 	case v.Strs != nil:
-		out.Strs = make([]string, len(idx))
 		for o, i := range idx {
 			out.Strs[o] = v.Strs[i]
 		}
@@ -250,7 +258,7 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 // columnVector builds one column's vector straight from row-major input,
 // with no intermediate []value.Value.
 func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
-	out := NewVector(value.KindNull, len(rows), nil)
+	out := NewVector(value.KindNull, len(rows))
 	for i, r := range rows {
 		out.put(i, r[c])
 	}
