@@ -60,11 +60,14 @@ func main() {
 		"SELECT k FROM events WHERE v = 123",
 		"SELECT COUNT(*) AS n FROM events WHERE v >= 8",
 	} {
-		plan, err := db.ExplainContext(ctx, sql)
+		plan, _, err := db.ExecStatement(ctx, "EXPLAIN "+sql)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s\n%s", sql, plan)
+		fmt.Println(sql)
+		for _, line := range plan.Rows {
+			fmt.Println(line[0].AsString())
+		}
 		rel, e, err := db.QueryContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)

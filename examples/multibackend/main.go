@@ -69,12 +69,14 @@ func main() {
 		"FROM customers c JOIN orders o ON c.ck = o.ck " +
 		"WHERE c.bal < 0 GROUP BY c.name ORDER BY spent DESC"
 
-	plan, err := db.ExplainContext(ctx, sql)
+	plan, _, err := db.ExecStatement(ctx, "EXPLAIN "+sql)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("plan (note the per-backend scan attribution):")
-	fmt.Print(plan)
+	for _, line := range plan.Rows {
+		fmt.Println(line[0].AsString())
+	}
 
 	rel, e, err := db.QueryContext(ctx, sql)
 	if err != nil {

@@ -305,7 +305,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 func TestExplainShowsCachedScanSingleTable(t *testing.T) {
 	db, _ := cachedTestDB(t)
 	sql := "SELECT g, COUNT(*) AS n FROM events WHERE v >= 0 GROUP BY g"
-	before, err := db.ExplainContext(context.Background(), sql)
+	before, err := explain(context.Background(), db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestExplainShowsCachedScanSingleTable(t *testing.T) {
 	if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
-	after, err := db.ExplainContext(context.Background(), sql)
+	after, err := explain(context.Background(), db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ type DB struct {
 }
 
 // QueryHook observes every SQL statement executed through the DB's text
-// entry points (Query/QueryContext/ExecStatement): the statement, the
+// entry points (QueryContext, ExecStatement, RunStatement): the statement, the
 // execution's metrics (nil for DDL and for statements rejected before an
 // execution started) and the outcome. Hooks run synchronously on the
 // query's goroutine after the statement finishes — a server's audit log
@@ -276,12 +276,6 @@ func (db *DB) BackendFor(table string) (string, s3api.Backend) {
 func (db *DB) backendFor(table string) s3api.Backend {
 	_, b := db.BackendFor(table)
 	return b
-}
-
-// selectFor returns the select pipeline of the table's backend.
-func (db *DB) selectFor(table string) s3api.Selector {
-	name, _ := db.BackendFor(table)
-	return db.selects[name]
 }
 
 // InvalidateStats drops everything the DB has cached across queries: the

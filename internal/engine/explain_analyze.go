@@ -24,18 +24,15 @@ import (
 // the annotated render together with the Exec that ran the query, so
 // runtime and billing ride the server wire like any SELECT's.
 func (db *DB) runExplain(ctx context.Context, ex *sqlparse.Explain) (*Relation, *Exec, error) {
+	render := db.explainSelect
 	if ex.Analyze {
-		text, e, err := db.analyze(ctx, ex.Sel)
-		if err != nil {
-			return nil, nil, err
-		}
-		return textRelation(text), e, nil
+		render = db.analyze
 	}
-	text, err := db.explainSelect(ctx, ex.Sel)
+	text, e, err := render(ctx, ex.Sel)
 	if err != nil {
 		return nil, nil, err
 	}
-	return textRelation(text), nil, nil
+	return textRelation(text), e, nil
 }
 
 // analyze runs sel and renders its EXPLAIN ANALYZE report. It always runs

@@ -308,8 +308,7 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		return nil, err
 	}
 	backend := e.db.backendFor(table)
-	sel := e.db.selectFor(table)
-	caps := backend.Capabilities()
+	req := e.db.request(table, "SELECT "+groupCol+" FROM S3Object").Compiled()
 	st := e.step("sample "+table, "sample", stage1, table)
 	defer func() { st.end(err) }()
 	counts := map[string]int64{}
@@ -323,12 +322,9 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		if end < 1 {
 			end = 1
 		}
-		res, err := e.doSelect(ctx, st, sel, key, selectengine.Request{
-			SQL:          "SELECT " + groupCol + " FROM S3Object",
-			HasHeader:    true,
-			Capabilities: caps,
-			ScanRange:    &selectengine.ScanRange{Start: 0, End: end},
-		})
+		req := req // each partition's own range, one statement
+		req.ScanRange = &selectengine.ScanRange{Start: 0, End: end}
+		res, err := e.doSelect(ctx, st, table, key, req)
 		if err != nil {
 			return err
 		}

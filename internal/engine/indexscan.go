@@ -126,13 +126,13 @@ func isIndexableConjunct(e sqlparse.Expr, column string) bool {
 
 // indexValuePred rewrites a data-column predicate into the index objects'
 // schema: every reference to the indexed column becomes the value column.
-func indexValuePred(pred sqlparse.Expr) string {
+func indexValuePred(pred sqlparse.Expr) sqlparse.Expr {
 	return sqlparse.Rewrite(pred, func(n sqlparse.Expr) sqlparse.Expr {
 		if _, ok := n.(*sqlparse.Column); ok {
 			return &sqlparse.Column{Name: index.ValueColumn}
 		}
 		return n
-	}).String()
+	})
 }
 
 // liveIndex returns the table's index on column from the validated
@@ -316,7 +316,7 @@ func fragBytes(frags [][]byte) int64 {
 // then the projection (nil items keep every column). Beside the rows it
 // returns the multi-range GETs issued and the fetch stage.
 func (e *Exec) indexScan(table string, cand *IndexCandidate, filter sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, int64, int, error) {
-	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred), fetchCoalesced)
+	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred).String(), fetchCoalesced)
 	if err == nil {
 		rel, err = e.filterLocal(rel, filter)
 	}
@@ -576,7 +576,7 @@ func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 	return cloudsim.IndexScanStats{
 		IndexBytes:      cand.Entry.IndexBytes,
 		MatchedRows:     cand.MatchedRows,
-		PredNodes:       pushedNodes(index.ProbeSQL(indexValuePred(cand.Pred))),
+		PredNodes:       selectengine.CountNodes(&sqlparse.Select{Items: columnItems(index.Header[1:]), Where: indexValuePred(cand.Pred)}),
 		MaxRangesPerGet: index.DefaultMaxRangesPerGet,
 	}
 }
@@ -649,16 +649,6 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 	e.db.statsCache[key] = cs
 	e.db.statsMu.Unlock()
 	return cs, false, nil
-}
-
-// pushedNodes counts the per-row expression work of a pushed SQL string
-// (what selectengine meters at run time); 0 when it does not parse.
-func pushedNodes(sql string) int64 {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return 0
-	}
-	return selectengine.CountNodes(sel)
 }
 
 // returnedCols reports how many columns a pushed scan returns (0 = all,

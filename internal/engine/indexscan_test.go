@@ -275,7 +275,7 @@ func TestExplainNamesIndexScanAndRangedGets(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.ExplainContext(context.Background(), "SELECT k FROM wide WHERE v = 123")
+	out, err := explain(context.Background(), db, "SELECT k FROM wide WHERE v = 123")
 	if err != nil {
 		t.Fatal(err)
 	}

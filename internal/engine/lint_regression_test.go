@@ -12,7 +12,7 @@ import (
 	"pushdowndb/internal/s3api"
 )
 
-// TestExplainHonorsContextDeadline pins the ctxflow fix in ExplainContext:
+// TestExplainHonorsContextDeadline pins the ctxflow fix in EXPLAIN:
 // the cached-scan residency probe used to run on context.Background(), so
 // a stalled backend listing hung Explain past any caller deadline. Now the
 // caller's context reaches the listing and the deadline cuts it.
@@ -40,7 +40,7 @@ func TestExplainHonorsContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, eerr := db.ExplainContext(ctx, "SELECT * FROM cust WHERE bal <= 0")
+	_, eerr := explain(ctx, db, "SELECT * FROM cust WHERE bal <= 0")
 	elapsed := time.Since(start)
 
 	if counting.Lists() == listsBefore {
@@ -49,7 +49,7 @@ func TestExplainHonorsContextDeadline(t *testing.T) {
 	// The cut may surface as an error (access planning) or as a silent 0%
 	// cached report (residency probe): promptness is the invariant.
 	if elapsed > 5*time.Second {
-		t.Fatalf("ExplainContext ran %v against a stalled listing (err=%v); the deadline did not cut the probe", elapsed, eerr)
+		t.Fatalf("EXPLAIN ran %v against a stalled listing (err=%v); the deadline did not cut the probe", elapsed, eerr)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/scanshare"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
@@ -422,6 +423,110 @@ func pipelineIndexDDL(t *testing.T, st *store.Store, table string, comp composit
 	for i := 0; i < 3; i++ {
 		if rel := <-rels; rel != nil {
 			identicalRows(t, q, want, rel)
+		}
+	}
+}
+
+// statementRecorder is a backend that records the statement every Select
+// reaching it carries, by SQL text: a compiled request hands over the one it
+// carries, one that arrived as text a fresh parse.
+type statementRecorder struct {
+	s3api.Backend
+	mu   sync.Mutex
+	seen map[string][]*sqlparse.Select
+}
+
+func (r *statementRecorder) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	sel, _ := req.Statement()
+	r.mu.Lock()
+	r.seen[req.SQL] = append(r.seen[req.SQL], sel)
+	r.mu.Unlock()
+	return r.Backend.Select(ctx, bucket, key, req)
+}
+
+// TestRequestCompiledOnce: a scan's request is parsed once, where the engine
+// builds it, and every partition's Select under the pipeline carries that one
+// statement, through every composition and over both formats — four
+// concurrent scans each sharing theirs across their partitions (CI runs this
+// under -race). Under a sharing window, scans merged into one pass answer as
+// the plain DB does (scanshare's TestMergedMembersRunTheirCompiledStatements
+// pins that members re-execute on their own statements). A pushed request
+// over selectengine.MaxSQLBytes is still refused by storage, for its size,
+// as a bad request.
+func TestRequestCompiledOnce(t *testing.T) {
+	st := pipelineFixture(t)
+	ctx := context.Background()
+	for _, table := range []string{"t", "c"} {
+		for _, comp := range compositions {
+			t.Run(comp.name+"-"+table, func(t *testing.T) {
+				rec := &statementRecorder{Backend: s3api.NewInProc(st), seen: map[string][]*sqlparse.Select{}}
+				db := comp.open(t, rec, -1) // no merging: each scan reaches the backend as built
+				var wg sync.WaitGroup
+				errs := make([]error, 4)
+				for i := range errs {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						_, _, errs[i] = db.QueryContext(ctx, fmt.Sprintf("SELECT k, v FROM %s WHERE g = %d", table, i))
+					}(i)
+				}
+				wg.Wait()
+				statements := map[*sqlparse.Select]bool{}
+				for i, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+					sql := fmt.Sprintf("SELECT k, v FROM S3Object WHERE (g = %d)", i)
+					sels := rec.seen[sql]
+					if len(sels) != pipeParts {
+						t.Fatalf("%q reached the backend %d times, want once per partition (%d); saw %v", sql, len(sels), pipeParts, rec.seen)
+					}
+					for _, sel := range sels {
+						if sel == nil || sel != sels[0] {
+							t.Fatalf("%q: the partitions' requests carry statements %v, want one compiled statement", sql, sels)
+						}
+					}
+					statements[sels[0]] = true
+				}
+				if len(statements) != len(errs) {
+					t.Errorf("%d scans carried %d distinct statements, want one each", len(errs), len(statements))
+				}
+
+				huge := fmt.Sprintf("SELECT k FROM %s WHERE tag = '%s'", table, strings.Repeat("x", selectengine.MaxSQLBytes))
+				_, _, err := db.QueryContext(ctx, huge)
+				if s3api.KindOf(err) != s3api.KindBadRequest || !strings.Contains(fmt.Sprint(err), "SQL expression is") {
+					t.Errorf("a pushed request over MaxSQLBytes: %v (kind %q), want storage's size refusal, %q", err, s3api.KindOf(err), s3api.KindBadRequest)
+				}
+
+				if !comp.share {
+					return
+				}
+				merging := comp.open(t, rec, 500*time.Millisecond)
+				plain := composition{}.open(t, s3api.NewInProc(st), 0)
+				qs := []string{fmt.Sprintf(pipeScan, table), fmt.Sprintf("SELECT k FROM %s WHERE g = 6", table)}
+				rels := make([]*Relation, len(qs))
+				for i, q := range qs {
+					wg.Add(1)
+					go func(i int, q string) {
+						defer wg.Done()
+						rels[i], _, errs[i] = merging.QueryContext(ctx, q)
+					}(i, q)
+				}
+				wg.Wait()
+				for i, q := range qs {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					want, _, err := plain.QueryContext(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					identicalRows(t, q, want, rels[i])
+				}
+				if ss, _ := merging.ScanShareStats(); ss.MergedPasses != pipeParts || ss.Fallbacks != 0 {
+					t.Errorf("two scans under a window: %+v, want a merged pass per partition and no fallback", ss)
+				}
+			})
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
 
@@ -630,9 +631,13 @@ func (e *Exec) tableStats(sc *TableScan, ts *statsObj, stage int) error {
 	}
 	st.Cols = len(sc.Cols)
 	// The per-row expression work of the scan SQL execution will push for
-	// this table — select list included, matching what the select engine
-	// meters for the same request at run time.
-	st.FilterNodes = pushedNodes(projectionSQL(sc.Project, filter))
+	// this table — select list included, counted on the statement the select
+	// engine parses from it and meters at run time.
+	scan := &sqlparse.Select{Items: []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}, Where: sc.Filter}
+	if len(sc.Project) > 0 {
+		scan.Items = columnItems(sc.Project)
+	}
+	st.FilterNodes = selectengine.CountNodes(scan)
 	st.ProjCols = len(sc.Project)
 	st.Profile = backend.Profile()
 	st.CachedFrac = e.cachedScanFrac(sc.Table, projectionSQL(sc.Project, filter))

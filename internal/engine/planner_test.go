@@ -220,7 +220,7 @@ func TestPlannerStatsCache(t *testing.T) {
 func TestPlannerExplain(t *testing.T) {
 	db, _ := newTestDB(t)
 	db.Sim = bigSim()
-	plan, err := db.ExplainContext(context.Background(),
+	plan, err := explain(context.Background(), db,
 		"SELECT SUM(o.price) AS total FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500 LIMIT 3")
 	if err != nil {
 		t.Fatal(err)

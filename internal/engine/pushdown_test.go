@@ -323,7 +323,7 @@ func TestPushdownEligibility(t *testing.T) {
 		{sql: "SELECT g, COUNT(*) AS n, MAX(c) AS hi FROM m GROUP BY g", why: "c mixes numbers, dates and text in the sample"},
 		{sql: "SELECT MIN(c) AS lo, COUNT(c) AS n FROM m", why: "c mixes numbers, dates and text in the sample"},
 	} {
-		text, err := db.ExplainContext(context.Background(), c.sql)
+		text, err := explain(context.Background(), db, c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
@@ -356,7 +356,7 @@ func TestPushdownUnderSharing(t *testing.T) {
 		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed
 		batches := window >= 0
 		for _, sql := range []string{"SELECT tag, COUNT(*) AS n FROM n GROUP BY tag ORDER BY tag", "SELECT COUNT(*) FROM n"} {
-			text, err := db.ExplainContext(context.Background(), sql)
+			text, err := explain(context.Background(), db, sql)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,9 +23,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, e
 		db.fireQueryHook(ctx, sql, nil, err)
 		return nil, nil, err
 	}
-	rel, e, err := db.runSelectStatement(ctx, sel)
-	db.fireQueryHook(ctx, sql, e, err)
-	return rel, e, err
+	return db.RunStatement(ctx, sql, sel)
 }
 
 // runSelectStatement executes an already-parsed SELECT.
@@ -55,22 +53,25 @@ func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Re
 	return rel, e, err
 }
 
-// ExecStatement runs any supported SQL statement. SELECTs execute exactly
-// as QueryContext does; CREATE INDEX and DROP INDEX run the catalog
+// ExecStatement parses sql and runs it (RunStatement). SELECTs execute
+// exactly as QueryContext does; EXPLAIN [ANALYZE] renders the plan as a
+// one-column relation; CREATE INDEX and DROP INDEX run the catalog
 // operation against the table's storage backend and return a nil relation
 // and execution (index maintenance is dataset preparation, not a metered
 // query).
 func (db *DB) ExecStatement(ctx context.Context, sql string) (*Relation, *Exec, error) {
-	rel, e, err := db.execStatement(ctx, sql)
-	db.fireQueryHook(ctx, sql, e, err)
-	return rel, e, err
-}
-
-func (db *DB) execStatement(ctx context.Context, sql string) (*Relation, *Exec, error) {
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
+		db.fireQueryHook(ctx, sql, nil, err)
 		return nil, nil, err
 	}
+	return db.RunStatement(ctx, sql, st)
+}
+
+// RunStatement runs st, which sql parses to, for a caller that parsed it
+// already (pushdownd, before admission). The query hook receives sql.
+func (db *DB) RunStatement(ctx context.Context, sql string, st sqlparse.Statement) (rel *Relation, e *Exec, err error) {
+	defer func() { db.fireQueryHook(ctx, sql, e, err) }()
 	switch t := st.(type) {
 	case *sqlparse.Select:
 		return db.runSelectStatement(ctx, t)
@@ -388,29 +389,19 @@ func isAlias(sel *sqlparse.Select, name string) bool {
 	return false
 }
 
-// ExplainContext returns a description of how QueryContext would execute sql: the plan
-// tree with per-join strategy decisions for multi-table queries, or the
-// pushdown split for single-table ones. Planning a join query issues the
-// planner's (cheap) header and statistics probes. The planner's probes and the cached-scan residency check honor ctx, so a
-// caller's deadline (e.g. the server's per-request timeout) cuts a stalled
-// backend listing instead of hanging.
-func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	return db.explainSelect(ctx, sel)
-}
-
-// explainSelect renders the plan of an already-parsed SELECT — the shared
-// body of ExplainContext and the EXPLAIN statement.
-func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, error) {
+// explainSelect renders how sel would execute, EXPLAIN's half of runExplain
+// (no Exec: nothing is billed): the plan tree with per-join strategy decisions
+// for multi-table queries, or the pushdown split for single-table ones.
+// Planning a join issues the planner's (cheap) header and statistics probes.
+// They and the cached-scan residency check honor ctx, so a caller's deadline
+// (the server's per-request timeout) cuts a stalled backend listing.
+func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, *Exec, error) {
 	if len(sel.Joins) > 0 {
 		plan, _, err := db.planParsed(ctx, sel)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
-		return plan.String(), nil
+		return plan.String(), nil, nil
 	}
 	var b strings.Builder
 	e := db.NewExecContext(ctx)
@@ -418,7 +409,7 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 	// with an index, its probes, like join Explain does).
 	ap, err := e.planAccess(sel)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	pushedSQL := pushedScan(sel, nil).String()
 	if ap != nil {
@@ -443,7 +434,7 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 			sel.Table, sel.Where.String())
 	case isSimple(sel):
 		fmt.Fprintf(&b, "S3 Select (full pushdown): %s%s\n", sel.String(), cached)
-		return b.String(), nil
+		return b.String(), nil, nil
 	case ap != nil && ap.Pushed != "":
 		fmt.Fprintf(&b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, pushedSQL, cached)
 		if len(sel.GroupBy) > 0 {
@@ -453,7 +444,7 @@ func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, 
 		fmt.Fprintf(&b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cached)
 	}
 	writeLocalTail(&b, "", sel)
-	return b.String(), nil
+	return b.String(), nil, nil
 }
 
 // writeLocalTail describes the server-side tail finishLocal will run for

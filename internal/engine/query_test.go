@@ -98,11 +98,11 @@ func TestQueryErrors(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	db, _ := newTestDB(t)
-	plan, err := db.ExplainContext(context.Background(), "SELECT k FROM events WHERE v < 0 LIMIT 3")
+	plan, err := explain(context.Background(), db, "SELECT k FROM events WHERE v < 0 LIMIT 3")
 	if err != nil || !strings.Contains(plan, "full pushdown") {
 		t.Errorf("plan = %q, %v", plan, err)
 	}
-	plan, err = db.ExplainContext(context.Background(), "SELECT g, SUM(v) FROM events GROUP BY g ORDER BY g LIMIT 2")
+	plan, err = explain(context.Background(), db, "SELECT g, SUM(v) FROM events GROUP BY g ORDER BY g LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestExplain(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", frag, plan)
 		}
 	}
-	if _, err := db.ExplainContext(context.Background(), "garbage"); err == nil {
+	if _, err := explain(context.Background(), db, "garbage"); err == nil {
 		t.Error("bad sql should error")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 )
 
@@ -16,9 +15,16 @@ import (
 // left on the response. Results may be shared with the cache and with
 // other queries — callers must not mutate them.
 
+// request is every S3 Select request the engine builds for sql against table:
+// with the table's header and its backend's advertised capabilities. A
+// fan-out compiles it once, and every partition runs that one statement.
+func (db *DB) request(table, sql string) selectengine.Request {
+	return selectengine.Request{SQL: sql, HasHeader: true, Capabilities: db.backendFor(table).Capabilities()}
+}
+
 // selectOnParts runs the same S3 Select SQL against every partition of the
-// table through its backend's pipeline (with the backend's advertised
-// capabilities) and returns the per-partition results, metered on st. Each
+// table through its backend's pipeline, one compiled request for all of
+// them, and returns the per-partition results, metered on st. Each
 // partition select becomes a child span of st's. each, when non-nil, sees
 // partition i's response inside the fan-out: a consumer's decode,
 // overlapping the selects still in flight; its error fails the fan-out.
@@ -27,11 +33,10 @@ func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *s
 	if err != nil {
 		return nil, err
 	}
-	sel := e.db.selectFor(table)
-	req := selectengine.Request{SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()}
+	req := e.db.request(table, sql).Compiled()
 	results := make([]*selectengine.Result, len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		res, err := e.doSelect(ctx, st, sel, key, req)
+		res, err := e.doSelect(ctx, st, table, key, req)
 		if err != nil {
 			return fmt.Errorf("engine: select on %s: %w", key, err)
 		}
@@ -47,16 +52,17 @@ func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *s
 	return results, nil
 }
 
-// doSelect issues one S3 Select against an object through sel, bills the
-// response to st and describes it on a "select <key>" child of st's span,
-// keyed on how the pipeline served it: a cache hit reached no backend and
-// costs only the local re-parse; a pass shared by n requests is billed 1/n
-// to each plus the sharer's own local re-filter work; anything else is one
-// direct request.
-func (e *Exec) doSelect(ctx context.Context, st step, sel s3api.Selector, key string, req selectengine.Request) (*selectengine.Result, error) {
+// doSelect issues one S3 Select against an object of table through its
+// backend's pipeline, bills the response to st and describes it on a "select
+// <key>" child of st's span, keyed on how the pipeline served it: a cache hit
+// reached no backend and costs only the local re-parse; a pass shared by n
+// requests is billed 1/n to each plus the sharer's own local re-filter work;
+// anything else is one direct request.
+func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req selectengine.Request) (*selectengine.Result, error) {
 	sp := st.sp.Child("select " + key)
 	defer sp.End()
-	res, err := sel.Select(ctx, e.db.bucket, key, req)
+	name, _ := e.db.BackendFor(table)
+	res, err := e.db.selects[name].Select(ctx, e.db.bucket, key, req)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +119,7 @@ func (e *Exec) cachedScanFrac(table, sql string) float64 {
 	if err != nil {
 		return 0
 	}
-	backendName, backend := e.db.BackendFor(table)
-	hits := c.Resident(backendName, e.db.bucket, keys, selectengine.Request{
-		SQL: sql, HasHeader: true, Capabilities: backend.Capabilities(),
-	})
+	backendName, _ := e.db.BackendFor(table)
+	hits := c.Resident(backendName, e.db.bucket, keys, e.db.request(table, sql))
 	return float64(hits) / float64(len(keys))
 }

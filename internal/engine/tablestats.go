@@ -228,8 +228,7 @@ func (ts *statsObj) scaled(n int64) int64 {
 func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) ([][]string, step, error) {
 	st := e.step("plan stats "+table, "plan stats "+table, stage, table)
 	st.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
-	res, err := selectengine.Execute(ts.sample, selectengine.Request{
-		SQL: sql, HasHeader: true, Capabilities: e.db.backendFor(table).Capabilities()})
+	res, err := selectengine.Execute(ts.sample, e.db.request(table, sql))
 	if err != nil {
 		return nil, st, err
 	}

@@ -333,6 +333,15 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
+// explain renders EXPLAIN sql through the statement path, a line per row.
+func explain(ctx context.Context, db *DB, sql string) (string, error) {
+	rel, _, err := db.ExecStatement(ctx, "EXPLAIN "+sql)
+	if err != nil {
+		return "", err
+	}
+	return relText(rel), nil
+}
+
 func relText(rel *Relation) string {
 	var b strings.Builder
 	for _, r := range rel.Rows {

@@ -74,7 +74,7 @@ func RunShared(ctx context.Context, env *Env) (*Result, error) {
 			// The planner's statistics are read before the round, off the
 			// bill: clients arriving together at a fresh DB would each pay
 			// the catalog GET the first of them caches, or not, by timing.
-			if _, err := db.ExplainContext(ctx, sharedFigQueries(0)[0].sql); err != nil {
+			if _, _, err := db.ExecStatement(ctx, "EXPLAIN "+sharedFigQueries(0)[0].sql); err != nil {
 				return nil, err
 			}
 			if err := withServer(ctx, db, n, func(base string) error {

@@ -52,9 +52,9 @@ const errorKindHeader = "X-Pushdowndb-Error-Kind"
 // declared or found larger, the client a response.
 const MaxObjectBytes = 1 << 30
 
-// SelectBody is the JSON body of a select POST: selectengine.Request field
-// for field (each end converts), so a Request field the wire does not
-// carry cannot compile.
+// SelectBody is the JSON body of a select POST: selectengine.Request's
+// exported fields (TestSelectBodyCarriesEveryField), copied at each end. Only
+// text crosses the wire; the server parses it once per request.
 type SelectBody struct {
 	SQL          string                    `json:"sql"`
 	HasHeader    bool                      `json:"has_header"`
@@ -253,7 +253,8 @@ func (s *Server) sel(w http.ResponseWriter, r *http.Request, bucket, key string)
 		httpError(w, err.Error(), http.StatusBadRequest, s3api.KindBadRequest)
 		return
 	}
-	res, err := s.b.Select(r.Context(), bucket, key, selectengine.Request(body))
+	res, err := s.b.Select(r.Context(), bucket, key, selectengine.Request{
+		SQL: body.SQL, HasHeader: body.HasHeader, Capabilities: body.Capabilities, ScanRange: body.ScanRange})
 	if err != nil {
 		backendError(w, err)
 		return
@@ -427,7 +428,8 @@ func (c *Client) GetRanges(ctx context.Context, bucket, key string, ranges [][2]
 // rows its header claims, each as wide as its columns, is a KindInternal
 // error.
 func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengine.Request) (*selectengine.Result, error) {
-	body, err := json.Marshal(SelectBody(sreq))
+	body, err := json.Marshal(SelectBody{
+		SQL: sreq.SQL, HasHeader: sreq.HasHeader, Capabilities: sreq.Capabilities, ScanRange: sreq.ScanRange})
 	if err != nil {
 		return nil, s3api.NewError("select", bucket, key, s3api.KindBadRequest, err)
 	}

@@ -164,6 +164,28 @@ func TestHTTPAndInProcAgree(t *testing.T) {
 	}
 }
 
+// TestSelectBodyCarriesEveryField: the wire body has one field of the same
+// name and type per exported Request field, and nothing else, so a field
+// added to Request cannot silently stay behind on the wire. The compiled
+// statement is unexported: only text crosses.
+func TestSelectBodyCarriesEveryField(t *testing.T) {
+	req, body := reflect.TypeOf(selectengine.Request{}), reflect.TypeOf(SelectBody{})
+	exported := 0
+	for i := 0; i < req.NumField(); i++ {
+		f := req.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		exported++
+		if g, ok := body.FieldByName(f.Name); !ok || g.Type != f.Type {
+			t.Errorf("SelectBody does not carry Request.%s %v", f.Name, f.Type)
+		}
+	}
+	if body.NumField() != exported {
+		t.Errorf("SelectBody has %d fields, Request exports %d", body.NumField(), exported)
+	}
+}
+
 // TestHostileSelectResponse: a select response whose body disagrees with its
 // header — rows of another width, another row count, an unterminated quote,
 // a header that is not JSON — is a KindInternal error, and a claimed row

@@ -181,7 +181,7 @@ type entry struct {
 	localRows int64
 }
 
-// mergeable parses req and reports whether it can participate in a
+// mergeable returns req's statement when it can participate in a
 // predicate-merged pass: a plain single-table scan — arbitrary
 // non-aggregate projections and an optional WHERE — with no join, group,
 // order, limit or scan range. Everything such a query produces is a pure
@@ -191,7 +191,7 @@ func mergeable(req selectengine.Request) *sqlparse.Select {
 	if req.ScanRange != nil || !req.HasHeader {
 		return nil
 	}
-	sel, err := sqlparse.Parse(req.SQL)
+	sel, err := req.Statement()
 	if err != nil {
 		return nil
 	}
@@ -353,15 +353,13 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 		cl.merged = true
 		res, err = l.inner.Select(ctx, obj.bucket, obj.object, merged)
 		if err == nil {
-			// Route rows: re-execute each entry's own SQL over the merged
-			// response, its header line then its body. The merged pass
-			// returned every referenced column verbatim, so this reproduces
-			// each direct answer exactly.
+			// Route rows: re-execute each entry's own request (a header, no
+			// scan range: mergeable) over the merged response, its header
+			// line then its body. The merged pass returned every referenced
+			// column verbatim, so this reproduces each direct answer exactly.
 			data := append(csvx.Encode(res.Columns, nil), res.Body...)
 			for _, ent := range entries {
-				sub, subErr := selectengine.Execute(data, selectengine.Request{
-					SQL: ent.req.SQL, HasHeader: true, Capabilities: ent.req.Capabilities,
-				})
+				sub, subErr := selectengine.Execute(data, ent.req)
 				if subErr != nil {
 					ent.err = subErr
 					continue

@@ -420,3 +420,33 @@ func TestMergeableRejectsComplexShapes(t *testing.T) {
 		t.Error("non-aggregate expressions are merge-eligible")
 	}
 }
+
+// TestMergedMembersRunTheirCompiledStatements: the coordinator parses no
+// request of its own. It merges compiled requests by their statements, and
+// each member re-executes on its own: members whose text is no SQL at all
+// (their identity only) merge into one pass and answer as their statements
+// do alone, with no fallback.
+func TestMergedMembersRunTheirCompiledStatements(t *testing.T) {
+	data := testData()
+	var calls atomic.Int64
+	c := New(Config{Window: 200 * time.Millisecond, MaxBatch: 8})
+	compiled := func(sql, text string) selectengine.Request {
+		req := scanReq(sql).Compiled()
+		req.SQL = text
+		return req
+	}
+	reqs := []selectengine.Request{
+		compiled("SELECT k, v FROM S3Object WHERE g = 1", "member 1"),
+		compiled("SELECT k FROM S3Object WHERE g = 2", "member 2"),
+	}
+	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), reqs)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("backend calls = %d, want 1 merged pass", got)
+	}
+	for i, out := range outs {
+		expectRows(t, data, reqs[i], out)
+	}
+	if st := c.Stats(); st.MergedPasses != 1 || st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want one merged pass and no fallback", st)
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
@@ -75,6 +76,24 @@ type Request struct {
 	// range [Start, End). Mirrors S3 Select's ScanRange parameter; used by
 	// the sampling top-K operator to sample random chunks.
 	ScanRange *ScanRange
+	stmt      func() (*sqlparse.Select, error) // Compiled; SQL stays the identity
+}
+
+// Statement returns the request's statement: a compiled request's, read-only
+// and shared by its copies across goroutines, or for text SQL parsed now.
+func (r Request) Statement() (*sqlparse.Select, error) {
+	if r.stmt == nil {
+		return sqlparse.Parse(r.SQL)
+	}
+	return r.stmt()
+}
+
+// Compiled returns r with SQL's statement attached, parsed once when a copy
+// first needs it (a cache hit never does) and not after SQL changes.
+func (r Request) Compiled() Request {
+	sql := r.SQL
+	r.stmt = sync.OnceValues(func() (*sqlparse.Select, error) { return sqlparse.Parse(sql) })
+	return r
 }
 
 // ScanRange is a half-open byte range.
@@ -196,7 +215,7 @@ func Execute(data []byte, req Request) (*Result, error) {
 	if len(req.SQL) > MaxSQLBytes {
 		return nil, fmt.Errorf("selectengine: SQL expression is %d bytes; limit is %d", len(req.SQL), MaxSQLBytes)
 	}
-	sel, err := sqlparse.Parse(req.SQL)
+	sel, err := req.Statement()
 	if err != nil {
 		return nil, err
 	}

@@ -332,8 +332,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reject(&Error{Kind: KindBadRequest, Message: "empty sql"})
 		return
 	}
-	// Validate the statement before spending an admission slot on it; the
-	// engine re-parses on execution (parsing is micro-cheap next to a scan).
+	// Parse the statement before spending an admission slot on it; the engine
+	// runs this parse (RunStatement), so a statement is parsed once.
 	stmt, err := sqlparse.ParseStatement(req.SQL)
 	if err != nil {
 		reject(&Error{Kind: KindBadRequest, Message: err.Error()})
@@ -400,7 +400,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.WithTrace(ctx, tr)
 	}
 	wallStart := time.Now()
-	rel, exec, err := s.db.ExecStatement(ctx, req.SQL)
+	rel, exec, err := s.db.RunStatement(ctx, req.SQL, stmt)
 	wall := time.Since(wallStart)
 	tr.Finish()
 	// Bill whatever the execution accrued, error or not: a query that died

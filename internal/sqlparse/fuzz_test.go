@@ -1,14 +1,20 @@
-package sqlparse
+package sqlparse_test
 
 import (
 	"strings"
 	"testing"
+
+	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 )
 
 // FuzzParseRoundTrip checks the parser/printer pair: anything that parses
 // must print to SQL that re-parses, and the canonical form must be a fixed
-// point (print → parse → print is the identity). A panic anywhere in the
-// lexer/parser fails the target by itself.
+// point (print → parse → print is the identity). The reparsed statement has
+// as many nodes as the printed one (selectengine.CountNodes), which is what
+// lets the planner count the storage side's work on its own ASTs instead of
+// parsing the SQL it prints. A panic anywhere in the lexer/parser fails the
+// target by itself.
 func FuzzParseRoundTrip(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM S3Object",
@@ -23,7 +29,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT SUBSTRING(s, 1 + MOD(k, 8), 1) FROM t WHERE CAST(v AS INT) = 4",
 		"SELECT -x, 'it''s', 1.5e3, .5 FROM t WHERE a <> b",
 		"SELECT \"quoted col\" FROM t ORDER BY 1",
-		"SELECT * FROM t WHERE " + strings.Repeat("(", 2*maxExprDepth) + "a = 1" + strings.Repeat(")", 2*maxExprDepth),
+		"SELECT * FROM t WHERE " + strings.Repeat("(", 2*sqlparse.MaxExprDepth) + "a = 1" + strings.Repeat(")", 2*sqlparse.MaxExprDepth),
 		"SELECT * FROM t WHERE " + strings.Repeat("NOT ", 600) + "a = 1",
 		"SELECT " + strings.Repeat("- ", 600) + "a FROM t",
 	}
@@ -31,17 +37,20 @@ func FuzzParseRoundTrip(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		sel, err := Parse(src)
+		sel, err := sqlparse.Parse(src)
 		if err != nil {
 			return // rejecting garbage is fine; panicking or looping is not
 		}
 		printed := sel.String()
-		sel2, err := Parse(printed)
+		sel2, err := sqlparse.Parse(printed)
 		if err != nil {
 			t.Fatalf("canonical form does not re-parse\ninput:  %q\nprinted: %q\nerr: %v", src, printed, err)
 		}
 		if printed2 := sel2.String(); printed2 != printed {
 			t.Fatalf("canonical form is not a fixed point\ninput: %q\nfirst:  %q\nsecond: %q", src, printed, printed2)
+		}
+		if n, n2 := selectengine.CountNodes(sel), selectengine.CountNodes(sel2); n != n2 {
+			t.Fatalf("%q has %d nodes, its printed form %q %d", src, n, printed, n2)
 		}
 	})
 }

@@ -65,10 +65,21 @@ func TestExplainAnalyzeQ3Golden(t *testing.T) {
 	}
 }
 
+// explain runs EXPLAIN sql as a statement and returns its render, a line
+// per row.
+func explain(ctx context.Context, db *engine.DB, sql string) (string, error) {
+	text, _, err := explainStatement(ctx, db, "EXPLAIN "+sql)
+	return text, err
+}
+
 // explainAnalyze runs EXPLAIN ANALYZE sql as a statement and returns its
 // render, a line per row, and the Exec that ran it.
 func explainAnalyze(ctx context.Context, db *engine.DB, sql string) (string, *engine.Exec, error) {
-	rel, e, err := db.ExecStatement(ctx, "EXPLAIN ANALYZE "+sql)
+	return explainStatement(ctx, db, "EXPLAIN ANALYZE "+sql)
+}
+
+func explainStatement(ctx context.Context, db *engine.DB, stmt string) (string, *engine.Exec, error) {
+	rel, e, err := db.ExecStatement(ctx, stmt)
 	if err != nil {
 		return "", nil, err
 	}

@@ -160,7 +160,7 @@ func TestSingleTablePushdown(t *testing.T) {
 		"q1": "SELECT l_returnflag, l_linestatus, l_quantity, l_extendedprice, l_discount, l_tax FROM S3Object WHERE (l_shipdate <= '1998-09-02')",
 		"q6": "SELECT l_extendedprice, l_discount FROM S3Object WHERE ((((l_shipdate >= '1994-01-01') AND (l_shipdate < '1995-01-01')) AND (l_discount BETWEEN 0.05 AND 0.07)) AND (l_quantity < 24))",
 	} {
-		text, err := db.ExplainContext(ctx, goldenSQL(t, name))
+		text, err := explain(ctx, db, goldenSQL(t, name))
 		if err != nil {
 			t.Fatal(err)
 		}
