@@ -148,7 +148,7 @@ func main() {
 	if len(rel.Cols) == 1 && rel.Cols[0] == "plan" {
 		// EXPLAIN [ANALYZE]: the relation carries the render line by line;
 		// print it raw, not as a table. ANALYZE already embeds its own
-		// runtime/cost totals (plain EXPLAIN never executed, e is nil).
+		// runtime/cost totals; a plain EXPLAIN's e holds only its planning.
 		for _, row := range rel.Rows {
 			fmt.Println(row[0].AsString())
 		}

@@ -54,8 +54,10 @@ func main() {
 	}
 
 	// 4. A selective equality flips to the IndexScan access path; an
-	// unselective range stays a pushed scan. Explain shows the three-way
-	// estimate that drove each choice.
+	// unselective range stays a pushed scan. EXPLAIN prints the plan the
+	// query then runs: its one scan carries the access decision and the
+	// three-way estimate that drove it, and after the run the IndexScan's
+	// multi-range GETs.
 	for _, sql := range []string{
 		"SELECT k FROM events WHERE v = 123",
 		"SELECT COUNT(*) AS n FROM events WHERE v >= 8",
@@ -72,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ap := e.Access()
+		ap := e.QueryPlan().Scans[0].Access
 		fmt.Printf("ran as %s (%d multi-range GETs), %d rows, runtime %.3fs, cost %s\n\n",
 			ap.Strategy, ap.RangedGets, len(rel.Rows), e.RuntimeSeconds(), e.Cost())
 	}

@@ -5,10 +5,12 @@
 //	FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey
 //	WHERE c.c_acctbal <= -950
 //
-// The planner probes each table with a pushed-down COUNT(*), prices the
-// baseline join against the Bloom join with the cloudsim cost model, and
-// runs the winner. The program prints the plan tree (what -q "EXPLAIN …"
-// shows in cmd/pushdownsql), then the result with its virtual runtime and cost.
+// The planner reads each table's statistics object (one small GET) and
+// counts its filter over the object's sample, prices the baseline join
+// against the Bloom join with the cloudsim cost model, and runs the winner.
+// The program plans the statement with EXPLAIN and prints the plan tree its
+// Exec holds (what -q "EXPLAIN …" shows in cmd/pushdownsql), then runs it
+// and prints the result with its virtual runtime and cost.
 package main
 
 import (
@@ -46,11 +48,11 @@ func main() {
 	fmt.Println(sql)
 	fmt.Println()
 
-	plan, _, err := db.PlanContext(ctx, sql)
+	_, pe, err := db.ExecStatement(ctx, "EXPLAIN "+sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(plan)
+	fmt.Print(pe.QueryPlan())
 
 	rel, e, err := db.QueryContext(ctx, sql)
 	if err != nil {

@@ -256,7 +256,7 @@ func TestPlannerBackendProfileFlipsStrategy(t *testing.T) {
 		st := newTestStore(t)
 		db := openTestDB(t, st, s3api.WithProfile(profile))
 		db.Sim = cloudsim.Scale{DataRatio: 80, PartRatio: 4}
-		plan, _, err := db.PlanContext(context.Background(), sql)
+		plan, _, err := planOf(db, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

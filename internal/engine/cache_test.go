@@ -249,7 +249,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 	}
 	sql := "SELECT COUNT(*) AS n FROM ta JOIN tb ON ta.ak = tb.ak JOIN tc ON tb.sk = tc.sk WHERE ta.af <= 9"
 
-	coldPlan, _, err := db.PlanContext(context.Background(), sql)
+	coldPlan, _, err := planOf(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestPlannerFlipsToFilteredWhenProbeResident(t *testing.T) {
 		t.Fatalf("cold execution did not fall back to filtered: %s (%s)", got.Strategy, got.Reason)
 	}
 
-	warmPlan, _, err := db.PlanContext(context.Background(), sql)
+	warmPlan, _, err := planOf(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"pushdowndb/internal/cloudsim"
-	"pushdowndb/internal/index"
 	"pushdowndb/internal/rescache"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/scanshare"
@@ -46,23 +45,18 @@ type DB struct {
 	// reference they must match byte for byte (see operators.go).
 	vectorized bool
 
-	// statsCache holds planner table statistics keyed by
-	// backend/bucket/table/filter/index-predicate, so repeated queries plan
-	// from cached stats instead of re-estimating. statsObjs memoizes each
-	// table's statistics object (see statsObject; nil = none usable, so
-	// such a table costs one read per DB, not one per query); statsGen
-	// counts voids, so a read that raced one is not remembered.
+	// statsMu guards what the planner remembers across queries. statsCache
+	// holds table statistics keyed by backend/bucket/table/filter/index-
+	// predicate, so repeated queries plan from cached stats instead of
+	// re-estimating. meta holds each table's catalog metadata (tableMeta),
+	// keyed by the table as queries and object keys spell it, so a table
+	// without a statistics object or an index costs one read per DB, not
+	// one per query. metaGen counts voids, so a read that raced one is not
+	// remembered.
 	statsMu    sync.Mutex
 	statsCache map[string]cachedStats
-	statsObjs  map[string]*statsObj
-	statsGen   int64
-
-	// idxMu guards idxMemo, the per-table cache of validated index
-	// manifests (see indexManifest). Keyed by lower(table); an empty
-	// manifest records "no indexes" so unindexed tables cost one catalog
-	// read per DB, not one per query.
-	idxMu   sync.Mutex
-	idxMemo map[string]*index.Manifest
+	meta       map[string]tableMeta
+	metaGen    int64
 
 	// resultCache caches S3 Select responses across queries (WithResultCache;
 	// nil = caching off) and scanShare coalesces concurrent S3 Selects into
@@ -301,9 +295,9 @@ func (db *DB) InvalidateStats() { db.void("", "") }
 func (db *DB) InvalidateTable(table string) { db.void(table, table+"/") }
 
 // void is the one place that knows what the DB caches across queries. It
-// drops the planner statistics — cached estimates and the decoded
-// statistics object — and the index-manifest view of table (every table
-// when table is empty), cached select responses for the bucket's
+// drops the planner's cached estimates and the table's metadata entry —
+// its statistics object and index-manifest view — (every table's when
+// table is empty), cached select responses for the bucket's
 // objects under objPrefix, and the scan-sharing space. The share epoch is
 // coordinator-wide (cheap and always correct) and moves first: once the
 // cache generations bump, a miss can only join a pass that started after
@@ -321,19 +315,12 @@ func (db *DB) void(table, objPrefix string) {
 		}
 	}
 	if table == "" {
-		db.statsObjs = nil
+		db.meta = nil
 	} else {
-		delete(db.statsObjs, table)
+		delete(db.meta, table)
 	}
-	db.statsGen++
+	db.metaGen++
 	db.statsMu.Unlock()
-	db.idxMu.Lock()
-	if table == "" {
-		db.idxMemo = nil
-	} else {
-		delete(db.idxMemo, strings.ToLower(table))
-	}
-	db.idxMu.Unlock()
 	if db.scanShare != nil {
 		db.scanShare.Invalidate()
 	}

@@ -273,7 +273,7 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 				}
 				coldOut := render(cold, false)
 				// The planner saw the index whatever it chose to run.
-				if ap := e.Access(); ap == nil || ap.Index == nil {
+				if accessOf(e) == nil || e.QueryPlan().Scans[0].Index == nil {
 					t.Errorf("%s: no index candidate considered on %s", q.name, name)
 				}
 				// Forced IndexScan must produce the identical relation.

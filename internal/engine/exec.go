@@ -19,14 +19,9 @@ type Exec struct {
 	// Metrics is the query's virtual clock and cost accumulator.
 	Metrics *cloudsim.Metrics
 
-	// plan is the join plan Query built for this execution (nil for
-	// single-table queries and explicit operator calls).
+	// plan is the plan of the SELECT this execution planned (nil for
+	// explicit operator calls).
 	plan *QueryPlan
-
-	// access is the single-table access-path decision (nil when the query
-	// was a join, ran through explicit operators, or its table had no
-	// usable secondary index).
-	access *AccessPlan
 
 	// partsMemo caches partition listings per table for this execution, so
 	// planning (header probes, statistics, cache-residency checks) and the
@@ -47,13 +42,10 @@ type Exec struct {
 	stage int
 }
 
-// QueryPlan returns the join plan this execution ran (nil when the query
-// was single-table or driven through the explicit operator APIs).
+// QueryPlan returns the plan of the SELECT, EXPLAIN or EXPLAIN ANALYZE
+// this execution planned (nil when its planning failed or it was driven
+// through the explicit operator APIs).
 func (e *Exec) QueryPlan() *QueryPlan { return e.plan }
-
-// Access returns the single-table access-path plan this execution ran
-// (nil when the statement had no access decision to make: planAccess).
-func (e *Exec) Access() *AccessPlan { return e.access }
 
 // NewExec starts a query execution context with background cancellation.
 func (db *DB) NewExec() *Exec {

@@ -11,42 +11,42 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// EXPLAIN [ANALYZE] execution. Plain EXPLAIN renders the planner's
-// estimates without running the query; ANALYZE executes it under an obs
-// trace and annotates every plan step with what actually happened —
-// estimated vs. actual rows, bytes and cost. The render is deterministic
-// except for the single wall-clock line (golden tests mask it), because it
-// is built from the plan steps and the cloudsim phase table, not from the
-// concurrently-ordered raw span tree.
+// EXPLAIN [ANALYZE] execution. Both plan the statement into its QueryPlan
+// as a SELECT does. Plain EXPLAIN renders the planner's estimates without
+// running the query; ANALYZE executes it under an obs trace and annotates
+// every plan step with what actually happened — estimated vs. actual rows,
+// bytes and cost. The render is deterministic except for the single
+// wall-clock line (golden tests mask it), because it is built from the plan
+// and the cloudsim phase table, not from the concurrently-ordered raw span
+// tree.
 
-// runExplain executes an EXPLAIN statement. Plain EXPLAIN returns the
-// estimate render and no execution (nothing was metered); ANALYZE returns
-// the annotated render together with the Exec that ran the query, so
-// runtime and billing ride the server wire like any SELECT's.
+// runExplain executes an EXPLAIN statement. It returns the render together
+// with the Exec that planned (and, for ANALYZE, ran) the statement, so the
+// planner's requests are billed like any SELECT's, error or not.
 func (db *DB) runExplain(ctx context.Context, ex *sqlparse.Explain) (*Relation, *Exec, error) {
-	render := db.explainSelect
 	if ex.Analyze {
-		render = db.analyze
+		return db.analyze(ctx, ex.Sel)
 	}
-	text, e, err := render(ctx, ex.Sel)
+	e := db.NewExecContext(ctx)
+	p, err := e.planSelect(ex.Sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, e, err
 	}
-	return textRelation(text), e, nil
+	return textRelation(p.String()), e, nil
 }
 
 // analyze runs sel and renders its EXPLAIN ANALYZE report. It always runs
 // traced: under the caller's trace (the daemon attaches one per request) or
 // a private one.
-func (db *DB) analyze(ctx context.Context, sel *sqlparse.Select) (string, *Exec, error) {
+func (db *DB) analyze(ctx context.Context, sel *sqlparse.Select) (*Relation, *Exec, error) {
 	if obs.FromContext(ctx) == nil {
 		ctx = obs.WithTrace(ctx, obs.New("explain", "query"))
 	}
 	rel, e, err := db.runSelectStatement(ctx, sel)
 	if err != nil {
-		return "", nil, err
+		return nil, e, err
 	}
-	return renderAnalyze(sel, rel, e), e, nil
+	return textRelation(renderAnalyze(rel, e)), e, nil
 }
 
 // textRelation wraps a multi-line render as a one-column relation, so
@@ -62,14 +62,10 @@ func textRelation(text string) *Relation {
 
 // renderAnalyze builds the EXPLAIN ANALYZE report from the executed plan
 // and its metrics.
-func renderAnalyze(sel *sqlparse.Select, rel *Relation, e *Exec) string {
+func renderAnalyze(rel *Relation, e *Exec) string {
 	var b strings.Builder
 	b.WriteString("EXPLAIN ANALYZE\n")
-	if p := e.QueryPlan(); p != nil {
-		b.WriteString(p.String())
-	} else {
-		renderAnalyzeSingle(&b, sel, rel, e)
-	}
+	b.WriteString(e.QueryPlan().String())
 	b.WriteString("phases:\n")
 	for _, line := range strings.Split(strings.TrimRight(e.Metrics.Report(), "\n"), "\n") {
 		b.WriteString("  " + line + "\n")
@@ -82,30 +78,70 @@ func renderAnalyze(sel *sqlparse.Select, rel *Relation, e *Exec) string {
 	return b.String()
 }
 
-// renderAnalyzeSingle annotates a single-table query: the access strategy
-// that ran, what its pushed tail brought back and whether that was trusted,
-// the chosen candidate's estimate beside the statement's actuals, and the
-// output.
-func renderAnalyzeSingle(b *strings.Builder, sel *sqlparse.Select, rel *Relation, e *Exec) {
-	ap := e.Access()
-	if ap == nil {
-		fmt.Fprintf(b, "scan %s: %s\n", sel.Table, pushedScan(sel, nil))
-		fmt.Fprintf(b, "  actual: %d rows out\n", len(rel.Rows))
+// writeScan renders a single-table plan: its access decision, when it had
+// one to make; then, before the run, how the statement executes — what
+// storage is sent and the server-side tail — or, after it, what the pushed
+// tail brought back and whether that was trusted, the chosen candidate's
+// estimate beside the statement's actuals, and the output. The result-cache
+// residency note is EXPLAIN's alone, read when the plan is printed.
+func (p *QueryPlan) writeScan(b *strings.Builder) {
+	sel, sc := p.Sel, p.Scans[0]
+	ap := sc.Access
+	if ap != nil {
+		sc.writeAccess(b)
+	}
+	if p.ran {
+		switch {
+		case ap == nil:
+			fmt.Fprintf(b, "scan %s: %s\n", sel.Table, pushedScan(sel, nil))
+		case ap.Pushed != "":
+			check := "its check held"
+			if ap.Fallback != "" {
+				check = "its check failed (" + ap.Fallback + "): reran on the plain filtered path"
+			}
+			fmt.Fprintf(b, "  rows back: est ~%d, actual %d; %s\n", ap.EstRows, ap.ActualRows, check)
+		}
+		if ap != nil {
+			if est, ok := ap.Estimates[cmp.Or(ap.Pushed, ap.Strategy)]; ok {
+				fmt.Fprintf(b, "  cost:   est %.3fs $%.6f, actual %.3fs $%.6f\n",
+					est.Seconds, est.USD, p.exec.RuntimeSeconds(), p.exec.Cost().Total())
+			}
+		}
+		fmt.Fprintf(b, "  actual: %d rows out\n", p.rows)
 		return
 	}
-	b.WriteString(ap.String())
-	if ap.Pushed != "" {
-		check := "its check held"
-		if ap.Fallback != "" {
-			check = "its check failed (" + ap.Fallback + "): reran on the plain filtered path"
+	pushedSQL := pushedScan(sel, nil).String()
+	if ap != nil {
+		pushedSQL = ap.PushedSQL
+	} else if _, why := p.exec.db.pushableShape(sel); why != "" {
+		fmt.Fprintf(b, "not pushed beyond selection + projection: %s\n", why)
+	}
+	// With a result cache configured, how much of the scan really pushed is
+	// already resident, so a warm repeat's near-zero storage bill is visible
+	// before running.
+	cached := ""
+	if frac := p.exec.cachedScanFrac(sel.Table, pushedSQL); frac > 0 {
+		cached = fmt.Sprintf("  [cached scan %.0f%%]", 100*frac)
+	}
+	switch {
+	case ap != nil && ap.Strategy == StrategyIndexScan:
+		fmt.Fprintf(b, "IndexScan: probe index %s(%s), fetch ~%d ranges in ~%d multi-range GETs, re-filter %s locally\n",
+			sel.Table, sc.Index.Entry.Column, ap.EstRanges, ap.EstRangedGets, sel.Where.String())
+	case ap != nil && ap.Strategy == StrategyBaseline:
+		fmt.Fprintf(b, "server-side baseline: GET every partition of %s, filter %s locally\n",
+			sel.Table, sel.Where.String())
+	case isSimple(sel):
+		fmt.Fprintf(b, "S3 Select (full pushdown): %s%s\n", sel.String(), cached)
+		return
+	case ap != nil && ap.Pushed != "":
+		fmt.Fprintf(b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, pushedSQL, cached)
+		if len(sel.GroupBy) > 0 {
+			b.WriteString("server: merge the partitions' rows, check that every filtered row fell in exactly one group\n")
 		}
-		fmt.Fprintf(b, "  rows back: est ~%d, actual %d; %s\n", ap.EstRows, ap.ActualRows, check)
+	default:
+		fmt.Fprintf(b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cached)
 	}
-	if est, ok := ap.Estimates[cmp.Or(ap.Pushed, ap.Strategy)]; ok {
-		fmt.Fprintf(b, "  cost:   est %.3fs $%.6f, actual %.3fs $%.6f\n",
-			est.Seconds, est.USD, e.RuntimeSeconds(), e.Cost().Total())
-	}
-	fmt.Fprintf(b, "  actual: %d rows out\n", len(rel.Rows))
+	writeLocalTail(b, "", sel)
 }
 
 // wallOf renders the traced query's wall-clock duration; "n/a" when the

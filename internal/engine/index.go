@@ -176,23 +176,16 @@ func (db *DB) loadManifest(ctx context.Context, table string) (*index.Manifest, 
 // engine's own metadata, refreshed per DB and after InvalidateTable, not
 // per query.
 func (db *DB) indexManifest(ctx context.Context, table string) *index.Manifest {
-	key := strings.ToLower(table)
-	db.idxMu.Lock()
-	if m, ok := db.idxMemo[key]; ok {
-		db.idxMu.Unlock()
+	m, gen := db.metaOf(table)
+	if m.manifest != nil {
+		return m.manifest
+	}
+	man := db.validatedManifest(ctx, table)
+	db.remember(table, gen, func(m tableMeta) tableMeta {
+		m.manifest = man
 		return m
-	}
-	db.idxMu.Unlock()
-
-	m := db.validatedManifest(ctx, table)
-
-	db.idxMu.Lock()
-	if db.idxMemo == nil {
-		db.idxMemo = map[string]*index.Manifest{}
-	}
-	db.idxMemo[key] = m
-	db.idxMu.Unlock()
-	return m
+	})
+	return man
 }
 
 // validatedManifest loads the stored manifest and filters out stale

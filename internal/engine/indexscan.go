@@ -359,10 +359,9 @@ func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Re
 // that has one to make — its table has a usable secondary index, or its tail
 // has a shape storage could decide (pushdown.go): the choice between the
 // pushed filtered scan, plain or with its tail pushed, the IndexScan and the
-// server-side baseline load, with the estimates that drove it.
+// server-side baseline load, with the estimates that drove it. The table,
+// its statistics and its index candidate are the scan's (TableScan.Access).
 type AccessPlan struct {
-	Table    string
-	Backend  string
 	Strategy string // StrategyIndexScan, StrategyFiltered or StrategyBaseline
 	Reason   string
 	// Pushed is what a filtered plan pushes beyond selection + projection:
@@ -379,8 +378,6 @@ type AccessPlan struct {
 	// the plain filtered path; empty when it held.
 	EstRows, ActualRows int64
 	Fallback            string
-	// Index is the chosen (or rejected-but-considered) index candidate.
-	Index *IndexCandidate
 	// Estimates maps each candidate to its predicted runtime/cost: the
 	// strategies by name, the filtered scan with its tail pushed by Pushed's.
 	Estimates map[string]cloudsim.PlanEstimate
@@ -390,11 +387,6 @@ type AccessPlan struct {
 	// RangedGets is the number of multi-range GETs actually issued (filled
 	// in by execution when the IndexScan strategy ran).
 	RangedGets int64
-	// Stats, StatsSource and CachedStats are the planner's view of the
-	// table, as on a TableScan; StatsSource is empty when it had none.
-	Stats       cloudsim.PlanTableStats
-	StatsSource string
-	CachedStats bool
 
 	push *tailPush // the planned tail; run when Pushed is set
 }
@@ -406,30 +398,29 @@ const (
 	FallbackShortThreshold = "short_threshold" // fewer than K rows passed the threshold
 )
 
-// String renders the access plan for EXPLAIN.
-func (ap *AccessPlan) String() string {
-	var b strings.Builder
+// writeAccess renders the scan's access decision for EXPLAIN.
+func (sc *TableScan) writeAccess(b *strings.Builder) {
+	ap := sc.Access
 	strategy := ap.Strategy
 	if ap.Pushed != "" {
 		strategy += " + " + ap.Pushed
 	}
-	fmt.Fprintf(&b, "access plan for %s (on %s): %s — %s\n", ap.Table, ap.Backend, strategy, ap.Reason)
-	if ap.StatsSource != "" {
-		fmt.Fprintf(&b, "  [%d rows, %s]\n", ap.Stats.Rows, statsNote(ap.Stats, ap.StatsSource, ap.CachedStats))
+	fmt.Fprintf(b, "access plan for %s (on %s): %s — %s\n", sc.Table, sc.Backend, strategy, ap.Reason)
+	if sc.StatsSource != "" {
+		fmt.Fprintf(b, "  [%d rows, %s]\n", sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats))
 	}
 	switch {
 	case ap.Pushed != "":
-		fmt.Fprintf(&b, "  pushed: %s, %s, ~%d rows expected back\n", ap.Pushed, cmp.Or(ap.Sample, "a plain aggregation"), ap.EstRows)
+		fmt.Fprintf(b, "  pushed: %s, %s, ~%d rows expected back\n", ap.Pushed, cmp.Or(ap.Sample, "a plain aggregation"), ap.EstRows)
 	case ap.NotPushed != "":
-		fmt.Fprintf(&b, "  not pushed beyond selection + projection: %s\n", ap.NotPushed)
+		fmt.Fprintf(b, "  not pushed beyond selection + projection: %s\n", ap.NotPushed)
 	}
-	if ap.Index != nil {
-		fmt.Fprintf(&b, "  index %s(%s): predicate %s, ~%d matching rows, ~%d ranges in ~%d multi-range GETs\n",
-			ap.Table, ap.Index.Entry.Column, ap.Index.Pred.String(),
-			ap.Index.MatchedRows, ap.EstRanges, ap.EstRangedGets)
+	if sc.Index != nil {
+		fmt.Fprintf(b, "  index %s(%s): predicate %s, ~%d matching rows, ~%d ranges in ~%d multi-range GETs\n",
+			sc.Table, sc.Index.Entry.Column, sc.Index.Pred.String(),
+			sc.Index.MatchedRows, ap.EstRanges, ap.EstRangedGets)
 	}
-	writeEstimates(&b, "  ", 16, ap.Estimates)
-	return b.String()
+	writeEstimates(b, "  ", 16, ap.Estimates)
 }
 
 // planAccess is the one access decision of a single-table SELECT. It returns
@@ -443,32 +434,30 @@ func (ap *AccessPlan) String() string {
 // with an object, the filtered scan with its tail pushed (planTail). Cheaper
 // chooses; in doubt — no object, or keys its sample cannot evaluate — filtered,
 // unpriced, with no further request.
-func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
+func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, error) {
 	table := sel.Table
-	var filter sqlparse.Expr
-	var cand *IndexCandidate
 	if sel.Where != nil {
-		filter = sqlparse.StripQualifiers(sel.Where)
-		cand = e.db.indexCandidate(e.ctx, table, filter)
+		sc.Filter = sqlparse.StripQualifiers(sel.Where)
+		sc.Index = e.db.indexCandidate(e.ctx, table, sc.Filter)
 	}
+	cand := sc.Index
 	kind, why := e.db.pushableShape(sel)
 	if cand == nil && kind == "" {
 		return nil, nil
 	}
-	backendName, backend := e.db.BackendFor(table)
 	db := e.db
 	var err error
 
 	defer e.scope("plan").end(nil)
 	stage := e.NextStage()
-	ap := &AccessPlan{Table: table, Backend: backendName, Strategy: StrategyFiltered, Index: cand, NotPushed: why}
+	sc.Backend, _ = db.BackendFor(table)
+	ap := &AccessPlan{Strategy: StrategyFiltered, NotPushed: why}
 	var ts *statsObj
-	var cols []string
 	if cand == nil {
 		if ts = e.statsObject(table, stage); ts != nil {
-			cols = ts.cols
+			sc.Cols = ts.cols
 		}
-	} else if ts, cols, err = e.tableShape(table, stage); err != nil {
+	} else if ts, sc.Cols, err = e.tableShape(table, stage); err != nil {
 		return nil, err
 	}
 	filtered := int64(-1)
@@ -488,41 +477,23 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 		return ap, nil
 	}
 
-	var st cloudsim.PlanTableStats
-	if cand != nil || filtered < 0 {
-		cs, cached, err := e.probeStats(ts, table, exprStr(filter), indexProbePred(cand), stage)
-		if err != nil {
-			return nil, err
-		}
-		st, ap.StatsSource, ap.CachedStats = cs.stats, cs.source, cached
-		if cand != nil {
-			cand.MatchedRows = cs.idxMatched
-		}
-	} else {
-		st, ap.StatsSource = ts.tableStats(), StatsFromObject
-		st.FilteredRows = filtered
-	}
-	st.Cols = len(cols)
-	st.Profile = backend.Profile()
-
-	// scan prices a pushed scan sending req (as SQL, sql), returning
-	// `returned` rows in all and handing `local` of them to the server-side
-	// tail.
-	scan := func(req *sqlparse.Select, sql string, returned, local int64) (cloudsim.PlanTableStats, cloudsim.PlanEstimate) {
-		s := st
-		s.FilteredRows, s.LocalRows = returned, local
-		s.FilterNodes, s.ProjCols = selectengine.CountNodes(req), returnedCols(req, len(cols))
-		s.CachedFrac = e.cachedScanFrac(table, sql)
-		return s, cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, s)
-	}
-	ap.Estimates = map[string]cloudsim.PlanEstimate{}
-	tailRows := st.FilteredRows
-	if isSimple(sel) {
-		tailRows = 0 // the whole statement is pushed: nothing is left to finish
-	}
-	ap.Stats, ap.Estimates[StrategyFiltered] = scan(plain, ap.PushedSQL, st.FilteredRows, tailRows)
 	if cand != nil {
-		withTail := ap.Stats
+		filtered = -1 // the probe counts the index predicate's rows too
+	}
+	if err := e.scanStats(sc, ts, filtered, stage, exprStr(sc.Filter), plain, ap.PushedSQL); err != nil {
+		return nil, err
+	}
+	st := &sc.Stats
+	// The statement's tail finishes every filtered row, unless the whole
+	// statement is pushed and nothing is left to finish.
+	if !isSimple(sel) {
+		st.LocalRows = st.FilteredRows
+	}
+	ap.Estimates = map[string]cloudsim.PlanEstimate{
+		StrategyFiltered: cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, *st),
+	}
+	if cand != nil {
+		withTail := *st
 		withTail.LocalRows = st.FilteredRows
 		ap.Estimates[StrategyIndexScan] = cloudsim.EstimateIndexScan(db.Cfg, db.Sim, db.Pricing, withTail, indexScanStats(cand))
 		ap.Estimates[StrategyBaseline] = cloudsim.EstimateBaselineScan(db.Cfg, db.Sim, db.Pricing, withTail)
@@ -542,7 +513,9 @@ func (e *Exec) planAccess(sel *sqlparse.Select) (*AccessPlan, error) {
 		if kind == PushedGroupBy { // one row back per partition, one merged row per group to finish
 			ap.EstRows, local = int64(max(st.Partitions, 1)), int64(len(push.groups))
 		}
-		_, ap.Estimates[kind] = scan(push.req, push.sql, ap.EstRows, local)
+		s := e.requestStats(*st, table, push.req, push.sql)
+		s.FilteredRows, s.LocalRows = ap.EstRows, local
+		ap.Estimates[kind] = cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, s)
 	}
 	best := StrategyFiltered
 	for _, c := range []string{StrategyBaseline, StrategyIndexScan, kind} {
@@ -654,14 +627,17 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 // returnedCols reports how many columns a pushed scan returns (0 = all,
 // matching PlanTableStats.ProjCols semantics).
 func returnedCols(req *sqlparse.Select, tableCols int) int {
-	seen := map[string]bool{}
+	seen := make([]string, 0, len(req.Items))
 	for _, it := range req.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			return 0
 		}
-		for _, c := range sqlparse.Columns(it.Expr) {
-			seen[sqlparse.NameKey(c)] = true
-		}
+		sqlparse.Walk(it.Expr, func(n sqlparse.Expr) bool {
+			if c, ok := n.(*sqlparse.Column); ok && !slices.ContainsFunc(seen, func(s string) bool { return sqlparse.SameName(s, c.Name) }) {
+				seen = append(seen, c.Name)
+			}
+			return true
+		})
 	}
 	if n := max(len(seen), 1); n < tableCols {
 		return n
@@ -672,11 +648,11 @@ func returnedCols(req *sqlparse.Select, tableCols int) int {
 // runIndexScanSelect executes a single-table SELECT through the IndexScan
 // access path: fetch candidates, re-apply the full WHERE locally, then run
 // the usual local tail (grouping, ordering, projection, limit).
-func (e *Exec) runIndexScanSelect(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) {
-	rel, gets, _, err := e.indexScan(sel.Table, ap.Index, sqlparse.StripQualifiers(sel.Where), nil)
+func (e *Exec) runIndexScanSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error) {
+	rel, gets, _, err := e.indexScan(sel.Table, sc.Index, sc.Filter, nil)
 	if err != nil {
 		return nil, err
 	}
-	ap.RangedGets = gets
+	sc.Access.RangedGets = gets
 	return e.finishLocal(rel, sel)
 }

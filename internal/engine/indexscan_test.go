@@ -230,12 +230,12 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := e.Access()
+	ap := accessOf(e)
 	if ap == nil {
 		t.Fatal("no access plan on an indexed table")
 	}
 	if ap.Strategy != StrategyIndexScan {
-		t.Fatalf("selective equality chose %q:\n%s", ap.Strategy, ap)
+		t.Fatalf("selective equality chose %q:\n%s", ap.Strategy, e.QueryPlan())
 	}
 	if ap.RangedGets == 0 {
 		t.Error("executed IndexScan recorded no multi-range GETs")
@@ -253,7 +253,7 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap2 := e2.Access()
+	ap2 := accessOf(e2)
 	if ap2 == nil || ap2.Strategy == StrategyIndexScan {
 		t.Fatalf("unselective range must not index-scan: %+v", ap2)
 	}
@@ -263,8 +263,8 @@ func TestAccessPlannerPicksIndexThenScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3.Access() != nil {
-		t.Errorf("non-indexable filter got an access plan: %+v", e3.Access())
+	if accessOf(e3) != nil {
+		t.Errorf("non-indexable filter got an access plan: %+v", accessOf(e3))
 	}
 }
 
@@ -311,8 +311,8 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Access() == nil || e.Access().Strategy != StrategyIndexScan {
-		t.Fatalf("precondition: the first query must index-scan, got %+v", e.Access())
+	if accessOf(e) == nil || accessOf(e).Strategy != StrategyIndexScan {
+		t.Fatalf("precondition: the first query must index-scan, got %+v", accessOf(e))
 	}
 	if len(rel.Rows) != 10 {
 		t.Fatalf("pre-reload v = 43 returned %d rows, want 10", len(rel.Rows))
@@ -333,7 +333,7 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap := e2.Access(); ap != nil && ap.Strategy == StrategyIndexScan {
+	if ap := accessOf(e2); ap != nil && ap.Strategy == StrategyIndexScan {
 		t.Fatalf("stale index used after reload: %+v", ap)
 	}
 	if len(rel2.Rows) != 2 { // i = 2 and 1002
@@ -355,8 +355,8 @@ func TestIndexNeverServesStaleRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap := e3.Access(); ap == nil || ap.Strategy != StrategyIndexScan {
-		t.Fatalf("rebuilt index not used: %+v", e3.Access())
+	if ap := accessOf(e3); ap == nil || ap.Strategy != StrategyIndexScan {
+		t.Fatalf("rebuilt index not used: %+v", accessOf(e3))
 	}
 	if len(rel3.Rows) != 2 {
 		t.Fatalf("rebuilt index returned %d rows, want 2", len(rel3.Rows))
@@ -448,5 +448,124 @@ func TestExecStatementRoutesDDL(t *testing.T) {
 	}
 	if got := db.Indexes(ctx, "wide"); len(got) != 0 {
 		t.Fatalf("DROP INDEX statement left %+v", got)
+	}
+}
+
+// TestTableMetaKeyedAsSpelled: tables t and T are two tables — two object
+// prefixes — and only t has an index. Planning t first must not hand its
+// index to T: T's plan equals a fresh DB's.
+func TestTableMetaKeyedAsSpelled(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	var rows [][]string
+	for i := 0; i < 400; i++ {
+		rows = append(rows, []string{fmt.Sprint(i), fmt.Sprint(i % 40)})
+	}
+	for _, table := range []string{"t", "T"} {
+		if err := PartitionTable(ctx, st, testBucket, table, []string{"k", "v"}, rows, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := openIndexDB(t, st)
+	if err := db.CreateIndex(ctx, "t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, e, err := db.QueryContext(ctx, "SELECT k, v FROM t WHERE k = 5"); err != nil || e.QueryPlan().Scans[0].Index == nil {
+		t.Fatalf("precondition: t plans with its index: %v", err)
+	}
+	const sql = "SELECT k, v FROM T WHERE k = 5"
+	got, err := explain(ctx, db, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explain(ctx, openIndexDB(t, st), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("T planned after t:\n%s\na fresh DB plans:\n%s", got, want)
+	}
+}
+
+// manifestGate blocks the first Get of one key until released, having read
+// the object before blocking: the read sees the store as it was.
+type manifestGate struct {
+	s3api.Backend
+	key              string
+	armed            chan struct{}
+	started, release chan struct{}
+}
+
+func (g *manifestGate) Get(ctx context.Context, bucket, key string) ([]byte, error) {
+	data, err := g.Backend.Get(ctx, bucket, key)
+	if key == g.key {
+		select {
+		case <-g.armed:
+			close(g.started)
+			<-g.release
+		default:
+		}
+	}
+	return data, err
+}
+
+// TestManifestReadRacingInvalidateIsForgotten: a manifest read that began
+// before a reload and InvalidateTable finishes after them. What it read is
+// the pre-reload manifest; the next plan must not use it, and plans as a
+// fresh DB does from the rebuilt index.
+func TestManifestReadRacingInvalidateIsForgotten(t *testing.T) {
+	ctx := context.Background()
+	st := newIndexStore(t)
+	admin := openIndexDB(t, st)
+	if err := admin.CreateIndex(ctx, "wide", "v"); err != nil {
+		t.Fatal(err)
+	}
+	gate := &manifestGate{Backend: s3api.NewInProc(st), key: index.ManifestKey("wide"),
+		armed: make(chan struct{}, 1), started: make(chan struct{}), release: make(chan struct{})}
+	gate.armed <- struct{}{}
+	db, err := Open(testBucket, WithBackend("s3sim", gate), WithScale(idxScale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		_, err := explain(ctx, db, "SELECT k FROM wide WHERE v = 43")
+		done <- err
+	}()
+	<-gate.started
+
+	// Reload the table with new partition sizes, rebuild its index, and
+	// invalidate, all while the read is in flight.
+	var rows [][]string
+	for i := 0; i < 1777; i++ {
+		rows = append(rows, []string{fmt.Sprint(i + 100000), fmt.Sprint(i % 1000), strings.Repeat("y", 48)})
+	}
+	if err := PartitionTable(ctx, st, testBucket, "wide", []string{"k", "v", "pad"}, rows, 4); err != nil {
+		t.Fatal(err)
+	}
+	admin.InvalidateTable("wide")
+	if err := admin.CreateIndex(ctx, "wide", "v"); err != nil {
+		t.Fatal(err)
+	}
+	db.InvalidateTable("wide")
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	const sql = "SELECT k FROM wide WHERE v = 3"
+	got, err := explain(ctx, db, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explain(ctx, openIndexDB(t, st), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "IndexScan") {
+		t.Fatalf("precondition: a fresh DB index-scans the rebuilt index:\n%s", want)
+	}
+	if got != want {
+		t.Errorf("planned after the racing read:\n%s\na fresh DB plans:\n%s", got, want)
 	}
 }

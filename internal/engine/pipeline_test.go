@@ -209,8 +209,8 @@ func pipelineSequential(t *testing.T, st *store.Store, table string, comp compos
 				t.Fatalf("plain %q: %v", q, err)
 			}
 			want, ref[i], refSelects[i] = rel, billOf(e), plainCounting.Selects()-before
-			if pushed := qi == 3 || (qi == 4 && !comp.share); pushed != (e.Access() != nil && e.Access().Pushed != "" && e.Access().Fallback == "") {
-				t.Fatalf("plain %q: access plan %+v, want its tail pushed: %v", q, e.Access(), pushed)
+			if pushed := qi == 3 || (qi == 4 && !comp.share); pushed != (accessOf(e) != nil && accessOf(e).Pushed != "" && accessOf(e).Fallback == "") {
+				t.Fatalf("plain %q: access plan %+v, want its tail pushed: %v", q, accessOf(e), pushed)
 			}
 		}
 		for i := range ref {
@@ -314,7 +314,7 @@ func pipelineSingleflight(t *testing.T, st *store.Store, table string, comp comp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap := refExec.Access(); ap == nil || ap.Pushed != PushedGroupBy || ap.Fallback != "" {
+	if ap := accessOf(refExec); ap == nil || ap.Pushed != PushedGroupBy || ap.Fallback != "" {
 		t.Fatalf("the statement did not run as an S3-side group-by: %+v", ap)
 	}
 	ref := billOf(refExec)

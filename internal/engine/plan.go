@@ -66,7 +66,8 @@ type TableScan struct {
 	// table (nil = all, e.g. when the select list has a *).
 	Project []string
 	// Stats are the planner's cardinality and size statistics; StatsSource
-	// is where they were made: StatsFromObject or StatsFromProbe.
+	// is where they were made: StatsFromObject or StatsFromProbe (empty
+	// when the scan was not priced).
 	Stats       cloudsim.PlanTableStats
 	StatsSource string
 	// CachedStats reports whether Stats came from the DB's stats cache
@@ -76,6 +77,9 @@ type TableScan struct {
 	// filtered column, with the indexable predicate and its matched-row
 	// count (nil when the table has none).
 	Index *IndexCandidate
+	// Access is a single-table statement's access decision (planAccess);
+	// nil for a join's scans and for a statement with none to make.
+	Access *AccessPlan
 }
 
 // Name returns the scan's display name (alias if present).
@@ -117,14 +121,19 @@ type JoinStep struct {
 	scan               int  // scan index of the table joined in (later steps)
 }
 
-// QueryPlan is the planned execution of a multi-table SELECT.
+// QueryPlan is the planned execution of a SELECT, the one value its
+// execution, EXPLAIN and EXPLAIN ANALYZE read: a scan per FROM table and,
+// for a join, the chain of Steps; a single-table statement has one scan,
+// which carries its access decision, and no steps.
 type QueryPlan struct {
 	Sel      *sqlparse.Select
 	Scans    []*TableScan
 	Steps    []*JoinStep
 	Residual sqlparse.Expr // conjuncts evaluated on the server after all joins
 
-	ran bool // every step has run and holds its actuals (String renders them)
+	exec *Exec // the execution that planned it (String reads residency and totals off it)
+	ran  bool  // the plan has run and holds its actuals (String renders them)
+	rows int64 // output rows, once ran
 }
 
 func exprStr(e sqlparse.Expr) string {
@@ -293,10 +302,17 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 	}
 
 	// Statistics (cached on the DB): the probe SQL over each table's sample,
-	// or pushed down when the table has no statistics object.
+	// or pushed down when the table has no statistics object, priced for the
+	// scan execution will push.
 	probeStage := e.NextStage()
 	for i, sc := range p.Scans {
-		if err := e.tableStats(sc, objs[i], probeStage); err != nil {
+		sc.Index = e.db.indexCandidate(e.ctx, sc.Table, sc.Filter)
+		req := &sqlparse.Select{Items: []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}, Where: sc.Filter}
+		if len(sc.Project) > 0 {
+			req.Items = columnItems(sc.Project)
+		}
+		filter := exprStr(sc.Filter)
+		if err := e.scanStats(sc, objs[i], -1, probeStage, filter, req, projectionSQL(sc.Project, filter)); err != nil {
 			return nil, err
 		}
 	}
@@ -609,45 +625,65 @@ type cachedStats struct {
 	source     string // StatsFromObject or StatsFromProbe
 }
 
-// tableStats fills sc.Stats (and sc.Index) from the DB's stats cache or,
-// on a miss, from one probe SQL: COUNT(*) plus SUM(CASE ...) counts for
-// the pushed filter and the indexable predicate, evaluated over the sample
-// of the table's statistics object ts or, without one, storage-side in a
-// single scan (see probeStats). The table's backend profile is stamped
-// onto the stats so every strategy estimate prices the scan at that
-// backend's bandwidth, latency and rates.
-func (e *Exec) tableStats(sc *TableScan, ts *statsObj, stage int) error {
-	filter := exprStr(sc.Filter)
+// scanStats is the one place a scan's planner statistics are made: the
+// counts from probeStats for filter, sc.Filter rendered (sc.Index's matched
+// rows included) or, when the caller has read the filtered rows off the
+// statistics sample already (filtered >= 0), the object's exact shape with
+// that count; then the
+// table's column count and its backend's profile, so every strategy
+// estimate prices the scan at that backend's bandwidth, latency and rates;
+// and, from req — the request a pushed scan of it sends as sql — the per-row
+// expression work, returned columns and result-cache residency.
+func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int, filter string, req *sqlparse.Select, sql string) error {
 	backendName, backend := e.db.BackendFor(sc.Table)
 	sc.Backend = backendName
-	sc.Index = e.db.indexCandidate(e.ctx, sc.Table, sc.Filter)
-	cs, cached, err := e.probeStats(ts, sc.Table, filter, indexProbePred(sc.Index), stage)
-	if err != nil {
-		return err
-	}
-	st := cs.stats
-	if sc.Index != nil {
-		sc.Index.MatchedRows = cs.idxMatched
+	var st cloudsim.PlanTableStats
+	if filtered < 0 {
+		cs, cached, err := e.probeStats(ts, sc.Table, filter, indexProbePred(sc.Index), stage)
+		if err != nil {
+			return err
+		}
+		st, sc.StatsSource, sc.CachedStats = cs.stats, cs.source, cached
+		if sc.Index != nil {
+			sc.Index.MatchedRows = cs.idxMatched
+		}
+	} else {
+		st, sc.StatsSource = ts.tableStats(), StatsFromObject
+		st.FilteredRows = filtered
 	}
 	st.Cols = len(sc.Cols)
-	// The per-row expression work of the scan SQL execution will push for
-	// this table — select list included, counted on the statement the select
-	// engine parses from it and meters at run time.
-	scan := &sqlparse.Select{Items: []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}, Where: sc.Filter}
-	if len(sc.Project) > 0 {
-		scan.Items = columnItems(sc.Project)
-	}
-	st.FilterNodes = selectengine.CountNodes(scan)
-	st.ProjCols = len(sc.Project)
 	st.Profile = backend.Profile()
-	st.CachedFrac = e.cachedScanFrac(sc.Table, projectionSQL(sc.Project, filter))
-	sc.Stats, sc.StatsSource, sc.CachedStats = st, cs.source, cached
+	sc.Stats = e.requestStats(st, sc.Table, req, sql)
 	return nil
 }
 
-// runPlan executes a planned multi-table select, recording each step's
-// actual cardinality and cost deltas for EXPLAIN ANALYZE.
-func (e *Exec) runPlan(p *QueryPlan) (*Relation, error) {
+// requestStats is st priced for one pushed request to table, req sent as
+// sql: the per-row expression work of the statement the select engine
+// parses from it and meters at run time, the columns it returns and how
+// much of it the result cache holds.
+func (e *Exec) requestStats(st cloudsim.PlanTableStats, table string, req *sqlparse.Select, sql string) cloudsim.PlanTableStats {
+	st.FilterNodes, st.ProjCols = selectengine.CountNodes(req), returnedCols(req, st.Cols)
+	st.CachedFrac = e.cachedScanFrac(table, sql)
+	return st
+}
+
+// runPlan executes a planned select and records its actuals for EXPLAIN
+// ANALYZE.
+func (e *Exec) runPlan(p *QueryPlan) (rel *Relation, err error) {
+	if len(p.Steps) == 0 {
+		rel, err = e.runSelect(p.Sel, p.Scans[0])
+	} else {
+		rel, err = e.runJoins(p)
+	}
+	if err == nil {
+		p.ran, p.rows = true, int64(len(rel.Rows))
+	}
+	return rel, err
+}
+
+// runJoins executes a planned multi-table select, recording each step's
+// actual cardinality and cost deltas.
+func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 	var cur *Relation
 	var err error
 	for i, st := range p.Steps {
@@ -675,7 +711,6 @@ func (e *Exec) runPlan(p *QueryPlan) (*Relation, error) {
 		sc.sp.SetFloat("actual_usd", st.ActualUSD)
 		sc.end(nil)
 	}
-	p.ran = true
 	if p.Residual != nil {
 		cur, err = e.filterLocal(cur, p.Residual)
 		if err != nil {
@@ -786,13 +821,18 @@ func writeEstimates(b *strings.Builder, indent string, width int, ests map[strin
 	}
 }
 
-// String renders the plan as a readable tree (EXPLAIN).
-// Once the steps have run (EXPLAIN ANALYZE), each join step carries its
-// actuals: output rows next to the estimate, and the step's measured virtual
-// seconds, dollars and returned bytes next to the per-strategy estimates
-// that drove the decision.
+// String renders the plan as a readable tree (EXPLAIN): a single-table
+// statement as its access decision and how it executes (writeScan), a join
+// as its scans and steps. Once the steps have run (EXPLAIN ANALYZE), each
+// join step carries its actuals: output rows next to the estimate, and the
+// step's measured virtual seconds, dollars and returned bytes next to the
+// per-strategy estimates that drove the decision.
 func (p *QueryPlan) String() string {
 	var b strings.Builder
+	if len(p.Steps) == 0 {
+		p.writeScan(&b)
+		return b.String()
+	}
 	fmt.Fprintf(&b, "join plan (%d tables)\n", len(p.Scans))
 	for _, sc := range p.Scans {
 		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),

@@ -196,7 +196,7 @@ func TestPlannerStatsCache(t *testing.T) {
 	if _, _, err := db.QueryContext(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := db.PlanContext(context.Background(), sql)
+	plan, _, err := planOf(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPlannerStatsCache(t *testing.T) {
 		}
 	}
 	db.InvalidateStats()
-	plan, _, err = db.PlanContext(context.Background(), sql)
+	plan, _, err = planOf(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,3 +421,17 @@ func TestPlannerProbeCostIsAccounted(t *testing.T) {
 }
 
 func intStr(i int) string { return fmt.Sprint(i) }
+
+// accessOf returns the access decision of the single-table statement e
+// planned (nil when it had none to make).
+func accessOf(e *Exec) *AccessPlan { return e.QueryPlan().Scans[0].Access }
+
+// planOf plans sql without running it (EXPLAIN) and returns its plan and
+// the Exec that planned it.
+func planOf(db *DB, sql string) (*QueryPlan, *Exec, error) {
+	_, e, err := db.ExecStatement(context.Background(), "EXPLAIN "+sql)
+	if err != nil {
+		return nil, e, err
+	}
+	return e.QueryPlan(), e, nil
+}

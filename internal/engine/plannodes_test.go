@@ -36,19 +36,17 @@ func CheckPlannedNodes(t testing.TB, what string, e *Exec, sql string) map[strin
 		}
 	}
 	var cands []*IndexCandidate
-	if p := e.QueryPlan(); p != nil {
-		for _, sc := range p.Scans {
+	p := e.QueryPlan()
+	for _, sc := range p.Scans {
+		switch {
+		case len(p.Steps) > 0:
 			check("scan", sc.Stats.FilterNodes, projectionSQL(sc.Project, exprStr(sc.Filter)))
-			cands = append(cands, sc.Index)
+		case sc.Access != nil && len(sc.Access.Estimates) > 0:
+			check("access", sc.Stats.FilterNodes, pushedScan(p.Sel, nil).String())
+		default:
+			continue
 		}
-	}
-	if ap := e.Access(); ap != nil && len(ap.Estimates) > 0 {
-		sel, err := sqlparse.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("access", ap.Stats.FilterNodes, pushedScan(sel, nil).String())
-		cands = append(cands, ap.Index)
+		cands = append(cands, sc.Index)
 	}
 	for _, c := range cands {
 		if c != nil {

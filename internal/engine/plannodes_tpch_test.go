@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/cloudsim"
@@ -56,5 +57,34 @@ func TestPlannerNodeCountsTPCH(t *testing.T) {
 	}
 	if checked["scan"] == 0 {
 		t.Errorf("the goldens planned no join scan: %v", checked)
+	}
+}
+
+// TestPlanAgreementTPCH is TestPlanAgreement over Q3 and the TPC-H goldens
+// at SF 0.01, paper scale, over CSV and over the colformat copies.
+func TestPlanAgreementTPCH(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	ds, err := tpch.Load(ctx, st, tpch.Dataset{SF: 0.01, Seed: 42, Bucket: "tpch", Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tpch.LoadColumnar(st, ds); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *engine.DB {
+		db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", s3api.NewInProc(st)),
+			engine.WithScale(cloudsim.Scale{DataRatio: 10 / 0.01, PartRatio: 8}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	toColumnar := strings.NewReplacer("FROM lineitem", "FROM lineitem_col", "FROM customer", "FROM customer_col",
+		"JOIN orders", "JOIN orders_col", "JOIN lineitem", "JOIN lineitem_col", "JOIN part", "JOIN part_col")
+	for _, sql := range append([]string{q3SQL}, tpchGoldens...) {
+		engine.CheckPlanAgreement(t, sql, open, sql)
+		col := toColumnar.Replace(sql)
+		engine.CheckPlanAgreement(t, col, open, col)
 	}
 }

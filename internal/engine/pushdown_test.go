@@ -161,15 +161,15 @@ func TestPushdownDifferential(t *testing.T) {
 				if got != want || got == "error" {
 					t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, got, want)
 				}
-				ap := e.Access()
+				ap := accessOf(e)
 				if pushed := ""; ap != nil && ap.Fallback == "" {
 					if pushed = ap.Pushed; pushed != q.pushed {
-						t.Errorf("%s: ran with %q pushed, want %q\n%s", what, pushed, q.pushed, ap)
+						t.Errorf("%s: ran with %q pushed, want %q\n%s", what, pushed, q.pushed, e.QueryPlan())
 					}
 				}
 				// Without the object only a plain aggregation is pushed: it
 				// needs no sample.
-				if pa := plain.Access(); pa != nil && pa.Pushed != "" && strings.Contains(sql, "GROUP BY") {
+				if pa := accessOf(plain); pa != nil && pa.Pushed != "" && strings.Contains(sql, "GROUP BY") {
 					t.Errorf("%s: pushed %q without a statistics object", what, pa.Pushed)
 				}
 				if strings.Contains(plain.Metrics.Report(), "plan ") {
@@ -218,7 +218,7 @@ func TestPushdownGuards(t *testing.T) {
 			if err != nil {
 				t.Fatalf("columnar=%v %q: %v", columnar, sql, err)
 			}
-			return render(rel, true), e.Access(), e
+			return render(rel, true), accessOf(e), e
 		}
 
 		// The rare group is missed, the guard reads others > 0, the statement
@@ -226,7 +226,7 @@ func TestPushdownGuards(t *testing.T) {
 		want, _, _ := answer(plain, grouped)
 		got, ap, e := answer(db, grouped)
 		if ap.Pushed != PushedGroupBy || ap.Fallback != FallbackGroupsMissed || !strings.HasPrefix(ap.Sample, "6 groups") {
-			t.Errorf("columnar=%v: the rare group should fail the guard as groups_missed:\n%s", columnar, ap)
+			t.Errorf("columnar=%v: the rare group should fail the guard as groups_missed:\n%s", columnar, e.QueryPlan())
 		}
 		if got != want || !strings.Contains(got, "rare|1|") {
 			t.Errorf("columnar=%v: after the fallback\n%s\nwant\n%s", columnar, got, want)
@@ -238,9 +238,9 @@ func TestPushdownGuards(t *testing.T) {
 		// The whole top 10 sits off the stride: the threshold is low, admits
 		// at least K rows all the same, and the answer is right.
 		want, _, _ = answer(plain, topK)
-		got, ap, _ = answer(db, topK)
+		got, ap, e = answer(db, topK)
 		if ap.Pushed != PushedTopK || ap.Fallback != "" || ap.Sample != "threshold 496 from the sample" || ap.ActualRows < 10 {
-			t.Errorf("columnar=%v: top-K over an unlucky sample:\n%s", columnar, ap)
+			t.Errorf("columnar=%v: top-K over an unlucky sample:\n%s", columnar, e.QueryPlan())
 		}
 		if got != want || !strings.HasPrefix(got, "id|score\n2701|3701\n") {
 			t.Errorf("columnar=%v: top-K\n%s\nwant\n%s", columnar, got, want)
@@ -265,8 +265,8 @@ func TestPushdownGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap := e.Access(); ap.Fallback != FallbackShortThreshold || len(rel.Rows) != 10 || rel.Rows[0][1].String() != "1111" {
-		t.Errorf("stale content: %d rows, first %v\n%s", len(rel.Rows), rel.Rows[0], ap)
+	if ap := accessOf(e); ap.Fallback != FallbackShortThreshold || len(rel.Rows) != 10 || rel.Rows[0][1].String() != "1111" {
+		t.Errorf("stale content: %d rows, first %v\n%s", len(rel.Rows), rel.Rows[0], e.QueryPlan())
 	}
 }
 
@@ -338,8 +338,8 @@ func TestPushdownEligibility(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
-		if ap := e.Access(); ap != nil && (ap.Strategy != StrategyFiltered || ap.Pushed != "") {
-			t.Errorf("%q ran as\n%s", c.sql, ap)
+		if ap := accessOf(e); ap != nil && (ap.Strategy != StrategyFiltered || ap.Pushed != "") {
+			t.Errorf("%q ran as\n%s", c.sql, e.QueryPlan())
 		}
 	}
 }
@@ -367,16 +367,16 @@ func TestPushdownUnderSharing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batches != (e.Access() == nil) || batches == strings.Contains(e.Metrics.Report(), "s3 aggregate") {
-				t.Errorf("window %v, %q ran as\n%s\n%s", window, sql, e.Access(), e.Metrics.Report())
+			if batches != (accessOf(e) == nil) || batches == strings.Contains(e.Metrics.Report(), "s3 aggregate") {
+				t.Errorf("window %v, %q ran as\n%s\n%s", window, sql, e.QueryPlan(), e.Metrics.Report())
 			}
 		}
 		_, e, err := db.QueryContext(context.Background(), "SELECT id, score FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 5")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ap := e.Access(); ap == nil || ap.Pushed != PushedTopK {
-			t.Errorf("window %v: top-K ran as\n%s", window, ap)
+		if ap := accessOf(e); ap == nil || ap.Pushed != PushedTopK {
+			t.Errorf("window %v: top-K ran as\n%s", window, e.QueryPlan())
 		}
 	}
 }
@@ -402,15 +402,15 @@ func TestPushdownChoice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ap := e.Access()
+			ap := accessOf(e)
 			pushedCheaper := ap.Estimates[PushedGroupBy].Cheaper(ap.Estimates[StrategyFiltered])
 			if ap.Pushed != c.pushed || pushedCheaper != (c.pushed != "") || len(ap.Estimates) != 2 {
-				t.Errorf("columnar=%v GROUP BY %s: pushed %q\n%s", columnar, c.key, ap.Pushed, ap)
+				t.Errorf("columnar=%v GROUP BY %s: pushed %q\n%s", columnar, c.key, ap.Pushed, e.QueryPlan())
 			}
 		}
 		unscaled := openOver(t, pushBucket, st)
-		if _, e, err := unscaled.QueryContext(context.Background(), "SELECT few, COUNT(*) AS n FROM g GROUP BY few"); err != nil || e.Access().Pushed != "" {
-			t.Errorf("columnar=%v: at unit scale the request's expression work outweighs 6000 rows: %v\n%s", columnar, err, e.Access())
+		if _, e, err := unscaled.QueryContext(context.Background(), "SELECT few, COUNT(*) AS n FROM g GROUP BY few"); err != nil || accessOf(e).Pushed != "" {
+			t.Errorf("columnar=%v: at unit scale the request's expression work outweighs 6000 rows: %v\n%s", columnar, err, e.QueryPlan())
 		}
 	}
 }
@@ -472,8 +472,8 @@ func TestPushedProjection(t *testing.T) {
 		if len(got.Cols) != len(nastyHeader)+1 || render(got, true) != render(want, true) {
 			t.Errorf("%q\npushed:\n%s\nbaseline:\n%s", sql, render(got, true), render(want, true))
 		}
-		if limited := sel.Limit >= 0; limited != (e.Access() != nil && e.Access().Pushed == PushedTopK) {
-			t.Errorf("%q ran as\n%s", sql, e.Access())
+		if limited := sel.Limit >= 0; limited != (accessOf(e) != nil && accessOf(e).Pushed == PushedTopK) {
+			t.Errorf("%q ran as\n%s", sql, e.QueryPlan())
 		}
 	}
 }
@@ -517,7 +517,7 @@ func TestRowGroupPruningSeesConjuncts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return render(rel, true), stats, e.Access()
+		return render(rel, true), stats, accessOf(e)
 	}
 	for _, sorted := range []bool{true, false} {
 		with, without := build(sorted), build(sorted)
@@ -525,7 +525,7 @@ func TestRowGroupPruningSeesConjuncts(t *testing.T) {
 		want, full, _ := scanned(without)
 		got, thresholded, ap := scanned(with)
 		if got != want || ap.Pushed != PushedTopK {
-			t.Fatalf("sorted=%v: %s\nwant %s\n%s", sorted, got, want, ap)
+			t.Fatalf("sorted=%v: %s\nwant %s\n%+v", sorted, got, want, ap)
 		}
 		if sorted && (thresholded.DecompressBytes*20 > full.DecompressBytes || thresholded.BytesScanned*20 > full.BytesScanned) {
 			t.Errorf("sorted on the key: the thresholded scan read %+v, the plain one %+v: only the last row groups should be inflated", thresholded, full)
@@ -693,7 +693,7 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		want, _ := queryOrErr(openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized)), sql, q.ordered)
 		if want != "error" && got != want {
 			t.Fatalf("%q over %d rows in %d partitions, columnar=%v vectorized=%v\nwith the statistics object:\n%s\nwithout:\n%s\n%s",
-				sql, len(rows), parts, columnar, vectorized, got, want, e.Access())
+				sql, len(rows), parts, columnar, vectorized, got, want, e.QueryPlan())
 		}
 		runtime.ReadMemStats(&after)
 		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {

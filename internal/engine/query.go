@@ -15,8 +15,9 @@ import (
 // run the rest on the server, as in the paper's Section III "minimal
 // optimizer". Multi-table SELECTs (JOIN ... ON, or comma joins with
 // equality predicates in WHERE) go through the cost-based join planner
-// (plan.go), which picks a Section-V join strategy per join; the chosen
-// plan is available from Exec.QueryPlan. Canceling ctx aborts the query's storage fan-outs promptly.
+// (plan.go), which picks a Section-V join strategy per join. Either way the
+// plan that ran is Exec.QueryPlan. Canceling ctx aborts the query's storage
+// fan-outs promptly.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -26,31 +27,41 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, e
 	return db.RunStatement(ctx, sql, sel)
 }
 
-// runSelectStatement executes an already-parsed SELECT.
+// runSelectStatement plans and executes an already-parsed SELECT. The Exec
+// comes back whatever happened: a statement that failed, in planning or
+// in execution, still bought the requests it made.
 func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Relation, *Exec, error) {
 	e := db.NewExecContext(ctx)
 	sc := e.scope("select")
-	var (
-		rel *Relation
-		err error
-	)
-	if len(sel.Joins) > 0 {
-		var plan *QueryPlan
-		plan, err = e.planJoins(sel)
-		if err != nil {
-			sc.end(err)
-			return nil, nil, err
-		}
-		e.plan = plan
-		rel, err = e.runPlan(plan)
-	} else {
-		rel, err = e.runSelect(sel)
+	p, err := e.planSelect(sel)
+	var rel *Relation
+	if err == nil {
+		rel, err = e.runPlan(p)
 	}
 	if err == nil {
 		sc.sp.SetInt("rows", int64(len(rel.Rows)))
 	}
 	sc.end(err)
 	return rel, e, err
+}
+
+// planSelect plans sel into the one QueryPlan its execution, EXPLAIN and
+// EXPLAIN ANALYZE read: the join planner's scans and steps, or one scan
+// carrying the single-table access decision (planAccess), which is nil, at
+// no request, when there is none to make.
+func (e *Exec) planSelect(sel *sqlparse.Select) (p *QueryPlan, err error) {
+	if len(sel.Joins) > 0 {
+		p, err = e.planJoins(sel)
+	} else {
+		sc := &TableScan{Table: sel.Table, Alias: sel.Alias}
+		p = &QueryPlan{Sel: sel, Scans: []*TableScan{sc}}
+		sc.Access, err = e.planAccess(sel, sc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.exec, e.plan = e, p
+	return p, nil
 }
 
 // ExecStatement parses sql and runs it (RunStatement). SELECTs execute
@@ -89,46 +100,16 @@ func (db *DB) RunStatement(ctx context.Context, sql string, st sqlparse.Statemen
 	}
 }
 
-// PlanContext parses sql and builds its execution plan without running it. For
-// join queries the returned Exec has already accrued the planning cost
-// (header and statistics probes); single-table queries plan for free and
-// return a nil QueryPlan (they bypass the join planner). The planner's header and statistics probes run under ctx.
-func (db *DB) PlanContext(ctx context.Context, sql string) (*QueryPlan, *Exec, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db.planParsed(ctx, sel)
-}
-
-func (db *DB) planParsed(ctx context.Context, sel *sqlparse.Select) (*QueryPlan, *Exec, error) {
-	e := db.NewExecContext(ctx)
-	if len(sel.Joins) == 0 {
-		return nil, e, nil
-	}
-	plan, err := e.planJoins(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.plan = plan
-	return plan, e, nil
-}
-
-func (e *Exec) runSelect(sel *sqlparse.Select) (*Relation, error) {
+// runSelect executes a single-table SELECT as its scan's access decision
+// says.
+func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error) {
 	table := sel.Table
-	// The access decision (planAccess): statements with none to make — no
-	// usable index, no tail storage could decide — skip it entirely.
-	ap, err := e.planAccess(sel)
-	if err != nil {
-		return nil, err
-	}
-	if ap != nil {
-		e.access = ap
+	if ap := sc.Access; ap != nil {
 		switch {
 		case ap.Strategy == StrategyIndexScan:
-			return e.runIndexScanSelect(sel, ap)
+			return e.runIndexScanSelect(sel, sc)
 		case ap.Strategy == StrategyBaseline:
-			rel, err := e.serverSideFilter(table, sqlparse.StripQualifiers(sel.Where), nil)
+			rel, err := e.serverSideFilter(table, sc.Filter, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -389,66 +370,8 @@ func isAlias(sel *sqlparse.Select, name string) bool {
 	return false
 }
 
-// explainSelect renders how sel would execute, EXPLAIN's half of runExplain
-// (no Exec: nothing is billed): the plan tree with per-join strategy decisions
-// for multi-table queries, or the pushdown split for single-table ones.
-// Planning a join issues the planner's (cheap) header and statistics probes.
-// They and the cached-scan residency check honor ctx, so a caller's deadline
-// (the server's per-request timeout) cuts a stalled backend listing.
-func (db *DB) explainSelect(ctx context.Context, sel *sqlparse.Select) (string, *Exec, error) {
-	if len(sel.Joins) > 0 {
-		plan, _, err := db.planParsed(ctx, sel)
-		if err != nil {
-			return "", nil, err
-		}
-		return plan.String(), nil, nil
-	}
-	var b strings.Builder
-	e := db.NewExecContext(ctx)
-	// The access decision (issues the planner's metered catalog GET and,
-	// with an index, its probes, like join Explain does).
-	ap, err := e.planAccess(sel)
-	if err != nil {
-		return "", nil, err
-	}
-	pushedSQL := pushedScan(sel, nil).String()
-	if ap != nil {
-		b.WriteString(ap.String())
-		pushedSQL = ap.PushedSQL
-	} else if _, why := db.pushableShape(sel); why != "" {
-		fmt.Fprintf(&b, "not pushed beyond selection + projection: %s\n", why)
-	}
-	// With a result cache configured, report how much of the scan really
-	// pushed is already resident ("cached scan") so a warm repeat's near-zero
-	// storage bill is visible before running.
-	cached := ""
-	if frac := e.cachedScanFrac(sel.Table, pushedSQL); frac > 0 {
-		cached = fmt.Sprintf("  [cached scan %.0f%%]", 100*frac)
-	}
-	switch {
-	case ap != nil && ap.Strategy == StrategyIndexScan:
-		fmt.Fprintf(&b, "IndexScan: probe index %s(%s), fetch ~%d ranges in ~%d multi-range GETs, re-filter %s locally\n",
-			sel.Table, ap.Index.Entry.Column, ap.EstRanges, ap.EstRangedGets, sel.Where.String())
-	case ap != nil && ap.Strategy == StrategyBaseline:
-		fmt.Fprintf(&b, "server-side baseline: GET every partition of %s, filter %s locally\n",
-			sel.Table, sel.Where.String())
-	case isSimple(sel):
-		fmt.Fprintf(&b, "S3 Select (full pushdown): %s%s\n", sel.String(), cached)
-		return b.String(), nil, nil
-	case ap != nil && ap.Pushed != "":
-		fmt.Fprintf(&b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, pushedSQL, cached)
-		if len(sel.GroupBy) > 0 {
-			b.WriteString("server: merge the partitions' rows, check that every filtered row fell in exactly one group\n")
-		}
-	default:
-		fmt.Fprintf(&b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cached)
-	}
-	writeLocalTail(&b, "", sel)
-	return b.String(), nil, nil
-}
-
 // writeLocalTail describes the server-side tail finishLocal will run for
-// sel, one indented "server:" line per step (Explain and QueryPlan.String).
+// sel, one indented "server:" line per step (QueryPlan.String).
 func writeLocalTail(b *strings.Builder, indent string, sel *sqlparse.Select) {
 	if len(sel.GroupBy) > 0 {
 		keys := make([]string, len(sel.GroupBy))

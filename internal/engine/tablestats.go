@@ -12,6 +12,7 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/index"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/value"
@@ -130,6 +131,38 @@ func decodeTableStats(data []byte) (*statsObj, error) {
 	return ts, nil
 }
 
+// tableMeta is what the DB remembers of one table's catalog objects until
+// void: its statistics object (statsObject; nil with statsRead set: none
+// usable) and its validated index manifest (indexManifest; nil: not read).
+type tableMeta struct {
+	stats     *statsObj
+	statsRead bool
+	manifest  *index.Manifest
+}
+
+// metaOf returns the table's metadata entry and the void generation it was
+// read at.
+func (db *DB) metaOf(table string) (tableMeta, int64) {
+	db.statsMu.Lock()
+	defer db.statsMu.Unlock()
+	return db.meta[table], db.metaGen
+}
+
+// remember replaces the table's metadata entry m with set(m), for a read
+// that began at void generation gen, unless a void has run since: the table
+// may have changed under the read.
+func (db *DB) remember(table string, gen int64, set func(m tableMeta) tableMeta) {
+	db.statsMu.Lock()
+	defer db.statsMu.Unlock()
+	if db.metaGen != gen {
+		return
+	}
+	if db.meta == nil {
+		db.meta = map[string]tableMeta{}
+	}
+	db.meta[table] = set(db.meta[table])
+}
+
 // statsObject returns the table's statistics object, or nil when the table
 // has no usable one — missing, malformed, oversized, or stale against the
 // live partitions (checked as the index manifest's stamps are) — and must
@@ -138,13 +171,11 @@ func decodeTableStats(data []byte) (*statsObj, error) {
 // stats <table>". The verdict, either way, is memoized until void.
 func (e *Exec) statsObject(table string, stage int) *statsObj {
 	db := e.db
-	db.statsMu.Lock()
-	ts, ok := db.statsObjs[table]
-	gen := db.statsGen
-	db.statsMu.Unlock()
-	if ok {
-		return ts
+	m, gen := db.metaOf(table)
+	if m.statsRead {
+		return m.stats
 	}
+	var ts *statsObj
 	if _, err := e.parts(table); err != nil {
 		return nil // no such table: the fallback reports it, nothing is remembered
 	}
@@ -180,14 +211,10 @@ func (e *Exec) statsObject(table string, stage int) *statsObj {
 	if e.ctx.Err() != nil {
 		return nil // a canceled check is no verdict
 	}
-	db.statsMu.Lock()
-	if db.statsGen == gen { // a void since the read: the table may have changed under it
-		if db.statsObjs == nil {
-			db.statsObjs = map[string]*statsObj{}
-		}
-		db.statsObjs[table] = ts
-	}
-	db.statsMu.Unlock()
+	db.remember(table, gen, func(m tableMeta) tableMeta {
+		m.stats, m.statsRead = ts, true
+		return m
+	})
 	return ts
 }
 

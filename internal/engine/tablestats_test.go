@@ -114,11 +114,11 @@ func TestStatsObjectExactForSmallTables(t *testing.T) {
 	dropStats(without, diffBucket, "p", "ord", "item")
 	dbWith, dbWithout := openOver(t, diffBucket, with), openOver(t, diffBucket, without)
 	for _, q := range diffJoins() {
-		sampled, _, err := dbWith.PlanContext(context.Background(), q.sql)
+		sampled, _, err := planOf(dbWith, q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
-		probed, _, err := dbWithout.PlanContext(context.Background(), q.sql)
+		probed, _, err := planOf(dbWithout, q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
@@ -232,7 +232,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 	sql := "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250"
 	sourceOf := func(table string) string {
 		t.Helper()
-		plan, _, err := db.PlanContext(context.Background(), sql)
+		plan, _, err := planOf(db, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestStaleStatsObjectIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := db2.PlanContext(context.Background(), sql); err != nil {
+		if _, _, err := planOf(db2, sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,7 +424,7 @@ func TestHostileStatsObjects(t *testing.T) {
 	big := append(append([]byte{}, good...), bytes.Repeat([]byte("1,1,1.00\n"), maxStatsObjectBytes/9+1)...)
 	st.Put(testBucket, StatsKey("ords"), big)
 	db.InvalidateStats()
-	plan, e, err := db.PlanContext(context.Background(), sql)
+	plan, e, err := planOf(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,9 +539,9 @@ func FuzzTableStatsDecode(f *testing.F) {
 			// Past the staleness stamps, as if the partitions matched.
 			db.InvalidateStats()
 			db.statsMu.Lock()
-			db.statsObjs = map[string]*statsObj{"ords": ts}
+			db.meta = map[string]tableMeta{"ords": {stats: ts, statsRead: true}}
 			db.statsMu.Unlock()
-			if plan, _, err := db.PlanContext(context.Background(), "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250 AND o.ck >= 3"); err == nil {
+			if plan, _, err := planOf(db, "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE o.price < 250 AND o.ck >= 3"); err == nil {
 				_ = plan.String()
 			}
 		}

@@ -306,8 +306,15 @@ func TestExplainStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e != nil {
-		t.Error("plain EXPLAIN must not execute (want nil Exec)")
+	// Plain EXPLAIN plans without executing: its Exec holds the plan and
+	// has accrued the planner's requests, and nothing else.
+	if e == nil || e.QueryPlan() == nil {
+		t.Fatal("plain EXPLAIN must return the Exec that planned it")
+	}
+	for _, ph := range e.Metrics.Phases() {
+		if !strings.HasPrefix(ph.Name, "plan ") {
+			t.Errorf("plain EXPLAIN ran phase %q", ph.Name)
+		}
 	}
 	if len(rel.Cols) != 1 || rel.Cols[0] != "plan" {
 		t.Fatalf("EXPLAIN cols = %v", rel.Cols)

@@ -425,7 +425,7 @@ func TestRaggedObjectEndToEnd(t *testing.T) {
 		if got := render(top, true); got != wantTop {
 			t.Errorf("vectorized=%v ServerSideTopK:\n%s\nwant\n%s", vectorized, got, wantTop)
 		}
-		plan, _, err := db.PlanContext(ctx, "SELECT a, w FROM l JOIN r ON l.k = r.k2")
+		plan, _, err := planOf(db, "SELECT a, w FROM l JOIN r ON l.k = r.k2")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 					// for its own statistics (the table's statistics object).
 					{name: "Planner", run: query(db, "SELECT COUNT(*) AS n FROM lineitem WHERE "+pred),
 						note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
-							ap := e.Access()
+							ap := e.QueryPlan().Scans[0].Access
 							if ap == nil {
 								return "", nil, errors.New("no access plan")
 							}

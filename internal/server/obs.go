@@ -178,9 +178,18 @@ func (s *Server) observeQuery(tenant, kind, id, sql string, tr *obs.Trace, exec 
 		for _, p := range exec.Metrics.Phases() {
 			s.obs.phaseHist.Observe(p.Seconds(), phaseKind(p.Name))
 		}
-		if plan := exec.QueryPlan(); plan != nil {
+		// The plan counters count plans that ran: plain EXPLAIN only plans.
+		if plan := exec.QueryPlan(); plan != nil && kind != "explain" {
 			for _, sc := range plan.Scans {
-				s.obs.planStats.Inc(statsSource(sc.StatsSource, sc.CachedStats))
+				if sc.StatsSource != "" {
+					s.obs.planStats.Inc(statsSource(sc.StatsSource, sc.CachedStats))
+				}
+				if ap := sc.Access; ap != nil {
+					s.obs.access.Inc(ap.Strategy, cmp.Or(ap.Pushed, "none"))
+					if ap.Fallback != "" {
+						s.obs.fallbacks.Inc(ap.Fallback)
+					}
+				}
 			}
 			for _, st := range plan.Steps {
 				s.obs.joinSteps.Inc(st.Strategy)
@@ -188,15 +197,6 @@ func (s *Server) observeQuery(tenant, kind, id, sql string, tr *obs.Trace, exec 
 					est, act := float64(max(st.EstRows, 1)), float64(max(st.ActualRows, 1))
 					s.obs.qerrHist.Observe(max(est/act, act/est), st.Strategy)
 				}
-			}
-		}
-		if ap := exec.Access(); ap != nil {
-			if ap.StatsSource != "" {
-				s.obs.planStats.Inc(statsSource(ap.StatsSource, ap.CachedStats))
-			}
-			s.obs.access.Inc(ap.Strategy, cmp.Or(ap.Pushed, "none"))
-			if ap.Fallback != "" {
-				s.obs.fallbacks.Inc(ap.Fallback)
 			}
 		}
 	}

@@ -586,6 +586,49 @@ func TestJoinStepQErrorMetric(t *testing.T) {
 	}
 }
 
+// TestExplainIsBilled: plain EXPLAIN of a join over a table without a
+// statistics object plans it with a full-table COUNT probe, and the tenant
+// pays for that planning as for any statement: the response, the tenant
+// ledger and the audit line carry one cost, and the plan counters, which
+// count plans that ran, do not move.
+func TestExplainIsBilled(t *testing.T) {
+	f := newFixture(t, "inproc", Config{})
+	f.store.Delete("shop", engine.StatsKey("orders"))
+	c := NewClient(f.base)
+	c.Tenant = "planner"
+	before := scrape(t, f)
+	res, err := c.Query(context.Background(), "EXPLAIN "+testQueries[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := res.Cost.Total()
+	if res.Requests <= 0 || cost <= 0 || res.RuntimeSec <= 0 {
+		t.Fatalf("EXPLAIN billed %d requests, $%v, %vs; want its planning", res.Requests, cost, res.RuntimeSec)
+	}
+	if got := f.srv.ledger.Usage("planner").Cost.Total(); got != cost {
+		t.Errorf("ledger holds $%v for the tenant, the response says $%v", got, cost)
+	}
+	var line struct {
+		Tenant  string  `json:"tenant"`
+		SQL     string  `json:"sql"`
+		CostUSD float64 `json:"cost_usd"`
+	}
+	if err := json.Unmarshal(bytes.TrimSpace(f.audit.Bytes()), &line); err != nil {
+		t.Fatalf("want one audit line: %v\n%s", err, f.audit.String())
+	}
+	if line.Tenant != "planner" || line.SQL != "EXPLAIN "+testQueries[3] || line.CostUSD != cost {
+		t.Errorf("audit line %+v, want the tenant billed $%v", line, cost)
+	}
+	after := scrape(t, f)
+	for name, v := range after {
+		for _, counter := range []string{"pushdownd_plan_stats_total", "pushdownd_access_total", "pushdownd_pushdown_fallback_total", "pushdownd_join_steps_total", "pushdownd_join_step_qerror"} {
+			if strings.HasPrefix(name, counter) && v != before[name] {
+				t.Errorf("EXPLAIN moved %s: %v -> %v", name, before[name], v)
+			}
+		}
+	}
+}
+
 // TestAccessMetric: pushdownd_access_total says how each single-table
 // statement that had an access decision to make ran — the strategy, and what
 // it pushed beyond selection + projection — and the pushed tails' phases have

@@ -71,6 +71,7 @@ type fixture struct {
 	counting *s3api.Counting
 	fault    *s3api.Fault
 	audit    *bytes.Buffer
+	store    *store.Store // the objects, for the "inproc" flavor
 }
 
 // newFixture loads the test tables onto the named backend flavor
@@ -81,9 +82,10 @@ func newFixture(t *testing.T, flavor string, cfg Config) *fixture {
 	t.Helper()
 	bucket, tables := testTables()
 	var raw s3api.Backend
+	var st *store.Store
 	switch flavor {
 	case "inproc":
-		st := store.New()
+		st = store.New()
 		for name, tb := range tables {
 			if err := engine.PartitionTable(context.Background(), st, bucket, name, tb.header, tb.rows, 4); err != nil {
 				t.Fatal(err)
@@ -142,6 +144,7 @@ func newFixture(t *testing.T, flavor string, cfg Config) *fixture {
 		counting: counting,
 		fault:    fault,
 		audit:    audit,
+		store:    st,
 	}
 }
 

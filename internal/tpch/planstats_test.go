@@ -117,11 +117,11 @@ func TestSampledEstimatesWithinTwofold(t *testing.T) {
 	var sampled []*engine.QueryPlan
 	db := open()
 	for _, q := range joinQueries {
-		plan, e, err := db.PlanContext(context.Background(), q.sql)
+		_, e, err := db.ExecStatement(context.Background(), "EXPLAIN "+q.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampled = append(sampled, plan)
+		sampled = append(sampled, e.QueryPlan())
 		// The cost-model check: planning from statistics objects is a
 		// hundredth of a second at paper scale, not a table scan.
 		if sec := e.RuntimeSeconds(); sec <= 0 || sec >= 0.02 {
@@ -131,10 +131,11 @@ func TestSampledEstimatesWithinTwofold(t *testing.T) {
 	dropStats(st, ds.Bucket)
 	db = open()
 	for i, q := range joinQueries {
-		exact, _, err := db.PlanContext(context.Background(), q.sql)
+		_, e, err := db.ExecStatement(context.Background(), "EXPLAIN "+q.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
+		exact := e.QueryPlan()
 		for j, sc := range sampled[i].Scans {
 			ex := exact.Scans[j]
 			got, want := sc.Stats, ex.Stats

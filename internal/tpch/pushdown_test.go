@@ -118,8 +118,8 @@ func TestSingleTablePushdown(t *testing.T) {
 				if g, w := renderRows(got, q.ordered), renderRows(want, q.ordered); g != w {
 					t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, g, w)
 				}
-				if ap := e.Access(); ap == nil || ap.Pushed != q.pushed || ap.Fallback != "" {
-					t.Errorf("%s: want %q pushed and its check to hold:\n%s", what, q.pushed, ap)
+				if ap := e.QueryPlan().Scans[0].Access; ap == nil || ap.Pushed != q.pushed || ap.Fallback != "" {
+					t.Errorf("%s: want %q pushed and its check to hold:\n%s", what, q.pushed, e.QueryPlan())
 				}
 			}
 		}
@@ -141,9 +141,9 @@ func TestSingleTablePushdown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ap := e.Access()
+			ap := e.QueryPlan().Scans[0].Access
 			if !ap.Estimates[q.pushed].Cheaper(ap.Estimates[engine.StrategyFiltered]) || ap.Pushed != q.pushed {
-				t.Errorf("%s over %s: the pushed tail should price cheapest:\n%s", q.name, table, ap)
+				t.Errorf("%s over %s: the pushed tail should price cheapest:\n%s", q.name, table, text)
 			}
 			est, sec, usd := ap.Estimates[q.pushed], e.RuntimeSeconds(), e.Cost().Total()
 			if line := fmt.Sprintf("  cost:   est %.3fs $%.6f, actual %.3fs $%.6f\n", est.Seconds, est.USD, sec, usd); !strings.Contains(text, line) {
