@@ -18,6 +18,7 @@ import (
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/tpch"
 )
@@ -68,5 +69,5 @@ func main() {
 		f.Add(k)
 	}
 	fmt.Println("\nexample S3 Select Bloom predicate for keys {3, 17, 42}:")
-	fmt.Println("  WHERE " + f.SQLPredicate("o_custkey"))
+	fmt.Println("  WHERE " + f.SQLPredicate(&sqlparse.Column{Name: "o_custkey"}).String())
 }

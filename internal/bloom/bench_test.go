@@ -3,6 +3,8 @@ package bloom
 import (
 	"math/rand"
 	"testing"
+
+	"pushdowndb/internal/sqlparse"
 )
 
 func BenchmarkAdd(b *testing.B) {
@@ -29,9 +31,10 @@ func BenchmarkSQLPredicate(b *testing.B) {
 	for i := int64(0); i < 4096; i++ {
 		f.Add(i)
 	}
+	key := &sqlparse.Column{Name: "o_custkey"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.SQLPredicate("o_custkey")
+		_ = f.SQLPredicate(key).String()
 	}
 }
 
@@ -43,7 +46,7 @@ func BenchmarkFitWithDegradation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, ok := Fit(keys, 0.0001, "k", 256*1024, rng); !ok {
+		if _, _, _, ok := Fit(keys, 0.0001, &sqlparse.Column{Name: "k"}, 256*1024, rng); !ok {
 			b.Fatal("fit failed")
 		}
 	}

@@ -10,16 +10,18 @@
 //
 // Since S3 Select has neither bitwise operators nor binary data, the filter
 // can be rendered as a string of '0'/'1' characters probed with SUBSTRING
-// (the paper's Listing 1). SQLPredicate produces exactly that encoding;
-// SQLPredicateBitwise produces the compact BLOOM_CONTAINS form of the
-// paper's Suggestion 3 for the ablation benchmarks.
+// (the paper's Listing 1). SQLPredicate builds exactly that encoding as an
+// expression; SQLPredicateBitwise builds the compact BLOOM_CONTAINS form of
+// the paper's Suggestion 3 for the ablation benchmarks.
 package bloom
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+
+	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
 )
 
 // Filter is a Bloom filter over int64 keys.
@@ -119,34 +121,42 @@ func (f *Filter) BitString() string {
 	return b.String()
 }
 
-// SQLPredicate renders the paper's Listing-1 predicate over attr: one
-// SUBSTRING probe per hash function, ANDed. attr must be an integer column.
-func (f *Filter) SQLPredicate(attr string) string {
-	bitStr := f.BitString()
-	var b strings.Builder
-	for i, h := range f.hashes {
-		if i > 0 {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b,
-			"SUBSTRING('%s', ((%d * CAST(%s AS INT) + %d) %% %d) %% %d + 1, 1) = '1'",
-			bitStr, h[0], attr, h[1], f.n, f.m)
+// SQLPredicate is the paper's Listing-1 predicate over key, an integer
+// column: one probe per hash function, ANDed left to right,
+//
+//	SUBSTRING('<bits>', ((a * CAST(key AS INT) + b) % n) % m + 1, 1) = '1'
+//
+// — the tree this parser reads that text as, so storage meters the nodes
+// the cost model prices. The probes share the bit string, n, m and the key.
+func (f *Filter) SQLPredicate(key *sqlparse.Column) sqlparse.Expr {
+	bits, one, set := lit(value.Str(f.BitString())), lit(value.Int(1)), lit(value.Str("1"))
+	n, m, x := lit(value.Int(f.n)), lit(value.Int(f.m)), &sqlparse.Cast{X: key, To: value.KindInt}
+	bin := func(op sqlparse.BinaryOp, l, r sqlparse.Expr) sqlparse.Expr {
+		return &sqlparse.Binary{Op: op, L: l, R: r}
 	}
-	return b.String()
+	probes := make([]sqlparse.Expr, len(f.hashes))
+	for i, h := range f.hashes {
+		hx := bin(sqlparse.OpAdd, bin(sqlparse.OpMul, lit(value.Int(h[0])), x), lit(value.Int(h[1])))
+		pos := bin(sqlparse.OpAdd, bin(sqlparse.OpMod, bin(sqlparse.OpMod, hx, n), m), one)
+		probes[i] = bin(sqlparse.OpEq, &sqlparse.Call{Name: "SUBSTRING", Args: []sqlparse.Expr{bits, pos, one}}, set)
+	}
+	return sqlparse.AndAll(probes)
 }
 
-// SQLPredicateBitwise renders the Suggestion-3 BLOOM_CONTAINS form: the bit
-// array hex-encoded once, probed with all hash functions in a single call.
-// Requires selectengine Capabilities.AllowBloomContains.
-func (f *Filter) SQLPredicateBitwise(attr string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "BLOOM_CONTAINS('%s', %d, %d", hexEncode(f.bits), f.m, f.n)
+// SQLPredicateBitwise is the Suggestion-3 BLOOM_CONTAINS form over key: the
+// bit array hex-encoded once, probed with all hash functions in a single
+// call, BLOOM_CONTAINS('<hex>', m, n, a1, b1, …, CAST(key AS INT)). Requires
+// selectengine Capabilities.AllowBloomContains.
+func (f *Filter) SQLPredicateBitwise(key *sqlparse.Column) sqlparse.Expr {
+	args := []sqlparse.Expr{lit(value.Str(hexEncode(f.bits))), lit(value.Int(f.m)), lit(value.Int(f.n))}
 	for _, h := range f.hashes {
-		fmt.Fprintf(&b, ", %d, %d", h[0], h[1])
+		args = append(args, lit(value.Int(h[0])), lit(value.Int(h[1])))
 	}
-	fmt.Fprintf(&b, ", CAST(%s AS INT))", attr)
-	return b.String()
+	args = append(args, &sqlparse.Cast{X: key, To: value.KindInt})
+	return &sqlparse.Call{Name: "BLOOM_CONTAINS", Args: args}
 }
+
+func lit(v value.Value) *sqlparse.Literal { return &sqlparse.Literal{Val: v} }
 
 const hexDigits = "0123456789abcdef"
 
@@ -218,26 +228,26 @@ func DegradeFPR(s int, targetFPR float64, maxSQLBytes int) (fpr float64, ok bool
 	return fpr, false
 }
 
-// Fit builds a filter for keys whose string-encoded SQL predicate over attr
-// fits within maxSQLBytes, starting at the target FPR and degrading it
-// (doubling) as needed — the behaviour Section V-B1 describes. When even
-// FPR maxFPR cannot fit, Fit returns ok=false and the caller must fall back
-// to a filtered join. The returned fpr is the rate actually used.
-func Fit(keys []int64, targetFPR float64, attr string, maxSQLBytes int, rng *rand.Rand) (f *Filter, sql string, fpr float64, ok bool) {
+// Fit builds a filter for keys whose string-encoded predicate over key
+// (SQLPredicate) prints within maxSQLBytes, starting at the target FPR and
+// degrading it (doubling) as needed — the behaviour Section V-B1 describes.
+// When even FPR maxFPR cannot fit, Fit returns ok=false and the caller must
+// fall back to a filtered join. The returned fpr is the rate actually used.
+func Fit(keys []int64, targetFPR float64, key *sqlparse.Column, maxSQLBytes int, rng *rand.Rand) (f *Filter, pred sqlparse.Expr, fpr float64, ok bool) {
 	fpr, ok = DegradeFPR(len(keys), targetFPR, maxSQLBytes)
 	if !ok {
-		return nil, "", fpr, false
+		return nil, nil, fpr, false
 	}
 	for fpr < 0.9 {
 		f = New(len(keys), fpr, rng)
 		for _, k := range keys {
 			f.Add(k)
 		}
-		sql = f.SQLPredicate(attr)
-		if len(sql) <= maxSQLBytes {
-			return f, sql, fpr, true
+		pred = f.SQLPredicate(key)
+		if len(pred.String()) <= maxSQLBytes {
+			return f, pred, fpr, true
 		}
 		fpr *= 2
 	}
-	return nil, "", fpr, false
+	return nil, nil, fpr, false
 }

@@ -3,6 +3,7 @@ package bloom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,18 +93,15 @@ func TestBitString(t *testing.T) {
 	}
 }
 
-// The critical equivalence: the SQL predicate evaluated by the select
-// engine must agree exactly with Filter.Contains.
+// The critical equivalence: the predicate evaluated by the select engine
+// must agree exactly with Filter.Contains.
 func TestSQLPredicateMatchesContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	f := New(100, 0.05, rng)
 	for i := int64(0); i < 100; i += 2 {
 		f.Add(i)
 	}
-	pred, err := sqlparse.ParseExpr(f.SQLPredicate("x"))
-	if err != nil {
-		t.Fatalf("generated SQL does not parse: %v", err)
-	}
+	pred := f.SQLPredicate(&sqlparse.Column{Name: "x"})
 	ev := expr.New()
 	for x := int64(0); x < 200; x++ {
 		env := expr.MapEnv{"x": value.Str(value.Int(x).String())} // CSV string form
@@ -124,10 +122,7 @@ func TestSQLPredicateBitwiseMatchesContains(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		f.Add(i * 7)
 	}
-	pred, err := sqlparse.ParseExpr(f.SQLPredicateBitwise("x"))
-	if err != nil {
-		t.Fatalf("generated BLOOM_CONTAINS SQL does not parse: %v", err)
-	}
+	pred := f.SQLPredicateBitwise(&sqlparse.Column{Name: "x"})
 	ev := expr.New()
 	for x := int64(0); x < 500; x++ {
 		got, err := ev.EvalBool(pred, expr.MapEnv{"x": value.Int(x)})
@@ -146,8 +141,9 @@ func TestBitwisePredicateIsSmaller(t *testing.T) {
 	for i := int64(0); i < 5000; i++ {
 		f.Add(i)
 	}
-	s1 := f.SQLPredicate("x")
-	s2 := f.SQLPredicateBitwise("x")
+	x := &sqlparse.Column{Name: "x"}
+	s1 := f.SQLPredicate(x).String()
+	s2 := f.SQLPredicateBitwise(x).String()
 	// Suggestion 3's entire point: the bitwise form is much more compact
 	// (hex once vs '0'/'1' text repeated k times).
 	if len(s2)*4 > len(s1) {
@@ -162,15 +158,15 @@ func TestFitDegradesFPR(t *testing.T) {
 		keys[i] = int64(i)
 	}
 	// A tight budget forces FPR degradation (Section V-B1).
-	f, sql, fpr, ok := Fit(keys, 0.0001, "k", 64*1024, rng)
+	f, pred, fpr, ok := Fit(keys, 0.0001, &sqlparse.Column{Name: "k"}, 64*1024, rng)
 	if !ok {
 		t.Fatal("Fit should succeed by degrading FPR")
 	}
 	if fpr <= 0.0001 {
 		t.Errorf("FPR should have been degraded, got %v", fpr)
 	}
-	if len(sql) > 64*1024 {
-		t.Errorf("sql length %d exceeds budget", len(sql))
+	if n := len(pred.String()); n > 64*1024 {
+		t.Errorf("printed predicate length %d exceeds budget", n)
 	}
 	for _, k := range keys[:100] {
 		if !f.Contains(k) {
@@ -187,7 +183,7 @@ func TestFitFallsBack(t *testing.T) {
 	}
 	// 3M keys cannot fit a meaningful filter in 4 KB: must report ok=false
 	// so the caller reverts to a filtered join.
-	if _, _, _, ok := Fit(keys, 0.01, "k", 4*1024, rng); ok {
+	if _, _, _, ok := Fit(keys, 0.01, &sqlparse.Column{Name: "k"}, 4*1024, rng); ok {
 		t.Error("Fit should fall back for impossible budgets")
 	}
 }
@@ -195,12 +191,12 @@ func TestFitFallsBack(t *testing.T) {
 func TestFitFitsWhenEasy(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	keys := []int64{1, 5, 9}
-	f, sql, fpr, ok := Fit(keys, 0.01, "k", selectengine.MaxSQLBytes, rng)
+	f, pred, fpr, ok := Fit(keys, 0.01, &sqlparse.Column{Name: "k"}, selectengine.MaxSQLBytes, rng)
 	if !ok || fpr != 0.01 {
 		t.Fatalf("Fit small set: ok=%v fpr=%v", ok, fpr)
 	}
-	if f == nil || sql == "" {
-		t.Fatal("missing filter or sql")
+	if f == nil || pred == nil {
+		t.Fatal("missing filter or predicate")
 	}
 }
 
@@ -270,5 +266,39 @@ func TestQuickHexMatchesBitString(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Both predicates print as the text storage parses back to the same tree —
+// an s3http backend runs what in-process storage runs — with the key quoted
+// when its name needs it (a keyword here).
+func TestPredicatesPrintAsTheirTrees(t *testing.T) {
+	f := New(50, 0.01, rand.New(rand.NewSource(21)))
+	for i := int64(0); i < 50; i++ {
+		f.Add(i * 5)
+	}
+	key := &sqlparse.Column{Name: "order"}
+	for _, pred := range []sqlparse.Expr{f.SQLPredicate(key), f.SQLPredicateBitwise(key)} {
+		text := pred.String()
+		if !strings.Contains(text, `CAST("order" AS INT)`) {
+			t.Errorf("the key prints unquoted: %.80s…", text)
+		}
+		back, err := sqlparse.ParseExpr(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, pred) {
+			t.Errorf("%.80s… parses to another tree", text)
+		}
+		ev := expr.New()
+		for x := int64(0); x < 300; x++ {
+			got, err := ev.EvalBool(pred, expr.MapEnv{"order": value.Int(x)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != f.Contains(x) {
+				t.Fatalf("%.40s…: predicate and Contains disagree at %d", text, x)
+			}
+		}
 	}
 }

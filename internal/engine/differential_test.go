@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -66,6 +67,32 @@ var namesRows = [][]string{
 	{"1", "10", "2", "a"},
 	{"3", "30", "4", "b"},
 	{"1", "30", "6", "c"},
+}
+
+// quotedBucket holds three 2,000-row tables whose join keys, projected
+// columns and filters are named so that only quoting reads them: qa(k,
+// "my col", g), qb(k2, "order", v) and qc("from", "w x").
+const quotedBucket = "quoted"
+
+func quotedStore(t testing.TB) *store.Store {
+	t.Helper()
+	st := store.New()
+	var a, b, c [][]string
+	for i := 0; i < 2000; i++ {
+		a = append(a, []string{fmt.Sprint(i), fmt.Sprint(i * 10), fmt.Sprint(i % 7)})
+		b = append(b, []string{fmt.Sprint(i % 1000), fmt.Sprint(i), fmt.Sprint(i % 13)})
+		c = append(c, []string{fmt.Sprint(i), fmt.Sprint(i % 5)})
+	}
+	for _, tbl := range []struct {
+		name   string
+		header []string
+		rows   [][]string
+	}{{"qa", []string{"k", "my col", "g"}, a}, {"qb", []string{"k2", "order", "v"}, b}, {"qc", []string{"from", "w x"}, c}} {
+		if err := PartitionTable(context.Background(), st, quotedBucket, tbl.name, tbl.header, tbl.rows, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
 }
 
 // diffLoad builds the shared dataset, deliberately nasty: NULLs (empty CSV
@@ -390,7 +417,10 @@ func TestDifferentialRaggedTable(t *testing.T) {
 // else the positional _N, else none. Each statement answers alike — or
 // fails alike — planned, through the filter operators on either side, the
 // IndexScan, the server-side group-by or aggregate, and over a columnar
-// copy of names, under both operator sets.
+// copy of names, under both operator sets. So do joins over names only
+// quoting reads (a keyword, a space): planned Bloom and filtered joins that
+// project, filter and key on them, and the Bloom and filtered join
+// operators, each as the baseline join answers.
 func TestDifferentialColumnNames(t *testing.T) {
 	ctx := context.Background()
 	st := store.New()
@@ -482,6 +512,84 @@ func TestDifferentialColumnNames(t *testing.T) {
 						t.Errorf("vectorized=%v %s %s: got\n%s\nwant\n%s", vectorized, path, fmt.Sprintf(c.sql, table), got, c.want)
 					}
 				}
+			}
+		}
+	}
+	// Joins read such names as well: the planner pushes them as a Bloom
+	// join's projections and keys and a filtered join's projection and
+	// filter, and the join operators as the JoinSpec names them. Each
+	// answers as the baseline join does.
+	qst := quotedStore(t)
+	pick := func(rel *Relation, cols ...string) string {
+		out := &Relation{Cols: cols}
+		for _, r := range rel.Rows {
+			row := make(Row, len(cols))
+			for i, c := range cols {
+				row[i] = r[rel.ColIndex(c)]
+			}
+			out.Rows = append(out.Rows, row)
+		}
+		return render(out, false)
+	}
+	for _, vectorized := range []bool{true, false} {
+		db := openOver(t, quotedBucket, qst, WithVectorized(vectorized), WithScale(cloudsim.Scale{DataRatio: 1e3, PartRatio: 8}))
+		e := db.NewExecContext(ctx)
+		baseline := func(js JoinSpec) *Relation {
+			rel, err := e.BaselineJoin(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rel
+		}
+		lowK := baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "k2", LeftFilter: "k < 5"})
+		qc, err := e.LoadTable("load", 0, "qc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qc, err = FilterLocal(qc, `"w x" = 1`); err != nil {
+			t.Fatal(err)
+		}
+		chain, err := HashJoinLocal(baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "k2", LeftFilter: "k < 500"}), qc, "order", "from")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			sql        string
+			strategies []string
+			want       string
+		}{
+			{`SELECT b."order", a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "order", "k")},
+			{`SELECT a."my col", b.k2 FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "my col", "k2")},
+			{`SELECT a.k, b.v FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`, []string{StrategyBloom},
+				pick(baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: "k < 5"}), "k", "v")},
+			{`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 500 AND c."w x" = 1`,
+				[]string{StrategyBloom, StrategyFiltered}, pick(chain, "k", "w x")},
+		} {
+			rel, pe, err := db.QueryContext(ctx, c.sql)
+			if err != nil {
+				t.Errorf("vectorized=%v %s: %v", vectorized, c.sql, err)
+				continue
+			}
+			var strategies []string
+			for _, st := range pe.QueryPlan().Steps {
+				strategies = append(strategies, st.Strategy)
+			}
+			if !slices.Equal(strategies, c.strategies) {
+				t.Errorf("vectorized=%v %s ran %v, want %v", vectorized, c.sql, strategies, c.strategies)
+			}
+			if got := pick(rel, rel.Cols...); got != c.want {
+				t.Errorf("vectorized=%v %s: got\n%s\nthe baseline join answers\n%s", vectorized, c.sql, got, c.want)
+			}
+		}
+		js := JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: `"my col" < 50`,
+			LeftProject: []string{"k", "my col"}, RightProject: []string{"order", "v"}}
+		want := pick(baseline(js), "k", "my col", "order", "v")
+		for name, op := range map[string]func(JoinSpec) (*Relation, error){"filtered": e.FilteredJoin, "bloom": e.BloomJoin} {
+			rel, err := op(js)
+			if err != nil {
+				t.Errorf("vectorized=%v %sJoin: %v", vectorized, name, err)
+			} else if got := pick(rel, "k", "my col", "order", "v"); got != want {
+				t.Errorf("vectorized=%v %sJoin: got\n%s\nthe baseline join answers\n%s", vectorized, name, got, want)
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (p *QueryPlan) writeScan(b *strings.Builder) {
 	if p.ran {
 		switch {
 		case ap == nil:
-			fmt.Fprintf(b, "scan %s: %s\n", sel.Table, pushedScan(sel, nil))
+			fmt.Fprintf(b, "scan %s: %s\n", sel.Table, sc.req.SQL)
 		case ap.Pushed != "":
 			check := "its check held"
 			if ap.Fallback != "" {
@@ -110,17 +110,18 @@ func (p *QueryPlan) writeScan(b *strings.Builder) {
 		fmt.Fprintf(b, "  actual: %d rows out\n", p.rows)
 		return
 	}
-	pushedSQL := pushedScan(sel, nil).String()
-	if ap != nil {
-		pushedSQL = ap.PushedSQL
-	} else if _, why := p.exec.db.pushableShape(sel); why != "" {
+	req := sc.req // what a filtered plan sends; an IndexScan or a baseline prints no request
+	switch _, why := p.exec.db.pushableShape(sel); {
+	case ap != nil && ap.Pushed != "":
+		req = ap.push.req
+	case ap == nil && why != "":
 		fmt.Fprintf(b, "not pushed beyond selection + projection: %s\n", why)
 	}
 	// With a result cache configured, how much of the scan really pushed is
 	// already resident, so a warm repeat's near-zero storage bill is visible
 	// before running.
 	cached := ""
-	if frac := p.exec.cachedScanFrac(sel.Table, pushedSQL); frac > 0 {
+	if frac := p.exec.cachedScanFrac(sel.Table, req); frac > 0 {
 		cached = fmt.Sprintf("  [cached scan %.0f%%]", 100*frac)
 	}
 	switch {
@@ -134,12 +135,12 @@ func (p *QueryPlan) writeScan(b *strings.Builder) {
 		fmt.Fprintf(b, "S3 Select (full pushdown): %s%s\n", sel.String(), cached)
 		return
 	case ap != nil && ap.Pushed != "":
-		fmt.Fprintf(b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, pushedSQL, cached)
+		fmt.Fprintf(b, "S3 Select (%s pushdown): %s%s\n", ap.Pushed, req.SQL, cached)
 		if len(sel.GroupBy) > 0 {
 			b.WriteString("server: merge the partitions' rows, check that every filtered row fell in exactly one group\n")
 		}
 	default:
-		fmt.Fprintf(b, "S3 Select (selection+projection pushdown): %s%s\n", pushedSQL, cached)
+		fmt.Fprintf(b, "S3 Select (selection+projection pushdown): %s%s\n", req.SQL, cached)
 	}
 	writeLocalTail(b, "", sel)
 }

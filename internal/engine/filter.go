@@ -36,15 +36,15 @@ func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, items []sqlpar
 // S3SideFilter pushes both the predicate and the projection into S3
 // Select — the "S3-side filter" of Fig. 1.
 func (e *Exec) S3SideFilter(table, predicate, projection string) (*Relation, error) {
-	if projection == "" {
-		projection = "*"
+	pred, err := parsePredicate(predicate)
+	if err != nil {
+		return nil, err
 	}
-	sql := "SELECT " + projection + " FROM S3Object"
-	if predicate != "" {
-		sql += " WHERE " + predicate
+	items, err := parseProjection(projection)
+	if err != nil {
+		return nil, err
 	}
-	stage := e.NextStage()
-	return e.SelectRows("s3 filter "+table, stage, table, sql)
+	return e.selectMetered("s3 filter "+table, e.NextStage(), table, e.db.request(table, scanSelect(items, pred)), 0)
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.
@@ -72,6 +72,10 @@ func (e *Exec) IndexFilter(table, column, indexedPredicate string, opts IndexFil
 	if opts.MultiRange {
 		pol = fetchMultiRange
 	}
-	rel, _, _, err := e.indexFetch(table, ent.Column, indexedPredicate, pol)
+	pred, err := sqlparse.ParseExpr(indexedPredicate)
+	if err != nil {
+		return nil, err
+	}
+	rel, _, _, err := e.indexFetch(table, ent.Column, pred, pol)
 	return rel, err
 }

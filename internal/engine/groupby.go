@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -26,42 +29,57 @@ type GroupAgg struct {
 	As string
 }
 
-func (a GroupAgg) itemSQL() string {
-	switch a.Func {
-	case sqlparse.AggCount:
-		return "COUNT(*) AS " + a.As
-	case sqlparse.AggSum:
-		return "SUM(" + a.Expr + ") AS " + a.As
-	case sqlparse.AggMin:
-		return "MIN(" + a.Expr + ") AS " + a.As
-	case sqlparse.AggMax:
-		return "MAX(" + a.Expr + ") AS " + a.As
-	case sqlparse.AggAvg:
-		return "AVG(" + a.Expr + ") AS " + a.As
-	}
-	return ""
+// groupQuery is a hand group-by's string arguments, parsed once at its door.
+type groupQuery struct {
+	key    sqlparse.Expr         // an expression: Q1Optimized groups by l_returnflag || l_linestatus
+	items  []sqlparse.SelectItem // the key, then each aggregate AS its name: the local group-by's select list
+	cols   []string              // the output's columns: the key as written, then the aggregates' names
+	filter sqlparse.Expr
 }
 
-func groupItems(groupCol string, aggs []GroupAgg) string {
-	parts := []string{groupCol}
-	for _, a := range aggs {
-		parts = append(parts, a.itemSQL())
+func parseGroupQuery(groupCol string, aggs []GroupAgg, filter string) (*groupQuery, error) {
+	key, err := sqlparse.ParseExpr(groupCol)
+	if err != nil {
+		return nil, fmt.Errorf("engine: bad group-by: %w", err)
 	}
-	return strings.Join(parts, ", ")
+	q := &groupQuery{key: key, items: []sqlparse.SelectItem{{Expr: key}}, cols: []string{groupCol}}
+	for _, a := range aggs {
+		var x sqlparse.Expr = &sqlparse.Star{} // COUNT counts rows
+		if a.Func != sqlparse.AggCount {
+			if x, err = sqlparse.ParseExpr(a.Expr); err != nil {
+				return nil, fmt.Errorf("engine: bad aggregate %q: %w", a.Expr, err)
+			}
+		}
+		q.items = append(q.items, sqlparse.SelectItem{Expr: &sqlparse.Aggregate{Func: a.Func, X: x}, Alias: a.As})
+		q.cols = append(q.cols, a.As)
+	}
+	q.filter, err = parsePredicate(filter)
+	return q, err
 }
 
-func groupResultCols(groupCol string, aggs []GroupAgg) []string {
-	cols := []string{groupCol}
-	for _, a := range aggs {
-		cols = append(cols, a.As)
+// projection is the select list returning what the local group-by reads:
+// the key, then the columns the aggregates reference.
+func (q *groupQuery) projection() []sqlparse.SelectItem {
+	items := q.items[:1:1]
+	seen := map[string]bool{}
+	if c, ok := q.key.(*sqlparse.Column); ok {
+		seen[sqlparse.NameKey(c.Name)] = true
 	}
-	return cols
+	for _, it := range q.items[1:] {
+		for _, c := range sqlparse.Columns(it.Expr) {
+			if k := sqlparse.NameKey(c); !seen[k] {
+				seen[k] = true
+				items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Column{Name: c}})
+			}
+		}
+	}
+	return items
 }
 
-func checkPushableAggs(aggs []GroupAgg, algo string) error {
-	for _, a := range aggs {
-		if a.Func != sqlparse.AggSum && a.Func != sqlparse.AggCount {
-			return fmt.Errorf("engine: %s supports only SUM/COUNT, got %s", algo, a.itemSQL())
+func (q *groupQuery) checkPushable(algo string) error {
+	for _, it := range q.items[1:] {
+		if f := it.Expr.(*sqlparse.Aggregate).Func; f != sqlparse.AggSum && f != sqlparse.AggCount {
+			return fmt.Errorf("engine: %s supports only SUM/COUNT, got %s", algo, it)
 		}
 	}
 	return nil
@@ -70,128 +88,100 @@ func checkPushableAggs(aggs []GroupAgg, algo string) error {
 // ServerSideGroupBy loads the entire table, filters and groups locally
 // (Fig. 5's baseline). filter may be empty.
 func (e *Exec) ServerSideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
+	q, err := parseGroupQuery(groupCol, aggs, filter)
+	if err != nil {
+		return nil, err
+	}
 	defer e.scope("server groupby " + table).end(nil)
 	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := parsePredicate(filter)
-	if err != nil {
+	if rel, err = e.filterLocal(rel, q.filter); err != nil {
 		return nil, err
 	}
-	rel, err = e.filterLocal(rel, pred)
-	if err != nil {
-		return nil, err
-	}
-	return e.groupLocal(rel, groupCol, groupItems(groupCol, aggs))
-}
-
-// groupLocal runs the local group-by step of the Section VI algorithms,
-// whose group column and aggregate list arrive as SQL fragments.
-func (e *Exec) groupLocal(rel *Relation, groupCol, items string) (*Relation, error) {
-	keys, its, err := parseGroupBy(groupCol, items)
-	if err != nil {
-		return nil, err
-	}
-	return e.groupByLocal(rel, nil, keys, its)
+	return e.groupByLocal(rel, nil, []sqlparse.Expr{q.key}, q.items)
 }
 
 // FilteredGroupBy pushes the projection of the referenced columns into S3
 // Select (reducing returned bytes) and groups locally.
 func (e *Exec) FilteredGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	cols := projectColsForAggs(groupCol, aggs)
-	sql := "SELECT " + strings.Join(cols, ", ") + " FROM S3Object"
-	if filter != "" {
-		sql += " WHERE " + filter
-	}
-	defer e.scope("filtered groupby " + table).end(nil)
-	rel, err := e.selectMetered("project "+table, e.NextStage(), table, sql, 1)
+	q, err := parseGroupQuery(groupCol, aggs, filter)
 	if err != nil {
 		return nil, err
 	}
-	return e.groupLocal(rel, groupCol, groupItems(groupCol, aggs))
-}
-
-// groupEqPredicate renders the membership test for one discovered group
-// value. CSV cannot distinguish NULL from the empty string, and the
-// storage service sees empty fields as NULL, so the empty group value is
-// matched with IS NULL.
-func groupEqPredicate(groupCol, g string) string {
-	if g == "" {
-		return groupCol + " IS NULL"
+	defer e.scope("filtered groupby " + table).end(nil)
+	rel, err := e.selectMetered("project "+table, e.NextStage(), table, e.db.request(table, scanSelect(q.projection(), q.filter)), 1)
+	if err != nil {
+		return nil, err
 	}
-	return groupCol + " = " + sqlLiteral(g)
+	return e.groupByLocal(rel, nil, []sqlparse.Expr{q.key}, q.items)
 }
 
-// caseItemsSQL builds the Listing-4 select list: one aggregated CASE per
-// (group, aggregate) pair.
-func caseItemsSQL(groupCol string, groups []string, aggs []GroupAgg) string {
-	var items []string
+// eq is the membership test for one discovered group value. CSV cannot
+// distinguish NULL from the empty string, and the storage service sees
+// empty fields as NULL, so the empty group value is matched with IS NULL.
+func (q *groupQuery) eq(g string) sqlparse.Expr {
+	if g == "" {
+		return &sqlparse.IsNull{X: q.key}
+	}
+	return &sqlparse.Binary{Op: sqlparse.OpEq, L: q.key, R: literal(g)}
+}
+
+// literal is a group value or a top-K threshold as the constant storage
+// compares cells with: the number s is when s is that number's canonical
+// rendering, the string s otherwise. Values that merely parse as numbers are
+// not numbers here: "00501" would compare as 501 and match other text than
+// the stored zip code, and "NaN", "Inf" and "0x1p2" are no SQL numbers. -0
+// is the integer 0, as the parser reads the text -0.
+func literal(s string) *sqlparse.Literal {
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil && (strconv.FormatInt(i, 10) == s || s == "-0") {
+		return &sqlparse.Literal{Val: value.Int(i)}
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil &&
+		!math.IsNaN(f) && !math.IsInf(f, 0) &&
+		strconv.FormatFloat(f, 'f', -1, 64) == s {
+		return &sqlparse.Literal{Val: value.Float(f)}
+	}
+	return &sqlparse.Literal{Val: value.Str(s)}
+}
+
+// sumCase is SUM(CASE WHEN p THEN x ELSE 0 END): x summed over the rows p
+// keeps, a count of them for x = 1.
+func sumCase(p, x sqlparse.Expr) sqlparse.Expr {
+	return &sqlparse.Aggregate{Func: sqlparse.AggSum, X: &sqlparse.Case{
+		Whens: []sqlparse.When{{Cond: p, Result: x}}, Else: &sqlparse.Literal{Val: value.Int(0)}}}
+}
+
+// caseAggregate runs the Listing-4 query for the given groups — one
+// aggregated CASE per (group, aggregate) pair over the rows where keeps —
+// and returns one relation row per group.
+func (e *Exec) caseAggregate(phaseName string, stage int, table string, q *groupQuery, groups []string, where sqlparse.Expr) (*Relation, error) {
+	var items []sqlparse.SelectItem
 	for _, g := range groups {
-		pred := groupEqPredicate(groupCol, g)
-		for _, a := range aggs {
-			inner := a.Expr
-			if a.Func == sqlparse.AggCount {
-				inner = "1"
+		pred := q.eq(g)
+		for _, it := range q.items[1:] {
+			x := it.Expr.(*sqlparse.Aggregate).X
+			if _, count := x.(*sqlparse.Star); count {
+				x = &sqlparse.Literal{Val: value.Int(1)}
 			}
-			items = append(items, fmt.Sprintf(
-				"SUM(CASE WHEN %s THEN %s ELSE 0 END)", pred, inner))
+			items = append(items, sqlparse.SelectItem{Expr: sumCase(pred, x)})
 		}
 	}
-	return strings.Join(items, ", ")
-}
-
-// caseAggregate runs the Listing-4 query for the given groups and returns
-// one relation row per group.
-func (e *Exec) caseAggregate(phaseName string, stage int, table, groupCol string, groups []string, aggs []GroupAgg, filter string) (*Relation, error) {
-	sql := "SELECT " + caseItemsSQL(groupCol, groups, aggs) + " FROM S3Object"
-	if filter != "" {
-		sql += " WHERE " + filter
-	}
-	if len(sql) > selectengine.MaxSQLBytes {
+	req := e.db.request(table, scanSelect(items, where))
+	if len(req.SQL) > selectengine.MaxSQLBytes {
 		return nil, fmt.Errorf("engine: S3-side group-by query for %d groups exceeds the %d-byte expression limit",
 			len(groups), selectengine.MaxSQLBytes)
 	}
-	merge := make([]sqlparse.AggFunc, len(groups)*len(aggs))
-	for i := range merge {
-		merge[i] = sqlparse.AggSum
-	}
-	row, err := e.SelectAgg(phaseName, stage, table, sql, merge)
+	merge := make([]sqlparse.AggFunc, len(items)) // all AggSum, the zero AggFunc
+	row, err := e.selectAgg(phaseName, stage, table, req, merge)
 	if err != nil {
 		return nil, err
 	}
-	out := &Relation{Cols: groupResultCols(groupCol, aggs)}
+	out := &Relation{Cols: q.cols}
+	naggs := len(q.cols) - 1
 	for gi, g := range groups {
-		r := make(Row, 0, 1+len(aggs))
-		r = append(r, value.FromCSV(g))
-		for ai := range aggs {
-			r = append(r, row[gi*len(aggs)+ai])
-		}
-		out.Rows = append(out.Rows, r)
-	}
-	return out, nil
-}
-
-// s3GroupValues runs phase 1 of the S3-side algorithm: project the group
-// column, dedup on the server, and return the distinct values in first-seen
-// order.
-func (e *Exec) s3GroupValues(phaseName string, stage int, table, groupCol, filter string) ([]string, error) {
-	sql := "SELECT " + groupCol + " FROM S3Object"
-	if filter != "" {
-		sql += " WHERE " + filter
-	}
-	rel, err := e.SelectRows(phaseName, stage, table, sql)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range rel.Rows {
-		s := r[0].String()
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
+		out.Rows = append(out.Rows, append(Row{value.FromCSV(g)}, row[gi*naggs:(gi+1)*naggs]...))
 	}
 	return out, nil
 }
@@ -201,19 +191,32 @@ func (e *Exec) s3GroupValues(phaseName string, stage int, table, groupCol, filte
 // SUM(CASE ...) per (group, aggregate) pair and merges partition results.
 // Only SUM and COUNT aggregates are supported, as in the paper.
 func (e *Exec) S3SideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	if err := checkPushableAggs(aggs, "S3-side group-by"); err != nil {
-		return nil, err
-	}
-	stage1 := e.NextStage()
-	groups, err := e.s3GroupValues("discover groups", stage1, table, groupCol, filter)
+	q, err := parseGroupQuery(groupCol, aggs, filter)
 	if err != nil {
 		return nil, err
 	}
-	if len(groups) == 0 {
-		return &Relation{Cols: groupResultCols(groupCol, aggs)}, nil
+	if err := q.checkPushable("S3-side group-by"); err != nil {
+		return nil, err
 	}
-	stage2 := e.NextStage()
-	return e.caseAggregate("s3 aggregate", stage2, table, groupCol, groups, aggs, filter)
+	// Phase 1: project the group key, dedup on the server, and keep the
+	// distinct values in first-seen order.
+	rel, err := e.selectMetered("discover groups", e.NextStage(), table,
+		e.db.request(table, scanSelect(q.items[:1], q.filter)), 0)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	var groups []string
+	for _, r := range rel.Rows {
+		if g := r[0].String(); !seen[g] {
+			seen[g] = true
+			groups = append(groups, g)
+		}
+	}
+	if len(groups) == 0 {
+		return &Relation{Cols: q.cols}, nil
+	}
+	return e.caseAggregate("s3 aggregate", e.NextStage(), table, q, groups, q.filter)
 }
 
 // HybridGroupByOptions tunes Section VI-B.
@@ -245,12 +248,16 @@ func (o HybridGroupByOptions) withDefaults() HybridGroupByOptions {
 // long tail on the server. Only SUM/COUNT aggregates can be pushed.
 func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts HybridGroupByOptions) (*Relation, error) {
 	opts = opts.withDefaults()
-	if err := checkPushableAggs(aggs, "hybrid group-by"); err != nil {
+	q, err := parseGroupQuery(groupCol, aggs, "")
+	if err != nil {
+		return nil, err
+	}
+	if err := q.checkPushable("hybrid group-by"); err != nil {
 		return nil, err
 	}
 	defer e.scope("hybrid groupby " + table).end(nil)
 
-	big, err := e.sampleTopGroups(table, groupCol, opts)
+	big, err := e.sampleTopGroups(table, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -266,34 +273,29 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 		func() (err error) {
 			switch {
 			case len(big) == 0:
-				bigRel = &Relation{Cols: groupResultCols(groupCol, aggs)}
+				bigRel = &Relation{Cols: q.cols}
 			case opts.UsePartialGroupBy:
-				bigRel, err = e.partialGroupBy("s3 big groups", stage2, table, groupCol, big, aggs)
+				bigRel, err = e.partialGroupBy("s3 big groups", stage2, table, q, big)
 			default:
-				bigRel, err = e.caseAggregate("s3 big groups", stage2, table, groupCol, big, aggs, "")
+				bigRel, err = e.caseAggregate("s3 big groups", stage2, table, q, big, nil)
 			}
 			return err
 		},
 		func() (err error) {
-			where := ""
-			if pred := tailPredicate(groupCol, big); pred != "" {
-				where = " WHERE " + pred
-			}
-			cols := projectColsForAggs(groupCol, aggs)
 			tailRel, err = e.selectMetered("tail scan", stage2, table,
-				"SELECT "+strings.Join(cols, ", ")+" FROM S3Object"+where, 1)
+				e.db.request(table, scanSelect(q.projection(), q.tailPredicate(big))), 1)
 			return err
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	tail, err := e.groupLocal(tailRel, groupCol, groupItems(groupCol, aggs))
+	tail, err := e.groupByLocal(tailRel, nil, []sqlparse.Expr{q.key}, q.items)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &Relation{Cols: groupResultCols(groupCol, aggs)}
+	out := &Relation{Cols: q.cols}
 	out.Rows = append(out.Rows, bigRel.Rows...)
 	out.Rows = append(out.Rows, tail.Rows...)
 	return out, nil
@@ -301,14 +303,14 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 
 // sampleTopGroups is phase 1 of hybrid group-by: scan the first
 // SampleFraction of each partition and rank groups by sampled frequency.
-func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions) (_ []string, err error) {
+func (e *Exec) sampleTopGroups(table string, q *groupQuery, opts HybridGroupByOptions) (_ []string, err error) {
 	stage1 := e.NextStage()
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
 	backend := e.db.backendFor(table)
-	req := e.db.request(table, "SELECT "+groupCol+" FROM S3Object").Compiled()
+	req := e.db.request(table, scanSelect([]sqlparse.SelectItem{{Expr: q.key}}, nil))
 	st := e.step("sample "+table, "sample", stage1, table)
 	defer func() { st.end(err) }()
 	counts := map[string]int64{}
@@ -318,12 +320,8 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 		if err != nil {
 			return err
 		}
-		end := int64(float64(size) * opts.SampleFraction)
-		if end < 1 {
-			end = 1
-		}
 		req := req // each partition's own range, one statement
-		req.ScanRange = &selectengine.ScanRange{Start: 0, End: end}
+		req.ScanRange = &selectengine.ScanRange{Start: 0, End: max(int64(float64(size)*opts.SampleFraction), 1)}
 		res, err := e.doSelect(ctx, st, table, key, req)
 		if err != nil {
 			return err
@@ -342,106 +340,70 @@ func (e *Exec) sampleTopGroups(table, groupCol string, opts HybridGroupByOptions
 	if err != nil {
 		return nil, err
 	}
-	type gc struct {
-		g string
-		n int64
+	// The most frequent first, ties in group order.
+	ranked := make([]string, 0, len(counts))
+	for g := range counts {
+		ranked = append(ranked, g)
 	}
-	ranked := make([]gc, 0, len(counts))
-	for g, n := range counts {
-		ranked = append(ranked, gc{g, n})
-	}
-	sort.Slice(ranked, func(a, b int) bool {
-		if ranked[a].n != ranked[b].n {
-			return ranked[a].n > ranked[b].n
-		}
-		return ranked[a].g < ranked[b].g
-	})
-	big := make([]string, 0, opts.S3Groups)
-	for i := 0; i < len(ranked) && i < opts.S3Groups; i++ {
-		big = append(big, ranked[i].g)
-	}
-	return big, nil
+	slices.SortFunc(ranked, func(a, b string) int { return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(a, b)) })
+	return ranked[:min(len(ranked), opts.S3Groups)], nil
 }
 
-// tailPredicate renders the hybrid tail scan's WHERE clause: every row
-// whose group is not among the big (S3-aggregated) groups. NOT IN alone
-// would also drop NULL-group rows (the comparison evaluates to NULL), so
-// the predicate handles the NULL group explicitly on whichever side of
-// the split it belongs to.
-func tailPredicate(groupCol string, big []string) string {
+// tailPredicate is the hybrid tail scan's WHERE clause: every row whose
+// group is not among the big (S3-aggregated) groups; nil when there are
+// none. NOT IN alone would also drop NULL-group rows (the comparison
+// evaluates to NULL), so the predicate handles the NULL group explicitly on
+// whichever side of the split it belongs to.
+func (q *groupQuery) tailPredicate(big []string) sqlparse.Expr {
 	if len(big) == 0 {
-		return ""
+		return nil
 	}
-	bigHasNull := false
-	var lits []string
-	for _, g := range big {
-		if g == "" {
-			bigHasNull = true
-			continue
-		}
-		lits = append(lits, sqlLiteral(g))
-	}
-	notIn := groupCol + " NOT IN (" + strings.Join(lits, ", ") + ")"
+	lits, bigHasNull := q.literals(big)
+	notIn := &sqlparse.In{X: q.key, List: lits, Not: true}
 	switch {
 	case len(lits) == 0: // big is just the NULL group
-		return groupCol + " IS NOT NULL"
+		return &sqlparse.IsNull{X: q.key, Not: true}
 	case bigHasNull:
-		return groupCol + " IS NOT NULL AND " + notIn
+		return &sqlparse.Binary{Op: sqlparse.OpAnd, L: &sqlparse.IsNull{X: q.key, Not: true}, R: notIn}
 	default:
-		return groupCol + " IS NULL OR " + notIn
+		return &sqlparse.Binary{Op: sqlparse.OpOr, L: &sqlparse.IsNull{X: q.key}, R: notIn}
 	}
+}
+
+// literals are the non-empty group values as literals; null reports an
+// empty one, the NULL group.
+func (q *groupQuery) literals(groups []string) (lits []sqlparse.Expr, null bool) {
+	for _, g := range groups {
+		if g == "" {
+			null = true
+			continue
+		}
+		lits = append(lits, literal(g))
+	}
+	return lits, null
 }
 
 // partialGroupBy is the Suggestion-4 path: ship a real GROUP BY restricted
 // to the given groups, then merge the per-partition partial results.
-func (e *Exec) partialGroupBy(phaseName string, stage int, table, groupCol string, groups []string, aggs []GroupAgg) (*Relation, error) {
-	groupsHaveNull := false
-	var lits []string
-	for _, g := range groups {
-		if g == "" {
-			groupsHaveNull = true
-			continue
-		}
-		lits = append(lits, sqlLiteral(g))
-	}
-	pred := groupCol + " IN (" + strings.Join(lits, ", ") + ")"
+func (e *Exec) partialGroupBy(phaseName string, stage int, table string, q *groupQuery, groups []string) (*Relation, error) {
+	lits, groupsHaveNull := q.literals(groups)
+	var pred sqlparse.Expr = &sqlparse.In{X: q.key, List: lits}
 	switch {
 	case len(lits) == 0:
-		pred = groupCol + " IS NULL"
+		pred = &sqlparse.IsNull{X: q.key}
 	case groupsHaveNull:
-		pred = groupCol + " IS NULL OR " + pred
+		pred = &sqlparse.Binary{Op: sqlparse.OpOr, L: &sqlparse.IsNull{X: q.key}, R: pred}
 	}
-	sql := "SELECT " + groupItems(groupCol, aggs) + " FROM S3Object WHERE " +
-		pred + " GROUP BY " + groupCol
-	partials, err := e.SelectRows(phaseName, stage, table, sql)
+	stmt := scanSelect(q.items, pred)
+	stmt.GroupBy = []sqlparse.Expr{q.key}
+	partials, err := e.selectMetered(phaseName, stage, table, e.db.request(table, stmt), 0)
 	if err != nil {
 		return nil, err
 	}
 	// Merge partition partials: SUM/COUNT partials both merge by SUM.
-	mergeParts := []string{groupCol}
-	for _, a := range aggs {
-		mergeParts = append(mergeParts, "SUM("+a.As+") AS "+a.As)
+	items := q.items[:1:1]
+	for _, c := range q.cols[1:] {
+		items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Aggregate{Func: sqlparse.AggSum, X: &sqlparse.Column{Name: c}}, Alias: c})
 	}
-	return e.groupLocal(partials, groupCol, strings.Join(mergeParts, ", "))
-}
-
-func projectColsForAggs(groupCol string, aggs []GroupAgg) []string {
-	cols := []string{groupCol}
-	seen := map[string]bool{sqlparse.NameKey(groupCol): true}
-	for _, a := range aggs {
-		if a.Expr == "" {
-			continue
-		}
-		ex, err := sqlparse.ParseExpr(a.Expr)
-		if err != nil {
-			continue
-		}
-		for _, c := range sqlparse.Columns(ex) {
-			if k := sqlparse.NameKey(c); !seen[k] {
-				seen[k] = true
-				cols = append(cols, c)
-			}
-		}
-	}
-	return cols
+	return e.groupByLocal(partials, nil, []sqlparse.Expr{q.key}, items)
 }

@@ -168,7 +168,7 @@ const (
 // partitions, checks they are aligned, pushes the offsets select against
 // every index object (result-cache aware via selectOnParts) and parses the
 // matching byte ranges, per data partition and in index order.
-func (e *Exec) indexRangeProbe(st step, table, idxTable, valuePred string) (dataKeys []string, partRanges [][][2]int64, err error) {
+func (e *Exec) indexRangeProbe(st step, table, idxTable string, valuePred sqlparse.Expr) (dataKeys []string, partRanges [][][2]int64, err error) {
 	dataKeys, err = e.parts(table)
 	if err != nil {
 		return nil, nil, err
@@ -181,7 +181,7 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable, valuePred string) (data
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	results, err := e.selectOnParts(st, idxTable, index.ProbeSQL(valuePred), nil)
+	results, err := e.selectOnParts(st, idxTable, e.db.request(idxTable, index.Probe(valuePred)), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,7 +208,7 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable, valuePred string) (data
 // overlap it). The two figure policies meter under the phase names Fig. 1
 // has always reported and charge no server row work: they fetch exactly
 // the matching rows.
-func (e *Exec) indexFetch(table, column, valuePred string, pol fetchPolicy) (*Relation, int64, int, error) {
+func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fetchPolicy) (*Relation, int64, int, error) {
 	idxTable := index.Table(table, column)
 	probeName, fetchName := "index select "+table, "index fetch "+table
 	probeSpan, fetchSpan := probeName, fetchName
@@ -316,7 +316,7 @@ func fragBytes(frags [][]byte) int64 {
 // then the projection (nil items keep every column). Beside the rows it
 // returns the multi-range GETs issued and the fetch stage.
 func (e *Exec) indexScan(table string, cand *IndexCandidate, filter sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, int64, int, error) {
-	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred).String(), fetchCoalesced)
+	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred), fetchCoalesced)
 	if err == nil {
 		rel, err = e.filterLocal(rel, filter)
 	}
@@ -366,9 +366,8 @@ type AccessPlan struct {
 	Reason   string
 	// Pushed is what a filtered plan pushes beyond selection + projection:
 	// PushedTopK, PushedGroupBy or nothing. NotPushed says what ruled the tail
-	// of a grouped or top-K statement out; PushedSQL is the S3 Select SQL a
-	// filtered plan sends every partition.
-	Pushed, NotPushed, PushedSQL string
+	// of a grouped or top-K statement out.
+	Pushed, NotPushed string
 	// Sample is what the statistics sample said of the tail's keys: a top-K's
 	// threshold literal; the groups it showed and how often the rarest.
 	Sample string
@@ -464,14 +463,12 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	if kind != "" {
 		filtered = e.planTail(sel, kind, ts, stage, ap)
 	}
-	plain := pushedScan(sel, nil)
-	ap.PushedSQL = plain.String()
 	if cand == nil && (ts == nil || (ap.push == nil && filtered < 0)) {
 		// In doubt, filtered, and no further request: nothing to price with.
 		ap.Reason = "not priced: the plain pushed scan"
 		if ap.push != nil { // a plain COUNT: planTail needs no sample for it
 			parts, _ := e.parts(table) // a table that cannot be listed fails at its scan
-			ap.Pushed, ap.PushedSQL, ap.EstRows = kind, ap.push.sql, int64(len(parts))
+			ap.Pushed, ap.EstRows = kind, int64(len(parts))
 			ap.Reason = "not priced: one row per partition whatever the table holds"
 		}
 		return ap, nil
@@ -480,7 +477,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	if cand != nil {
 		filtered = -1 // the probe counts the index predicate's rows too
 	}
-	if err := e.scanStats(sc, ts, filtered, stage, exprStr(sc.Filter), plain, ap.PushedSQL); err != nil {
+	if err := e.scanStats(sc, ts, filtered, stage); err != nil {
 		return nil, err
 	}
 	st := &sc.Stats
@@ -513,7 +510,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 		if kind == PushedGroupBy { // one row back per partition, one merged row per group to finish
 			ap.EstRows, local = int64(max(st.Partitions, 1)), int64(len(push.groups))
 		}
-		s := e.requestStats(*st, table, push.req, push.sql)
+		s := e.requestStats(*st, table, push.req)
 		s.FilteredRows, s.LocalRows = ap.EstRows, local
 		ap.Estimates[kind] = cloudsim.EstimateFilteredScan(db.Cfg, db.Sim, db.Pricing, s)
 	}
@@ -525,9 +522,9 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	}
 	switch {
 	case best == kind:
-		ap.Pushed, ap.PushedSQL = kind, ap.push.sql
+		ap.Pushed = kind
 	case best != StrategyFiltered:
-		ap.Strategy, ap.PushedSQL = best, ""
+		ap.Strategy = best
 	}
 	if ap.push != nil && ap.Pushed == "" {
 		ap.NotPushed = "the plan without it is estimated cheaper"
@@ -536,34 +533,26 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	return ap, nil
 }
 
-// indexProbePred renders the candidate's predicate for the stats probe.
-func indexProbePred(cand *IndexCandidate) string {
-	if cand == nil {
-		return ""
-	}
-	return cand.Pred.String()
-}
-
 // indexScanStats builds the cost model's view of an index candidate.
 func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 	return cloudsim.IndexScanStats{
 		IndexBytes:      cand.Entry.IndexBytes,
 		MatchedRows:     cand.MatchedRows,
-		PredNodes:       selectengine.CountNodes(&sqlparse.Select{Items: columnItems(index.Header[1:]), Where: indexValuePred(cand.Pred)}),
+		PredNodes:       selectengine.CountNodes(index.Probe(indexValuePred(cand.Pred))),
 		MaxRangesPerGet: index.DefaultMaxRangesPerGet,
 	}
 }
 
 // probeStats returns the table's planning statistics plus the row count
-// matching idxPred, from the DB's stats cache or else from one probe SQL —
+// matching idxPred, from the DB's stats cache or else from one probe —
 // COUNT(*) and a SUM(CASE ...) count per predicate — run over the sample of
 // the table's statistics object ts, locally, or, for a table with no usable
 // object (ts == nil), pushed to storage once per partition: a scan of the
 // whole table. Shape-dependent fields (Cols, FilterNodes, ProjCols, Profile,
 // CachedFrac) are left for the caller.
-func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int) (cs cachedStats, cached bool, err error) {
+func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.Expr, stage int) (cs cachedStats, cached bool, err error) {
 	backendName, _ := e.db.BackendFor(table)
-	key := backendName + "\x00" + e.db.bucket + "\x00" + table + "\x00" + filter + "\x00idx=" + idxPred
+	key := fmt.Sprintf("%s\x00%s\x00%s\x00%v\x00idx=%v", backendName, e.db.bucket, table, filter, idxPred)
 	e.db.statsMu.Lock()
 	cs, ok := e.db.statsCache[key]
 	e.db.statsMu.Unlock()
@@ -571,30 +560,29 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 		return cs, true, nil
 	}
 
-	sums := []string{"COUNT(*)"}
-	for _, pred := range []string{filter, idxPred} {
-		if pred != "" {
-			sums = append(sums, "SUM(CASE WHEN "+pred+" THEN 1 ELSE 0 END)")
+	probe := scanSelect([]sqlparse.SelectItem{{Expr: &sqlparse.Aggregate{Func: sqlparse.AggCount, X: &sqlparse.Star{}}}}, nil)
+	for _, pred := range []sqlparse.Expr{filter, idxPred} {
+		if pred != nil {
+			probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: sumCase(pred, &sqlparse.Literal{Val: value.Int(1)})})
 		}
 	}
-	sql := "SELECT " + strings.Join(sums, ", ") + " FROM S3Object"
-	counts := e.sampleCounts(ts, table, sql, stage)
+	counts := e.sampleCounts(ts, table, probe, stage)
 	cs.source = StatsFromObject
 	if counts != nil {
 		cs.stats = ts.tableStats()
 	} else {
 		cs.source = StatsFromProbe
 		st := e.step("plan probe "+table, "plan probe "+table, stage, table)
-		results, err := e.selectOnParts(st, table, sql, nil)
+		results, err := e.selectOnParts(st, table, e.db.request(table, probe), nil)
 		st.end(err)
 		if err != nil {
 			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)
 		}
-		counts = make([]int64, len(sums))
+		counts = make([]int64, len(probe.Items))
 		cs.stats = cloudsim.PlanTableStats{Partitions: len(results), Columnar: len(results) > 0}
 		for _, res := range results {
 			rows, err := res.Records()
-			if err != nil || len(rows) != 1 || len(rows[0]) != len(sums) {
+			if err != nil || len(rows) != 1 || len(rows[0]) != len(counts) {
 				return cs, false, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
 			}
 			for i, f := range rows[0] {
@@ -606,13 +594,13 @@ func (e *Exec) probeStats(ts *statsObj, table, filter, idxPred string, stage int
 		}
 		cs.stats.Rows = counts[0]
 	}
-	// counts follow sums: every row, then the rows the filter and the index
+	// counts follow the probe's items: every row, then the rows the filter and the index
 	// predicate keep, where there is one.
 	cs.stats.FilteredRows, cs.idxMatched = counts[0], counts[0]
-	if filter != "" {
+	if filter != nil {
 		cs.stats.FilteredRows = counts[1]
 	}
-	if idxPred != "" {
+	if idxPred != nil {
 		cs.idxMatched = counts[len(counts)-1]
 	}
 	e.db.statsMu.Lock()

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"pushdowndb/internal/bloom"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
 )
 
@@ -44,80 +44,88 @@ type JoinSpec struct {
 	Seed int64
 }
 
-func (js JoinSpec) fpr() float64 {
-	if js.TargetFPR <= 0 {
-		return 0.01
+// join is a two-table equi-join ready to run: each side a scan whose filter
+// is parsed and whose request — selection and projection pushed — is built.
+// The planner makes one from its scans, a JoinSpec from its text (run).
+type join struct {
+	left, right       *TableScan
+	leftKey, rightKey string
+	fpr               float64
+	bitwise           bool
+	seed              int64
+}
+
+// run is the JoinSpec operators' door: it parses js's filters, once, into
+// the join they describe and runs op over it.
+func (js JoinSpec) run(e *Exec, op func(join) (*Relation, error)) (*Relation, error) {
+	j := join{leftKey: js.LeftKey, rightKey: js.RightKey, fpr: js.TargetFPR, bitwise: js.Bitwise, seed: js.Seed}
+	if j.fpr <= 0 {
+		j.fpr = 0.01
 	}
-	return js.TargetFPR
+	var err error
+	if j.left, err = e.db.joinScan(js.LeftTable, js.LeftFilter, js.LeftProject); err != nil {
+		return nil, err
+	}
+	if j.right, err = e.db.joinScan(js.RightTable, js.RightFilter, js.RightProject); err != nil {
+		return nil, err
+	}
+	return op(j)
+}
+
+// joinScan is the scan of table pushing the predicate filter ("" = none)
+// and the projection project (nil = every column).
+func (db *DB) joinScan(table, filter string, project []string) (*TableScan, error) {
+	pred, err := parsePredicate(filter)
+	if err != nil {
+		return nil, err
+	}
+	return &TableScan{Table: table, Filter: pred, Project: project,
+		req: db.request(table, scanSelect(columnItems(project), pred))}, nil
 }
 
 // BaselineJoin loads both tables in full with plain GETs and evaluates
 // filters and the join locally. No S3 Select anywhere.
-func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) {
-	leftFilter, err := parsePredicate(js.LeftFilter)
-	if err != nil {
-		return nil, err
-	}
-	rightFilter, err := parsePredicate(js.RightFilter)
-	if err != nil {
-		return nil, err
-	}
-	return e.baselineJoin(js, leftFilter, rightFilter)
-}
+func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.baselineJoin) }
 
-// baselineJoin is BaselineJoin over parsed filters (js's filter strings are
-// ignored): the planner hands its per-table predicates straight through.
-func (e *Exec) baselineJoin(js JoinSpec, leftFilter, rightFilter sqlparse.Expr) (*Relation, error) {
+func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
 	// The server-side filter pass touches every loaded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	rels, err := e.loadTables(stage, 1, Load{Table: js.LeftTable}, Load{Table: js.RightTable})
+	rels, err := e.loadTables(stage, 1, Load{Table: j.left.Table}, Load{Table: j.right.Table})
 	if err != nil {
 		return nil, err
 	}
 	left, right := rels[0], rels[1]
-	if left, err = e.filterLocal(left, leftFilter); err != nil {
+	if left, err = e.filterLocal(left, j.left.Filter); err != nil {
 		return nil, err
 	}
-	if right, err = e.filterLocal(right, rightFilter); err != nil {
+	if right, err = e.filterLocal(right, j.right.Filter); err != nil {
 		return nil, err
 	}
-	return e.hashJoinLocal(stage, left, right, js.LeftKey, js.RightKey)
+	return e.hashJoinLocal(stage, left, right, j.leftKey, j.rightKey)
 }
 
 // FilteredJoin pushes each side's selection (not projection) into S3
 // Select and joins locally. Both scans run in parallel, like the paper's
 // filtered join.
-func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) {
+func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.filteredJoin) }
+
+func (e *Exec) filteredJoin(j join) (*Relation, error) {
 	stage := e.NextStage()
-	var left, right *Relation
-	err := concurrently(
-		func() (err error) {
-			left, err = e.SelectRows("filtered scan "+js.LeftTable, stage, js.LeftTable, projectionSQL(nil, js.LeftFilter))
+	rels := make([]*Relation, 2)
+	scan := func(i int, sc *TableScan) func() error {
+		return func() (err error) {
+			rels[i], err = e.selectMetered("filtered scan "+sc.Table, stage, sc.Table,
+				e.db.request(sc.Table, scanSelect(nil, sc.Filter)), 0)
 			return err
-		},
-		func() (err error) {
-			right, err = e.SelectRows("filtered scan "+js.RightTable, stage, js.RightTable, projectionSQL(nil, js.RightFilter))
-			return err
-		})
-	if err != nil {
+		}
+	}
+	if err := concurrently(scan(0, j.left), scan(1, j.right)); err != nil {
 		return nil, err
 	}
-	return e.hashJoinLocal(stage, left, right, js.LeftKey, js.RightKey)
-}
-
-func projectionSQL(cols []string, filter string) string {
-	proj := "*"
-	if len(cols) > 0 {
-		proj = strings.Join(cols, ", ")
-	}
-	sql := "SELECT " + proj + " FROM S3Object"
-	if filter != "" {
-		sql += " WHERE " + filter
-	}
-	return sql
+	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
 }
 
 // BloomJoin implements Section V-A2: load the build side with selection
@@ -126,24 +134,24 @@ func projectionSQL(cols []string, filter string) string {
 // filter cannot fit S3 Select's 256 KB expression limit even after FPR
 // degradation, it falls back to a filtered join whose two scans are forced
 // serial (the paper's "degraded Bloom join").
-func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) {
+func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.bloomJoin) }
+
+func (e *Exec) bloomJoin(j join) (*Relation, error) {
 	defer e.scope("bloom join").end(nil)
 	// Phase 1: build side with pushdown; two units of row work per build
 	// row: the hash table and the filter insert.
-	left, err := e.selectMetered("bloom build "+js.LeftTable, e.NextStage(),
-		js.LeftTable, projectionSQL(js.LeftProject, js.LeftFilter), 2)
+	left, err := e.selectMetered("bloom build "+j.left.Table, e.NextStage(), j.left.Table, j.left.req, 2)
 	if err != nil {
 		return nil, err
 	}
-	right, stage2, err := e.BloomProbe(left, js.LeftKey, js.RightTable, js.RightKey,
-		js.RightFilter, js.RightProject, js.fpr(), js.Bitwise, js.Seed)
+	right, stage2, err := e.bloomProbe(left, j)
 	if err != nil {
 		return nil, err
 	}
 	// The final hash join overlaps the probe scan; the probe's own stage
 	// keeps the attribution correct even when concurrent work allocates
 	// stages on this Exec.
-	return e.hashJoinLocal(stage2, left, right, js.LeftKey, js.RightKey)
+	return e.hashJoinLocal(stage2, left, right, j.leftKey, j.rightKey)
 }
 
 // BloomProbe builds a Bloom filter over left's key column and scans
@@ -155,9 +163,19 @@ func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) {
 // int is the stage the probe scan ran in, so callers can attribute
 // follow-on work (the hash join) to the same stage.
 func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFilter string, rightProject []string, fpr float64, bitwise bool, seed int64) (*Relation, int, error) {
-	li := left.ColIndex(leftKey)
+	right, err := e.db.joinScan(rightTable, rightFilter, rightProject)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.bloomProbe(left, join{right: right, leftKey: leftKey, rightKey: rightKey, fpr: fpr, bitwise: bitwise, seed: seed})
+}
+
+// bloomProbe is BloomProbe of left, the build side, into j.right; j.left is
+// not read.
+func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
+	li := left.ColIndex(j.leftKey)
 	if li < 0 {
-		return nil, 0, fmt.Errorf("engine: bloom join key %q not in %v", leftKey, left.Cols)
+		return nil, 0, fmt.Errorf("engine: bloom join key %q not in %v", j.leftKey, left.Cols)
 	}
 	// Key extraction partitions across the worker budget; the per-span
 	// slices concatenate in worker order, so the key sequence (and hence
@@ -188,17 +206,18 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 		keys = append(keys, part...)
 	}
 
-	rng := rand.New(rand.NewSource(seed + 1))
-	var predicate string
+	rng := rand.New(rand.NewSource(j.seed + 1))
+	key := &sqlparse.Column{Name: j.rightKey}
+	var predicate sqlparse.Expr
 	if len(keys) > 0 {
-		if bitwise {
-			f := bloom.New(len(keys), fpr, rng)
+		if j.bitwise {
+			f := bloom.New(len(keys), j.fpr, rng)
 			for _, k := range keys {
 				f.Add(k)
 			}
-			predicate = f.SQLPredicateBitwise(rightKey)
-			if len(predicate) > selectengine.MaxSQLBytes {
-				predicate = ""
+			predicate = f.SQLPredicateBitwise(key)
+			if len(predicate.String()) > selectengine.MaxSQLBytes {
+				predicate = nil
 			}
 		} else {
 			// The 256 KB expression limit binds at deployment scale: when
@@ -207,31 +226,31 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFi
 			// count, so Section V-B1's behaviour appears at the right
 			// selectivities (e.g. Fig. 2's loose customer filters).
 			effKeys := int(float64(len(keys)) * max(e.db.Sim.DataRatio, 1))
-			degraded, ok := bloom.DegradeFPR(effKeys, fpr, selectengine.MaxSQLBytes-1024)
+			degraded, ok := bloom.DegradeFPR(effKeys, j.fpr, selectengine.MaxSQLBytes-1024)
 			if ok {
-				if _, sql, _, ok2 := bloom.Fit(keys, degraded, rightKey, selectengine.MaxSQLBytes-1024, rng); ok2 {
-					predicate = sql
+				if _, pred, _, ok2 := bloom.Fit(keys, degraded, key, selectengine.MaxSQLBytes-1024, rng); ok2 {
+					predicate = pred
 				}
 			}
 		}
 	} else {
 		// Empty build side: nothing can match; probe with a false
 		// predicate to keep the pipeline shape (S3 still scans).
-		predicate = "1 = 0"
+		predicate = &sqlparse.Binary{Op: sqlparse.OpEq, L: &sqlparse.Literal{Val: value.Int(1)}, R: &sqlparse.Literal{Val: value.Int(0)}}
 	}
 
 	// Probe phase is serial after the build (the paper's degraded Bloom
 	// join keeps this serialization even when falling back).
 	stage2 := e.NextStage()
-	probeSQL := projectionSQL(rightProject, rightFilter)
-	if predicate != "" {
+	probe := j.right.req
+	if predicate != nil {
 		where := predicate
-		if rightFilter != "" {
-			where = "(" + rightFilter + ") AND (" + predicate + ")"
+		if j.right.Filter != nil {
+			where = &sqlparse.Binary{Op: sqlparse.OpAnd, L: j.right.Filter, R: predicate}
 		}
-		probeSQL = projectionSQL(rightProject, where)
+		probe = e.db.request(j.right.Table, scanSelect(columnItems(j.right.Project), where))
 	}
-	rel, err := e.SelectRows("bloom probe "+rightTable, stage2, rightTable, probeSQL)
+	rel, err := e.selectMetered("bloom probe "+j.right.Table, stage2, j.right.Table, probe, 0)
 	return rel, stage2, err
 }
 

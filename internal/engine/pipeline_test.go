@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -428,7 +429,7 @@ func pipelineIndexDDL(t *testing.T, st *store.Store, table string, comp composit
 }
 
 // statementRecorder is a backend that records the statement every Select
-// reaching it carries, by SQL text: a compiled request hands over the one it
+// reaching it carries, by SQL text: a built request hands over the one it
 // carries, one that arrived as text a fresh parse.
 type statementRecorder struct {
 	s3api.Backend
@@ -444,13 +445,13 @@ func (r *statementRecorder) Select(ctx context.Context, bucket, key string, req 
 	return r.Backend.Select(ctx, bucket, key, req)
 }
 
-// TestRequestCompiledOnce: a scan's request is parsed once, where the engine
-// builds it, and every partition's Select under the pipeline carries that one
-// statement, through every composition and over both formats — four
+// TestRequestCompiledOnce: a scan's request is built once, from its
+// statement, and every partition's Select under the pipeline carries that
+// one statement, through every composition and over both formats — four
 // concurrent scans each sharing theirs across their partitions (CI runs this
 // under -race). Under a sharing window, scans merged into one pass answer as
-// the plain DB does (scanshare's TestMergedMembersRunTheirCompiledStatements
-// pins that members re-execute on their own statements). A pushed request
+// the plain DB does (scanshare's TestMergedMembersRunTheirStatements pins
+// that members re-execute on their own statements). A pushed request
 // over selectengine.MaxSQLBytes is still refused by storage, for its size,
 // as a bad request.
 func TestRequestCompiledOnce(t *testing.T) {
@@ -528,5 +529,167 @@ func TestRequestCompiledOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// requestLog is a backend that keeps every request reaching it.
+type requestLog struct {
+	*s3api.Local
+	mu   sync.Mutex
+	reqs []selectengine.Request
+}
+
+func (l *requestLog) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	l.mu.Lock()
+	l.reqs = append(l.reqs, req)
+	l.mu.Unlock()
+	return l.Local.Select(ctx, bucket, key, req)
+}
+
+// take returns the requests kept since the last take.
+func (l *requestLog) take() []selectengine.Request {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	reqs := l.reqs
+	l.reqs = nil
+	return reqs
+}
+
+// TestEveryRequestCarriesItsStatement: every request the engine sends
+// carries the statement it was built from — two Statement calls return the
+// same pointer, so neither parses — and its SQL parses to an equal
+// statement, so an s3http backend, which parses the text, runs what
+// in-process storage runs. The requests, over names only quoting reads:
+// planned join scans and Bloom probes, planned from statistics objects and
+// from remote probes; pushed top-K and group-by tails; index probes; passes
+// merged under a sharing window; and every hand operator.
+func TestEveryRequestCarriesItsStatement(t *testing.T) {
+	ctx := context.Background()
+	st := quotedStore(t)
+	log := &requestLog{Local: s3api.NewInProc(st, s3api.WithCapabilities(
+		selectengine.Capabilities{AllowGroupBy: true, AllowBloomContains: true}))}
+	db, err := Open(quotedBucket, WithBackend("inproc", log), WithScale(cloudsim.Scale{DataRatio: 1e3, PartRatio: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, run func(e *Exec) error) {
+		t.Helper()
+		if err := run(db.NewExecContext(ctx)); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		reqs := log.take()
+		if len(reqs) == 0 {
+			t.Errorf("%s sent no request", what)
+		}
+		for _, req := range reqs {
+			stmt, _ := req.Statement()
+			if again, _ := req.Statement(); stmt == nil || again != stmt {
+				t.Errorf("%s: %.100q carries no statement", what, req.SQL)
+				continue
+			}
+			if back, err := sqlparse.Parse(req.SQL); err != nil || !reflect.DeepEqual(back, stmt) {
+				t.Errorf("%s: %.100q parses to another statement (%v)", what, req.SQL, err)
+			}
+		}
+	}
+	query := func(sql string) func(*Exec) error {
+		return func(*Exec) error {
+			_, _, err := db.QueryContext(ctx, sql)
+			return err
+		}
+	}
+	joins := []string{
+		`SELECT b."order", a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`,
+		`SELECT a."my col", b.k2 FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`,
+		`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 5`,
+		`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 500 AND c."w x" = 1`,
+	}
+	for _, q := range joins {
+		check(q, query(q))
+	}
+	check("pushed top-K", query(`SELECT k, "my col" FROM qa WHERE g = 3 ORDER BY "my col" DESC LIMIT 3`))
+	check("pushed group-by", query(`SELECT g, COUNT(*) AS n, MAX("my col") AS m FROM qa WHERE k < 1500 GROUP BY g`))
+	if err := db.CreateIndex(ctx, "qa", "k"); err != nil {
+		t.Fatal(err)
+	}
+	log.take()
+	check("IndexScan", query(`SELECT "my col" FROM qa WHERE k = 7`))
+	dropStats(st, quotedBucket, "qa", "qb", "qc")
+	db.InvalidateStats()
+	for _, q := range joins {
+		check("probed remotely: "+q, query(q))
+	}
+
+	js := JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: `"my col" < 50`,
+		LeftProject: []string{"k", "my col"}, RightProject: []string{"order", "v"}}
+	bitwise := js
+	bitwise.Bitwise = true
+	aggs := []GroupAgg{{Func: sqlparse.AggSum, Expr: `"my col" * 2`, As: "s"}, {Func: sqlparse.AggCount, As: "n"}}
+	ops := map[string]func(e *Exec) (*Relation, error){
+		"SelectRows": func(e *Exec) (*Relation, error) {
+			return e.SelectRows("rows", 0, "qa", `SELECT "my col" FROM S3Object WHERE k < 3`)
+		},
+		"S3SideFilter":    func(e *Exec) (*Relation, error) { return e.S3SideFilter("qa", `"my col" < 50`, `k, "my col"`) },
+		"FilteredGroupBy": func(e *Exec) (*Relation, error) { return e.FilteredGroupBy("qa", "g", aggs, "k < 100") },
+		"S3SideGroupBy":   func(e *Exec) (*Relation, error) { return e.S3SideGroupBy("qa", "g", aggs, "k < 100") },
+		"HybridGroupBy": func(e *Exec) (*Relation, error) {
+			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, SampleFraction: 0.2})
+		},
+		"HybridGroupBy, partial": func(e *Exec) (*Relation, error) {
+			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, SampleFraction: 0.2, UsePartialGroupBy: true})
+		},
+		"SamplingTopK": func(e *Exec) (*Relation, error) {
+			return e.SamplingTopK("qa", "my col", 5, false, SamplingTopKOptions{})
+		},
+		"SamplingTopK, sized": func(e *Exec) (*Relation, error) {
+			return e.SamplingTopK("qa", "my col", 5, true, SamplingTopKOptions{SampleSize: 200})
+		},
+		"FilteredJoin":      func(e *Exec) (*Relation, error) { return e.FilteredJoin(js) },
+		"BloomJoin":         func(e *Exec) (*Relation, error) { return e.BloomJoin(js) },
+		"BloomJoin bitwise": func(e *Exec) (*Relation, error) { return e.BloomJoin(bitwise) },
+		"BloomProbe": func(e *Exec) (*Relation, error) {
+			left := relOf([]string{"id"}, [][]string{{"3"}, {"17"}})
+			rel, _, err := e.BloomProbe(left, "id", "qb", "order", "v < 5", []string{"order", "v"}, 0.01, false, 1)
+			return rel, err
+		},
+		"IndexFilter": func(e *Exec) (*Relation, error) {
+			return e.IndexFilter("qa", "k", "value <= 3", IndexFilterOptions{MultiRange: true})
+		},
+		"IndexScanFilter": func(e *Exec) (*Relation, error) {
+			rel, _, err := e.IndexScanFilter("qa", "k", `k < 4 AND "my col" > 0`, `"my col"`)
+			return rel, err
+		},
+	}
+	for name, op := range ops {
+		check(name, func(e *Exec) error {
+			_, err := op(e)
+			return err
+		})
+	}
+	check("SelectAgg", func(e *Exec) error {
+		_, err := e.SelectAgg("agg", 0, "qa", `SELECT MAX("my col") FROM S3Object`, []sqlparse.AggFunc{sqlparse.AggMax})
+		return err
+	})
+
+	// Two scans under a sharing window merge into one pass per partition.
+	db, err = Open(quotedBucket, WithBackend("inproc", log), WithScanSharing(scanshare.Config{Window: 500 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("merged passes", func(*Exec) error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, q := range []string{`SELECT "order" FROM qb WHERE k2 < 5`, `SELECT "order" FROM qb WHERE k2 > 990`} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, errs[i] = db.QueryContext(ctx, q)
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
+	if ss, _ := db.ScanShareStats(); ss.MergedPasses != 4 || ss.Fallbacks != 0 {
+		t.Errorf("two scans under a window: %+v, want a merged pass per partition and no fallback", ss)
 	}
 }

@@ -80,6 +80,11 @@ type TableScan struct {
 	// Access is a single-table statement's access decision (planAccess);
 	// nil for a join's scans and for a statement with none to make.
 	Access *AccessPlan
+
+	// req is the request a pushed scan of the table sends every partition —
+	// a join scan's selection and projection, a single-table statement's
+	// pushedScan — which pricing, execution and EXPLAIN all read.
+	req selectengine.Request
 }
 
 // Name returns the scan's display name (alias if present).
@@ -134,13 +139,6 @@ type QueryPlan struct {
 	exec *Exec // the execution that planned it (String reads residency and totals off it)
 	ran  bool  // the plan has run and holds its actuals (String renders them)
 	rows int64 // output rows, once ran
-}
-
-func exprStr(e sqlparse.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return e.String()
 }
 
 // resolve maps a column reference to the index of the scan that provides
@@ -307,12 +305,8 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 	probeStage := e.NextStage()
 	for i, sc := range p.Scans {
 		sc.Index = e.db.indexCandidate(e.ctx, sc.Table, sc.Filter)
-		req := &sqlparse.Select{Items: []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}, Where: sc.Filter}
-		if len(sc.Project) > 0 {
-			req.Items = columnItems(sc.Project)
-		}
-		filter := exprStr(sc.Filter)
-		if err := e.scanStats(sc, objs[i], -1, probeStage, filter, req, projectionSQL(sc.Project, filter)); err != nil {
+		sc.req = e.db.request(sc.Table, scanSelect(columnItems(sc.Project), sc.Filter))
+		if err := e.scanStats(sc, objs[i], -1, probeStage); err != nil {
 			return nil, err
 		}
 	}
@@ -626,20 +620,23 @@ type cachedStats struct {
 }
 
 // scanStats is the one place a scan's planner statistics are made: the
-// counts from probeStats for filter, sc.Filter rendered (sc.Index's matched
-// rows included) or, when the caller has read the filtered rows off the
-// statistics sample already (filtered >= 0), the object's exact shape with
-// that count; then the
+// counts from probeStats for sc.Filter (sc.Index's matched rows included)
+// or, when the caller has read the filtered rows off the statistics sample
+// already (filtered >= 0), the object's exact shape with that count; then the
 // table's column count and its backend's profile, so every strategy
 // estimate prices the scan at that backend's bandwidth, latency and rates;
-// and, from req — the request a pushed scan of it sends as sql — the per-row
-// expression work, returned columns and result-cache residency.
-func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int, filter string, req *sqlparse.Select, sql string) error {
+// and, from sc.req, the per-row expression work, returned columns and
+// result-cache residency.
+func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int) error {
 	backendName, backend := e.db.BackendFor(sc.Table)
 	sc.Backend = backendName
 	var st cloudsim.PlanTableStats
 	if filtered < 0 {
-		cs, cached, err := e.probeStats(ts, sc.Table, filter, indexProbePred(sc.Index), stage)
+		var idxPred sqlparse.Expr
+		if sc.Index != nil {
+			idxPred = sc.Index.Pred
+		}
+		cs, cached, err := e.probeStats(ts, sc.Table, sc.Filter, idxPred, stage)
 		if err != nil {
 			return err
 		}
@@ -653,17 +650,18 @@ func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int,
 	}
 	st.Cols = len(sc.Cols)
 	st.Profile = backend.Profile()
-	sc.Stats = e.requestStats(st, sc.Table, req, sql)
+	sc.Stats = e.requestStats(st, sc.Table, sc.req)
 	return nil
 }
 
-// requestStats is st priced for one pushed request to table, req sent as
-// sql: the per-row expression work of the statement the select engine
-// parses from it and meters at run time, the columns it returns and how
-// much of it the result cache holds.
-func (e *Exec) requestStats(st cloudsim.PlanTableStats, table string, req *sqlparse.Select, sql string) cloudsim.PlanTableStats {
-	st.FilterNodes, st.ProjCols = selectengine.CountNodes(req), returnedCols(req, st.Cols)
-	st.CachedFrac = e.cachedScanFrac(table, sql)
+// requestStats is st priced for one pushed request to table: the per-row
+// expression work of the statement it carries, which the select engine
+// meters at run time, the columns it returns and how much of it the result
+// cache holds.
+func (e *Exec) requestStats(st cloudsim.PlanTableStats, table string, req selectengine.Request) cloudsim.PlanTableStats {
+	stmt, _ := req.Statement() // built by the engine: carried, never parsed
+	st.FilterNodes, st.ProjCols = selectengine.CountNodes(stmt), returnedCols(stmt, st.Cols)
+	st.CachedFrac = e.cachedScanFrac(table, req)
 	return st
 }
 
@@ -721,27 +719,20 @@ func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 }
 
 // runFirstJoin executes the first step (two base tables) with the chosen
-// JoinSpec operator. A Bloom plan over non-integer keys falls back to the
-// baseline join at run time (the probe cannot be built).
+// join operator over the planned scans. A Bloom plan over non-integer keys
+// falls back to the baseline join at run time (the probe cannot be built).
 func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
-	build, probe := p.Scans[st.buildIdx], p.Scans[st.probeIdx]
-	js := JoinSpec{
-		LeftTable: build.Table, RightTable: probe.Table,
-		LeftKey: st.BuildKey, RightKey: st.ProbeKey,
-		LeftProject: build.Project, RightProject: probe.Project,
-		TargetFPR: planFPR, Seed: planSeed,
-	}
+	j := join{left: p.Scans[st.buildIdx], right: p.Scans[st.probeIdx],
+		leftKey: st.BuildKey, rightKey: st.ProbeKey, fpr: planFPR, seed: planSeed}
 	if st.Strategy == StrategyBloom {
-		// The Bloom join pushes both filters into S3 Select as SQL text.
-		js.LeftFilter, js.RightFilter = exprStr(build.Filter), exprStr(probe.Filter)
-		rel, err := e.BloomJoin(js)
+		rel, err := e.bloomJoin(j)
 		if err == nil || !errors.Is(err, ErrNonIntegerJoinKey) {
 			return rel, err
 		}
 		st.Strategy = StrategyBaseline
 		st.Reason += "; fell back to baseline: Bloom filters need integer join keys"
 	}
-	return e.baselineJoin(js, build.Filter, probe.Filter)
+	return e.baselineJoin(j)
 }
 
 // runChainJoin joins the materialized intermediate relation with the
@@ -771,8 +762,8 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 		build.sp.SetInt("rows_in", int64(len(cur.Rows)))
 		build.AddServerRows(int64(len(cur.Rows)))
 		build.end(nil)
-		right, joinStage, err = e.BloomProbe(cur, st.BuildKey, sc.Table, st.ProbeKey,
-			exprStr(sc.Filter), sc.Project, planFPR, false, planSeed)
+		right, joinStage, err = e.bloomProbe(cur, join{right: sc,
+			leftKey: st.BuildKey, rightKey: st.ProbeKey, fpr: planFPR, seed: planSeed})
 		if err != nil && errors.Is(err, ErrNonIntegerJoinKey) {
 			st.Strategy = StrategyFiltered
 			st.Reason += "; fell back to filtered: Bloom filters need integer join keys"
@@ -784,8 +775,7 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 	}
 	if right == nil {
 		joinStage = e.NextStage()
-		right, err = e.SelectRows("filtered scan "+sc.Table, joinStage, sc.Table,
-			projectionSQL(sc.Project, exprStr(sc.Filter)))
+		right, err = e.selectMetered("filtered scan "+sc.Table, joinStage, sc.Table, sc.req, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -835,8 +825,7 @@ func (p *QueryPlan) String() string {
 	}
 	fmt.Fprintf(&b, "join plan (%d tables)\n", len(p.Scans))
 	for _, sc := range p.Scans {
-		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(),
-			projectionSQL(sc.Project, exprStr(sc.Filter)))
+		fmt.Fprintf(&b, "  scan %s: S3 Select: %s", sc.Name(), sc.req.SQL)
 		if p.ran {
 			fmt.Fprintf(&b, "  [est %d rows, %s]\n",
 				sc.Stats.Rows, statsNote(sc.Stats, sc.StatsSource, sc.CachedStats))

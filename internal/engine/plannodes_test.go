@@ -40,7 +40,7 @@ func CheckPlannedNodes(t testing.TB, what string, e *Exec, sql string) map[strin
 	for _, sc := range p.Scans {
 		switch {
 		case len(p.Steps) > 0:
-			check("scan", sc.Stats.FilterNodes, projectionSQL(sc.Project, exprStr(sc.Filter)))
+			check("scan", sc.Stats.FilterNodes, sc.req.SQL)
 		case sc.Access != nil && len(sc.Access.Estimates) > 0:
 			check("access", sc.Stats.FilterNodes, pushedScan(p.Sel, nil).String())
 		default:
@@ -50,7 +50,7 @@ func CheckPlannedNodes(t testing.TB, what string, e *Exec, sql string) map[strin
 	}
 	for _, c := range cands {
 		if c != nil {
-			check("index probe", indexScanStats(c).PredNodes, index.ProbeSQL(indexValuePred(c.Pred).String()))
+			check("index probe", indexScanStats(c).PredNodes, index.Probe(indexValuePred(c.Pred)).String())
 		}
 	}
 	return checked

@@ -32,9 +32,8 @@ const (
 
 // tailPush is a planned pushed tail.
 type tailPush struct {
-	req     *sqlparse.Select // the S3 Select request every partition is sent,
-	sql     string           // and its SQL
-	estRows int64            // rows expected over a top-K's threshold: the sample's, scaled to the table
+	req     selectengine.Request // the S3 Select request every partition is sent
+	estRows int64                // rows expected over a top-K's threshold: the sample's, scaled to the table
 	// The s3-groupby request returns, per key tuple of groups (the sample's,
 	// as rendered cells in first-seen order; one empty tuple for a plain
 	// aggregation), the group's row count and then aggs, the statement's
@@ -169,7 +168,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		}
 	}
 	if len(exprs) == 0 {
-		ap.push = groupPush(sel, [][]string{nil})
+		ap.push = e.db.groupPush(sel, [][]string{nil})
 		return -1
 	}
 	if ts == nil {
@@ -183,7 +182,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	for _, x := range exprs {
 		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
 	}
-	rows, st, err := e.sampleSelect(ts, sel.Table, probe.String(), stage)
+	rows, st, err := e.sampleSelect(ts, sel.Table, probe, stage)
 	if err == nil {
 		st.sp.SetInt("matched", int64(len(rows)))
 	}
@@ -200,13 +199,13 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		}
 	}
 	if kind == PushedTopK {
-		if ap.NotPushed = topKPush(sel, exprs[0], rows, ap); ap.push != nil {
+		if ap.NotPushed = e.db.topKPush(sel, exprs[0], rows, ap); ap.push != nil {
 			ap.push.estRows = ts.scaled(ap.push.estRows)
 		}
 		return filtered
 	}
 	if nkeys == 0 {
-		ap.push = groupPush(sel, [][]string{nil})
+		ap.push = e.db.groupPush(sel, [][]string{nil})
 		return filtered
 	}
 
@@ -245,10 +244,10 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 			strings.Join(groups[slices.Index(counts, 1)], ", "))
 		return filtered
 	}
-	push := groupPush(sel, groups)
-	if len(push.sql) > selectengine.MaxSQLBytes {
+	push := e.db.groupPush(sel, groups)
+	if len(push.req.SQL) > selectengine.MaxSQLBytes {
 		ap.NotPushed = fmt.Sprintf("the request for %d groups is %d bytes, over the %d-byte expression limit",
-			len(groups), len(push.sql), selectengine.MaxSQLBytes)
+			len(groups), len(push.req.SQL), selectengine.MaxSQLBytes)
 		return filtered
 	}
 	ap.push = push
@@ -291,7 +290,7 @@ func oneClass(rows [][]string, col int) bool {
 // stable sort and, over keys of one class (planTail has checked the sample's),
 // one order on both sides, so every row of the answer comes back, ties at T
 // included, in table order. estRows counts the sample rows that pass.
-func topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *AccessPlan) (why string) {
+func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *AccessPlan) (why string) {
 	if sel.Limit > int64(len(rows)) {
 		return fmt.Sprintf("LIMIT %d is more than the %d sample rows the filter keeps", sel.Limit, len(rows))
 	}
@@ -322,19 +321,19 @@ func topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *Acce
 		pred = &sqlparse.Binary{Op: sqlparse.OpOr,
 			L: &sqlparse.Binary{Op: sqlparse.OpLe, L: key, R: t}, R: &sqlparse.IsNull{X: key}}
 	}
-	req := pushedScan(sel, pred)
-	ap.push, ap.Sample = &tailPush{req: req, sql: req.String(), estRows: int64(pass)}, "threshold "+t.String()+" from the sample"
+	req := db.request(sel.Table, pushedScan(sel, pred))
+	ap.push, ap.Sample = &tailPush{req: req, estRows: int64(pass)}, "threshold "+t.String()+" from the sample"
 	return ""
 }
 
-// groupPush renders the one aggregate request of an S3-side group-by
+// groupPush builds the one aggregate request of an S3-side group-by
 // (Listing 4, grown a guard): per group g with predicate p_g,
 // SUM(CASE WHEN p_g THEN 1 ELSE 0 END) — its row count n_g — and
 // AGG(CASE WHEN p_g THEN x END) per distinct aggregate; then COUNT(*) and
 // SUM(CASE WHEN p_1 OR ... OR p_G THEN 0 ELSE 1 END). Every item has a short
 // alias: unaliased, the storage side names each column by its SQL text. A
 // plain aggregation (one group, no keys) sends the aggregates as they are.
-func groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
+func (db *DB) groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
 	push := &tailPush{groups: groups, aggs: pushedAggs(sel)}
 	var items []sqlparse.SelectItem
 	add := func(fn sqlparse.AggFunc, x sqlparse.Expr) {
@@ -375,8 +374,7 @@ func groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
 		add(sqlparse.AggCount, &sqlparse.Star{})
 		add(sqlparse.AggSum, when(orTree(preds), zero, one))
 	}
-	push.req = &sqlparse.Select{Items: items, Table: "S3Object", Where: sel.Where, Limit: -1}
-	push.sql = push.req.String()
+	push.req = db.request(sel.Table, scanSelect(items, sel.Where))
 	return push
 }
 
@@ -416,7 +414,7 @@ func (p *tailPush) aggIndex(a *sqlparse.Aggregate) int {
 func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) {
 	push := ap.push
 	if ap.Pushed == PushedTopK {
-		rel, err := e.SelectRows("threshold scan "+sel.Table, e.NextStage(), sel.Table, push.sql)
+		rel, err := e.selectMetered("threshold scan "+sel.Table, e.NextStage(), sel.Table, push.req, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +425,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 		}
 		return e.finishLocal(rel, sel)
 	}
-	row, err := e.SelectAgg("s3 aggregate", e.NextStage(), sel.Table, push.sql, push.merge)
+	row, err := e.selectAgg("s3 aggregate", e.NextStage(), sel.Table, push.req, push.merge)
 	if err != nil {
 		return nil, err
 	}

@@ -278,7 +278,7 @@ func TestPushdownGuardCatchesOverlap(t *testing.T) {
 	loadPush(t, st, "z", []string{"zip"}, nil, [][]string{{"00501"}, {"501"}, {"00501"}, {"501"}}, 1, false)
 	db := openOver(t, pushBucket, st)
 	sel := mustParse(t, "SELECT zip, COUNT(*) AS n FROM z GROUP BY zip")
-	ap := &AccessPlan{Pushed: PushedGroupBy, push: groupPush(sel, [][]string{{"00501"}, {"501"}})}
+	ap := &AccessPlan{Pushed: PushedGroupBy, push: db.groupPush(sel, [][]string{{"00501"}, {"501"}})}
 	rel, err := db.NewExec().runTail(sel, ap)
 	if err != nil || rel != nil || ap.Fallback != FallbackGroupsOverlap {
 		t.Fatalf("two groups matching the same four rows: relation %v, error %v, fallback %q", rel, err, ap.Fallback)

@@ -53,7 +53,7 @@ func (e *Exec) planSelect(sel *sqlparse.Select) (p *QueryPlan, err error) {
 	if len(sel.Joins) > 0 {
 		p, err = e.planJoins(sel)
 	} else {
-		sc := &TableScan{Table: sel.Table, Alias: sel.Alias}
+		sc := &TableScan{Table: sel.Table, Alias: sel.Alias, req: e.db.request(sel.Table, pushedScan(sel, nil))}
 		p = &QueryPlan{Sel: sel, Scans: []*TableScan{sc}}
 		sc.Access, err = e.planAccess(sel, sc)
 	}
@@ -128,7 +128,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 	// sees a row.
 	grouped := e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates())
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
-	rel, batches, err := e.selectDecoded(scan, table, pushedScan(sel, nil).String(), grouped)
+	rel, batches, err := e.selectDecoded(scan, table, sc.req, grouped)
 	scan.end(err)
 	if err != nil {
 		return nil, err
@@ -151,8 +151,9 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 // otherwise the selection — WHERE with extra ANDed onto it (the top-K
 // threshold; nil for none) — plus the projection of the columns the
 // server-side tail reads. Explain, the access planner's estimates and
-// result-cache residency check, and execution all use this one rendering, so
-// they can never disagree about what is sent or what the cache holds.
+// result-cache residency check, and execution all read the one request
+// built from it (TableScan's), so they can never disagree about what is sent
+// or what the cache holds.
 func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
 	pushed := &sqlparse.Select{Items: sel.Items, Table: "S3Object", Where: sel.Where, Limit: sel.Limit}
 	if !isSimple(sel) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,12 +139,16 @@ func TestSortPlansBuiltFromAST(t *testing.T) {
 	}
 }
 
-// --- sqlLiteral canonical round-trip (db.go) ---
+// --- literal: canonical round-trip (groupby.go) ---
 
+// TestSQLLiteralRoundTrip: a group value or threshold is a number only when
+// its text is that number's canonical rendering, and the literal is the one
+// its printed text parses back to.
 func TestSQLLiteralRoundTrip(t *testing.T) {
 	cases := map[string]string{
 		"501":    "501",      // canonical int: bare
 		"-5":     "-5",       // sign round-trips
+		"-0":     "0",        // the parser reads -0 as the integer 0
 		"1.5":    "1.5",      // canonical float: bare
 		"00501":  "'00501'",  // leading zeros would re-render as 501
 		"1e3":    "'1e3'",    // scientific notation does not round-trip via 'f'
@@ -156,8 +161,12 @@ func TestSQLLiteralRoundTrip(t *testing.T) {
 		"it's":   "'it''s'",
 	}
 	for in, want := range cases {
-		if got := sqlLiteral(in); got != want {
-			t.Errorf("sqlLiteral(%q) = %s, want %s", in, got, want)
+		lit := literal(in)
+		if got := lit.String(); got != want {
+			t.Errorf("literal(%q) = %s, want %s", in, got, want)
+		}
+		if back, err := sqlparse.ParseExpr(want); err != nil || !reflect.DeepEqual(back, sqlparse.Expr(lit)) {
+			t.Errorf("literal(%q) is %#v; its text %s parses to %#v (%v)", in, lit, want, back, err)
 		}
 	}
 }

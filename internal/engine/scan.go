@@ -272,15 +272,19 @@ func decodeRows(cols []string, body []byte, n int) (*Relation, error) {
 // SelectRows runs sql on every partition of table and concatenates the
 // returned rows into a typed relation.
 func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
-	return e.selectMetered(phaseName, stage, table, sql, 0)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.selectMetered(phaseName, stage, table, e.db.request(table, stmt), 0)
 }
 
-// selectMetered is SelectRows metering, on its step, perRow units of the
-// server's row work per returned row: what the operators finishing a pushed
-// scan on the server (group-by, top-K, the Bloom build) begin with.
-func (e *Exec) selectMetered(name string, stage int, table, sql string, perRow int64) (*Relation, error) {
+// selectMetered is SelectRows over req metering, on its step, perRow units
+// of the server's row work per returned row: what the operators finishing a
+// pushed scan on the server (group-by, top-K, the Bloom build) begin with.
+func (e *Exec) selectMetered(name string, stage int, table string, req selectengine.Request, perRow int64) (*Relation, error) {
 	st := e.step(name, name, stage, table)
-	rel, _, err := e.selectDecoded(st, table, sql, false)
+	rel, _, err := e.selectDecoded(st, table, req, false)
 	if err == nil {
 		st.AddServerRows(int64(len(rel.Rows)) * perRow)
 	}
@@ -288,16 +292,16 @@ func (e *Exec) selectMetered(name string, stage int, table, sql string, perRow i
 	return rel, err
 }
 
-// selectDecoded runs sql on every partition of table, metered on st, and
+// selectDecoded runs req on every partition of table, metered on st, and
 // decodes each response's body once, inside the fan-out, where LoadTable
 // decodes too: to a vec.Batch for a consumer that folds vectors (typed), and
 // no row is built, or to rows for the rest, concatenated in partition order
 // into the relation. The other result is nil.
-func (e *Exec) selectDecoded(st step, table, sql string, typed bool) (*Relation, []*vec.Batch, error) {
+func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, typed bool) (*Relation, []*vec.Batch, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
 	batches := make([]*vec.Batch, len(keys))
 	rels := make([]*Relation, len(keys))
-	_, err := e.selectOnParts(st, table, sql, func(i int, res *selectengine.Result) (err error) {
+	_, err := e.selectOnParts(st, table, req, func(i int, res *selectengine.Result) (err error) {
 		dec := st.sp.Child("decode")
 		defer dec.End()
 		dec.SetInt("rows", res.Stats.RowsReturned)
@@ -323,23 +327,22 @@ func (e *Exec) selectDecoded(st step, table, sql string, typed bool) (*Relation,
 	return out, nil, nil
 }
 
-// limitPerPart appends to sql a per-partition LIMIT under which table's
-// partitions return about total rows together (used by sampling operators).
-func (e *Exec) limitPerPart(table, sql string, total int64) (string, error) {
-	keys, err := e.parts(table)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s LIMIT %d", sql, max(total/int64(len(keys)), 1)), nil
-}
-
 // SelectAgg runs an aggregate-only sql on every partition and merges the
 // single-row results column-wise using the given aggregate functions
 // (SUM and COUNT merge by addition, MIN/MAX by comparison).
-func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (_ Row, err error) {
+func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (Row, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.selectAgg(phaseName, stage, table, e.db.request(table, stmt), merge)
+}
+
+// selectAgg is SelectAgg over req.
+func (e *Exec) selectAgg(phaseName string, stage int, table string, req selectengine.Request, merge []sqlparse.AggFunc) (_ Row, err error) {
 	st := e.step(phaseName, phaseName, stage, table)
 	defer func() { st.end(err) }()
-	results, err := e.selectOnParts(st, table, sql, nil)
+	results, err := e.selectOnParts(st, table, req, nil)
 	if err != nil {
 		return nil, err
 	}

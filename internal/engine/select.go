@@ -6,6 +6,7 @@ import (
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 )
 
 // The select path. Every S3 Select the engine issues goes through the
@@ -15,25 +16,33 @@ import (
 // left on the response. Results may be shared with the cache and with
 // other queries — callers must not mutate them.
 
-// request is every S3 Select request the engine builds for sql against table:
-// with the table's header and its backend's advertised capabilities. A
-// fan-out compiles it once, and every partition runs that one statement.
-func (db *DB) request(table, sql string) selectengine.Request {
-	return selectengine.Request{SQL: sql, HasHeader: true, Capabilities: db.backendFor(table).Capabilities()}
+// request is every S3 Select request the engine sends table: stmt, printed
+// once, with the table's header and its backend's advertised capabilities.
+// Every partition of a fan-out, the result cache and scan sharing read that
+// one statement.
+func (db *DB) request(table string, stmt *sqlparse.Select) selectengine.Request {
+	return selectengine.NewRequest(stmt, true, db.backendFor(table).Capabilities())
 }
 
-// selectOnParts runs the same S3 Select SQL against every partition of the
-// table through its backend's pipeline, one compiled request for all of
-// them, and returns the per-partition results, metered on st. Each
-// partition select becomes a child span of st's. each, when non-nil, sees
-// partition i's response inside the fan-out: a consumer's decode,
+// scanSelect is the S3 Select statement returning items (every column, *,
+// for none) of the rows where keeps (every row when nil).
+func scanSelect(items []sqlparse.SelectItem, where sqlparse.Expr) *sqlparse.Select {
+	if len(items) == 0 {
+		items = []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}
+	}
+	return &sqlparse.Select{Items: items, Table: "S3Object", Where: where, Limit: -1}
+}
+
+// selectOnParts runs req against every partition of the table through its
+// backend's pipeline and returns the per-partition results, metered on st.
+// Each partition select becomes a child span of st's. each, when non-nil,
+// sees partition i's response inside the fan-out: a consumer's decode,
 // overlapping the selects still in flight; its error fails the fan-out.
-func (e *Exec) selectOnParts(st step, table, sql string, each func(i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
+func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, each func(i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
-	req := e.db.request(table, sql).Compiled()
 	results := make([]*selectengine.Result, len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
 		res, err := e.doSelect(ctx, st, table, key, req)
@@ -104,11 +113,11 @@ func selectReqStats(s selectengine.Stats) cloudsim.SelectReq {
 	}
 }
 
-// cachedScanFrac reports what fraction of a table's partitions have the
-// given pushed scan SQL resident in the result cache (0 with caching off).
-// It shares the execution's partition-listing memo, so planning adds no
-// extra List call. Residency is peeked without promoting entries.
-func (e *Exec) cachedScanFrac(table, sql string) float64 {
+// cachedScanFrac reports what fraction of a table's partitions have req's
+// response resident in the result cache (0 with caching off). It shares the
+// execution's partition-listing memo, so planning adds no extra List call.
+// Residency is peeked without promoting entries.
+func (e *Exec) cachedScanFrac(table string, req selectengine.Request) float64 {
 	c := e.db.resultCache
 	if c == nil || c.Len() == 0 {
 		// Empty cache: skip even the (memoized) listing — this runs on
@@ -120,6 +129,6 @@ func (e *Exec) cachedScanFrac(table, sql string) float64 {
 		return 0
 	}
 	backendName, _ := e.db.BackendFor(table)
-	hits := c.Resident(backendName, e.db.bucket, keys, e.db.request(table, sql))
+	hits := c.Resident(backendName, e.db.bucket, keys, req)
 	return float64(hits) / float64(len(keys))
 }

@@ -3,14 +3,17 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"pushdowndb/internal/bloom"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/race"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -203,5 +206,41 @@ func TestSortLocalIsStable(t *testing.T) {
 				t.Fatalf("ORDER BY %s: row %v before %v", order, a, b)
 			}
 		}
+	}
+}
+
+// TestBloomProbeRequestPrintsOnce pins what printing a Bloom probe's request
+// costs: one buffer at the printed length, not a copy per nesting level.
+// The request is a Listing-1 probe of about 48 KB (the size serve_zipf's Q14
+// join ships) behind a pushed filter and projection, and printing it — the
+// one text the cache keys, the size limit measures and the wire carries —
+// allocates less than three times its length.
+func TestBloomProbeRequestPrintsOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts and sizes differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(1))
+	f := bloom.New(700, 0.01, rng)
+	for k := int64(0); k < 700; k++ {
+		f.Add(k * 3)
+	}
+	filter, err := sqlparse.ParseExpr("l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt := scanSelect(columnItems([]string{"l_partkey", "l_extendedprice", "l_discount"}),
+		&sqlparse.Binary{Op: sqlparse.OpAnd, L: filter, R: f.SQLPredicate(&sqlparse.Column{Name: "l_partkey"})})
+	size := len(selectengine.NewRequest(stmt, true, selectengine.Capabilities{}).SQL)
+	if size < 40<<10 || size > 56<<10 {
+		t.Fatalf("the probe prints %d bytes, want about 48 KB", size)
+	}
+	const runs = 20
+	grew := allocatedBytes(func() {
+		for range runs {
+			_ = selectengine.NewRequest(stmt, true, selectengine.Capabilities{})
+		}
+	}) / runs
+	if grew >= 3*uint64(size) {
+		t.Errorf("printing a %d-byte probe request allocates %d bytes (%.1fx), want under 3x", size, grew, float64(grew)/float64(size))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"pushdowndb/internal/index"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -247,15 +248,15 @@ func (ts *statsObj) scaled(n int64) int64 {
 	return int64(math.Round(float64(n) * weight))
 }
 
-// sampleSelect runs sql over the table's sample with the select engine itself
+// sampleSelect runs stmt over the table's sample with the select engine itself
 // — the one estimator — and charges the query sample_rows units of row work,
 // on the step "plan stats <table>", which the caller ends once it has said
 // what it found. The response's rows come decoded (Result.Records): an
 // allocation per response, not per row.
-func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) ([][]string, step, error) {
+func (e *Exec) sampleSelect(ts *statsObj, table string, stmt *sqlparse.Select, stage int) ([][]string, step, error) {
 	st := e.step("plan stats "+table, "plan stats "+table, stage, table)
 	st.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
-	res, err := selectengine.Execute(ts.sample, e.db.request(table, sql))
+	res, err := selectengine.Execute(ts.sample, e.db.request(table, stmt))
 	if err != nil {
 		return nil, st, err
 	}
@@ -266,15 +267,15 @@ func (e *Exec) sampleSelect(ts *statsObj, table, sql string, stage int) ([][]str
 	return rows, st, err
 }
 
-// sampleCounts runs a probe SQL — COUNT(*), then SUM(CASE …) counts — over
+// sampleCounts runs a probe — COUNT(*), then SUM(CASE …) counts — over
 // the table's sample (sampleSelect) and scales every count but the first to
-// the table (scaled). nil means no object, or SQL that cannot be evaluated
+// the table (scaled). nil means no object, or a probe that cannot be evaluated
 // locally: the remote probe gives the counts, or the reason.
-func (e *Exec) sampleCounts(ts *statsObj, table, sql string, stage int) []int64 {
+func (e *Exec) sampleCounts(ts *statsObj, table string, probe *sqlparse.Select, stage int) []int64 {
 	if ts == nil {
 		return nil
 	}
-	rows, st, err := e.sampleSelect(ts, table, sql, stage)
+	rows, st, err := e.sampleSelect(ts, table, probe, stage)
 	if err != nil || len(rows) != 1 {
 		st.end(err)
 		return nil

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
 )
@@ -76,18 +77,21 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 		}
 		sample = OptimalSampleSize(k, n, SamplingAlpha)
 	}
-	sql, err := e.limitPerPart(table, "SELECT "+orderCol+" FROM S3Object", sample)
+	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
-	sampled, err := e.selectMetered("sample "+table, stage1, table, sql, 1)
+	col := &sqlparse.Column{Name: orderCol}
+	sampleScan := scanSelect([]sqlparse.SelectItem{{Expr: col}}, nil)
+	sampleScan.Limit = max(sample/int64(len(keys)), 1) // about sample rows over all partitions
+	sampled, err := e.selectMetered("sample "+table, stage1, table, e.db.request(table, sampleScan), 1)
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(sampled.Rows)) < int64(k) {
 		// The sample cannot bound the top K (tiny table or tiny sample):
 		// degrade to the server-side algorithm for correctness.
-		rel, err := e.SelectRows("full scan "+table, e.NextStage(), table, "SELECT * FROM S3Object")
+		rel, err := e.selectMetered("full scan "+table, e.NextStage(), table, e.db.request(table, scanSelect(nil, nil)), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -100,12 +104,12 @@ func (e *Exec) SamplingTopK(table, orderCol string, k int, asc bool, opts Sampli
 
 	// Phase 2: threshold-filtered scan, then a heap over the survivors.
 	stage2 := e.NextStage()
-	op := "<="
+	op := sqlparse.OpLe
 	if !asc {
-		op = ">="
+		op = sqlparse.OpGe
 	}
 	scanned, err := e.selectMetered("threshold scan "+table, stage2, table,
-		fmt.Sprintf("SELECT * FROM S3Object WHERE %s %s %s", orderCol, op, threshold), 1)
+		e.db.request(table, scanSelect(nil, &sqlparse.Binary{Op: op, L: col, R: threshold})), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -135,11 +139,9 @@ func (e *Exec) approxRowCount(stage int, table string) (_ int64, err error) {
 		totalBytes += n
 	}
 	const probeRows = 64
-	sql, err := e.limitPerPart(table, "SELECT * FROM S3Object", probeRows*int64(len(keys)))
-	if err != nil {
-		return 0, err
-	}
-	probe, _, err := e.selectDecoded(st, table, sql, false)
+	scan := scanSelect(nil, nil)
+	scan.Limit = probeRows // from each partition
+	probe, _, err := e.selectDecoded(st, table, e.db.request(table, scan), false)
 	if err != nil {
 		return 0, err
 	}
@@ -157,17 +159,17 @@ func (e *Exec) approxRowCount(stage int, table string) (_ int64, err error) {
 }
 
 // kthValue returns the K-th smallest (asc) or largest (desc) non-NULL
-// value of orderCol, rendered as a SQL literal for the threshold
-// predicate: the last row of the column's top K.
-func kthValue(rel *Relation, orderCol string, k int, asc bool) (string, error) {
+// value of orderCol as the threshold predicate's literal: the last row of
+// the column's top K.
+func kthValue(rel *Relation, orderCol string, k int, asc bool) (*sqlparse.Literal, error) {
 	top, err := topKLocal(rel, orderCol, k, asc)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if len(top.Rows) < k {
-		return "", fmt.Errorf("engine: sample of %d rows cannot provide the %d-th value", len(top.Rows), k)
+		return nil, fmt.Errorf("engine: sample of %d rows cannot provide the %d-th value", len(top.Rows), k)
 	}
-	return sqlLiteral(top.Rows[k-1][rel.ColIndex(orderCol)].String()), nil
+	return literal(top.Rows[k-1][rel.ColIndex(orderCol)].String()), nil
 }
 
 // topKLocal selects the top K rows of rel ordered by orderCol.

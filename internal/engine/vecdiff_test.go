@@ -12,6 +12,7 @@ import (
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
@@ -205,6 +206,10 @@ func TestProbeStatsColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idLt10, err := sqlparse.ParseExpr("id < 10")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, path := range []string{StatsFromObject, StatsFromProbe} {
 		db.InvalidateStats()
 		e := db.NewExec()
@@ -218,14 +223,14 @@ func TestProbeStatsColumnar(t *testing.T) {
 			}
 			return ts
 		}
-		col, cached, err := e.probeStats(obj("c"), "c", "id < 10", "", 0)
+		col, cached, err := e.probeStats(obj("c"), "c", idLt10, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cached || col.source != path || !col.stats.Columnar {
 			t.Errorf("%s: probeStats over a colformat table: cached %v, source %q, Columnar %v", path, cached, col.source, col.stats.Columnar)
 		}
-		csv, _, err := e.probeStats(obj("p"), "p", "", "", 0)
+		csv, _, err := e.probeStats(obj("p"), "p", nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +238,7 @@ func TestProbeStatsColumnar(t *testing.T) {
 			t.Errorf("%s: probeStats over a CSV table set Columnar", path)
 		}
 		// The flag and the source must survive the stats cache.
-		again, cached, err := e.probeStats(obj("c"), "c", "id < 10", "", 0)
+		again, cached, err := e.probeStats(obj("c"), "c", idLt10, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +387,7 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 		}
 	}
 	short := relOf([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}})
-	if lit, err := kthValue(short, "k", 2, true); err != nil || lit != "7" {
+	if lit, err := kthValue(short, "k", 2, true); err != nil || lit.String() != "7" {
 		t.Errorf("kthValue over ragged rows = %q, %v; want 7", lit, err)
 	}
 }

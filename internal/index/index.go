@@ -203,14 +203,17 @@ func BuildPartition(data []byte, column string) ([]byte, error) {
 	return csvx.Encode(Header, out), nil
 }
 
-// ProbeSQL is the S3 Select every index object is probed with: the byte
-// ranges of the rows whose indexed value satisfies valuePred, a predicate
-// over ValueColumn.
-func ProbeSQL(valuePred string) string {
-	return "SELECT " + Header[1] + ", " + Header[2] + " FROM S3Object WHERE " + valuePred
+// Probe is the S3 Select every index object is probed with: the byte ranges
+// of the rows whose indexed value satisfies valuePred, a predicate over
+// ValueColumn.
+func Probe(valuePred sqlparse.Expr) *sqlparse.Select {
+	return &sqlparse.Select{
+		Items: []sqlparse.SelectItem{{Expr: &sqlparse.Column{Name: Header[1]}}, {Expr: &sqlparse.Column{Name: Header[2]}}},
+		Table: "S3Object", Where: valuePred, Limit: -1,
+	}
 }
 
-// ParseRanges decodes the rows a ProbeSQL select returned into inclusive
+// ParseRanges decodes the rows a Probe select returned into inclusive
 // byte ranges, in the order returned.
 func ParseRanges(rows [][]string) ([][2]int64, error) {
 	ranges := make([][2]int64, 0, len(rows))

@@ -158,7 +158,7 @@ type call struct {
 	byFP    map[string]*entry
 	fired   bool // merged/solo request issued; batch membership is frozen
 	merged  bool
-	sqlLen  int // accumulated merged-SQL size estimate
+	sqlLen  int // the members' SQL bytes: the merged request's size, estimated
 
 	// Completion state, written once before close(done).
 	err     error
@@ -217,18 +217,6 @@ func compatible(c *call, req selectengine.Request, sel *sqlparse.Select) bool {
 		strings.EqualFold(sel.Table, first.sel.Table)
 }
 
-// mergedSQLLen estimates a request's contribution to the merged SQL.
-func mergedSQLLen(sel *sqlparse.Select) int {
-	n := 16
-	if sel.Where != nil {
-		n += len(sel.Where.String()) + 8
-	}
-	for _, it := range sel.Items {
-		n += len(it.Expr.String()) + 2
-	}
-	return n
-}
-
 // layer is the coordinator as a stage of one backend's select pipeline.
 type layer struct {
 	c       *Coordinator
@@ -273,12 +261,12 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 	// Join an open batch on the same object with a new predicate.
 	if cl, ok := c.open[obj]; ok && sel != nil && !cl.fired &&
 		len(cl.entries) < c.cfg.MaxBatch &&
-		cl.sqlLen+mergedSQLLen(sel) < selectengine.MaxSQLBytes/2 &&
+		cl.sqlLen+len(req.SQL) < selectengine.MaxSQLBytes/2 &&
 		compatible(cl, req, sel) {
 		ent := &entry{req: req, sel: sel, waiters: 1}
 		cl.entries = append(cl.entries, ent)
 		cl.byFP[fp] = ent
-		cl.sqlLen += mergedSQLLen(sel)
+		cl.sqlLen += len(req.SQL)
 		c.inflight[id] = cl
 		if len(cl.entries) >= c.cfg.MaxBatch {
 			close(cl.full)
@@ -295,9 +283,7 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 	ent := &entry{req: req, sel: sel, waiters: 1}
 	cl.entries = []*entry{ent}
 	cl.byFP[fp] = ent
-	if sel != nil {
-		cl.sqlLen = mergedSQLLen(sel)
-	}
+	cl.sqlLen = len(req.SQL)
 	c.inflight[id] = cl
 	// Register as an open batch only when another request could actually
 	// join it (merging on, batch bigger than one).
@@ -440,16 +426,18 @@ func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, re
 // and the OR of the filters (no WHERE if any entry scans unfiltered).
 func mergeRequest(entries []*entry) selectengine.Request {
 	var (
-		cols    []string
+		items   []sqlparse.SelectItem
 		seen    = map[string]bool{}
 		star    bool
-		wheres  []string
+		where   sqlparse.Expr
 		allHave = true
 	)
-	addCol := func(name string) {
-		if k := sqlparse.NameKey(name); !seen[k] {
-			seen[k] = true
-			cols = append(cols, name)
+	addCols := func(e sqlparse.Expr) {
+		for _, col := range sqlparse.Columns(e) {
+			if k := sqlparse.NameKey(col); !seen[k] {
+				seen[k] = true
+				items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Column{Name: col}})
+			}
 		}
 	}
 	for _, ent := range entries {
@@ -458,37 +446,25 @@ func mergeRequest(entries []*entry) selectengine.Request {
 				star = true
 				continue
 			}
-			for _, col := range sqlparse.Columns(it.Expr) {
-				addCol(col)
-			}
+			addCols(it.Expr)
 		}
 		if ent.sel.Where == nil {
 			allHave = false
+			continue
+		}
+		addCols(ent.sel.Where)
+		if where == nil {
+			where = ent.sel.Where
 		} else {
-			// Binary expressions print fully parenthesized and OR binds
-			// loosest, so joining printed filters with OR is precedence-safe.
-			wheres = append(wheres, ent.sel.Where.String())
-			for _, col := range sqlparse.Columns(ent.sel.Where) {
-				addCol(col)
-			}
+			where = &sqlparse.Binary{Op: sqlparse.OpOr, L: where, R: ent.sel.Where}
 		}
 	}
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if star || len(cols) == 0 {
-		b.WriteString("*")
-	} else {
-		b.WriteString(strings.Join(cols, ", "))
+	merged := &sqlparse.Select{Items: items, Table: entries[0].sel.Table, Limit: -1}
+	if star || len(items) == 0 {
+		merged.Items = []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}
 	}
-	b.WriteString(" FROM ")
-	b.WriteString(entries[0].sel.Table)
-	if allHave && len(wheres) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(wheres, " OR "))
+	if allHave {
+		merged.Where = where
 	}
-	return selectengine.Request{
-		SQL:          b.String(),
-		HasHeader:    entries[0].req.HasHeader,
-		Capabilities: entries[0].req.Capabilities,
-	}
+	return selectengine.NewRequest(merged, entries[0].req.HasHeader, entries[0].req.Capabilities)
 }

@@ -13,6 +13,7 @@ import (
 
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 )
 
 // testData builds the CSV object every test scans: k INT, g INT, v INT.
@@ -373,22 +374,27 @@ func TestMergeRequestShapes(t *testing.T) {
 		{
 			"column union with OR of filters",
 			[]*entry{mk("SELECT a FROM S3Object WHERE b = 1"), mk("SELECT c FROM S3Object WHERE a = 2")},
-			"SELECT a, b, c FROM S3Object WHERE (b = 1) OR (a = 2)",
+			"SELECT a, b, c FROM S3Object WHERE ((b = 1) OR (a = 2))",
 		},
 		{
 			"case-insensitive column dedup",
 			[]*entry{mk("SELECT A FROM S3Object WHERE a = 1"), mk("SELECT a FROM S3Object WHERE a = 2")},
-			"SELECT A FROM S3Object WHERE (a = 1) OR (a = 2)",
+			"SELECT A FROM S3Object WHERE ((a = 1) OR (a = 2))",
 		},
 		{
 			"star wins the projection",
 			[]*entry{mk("SELECT * FROM S3Object WHERE a = 1"), mk("SELECT b FROM S3Object WHERE c = 2")},
-			"SELECT * FROM S3Object WHERE (a = 1) OR (c = 2)",
+			"SELECT * FROM S3Object WHERE ((a = 1) OR (c = 2))",
 		},
 		{
 			"unfiltered entry drops the WHERE",
 			[]*entry{mk("SELECT a FROM S3Object"), mk("SELECT b FROM S3Object WHERE a = 1")},
 			"SELECT a, b FROM S3Object",
+		},
+		{
+			"names that need quoting print quoted",
+			[]*entry{mk(`SELECT "my col" FROM S3Object WHERE "order" < 5`), mk(`SELECT "my col" FROM S3Object WHERE k > 9`)},
+			`SELECT "my col", "order", k FROM S3Object WHERE (("order" < 5) OR (k > 9))`,
 		},
 	}
 	for _, tc := range cases {
@@ -396,6 +402,36 @@ func TestMergeRequestShapes(t *testing.T) {
 		if got.SQL != tc.want {
 			t.Errorf("%s: merged SQL = %q, want %q", tc.name, got.SQL, tc.want)
 		}
+		// The statement attached is the one its text parses to: an s3http
+		// backend runs what in-process storage runs.
+		stmt, _ := got.Statement()
+		if back, err := sqlparse.Parse(got.SQL); err != nil || !reflect.DeepEqual(back, stmt) {
+			t.Errorf("%s: %q parses to %v (%v), not the statement attached", tc.name, got.SQL, back, err)
+		}
+	}
+}
+
+// TestMergeOverQuotedColumn: scans projecting a column whose name needs
+// quoting merge into one backend pass, with no fallback, and each answers
+// as it does alone.
+func TestMergeOverQuotedColumn(t *testing.T) {
+	var rows [][]string
+	for i := 0; i < 200; i++ {
+		rows = append(rows, []string{fmt.Sprint(i), fmt.Sprint(i * 2)})
+	}
+	data := csvx.Encode([]string{"k", "my col"}, rows)
+	var calls atomic.Int64
+	c := New(Config{Window: 200 * time.Millisecond, MaxBatch: 8})
+	reqs := []selectengine.Request{
+		scanReq(`SELECT "my col" FROM S3Object WHERE k < 5`),
+		scanReq(`SELECT "my col" FROM S3Object WHERE k > 190`),
+	}
+	outs := runConcurrent(t, c, backend(data, &calls, nil, nil), reqs)
+	for i, out := range outs {
+		expectRows(t, data, reqs[i], out)
+	}
+	if st := c.Stats(); calls.Load() != 1 || st.BackendSelects != 1 || st.Fallbacks != 0 {
+		t.Fatalf("backend calls %d, stats %+v: want one merged pass and no fallback", calls.Load(), st)
 	}
 }
 
@@ -421,17 +457,21 @@ func TestMergeableRejectsComplexShapes(t *testing.T) {
 	}
 }
 
-// TestMergedMembersRunTheirCompiledStatements: the coordinator parses no
-// request of its own. It merges compiled requests by their statements, and
+// TestMergedMembersRunTheirStatements: the coordinator parses no request of
+// its own. It merges requests by the statements they carry, and
 // each member re-executes on its own: members whose text is no SQL at all
 // (their identity only) merge into one pass and answer as their statements
 // do alone, with no fallback.
-func TestMergedMembersRunTheirCompiledStatements(t *testing.T) {
+func TestMergedMembersRunTheirStatements(t *testing.T) {
 	data := testData()
 	var calls atomic.Int64
 	c := New(Config{Window: 200 * time.Millisecond, MaxBatch: 8})
 	compiled := func(sql, text string) selectengine.Request {
-		req := scanReq(sql).Compiled()
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := selectengine.NewRequest(stmt, true, selectengine.Capabilities{})
 		req.SQL = text
 		return req
 	}

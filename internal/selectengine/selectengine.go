@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
@@ -76,24 +75,24 @@ type Request struct {
 	// range [Start, End). Mirrors S3 Select's ScanRange parameter; used by
 	// the sampling top-K operator to sample random chunks.
 	ScanRange *ScanRange
-	stmt      func() (*sqlparse.Select, error) // Compiled; SQL stays the identity
+	stmt      *sqlparse.Select // NewRequest's; SQL is its text
 }
 
-// Statement returns the request's statement: a compiled request's, read-only
-// and shared by its copies across goroutines, or for text SQL parsed now.
+// NewRequest is the request that runs stmt: SQL is stmt printed, once — the
+// text the cache keys, the size limit measures and the wire carries — and
+// in-process storage runs stmt itself. stmt is read-only from then on, shared
+// by the request's copies across goroutines, and SQL must not change.
+func NewRequest(stmt *sqlparse.Select, hasHeader bool, caps Capabilities) Request {
+	return Request{SQL: stmt.String(), HasHeader: hasHeader, Capabilities: caps, stmt: stmt}
+}
+
+// Statement returns the request's statement: NewRequest's, or, for a request
+// that arrived as text (off the wire), SQL parsed now.
 func (r Request) Statement() (*sqlparse.Select, error) {
 	if r.stmt == nil {
 		return sqlparse.Parse(r.SQL)
 	}
-	return r.stmt()
-}
-
-// Compiled returns r with SQL's statement attached, parsed once when a copy
-// first needs it (a cache hit never does) and not after SQL changes.
-func (r Request) Compiled() Request {
-	sql := r.SQL
-	r.stmt = sync.OnceValues(func() (*sqlparse.Select, error) { return sqlparse.Parse(sql) })
-	return r
+	return r.stmt, nil
 }
 
 // ScanRange is a half-open byte range.

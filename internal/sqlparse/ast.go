@@ -1,17 +1,117 @@
 package sqlparse
 
 import (
-	"strconv"
 	"strings"
 
 	"pushdowndb/internal/value"
 )
 
 // Expr is any expression node. String renders the node back to SQL text
-// accepted by this parser (used to build S3 Select request bodies, e.g. the
-// Bloom-filter SUBSTRING predicate and the CASE-based group-by queries).
+// this parser reads back as the same tree: the one renderer of S3 Select
+// request text, written by printer.
 type Expr interface {
 	String() string
+	write(p *printer)
+}
+
+// printer renders a tree as SQL text into one buffer, each node writing
+// itself (write). A first pass over the tree only counts the bytes, so the
+// buffer is allocated once, at the printed length: a 48 KB Bloom predicate
+// costs 48 KB, not a copy per nesting level.
+type printer struct {
+	b        strings.Builder
+	counting bool
+	n        int
+}
+
+// sprint is the text of n, the one renderer behind every String method.
+func sprint(n interface{ write(*printer) }) string {
+	p := &printer{counting: true}
+	n.write(p)
+	p.counting = false
+	p.b.Grow(p.n)
+	n.write(p)
+	return p.b.String()
+}
+
+// Every node's String is its printed text.
+func (c *Column) String() string    { return sprint(c) }
+func (l *Literal) String() string   { return sprint(l) }
+func (s *Star) String() string      { return sprint(s) }
+func (b *Binary) String() string    { return sprint(b) }
+func (u *Unary) String() string     { return sprint(u) }
+func (n *IsNull) String() string    { return sprint(n) }
+func (b *Between) String() string   { return sprint(b) }
+func (i *In) String() string        { return sprint(i) }
+func (l *Like) String() string      { return sprint(l) }
+func (c *Case) String() string      { return sprint(c) }
+func (c *Cast) String() string      { return sprint(c) }
+func (c *Call) String() string      { return sprint(c) }
+func (a *Aggregate) String() string { return sprint(a) }
+func (s SelectItem) String() string { return sprint(s) }
+func (o OrderItem) String() string  { return sprint(o) }
+func (s *Select) String() string    { return sprint(s) }
+
+func (p *printer) str(s string) {
+	if p.counting {
+		p.n += len(s)
+	} else {
+		p.b.WriteString(s)
+	}
+}
+
+// value writes v as String renders it, without the intermediate string.
+func (p *printer) value(v value.Value) {
+	var buf [32]byte
+	if text := v.Append(buf[:0]); p.counting {
+		p.n += len(text)
+	} else {
+		p.b.Write(text)
+	}
+}
+
+// quoted writes s as a string literal, each quote doubled (ReplaceAll
+// copies nothing when there is none).
+func (p *printer) quoted(s string) {
+	p.str("'")
+	p.str(strings.ReplaceAll(s, "'", "''"))
+	p.str("'")
+}
+
+func (p *printer) ident(s string) { p.str(quoteIdent(s)) }
+
+func (p *printer) alias(s string) {
+	if s != "" {
+		p.str(" AS ")
+		p.ident(s)
+	}
+}
+
+func (p *printer) either(cond bool, yes, no string) {
+	if cond {
+		p.str(yes)
+	} else {
+		p.str(no)
+	}
+}
+
+// put writes each part, a string or an expression.
+func (p *printer) put(parts ...any) {
+	for _, x := range parts {
+		if e, ok := x.(Expr); ok {
+			e.write(p)
+		} else {
+			p.str(x.(string))
+		}
+	}
+}
+
+// list writes exprs comma-separated.
+func (p *printer) list(exprs []Expr) {
+	for i, e := range exprs {
+		p.either(i > 0, ", ", "")
+		e.write(p)
+	}
 }
 
 // Column references a column by name (optionally qualified, e.g. s.c_custkey
@@ -21,11 +121,12 @@ type Column struct {
 	Name      string
 }
 
-func (c *Column) String() string {
+func (c *Column) write(p *printer) {
 	if c.Qualifier != "" {
-		return quoteIdent(c.Qualifier) + "." + quoteIdent(c.Name)
+		p.ident(c.Qualifier)
+		p.str(".")
 	}
-	return quoteIdent(c.Name)
+	p.ident(c.Name)
 }
 
 // quoteIdent renders an identifier, double-quoting it when the bare text
@@ -60,28 +161,27 @@ type Literal struct {
 	Val value.Value
 }
 
-func (l *Literal) String() string {
+func (l *Literal) write(p *printer) {
 	switch l.Val.Kind() {
 	case value.KindString:
-		return "'" + strings.ReplaceAll(l.Val.AsString(), "'", "''") + "'"
+		p.quoted(l.Val.AsString())
 	case value.KindDate:
-		return "DATE '" + l.Val.String() + "'"
+		p.str("DATE '")
+		p.value(l.Val)
+		p.str("'")
 	case value.KindNull:
-		return "NULL"
+		p.str("NULL")
 	case value.KindBool:
-		if l.Val.AsBool() {
-			return "TRUE"
-		}
-		return "FALSE"
+		p.either(l.Val.AsBool(), "TRUE", "FALSE")
 	default:
-		return l.Val.String()
+		p.value(l.Val)
 	}
 }
 
 // Star is the bare `*` in a select list or COUNT(*).
 type Star struct{}
 
-func (*Star) String() string { return "*" }
+func (*Star) write(p *printer) { p.str("*") }
 
 // BinaryOp enumerates binary operators.
 type BinaryOp uint8
@@ -116,8 +216,10 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b *Binary) String() string {
-	return "(" + b.L.String() + " " + binOpText[b.Op] + " " + b.R.String() + ")"
+func (b *Binary) write(p *printer) {
+	p.put("(", b.L, " ")
+	p.str(binOpText[b.Op])
+	p.put(" ", b.R, ")")
 }
 
 // Unary is NOT expr or -expr.
@@ -126,11 +228,9 @@ type Unary struct {
 	X  Expr
 }
 
-func (u *Unary) String() string {
-	if u.Op == "NOT" {
-		return "(NOT " + u.X.String() + ")"
-	}
-	return "(-" + u.X.String() + ")"
+func (u *Unary) write(p *printer) {
+	p.either(u.Op == "NOT", "(NOT ", "(-")
+	p.put(u.X, ")")
 }
 
 // IsNull is `expr IS [NOT] NULL`.
@@ -139,11 +239,9 @@ type IsNull struct {
 	Not bool
 }
 
-func (n *IsNull) String() string {
-	if n.Not {
-		return "(" + n.X.String() + " IS NOT NULL)"
-	}
-	return "(" + n.X.String() + " IS NULL)"
+func (n *IsNull) write(p *printer) {
+	p.put("(", n.X)
+	p.either(n.Not, " IS NOT NULL)", " IS NULL)")
 }
 
 // Between is `expr [NOT] BETWEEN lo AND hi`.
@@ -152,12 +250,10 @@ type Between struct {
 	Not       bool
 }
 
-func (b *Between) String() string {
-	not := ""
-	if b.Not {
-		not = "NOT "
-	}
-	return "(" + b.X.String() + " " + not + "BETWEEN " + b.Lo.String() + " AND " + b.Hi.String() + ")"
+func (b *Between) write(p *printer) {
+	p.put("(", b.X, " ")
+	p.either(b.Not, "NOT ", "")
+	p.put("BETWEEN ", b.Lo, " AND ", b.Hi, ")")
 }
 
 // In is `expr [NOT] IN (e1, e2, ...)`.
@@ -167,21 +263,12 @@ type In struct {
 	Not  bool
 }
 
-func (i *In) String() string {
-	var b strings.Builder
-	b.WriteString("(" + i.X.String())
-	if i.Not {
-		b.WriteString(" NOT")
-	}
-	b.WriteString(" IN (")
-	for j, e := range i.List {
-		if j > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
-	}
-	b.WriteString("))")
-	return b.String()
+func (i *In) write(p *printer) {
+	p.put("(", i.X, " ")
+	p.either(i.Not, "NOT ", "")
+	p.str("IN (")
+	p.list(i.List)
+	p.str("))")
 }
 
 // Like is `expr [NOT] LIKE pattern` with % and _ wildcards.
@@ -190,12 +277,10 @@ type Like struct {
 	Not        bool
 }
 
-func (l *Like) String() string {
-	not := ""
-	if l.Not {
-		not = "NOT "
-	}
-	return "(" + l.X.String() + " " + not + "LIKE " + l.Pattern.String() + ")"
+func (l *Like) write(p *printer) {
+	p.put("(", l.X, " ")
+	p.either(l.Not, "NOT ", "")
+	p.put("LIKE ", l.Pattern, ")")
 }
 
 // Case is a searched CASE expression: CASE WHEN c THEN v ... ELSE e END.
@@ -209,17 +294,15 @@ type When struct {
 	Cond, Result Expr
 }
 
-func (c *Case) String() string {
-	var b strings.Builder
-	b.WriteString("CASE")
+func (c *Case) write(p *printer) {
+	p.str("CASE")
 	for _, w := range c.Whens {
-		b.WriteString(" WHEN " + w.Cond.String() + " THEN " + w.Result.String())
+		p.put(" WHEN ", w.Cond, " THEN ", w.Result)
 	}
 	if c.Else != nil {
-		b.WriteString(" ELSE " + c.Else.String())
+		p.put(" ELSE ", c.Else)
 	}
-	b.WriteString(" END")
-	return b.String()
+	p.str(" END")
 }
 
 // Cast is CAST(expr AS type).
@@ -228,13 +311,16 @@ type Cast struct {
 	To value.Kind
 }
 
-func (c *Cast) String() string {
-	name := map[value.Kind]string{
-		value.KindInt: "INT", value.KindFloat: "FLOAT",
-		value.KindString: "STRING", value.KindDate: "TIMESTAMP",
-		value.KindBool: "BOOL",
-	}[c.To]
-	return "CAST(" + c.X.String() + " AS " + name + ")"
+var castText = map[value.Kind]string{
+	value.KindInt: "INT", value.KindFloat: "FLOAT",
+	value.KindString: "STRING", value.KindDate: "TIMESTAMP",
+	value.KindBool: "BOOL",
+}
+
+func (c *Cast) write(p *printer) {
+	p.put("CAST(", c.X, " AS ")
+	p.str(castText[c.To])
+	p.str(")")
 }
 
 // Call is a scalar function call (SUBSTRING, UPPER, LOWER, LENGTH, ABS,
@@ -244,22 +330,19 @@ type Call struct {
 	Args []Expr
 }
 
-func (c *Call) String() string {
+func (c *Call) write(p *printer) {
 	if c.Name == "EXTRACT" && len(c.Args) == 2 {
 		if lit, ok := c.Args[0].(*Literal); ok && lit.Val.Kind() == value.KindString {
-			return "EXTRACT(" + lit.Val.AsString() + " FROM " + c.Args[1].String() + ")"
+			p.str("EXTRACT(")
+			p.str(lit.Val.AsString())
+			p.put(" FROM ", c.Args[1], ")")
+			return
 		}
 	}
-	var b strings.Builder
-	b.WriteString(quoteIdent(c.Name) + "(")
-	for i, a := range c.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(a.String())
-	}
-	b.WriteString(")")
-	return b.String()
+	p.ident(c.Name)
+	p.str("(")
+	p.list(c.Args)
+	p.str(")")
 }
 
 // AggFunc enumerates aggregate functions.
@@ -285,7 +368,10 @@ type Aggregate struct {
 	X    Expr
 }
 
-func (a *Aggregate) String() string { return aggText[a.Func] + "(" + a.X.String() + ")" }
+func (a *Aggregate) write(p *printer) {
+	p.str(aggText[a.Func])
+	p.put("(", a.X, ")")
+}
 
 // SelectItem is one entry of the select list.
 type SelectItem struct {
@@ -306,11 +392,9 @@ func (s SelectItem) Name() string {
 	return s.Expr.String()
 }
 
-func (s SelectItem) String() string {
-	if s.Alias != "" {
-		return s.Expr.String() + " AS " + quoteIdent(s.Alias)
-	}
-	return s.Expr.String()
+func (s SelectItem) write(p *printer) {
+	s.Expr.write(p)
+	p.alias(s.Alias)
 }
 
 // OrderItem is one ORDER BY key.
@@ -319,11 +403,9 @@ type OrderItem struct {
 	Desc bool
 }
 
-func (o OrderItem) String() string {
-	if o.Desc {
-		return o.Expr.String() + " DESC"
-	}
-	return o.Expr.String() + " ASC"
+func (o OrderItem) write(p *printer) {
+	o.Expr.write(p)
+	p.either(o.Desc, " DESC", " ASC")
 }
 
 // Join is one additional table of the FROM clause: either an explicit
@@ -348,58 +430,38 @@ type Select struct {
 	Limit   int64 // -1 when absent
 }
 
-// String renders the statement back to SQL.
-func (s *Select) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+func (s *Select) write(p *printer) {
+	p.str("SELECT ")
 	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(it.String())
+		p.either(i > 0, ", ", "")
+		it.write(p)
 	}
-	b.WriteString(" FROM " + quoteIdent(s.Table))
-	if s.Alias != "" {
-		b.WriteString(" AS " + quoteIdent(s.Alias))
-	}
+	p.str(" FROM ")
+	p.ident(s.Table)
+	p.alias(s.Alias)
 	for _, j := range s.Joins {
-		if j.Comma {
-			b.WriteString(", " + quoteIdent(j.Table))
-		} else {
-			b.WriteString(" JOIN " + quoteIdent(j.Table))
-		}
-		if j.Alias != "" {
-			b.WriteString(" AS " + quoteIdent(j.Alias))
-		}
+		p.either(j.Comma, ", ", " JOIN ")
+		p.ident(j.Table)
+		p.alias(j.Alias)
 		if j.Cond != nil {
-			b.WriteString(" ON " + j.Cond.String())
+			p.put(" ON ", j.Cond)
 		}
 	}
 	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
+		p.put(" WHERE ", s.Where)
 	}
 	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.String())
-		}
+		p.str(" GROUP BY ")
+		p.list(s.GroupBy)
 	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.String())
-		}
+	for i, o := range s.OrderBy {
+		p.either(i > 0, ", ", " ORDER BY ")
+		o.write(p)
 	}
 	if s.Limit >= 0 {
-		b.WriteString(" LIMIT " + strconv.FormatInt(s.Limit, 10))
+		p.str(" LIMIT ")
+		p.value(value.Int(s.Limit))
 	}
-	return b.String()
 }
 
 // HasAggregates reports whether any select item contains an aggregate.
