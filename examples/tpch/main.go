@@ -46,8 +46,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s optimized: %v", q.Name, err)
 		}
-		if len(baseRel.Rows) != len(optRel.Rows) {
-			log.Fatalf("%s: plans disagree (%d vs %d rows)", q.Name, len(baseRel.Rows), len(optRel.Rows))
+		if baseRel.String() != optRel.String() {
+			log.Fatalf("%s: plans disagree\nbaseline:\n%s\noptimized:\n%s", q.Name, baseRel, optRel)
 		}
 		fmt.Printf("%-6s %14.1f %14.1f %8.1fx %12.5f %12.5f\n",
 			q.Name, be.RuntimeSeconds(), oe.RuntimeSeconds(),
@@ -56,7 +56,7 @@ func main() {
 	}
 
 	// Show one actual result set.
-	rel, _, err := tpch.Q1Optimized(db)
+	rel, _, err := tpch.Queries()[0].Optimized(db)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type GroupAgg struct {
 
 // groupQuery is a hand group-by's string arguments, parsed once at its door.
 type groupQuery struct {
-	key    sqlparse.Expr         // an expression: Q1Optimized groups by l_returnflag || l_linestatus
+	key    sqlparse.Expr         // parsed as an expression, so a computed key groups as a column does
 	items  []sqlparse.SelectItem // the key, then each aggregate AS its name: the local group-by's select list
 	cols   []string              // the output's columns: the key as written, then the aggregates' names
 	filter sqlparse.Expr

@@ -8,19 +8,20 @@ import (
 	"strings"
 	"testing"
 
+	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/store"
 )
 
-func testDB(t *testing.T, sf float64) *engine.DB {
+func testDB(t *testing.T, sf float64, opts ...engine.Option) *engine.DB {
 	t.Helper()
 	st := store.New()
 	ds, err := Load(context.Background(), st, Dataset{SF: sf, Seed: 42, Bucket: "tpch", Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", s3api.NewInProc(st)))
+	db, err := engine.Open(ds.Bucket, append([]engine.Option{engine.WithBackend("s3sim", s3api.NewInProc(st))}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,29 +175,37 @@ func TestLoadCreatesAllTables(t *testing.T) {
 	}
 }
 
-// relKey renders a relation into comparable sorted strings with numeric
-// rounding (baseline and optimized paths legitimately differ in float
-// summation order).
-func relKey(rel *engine.Relation) []string {
-	out := make([]string, 0, len(rel.Rows))
-	for _, r := range rel.Rows {
-		var parts []string
-		for _, v := range r {
-			if f, ok := v.Num(); ok && v.Kind() != 0 {
-				parts = append(parts, fmt.Sprintf("%.2f", f))
-				continue
-			}
-			parts = append(parts, v.String())
-		}
-		out = append(out, strings.Join(parts, "|"))
-	}
-	return out
+// paperDB is the SF 0.002 dataset with the virtual clock reporting at
+// Fig. 10's configuration, SF 10 over 32 partitions, where the planner makes
+// the choices the figure shows.
+func paperDB(t *testing.T) *engine.DB {
+	const sf = 0.002
+	return testDB(t, sf, engine.WithScale(cloudsim.Scale{DataRatio: 10 / sf, PartRatio: 32.0 / 4}))
 }
 
-func TestQueriesBaselineVsOptimized(t *testing.T) {
-	db := testDB(t, 0.002)
+// optimized returns the Optimized plan of the query called name.
+func optimized(t *testing.T, name string) QueryFunc {
+	t.Helper()
 	for _, q := range Queries() {
-		q := q
+		if q.Name == name {
+			return q.Optimized
+		}
+	}
+	t.Fatalf("no query %s", name)
+	return nil
+}
+
+// fig10Joins is the number of joins of each TPC-H query whose optimized
+// plan Fig. 10 shows running every join as a Bloom join.
+var fig10Joins = map[string]int{"Q3": 2, "Q14": 1, "Q19": 1}
+
+// TestQueriesBaselineVsOptimized checks each optimized plan against its
+// baseline at Fig. 10's configuration: the answers are identical byte for
+// byte, the optimized plan moves fewer bytes to the server, and the
+// planner runs the joins as the figure shows them.
+func TestQueriesBaselineVsOptimized(t *testing.T) {
+	db := paperDB(t)
+	for _, q := range Queries() {
 		t.Run(q.Name, func(t *testing.T) {
 			base, be, err := q.Baseline(db)
 			if err != nil {
@@ -206,22 +215,27 @@ func TestQueriesBaselineVsOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("optimized: %v", err)
 			}
-			if len(base.Rows) != len(opt.Rows) {
-				t.Fatalf("row counts differ: baseline %d vs optimized %d\nbase:\n%s\nopt:\n%s",
-					len(base.Rows), len(opt.Rows), base, opt)
+			if got, want := renderGolden(opt), renderGolden(base); got != want {
+				t.Errorf("optimized answer differs from baseline\noptimized:\n%s\nbaseline:\n%s", got, want)
 			}
-			bk, ok := relKey(base), relKey(opt)
-			for i := range bk {
-				if bk[i] != ok[i] {
-					t.Errorf("row %d differs:\n  baseline  %s\n  optimized %s", i, bk[i], ok[i])
-				}
-			}
-			// The optimized plan must move fewer bytes to the server.
 			_, _, bRet, bGet := be.Metrics.Totals()
 			_, _, oRet, oGet := oe.Metrics.Totals()
 			if oRet+oGet >= bRet+bGet {
 				t.Errorf("optimized moved %d bytes, baseline %d — pushdown ineffective",
 					oRet+oGet, bRet+bGet)
+			}
+			joins, ok := fig10Joins[q.Name]
+			if !ok {
+				return
+			}
+			plan := oe.QueryPlan()
+			if plan == nil || len(plan.Steps) != joins {
+				t.Fatalf("optimized plan is not a planned %d-join statement:\n%v", joins, plan)
+			}
+			for i, st := range plan.Steps {
+				if st.Strategy != engine.StrategyBloom {
+					t.Errorf("join %d: strategy %s, want %s\n%s", i+1, st.Strategy, engine.StrategyBloom, plan)
+				}
 			}
 		})
 	}
@@ -229,7 +243,7 @@ func TestQueriesBaselineVsOptimized(t *testing.T) {
 
 func TestQ6ValueIsPlausible(t *testing.T) {
 	db := testDB(t, 0.002)
-	rel, _, err := Q6Optimized(db)
+	rel, _, err := optimized(t, "Q6")(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +255,7 @@ func TestQ6ValueIsPlausible(t *testing.T) {
 
 func TestQ1GroupCount(t *testing.T) {
 	db := testDB(t, 0.002)
-	rel, _, err := Q1Optimized(db)
+	rel, _, err := optimized(t, "Q1")(db)
 	if err != nil {
 		t.Fatal(err)
 	}
