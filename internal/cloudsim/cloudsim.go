@@ -27,6 +27,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"pushdowndb/internal/obs"
 )
 
 // Pricing holds the US-East prices from Section II-B of the paper.
@@ -480,17 +482,30 @@ func NewMetricsScaled(cfg Config, scale Scale) *Metrics {
 	return &Metrics{cfg: cfg, scale: scale.normalized()}
 }
 
-// Phase opens (or returns) the named phase in the given stage, priced at
-// the metrics' base Config/Pricing.
-func (m *Metrics) Phase(name string, stage int) *Phase {
-	return m.PhaseProfile(name, stage, Profile{})
+// Open opens (or returns) the named phase in the given stage, with its
+// storage requests timed and priced under the given backend profile, and
+// binds it to sp, the trace span that reports it: sp carries the phase's
+// name and stage, and reads its seconds and its dollars under base pricing
+// when the trace is snapshotted, so work metered after sp ended is never
+// missing from it. Untraced, sp is nil and nothing is allocated but the
+// phase. This is the only way to open a phase outside this package, so no
+// billed phase is invisible to query traces.
+func (m *Metrics) Open(sp *obs.Span, name string, stage int, profile Profile, base Pricing) *Phase {
+	p := m.phase(name, stage, profile)
+	if sp != nil {
+		sp.SetStr("phase", name)
+		sp.SetInt("stage", int64(stage))
+		sp.SetFloatFunc("sim_sec", p.Seconds)
+		sp.SetFloatFunc("cost_usd", func() float64 { return p.BilledCost(base).Total() })
+	}
+	return p
 }
 
-// PhaseProfile opens (or returns) the named phase in the given stage, with
-// the phase's storage requests timed and priced under the given backend
-// profile. The profile binds on first open; later opens of the same
-// (name, stage) reuse the existing phase.
-func (m *Metrics) PhaseProfile(name string, stage int, profile Profile) *Phase {
+// phase opens (or returns) the named phase in the given stage, with the
+// phase's storage requests timed and priced under the given backend profile
+// (the zero Profile: the metrics' base Config). The profile binds on first
+// open; later opens of the same (name, stage) reuse the existing phase.
+func (m *Metrics) phase(name string, stage int, profile Profile) *Phase {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range m.phases {

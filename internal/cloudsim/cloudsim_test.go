@@ -21,7 +21,7 @@ func TestDefaultPricingMatchesPaper(t *testing.T) {
 func TestPhaseBottleneckModel(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMetrics(cfg)
-	p := m.Phase("scan", 0)
+	p := m.phase("scan", 0, Profile{})
 	// One select request scanning 300 MB, returning 1 MB: storage-bound.
 	p.AddSelectRequest(SelectReq{ScanBytes: 300e6, ReturnedBytes: 1e6, Rows: 1e6,
 		ExprNodes: 5, Cells: 16e6, DecompressBytes: 1e6})
@@ -37,7 +37,7 @@ func TestPhaseBottleneckModel(t *testing.T) {
 func TestServerBoundPhase(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMetrics(cfg)
-	p := m.Phase("load", 0)
+	p := m.phase("load", 0, Profile{})
 	// A GET returning 1 GB: server parse should dominate the transfer.
 	p.AddGetRequest(1e9)
 	sec := m.RuntimeSeconds()
@@ -51,11 +51,11 @@ func TestStagesSumPhasesOverlap(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMetrics(cfg)
 	// Two phases in stage 0 overlap: total is the max.
-	a := m.Phase("a", 0)
-	b := m.Phase("b", 0)
+	a := m.phase("a", 0, Profile{})
+	b := m.phase("b", 0, Profile{})
 	a.AddServerSeconds(2)
 	b.AddServerSeconds(5)
-	c := m.Phase("c", 1)
+	c := m.phase("c", 1, Profile{})
 	c.AddServerSeconds(3)
 	if got := m.RuntimeSeconds(); math.Abs(got-8) > 1e-9 {
 		t.Errorf("runtime = %v, want max(2,5)+3 = 8", got)
@@ -64,12 +64,12 @@ func TestStagesSumPhasesOverlap(t *testing.T) {
 
 func TestPhaseReuseByName(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	p1 := m.Phase("x", 0)
-	p2 := m.Phase("x", 0)
+	p1 := m.phase("x", 0, Profile{})
+	p2 := m.phase("x", 0, Profile{})
 	if p1 != p2 {
 		t.Error("same name+stage must return the same phase")
 	}
-	if p3 := m.Phase("x", 1); p3 == p1 {
+	if p3 := m.phase("x", 1, Profile{}); p3 == p1 {
 		t.Error("different stage must be a different phase")
 	}
 }
@@ -77,7 +77,7 @@ func TestPhaseReuseByName(t *testing.T) {
 func TestCostComponents(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMetrics(cfg)
-	p := m.Phase("scan", 0)
+	p := m.phase("scan", 0, Profile{})
 	p.AddSelectRequest(SelectReq{ScanBytes: 1 << 30, ReturnedBytes: 1 << 29, Rows: 0, ExprNodes: 0}) // scan 1 GB, return 0.5 GB
 	for i := 0; i < 999; i++ {
 		p.AddGetRequest(0)
@@ -105,7 +105,7 @@ func TestCostComponents(t *testing.T) {
 
 func TestPlainGetTransferIsFree(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	m.Phase("load", 0).AddGetRequest(10 << 30)
+	m.phase("load", 0, Profile{}).AddGetRequest(10 << 30)
 	c := m.Cost(DefaultPricing())
 	if c.TransferUSD != 0 || c.ScanUSD != 0 {
 		t.Errorf("plain GET should cost no scan/transfer: %+v", c)
@@ -114,7 +114,7 @@ func TestPlainGetTransferIsFree(t *testing.T) {
 
 func TestComputationAwarePricing(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	m.Phase("scan", 0).AddSelectRequest(SelectReq{ScanBytes: 1 << 30, ReturnedBytes: 0, Rows: 0, ExprNodes: 0})
+	m.phase("scan", 0, Profile{}).AddSelectRequest(SelectReq{ScanBytes: 1 << 30, ReturnedBytes: 0, Rows: 0, ExprNodes: 0})
 	cap := DefaultComputationAwarePricing()
 	light := m.CostComputationAware(cap, 0)
 	heavy := m.CostComputationAware(cap, 1000)
@@ -139,14 +139,14 @@ func TestPaperScaleAnchors(t *testing.T) {
 	parts := int64(32)
 
 	server := NewMetrics(cfg)
-	p := server.Phase("load", 0)
+	p := server.phase("load", 0, Profile{})
 	for i := int64(0); i < parts; i++ {
 		p.AddGetRequest(lineitem / parts)
 	}
 	serverSec := server.RuntimeSeconds()
 
 	s3side := NewMetrics(cfg)
-	q := s3side.Phase("scan", 0)
+	q := s3side.phase("scan", 0, Profile{})
 	rowsPerPart := int64(60e6) / parts
 	for i := int64(0); i < parts; i++ {
 		// 16 columns per lineitem row: the CSV scan decodes them all.
@@ -169,7 +169,7 @@ func TestPaperScaleAnchors(t *testing.T) {
 
 func TestConcurrentPhaseUpdates(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	p := m.Phase("par", 0)
+	p := m.phase("par", 0, Profile{})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -191,8 +191,8 @@ func TestConcurrentPhaseUpdates(t *testing.T) {
 
 func TestReport(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	m.Phase("alpha", 1).AddGetRequest(100)
-	m.Phase("beta", 0).AddSelectRequest(SelectReq{ScanBytes: 100, ReturnedBytes: 10, Rows: 1, ExprNodes: 1})
+	m.phase("alpha", 1, Profile{}).AddGetRequest(100)
+	m.phase("beta", 0, Profile{}).AddSelectRequest(SelectReq{ScanBytes: 100, ReturnedBytes: 10, Rows: 1, ExprNodes: 1})
 	r := m.Report()
 	if !strings.Contains(r, "alpha") || !strings.Contains(r, "beta") {
 		t.Errorf("report missing phases:\n%s", r)
@@ -207,7 +207,7 @@ func TestReport(t *testing.T) {
 func TestQuickRuntimeMonotonic(t *testing.T) {
 	f := func(scans []uint32) bool {
 		m := NewMetrics(DefaultConfig())
-		p := m.Phase("s", 0)
+		p := m.phase("s", 0, Profile{})
 		prev := 0.0
 		for _, s := range scans {
 			p.AddSelectRequest(SelectReq{ScanBytes: int64(s % 1e6), ReturnedBytes: int64(s % 1e3), Rows: int64(s % 1e4), ExprNodes: 3})
@@ -228,7 +228,7 @@ func TestQuickRuntimeMonotonic(t *testing.T) {
 func TestQuickCostNonNegative(t *testing.T) {
 	f := func(scan, ret uint32) bool {
 		m := NewMetrics(DefaultConfig())
-		m.Phase("s", 0).AddSelectRequest(SelectReq{ScanBytes: int64(scan), ReturnedBytes: int64(ret)})
+		m.phase("s", 0, Profile{}).AddSelectRequest(SelectReq{ScanBytes: int64(scan), ReturnedBytes: int64(ret)})
 		c := m.Cost(DefaultPricing())
 		return c.ComputeUSD >= 0 && c.ScanUSD >= 0 && c.TransferUSD >= 0 && c.RequestUSD >= 0
 	}
@@ -246,14 +246,14 @@ func TestSharedSelectRequestSplitsBilling(t *testing.T) {
 	// bill must equal one direct pass, and each pays exactly 1/n of the
 	// storage components.
 	direct := NewMetrics(cfg)
-	direct.Phase("scan", 0).AddSelectRequest(req)
+	direct.phase("scan", 0, Profile{}).AddSelectRequest(req)
 	dc := direct.Cost(pricing)
 
 	const n = 4
 	var sumScan, sumReq, sumTransfer float64
 	for i := 0; i < n; i++ {
 		m := NewMetrics(cfg)
-		m.Phase("scan", 0).AddSharedSelectRequest(req, n, 500)
+		m.phase("scan", 0, Profile{}).AddSharedSelectRequest(req, n, 500)
 		c := m.Cost(pricing)
 		if math.Abs(c.ScanUSD-dc.ScanUSD/n) > 1e-15 {
 			t.Fatalf("sharer scan cost = %v, want %v", c.ScanUSD, dc.ScanUSD/n)
@@ -275,10 +275,10 @@ func TestSharedSelectRequestTimeIsNotDivided(t *testing.T) {
 	req := SelectReq{ScanBytes: 300e6, ReturnedBytes: 50e6, Rows: 1e6, ExprNodes: 5, Cells: 16e6}
 
 	direct := NewMetrics(cfg)
-	direct.Phase("scan", 0).AddSelectRequest(req)
+	direct.phase("scan", 0, Profile{}).AddSelectRequest(req)
 
 	shared := NewMetrics(cfg)
-	shared.Phase("scan", 0).AddSharedSelectRequest(req, 8, 0)
+	shared.phase("scan", 0, Profile{}).AddSharedSelectRequest(req, 8, 0)
 
 	// The storage stream and the response transfer happen in full for
 	// every sharer: a shared pass saves dollars, not stream time.
@@ -290,9 +290,9 @@ func TestSharedSelectRequestTimeIsNotDivided(t *testing.T) {
 func TestSharedSelectRequestLocalRowsPriced(t *testing.T) {
 	cfg := DefaultConfig()
 	without := NewMetrics(cfg)
-	without.Phase("scan", 0).AddSharedSelectRequest(SelectReq{}, 2, 0)
+	without.phase("scan", 0, Profile{}).AddSharedSelectRequest(SelectReq{}, 2, 0)
 	with := NewMetrics(cfg)
-	with.Phase("scan", 0).AddSharedSelectRequest(SelectReq{}, 2, 5e9)
+	with.phase("scan", 0, Profile{}).AddSharedSelectRequest(SelectReq{}, 2, 5e9)
 	if with.RuntimeSeconds() <= without.RuntimeSeconds() {
 		t.Fatal("local re-filter rows must add server-side row work")
 	}
@@ -301,9 +301,9 @@ func TestSharedSelectRequestLocalRowsPriced(t *testing.T) {
 func TestSharedSelectRequestSoloDelegates(t *testing.T) {
 	cfg := DefaultConfig()
 	a := NewMetrics(cfg)
-	a.Phase("scan", 0).AddSharedSelectRequest(SelectReq{ScanBytes: 1 << 20}, 1, 0)
+	a.phase("scan", 0, Profile{}).AddSharedSelectRequest(SelectReq{ScanBytes: 1 << 20}, 1, 0)
 	b := NewMetrics(cfg)
-	b.Phase("scan", 0).AddSelectRequest(SelectReq{ScanBytes: 1 << 20})
+	b.phase("scan", 0, Profile{}).AddSelectRequest(SelectReq{ScanBytes: 1 << 20})
 	if a.RuntimeSeconds() != b.RuntimeSeconds() {
 		t.Fatal("sharers=1 must account exactly like a direct select")
 	}
@@ -319,8 +319,8 @@ func TestSharedSelectRequestSoloDelegates(t *testing.T) {
 
 func TestSharedTotals(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	m.Phase("scan", 0).AddSharedSelectRequest(SelectReq{ScanBytes: 1000, ReturnedBytes: 400}, 4, 0)
-	m.Phase("scan", 0).AddSharedSelectRequest(SelectReq{ScanBytes: 1000, ReturnedBytes: 400}, 4, 0)
+	m.phase("scan", 0, Profile{}).AddSharedSelectRequest(SelectReq{ScanBytes: 1000, ReturnedBytes: 400}, 4, 0)
+	m.phase("scan", 0, Profile{}).AddSharedSelectRequest(SelectReq{ScanBytes: 1000, ReturnedBytes: 400}, 4, 0)
 	reqShare, scanShare, retShare, wire := m.SharedTotals()
 	if math.Abs(reqShare-0.5) > 1e-12 || math.Abs(scanShare-500) > 1e-9 || math.Abs(retShare-200) > 1e-9 {
 		t.Fatalf("SharedTotals = %v, %v, %v", reqShare, scanShare, retShare)
@@ -358,7 +358,7 @@ func TestCatalogRequestIsScaleInvariant(t *testing.T) {
 	cfg, pricing := DefaultConfig(), DefaultPricing()
 	measure := func(scale Scale, profile Profile, catalog bool) (float64, CostBreakdown, *Metrics) {
 		m := NewMetricsScaled(cfg, scale)
-		p := m.PhaseProfile("plan stats t", 0, profile)
+		p := m.phase("plan stats t", 0, profile)
 		if catalog {
 			p.AddCatalogRequest(n)
 		} else {

@@ -107,7 +107,7 @@ func (e PlanEstimate) Cheaper(other PlanEstimate) bool {
 // path on the given (last) stage, then snapshots the estimate.
 func estimateWithTail(m *Metrics, pricing Pricing, stage int, s PlanTableStats) PlanEstimate {
 	if s.LocalRows > 0 {
-		m.Phase("local", stage).AddServerRows(s.LocalRows)
+		m.phase("local", stage, Profile{}).AddServerRows(s.LocalRows)
 	}
 	return estimate(m, pricing)
 }
@@ -129,7 +129,7 @@ func estimate(m *Metrics, pricing Pricing) PlanEstimate {
 func EstimateBaselineJoin(cfg Config, scale Scale, pricing Pricing, build, probe PlanTableStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
 	load := func(name string, s PlanTableStats) {
-		ph := m.PhaseProfile(name, 0, s.Profile)
+		ph := m.phase(name, 0, s.Profile)
 		per := s.Bytes / int64(s.parts())
 		for i := 0; i < s.parts(); i++ {
 			ph.AddGetRequest(per)
@@ -138,7 +138,7 @@ func EstimateBaselineJoin(cfg Config, scale Scale, pricing Pricing, build, probe
 	}
 	load("load build", build)
 	load("load probe", probe)
-	j := m.Phase("hash join", 0)
+	j := m.phase("hash join", 0, Profile{})
 	j.AddServerRows(build.FilteredRows + probe.FilteredRows)
 	return estimate(m, pricing)
 }
@@ -154,19 +154,19 @@ func EstimateBloomJoin(cfg Config, scale Scale, pricing Pricing, build, probe Pl
 
 	// Stage 0: build-side scan with pushdown (the table's plain scan, so a
 	// resident result cache applies).
-	bp := m.PhaseProfile("bloom build", 0, build.Profile)
+	bp := m.phase("bloom build", 0, build.Profile)
 	addScan(bp, build, build.Selectivity(), build.FilterNodes, build.CachedFrac)
 	bp.AddServerRows(build.FilteredRows * 2) // hash table + filter insert
 
 	// Stage 1: probe-side scan with the Bloom predicate pushed down. The
 	// predicate makes the pushed SQL query-specific, so it is priced cold
 	// regardless of probe.CachedFrac.
-	pp := m.PhaseProfile("bloom probe", 1, probe.Profile)
+	pp := m.phase("bloom probe", 1, probe.Profile)
 	retFrac := probe.Selectivity() * math.Min(1, matchFrac+fpr)
 	addScan(pp, probe, retFrac, probe.FilterNodes+bloomPredicateNodes(fpr), 0)
 
 	// Local hash join over the surviving rows.
-	j := m.Phase("hash join", 1)
+	j := m.phase("hash join", 1, Profile{})
 	j.AddServerRows(build.FilteredRows + int64(retFrac*float64(probe.Rows)))
 	return estimate(m, pricing)
 }
@@ -177,9 +177,9 @@ func EstimateBloomJoin(cfg Config, scale Scale, pricing Pricing, build, probe Pl
 // multi-join pipeline.
 func EstimateScanJoin(cfg Config, scale Scale, pricing Pricing, buildRows int64, probe PlanTableStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
-	ph := m.PhaseProfile("filtered scan", 0, probe.Profile)
+	ph := m.phase("filtered scan", 0, probe.Profile)
 	addScan(ph, probe, probe.Selectivity(), probe.FilterNodes, probe.CachedFrac)
-	j := m.Phase("hash join", 0)
+	j := m.phase("hash join", 0, Profile{})
 	j.AddServerRows(buildRows + probe.FilteredRows)
 	return estimate(m, pricing)
 }
@@ -190,13 +190,13 @@ func EstimateScanJoin(cfg Config, scale Scale, pricing Pricing, buildRows int64,
 // in EstimateBloomJoin.
 func EstimateBloomProbe(cfg Config, scale Scale, pricing Pricing, buildRows int64, probe PlanTableStats, matchFrac, fpr float64) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
-	bp := m.Phase("bloom build", 0)
+	bp := m.phase("bloom build", 0, Profile{})
 	bp.AddServerRows(buildRows) // filter insert over the intermediate
-	pp := m.PhaseProfile("bloom probe", 1, probe.Profile)
+	pp := m.phase("bloom probe", 1, probe.Profile)
 	retFrac := probe.Selectivity() * math.Min(1, matchFrac+fpr)
 	// Bloom-predicate SQL is query-specific: priced cold (see CachedFrac).
 	addScan(pp, probe, retFrac, probe.FilterNodes+bloomPredicateNodes(fpr), 0)
-	j := m.Phase("hash join", 1)
+	j := m.phase("hash join", 1, Profile{})
 	j.AddServerRows(buildRows + int64(retFrac*float64(probe.Rows)))
 	return estimate(m, pricing)
 }
@@ -267,7 +267,7 @@ func EstimateIndexScan(cfg Config, scale Scale, pricing Pricing, s PlanTableStat
 func EstimateIndexScanJoin(cfg Config, scale Scale, pricing Pricing, buildRows int64, s PlanTableStats, idx IndexScanStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
 	addIndexScan(m, s, idx)
-	j := m.Phase("hash join", 1)
+	j := m.phase("hash join", 1, Profile{})
 	j.AddServerRows(buildRows + s.FilteredRows)
 	return estimate(m, pricing)
 }
@@ -279,7 +279,7 @@ func addIndexScan(m *Metrics, s PlanTableStats, idx IndexScanStats) {
 	// Stage 0: predicate pushed to the index objects. The index rows are
 	// value + two offsets, so three cells per data row; the returned bytes
 	// are the offset pairs of the matched rows.
-	ip := m.PhaseProfile("index select", 0, s.Profile)
+	ip := m.phase("index select", 0, s.Profile)
 	idxRowBytes := int64(1)
 	if s.Rows > 0 {
 		idxRowBytes = max(int64(1), idx.IndexBytes/s.Rows)
@@ -301,7 +301,7 @@ func addIndexScan(m *Metrics, s PlanTableStats, idx IndexScanStats) {
 	// Stage 1: batched multi-range fetch of the matching data rows, then a
 	// local pass re-applying the filter over the fetched candidates (gap
 	// coalescing may pull in neighbouring rows).
-	fp := m.PhaseProfile("index fetch", 1, s.Profile)
+	fp := m.phase("index fetch", 1, s.Profile)
 	ranges := ExpectedCoalescedRanges(idx.MatchedRows, s.Rows)
 	perPartRanges := (ranges + parts - 1) / parts
 	fetchBytes := int64(float64(s.Bytes) * float64(idx.MatchedRows) / math.Max(1, float64(s.Rows)))
@@ -325,7 +325,7 @@ func addIndexScan(m *Metrics, s PlanTableStats, idx IndexScanStats) {
 // from the request it would really send.
 func EstimateFilteredScan(cfg Config, scale Scale, pricing Pricing, s PlanTableStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
-	ph := m.PhaseProfile("filtered scan", 0, s.Profile)
+	ph := m.phase("filtered scan", 0, s.Profile)
 	addScan(ph, s, s.Selectivity(), s.FilterNodes, s.CachedFrac)
 	return estimateWithTail(m, pricing, 1, s)
 }
@@ -334,7 +334,7 @@ func EstimateFilteredScan(cfg Config, scale Scale, pricing Pricing, s PlanTableS
 // partition fetched whole with plain GETs and the filter evaluated locally.
 func EstimateBaselineScan(cfg Config, scale Scale, pricing Pricing, s PlanTableStats) PlanEstimate {
 	m := NewMetricsScaled(cfg, scale)
-	ph := m.PhaseProfile("load", 0, s.Profile)
+	ph := m.phase("load", 0, s.Profile)
 	per := s.Bytes / int64(s.parts())
 	for i := 0; i < s.parts(); i++ {
 		ph.AddGetRequest(per)

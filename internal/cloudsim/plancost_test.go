@@ -112,7 +112,7 @@ func TestCachedScanPaysNoRequestScanTransfer(t *testing.T) {
 	probe.Profile = CrossRegionS3Profile() // every billed component non-zero
 	probe.CachedFrac = 1
 	m := NewMetricsScaled(cfg, paperScale())
-	ph := m.PhaseProfile("scan", 0, probe.Profile)
+	ph := m.phase("scan", 0, probe.Profile)
 	addScan(ph, probe, 1, 0, probe.CachedFrac)
 	c := m.Cost(pricing)
 	if c.RequestUSD != 0 || c.ScanUSD != 0 || c.TransferUSD != 0 {
@@ -245,9 +245,9 @@ func TestExpectedCoalescedRanges(t *testing.T) {
 func TestAddRangedGetRequestScalesWithRanges(t *testing.T) {
 	cfg := DefaultConfig()
 	few := NewMetricsScaled(cfg, paperScale())
-	few.Phase("fetch", 0).AddRangedGetRequest(1<<20, 10)
+	few.phase("fetch", 0, Profile{}).AddRangedGetRequest(1<<20, 10)
 	many := NewMetricsScaled(cfg, paperScale())
-	many.Phase("fetch", 0).AddRangedGetRequest(1<<20, 10000)
+	many.phase("fetch", 0, Profile{}).AddRangedGetRequest(1<<20, 10000)
 	if many.RuntimeSeconds() <= few.RuntimeSeconds() {
 		t.Errorf("more ranges in a batch must cost more time: %v vs %v",
 			many.RuntimeSeconds(), few.RuntimeSeconds())

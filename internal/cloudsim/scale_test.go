@@ -29,7 +29,7 @@ func TestScaleEquivalence(t *testing.T) {
 	)
 
 	full := NewMetrics(cfg)
-	fp := full.Phase("scan", 0)
+	fp := full.phase("scan", 0, Profile{})
 	for i := 0; i < fullParts; i++ {
 		fp.AddSelectRequest(SelectReq{
 			ScanBytes: fullBytes / fullParts, ReturnedBytes: 4e6,
@@ -39,7 +39,7 @@ func TestScaleEquivalence(t *testing.T) {
 	fp.AddServerRows(1e6)
 
 	small := NewMetricsScaled(cfg, Scale{DataRatio: dataRatio, PartRatio: partRatio})
-	sp := small.Phase("scan", 0)
+	sp := small.phase("scan", 0, Profile{})
 	smallParts := fullParts / int(partRatio)
 	smallBytes := int64(float64(fullBytes) / dataRatio)
 	smallRows := int64(float64(fullRows) / dataRatio)
@@ -71,7 +71,7 @@ func TestScaleEquivalence(t *testing.T) {
 func TestRowFetchScalesWithData(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewMetricsScaled(cfg, Scale{DataRatio: 1000, PartRatio: 8})
-	p := m.Phase("fetch", 0)
+	p := m.phase("fetch", 0, Profile{})
 	for i := 0; i < 10; i++ {
 		p.AddRowFetchRequest(100)
 	}
@@ -89,7 +89,7 @@ func TestRowFetchScalesWithData(t *testing.T) {
 
 func TestBulkRequestsScaleWithPartitions(t *testing.T) {
 	m := NewMetricsScaled(DefaultConfig(), Scale{DataRatio: 1000, PartRatio: 8})
-	m.Phase("scan", 0).AddGetRequest(10)
+	m.phase("scan", 0, Profile{}).AddGetRequest(10)
 	c := m.Cost(DefaultPricing())
 	// 1 actual bulk request stands for 8 paper-scale partition requests.
 	want := 8.0 / 1000 * 0.0004
@@ -100,9 +100,9 @@ func TestBulkRequestsScaleWithPartitions(t *testing.T) {
 
 func TestPhaseSecondsPrefix(t *testing.T) {
 	m := NewMetrics(DefaultConfig())
-	m.Phase("sample lineitem", 0).AddServerSeconds(2)
-	m.Phase("sample orders", 1).AddServerSeconds(3)
-	m.Phase("threshold scan", 2).AddServerSeconds(5)
+	m.phase("sample lineitem", 0, Profile{}).AddServerSeconds(2)
+	m.phase("sample orders", 1, Profile{}).AddServerSeconds(3)
+	m.phase("threshold scan", 2, Profile{}).AddServerSeconds(5)
 	if got := m.PhaseSeconds("sample"); math.Abs(got-5) > 1e-9 {
 		t.Errorf("PhaseSeconds(sample) = %v, want 5", got)
 	}
@@ -116,8 +116,8 @@ func TestPhaseSecondsPrefix(t *testing.T) {
 
 func TestPhaseReturnedBytesScaled(t *testing.T) {
 	m := NewMetricsScaled(DefaultConfig(), Scale{DataRatio: 100, PartRatio: 1})
-	m.Phase("scan a", 0).AddSelectRequest(SelectReq{ScanBytes: 10, ReturnedBytes: 7})
-	m.Phase("scan b", 0).AddGetRequest(3)
+	m.phase("scan a", 0, Profile{}).AddSelectRequest(SelectReq{ScanBytes: 10, ReturnedBytes: 7})
+	m.phase("scan b", 0, Profile{}).AddGetRequest(3)
 	if got := m.PhaseReturnedBytes("scan"); got != 1000 {
 		t.Errorf("returned = %d, want (7+3)*100", got)
 	}

@@ -29,7 +29,7 @@ func TestWorkersShrinkServerWallClock(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		m := NewMetrics(cfg)
-		ph := m.Phase("load", 0)
+		ph := m.phase("load", 0, Profile{})
 		ph.AddGetRequest(1 << 30)    // 1 GB bulk load: parse-bound
 		ph.AddServerRows(50_000_000) // plus heavy row work
 		return m, ph
@@ -63,7 +63,7 @@ func TestWorkersShrinkServerWallClock(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		m := NewMetrics(cfg)
-		m.Phase("probe", 0).AddRowFetchRequest(100)
+		m.phase("probe", 0, Profile{}).AddRowFetchRequest(100)
 		return m.RuntimeSeconds()
 	}
 	if lat(1) != lat(32) {

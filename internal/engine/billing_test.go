@@ -1,0 +1,124 @@
+package engine_test
+
+import (
+	"context"
+	"testing"
+
+	"pushdowndb/internal/engine"
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/sqlparse"
+	"pushdowndb/internal/store"
+	"pushdowndb/internal/tpch"
+)
+
+// TestEveryStorageRequestIsBilled counts the requests that reach the backend
+// against the requests the cost model billed, for each hand operator and a
+// few planned statements over the TPC-H tables with their indexes. Each runs
+// once to warm the DB's catalog memo (index manifests, live partition sizes
+// and statistics objects, read once per DB), then again on a fresh count:
+// with no cache and no sharing, every Get, ranged GET, Select and Size of the
+// second run must be a request on the bill. List is catalog traffic no query
+// pays for, and is not counted.
+func TestEveryStorageRequestIsBilled(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	ds, err := tpch.LoadWithIndexes(ctx, st, tpch.Dataset{SF: 0.002, Seed: 42, Bucket: "tpch", Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := s3api.NewCounting(s3api.NewInProc(st))
+	db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []engine.GroupAgg{{Func: sqlparse.AggSum, Expr: "l_quantity", As: "q"}, {Func: sqlparse.AggCount, As: "n"}}
+	js := engine.JoinSpec{
+		LeftTable: "customer", RightTable: "orders", LeftKey: "c_custkey", RightKey: "o_custkey",
+		LeftFilter: "c_acctbal <= 0", Seed: 1,
+	}
+	ops := map[string]func(e *engine.Exec) error{
+		"ServerSideFilter": func(e *engine.Exec) error { _, err := e.ServerSideFilter("lineitem", "l_quantity < 5", ""); return err },
+		"S3SideFilter": func(e *engine.Exec) error {
+			_, err := e.S3SideFilter("lineitem", "l_quantity < 5", "l_orderkey")
+			return err
+		},
+		"IndexFilter per row": func(e *engine.Exec) error {
+			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{})
+			return err
+		},
+		"IndexFilter multi-range": func(e *engine.Exec) error {
+			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{MultiRange: true})
+			return err
+		},
+		"IndexScanFilter": func(e *engine.Exec) error {
+			_, _, err := e.IndexScanFilter("lineitem", "l_extendedprice", "l_extendedprice <= 2000", "l_orderkey")
+			return err
+		},
+		"ServerSideGroupBy": func(e *engine.Exec) error {
+			_, err := e.ServerSideGroupBy("lineitem", "l_returnflag", aggs, "")
+			return err
+		},
+		"FilteredGroupBy": func(e *engine.Exec) error {
+			_, err := e.FilteredGroupBy("lineitem", "l_returnflag", aggs, "")
+			return err
+		},
+		"S3SideGroupBy": func(e *engine.Exec) error {
+			_, err := e.S3SideGroupBy("lineitem", "l_returnflag", aggs, "")
+			return err
+		},
+		"HybridGroupBy": func(e *engine.Exec) error {
+			_, err := e.HybridGroupBy("lineitem", "l_suppkey", aggs, engine.HybridGroupByOptions{S3Groups: 2})
+			return err
+		},
+		"ServerSideTopK": func(e *engine.Exec) error {
+			_, err := e.ServerSideTopK("lineitem", "l_extendedprice", 10, false)
+			return err
+		},
+		"SamplingTopK": func(e *engine.Exec) error {
+			_, err := e.SamplingTopK("lineitem", "l_extendedprice", 10, false, engine.SamplingTopKOptions{})
+			return err
+		},
+		"BaselineJoin": func(e *engine.Exec) error { _, err := e.BaselineJoin(js); return err },
+		"FilteredJoin": func(e *engine.Exec) error { _, err := e.FilteredJoin(js); return err },
+		"BloomJoin":    func(e *engine.Exec) error { _, err := e.BloomJoin(js); return err },
+		"JoinAggregate": func(e *engine.Exec) error {
+			_, err := e.JoinAggregate(js, "bloom", "SUM(o_totalprice) AS s")
+			return err
+		},
+	}
+	// check runs one execution twice and compares the second run's bill
+	// with what reached the backend.
+	check := func(what string, run func() (*engine.Exec, error)) {
+		var e *engine.Exec
+		for range 2 {
+			backend.Reset()
+			var err error
+			if e, err = run(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		billed, _, _, _ := e.Metrics.Totals()
+		served := backend.Gets() + backend.GetRangeCalls() + backend.Selects() + backend.Sizes()
+		if billed != served {
+			t.Errorf("%s: billed %d requests, the backend served %d (%d gets, %d ranged gets, %d selects, %d sizes)",
+				what, billed, served, backend.Gets(), backend.GetRangeCalls(), backend.Selects(), backend.Sizes())
+		}
+	}
+	for what, op := range ops {
+		check(what, func() (*engine.Exec, error) {
+			e := db.NewExecContext(ctx)
+			return e, op(e)
+		})
+	}
+	for _, sql := range []string{
+		"SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
+		"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_extendedprice <= 2000",
+		"SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 5",
+		"SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= 0",
+	} {
+		check(sql, func() (*engine.Exec, error) {
+			_, e, err := db.QueryContext(ctx, sql)
+			return e, err
+		})
+	}
+}

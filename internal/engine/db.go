@@ -20,13 +20,13 @@ import (
 // profile, its error semantics — comes from the backend itself
 // (s3api.Backend is self-describing), not from DB fields.
 type DB struct {
-	bucket   string
-	backends map[string]s3api.Backend
-	// selects holds each backend's select pipeline, composed once in Open:
-	// the result cache over the scan-sharing coordinator over the backend's
-	// own Select, whichever are configured. Everything but Select (GETs,
-	// listing, index writes) goes to the raw backend above.
-	selects     map[string]s3api.Selector
+	bucket string
+	// stores holds each registered backend's handle, the engine's only way
+	// to reach it: a priced storage call there takes the phase it bills.
+	// Open composes each handle's select pipeline: the result cache over the
+	// scan-sharing coordinator over the backend's own Select, whichever are
+	// configured.
+	stores      map[string]s3api.Metered
 	defaultName string
 	catalog     map[string]string // lower(table) -> backend name
 
@@ -111,10 +111,10 @@ func WithBackend(name string, b s3api.Backend) Option {
 		if name == "" || b == nil {
 			return fmt.Errorf("engine: WithBackend needs a name and a backend")
 		}
-		if _, dup := db.backends[name]; dup {
+		if _, dup := db.stores[name]; dup {
 			return fmt.Errorf("engine: backend %q registered twice", name)
 		}
-		db.backends[name] = b
+		db.stores[name] = s3api.NewMetered(name, db.bucket, b)
 		if db.defaultName == "" {
 			db.defaultName = name
 		}
@@ -207,7 +207,7 @@ func WithVectorized(on bool) Option {
 func Open(bucket string, opts ...Option) (*DB, error) {
 	db := &DB{
 		bucket:     bucket,
-		backends:   map[string]s3api.Backend{},
+		stores:     map[string]s3api.Metered{},
 		catalog:    map[string]string{},
 		Cfg:        cloudsim.DefaultConfig(),
 		Pricing:    cloudsim.DefaultPricing(),
@@ -219,29 +219,27 @@ func Open(bucket string, opts ...Option) (*DB, error) {
 			return nil, err
 		}
 	}
-	if len(db.backends) == 0 {
+	if len(db.stores) == 0 {
 		return nil, fmt.Errorf("engine: Open needs at least one WithBackend")
 	}
-	if _, ok := db.backends[db.defaultName]; !ok {
+	if _, ok := db.stores[db.defaultName]; !ok {
 		return nil, fmt.Errorf("engine: default backend %q is not registered", db.defaultName)
 	}
 	for table, name := range db.catalog {
-		if _, ok := db.backends[name]; !ok {
+		if _, ok := db.stores[name]; !ok {
 			return nil, fmt.Errorf("engine: table %q is mapped to unregistered backend %q", table, name)
 		}
 	}
-	db.selects = make(map[string]s3api.Selector, len(db.backends))
-	for name, b := range db.backends {
-		var sel s3api.Selector = b
+	for name, s := range db.stores {
 		if db.scanShare != nil {
-			sel = db.scanShare.Over(name, sel)
+			s = s.Over(db.scanShare.Over)
 		}
 		if db.resultCache != nil {
 			// Above sharing: hits never reach the coordinator, misses
 			// share one refill.
-			sel = db.resultCache.Over(name, sel)
+			s = s.Over(db.resultCache.Over)
 		}
-		db.selects[name] = sel
+		db.stores[name] = s
 	}
 	return db, nil
 }
@@ -256,20 +254,14 @@ func baseTable(name string) string {
 	return name
 }
 
-// BackendFor resolves the backend a table's objects live on: the catalog
-// entry if present, the default backend otherwise. Index pseudo-tables
-// resolve through their data table.
-func (db *DB) BackendFor(table string) (string, s3api.Backend) {
+// store resolves the handle on the backend a table's objects live on: the
+// catalog entry if present, the default backend otherwise. Index
+// pseudo-tables resolve through their data table.
+func (db *DB) store(table string) s3api.Metered {
 	if name, ok := db.catalog[strings.ToLower(baseTable(table))]; ok {
-		return name, db.backends[name]
+		return db.stores[name]
 	}
-	return db.defaultName, db.backends[db.defaultName]
-}
-
-// backendFor is BackendFor without the name.
-func (db *DB) backendFor(table string) s3api.Backend {
-	_, b := db.BackendFor(table)
-	return b
+	return db.stores[db.defaultName]
 }
 
 // InvalidateStats drops everything the DB has cached across queries: the

@@ -101,17 +101,17 @@ func (e *Exec) parts(table string) ([]string, error) {
 		return keys, nil
 	}
 	e.partsMu.Unlock()
-	keys, err := e.db.backendFor(table).List(e.ctx, e.db.bucket, table+"/part")
+	s := e.db.store(table)
+	keys, err := s.List(e.ctx, table+"/part")
 	if err != nil {
 		return nil, err
 	}
 	if len(keys) == 0 {
 		// A kinded not-found, so an unknown table surfaces at the server as
 		// bad_request rather than a 500 "internal".
-		name, _ := e.db.BackendFor(table)
 		return nil, s3api.NewError("list", e.db.bucket, table+"/part", s3api.KindNotFound,
 			fmt.Errorf("engine: table %q has no partitions in bucket %q on backend %q",
-				table, e.db.bucket, name))
+				table, e.db.bucket, s.Name()))
 	}
 	e.partsMu.Lock()
 	if e.partsMemo == nil {

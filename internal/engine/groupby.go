@@ -309,14 +309,14 @@ func (e *Exec) sampleTopGroups(table string, q *groupQuery, opts HybridGroupByOp
 	if err != nil {
 		return nil, err
 	}
-	backend := e.db.backendFor(table)
+	s := e.db.store(table)
 	req := e.db.request(table, scanSelect([]sqlparse.SelectItem{{Expr: q.key}}, nil))
 	st := e.step("sample "+table, "sample", stage1, table)
 	defer func() { st.end(err) }()
 	counts := map[string]int64{}
 	var mu sync.Mutex
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		size, err := backend.Size(ctx, e.db.bucket, key)
+		size, err := s.Size(ctx, st.Phase, key)
 		if err != nil {
 			return err
 		}

@@ -34,20 +34,15 @@ func (db *DB) CreateIndex(ctx context.Context, table, column string) error {
 // front end's CREATE INDEX name ON table (column)); an empty name derives
 // ix_<table>_<column>.
 func (db *DB) CreateNamedIndex(ctx context.Context, name, table, column string) error {
-	backendName, backend := db.BackendFor(table)
-	putter, ok := backend.(s3api.Putter)
-	if !ok {
-		return s3api.NewError("put", db.bucket, table, s3api.KindUnsupported,
-			fmt.Errorf("engine: backend %q does not accept writes; cannot build an index there", backendName))
-	}
-	keys, err := backend.List(ctx, db.bucket, table+"/part")
+	s := db.store(table)
+	keys, err := s.List(ctx, table+"/part")
 	if err != nil {
 		return err
 	}
 	if len(keys) == 0 {
 		return s3api.NewError("list", db.bucket, table+"/part", s3api.KindNotFound,
 			fmt.Errorf("engine: table %q has no partitions in bucket %q on backend %q",
-				table, db.bucket, backendName))
+				table, db.bucket, s.Name()))
 	}
 	if name == "" {
 		name = "ix_" + table + "_" + sqlparse.NameKey(column)
@@ -58,8 +53,7 @@ func (db *DB) CreateNamedIndex(ctx context.Context, name, table, column string) 
 		DataSizes:  make([]int64, len(keys)),
 	}
 	for i, key := range keys {
-		//lint:ignore metered index builds are dataset preparation, outside every query's virtual clock (see package comment)
-		data, err := backend.Get(ctx, db.bucket, key)
+		data, err := s.Unbilled().Get(ctx, db.bucket, key)
 		if err != nil {
 			return err
 		}
@@ -67,7 +61,7 @@ func (db *DB) CreateNamedIndex(ctx context.Context, name, table, column string) 
 		if err != nil {
 			return fmt.Errorf("engine: indexing %s: %w", key, err)
 		}
-		if err := putter.Put(ctx, db.bucket, index.ObjectKey(table, column, i), idxData); err != nil {
+		if err := s.Put(ctx, index.ObjectKey(table, column, i), idxData); err != nil {
 			return err
 		}
 		ent.DataSizes[i] = int64(len(data))
@@ -137,12 +131,6 @@ func (db *DB) Indexes(ctx context.Context, table string) []index.Entry {
 // updateManifest applies fn to the table's stored manifest (reading the
 // raw object, not the validated in-memory view) and writes it back.
 func (db *DB) updateManifest(ctx context.Context, table string, fn func(*index.Manifest) error) error {
-	backendName, backend := db.BackendFor(table)
-	putter, ok := backend.(s3api.Putter)
-	if !ok {
-		return s3api.NewError("put", db.bucket, index.ManifestKey(table), s3api.KindUnsupported,
-			fmt.Errorf("engine: backend %q does not accept writes; cannot update the index manifest", backendName))
-	}
 	m, err := db.loadManifest(ctx, table)
 	if err != nil {
 		return err
@@ -150,15 +138,13 @@ func (db *DB) updateManifest(ctx context.Context, table string, fn func(*index.M
 	if err := fn(m); err != nil {
 		return err
 	}
-	return putter.Put(ctx, db.bucket, index.ManifestKey(table), m.Encode())
+	return db.store(table).Put(ctx, index.ManifestKey(table), m.Encode())
 }
 
 // loadManifest reads and decodes the table's manifest object, returning an
 // empty manifest when none exists yet.
 func (db *DB) loadManifest(ctx context.Context, table string) (*index.Manifest, error) {
-	backend := db.backendFor(table)
-	//lint:ignore metered catalog read: the manifest is engine metadata, refreshed per DB, never billed to a query
-	data, err := backend.Get(ctx, db.bucket, index.ManifestKey(table))
+	data, err := db.store(table).Unbilled().Get(ctx, db.bucket, index.ManifestKey(table))
 	if err != nil {
 		if s3api.IsNotFound(err) {
 			return index.NewManifest(), nil
@@ -214,15 +200,14 @@ func (db *DB) validatedManifest(ctx context.Context, table string) *index.Manife
 // livePartSizes lists the table's partitions and sizes them: the staleness
 // stamps an index manifest and a statistics object are checked against.
 func (db *DB) livePartSizes(ctx context.Context, table string) ([]int64, error) {
-	backend := db.backendFor(table)
-	keys, err := backend.List(ctx, db.bucket, table+"/part")
+	s := db.store(table)
+	keys, err := s.List(ctx, table+"/part")
 	if err != nil {
 		return nil, err
 	}
 	sizes := make([]int64, len(keys))
 	for i, k := range keys {
-		//lint:ignore metered catalog read: staleness stamps validate engine metadata per DB, never billed to a query
-		if sizes[i], err = backend.Size(ctx, db.bucket, k); err != nil {
+		if sizes[i], err = s.Unbilled().Size(ctx, db.bucket, k); err != nil {
 			return nil, err
 		}
 	}

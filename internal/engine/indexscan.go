@@ -236,7 +236,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 	// decode under the table's header as a select response does.
 	stage2 := e.NextStage()
 	fetch := e.step(fetchSpan, fetchName, stage2, table)
-	backend := e.db.backendFor(table)
+	s := e.db.store(table)
 	var gets atomic.Int64
 	bodies := make([][]byte, len(dataKeys))
 	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
@@ -251,7 +251,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 		case fetchPerRow:
 			ksp.SetInt("ranges", int64(len(ranges)))
 			for _, rg := range ranges {
-				frag, err := backend.GetRange(ctx, e.db.bucket, key, rg[0], rg[1])
+				frag, err := s.GetRange(ctx, fetch.Phase, key, rg[0], rg[1])
 				if err != nil {
 					return err
 				}
@@ -261,13 +261,13 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 		case fetchMultiRange:
 			ksp.SetInt("ranges", int64(len(ranges)))
 			var err error
-			if frags, err = backend.GetRanges(ctx, e.db.bucket, key, ranges); err != nil {
+			if frags, err = s.GetRanges(ctx, fetch.Phase, key, ranges); err != nil {
 				return err
 			}
 			fetch.AddGetRequest(fragBytes(frags))
 		default:
 			for _, batch := range index.Batches(index.Coalesce(ranges, index.DefaultCoalesceGap), index.DefaultMaxRangesPerGet) {
-				got, err := backend.GetRanges(ctx, e.db.bucket, key, batch)
+				got, err := s.GetRanges(ctx, fetch.Phase, key, batch)
 				if err != nil {
 					return err
 				}
@@ -449,7 +449,7 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 
 	defer e.scope("plan").end(nil)
 	stage := e.NextStage()
-	sc.Backend, _ = db.BackendFor(table)
+	sc.Backend = db.store(table).Name()
 	ap := &AccessPlan{Strategy: StrategyFiltered, NotPushed: why}
 	var ts *statsObj
 	if cand == nil {
@@ -551,8 +551,7 @@ func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 // whole table. Shape-dependent fields (Cols, FilterNodes, ProjCols, Profile,
 // CachedFrac) are left for the caller.
 func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.Expr, stage int) (cs cachedStats, cached bool, err error) {
-	backendName, _ := e.db.BackendFor(table)
-	key := fmt.Sprintf("%s\x00%s\x00%s\x00%v\x00idx=%v", backendName, e.db.bucket, table, filter, idxPred)
+	key := fmt.Sprintf("%s\x00%s\x00%s\x00%v\x00idx=%v", e.db.store(table).Name(), e.db.bucket, table, filter, idxPred)
 	e.db.statsMu.Lock()
 	cs, ok := e.db.statsCache[key]
 	e.db.statsMu.Unlock()

@@ -628,8 +628,8 @@ type cachedStats struct {
 // and, from sc.req, the per-row expression work, returned columns and
 // result-cache residency.
 func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int) error {
-	backendName, backend := e.db.BackendFor(sc.Table)
-	sc.Backend = backendName
+	s := e.db.store(sc.Table)
+	sc.Backend = s.Name()
 	var st cloudsim.PlanTableStats
 	if filtered < 0 {
 		var idxPred sqlparse.Expr
@@ -649,7 +649,7 @@ func (e *Exec) scanStats(sc *TableScan, ts *statsObj, filtered int64, stage int)
 		st.FilteredRows = filtered
 	}
 	st.Cols = len(sc.Cols)
-	st.Profile = backend.Profile()
+	st.Profile = s.Profile()
 	sc.Stats = e.requestStats(st, sc.Table, sc.req)
 	return nil
 }

@@ -78,17 +78,16 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 	if err != nil {
 		return nil, err
 	}
-	backend := e.db.backendFor(table)
+	s := e.db.store(table)
 	rels := make([]*Relation, len(keys))
 	decodeWorkers := e.partWorkers(len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
 		psp := st.sp.Child("get " + key)
 		defer psp.End()
-		data, err := backend.Get(ctx, e.db.bucket, key)
+		data, err := s.Get(ctx, st.Phase, key)
 		if err != nil {
 			return err
 		}
-		st.AddGetRequest(int64(len(data)))
 		psp.SetInt("bytes", int64(len(data)))
 		if colformat.IsColumnar(data) {
 			// Columnar partitions decode straight into typed vectors; the
@@ -392,11 +391,11 @@ func (e *Exec) TableHeader(phaseName string, stage int, table string) (_ []strin
 	if err != nil {
 		return nil, err
 	}
-	backend := e.db.backendFor(table)
+	s := e.db.store(table)
 	st := e.step("header "+table, phaseName, stage, table)
 	defer func() { st.end(err) }()
 	for probe := int64(headerProbe); ; probe *= 2 {
-		data, err := backend.GetRange(e.ctx, e.db.bucket, keys[0], 0, probe-1)
+		data, err := s.GetRange(e.ctx, st.Phase, keys[0], 0, probe-1)
 		if err != nil {
 			return nil, err
 		}

@@ -4,24 +4,23 @@ import (
 	"context"
 	"fmt"
 
-	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
 
 // The select path. Every S3 Select the engine issues goes through the
 // table's backend pipeline (composed in Open: result cache over scan
-// sharing over the backend, whichever are configured) and is metered and
-// traced in one place, doSelect, from the Served stamp the pipeline
-// left on the response. Results may be shared with the cache and with
-// other queries — callers must not mutate them.
+// sharing over the backend, whichever are configured), which bills it from
+// the Served stamp it left on the response (s3api.Metered.Select), and is
+// traced in one place, doSelect. Results may be shared with the cache and
+// with other queries — callers must not mutate them.
 
 // request is every S3 Select request the engine sends table: stmt, printed
 // once, with the table's header and its backend's advertised capabilities.
 // Every partition of a fan-out, the result cache and scan sharing read that
 // one statement.
 func (db *DB) request(table string, stmt *sqlparse.Select) selectengine.Request {
-	return selectengine.NewRequest(stmt, true, db.backendFor(table).Capabilities())
+	return selectengine.NewRequest(stmt, true, db.store(table).Capabilities())
 }
 
 // scanSelect is the S3 Select statement returning items (every column, *,
@@ -62,16 +61,12 @@ func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, ea
 }
 
 // doSelect issues one S3 Select against an object of table through its
-// backend's pipeline, bills the response to st and describes it on a "select
-// <key>" child of st's span, keyed on how the pipeline served it: a cache hit
-// reached no backend and costs only the local re-parse; a pass shared by n
-// requests is billed 1/n to each plus the sharer's own local re-filter work;
-// anything else is one direct request.
+// backend's pipeline, billed to st, and describes it on a "select <key>"
+// child of st's span by how the pipeline served it.
 func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req selectengine.Request) (*selectengine.Result, error) {
 	sp := st.sp.Child("select " + key)
 	defer sp.End()
-	name, _ := e.db.BackendFor(table)
-	res, err := e.db.selects[name].Select(ctx, e.db.bucket, key, req)
+	res, err := e.db.store(table).Select(ctx, st.Phase, key, req)
 	if err != nil {
 		return nil, err
 	}
@@ -79,14 +74,8 @@ func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req sel
 	if how.Cache != "" {
 		sp.SetStr("cache", how.Cache)
 	}
-	switch {
-	case how.Cache == selectengine.CacheHit:
-		st.AddCacheHit(res.Stats.BytesReturned)
-	case how.Sharers > 1:
-		st.AddSharedSelectRequest(selectReqStats(how.Pass), int64(how.Sharers), how.LocalRows)
+	if how.Sharers > 1 {
 		sp.SetInt("sharers", int64(how.Sharers))
-	default:
-		st.AddSelectRequest(selectReqStats(res.Stats))
 	}
 	if how.Sharers > 0 {
 		share := "leader"
@@ -98,19 +87,6 @@ func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req sel
 	sp.SetInt("rows", res.Stats.RowsReturned)
 	sp.SetInt("bytes", res.Stats.BytesReturned)
 	return res, nil
-}
-
-// selectReqStats converts select-engine stats into the cost model's
-// request record.
-func selectReqStats(s selectengine.Stats) cloudsim.SelectReq {
-	return cloudsim.SelectReq{
-		ScanBytes:       s.BytesScanned,
-		ReturnedBytes:   s.BytesReturned,
-		Rows:            s.RowsScanned,
-		ExprNodes:       s.ExprNodes,
-		Cells:           s.CellsDecoded,
-		DecompressBytes: s.DecompressBytes,
-	}
 }
 
 // cachedScanFrac reports what fraction of a table's partitions have req's
@@ -128,7 +104,6 @@ func (e *Exec) cachedScanFrac(table string, req selectengine.Request) float64 {
 	if err != nil {
 		return 0
 	}
-	backendName, _ := e.db.BackendFor(table)
-	hits := c.Resident(backendName, e.db.bucket, keys, req)
+	hits := c.Resident(e.db.store(table).Name(), e.db.bucket, keys, req)
 	return float64(hits) / float64(len(keys))
 }

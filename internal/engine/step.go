@@ -5,13 +5,14 @@ import (
 	"pushdowndb/internal/obs"
 )
 
-// Metered steps and trace scopes, the only place the engine opens a cloudsim
-// phase (pushdownlint's spanphase). A step is a span bound to the phase it
-// meters: the span reports the phase's seconds and dollars as they stand when
-// the trace is snapshotted, so work metered after the span ended, or by a
-// second span on the phase, is never missing from it. A scope is a structural
-// span installed as the parent of the spans begun inside it. Untraced, every
-// span is nil: a step allocates only its phase.
+// Metered steps and trace scopes. A step is a span bound to the phase it
+// meters, opened by cloudsim.Metrics.Open: the span reports the phase's
+// seconds and dollars as they stand when the trace is snapshotted, so work
+// metered after the span ended, or by a second span on the phase, is never
+// missing from it. A step's phase is what a priced storage call takes
+// (s3api.Metered). A scope is a structural span installed as the parent of
+// the spans begun inside it. Untraced, every span is nil: a step allocates
+// only its phase.
 
 // Trace returns the obs trace this execution runs under (nil when the
 // caller attached none via obs.WithTrace).
@@ -52,17 +53,9 @@ func (e *Exec) step(span, phase string, stage int, table string) step {
 func (st *step) open(e *Exec, phase string, stage int, table string) {
 	var profile cloudsim.Profile
 	if table != "" {
-		profile = e.db.backendFor(table).Profile()
+		profile = e.db.store(table).Profile()
 	}
-	ph := e.Metrics.PhaseProfile(phase, stage, profile)
-	st.Phase = ph
-	if st.sp != nil {
-		pricing := e.db.Pricing
-		st.sp.SetStr("phase", phase)
-		st.sp.SetInt("stage", int64(stage))
-		st.sp.SetFloatFunc("sim_sec", ph.Seconds)
-		st.sp.SetFloatFunc("cost_usd", func() float64 { return ph.BilledCost(pricing).Total() })
-	}
+	st.Phase = e.Metrics.Open(st.sp, phase, stage, profile, e.db.Pricing)
 }
 
 // end ends the step's span, recording err; the phase stays open to metering.

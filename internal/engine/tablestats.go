@@ -181,9 +181,10 @@ func (e *Exec) statsObject(table string, stage int) *statsObj {
 		return nil // no such table: the fallback reports it, nothing is remembered
 	}
 	// The step's phase opens only once there is an object to pay for, so a
-	// table without one leaves the same phases behind as it always did.
+	// table without one leaves the same phases behind as it always did: the
+	// ranged GET, which its caller bills, runs while the phase is still nil.
 	st := step{sp: e.parent().Child("plan stats " + table)}
-	data, err := db.backendFor(table).GetRange(e.ctx, db.bucket, StatsKey(table), 0, maxStatsObjectBytes)
+	data, err := db.store(table).GetRange(e.ctx, st.Phase, StatsKey(table), 0, maxStatsObjectBytes)
 	if err == nil {
 		st.open(e, "plan stats "+table, stage, table)
 		st.AddCatalogRequest(int64(len(data)))

@@ -191,7 +191,7 @@ func TestJoinsIdenticalWithAndWithoutStats(t *testing.T) {
 	}
 
 	db, sql := threeTableDB(t)
-	db.backends["s3sim"] = noStats{db.backends["s3sim"]}
+	db.stores["s3sim"] = s3api.NewMetered("s3sim", db.bucket, noStats{db.stores["s3sim"].Unbilled()})
 	_, e, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)

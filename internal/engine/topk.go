@@ -123,19 +123,18 @@ func (e *Exec) approxRowCount(stage int, table string) (_ int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	backend := e.db.backendFor(table)
 	// The per-partition size probes are priced requests (S3 HEADs) like
-	// everything else this estimate costs; they meter as zero-byte GETs on
-	// the step the row probe below runs on.
+	// everything else this estimate costs, on the step the row probe below
+	// runs on.
 	st := e.step("probe "+table, "probe "+table, stage, table)
 	defer func() { st.end(err) }()
+	s := e.db.store(table)
 	var totalBytes int64
 	for _, k := range keys {
-		n, err := backend.Size(e.ctx, e.db.bucket, k)
+		n, err := s.Size(e.ctx, st.Phase, k)
 		if err != nil {
 			return 0, err
 		}
-		st.AddGetRequest(0)
 		totalBytes += n
 	}
 	const probeRows = 64

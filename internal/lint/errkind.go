@@ -20,7 +20,8 @@ import (
 // server unwraps via errors.As).
 //
 // "Backend path" is any function whose body (including its closures)
-// calls an s3api.Backend or s3api.Putter method. Purely local validation
+// calls an s3api.Backend or s3api.Putter method, or a storage operation of
+// the engine's handle on a backend (s3api.Metered). Purely local validation
 // helpers are out of scope — their errors never race a storage error to
 // the server's classifier.
 var Errkind = &analysis.Analyzer{
@@ -59,7 +60,7 @@ func runErrkind(pass *analysis.Pass) error {
 }
 
 // subtreeCallsBackend reports whether fn's body (closures included) calls
-// any s3api.Backend/Putter method.
+// any backend method (backendMethod).
 func subtreeCallsBackend(pass *analysis.Pass, fn ast.Node) bool {
 	found := false
 	ast.Inspect(fn, func(n ast.Node) bool {

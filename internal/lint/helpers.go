@@ -83,8 +83,7 @@ func namedAs(t types.Type, path, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Name() == name
 }
 
-func isContext(t types.Type) bool  { return namedAs(t, "context", "Context") }
-func isPhasePtr(t types.Type) bool { return namedAs(t, pkgCloudsim, "Phase") }
+func isContext(t types.Type) bool { return namedAs(t, "context", "Context") }
 
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
@@ -120,7 +119,8 @@ func calleeIs(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 
 // backendMethod returns the method name when call is a method call on the
 // s3api.Backend, s3api.Selector (a backend's select pipeline) or
-// s3api.Putter interface.
+// s3api.Putter interface, or a storage operation — a method taking a
+// context — on the engine's handle on a backend, s3api.Metered.
 func backendMethod(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -132,6 +132,10 @@ func backendMethod(info *types.Info, call *ast.CallExpr) (name string, ok bool) 
 	}
 	recv := s.Recv()
 	if namedAs(recv, pkgS3api, "Backend") || namedAs(recv, pkgS3api, "Selector") || namedAs(recv, pkgS3api, "Putter") {
+		return sel.Sel.Name, true
+	}
+	if params := s.Type().(*types.Signature).Params(); namedAs(recv, pkgS3api, "Metered") &&
+		params.Len() > 0 && isContext(params.At(0).Type()) {
 		return sel.Sel.Name, true
 	}
 	return "", false
@@ -162,41 +166,6 @@ func ctxParam(info *types.Info, fn ast.Node) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// meters reports a *cloudsim.Phase, or a step holding one: a struct with a
-// *cloudsim.Phase field, as the engine's span-bound step is.
-func meters(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Struct)
-	for i := 0; ok && i < s.NumFields(); i++ {
-		if isPhasePtr(s.Field(i).Type()) {
-			return true
-		}
-	}
-	return isPhasePtr(t)
-}
-
-// phaseVisible reports whether any of the functions declares — as a
-// parameter or a local, at or before pos — a *cloudsim.Phase or a step
-// holding one (meters).
-func phaseVisible(info *types.Info, fns []ast.Node, pos token.Pos) bool {
-	for _, fn := range fns {
-		found := false
-		ast.Inspect(fn, func(n ast.Node) bool {
-			id, isIdent := n.(*ast.Ident)
-			if !isIdent {
-				return true
-			}
-			if obj := info.Defs[id]; obj != nil && id.Pos() < pos && meters(obj.Type()) {
-				found = true
-			}
-			return true
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }
 
 // ownReturns collects fn's return statements, excluding those belonging to

@@ -1,13 +1,10 @@
 // Package lint is the pushdownlint analyzer suite: repo-specific static
 // checks that mechanize the engine's correctness conventions so they are
-// enforced by machine rather than review. The six analyzers and the
+// enforced by machine rather than review. The four analyzers and the
 // invariants they encode:
 //
 //   - ctxflow: no context.Background()/TODO() in library code — per-request
 //     deadlines (PR 6) must reach every backend call.
-//   - metered: every s3api.Backend storage call in engine/index runs under
-//     an open *cloudsim.Phase, or a step holding one — no S3 op escapes the
-//     cost model (PR 4/6).
 //   - errkind: errors born on backend paths carry an s3api.Kind — a naked
 //     fmt.Errorf surfaces at the server as "internal" (PR 6).
 //   - mapdeterminism: no order-sensitive work (float/string accumulation,
@@ -15,9 +12,11 @@
 //     paths — the byte-identical invariant (PR 2).
 //   - exactagg: no float64 accumulation where merge order can perturb
 //     results — aggregation merges through big.Float (PR 2).
-//   - spanphase: in the engine only step.go opens a cloudsim phase, each as
-//     a step bound to the trace span that reports it — no execution phase
-//     invisible to query traces, no stale span figures.
+//
+// Two invariants need no analyzer because the compiler keeps them: a
+// priced storage call takes the phase it bills (s3api.Metered), and a
+// phase opens only bound to the span that reports it
+// (cloudsim.Metrics.Open).
 //
 // See docs/ARCHITECTURE.md "Static analysis & invariants" for the rules
 // and the //lint:ignore suppression convention.
@@ -33,7 +32,7 @@ import (
 
 // All returns the full pushdownlint suite.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Ctxflow, Metered, Errkind, MapDeterminism, ExactAgg, Spanphase}
+	return []*analysis.Analyzer{Ctxflow, Errkind, MapDeterminism, ExactAgg}
 }
 
 // Run applies the analyzers to the packages — each analyzer only where its

@@ -12,11 +12,9 @@ import (
 // the findings and the suppression convention.
 
 func TestCtxflow(t *testing.T)        { linttest.Run(t, Ctxflow, "testdata/src/ctxflow") }
-func TestMetered(t *testing.T)        { linttest.Run(t, Metered, "testdata/src/metered") }
 func TestErrkind(t *testing.T)        { linttest.Run(t, Errkind, "testdata/src/errkind") }
 func TestMapDeterminism(t *testing.T) { linttest.Run(t, MapDeterminism, "testdata/src/mapdet") }
 func TestExactAgg(t *testing.T)       { linttest.Run(t, ExactAgg, "testdata/src/exactagg") }
-func TestSpanphase(t *testing.T)      { linttest.Run(t, Spanphase, "testdata/src/spanphase") }
 
 // The expr fixture type-checks as pushdowndb/internal/expr, exercising
 // exactagg's stricter expr-layer rule (all float accumulation banned).

@@ -1,6 +1,7 @@
 // Fixture for the errkind analyzer: error construction on backend paths
-// (functions whose subtree calls an s3api.Backend/Putter method) versus
-// purely local helpers, plus the suppression escape.
+// (functions whose subtree calls an s3api.Backend/Putter method, or a
+// storage operation of the engine's handle, s3api.Metered) versus purely
+// local helpers, plus the suppression escape.
 package errkind
 
 import (
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/s3api"
 )
 
@@ -21,6 +23,26 @@ func nakedOnBackendPath(ctx context.Context, b s3api.Backend, bucket, key string
 		return nil, fmt.Errorf("object %s/%s is empty", bucket, key) // want `fmt\.Errorf on a backend path builds an error with no s3api\.Kind`
 	}
 	return data, nil
+}
+
+// A priced call on the engine's handle on a backend is a backend path too.
+func nakedBesideHandle(ctx context.Context, s s3api.Metered, ph *cloudsim.Phase, key string) ([]byte, error) {
+	data, err := s.Get(ctx, ph, key)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("object %s is empty", key) // want `fmt\.Errorf on a backend path builds an error with no s3api\.Kind`
+	}
+	return data, nil
+}
+
+// The handle's metadata methods reach no storage: not a backend path.
+func handleMetadata(s s3api.Metered) error {
+	if s.Name() == "" {
+		return errors.New("unnamed backend")
+	}
+	return nil
 }
 
 // Wrapping with %w preserves the kind of the underlying storage error.
