@@ -55,6 +55,7 @@ var diffQueries = []struct {
 	{"join2-filters", "SELECT COUNT(*) AS n FROM p JOIN ord ON p.pk = ord.pk WHERE score >= 50 AND amount < 100", false},
 	{"join3-groupby", "SELECT pname, COUNT(*) AS n FROM p JOIN ord ON p.pk = ord.pk JOIN item ON ord.ok = item.ok WHERE qty >= 1 GROUP BY pname ORDER BY pname", true},
 	{"join3-topk", "SELECT pname, qty FROM p JOIN ord ON p.pk = ord.pk JOIN item ON ord.ok = item.ok ORDER BY qty DESC, pname, ik LIMIT 6", true},
+	{"join3-filter-only", "SELECT ik, amount FROM p JOIN ord ON p.pk = ord.pk JOIN item ON ord.ok = item.ok WHERE zip = '00501' AND tag IS NOT NULL AND qty >= 2", false},
 	{"ragged-missing-cell", "SELECT rk FROM rag WHERE rd > '1994-06-01'", false},
 	{"ragged-star", "SELECT * FROM rag", false},
 	{"ragged-aggregate", "SELECT COUNT(*) AS n, COUNT(rd) AS nd, SUM(rv) AS s FROM rag", false},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -691,5 +692,193 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 	})
 	if ss, _ := db.ScanShareStats(); ss.MergedPasses != 4 || ss.Fallbacks != 0 {
 		t.Errorf("two scans under a window: %+v, want a merged pass per partition and no fallback", ss)
+	}
+}
+
+// joinFixture writes three tables for joins, as CSV (jc, jo, jl) and as
+// columnar twins (jc_c, jo_c, jl_c), with an index on jl's l_qty: customers
+// c_ck, c_seg, c_code, c_bal; orders o_ok, o_ck, o_od, o_code, o_price; and
+// lines l_ok, l_qty, l_sd, l_code, l_price. The *_code columns are text keys
+// ("x17"), which a Bloom filter cannot hash.
+func joinFixture(t *testing.T) *store.Store {
+	t.Helper()
+	st := store.New()
+	date := func(i int) string { return fmt.Sprintf("1995-%02d-%02d", 1+i%12, 1+i%28) }
+	tables := []struct {
+		name  string
+		cols  []string
+		kinds []value.Kind
+		n     int
+		row   func(i int) []string
+	}{
+		{"jc", []string{"c_ck", "c_seg", "c_code", "c_bal"}, []value.Kind{value.KindInt, value.KindString, value.KindString, value.KindFloat}, 60,
+			func(i int) []string {
+				return []string{fmt.Sprint(i), string(rune('A' + i%3)), fmt.Sprintf("x%d", i), fmt.Sprint(float64(i%17) * 2.5)}
+			}},
+		{"jo", []string{"o_ok", "o_ck", "o_od", "o_code", "o_price"}, []value.Kind{value.KindInt, value.KindInt, value.KindString, value.KindString, value.KindFloat}, 240,
+			func(i int) []string {
+				return []string{fmt.Sprint(i), fmt.Sprint(i % 60), date(i), fmt.Sprintf("x%d", i%60), fmt.Sprint(float64(i%31) * 1.25)}
+			}},
+		{"jl", []string{"l_ok", "l_qty", "l_sd", "l_code", "l_price"}, []value.Kind{value.KindInt, value.KindInt, value.KindString, value.KindString, value.KindFloat}, 480,
+			func(i int) []string {
+				return []string{fmt.Sprint(i % 240), fmt.Sprint(i % 7), date(i * 5), fmt.Sprintf("x%d", i%90), fmt.Sprint(float64(i%13) * 0.5)}
+			}},
+	}
+	for _, tbl := range tables {
+		var rows [][]string
+		var typed [][]value.Value
+		schema := make(colformat.Schema, len(tbl.cols))
+		for j, c := range tbl.cols {
+			schema[j] = colformat.ColumnDef{Name: c, Kind: tbl.kinds[j]}
+		}
+		for i := 0; i < tbl.n; i++ {
+			row := tbl.row(i)
+			rows = append(rows, row)
+			typed = append(typed, make([]value.Value, len(row)))
+			for j, cell := range row {
+				if typed[i][j] = value.FromCSV(cell); tbl.kinds[j] == value.KindString {
+					typed[i][j] = value.Str(cell)
+				}
+			}
+		}
+		if err := PartitionTable(context.Background(), st, pipeBucket, tbl.name, tbl.cols, rows, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := PartitionTableColumnar(st, pipeBucket, tbl.name+"_c", schema, typed, 3, 16, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := composition{}.open(t, s3api.NewInProc(st), 0)
+	if err := db.CreateIndex(context.Background(), "jl", "l_qty"); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// runForced plans sql on db, forces the plan's join step to strategy and
+// runs it, returning the answer and the plan it ran.
+func runForced(t *testing.T, db *DB, sql string, step int, strategy string) (*Relation, *QueryPlan) {
+	t.Helper()
+	sel, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := db.NewExecContext(context.Background())
+	p, err := e.planSelect(sel)
+	if err != nil {
+		t.Fatalf("%s: planning: %v", sql, err)
+	}
+	if strategy == StrategyIndexScan && p.Scans[p.Steps[step].scan].Index == nil {
+		t.Fatalf("%s: join %d has no index candidate to force", sql, step+1)
+	}
+	p.Steps[step].Strategy = strategy
+	rel, err := e.runPlan(p)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return rel, p
+}
+
+// baselineAnswer answers sql the baseline way: its planned first join
+// through the BaselineJoin operator, which loads both tables whole and
+// filters them on the server, every later table loaded whole, filtered on
+// the server and hash-joined in, then the residual and the server's tail.
+func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
+	t.Helper()
+	sel, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := db.NewExecContext(context.Background())
+	p, err := e.planSelect(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(x sqlparse.Expr) string {
+		if x == nil {
+			return ""
+		}
+		return x.String()
+	}
+	first := p.Steps[0]
+	build, probe := p.Scans[first.buildIdx], p.Scans[first.probeIdx]
+	rel, err := e.BaselineJoin(JoinSpec{LeftTable: build.Table, RightTable: probe.Table, LeftKey: first.BuildKey, RightKey: first.ProbeKey,
+		LeftFilter: text(build.Filter), RightFilter: text(probe.Filter)})
+	for _, st := range p.Steps[1:] {
+		var right *Relation
+		if err == nil {
+			right, err = e.serverSideFilter(p.Scans[st.scan].Table, p.Scans[st.scan].Filter, nil)
+		}
+		if err == nil {
+			rel, err = e.hashJoinLocal(e.NextStage(), rel, right, st.BuildKey, st.ProbeKey)
+		}
+	}
+	if err == nil && p.Residual != nil {
+		rel, err = e.filterLocal(rel, p.Residual)
+	}
+	if err == nil {
+		rel, err = e.finishLocal(rel, p.Sel)
+	}
+	if err != nil {
+		t.Fatalf("%s: baseline: %v", sql, err)
+	}
+	return rel
+}
+
+// TestJoinPathsShipOnlyServerColumns: a column that only its scan's pushed
+// filter reads stays in storage on every path a join step can take — the
+// Bloom build and probe, a chain's filtered scan, Bloom probe and IndexScan,
+// and a Bloom join over a text key falling back to the baseline join (first
+// join) or a filtered scan (chain). Each statement, forced down its path,
+// answers as the BaselineJoin operator does, cold and warm, through every
+// select-pipeline composition over CSV and columnar tables (the index, and
+// so the IndexScan, is CSV's only).
+func TestJoinPathsShipOnlyServerColumns(t *testing.T) {
+	st := joinFixture(t)
+	const (
+		pair  = "SELECT o.o_ok, o.o_price FROM jc%[1]s c JOIN jo%[1]s o ON %[2]s WHERE c.c_seg = 'A' AND o.o_od < '1995-06-01' ORDER BY o.o_ok"
+		chain = "SELECT c.c_ck, o.o_ok, l.l_price FROM jc%[1]s c JOIN jo%[1]s o ON c.c_ck = o.o_ck JOIN jl%[1]s l ON %[2]s " +
+			"WHERE c.c_seg = 'A' AND %[3]s ORDER BY c.c_ck, o.o_ok, l.l_price"
+	)
+	cases := []struct {
+		name, sql     string // sql takes the tables' suffix
+		step          int    // the join step forced
+		strategy, ran string // the strategy forced, and the one that ran
+		filterOnly    []string
+	}{
+		{"bloom", fmt.Sprintf(pair, "%[1]s", "c.c_ck = o.o_ck"), 0, StrategyBloom, StrategyBloom, []string{"c_seg", "o_od"}},
+		{"bloom-text-key", fmt.Sprintf(pair, "%[1]s", "c.c_code = o.o_code"), 0, StrategyBloom, StrategyBaseline, []string{"c_seg", "o_od"}},
+		{"chain-filtered", fmt.Sprintf(chain, "%[1]s", "o.o_ok = l.l_ok", "l.l_sd > '1995-06-01'"), 1, StrategyFiltered, StrategyFiltered, []string{"c_seg", "l_sd"}},
+		{"chain-bloom", fmt.Sprintf(chain, "%[1]s", "o.o_ok = l.l_ok", "l.l_sd > '1995-06-01'"), 1, StrategyBloom, StrategyBloom, []string{"c_seg", "l_sd"}},
+		{"chain-bloom-text-key", fmt.Sprintf(chain, "%[1]s", "o.o_code = l.l_code", "l.l_sd > '1995-06-01'"), 1, StrategyBloom, StrategyFiltered, []string{"c_seg", "l_sd"}},
+		{"chain-indexscan", fmt.Sprintf(chain, "%[1]s", "o.o_ok = l.l_ok", "l.l_qty <= 2"), 1, StrategyIndexScan, StrategyIndexScan, []string{"c_seg", "l_qty"}},
+	}
+	plain := composition{}.open(t, s3api.NewInProc(st), 0)
+	for _, suffix := range []string{"", "_c"} {
+		for _, comp := range compositions {
+			db := comp.open(t, s3api.NewInProc(st), 0)
+			for _, c := range cases {
+				if c.strategy == StrategyIndexScan && suffix != "" {
+					continue
+				}
+				sql := fmt.Sprintf(c.sql, suffix)
+				want := render(baselineAnswer(t, plain, sql), true)
+				for _, run := range []string{"cold", "warm"} {
+					rel, p := runForced(t, db, sql, c.step, c.strategy)
+					what := fmt.Sprintf("%s %s%s %s", comp.name, c.name, suffix, run)
+					if got := render(rel, true); got != want {
+						t.Errorf("%s: answers\n%s\nBaselineJoin answers\n%s", what, got, want)
+					}
+					if p.Steps[c.step].Strategy != c.ran {
+						t.Errorf("%s: ran %s, want %s", what, p.Steps[c.step].Strategy, c.ran)
+					}
+					for _, sc := range p.Scans {
+						if sc.Project == nil || slices.ContainsFunc(c.filterOnly, func(col string) bool { return slices.Contains(sc.Project, col) }) {
+							t.Errorf("%s: scan %s ships %q, which must leave out %q", what, sc.Name(), sc.Project, c.filterOnly)
+						}
+					}
+				}
+			}
+		}
 	}
 }

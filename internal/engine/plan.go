@@ -62,8 +62,9 @@ type TableScan struct {
 	// Filter is the conjunction of the query's single-table predicates
 	// over this table, qualifier-stripped so it can be pushed to S3.
 	Filter sqlparse.Expr
-	// Project lists the columns any part of the query needs from this
-	// table (nil = all, e.g. when the select list has a *).
+	// Project lists the columns the server reads from this table once the
+	// scans return; a column only the table's own pushed Filter reads stays
+	// in storage (nil = all, e.g. when the select list has a *).
 	Project []string
 	// Stats are the planner's cardinality and size statistics; StatsSource
 	// is where they were made: StatsFromObject or StatsFromProbe (empty
@@ -244,7 +245,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 	}
 	filters := make([][]sqlparse.Expr, len(p.Scans))
 	var equis []*equiPred
-	var residual []sqlparse.Expr
+	var kept, residual []sqlparse.Expr // kept: every conjunct not pushed
 	// pushedNames collects unqualified column references inside pushed
 	// per-table filters; if such a name exists in several tables, the
 	// first-table-wins resolution is a silent guess, so the ambiguity
@@ -255,15 +256,17 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case len(scans) == 1:
+		if len(scans) == 1 {
 			for _, ref := range sqlparse.ColumnRefs(c) {
 				if ref.Qualifier == "" {
 					pushedNames = append(pushedNames, ref.Name)
 				}
 			}
 			filters[scans[0]] = append(filters[scans[0]], sqlparse.StripQualifiers(c))
-		case len(scans) == 2:
+			continue
+		}
+		kept = append(kept, c)
+		if len(scans) == 2 {
 			if b, ok := c.(*sqlparse.Binary); ok && b.Op == sqlparse.OpEq {
 				lc, lok := b.L.(*sqlparse.Column)
 				rc, rok := b.R.(*sqlparse.Column)
@@ -284,19 +287,25 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 					continue
 				}
 			}
-			residual = append(residual, c)
-		default:
-			residual = append(residual, c)
 		}
+		residual = append(residual, c)
 	}
 	for i, sc := range p.Scans {
 		sc.Filter = sqlparse.AndAll(filters[i])
 	}
 
-	// Projection pushdown: every column the query touches, mapped to its
-	// table. A * in the select list keeps all columns everywhere.
-	if err := p.computeProjections(); err != nil {
-		return nil, err
+	// Projection pushdown: each scan returns the columns the server reads
+	// after the scans (join keys, residual, select list, GROUP BY, ORDER BY),
+	// not those only its own pushed filter reads. A * keeps every column
+	// everywhere; an ORDER BY reference that names no table column is left
+	// for the sort to report.
+	refs, _ := serverColumns(sel, kept, func(c *sqlparse.Column) bool { _, err := p.resolve(c); return err == nil })
+	for _, c := range refs {
+		i, err := p.resolve(c)
+		if err != nil {
+			return nil, err
+		}
+		p.Scans[i].Project = addColumn(p.Scans[i].Project, c.Name)
 	}
 
 	// Statistics (cached on the DB): the probe SQL over each table's sample,
@@ -550,59 +559,6 @@ func (p *QueryPlan) checkAmbiguousColumns(equated *colEquiv, pushedNames []strin
 			if equated.find(colNode(i, n)) != root {
 				return fmt.Errorf("engine: column %q is ambiguous after the join (several FROM tables provide it and qualifiers are not preserved in the join result); join on it or give the tables distinct column names", n)
 			}
-		}
-	}
-	return nil
-}
-
-// computeProjections fills each scan's Project with the columns the query
-// references from that table.
-func (p *QueryPlan) computeProjections() error {
-	var refs []*sqlparse.Column
-	needAll := false
-	for _, it := range p.Sel.Items {
-		if _, ok := it.Expr.(*sqlparse.Star); ok {
-			needAll = true
-			continue
-		}
-		refs = append(refs, sqlparse.ColumnRefs(it.Expr)...)
-	}
-	if p.Sel.Where != nil {
-		refs = append(refs, sqlparse.ColumnRefs(p.Sel.Where)...)
-	}
-	for _, g := range p.Sel.GroupBy {
-		refs = append(refs, sqlparse.ColumnRefs(g)...)
-	}
-	for _, j := range p.Sel.Joins {
-		if j.Cond != nil {
-			refs = append(refs, sqlparse.ColumnRefs(j.Cond)...)
-		}
-	}
-	if needAll {
-		return nil // Project stays nil everywhere: keep all columns
-	}
-	// ORDER BY may reference select-list aliases, which are not table
-	// columns; skip references that do not resolve.
-	for _, o := range p.Sel.OrderBy {
-		for _, c := range sqlparse.ColumnRefs(o.Expr) {
-			if _, err := p.resolve(c); err == nil {
-				refs = append(refs, c)
-			}
-		}
-	}
-	seen := make([]map[string]bool, len(p.Scans))
-	for i := range seen {
-		seen[i] = map[string]bool{}
-	}
-	for _, c := range refs {
-		i, err := p.resolve(c)
-		if err != nil {
-			return err
-		}
-		key := sqlparse.NameKey(c.Name)
-		if !seen[i][key] {
-			seen[i][key] = true
-			p.Scans[i].Project = append(p.Scans[i].Project, c.Name)
 		}
 	}
 	return nil

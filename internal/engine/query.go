@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pushdowndb/internal/sqlparse"
@@ -157,7 +158,12 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
 	pushed := &sqlparse.Select{Items: sel.Items, Table: "S3Object", Where: sel.Where, Limit: sel.Limit}
 	if !isSimple(sel) {
-		if cols, star := queryColumns(sel); star {
+		var cols []string
+		refs, star := serverColumns(sel, nil, nil)
+		for _, c := range refs {
+			cols = addColumn(cols, c.Name)
+		}
+		if star {
 			// Every column once: the server-side projection expands the * and
 			// evaluates the items beside it.
 			pushed.Items = []sqlparse.SelectItem{{Expr: &sqlparse.Star{}}}
@@ -215,7 +221,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 		rel, err = e.groupByLocal(rel, batches, nil, sel.Items)
 	default:
 		// Sort before projecting: the projection may drop a column ORDER
-		// BY references (queryColumns pushed it into the scan precisely so
+		// BY references (serverColumns pushed it into the scan precisely so
 		// it is available here). Aliases are rewritten to their underlying
 		// expressions, which the pre-projection relation can evaluate; the
 		// projection preserves row order.
@@ -326,40 +332,38 @@ func orderByOverInput(sel *sqlparse.Select) []sqlparse.OrderItem {
 	return orderBy
 }
 
-// queryColumns collects the columns the server-side tail of the query reads
-// — everything referenced outside WHERE, which is pushed whole — for
-// projection pushdown; star reports a * in the select list (every column).
-func queryColumns(sel *sqlparse.Select) (cols []string, star bool) {
-	seen := map[string]bool{}
-	add := func(names []string) {
-		for _, n := range names {
-			key := sqlparse.NameKey(n)
-			if !seen[key] {
-				seen[key] = true
-				cols = append(cols, n)
-			}
-		}
-	}
+// serverColumns returns the column references the server reads once the
+// scans return: the select list, the conjuncts kept on the server (a
+// conjunct pushed whole into a scan's WHERE reads its columns in storage),
+// GROUP BY, and the ORDER BY references that name no select-list alias and
+// that sortable accepts (nil accepts all). star reports a * in the select
+// list, which reads every column.
+func serverColumns(sel *sqlparse.Select, kept []sqlparse.Expr, sortable func(*sqlparse.Column) bool) (refs []*sqlparse.Column, star bool) {
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			return nil, true
 		}
-		add(sqlparse.Columns(it.Expr))
+		refs = append(refs, sqlparse.ColumnRefs(it.Expr)...)
 	}
-	for _, g := range sel.GroupBy {
-		add(sqlparse.Columns(g))
+	for _, e := range slices.Concat(kept, sel.GroupBy) {
+		refs = append(refs, sqlparse.ColumnRefs(e)...)
 	}
 	for _, o := range sel.OrderBy {
-		// ORDER BY may reference output aliases, which are not table
-		// columns; only push genuine table columns that parse as such.
-		for _, c := range sqlparse.Columns(o.Expr) {
-			if isAlias(sel, c) {
-				continue
+		for _, c := range sqlparse.ColumnRefs(o.Expr) {
+			if !isAlias(sel, c.Name) && (sortable == nil || sortable(c)) {
+				refs = append(refs, c)
 			}
-			add([]string{c})
 		}
 	}
-	return cols, false
+	return refs, false
+}
+
+// addColumn appends name to cols unless cols already names that column.
+func addColumn(cols []string, name string) []string {
+	if slices.ContainsFunc(cols, func(c string) bool { return sqlparse.SameName(c, name) }) {
+		return cols
+	}
+	return append(cols, name)
 }
 
 func isAlias(sel *sqlparse.Select, name string) bool {
