@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
@@ -475,7 +476,7 @@ func TestGroupByAlgorithmsAgree(t *testing.T) {
 		return e.S3SideGroupBy("events", "g", groupAggs(), "")
 	})
 	hybrid := run("hybrid", func(e *Exec) (*Relation, error) {
-		return e.HybridGroupBy("events", "g", groupAggs(), HybridGroupByOptions{S3Groups: 4, SampleFraction: 0.05})
+		return e.HybridGroupBy("events", "g", groupAggs(), HybridGroupByOptions{S3Groups: 4})
 	})
 
 	norm := func(rel *Relation) map[string]string {
@@ -503,7 +504,7 @@ func TestHybridGroupByPartialGroupBy(t *testing.T) {
 		selectengine.Capabilities{AllowGroupBy: true}))
 	e := db.NewExec()
 	got, err := e.HybridGroupBy("events", "g", groupAggs(),
-		HybridGroupByOptions{S3Groups: 3, SampleFraction: 0.05, UsePartialGroupBy: true})
+		HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,6 +514,94 @@ func TestHybridGroupByPartialGroupBy(t *testing.T) {
 	}
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("groups = %d, want %d", len(got.Rows), len(want.Rows))
+	}
+}
+
+// TestHybridGroupByPushesTheLargestGroups: the hybrid aggregates in S3 the
+// groups that are largest across the table, not the ones each partition
+// happens to begin with. Every partition opens with rows of six small
+// groups; with two groups in S3 the tail scan returns exactly the rows
+// outside the two largest.
+func TestHybridGroupByPushesTheLargestGroups(t *testing.T) {
+	st := store.New()
+	const parts, perPart = 4, 2000
+	var rows [][]string
+	tail := 0
+	for p := 0; p < parts; p++ {
+		for i := 0; i < perPart; i++ {
+			var g string
+			switch {
+			case i < 60:
+				g = fmt.Sprintf("s%d", i%6)
+			case i%10 < 4:
+				g = "b1"
+			case i%10 < 7:
+				g = "b2"
+			default:
+				g = fmt.Sprintf("m%d", i%3)
+			}
+			if g != "b1" && g != "b2" {
+				tail++
+			}
+			rows = append(rows, []string{g, fmt.Sprint(i % 10)})
+		}
+	}
+	if err := PartitionTable(context.Background(), st, testBucket, "skew", []string{"g", "v"}, rows, parts); err != nil {
+		t.Fatal(err)
+	}
+	db := openTestDB(t, st)
+	tr := obs.New("t", "hybrid")
+	got, err := db.NewExecContext(obs.WithTrace(context.Background(), tr)).
+		HybridGroupBy("skew", "g", groupAggs(), HybridGroupByOptions{S3Groups: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	scan := tr.Snapshot().Find("tail scan")
+	if scan == nil {
+		t.Fatal("no tail scan span")
+	}
+	if returned, _ := scan.Int("rows"); returned != int64(tail) {
+		t.Errorf("tail scan returned %d rows, want the %d outside the two largest groups", returned, tail)
+	}
+	want, err := db.NewExec().ServerSideGroupBy("skew", "g", groupAggs(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "hybrid", want, got)
+}
+
+// TestHandOperatorsWithoutStatistics: over a table with no usable
+// statistics object the hybrid group-by pushes no group and the sampling
+// top-K samples K rows; both answer as their server-side baselines.
+func TestHandOperatorsWithoutStatistics(t *testing.T) {
+	db, err := Open(testBucket, WithBackend("s3sim", noStats{s3api.NewInProc(newTestStore(t))}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.NewExec().ServerSideGroupBy("events", "g", groupAggs(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := db.NewExec()
+	got, err := e.HybridGroupBy("events", "g", groupAggs(), HybridGroupByOptions{S3Groups: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalRel(t, "hybrid", want, got)
+	if sec := e.Metrics.PhaseSeconds("s3 big groups"); sec != 0 {
+		t.Errorf("hybrid without statistics spent %gs aggregating big groups in S3", sec)
+	}
+	for _, k := range []int{8, 25} {
+		want, err := db.NewExec().ServerSideTopK("events", "v", k, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.NewExec().SamplingTopK("events", "v", k, false, SamplingTopKOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalRel(t, fmt.Sprintf("sampling top-%d", k), want, got)
 	}
 }
 

@@ -2,13 +2,11 @@ package engine
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
@@ -221,9 +219,6 @@ func (e *Exec) S3SideGroupBy(table, groupCol string, aggs []GroupAgg, filter str
 
 // HybridGroupByOptions tunes Section VI-B.
 type HybridGroupByOptions struct {
-	// SampleFraction of each partition scanned in phase 1 (default 0.01,
-	// the paper's "first 1% of data").
-	SampleFraction float64
 	// S3Groups is how many of the largest groups are aggregated in S3
 	// (Fig. 6 finds 6-8 optimal; default 8).
 	S3Groups int
@@ -234,18 +229,17 @@ type HybridGroupByOptions struct {
 }
 
 func (o HybridGroupByOptions) withDefaults() HybridGroupByOptions {
-	if o.SampleFraction <= 0 {
-		o.SampleFraction = 0.01
-	}
 	if o.S3Groups <= 0 {
 		o.S3Groups = 8
 	}
 	return o
 }
 
-// HybridGroupBy implements Section VI-B: sample the head of each partition
-// to find the populous groups, aggregate those in S3, and aggregate the
-// long tail on the server. Only SUM/COUNT aggregates can be pushed.
+// HybridGroupBy implements Section VI-B: rank the groups by their frequency
+// in the table's statistics sample, aggregate the most populous in S3, and
+// aggregate the long tail on the server. A table without a usable
+// statistics object has no populous groups: the tail is every row. Only
+// SUM/COUNT aggregates can be pushed.
 func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts HybridGroupByOptions) (*Relation, error) {
 	opts = opts.withDefaults()
 	q, err := parseGroupQuery(groupCol, aggs, "")
@@ -257,7 +251,7 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 	}
 	defer e.scope("hybrid groupby " + table).end(nil)
 
-	big, err := e.sampleTopGroups(table, q, opts)
+	big, err := e.sampleTopGroups(table, q, opts.S3Groups)
 	if err != nil {
 		return nil, err
 	}
@@ -301,44 +295,23 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 	return out, nil
 }
 
-// sampleTopGroups is phase 1 of hybrid group-by: scan the first
-// SampleFraction of each partition and rank groups by sampled frequency.
-func (e *Exec) sampleTopGroups(table string, q *groupQuery, opts HybridGroupByOptions) (_ []string, err error) {
+// sampleTopGroups is phase 1 of hybrid group-by: the n most frequent groups
+// of the table's statistics sample, read as the planner reads it
+// (sampleSelect); none without a usable object.
+func (e *Exec) sampleTopGroups(table string, q *groupQuery, n int) ([]string, error) {
 	stage1 := e.NextStage()
-	keys, err := e.parts(table)
+	ts := e.statsObject(table, stage1)
+	if ts == nil {
+		return nil, nil
+	}
+	rows, st, err := e.sampleSelect(ts, table, scanSelect(q.items[:1], nil), stage1)
+	st.end(err)
 	if err != nil {
 		return nil, err
 	}
-	s := e.db.store(table)
-	req := e.db.request(table, scanSelect([]sqlparse.SelectItem{{Expr: q.key}}, nil))
-	st := e.step("sample "+table, "sample", stage1, table)
-	defer func() { st.end(err) }()
 	counts := map[string]int64{}
-	var mu sync.Mutex
-	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		size, err := s.Size(ctx, st.Phase, key)
-		if err != nil {
-			return err
-		}
-		req := req // each partition's own range, one statement
-		req.ScanRange = &selectengine.ScanRange{Start: 0, End: max(int64(float64(size)*opts.SampleFraction), 1)}
-		res, err := e.doSelect(ctx, st, table, key, req)
-		if err != nil {
-			return err
-		}
-		rows, err := res.Records()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		for _, r := range rows {
-			counts[r[0]]++
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for _, r := range rows {
+		counts[r[0]]++
 	}
 	// The most frequent first, ties in group order.
 	ranked := make([]string, 0, len(counts))
@@ -346,7 +319,7 @@ func (e *Exec) sampleTopGroups(table string, q *groupQuery, opts HybridGroupByOp
 		ranked = append(ranked, g)
 	}
 	slices.SortFunc(ranked, func(a, b string) int { return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(a, b)) })
-	return ranked[:min(len(ranked), opts.S3Groups)], nil
+	return ranked[:min(len(ranked), n)], nil
 }
 
 // tailPredicate is the hybrid tail scan's WHERE clause: every row whose

@@ -66,30 +66,3 @@ func TestUnknownTableErrorCarriesNotFoundKind(t *testing.T) {
 		t.Fatalf("unknown table error kind = %q, want %q (err: %v)", s3api.KindOf(err), s3api.KindNotFound, err)
 	}
 }
-
-// TestTopKProbeSizesAreMetered pins the metered fix in approxRowCount:
-// the per-partition Size probes are priced requests and must enter the
-// cost model alongside the row-probe Selects.
-func TestTopKProbeSizesAreMetered(t *testing.T) {
-	st := newTestStore(t)
-	counting := s3api.NewCounting(s3api.NewInProc(st))
-	db, err := Open(testBucket, WithBackend("s3sim", counting))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := db.NewExec()
-	if _, err := e.approxRowCount(e.NextStage(), "events"); err != nil {
-		t.Fatal(err)
-	}
-	requests, _, _, _ := e.Metrics.Totals()
-	sizes, selects := counting.Sizes(), counting.Selects()
-	if sizes == 0 {
-		t.Fatal("probe issued no Size calls; the test exercises nothing")
-	}
-	// Before the fix the size probes escaped the model: requests counted
-	// only the Selects.
-	if requests < sizes+selects {
-		t.Errorf("probe metered %d requests for %d Size + %d Select backend calls; Size probes escape the cost model",
-			requests, sizes, selects)
-	}
-}

@@ -28,8 +28,12 @@ func PartitionTable(ctx context.Context, st *store.Store, bucket, table string, 
 // that accepts writes (s3api.Putter) — the loading path for backends that
 // are not a *store.Store, e.g. localfs.
 func PartitionTableTo(ctx context.Context, p s3api.Putter, bucket, table string, header []string, rows [][]string, parts int) error {
+	old, err := p.List(ctx, bucket, table+"/part")
+	if err != nil {
+		return err
+	}
 	return writeTable(func(key string, data []byte) error { return p.Put(ctx, bucket, key, data) },
-		table, "csv", header, len(rows), parts, strideSample(rows),
+		table, "csv", header, len(rows), parts, len(old), strideSample(rows),
 		func(lo, hi int) ([]byte, error) { return csvx.Encode(header, rows[lo:hi]), nil })
 }
 
@@ -50,11 +54,14 @@ func LoadCSVFile(ctx context.Context, p s3api.Putter, bucket, table, path string
 // writeTable writes a table of nrows rows as parts partition objects —
 // encode renders rows [lo, hi) — and then, last, its statistics object
 // (tablestats.go): a reader racing a reload finds stale stamps, not a lie.
-func writeTable(put func(key string, data []byte) error, table, format string, cols []string, nrows, parts int,
+// A reload into fewer partitions than the table's existing ones rewrites
+// those past parts as partitions of no rows, so none of the old rows stays
+// readable.
+func writeTable(put func(key string, data []byte) error, table, format string, cols []string, nrows, parts, existing int,
 	sample [][]string, encode func(lo, hi int) ([]byte, error)) error {
 	parts = max(parts, 1)
 	per := max((nrows+parts-1)/parts, 1)
-	sizes := make([]int64, parts)
+	sizes := make([]int64, max(parts, existing))
 	for i := range sizes {
 		data, err := encode(min(i*per, nrows), min((i+1)*per, nrows))
 		if err == nil {
@@ -89,6 +96,6 @@ func PartitionTableColumnar(st *store.Store, bucket, table string, schema colfor
 		}
 	}
 	return writeTable(func(key string, data []byte) error { st.Put(bucket, key, data); return nil },
-		table, "columnar", schema.Names(), len(rows), parts, sample,
+		table, "columnar", schema.Names(), len(rows), parts, len(st.TableParts(bucket, table)), sample,
 		func(lo, hi int) ([]byte, error) { return colformat.Encode(schema, rows[lo:hi], groupRows, compress) })
 }

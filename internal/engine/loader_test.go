@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -64,6 +66,43 @@ func TestPartitionTableMorePartsThanRows(t *testing.T) {
 	rel, err := db.NewExec().SelectRows("s", 0, "t", "SELECT * FROM S3Object")
 	if err != nil || len(rel.Rows) != 1 {
 		t.Fatalf("scan over sparse partitions: %v %v", rel, err)
+	}
+}
+
+// TestReloadIntoFewerPartitions: a table reloaded from a CSV file into fewer
+// partitions answers with the new rows only. The partitions past the new
+// count used to stay listed, holding the old rows.
+func TestReloadIntoFewerPartitions(t *testing.T) {
+	ctx := context.Background()
+	be := s3api.NewInProc(store.New())
+	path := filepath.Join(t.TempDir(), "t.csv")
+	load := func(rows, parts int) {
+		t.Helper()
+		data := "x\n"
+		for i := 0; i < rows; i++ {
+			data += fmt.Sprintf("%d\n", i)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := LoadCSVFile(ctx, be, "b", "t", path, parts); err != nil || n != rows {
+			t.Fatalf("LoadCSVFile = %d, %v; want %d rows", n, err, rows)
+		}
+	}
+	load(8, 4)
+	load(2, 1)
+	db, err := Open("b", WithBackend("s3sim", be))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"SELECT COUNT(*) FROM t", "SELECT COUNT(*) FROM t WHERE x >= 0"} {
+		rel, _, err := db.QueryContext(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rel.Rows[0][0].AsInt(); got != 2 {
+			t.Errorf("%s after reloading 2 rows into 1 partition = %d, want 2", sql, got)
+		}
 	}
 }
 

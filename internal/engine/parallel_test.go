@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/store"
 )
 
-// parallelTestRelation builds a relation with duplicate keys (top-K ties),
-// repeated group values, floats (summation-order sensitivity) and NULLs.
+// parallelTestRelation builds a relation with repeated group and join
+// keys, floats (summation-order sensitivity) and NULLs.
 func parallelTestRelation(n int) *Relation {
 	rng := rand.New(rand.NewSource(7))
 	rows := make([][]string, n)
@@ -22,12 +24,11 @@ func parallelTestRelation(n int) *Relation {
 		}
 		rows[i] = []string{
 			fmt.Sprint(i),
-			fmt.Sprint(rng.Intn(7)),     // group / join key
-			fmt.Sprint(rng.Intn(5) * 5), // heavily tied sort key
+			fmt.Sprint(rng.Intn(7)), // group / join key
 			v,
 		}
 	}
-	return relOf([]string{"id", "g", "tie", "v"}, rows)
+	return relOf([]string{"id", "g", "v"}, rows)
 }
 
 // identicalRel fails unless a and b are byte-identical (columns, row order
@@ -47,8 +48,7 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 
 // TestParallelOperatorsDeterministic pins what still runs on the worker
 // pool against its sequential form: the vectorized kernels at 1, 2, 8 and
-// 33 workers must reproduce the sequential reference byte for byte, and
-// topKLocalN must not depend on the worker count.
+// 33 workers must reproduce the sequential reference byte for byte.
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
@@ -88,47 +88,34 @@ func TestParallelOperatorsDeterministic(t *testing.T) {
 			identicalRel(t, fmt.Sprintf("%s@%d", name, workers), ref, got)
 		}
 	}
+}
 
-	for _, workers := range []int{2, 3, 8, 33} {
-		// The tie column exercises the (key, row index) total order: rows
-		// at the K boundary share key values.
-		for _, tc := range []struct {
-			col string
-			asc bool
-		}{{"tie", true}, {"v", false}} {
-			seq, err := topKLocalN(rel, tc.col, 17, tc.asc, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := topKLocalN(rel, tc.col, 17, tc.asc, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			identicalRel(t, fmt.Sprintf("topk %s@%d", tc.col, workers), seq, par)
-		}
+// openWithWorkers opens a DB over st with a worker budget of workers.
+func openWithWorkers(t *testing.T, st *store.Store, workers int, opts ...Option) *DB {
+	t.Helper()
+	db, err := Open(testBucket, append([]Option{WithBackend("s3sim", s3api.NewInProc(st)), WithWorkers(workers)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return db
 }
 
 // TestParallelQueriesDeterministic runs end-to-end SQL (and the explicit
 // operator APIs) at workers=1 and workers=8 over the same store and
 // demands byte-identical results.
 func TestParallelQueriesDeterministic(t *testing.T) {
-	db, _ := newTestDB(t)
+	st := newTestStore(t)
 	queries := []string{
 		"SELECT g, SUM(v) AS total, COUNT(*) AS n FROM events GROUP BY g ORDER BY g",
 		"SELECT k, v FROM events WHERE v > 10 ORDER BY v DESC LIMIT 20",
 		"SELECT SUM(o.price) AS total, COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= 0",
 	}
 	for _, sql := range queries {
-		db.Cfg.Workers = 1
-		db.InvalidateStats()
-		seq, _, err := db.QueryContext(context.Background(), sql)
+		seq, _, err := openWithWorkers(t, st, 1).QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s @1: %v", sql, err)
 		}
-		db.Cfg.Workers = 8
-		db.InvalidateStats()
-		par, _, err := db.QueryContext(context.Background(), sql)
+		par, _, err := openWithWorkers(t, st, 8).QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s @8: %v", sql, err)
 		}
@@ -136,7 +123,7 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 	}
 
 	run := func(workers int) []*Relation {
-		db.Cfg.Workers = workers
+		db := openWithWorkers(t, st, workers)
 		var out []*Relation
 		for name, f := range map[string]func(*Exec) (*Relation, error){
 			"server-groupby": func(e *Exec) (*Relation, error) {
@@ -144,7 +131,7 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 			},
 			"hybrid-groupby": func(e *Exec) (*Relation, error) {
 				return e.HybridGroupBy("events", "g", groupAggs(),
-					HybridGroupByOptions{S3Groups: 4, SampleFraction: 0.05})
+					HybridGroupByOptions{S3Groups: 4})
 			},
 			"server-topk": func(e *Exec) (*Relation, error) {
 				return e.ServerSideTopK("events", "v", 25, false)
@@ -179,13 +166,11 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 // virtual clock as the worker budget grows (server row work and load
 // parsing divide across workers), while byte counters stay identical.
 func TestWorkerBudgetShrinksRuntime(t *testing.T) {
-	db, _ := newTestDB(t)
-	// Simulate a large deployment so parse and row work dominate the
-	// request RTT floor.
-	db.Sim = cloudsim.Scale{DataRatio: 10000, PartRatio: 1}
+	st := newTestStore(t)
 	run := func(workers int) (*Exec, *Relation) {
-		db.Cfg.Workers = workers
-		e := db.NewExec()
+		// Simulate a large deployment so parse and row work dominate the
+		// request RTT floor.
+		e := openWithWorkers(t, st, workers, WithScale(cloudsim.Scale{DataRatio: 10000, PartRatio: 1})).NewExec()
 		rel, err := e.ServerSideGroupBy("events", "g", groupAggs(), "")
 		if err != nil {
 			t.Fatal(err)

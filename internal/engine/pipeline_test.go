@@ -634,10 +634,10 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 		"FilteredGroupBy": func(e *Exec) (*Relation, error) { return e.FilteredGroupBy("qa", "g", aggs, "k < 100") },
 		"S3SideGroupBy":   func(e *Exec) (*Relation, error) { return e.S3SideGroupBy("qa", "g", aggs, "k < 100") },
 		"HybridGroupBy": func(e *Exec) (*Relation, error) {
-			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, SampleFraction: 0.2})
+			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3})
 		},
 		"HybridGroupBy, partial": func(e *Exec) (*Relation, error) {
-			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, SampleFraction: 0.2, UsePartialGroupBy: true})
+			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
 		},
 		"SamplingTopK": func(e *Exec) (*Relation, error) {
 			return e.SamplingTopK("qa", "my col", 5, false, SamplingTopKOptions{})

@@ -229,7 +229,7 @@ func TestGroupByNonCanonicalNumericGroups(t *testing.T) {
 	}
 	sameRows(t, "s3side", want, s3side)
 	hybrid, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-		HybridGroupByOptions{S3Groups: 2, SampleFraction: 0.2})
+		HybridGroupByOptions{S3Groups: 2})
 	if err != nil {
 		t.Fatalf("hybrid group-by over NaN/zip-style values: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestGroupByNullGroups(t *testing.T) {
 	// budget it can land on either side of the split.
 	for _, s3groups := range []int{1, 2, 8} {
 		hybrid, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-			HybridGroupByOptions{S3Groups: s3groups, SampleFraction: 0.5})
+			HybridGroupByOptions{S3Groups: s3groups})
 		if err != nil {
 			t.Fatalf("hybrid S3Groups=%d: %v", s3groups, err)
 		}
@@ -271,7 +271,7 @@ func TestGroupByNullGroups(t *testing.T) {
 	db = newGroupValueDBCaps(t, []string{"", "10001", "10002", "10003", ""},
 		selectengine.Capabilities{AllowGroupBy: true})
 	partial, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-		HybridGroupByOptions{S3Groups: 2, SampleFraction: 0.5, UsePartialGroupBy: true})
+		HybridGroupByOptions{S3Groups: 2, UsePartialGroupBy: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestQuickTopKMatchesSortLimit(t *testing.T) {
 			rows[i] = []string{value.Int(int64(v)).String()}
 		}
 		rel := relOf([]string{"x"}, rows)
-		top, err := topKLocal(rel, "x", k, true)
+		top, err := topK(rel, "x", k, true)
 		if err != nil {
 			return false
 		}

@@ -344,9 +344,9 @@ func TestOperatorEdgeCases(t *testing.T) {
 
 // TestRaggedRowsDoNotPanic is the operator-level regression for the daemon
 // crash: decoded, a short row's missing join key or top-K order cell is a
-// NULL — the row never matches and never ranks — on both operator sets and
-// at every worker count, where it used to index out of range on a worker
-// goroutine.
+// NULL — the row never matches and never ranks — on both operator sets, at
+// every worker count, and in the hand operators' ranking, where it used to
+// index out of range on a worker goroutine.
 func TestRaggedRowsDoNotPanic(t *testing.T) {
 	left := relOf([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
 	right := relOf([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}})
@@ -377,14 +377,12 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 		t.Errorf("HashJoinLocal over ragged rows: %v, %v", out, err)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		top, err := topKLocalN(left, "k", 2, false, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(top, true); got != "a|k\n3|30\n1|10" {
-			t.Errorf("topKLocalN@%d over ragged rows = %q", workers, got)
-		}
+	top, err := topK(left, "k", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render(top, true); got != "a|k\n3|30\n1|10" {
+		t.Errorf("topK over ragged rows = %q", got)
 	}
 	short := relOf([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}})
 	if lit, err := kthValue(short, "k", 2, true); err != nil || lit.String() != "7" {

@@ -76,7 +76,7 @@ func RunFig6(ctx context.Context, env *Env) (*Result, error) {
 	return res.sweep(ctx, env.GroupTable(1.1), labels("%d", Fig6S3Groups), func(db *engine.DB, i int) ([]series, check) {
 		return []series{{
 			name: "Hybrid Group-By",
-			run:  hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: Fig6S3Groups[i], SampleFraction: 0.01}),
+			run:  hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: Fig6S3Groups[i]}),
 			note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
 				return "", map[string]float64{
 					"s3SideSec":     e.Metrics.PhaseSeconds("s3 big groups"),
@@ -104,7 +104,7 @@ func RunFig7(ctx context.Context, env *Env) (*Result, error) {
 			return []series{
 				{name: "Server-Side Group-By", run: groupBy(db, (*engine.Exec).ServerSideGroupBy, "g1")},
 				{name: "Filtered Group-By", run: groupBy(db, (*engine.Exec).FilteredGroupBy, "g1")},
-				{name: "Hybrid Group-By", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8, SampleFraction: 0.01})},
+				{name: "Hybrid Group-By", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8})},
 			}, sameGroupTotals
 		}); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -216,6 +217,16 @@ func TestFig6Shapes(t *testing.T) {
 	}
 	if last.Extra["returnedGB"] >= first.Extra["returnedGB"] {
 		t.Error("returned bytes should shrink with pushed groups")
+	}
+	// The cheapest split is in the paper's band: 6 to 8 groups in S3.
+	best := first
+	for _, n := range Fig6S3Groups {
+		if p := point(t, r, "Hybrid Group-By", fmt.Sprint(n)); p.RuntimeSec < best.RuntimeSec {
+			best = p
+		}
+	}
+	if best.X != "6" && best.X != "8" {
+		t.Errorf("hybrid runs fastest with %s groups in S3 (%.2fs), want 6 or 8", best.X, best.RuntimeSec)
 	}
 }
 

@@ -53,17 +53,6 @@ func (m Metered) Get(ctx context.Context, ph *cloudsim.Phase, key string) ([]byt
 	return data, nil
 }
 
-// Size returns an object's length, billed to ph as one zero-byte GET (an
-// S3 HEAD).
-func (m Metered) Size(ctx context.Context, ph *cloudsim.Phase, key string) (int64, error) {
-	n, err := m.b.Size(ctx, m.bucket, key)
-	if err != nil {
-		return 0, err
-	}
-	ph.AddGetRequest(0)
-	return n, nil
-}
-
 // GetRange returns the inclusive byte range [first, last] of an object
 // (Backend.GetRange). The caller bills it to ph.
 func (m Metered) GetRange(ctx context.Context, ph *cloudsim.Phase, key string, first, last int64) ([]byte, error) {

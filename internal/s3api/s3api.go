@@ -67,9 +67,11 @@ type Selector interface {
 }
 
 // Putter is the optional write surface backends expose for loading data
-// (dataset preparation; not part of any query's metered cost).
+// (dataset preparation; not part of any query's metered cost). A loader
+// lists what a reload overwrites.
 type Putter interface {
 	Put(ctx context.Context, bucket, key string, data []byte) error
+	List(ctx context.Context, bucket, prefix string) ([]string, error)
 }
 
 // Objects is where a Local's bytes live: whole objects addressed by
