@@ -41,29 +41,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3a. Baseline: load the entire table, filter on the server.
-	e1 := db.NewExec()
-	cold, err := e1.ServerSideFilter("readings", "temp_c < 0", "city, temp_c")
+	// 3a. Baseline: force the statement onto the baseline access path —
+	// load the entire table, filter on the server.
+	const cold = "SELECT city, temp_c FROM readings WHERE temp_c < 0"
+	rel, e1, err := db.QueryForced(ctx, cold, engine.StrategyBaseline)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("server-side filter (baseline):")
-	fmt.Print(cold)
+	fmt.Print(rel)
 	_, _, _, loaded := e1.Metrics.Totals()
 	fmt.Printf("bytes pulled from storage: %d\n\n", loaded)
 
-	// 3b. Pushdown: S3 Select evaluates the predicate at the storage side.
-	e2 := db.NewExec()
-	cold2, err := e2.S3SideFilter("readings", "temp_c < 0", "city, temp_c")
+	// 3b. Pushdown: the same statement on the filtered access path, where
+	// S3 Select evaluates the predicate at the storage side.
+	rel, e2, err := db.QueryForced(ctx, cold, engine.StrategyFiltered)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("s3-side filter (pushdown):")
-	fmt.Print(cold2)
+	fmt.Print(rel)
 	_, scanned, returned, _ := e2.Metrics.Totals()
 	fmt.Printf("bytes scanned in storage: %d, returned to server: %d\n\n", scanned, returned)
 
-	// 4. Or just use SQL — selection and projection are pushed
+	// 4. Or let the planner decide — selection and projection are pushed
 	// automatically, grouping runs on the server.
 	rel, e3, err := db.QueryContext(ctx,
 		"SELECT city, temp_c FROM readings WHERE temp_c < 0 ORDER BY temp_c LIMIT 3")

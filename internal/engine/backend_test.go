@@ -286,8 +286,8 @@ func TestCostUsesBackendRates(t *testing.T) {
 		t.Helper()
 		st := newTestStore(t)
 		db := openTestDB(t, st, s3api.WithProfile(profile))
-		e := db.NewExec()
-		if _, err := e.ServerSideFilter("events", "v < 0", ""); err != nil {
+		_, e, err := db.QueryForced(context.Background(), "SELECT * FROM events WHERE v < 0", StrategyBaseline)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return e.Cost()

@@ -11,9 +11,24 @@ import (
 	"pushdowndb/internal/tpch"
 )
 
+// forcedStatements are TPC-H statements on each forced access strategy — the
+// Section IV filters and the server-side and filtered group-bys — and as the
+// planner runs them (the empty strategy).
+var forcedStatements = []struct{ strategy, sql string }{
+	{engine.StrategyBaseline, "SELECT * FROM lineitem WHERE l_quantity < 5"},
+	{engine.StrategyFiltered, "SELECT l_orderkey FROM lineitem WHERE l_quantity < 5"},
+	{engine.StrategyIndexScan, "SELECT l_orderkey FROM lineitem WHERE l_extendedprice <= 2000"},
+	{engine.StrategyBaseline, "SELECT l_returnflag, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"},
+	{engine.StrategyFiltered, "SELECT l_returnflag, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"},
+	{"", "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"},
+	{"", "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_extendedprice <= 2000"},
+	{"", "SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 5"},
+	{"", "SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= 0"},
+}
+
 // TestEveryStorageRequestIsBilled counts the requests that reach the backend
-// against the requests the cost model billed, for each hand operator and a
-// few planned statements over the TPC-H tables with their indexes. Each runs
+// against the requests the cost model billed, for each hand operator and
+// forcedStatements over the TPC-H tables with their indexes. Each runs
 // once to warm the DB's catalog memo (index manifests, live partition sizes
 // and statistics objects, read once per DB), then again on a fresh count:
 // with no cache and no sharing, every Get, ranged GET, Select and Size of the
@@ -37,29 +52,12 @@ func TestEveryStorageRequestIsBilled(t *testing.T) {
 		LeftFilter: "c_acctbal <= 0", Seed: 1,
 	}
 	ops := map[string]func(e *engine.Exec) error{
-		"ServerSideFilter": func(e *engine.Exec) error { _, err := e.ServerSideFilter("lineitem", "l_quantity < 5", ""); return err },
-		"S3SideFilter": func(e *engine.Exec) error {
-			_, err := e.S3SideFilter("lineitem", "l_quantity < 5", "l_orderkey")
-			return err
-		},
 		"IndexFilter per row": func(e *engine.Exec) error {
 			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{})
 			return err
 		},
 		"IndexFilter multi-range": func(e *engine.Exec) error {
 			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{MultiRange: true})
-			return err
-		},
-		"IndexScanFilter": func(e *engine.Exec) error {
-			_, _, err := e.IndexScanFilter("lineitem", "l_extendedprice", "l_extendedprice <= 2000", "l_orderkey")
-			return err
-		},
-		"ServerSideGroupBy": func(e *engine.Exec) error {
-			_, err := e.ServerSideGroupBy("lineitem", "l_returnflag", aggs, "")
-			return err
-		},
-		"FilteredGroupBy": func(e *engine.Exec) error {
-			_, err := e.FilteredGroupBy("lineitem", "l_returnflag", aggs, "")
 			return err
 		},
 		"S3SideGroupBy": func(e *engine.Exec) error {
@@ -110,14 +108,9 @@ func TestEveryStorageRequestIsBilled(t *testing.T) {
 			return e, op(e)
 		})
 	}
-	for _, sql := range []string{
-		"SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag",
-		"SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_extendedprice <= 2000",
-		"SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 5",
-		"SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= 0",
-	} {
-		check(sql, func() (*engine.Exec, error) {
-			_, e, err := db.QueryContext(ctx, sql)
+	for _, q := range forcedStatements {
+		check(q.strategy+": "+q.sql, func() (*engine.Exec, error) {
+			_, e, err := db.QueryForced(ctx, q.sql, q.strategy)
 			return e, err
 		})
 	}

@@ -14,7 +14,6 @@ import (
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3http"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
@@ -270,13 +269,12 @@ func TestDifferentialAcrossBackends(t *testing.T) {
 func TestDifferentialIndexedQueries(t *testing.T) {
 	ctx := context.Background()
 	queries := []struct {
-		name, sql              string
-		column, pred, projcols string
+		name, sql, column string
 	}{
-		{"idx-eq-int", "SELECT pk, pname FROM p WHERE pk = 7", "pk", "pk = 7", "pk, pname"},
-		{"idx-range-int", "SELECT pk, score FROM p WHERE pk <= 4", "pk", "pk <= 4", "pk, score"},
-		{"idx-eq-string", "SELECT pk, pname FROM p WHERE zip = '00501'", "zip", "zip = '00501'", "pk, pname"},
-		{"idx-residual", "SELECT pk FROM p WHERE pk = 3 AND score >= 10", "pk", "pk = 3 AND score >= 10", "pk"},
+		{"idx-eq-int", "SELECT pk, pname FROM p WHERE pk = 7", "pk"},
+		{"idx-range-int", "SELECT pk, score FROM p WHERE pk <= 4", "pk"},
+		{"idx-eq-string", "SELECT pk, pname FROM p WHERE zip = '00501'", "zip"},
+		{"idx-residual", "SELECT pk FROM p WHERE pk = 3 AND score >= 10", "pk"},
 	}
 	type ref struct{ out, from string }
 	reference := map[string]ref{}
@@ -305,10 +303,14 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 					t.Errorf("%s: no index candidate considered on %s", q.name, name)
 				}
 				// Forced IndexScan must produce the identical relation.
-				forced, gets, err := db.NewExec().IndexScanFilter("p", q.column, q.pred, q.projcols)
+				forced, fe, err := db.QueryForced(ctx, q.sql, StrategyIndexScan)
 				if err != nil {
 					t.Fatalf("%s (forced index): %v", q.name, err)
 				}
+				if col := fe.QueryPlan().Scans[0].Index.Entry.Column; col != q.column {
+					t.Errorf("%s: forced IndexScan ran on the index on %s, want %s", q.name, col, q.column)
+				}
+				gets := accessOf(fe).RangedGets
 				if forcedOut := render(forced, false); forcedOut != coldOut {
 					t.Errorf("%s: forced IndexScan differs from planned query on %s\nplanned:\n%s\nindex:\n%s",
 						q.name, name, coldOut, forcedOut)
@@ -371,20 +373,18 @@ func TestDifferentialRaggedTable(t *testing.T) {
 			if f.want != "" && want != f.want {
 				t.Errorf("vectorized=%v %s:\n%s\nwant\n%s", vectorized, sql, want, f.want)
 			}
-			for path, run := range map[string]func(e *Exec) (*Relation, error){
-				"pushed":   func(e *Exec) (*Relation, error) { return e.S3SideFilter("rag", f.pred, f.proj) },
-				"baseline": func(e *Exec) (*Relation, error) { return e.ServerSideFilter("rag", f.pred, f.proj) },
-				"index": func(e *Exec) (*Relation, error) {
-					rel, _, err := e.IndexScanFilter("rag", "rk", "rk >= 1 AND ("+f.pred+")", f.proj)
-					return rel, err
-				},
+			// The IndexScan reads through rk's index behind an always-true
+			// conjunct on it.
+			indexed := "SELECT " + f.proj + " FROM rag WHERE rk >= 1 AND (" + f.pred + ")"
+			for _, run := range []struct{ strategy, sql string }{
+				{StrategyFiltered, sql}, {StrategyBaseline, sql}, {StrategyIndexScan, indexed},
 			} {
-				rel, err := run(db.NewExecContext(ctx))
+				rel, _, err := db.QueryForced(ctx, run.sql, run.strategy)
 				if err != nil {
-					t.Fatalf("vectorized=%v %s %s: %v", vectorized, path, sql, err)
+					t.Fatalf("vectorized=%v forced %s %s: %v", vectorized, run.strategy, run.sql, err)
 				}
 				if got := render(rel, false); got != want {
-					t.Errorf("vectorized=%v %s %s:\n%s\nplanned\n%s", vectorized, path, sql, got, want)
+					t.Errorf("vectorized=%v forced %s %s:\n%s\nplanned\n%s", vectorized, run.strategy, run.sql, got, want)
 				}
 			}
 		}
@@ -392,9 +392,9 @@ func TestDifferentialRaggedTable(t *testing.T) {
 		if err := db.CreateIndex(ctx, "rag", "rd"); err != nil {
 			t.Fatal(err)
 		}
-		if rel, _, err := db.NewExecContext(ctx).IndexScanFilter("rag", "rd", filters[0].pred, filters[0].proj); err != nil ||
-			render(rel, false) != filters[0].want {
-			t.Errorf("vectorized=%v IndexScanFilter on rd: %v, %v; want\n%s", vectorized, rel, err, filters[0].want)
+		sql := "SELECT " + filters[0].proj + " FROM rag WHERE " + filters[0].pred
+		if rel, _, err := db.QueryForced(ctx, sql, StrategyIndexScan); err != nil || render(rel, false) != filters[0].want {
+			t.Errorf("vectorized=%v forced IndexScan on rd: %v, %v; want\n%s", vectorized, rel, err, filters[0].want)
 		}
 		const joinSQL = "SELECT rk, rname, rd, rv, pk, pname, score, zip FROM rag JOIN p ON rag.rk = p.pk WHERE rd > '1994-06-01'"
 		planned, _, err := db.QueryContext(ctx, joinSQL)
@@ -416,9 +416,9 @@ func TestDifferentialRaggedTable(t *testing.T) {
 // planner can choose, because storage and server read it by one rule
 // (sqlparse.Names): the first header column equal to it case-insensitively,
 // else the positional _N, else none. Each statement answers alike — or
-// fails alike — planned, through the filter operators on either side, the
-// IndexScan, the server-side group-by or aggregate, and over a columnar
-// copy of names, under both operator sets. So do joins over names only
+// fails alike — planned, forced onto the filtered scan, the baseline load or
+// the IndexScan, as a server-side aggregate, and over a columnar copy of
+// names, under both operator sets. So do joins over names only
 // quoting reads (a keyword, a space): planned Bloom and filtered joins that
 // project, filter and key on them, and the Bloom and filtered join
 // operators, each as the baseline join answers.
@@ -440,13 +440,12 @@ func TestDifferentialColumnNames(t *testing.T) {
 	cases := []struct {
 		tables     []string // the %s of sql
 		sql        string
-		pred, proj string // its filter form ("" proj: none)
-		group      string // its ServerSideGroupBy column ("" none)
+		pred, proj string // its filter form for the IndexScan ("" proj: none)
 		agg        string // its aggregate over the loaded table ("" none)
 		want       string // the rendered answer, or the error it fails with
 	}{
 		{tables: []string{"names", "names_col"}, sql: "SELECT k FROM %s WHERE k = 1", pred: "k = 1", proj: "k", want: "k\n1\n1"},
-		{tables: []string{"names", "names_col"}, sql: "SELECT k, COUNT(*) AS n FROM %s GROUP BY k", group: "k", want: "k|n\n1|2\n3|1"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT k, COUNT(*) AS n FROM %s GROUP BY k", want: "k|n\n1|2\n3|1"},
 		{tables: []string{"names", "names_col"}, sql: "SELECT MAX(k) AS m FROM %s", agg: "MAX(k) AS m", want: "m\n3"},
 		{tables: []string{"names", "names_col"}, sql: "SELECT _1 FROM %s", proj: "_1", want: "_1\na\nb\nc"},
 		{tables: []string{"names", "names_col"}, sql: "SELECT v FROM %s WHERE _2 = 30", pred: "_2 = 30", proj: "v", want: "v\n30\n30"},
@@ -467,30 +466,24 @@ func TestDifferentialColumnNames(t *testing.T) {
 		}
 		for _, c := range cases {
 			for _, table := range c.tables {
-				paths := map[string]func(e *Exec) (*Relation, error){
-					"planned": func(e *Exec) (*Relation, error) {
-						rel, _, err := db.QueryContext(ctx, fmt.Sprintf(c.sql, table))
+				forced := func(strategy, sql string) func(*Exec) (*Relation, error) {
+					return func(*Exec) (*Relation, error) {
+						rel, _, err := db.QueryForced(ctx, sql, strategy)
 						return rel, err
-					},
-				}
-				if c.proj != "" {
-					paths["pushed"] = func(e *Exec) (*Relation, error) { return e.S3SideFilter(table, c.pred, c.proj) }
-					paths["server"] = func(e *Exec) (*Relation, error) { return e.ServerSideFilter(table, c.pred, c.proj) }
-					if col, ok := indexes[table]; ok {
-						pred := col + " >= 0"
-						if c.pred != "" {
-							pred += " AND (" + c.pred + ")"
-						}
-						paths["index"] = func(e *Exec) (*Relation, error) {
-							rel, _, err := e.IndexScanFilter(table, col, pred, c.proj)
-							return rel, err
-						}
 					}
 				}
-				if c.group != "" {
-					paths["server groupby"] = func(e *Exec) (*Relation, error) {
-						return e.ServerSideGroupBy(table, c.group, []GroupAgg{{Func: sqlparse.AggCount, As: "n"}}, "")
+				sql := fmt.Sprintf(c.sql, table)
+				paths := map[string]func(e *Exec) (*Relation, error){
+					"planned":  forced("", sql),
+					"filtered": forced(StrategyFiltered, sql),
+					"baseline": forced(StrategyBaseline, sql),
+				}
+				if col, ok := indexes[table]; ok && c.proj != "" {
+					pred := col + " >= 0"
+					if c.pred != "" {
+						pred += " AND (" + c.pred + ")"
 					}
+					paths["index"] = forced(StrategyIndexScan, "SELECT "+c.proj+" FROM "+table+" WHERE "+pred)
 				}
 				if c.agg != "" {
 					paths["server aggregate"] = func(e *Exec) (*Relation, error) {

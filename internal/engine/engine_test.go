@@ -286,13 +286,12 @@ func TestFilterStrategiesAgree(t *testing.T) {
 	buildIndex(t, st, testBucket, "events", "v")
 	pred := "v <= -40"
 
-	e1 := db.NewExec()
-	server, err := e1.ServerSideFilter("events", pred, "")
+	sql := "SELECT * FROM events WHERE " + pred
+	server, e1, err := db.QueryForced(context.Background(), sql, StrategyBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := db.NewExec()
-	s3side, err := e2.S3SideFilter("events", pred, "*")
+	s3side, e2, err := db.QueryForced(context.Background(), sql, StrategyFiltered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +454,22 @@ func groupAggs() []GroupAgg {
 	}
 }
 
+// groupSQL is groupAggs over table's key as a statement, which a forced
+// baseline or filtered plan runs as the server-side or filtered group-by.
+func groupSQL(table, key string) string {
+	return fmt.Sprintf("SELECT %s, SUM(v) AS total, COUNT(*) AS n FROM %s GROUP BY %[1]s", key, table)
+}
+
+// forcedRel runs sql with its access decision forced to strategy.
+func forcedRel(t *testing.T, db *DB, strategy, sql string) *Relation {
+	t.Helper()
+	rel, _, err := db.QueryForced(context.Background(), sql, strategy)
+	if err != nil {
+		t.Fatalf("%s forced %s: %v", sql, strategy, err)
+	}
+	return rel
+}
+
 func TestGroupByAlgorithmsAgree(t *testing.T) {
 	db, _ := newTestDB(t)
 	run := func(name string, f func(*Exec) (*Relation, error)) *Relation {
@@ -466,12 +481,8 @@ func TestGroupByAlgorithmsAgree(t *testing.T) {
 		}
 		return rel
 	}
-	server := run("server", func(e *Exec) (*Relation, error) {
-		return e.ServerSideGroupBy("events", "g", groupAggs(), "")
-	})
-	filtered := run("filtered", func(e *Exec) (*Relation, error) {
-		return e.FilteredGroupBy("events", "g", groupAggs(), "")
-	})
+	server := forcedRel(t, db, StrategyBaseline, groupSQL("events", "g"))
+	filtered := forcedRel(t, db, StrategyFiltered, groupSQL("events", "g"))
 	s3side := run("s3side", func(e *Exec) (*Relation, error) {
 		return e.S3SideGroupBy("events", "g", groupAggs(), "")
 	})
@@ -508,10 +519,7 @@ func TestHybridGroupByPartialGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.NewExec().ServerSideGroupBy("events", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := forcedRel(t, db, StrategyBaseline, groupSQL("events", "g"))
 	if len(got.Rows) != len(want.Rows) {
 		t.Fatalf("groups = %d, want %d", len(got.Rows), len(want.Rows))
 	}
@@ -564,10 +572,7 @@ func TestHybridGroupByPushesTheLargestGroups(t *testing.T) {
 	if returned, _ := scan.Int("rows"); returned != int64(tail) {
 		t.Errorf("tail scan returned %d rows, want the %d outside the two largest groups", returned, tail)
 	}
-	want, err := db.NewExec().ServerSideGroupBy("skew", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := forcedRel(t, db, StrategyBaseline, groupSQL("skew", "g"))
 	sameRows(t, "hybrid", want, got)
 }
 
@@ -579,10 +584,7 @@ func TestHandOperatorsWithoutStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.NewExec().ServerSideGroupBy("events", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := forcedRel(t, db, StrategyBaseline, groupSQL("events", "g"))
 	e := db.NewExec()
 	got, err := e.HybridGroupBy("events", "g", groupAggs(), HybridGroupByOptions{S3Groups: 4})
 	if err != nil {

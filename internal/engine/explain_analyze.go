@@ -28,7 +28,7 @@ func (db *DB) runExplain(ctx context.Context, ex *sqlparse.Explain) (*Relation, 
 		return db.analyze(ctx, ex.Sel)
 	}
 	e := db.NewExecContext(ctx)
-	p, err := e.planSelect(ex.Sel)
+	p, err := e.planSelect(ex.Sel, "")
 	if err != nil {
 		return nil, e, err
 	}
@@ -42,7 +42,7 @@ func (db *DB) analyze(ctx context.Context, sel *sqlparse.Select) (*Relation, *Ex
 	if obs.FromContext(ctx) == nil {
 		ctx = obs.WithTrace(ctx, obs.New("explain", "query"))
 	}
-	rel, e, err := db.runSelectStatement(ctx, sel)
+	rel, e, err := db.runSelectStatement(ctx, sel, "")
 	if err != nil {
 		return nil, e, err
 	}

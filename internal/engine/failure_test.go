@@ -61,7 +61,7 @@ func flakyDB(t *testing.T, mutate func(*flakyBackend)) *DB {
 
 func TestSelectFailurePropagates(t *testing.T) {
 	db := flakyDB(t, func(f *flakyBackend) { f.failSelects = 1 })
-	_, err := db.NewExec().S3SideFilter("events", "v < 0", "*")
+	_, _, err := db.QueryForced(context.Background(), "SELECT * FROM events WHERE v < 0", StrategyFiltered)
 	if err == nil || !strings.Contains(err.Error(), "injected select failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -69,7 +69,7 @@ func TestSelectFailurePropagates(t *testing.T) {
 
 func TestGetFailurePropagates(t *testing.T) {
 	db := flakyDB(t, func(f *flakyBackend) { f.failGets = 2 })
-	_, err := db.NewExec().ServerSideFilter("events", "v < 0", "")
+	_, _, err := db.QueryForced(context.Background(), "SELECT * FROM events WHERE v < 0", StrategyBaseline)
 	if err == nil || !strings.Contains(err.Error(), "injected get failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -127,7 +127,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 	for _, parts := range []int{1, 3, 7} {
 		db := eventsDB(t, parts)
 		var outs []string
-		rel, err := db.NewExec().S3SideFilter("events", "v <= -40", "k")
+		rel, _, err := db.QueryForced(context.Background(), "SELECT k FROM events WHERE v <= -40", StrategyFiltered)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,49 +2,26 @@ package engine
 
 import "pushdowndb/internal/sqlparse"
 
-// Section IV: filter strategies.
+// Section IV: filter strategies. The server-side baseline and the S3-side
+// filter are the planner's baseline and filtered access paths, which
+// DB.QueryForced runs on demand; Section IV-A's index strategy as the paper
+// ran it stays a hand operator (IndexFilter), since its fetch policies are no
+// access path.
 
-// ServerSideFilter loads the whole table with plain GETs and filters
-// locally — the baseline of Fig. 1.
-func (e *Exec) ServerSideFilter(table, predicate, projection string) (*Relation, error) {
-	pred, err := parsePredicate(predicate)
-	if err != nil {
-		return nil, err
-	}
-	items, err := parseProjection(projection)
-	if err != nil {
-		return nil, err
-	}
-	return e.serverSideFilter(table, pred, items)
-}
-
-// serverSideFilter is ServerSideFilter over a parsed predicate and select
-// list (nil items keep every column).
-func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+// serverSideFilter is the baseline access path's scan: it loads the whole
+// table with plain GETs and filters locally, billing one server row per
+// loaded row for the filter pass when there is one (pred non-nil).
+func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr) (*Relation, error) {
 	defer e.scope("server filter " + table).end(nil)
-	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
+	perRow := int64(0)
+	if pred != nil {
+		perRow = 1
+	}
+	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow)
 	if err != nil {
 		return nil, err
 	}
-	filtered, err := e.filterLocal(rel, pred)
-	if err != nil || items == nil {
-		return filtered, err
-	}
-	return e.projectLocal(filtered, items)
-}
-
-// S3SideFilter pushes both the predicate and the projection into S3
-// Select — the "S3-side filter" of Fig. 1.
-func (e *Exec) S3SideFilter(table, predicate, projection string) (*Relation, error) {
-	pred, err := parsePredicate(predicate)
-	if err != nil {
-		return nil, err
-	}
-	items, err := parseProjection(projection)
-	if err != nil {
-		return nil, err
-	}
-	return e.selectMetered("s3 filter "+table, e.NextStage(), table, e.db.request(table, scanSelect(items, pred)), 0)
+	return e.filterLocal(rel, pred)
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.

@@ -13,11 +13,13 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// Section VI: group-by algorithms.
+// Section VI: group-by algorithms. The server-side and filtered group-bys
+// are a GROUP BY statement on the planner's baseline and filtered access
+// paths (DB.QueryForced); the S3-side and hybrid algorithms below push
+// aggregation itself, as the paper's Listings 4 and 5 do.
 
-// GroupAgg is one aggregation of a group-by query. Only SUM and COUNT can
-// be pushed to S3 (they distribute over the CASE encoding); the local
-// algorithms accept any aggregate.
+// GroupAgg is one aggregation of a group-by query: SUM or COUNT, the
+// aggregates that distribute over the CASE encoding both algorithms push.
 type GroupAgg struct {
 	Func sqlparse.AggFunc
 	// Expr is the aggregated expression over the table's columns
@@ -81,39 +83,6 @@ func (q *groupQuery) checkPushable(algo string) error {
 		}
 	}
 	return nil
-}
-
-// ServerSideGroupBy loads the entire table, filters and groups locally
-// (Fig. 5's baseline). filter may be empty.
-func (e *Exec) ServerSideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	q, err := parseGroupQuery(groupCol, aggs, filter)
-	if err != nil {
-		return nil, err
-	}
-	defer e.scope("server groupby " + table).end(nil)
-	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, 1)
-	if err != nil {
-		return nil, err
-	}
-	if rel, err = e.filterLocal(rel, q.filter); err != nil {
-		return nil, err
-	}
-	return e.groupByLocal(rel, nil, []sqlparse.Expr{q.key}, q.items)
-}
-
-// FilteredGroupBy pushes the projection of the referenced columns into S3
-// Select (reducing returned bytes) and groups locally.
-func (e *Exec) FilteredGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	q, err := parseGroupQuery(groupCol, aggs, filter)
-	if err != nil {
-		return nil, err
-	}
-	defer e.scope("filtered groupby " + table).end(nil)
-	rel, err := e.selectMetered("project "+table, e.NextStage(), table, e.db.request(table, scanSelect(q.projection(), q.filter)), 1)
-	if err != nil {
-		return nil, err
-	}
-	return e.groupByLocal(rel, nil, []sqlparse.Expr{q.key}, q.items)
 }
 
 // eq is the membership test for one discovered group value. CSV cannot

@@ -326,35 +326,6 @@ func (e *Exec) indexScan(table string, cand *IndexCandidate, filter sqlparse.Exp
 	return rel, gets, stage, err
 }
 
-// IndexScanFilter is the forced IndexScan operator (harness figures and
-// tests): it resolves predicate over table through the index on column,
-// re-filters the fetched candidates with the full predicate, and projects.
-// It fails when no live index on column exists or when the predicate has
-// no conjunct the index can resolve. The second return value is the number
-// of multi-range GET requests issued.
-func (e *Exec) IndexScanFilter(table, column, predicate, projection string) (*Relation, int64, error) {
-	pred, err := sqlparse.ParseExpr(predicate)
-	if err != nil {
-		return nil, 0, err
-	}
-	items, err := parseProjection(projection)
-	if err != nil {
-		return nil, 0, err
-	}
-	pred = sqlparse.StripQualifiers(pred)
-	ent, err := e.liveIndex(table, column)
-	if err != nil {
-		return nil, 0, err
-	}
-	ip := sqlparse.AndAll(indexableConjuncts(sqlparse.Conjuncts(pred), ent.Column))
-	if ip == nil {
-		return nil, 0, fmt.Errorf("engine: predicate %q has no conjunct the index on %s(%s) can resolve",
-			predicate, table, column)
-	}
-	rel, gets, _, err := e.indexScan(table, &IndexCandidate{Entry: ent, Pred: ip}, pred, items)
-	return rel, gets, err
-}
-
 // AccessPlan records the planner's access decision for a single-table query
 // that has one to make — its table has a usable secondary index, or its tail
 // has a shape storage could decide (pushdown.go): the choice between the
@@ -531,6 +502,41 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	}
 	ap.Reason += best + " estimated cheapest"
 	return ap, nil
+}
+
+// forceAccess is the access decision a caller forces (QueryForced): the
+// strategy as given, unpriced, with no statistics request. An IndexScan runs
+// through the index the planner would consider (indexCandidate) and needs
+// one; an unknown strategy, or one that is no single-table access path, is
+// refused.
+func (e *Exec) forceAccess(sel *sqlparse.Select, sc *TableScan, strategy string) (*AccessPlan, error) {
+	table := sel.Table
+	if sel.Where != nil {
+		sc.Filter = sqlparse.StripQualifiers(sel.Where)
+	}
+	switch strategy {
+	case StrategyBaseline, StrategyFiltered:
+	case StrategyIndexScan:
+		if sc.Index = e.db.indexCandidate(e.ctx, table, sc.Filter); sc.Index == nil {
+			why := "no conjunct of the WHERE clause compares an indexed column with literals"
+			if len(e.db.indexManifest(e.ctx, table).Indexes) == 0 {
+				why = "the table has no live index"
+			}
+			return nil, forcedError(e.db, table, strategy, why)
+		}
+	default:
+		return nil, forcedError(e.db, table, strategy, fmt.Sprintf("not a single-table access path (%s, %s or %s)",
+			StrategyBaseline, StrategyFiltered, StrategyIndexScan))
+	}
+	sc.Backend = e.db.store(table).Name()
+	return &AccessPlan{Strategy: strategy, Reason: "forced"}, nil
+}
+
+// forcedError is a forced strategy's refusal: a KindBadRequest error that
+// says why.
+func forcedError(db *DB, table, strategy, why string) error {
+	return &s3api.Error{Op: "plan", Bucket: db.bucket, Key: table, Kind: s3api.KindBadRequest,
+		Err: fmt.Errorf("engine: cannot force strategy %q: %s", strategy, why)}
 }
 
 // indexScanStats builds the cost model's view of an index candidate.

@@ -94,7 +94,10 @@ func TestCreateIndexPersistsAndRediscovers(t *testing.T) {
 	}
 }
 
-func TestIndexScanFilterMatchesPushedScan(t *testing.T) {
+// TestForcedIndexScanMatchesPushedScan: a statement forced onto the
+// IndexScan answers as it does forced onto the pushed scan, and fetches by
+// multi-range GET whenever a row matches.
+func TestForcedIndexScanMatchesPushedScan(t *testing.T) {
 	ctx := context.Background()
 	st := newIndexStore(t)
 	db := openIndexDB(t, st)
@@ -108,33 +111,22 @@ func TestIndexScanFilterMatchesPushedScan(t *testing.T) {
 		"v IN (1, 399)",
 		"v >= 397 AND k < 3600", // residual conjunct re-applied locally
 	} {
-		e1 := db.NewExec()
-		viaIndex, gets, err := e1.IndexScanFilter("wide", "v", pred, "k, v")
+		sql := "SELECT k, v FROM wide WHERE " + pred
+		viaIndex, e, err := db.QueryForced(ctx, sql, StrategyIndexScan)
 		if err != nil {
 			t.Fatalf("%s: %v", pred, err)
 		}
-		e2 := db.NewExec()
-		viaScan, err := e2.S3SideFilter("wide", pred, "k, v")
-		if err != nil {
-			t.Fatal(err)
-		}
+		viaScan := forcedRel(t, db, StrategyFiltered, sql)
 		sameRows(t, pred, viaIndex, viaScan)
-		if len(viaIndex.Rows) > 0 && gets == 0 {
+		if len(viaIndex.Rows) > 0 && accessOf(e).RangedGets == 0 {
 			t.Errorf("%s: matched rows but issued no multi-range GETs", pred)
 		}
-	}
-	// Unusable predicates are rejected rather than silently full-scanned.
-	if _, _, err := db.NewExec().IndexScanFilter("wide", "v", "k = 1", ""); err == nil {
-		t.Error("predicate without the indexed column must fail")
-	}
-	if _, _, err := db.NewExec().IndexScanFilter("wide", "nosuch", "v = 1", ""); err == nil {
-		t.Error("missing index must fail")
 	}
 }
 
 // TestIndexPathsAgreeOverOneIndex is the differential case of the one
 // Section IV-A path: the Fig. 1 operator under both of its fetch policies
-// and the IndexScan operator read the same live index objects and must
+// and a statement forced onto the IndexScan read the same live index objects and must
 // return the row set the pushed scan returns.
 func TestIndexPathsAgreeOverOneIndex(t *testing.T) {
 	ctx := context.Background()
@@ -149,10 +141,8 @@ func TestIndexPathsAgreeOverOneIndex(t *testing.T) {
 		{"v BETWEEN 5 AND 9", "value BETWEEN 5 AND 9"},
 		{"v > 1000", "value > 1000"}, // no match: no fetch at all
 	} {
-		want, err := db.NewExec().S3SideFilter("wide", c.pred, "*")
-		if err != nil {
-			t.Fatal(err)
-		}
+		sql := "SELECT * FROM wide WHERE " + c.pred
+		want := forcedRel(t, db, StrategyFiltered, sql)
 		for _, multi := range []bool{false, true} {
 			got, err := db.NewExec().IndexFilter("wide", "v", c.valuePred, IndexFilterOptions{MultiRange: multi})
 			if err != nil {
@@ -160,11 +150,7 @@ func TestIndexPathsAgreeOverOneIndex(t *testing.T) {
 			}
 			sameRows(t, fmt.Sprintf("%s, IndexFilter multi-range %v", c.pred, multi), want, got)
 		}
-		got, _, err := db.NewExec().IndexScanFilter("wide", "v", c.pred, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, c.pred+", IndexScanFilter", want, got)
+		sameRows(t, c.pred+", forced IndexScan", want, forcedRel(t, db, StrategyIndexScan, sql))
 	}
 }
 

@@ -109,15 +109,6 @@ func parseItems(items string) ([]sqlparse.SelectItem, error) {
 	return sel.Items, nil
 }
 
-// parseProjection parses an optional projection fragment: "" and "*" keep
-// the relation as it is (nil).
-func parseProjection(projection string) ([]sqlparse.SelectItem, error) {
-	if projection == "" || projection == "*" {
-		return nil, nil
-	}
-	return parseItems(projection)
-}
-
 // parseGroupBy parses a group-by fragment together with its select list.
 func parseGroupBy(groupBy, items string) ([]sqlparse.Expr, []sqlparse.SelectItem, error) {
 	sel, err := sqlparse.Parse("SELECT " + items + " FROM t GROUP BY " + groupBy)

@@ -126,8 +126,9 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 		db := openWithWorkers(t, st, workers)
 		var out []*Relation
 		for name, f := range map[string]func(*Exec) (*Relation, error){
-			"server-groupby": func(e *Exec) (*Relation, error) {
-				return e.ServerSideGroupBy("events", "g", groupAggs(), "")
+			"server-groupby": func(*Exec) (*Relation, error) {
+				rel, _, err := db.QueryForced(context.Background(), groupSQL("events", "g"), StrategyBaseline)
+				return rel, err
 			},
 			"hybrid-groupby": func(e *Exec) (*Relation, error) {
 				return e.HybridGroupBy("events", "g", groupAggs(),
@@ -170,8 +171,8 @@ func TestWorkerBudgetShrinksRuntime(t *testing.T) {
 	run := func(workers int) (*Exec, *Relation) {
 		// Simulate a large deployment so parse and row work dominate the
 		// request RTT floor.
-		e := openWithWorkers(t, st, workers, WithScale(cloudsim.Scale{DataRatio: 10000, PartRatio: 1})).NewExec()
-		rel, err := e.ServerSideGroupBy("events", "g", groupAggs(), "")
+		db := openWithWorkers(t, st, workers, WithScale(cloudsim.Scale{DataRatio: 10000, PartRatio: 1}))
+		rel, e, err := db.QueryForced(context.Background(), groupSQL("events", "g"), StrategyBaseline)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -563,7 +563,8 @@ func (l *requestLog) take() []selectengine.Request {
 // in-process storage runs. The requests, over names only quoting reads:
 // planned join scans and Bloom probes, planned from statistics objects and
 // from remote probes; pushed top-K and group-by tails; index probes; passes
-// merged under a sharing window; and every hand operator.
+// merged under a sharing window; statements forced onto the filtered scan
+// and the IndexScan; and every hand operator.
 func TestEveryRequestCarriesItsStatement(t *testing.T) {
 	ctx := context.Background()
 	st := quotedStore(t)
@@ -630,9 +631,7 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 		"SelectRows": func(e *Exec) (*Relation, error) {
 			return e.SelectRows("rows", 0, "qa", `SELECT "my col" FROM S3Object WHERE k < 3`)
 		},
-		"S3SideFilter":    func(e *Exec) (*Relation, error) { return e.S3SideFilter("qa", `"my col" < 50`, `k, "my col"`) },
-		"FilteredGroupBy": func(e *Exec) (*Relation, error) { return e.FilteredGroupBy("qa", "g", aggs, "k < 100") },
-		"S3SideGroupBy":   func(e *Exec) (*Relation, error) { return e.S3SideGroupBy("qa", "g", aggs, "k < 100") },
+		"S3SideGroupBy": func(e *Exec) (*Relation, error) { return e.S3SideGroupBy("qa", "g", aggs, "k < 100") },
 		"HybridGroupBy": func(e *Exec) (*Relation, error) {
 			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3})
 		},
@@ -656,14 +655,20 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 		"IndexFilter": func(e *Exec) (*Relation, error) {
 			return e.IndexFilter("qa", "k", "value <= 3", IndexFilterOptions{MultiRange: true})
 		},
-		"IndexScanFilter": func(e *Exec) (*Relation, error) {
-			rel, _, err := e.IndexScanFilter("qa", "k", `k < 4 AND "my col" > 0`, `"my col"`)
-			return rel, err
-		},
 	}
 	for name, op := range ops {
 		check(name, func(e *Exec) error {
 			_, err := op(e)
+			return err
+		})
+	}
+	for _, f := range []struct{ strategy, sql string }{
+		{StrategyFiltered, `SELECT k, "my col" FROM qa WHERE "my col" < 50`},
+		{StrategyFiltered, `SELECT g, SUM("my col" * 2) AS s, COUNT(*) AS n FROM qa WHERE k < 100 GROUP BY g`},
+		{StrategyIndexScan, `SELECT "my col" FROM qa WHERE k < 4 AND "my col" > 0`},
+	} {
+		check("forced "+f.strategy+": "+f.sql, func(*Exec) error {
+			_, _, err := db.QueryForced(ctx, f.sql, f.strategy)
 			return err
 		})
 	}
@@ -764,7 +769,7 @@ func runForced(t *testing.T, db *DB, sql string, step int, strategy string) (*Re
 		t.Fatal(err)
 	}
 	e := db.NewExecContext(context.Background())
-	p, err := e.planSelect(sel)
+	p, err := e.planSelect(sel, "")
 	if err != nil {
 		t.Fatalf("%s: planning: %v", sql, err)
 	}
@@ -790,7 +795,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 		t.Fatal(err)
 	}
 	e := db.NewExecContext(context.Background())
-	p, err := e.planSelect(sel)
+	p, err := e.planSelect(sel, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,7 +812,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 	for _, st := range p.Steps[1:] {
 		var right *Relation
 		if err == nil {
-			right, err = e.serverSideFilter(p.Scans[st.scan].Table, p.Scans[st.scan].Filter, nil)
+			right, err = e.serverSideFilter(p.Scans[st.scan].Table, p.Scans[st.scan].Filter)
 		}
 		if err == nil {
 			rel, err = e.hashJoinLocal(e.NextStage(), rel, right, st.BuildKey, st.ProbeKey)

@@ -32,7 +32,7 @@ func CheckPlanAgreement(t testing.TB, what string, open func() *DB, sql string) 
 		t.Fatal(err)
 	}
 	e := open().NewExecContext(ctx)
-	p, err := e.planSelect(sel)
+	p, err := e.planSelect(sel, "")
 	if err != nil {
 		t.Fatalf("%s: planning: %v", what, err)
 	}

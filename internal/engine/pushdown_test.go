@@ -457,7 +457,7 @@ func TestPushedProjection(t *testing.T) {
 	} {
 		sel := mustParse(t, sql)
 		e := db.NewExec()
-		rows, err := e.serverSideFilter("n", sel.Where, nil)
+		rows, err := e.serverSideFilter("n", sel.Where)
 		if err != nil {
 			t.Fatal(err)
 		}

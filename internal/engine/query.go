@@ -20,21 +20,34 @@ import (
 // plan that ran is Exec.QueryPlan. Canceling ctx aborts the query's storage
 // fan-outs promptly.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Relation, *Exec, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		db.fireQueryHook(ctx, sql, nil, err)
-		return nil, nil, err
-	}
-	return db.RunStatement(ctx, sql, sel)
+	return db.QueryForced(ctx, sql, "")
 }
 
-// runSelectStatement plans and executes an already-parsed SELECT. The Exec
-// comes back whatever happened: a statement that failed, in planning or
-// in execution, still bought the requests it made.
-func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Relation, *Exec, error) {
+// QueryForced is QueryContext with a single-table SELECT's access decision
+// forced to strategy — StrategyBaseline, StrategyFiltered (the plain pushed
+// scan, its tail on the server) or StrategyIndexScan (through the live index
+// the planner would consider) — unpriced and with no statistics request: the
+// paper's figures compare strategies on one statement this way. The empty
+// strategy leaves the decision to the planner (QueryContext). Any other
+// strategy, a join, or an IndexScan with no index to run on is a
+// KindBadRequest error, never a silent fallback.
+func (db *DB) QueryForced(ctx context.Context, sql, strategy string) (rel *Relation, e *Exec, err error) {
+	defer func() { db.fireQueryHook(ctx, sql, e, err) }()
+	sel, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db.runSelectStatement(ctx, sel, strategy)
+}
+
+// runSelectStatement plans and executes an already-parsed SELECT, its
+// access decision forced to strategy unless that is empty. The Exec comes
+// back whatever happened: a statement that failed, in planning or in
+// execution, still bought the requests it made.
+func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select, strategy string) (*Relation, *Exec, error) {
 	e := db.NewExecContext(ctx)
 	sc := e.scope("select")
-	p, err := e.planSelect(sel)
+	p, err := e.planSelect(sel, strategy)
 	var rel *Relation
 	if err == nil {
 		rel, err = e.runPlan(p)
@@ -48,15 +61,23 @@ func (db *DB) runSelectStatement(ctx context.Context, sel *sqlparse.Select) (*Re
 
 // planSelect plans sel into the one QueryPlan its execution, EXPLAIN and
 // EXPLAIN ANALYZE read: the join planner's scans and steps, or one scan
-// carrying the single-table access decision (planAccess), which is nil, at
-// no request, when there is none to make.
-func (e *Exec) planSelect(sel *sqlparse.Select) (p *QueryPlan, err error) {
-	if len(sel.Joins) > 0 {
+// carrying the single-table access decision (planAccess, or forceAccess for
+// a non-empty strategy), which is nil, at no request, when there is none to
+// make.
+func (e *Exec) planSelect(sel *sqlparse.Select, strategy string) (p *QueryPlan, err error) {
+	switch {
+	case len(sel.Joins) > 0 && strategy != "":
+		err = forcedError(e.db, sel.Table, strategy, "a join's strategies are chosen per join step")
+	case len(sel.Joins) > 0:
 		p, err = e.planJoins(sel)
-	} else {
+	default:
 		sc := &TableScan{Table: sel.Table, Alias: sel.Alias, req: e.db.request(sel.Table, pushedScan(sel, nil))}
 		p = &QueryPlan{Sel: sel, Scans: []*TableScan{sc}}
-		sc.Access, err = e.planAccess(sel, sc)
+		if strategy == "" {
+			sc.Access, err = e.planAccess(sel, sc)
+		} else {
+			sc.Access, err = e.forceAccess(sel, sc, strategy)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -86,7 +107,7 @@ func (db *DB) RunStatement(ctx context.Context, sql string, st sqlparse.Statemen
 	defer func() { db.fireQueryHook(ctx, sql, e, err) }()
 	switch t := st.(type) {
 	case *sqlparse.Select:
-		return db.runSelectStatement(ctx, t)
+		return db.runSelectStatement(ctx, t, "")
 	case *sqlparse.Explain:
 		return db.runExplain(ctx, t)
 	case *sqlparse.CreateIndex:
@@ -110,7 +131,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		case ap.Strategy == StrategyIndexScan:
 			return e.runIndexScanSelect(sel, sc)
 		case ap.Strategy == StrategyBaseline:
-			rel, err := e.serverSideFilter(table, sc.Filter, nil)
+			rel, err := e.serverSideFilter(table, sc.Filter)
 			if err != nil {
 				return nil, err
 			}

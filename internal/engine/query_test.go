@@ -49,13 +49,10 @@ func TestQueryGroupByOrderBy(t *testing.T) {
 			t.Fatal("not sorted")
 		}
 	}
-	// Cross-check against the operator API.
-	want, err := db.NewExec().ServerSideGroupBy("events", "g", groupAggs(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Cross-check against the server-side group-by.
+	want := forcedRel(t, db, StrategyBaseline, groupSQL("events", "g"))
 	if len(want.Rows) != len(rel.Rows) {
-		t.Fatalf("row count mismatch vs operator API")
+		t.Fatalf("row count mismatch vs the server-side group-by")
 	}
 }
 

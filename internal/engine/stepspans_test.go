@@ -18,8 +18,8 @@ import (
 // span that carries sim_sec and cost_usd reports exactly what its phase —
 // named by the span's phase and stage attributes — reports now, and every
 // phase that took virtual time has such a span. It runs over the
-// differential corpus, each hand operator once and EXPLAIN ANALYZE of TPC-H
-// Q3, and the runs between them reach the compute phases (local, hash join,
+// differential corpus, each hand operator and forced statement once and
+// EXPLAIN ANALYZE of TPC-H Q3, and the runs between them reach the compute phases (local, hash join,
 // bloom build intermediate) that once went unreported.
 
 // q3SQL is TPC-H Q3 as the SQL front end runs it (internal/tpch's golden).
@@ -117,7 +117,8 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 		}
 	}
 
-	// TPC-H: each hand operator once, then EXPLAIN ANALYZE of Q3.
+	// TPC-H: each hand operator and forced statement once, then EXPLAIN
+	// ANALYZE of Q3.
 	st := store.New()
 	ds, err := tpch.LoadWithIndexes(ctx, st, tpch.Dataset{SF: 0.002, Seed: 42, Bucket: "tpch", Partitions: 4})
 	if err != nil {
@@ -133,25 +134,8 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 		LeftFilter: "c_acctbal <= 0", Seed: 1,
 	}
 	for what, op := range map[string]func(e *engine.Exec) error{
-		"ServerSideFilter": func(e *engine.Exec) error { _, err := e.ServerSideFilter("lineitem", "l_quantity < 5", ""); return err },
-		"S3SideFilter": func(e *engine.Exec) error {
-			_, err := e.S3SideFilter("lineitem", "l_quantity < 5", "l_orderkey")
-			return err
-		},
 		"IndexFilter": func(e *engine.Exec) error {
 			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{MultiRange: true})
-			return err
-		},
-		"IndexScanFilter": func(e *engine.Exec) error {
-			_, _, err := e.IndexScanFilter("lineitem", "l_extendedprice", "l_extendedprice <= 2000", "l_orderkey")
-			return err
-		},
-		"ServerSideGroupBy": func(e *engine.Exec) error {
-			_, err := e.ServerSideGroupBy("lineitem", "l_returnflag", aggs, "")
-			return err
-		},
-		"FilteredGroupBy": func(e *engine.Exec) error {
-			_, err := e.FilteredGroupBy("lineitem", "l_returnflag", aggs, "")
 			return err
 		},
 		"S3SideGroupBy": func(e *engine.Exec) error {
@@ -179,6 +163,16 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 		},
 	} {
 		merge(traced(t, db, what, op))
+	}
+	for _, q := range forcedStatements {
+		what := q.strategy + ": " + q.sql
+		tr := obs.New(what, "query")
+		_, e, err := db.QueryForced(obs.WithTrace(ctx, tr), q.sql, q.strategy)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		tr.Finish()
+		merge(stepSpans(t, what, e, tr))
 	}
 	// Q3 as pinned (unit scale), and at deployment scale, where its second
 	// join probes with a Bloom filter built over the intermediate.

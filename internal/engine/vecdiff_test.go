@@ -163,19 +163,14 @@ func TestVecRowColumnarTable(t *testing.T) {
 
 	// The server-side baseline fetches partitions whole with plain GETs;
 	// colformat objects must decode through the columnar reader.
-	vecRel, err := dbVec.NewExec().ServerSideFilter("c", "id < 10", "id, code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowRel, err := dbRow.NewExec().ServerSideFilter("c", "id < 10", "id, code")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const baseline = "SELECT id, code FROM c WHERE id < 10"
+	vecRel := forcedRel(t, dbVec, StrategyBaseline, baseline)
+	rowRel := forcedRel(t, dbRow, StrategyBaseline, baseline)
 	if v, r := render(vecRel, false), render(rowRel, false); v != r {
-		t.Errorf("ServerSideFilter over columnar table: vec\n%s\nrow\n%s", v, r)
+		t.Errorf("forced baseline over columnar table: vec\n%s\nrow\n%s", v, r)
 	}
 	if len(vecRel.Rows) != 10 {
-		t.Errorf("ServerSideFilter over columnar table kept %d rows, want 10", len(vecRel.Rows))
+		t.Errorf("forced baseline over columnar table kept %d rows, want 10", len(vecRel.Rows))
 	}
 
 	header, err := dbVec.NewExec().TableHeader("hdr", 0, "c")

@@ -18,12 +18,6 @@ func fig1Threshold(env *Env, sel float64) int {
 	return max(int(math.Ceil(sel*float64(tpch.SizesFor(env.Scale.TPCHSF).Orders))), 1)
 }
 
-// filter is a series' call of one Section IV scan strategy — a method
-// expression such as (*engine.Exec).S3SideFilter — over lineitem.
-func filter(db *engine.DB, strategy func(*engine.Exec, string, string, string) (*engine.Relation, error), pred, proj string) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return strategy(e, "lineitem", pred, proj) })
-}
-
 // indexing is Section IV-A's strategy over the l_orderkey index: the rows
 // with a key up to threshold, fetched one GET per row or in one multi-range
 // GET per partition.
@@ -47,10 +41,10 @@ func RunFig1(ctx context.Context, env *Env) (*Result, error) {
 	}
 	return res.sweep(ctx, env.TPCH(), labels("%.0e", Fig1Selectivities), func(db *engine.DB, i int) ([]series, check) {
 		threshold := fig1Threshold(env, Fig1Selectivities[i])
-		pred := fmt.Sprintf("l_orderkey <= %d", threshold)
+		sql := fmt.Sprintf("SELECT * FROM lineitem WHERE l_orderkey <= %d", threshold)
 		return []series{
-			{name: "Server-Side Filter", run: filter(db, (*engine.Exec).ServerSideFilter, pred, "")},
-			{name: "S3-Side Filter", run: filter(db, (*engine.Exec).S3SideFilter, pred, "*")},
+			{name: "Server-Side Filter", run: forced(db, engine.StrategyBaseline, sql)},
+			{name: "S3-Side Filter", run: forced(db, engine.StrategyFiltered, sql)},
 			{name: "Indexing", run: indexing(db, threshold, engine.IndexFilterOptions{}),
 				note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
 					return "", map[string]float64{"rows": float64(len(rel.Rows))}, nil

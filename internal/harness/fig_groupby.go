@@ -21,9 +21,16 @@ func fig5Aggs() []engine.GroupAgg {
 	}
 }
 
-// groupBy is a series' call of one Section VI algorithm — a method
-// expression such as (*engine.Exec).ServerSideGroupBy — over the synthetic
-// table's groupCol.
+// fig5SQL is Section VI-C1's query as SQL: the four sums per group of the
+// synthetic table's groupCol, which the server-side and filtered group-bys
+// run as a forced baseline and filtered statement.
+func fig5SQL(groupCol string) string {
+	return fmt.Sprintf("SELECT %s, SUM(v1) AS s1, SUM(v2) AS s2, SUM(v3) AS s3, SUM(v4) AS s4 FROM groups GROUP BY %[1]s", groupCol)
+}
+
+// groupBy is a series' call of one Section VI algorithm that pushes
+// aggregation — a method expression such as (*engine.Exec).S3SideGroupBy —
+// over the synthetic table's groupCol.
 func groupBy(db *engine.DB, algorithm func(*engine.Exec, string, string, []engine.GroupAgg, string) (*engine.Relation, error), groupCol string) call {
 	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
 		return algorithm(e, "groups", groupCol, fig5Aggs(), "")
@@ -52,8 +59,8 @@ func RunFig5(ctx context.Context, env *Env) (*Result, error) {
 	return res.sweep(ctx, env.GroupTable(-1), labels("%d", Fig5GroupCounts), func(db *engine.DB, i int) ([]series, check) {
 		groupCol := fmt.Sprintf("g%d", i+1) // g1 has 2 groups, g5 has 32
 		return []series{
-			{name: "Server-Side Group-By", run: groupBy(db, (*engine.Exec).ServerSideGroupBy, groupCol)},
-			{name: "Filtered Group-By", run: groupBy(db, (*engine.Exec).FilteredGroupBy, groupCol)},
+			{name: "Server-Side Group-By", run: forced(db, engine.StrategyBaseline, fig5SQL(groupCol))},
+			{name: "Filtered Group-By", run: forced(db, engine.StrategyFiltered, fig5SQL(groupCol))},
 			{name: "S3-Side Group-By", run: groupBy(db, (*engine.Exec).S3SideGroupBy, groupCol)},
 		}, sameRowCount
 	})
@@ -102,8 +109,8 @@ func RunFig7(ctx context.Context, env *Env) (*Result, error) {
 	for _, theta := range Fig7Thetas {
 		if _, err := res.sweep(ctx, env.GroupTable(theta), []string{fmt.Sprintf("%g", theta)}, func(db *engine.DB, _ int) ([]series, check) {
 			return []series{
-				{name: "Server-Side Group-By", run: groupBy(db, (*engine.Exec).ServerSideGroupBy, "g1")},
-				{name: "Filtered Group-By", run: groupBy(db, (*engine.Exec).FilteredGroupBy, "g1")},
+				{name: "Server-Side Group-By", run: forced(db, engine.StrategyBaseline, fig5SQL("g1"))},
+				{name: "Filtered Group-By", run: forced(db, engine.StrategyFiltered, fig5SQL("g1"))},
 				{name: "Hybrid Group-By", run: hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8})},
 			}, sameGroupTotals
 		}); err != nil {

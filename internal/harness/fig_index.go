@@ -38,7 +38,6 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 		},
 	}
 	maxPartkey := tpch.SizesFor(env.Scale.TPCHSF).Parts
-	const proj = "l_orderkey, l_partkey"
 	// Build (idempotently rebuild) the index through the engine's own catalog
 	// path; the manifest persists in the shared store, where the DB of each
 	// profile finds it.
@@ -56,16 +55,15 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 		}
 		_, err := res.sweep(ctx, env.TPCH(s3api.WithProfile(profile)), xs, func(db *engine.DB, i int) ([]series, check) {
 			pred := fmt.Sprintf("l_partkey <= %d", max(int(indexFigFracs[i]*float64(maxPartkey)), 1))
-			var gets int64
+			sql := "SELECT l_orderkey, l_partkey FROM lineitem WHERE " + pred
 			return []series{
-					{name: "IndexScan", run: op(db, func(e *engine.Exec) (rel *engine.Relation, err error) {
-						rel, gets, err = e.IndexScanFilter("lineitem", "l_partkey", pred, proj)
-						return rel, err
-					}), note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
-						return "", map[string]float64{"rows": float64(len(rel.Rows)), "ranged_gets": float64(gets)}, nil
-					}},
-					{name: "S3-side filter", run: filter(db, (*engine.Exec).S3SideFilter, pred, proj)},
-					{name: "Baseline", run: filter(db, (*engine.Exec).ServerSideFilter, pred, proj)},
+					{name: "IndexScan", run: forced(db, engine.StrategyIndexScan, sql),
+						note: func(e *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
+							gets := e.QueryPlan().Scans[0].Access.RangedGets
+							return "", map[string]float64{"rows": float64(len(rel.Rows)), "ranged_gets": float64(gets)}, nil
+						}},
+					{name: "S3-side filter", run: forced(db, engine.StrategyFiltered, sql)},
+					{name: "Baseline", run: forced(db, engine.StrategyBaseline, sql)},
 					// The SQL path: the access planner picks a strategy and pays
 					// for its own statistics (the table's statistics object).
 					{name: "Planner", run: query(db, "SELECT COUNT(*) AS n FROM lineitem WHERE "+pred),

@@ -39,7 +39,7 @@ func RunParallel(ctx context.Context, env *Env) (*Result, error) {
 	return res.sweep(ctx, env.TPCH(), labels("%d", ParallelWorkerCounts), func(jdb *engine.DB, i int) ([]series, check) {
 		gdb.Cfg.Workers, jdb.Cfg.Workers = ParallelWorkerCounts[i], ParallelWorkerCounts[i]
 		return []series{
-			{name: "Server-Side Group-By", run: groupBy(gdb, (*engine.Exec).ServerSideGroupBy, "g5")},
+			{name: "Server-Side Group-By", run: forced(gdb, engine.StrategyBaseline, fig5SQL("g5"))},
 			// Planned, not run: the figure reports the choice and its estimates.
 			{name: "Planner", note: planned(true), run: func(ctx context.Context) (*engine.Relation, *engine.Exec, error) {
 				_, e, err := jdb.ExecStatement(ctx, "EXPLAIN "+listing2SQL(loosestAcctbal))

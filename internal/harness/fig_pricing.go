@@ -33,8 +33,8 @@ func RunS5Pricing(ctx context.Context, env *Env) (*Result, error) {
 		nodes float64 // approximate expression nodes evaluated per row
 		run   call
 	}{
-		{"plain projection", 2, filter(db, (*engine.Exec).S3SideFilter, "", "l_orderkey")},
-		{"simple filter", 7, filter(db, (*engine.Exec).S3SideFilter, "l_quantity < 10", "l_orderkey, l_quantity")},
+		{"plain projection", 2, forced(db, engine.StrategyFiltered, "SELECT l_orderkey FROM lineitem")},
+		{"simple filter", 7, forced(db, engine.StrategyFiltered, "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity < 10")},
 		{"bloom probe", 95, listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},
 	} {
 		_, e, err := c.run(ctx)

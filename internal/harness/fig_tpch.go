@@ -28,13 +28,13 @@ func RunFig10(ctx context.Context, env *Env) (*Result, error) {
 	for _, q := range tpch.Queries() {
 		names = append(names, "TPCH "+q.Name)
 	}
-	filterPred := fmt.Sprintf("l_orderkey <= %d", tpch.SizesFor(env.Scale.TPCHSF).Orders/1000+1) // ~1e-3
+	filterSQL := fmt.Sprintf("SELECT * FROM lineitem WHERE l_orderkey <= %d", tpch.SizesFor(env.Scale.TPCHSF).Orders/1000+1) // ~1e-3
 	k := fig8K(env)
 	if _, err := res.sweep(ctx, env.TPCH(), names, func(db *engine.DB, i int) ([]series, check) {
 		// Every workload as its {baseline, optimized} pair of calls.
 		pairs := [][2]call{
-			{filter(db, (*engine.Exec).ServerSideFilter, filterPred, ""), filter(db, (*engine.Exec).S3SideFilter, filterPred, "*")},
-			{groupBy(groupDB, (*engine.Exec).ServerSideGroupBy, "g3"), groupBy(groupDB, (*engine.Exec).S3SideGroupBy, "g3")},
+			{forced(db, engine.StrategyBaseline, filterSQL), forced(db, engine.StrategyFiltered, filterSQL)},
+			{forced(groupDB, engine.StrategyBaseline, fig5SQL("g3")), groupBy(groupDB, (*engine.Exec).S3SideGroupBy, "g3")},
 			{serverTopK(db, k), samplingTopK(db, k, engine.SamplingTopKOptions{})},
 			{listing2(db, listing2Spec("-950", "", 0.01), "baseline", joinAggItems),
 				listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},

@@ -246,6 +246,16 @@ func query(db *engine.DB, sql string) call {
 	return func(ctx context.Context) (*engine.Relation, *engine.Exec, error) { return db.QueryContext(ctx, sql) }
 }
 
+// forced is a series' call of sql with its single-table access decision
+// forced to strategy (engine.DB.QueryForced): the Section IV filters and the
+// server-side and filtered group-bys are one statement on the planner's
+// baseline and filtered access paths.
+func forced(db *engine.DB, strategy, sql string) call {
+	return func(ctx context.Context) (*engine.Relation, *engine.Exec, error) {
+		return db.QueryForced(ctx, sql, strategy)
+	}
+}
+
 // sweep runs a figure over the dataset it opens: at the i-th x value, at
 // states the series and the check their answers must pass (nil for none);
 // every series runs, in order, its point is recorded, and the check is

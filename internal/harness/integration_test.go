@@ -78,7 +78,7 @@ func TestEngineOverHTTPMatchesInProc(t *testing.T) {
 			if err != nil {
 				t.Fatalf("multi=%v: %v", multi, err)
 			}
-			want, err := inprocDB.NewExec().S3SideFilter("lineitem", "l_extendedprice <= 2000", "*")
+			want, _, err := inprocDB.QueryForced(context.Background(), "SELECT * FROM lineitem WHERE l_extendedprice <= 2000", engine.StrategyFiltered)
 			if err != nil {
 				t.Fatal(err)
 			}

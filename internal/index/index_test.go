@@ -2,7 +2,9 @@ package index
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/csvx"
@@ -130,4 +132,75 @@ func TestBatches(t *testing.T) {
 	if got := Batches(ranges, 0); len(got) != 1 {
 		t.Errorf("default cap should hold all 10 ranges in one batch, got %d", len(got))
 	}
+}
+
+// FuzzManifestDecode feeds arbitrary bytes to the manifest decoder: it must
+// not panic, and a manifest it accepts re-encodes to bytes that decode to
+// an equal manifest.
+func FuzzManifestDecode(f *testing.F) {
+	m := NewManifest()
+	m.Set(Entry{Name: "ix1", Column: "Price", Partitions: 2, IndexBytes: 99, DataSizes: []int64{10, 20}})
+	f.Add(m.Encode())
+	f.Add(NewManifest().Encode())
+	f.Add([]byte(`{"version":1,"indexes":null}`))
+	f.Add([]byte(`{"version":1,"indexes":{"a":{"data_sizes":null},"a":{"name":"\ud800"}}}`))
+	f.Add([]byte(`{"version":99}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeManifest(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeManifest(m.Encode())
+		if err != nil {
+			t.Fatalf("the re-encoded manifest %q does not decode: %v", m.Encode(), err)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("round trip changed the manifest:\n%+v\n%+v", m, again)
+		}
+	})
+}
+
+// FuzzParseRanges feeds arbitrary rows — lines of comma-separated cells —
+// to the index probe's range parser: it must not panic, and it returns
+// ranges, one per row in order, exactly when every row is two integers.
+func FuzzParseRanges(f *testing.F) {
+	f.Add("0,10\n11,25")
+	f.Add("5,5")
+	f.Add("")
+	f.Add("1,2,3")
+	f.Add("x,1\n2,3")
+	f.Add("-0,+7\n9223372036854775807,9223372036854775808")
+	f.Fuzz(func(t *testing.T, text string) {
+		var rows [][]string
+		if text != "" {
+			for _, line := range strings.Split(text, "\n") {
+				rows = append(rows, strings.Split(line, ","))
+			}
+		}
+		ranges, err := ParseRanges(rows)
+		var want [][2]int64
+		for _, r := range rows {
+			if len(r) != 2 {
+				want = nil
+				break
+			}
+			first, err1 := strconv.ParseInt(r[0], 10, 64)
+			last, err2 := strconv.ParseInt(r[1], 10, 64)
+			if err1 != nil || err2 != nil {
+				want = nil
+				break
+			}
+			want = append(want, [2]int64{first, last})
+		}
+		twoInts := len(want) == len(rows)
+		switch {
+		case twoInts && err != nil:
+			t.Fatalf("rows %q of two integers each: %v", rows, err)
+		case !twoInts && err == nil:
+			t.Fatalf("rows %q parsed to %v; want an error", rows, ranges)
+		case twoInts && !slices.Equal(ranges, want):
+			t.Fatalf("rows %q parsed to %v; want %v", rows, ranges, want)
+		}
+	})
 }
