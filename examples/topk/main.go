@@ -35,8 +35,8 @@ func main() {
 	sStar := engine.OptimalSampleSize(k, n, engine.SamplingAlpha)
 	fmt.Printf("K=%d over ~%d rows; the Section VII-B model gives S* = %d\n\n", k, n, sStar)
 
-	e0 := db.NewExec()
-	server, err := e0.ServerSideTopK("lineitem", "l_extendedprice", k, true)
+	sql := fmt.Sprintf("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT %d", k)
+	server, e0, err := db.QueryForced(ctx, sql, engine.StrategyBaseline)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,12 +44,8 @@ func main() {
 
 	fmt.Printf("%-10s %12s %12s\n", "sample S", "runtime(s)", "traffic(KB)")
 	for _, s := range []int64{sStar / 8, sStar / 2, sStar, sStar * 4, sStar * 16} {
-		if s <= k {
-			s = k + 1
-		}
 		e := db.NewExec()
-		got, err := e.SamplingTopK("lineitem", "l_extendedprice", k, true,
-			engine.SamplingTopKOptions{SampleSize: s})
+		got, err := e.SamplingTopK(sql, s)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,10 +12,11 @@ import (
 )
 
 // forcedStatements are TPC-H statements on each forced access strategy — the
-// Section IV filters and the server-side and filtered group-bys — and as the
-// planner runs them (the empty strategy).
+// Section IV filters, the server-side and filtered group-bys and the
+// server-side top-K — and as the planner runs them (the empty strategy).
 var forcedStatements = []struct{ strategy, sql string }{
 	{engine.StrategyBaseline, "SELECT * FROM lineitem WHERE l_quantity < 5"},
+	{engine.StrategyBaseline, "SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10"},
 	{engine.StrategyFiltered, "SELECT l_orderkey FROM lineitem WHERE l_quantity < 5"},
 	{engine.StrategyIndexScan, "SELECT l_orderkey FROM lineitem WHERE l_extendedprice <= 2000"},
 	{engine.StrategyBaseline, "SELECT l_returnflag, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"},
@@ -68,12 +69,8 @@ func TestEveryStorageRequestIsBilled(t *testing.T) {
 			_, err := e.HybridGroupBy("lineitem", "l_suppkey", aggs, engine.HybridGroupByOptions{S3Groups: 2})
 			return err
 		},
-		"ServerSideTopK": func(e *engine.Exec) error {
-			_, err := e.ServerSideTopK("lineitem", "l_extendedprice", 10, false)
-			return err
-		},
 		"SamplingTopK": func(e *engine.Exec) error {
-			_, err := e.SamplingTopK("lineitem", "l_extendedprice", 10, false, engine.SamplingTopKOptions{})
+			_, err := e.SamplingTopK("SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10", 0)
 			return err
 		},
 		"BaselineJoin": func(e *engine.Exec) error { _, err := e.BaselineJoin(js); return err },

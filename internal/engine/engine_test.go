@@ -595,15 +595,12 @@ func TestHandOperatorsWithoutStatistics(t *testing.T) {
 		t.Errorf("hybrid without statistics spent %gs aggregating big groups in S3", sec)
 	}
 	for _, k := range []int{8, 25} {
-		want, err := db.NewExec().ServerSideTopK("events", "v", k, false)
+		sql := fmt.Sprintf("SELECT * FROM events ORDER BY v DESC LIMIT %d", k)
+		got, err := db.NewExec().SamplingTopK(sql, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.NewExec().SamplingTopK("events", "v", k, false, SamplingTopKOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("sampling top-%d", k), want, got)
+		identicalRel(t, fmt.Sprintf("sampling top-%d", k), forcedRel(t, db, StrategyBaseline, sql), got)
 	}
 }
 
@@ -613,87 +610,6 @@ func TestS3SideGroupByRejectsMinMax(t *testing.T) {
 		[]GroupAgg{{Func: sqlparse.AggMin, Expr: "v", As: "m"}}, "")
 	if err == nil {
 		t.Error("MIN cannot be pushed via CASE encoding")
-	}
-}
-
-// --- Section VII: top-K ---
-
-func TestTopKAlgorithmsAgree(t *testing.T) {
-	db, _ := newTestDB(t)
-	for _, asc := range []bool{true, false} {
-		e1 := db.NewExec()
-		server, err := e1.ServerSideTopK("events", "v", 10, asc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2 := db.NewExec()
-		sampled, err := e2.SamplingTopK("events", "v", 10, asc, SamplingTopKOptions{SampleSize: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(server.Rows) != 10 || len(sampled.Rows) != 10 {
-			t.Fatalf("asc=%v: rows %d/%d", asc, len(server.Rows), len(sampled.Rows))
-		}
-		vi := server.ColIndex("v")
-		for i := range server.Rows {
-			a, _ := server.Rows[i][vi].Num()
-			b, _ := sampled.Rows[i][vi].Num()
-			if a != b {
-				t.Errorf("asc=%v row %d: server %v sampled %v", asc, i, a, b)
-			}
-		}
-		// Ordering check.
-		for i := 1; i < len(server.Rows); i++ {
-			c := value.Compare(server.Rows[i-1][vi], server.Rows[i][vi])
-			if asc && c > 0 || !asc && c < 0 {
-				t.Errorf("asc=%v: rows out of order at %d", asc, i)
-			}
-		}
-	}
-}
-
-func TestSamplingTopKAutoSampleSize(t *testing.T) {
-	db, _ := newTestDB(t)
-	e := db.NewExec()
-	got, err := e.SamplingTopK("events", "v", 5, true, SamplingTopKOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != 5 {
-		t.Fatalf("rows = %d", len(got.Rows))
-	}
-}
-
-func TestSamplingTopKDegradesOnTinySample(t *testing.T) {
-	db, _ := newTestDB(t)
-	e := db.NewExec()
-	// K far larger than the sample forces the degraded full-scan path.
-	got, err := e.SamplingTopK("events", "v", 50, true, SamplingTopKOptions{SampleSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := db.NewExec().ServerSideTopK("events", "v", 50, true)
-	vi := want.ColIndex("v")
-	for i := range want.Rows {
-		a, _ := want.Rows[i][vi].Num()
-		b, _ := got.Rows[i][vi].Num()
-		if a != b {
-			t.Fatalf("degraded sampling row %d: %v != %v", i, b, a)
-		}
-	}
-}
-
-func TestOptimalSampleSize(t *testing.T) {
-	// Paper's worked example: K=100, N=6e7, alpha=0.1 -> ~2.4e5.
-	s := OptimalSampleSize(100, 60_000_000, 0.1)
-	if s < 240_000 || s > 250_000 {
-		t.Errorf("S = %d, want ~245k", s)
-	}
-	if OptimalSampleSize(10, 5, 1) != 5 {
-		t.Error("sample size must clamp to N")
-	}
-	if OptimalSampleSize(100, 101, 1) < 100 {
-		t.Error("sample size must be at least K")
 	}
 }
 

@@ -137,8 +137,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		outs = append(outs, normGroups(g))
-		tk, err := db.NewExec().SamplingTopK("events", "v", 5, true,
-			SamplingTopKOptions{SampleSize: 100})
+		tk, err := db.NewExec().SamplingTopK("SELECT * FROM events ORDER BY v LIMIT 5", 100)
 		if err != nil {
 			t.Fatal(err)
 		}

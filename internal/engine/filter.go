@@ -17,7 +17,7 @@ func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr) (*Relation, er
 	if pred != nil {
 		perRow = 1
 	}
-	rel, _, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow)
+	rel, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow)
 	if err != nil {
 		return nil, err
 	}

@@ -122,6 +122,7 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 		identicalRel(t, sql, seq, par)
 	}
 
+	const topKSQL = "SELECT * FROM events ORDER BY v DESC LIMIT 25"
 	run := func(workers int) []*Relation {
 		db := openWithWorkers(t, st, workers)
 		var out []*Relation
@@ -134,12 +135,11 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 				return e.HybridGroupBy("events", "g", groupAggs(),
 					HybridGroupByOptions{S3Groups: 4})
 			},
-			"server-topk": func(e *Exec) (*Relation, error) {
-				return e.ServerSideTopK("events", "v", 25, false)
+			"server-topk": func(*Exec) (*Relation, error) {
+				rel, _, err := db.QueryForced(context.Background(), topKSQL, StrategyBaseline)
+				return rel, err
 			},
-			"sampling-topk": func(e *Exec) (*Relation, error) {
-				return e.SamplingTopK("events", "v", 25, false, SamplingTopKOptions{SampleSize: 200})
-			},
+			"sampling-topk": func(e *Exec) (*Relation, error) { return e.SamplingTopK(topKSQL, 200) },
 		} {
 			rel, err := f(db.NewExec())
 			if err != nil {

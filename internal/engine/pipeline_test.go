@@ -639,10 +639,10 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
 		},
 		"SamplingTopK": func(e *Exec) (*Relation, error) {
-			return e.SamplingTopK("qa", "my col", 5, false, SamplingTopKOptions{})
+			return e.SamplingTopK(`SELECT k, "my col" FROM qa WHERE g = 3 ORDER BY "my col" DESC LIMIT 5`, 0)
 		},
 		"SamplingTopK, sized": func(e *Exec) (*Relation, error) {
-			return e.SamplingTopK("qa", "my col", 5, true, SamplingTopKOptions{SampleSize: 200})
+			return e.SamplingTopK(`SELECT * FROM qa ORDER BY "my col" LIMIT 5`, 200)
 		},
 		"FilteredJoin":      func(e *Exec) (*Relation, error) { return e.FilteredJoin(js) },
 		"BloomJoin":         func(e *Exec) (*Relation, error) { return e.BloomJoin(js) },

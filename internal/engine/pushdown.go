@@ -154,9 +154,8 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	// What is read off the sample: the keys, then everything else that has to
 	// order the same on both sides of the wire — a top-K's every sort key
 	// (its own first included), a group-by's MIN and MAX arguments.
-	exprs, nkeys, ordered := slices.Clone(sel.GroupBy), len(sel.GroupBy), len(sel.GroupBy)
+	exprs, nkeys := slices.Clone(sel.GroupBy), len(sel.GroupBy)
 	if kind == PushedTopK {
-		nkeys, ordered = 1, 0
 		for _, o := range orderByOverInput(sel) {
 			exprs = append(exprs, o.Expr)
 		}
@@ -178,11 +177,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	// Their values in the sample rows WHERE keeps, by the rule sampleCounts
 	// follows: the sample is a CSV object and the select engine the one
 	// estimator.
-	probe := &sqlparse.Select{Table: "S3Object", Where: sel.Where, Limit: -1}
-	for _, x := range exprs {
-		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
-	}
-	rows, st, err := e.sampleSelect(ts, sel.Table, probe, stage)
+	rows, st, err := e.sampleSelect(ts, sel.Table, keyProbe(sel, exprs, -1), stage)
 	if err == nil {
 		st.sp.SetInt("matched", int64(len(rows)))
 	}
@@ -192,16 +187,13 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		return -1
 	}
 	filtered = ts.scaled(int64(len(rows)))
-	for i := ordered; i < len(exprs); i++ {
-		if !oneClass(rows, i) {
-			ap.NotPushed = fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[i])
-			return filtered
-		}
-	}
 	if kind == PushedTopK {
-		if ap.NotPushed = e.db.topKPush(sel, exprs[0], rows, ap); ap.push != nil {
+		if ap.NotPushed = e.db.topKThreshold(sel, exprs, rows, nil, ap); ap.push != nil {
 			ap.push.estRows = ts.scaled(ap.push.estRows)
 		}
+		return filtered
+	}
+	if ap.NotPushed = oneClass(exprs, rows, nkeys); ap.NotPushed != "" {
 		return filtered
 	}
 	if nkeys == 0 {
@@ -254,32 +246,57 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	return filtered
 }
 
-// oneClass reports whether the non-NULL cells of a sample column are all
-// numbers, all dates, or all text that does not read as a number. Within a
+// keyProbe is the S3 Select statement that reads exprs off at most limit
+// (-1: every) rows WHERE keeps.
+func keyProbe(sel *sqlparse.Select, exprs []sqlparse.Expr, limit int64) *sqlparse.Select {
+	probe := &sqlparse.Select{Table: "S3Object", Where: sel.Where, Limit: limit}
+	for _, x := range exprs {
+		probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: x})
+	}
+	return probe
+}
+
+// topKThreshold is Section VII's threshold, planned from a sample: rows hold
+// the sort keys (orderByOverInput) of sample rows WHERE keeps — the statistics
+// object's, for the planner, or the table's first rows, for SamplingTopK.
+// Every key must be of one class over rows and more, other such rows
+// (oneClass); then topKPush reads the threshold off rows' first key. It
+// says why there is none.
+func (db *DB) topKThreshold(sel *sqlparse.Select, keys []sqlparse.Expr, rows, more [][]string, ap *AccessPlan) (why string) {
+	if why = oneClass(keys, slices.Concat(rows, more), 0); why != "" {
+		return why
+	}
+	return db.topKPush(sel, keys[0], rows, ap)
+}
+
+// oneClass names the first of exprs[from:] whose non-NULL sample cells —
+// rows holds every expression's — are not all numbers, all dates, or all text
+// that does not read as a number, and is "" when there is none. Within a
 // class comparison is one total order on both sides of the wire; across them
 // it is not an order at all (9 < 10 as numbers, 10 < 5x and 5x < 9 as text),
 // and storage compares a CSV cell as text where the server compares the typed
 // cell it decodes — so what a threshold keeps, what a stable sort makes of the
 // survivors, and which cell is a partition's MIN would depend on the path.
-func oneClass(rows [][]string, col int) bool {
-	class := value.KindNull
-	for _, r := range rows {
-		v := value.FromCSV(r[col])
-		k := v.Kind()
-		switch _, numeric := value.CoerceNum(v); {
-		case v.IsNull():
-			continue
-		case k == value.KindString && numeric: // " 5": text to the loader, a number to a comparison
-			return false
-		case k == value.KindFloat:
-			k = value.KindInt
+func oneClass(exprs []sqlparse.Expr, rows [][]string, from int) (why string) {
+	for col := from; col < len(exprs); col++ {
+		class := value.KindNull
+		for _, r := range rows {
+			v := value.FromCSV(r[col])
+			if v.IsNull() {
+				continue
+			}
+			k := v.Kind()
+			if k == value.KindFloat {
+				k = value.KindInt
+			}
+			// " 5" is text to the loader, a number to a comparison.
+			if _, numeric := value.CoerceNum(v); k == value.KindString && numeric || class != value.KindNull && k != class {
+				return fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[col])
+			}
+			class = k
 		}
-		if class != value.KindNull && k != class {
-			return false
-		}
-		class = k
 	}
-	return true
+	return ""
 }
 
 // topKPush reads the threshold off the sample — rows holds the first sort key
@@ -287,7 +304,7 @@ func oneClass(rows [][]string, col int) bool {
 // it cannot. The K best must all be non-NULL and, if numeric, finite. The
 // sample is a subset of the table, so at least K table rows pass `key >= T`;
 // >= and <= are value.Compare, which is also the comparator of the server's
-// stable sort and, over keys of one class (planTail has checked the sample's),
+// stable sort and, over keys of one class (topKThreshold checks the sample's),
 // one order on both sides, so every row of the answer comes back, ties at T
 // included, in table order. estRows counts the sample rows that pass.
 func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *AccessPlan) (why string) {

@@ -630,8 +630,9 @@ const endRow, pastHeader = 0xff, 0x80
 
 // FuzzSingleTablePushdown: bytes become a table of at most 300 rows of hostile
 // cells in 1 to 3 partitions, CSV or colformat, and one statement of test
-// (a)'s battery; the answer planned with the statistics object must be the
-// answer planned without it. An error on the plain path excuses the statement
+// (a)'s battery; the answer planned with the statistics object, and for a
+// top-K statement SamplingTopK's at a sample size the last byte chooses, must
+// be the answer planned without it. An error on the plain path excuses the statement
 // (a threshold may spare the server the row its projection chokes on); a
 // panic, a difference, or an input that costs over 64 MiB is a finding.
 func FuzzSingleTablePushdown(f *testing.F) {
@@ -689,11 +690,25 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		db := openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized))
 		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed
 		got, e := queryOrErr(db, sql, q.ordered)
+		// A top-K statement also runs by hand, sampling the S first rows of
+		// the table's, S a cell byte (0: S*).
+		sampled, se, sample := "", db.NewExec(), int64(data[len(data)-1])%64
+		if kind, _ := db.pushableShape(mustParse(t, sql)); kind == PushedTopK {
+			rel, err := se.SamplingTopK(sql, sample)
+			sampled = "error"
+			if err == nil {
+				sampled = render(rel, q.ordered)
+			}
+		}
 		dropStats(st, pushBucket, "n")
 		want, _ := queryOrErr(openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized)), sql, q.ordered)
 		if want != "error" && got != want {
 			t.Fatalf("%q over %d rows in %d partitions, columnar=%v vectorized=%v\nwith the statistics object:\n%s\nwithout:\n%s\n%s",
 				sql, len(rows), parts, columnar, vectorized, got, want, e.QueryPlan())
+		}
+		if want != "error" && sampled != "" && sampled != want {
+			t.Fatalf("%q over %d rows in %d partitions, columnar=%v vectorized=%v\nsampling %d rows:\n%s\nwithout the statistics object:\n%s\n%s",
+				sql, len(rows), parts, columnar, vectorized, sample, sampled, want, se.QueryPlan())
 		}
 		runtime.ReadMemStats(&after)
 		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {

@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"cmp"
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
 
@@ -204,38 +209,46 @@ func TestQuickFilterPartition(t *testing.T) {
 	}
 }
 
-// Property: TopK(k) equals Sort + Limit(k) on the key column.
+// Property: the sampling top-K of k rows, at any sample size over any
+// partitioning, is the k first rows of a stable sort on the key: ties in
+// table order.
 func TestQuickTopKMatchesSortLimit(t *testing.T) {
-	f := func(vals []int16, kRaw uint8) bool {
+	f := func(vals []int8, kRaw, sRaw uint8, desc bool) bool {
 		if len(vals) == 0 {
 			return true
 		}
 		k := int(kRaw)%len(vals) + 1
 		rows := make([][]string, len(vals))
 		for i, v := range vals {
-			rows[i] = []string{value.Int(int64(v)).String()}
+			rows[i] = []string{fmt.Sprint(i), fmt.Sprint(v)}
 		}
-		rel := relOf([]string{"x"}, rows)
-		top, err := topK(rel, "x", k, true)
+		st := store.New()
+		if err := PartitionTable(context.Background(), st, testBucket, "q", []string{"id", "x"}, rows, 1+int(sRaw)%3); err != nil {
+			t.Fatal(err)
+		}
+		order := "x"
+		if desc {
+			order = "x DESC"
+		}
+		got, err := openTestDB(t, st).NewExec().SamplingTopK(fmt.Sprintf("SELECT * FROM q ORDER BY %s LIMIT %d", order, k), int64(sRaw))
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		sorted, err := SortLocal(rel, "x")
-		if err != nil {
-			return false
+		idx := make([]int, len(vals))
+		for i := range idx {
+			idx[i] = i
 		}
-		want := LimitLocal(sorted, k)
-		if len(top.Rows) != len(want.Rows) {
-			return false
-		}
-		for i := range want.Rows {
-			a, _ := top.Rows[i][0].IntNum()
-			b, _ := want.Rows[i][0].IntNum()
-			if a != b {
-				return false
+		slices.SortStableFunc(idx, func(a, b int) int {
+			if desc {
+				a, b = b, a
 			}
+			return cmp.Compare(vals[a], vals[b])
+		})
+		var lines []string
+		for _, i := range idx[:k] {
+			lines = append(lines, strings.Join(rows[i], "|"))
 		}
-		return true
+		return render(got, true) == "id|x\n"+strings.Join(lines, "\n")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

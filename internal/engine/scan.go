@@ -40,7 +40,7 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
 		fns[i] = func() (err error) {
-			rels[i], _, err = e.loadMetered("load "+l.Table, stage, l, perRow)
+			rels[i], err = e.loadMetered("load "+l.Table, stage, l, perRow)
 			return err
 		}
 	}
@@ -55,21 +55,20 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	rel, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0)
-	return rel, err
+	return e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0)
 }
 
-// loadMetered is LoadTable on a step of its own, which it returns after
-// metering there perRow units of the server's row work per loaded row: the
-// server-side baselines' pass over every row.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64) (*Relation, step, error) {
+// loadMetered is LoadTable on a step of its own, metering there perRow units
+// of the server's row work per loaded row: the server-side baselines' pass
+// over every row.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64) (*Relation, error) {
 	st := e.step(name, name, stage, l.Table)
 	rel, err := e.loadTable(st, l.Table, l.Cols)
 	if err == nil {
 		st.AddServerRows(int64(len(rel.Rows)) * perRow)
 	}
 	st.end(err)
-	return rel, st, err
+	return rel, err
 }
 
 // loadTable is LoadTable metered on st.

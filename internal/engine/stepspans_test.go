@@ -146,12 +146,8 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 			_, err := e.HybridGroupBy("lineitem", "l_suppkey", aggs, engine.HybridGroupByOptions{S3Groups: 2})
 			return err
 		},
-		"ServerSideTopK": func(e *engine.Exec) error {
-			_, err := e.ServerSideTopK("lineitem", "l_extendedprice", 10, false)
-			return err
-		},
 		"SamplingTopK": func(e *engine.Exec) error {
-			_, err := e.SamplingTopK("lineitem", "l_extendedprice", 10, false, engine.SamplingTopKOptions{})
+			_, err := e.SamplingTopK("SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10", 0)
 			return err
 		},
 		"BaselineJoin": func(e *engine.Exec) error { _, err := e.BaselineJoin(js); return err },

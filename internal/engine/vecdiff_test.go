@@ -338,9 +338,8 @@ func TestOperatorEdgeCases(t *testing.T) {
 }
 
 // TestRaggedRowsDoNotPanic is the operator-level regression for the daemon
-// crash: decoded, a short row's missing join key or top-K order cell is a
-// NULL — the row never matches and never ranks — on both operator sets, at
-// every worker count, and in the hand operators' ranking, where it used to
+// crash: decoded, a short row's missing join key is a NULL — the row never
+// matches — on both operator sets, at every worker count, where it used to
 // index out of range on a worker goroutine.
 func TestRaggedRowsDoNotPanic(t *testing.T) {
 	left := relOf([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
@@ -372,23 +371,14 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 		t.Errorf("HashJoinLocal over ragged rows: %v, %v", out, err)
 	}
 
-	top, err := topK(left, "k", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(top, true); got != "a|k\n3|30\n1|10" {
-		t.Errorf("topK over ragged rows = %q", got)
-	}
-	short := relOf([]string{"a", "k"}, [][]string{{"1", "5"}, {"2"}, {"3", "7"}})
-	if lit, err := kthValue(short, "k", 2, true); err != nil || lit.String() != "7" {
-		t.Errorf("kthValue over ragged rows = %q, %v; want 7", lit, err)
-	}
 }
 
 // TestRaggedObjectEndToEnd is the end-to-end half of the ragged-row
 // regression: partitions holding a short row go through LoadTable into the
-// baseline join and the server-side top-K on both operator sets, which must
-// agree — the short rows' missing keys match and rank nowhere — and not panic.
+// baseline join and the forced-baseline top-K on both operator sets, which
+// must agree — the short rows' missing keys match nothing and sort as NULL —
+// and not panic; the sampling top-K answers as the baseline at every sample
+// size.
 // The loader's statistics objects hold the short rows too, shaped to the
 // header, so the planner reads both tables from them.
 func TestRaggedObjectEndToEnd(t *testing.T) {
@@ -416,12 +406,26 @@ func TestRaggedObjectEndToEnd(t *testing.T) {
 		if got := render(join, false); got != wantJoin {
 			t.Errorf("vectorized=%v BaselineJoin:\n%s\nwant\n%s", vectorized, got, wantJoin)
 		}
-		top, err := db.NewExecContext(ctx).ServerSideTopK("l", "k", 2, false)
-		if err != nil {
-			t.Fatalf("vectorized=%v ServerSideTopK: %v", vectorized, err)
-		}
-		if got := render(top, true); got != wantTop {
-			t.Errorf("vectorized=%v ServerSideTopK:\n%s\nwant\n%s", vectorized, got, wantTop)
+		for sql, want := range map[string]string{
+			"SELECT * FROM l ORDER BY k DESC LIMIT 2": wantTop,
+			"SELECT * FROM l ORDER BY k LIMIT 2":      "a|k\n2|\n1|10",
+		} {
+			top, _, err := db.QueryForced(ctx, sql, StrategyBaseline)
+			if err != nil {
+				t.Fatalf("vectorized=%v %s: %v", vectorized, sql, err)
+			}
+			if got := render(top, true); got != want {
+				t.Errorf("vectorized=%v %s:\n%s\nwant\n%s", vectorized, sql, got, want)
+			}
+			for _, s := range []int64{0, 2, 4} {
+				sampled, err := db.NewExecContext(ctx).SamplingTopK(sql, s)
+				if err != nil {
+					t.Fatalf("vectorized=%v SamplingTopK(%s, %d): %v", vectorized, sql, s, err)
+				}
+				if got := render(sampled, true); got != want {
+					t.Errorf("vectorized=%v SamplingTopK(%s, %d):\n%s\nwant\n%s", vectorized, sql, s, got, want)
+				}
+			}
 		}
 		plan, _, err := planOf(db, "SELECT a, w FROM l JOIN r ON l.k = r.k2")
 		if err != nil {

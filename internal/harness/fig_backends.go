@@ -51,7 +51,7 @@ func RunBackends(ctx context.Context, env *Env) (*Result, error) {
 			"series name records the strategy chosen per backend profile; est columns are its per-strategy runtime estimates",
 		},
 	}
-	sameOnEveryBackend := acrossX(sameJoinCount)
+	sameOnEveryBackend := acrossX(sameRows)
 	for _, profile := range BackendProfiles() {
 		if _, err := res.sweep(ctx, env.TPCH(s3api.WithProfile(profile)), []string{profile.Name}, func(db *engine.DB, _ int) ([]series, check) {
 			// Full worker budget: server-side parse and row work run across

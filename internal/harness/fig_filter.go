@@ -49,7 +49,7 @@ func RunFig1(ctx context.Context, env *Env) (*Result, error) {
 				note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
 					return "", map[string]float64{"rows": float64(len(rel.Rows))}, nil
 				}},
-		}, sameRowCount
+		}, sameRows
 	})
 }
 
@@ -66,6 +66,6 @@ func RunFig1MultiRange(ctx context.Context, env *Env) (*Result, error) {
 		return []series{
 			{name: "Per-Row GETs", run: indexing(db, threshold, engine.IndexFilterOptions{})},
 			{name: "Multi-Range GET", run: indexing(db, threshold, engine.IndexFilterOptions{MultiRange: true})},
-		}, nil
+		}, sameRows
 	})
 }

@@ -41,7 +41,7 @@ func RunFig11(ctx context.Context, env *Env) (*Result, error) {
 				{name: fmt.Sprintf("Parquet %d-col", cols), note: scannedMB, run: op(db, func(e *engine.Exec) (*engine.Relation, error) {
 					return e.SelectRows("columnar scan", e.NextStage(), "fcol", sql)
 				})},
-			}, sameRowCount
+			}, sameRows
 		}); err != nil {
 			return nil, err
 		}

@@ -78,7 +78,7 @@ func RunIndex(ctx context.Context, env *Env) (*Result, error) {
 					if n, _ := rels[3].Rows[0][0].IntNum(); int(n) != len(rels[0].Rows) {
 						return fmt.Errorf("SQL count %d != operator rows %d", n, len(rels[0].Rows))
 					}
-					return sameRowCount(rels[:3])
+					return sameRows(rels[:3])
 				}
 		})
 		if err != nil {

@@ -27,6 +27,6 @@ func RunPlanner(ctx context.Context, env *Env) (*Result, error) {
 		return []series{
 			{name: "Planner", run: query(db, listing2SQL(Fig2Acctbals[i])), note: planned(false)},
 			{run: listing2(db, listing2Spec(Fig2Acctbals[i], "", 0.01), "bloom", joinCountItems)},
-		}, sameJoinCount
+		}, sameRows
 	})
 }

@@ -21,18 +21,21 @@ func approxLineitemRows(env *Env) int {
 	return tpch.SizesFor(env.Scale.TPCHSF).Orders * 4
 }
 
-// serverTopK and samplingTopK are a series' call of Section VII's two
-// algorithms for the k most expensive lineitems.
-func serverTopK(db *engine.DB, k int) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-		return e.ServerSideTopK("lineitem", "l_extendedprice", k, true)
-	})
+// topKSQL is Section VII's statement: the k cheapest lineitems.
+func topKSQL(k int) string {
+	return fmt.Sprintf("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT %d", k)
 }
 
-func samplingTopK(db *engine.DB, k int, opts engine.SamplingTopKOptions) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-		return e.SamplingTopK("lineitem", "l_extendedprice", k, true, opts)
-	})
+// serverTopK and samplingTopK are a series' call of Section VII's two
+// algorithms over topKSQL: the statement on the forced baseline (load the
+// table, sort and limit on the server), and the sampling top-K at sample
+// size s (0 for the model's S*).
+func serverTopK(db *engine.DB, k int) call {
+	return forced(db, engine.StrategyBaseline, topKSQL(k))
+}
+
+func samplingTopK(db *engine.DB, k int, s int64) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.SamplingTopK(topKSQL(k), s) })
 }
 
 // RunFig8 reproduces Fig. 8: the sampling top-K's runtime split (sampling
@@ -53,7 +56,7 @@ func RunFig8(ctx context.Context, env *Env) (*Result, error) {
 		s := min(max(int64(float64(sStar)*mults[i]), int64(k)+1), n)
 		return []series{{
 			name: "Sampling Top-K",
-			run:  samplingTopK(db, k, engine.SamplingTopKOptions{SampleSize: s}),
+			run:  samplingTopK(db, k, s),
 			note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
 				return "", map[string]float64{
 					"samplingSec": e.Metrics.PhaseSeconds("sample lineitem"),
@@ -62,20 +65,8 @@ func RunFig8(ctx context.Context, env *Env) (*Result, error) {
 					"S":           float64(s),
 				}, nil
 			},
-		}}, kRows(k)
+		}, {run: serverTopK(db, k)}}, sameRows // the statement's answer, unplotted
 	})
-}
-
-// kRows checks that every series returned exactly k rows.
-func kRows(k int) check {
-	return func(rels []*engine.Relation) error {
-		for _, rel := range rels {
-			if len(rel.Rows) != k {
-				return fmt.Errorf("returned %d rows, want %d", len(rel.Rows), k)
-			}
-		}
-		return nil
-	}
 }
 
 // RunFig9 reproduces Fig. 9: server-side vs sampling top-K as K grows.
@@ -94,26 +85,11 @@ func RunFig9(ctx context.Context, env *Env) (*Result, error) {
 	}
 	return res.sweep(ctx, env.TPCH(), labels("%d", ks), func(db *engine.DB, i int) ([]series, check) {
 		return []series{
-				{name: "Server-Side Top-K", run: serverTopK(db, ks[i])},
-				{name: "Sampling Top-K", run: samplingTopK(db, ks[i], engine.SamplingTopKOptions{})},
-			}, func(rels []*engine.Relation) error {
-				if err := kRows(ks[i])(rels); err != nil {
-					return err
-				}
-				return samePrices(rels)
-			}
+			{name: "Server-Side Top-K", run: serverTopK(db, ks[i])},
+			{name: "Sampling Top-K", run: samplingTopK(db, ks[i], 0)},
+		}, sameRows
 	})
 }
-
-// samePrices checks that the series return the same prices, row by row.
-var samePrices = agreeOn("the top-K prices", func(rel *engine.Relation) string {
-	var prices []float64
-	for _, r := range rel.Rows {
-		p, _ := r[rel.ColIndex("l_extendedprice")].Num()
-		prices = append(prices, p)
-	}
-	return fmt.Sprint(prices)
-})
 
 // RunTopKModel validates the Section VII-B analysis: measured bytes
 // returned across sample sizes should be minimized near the analytic

@@ -308,16 +308,17 @@ func agreeOn[K comparable](what string, key func(*engine.Relation) K) check {
 	}
 }
 
-var (
-	sameRowCount = agreeOn("row count", func(rel *engine.Relation) int { return len(rel.Rows) })
-	sameAnswer   = agreeOn("the answer", (*engine.Relation).String)
-)
+var sameAnswer = agreeOn("the answer", (*engine.Relation).String)
 
-// sameJoinCount checks the COUNT(*) every series returned beside the
-// Listing-2 sum (joinCountItems, listing2SQL).
-var sameJoinCount = agreeOn("COUNT(*)", func(rel *engine.Relation) int64 {
-	n, _ := rel.Rows[0][1].IntNum()
-	return n
+// sameRows is the figures' answer check: every series returns the same rows,
+// byte for byte as rendered, in any order.
+var sameRows = agreeOn("the rows", func(rel *engine.Relation) string {
+	lines := make([]string, len(rel.Rows))
+	for i, r := range rel.Rows {
+		lines[i] = fmt.Sprint(r)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 })
 
 // acrossX extends an agreement check over the whole sweep: at every x the

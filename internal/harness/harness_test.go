@@ -3,8 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"pushdowndb/internal/engine"
 )
 
 // The harness tests assert the paper's qualitative claims ("shapes") on
@@ -439,4 +442,91 @@ func TestResultString(t *testing.T) {
 	if !strings.Contains(s, "== X: t ==") || !strings.Contains(s, "2.00") {
 		t.Errorf("render:\n%s", s)
 	}
+}
+
+// sameRowsExemptions are the only series a figure checks less than byte for
+// byte (sameRows), with why, measured (ROADMAP finding 7): S3SideGroupBy
+// and HybridGroupBy push float SUM partials, which round once per partition,
+// so some of their sums differ in the last digits from the same statement's
+// forced-baseline answer. Each entry runs the series beside the forced
+// baseline at every x of its figure and counts the SUM cells that differ, of
+// all of them; differ pins those counts. When the partials are exact (ROADMAP
+// 17(b)) every count is 0 and the entry, with its figure's weaker check, goes.
+var sameRowsExemptions = []struct {
+	figure, series, check string
+	thetas                []float64 // the group table's skews (-1: uniform)
+	groupCols             []string
+	run                   func(db *engine.DB, groupCol string) call
+	differ                []string // per (θ, group column), in order
+}{
+	{"Fig5", "S3-Side Group-By", "sameGroupTotals", []float64{-1}, []string{"g1", "g2", "g3", "g4", "g5"}, s3SideGroupBy,
+		[]string{"1 of 8", "3 of 16", "4 of 32", "7 of 64", "16 of 128"}},
+	{"Fig7", "Hybrid Group-By", "sameGroupTotals", Fig7Thetas, []string{"g1"}, fig7Hybrid,
+		[]string{"3 of 400", "5 of 400", "2 of 400", "4 of 400", "5 of 400"}},
+	{"Fig10", "Group-by: PushdownDB (Optimized)", "sameGroupTotals", []float64{-1}, []string{"g3"}, s3SideGroupBy,
+		[]string{"4 of 32"}},
+}
+
+func s3SideGroupBy(db *engine.DB, groupCol string) call {
+	return groupBy(db, (*engine.Exec).S3SideGroupBy, groupCol)
+}
+
+func fig7Hybrid(db *engine.DB, _ string) call {
+	return hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8})
+}
+
+func TestSameRowsExemptions(t *testing.T) {
+	ctx := context.Background()
+	env := testEnv(t)
+	for _, ex := range sameRowsExemptions {
+		var got []string
+		for _, theta := range ex.thetas {
+			db, err := env.GroupTable(theta)(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range ex.groupCols {
+				want, _, err := forced(db, engine.StrategyBaseline, fig5SQL(col))(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel, _, err := ex.run(db, col)(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, differingSums(t, want, rel))
+			}
+		}
+		if !slices.Equal(got, ex.differ) {
+			t.Errorf("%s's %s (checked by %s): SUM cells differing from the forced baseline %q, pinned %q",
+				ex.figure, ex.series, ex.check, got, ex.differ)
+		}
+	}
+}
+
+// differingSums compares two group-by answers group by group and says how
+// many of want's SUM cells (every cell after the key) got renders otherwise.
+func differingSums(t *testing.T, want, got *engine.Relation) string {
+	t.Helper()
+	byKey := map[string]engine.Row{}
+	for _, r := range got.Rows {
+		byKey[r[0].String()] = r
+	}
+	if len(byKey) != len(want.Rows) {
+		t.Fatalf("%d groups, want %d", len(byKey), len(want.Rows))
+	}
+	n, of := 0, 0
+	for _, r := range want.Rows {
+		g, ok := byKey[r[0].String()]
+		if !ok {
+			t.Fatalf("group %s missing", r[0])
+		}
+		for j := 1; j < len(r); j++ {
+			of++
+			if g[j].String() != r[j].String() {
+				n++
+			}
+		}
+	}
+	return fmt.Sprintf("%d of %d", n, of)
 }

@@ -102,22 +102,20 @@ func TestEngineOverHTTPMatchesInProc(t *testing.T) {
 			t.Fatalf("group counts differ: %d vs %d", len(a.Rows), len(b.Rows))
 		}
 
-		ta, err := inprocDB.NewExec().SamplingTopK("lineitem", "l_extendedprice", 7, true,
-			engine.SamplingTopKOptions{SampleSize: 200})
+		// The sampling top-K answers its statement over either wire, as the
+		// forced baseline does.
+		sql := "SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT 7"
+		want, _, err := inprocDB.QueryForced(context.Background(), sql, engine.StrategyBaseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, err := httpDB.NewExec().SamplingTopK("lineitem", "l_extendedprice", 7, true,
-			engine.SamplingTopKOptions{SampleSize: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vi := ta.ColIndex("l_extendedprice")
-		for i := range ta.Rows {
-			x, _ := ta.Rows[i][vi].Num()
-			y, _ := tb.Rows[i][vi].Num()
-			if x != y {
-				t.Fatalf("top-K row %d differs over HTTP: %v vs %v", i, x, y)
+		for name, db := range map[string]*engine.DB{"in process": inprocDB, "over HTTP": httpDB} {
+			got, err := db.NewExec().SamplingTopK(sql, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("sampling top-K %s:\n%s\nwant\n%s", name, got, want)
 			}
 		}
 	})
