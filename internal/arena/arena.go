@@ -1,11 +1,13 @@
 // Package arena is the allocation rule of the select/GET path in one place:
-// a decoded response or partition costs O(bytes / chunk) allocations,
-// never one per row or per cell. Text hands out owned strings cut from
-// append-only chunks, Slab windows of backing arrays. Both start at the
-// size of the first request and double up to a fixed cap, so a one-row
-// decode keeps little more than its row alive and a large one wastes at
-// most a chunk. Nothing handed out is ever moved, rewritten or pooled; a
-// value keeps alive the chunk it was cut from. Not for concurrent use.
+// a decoded response or partition costs O(bytes / chunk) allocations, never
+// one per row or per cell. A local hash join (its rows share one array) and
+// a group table (expr.Groups) keep the rule too. Text hands out owned
+// strings cut from append-only chunks, Slab windows of backing arrays. Both
+// start at the size of the first request and double up to a fixed cap, so
+// a one-row decode keeps little more than its row alive and a large one
+// wastes at most a chunk. Nothing handed out is ever moved, rewritten or
+// pooled; a value keeps alive the chunk it was cut from, as a surviving
+// joined row keeps its join's whole array. Not for concurrent use.
 package arena
 
 import "strings"

@@ -226,6 +226,38 @@ func TestCrossBackendJoin(t *testing.T) {
 	}
 }
 
+// TestTableBackendKeyedAsSpelled: the table-to-backend catalog keys a table
+// as it is spelled, as its object keys and per-table metadata do. Table t
+// lives on the default backend and T on the one WithTableBackend maps it
+// to; each is read from its own backend.
+func TestTableBackendKeyedAsSpelled(t *testing.T) {
+	ctx := context.Background()
+	stores := map[string]*store.Store{"t": store.New(), "T": store.New()}
+	for table, n := range map[string]int{"t": 30, "T": 70} {
+		var rows [][]string
+		for i := 0; i < n; i++ {
+			rows = append(rows, []string{fmt.Sprint(i)})
+		}
+		if err := PartitionTable(ctx, stores[table], testBucket, table, []string{"k"}, rows, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(testBucket, WithBackend("a", s3api.NewInProc(stores["t"])),
+		WithBackend("b", s3api.NewInProc(stores["T"])), WithTableBackend("T", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range map[string]string{"t": "[[30]]", "T": "[[70]]"} {
+		rel, _, err := db.QueryContext(ctx, "SELECT COUNT(*) FROM "+table)
+		if err != nil {
+			t.Fatalf("COUNT(*) FROM %s: %v", table, err)
+		}
+		if got := fmt.Sprint(rel.Rows); got != want {
+			t.Errorf("COUNT(*) FROM %s = %s, want %s", table, got, want)
+		}
+	}
+}
+
 // --- per-backend planner pricing (tentpole acceptance) ---
 
 // wanProfile models a congested thin-WAN remote object store: 2 MB/s to

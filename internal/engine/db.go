@@ -28,7 +28,7 @@ type DB struct {
 	// configured.
 	stores      map[string]s3api.Metered
 	defaultName string
-	catalog     map[string]string // lower(table) -> backend name
+	catalog     map[string]string // table, as spelled -> backend name
 
 	// Cfg holds the compute node's cost-model constants; per-backend
 	// network and RTT terms come from each backend's Profile.
@@ -131,10 +131,11 @@ func WithDefaultBackend(name string) Option {
 	}
 }
 
-// WithTableBackend maps a table to the backend its partitions live on.
+// WithTableBackend maps a table to the backend its partitions live on. The
+// table is keyed as spelled, as its object keys are: t and T are two tables.
 func WithTableBackend(table, backend string) Option {
 	return func(db *DB) error {
-		db.catalog[strings.ToLower(table)] = backend
+		db.catalog[table] = backend
 		return nil
 	}
 }
@@ -258,7 +259,7 @@ func baseTable(name string) string {
 // catalog entry if present, the default backend otherwise. Index
 // pseudo-tables resolve through their data table.
 func (db *DB) store(table string) s3api.Metered {
-	if name, ok := db.catalog[strings.ToLower(baseTable(table))]; ok {
+	if name, ok := db.catalog[baseTable(table)]; ok {
 		return db.stores[name]
 	}
 	return db.stores[db.defaultName]

@@ -307,24 +307,9 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 	if ri < 0 {
 		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
 	}
-	out := &Relation{Cols: append(append([]string{}, left.Cols...), right.Cols...)}
-	concat := func(lrow, rrow Row) Row {
-		joined := make(Row, 0, len(lrow)+len(rrow))
-		joined = append(joined, lrow...)
-		return append(joined, rrow...)
-	}
 	if o.Vectorized {
 		bi, pi := vec.JoinPairs(keyVector(left, li), keyVector(right, ri), o.Workers)
-		out.Rows = make([]Row, len(bi))
-		// Materializing the joined rows is pure memory traffic with a fixed
-		// output slot per pair, so it parallelizes over contiguous spans.
-		_ = vec.RunSpans(vec.RowSpans(len(bi), o.Workers), func(w int, sp vec.Span) error {
-			for k := sp.Lo; k < sp.Hi; k++ {
-				out.Rows[k] = concat(left.Rows[bi[k]], right.Rows[pi[k]])
-			}
-			return nil
-		})
-		return out, nil
+		return joinRows(left, right, bi, pi, o.Workers), nil
 	}
 	build := map[uint64][]int{}
 	for i, lrow := range left.Rows {
@@ -332,18 +317,38 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 			build[k.Hash()] = append(build[k.Hash()], i)
 		}
 	}
-	for _, rrow := range right.Rows {
+	var bi, pi []int
+	for p, rrow := range right.Rows {
 		k := rrow[ri]
 		if k.IsNull() {
 			continue
 		}
 		for _, i := range build[k.Hash()] {
-			if lrow := left.Rows[i]; value.Equal(lrow[li], k) {
-				out.Rows = append(out.Rows, concat(lrow, rrow))
+			if value.Equal(left.Rows[i][li], k) {
+				bi, pi = append(bi, i), append(pi, p)
 			}
 		}
 	}
-	return out, nil
+	return joinRows(left, right, bi, pi, 1), nil
+}
+
+// joinRows writes the joined row of each (build, probe) pair into one array,
+// span-parallel. Row k is the window cells[k*w:(k+1)*w:(k+1)*w]: an append
+// to it reallocates it, never writing into row k+1. A kept row pins the array.
+func joinRows(left, right *Relation, bi, pi []int, workers int) *Relation {
+	out := &Relation{Cols: append(slices.Clip(left.Cols), right.Cols...), Rows: make([]Row, len(bi))}
+	lw, w := len(left.Cols), len(out.Cols)
+	cells := make([]value.Value, len(bi)*w)
+	_ = vec.RunSpans(vec.RowSpans(len(bi), workers), func(_ int, sp vec.Span) error {
+		for k := sp.Lo; k < sp.Hi; k++ {
+			row := cells[k*w : (k+1)*w : (k+1)*w]
+			copy(row, left.Rows[bi[k]])
+			copy(row[lw:], right.Rows[pi[k]])
+			out.Rows[k] = row
+		}
+		return nil
+	})
+	return out
 }
 
 // keyVector extracts column c of a relation as a vector.

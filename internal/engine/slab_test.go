@@ -188,6 +188,62 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 	}
 }
 
+// joinSides is a 100-row build side keyed 0..99 and a probe side of n
+// rows cycling through those keys, so the join has n output rows.
+func joinSides(n int) (build, probe *Relation) {
+	build, probe = &Relation{Cols: []string{"k", "name"}}, &Relation{Cols: []string{"fk", "qty"}}
+	for i := 0; i < 100; i++ {
+		build.Rows = append(build.Rows, Row{value.Int(int64(i)), value.Str(fmt.Sprint("name", i))})
+	}
+	for i := 0; i < n; i++ {
+		probe.Rows = append(probe.Rows, Row{value.Int(int64(i % 100)), value.Float(float64(i) / 4)})
+	}
+	return build, probe
+}
+
+// joinOperatorSets are the reference and the kernels at two workers.
+var joinOperatorSets = map[string]Operators{"reference": {}, "vectorized": {Vectorized: true, Workers: 2}}
+
+// TestHashJoinAllocatesPerJoin pins the join's output to allocations per
+// join, not per row, on both operator sets: 16x the output rows cost only
+// the pair lists' few extra doublings.
+func TestHashJoinAllocatesPerJoin(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for name, o := range joinOperatorSets {
+		allocs := func(n int) float64 {
+			build, probe := joinSides(n)
+			return testing.AllocsPerRun(5, func() {
+				if out, err := o.HashJoin(build, probe, "k", "fk"); err != nil || len(out.Rows) != n {
+					t.Fatalf("%s: %d rows (%v), want %d", name, len(out.Rows), err, n)
+				}
+			})
+		}
+		if small, large := allocs(1000), allocs(16000); large-small > 32 {
+			t.Errorf("%s: HashJoin allocates %v times for 1k output rows and %v for 16k, want a small constant apart", name, small, large)
+		}
+	}
+}
+
+// TestJoinedRowsDoNotAlias: a joined row is a window of the join's one
+// array with no spare capacity, so an append to it never reaches the next.
+func TestJoinedRowsDoNotAlias(t *testing.T) {
+	for name, o := range joinOperatorSets {
+		build, probe := joinSides(300)
+		out, err := o.HashJoin(build, probe, "k", "fk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range out.Rows {
+			if len(row) != 4 || cap(row) != len(row) {
+				t.Fatalf("%s: row %d has len %d cap %d, want 4 and 4", name, k, len(row), cap(row))
+			}
+		}
+		checkRowsDoNotAlias(t, out)
+	}
+}
+
 // TestSortLocalIsStable: rows with equal keys keep their input order, in
 // both directions, as they did under sort.SliceStable.
 func TestSortLocalIsStable(t *testing.T) {

@@ -20,9 +20,9 @@ type AggState struct {
 	fn      sqlparse.AggFunc
 	count   int64
 	sumI    int64
-	sumF    *big.Float // exact finite sum; non-nil once a float arrives
-	spare   *big.Float // the next sum's destination (see accumulate)
-	tmp     big.Float  // reusable operand
+	sums    [2]big.Float // the exact finite sum, sums[cur], once a float arrives
+	cur     int          // which of sums holds it (see accumulate)
+	tmp     big.Float    // reusable operand
 	isFloat bool
 	sumNaN  bool // a NaN entered the sum (or infinities of mixed sign)
 	sumInf  int  // -1 or +1 once an infinity entered the sum
@@ -39,18 +39,18 @@ const sumPrec = 2200
 // promote turns an integer accumulator into the exact float one.
 func (a *AggState) promote() {
 	a.isFloat = true
-	a.sumF = new(big.Float).SetPrec(sumPrec).SetInt64(a.sumI)
-	a.spare = new(big.Float).SetPrec(sumPrec)
+	a.sums[0].SetPrec(sumPrec).SetInt64(a.sumI)
+	a.sums[1].SetPrec(sumPrec)
 	a.sumI = 0
 }
 
 // accumulate adds x to the exact sum without allocating. big.Float.Add
 // builds a fresh mantissa whenever its destination aliases an operand, so
-// the sum alternates between two buffers, each reusing its mantissa's
+// the sum alternates between the two buffers, each reusing its mantissa's
 // storage once that has grown to the sum's width.
 func (a *AggState) accumulate(x *big.Float) {
-	a.spare.Add(a.sumF, x)
-	a.sumF, a.spare = a.spare, a.sumF
+	a.sums[1-a.cur].Add(&a.sums[a.cur], x)
+	a.cur = 1 - a.cur
 }
 
 // addFloat folds one float64 into the exact sum, promoting an integer
@@ -85,7 +85,7 @@ func (a *AggState) floatSum() float64 {
 	case a.sumInf != 0:
 		return math.Inf(a.sumInf)
 	default:
-		f, _ := a.sumF.Float64()
+		f, _ := a.sums[a.cur].Float64()
 		return f
 	}
 }
@@ -149,7 +149,7 @@ func (a *AggState) Merge(b *AggState) error {
 		}
 		if a.isFloat {
 			if b.isFloat {
-				a.accumulate(b.sumF)
+				a.accumulate(&b.sums[b.cur])
 				a.sumNaN = a.sumNaN || b.sumNaN
 				if b.sumInf != 0 {
 					if a.sumInf != 0 && a.sumInf != b.sumInf {

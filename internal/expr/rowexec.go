@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
@@ -17,14 +18,19 @@ type Group struct {
 // their rendered key bytes, finalized through GroupKeyEnv. A table with no
 // key expressions is a plain aggregation and always holds exactly one
 // group, so zero input rows still finalize to one row (COUNT = 0, the
-// other aggregates NULL).
+// other aggregates NULL). Groups, accumulators and keys are cut from arena
+// chunks: O(groups / chunk) allocations, and a group pins its chunks.
 type Groups struct {
-	ev    *Evaluator
-	keys  []sqlparse.Expr
-	items []sqlparse.Expr
-	aggs  []*sqlparse.Aggregate
-	index map[string]*Group
-	order []*Group
+	ev     *Evaluator
+	keys   []sqlparse.Expr
+	items  []sqlparse.Expr
+	aggs   []*sqlparse.Aggregate
+	index  map[string]*Group
+	order  []*Group
+	groups arena.Slab[Group]
+	states arena.Slab[AggState]
+	vals   arena.Slab[value.Value]
+	text   arena.Text
 }
 
 // NewGroups returns an empty table grouping by keys and finalizing to
@@ -50,9 +56,10 @@ func (t *Groups) Partial() *Groups { return NewGroups(New(), t.keys, t.items) }
 // not materialize the key.
 func (t *Groups) Find(key []byte) *Group { return t.index[string(key)] }
 
-// Insert adds the group for a key Find did not have. keyVals is retained.
+// Insert adds the group for a key Find did not have, copying key and keyVals.
 func (t *Groups) Insert(key []byte, keyVals []value.Value) *Group {
-	g := &Group{key: string(key), keyVals: keyVals, States: make([]AggState, len(t.aggs))}
+	g := &t.groups.Make(1)[0]
+	g.key, g.keyVals, g.States = t.text.String(key), append(t.vals.Make(len(keyVals))[:0], keyVals...), t.states.Make(len(t.aggs))
 	for i, a := range t.aggs {
 		g.States[i].fn = a.Func
 	}
@@ -210,7 +217,7 @@ func (x *RowExec) Add(env Env) error {
 	x.key = key
 	g := x.groups.Find(key)
 	if g == nil {
-		g = x.groups.Insert(key, append([]value.Value(nil), x.keyVals...))
+		g = x.groups.Insert(key, x.keyVals)
 	}
 	return x.groups.Add(g, env)
 }

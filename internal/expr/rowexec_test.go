@@ -2,9 +2,11 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"pushdowndb/internal/race"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
@@ -117,5 +119,40 @@ func TestGroupsMergeKeepsFirstSeenOrder(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(finishRows(t, merged)), "[[b 3] [a 2] [c 1] [d 1]]"; got != want {
 		t.Errorf("merged groups = %s, want %s", got, want)
+	}
+}
+
+// TestGroupsAllocatePerChunk pins the group table to allocations per
+// chunk, not per group: 10k groups, each with two aggregates, cost their
+// arena chunks and the index's growth. Insert copies the key and its
+// values, so the caller's scratch slices are reused throughout.
+func TestGroupsAllocatePerChunk(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sel, err := sqlparse.Parse("SELECT k, COUNT(*), SUM(x) FROM t GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups = 10_000
+	var tbl *Groups
+	n := testing.AllocsPerRun(5, func() {
+		tbl = NewGroups(New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+		var key []byte
+		vals := make([]value.Value, 1)
+		for i := 0; i < groups; i++ {
+			key = strconv.AppendInt(key[:0], int64(i), 10)
+			vals[0] = value.Int(int64(i))
+			tbl.Insert(key, vals)
+		}
+	})
+	if n > groups/50 {
+		t.Errorf("inserting %d groups allocates %v times, want at most %d", groups, n, groups/50)
+	}
+	for _, i := range []int{0, groups / 2, groups - 1} {
+		g := tbl.Find([]byte(strconv.Itoa(i)))
+		if g == nil || g.keyVals[0].AsInt() != int64(i) || len(g.States) != 2 {
+			t.Fatalf("group %d did not keep its own key: %+v", i, g)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package vec
 import (
 	"strconv"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -27,8 +28,9 @@ func Finish(t *expr.Groups, items []sqlparse.SelectItem) ([]string, [][]value.Va
 		cols[i] = it.Name()
 	}
 	var rows [][]value.Value
+	var slab arena.Slab[value.Value]
 	err := t.Finish(func(row []value.Value) error {
-		rows = append(rows, append([]value.Value(nil), row...))
+		rows = append(rows, append(slab.Make(len(row))[:0], row...)) // Finish reuses row
 		return nil
 	})
 	return cols, rows, err
@@ -91,6 +93,7 @@ func Accumulate(t *expr.Groups, b *Batch, workers int) error {
 			p = t.Partial()
 		}
 		var buf []byte
+		keyVals := make([]value.Value, len(keys)) // Insert copies it
 		var memoDays int64
 		var memoStr string
 		memoOK := false
@@ -135,7 +138,6 @@ func Accumulate(t *expr.Groups, b *Batch, workers int) error {
 			}
 			gs := p.Find(buf)
 			if gs == nil {
-				keyVals := make([]value.Value, len(keys))
 				for j := range keys {
 					if c := keys[j].col; c >= 0 {
 						keyVals[j] = b.Vecs[c].Value(i)

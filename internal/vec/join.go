@@ -10,33 +10,26 @@ import (
 // build matches ascending. Hashing and equality go through the same
 // value.Hash/value.Equal the row path uses, so hash collisions and
 // numeric-vs-string key coercions behave identically.
+//
+// The build side is one chained hash table, not a list per key: head maps a
+// hash to its first build row plus one, next links a row to the next with
+// its hash (-1 ends a chain), linked last to first so chains ascend.
 func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
-	buildSpans := RowSpans(build.Len(), workers)
-	partMaps := make([]map[uint64][]int, len(buildSpans))
-	_ = RunSpans(buildSpans, func(w int, sp Span) error {
-		m := map[uint64][]int{}
+	n := build.Len()
+	hashes := make([]uint64, n)
+	_ = RunSpans(RowSpans(n, workers), func(_ int, sp Span) error {
 		for i := sp.Lo; i < sp.Hi; i++ {
-			if build.IsNull(i) {
-				continue
+			if !build.IsNull(i) {
+				hashes[i] = build.Value(i).Hash()
 			}
-			h := build.Value(i).Hash()
-			m[h] = append(m[h], i)
 		}
-		partMaps[w] = m
 		return nil
 	})
-	table := map[uint64][]int{}
-	if len(partMaps) > 0 {
-		table = partMaps[0]
-		for _, m := range partMaps[1:] {
-			// Deterministic despite map iteration: per-worker index lists are
-			// ascending and merge in span order, so table[h] is ascending
-			// regardless of which key merges first (same argument as the row
-			// path's build merge).
-			//lint:ignore mapdeterminism per-key append order is fixed by the worker-span order, not the map order
-			for h, idxs := range m {
-				table[h] = append(table[h], idxs...)
-			}
+	head, next := make(map[uint64]int, n), make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		if !build.IsNull(i) {
+			next[i] = head[hashes[i]] - 1
+			head[hashes[i]] = i + 1
 		}
 	}
 	sps := RowSpans(probe.Len(), workers)
@@ -48,7 +41,7 @@ func JoinPairs(build, probe *Vector, workers int) (bi, pi []int) {
 				continue
 			}
 			pv := probe.Value(p)
-			for _, i := range table[pv.Hash()] {
+			for i := head[pv.Hash()] - 1; i >= 0; i = next[i] {
 				if value.Equal(build.Value(i), pv) {
 					parts[w] = append(parts[w], pair{b: i, p: p})
 				}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pushdowndb/internal/race"
 	"pushdowndb/internal/value"
 )
 
@@ -214,3 +215,48 @@ func TestFromCSVRefusesAMiscountedBody(t *testing.T) {
 		t.Errorf("FromCSV over a well-formed body: %v, %v", b, err)
 	}
 }
+
+// intKeys is a vector of n integer keys cycling through distinct values.
+func intKeys(n, distinct int) *Vector {
+	vals := make([]value.Value, n)
+	for i := range vals {
+		vals[i] = value.Int(int64(i % distinct))
+	}
+	return FromValues(vals)
+}
+
+// TestJoinPairsAllocatesPerSide pins the join build to allocations per side,
+// not per key: a 16x larger build side, every key distinct, against the same
+// probe costs only the head map's own extra tables more (about one
+// allocation per 500 keys).
+func TestJoinPairsAllocatesPerSide(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	probe := intKeys(4096, 1000)
+	allocs := func(keys int) float64 {
+		build := intKeys(keys, keys)
+		return testing.AllocsPerRun(5, func() {
+			if bi, _ := JoinPairs(build, probe, 2); len(bi) != probe.Len() {
+				t.Fatalf("%d keys: %d pairs, want %d", keys, len(bi), probe.Len())
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(16000)
+	if large-small > 16000/128 {
+		t.Errorf("JoinPairs allocates %v times over 1k build keys and %v over 16k, want a small constant apart", small, large)
+	}
+}
+
+// BenchmarkJoinPairs is a 15k-row build side against a 60k-row probe, each
+// probe key matching one build row.
+func BenchmarkJoinPairs(b *testing.B) {
+	build, probe := intKeys(15000, 15000), intKeys(60000, 15000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		joinSink, _ = JoinPairs(build, probe, 2)
+	}
+}
+
+// joinSink keeps the benchmark's result live.
+var joinSink []int
