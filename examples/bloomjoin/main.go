@@ -40,20 +40,17 @@ func main() {
 	}
 
 	spec := engine.JoinSpec{
-		LeftTable: "customer", RightTable: "orders",
-		LeftKey: "c_custkey", RightKey: "o_custkey",
-		LeftFilter:  "c_acctbal <= -950",
-		LeftProject: []string{"c_custkey"},
-		TargetFPR:   0.01,
-		Seed:        7,
+		SQL: "SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n " +
+			"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= -950",
+		TargetFPR: 0.01,
+		Seed:      7,
 	}
 
-	fmt.Println("SELECT SUM(o_totalprice) FROM customer, orders")
-	fmt.Println("WHERE o_custkey = c_custkey AND c_acctbal <= -950")
+	fmt.Println(spec.SQL)
 	fmt.Println()
-	for _, algo := range []string{"baseline", "filtered", "bloom"} {
+	for _, algo := range []string{engine.StrategyBaseline, engine.StrategyFiltered, engine.StrategyBloom} {
 		e := db.NewExec()
-		rel, err := e.JoinAggregate(spec, algo, "SUM(o_totalprice) AS total, COUNT(*) AS n")
+		rel, err := e.Join(spec, algo)
 		if err != nil {
 			log.Fatal(err)
 		}

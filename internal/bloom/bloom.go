@@ -76,9 +76,6 @@ func New(expected int, p float64, rng *rand.Rand) *Filter {
 // K returns the number of hash functions.
 func (f *Filter) K() int { return len(f.hashes) }
 
-// M returns the bit-array length.
-func (f *Filter) M() int64 { return f.m }
-
 func (f *Filter) pos(h [2]int64, x int64) int64 {
 	p := ((h[0]*x + h[1]) % f.n) % f.m
 	if p < 0 {

@@ -81,8 +81,8 @@ func TestBitString(t *testing.T) {
 	f := New(10, 0.5, rng)
 	f.Add(4)
 	s := f.BitString()
-	if int64(len(s)) != f.M() {
-		t.Fatalf("bit string length %d != m %d", len(s), f.M())
+	if int64(len(s)) != f.m {
+		t.Fatalf("bit string length %d != m %d", len(s), f.m)
 	}
 	if !strings.Contains(s, "1") {
 		t.Error("no set bits after Add")

@@ -618,24 +618,6 @@ func (c CostBreakdown) Total() float64 {
 	return c.ComputeUSD + c.RequestUSD + c.ScanUSD + c.TransferUSD
 }
 
-// SharedAcrossN predicts the breakdown of the same work when its storage
-// pass is shared by n concurrent queries (scanshare): the request, scan
-// and transfer components split n ways, while compute stays whole — the
-// node still parses the full response and re-filters locally. Planner
-// estimates use it to see what admission-level sharing would save.
-func (c CostBreakdown) SharedAcrossN(n int) CostBreakdown {
-	if n <= 1 {
-		return c
-	}
-	share := float64(n)
-	return CostBreakdown{
-		ComputeUSD:  c.ComputeUSD,
-		RequestUSD:  c.RequestUSD / share,
-		ScanUSD:     c.ScanUSD / share,
-		TransferUSD: c.TransferUSD / share,
-	}
-}
-
 // String renders the breakdown compactly.
 func (c CostBreakdown) String() string {
 	return fmt.Sprintf("$%.6f (compute %.6f, request %.6f, scan %.6f, transfer %.6f)",

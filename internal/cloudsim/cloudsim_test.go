@@ -335,20 +335,6 @@ func TestSharedTotals(t *testing.T) {
 	}
 }
 
-func TestCostBreakdownSharedAcrossN(t *testing.T) {
-	c := CostBreakdown{ComputeUSD: 1, RequestUSD: 0.4, ScanUSD: 2, TransferUSD: 0.8}
-	s := c.SharedAcrossN(4)
-	if s.ComputeUSD != 1 {
-		t.Fatal("compute must not split across sharers")
-	}
-	if s.RequestUSD != 0.1 || s.ScanUSD != 0.5 || s.TransferUSD != 0.2 {
-		t.Fatalf("SharedAcrossN(4) = %+v", s)
-	}
-	if c.SharedAcrossN(1) != c || c.SharedAcrossN(0) != c {
-		t.Fatal("n <= 1 must be the identity")
-	}
-}
-
 // TestCatalogRequestIsScaleInvariant: a statistics object is as large at
 // SF 10 as at SF 0.01, so its GET costs the same seconds and dollars at any
 // Scale — where AddGetRequest would charge 340 KB as 340 MB — and is one

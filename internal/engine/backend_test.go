@@ -343,14 +343,14 @@ func TestSelectCapabilitiesComeFromBackend(t *testing.T) {
 	st := newTestStore(t)
 	plain := openTestDB(t, st)
 	// Without the capability, the partial group-by path must be rejected.
-	_, err := plain.NewExec().HybridGroupBy("events", "g", groupAggs(),
+	_, err := plain.NewExec().HybridGroupBy(groupSQL("events", "g"),
 		HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
 	if err == nil {
 		t.Fatal("partial group-by without the backend capability should fail")
 	}
 	enabled := openTestDB(t, st, s3api.WithCapabilities(
 		selectengine.Capabilities{AllowGroupBy: true}))
-	if _, err := enabled.NewExec().HybridGroupBy("events", "g", groupAggs(),
+	if _, err := enabled.NewExec().HybridGroupBy(groupSQL("events", "g"),
 		HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true}); err != nil {
 		t.Fatalf("capability-advertising backend: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/tpch"
 )
@@ -25,6 +24,47 @@ var forcedStatements = []struct{ strategy, sql string }{
 	{"", "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_extendedprice <= 2000"},
 	{"", "SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 5"},
 	{"", "SELECT SUM(o.o_totalprice) FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= 0"},
+}
+
+// handOperators runs each hand operator once over the TPC-H tables with
+// their indexes, each on its statement.
+var handOperators = map[string]func(e *engine.Exec) error{
+	"IndexFilter per row": func(e *engine.Exec) error {
+		_, err := e.IndexFilter("SELECT * FROM lineitem WHERE l_extendedprice <= 2000", engine.IndexFilterOptions{})
+		return err
+	},
+	"IndexFilter multi-range": func(e *engine.Exec) error {
+		_, err := e.IndexFilter("SELECT * FROM lineitem WHERE l_extendedprice <= 2000", engine.IndexFilterOptions{MultiRange: true})
+		return err
+	},
+	"S3SideGroupBy": func(e *engine.Exec) error {
+		_, err := e.S3SideGroupBy("SELECT l_returnflag, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag")
+		return err
+	},
+	"HybridGroupBy": func(e *engine.Exec) error {
+		_, err := e.HybridGroupBy("SELECT l_suppkey, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_suppkey",
+			engine.HybridGroupByOptions{S3Groups: 2})
+		return err
+	},
+	"SamplingTopK": func(e *engine.Exec) error {
+		_, err := e.SamplingTopK("SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10", 0)
+		return err
+	},
+	"baseline Join":  handJoin("*", engine.StrategyBaseline),
+	"filtered Join":  handJoin("*", engine.StrategyFiltered),
+	"bloom Join":     handJoin("*", engine.StrategyBloom),
+	"bloom Join sum": handJoin("SUM(o.o_totalprice) AS s", engine.StrategyBloom),
+}
+
+// handJoin joins the customers at or below 0 to their orders, selecting
+// items.
+func handJoin(items, algorithm string) func(e *engine.Exec) error {
+	js := engine.JoinSpec{Seed: 1,
+		SQL: "SELECT " + items + " FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey WHERE c.c_acctbal <= 0"}
+	return func(e *engine.Exec) error {
+		_, err := e.Join(js, algorithm)
+		return err
+	}
 }
 
 // TestEveryStorageRequestIsBilled counts the requests that reach the backend
@@ -47,40 +87,6 @@ func TestEveryStorageRequestIsBilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := []engine.GroupAgg{{Func: sqlparse.AggSum, Expr: "l_quantity", As: "q"}, {Func: sqlparse.AggCount, As: "n"}}
-	js := engine.JoinSpec{
-		LeftTable: "customer", RightTable: "orders", LeftKey: "c_custkey", RightKey: "o_custkey",
-		LeftFilter: "c_acctbal <= 0", Seed: 1,
-	}
-	ops := map[string]func(e *engine.Exec) error{
-		"IndexFilter per row": func(e *engine.Exec) error {
-			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{})
-			return err
-		},
-		"IndexFilter multi-range": func(e *engine.Exec) error {
-			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{MultiRange: true})
-			return err
-		},
-		"S3SideGroupBy": func(e *engine.Exec) error {
-			_, err := e.S3SideGroupBy("lineitem", "l_returnflag", aggs, "")
-			return err
-		},
-		"HybridGroupBy": func(e *engine.Exec) error {
-			_, err := e.HybridGroupBy("lineitem", "l_suppkey", aggs, engine.HybridGroupByOptions{S3Groups: 2})
-			return err
-		},
-		"SamplingTopK": func(e *engine.Exec) error {
-			_, err := e.SamplingTopK("SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10", 0)
-			return err
-		},
-		"BaselineJoin": func(e *engine.Exec) error { _, err := e.BaselineJoin(js); return err },
-		"FilteredJoin": func(e *engine.Exec) error { _, err := e.FilteredJoin(js); return err },
-		"BloomJoin":    func(e *engine.Exec) error { _, err := e.BloomJoin(js); return err },
-		"JoinAggregate": func(e *engine.Exec) error {
-			_, err := e.JoinAggregate(js, "bloom", "SUM(o_totalprice) AS s")
-			return err
-		},
-	}
 	// check runs one execution twice and compares the second run's bill
 	// with what reached the backend.
 	check := func(what string, run func() (*engine.Exec, error)) {
@@ -99,7 +105,7 @@ func TestEveryStorageRequestIsBilled(t *testing.T) {
 				what, billed, served, backend.Gets(), backend.GetRangeCalls(), backend.Selects(), backend.Sizes())
 		}
 	}
-	for what, op := range ops {
+	for what, op := range handOperators {
 		check(what, func() (*engine.Exec, error) {
 			e := db.NewExecContext(ctx)
 			return e, op(e)

@@ -401,13 +401,13 @@ func TestDifferentialRaggedTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("vectorized=%v join: %v", vectorized, err)
 		}
-		baseline, err := db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "rag", RightTable: "p",
-			LeftKey: "rk", RightKey: "pk", LeftFilter: "rd > '1994-06-01'"})
+		baseline, err := db.NewExecContext(ctx).Join(JoinSpec{SQL: "SELECT * FROM rag JOIN p ON rag.rk = p.pk WHERE rag.rd > '1994-06-01'"},
+			StrategyBaseline)
 		if err != nil {
-			t.Fatalf("vectorized=%v BaselineJoin: %v", vectorized, err)
+			t.Fatalf("vectorized=%v baseline join: %v", vectorized, err)
 		}
 		if got, want := render(baseline, false), render(planned, false); got != want || len(planned.Rows) != 3 {
-			t.Errorf("vectorized=%v BaselineJoin:\n%s\nplanned\n%s", vectorized, got, want)
+			t.Errorf("vectorized=%v baseline join:\n%s\nplanned\n%s", vectorized, got, want)
 		}
 	}
 }
@@ -491,7 +491,7 @@ func TestDifferentialColumnNames(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						return AggregateLocal(rel, c.agg)
+						return localRef(rel, "SELECT "+c.agg+" FROM t")
 					}
 				}
 				for path, run := range paths {
@@ -511,8 +511,8 @@ func TestDifferentialColumnNames(t *testing.T) {
 	}
 	// Joins read such names as well: the planner pushes them as a Bloom
 	// join's projections and keys and a filtered join's projection and
-	// filter, and the join operators as the JoinSpec names them. Each
-	// answers as the baseline join does.
+	// filter, and Join as its statement names them. Each answers as the
+	// baseline join does.
 	qst := quotedStore(t)
 	pick := func(rel *Relation, cols ...string) string {
 		out := &Relation{Cols: cols}
@@ -528,22 +528,22 @@ func TestDifferentialColumnNames(t *testing.T) {
 	for _, vectorized := range []bool{true, false} {
 		db := openOver(t, quotedBucket, qst, WithVectorized(vectorized), WithScale(cloudsim.Scale{DataRatio: 1e3, PartRatio: 8}))
 		e := db.NewExecContext(ctx)
-		baseline := func(js JoinSpec) *Relation {
-			rel, err := e.BaselineJoin(js)
+		baseline := func(sql string) *Relation {
+			rel, err := e.Join(JoinSpec{SQL: sql}, StrategyBaseline)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return rel
 		}
-		lowK := baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "k2", LeftFilter: "k < 5"})
+		lowK := baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5")
 		qc, err := e.LoadTable("load", 0, "qc")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if qc, err = FilterLocal(qc, `"w x" = 1`); err != nil {
+		if qc, err = localRef(qc, `SELECT * FROM t WHERE "w x" = 1`); err != nil {
 			t.Fatal(err)
 		}
-		chain, err := HashJoinLocal(baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "k2", LeftFilter: "k < 500"}), qc, "order", "from")
+		chain, err := (Operators{}).HashJoin(baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 500"), qc, "order", "from")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +555,7 @@ func TestDifferentialColumnNames(t *testing.T) {
 			{`SELECT b."order", a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "order", "k")},
 			{`SELECT a."my col", b.k2 FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "my col", "k2")},
 			{`SELECT a.k, b.v FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`, []string{StrategyBloom},
-				pick(baseline(JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: "k < 5"}), "k", "v")},
+				pick(baseline(`SELECT * FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`), "k", "v")},
 			{`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 500 AND c."w x" = 1`,
 				[]string{StrategyBloom, StrategyFiltered}, pick(chain, "k", "w x")},
 		} {
@@ -575,15 +575,15 @@ func TestDifferentialColumnNames(t *testing.T) {
 				t.Errorf("vectorized=%v %s: got\n%s\nthe baseline join answers\n%s", vectorized, c.sql, got, c.want)
 			}
 		}
-		js := JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: `"my col" < 50`,
-			LeftProject: []string{"k", "my col"}, RightProject: []string{"order", "v"}}
-		want := pick(baseline(js), "k", "my col", "order", "v")
-		for name, op := range map[string]func(JoinSpec) (*Relation, error){"filtered": e.FilteredJoin, "bloom": e.BloomJoin} {
-			rel, err := op(js)
+		// The Bloom build side ships k and "my col", the probe side whole rows.
+		sql := `SELECT SUM(a."my col") AS s, COUNT(b.v) AS n, SUM(b."order") AS o FROM qa a JOIN qb b ON a.k = b."order" WHERE a."my col" < 50`
+		want := baseline(sql).String()
+		for _, algo := range []string{StrategyFiltered, StrategyBloom} {
+			rel, err := e.Join(JoinSpec{SQL: sql}, algo)
 			if err != nil {
-				t.Errorf("vectorized=%v %sJoin: %v", vectorized, name, err)
-			} else if got := pick(rel, "k", "my col", "order", "v"); got != want {
-				t.Errorf("vectorized=%v %sJoin: got\n%s\nthe baseline join answers\n%s", vectorized, name, got, want)
+				t.Errorf("vectorized=%v %s join: %v", vectorized, algo, err)
+			} else if got := rel.String(); got != want {
+				t.Errorf("vectorized=%v %s join: got\n%s\nthe baseline join answers\n%s", vectorized, algo, got, want)
 			}
 		}
 	}

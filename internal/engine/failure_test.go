@@ -11,7 +11,6 @@ import (
 
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 )
 
@@ -77,8 +76,7 @@ func TestGetFailurePropagates(t *testing.T) {
 
 func TestMultiRangeFailurePropagates(t *testing.T) {
 	db := flakyDB(t, func(f *flakyBackend) { f.failGetRanges = true })
-	_, err := db.NewExec().IndexFilter("events", "v", "value <= -40",
-		IndexFilterOptions{MultiRange: true})
+	_, err := db.NewExec().IndexFilter("SELECT * FROM events WHERE v <= -40", IndexFilterOptions{MultiRange: true})
 	if err == nil || !strings.Contains(err.Error(), "injected multi-range failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -86,25 +84,24 @@ func TestMultiRangeFailurePropagates(t *testing.T) {
 
 func TestJoinFailurePropagates(t *testing.T) {
 	db := flakyDB(t, func(f *flakyBackend) { f.failSelects = 1 })
-	_, err := db.NewExec().BloomJoin(joinSpec())
+	_, err := db.NewExec().Join(joinSpec(), StrategyBloom)
 	if err == nil {
 		t.Fatal("bloom join should surface the injected failure")
 	}
 	// Baseline join uses plain GETs; injected GET failures surface too.
 	db2 := flakyDB(t, func(f *flakyBackend) { f.failGets = 1 })
-	if _, err := db2.NewExec().BaselineJoin(joinSpec()); err == nil {
+	if _, err := db2.NewExec().Join(joinSpec(), StrategyBaseline); err == nil {
 		t.Fatal("baseline join should surface the injected failure")
 	}
 }
 
 func TestGroupByFailurePropagates(t *testing.T) {
 	db := flakyDB(t, func(f *flakyBackend) { f.failSelects = 3 })
-	if _, err := db.NewExec().S3SideGroupBy("events", "g", groupAggs(), ""); err == nil {
+	if _, err := db.NewExec().S3SideGroupBy(groupSQL("events", "g")); err == nil {
 		t.Fatal("s3-side group-by should surface the injected failure")
 	}
 	db2 := flakyDB(t, func(f *flakyBackend) { f.failSelects = 6 })
-	if _, err := db2.NewExec().HybridGroupBy("events", "g", groupAggs(),
-		HybridGroupByOptions{}); err == nil {
+	if _, err := db2.NewExec().HybridGroupBy(groupSQL("events", "g"), HybridGroupByOptions{}); err == nil {
 		t.Fatal("hybrid group-by should surface the injected failure")
 	}
 }
@@ -132,7 +129,7 @@ func TestPartitionCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		outs = append(outs, fmt.Sprint(len(rel.Rows)))
-		g, err := db.NewExec().S3SideGroupBy("events", "g", groupAggs(), "")
+		g, err := db.NewExec().S3SideGroupBy(groupSQL("events", "g"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +195,7 @@ func TestS3SideGroupByRejectsTooManyGroups(t *testing.T) {
 	db, _ := newTestDB(t)
 	// Force an enormous CASE query by grouping on the (distinct) key
 	// column — 1000 groups x aggregates exceeds the expression budget.
-	aggs := []GroupAgg{{Func: sqlparse.AggSum, Expr: "v", As: "s"}}
-	_, err := db.NewExec().S3SideGroupBy("events", "k", aggs, "")
+	_, err := db.NewExec().S3SideGroupBy("SELECT k, SUM(v) AS s FROM events GROUP BY k")
 	if err == nil {
 		t.Skip("expression fit at this scale; not an error")
 	}

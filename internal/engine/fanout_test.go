@@ -16,7 +16,7 @@ import (
 // concurrently: an operator whose one scan fails returns only after its
 // sibling scans have stopped. The left table's backend fails every GET at
 // once; each of the right table's sixteen partitions loads behind a stall,
-// so when BaselineJoin reports the left failure the right load is still
+// so when the baseline join reports the left failure the right load is still
 // running. Every one of its GETs must nevertheless have happened by then — a
 // request issued after the return would add phases and spans to an
 // execution whose query is over.
@@ -47,12 +47,12 @@ func TestSiblingScansFinishBeforeOperatorReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "l", RightTable: "r", LeftKey: "k", RightKey: "k2"})
+	_, err = db.NewExecContext(ctx).Join(JoinSpec{SQL: "SELECT * FROM l JOIN r ON l.k = r.k2"}, StrategyBaseline)
 	if err == nil || !strings.Contains(err.Error(), "injected left failure") {
-		t.Fatalf("BaselineJoin err = %v, want the left table's failure", err)
+		t.Fatalf("baseline join err = %v, want the left table's failure", err)
 	}
 	if got := rightGets.Gets(); got != parts {
-		t.Errorf("BaselineJoin returned after %d of the sibling load's %d GETs; the rest were still to come", got, parts)
+		t.Errorf("baseline join returned after %d of the sibling load's %d GETs; the rest were still to come", got, parts)
 	}
 }
 

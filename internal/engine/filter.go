@@ -32,16 +32,17 @@ type IndexFilterOptions struct {
 	MultiRange bool
 }
 
-// IndexFilter is Section IV-A as the paper ran it (Fig. 1, Fig1-S1): it
-// resolves a predicate over the indexed column against the live index on
-// table(column), then fetches exactly the matching data rows by byte range
-// — one GET per row, or one multi-range GET per partition — deliberately
-// without the IndexScan's coalescing and batching, which is what the two
-// figures compare against. indexedPredicate is expressed over the index
-// objects' value column, e.g. "value <= 100". A table with no live index
-// on column (never built, dropped, or reloaded since) is refused.
-func (e *Exec) IndexFilter(table, column, indexedPredicate string, opts IndexFilterOptions) (*Relation, error) {
-	ent, err := e.liveIndex(table, column)
+// IndexFilter runs sql, SELECT * FROM t WHERE <conjuncts>, as Section IV-A
+// did in the paper (Fig. 1, Fig1-S1): it resolves the WHERE clause against the
+// live index the planner would consider (indexCandidate), then fetches exactly
+// the matching data rows by byte range — one GET per row, or one multi-range
+// GET per partition — deliberately without the IndexScan's coalescing and
+// batching, which is what the two figures compare against. It re-filters
+// nothing, so every conjunct must be one the index resolves; a statement of
+// another shape, or a table with no live index (never built, dropped, or
+// reloaded since), is a KindBadRequest error saying why.
+func (e *Exec) IndexFilter(sql string, opts IndexFilterOptions) (*Relation, error) {
+	sel, cand, err := e.indexStatement(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -49,10 +50,22 @@ func (e *Exec) IndexFilter(table, column, indexedPredicate string, opts IndexFil
 	if opts.MultiRange {
 		pol = fetchMultiRange
 	}
-	pred, err := sqlparse.ParseExpr(indexedPredicate)
-	if err != nil {
-		return nil, err
-	}
-	rel, _, _, err := e.indexFetch(table, ent.Column, pred, pol)
+	rel, _, _, err := e.indexFetch(sel.Table, cand.Entry.Column, indexValuePred(cand.Pred), pol)
 	return rel, err
+}
+
+// indexStatement checks IndexFilter's statement and finds the index that
+// resolves its every conjunct.
+func (e *Exec) indexStatement(sql string) (sel *sqlparse.Select, cand *IndexCandidate, err error) {
+	sel, err = e.db.handStatement(sql, "indexing", 1, 0)
+	if err == nil && (len(sel.Items) > 1 || !isStar(sel.Items[0])) {
+		err = forcedError(e.db, sel.Table, "indexing", "it selects *")
+	}
+	if err == nil {
+		cand, err = e.indexFor(sel.Table, sqlparse.StripQualifiers(sel.Where), "indexing")
+	}
+	if err == nil && len(sqlparse.Conjuncts(cand.Pred)) != len(sqlparse.Conjuncts(sel.Where)) {
+		err = forcedError(e.db, sel.Table, "indexing", "a conjunct is not resolved by the index on "+cand.Entry.Column)
+	}
+	return sel, cand, err
 }

@@ -29,7 +29,7 @@ func (b statsReads) GetRange(ctx context.Context, bucket, key string, first, las
 
 // forcedStore writes the same 1,200 rows as a CSV table f, indexed on k,
 // and as a colformat table f_col, which has no index.
-func forcedStore(t *testing.T) *store.Store {
+func forcedStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.New()
 	schema := colformat.Schema{{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "v", Kind: value.KindFloat}}
@@ -111,6 +111,41 @@ func TestForcedStrategies(t *testing.T) {
 			t.Errorf("%s forced %q: %v, want a bad_request saying %q", c.sql, c.strategy, err, c.why)
 		}
 	}
+}
+
+// FuzzHandStatements: arbitrary SQL into each hand operator's statement
+// check — IndexFilter's (over a table with a live index), the S3-side and
+// hybrid group-bys', Join's and BloomProbe's — yields a plan or a
+// bad_request saying why, never a panic and never another kind of error.
+func FuzzHandStatements(f *testing.F) {
+	for _, sql := range []string{
+		"SELECT * FROM f WHERE k < 300 AND k >= 2",
+		"SELECT * FROM f WHERE g = 3",
+		"SELECT g, SUM(v) AS s, COUNT(*) AS n FROM f WHERE k < 700 GROUP BY g",
+		"SELECT g, SUM(*), COUNT(v) FROM f GROUP BY g ORDER BY g LIMIT 2",
+		"SELECT SUM(b.v) AS s, COUNT(*) FROM f a JOIN f_col b ON a.k = b.k WHERE a.g = 3",
+		"SELECT * FROM f a JOIN f b ON b.k = a.g WHERE a.k < 3 OR b.v > 1",
+		"SELECT a.*, COUNT(*) FROM f a, f_col b WHERE a.k = b.k",
+		"SELECT k, v FROM f WHERE v < 0",
+	} {
+		f.Add(sql)
+	}
+	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(forcedStore(f))))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		_, _, indexErr := db.NewExec().indexStatement(sql)
+		_, s3Err := db.groupStatement(sql, "s3-side group-by", true)
+		_, hybridErr := db.groupStatement(sql, "hybrid group-by", false)
+		_, _, joinErr := db.joinStatement(JoinSpec{SQL: sql}, StrategyBloom)
+		_, probeErr := db.probeStatement(sql)
+		for i, err := range []error{indexErr, s3Err, hybridErr, joinErr, probeErr} {
+			if err != nil && s3api.KindOf(err) != s3api.KindBadRequest {
+				t.Errorf("check %d of %q: %v is no bad_request", i, sql, err)
+			}
+		}
+	})
 }
 
 // TestForcedGroupByBillsOneRowUnitPerRow: a WHERE-less statement has no

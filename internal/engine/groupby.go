@@ -18,71 +18,59 @@ import (
 // paths (DB.QueryForced); the S3-side and hybrid algorithms below push
 // aggregation itself, as the paper's Listings 4 and 5 do.
 
-// GroupAgg is one aggregation of a group-by query: SUM or COUNT, the
-// aggregates that distribute over the CASE encoding both algorithms push.
-type GroupAgg struct {
-	Func sqlparse.AggFunc
-	// Expr is the aggregated expression over the table's columns
-	// (ignored for COUNT, which counts rows).
-	Expr string
-	// As names the output column.
-	As string
-}
-
-// groupQuery is a hand group-by's string arguments, parsed once at its door.
+// groupQuery is a hand group-by's statement, checked and taken apart once at
+// its door (groupStatement).
 type groupQuery struct {
-	key    sqlparse.Expr         // parsed as an expression, so a computed key groups as a column does
-	items  []sqlparse.SelectItem // the key, then each aggregate AS its name: the local group-by's select list
-	cols   []string              // the output's columns: the key as written, then the aggregates' names
+	table  string
+	key    sqlparse.Expr         // the one GROUP BY key
+	items  []sqlparse.SelectItem // the key, then each SUM or COUNT(*): the local group-by's select list
+	cols   []string              // the output's columns: the key's name, then the aggregates'
 	filter sqlparse.Expr
 }
 
-func parseGroupQuery(groupCol string, aggs []GroupAgg, filter string) (*groupQuery, error) {
-	key, err := sqlparse.ParseExpr(groupCol)
+// groupStatement checks sql — SELECT key, SUM(x) [AS a], COUNT(*) [AS n], ...
+// FROM t [WHERE p] GROUP BY key, WHERE only when where is set — for the
+// group-by algorithm algo, which pushes SUM and COUNT(*): the aggregates that
+// distribute over the CASE encoding both algorithms push.
+func (db *DB) groupStatement(sql, algo string, where bool) (*groupQuery, error) {
+	sel, err := db.handStatement(sql, algo, 1, 1)
 	if err != nil {
-		return nil, fmt.Errorf("engine: bad group-by: %w", err)
+		return nil, err
 	}
-	q := &groupQuery{key: key, items: []sqlparse.SelectItem{{Expr: key}}, cols: []string{groupCol}}
-	for _, a := range aggs {
-		var x sqlparse.Expr = &sqlparse.Star{} // COUNT counts rows
-		if a.Func != sqlparse.AggCount {
-			if x, err = sqlparse.ParseExpr(a.Expr); err != nil {
-				return nil, fmt.Errorf("engine: bad aggregate %q: %w", a.Expr, err)
-			}
+	key := sqlparse.StripQualifiers(sel.GroupBy[0])
+	q := &groupQuery{table: sel.Table, key: key, items: []sqlparse.SelectItem{{Expr: key}}, cols: []string{sel.Items[0].Name()}}
+	why := "" // the last check failed says why
+	for _, it := range sel.Items[1:] {
+		a, ok := it.Expr.(*sqlparse.Aggregate)
+		if !ok || a.String() != "COUNT(*)" && (a.Func != sqlparse.AggSum || a.X.String() == "*" || sqlparse.ContainsAggregate(a.X)) {
+			why = fmt.Sprintf("only SUM(x) and COUNT(*) are pushed, not %s", it.Expr)
 		}
-		q.items = append(q.items, sqlparse.SelectItem{Expr: &sqlparse.Aggregate{Func: a.Func, X: x}, Alias: a.As})
-		q.cols = append(q.cols, a.As)
+		q.items = append(q.items, sqlparse.SelectItem{Expr: sqlparse.StripQualifiers(it.Expr), Alias: it.Alias})
+		q.cols = append(q.cols, it.Name())
 	}
-	q.filter, err = parsePredicate(filter)
-	return q, err
+	if sel.Where != nil && !where {
+		why = "it takes no WHERE clause"
+	}
+	if len(sel.Items) < 2 || sel.Items[0].Expr.String() != sel.GroupBy[0].String() {
+		why = "the select list is the GROUP BY key, then its aggregates"
+	}
+	if why != "" {
+		return nil, forcedError(db, sel.Table, algo, why)
+	}
+	q.filter = sqlparse.StripQualifiers(sel.Where)
+	return q, nil
 }
 
-// projection is the select list returning what the local group-by reads:
-// the key, then the columns the aggregates reference.
+// projection is the select list returning the columns the local group-by
+// reads, the key's first.
 func (q *groupQuery) projection() []sqlparse.SelectItem {
-	items := q.items[:1:1]
-	seen := map[string]bool{}
-	if c, ok := q.key.(*sqlparse.Column); ok {
-		seen[sqlparse.NameKey(c.Name)] = true
-	}
-	for _, it := range q.items[1:] {
+	var cols []string
+	for _, it := range q.items {
 		for _, c := range sqlparse.Columns(it.Expr) {
-			if k := sqlparse.NameKey(c); !seen[k] {
-				seen[k] = true
-				items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Column{Name: c}})
-			}
+			cols = addColumn(cols, c)
 		}
 	}
-	return items
-}
-
-func (q *groupQuery) checkPushable(algo string) error {
-	for _, it := range q.items[1:] {
-		if f := it.Expr.(*sqlparse.Aggregate).Func; f != sqlparse.AggSum && f != sqlparse.AggCount {
-			return fmt.Errorf("engine: %s supports only SUM/COUNT, got %s", algo, it)
-		}
-	}
-	return nil
+	return columnItems(cols)
 }
 
 // eq is the membership test for one discovered group value. CSV cannot
@@ -123,7 +111,7 @@ func sumCase(p, x sqlparse.Expr) sqlparse.Expr {
 // caseAggregate runs the Listing-4 query for the given groups — one
 // aggregated CASE per (group, aggregate) pair over the rows where keeps —
 // and returns one relation row per group.
-func (e *Exec) caseAggregate(phaseName string, stage int, table string, q *groupQuery, groups []string, where sqlparse.Expr) (*Relation, error) {
+func (e *Exec) caseAggregate(phaseName string, stage int, q *groupQuery, groups []string, where sqlparse.Expr) (*Relation, error) {
 	var items []sqlparse.SelectItem
 	for _, g := range groups {
 		pred := q.eq(g)
@@ -135,13 +123,13 @@ func (e *Exec) caseAggregate(phaseName string, stage int, table string, q *group
 			items = append(items, sqlparse.SelectItem{Expr: sumCase(pred, x)})
 		}
 	}
-	req := e.db.request(table, scanSelect(items, where))
+	req := e.db.request(q.table, scanSelect(items, where))
 	if len(req.SQL) > selectengine.MaxSQLBytes {
 		return nil, fmt.Errorf("engine: S3-side group-by query for %d groups exceeds the %d-byte expression limit",
 			len(groups), selectengine.MaxSQLBytes)
 	}
 	merge := make([]sqlparse.AggFunc, len(items)) // all AggSum, the zero AggFunc
-	row, err := e.selectAgg(phaseName, stage, table, req, merge)
+	row, err := e.selectAgg(phaseName, stage, q.table, req, merge)
 	if err != nil {
 		return nil, err
 	}
@@ -153,22 +141,19 @@ func (e *Exec) caseAggregate(phaseName string, stage int, table string, q *group
 	return out, nil
 }
 
-// S3SideGroupBy pushes the entire group-by to S3 (Section VI-A): phase 1
-// discovers the distinct groups with a projection; phase 2 runs one
-// SUM(CASE ...) per (group, aggregate) pair and merges partition results.
-// Only SUM and COUNT aggregates are supported, as in the paper.
-func (e *Exec) S3SideGroupBy(table, groupCol string, aggs []GroupAgg, filter string) (*Relation, error) {
-	q, err := parseGroupQuery(groupCol, aggs, filter)
+// S3SideGroupBy runs sql, a groupStatement with or without WHERE, with the
+// entire group-by pushed to S3 (Section VI-A): phase 1 discovers the distinct
+// groups with a projection; phase 2 runs one SUM(CASE ...) per (group,
+// aggregate) pair and merges partition results.
+func (e *Exec) S3SideGroupBy(sql string) (*Relation, error) {
+	q, err := e.db.groupStatement(sql, "s3-side group-by", true)
 	if err != nil {
-		return nil, err
-	}
-	if err := q.checkPushable("S3-side group-by"); err != nil {
 		return nil, err
 	}
 	// Phase 1: project the group key, dedup on the server, and keep the
 	// distinct values in first-seen order.
-	rel, err := e.selectMetered("discover groups", e.NextStage(), table,
-		e.db.request(table, scanSelect(q.items[:1], q.filter)), 0)
+	rel, err := e.selectMetered("discover groups", e.NextStage(), q.table,
+		e.db.request(q.table, scanSelect(q.items[:1], q.filter)), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +168,7 @@ func (e *Exec) S3SideGroupBy(table, groupCol string, aggs []GroupAgg, filter str
 	if len(groups) == 0 {
 		return &Relation{Cols: q.cols}, nil
 	}
-	return e.caseAggregate("s3 aggregate", e.NextStage(), table, q, groups, q.filter)
+	return e.caseAggregate("s3 aggregate", e.NextStage(), q, groups, q.filter)
 }
 
 // HybridGroupByOptions tunes Section VI-B.
@@ -197,30 +182,22 @@ type HybridGroupByOptions struct {
 	UsePartialGroupBy bool
 }
 
-func (o HybridGroupByOptions) withDefaults() HybridGroupByOptions {
-	if o.S3Groups <= 0 {
-		o.S3Groups = 8
+// HybridGroupBy runs sql, a groupStatement without WHERE, as Section VI-B
+// does: rank the groups by their frequency in the table's statistics sample,
+// aggregate the most populous in S3, and aggregate the long tail on the
+// server. A table without a usable statistics object has no populous groups:
+// the tail is every row.
+func (e *Exec) HybridGroupBy(sql string, opts HybridGroupByOptions) (*Relation, error) {
+	if opts.S3Groups <= 0 {
+		opts.S3Groups = 8
 	}
-	return o
-}
-
-// HybridGroupBy implements Section VI-B: rank the groups by their frequency
-// in the table's statistics sample, aggregate the most populous in S3, and
-// aggregate the long tail on the server. A table without a usable
-// statistics object has no populous groups: the tail is every row. Only
-// SUM/COUNT aggregates can be pushed.
-func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts HybridGroupByOptions) (*Relation, error) {
-	opts = opts.withDefaults()
-	q, err := parseGroupQuery(groupCol, aggs, "")
+	q, err := e.db.groupStatement(sql, "hybrid group-by", false)
 	if err != nil {
 		return nil, err
 	}
-	if err := q.checkPushable("hybrid group-by"); err != nil {
-		return nil, err
-	}
-	defer e.scope("hybrid groupby " + table).end(nil)
+	defer e.scope("hybrid groupby " + q.table).end(nil)
 
-	big, err := e.sampleTopGroups(table, q, opts.S3Groups)
+	big, err := e.sampleTopGroups(q, opts.S3Groups)
 	if err != nil {
 		return nil, err
 	}
@@ -228,25 +205,26 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 	// Phase 2: Q1 aggregates the big groups in S3; Q2 returns the tail
 	// rows for local aggregation. Both run concurrently (same stage).
 	stage2 := e.NextStage()
-	var (
-		bigRel  *Relation
-		tailRel *Relation
-	)
+	var bigRel, tailRel *Relation
+	var tailWhere sqlparse.Expr // every row when no group is big
+	if len(big) > 0 {
+		tailWhere = q.member(big, true)
+	}
 	err = concurrently(
 		func() (err error) {
 			switch {
 			case len(big) == 0:
 				bigRel = &Relation{Cols: q.cols}
 			case opts.UsePartialGroupBy:
-				bigRel, err = e.partialGroupBy("s3 big groups", stage2, table, q, big)
+				bigRel, err = e.partialGroupBy("s3 big groups", stage2, q, big)
 			default:
-				bigRel, err = e.caseAggregate("s3 big groups", stage2, table, q, big, nil)
+				bigRel, err = e.caseAggregate("s3 big groups", stage2, q, big, nil)
 			}
 			return err
 		},
 		func() (err error) {
-			tailRel, err = e.selectMetered("tail scan", stage2, table,
-				e.db.request(table, scanSelect(q.projection(), q.tailPredicate(big))), 1)
+			tailRel, err = e.selectMetered("tail scan", stage2, q.table,
+				e.db.request(q.table, scanSelect(q.projection(), tailWhere)), 1)
 			return err
 		})
 	if err != nil {
@@ -258,29 +236,28 @@ func (e *Exec) HybridGroupBy(table, groupCol string, aggs []GroupAgg, opts Hybri
 		return nil, err
 	}
 
-	out := &Relation{Cols: q.cols}
-	out.Rows = append(out.Rows, bigRel.Rows...)
-	out.Rows = append(out.Rows, tail.Rows...)
-	return out, nil
+	return &Relation{Cols: q.cols, Rows: slices.Concat(bigRel.Rows, tail.Rows)}, nil
 }
 
 // sampleTopGroups is phase 1 of hybrid group-by: the n most frequent groups
 // of the table's statistics sample, read as the planner reads it
 // (sampleSelect); none without a usable object.
-func (e *Exec) sampleTopGroups(table string, q *groupQuery, n int) ([]string, error) {
+func (e *Exec) sampleTopGroups(q *groupQuery, n int) ([]string, error) {
 	stage1 := e.NextStage()
-	ts := e.statsObject(table, stage1)
+	ts := e.statsObject(q.table, stage1)
 	if ts == nil {
 		return nil, nil
 	}
-	rows, st, err := e.sampleSelect(ts, table, scanSelect(q.items[:1], nil), stage1)
+	rows, st, err := e.sampleSelect(ts, q.table, scanSelect(q.items[:1], nil), stage1)
 	st.end(err)
 	if err != nil {
 		return nil, err
 	}
+	// A group is its typed rendering, as discovery and the server's group
+	// table read it: 3 and 03 are one group.
 	counts := map[string]int64{}
 	for _, r := range rows {
-		counts[r[0]]++
+		counts[value.FromCSV(r[0]).String()]++
 	}
 	// The most frequent first, ties in group order.
 	ranked := make([]string, 0, len(counts))
@@ -291,54 +268,39 @@ func (e *Exec) sampleTopGroups(table string, q *groupQuery, n int) ([]string, er
 	return ranked[:min(len(ranked), n)], nil
 }
 
-// tailPredicate is the hybrid tail scan's WHERE clause: every row whose
-// group is not among the big (S3-aggregated) groups; nil when there are
-// none. NOT IN alone would also drop NULL-group rows (the comparison
-// evaluates to NULL), so the predicate handles the NULL group explicitly on
-// whichever side of the split it belongs to.
-func (q *groupQuery) tailPredicate(big []string) sqlparse.Expr {
-	if len(big) == 0 {
-		return nil
-	}
-	lits, bigHasNull := q.literals(big)
-	notIn := &sqlparse.In{X: q.key, List: lits, Not: true}
-	switch {
-	case len(lits) == 0: // big is just the NULL group
-		return &sqlparse.IsNull{X: q.key, Not: true}
-	case bigHasNull:
-		return &sqlparse.Binary{Op: sqlparse.OpAnd, L: &sqlparse.IsNull{X: q.key, Not: true}, R: notIn}
-	default:
-		return &sqlparse.Binary{Op: sqlparse.OpOr, L: &sqlparse.IsNull{X: q.key}, R: notIn}
-	}
-}
-
-// literals are the non-empty group values as literals; null reports an
-// empty one, the NULL group.
-func (q *groupQuery) literals(groups []string) (lits []sqlparse.Expr, null bool) {
+// member keeps the rows whose group is among groups, or with not set the
+// rows whose group is not. The empty group value is the NULL group (see eq),
+// and NOT IN alone would also drop NULL-group rows (the comparison evaluates
+// to NULL), so the NULL group is matched explicitly on whichever side of the
+// split it belongs to.
+func (q *groupQuery) member(groups []string, not bool) sqlparse.Expr {
+	var lits []sqlparse.Expr
+	null := false
 	for _, g := range groups {
 		if g == "" {
 			null = true
-			continue
+		} else {
+			lits = append(lits, literal(g))
 		}
-		lits = append(lits, literal(g))
 	}
-	return lits, null
+	in := &sqlparse.In{X: q.key, List: lits, Not: not}
+	switch {
+	case len(lits) == 0:
+		return &sqlparse.IsNull{X: q.key, Not: not}
+	case null && not:
+		return &sqlparse.Binary{Op: sqlparse.OpAnd, L: &sqlparse.IsNull{X: q.key, Not: true}, R: in}
+	case null != not:
+		return &sqlparse.Binary{Op: sqlparse.OpOr, L: &sqlparse.IsNull{X: q.key}, R: in}
+	}
+	return in
 }
 
 // partialGroupBy is the Suggestion-4 path: ship a real GROUP BY restricted
 // to the given groups, then merge the per-partition partial results.
-func (e *Exec) partialGroupBy(phaseName string, stage int, table string, q *groupQuery, groups []string) (*Relation, error) {
-	lits, groupsHaveNull := q.literals(groups)
-	var pred sqlparse.Expr = &sqlparse.In{X: q.key, List: lits}
-	switch {
-	case len(lits) == 0:
-		pred = &sqlparse.IsNull{X: q.key}
-	case groupsHaveNull:
-		pred = &sqlparse.Binary{Op: sqlparse.OpOr, L: &sqlparse.IsNull{X: q.key}, R: pred}
-	}
-	stmt := scanSelect(q.items, pred)
+func (e *Exec) partialGroupBy(phaseName string, stage int, q *groupQuery, groups []string) (*Relation, error) {
+	stmt := scanSelect(q.items, q.member(groups, false))
 	stmt.GroupBy = []sqlparse.Expr{q.key}
-	partials, err := e.selectMetered(phaseName, stage, table, e.db.request(table, stmt), 0)
+	partials, err := e.selectMetered(phaseName, stage, q.table, e.db.request(q.table, stmt), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -135,18 +135,6 @@ func indexValuePred(pred sqlparse.Expr) sqlparse.Expr {
 	})
 }
 
-// liveIndex returns the table's index on column from the validated
-// manifest: an index that was never built, was dropped, or whose data
-// partitions were rewritten since (index.Entry.Stale) is not there.
-func (e *Exec) liveIndex(table, column string) (index.Entry, error) {
-	ent, ok := e.db.indexManifest(e.ctx, table).Lookup(column)
-	if !ok {
-		return ent, s3api.NewError("index", e.db.bucket, index.ManifestKey(table), s3api.KindNotFound,
-			fmt.Errorf("engine: no live index on %s(%s)", table, column))
-	}
-	return ent, nil
-}
-
 // fetchPolicy is how hop 2 of the index path turns one data partition's
 // matched byte ranges into GETs.
 type fetchPolicy int
@@ -406,10 +394,8 @@ func (sc *TableScan) writeAccess(b *strings.Builder) {
 // unpriced, with no further request.
 func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, error) {
 	table := sel.Table
-	if sel.Where != nil {
-		sc.Filter = sqlparse.StripQualifiers(sel.Where)
-		sc.Index = e.db.indexCandidate(e.ctx, table, sc.Filter)
-	}
+	sc.Filter = sqlparse.StripQualifiers(sel.Where)
+	sc.Index = e.db.indexCandidate(e.ctx, table, sc.Filter)
 	cand := sc.Index
 	kind, why := e.db.pushableShape(sel)
 	if cand == nil && kind == "" {
@@ -511,18 +497,13 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 // refused.
 func (e *Exec) forceAccess(sel *sqlparse.Select, sc *TableScan, strategy string) (*AccessPlan, error) {
 	table := sel.Table
-	if sel.Where != nil {
-		sc.Filter = sqlparse.StripQualifiers(sel.Where)
-	}
+	sc.Filter = sqlparse.StripQualifiers(sel.Where)
 	switch strategy {
 	case StrategyBaseline, StrategyFiltered:
 	case StrategyIndexScan:
-		if sc.Index = e.db.indexCandidate(e.ctx, table, sc.Filter); sc.Index == nil {
-			why := "no conjunct of the WHERE clause compares an indexed column with literals"
-			if len(e.db.indexManifest(e.ctx, table).Indexes) == 0 {
-				why = "the table has no live index"
-			}
-			return nil, forcedError(e.db, table, strategy, why)
+		var err error
+		if sc.Index, err = e.indexFor(table, sc.Filter, strategy); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, forcedError(e.db, table, strategy, fmt.Sprintf("not a single-table access path (%s, %s or %s)",
@@ -530,6 +511,40 @@ func (e *Exec) forceAccess(sel *sqlparse.Select, sc *TableScan, strategy string)
 	}
 	sc.Backend = e.db.store(table).Name()
 	return &AccessPlan{Strategy: strategy, Reason: "forced"}, nil
+}
+
+// indexFor is the index candidate (indexCandidate) a forced IndexScan or
+// IndexFilter runs on; without one, strategy's refusal says why.
+func (e *Exec) indexFor(table string, filter sqlparse.Expr, strategy string) (*IndexCandidate, error) {
+	if cand := e.db.indexCandidate(e.ctx, table, filter); cand != nil {
+		return cand, nil
+	}
+	why := "no conjunct of the WHERE clause compares an indexed column with literals"
+	if len(e.db.indexManifest(e.ctx, table).Indexes) == 0 {
+		why = "the table has no live index"
+	}
+	return nil, forcedError(e.db, table, strategy, why)
+}
+
+// handStatement parses a hand operator's statement: one over tables tables,
+// grouped by keys keys, with no ORDER BY or LIMIT. Another shape is refused,
+// as a parse error is, with a KindBadRequest error saying why.
+func (db *DB) handStatement(sql, algo string, tables, keys int) (*sqlparse.Select, error) {
+	sel, err := sqlparse.Parse(sql)
+	why := ""
+	switch {
+	case err != nil:
+		return nil, forcedError(db, "", algo, err.Error())
+	case len(sel.Joins)+1 != tables:
+		why = fmt.Sprintf("it reads %d table(s), not %d", tables, len(sel.Joins)+1)
+	case len(sel.GroupBy) != keys:
+		why = fmt.Sprintf("it groups by %d key(s), not %d", keys, len(sel.GroupBy))
+	case len(sel.OrderBy) > 0 || sel.Limit >= 0:
+		why = "it runs no ORDER BY or LIMIT"
+	default:
+		return sel, nil
+	}
+	return nil, forcedError(db, sel.Table, algo, why)
 }
 
 // forcedError is a forced strategy's refusal: a KindBadRequest error that
@@ -622,7 +637,7 @@ func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.E
 func returnedCols(req *sqlparse.Select, tableCols int) int {
 	seen := make([]string, 0, len(req.Items))
 	for _, it := range req.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+		if isStar(it) {
 			return 0
 		}
 		sqlparse.Walk(it.Expr, func(n sqlparse.Expr) bool {

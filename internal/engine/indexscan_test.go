@@ -135,22 +135,23 @@ func TestIndexPathsAgreeOverOneIndex(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ pred, valuePred string }{
-		{"v = 7", "value = 7"},
-		{"v <= 3", "value <= 3"},
-		{"v BETWEEN 5 AND 9", "value BETWEEN 5 AND 9"},
-		{"v > 1000", "value > 1000"}, // no match: no fetch at all
+	for _, pred := range []string{
+		"v = 7",
+		"v <= 3",
+		"v BETWEEN 5 AND 9",
+		"v > 1000", // no match: no fetch at all
+		"v >= 2 AND v IN (3, 4, 40)",
 	} {
-		sql := "SELECT * FROM wide WHERE " + c.pred
-		want := forcedRel(t, db, StrategyFiltered, sql)
+		sql := "SELECT * FROM wide WHERE " + pred
+		want := forcedRel(t, db, StrategyBaseline, sql)
 		for _, multi := range []bool{false, true} {
-			got, err := db.NewExec().IndexFilter("wide", "v", c.valuePred, IndexFilterOptions{MultiRange: multi})
+			got, err := db.NewExec().IndexFilter(sql, IndexFilterOptions{MultiRange: multi})
 			if err != nil {
-				t.Fatalf("%s (multi-range %v): %v", c.pred, multi, err)
+				t.Fatalf("%s (multi-range %v): %v", pred, multi, err)
 			}
-			sameRows(t, fmt.Sprintf("%s, IndexFilter multi-range %v", c.pred, multi), want, got)
+			sameRows(t, fmt.Sprintf("%s, IndexFilter multi-range %v", pred, multi), want, got)
 		}
-		sameRows(t, c.pred+", forced IndexScan", want, forcedRel(t, db, StrategyIndexScan, sql))
+		sameRows(t, pred+", forced IndexScan", want, forcedRel(t, db, StrategyIndexScan, sql))
 	}
 }
 
@@ -165,7 +166,8 @@ func TestIndexFilterRefusesStaleIndex(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	rel, err := db.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{})
+	const sql = "SELECT * FROM wide WHERE v = 43"
+	rel, err := db.NewExec().IndexFilter(sql, IndexFilterOptions{})
 	if err != nil || len(rel.Rows) != 10 {
 		t.Fatalf("live index: %v rows, err %v; want 10", rel, err)
 	}
@@ -181,9 +183,9 @@ func TestIndexFilterRefusesStaleIndex(t *testing.T) {
 	db.InvalidateTable("wide")
 	for name, d := range map[string]*DB{"the invalidated DB": db, "a fresh DB": openIndexDB(t, st)} {
 		for _, multi := range []bool{false, true} {
-			rel, err := d.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{MultiRange: multi})
-			if s3api.KindOf(err) != s3api.KindNotFound {
-				t.Errorf("%s, multi-range %v: stale index served %v (err %v), want a not-found refusal", name, multi, rel, err)
+			rel, err := d.NewExec().IndexFilter(sql, IndexFilterOptions{MultiRange: multi})
+			if s3api.KindOf(err) != s3api.KindBadRequest || !strings.Contains(err.Error(), "the table has no live index") {
+				t.Errorf("%s, multi-range %v: stale index served %v (err %v), want a bad_request refusal", name, multi, rel, err)
 			}
 		}
 	}
@@ -192,7 +194,7 @@ func TestIndexFilterRefusesStaleIndex(t *testing.T) {
 	if err := db.CreateIndex(ctx, "wide", "v"); err != nil {
 		t.Fatal(err)
 	}
-	rel, err = db.NewExec().IndexFilter("wide", "v", "value = 43", IndexFilterOptions{MultiRange: true})
+	rel, err = db.NewExec().IndexFilter(sql, IndexFilterOptions{MultiRange: true})
 	if err != nil || len(rel.Rows) != 2 { // i = 43 and 1043
 		t.Fatalf("rebuilt index: %v, err %v; want 2 rows", rel, err)
 	}

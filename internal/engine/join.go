@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"pushdowndb/internal/bloom"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
-	"pushdowndb/internal/vec"
 )
 
 // ErrNonIntegerJoinKey reports a Bloom join attempted over a key column
@@ -22,17 +24,15 @@ var ErrNonIntegerJoinKey = errors.New("bloom join requires integer keys")
 // side is the (smaller) left table; they differ in how much work is pushed
 // into S3.
 
-// JoinSpec describes a two-table equi-join.
+// JoinSpec is a two-table equi-join statement and the Bloom filter's knobs.
 type JoinSpec struct {
-	LeftTable, RightTable string
-	LeftKey, RightKey     string
-	// LeftFilter / RightFilter are SQL predicates over each table's
-	// columns ("" = none).
-	LeftFilter, RightFilter string
-	// LeftProject / RightProject are the columns needed downstream
-	// (nil = all). Only the Bloom join pushes projections (the paper's
-	// filtered join pushes selection only; see Section V-B1).
-	LeftProject, RightProject []string
+	// SQL is the statement: SELECT * (the joined rows) or aggregates
+	// FROM a [x] JOIN b [y] ON x.k = y.k [WHERE ...], every column
+	// qualified. a is the build side. Each WHERE conjunct reads one table
+	// and is pushed to that side's scan (the paper's filtered join pushes
+	// selection only; see Section V-B1); only the Bloom build side ships a
+	// projection: its key and the columns the select list reads from it.
+	SQL string
 	// TargetFPR is the Bloom filter's target false-positive rate
 	// (default 0.01, the paper's sweet spot in Fig. 4).
 	TargetFPR float64
@@ -46,47 +46,117 @@ type JoinSpec struct {
 
 // join is a two-table equi-join ready to run: each side a scan whose filter
 // is parsed and whose request — selection and projection pushed — is built.
-// The planner makes one from its scans, a JoinSpec from its text (run).
+// The planner makes one from its scans, Join from its statement
+// (joinStatement).
 type join struct {
 	left, right       *TableScan
 	leftKey, rightKey string
-	fpr               float64
-	bitwise           bool
-	seed              int64
+	bloom             JoinSpec // the Bloom filter's knobs; SQL is not read
 }
 
-// run is the JoinSpec operators' door: it parses js's filters, once, into
-// the join they describe and runs op over it.
-func (js JoinSpec) run(e *Exec, op func(join) (*Relation, error)) (*Relation, error) {
-	j := join{leftKey: js.LeftKey, rightKey: js.RightKey, fpr: js.TargetFPR, bitwise: js.Bitwise, seed: js.Seed}
-	if j.fpr <= 0 {
-		j.fpr = 0.01
+// Join runs js's statement with one Section-V algorithm: StrategyBaseline,
+// StrategyFiltered or StrategyBloom. A statement of another shape, or another
+// algorithm, is a KindBadRequest error saying why. Aggregates over the joined
+// rows are the server's, unbilled, as the planner's tail is.
+func (e *Exec) Join(js JoinSpec, algorithm string) (*Relation, error) {
+	run := map[string]func(join) (*Relation, error){
+		StrategyBaseline: e.baselineJoin, StrategyFiltered: e.filteredJoin, StrategyBloom: e.bloomJoin}[algorithm]
+	j, items, err := e.db.joinStatement(js, algorithm)
+	if err == nil && run == nil {
+		err = forcedError(e.db, j.left.Table, algorithm, "not a join algorithm (baseline, filtered or bloom)")
 	}
-	var err error
-	if j.left, err = e.db.joinScan(js.LeftTable, js.LeftFilter, js.LeftProject); err != nil {
-		return nil, err
+	var joined *Relation
+	if err == nil {
+		joined, err = run(j)
 	}
-	if j.right, err = e.db.joinScan(js.RightTable, js.RightFilter, js.RightProject); err != nil {
-		return nil, err
+	if err != nil || items == nil {
+		return joined, err
 	}
-	return op(j)
+	return e.groupByLocal(joined, nil, nil, items)
 }
 
-// joinScan is the scan of table pushing the predicate filter ("" = none)
-// and the projection project (nil = every column).
-func (db *DB) joinScan(table, filter string, project []string) (*TableScan, error) {
-	pred, err := parsePredicate(filter)
+// joinStatement checks js's statement and builds the join it describes, with
+// the select list's aggregates over the joined rows (nil for SELECT *);
+// algorithm names the refusal.
+func (db *DB) joinStatement(js JoinSpec, algorithm string) (join, []sqlparse.SelectItem, error) {
+	sel, err := db.handStatement(js.SQL, algorithm, 2, 0)
 	if err != nil {
-		return nil, err
+		return join{}, nil, err
 	}
-	return &TableScan{Table: table, Filter: pred, Project: project,
-		req: db.request(table, scanSelect(columnItems(project), pred))}, nil
+	refuse := func(why string) (join, []sqlparse.SelectItem, error) {
+		return join{}, nil, forcedError(db, sel.Table, algorithm, why)
+	}
+	jn := sel.Joins[0]
+	tables := []string{strings.ToLower(cmp.Or(sel.Alias, sel.Table)), strings.ToLower(cmp.Or(jn.Alias, jn.Table))}
+	side := func(c *sqlparse.Column) int { return slices.Index(tables, strings.ToLower(c.Qualifier)) }
+	for _, x := range append(sqlparse.ItemExprs(sel.Items), jn.Cond, sel.Where) {
+		for _, c := range sqlparse.ColumnRefs(x) {
+			if c.Qualifier == "" || side(c) < 0 {
+				return refuse(fmt.Sprintf("column %s is not qualified by a table of the FROM clause", c))
+			}
+		}
+	}
+	lk, rk := eqColumns(jn.Cond)
+	if lk != nil && side(lk) == 1 {
+		lk, rk = rk, lk
+	}
+	if lk == nil || rk == nil || side(lk) != 0 || side(rk) != 1 {
+		return refuse("the ON condition equates no column of one table with one of the other")
+	}
+	var filters [2][]sqlparse.Expr
+	for _, c := range sqlparse.Conjuncts(sel.Where) {
+		set := 0 // a bit per table c reads
+		for _, col := range sqlparse.ColumnRefs(c) {
+			set |= 1 << side(col)
+		}
+		if set != 1 && set != 2 {
+			return refuse(fmt.Sprintf("WHERE conjunct %s does not read exactly one table", c))
+		}
+		filters[set/2] = append(filters[set/2], sqlparse.StripQualifiers(c))
+	}
+	project := []string{lk.Name} // the Bloom build side's
+	var items []sqlparse.SelectItem
+	for _, it := range sel.Items {
+		switch {
+		case isStar(it) && len(sel.Items) == 1:
+			project = nil
+		case isStar(it) || !sqlparse.ContainsAggregate(it.Expr):
+			return refuse(fmt.Sprintf("the select list is * or aggregates, not %s", it.Expr))
+		default:
+			for _, c := range sqlparse.ColumnRefs(it.Expr) {
+				if side(c) == 0 && !slices.ContainsFunc(project, func(p string) bool { return sqlparse.SameName(p, c.Name) }) {
+					project = append(project, c.Name)
+				}
+			}
+			items = append(items, sqlparse.SelectItem{Expr: sqlparse.StripQualifiers(it.Expr), Alias: it.Alias})
+		}
+	}
+	if js.TargetFPR <= 0 {
+		js.TargetFPR = 0.01
+	}
+	return join{left: db.joinScan(sel.Table, sqlparse.AndAll(filters[0]), project),
+		right: db.joinScan(jn.Table, sqlparse.AndAll(filters[1]), nil), leftKey: lk.Name, rightKey: rk.Name, bloom: js}, items, nil
 }
 
-// BaselineJoin loads both tables in full with plain GETs and evaluates
-// filters and the join locally. No S3 Select anywhere.
-func (e *Exec) BaselineJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.baselineJoin) }
+// eqColumns is a and b when e is a = b, each nil unless that side is a
+// column.
+func eqColumns(e sqlparse.Expr) (a, b *sqlparse.Column) {
+	if eq, ok := e.(*sqlparse.Binary); ok && eq.Op == sqlparse.OpEq {
+		a, _ = eq.L.(*sqlparse.Column)
+		b, _ = eq.R.(*sqlparse.Column)
+	}
+	return a, b
+}
 
+// joinScan is the scan of table pushing the predicate filter (nil = none)
+// and the projection project (nil = every column).
+func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *TableScan {
+	return &TableScan{Table: table, Filter: filter, Project: project,
+		req: db.request(table, scanSelect(columnItems(project), filter))}
+}
+
+// baselineJoin loads both tables in full with plain GETs and evaluates
+// filters and the join locally. No S3 Select anywhere.
 func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
@@ -107,11 +177,9 @@ func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	return e.hashJoinLocal(stage, left, right, j.leftKey, j.rightKey)
 }
 
-// FilteredJoin pushes each side's selection (not projection) into S3
+// filteredJoin pushes each side's selection (not projection) into S3
 // Select and joins locally. Both scans run in parallel, like the paper's
 // filtered join.
-func (e *Exec) FilteredJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.filteredJoin) }
-
 func (e *Exec) filteredJoin(j join) (*Relation, error) {
 	stage := e.NextStage()
 	rels := make([]*Relation, 2)
@@ -128,14 +196,12 @@ func (e *Exec) filteredJoin(j join) (*Relation, error) {
 	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
 }
 
-// BloomJoin implements Section V-A2: load the build side with selection
+// bloomJoin implements Section V-A2: load the build side with selection
 // and projection pushed down, construct a Bloom filter over its join keys,
 // then ship the filter to S3 as a predicate on the probe side. When the
 // filter cannot fit S3 Select's 256 KB expression limit even after FPR
 // degradation, it falls back to a filtered join whose two scans are forced
 // serial (the paper's "degraded Bloom join").
-func (e *Exec) BloomJoin(js JoinSpec) (*Relation, error) { return js.run(e, e.bloomJoin) }
-
 func (e *Exec) bloomJoin(j join) (*Relation, error) {
 	defer e.scope("bloom join").end(nil)
 	// Phase 1: build side with pushdown; two units of row work per build
@@ -154,20 +220,39 @@ func (e *Exec) bloomJoin(j join) (*Relation, error) {
 	return e.hashJoinLocal(stage2, left, right, j.leftKey, j.rightKey)
 }
 
-// BloomProbe builds a Bloom filter over left's key column and scans
-// rightTable with the filter (plus rightFilter) pushed to S3 Select. It is
-// the reusable second half of BloomJoin, used directly by multi-join
-// queries (e.g. TPC-H Q3) whose build side is an intermediate relation.
+// BloomProbe builds a Bloom filter over left's key column and runs the probe
+// statement — SELECT columns or * FROM table [WHERE ...] — with the filter
+// pushed beside its WHERE clause, rightKey naming the probed column. It is
+// the reusable second half of the Bloom join, used directly by multi-join
+// queries (e.g. TPC-H Q17) whose build side is an intermediate relation.
 // When the filter cannot fit the 256 KB expression limit even after FPR
-// degradation, the probe degrades to a plain filtered scan. The returned
-// int is the stage the probe scan ran in, so callers can attribute
-// follow-on work (the hash join) to the same stage.
-func (e *Exec) BloomProbe(left *Relation, leftKey, rightTable, rightKey, rightFilter string, rightProject []string, fpr float64, bitwise bool, seed int64) (*Relation, int, error) {
-	right, err := e.db.joinScan(rightTable, rightFilter, rightProject)
+// degradation, the probe degrades to the plain statement. The returned int
+// is the stage the probe scan ran in, so callers can attribute follow-on work
+// (the hash join) to the same stage.
+func (e *Exec) BloomProbe(left *Relation, leftKey, probe, rightKey string, fpr float64, bitwise bool, seed int64) (*Relation, int, error) {
+	right, err := e.db.probeStatement(probe)
 	if err != nil {
 		return nil, 0, err
 	}
-	return e.bloomProbe(left, join{right: right, leftKey: leftKey, rightKey: rightKey, fpr: fpr, bitwise: bitwise, seed: seed})
+	return e.bloomProbe(left, join{right: right, leftKey: leftKey, rightKey: rightKey,
+		bloom: JoinSpec{TargetFPR: fpr, Bitwise: bitwise, Seed: seed}})
+}
+
+// probeStatement checks BloomProbe's statement and builds its scan.
+func (db *DB) probeStatement(sql string) (*TableScan, error) {
+	sel, err := db.handStatement(sql, StrategyBloom, 1, 0)
+	if err != nil {
+		return nil, err
+	}
+	var project []string
+	for _, it := range sel.Items {
+		if c, ok := it.Expr.(*sqlparse.Column); ok {
+			project = append(project, c.Name)
+		} else if !isStar(it) || len(sel.Items) > 1 {
+			return nil, forcedError(db, sel.Table, StrategyBloom, "a probe statement selects * or columns")
+		}
+	}
+	return db.joinScan(sel.Table, sqlparse.StripQualifiers(sel.Where), project), nil
 }
 
 // bloomProbe is BloomProbe of left, the build side, into j.right; j.left is
@@ -177,41 +262,23 @@ func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
 	if li < 0 {
 		return nil, 0, fmt.Errorf("engine: bloom join key %q not in %v", j.leftKey, left.Cols)
 	}
-	// Key extraction partitions across the worker budget; the per-span
-	// slices concatenate in worker order, so the key sequence (and hence
-	// the fitted filter) matches the sequential walk exactly.
-	sps := vec.RowSpans(len(left.Rows), e.workers())
-	keyParts := make([][]int64, len(sps))
-	if err := vec.RunSpans(sps, func(w int, sp vec.Span) error {
-		part := make([]int64, 0, sp.Hi-sp.Lo)
-		for i := sp.Lo; i < sp.Hi; i++ {
-			v := left.Rows[i][li]
-			if v.IsNull() {
-				continue
-			}
+	keys := make([]int64, 0, len(left.Rows))
+	for _, r := range left.Rows {
+		if v := r[li]; !v.IsNull() {
 			k, ok := v.IntNum()
 			if !ok {
-				return fmt.Errorf("engine: %w, got %s (%v)",
-					ErrNonIntegerJoinKey, v.Kind(), v)
+				return nil, 0, fmt.Errorf("engine: %w, got %s (%v)", ErrNonIntegerJoinKey, v.Kind(), v)
 			}
-			part = append(part, k)
+			keys = append(keys, k)
 		}
-		keyParts[w] = part
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	keys := make([]int64, 0, len(left.Rows))
-	for _, part := range keyParts {
-		keys = append(keys, part...)
 	}
 
-	rng := rand.New(rand.NewSource(j.seed + 1))
+	rng := rand.New(rand.NewSource(j.bloom.Seed + 1))
 	key := &sqlparse.Column{Name: j.rightKey}
 	var predicate sqlparse.Expr
 	if len(keys) > 0 {
-		if j.bitwise {
-			f := bloom.New(len(keys), j.fpr, rng)
+		if j.bloom.Bitwise {
+			f := bloom.New(len(keys), j.bloom.TargetFPR, rng)
 			for _, k := range keys {
 				f.Add(k)
 			}
@@ -226,9 +293,8 @@ func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
 			// count, so Section V-B1's behaviour appears at the right
 			// selectivities (e.g. Fig. 2's loose customer filters).
 			effKeys := int(float64(len(keys)) * max(e.db.Sim.DataRatio, 1))
-			degraded, ok := bloom.DegradeFPR(effKeys, j.fpr, selectengine.MaxSQLBytes-1024)
-			if ok {
-				if _, pred, _, ok2 := bloom.Fit(keys, degraded, key, selectengine.MaxSQLBytes-1024, rng); ok2 {
+			if degraded, ok := bloom.DegradeFPR(effKeys, j.bloom.TargetFPR, selectengine.MaxSQLBytes-1024); ok {
+				if _, pred, _, fits := bloom.Fit(keys, degraded, key, selectengine.MaxSQLBytes-1024, rng); fits {
 					predicate = pred
 				}
 			}
@@ -244,37 +310,9 @@ func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
 	stage2 := e.NextStage()
 	probe := j.right.req
 	if predicate != nil {
-		where := predicate
-		if j.right.Filter != nil {
-			where = &sqlparse.Binary{Op: sqlparse.OpAnd, L: j.right.Filter, R: predicate}
-		}
+		where := sqlparse.AndAll([]sqlparse.Expr{j.right.Filter, predicate})
 		probe = e.db.request(j.right.Table, scanSelect(columnItems(j.right.Project), where))
 	}
 	rel, err := e.selectMetered("bloom probe "+j.right.Table, stage2, j.right.Table, probe, 0)
 	return rel, stage2, err
-}
-
-// JoinAggregate is a convenience for the paper's evaluation query
-// (Listing 2): run the join with the chosen algorithm and return the
-// aggregate of an expression over the join result, e.g. SUM(o_totalprice).
-func (e *Exec) JoinAggregate(js JoinSpec, algorithm string, aggItems string) (*Relation, error) {
-	items, err := parseItems(aggItems)
-	if err != nil {
-		return nil, err
-	}
-	var joined *Relation
-	switch algorithm {
-	case "baseline":
-		joined, err = e.BaselineJoin(js)
-	case "filtered":
-		joined, err = e.FilteredJoin(js)
-	case "bloom":
-		joined, err = e.BloomJoin(js)
-	default:
-		return nil, fmt.Errorf("engine: unknown join algorithm %q", algorithm)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.groupByLocal(joined, nil, nil, items)
 }

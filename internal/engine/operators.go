@@ -24,8 +24,7 @@ import (
 // as wide as its header (value.CSVCell), so the kernels run on all of them
 // and a row's cells are indexed directly. Query execution
 // reaches the operators through one dispatch point (Exec.runOp); SQL text
-// is parsed once, by the front end or by the fragment parsers below, never
-// by an operator.
+// is parsed once, by the front end, never by an operator.
 
 // Operators is the local operator set. The zero value is the sequential
 // reference.
@@ -34,97 +33,6 @@ type Operators struct {
 	// false runs the sequential row-at-a-time reference.
 	Vectorized bool
 	Workers    int
-}
-
-// The string-taking entry points the hand-written paper algorithms use
-// (internal/tpch, internal/harness, the examples): parse the fragment
-// once, then run the reference.
-
-// FilterLocal keeps the rows matching the SQL predicate ("" keeps all).
-func FilterLocal(rel *Relation, predicate string) (*Relation, error) {
-	pred, err := parsePredicate(predicate)
-	if err != nil {
-		return nil, err
-	}
-	return Operators{}.Filter(rel, pred)
-}
-
-// GroupByLocal groups rel by the groupBy expressions and evaluates the
-// aggregate select items, e.g. GroupByLocal(rel, "c_nationkey",
-// "c_nationkey, SUM(c_acctbal) AS total").
-func GroupByLocal(rel *Relation, groupBy, items string) (*Relation, error) {
-	keys, its, err := parseGroupBy(groupBy, items)
-	if err != nil {
-		return nil, err
-	}
-	return Operators{}.GroupBy(rel, keys, its)
-}
-
-// AggregateLocal evaluates aggregate-only select items over a relation,
-// returning a single-row relation.
-func AggregateLocal(rel *Relation, items string) (*Relation, error) {
-	its, err := parseItems(items)
-	if err != nil {
-		return nil, err
-	}
-	return Operators{}.Aggregate(rel, its)
-}
-
-// HashJoinLocal joins left and right on equality of leftKey/rightKey. The
-// output concatenates both sides' columns.
-func HashJoinLocal(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
-	return Operators{}.HashJoin(left, right, leftKey, rightKey)
-}
-
-// SortLocal orders rows by the given keys.
-func SortLocal(rel *Relation, orderBy string) (*Relation, error) {
-	keys, err := parseOrderBy(orderBy)
-	if err != nil {
-		return nil, err
-	}
-	return sortLocal(rel, keys)
-}
-
-// Fragment parsers: the only places the engine turns a SQL fragment into
-// an AST — one per fragment kind.
-
-// parsePredicate parses a WHERE-clause fragment; "" is no predicate (nil).
-func parsePredicate(predicate string) (sqlparse.Expr, error) {
-	if predicate == "" {
-		return nil, nil
-	}
-	pred, err := sqlparse.ParseExpr(predicate)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad predicate %q: %w", predicate, err)
-	}
-	return pred, nil
-}
-
-// parseItems parses a select-list fragment.
-func parseItems(items string) ([]sqlparse.SelectItem, error) {
-	sel, err := sqlparse.Parse("SELECT " + items + " FROM t")
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad select items %q: %w", items, err)
-	}
-	return sel.Items, nil
-}
-
-// parseGroupBy parses a group-by fragment together with its select list.
-func parseGroupBy(groupBy, items string) ([]sqlparse.Expr, []sqlparse.SelectItem, error) {
-	sel, err := sqlparse.Parse("SELECT " + items + " FROM t GROUP BY " + groupBy)
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: bad group-by: %w", err)
-	}
-	return sel.GroupBy, sel.Items, nil
-}
-
-// parseOrderBy parses an ORDER BY fragment.
-func parseOrderBy(orderBy string) ([]sqlparse.OrderItem, error) {
-	sel, err := sqlparse.Parse("SELECT * FROM t ORDER BY " + orderBy)
-	if err != nil {
-		return nil, fmt.Errorf("engine: bad order by %q: %w", orderBy, err)
-	}
-	return sel.OrderBy, nil
 }
 
 // columnItems is the select list projecting the named columns.
@@ -136,27 +44,24 @@ func columnItems(cols []string) []sqlparse.SelectItem {
 	return items
 }
 
+// isStar reports whether a select item is *.
+func isStar(it sqlparse.SelectItem) bool {
+	_, star := it.Expr.(*sqlparse.Star)
+	return star
+}
+
 // itemCols names the output columns of a select list over rel (* expands
 // to rel's columns).
 func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 	var cols []string
 	for _, it := range items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+		if isStar(it) {
 			cols = append(cols, rel.Cols...)
 			continue
 		}
 		cols = append(cols, it.Name())
 	}
 	return cols
-}
-
-// fromVecRows adopts kernel output rows as a relation.
-func fromVecRows(cols []string, rows [][]value.Value) *Relation {
-	out := &Relation{Cols: cols, Rows: make([]Row, len(rows))}
-	for i, r := range rows {
-		out.Rows[i] = r
-	}
-	return out
 }
 
 // referencedCols resolves every column the expressions reference against
@@ -218,7 +123,7 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 		if err != nil {
 			return nil, err
 		}
-		return fromVecRows(out.Cols, out.ToRows()), nil
+		return &Relation{Cols: out.Cols, Rows: out.ToRows()}, nil
 	}
 	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, 0, len(rel.Rows))}
@@ -233,7 +138,7 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) *vec.Batch {
 	exprs := make([]sqlparse.Expr, 0, len(items))
 	for _, it := range items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+		if isStar(it) {
 			b, _ := vec.FromRows(rel.Cols, rel.Rows, o.Workers)
 			return b
 		}
@@ -243,12 +148,14 @@ func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) *
 }
 
 // GroupBy groups rel by the key expressions and evaluates the aggregate
-// select items, one output row per group in first-seen group order.
+// select items, one output row per group in first-seen group order. With no
+// keys it is a plain aggregation, whose one row it yields over zero input
+// rows too (COUNT = 0, other aggregates NULL).
 func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	if o.Vectorized {
 		b := o.batch(rel, append(sqlparse.ItemExprs(items), keys...))
 		cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
-		return fromVecRows(cols, rows), err
+		return &Relation{Cols: cols, Rows: rows}, err
 	}
 	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items)}
@@ -256,13 +163,6 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 		return nil, err
 	}
 	return out, nil
-}
-
-// Aggregate evaluates aggregate-only select items over the whole relation
-// and returns a single row: a group-by with no keys, which yields its one
-// row (COUNT = 0, other aggregates NULL) over zero input rows too.
-func (o Operators) Aggregate(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	return o.GroupBy(rel, nil, items)
 }
 
 // The reference operators share one executor with the S3 Select engine,
@@ -360,8 +260,9 @@ func keyVector(rel *Relation, c int) *vec.Vector {
 	return vec.FromValues(vals)
 }
 
-// sortLocal orders rows by the given keys (stable).
-func sortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
+// SortLocal orders rows by the given keys (stable), on the sequential
+// reference's executor.
+func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	type keyed struct {
 		keys Row
 		row  Row
@@ -450,7 +351,7 @@ func (e *Exec) groupByLocal(rel *Relation, batches []*vec.Batch, keys []sqlparse
 			}
 		}
 		cols, rows, err := vec.Finish(t, items)
-		return fromVecRows(cols, rows), err
+		return &Relation{Cols: cols, Rows: rows}, err
 	})
 }
 

@@ -52,28 +52,15 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
-	pred, err := parsePredicate("v > 0 AND g <> 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := parseItems("id, v * 2 AS dbl, g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, groupItems, err := parseGroupBy("g", "g, SUM(v) AS s, COUNT(*) AS n, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av")
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggItems, err := parseItems("SUM(v) AS s, COUNT(*) AS n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj := selectOf(t, "SELECT id, v * 2 AS dbl, g FROM t WHERE v > 0 AND g <> 3")
+	grouped := selectOf(t, "SELECT g, SUM(v) AS s, COUNT(*) AS n, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av FROM t GROUP BY g")
+	agg := selectOf(t, "SELECT SUM(v) AS s, COUNT(*) AS n FROM t")
 	ops := map[string]func(Operators) (*Relation, error){
-		"filter":    func(o Operators) (*Relation, error) { return o.Filter(rel, pred) },
-		"project":   func(o Operators) (*Relation, error) { return o.Project(rel, proj) },
+		"filter":    func(o Operators) (*Relation, error) { return o.Filter(rel, proj.Where) },
+		"project":   func(o Operators) (*Relation, error) { return o.Project(rel, proj.Items) },
 		"hashjoin":  func(o Operators) (*Relation, error) { return o.HashJoin(rel, right, "g", "g") },
-		"groupby":   func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, groupItems) },
-		"aggregate": func(o Operators) (*Relation, error) { return o.Aggregate(rel, aggItems) },
+		"groupby":   func(o Operators) (*Relation, error) { return o.GroupBy(rel, grouped.GroupBy, grouped.Items) },
+		"aggregate": func(o Operators) (*Relation, error) { return o.GroupBy(rel, nil, agg.Items) },
 	}
 	for name, op := range ops {
 		ref, err := op(Operators{})
@@ -132,8 +119,7 @@ func TestParallelQueriesDeterministic(t *testing.T) {
 				return rel, err
 			},
 			"hybrid-groupby": func(e *Exec) (*Relation, error) {
-				return e.HybridGroupBy("events", "g", groupAggs(),
-					HybridGroupByOptions{S3Groups: 4})
+				return e.HybridGroupBy(groupSQL("events", "g"), HybridGroupByOptions{S3Groups: 4})
 			},
 			"server-topk": func(*Exec) (*Relation, error) {
 				rel, _, err := db.QueryForced(context.Background(), topKSQL, StrategyBaseline)

@@ -622,21 +622,22 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 		check("probed remotely: "+q, query(q))
 	}
 
-	js := JoinSpec{LeftTable: "qa", RightTable: "qb", LeftKey: "k", RightKey: "order", LeftFilter: `"my col" < 50`,
-		LeftProject: []string{"k", "my col"}, RightProject: []string{"order", "v"}}
+	js := JoinSpec{SQL: `SELECT SUM(a."my col") AS s, COUNT(*) AS n FROM qa a JOIN qb b ON a.k = b."order" WHERE a."my col" < 50`}
 	bitwise := js
 	bitwise.Bitwise = true
-	aggs := []GroupAgg{{Func: sqlparse.AggSum, Expr: `"my col" * 2`, As: "s"}, {Func: sqlparse.AggCount, As: "n"}}
+	const groupSQL = `SELECT g, SUM("my col" * 2) AS s, COUNT(*) AS n FROM qa GROUP BY g`
 	ops := map[string]func(e *Exec) (*Relation, error){
 		"SelectRows": func(e *Exec) (*Relation, error) {
 			return e.SelectRows("rows", 0, "qa", `SELECT "my col" FROM S3Object WHERE k < 3`)
 		},
-		"S3SideGroupBy": func(e *Exec) (*Relation, error) { return e.S3SideGroupBy("qa", "g", aggs, "k < 100") },
+		"S3SideGroupBy": func(e *Exec) (*Relation, error) {
+			return e.S3SideGroupBy(`SELECT g, SUM("my col" * 2) AS s, COUNT(*) AS n FROM qa WHERE k < 100 GROUP BY g`)
+		},
 		"HybridGroupBy": func(e *Exec) (*Relation, error) {
-			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3})
+			return e.HybridGroupBy(groupSQL, HybridGroupByOptions{S3Groups: 3})
 		},
 		"HybridGroupBy, partial": func(e *Exec) (*Relation, error) {
-			return e.HybridGroupBy("qa", "g", aggs, HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
+			return e.HybridGroupBy(groupSQL, HybridGroupByOptions{S3Groups: 3, UsePartialGroupBy: true})
 		},
 		"SamplingTopK": func(e *Exec) (*Relation, error) {
 			return e.SamplingTopK(`SELECT k, "my col" FROM qa WHERE g = 3 ORDER BY "my col" DESC LIMIT 5`, 0)
@@ -644,16 +645,16 @@ func TestEveryRequestCarriesItsStatement(t *testing.T) {
 		"SamplingTopK, sized": func(e *Exec) (*Relation, error) {
 			return e.SamplingTopK(`SELECT * FROM qa ORDER BY "my col" LIMIT 5`, 200)
 		},
-		"FilteredJoin":      func(e *Exec) (*Relation, error) { return e.FilteredJoin(js) },
-		"BloomJoin":         func(e *Exec) (*Relation, error) { return e.BloomJoin(js) },
-		"BloomJoin bitwise": func(e *Exec) (*Relation, error) { return e.BloomJoin(bitwise) },
+		"filtered Join":      func(e *Exec) (*Relation, error) { return e.Join(js, StrategyFiltered) },
+		"bloom Join":         func(e *Exec) (*Relation, error) { return e.Join(js, StrategyBloom) },
+		"bloom Join bitwise": func(e *Exec) (*Relation, error) { return e.Join(bitwise, StrategyBloom) },
 		"BloomProbe": func(e *Exec) (*Relation, error) {
 			left := relOf([]string{"id"}, [][]string{{"3"}, {"17"}})
-			rel, _, err := e.BloomProbe(left, "id", "qb", "order", "v < 5", []string{"order", "v"}, 0.01, false, 1)
+			rel, _, err := e.BloomProbe(left, "id", `SELECT "order", v FROM qb WHERE v < 5`, "order", 0.01, false, 1)
 			return rel, err
 		},
 		"IndexFilter": func(e *Exec) (*Relation, error) {
-			return e.IndexFilter("qa", "k", "value <= 3", IndexFilterOptions{MultiRange: true})
+			return e.IndexFilter("SELECT * FROM qa WHERE k <= 3", IndexFilterOptions{MultiRange: true})
 		},
 	}
 	for name, op := range ops {
@@ -785,7 +786,7 @@ func runForced(t *testing.T, db *DB, sql string, step int, strategy string) (*Re
 }
 
 // baselineAnswer answers sql the baseline way: its planned first join
-// through the BaselineJoin operator, which loads both tables whole and
+// through the baseline join, which loads both tables whole and
 // filters them on the server, every later table loaded whole, filtered on
 // the server and hash-joined in, then the residual and the server's tail.
 func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
@@ -799,16 +800,9 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := func(x sqlparse.Expr) string {
-		if x == nil {
-			return ""
-		}
-		return x.String()
-	}
 	first := p.Steps[0]
-	build, probe := p.Scans[first.buildIdx], p.Scans[first.probeIdx]
-	rel, err := e.BaselineJoin(JoinSpec{LeftTable: build.Table, RightTable: probe.Table, LeftKey: first.BuildKey, RightKey: first.ProbeKey,
-		LeftFilter: text(build.Filter), RightFilter: text(probe.Filter)})
+	rel, err := e.baselineJoin(join{left: p.Scans[first.buildIdx], right: p.Scans[first.probeIdx],
+		leftKey: first.BuildKey, rightKey: first.ProbeKey})
 	for _, st := range p.Steps[1:] {
 		var right *Relation
 		if err == nil {
@@ -835,7 +829,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 // Bloom build and probe, a chain's filtered scan, Bloom probe and IndexScan,
 // and a Bloom join over a text key falling back to the baseline join (first
 // join) or a filtered scan (chain). Each statement, forced down its path,
-// answers as the BaselineJoin operator does, cold and warm, through every
+// answers as the baseline join does, cold and warm, through every
 // select-pipeline composition over CSV and columnar tables (the index, and
 // so the IndexScan, is CSV's only).
 func TestJoinPathsShipOnlyServerColumns(t *testing.T) {
@@ -872,7 +866,7 @@ func TestJoinPathsShipOnlyServerColumns(t *testing.T) {
 					rel, p := runForced(t, db, sql, c.step, c.strategy)
 					what := fmt.Sprintf("%s %s%s %s", comp.name, c.name, suffix, run)
 					if got := render(rel, true); got != want {
-						t.Errorf("%s: answers\n%s\nBaselineJoin answers\n%s", what, got, want)
+						t.Errorf("%s: answers\n%s\nthe baseline join answers\n%s", what, got, want)
 					}
 					if p.Steps[c.step].Strategy != c.ran {
 						t.Errorf("%s: ran %s, want %s", what, p.Steps[c.step].Strategy, c.ran)

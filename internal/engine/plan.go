@@ -42,12 +42,9 @@ const (
 	StrategyIndexScan = "indexscan"
 )
 
-// planFPR is the Bloom filter target false-positive rate the planner uses
-// (the paper's sweet spot, Fig. 4).
-const planFPR = 0.01
-
-// planSeed makes planned Bloom filters deterministic.
-const planSeed = 1
+// planBloom is the planner's Bloom filter: the paper's sweet-spot target
+// false-positive rate (Fig. 4) and a fixed seed, so plans are deterministic.
+var planBloom = JoinSpec{TargetFPR: 0.01, Seed: 1}
 
 // TableScan is one base-table leaf of a query plan: the S3 Select scan
 // with the table's pushed-down selection and projection, plus the
@@ -122,7 +119,7 @@ type JoinStep struct {
 	ActualUSD   float64
 	ActualBytes int64
 
-	first              bool // joins two base tables via the JoinSpec operators
+	first              bool // joins two base tables via the Section-V join operators
 	buildIdx, probeIdx int  // scan indices (first step)
 	scan               int  // scan index of the table joined in (later steps)
 }
@@ -266,27 +263,20 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 			continue
 		}
 		kept = append(kept, c)
-		if len(scans) == 2 {
-			if b, ok := c.(*sqlparse.Binary); ok && b.Op == sqlparse.OpEq {
-				lc, lok := b.L.(*sqlparse.Column)
-				rc, rok := b.R.(*sqlparse.Column)
-				if lok && rok {
-					// Join keys resolve at planning time, so an
-					// unqualified key present in several tables is a
-					// silent guess — reject it outright (the equated
-					// exemption cannot apply to the predicate that would
-					// define the equating).
-					for _, kc := range []*sqlparse.Column{lc, rc} {
-						if kc.Qualifier == "" && p.providerCount(kc.Name) > 1 {
-							return nil, fmt.Errorf("engine: join key %q is ambiguous (several FROM tables provide it); qualify it with a table name or alias", kc.Name)
-						}
-					}
-					la, _ := p.resolve(lc)
-					ra, _ := p.resolve(rc)
-					equis = append(equis, &equiPred{a: la, b: ra, ak: lc.Name, bk: rc.Name, expr: c})
-					continue
+		if lc, rc := eqColumns(c); len(scans) == 2 && lc != nil && rc != nil {
+			// Join keys resolve at planning time, so an unqualified key
+			// present in several tables is a silent guess — reject it
+			// outright (the equated exemption cannot apply to the predicate
+			// that would define the equating).
+			for _, kc := range []*sqlparse.Column{lc, rc} {
+				if kc.Qualifier == "" && p.providerCount(kc.Name) > 1 {
+					return nil, fmt.Errorf("engine: join key %q is ambiguous (several FROM tables provide it); qualify it with a table name or alias", kc.Name)
 				}
 			}
+			la, _ := p.resolve(lc)
+			ra, _ := p.resolve(rc)
+			equis = append(equis, &equiPred{a: la, b: ra, ak: lc.Name, bk: rc.Name, expr: c})
+			continue
 		}
 		residual = append(residual, c)
 	}
@@ -375,7 +365,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 		if len(joined) == 1 {
 			// First join: two base tables (the joined set is still just
 			// scan 0); the smaller filtered side builds, and the strategy
-			// is BaselineJoin vs BloomJoin.
+			// is the baseline join vs the Bloom join.
 			const firstIdx = 0
 			buildIdx, probeIdx := firstIdx, newIdx
 			buildKey, probeKey := joinedKey, newKey
@@ -391,7 +381,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 			keyRows := float64(max(min(build.Stats.Rows, probe.Stats.Rows), 1))
 			ests := map[string]cloudsim.PlanEstimate{
 				StrategyBaseline: cloudsim.EstimateBaselineJoin(db.Cfg, db.Sim, db.Pricing, build.Stats, probe.Stats),
-				StrategyBloom:    cloudsim.EstimateBloomJoin(db.Cfg, db.Sim, db.Pricing, build.Stats, probe.Stats, matchFrac, planFPR),
+				StrategyBloom:    cloudsim.EstimateBloomJoin(db.Cfg, db.Sim, db.Pricing, build.Stats, probe.Stats, matchFrac, planBloom.TargetFPR),
 			}
 			strategy := StrategyBaseline
 			if ests[StrategyBloom].Cheaper(ests[StrategyBaseline]) {
@@ -419,7 +409,7 @@ func (e *Exec) planJoins(sel *sqlparse.Select) (*QueryPlan, error) {
 			}
 			ests := map[string]cloudsim.PlanEstimate{
 				StrategyFiltered: cloudsim.EstimateScanJoin(db.Cfg, db.Sim, db.Pricing, prevRows, newScan.Stats),
-				StrategyBloom:    cloudsim.EstimateBloomProbe(db.Cfg, db.Sim, db.Pricing, prevRows, newScan.Stats, matchFrac, planFPR),
+				StrategyBloom:    cloudsim.EstimateBloomProbe(db.Cfg, db.Sim, db.Pricing, prevRows, newScan.Stats, matchFrac, planBloom.TargetFPR),
 			}
 			if newScan.Index != nil {
 				ests[StrategyIndexScan] = cloudsim.EstimateIndexScanJoin(
@@ -679,7 +669,7 @@ func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 // falls back to the baseline join at run time (the probe cannot be built).
 func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
 	j := join{left: p.Scans[st.buildIdx], right: p.Scans[st.probeIdx],
-		leftKey: st.BuildKey, rightKey: st.ProbeKey, fpr: planFPR, seed: planSeed}
+		leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom}
 	if st.Strategy == StrategyBloom {
 		rel, err := e.bloomJoin(j)
 		if err == nil || !errors.Is(err, ErrNonIntegerJoinKey) {
@@ -718,8 +708,7 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 		build.sp.SetInt("rows_in", int64(len(cur.Rows)))
 		build.AddServerRows(int64(len(cur.Rows)))
 		build.end(nil)
-		right, joinStage, err = e.bloomProbe(cur, join{right: sc,
-			leftKey: st.BuildKey, rightKey: st.ProbeKey, fpr: planFPR, seed: planSeed})
+		right, joinStage, err = e.bloomProbe(cur, join{right: sc, leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom})
 		if err != nil && errors.Is(err, ErrNonIntegerJoinKey) {
 			st.Strategy = StrategyFiltered
 			st.Reason += "; fell back to filtered: Bloom filters need integer join keys"

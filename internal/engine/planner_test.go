@@ -36,14 +36,10 @@ func TestPlannerPicksBloomJoinWhenSelective(t *testing.T) {
 		t.Errorf("build side = %s, want the filtered customer side", step.BuildName)
 	}
 
-	// The SQL answer must match the explicit BloomJoin operator call.
+	// The SQL answer must match the explicit Bloom join's.
 	opDB, _ := newTestDB(t)
 	opDB.Sim = bigSim()
-	want, err := opDB.NewExec().JoinAggregate(joinSpec(), "bloom", "SUM(price) AS total, COUNT(*) AS n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAgg(t, rel, want)
+	assertSameAgg(t, rel, joinRel(t, opDB, JoinSpec{SQL: sql, Seed: 7}, StrategyBloom))
 }
 
 func TestPlannerPicksBaselineJoinWhenUnselective(t *testing.T) {
@@ -60,13 +56,7 @@ func TestPlannerPicksBaselineJoinWhenUnselective(t *testing.T) {
 		t.Errorf("strategy = %s, want baseline\nestimates: %+v", step.Strategy, step.Estimates)
 	}
 
-	js := joinSpec()
-	js.LeftFilter = ""
-	want, err := db.NewExec().JoinAggregate(js, "baseline", "COUNT(*) AS n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAgg(t, rel, want)
+	assertSameAgg(t, rel, joinRel(t, db, JoinSpec{SQL: sql}, StrategyBaseline))
 }
 
 func assertSameAgg(t *testing.T, got, want *Relation) {
@@ -94,10 +84,7 @@ func TestPlannerCommaJoin(t *testing.T) {
 	if e.QueryPlan() == nil {
 		t.Fatal("comma join should go through the planner")
 	}
-	want, err := db.NewExec().JoinAggregate(joinSpec(), "baseline", "COUNT(*) AS n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := joinRel(t, db, JoinSpec{SQL: "SELECT COUNT(*) AS n FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"}, StrategyBaseline)
 	assertSameAgg(t, rel, want)
 }
 
@@ -131,12 +118,8 @@ func TestPlannerResidualPredicate(t *testing.T) {
 		t.Error("expected a residual predicate in the plan")
 	}
 	// Cross-check by hand.
-	join, err := db.NewExec().BaselineJoin(JoinSpec{
-		LeftTable: "cust", RightTable: "ords", LeftKey: "ck", RightKey: "ck"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := FilterLocal(join, "bal < price")
+	join := joinRel(t, db, JoinSpec{SQL: "SELECT * FROM cust c JOIN ords o ON c.ck = o.ck"}, StrategyBaseline)
+	filtered, err := localRef(join, "SELECT * FROM t WHERE bal < price")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,21 +152,16 @@ func TestPlannerThreeTableChain(t *testing.T) {
 		t.Errorf("chain step strategy = %q", plan.Steps[1].Strategy)
 	}
 	// Cross-check with explicit operators.
-	join1, err := db.NewExec().BaselineJoin(JoinSpec{
-		LeftTable: "cust", RightTable: "ords", LeftKey: "ck", RightKey: "ck",
-		LeftFilter: "bal <= -500"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	join1 := joinRel(t, db, JoinSpec{SQL: "SELECT * FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= -500"}, StrategyBaseline)
 	itemsRel, err := db.NewExec().LoadTable("load", 0, "items")
 	if err != nil {
 		t.Fatal(err)
 	}
-	join2, err := HashJoinLocal(join1, itemsRel, "ok", "iok")
+	join2, err := (Operators{}).HashJoin(join1, itemsRel, "ok", "iok")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AggregateLocal(join2, "COUNT(*) AS n, SUM(qty) AS q")
+	want, err := localRef(join2, "SELECT COUNT(*) AS n, SUM(qty) AS q FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}

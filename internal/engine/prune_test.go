@@ -12,6 +12,7 @@ import (
 	"pushdowndb/internal/obs"
 	"pushdowndb/internal/race"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/tpch"
 	"pushdowndb/internal/value"
@@ -151,6 +152,10 @@ func TestPrunedLoadShortRowReadsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred, err := sqlparse.ParseExpr("d > '1994-06-01'")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rel := range []*engine.Relation{full, pruned} {
 		for _, row := range rel.Rows {
 			if len(row) != len(rel.Cols) {
@@ -160,7 +165,7 @@ func TestPrunedLoadShortRowReadsNull(t *testing.T) {
 		if d := rel.Rows[1][rel.ColIndex("d")]; !d.IsNull() {
 			t.Errorf("the short row's D = %v, want NULL", d)
 		}
-		got, err := engine.FilterLocal(rel, "d > '1994-06-01'")
+		got, err := engine.Operators{}.Filter(rel, pred)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,7 +247,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 		// expressions, which the pre-projection relation can evaluate; the
 		// projection preserves row order.
 		if len(orderBy) > 0 {
-			rel, err = sortLocal(rel, orderByOverInput(sel))
+			rel, err = SortLocal(rel, orderByOverInput(sel))
 			if err != nil {
 				return nil, err
 			}
@@ -262,7 +262,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 		st.sp.SetInt("groups", int64(len(rel.Rows)))
 	}
 	if len(orderBy) > 0 {
-		rel, err = sortLocal(rel, orderBy)
+		rel, err = SortLocal(rel, orderBy)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +361,7 @@ func orderByOverInput(sel *sqlparse.Select) []sqlparse.OrderItem {
 // list, which reads every column.
 func serverColumns(sel *sqlparse.Select, kept []sqlparse.Expr, sortable func(*sqlparse.Column) bool) (refs []*sqlparse.Column, star bool) {
 	for _, it := range sel.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
+		if isStar(it) {
 			return nil, true
 		}
 		refs = append(refs, sqlparse.ColumnRefs(it.Expr)...)

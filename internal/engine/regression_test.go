@@ -203,12 +203,9 @@ func newGroupValueDBCaps(t *testing.T, vals []string, caps selectengine.Capabili
 	return openTestDB(t, st, s3api.WithCapabilities(caps))
 }
 
-func zipAggs() []GroupAgg {
-	return []GroupAgg{
-		{Func: sqlparse.AggSum, Expr: "v", As: "s"},
-		{Func: sqlparse.AggCount, As: "n"},
-	}
-}
+// zipSQL sums v and counts the rows per zip: the statement the S3-side and
+// hybrid group-bys take and the forced baseline answers.
+const zipSQL = "SELECT zip, SUM(v) AS s, COUNT(*) AS n FROM zips GROUP BY zip"
 
 // TestGroupByNonCanonicalNumericGroups: "NaN" parses as a float, so the
 // old sqlLiteral emitted it bare and the pushed CASE read it as a column
@@ -216,21 +213,33 @@ func zipAggs() []GroupAgg {
 // text. Both must aggregate identically to the server-side reference.
 func TestGroupByNonCanonicalNumericGroups(t *testing.T) {
 	db := newGroupValueDB(t, []string{"NaN", "00501", "10001", "battery park"})
-	want := forcedRel(t, db, StrategyBaseline, "SELECT zip, SUM(v) AS s, COUNT(*) AS n FROM zips GROUP BY zip")
+	want := forcedRel(t, db, StrategyBaseline, zipSQL)
 	if len(want.Rows) != 4 {
 		t.Fatalf("reference groups = %d, want 4", len(want.Rows))
 	}
-	s3side, err := db.NewExec().S3SideGroupBy("zips", "zip", zipAggs(), "")
+	s3side, err := db.NewExec().S3SideGroupBy(zipSQL)
 	if err != nil {
 		t.Fatalf("S3-side group-by over NaN/zip-style values: %v", err)
 	}
 	sameRows(t, "s3side", want, s3side)
-	hybrid, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-		HybridGroupByOptions{S3Groups: 2})
+	hybrid, err := db.NewExec().HybridGroupBy(zipSQL, HybridGroupByOptions{S3Groups: 2})
 	if err != nil {
 		t.Fatalf("hybrid group-by over NaN/zip-style values: %v", err)
 	}
 	sameRows(t, "hybrid", want, hybrid)
+
+	// 3 and 03 are one group, as the server groups them: the hybrid ranks
+	// its sample's groups by their typed rendering, so one spelling's CASE
+	// does not aggregate both twice.
+	db = newGroupValueDB(t, []string{"3", "03", "x"})
+	want = forcedRel(t, db, StrategyBaseline, zipSQL)
+	for _, s3groups := range []int{1, 2} {
+		hybrid, err := db.NewExec().HybridGroupBy(zipSQL, HybridGroupByOptions{S3Groups: s3groups})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("hybrid over 3 and 03, S3Groups=%d", s3groups), want, hybrid)
+	}
 }
 
 // TestGroupByNullGroups: rows whose group value is NULL (empty CSV field)
@@ -238,11 +247,11 @@ func TestGroupByNonCanonicalNumericGroups(t *testing.T) {
 // — a bare NOT IN drops them because the comparison evaluates to NULL.
 func TestGroupByNullGroups(t *testing.T) {
 	db := newGroupValueDB(t, []string{"", "10001", "10002", "10003", ""})
-	want := forcedRel(t, db, StrategyBaseline, "SELECT zip, SUM(v) AS s, COUNT(*) AS n FROM zips GROUP BY zip")
+	want := forcedRel(t, db, StrategyBaseline, zipSQL)
 	if len(want.Rows) != 4 {
 		t.Fatalf("reference groups = %d (NULL group must be one of them)", len(want.Rows))
 	}
-	s3side, err := db.NewExec().S3SideGroupBy("zips", "zip", zipAggs(), "")
+	s3side, err := db.NewExec().S3SideGroupBy(zipSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +261,7 @@ func TestGroupByNullGroups(t *testing.T) {
 	// aggregated in S3 and the tail must exclude exactly it; with a larger
 	// budget it can land on either side of the split.
 	for _, s3groups := range []int{1, 2, 8} {
-		hybrid, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-			HybridGroupByOptions{S3Groups: s3groups})
+		hybrid, err := db.NewExec().HybridGroupBy(zipSQL, HybridGroupByOptions{S3Groups: s3groups})
 		if err != nil {
 			t.Fatalf("hybrid S3Groups=%d: %v", s3groups, err)
 		}
@@ -264,15 +272,14 @@ func TestGroupByNullGroups(t *testing.T) {
 	// against a backend advertising the capability.
 	db = newGroupValueDBCaps(t, []string{"", "10001", "10002", "10003", ""},
 		selectengine.Capabilities{AllowGroupBy: true})
-	partial, err := db.NewExec().HybridGroupBy("zips", "zip", zipAggs(),
-		HybridGroupByOptions{S3Groups: 2, UsePartialGroupBy: true})
+	partial, err := db.NewExec().HybridGroupBy(zipSQL, HybridGroupByOptions{S3Groups: 2, UsePartialGroupBy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRows(t, "partial", want, partial)
 }
 
-// --- BloomJoin stage attribution (join.go) ---
+// --- Bloom join stage attribution (join.go) ---
 
 // stageStealingBackend allocates a stage on the Exec after every Select,
 // simulating concurrent operator work on the same query execution.
@@ -302,12 +309,7 @@ func TestBloomJoinStageUnderConcurrentStages(t *testing.T) {
 	}
 	e := db.NewExec()
 	stealer.e = e
-	_, err = e.BloomJoin(JoinSpec{
-		LeftTable: "cust", RightTable: "ords",
-		LeftKey: "ck", RightKey: "ck",
-		LeftFilter: "bal <= 0",
-		Seed:       1,
-	})
+	_, err = e.Join(JoinSpec{SQL: "SELECT * FROM cust c JOIN ords o ON c.ck = o.ck WHERE c.bal <= 0", Seed: 1}, StrategyBloom)
 	if err != nil {
 		t.Fatal(err)
 	}

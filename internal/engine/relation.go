@@ -23,7 +23,7 @@ import (
 )
 
 // Row is one tuple.
-type Row []value.Value
+type Row = []value.Value
 
 // Relation is a materialized set of rows with named columns.
 type Relation struct {

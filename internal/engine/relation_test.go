@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
@@ -32,18 +33,33 @@ func TestFromStringsTyping(t *testing.T) {
 	}
 }
 
-// projectRef parses a select list and runs the reference projection.
-func projectRef(rel *Relation, items string) (*Relation, error) {
-	its, err := parseItems(items)
+// selectOf parses a test statement.
+func selectOf(t testing.TB, sql string) *sqlparse.Select {
+	t.Helper()
+	sel, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return Operators{}.Project(rel, its)
+	return sel
+}
+
+// localRef runs sql over rel on the reference operators, as runLocal runs
+// it, then its ORDER BY: the local operator tests' statement form (the FROM
+// table is not read).
+func localRef(rel *Relation, sql string) (*Relation, error) {
+	sel, err := sqlparse.Parse(sql)
+	if err == nil {
+		rel, err = runLocal(Operators{}, rel, sel)
+	}
+	if err == nil && len(sel.OrderBy) > 0 {
+		rel, err = SortLocal(rel, sel.OrderBy)
+	}
+	return rel, err
 }
 
 func TestProjectLocalStar(t *testing.T) {
 	rel := relOf([]string{"a", "b"}, [][]string{{"1", "2"}})
-	out, err := projectRef(rel, "*, a + b AS s")
+	out, err := localRef(rel, "SELECT *, a + b AS s FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +73,10 @@ func TestProjectLocalStar(t *testing.T) {
 
 func TestProjectLocalErrors(t *testing.T) {
 	rel := relOf([]string{"a"}, [][]string{{"1"}})
-	if _, err := projectRef(rel, "nosuch + 1"); err == nil {
+	if _, err := localRef(rel, "SELECT nosuch + 1 FROM t"); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, err := projectRef(rel, "((("); err == nil {
+	if _, err := localRef(rel, "SELECT ((( FROM t"); err == nil {
 		t.Error("bad projection should error")
 	}
 }
@@ -69,7 +85,7 @@ func TestSortLocalStableTies(t *testing.T) {
 	rel := relOf([]string{"k", "tag"}, [][]string{
 		{"1", "first"}, {"2", "x"}, {"1", "second"}, {"1", "third"},
 	})
-	out, err := SortLocal(rel, "k")
+	out, err := localRef(rel, "SELECT * FROM t ORDER BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +105,7 @@ func TestSortLocalMultiKey(t *testing.T) {
 	rel := relOf([]string{"a", "b"}, [][]string{
 		{"2", "1"}, {"1", "9"}, {"2", "0"}, {"1", "3"},
 	})
-	out, err := SortLocal(rel, "a ASC, b DESC")
+	out, err := localRef(rel, "SELECT * FROM t ORDER BY a ASC, b DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +121,8 @@ func TestSortLocalMultiKey(t *testing.T) {
 
 func TestSortLocalErrors(t *testing.T) {
 	rel := relOf([]string{"a"}, [][]string{{"1"}})
-	if _, err := SortLocal(rel, "nosuch"); err == nil {
+	if _, err := localRef(rel, "SELECT * FROM t ORDER BY nosuch"); err == nil {
 		t.Error("unknown sort column should error")
-	}
-	if _, err := SortLocal(rel, ""); err == nil {
-		t.Error("empty order-by should error")
 	}
 }
 
@@ -140,7 +153,7 @@ func TestGroupByLocalCompositeAndExpressions(t *testing.T) {
 	rel := relOf([]string{"a", "b", "v"}, [][]string{
 		{"x", "1", "10"}, {"x", "2", "20"}, {"x", "1", "30"}, {"y", "1", "40"},
 	})
-	out, err := GroupByLocal(rel, "a, b", "a, b, SUM(v) AS s")
+	out, err := localRef(rel, "SELECT a, b, SUM(v) AS s FROM t GROUP BY a, b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +161,7 @@ func TestGroupByLocalCompositeAndExpressions(t *testing.T) {
 		t.Fatalf("groups = %d, want 3", len(out.Rows))
 	}
 	// Expression-over-aggregates items.
-	out2, err := GroupByLocal(rel, "a", "a, SUM(v) / COUNT(*) AS mean")
+	out2, err := localRef(rel, "SELECT a, SUM(v) / COUNT(*) AS mean FROM t GROUP BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +177,7 @@ func TestGroupByLocalCompositeAndExpressions(t *testing.T) {
 
 func TestAggregateLocalEmptyInput(t *testing.T) {
 	rel := &Relation{Cols: []string{"v"}}
-	out, err := AggregateLocal(rel, "SUM(v) AS s, COUNT(*) AS n")
+	out, err := localRef(rel, "SELECT SUM(v) AS s, COUNT(*) AS n FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +192,7 @@ func TestAggregateLocalEmptyInput(t *testing.T) {
 func TestHashJoinLocalNullKeys(t *testing.T) {
 	left := relOf([]string{"k", "l"}, [][]string{{"", "a"}, {"1", "b"}})
 	right := relOf([]string{"k2", "r"}, [][]string{{"", "x"}, {"1", "y"}})
-	out, err := HashJoinLocal(left, right, "k", "k2")
+	out, err := (Operators{}).HashJoin(left, right, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +201,7 @@ func TestHashJoinLocalNullKeys(t *testing.T) {
 	}
 }
 
-// Property: FilterLocal(p) + FilterLocal(NOT p) partitions the relation.
+// Property: filtering by p and by NOT p partitions the relation.
 func TestQuickFilterPartition(t *testing.T) {
 	f := func(vals []int16, threshold int16) bool {
 		rows := make([][]string, len(vals))
@@ -197,8 +210,8 @@ func TestQuickFilterPartition(t *testing.T) {
 		}
 		rel := relOf([]string{"x"}, rows)
 		pred := "x <= " + value.Int(int64(threshold)).String()
-		yes, err1 := FilterLocal(rel, pred)
-		no, err2 := FilterLocal(rel, "NOT ("+pred+")")
+		yes, err1 := localRef(rel, "SELECT * FROM t WHERE "+pred)
+		no, err2 := localRef(rel, "SELECT * FROM t WHERE NOT ("+pred+")")
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -52,17 +52,14 @@ func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 // TestDecodeAllocatesPerChunk pins the per-response rule on the compute
 // side: decoding a select response's body to rows, a GET's CSV, and sorting
 // cost a fixed number of allocations plus one per chunk as chunks double —
-// not one per row (sortLocal) or two (decodeCSV) — and the typed decodes of
+// not one per row (SortLocal) or two (decodeCSV) — and the typed decodes of
 // a grouped scan (vec.FromCSV, vec.FromStrings) a few per column, none per
 // cell, and no more than 12 bytes for a cell that is a number.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	orderBy, err := parseOrderBy("o_totalprice DESC, o_orderkey")
-	if err != nil {
-		t.Fatal(err)
-	}
+	orderBy := selectOf(t, "SELECT * FROM t ORDER BY o_totalprice DESC, o_orderkey").OrderBy
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
@@ -72,7 +69,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 			"FromCSV":     func() error { _, err := vec.FromCSV(cols, body, int64(rows)); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":   func() error { _, err := decodeCSV(data, nil); return err },
-			"sortLocal":   func() error { _, err := sortLocal(rel, orderBy); return err },
+			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
 				if err := run(); err != nil {
@@ -252,7 +249,7 @@ func TestSortLocalIsStable(t *testing.T) {
 		rel.Rows = append(rel.Rows, Row{value.Int(int64(i * 7 % 5)), value.Int(int64(i))})
 	}
 	for _, order := range []string{"k", "k DESC"} {
-		got, err := SortLocal(rel, order)
+		got, err := SortLocal(rel, selectOf(t, "SELECT * FROM t ORDER BY "+order).OrderBy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/tpch"
 )
@@ -128,36 +127,7 @@ func TestStepSpansReportTheirPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := []engine.GroupAgg{{Func: sqlparse.AggSum, Expr: "l_quantity", As: "q"}, {Func: sqlparse.AggCount, As: "n"}}
-	js := engine.JoinSpec{
-		LeftTable: "customer", RightTable: "orders", LeftKey: "c_custkey", RightKey: "o_custkey",
-		LeftFilter: "c_acctbal <= 0", Seed: 1,
-	}
-	for what, op := range map[string]func(e *engine.Exec) error{
-		"IndexFilter": func(e *engine.Exec) error {
-			_, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000", engine.IndexFilterOptions{MultiRange: true})
-			return err
-		},
-		"S3SideGroupBy": func(e *engine.Exec) error {
-			_, err := e.S3SideGroupBy("lineitem", "l_returnflag", aggs, "")
-			return err
-		},
-		"HybridGroupBy": func(e *engine.Exec) error {
-			_, err := e.HybridGroupBy("lineitem", "l_suppkey", aggs, engine.HybridGroupByOptions{S3Groups: 2})
-			return err
-		},
-		"SamplingTopK": func(e *engine.Exec) error {
-			_, err := e.SamplingTopK("SELECT * FROM lineitem ORDER BY l_extendedprice DESC LIMIT 10", 0)
-			return err
-		},
-		"BaselineJoin": func(e *engine.Exec) error { _, err := e.BaselineJoin(js); return err },
-		"FilteredJoin": func(e *engine.Exec) error { _, err := e.FilteredJoin(js); return err },
-		"BloomJoin":    func(e *engine.Exec) error { _, err := e.BloomJoin(js); return err },
-		"JoinAggregate": func(e *engine.Exec) error {
-			_, err := e.JoinAggregate(js, "bloom", "SUM(o_totalprice) AS s")
-			return err
-		},
-	} {
+	for what, op := range handOperators {
 		merge(traced(t, db, what, op))
 	}
 	for _, q := range forcedStatements {

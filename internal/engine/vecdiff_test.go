@@ -262,23 +262,17 @@ func TestOperatorEdgeCases(t *testing.T) {
 			t.Errorf("%s Filter with no predicate: got (%p, %v), want the input relation", name, out, err)
 		}
 	}
-	if out, err := FilterLocal(rel, ""); err != nil || out != rel {
-		t.Errorf("FilterLocal with empty predicate: got (%p, %v), want the input relation", out, err)
-	}
 
 	empty := &Relation{Cols: []string{"a", "b"}}
 	for _, src := range []string{"COUNT(*) AS n, SUM(a) AS s", "COUNT(*) + 0 AS n, AVG(a) AS av"} {
-		items, err := parseItems(src)
+		items := selectOf(t, "SELECT "+src+" FROM t").Items
+		vecAgg, err := vecOps.GroupBy(empty, nil, items)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("vectorized aggregate of empty, %q: %v", src, err)
 		}
-		vecAgg, err := vecOps.Aggregate(empty, items)
+		refAgg, err := ref.GroupBy(empty, nil, items)
 		if err != nil {
-			t.Fatalf("vectorized Aggregate(empty, %q): %v", src, err)
-		}
-		refAgg, err := ref.Aggregate(empty, items)
-		if err != nil {
-			t.Fatalf("reference Aggregate(empty, %q): %v", src, err)
+			t.Fatalf("reference aggregate of empty, %q: %v", src, err)
 		}
 		if v, r := render(vecAgg, true), render(refAgg, true); v != r {
 			t.Errorf("empty-input aggregate %q: vec\n%s\nreference\n%s", src, v, r)
@@ -299,22 +293,14 @@ func TestOperatorEdgeCases(t *testing.T) {
 		{value.Int(2)},
 		{value.Int(3), value.Str("y"), value.Str("extra")},
 	}}
-	pred, err := parsePredicate("a >= 2 AND b IS NULL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := parseItems("b, a + 1 AS a1, *")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, groupItems, err := parseGroupBy("b", "b, COUNT(*) AS n")
-	if err != nil {
-		t.Fatal(err)
-	}
+	proj := selectOf(t, "SELECT b, a + 1 AS a1, * FROM t WHERE a >= 2 AND b IS NULL")
+	grouped := selectOf(t, "SELECT b, COUNT(*) AS n FROM t GROUP BY b")
 	for name, op := range map[string]func(Operators, *Relation) (*Relation, error){
-		"filter":  func(o Operators, rel *Relation) (*Relation, error) { return o.Filter(rel, pred) },
-		"project": func(o Operators, rel *Relation) (*Relation, error) { return o.Project(rel, items) },
-		"groupby": func(o Operators, rel *Relation) (*Relation, error) { return o.GroupBy(rel, keys, groupItems) },
+		"filter":  func(o Operators, rel *Relation) (*Relation, error) { return o.Filter(rel, proj.Where) },
+		"project": func(o Operators, rel *Relation) (*Relation, error) { return o.Project(rel, proj.Items) },
+		"groupby": func(o Operators, rel *Relation) (*Relation, error) {
+			return o.GroupBy(rel, grouped.GroupBy, grouped.Items)
+		},
 	} {
 		vecOut, vecErr := op(vecOps, decoded)
 		refOut, refErr := op(ref, decoded)
@@ -367,10 +353,6 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 			}
 		}
 	}
-	if out, err := HashJoinLocal(left, right, "k", "k2"); err != nil || len(out.Rows) != 3 {
-		t.Errorf("HashJoinLocal over ragged rows: %v, %v", out, err)
-	}
-
 }
 
 // TestRaggedObjectEndToEnd is the end-to-end half of the ragged-row
@@ -399,12 +381,12 @@ func TestRaggedObjectEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		join, err := db.NewExecContext(ctx).BaselineJoin(JoinSpec{LeftTable: "l", RightTable: "r", LeftKey: "k", RightKey: "k2"})
+		join, err := db.NewExecContext(ctx).Join(JoinSpec{SQL: "SELECT * FROM l JOIN r ON l.k = r.k2"}, StrategyBaseline)
 		if err != nil {
-			t.Fatalf("vectorized=%v BaselineJoin: %v", vectorized, err)
+			t.Fatalf("vectorized=%v baseline join: %v", vectorized, err)
 		}
 		if got := render(join, false); got != wantJoin {
-			t.Errorf("vectorized=%v BaselineJoin:\n%s\nwant\n%s", vectorized, got, wantJoin)
+			t.Errorf("vectorized=%v baseline join:\n%s\nwant\n%s", vectorized, got, wantJoin)
 		}
 		for sql, want := range map[string]string{
 			"SELECT * FROM l ORDER BY k DESC LIMIT 2": wantTop,

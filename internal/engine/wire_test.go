@@ -77,10 +77,8 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 	switch {
 	case err != nil:
 		return nil, err
-	case len(sel.GroupBy) > 0:
+	case len(sel.GroupBy) > 0 || sel.HasAggregates():
 		return o.GroupBy(rel, sel.GroupBy, sel.Items)
-	case sel.HasAggregates():
-		return o.Aggregate(rel, sel.Items)
 	}
 	return o.Project(rel, sel.Items)
 }
@@ -166,17 +164,13 @@ func TestReferenceAllocatesNothingPerRow(t *testing.T) {
 		}
 		return rel
 	}
-	pred, err := parsePredicate("v > 100 OR g = 'none'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, items, err := parseGroupBy("g, v % 2", "g, COUNT(*) AS n, SUM(v) AS s, MAX(k) AS hi")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := selectOf(t, "SELECT * FROM t WHERE v > 100 OR g = 'none'").Where
+	grouped := selectOf(t, "SELECT g, COUNT(*) AS n, SUM(v) AS s, MAX(k) AS hi FROM t GROUP BY g, v % 2")
 	for name, op := range map[string]func(*Relation) (*Relation, error){
-		"Filter":  func(rel *Relation) (*Relation, error) { return Operators{}.Filter(rel, pred) },
-		"GroupBy": func(rel *Relation) (*Relation, error) { return Operators{}.GroupBy(rel, keys, items) },
+		"Filter": func(rel *Relation) (*Relation, error) { return Operators{}.Filter(rel, pred) },
+		"GroupBy": func(rel *Relation) (*Relation, error) {
+			return Operators{}.GroupBy(rel, grouped.GroupBy, grouped.Items)
+		},
 	} {
 		allocs := func(rel *Relation) float64 {
 			return testing.AllocsPerRun(10, func() {

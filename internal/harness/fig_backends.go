@@ -57,7 +57,7 @@ func RunBackends(ctx context.Context, env *Env) (*Result, error) {
 			// Full worker budget: server-side parse and row work run across
 			// all 32 cores, so the backend link is what differentiates.
 			db.Cfg.Workers = db.Cfg.Cores
-			return []series{{name: "Planner", run: query(db, listing2SQL(loosestAcctbal)), note: planned(true)}}, sameOnEveryBackend
+			return []series{{name: "Planner", run: query(db, listing2SQL(loosestAcctbal, "")), note: planned(true)}}, sameOnEveryBackend
 		}); err != nil {
 			return nil, err
 		}

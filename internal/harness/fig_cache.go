@@ -21,7 +21,7 @@ func cacheFigQueries() []struct{ name, sql string } {
 	return []struct{ name, sql string }{
 		{"scan", "SELECT l_returnflag, COUNT(*) AS n, SUM(l_extendedprice) AS total " +
 			"FROM lineitem WHERE l_quantity < 30 GROUP BY l_returnflag ORDER BY l_returnflag"},
-		{"join", listing2SQL(loosestAcctbal)},
+		{"join", listing2SQL(loosestAcctbal, "")},
 	}
 }
 

@@ -18,13 +18,15 @@ func fig1Threshold(env *Env, sel float64) int {
 	return max(int(math.Ceil(sel*float64(tpch.SizesFor(env.Scale.TPCHSF).Orders))), 1)
 }
 
-// indexing is Section IV-A's strategy over the l_orderkey index: the rows
-// with a key up to threshold, fetched one GET per row or in one multi-range
-// GET per partition.
-func indexing(db *engine.DB, threshold int, opts engine.IndexFilterOptions) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-		return e.IndexFilter("lineitem", "l_orderkey", fmt.Sprintf("value <= %d", threshold), opts)
-	})
+// fig1SQL is Fig. 1's statement at selectivity sel.
+func fig1SQL(env *Env, sel float64) string {
+	return fmt.Sprintf("SELECT * FROM lineitem WHERE l_orderkey <= %d", fig1Threshold(env, sel))
+}
+
+// indexing is Section IV-A's strategy over the l_orderkey index: sql's rows
+// fetched one GET per row or in one multi-range GET per partition.
+func indexing(db *engine.DB, sql string, opts engine.IndexFilterOptions) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.IndexFilter(sql, opts) })
 }
 
 // RunFig1 reproduces Fig. 1: runtime and cost of the three filter
@@ -40,12 +42,11 @@ func RunFig1(ctx context.Context, env *Env) (*Result, error) {
 		Notes:  []string{"predicate: l_orderkey <= selectivity * |orders| (dense keys make selectivity exact)"},
 	}
 	return res.sweep(ctx, env.TPCH(), labels("%.0e", Fig1Selectivities), func(db *engine.DB, i int) ([]series, check) {
-		threshold := fig1Threshold(env, Fig1Selectivities[i])
-		sql := fmt.Sprintf("SELECT * FROM lineitem WHERE l_orderkey <= %d", threshold)
+		sql := fig1SQL(env, Fig1Selectivities[i])
 		return []series{
 			{name: "Server-Side Filter", run: forced(db, engine.StrategyBaseline, sql)},
 			{name: "S3-Side Filter", run: forced(db, engine.StrategyFiltered, sql)},
-			{name: "Indexing", run: indexing(db, threshold, engine.IndexFilterOptions{}),
+			{name: "Indexing", run: indexing(db, sql, engine.IndexFilterOptions{}),
 				note: func(_ *engine.Exec, rel *engine.Relation) (string, map[string]float64, error) {
 					return "", map[string]float64{"rows": float64(len(rel.Rows))}, nil
 				}},
@@ -62,10 +63,10 @@ func RunFig1MultiRange(ctx context.Context, env *Env) (*Result, error) {
 		XLabel: "selectivity",
 	}
 	return res.sweep(ctx, env.TPCH(), labels("%.0e", Fig1Selectivities), func(db *engine.DB, i int) ([]series, check) {
-		threshold := fig1Threshold(env, Fig1Selectivities[i])
+		sql := fig1SQL(env, Fig1Selectivities[i])
 		return []series{
-			{name: "Per-Row GETs", run: indexing(db, threshold, engine.IndexFilterOptions{})},
-			{name: "Multi-Range GET", run: indexing(db, threshold, engine.IndexFilterOptions{MultiRange: true})},
+			{name: "Per-Row GETs", run: indexing(db, sql, engine.IndexFilterOptions{})},
+			{name: "Multi-Range GET", run: indexing(db, sql, engine.IndexFilterOptions{MultiRange: true})},
 		}, sameRows
 	})
 }

@@ -8,40 +8,24 @@ import (
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
-	"pushdowndb/internal/sqlparse"
 )
 
-// fig5Aggs are the four aggregated value columns of Section VI-C1.
-func fig5Aggs() []engine.GroupAgg {
-	return []engine.GroupAgg{
-		{Func: sqlparse.AggSum, Expr: "v1", As: "s1"},
-		{Func: sqlparse.AggSum, Expr: "v2", As: "s2"},
-		{Func: sqlparse.AggSum, Expr: "v3", As: "s3"},
-		{Func: sqlparse.AggSum, Expr: "v4", As: "s4"},
-	}
-}
-
-// fig5SQL is Section VI-C1's query as SQL: the four sums per group of the
-// synthetic table's groupCol, which the server-side and filtered group-bys
-// run as a forced baseline and filtered statement.
+// fig5SQL is Section VI-C1's query: the four sums per group of the synthetic
+// table's groupCol, which every group-by series runs — the server-side and
+// filtered group-bys as a forced baseline and filtered statement.
 func fig5SQL(groupCol string) string {
 	return fmt.Sprintf("SELECT %s, SUM(v1) AS s1, SUM(v2) AS s2, SUM(v3) AS s3, SUM(v4) AS s4 FROM groups GROUP BY %[1]s", groupCol)
 }
 
-// groupBy is a series' call of one Section VI algorithm that pushes
-// aggregation — a method expression such as (*engine.Exec).S3SideGroupBy —
-// over the synthetic table's groupCol.
-func groupBy(db *engine.DB, algorithm func(*engine.Exec, string, string, []engine.GroupAgg, string) (*engine.Relation, error), groupCol string) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-		return algorithm(e, "groups", groupCol, fig5Aggs(), "")
-	})
+// s3SideGroupBy is a series' call of the S3-side group-by over the synthetic
+// table's groupCol.
+func s3SideGroupBy(db *engine.DB, groupCol string) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.S3SideGroupBy(fig5SQL(groupCol)) })
 }
 
 // hybridGroupBy is a series' call of the hybrid algorithm over g1.
 func hybridGroupBy(db *engine.DB, opts engine.HybridGroupByOptions) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-		return e.HybridGroupBy("groups", "g1", fig5Aggs(), opts)
-	})
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.HybridGroupBy(fig5SQL("g1"), opts) })
 }
 
 // Fig5GroupCounts is the paper's x-axis: 2..32 groups. Group column gI has
@@ -61,7 +45,7 @@ func RunFig5(ctx context.Context, env *Env) (*Result, error) {
 		return []series{
 			{name: "Server-Side Group-By", run: forced(db, engine.StrategyBaseline, fig5SQL(groupCol))},
 			{name: "Filtered Group-By", run: forced(db, engine.StrategyFiltered, fig5SQL(groupCol))},
-			{name: "S3-Side Group-By", run: groupBy(db, (*engine.Exec).S3SideGroupBy, groupCol)},
+			{name: "S3-Side Group-By", run: s3SideGroupBy(db, groupCol)},
 		}, sameGroupTotals
 	})
 }

@@ -9,47 +9,34 @@ import (
 	"pushdowndb/internal/selectengine"
 )
 
-// The paper's Listing-2 evaluation query:
+// listing2SQL is the paper's Listing-2 evaluation query,
 //
 //	SELECT SUM(o_totalprice) FROM customer, orders
 //	WHERE o_custkey = c_custkey
 //	  AND c_acctbal <= upper_c_acctbal
 //	  AND o_orderdate < upper_o_orderdate
 //
-// joinAggItems is its select list for the operator API; joinCountItems also
-// counts the joined rows (Figs. 2 and 3, the planner's series).
-const (
-	joinAggItems   = "SUM(o_totalprice) AS total"
-	joinCountItems = joinAggItems + ", COUNT(*) AS n"
-)
-
-func listing2Spec(upperAcctbal string, upperOrderdate string, fpr float64) engine.JoinSpec {
-	js := engine.JoinSpec{
-		LeftTable: "customer", RightTable: "orders",
-		LeftKey: "c_custkey", RightKey: "o_custkey",
-		LeftFilter:  "c_acctbal <= " + upperAcctbal,
-		LeftProject: []string{"c_custkey"},
-		TargetFPR:   fpr,
-		Seed:        2,
-	}
-	if upperOrderdate != "" {
-		js.RightFilter = "o_orderdate < '" + upperOrderdate + "'"
-	}
-	return js
-}
-
-// listing2 is a series' call of the Listing-2 join under one algorithm
-// ("baseline", "filtered", "bloom").
-func listing2(db *engine.DB, js engine.JoinSpec, algorithm, items string) call {
-	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.JoinAggregate(js, algorithm, items) })
-}
-
-// listing2SQL is Listing 2 (orders unfiltered) as the SQL front end takes
-// it, for the figures that watch the planner choose the algorithm.
-func listing2SQL(upperAcctbal string) string {
-	return "SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n " +
+// as the SQL front end and Exec.Join take it, counting the joined rows beside
+// the sum; upperOrderdate "" leaves orders unfiltered.
+func listing2SQL(upperAcctbal, upperOrderdate string) string {
+	sql := "SELECT SUM(o.o_totalprice) AS total, COUNT(*) AS n " +
 		"FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey " +
 		"WHERE c.c_acctbal <= " + upperAcctbal
+	if upperOrderdate != "" {
+		sql += " AND o.o_orderdate < '" + upperOrderdate + "'"
+	}
+	return sql
+}
+
+// listing2 is a series' call of a Listing-2 statement under one Section-V
+// algorithm, its Bloom filter at fpr and seed 2.
+func listing2(db *engine.DB, sql, algorithm string, fpr float64) call {
+	return joinCall(db, engine.JoinSpec{SQL: sql, TargetFPR: fpr, Seed: 2}, algorithm)
+}
+
+// joinCall is a series' call of js under one Section-V algorithm.
+func joinCall(db *engine.DB, js engine.JoinSpec, algorithm string) call {
+	return op(db, func(e *engine.Exec) (*engine.Relation, error) { return e.Join(js, algorithm) })
 }
 
 // loosestAcctbal is the loosest Fig. 2 customer filter: the least selective
@@ -79,13 +66,12 @@ func planned(estimates bool) note {
 	}
 }
 
-// joinSeries is Section V's three algorithms over js, each counting the
-// joined rows beside the sum.
-func joinSeries(db *engine.DB, js engine.JoinSpec) []series {
+// joinSeries is Section V's three algorithms over sql.
+func joinSeries(db *engine.DB, sql string) []series {
 	return []series{
-		{name: "Baseline Join", run: listing2(db, js, "baseline", joinCountItems)},
-		{name: "Filtered Join", run: listing2(db, js, "filtered", joinCountItems)},
-		{name: "Bloom Join", run: listing2(db, js, "bloom", joinCountItems)},
+		{name: "Baseline Join", run: listing2(db, sql, engine.StrategyBaseline, 0.01)},
+		{name: "Filtered Join", run: listing2(db, sql, engine.StrategyFiltered, 0.01)},
+		{name: "Bloom Join", run: listing2(db, sql, engine.StrategyBloom, 0.01)},
 	}
 }
 
@@ -101,7 +87,7 @@ func RunFig2(ctx context.Context, env *Env) (*Result, error) {
 		XLabel: "c_acctbal <=",
 	}
 	return res.sweep(ctx, env.TPCH(), Fig2Acctbals, func(db *engine.DB, i int) ([]series, check) {
-		return joinSeries(db, listing2Spec(Fig2Acctbals[i], "", 0.01)), sameRows
+		return joinSeries(db, listing2SQL(Fig2Acctbals[i], "")), sameRows
 	})
 }
 
@@ -122,7 +108,7 @@ func RunFig3(ctx context.Context, env *Env) (*Result, error) {
 		if date == "None" {
 			date = ""
 		}
-		return joinSeries(db, listing2Spec("-950", date, 0.01)), sameRows
+		return joinSeries(db, listing2SQL("-950", date)), sameRows
 	})
 }
 
@@ -142,9 +128,9 @@ func RunFig4(ctx context.Context, env *Env) (*Result, error) {
 		// The two references do not depend on x; on the virtual clock
 		// re-measuring them at every x reports the same flat lines.
 		return []series{
-			{name: "Baseline Join", run: listing2(db, listing2Spec("-950", "", 0.01), "baseline", joinAggItems)},
-			{name: "Filtered Join", run: listing2(db, listing2Spec("-950", "", 0.01), "filtered", joinAggItems)},
-			{name: "Bloom Join", run: listing2(db, listing2Spec("-950", "", Fig4FPRs[i]), "bloom", joinAggItems),
+			{name: "Baseline Join", run: listing2(db, listing2SQL("-950", ""), engine.StrategyBaseline, 0.01)},
+			{name: "Filtered Join", run: listing2(db, listing2SQL("-950", ""), engine.StrategyFiltered, 0.01)},
+			{name: "Bloom Join", run: listing2(db, listing2SQL("-950", ""), engine.StrategyBloom, Fig4FPRs[i]),
 				note: func(e *engine.Exec, _ *engine.Relation) (string, map[string]float64, error) {
 					_, _, returned, _ := e.Metrics.Totals()
 					return "", map[string]float64{"returnedMB": float64(returned) / 1e6}, nil
@@ -167,12 +153,12 @@ func RunFig4Bitwise(ctx context.Context, env *Env) (*Result, error) {
 	bitwiseS3 := env.TPCH(s3api.WithCapabilities(selectengine.Capabilities{AllowBloomContains: true}))
 	fprs := []float64{0.0001, 0.01, 0.3}
 	return res.sweep(ctx, bitwiseS3, labels("%g", fprs), func(db *engine.DB, i int) ([]series, check) {
-		js := listing2Spec("-950", "", fprs[i])
+		js := engine.JoinSpec{SQL: listing2SQL("-950", ""), TargetFPR: fprs[i], Seed: 2}
 		bitwise := js
 		bitwise.Bitwise = true
 		return []series{
-			{name: "String Bloom", run: listing2(db, js, "bloom", joinAggItems)},
-			{name: "Bitwise Bloom", run: listing2(db, bitwise, "bloom", joinAggItems)},
+			{name: "String Bloom", run: joinCall(db, js, engine.StrategyBloom)},
+			{name: "Bitwise Bloom", run: joinCall(db, bitwise, engine.StrategyBloom)},
 		}, sameRows
 	})
 }

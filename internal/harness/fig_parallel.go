@@ -42,7 +42,7 @@ func RunParallel(ctx context.Context, env *Env) (*Result, error) {
 			{name: "Server-Side Group-By", run: forced(gdb, engine.StrategyBaseline, fig5SQL("g5"))},
 			// Planned, not run: the figure reports the choice and its estimates.
 			{name: "Planner", note: planned(true), run: func(ctx context.Context) (*engine.Relation, *engine.Exec, error) {
-				_, e, err := jdb.ExecStatement(ctx, "EXPLAIN "+listing2SQL(loosestAcctbal))
+				_, e, err := jdb.ExecStatement(ctx, "EXPLAIN "+listing2SQL(loosestAcctbal, ""))
 				return nil, e, err
 			}},
 		}, sameAtEveryBudget

@@ -11,7 +11,7 @@ import (
 // from the Bloom join (selective build side, pushdown pays off) toward
 // the baseline join. Each point runs the full SQL query end-to-end —
 // planning probes included — and cross-checks the answer against the
-// explicit BloomJoin operator call, so the series shows what the planner
+// hand Bloom join of the same statement, so the series shows what the planner
 // actually chose and what it actually cost.
 func RunPlanner(ctx context.Context, env *Env) (*Result, error) {
 	res := &Result{
@@ -25,8 +25,8 @@ func RunPlanner(ctx context.Context, env *Env) (*Result, error) {
 	}
 	return res.sweep(ctx, env.TPCH(), Fig2Acctbals, func(db *engine.DB, i int) ([]series, check) {
 		return []series{
-			{name: "Planner", run: query(db, listing2SQL(Fig2Acctbals[i])), note: planned(false)},
-			{run: listing2(db, listing2Spec(Fig2Acctbals[i], "", 0.01), "bloom", joinCountItems)},
+			{name: "Planner", run: query(db, listing2SQL(Fig2Acctbals[i], "")), note: planned(false)},
+			{run: listing2(db, listing2SQL(Fig2Acctbals[i], ""), engine.StrategyBloom, 0.01)},
 		}, sameRows
 	})
 }

@@ -35,7 +35,7 @@ func RunS5Pricing(ctx context.Context, env *Env) (*Result, error) {
 	}{
 		{"plain projection", 2, forced(db, engine.StrategyFiltered, "SELECT l_orderkey FROM lineitem")},
 		{"simple filter", 7, forced(db, engine.StrategyFiltered, "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity < 10")},
-		{"bloom probe", 95, listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},
+		{"bloom probe", 95, listing2(db, listing2SQL("-950", ""), engine.StrategyBloom, 0.01)},
 	} {
 		_, e, err := c.run(ctx)
 		if err != nil {

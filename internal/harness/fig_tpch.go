@@ -34,10 +34,10 @@ func RunFig10(ctx context.Context, env *Env) (*Result, error) {
 		// Every workload as its {baseline, optimized} pair of calls.
 		pairs := [][2]call{
 			{forced(db, engine.StrategyBaseline, filterSQL), forced(db, engine.StrategyFiltered, filterSQL)},
-			{forced(groupDB, engine.StrategyBaseline, fig5SQL("g3")), groupBy(groupDB, (*engine.Exec).S3SideGroupBy, "g3")},
+			{forced(groupDB, engine.StrategyBaseline, fig5SQL("g3")), s3SideGroupBy(groupDB, "g3")},
 			{serverTopK(db, k), samplingTopK(db, k, 0)},
-			{listing2(db, listing2Spec("-950", "", 0.01), "baseline", joinAggItems),
-				listing2(db, listing2Spec("-950", "", 0.01), "bloom", joinAggItems)},
+			{listing2(db, listing2SQL("-950", ""), engine.StrategyBaseline, 0.01),
+				listing2(db, listing2SQL("-950", ""), engine.StrategyBloom, 0.01)},
 		}
 		for _, q := range tpch.Queries() {
 			pairs = append(pairs, [2]call{

@@ -467,10 +467,6 @@ var sameRowsExemptions = []struct {
 		[]string{"4 of 32"}},
 }
 
-func s3SideGroupBy(db *engine.DB, groupCol string) call {
-	return groupBy(db, (*engine.Exec).S3SideGroupBy, groupCol)
-}
-
 func fig7Hybrid(db *engine.DB, _ string) call {
 	return hybridGroupBy(db, engine.HybridGroupByOptions{S3Groups: 8})
 }

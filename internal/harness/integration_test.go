@@ -8,7 +8,6 @@ import (
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3http"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/tpch"
 )
@@ -72,40 +71,41 @@ func TestEngineOverHTTPMatchesInProc(t *testing.T) {
 
 	t.Run("IndexFilter", func(t *testing.T) {
 		for _, multi := range []bool{false, true} {
-			e := httpDB.NewExec()
-			rel, err := e.IndexFilter("lineitem", "l_extendedprice", "value <= 2000",
-				engine.IndexFilterOptions{MultiRange: multi})
+			const sql = "SELECT * FROM lineitem WHERE l_extendedprice <= 2000"
+			rel, err := httpDB.NewExec().IndexFilter(sql, engine.IndexFilterOptions{MultiRange: multi})
 			if err != nil {
 				t.Fatalf("multi=%v: %v", multi, err)
 			}
-			want, _, err := inprocDB.QueryForced(context.Background(), "SELECT * FROM lineitem WHERE l_extendedprice <= 2000", engine.StrategyFiltered)
+			want, _, err := inprocDB.QueryForced(context.Background(), sql, engine.StrategyBaseline)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rel.Rows) != len(want.Rows) {
-				t.Fatalf("multi=%v: %d rows vs %d", multi, len(rel.Rows), len(want.Rows))
+			if err := sameRows([]*engine.Relation{want, rel}); err != nil {
+				t.Fatalf("multi=%v: %v", multi, err)
 			}
 		}
 	})
 
 	t.Run("GroupByAndTopK", func(t *testing.T) {
-		aggs := []engine.GroupAgg{{Func: sqlparse.AggSum, Expr: "o_totalprice", As: "total"}}
-		a, err := inprocDB.NewExec().S3SideGroupBy("orders", "o_orderpriority", aggs, "")
+		const groupSQL = "SELECT o_orderpriority, SUM(o_custkey) AS total, COUNT(*) AS n FROM orders GROUP BY o_orderpriority"
+		want, _, err := inprocDB.QueryForced(context.Background(), groupSQL, engine.StrategyBaseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := httpDB.NewExec().S3SideGroupBy("orders", "o_orderpriority", aggs, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Rows) != len(b.Rows) {
-			t.Fatalf("group counts differ: %d vs %d", len(a.Rows), len(b.Rows))
+		for name, db := range map[string]*engine.DB{"in process": inprocDB, "over HTTP": httpDB} {
+			got, err := db.NewExec().S3SideGroupBy(groupSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s S3-side group-by:\n%s\nthe forced baseline answers\n%s", name, got, want)
+			}
 		}
 
 		// The sampling top-K answers its statement over either wire, as the
 		// forced baseline does.
 		sql := "SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT 7"
-		want, _, err := inprocDB.QueryForced(context.Background(), sql, engine.StrategyBaseline)
+		want, _, err = inprocDB.QueryForced(context.Background(), sql, engine.StrategyBaseline)
 		if err != nil {
 			t.Fatal(err)
 		}

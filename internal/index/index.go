@@ -115,15 +115,6 @@ func NewManifest() *Manifest {
 	return &Manifest{Version: ManifestVersion, Indexes: map[string]Entry{}}
 }
 
-// Lookup returns the entry indexing column (sqlparse.SameName).
-func (m *Manifest) Lookup(column string) (Entry, bool) {
-	if m == nil {
-		return Entry{}, false
-	}
-	e, ok := m.Indexes[sqlparse.NameKey(column)]
-	return e, ok
-}
-
 // Set records an entry (keyed by its column) and bumps the generation.
 func (m *Manifest) Set(e Entry) {
 	m.Indexes[sqlparse.NameKey(e.Column)] = e

@@ -36,9 +36,9 @@ func TestManifestRoundTripAndStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := got.Lookup("price") // case-insensitive
+	e, ok := got.Indexes["price"] // keyed by the column's name key
 	if !ok || e.Name != "ix1" || e.IndexBytes != 99 {
-		t.Fatalf("Lookup after round trip = %+v, %v", e, ok)
+		t.Fatalf("entry after round trip = %+v, %v", e, ok)
 	}
 	if e.Stale([]int64{10, 20}) {
 		t.Error("matching sizes must not be stale")

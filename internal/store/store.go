@@ -101,18 +101,6 @@ func (s *Store) List(bucket, prefix string) []string {
 	return keys
 }
 
-// Buckets returns all bucket names, sorted.
-func (s *Store) Buckets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var names []string
-	for b := range s.buckets {
-		names = append(names, b)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (s *Store) lookup(bucket, key string) ([]byte, error) {
 	b, ok := s.buckets[bucket]
 	if !ok {

@@ -29,9 +29,6 @@ func TestCreateBucket(t *testing.T) {
 	if err := s.CreateBucket("b"); err == nil {
 		t.Error("duplicate bucket should error")
 	}
-	if got := s.Buckets(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("Buckets = %v", got)
-	}
 }
 
 func TestDelete(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"pushdowndb/internal/engine"
+	"pushdowndb/internal/sqlparse"
 )
 
 // QueryFunc executes one query against a DB and returns the result plus
@@ -32,6 +33,31 @@ func Queries() []Query {
 	}
 }
 
+// The Baselines run the server's reference operators (engine.Operators{})
+// over what each statement, and Q17's and Q19's extra fragments, parse to:
+// once per process, here.
+var (
+	q1, q3    = must(sqlparse.Parse(q1SQL)), must(sqlparse.Parse(q3SQL))
+	q6, q14   = must(sqlparse.Parse(q6SQL)), must(sqlparse.Parse(q14SQL))
+	q3Filters = sqlparse.Conjuncts(q3.Where) // customer's, orders', lineitem's
+	q17Part   = must(sqlparse.ParseExpr(q17PartFilter))
+	q17Avg    = must(sqlparse.Parse("SELECT p_partkey AS avg_key, AVG(l_quantity) AS avg_qty FROM lineitem GROUP BY p_partkey"))
+	q17Small  = must(sqlparse.Parse("SELECT SUM(l_extendedprice) / 7.0 AS avg_yearly FROM lineitem WHERE l_quantity < 0.2 * avg_qty"))
+	q19Line   = must(sqlparse.ParseExpr(q19LineFilter))
+	q19Part   = must(sqlparse.ParseExpr(q19PartFilter))
+	q19Match  = must(sqlparse.Parse("SELECT " + q19Items + " FROM lineitem WHERE " + q19Residual))
+)
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// local is the reference operator set every Baseline runs.
+var local engine.Operators
+
 // planned runs sql through the planner: what is pushed to S3, and how each
 // join runs, is PushdownDB's choice.
 func planned(sql string) QueryFunc {
@@ -43,9 +69,7 @@ func planned(sql string) QueryFunc {
 
 // --- Q1: pricing summary report ---
 
-const q1Filter = "l_shipdate <= '1998-09-02'" // 1998-12-01 minus 90 days
-
-const q1Items = `l_returnflag, l_linestatus,
+const q1SQL = `SELECT l_returnflag, l_linestatus,
 	SUM(l_quantity) AS sum_qty,
 	SUM(l_extendedprice) AS sum_base_price,
 	SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
@@ -53,9 +77,8 @@ const q1Items = `l_returnflag, l_linestatus,
 	AVG(l_quantity) AS avg_qty,
 	AVG(l_extendedprice) AS avg_price,
 	AVG(l_discount) AS avg_disc,
-	COUNT(*) AS count_order`
-
-const q1SQL = "SELECT " + q1Items + " FROM lineitem WHERE " + q1Filter +
+	COUNT(*) AS count_order
+	FROM lineitem WHERE l_shipdate <= '1998-09-02'` + // 1998-12-01 minus 90 days
 	" GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus"
 
 // Q1Baseline GETs lineitem in full, types the seven columns it reads and
@@ -67,33 +90,24 @@ func Q1Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	if err != nil {
 		return nil, e, err
 	}
-	rel, err = engine.FilterLocal(rel, q1Filter)
+	rel, err = local.Filter(rel, q1.Where)
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := engine.GroupByLocal(rel, "l_returnflag, l_linestatus", q1Items)
+	out, err := local.GroupBy(rel, q1.GroupBy, q1.Items)
 	if err != nil {
 		return nil, e, err
 	}
-	out, err = engine.SortLocal(out, "l_returnflag, l_linestatus")
+	out, err = engine.SortLocal(out, q1.OrderBy)
 	return out, e, err
 }
 
 // --- Q3: shipping priority ---
 
-const (
-	q3CustFilter = "c_mktsegment = 'BUILDING'"
-	q3OrdFilter  = "o_orderdate < '1995-03-15'"
-	q3LineFilter = "l_shipdate > '1995-03-15'"
-	q3Revenue    = "SUM(l_extendedprice * (1 - l_discount)) AS revenue"
-	q3GroupCols  = "l_orderkey, o_orderdate, o_shippriority"
-	q3Order      = "revenue DESC, o_orderdate"
-
-	q3SQL = "SELECT " + q3GroupCols + ", " + q3Revenue +
-		" FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey" +
-		" WHERE " + q3CustFilter + " AND " + q3OrdFilter + " AND " + q3LineFilter +
-		" GROUP BY " + q3GroupCols + " ORDER BY " + q3Order + " LIMIT 10"
-)
+const q3SQL = "SELECT l_orderkey, o_orderdate, o_shippriority, SUM(l_extendedprice * (1 - l_discount)) AS revenue" +
+	" FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey" +
+	" WHERE c_mktsegment = 'BUILDING' AND o_orderdate < '1995-03-15' AND l_shipdate > '1995-03-15'" +
+	" GROUP BY l_orderkey, o_orderdate, o_shippriority ORDER BY revenue DESC, o_orderdate LIMIT 10"
 
 // Q3Baseline GETs customer, orders and lineitem in full, types the columns
 // it reads and runs both joins, the group-by and the top-10 locally.
@@ -108,42 +122,37 @@ func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 		return nil, e, err
 	}
 	cust, ords, line := rels[0], rels[1], rels[2]
-	if cust, err = engine.FilterLocal(cust, q3CustFilter); err != nil {
+	if cust, err = local.Filter(cust, q3Filters[0]); err != nil {
 		return nil, e, err
 	}
-	if ords, err = engine.FilterLocal(ords, q3OrdFilter); err != nil {
+	if ords, err = local.Filter(ords, q3Filters[1]); err != nil {
 		return nil, e, err
 	}
-	if line, err = engine.FilterLocal(line, q3LineFilter); err != nil {
+	if line, err = local.Filter(line, q3Filters[2]); err != nil {
 		return nil, e, err
 	}
-	co, err := engine.HashJoinLocal(cust, ords, "c_custkey", "o_custkey")
+	co, err := local.HashJoin(cust, ords, "c_custkey", "o_custkey")
 	if err != nil {
 		return nil, e, err
 	}
-	col, err := engine.HashJoinLocal(co, line, "o_orderkey", "l_orderkey")
+	col, err := local.HashJoin(co, line, "o_orderkey", "l_orderkey")
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := engine.GroupByLocal(col, q3GroupCols, q3GroupCols+", "+q3Revenue)
+	out, err := local.GroupBy(col, q3.GroupBy, q3.Items)
 	if err != nil {
 		return nil, e, err
 	}
-	if out, err = engine.SortLocal(out, q3Order); err != nil {
+	if out, err = engine.SortLocal(out, q3.OrderBy); err != nil {
 		return nil, e, err
 	}
-	return engine.LimitLocal(out, 10), e, nil
+	return engine.LimitLocal(out, int(q3.Limit)), e, nil
 }
 
 // --- Q6: forecasting revenue change ---
 
-const q6Filter = "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'" +
-	" AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
-
-const (
-	q6Items = "SUM(l_extendedprice * l_discount) AS revenue"
-	q6SQL   = "SELECT " + q6Items + " FROM lineitem WHERE " + q6Filter
-)
+const q6SQL = "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem" +
+	" WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
 
 // Q6Baseline GETs lineitem in full and filters/aggregates locally.
 func Q6Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
@@ -153,21 +162,18 @@ func Q6Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	if err != nil {
 		return nil, e, err
 	}
-	if rel, err = engine.FilterLocal(rel, q6Filter); err != nil {
+	if rel, err = local.Filter(rel, q6.Where); err != nil {
 		return nil, e, err
 	}
-	out, err := engine.AggregateLocal(rel, q6Items)
+	out, err := local.GroupBy(rel, nil, q6.Items)
 	return out, e, err
 }
 
 // --- Q14: promotion effect ---
 
-const (
-	q14Filter = "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
-	q14Items  = "100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extendedprice * (1 - l_discount) ELSE 0 END)" +
-		" / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue"
-	q14SQL = "SELECT " + q14Items + " FROM lineitem JOIN part ON l_partkey = p_partkey WHERE " + q14Filter
-)
+const q14SQL = "SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extendedprice * (1 - l_discount) ELSE 0 END)" +
+	" / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue" +
+	" FROM lineitem JOIN part ON l_partkey = p_partkey WHERE l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
 
 // Q14Baseline GETs lineitem and part in full, joins and aggregates locally.
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
@@ -180,15 +186,15 @@ func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 		return nil, e, err
 	}
 	line, part := rels[0], rels[1]
-	line, err = engine.FilterLocal(line, q14Filter)
+	line, err = local.Filter(line, q14.Where)
 	if err != nil {
 		return nil, e, err
 	}
-	joined, err := engine.HashJoinLocal(line, part, "l_partkey", "p_partkey")
+	joined, err := local.HashJoin(line, part, "l_partkey", "p_partkey")
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := engine.AggregateLocal(joined, q14Items)
+	out, err := local.GroupBy(joined, nil, q14.Items)
 	return out, e, err
 }
 
@@ -208,7 +214,7 @@ func Q17Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 		return nil, e, err
 	}
 	line, part := rels[0], rels[1]
-	part, err = engine.FilterLocal(part, q17PartFilter)
+	part, err = local.Filter(part, q17Part)
 	if err != nil {
 		return nil, e, err
 	}
@@ -225,8 +231,8 @@ func Q17Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	if err != nil {
 		return nil, e, err
 	}
-	line, _, err := e.BloomProbe(part, "p_partkey", "lineitem", "l_partkey", "",
-		[]string{"l_partkey", "l_quantity", "l_extendedprice"}, 0.01, false, 17)
+	line, _, err := e.BloomProbe(part, "p_partkey", "SELECT l_partkey, l_quantity, l_extendedprice FROM lineitem", "l_partkey",
+		0.01, false, 17)
 	if err != nil {
 		return nil, e, err
 	}
@@ -235,23 +241,23 @@ func Q17Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 }
 
 func q17Finish(part, line *engine.Relation) (*engine.Relation, error) {
-	joined, err := engine.HashJoinLocal(part, line, "p_partkey", "l_partkey")
+	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
 	if err != nil {
 		return nil, err
 	}
-	avg, err := engine.GroupByLocal(joined, "p_partkey", "p_partkey AS avg_key, AVG(l_quantity) AS avg_qty")
+	avg, err := local.GroupBy(joined, q17Avg.GroupBy, q17Avg.Items)
 	if err != nil {
 		return nil, err
 	}
-	withAvg, err := engine.HashJoinLocal(joined, avg, "p_partkey", "avg_key")
+	withAvg, err := local.HashJoin(joined, avg, "p_partkey", "avg_key")
 	if err != nil {
 		return nil, err
 	}
-	small, err := engine.FilterLocal(withAvg, "l_quantity < 0.2 * avg_qty")
+	small, err := local.Filter(withAvg, q17Small.Where)
 	if err != nil {
 		return nil, err
 	}
-	return engine.AggregateLocal(small, "SUM(l_extendedprice) / 7.0 AS avg_yearly")
+	return local.GroupBy(small, nil, q17Small.Items)
 }
 
 // --- Q19: discounted revenue ---
@@ -288,21 +294,21 @@ func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 		return nil, e, err
 	}
 	line, part := rels[0], rels[1]
-	line, err = engine.FilterLocal(line, q19LineFilter)
+	line, err = local.Filter(line, q19Line)
 	if err != nil {
 		return nil, e, err
 	}
-	if part, err = engine.FilterLocal(part, q19PartFilter); err != nil {
+	if part, err = local.Filter(part, q19Part); err != nil {
 		return nil, e, err
 	}
-	joined, err := engine.HashJoinLocal(part, line, "p_partkey", "l_partkey")
+	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
 	if err != nil {
 		return nil, e, err
 	}
-	matched, err := engine.FilterLocal(joined, q19Residual)
+	matched, err := local.Filter(joined, q19Match.Where)
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := engine.AggregateLocal(matched, q19Items)
+	out, err := local.GroupBy(matched, nil, q19Match.Items)
 	return out, e, err
 }

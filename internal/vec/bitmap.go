@@ -38,19 +38,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << uint(i&63)
 }
 
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	b.words[i>>6] &^= 1 << uint(i&63)
-}
-
-// SetAll sets every bit.
-func (b *Bitmap) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.maskTail()
-}
-
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	c := 0
@@ -60,18 +47,8 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
-// Any reports whether any bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // maskTail zeroes the unused bits of the final word so word-level
-// operations (Count, Any) stay exact.
+// operations (Count, Indices) stay exact.
 func (b *Bitmap) maskTail() {
 	if r := b.n & 63; r != 0 && len(b.words) > 0 {
 		b.words[len(b.words)-1] &= (1 << uint(r)) - 1

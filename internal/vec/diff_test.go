@@ -188,11 +188,11 @@ func TestFilterDiff(t *testing.T) {
 		b := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
 			label := fmt.Sprintf("w=%d pred=%q", w, pred)
-			want, wantErr := engine.FilterLocal(rel, pred)
 			pe, perr := sqlparse.ParseExpr(pred)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			want, wantErr := engine.Operators{}.Filter(rel, pe)
 			idx, gotErr := vec.Filter(b, pe, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
@@ -219,11 +219,11 @@ func TestFilterErrDiff(t *testing.T) {
 	// NOT over a non-boolean column errors in the evaluator; the vec path
 	// must fall back and surface the identical first-in-worker-order error.
 	pred := "NOT name"
-	_, wantErr := engine.FilterLocal(rel, pred)
 	pe, err := sqlparse.ParseExpr(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, wantErr := engine.Operators{}.Filter(rel, pe)
 	_, gotErr := vec.Filter(b, pe, 3)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 		t.Fatalf("row err=%v vec err=%v", wantErr, gotErr)
@@ -288,11 +288,11 @@ func TestGroupByDiff(t *testing.T) {
 		b := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
-			want, wantErr := engine.GroupByLocal(rel, tc.groupBy, tc.items)
 			sel, perr := sqlparse.Parse("SELECT " + tc.items + " FROM t GROUP BY " + tc.groupBy)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
+			want, wantErr := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
 			gotCols, gotRows, gotErr := vec.GroupBy(b, sel, w)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
@@ -340,7 +340,7 @@ func TestJoinPairsDiff(t *testing.T) {
 		rb := vec.FromStrings(rcols, rrows, w)
 		for _, key := range []string{"id", "mix"} {
 			label := fmt.Sprintf("w=%d key=%s", w, key)
-			want, err := engine.HashJoinLocal(left, right, key, "rid")
+			want, err := engine.Operators{}.HashJoin(left, right, key, "rid")
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -376,8 +376,8 @@ func TestEmptyRelations(t *testing.T) {
 	if err != nil || len(idx) != 0 {
 		t.Fatalf("empty filter: idx=%v err=%v", idx, err)
 	}
-	want, _ := engine.GroupByLocal(rel, "a", "a, COUNT(*) AS n")
 	sel, _ := sqlparse.Parse("SELECT a, COUNT(*) AS n FROM t GROUP BY a")
+	want, _ := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
 	gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func FuzzVecDecode(f *testing.F) {
 		// Kernels over the decoded batch.
 		pred, _ := sqlparse.ParseExpr("c0 IS NOT NULL AND c0 >= '3'")
 		idx, err := vec.Filter(b, pred, 3)
-		want, wantErr := engine.FilterLocal(rel, "c0 IS NOT NULL AND c0 >= '3'")
+		want, wantErr := engine.Operators{}.Filter(rel, pred)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("filter err: vec=%v row=%v", err, wantErr)
 		}
@@ -79,7 +79,7 @@ func FuzzVecDecode(f *testing.F) {
 		}
 		sel, _ := sqlparse.Parse("SELECT c0, COUNT(*) AS n FROM t GROUP BY c0")
 		gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
-		wantG, wantErr := engine.GroupByLocal(rel, "c0", "c0, COUNT(*) AS n")
+		wantG, wantErr := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("group-by err: vec=%v row=%v", err, wantErr)
 		}

@@ -178,38 +178,6 @@ func FromValues(vals []value.Value) *Vector {
 	return out
 }
 
-// Gather returns a new vector holding rows idx (in order).
-func (v *Vector) Gather(idx []int) *Vector {
-	if v.Boxed != nil {
-		out := make([]value.Value, len(idx))
-		for o, i := range idx {
-			out[o] = v.Boxed[i]
-		}
-		return &Vector{Boxed: out, n: len(idx)}
-	}
-	out := NewVector(v.Kind, len(idx))
-	for o, i := range idx {
-		if v.Nulls != nil && v.Nulls.Get(i) {
-			out.SetNull(o)
-		}
-	}
-	switch {
-	case v.Ints != nil:
-		for o, i := range idx {
-			out.Ints[o] = v.Ints[i]
-		}
-	case v.Floats != nil:
-		for o, i := range idx {
-			out.Floats[o] = v.Floats[i]
-		}
-	case v.Strs != nil:
-		for o, i := range idx {
-			out.Strs[o] = v.Strs[i]
-		}
-	}
-	return out
-}
-
 // Batch is a set of equal-length column vectors with named columns — the
 // columnar counterpart of engine.Relation.
 type Batch struct {
