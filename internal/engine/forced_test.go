@@ -68,6 +68,7 @@ func TestForcedStrategies(t *testing.T) {
 		"SELECT * FROM %s WHERE k < 300",
 		"SELECT k, v * 2 AS w FROM %s WHERE k < 900 AND g = 3",
 		"SELECT g, SUM(v) AS s, COUNT(*) AS n, MAX(v) AS hi FROM %s WHERE k < 700 GROUP BY g",
+		"SELECT g %% 3, SUM(k) FROM %s WHERE k < 900 GROUP BY g %% 3",
 		"SELECT k, v FROM %s WHERE k < 1000 ORDER BY v DESC, k LIMIT 7",
 	}
 	for table, strategies := range map[string][]string{

@@ -219,17 +219,19 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 
 	// Hop 2: every data partition with matching byte ranges has them fetched
 	// and metered under pol, under a "fetch <key>" child of the step's span.
-	// The fragments are rows of the object with no header: copied in
-	// partition order into one body of the query's own, a line each, they
-	// decode under the table's header as a select response does.
+	// The fragments are rows of the object with no header: copied into one
+	// body of the partition's own, a line each, they decode under the
+	// table's header as a select response does, inside the fan-out, and the
+	// rows of every partition are cut in partition order after it.
 	stage2 := e.NextStage()
 	fetch := e.step(fetchSpan, fetchName, stage2, table)
 	s := e.db.store(table)
 	var gets atomic.Int64
-	bodies := make([][]byte, len(dataKeys))
+	parts := make([]part, len(dataKeys))
 	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
 		ranges := partRanges[i]
 		if len(ranges) == 0 {
+			parts[i].cols = header // no rows, but the columns of an empty answer
 			return nil
 		}
 		ksp := fetch.sp.Child("fetch " + key)
@@ -267,15 +269,17 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 				frags = append(frags, got...)
 			}
 		}
+		body := make([]byte, 0, fragBytes(frags)+int64(len(frags)))
 		for _, frag := range frags {
-			bodies[i] = append(append(bodies[i], frag...), '\n')
+			body = append(append(body, frag...), '\n')
 		}
-		return nil
+		var err error
+		parts[i], err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}))
+		return err
 	})
 	var out *Relation
 	if err == nil {
-		body := slices.Concat(bodies...)
-		out, err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}))
+		out, err = cutRows(parts)
 	}
 	if err == nil && pol == fetchCoalesced {
 		candidates := int64(len(out.Rows))

@@ -208,7 +208,7 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
 	}
 	if o.Vectorized {
-		bi, pi := vec.JoinPairs(keyVector(left, li), keyVector(right, ri), o.Workers)
+		bi, pi := vec.JoinPairs(vec.FromColumn(left.Rows, li), vec.FromColumn(right.Rows, ri), o.Workers)
 		return joinRows(left, right, bi, pi, o.Workers), nil
 	}
 	build := map[uint64][]int{}
@@ -249,15 +249,6 @@ func joinRows(left, right *Relation, bi, pi []int, workers int) *Relation {
 		return nil
 	})
 	return out
-}
-
-// keyVector extracts column c of a relation as a vector.
-func keyVector(rel *Relation, c int) *vec.Vector {
-	vals := make([]value.Value, len(rel.Rows))
-	for i, r := range rel.Rows {
-		vals[i] = r[c]
-	}
-	return vec.FromValues(vals)
 }
 
 // SortLocal orders rows by the given keys (stable), on the sequential

@@ -15,7 +15,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"pushdowndb/internal/sqlparse"
@@ -68,30 +67,6 @@ func LimitLocal(rel *Relation, n int) *Relation {
 		return rel
 	}
 	return &Relation{Cols: rel.Cols, Rows: rel.Rows[:n]}
-}
-
-// Concat appends the others' rows (columns must match in count), growing
-// the row slice once for all of them. A relation with neither columns nor
-// rows — a zero-byte partition's — is skipped.
-func (r *Relation) Concat(others ...*Relation) error {
-	n := 0
-	for _, other := range others {
-		n += len(other.Rows)
-	}
-	r.Rows = slices.Grow(r.Rows, n)
-	for _, other := range others {
-		if len(other.Cols) == 0 && len(other.Rows) == 0 {
-			continue
-		}
-		if len(r.Cols) == 0 {
-			r.Cols = other.Cols
-		}
-		if len(other.Cols) != len(r.Cols) {
-			return fmt.Errorf("engine: concat arity mismatch: %v vs %v", r.Cols, other.Cols)
-		}
-		r.Rows = append(r.Rows, other.Rows...)
-	}
-	return nil
 }
 
 // String renders a small relation for debugging and examples.

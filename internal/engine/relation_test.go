@@ -126,15 +126,14 @@ func TestSortLocalErrors(t *testing.T) {
 	}
 }
 
-func TestConcatArityMismatch(t *testing.T) {
-	a := relOf([]string{"x"}, [][]string{{"1"}})
-	b := relOf([]string{"x", "y"}, [][]string{{"1", "2"}})
-	if err := a.Concat(b); err == nil {
+func TestCutRowsArityMismatch(t *testing.T) {
+	a, _ := decodeRows([]string{"x"}, []byte("1\n"), 1)
+	b, _ := decodeRows([]string{"x", "y"}, []byte("1,2\n"), 1)
+	if _, err := cutRows([]part{a, b}); err == nil {
 		t.Error("arity mismatch should error")
 	}
-	empty := &Relation{}
-	if err := empty.Concat(b); err != nil || len(empty.Cols) != 2 {
-		t.Error("concat into empty relation should adopt columns")
+	if rel, err := cutRows([]part{{}, b}); err != nil || len(rel.Cols) != 2 || len(rel.Rows) != 1 {
+		t.Error("a part with neither columns nor rows should be skipped")
 	}
 }
 

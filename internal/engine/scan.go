@@ -78,7 +78,7 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 		return nil, err
 	}
 	s := e.db.store(table)
-	rels := make([]*Relation, len(keys))
+	parts := make([]part, len(keys))
 	decodeWorkers := e.partWorkers(len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
 		psp := st.sp.Child("get " + key)
@@ -91,9 +91,9 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 		if colformat.IsColumnar(data) {
 			// Columnar partitions decode straight into typed vectors; the
 			// CSV decoder would mis-parse the binary layout.
-			rels[i], err = fromColumnar(data, decodeWorkers, cols)
+			parts[i], err = fromColumnar(data, decodeWorkers, cols)
 		} else {
-			rels[i], err = decodeCSV(data, cols)
+			parts[i], err = decodeCSV(data, cols)
 		}
 		if errors.Is(err, errNoColumn) {
 			err = s3api.NewError("get", e.db.bucket, key, s3api.KindBadRequest,
@@ -101,9 +101,9 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 		}
 		return err
 	})
-	out := &Relation{}
+	var out *Relation
 	if err == nil {
-		err = out.Concat(rels...)
+		out, err = cutRows(parts)
 	}
 	if err != nil {
 		return nil, err
@@ -113,33 +113,83 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 	return out, nil
 }
 
+// part is one partition's decoded rows, row-major in one array: rows rows
+// of len(cols) cells. A scan decodes each partition into its part inside
+// its fan-out, and cuts the rows of all of them once after it (cutRows), so
+// the decode never hands out a window of an array it may still grow.
+type part struct {
+	cols  []string
+	cells []value.Value
+	rows  int
+}
+
+// row appends a zeroed row to p and returns it, for the decoder to fill. It
+// may move p.cells, which is why no row is cut before the decode ends.
+func (p *part) row() []value.Value {
+	n := len(p.cells)
+	p.cells = slices.Grow(p.cells, len(p.cols))[:n+len(p.cols)]
+	p.rows++
+	return p.cells[n:]
+}
+
+// cutRows is the relation of parts' rows in partition order: one []Row for
+// all of them, row k of a part the window cells[k*w:(k+1)*w:(k+1)*w] of its
+// array — an append to a row reallocates it, never writing into the next; a
+// surviving row keeps its partition's array reachable. A part with neither
+// columns nor rows, a zero-byte partition's, is skipped; the rest must be
+// as wide as each other.
+func cutRows(parts []part) (*Relation, error) {
+	out := &Relation{}
+	n := 0
+	for _, p := range parts {
+		n += p.rows
+	}
+	out.Rows = make([]Row, 0, n)
+	for _, p := range parts {
+		if len(p.cols) == 0 && p.rows == 0 {
+			continue
+		}
+		if out.Cols == nil {
+			out.Cols = p.cols
+		}
+		w := len(p.cols)
+		if w != len(out.Cols) {
+			return nil, fmt.Errorf("engine: partitions differ in width: %v vs %v", out.Cols, p.cols)
+		}
+		for k := range p.rows {
+			out.Rows = append(out.Rows, p.cells[k*w:(k+1)*w:(k+1)*w])
+		}
+	}
+	return out, nil
+}
+
 // errNoColumn marks a load naming a column its table's header lacks.
 var errNoColumn = errors.New("no column")
 
-// prune narrows r.Cols, a partition's header, to the columns cols name —
-// by the name rule (sqlparse.Names), in header order — and returns their
-// header positions, ascending. No cols keeps every column, and prune
-// returns nil: every position (see at).
-func (r *Relation) prune(cols []string) ([]int, error) {
+// prune narrows header, a partition's, to the columns cols name — by the
+// name rule (sqlparse.Names), in header order — and returns the kept names
+// and their header positions, ascending. No cols keeps every column, and
+// prune returns nil positions: every position (see at).
+func prune(header, cols []string) ([]string, []int, error) {
 	if len(cols) == 0 {
-		return nil, nil
+		return header, nil, nil
 	}
+	names := sqlparse.NewNames(header)
 	keep := make([]int, 0, len(cols))
 	for _, c := range cols {
-		i := r.ColIndex(c)
+		i := names.Index(c)
 		if i < 0 {
-			return nil, fmt.Errorf("%w %q", errNoColumn, c)
+			return nil, nil, fmt.Errorf("%w %q", errNoColumn, c)
 		}
 		keep = append(keep, i)
 	}
 	slices.Sort(keep)
 	keep = slices.Compact(keep)
-	names := make([]string, len(keep))
+	kept := make([]string, len(keep))
 	for j, i := range keep {
-		names[j] = r.Cols[i]
+		kept[j] = header[i]
 	}
-	r.Cols = names
-	return keep, nil
+	return kept, keep, nil
 }
 
 // at is the header position of the j-th kept column; nil keep keeps all.
@@ -165,20 +215,20 @@ func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 // fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
 // layout) one row group at a time, reading only the chunks of the columns
 // cols name (every column when none), each into its one vector by the
-// worker whose span holds it, and renders the group's rows, cut from one
-// array, before the next overwrites them. Rows come from decoded chunks,
-// never from a count a footer claims.
-func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
+// worker whose span holds it, and appends the group's rows to the part
+// before the next group overwrites the vectors. Rows come from decoded
+// chunks, never from a count a footer claims.
+func fromColumnar(data []byte, workers int, cols []string) (part, error) {
 	r, err := colformat.Open(data)
 	if err != nil {
-		return nil, err
+		return part{}, err
 	}
-	rel := &Relation{Cols: r.Schema().Names()}
-	keep, err := rel.prune(cols)
-	if err != nil {
-		return nil, err
+	var p part
+	var keep []int
+	if p.cols, keep, err = prune(r.Schema().Names(), cols); err != nil {
+		return part{}, err
 	}
-	vecs := make([]*vec.Vector, len(rel.Cols))
+	vecs := make([]*vec.Vector, len(p.cols))
 	for g := 0; g < r.NumRowGroups(); g++ {
 		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
 			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
@@ -187,13 +237,21 @@ func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return part{}, err
 		}
-		for _, row := range vec.NewBatch(rel.Cols, vecs).ToRows() {
-			rel.Rows = append(rel.Rows, row)
+		n := 0 // the decoded chunks' length, as vec.NewBatch reads it
+		if len(vecs) > 0 {
+			n = vecs[0].Len()
+		}
+		p.cells = slices.Grow(p.cells, n*len(vecs))
+		for i := range n {
+			row := p.row()
+			for c, v := range vecs {
+				row[c] = v.Value(i)
+			}
 		}
 	}
-	return rel, nil
+	return p, nil
 }
 
 // decodeCSV types a CSV object's cells straight off the scanner: one pass,
@@ -201,33 +259,28 @@ func fromColumnar(data []byte, workers int, cols []string) (*Relation, error) {
 // name (every column when none). The scanner's fields are views of data,
 // and a Relation outlives the GET that fetched it, so this is where loaded
 // rows come to own their bytes: the kept cells that stay text are copied
-// into the partition's chunks (numbers and dates hold no bytes at all) and
-// rows are windows of one array sized from the line count — an allocation
-// per chunk, not per row; a surviving row keeps its partition's array
-// reachable. Every row is as wide as the kept header (value.CSVCell). A
-// zero-byte object has no header to prune: it decodes to no columns and no
-// rows.
-func decodeCSV(data []byte, cols []string) (*Relation, error) {
+// into the partition's chunks (numbers and dates hold no bytes at all), and
+// the cells go into one array sized from the line count. Every row is as
+// wide as the kept header (value.CSVCell). A zero-byte object has no header
+// to prune: it decodes to no columns and no rows.
+func decodeCSV(data []byte, cols []string) (part, error) {
 	sc := csvx.NewScanner(data)
-	rel := &Relation{}
+	var p part
 	var keep []int
-	var cells arena.Slab[value.Value]
 	if sc.Scan() {
-		rel.Cols = csvx.CloneRow(sc.Fields())
 		var err error
-		if keep, err = rel.prune(cols); err != nil {
-			return nil, err
+		if p.cols, keep, err = prune(csvx.CloneRow(sc.Fields()), cols); err != nil {
+			return part{}, err
 		}
 		lines := bytes.Count(data, []byte{'\n'}) // the row count, unless cells hold newlines
-		rel.Rows = make([]Row, 0, lines)
 		// A cell takes a byte at least: linear in the object, wide header or not.
-		cells.Grow(min(lines*len(rel.Cols), len(data)))
+		p.cells = make([]value.Value, 0, min(lines*len(p.cols), len(data)))
 	}
 	var text []byte
 	var chunks arena.Text
 	for sc.Scan() {
 		fields := sc.Fields()
-		row := cells.Make(len(rel.Cols))
+		row := p.row()
 		text = text[:0]
 		for j := range row {
 			if row[j] = value.CSVCell(fields, at(keep, j)); row[j].Kind() == value.KindString {
@@ -242,29 +295,25 @@ func decodeCSV(data []byte, cols []string) (*Relation, error) {
 				}
 			}
 		}
-		rel.Rows = append(rel.Rows, row)
 	}
-	return rel, sc.Err()
+	return p, sc.Err()
 }
 
 // decodeRows types CSV rows with no header line under cols — a select
 // response's body, or the rows an IndexScan fetched by range — by
-// decodeCSV's rule, every row as wide as cols (value.CSVCell). Rows are
-// windows of one slab grown for about n of them; text cells view body, which
-// its owner never modifies.
-func decodeRows(cols []string, body []byte, n int) (*Relation, error) {
-	rel := &Relation{Cols: cols, Rows: make([]Row, 0, n)}
-	var cells arena.Slab[value.Value]
-	cells.Grow(min(n*len(cols), len(body)))
+// decodeCSV's rule, every row as wide as cols (value.CSVCell), into one
+// array presized for n rows. Text cells view body, which its owner never
+// modifies.
+func decodeRows(cols []string, body []byte, n int) (part, error) {
+	p := part{cols: cols, cells: make([]value.Value, 0, min(n*len(cols), len(body)))}
 	sc := csvx.NewScanner(body)
 	for sc.Scan() {
-		row := cells.Make(len(cols))
+		row := p.row()
 		for j := range row {
 			row[j] = value.CSVCell(sc.Fields(), j)
 		}
-		rel.Rows = append(rel.Rows, row)
 	}
-	return rel, sc.Err()
+	return p, sc.Err()
 }
 
 // SelectRows runs sql on every partition of table and concatenates the
@@ -293,20 +342,26 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 // selectDecoded runs req on every partition of table, metered on st, and
 // decodes each response's body once, inside the fan-out, where LoadTable
 // decodes too: to a vec.Batch for a consumer that folds vectors (typed), and
-// no row is built, or to rows for the rest, concatenated in partition order
-// into the relation. The other result is nil.
+// no row is built, or to its part for the rest, whose rows are cut in
+// partition order into the relation once every partition has decoded. The
+// other result is nil. A body that is not the rows its stats claim fails
+// either way.
 func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, typed bool) (*Relation, []*vec.Batch, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
 	batches := make([]*vec.Batch, len(keys))
-	rels := make([]*Relation, len(keys))
+	parts := make([]part, len(keys))
 	_, err := e.selectOnParts(st, table, req, func(i int, res *selectengine.Result) (err error) {
 		dec := st.sp.Child("decode")
 		defer dec.End()
-		dec.SetInt("rows", res.Stats.RowsReturned)
+		claimed := res.Stats.RowsReturned
+		dec.SetInt("rows", claimed)
 		if typed {
-			batches[i], err = vec.FromCSV(res.Columns, res.Body, res.Stats.RowsReturned)
-		} else {
-			rels[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), res.Stats.RowsReturned))
+			batches[i], err = vec.FromCSV(res.Columns, res.Body, claimed)
+			return err
+		}
+		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed))
+		if err == nil && int64(parts[i].rows) != claimed {
+			err = fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(res.Body), claimed)
 		}
 		return err
 	})
@@ -317,8 +372,8 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, ty
 		st.sp.SetInt("rows", int64(inputRows(nil, batches)))
 		return nil, batches, nil
 	}
-	out := &Relation{}
-	if err := out.Concat(rels...); err != nil {
+	out, err := cutRows(parts)
+	if err != nil {
 		return nil, nil, err
 	}
 	st.sp.SetInt("rows", int64(len(out.Rows)))

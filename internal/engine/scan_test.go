@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/store"
 )
 
@@ -75,6 +79,56 @@ func TestZeroBytePartition(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// miscountedSelects adds a copy of the first line of every non-empty select
+// response's body (extra) or drops its last line, in a copy of the body
+// (responses are shared), leaving the stats as storage counted them.
+type miscountedSelects struct {
+	s3api.Backend
+	extra bool
+	hit   *atomic.Int64
+}
+
+func (m miscountedSelects) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	res, err := m.Backend.Select(ctx, bucket, key, req)
+	if err != nil || len(res.Body) == 0 {
+		return res, err
+	}
+	m.hit.Add(1)
+	bad := *res
+	if first := res.Body[:bytes.IndexByte(res.Body, '\n')+1]; m.extra {
+		bad.Body = append(bytes.Clone(res.Body), first...)
+	} else {
+		bad.Body = res.Body[:bytes.LastIndexByte(res.Body[:len(res.Body)-1], '\n')+1]
+	}
+	return &bad, nil
+}
+
+// TestMiscountedResponseFails: a select response whose body holds a row more
+// or a row less than its stats claim is refused on the rows path (a pushed
+// projection) as on the typed path (a pushed group-by): the statement fails
+// and no answer comes back.
+func TestMiscountedResponseFails(t *testing.T) {
+	for _, extra := range []bool{true, false} {
+		for _, sql := range []string{
+			"SELECT k, v FROM events WHERE v > 0",
+			"SELECT g, SUM(k), COUNT(*) FROM events WHERE v > 0 GROUP BY g",
+		} {
+			var hit atomic.Int64
+			db, err := Open(testBucket, WithBackend("s3sim", miscountedSelects{s3api.NewInProc(newTestStore(t)), extra, &hit}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, _, err := db.QueryContext(context.Background(), sql)
+			if hit.Load() == 0 {
+				t.Fatalf("extra=%v: %s: no select response reached the statement", extra, sql)
+			}
+			if err == nil || rel != nil || !strings.Contains(err.Error(), "rows its stats claim") {
+				t.Errorf("extra=%v: %s: answer %v, err %v; want no answer and the response refused", extra, sql, rel != nil, err)
+			}
 		}
 	}
 }

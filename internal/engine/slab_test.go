@@ -31,11 +31,20 @@ func ordersCells(rows int) ([]string, [][]string) {
 
 // relOf is rows typed as a select response's body decodes (decodeRows).
 func relOf(cols []string, rows [][]string) *Relation {
-	rel, err := decodeRows(cols, csvx.Encode(nil, rows), len(rows))
+	rel, err := cut(decodeRows(cols, csvx.Encode(nil, rows), len(rows)))
 	if err != nil {
 		panic(err)
 	}
 	return rel
+}
+
+// cut is the relation of one decoded partition, cut as a scan cuts its
+// partitions' rows (cutRows).
+func cut(p part, err error) (*Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return cutRows([]part{p})
 }
 
 // recordsOf is a select response's rows (Result.Records); a body that does
@@ -65,10 +74,10 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
 		rel := relOf(cols, cells)
 		for name, run := range map[string]func() error{
-			"decodeRows":  func() error { _, err := decodeRows(cols, body, rows); return err },
+			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows)); return err },
 			"FromCSV":     func() error { _, err := vec.FromCSV(cols, body, int64(rows)); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
-			"decodeCSV":   func() error { _, err := decodeCSV(data, nil); return err },
+			"decodeCSV":   func() error { _, err := cut(decodeCSV(data, nil)); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
@@ -170,12 +179,12 @@ func checkRowsDoNotAlias(t *testing.T, rel *Relation) {
 func TestDecodedRowsDoNotAlias(t *testing.T) {
 	cols, cells := ordersCells(40)
 	cells[7] = cells[7][:2] // ragged rows are windows too
-	body, err := decodeRows(cols, csvx.Encode(nil, cells), len(cells))
+	body, err := cut(decodeRows(cols, csvx.Encode(nil, cells), len(cells)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, body)
-	rel, err := decodeCSV(csvx.Encode(cols, cells), nil)
+	rel, err := cut(decodeCSV(csvx.Encode(cols, cells), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +229,32 @@ func TestHashJoinAllocatesPerJoin(t *testing.T) {
 		if small, large := allocs(1000), allocs(16000); large-small > 32 {
 			t.Errorf("%s: HashJoin allocates %v times for 1k output rows and %v for 16k, want a small constant apart", name, small, large)
 		}
+	}
+}
+
+// TestHashJoinKeysAllocateNoValues pins the kernels' key extraction: each
+// side's key column becomes its vector straight from the rows. A join whose
+// 16k probe keys match nothing allocates under 16 bytes a probe row, about
+// the key vector's 8-byte payload; copying the keys into a []value.Value
+// first cost 32 bytes a row more.
+func TestHashJoinKeysAllocateNoValues(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	build, probe := joinSides(16000)
+	for _, row := range probe.Rows {
+		row[0] = value.Int(row[0].AsInt() + 1000) // no build key
+	}
+	o := joinOperatorSets["vectorized"]
+	perRow := float64(allocatedBytes(func() {
+		if out, err := o.HashJoin(build, probe, "k", "fk"); err != nil {
+			t.Fatal(err)
+		} else if len(out.Rows) != 0 {
+			t.Fatalf("%d rows, want none", len(out.Rows))
+		}
+	})) / float64(len(probe.Rows))
+	if perRow > 16 {
+		t.Errorf("a join matching none of its probe rows allocates %.1f bytes a probe row, want at most 16", perRow)
 	}
 }
 

@@ -109,20 +109,26 @@ func (t *Groups) Merge(o *Groups) error {
 
 // Finish evaluates the items once per group, in first-seen order, with
 // every aggregate replaced by its result and bare group-by columns
-// resolving to the group's key values. emit receives each output row in a
-// slice that the next row reuses.
+// resolving to the group's key values; an item that is a group-by
+// expression (SELECT g % 3 … GROUP BY g % 3) is that key's value. emit
+// receives each output row in a slice that the next row reuses.
 func (t *Groups) Finish(emit func([]value.Value) error) error {
 	finals := make(map[*sqlparse.Aggregate]value.Value, len(t.aggs))
 	t.ev.aggValues = finals
 	defer func() { t.ev.aggValues = nil }()
 	env := &GroupKeyEnv{Exprs: t.keys}
 	row := make([]value.Value, len(t.items))
+	itemKey := t.itemKeys()
 	for _, g := range t.order {
 		for i, a := range t.aggs {
 			finals[a] = g.States[i].Final()
 		}
 		env.Vals = g.keyVals
 		for j, it := range t.items {
+			if itemKey != nil && itemKey[j] > 0 {
+				row[j] = g.keyVals[itemKey[j]-1]
+				continue
+			}
 			v, err := t.ev.Eval(it, env)
 			if err != nil {
 				return err
@@ -134,6 +140,27 @@ func (t *Groups) Finish(emit func([]value.Value) error) error {
 		}
 	}
 	return nil
+}
+
+// itemKeys maps item j to 1 + a group-by expression it prints as, or 0,
+// and is nil when no item is one. A bare column key resolves through
+// GroupKeyEnv and is skipped, so the usual table prints nothing here.
+func (t *Groups) itemKeys() []int {
+	var out []int
+	for k, key := range t.keys {
+		if _, bare := key.(*sqlparse.Column); bare {
+			continue
+		}
+		for j, it := range t.items {
+			if it.String() == key.String() {
+				if out == nil {
+					out = make([]int, len(t.items))
+				}
+				out[j] = k + 1
+			}
+		}
+	}
+	return out
 }
 
 // RowExec is the one row-at-a-time SELECT block, run on both sides of the

@@ -64,6 +64,8 @@ func TestRowExec(t *testing.T) {
 		// render to the same key and share a group, keyed by the first seen.
 		{"SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b", "x|2|5\n|2|5"},
 		{"SELECT COUNT(*), MAX(a) FROM t GROUP BY a % 2", "2|3\n2|4"},
+		// An item that is a group-by expression is its key's value.
+		{"SELECT a % 2, SUM(a), b FROM t GROUP BY a % 2, b", "1|1|x\n0|2|\n1|3|\n0|4|x"},
 		{"SELECT b, COUNT(*) FROM t WHERE a > 100 GROUP BY b", ""},
 		{"SELECT COUNT(*), SUM(a), 10 * MAX(a) FROM t", "4|10|40"},
 		// An aggregation without keys has its one group over zero rows too.

@@ -324,13 +324,16 @@ func keySize(k Key) int64 {
 }
 
 // resultSize approximates the memory footprint of a cached response: the
-// entry, the column names with their string headers, and the body.
+// entry, the column names with their string headers, and the body's array.
+// The body is charged exactly: selectengine copies a response's rows into
+// an array of their length (cap equals len), and cap is what is charged, so
+// a body with spare room past its end would be charged that room too.
 func resultSize(r *selectengine.Result) int64 {
 	const (
 		entryOverhead = 128
 		fieldOverhead = 16
 	)
-	n := int64(entryOverhead + len(r.Body))
+	n := int64(entryOverhead + cap(r.Body))
 	for _, col := range r.Columns {
 		n += int64(len(col)) + fieldOverhead
 	}

@@ -21,11 +21,13 @@ func liveHeap() uint64 {
 }
 
 // TestResultRetention: the cache charges a response resultSize bytes, so
-// what a finished Result actually keeps reachable — its body, the unused
-// tail of its last doubling included — must stay near that at every size. A
-// body started at a fixed large size fails the one-row case by orders of
-// magnitude: that is a cache full of one-row aggregates each pinning a
-// buffer, and resident memory to match.
+// what a finished Result actually keeps reachable — its body's whole array
+// — must stay near that at every size: within 1.5x, the small Result's own
+// headers and size-class rounding (1.2x measured at 1 and 100 rows, 1.0x at
+// 100k). A body that doubled as it filled kept up to 2x; one started at a
+// fixed large size fails the one-row case by orders of magnitude: that is a
+// cache full of one-row aggregates each pinning a buffer, and resident
+// memory to match.
 func TestResultRetention(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap sizes differ under the race detector")
@@ -49,7 +51,7 @@ func TestResultRetention(t *testing.T) {
 		}
 		retained := int64(liveHeap()-before) / int64(len(held))
 		runtime.KeepAlive(data)
-		if charged := resultSize(held[0]); held[0].Stats.RowsReturned != int64(rows) || retained > 2*charged {
+		if charged := resultSize(held[0]); held[0].Stats.RowsReturned != int64(rows) || retained > 3*charged/2 {
 			t.Errorf("a %d-row Result keeps %d bytes reachable; the cache charges it %d", held[0].Stats.RowsReturned, retained, charged)
 		} else {
 			t.Logf("%d rows: %d bytes reachable, %d charged (%.2fx)", rows, retained, charged, float64(retained)/float64(charged))

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"pushdowndb/internal/colformat"
@@ -94,8 +95,8 @@ func lineitemCSV(rows int) []byte {
 const projectSQL = "SELECT l_orderkey, l_extendedprice * (1 - l_discount), l_shipdate, l_shipmode FROM S3Object"
 
 // TestResponseAllocatesPerChunk pins what a response costs: parsing and
-// set-up, then an allocation each time the body doubles — not one per row,
-// let alone per cell — so a hundredfold response costs a handful more.
+// set-up, then one allocation for the body — not one per row, let alone per
+// cell — so a hundredfold response costs a handful more.
 func TestResponseAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -120,6 +121,114 @@ func TestResponseAllocatesPerChunk(t *testing.T) {
 			t.Errorf("%d rows, first %q; want %d, first %q", len(got), got[0], rows, want)
 		}
 	}
+}
+
+// TestResponseAllocatesOnce pins what a warm scan allocates for a response's
+// bytes: the rows render into a pooled buffer and are copied once into a
+// body of their exact length, so a 15k-row response costs its body plus a
+// fixed allowance for parsing and set-up. A body that doubled when full
+// allocated 3 to 4 times its final length.
+func TestResponseAllocatesOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep the pooled buffer on its P
+	const runs, allowance = 10, 32 << 10
+	data := lineitemCSV(15000)
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = Execute(data, Request{SQL: projectSQL, HasHeader: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warms the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	got, body := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(len(res.Body))
+	if limit := body*5/4 + allowance; got > limit {
+		t.Errorf("a %d-row response allocates %d bytes for a %d-byte body, want at most %d", res.Stats.RowsReturned, got, body, limit)
+	}
+}
+
+// TestBodyIsExactSize: a response's body has no spare capacity, whatever
+// the object's format and the statement's shape, so what keeps a response
+// (the result cache, which charges len(Body)) keeps no more than that.
+func TestBodyIsExactSize(t *testing.T) {
+	cells := make([][]value.Value, 3000)
+	for i := range cells {
+		cells[i] = []value.Value{value.Int(int64(i)), value.Int(int64(i % 7)), value.Str(fmt.Sprintf("note %d", i))}
+	}
+	schema := colformat.Schema{{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "s", Kind: value.KindString}}
+	columnar, err := colformat.Encode(schema, cells, 500, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := make([][]string, len(cells))
+	for i, row := range cells {
+		text[i] = []string{row[0].String(), row[1].String(), row[2].String()}
+	}
+	objects := map[string][]byte{"csv": csvx.Encode([]string{"k", "g", "s"}, text), "columnar": columnar}
+	for format, data := range objects {
+		for _, sql := range []string{
+			"SELECT k, s FROM S3Object WHERE g <> 3",
+			"SELECT g, SUM(k), COUNT(*) FROM S3Object GROUP BY g",
+			"SELECT * FROM S3Object LIMIT 37",
+			"SELECT k FROM S3Object WHERE k < 0",
+		} {
+			res, err := Execute(data, Request{SQL: sql, HasHeader: format == "csv", Capabilities: Capabilities{AllowGroupBy: true}})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", format, sql, err)
+			}
+			if cap(res.Body) != len(res.Body) {
+				t.Errorf("%s: %s: a %d-byte body has capacity %d", format, sql, len(res.Body), cap(res.Body))
+			}
+		}
+	}
+}
+
+// TestConcurrentScansShareNoBody: scans that run at once, each rendering
+// in a buffer from the pool, answer what they answer alone, and a body
+// stays as it was while later scans reuse the buffers.
+func TestConcurrentScansShareNoBody(t *testing.T) {
+	data := lineitemCSV(2000)
+	sqls := []string{projectSQL, "SELECT l_shipmode, COUNT(*) FROM S3Object GROUP BY l_shipmode",
+		"SELECT l_orderkey FROM S3Object WHERE l_orderkey < 4100", "SELECT * FROM S3Object LIMIT 3"}
+	want := make([]string, len(sqls))
+	for i, sql := range sqls {
+		res, err := Execute(data, Request{SQL: sql, HasHeader: true, Capabilities: Capabilities{AllowGroupBy: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = string(res.Body)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var kept []*Result
+			for r := 0; r < 20; r++ {
+				i := (g + r) % len(sqls)
+				res, err := Execute(data, Request{SQL: sqls[i], HasHeader: true, Capabilities: Capabilities{AllowGroupBy: true}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept = append(kept, res)
+			}
+			for r, res := range kept {
+				if i := (g + r) % len(sqls); string(res.Body) != want[i] {
+					t.Errorf("%s: a %d-byte body changed or differs from the solo scan's %d bytes", sqls[i], len(res.Body), len(want[i]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestColumnarScanAllocatesPerScan pins that a columnar scan allocates per

@@ -7,9 +7,10 @@
 // behaviour behind the paper's Fig. 11 observation).
 //
 // A response is its CSV body, on every backend and on the wire: each output
-// row's text is appended to it once, and whoever reads the rows decodes that
-// body once. Stats is what storage counted while writing it, never derived
-// from it.
+// row's text is rendered once, into a buffer the package's scans reuse, and
+// copied once into a body of exactly its length that the response owns;
+// whoever reads the rows decodes that body once. Stats is what storage
+// counted while writing it, never derived from it.
 //
 // A name denotes the first header column equal to it case-insensitively,
 // failing that _N (1 ≤ N ≤ width) the N-th column, and otherwise no column:
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
@@ -144,7 +146,8 @@ type Stats struct {
 
 // Result is one response: Columns names its cells, and Body holds its rows
 // as CSV text, a line per row and no header line (csvx's dialect). The body
-// is the response's own and is never modified once returned.
+// is the response's own, exactly its length (cap equals len, so what holds
+// it holds no more), and is never modified once returned.
 type Result struct {
 	Columns []string
 	Body    []byte
@@ -353,6 +356,7 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 	}
 	env := &rowEnv{names: sqlparse.NewNames(header)}
 	exec := newExecutor(sel, header, env)
+	defer renders.Put(exec.buf)
 
 	var stats Stats
 	stats.ExprNodes = nodes
@@ -408,6 +412,7 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 	header := r.Schema().Names()
 	env := &colEnv{names: sqlparse.NewNames(header), cols: make([]*vec.Vector, len(header))}
 	exec := newExecutor(sel, header, env)
+	defer renders.Put(exec.buf)
 
 	// Column pruning: only the referenced columns are read.
 	needed := neededColumns(sel, env.names, len(header))
@@ -561,8 +566,8 @@ func (c *colEnv) at(i int) value.Value { return c.cols[i].Value(c.row) }
 
 // executor is the storage-specific half of a request. expr.RowExec runs
 // the SELECT block (WHERE, then projection, aggregation or grouping); the
-// executor expands * over the object's header, appends each output row to
-// the response body, stops a projecting scan at LIMIT and names the result
+// executor expands * over the object's header, renders each output row into
+// its render buffer, stops a projecting scan at LIMIT and names the result
 // columns.
 type executor struct {
 	rx *expr.RowExec
@@ -571,15 +576,25 @@ type executor struct {
 	limit           int64
 	terminatedEarly bool
 
-	body           []byte // the response's rows so far (see emit)
-	text           []byte // the cell being rendered
-	rows, returned int64  // Stats.RowsReturned and BytesReturned so far
+	buf            *render // from renders, for the scan's length (see emit)
+	rows, returned int64   // Stats.RowsReturned and BytesReturned so far
 }
+
+// render is a scan's scratch space: the response's rows so far and the cell
+// being rendered. Scans take one from renders and put it back when they end,
+// so a buffer grown to one response's size renders the next without growing.
+type render struct {
+	body, text []byte
+}
+
+var renders = sync.Pool{New: func() any { return new(render) }}
 
 // newExecutor builds the executor for sel over an object with the given
 // header; env is the scan's row cursor, which * reads the current row from.
+// The caller puts ex.buf back in renders when the scan ends.
 func newExecutor(sel *sqlparse.Select, header []string, env cursor) *executor {
-	ex := &executor{limit: -1}
+	ex := &executor{limit: -1, buf: renders.Get().(*render)}
+	ex.buf.body = ex.buf.body[:0]
 	items := sqlparse.ItemExprs(sel.Items)
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
 		ex.rx = expr.NewAggregation(sel.Where, sel.GroupBy, items, ex.emit)
@@ -595,24 +610,23 @@ func newExecutor(sel *sqlparse.Select, header []string, env cursor) *executor {
 	return ex
 }
 
-// emit appends one output row to the body, each cell rendered once and
-// quoted by csvx's rule, so a Result never keeps the scanned object
-// reachable, whatever views of it the values were. The body doubles when
-// full: an allocation per doubling, not per row or cell. BytesReturned
-// counts each cell's text and its separator, never the quotes.
+// emit renders one output row into the render buffer, each cell rendered
+// once and quoted by csvx's rule, so a Result never keeps the scanned object
+// reachable, whatever views of it the values were. The buffer grows by
+// append and is reused by the next scan, so a warm scan renders without
+// allocating. BytesReturned counts each cell's text and its separator,
+// never the quotes.
 func (ex *executor) emit(vals []value.Value) error {
+	b := ex.buf
 	for i, v := range vals {
-		ex.text = v.Append(ex.text[:0])
-		ex.returned += int64(len(ex.text)) + 1
-		if need := len(ex.body) + 2*len(ex.text) + 4; need > cap(ex.body) {
-			ex.body = append(make([]byte, 0, max(2*cap(ex.body), need, 64)), ex.body...)
-		}
+		b.text = v.Append(b.text[:0])
+		ex.returned += int64(len(b.text)) + 1
 		if i > 0 {
-			ex.body = append(ex.body, ',')
+			b.body = append(b.body, ',')
 		}
-		ex.body = csvx.AppendField(ex.body, ex.text)
+		b.body = csvx.AppendField(b.body, b.text)
 	}
-	ex.body = append(ex.body, '\n')
+	b.body = append(b.body, '\n')
 	ex.rows++
 	if ex.limit >= 0 && ex.rows >= ex.limit {
 		ex.terminatedEarly = true
@@ -620,11 +634,18 @@ func (ex *executor) emit(vals []value.Value) error {
 	return nil
 }
 
+// finish runs the statement's last rows out and returns the response: its
+// body is the rendered rows copied into an array of exactly their length,
+// the one allocation a response's bytes cost (nil when there are none).
 func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) (*Result, error) {
 	if err := ex.rx.Finish(); err != nil {
 		return nil, err
 	}
-	res := &Result{Stats: *stats, Body: ex.body}
+	res := &Result{Stats: *stats}
+	if n := len(ex.buf.body); n > 0 {
+		res.Body = make([]byte, n)
+		copy(res.Body, ex.buf.body)
+	}
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
 			res.Columns = append(res.Columns, header...)

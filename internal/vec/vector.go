@@ -223,9 +223,10 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 	return FromRowsProjected(cols, rows, keep, workers), true
 }
 
-// columnVector builds one column's vector straight from row-major input,
-// with no intermediate []value.Value.
-func columnVector[R ~[]value.Value](rows []R, c int) *Vector {
+// FromColumn builds column c's vector straight from row-major input, with
+// no intermediate []value.Value: FromValues over the column, as the batch
+// builders and a join's keys need it.
+func FromColumn[R ~[]value.Value](rows []R, c int) *Vector {
 	out := NewVector(value.KindNull, len(rows))
 	for i, r := range rows {
 		out.put(i, r[c])
@@ -247,7 +248,7 @@ func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int,
 		for k := sp.Lo; k < sp.Hi; k++ {
 			c := keep[k]
 			cols[k] = allCols[c]
-			vecs[k] = columnVector(rows, c)
+			vecs[k] = FromColumn(rows, c)
 		}
 		return nil
 	})
