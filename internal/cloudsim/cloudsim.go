@@ -180,28 +180,8 @@ type Phase struct {
 	profile Profile
 	scale   Scale
 
-	mu                sync.Mutex
-	requests          int64 // bulk requests (scans, whole/partition GETs)
-	rowFetchRequests  int64 // per-row GETs (index strategy): these scale with data
-	rangedRanges      int64 // discontiguous ranges inside batched multi-range GETs
-	scanBytes         int64 // S3 Select bytes scanned
-	selectReturnBytes int64 // S3 Select bytes returned
-	getBytes          int64 // plain GET bytes returned
-	cacheHits         int64 // select responses served from the result cache
-	cacheReturnBytes  int64 // response bytes served from the result cache
-	catalogRequests   int64 // fixed-size catalog GETs and their bytes: billed
-	catalogBytes      int64 // unscaled, timed when added (AddCatalogRequest)
-	// Shared-scan accounting (scanshare): billing counters carry this
-	// query's 1/sharers slice of each shared pass, while sharedWireBytes
-	// carries the full pass response — the query still receives and
-	// parses every merged byte even though it only pays its share.
-	sharedRequests    float64
-	sharedScanBytes   float64
-	sharedReturnBytes float64
-	sharedWireBytes   int64
-	s3MaxStreamSec    float64
-	serverExtraSec    float64
-	serverRows        int64
+	mu sync.Mutex
+	t  phaseTotals
 }
 
 // SelectReq describes one S3 Select request for accounting: scanned
@@ -217,23 +197,33 @@ type SelectReq struct {
 	DecompressBytes int64
 }
 
-// AddSelectRequest records one S3 Select request against this phase. The
-// storage-side stream time is IO + cell materialization + decompression +
-// per-row expression evaluation, all at per-partition scale.
+// AddSelectRequest records one S3 Select request against this phase.
 func (p *Phase) AddSelectRequest(r SelectReq) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.requests++
-	p.scanBytes += r.ScanBytes
-	p.selectReturnBytes += r.ReturnedBytes
+	p.t.requests++
+	p.t.scanBytes += r.ScanBytes
+	p.t.selectReturnBytes += r.ReturnedBytes
+	p.stream(p.selectStreamSec(r))
+}
+
+// selectStreamSec is one select's storage-side stream time: IO + cell
+// materialization + decompression + per-row expression evaluation, all at
+// per-partition scale.
+func (p *Phase) selectStreamSec(r SelectReq) float64 {
 	pp := p.scale.perPartition()
-	t := p.cfg.RequestRTTSec +
+	return p.cfg.RequestRTTSec +
 		float64(r.ScanBytes)*pp/p.cfg.S3ScanBytesPerSec +
 		float64(r.Cells)*pp*p.cfg.S3CellSecPerCell +
 		float64(r.DecompressBytes)*pp/p.cfg.S3DecompressBytesPerSec +
 		float64(r.Rows)*pp*float64(r.ExprNodes)*p.cfg.S3NodeSecPerRow
-	if t > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = t
+}
+
+// stream records one request's storage stream time: the phase's streams run
+// in parallel, so the slowest one counts. The caller holds p.mu.
+func (p *Phase) stream(sec float64) {
+	if sec > p.t.s3MaxStreamSec {
+		p.t.s3MaxStreamSec = sec
 	}
 }
 
@@ -255,20 +245,12 @@ func (p *Phase) AddSharedSelectRequest(r SelectReq, sharers, localRows int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	share := float64(sharers)
-	p.sharedRequests += 1 / share
-	p.sharedScanBytes += float64(r.ScanBytes) / share
-	p.sharedReturnBytes += float64(r.ReturnedBytes) / share
-	p.sharedWireBytes += r.ReturnedBytes
-	p.serverRows += localRows
-	pp := p.scale.perPartition()
-	t := p.cfg.RequestRTTSec +
-		float64(r.ScanBytes)*pp/p.cfg.S3ScanBytesPerSec +
-		float64(r.Cells)*pp*p.cfg.S3CellSecPerCell +
-		float64(r.DecompressBytes)*pp/p.cfg.S3DecompressBytesPerSec +
-		float64(r.Rows)*pp*float64(r.ExprNodes)*p.cfg.S3NodeSecPerRow
-	if t > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = t
-	}
+	p.t.sharedRequests += 1 / share
+	p.t.sharedScanBytes += float64(r.ScanBytes) / share
+	p.t.sharedReturnBytes += float64(r.ReturnedBytes) / share
+	p.t.sharedWireBytes += r.ReturnedBytes
+	p.t.serverRows += localRows
+	p.stream(p.selectStreamSec(r))
 }
 
 // AddCacheHit records one S3 Select response served from the compute-tier
@@ -278,8 +260,8 @@ func (p *Phase) AddSharedSelectRequest(r SelectReq, sharers, localRows int64) {
 // cached scan the cheapest scan of all in the cost model.
 func (p *Phase) AddCacheHit(returnedBytes int64) {
 	p.mu.Lock()
-	p.cacheHits++
-	p.cacheReturnBytes += returnedBytes
+	p.t.cacheHits++
+	p.t.cacheReturnBytes += returnedBytes
 	p.mu.Unlock()
 }
 
@@ -288,12 +270,9 @@ func (p *Phase) AddCacheHit(returnedBytes int64) {
 func (p *Phase) AddGetRequest(n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.requests++
-	p.getBytes += n
-	t := p.cfg.RequestRTTSec + float64(n)*p.scale.perPartition()/p.cfg.NetworkBytesPerSec
-	if t > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = t
-	}
+	p.t.requests++
+	p.t.getBytes += n
+	p.stream(p.cfg.RequestRTTSec + float64(n)*p.scale.perPartition()/p.cfg.NetworkBytesPerSec)
 }
 
 // AddCatalogRequest records one GET of a fixed-size catalog object (a
@@ -304,13 +283,10 @@ func (p *Phase) AddGetRequest(n int64) {
 func (p *Phase) AddCatalogRequest(n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.catalogRequests++
-	p.catalogBytes += n
-	p.serverExtraSec += float64(n)/p.cfg.BulkParseBytesPerSec + p.cfg.RequestCPUSec
-	t := p.cfg.RequestRTTSec + float64(n)/p.cfg.NetworkBytesPerSec
-	if t > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = t
-	}
+	p.t.catalogRequests++
+	p.t.catalogBytes += n
+	p.t.serverExtraSec += float64(n)/p.cfg.BulkParseBytesPerSec + p.cfg.RequestCPUSec
+	p.stream(p.cfg.RequestRTTSec + float64(n)/p.cfg.NetworkBytesPerSec)
 }
 
 // AddRowFetchRequest records one per-row ranged GET returning n bytes (the
@@ -320,11 +296,9 @@ func (p *Phase) AddCatalogRequest(n int64) {
 func (p *Phase) AddRowFetchRequest(n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rowFetchRequests++
-	p.getBytes += n
-	if p.cfg.RequestRTTSec > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = p.cfg.RequestRTTSec
-	}
+	p.t.rowFetchRequests++
+	p.t.getBytes += n
+	p.stream(p.cfg.RequestRTTSec)
 }
 
 // AddRangedGetRequest records one batched multi-range GET returning n
@@ -337,29 +311,26 @@ func (p *Phase) AddRowFetchRequest(n int64) {
 func (p *Phase) AddRangedGetRequest(n, nRanges int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.requests++
-	p.rangedRanges += nRanges
-	p.getBytes += n
+	p.t.requests++
+	p.t.rangedRanges += nRanges
+	p.t.getBytes += n
 	pp := p.scale.perPartition()
-	t := p.cfg.RequestRTTSec +
+	p.stream(p.cfg.RequestRTTSec +
 		float64(n)*pp/p.cfg.NetworkBytesPerSec +
-		float64(nRanges)*pp*p.cfg.RangedGetSecPerRange
-	if t > p.s3MaxStreamSec {
-		p.s3MaxStreamSec = t
-	}
+		float64(nRanges)*pp*p.cfg.RangedGetSecPerRange)
 }
 
 // AddServerRows records n units of server-side row work.
 func (p *Phase) AddServerRows(n int64) {
 	p.mu.Lock()
-	p.serverRows += n
+	p.t.serverRows += n
 	p.mu.Unlock()
 }
 
 // AddServerSeconds records explicit server-side CPU seconds.
 func (p *Phase) AddServerSeconds(s float64) {
 	p.mu.Lock()
-	p.serverExtraSec += s
+	p.t.serverExtraSec += s
 	p.mu.Unlock()
 }
 
@@ -367,38 +338,25 @@ func (p *Phase) AddServerSeconds(s float64) {
 func (p *Phase) snapshot() phaseTotals {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return phaseTotals{
-		requests:          p.requests,
-		rowFetchRequests:  p.rowFetchRequests,
-		rangedRanges:      p.rangedRanges,
-		scanBytes:         p.scanBytes,
-		selectReturnBytes: p.selectReturnBytes,
-		getBytes:          p.getBytes,
-		cacheHits:         p.cacheHits,
-		cacheReturnBytes:  p.cacheReturnBytes,
-		catalogRequests:   p.catalogRequests,
-		catalogBytes:      p.catalogBytes,
-		sharedRequests:    p.sharedRequests,
-		sharedScanBytes:   p.sharedScanBytes,
-		sharedReturnBytes: p.sharedReturnBytes,
-		sharedWireBytes:   p.sharedWireBytes,
-		s3MaxStreamSec:    p.s3MaxStreamSec,
-		serverExtraSec:    p.serverExtraSec,
-		serverRows:        p.serverRows,
-	}
+	return p.t
 }
 
+// phaseTotals are a phase's counters.
 type phaseTotals struct {
-	requests          int64
-	rowFetchRequests  int64
-	rangedRanges      int64
-	scanBytes         int64
-	selectReturnBytes int64
-	getBytes          int64
-	cacheHits         int64
-	cacheReturnBytes  int64
-	catalogRequests   int64
-	catalogBytes      int64
+	requests          int64 // bulk requests (scans, whole/partition GETs)
+	rowFetchRequests  int64 // per-row GETs (index strategy): these scale with data
+	rangedRanges      int64 // discontiguous ranges inside batched multi-range GETs
+	scanBytes         int64 // S3 Select bytes scanned
+	selectReturnBytes int64 // S3 Select bytes returned
+	getBytes          int64 // plain GET bytes returned
+	cacheHits         int64 // select responses served from the result cache
+	cacheReturnBytes  int64 // response bytes served from the result cache
+	catalogRequests   int64 // fixed-size catalog GETs and their bytes: billed
+	catalogBytes      int64 // unscaled, timed when added (AddCatalogRequest)
+	// Shared-scan accounting (scanshare): billing counters carry this
+	// query's 1/sharers slice of each shared pass, while sharedWireBytes
+	// carries the full pass response — the query still receives and
+	// parses every merged byte even though it only pays its share.
 	sharedRequests    float64
 	sharedScanBytes   float64
 	sharedReturnBytes float64

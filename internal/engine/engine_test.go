@@ -14,7 +14,6 @@ import (
 	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
@@ -246,11 +245,16 @@ func TestLoadTableOwnsItsBytes(t *testing.T) {
 func TestSelectAggMergesPartitions(t *testing.T) {
 	db, _ := newTestDB(t)
 	e := db.NewExec()
-	row, err := e.SelectAgg("agg", e.NextStage(), "events",
-		"SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM S3Object",
-		[]sqlparse.AggFunc{sqlparse.AggCount, sqlparse.AggSum, sqlparse.AggMin, sqlparse.AggMax})
+	row, err := e.SelectAgg("agg", e.NextStage(), "events", "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM S3Object")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each column merges by its item's aggregate; an item that is not one
+	// has no merge and is refused before any partition is asked.
+	for _, sql := range []string{"SELECT COUNT(*), v FROM S3Object", "SELECT SUM(v) + 1 FROM S3Object", "SELECT * FROM S3Object"} {
+		if _, err := e.SelectAgg("agg", e.NextStage(), "events", sql); s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("%s: %v, want a bad_request", sql, err)
+		}
 	}
 	if mustInt(row[0]) != 1000 {
 		t.Errorf("count = %v", row[0])

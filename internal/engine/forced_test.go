@@ -69,6 +69,8 @@ func TestForcedStrategies(t *testing.T) {
 		"SELECT k, v * 2 AS w FROM %s WHERE k < 900 AND g = 3",
 		"SELECT g, SUM(v) AS s, COUNT(*) AS n, MAX(v) AS hi FROM %s WHERE k < 700 GROUP BY g",
 		"SELECT g %% 3, SUM(k) FROM %s WHERE k < 900 GROUP BY g %% 3",
+		"SELECT g %% 3 + 1, COUNT(*) FROM %s WHERE k < 1100 GROUP BY g %% 3",
+		"SELECT g + k %% 5, COUNT(*) FROM %s WHERE k < 300 GROUP BY g, g + k %% 5",
 		"SELECT k, v FROM %s WHERE k < 1000 ORDER BY v DESC, k LIMIT 7",
 	}
 	for table, strategies := range map[string][]string{
@@ -110,6 +112,55 @@ func TestForcedStrategies(t *testing.T) {
 		_, _, err := forcedDB.QueryForced(ctx, c.sql, c.strategy)
 		if s3api.KindOf(err) != s3api.KindBadRequest || !strings.Contains(fmt.Sprint(err), c.why) {
 			t.Errorf("%s forced %q: %v, want a bad_request saying %q", c.sql, c.strategy, err, c.why)
+		}
+	}
+}
+
+// TestLikePatternPerRow: a LIKE whose pattern is a column matches each row
+// against that row's own pattern — a NULL pattern keeps nothing, a number
+// matches as its text — on the forced baseline, the forced filtered scan and
+// the planner's choice, on both operator sets at 1 and 3 workers, over a
+// table of three partitions.
+func TestLikePatternPerRow(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	rows := [][]string{
+		{"ab", "a%"}, {"xb", "x%"}, {"xb", "a%"}, {"q", "_"},
+		{"qq", "_"}, {"zz", ""}, {"5", "5"}, {"50", "5%"}, {"ba", "%a"},
+	}
+	if err := PartitionTable(ctx, st, testBucket, "lk", []string{"name", "flag"}, rows, 3); err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]string{
+		"SELECT name, flag FROM lk WHERE name LIKE flag":          "ab|a%\nxb|x%\nq|_\n5|5\n50|5%\nba|%a",
+		"SELECT name, flag FROM lk WHERE name NOT LIKE flag":      "xb|a%\nqq|_",
+		"SELECT name, name LIKE flag FROM lk WHERE flag LIKE '_'": "q|true\nqq|false\n5|true",
+	} {
+		for _, vectorized := range []bool{true, false} {
+			for _, workers := range []int{1, 3} {
+				db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(vectorized), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, strategy := range []string{StrategyBaseline, StrategyFiltered, "planned"} {
+					var rel *Relation
+					if strategy == "planned" {
+						rel, _, err = db.QueryContext(ctx, sql)
+					} else {
+						rel, _, err = db.QueryForced(ctx, sql, strategy)
+					}
+					if err != nil {
+						t.Fatalf("%s (%s, vectorized %v, %d workers): %v", sql, strategy, vectorized, workers, err)
+					}
+					var lines []string
+					for _, row := range rel.Rows {
+						lines = append(lines, row[0].String()+"|"+row[1].String())
+					}
+					if got := strings.Join(lines, "\n"); got != want {
+						t.Errorf("%s (%s, vectorized %v, %d workers):\n%s\nwant:\n%s", sql, strategy, vectorized, workers, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -128,8 +128,7 @@ func (e *Exec) caseAggregate(phaseName string, stage int, q *groupQuery, groups 
 		return nil, fmt.Errorf("engine: S3-side group-by query for %d groups exceeds the %d-byte expression limit",
 			len(groups), selectengine.MaxSQLBytes)
 	}
-	merge := make([]sqlparse.AggFunc, len(items)) // all AggSum, the zero AggFunc
-	row, err := e.selectAgg(phaseName, stage, q.table, req, merge)
+	row, err := e.selectAgg(phaseName, stage, q.table, req)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -12,25 +13,24 @@ import (
 )
 
 // Local operators: the server-side filter, project, group-by, aggregate
-// and hash join every algorithm of Sections IV–VII ends in. There is one
-// surface. Operators takes parsed input (sqlparse expressions, select
-// items, group keys) and runs either the batched internal/vec kernels
-// across the worker budget or the reference: a plain sequential
-// row-at-a-time loop feeding expr.RowExec — the executor the S3 Select
-// engine runs on the storage side — whose answers the kernels must
-// reproduce byte for byte. The reference exists for the differential
-// batteries and the benchmark oracle (WithVectorized(false)), so it is
-// written to be read, not to be fast. Every relation the engine builds is
-// as wide as its header (value.CSVCell), so the kernels run on all of them
-// and a row's cells are indexed directly. Query execution
-// reaches the operators through one dispatch point (Exec.runOp); SQL text
-// is parsed once, by the front end, never by an operator.
+// and hash join every algorithm of Sections IV–VII ends in, on one surface
+// that takes parsed input (sqlparse expressions, select items, group keys).
+// There is one row path: expr.RowExec — the executor the S3 Select engine
+// runs on the storage side — fed by a cursor over contiguous spans of rows.
+// Project runs it on both operator sets, and so does every filter the
+// vec.Filter kernel does not compile; the vectorized set runs the internal/vec
+// kernels (compiled filters, group-by, join) across the worker budget, and
+// the reference — one span, no vectors — is what they must reproduce byte
+// for byte, for the differential batteries and the benchmark oracle
+// (WithVectorized(false)). Every relation the engine builds is as wide as
+// its header (value.CSVCell). Query execution reaches the operators through
+// one dispatch point (Exec.runOp).
 
 // Operators is the local operator set. The zero value is the sequential
 // reference.
 type Operators struct {
-	// Vectorized runs the internal/vec kernels over Workers goroutines;
-	// false runs the sequential row-at-a-time reference.
+	// Vectorized runs the internal/vec kernels, and the row path over
+	// vec.RowSpans, on Workers goroutines.
 	Vectorized bool
 	Workers    int
 }
@@ -88,63 +88,72 @@ func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) *vec.Batch {
 }
 
 // Filter keeps the rows matching pred (nil keeps the relation as it is).
-// Kept rows share the input's row slices.
+// Kept rows share the input's row slices. A predicate vec.Filter compiles
+// runs on the kernel in the vectorized set; every other runs the row path.
 func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) {
 	if pred == nil {
 		return rel, nil
 	}
 	if o.Vectorized {
-		idx, err := vec.Filter(o.batch(rel, []sqlparse.Expr{pred}), pred, o.Workers)
-		if err != nil {
-			return nil, err
+		if idx, ok := vec.Filter(o.batch(rel, []sqlparse.Expr{pred}), pred, o.Workers); ok {
+			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
+			for k, i := range idx {
+				out.Rows[k] = rel.Rows[i]
+			}
+			return out, nil
 		}
-		out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
-		for k, i := range idx {
-			out.Rows[k] = rel.Rows[i]
-		}
-		return out, nil
 	}
-	cur := cursor(rel)
-	out := &Relation{Cols: rel.Cols}
-	err := cur.run(expr.NewProjection(pred, nil, nil, func([]value.Value) error {
-		out.Rows = append(out.Rows, cur.row)
-		return nil
-	}))
+	keep := make([]byte, len(rel.Rows)) // 1: the row passes
+	err := o.eachSpan(rel, func(cur *rowEnv, sp vec.Span) error {
+		return cur.run(sp, expr.NewProjection(pred, nil, nil, func([]value.Value) error {
+			keep[cur.i] = 1
+			return nil
+		}))
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Relation{Cols: rel.Cols, Rows: make([]Row, 0, bytes.Count(keep, []byte{1}))}
+	for i, k := range keep {
+		if k == 1 {
+			out.Rows = append(out.Rows, rel.Rows[i])
+		}
+	}
+	return out, nil
+}
+
+// Project evaluates the select items over each row on the row path: no
+// kernel would read vectors. Row i is the window cells[i*w:(i+1)*w:(i+1)*w]
+// of one array, as joinRows writes them.
+func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
+	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, len(rel.Rows))}
+	w := len(out.Cols)
+	cells := make([]value.Value, len(rel.Rows)*w)
+	exprs := sqlparse.ItemExprs(items)
+	err := o.eachSpan(rel, func(cur *rowEnv, sp vec.Span) error {
+		return cur.run(sp, expr.NewProjection(nil, exprs, cur.star, func(vals []value.Value) error {
+			row := cells[cur.i*w : (cur.i+1)*w : (cur.i+1)*w]
+			copy(row, vals)
+			out.Rows[cur.i] = row
+			return nil
+		}))
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Project evaluates the select items over each row, preserving row order.
-func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	if o.Vectorized {
-		out, err := vec.Project(o.projectionBatch(rel, items), &sqlparse.Select{Items: items}, o.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &Relation{Cols: out.Cols, Rows: out.ToRows()}, nil
+// eachSpan is the row path: fn runs over spans of rel's rows, each with its
+// own cursor — vec.RowSpans on the vectorized set, one span on the
+// reference. The first error in span order is the lowest erroring row's.
+func (o Operators) eachSpan(rel *Relation, fn func(cur *rowEnv, sp vec.Span) error) error {
+	if !o.Vectorized || o.Workers <= 1 {
+		return fn(cursor(rel), vec.Span{Hi: len(rel.Rows)})
 	}
-	cur := cursor(rel)
-	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, 0, len(rel.Rows))}
-	if err := cur.run(expr.NewProjection(nil, sqlparse.ItemExprs(items), cur.star, out.add)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// projectionBatch builds the batch a projection needs: the whole relation
-// when an item is *, only the referenced columns otherwise.
-func (o Operators) projectionBatch(rel *Relation, items []sqlparse.SelectItem) *vec.Batch {
-	exprs := make([]sqlparse.Expr, 0, len(items))
-	for _, it := range items {
-		if isStar(it) {
-			b, _ := vec.FromRows(rel.Cols, rel.Rows, o.Workers)
-			return b
-		}
-		exprs = append(exprs, it.Expr)
-	}
-	return o.batch(rel, exprs)
+	return vec.RunSpans(vec.RowSpans(len(rel.Rows), o.Workers), func(_ int, sp vec.Span) error {
+		return fn(cursor(rel), sp)
+	})
 }
 
 // GroupBy groups rel by the key expressions and evaluates the aggregate
@@ -159,19 +168,17 @@ func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse
 	}
 	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items)}
-	if err := cur.run(expr.NewAggregation(nil, keys, sqlparse.ItemExprs(items), out.add)); err != nil {
+	if err := cur.run(vec.Span{Hi: len(rel.Rows)}, expr.NewAggregation(nil, keys, sqlparse.ItemExprs(items), out.add)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// The reference operators share one executor with the S3 Select engine,
-// expr.RowExec, and feed it through one cursor: a rowEnv moved over the
-// relation's rows, so evaluating a row allocates no environment.
-
-// run feeds every row of the cursor's relation to x, then finishes it.
-func (cur *rowEnv) run(x *expr.RowExec) error {
-	for _, cur.row = range cur.rel.Rows {
+// run feeds rows [sp.Lo, sp.Hi) of the cursor's relation to x, in order,
+// then finishes it.
+func (cur *rowEnv) run(sp vec.Span, x *expr.RowExec) error {
+	for cur.i = sp.Lo; cur.i < sp.Hi; cur.i++ {
+		cur.row = cur.rel.Rows[cur.i]
 		if err := x.Add(cur); err != nil {
 			return err
 		}
@@ -266,7 +273,7 @@ func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	ks := make([]keyed, 0, len(rel.Rows))
 	var slab arena.Slab[value.Value]
 	slab.Grow(len(rel.Rows) * len(orderBy))
-	err := cur.run(expr.NewProjection(nil, keyExprs, nil, func(keys []value.Value) error {
+	err := cur.run(vec.Span{Hi: len(rel.Rows)}, expr.NewProjection(nil, keyExprs, nil, func(keys []value.Value) error {
 		own := slab.Make(len(keys)) // the executor reuses keys
 		copy(own, keys)
 		ks = append(ks, keyed{keys: own, row: cur.row})

@@ -38,11 +38,9 @@ type tailPush struct {
 	// as rendered cells in first-seen order; one empty tuple for a plain
 	// aggregation), the group's row count and then aggs, the statement's
 	// distinct aggregates other than COUNT(*); a keyed request ends in
-	// COUNT(*) and the count of rows outside every group. merge is how each
-	// returned column combines across partitions.
+	// COUNT(*) and the count of rows outside every group.
 	groups [][]string
 	aggs   []*sqlparse.Aggregate
-	merge  []sqlparse.AggFunc
 }
 
 // exactOnStorage reports an expression built from columns, literals,
@@ -355,7 +353,6 @@ func (db *DB) groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
 	var items []sqlparse.SelectItem
 	add := func(fn sqlparse.AggFunc, x sqlparse.Expr) {
 		items = append(items, sqlparse.SelectItem{Expr: &sqlparse.Aggregate{Func: fn, X: x}, Alias: "a" + strconv.Itoa(len(items))})
-		push.merge = append(push.merge, fn)
 	}
 	when := func(p, then, els sqlparse.Expr) sqlparse.Expr {
 		return &sqlparse.Case{Whens: []sqlparse.When{{Cond: p, Result: then}}, Else: els}
@@ -442,7 +439,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 		}
 		return e.finishLocal(rel, sel)
 	}
-	row, err := e.selectAgg("s3 aggregate", e.NextStage(), sel.Table, push.req, push.merge)
+	row, err := e.selectAgg("s3 aggregate", e.NextStage(), sel.Table, push.req)
 	if err != nil {
 		return nil, err
 	}

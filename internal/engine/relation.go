@@ -35,11 +35,12 @@ func (r *Relation) ColIndex(name string) int {
 	return sqlparse.NewNames(r.Cols).Index(name)
 }
 
-// rowEnv is the expr.Env view of one row of a relation. The reference
-// operators use one as a cursor, moving row over the relation's rows.
+// rowEnv is the expr.Env view of one row of a relation. The row path uses
+// one as a cursor, moving row (rel.Rows[i]) over a span of the rows.
 type rowEnv struct {
 	rel   *Relation
 	names sqlparse.Names // rel's
+	i     int
 	row   Row
 }
 

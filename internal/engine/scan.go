@@ -381,31 +381,41 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, ty
 }
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the
-// single-row results column-wise using the given aggregate functions
-// (SUM and COUNT merge by addition, MIN/MAX by comparison).
-func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string, merge []sqlparse.AggFunc) (Row, error) {
+// single-row results column-wise, each column by the aggregate of the item
+// that produced it (SUM and COUNT merge by addition, MIN/MAX by comparison).
+func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string) (Row, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.selectAgg(phaseName, stage, table, e.db.request(table, stmt), merge)
+	return e.selectAgg(phaseName, stage, table, e.db.request(table, stmt))
 }
 
-// selectAgg is SelectAgg over req.
-func (e *Exec) selectAgg(phaseName string, stage int, table string, req selectengine.Request, merge []sqlparse.AggFunc) (_ Row, err error) {
+// selectAgg is SelectAgg over req. An item that is not a bare aggregate has
+// no merge: a bad_request, before any partition is asked.
+func (e *Exec) selectAgg(phaseName string, stage int, table string, req selectengine.Request) (_ Row, err error) {
+	stmt, err := req.Statement()
+	if err != nil {
+		return nil, err
+	}
+	states := make([]*expr.AggState, len(stmt.Items))
+	for i, it := range stmt.Items {
+		a, ok := it.Expr.(*sqlparse.Aggregate)
+		if !ok {
+			return nil, s3api.NewError("select", e.db.bucket, table, s3api.KindBadRequest,
+				fmt.Errorf("engine: aggregate select item %s is not an aggregate, so its partials do not merge", it.Expr))
+		}
+		fn := a.Func
+		if fn == sqlparse.AggCount { // COUNT partials merge by summation
+			fn = sqlparse.AggSum
+		}
+		states[i] = expr.NewAggState(fn)
+	}
 	st := e.step(phaseName, phaseName, stage, table)
 	defer func() { st.end(err) }()
 	results, err := e.selectOnParts(st, table, req, nil)
 	if err != nil {
 		return nil, err
-	}
-	states := make([]*expr.AggState, len(merge))
-	for i, fn := range merge {
-		// COUNT partial results merge by summation.
-		if fn == sqlparse.AggCount {
-			fn = sqlparse.AggSum
-		}
-		states[i] = expr.NewAggState(fn)
 	}
 	for _, res := range results {
 		rows, err := res.Records()
@@ -415,9 +425,9 @@ func (e *Exec) selectAgg(phaseName string, stage int, table string, req selecten
 		if len(rows) != 1 {
 			return nil, fmt.Errorf("engine: aggregate select returned %d rows", len(rows))
 		}
-		if len(rows[0]) != len(merge) {
+		if len(rows[0]) != len(states) {
 			return nil, fmt.Errorf("engine: aggregate select returned %d columns, expected %d",
-				len(rows[0]), len(merge))
+				len(rows[0]), len(states))
 		}
 		for j, f := range rows[0] {
 			if err := states[j].Add(value.FromCSV(f)); err != nil {
@@ -425,7 +435,7 @@ func (e *Exec) selectAgg(phaseName string, stage int, table string, req selecten
 			}
 		}
 	}
-	out := make(Row, len(merge))
+	out := make(Row, len(states))
 	for j, st := range states {
 		out[j] = st.Final()
 	}

@@ -23,24 +23,6 @@ type Env interface {
 	Lookup(qualifier, name string) (value.Value, bool)
 }
 
-// GroupKeyEnv resolves bare group-by columns to one group's key values
-// while its aggregates finalize (so SELECT g, SUM(x) ... GROUP BY g can
-// output g).
-type GroupKeyEnv struct {
-	Exprs []sqlparse.Expr
-	Vals  []value.Value
-}
-
-// Lookup implements Env.
-func (g *GroupKeyEnv) Lookup(_, name string) (value.Value, bool) {
-	for i, e := range g.Exprs {
-		if c, ok := e.(*sqlparse.Column); ok && sqlparse.SameName(c.Name, name) {
-			return g.Vals[i], true
-		}
-	}
-	return value.Null(), false
-}
-
 // MapEnv is a simple Env backed by a map (tests, constant folding).
 type MapEnv map[string]value.Value
 
@@ -50,24 +32,16 @@ func (m MapEnv) Lookup(_, name string) (value.Value, bool) {
 	return v, ok
 }
 
-// Evaluator evaluates expressions, caching per-node compilations (LIKE
-// patterns, Bloom filter bit arrays) across rows. A nil *Evaluator is not
-// usable; construct with New.
+// Evaluator evaluates expressions. The only state it keeps across rows is
+// derived from literals: the decoded BLOOM_CONTAINS bit arrays. A nil
+// *Evaluator is not usable; construct with New.
 type Evaluator struct {
-	likeCache  map[*sqlparse.Like]*likeMatcher
 	bloomCache map[*sqlparse.Call][]byte
-	// aggValues supplies finalized aggregate results while Groups.Finish
-	// evaluates a select item that wraps aggregates (e.g. 100 * SUM(a) /
-	// SUM(b)).
-	aggValues map[*sqlparse.Aggregate]value.Value
 }
 
 // New returns a fresh Evaluator.
 func New() *Evaluator {
-	return &Evaluator{
-		likeCache:  map[*sqlparse.Like]*likeMatcher{},
-		bloomCache: map[*sqlparse.Call][]byte{},
-	}
+	return &Evaluator{bloomCache: map[*sqlparse.Call][]byte{}}
 }
 
 // Eval computes e over env.
@@ -180,9 +154,6 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 	case *sqlparse.Call:
 		return ev.evalCall(t, env)
 	case *sqlparse.Aggregate:
-		if v, ok := ev.aggValues[t]; ok {
-			return v, nil
-		}
 		return value.Null(), fmt.Errorf("expr: aggregate %s evaluated outside aggregation", t.String())
 	default:
 		return value.Null(), fmt.Errorf("expr: unsupported node %T", e)
@@ -403,46 +374,21 @@ func numOperand(v value.Value) (float64, bool) {
 
 func (ev *Evaluator) evalLike(t *sqlparse.Like, env Env) (value.Value, error) {
 	x, err := ev.Eval(t.X, env)
-	if err != nil {
+	if err != nil || x.IsNull() {
 		return value.Null(), err
 	}
-	if x.IsNull() {
-		return value.Null(), nil
+	p, err := ev.Eval(t.Pattern, env)
+	if err != nil || p.IsNull() {
+		return value.Null(), err
 	}
-	m := ev.likeCache[t]
-	if m == nil {
-		p, err := ev.Eval(t.Pattern, env)
-		if err != nil {
-			return value.Null(), err
-		}
-		if p.Kind() != value.KindString {
-			return value.Null(), fmt.Errorf("expr: LIKE pattern must be a string")
-		}
-		m = compileLike(p.AsString())
-		ev.likeCache[t] = m
-	}
-	ok := m.match(x.String())
-	if t.Not {
-		ok = !ok
-	}
-	return value.Bool(ok), nil
+	// The pattern is matched by its text, as the subject is: storage's CSV
+	// cells and the server's typed cells agree.
+	return value.Bool(LikeMatch(p.String(), x.String()) != t.Not), nil
 }
 
-// LikeMatch reports whether s matches the SQL LIKE pattern (% = any run,
-// _ = any one byte). Exported so the vectorized filter kernel shares the
-// evaluator's matcher instead of reimplementing it.
-func LikeMatch(pattern, s string) bool { return likeMatch(pattern, s) }
-
-// likeMatcher matches SQL LIKE patterns (% = any run, _ = any one byte).
-type likeMatcher struct {
-	pattern string
-}
-
-func compileLike(pattern string) *likeMatcher { return &likeMatcher{pattern: pattern} }
-
-func (m *likeMatcher) match(s string) bool { return likeMatch(m.pattern, s) }
-
-func likeMatch(p, s string) bool {
+// LikeMatch reports whether s matches the SQL LIKE pattern p (% = any run,
+// _ = any one byte); the vectorized filter kernel shares it.
+func LikeMatch(p, s string) bool {
 	// Iterative two-pointer wildcard matching, linear-ish.
 	pi, si := 0, 0
 	star, mark := -1, 0

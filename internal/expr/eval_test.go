@@ -214,8 +214,8 @@ func TestLikeMatcher(t *testing.T) {
 		{"", "x", false},
 	}
 	for _, c := range cases {
-		if got := likeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
+		if got := LikeMatch(c.pat, c.s); got != c.want {
+			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
 		}
 	}
 }
@@ -407,13 +407,13 @@ func TestEvalBool(t *testing.T) {
 	}
 }
 
-// Property: likeMatch with pattern == string (no wildcards) is equality.
+// Property: LikeMatch with pattern == string (no wildcards) is equality.
 func TestQuickLikeExact(t *testing.T) {
 	f := func(s string) bool {
 		if strings.ContainsAny(s, "%_") {
 			return true
 		}
-		return likeMatch(s, s)
+		return LikeMatch(s, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -426,7 +426,7 @@ func TestQuickLikePrefix(t *testing.T) {
 		if strings.ContainsAny(prefix, "%_") {
 			return true
 		}
-		return likeMatch(prefix+"%", prefix+rest)
+		return LikeMatch(prefix+"%", prefix+rest)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

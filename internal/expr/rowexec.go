@@ -1,6 +1,9 @@
 package expr
 
 import (
+	"slices"
+	"strconv"
+
 	"pushdowndb/internal/arena"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -15,15 +18,16 @@ type Group struct {
 }
 
 // Groups is the one group table: groups in first-seen order, looked up by
-// their rendered key bytes, finalized through GroupKeyEnv. A table with no
-// key expressions is a plain aggregation and always holds exactly one
-// group, so zero input rows still finalize to one row (COUNT = 0, the
-// other aggregates NULL). Groups, accumulators and keys are cut from arena
+// their rendered key bytes, finalized over finalEnv. A table with no key
+// expressions is a plain aggregation and always holds exactly one group,
+// so zero input rows still finalize to one row (COUNT = 0, the other
+// aggregates NULL). Groups, accumulators and keys are cut from arena
 // chunks: O(groups / chunk) allocations, and a group pins its chunks.
 type Groups struct {
 	ev     *Evaluator
 	keys   []sqlparse.Expr
 	items  []sqlparse.Expr
+	final  []sqlparse.Expr // the items as Finish evaluates them (finalItems)
 	aggs   []*sqlparse.Aggregate
 	index  map[string]*Group
 	order  []*Group
@@ -36,7 +40,12 @@ type Groups struct {
 // NewGroups returns an empty table grouping by keys and finalizing to
 // items. ev evaluates aggregate arguments and the finalized items.
 func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) *Groups {
-	t := &Groups{ev: ev, keys: keys, items: items, aggs: CollectAggregates(items), index: map[string]*Group{}}
+	aggs := CollectAggregates(items)
+	return newGroups(ev, keys, items, aggs, finalItems(keys, items, aggs))
+}
+
+func newGroups(ev *Evaluator, keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate, final []sqlparse.Expr) *Groups {
+	t := &Groups{ev: ev, keys: keys, items: items, final: final, aggs: aggs, index: map[string]*Group{}}
 	if len(keys) == 0 {
 		t.Insert(nil, nil)
 	}
@@ -50,7 +59,7 @@ func (t *Groups) Aggregates() []*sqlparse.Aggregate { return t.aggs }
 
 // Partial returns an empty table over t's keys and items, for a worker to
 // fill and Merge to fold back.
-func (t *Groups) Partial() *Groups { return NewGroups(New(), t.keys, t.items) }
+func (t *Groups) Partial() *Groups { return newGroups(New(), t.keys, t.items, t.aggs, t.final) }
 
 // Find returns the group with the rendered key, or nil. The lookup does
 // not materialize the key.
@@ -107,28 +116,18 @@ func (t *Groups) Merge(o *Groups) error {
 	return nil
 }
 
-// Finish evaluates the items once per group, in first-seen order, with
-// every aggregate replaced by its result and bare group-by columns
-// resolving to the group's key values; an item that is a group-by
-// expression (SELECT g % 3 … GROUP BY g % 3) is that key's value. emit
-// receives each output row in a slice that the next row reuses.
+// Finish evaluates the items once per group, in first-seen order, over the
+// group's aggregate results and key values. emit receives each output row
+// in a slice that the next row reuses.
 func (t *Groups) Finish(emit func([]value.Value) error) error {
-	finals := make(map[*sqlparse.Aggregate]value.Value, len(t.aggs))
-	t.ev.aggValues = finals
-	defer func() { t.ev.aggValues = nil }()
-	env := &GroupKeyEnv{Exprs: t.keys}
-	row := make([]value.Value, len(t.items))
-	itemKey := t.itemKeys()
+	env := &finalEnv{aggs: make([]value.Value, len(t.aggs))}
+	row := make([]value.Value, len(t.final))
 	for _, g := range t.order {
-		for i, a := range t.aggs {
-			finals[a] = g.States[i].Final()
+		for i := range t.aggs {
+			env.aggs[i] = g.States[i].Final()
 		}
-		env.Vals = g.keyVals
-		for j, it := range t.items {
-			if itemKey != nil && itemKey[j] > 0 {
-				row[j] = g.keyVals[itemKey[j]-1]
-				continue
-			}
+		env.keys = g.keyVals
+		for j, it := range t.final {
 			v, err := t.ev.Eval(it, env)
 			if err != nil {
 				return err
@@ -142,25 +141,87 @@ func (t *Groups) Finish(emit func([]value.Value) error) error {
 	return nil
 }
 
-// itemKeys maps item j to 1 + a group-by expression it prints as, or 0,
-// and is nil when no item is one. A bare column key resolves through
-// GroupKeyEnv and is skipped, so the usual table prints nothing here.
-func (t *Groups) itemKeys() []int {
-	var out []int
-	for k, key := range t.keys {
-		if _, bare := key.(*sqlparse.Column); bare {
-			continue
-		}
-		for j, it := range t.items {
-			if it.String() == key.String() {
-				if out == nil {
-					out = make([]int, len(t.items))
-				}
-				out[j] = k + 1
-			}
-		}
+// A finalized item reads its group through reference columns: the
+// qualifier names what is referenced (aggRef, keyRef) and the name is its
+// index. No identifier is spelled with a double quote, so no table column
+// reads as one.
+const (
+	aggRef = `"agg`
+	keyRef = `"key`
+)
+
+// refs returns the n reference columns of a kind, in one array.
+func refs(kind string, n int) []sqlparse.Column {
+	out := make([]sqlparse.Column, n)
+	for i := range out {
+		out[i] = sqlparse.Column{Qualifier: kind, Name: strconv.Itoa(i)}
 	}
 	return out
+}
+
+// finalEnv resolves reference columns to one group's aggregate results and
+// key values; every other column is unknown.
+type finalEnv struct{ aggs, keys []value.Value }
+
+// Lookup implements Env.
+func (e *finalEnv) Lookup(qualifier, name string) (value.Value, bool) {
+	vals := e.aggs
+	switch qualifier {
+	case keyRef:
+		vals = e.keys
+	case aggRef:
+	default:
+		return value.Null(), false
+	}
+	i, _ := strconv.Atoi(name)
+	return vals[i], true
+}
+
+// finalItems rewrites the items once, for Finish. First each aggregate
+// becomes its aggRef (a bare item by identity, a nested one by SQL text);
+// then each largest subtree that is a GROUP BY key becomes its keyRef (a
+// bare key column by the name rule, another key by SQL text: SELECT
+// g % 2 + 1 … GROUP BY g % 2, or a % b … GROUP BY b, a % b). Aggregate
+// arguments are gone by then, so no key rewrite touches one.
+func finalItems(keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate) []sqlparse.Expr {
+	aggRefs, keyRefs := refs(aggRef, len(aggs)), refs(keyRef, len(keys))
+	var aggText []string // printed only for an aggregate inside an expression
+	toAgg := func(n sqlparse.Expr) sqlparse.Expr {
+		if a, ok := n.(*sqlparse.Aggregate); ok {
+			if i := slices.Index(aggText, a.String()); i >= 0 {
+				return &aggRefs[i]
+			}
+		}
+		return n
+	}
+	toKey := func(n sqlparse.Expr) sqlparse.Expr {
+		c, isCol := n.(*sqlparse.Column)
+		for k, key := range keys {
+			kc, bare := key.(*sqlparse.Column)
+			if bare && isCol && c.Qualifier != aggRef && sqlparse.SameName(kc.Name, c.Name) || !bare && n.String() == key.String() {
+				return &keyRefs[k]
+			}
+		}
+		return n
+	}
+	final := make([]sqlparse.Expr, len(items))
+	for j, it := range items {
+		if a, ok := it.(*sqlparse.Aggregate); ok {
+			final[j] = &aggRefs[slices.Index(aggs, a)]
+			continue
+		}
+		if sqlparse.ContainsAggregate(it) {
+			for _, a := range aggs[len(aggText):] {
+				aggText = append(aggText, a.String())
+			}
+			it = sqlparse.Rewrite(it, toAgg)
+		}
+		if len(keys) > 0 {
+			it = sqlparse.Rewrite(it, toKey)
+		}
+		final[j] = it
+	}
+	return final
 }
 
 // RowExec is the one row-at-a-time SELECT block, run on both sides of the

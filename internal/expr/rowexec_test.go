@@ -60,12 +60,22 @@ func TestRowExec(t *testing.T) {
 		{"SELECT *, a FROM t WHERE b = 'x'", "1|x|1\n4|x|4"},
 		{"SELECT a FROM t WHERE a > 100", ""},
 		{"SELECT c FROM t", "error: expr: unknown column c"},
+		// Each row is matched against its own LIKE pattern; a NULL pattern
+		// is NULL, and a number matches as its text.
+		{"SELECT a, b LIKE b FROM t", "1|true\n2|\n3|true\n4|true"},
+		{"SELECT a FROM t WHERE a LIKE a AND a NOT LIKE 1", "2\n3\n4"},
 		// Groups come out in first-seen order; NULL and the empty string
 		// render to the same key and share a group, keyed by the first seen.
 		{"SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b", "x|2|5\n|2|5"},
 		{"SELECT COUNT(*), MAX(a) FROM t GROUP BY a % 2", "2|3\n2|4"},
 		// An item that is a group-by expression is its key's value.
 		{"SELECT a % 2, SUM(a), b FROM t GROUP BY a % 2, b", "1|1|x\n0|2|\n1|3|\n0|4|x"},
+		// So is every subtree of one outside its aggregates.
+		{"SELECT a % 2 + 1, COUNT(*) FROM t GROUP BY a % 2", "2|2\n1|2"},
+		{"SELECT 10 * (a % 2) + SUM(a % 2), MAX(a) FROM t GROUP BY a % 2", "12|3\n0|4"},
+		// The largest key subtree wins over a key inside it.
+		{"SELECT b || a, COUNT(*) FROM t GROUP BY b, b || a", "x1|1\n|1\n3|1\nx4|1"},
+		{"SELECT (a % 2) * a, COUNT(*) FROM t GROUP BY a % 2, (a % 2) * a", "1|1\n0|2\n3|1"},
 		{"SELECT b, COUNT(*) FROM t WHERE a > 100 GROUP BY b", ""},
 		{"SELECT COUNT(*), SUM(a), 10 * MAX(a) FROM t", "4|10|40"},
 		// An aggregation without keys has its one group over zero rows too.

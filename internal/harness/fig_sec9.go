@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"pushdowndb/internal/engine"
-	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/tpch"
 )
 
@@ -41,27 +40,18 @@ func RunSec9TPCHFormats(ctx context.Context, env *Env) (*Result, error) {
 		XLabel: "query scan",
 		Notes:  []string{"the paper reports 'very limited (if any) performance advantage' for Parquet on TPC-H; both scans here are storage-scan-bound"},
 	}
-	cases := []struct {
-		sql   string
-		merge []sqlparse.AggFunc
-	}{
-		{
-			sql: "SELECT SUM(l_extendedprice * l_discount) FROM S3Object WHERE " +
-				"l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'" +
-				" AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
-			merge: []sqlparse.AggFunc{sqlparse.AggSum},
-		},
-		{
-			sql: "SELECT SUM(l_quantity), SUM(l_extendedprice), COUNT(*) FROM S3Object" +
-				" WHERE l_shipdate <= '1998-09-02'",
-			merge: []sqlparse.AggFunc{sqlparse.AggSum, sqlparse.AggSum, sqlparse.AggCount},
-		},
+	cases := []string{
+		"SELECT SUM(l_extendedprice * l_discount) FROM S3Object WHERE " +
+			"l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'" +
+			" AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
+		"SELECT SUM(l_quantity), SUM(l_extendedprice), COUNT(*) FROM S3Object" +
+			" WHERE l_shipdate <= '1998-09-02'",
 	}
 	// scan is a series' call: the pushed aggregate over one layout, its
 	// merged row as a one-row relation.
 	scan := func(db *engine.DB, phase, table string, i int) call {
 		return op(db, func(e *engine.Exec) (*engine.Relation, error) {
-			row, err := e.SelectAgg(phase, e.NextStage(), table, cases[i].sql, cases[i].merge)
+			row, err := e.SelectAgg(phase, e.NextStage(), table, cases[i])
 			return &engine.Relation{Rows: []engine.Row{row}}, err
 		})
 	}

@@ -442,11 +442,14 @@ func (c *Client) Select(ctx context.Context, bucket, key string, sreq selectengi
 	err = json.Unmarshal(line, &h)
 	res := &selectengine.Result{Columns: h.Columns, Body: csv, Stats: h.Stats, Columnar: h.Columnar}
 	if err == nil {
-		_, err = res.Records()
+		err = res.Check()
 	}
 	if err != nil {
 		return nil, s3api.NewError("select", bucket, key, s3api.KindInternal, fmt.Errorf("s3http: select response: %w", err))
 	}
+	// The rows alone, in an array of their own: the read they came in also
+	// holds the header line and the spare capacity it grew by.
+	res.Body = append(make([]byte, 0, len(csv)), csv...)
 	return res, nil
 }
 

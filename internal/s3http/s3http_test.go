@@ -232,6 +232,25 @@ func TestHostileSelectResponse(t *testing.T) {
 	}
 }
 
+// TestSelectBodyIsExactSize: a select response through the client keeps
+// only its rows, at their exact size (cap == len) — not the tail of the
+// HTTP read, which also holds the header line and spare capacity — so the
+// result cache's charge, cap(Body), is what the response keeps.
+func TestSelectBodyIsExactSize(t *testing.T) {
+	st := store.New()
+	st.Put("b", "k", []byte("a,b\n1,x\n2,y\n3,z\n"))
+	srv := httptest.NewServer(NewServer(s3api.NewInProc(st)))
+	defer srv.Close()
+	res, err := NewClient(srv.URL, srv.Client()).Select(ctxb(), "b", "k",
+		selectengine.Request{SQL: "SELECT a, b FROM S3Object WHERE a > 1", HasHeader: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(res.Body) != "2,y\n3,z\n" || cap(res.Body) != len(res.Body) {
+		t.Errorf("body %q has cap %d, len %d; want the two rows at cap == len", res.Body, cap(res.Body), len(res.Body))
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	st := store.New()
 	st.Put("b", "k", []byte("xyz"))

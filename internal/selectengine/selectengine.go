@@ -193,23 +193,38 @@ const (
 )
 
 // Records decodes the body into rows of cells, each row as wide as Columns,
-// and fails unless it holds Stats.RowsReturned of them. It allocates one
-// array for every cell and one for the rows, sized by what the body can hold
-// (csvx.RowBound), not by the count a response claims. Cells view the body.
+// and fails unless it holds Stats.RowsReturned of them (Check). It allocates
+// one array for every cell and one for the rows, sized by what the body can
+// hold (csvx.RowBound), not by the count a response claims. Cells view the body.
 func (r *Result) Records() ([][]string, error) {
 	w := len(r.Columns)
 	n := csvx.RowBound(r.Body, w, r.Stats.RowsReturned)
 	rows, cells := make([][]string, 0, n), make([]string, 0, n*w)
-	sc := csvx.NewScanner(r.Body)
-	more := sc.Scan()
-	for ; more && len(rows) < n && len(sc.Fields()) == w; more = sc.Scan() {
-		cells = append(cells, sc.Fields()...)
+	if err := r.scan(func(fields []string) {
+		cells = append(cells, fields...)
 		rows = append(rows, cells[len(cells)-w:len(cells):len(cells)])
-	}
-	if more || sc.Err() != nil || int64(len(rows)) != r.Stats.RowsReturned {
-		return nil, fmt.Errorf("selectengine: a %d-byte response body is not the %d rows of %d cells its stats claim", len(r.Body), r.Stats.RowsReturned, w)
+	}); err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// Check fails unless the body holds Stats.RowsReturned rows, each as wide as
+// Columns. It keeps no cell.
+func (r *Result) Check() error { return r.scan(func([]string) {}) }
+
+// scan is Check, handing each row's fields (valid during the call) to row.
+func (r *Result) scan(row func(fields []string)) error {
+	sc, n := csvx.NewScanner(r.Body), int64(0)
+	more := sc.Scan()
+	for ; more && n < r.Stats.RowsReturned && len(sc.Fields()) == len(r.Columns); more = sc.Scan() {
+		row(sc.Fields())
+		n++
+	}
+	if more || sc.Err() != nil || n != r.Stats.RowsReturned {
+		return fmt.Errorf("selectengine: a %d-byte response body is not the %d rows of %d cells its stats claim", len(r.Body), r.Stats.RowsReturned, len(r.Columns))
+	}
+	return nil
 }
 
 // Execute runs the request against one object payload.

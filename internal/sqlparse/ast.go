@@ -567,10 +567,14 @@ func AndAll(exprs []Expr) Expr {
 	return out
 }
 
-// Rewrite returns a structural copy of e with children rewritten first
-// and f applied to every copied node (bottom-up). Nodes f leaves alone
-// are returned as copies with rewritten children.
+// Rewrite returns a structural copy of e, top-down: f sees each node
+// before its children, and a node f replaces (returns another node for) is
+// replaced whole, its children unvisited; a node f returns as is is copied
+// with its children rewritten.
 func Rewrite(e Expr, f func(Expr) Expr) Expr {
+	if r := f(e); r != e {
+		return r
+	}
 	switch t := e.(type) {
 	case *Binary:
 		e = &Binary{Op: t.Op, L: Rewrite(t.L, f), R: Rewrite(t.R, f)}
@@ -608,7 +612,7 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	case *IsNull:
 		e = &IsNull{X: Rewrite(t.X, f), Not: t.Not}
 	}
-	return f(e)
+	return e
 }
 
 // StripQualifiers returns a copy of e with every column qualifier removed.

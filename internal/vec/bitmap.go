@@ -1,14 +1,15 @@
 // Package vec implements batched columnar execution for PushdownDB's
 // local operators: typed column vectors (int64/float64/string/bool/date
-// payloads plus null bitmaps), selection bitmaps, and filter/project/
-// hash-join/group-by kernels that process a column of values per step
-// instead of dispatching an expression interpreter per row.
+// payloads plus null bitmaps), selection bitmaps, and the filter, hash-join
+// and group-by kernels that process a column of values per step instead of
+// dispatching an expression interpreter per row. It has no projection and
+// no interpreter fallback: a predicate the filter kernel does not compile,
+// and every projection, run on the engine's row path (engine.Operators).
 //
 // Every kernel is a semantic mirror of the corresponding row-at-a-time
 // operator in internal/engine (the engine.Operators reference): the
 // same values, the same order, the same errors, at any worker count.
-// The row path stays the reference implementation; the differential and
-// fuzz tests pin the two paths byte-identical.
+// The differential and fuzz tests pin the two paths byte-identical.
 package vec
 
 import "math/bits"

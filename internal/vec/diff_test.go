@@ -143,58 +143,92 @@ func TestFromStringsDiff(t *testing.T) {
 	}
 }
 
+// sameRows compares two relations cell by cell (byte identity, sameVal).
+func sameRows(t *testing.T, label string, want, got *engine.Relation) {
+	t.Helper()
+	if fmt.Sprint(got.Cols) != fmt.Sprint(want.Cols) || len(got.Rows) != len(want.Rows) {
+		t.Errorf("%s: %v x %d rows, reference %v x %d", label, got.Cols, len(got.Rows), want.Cols, len(want.Rows))
+		return
+	}
+	for i := range want.Rows {
+		for c := range want.Cols {
+			if !sameVal(want.Rows[i][c], got.Rows[i][c]) {
+				t.Fatalf("%s: cell[%d][%d]: row=%#v vec=%#v", label, i, c, want.Rows[i][c], got.Rows[i][c])
+			}
+		}
+	}
+}
+
+// TestFilterDiff holds the compiled kernel to the reference filter on every
+// shape it compiles, and the vectorized operator set — the kernel, or the
+// row path over worker spans for a shape the kernel declines — on all.
 func TestFilterDiff(t *testing.T) {
 	cols, srows := nastyData()
-	preds := []string{
+	preds := []struct {
+		sql      string
+		compiled bool
+	}{
 		// compiled comparisons, typed fast paths
-		"qty > 24",
-		"qty >= 24 AND qty <= 30",
-		"price < 100.5 OR price > 800",
-		"price = 'NaN'",
-		"ship >= '1994-01-01' AND ship < '1995-01-01'",
-		"ship = '1994-03-15'",
-		"flag = 'A' OR flag = 'R'",
-		"flag <> 'a'",
-		"name = '7'",
-		"name = ' 7'",
+		{"qty > 24", true},
+		{"qty >= 24 AND qty <= 30", true},
+		{"price < 100.5 OR price > 800", true},
+		{"price = 'NaN'", true},
+		{"ship >= '1994-01-01' AND ship < '1995-01-01'", true},
+		{"ship = '1994-03-15'", true},
+		{"flag = 'A' OR flag = 'R'", true},
+		{"flag <> 'a'", true},
+		{"name = '7'", true},
+		{"name = ' 7'", true},
 		// compiled BETWEEN / IN / IS NULL / LIKE / NOT
-		"qty BETWEEN 10 AND 40",
-		"qty NOT BETWEEN 10 AND 40",
-		"flag IN ('A', 'N')",
-		"flag NOT IN ('A', 'N')",
-		"qty IS NULL",
-		"qty IS NOT NULL AND price > 1",
-		"name LIKE 'item%'",
-		"name NOT LIKE '%a'",
-		"flag LIKE '_'",
-		"NOT (flag = 'A')",
+		{"qty BETWEEN 10 AND 40", true},
+		{"qty NOT BETWEEN 10 AND 40", true},
+		{"flag IN ('A', 'N')", true},
+		{"flag NOT IN ('A', 'N')", true},
+		{"qty IS NULL", true},
+		{"qty IS NOT NULL AND price > 1", true},
+		{"name LIKE 'item%'", true},
+		{"name NOT LIKE '%a'", true},
+		{"flag LIKE '_'", true},
+		{"NOT (flag = 'A')", true},
 		// boxed columns and column-vs-column
-		"mix > 2",
-		"mix = '1.5'",
-		"id = mix",
-		"name > flag",
+		{"mix > 2", true},
+		{"mix = '1.5'", true},
+		{"id = mix", true},
+		{"name > flag", true},
 		// constants
-		"1 = 1",
-		"1 = 0 OR flag = 'A'",
-		// fallback shapes (arithmetic, non-literal LIKE pattern — the row
-		// path evaluates the pattern on the first row each worker sees and
-		// caches it; identical spans make that deterministic in both paths)
-		"qty + 1 > 25",
-		"id - 1 < 100 AND qty > 24",
-		"name LIKE flag",
+		{"1 = 1", true},
+		{"1 = 0 OR flag = 'A'", true},
+		// declined shapes: arithmetic, a pattern that is not a literal (each
+		// row matches its own pattern, at any span boundary)
+		{"qty + 1 > 25", false},
+		{"id - 1 < 100 AND qty > 24", false},
+		{"name LIKE flag", false},
+		{"flag LIKE name || '%'", false},
 	}
 	for _, w := range workerCounts {
 		rel := rowRel(cols, srows)
 		b := vec.FromStrings(cols, srows, w)
 		for _, pred := range preds {
-			label := fmt.Sprintf("w=%d pred=%q", w, pred)
-			pe, perr := sqlparse.ParseExpr(pred)
+			label := fmt.Sprintf("w=%d pred=%q", w, pred.sql)
+			pe, perr := sqlparse.ParseExpr(pred.sql)
 			if perr != nil {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
-			want, wantErr := engine.Operators{}.Filter(rel, pe)
-			idx, gotErr := vec.Filter(b, pe, w)
-			if !sameErr(t, label, wantErr, gotErr) {
+			want, err := engine.Operators{}.Filter(rel, pe)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			got, err := engine.Operators{Vectorized: true, Workers: w}.Filter(rel, pe)
+			if err != nil {
+				t.Fatalf("%s: vectorized: %v", label, err)
+			}
+			sameRows(t, label, want, got)
+			idx, ok := vec.Filter(b, pe, w)
+			if ok != pred.compiled {
+				t.Errorf("%s: compiled %v, want %v", label, ok, pred.compiled)
+				continue
+			}
+			if !ok {
 				continue
 			}
 			if len(idx) != len(want.Rows) {
@@ -212,24 +246,33 @@ func TestFilterDiff(t *testing.T) {
 	}
 }
 
+// TestFilterErrDiff: NOT over a non-boolean column errors in the evaluator;
+// the kernel declines it, and the vectorized operator set surfaces the
+// reference's error — the lowest erroring row's — at every worker count.
 func TestFilterErrDiff(t *testing.T) {
 	cols, srows := nastyData()
 	rel := rowRel(cols, srows)
-	b := vec.FromStrings(cols, srows, 3)
-	// NOT over a non-boolean column errors in the evaluator; the vec path
-	// must fall back and surface the identical first-in-worker-order error.
-	pred := "NOT name"
-	pe, err := sqlparse.ParseExpr(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantErr := engine.Operators{}.Filter(rel, pe)
-	_, gotErr := vec.Filter(b, pe, 3)
-	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-		t.Fatalf("row err=%v vec err=%v", wantErr, gotErr)
+	for _, pred := range []string{"NOT name", "qty > 40 OR NOT name", "id > 100 AND NOT mix"} {
+		pe, err := sqlparse.ParseExpr(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantErr := engine.Operators{}.Filter(rel, pe)
+		if wantErr == nil {
+			t.Fatalf("%s: the reference kept its rows; want an error", pred)
+		}
+		for _, w := range workerCounts {
+			_, gotErr := engine.Operators{Vectorized: true, Workers: w}.Filter(rel, pe)
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("w=%d %s: row err=%v vec err=%v", w, pred, wantErr, gotErr)
+			}
+		}
 	}
 }
 
+// TestProjectDiff: the vectorized operator set projects as the reference,
+// at every worker count, and every projected row is its own window
+// (cap == len), so an append to one row never writes into the next.
 func TestProjectDiff(t *testing.T) {
 	cols, srows := nastyData()
 	itemLists := []string{
@@ -239,10 +282,12 @@ func TestProjectDiff(t *testing.T) {
 		"id, qty + 1 AS q1, price * 2 AS p2",
 		"'x' AS lit, id",
 		"ship, mix, name",
+		"*, id * 2 AS twice",
+		"id, qty / (id - 100) AS q", // division by zero at id 100
+		"id, mix + 1",               // arithmetic on "x0": the first boxed text cell
 	}
 	for _, w := range workerCounts {
 		rel := rowRel(cols, srows)
-		b := vec.FromStrings(cols, srows, w)
 		for _, items := range itemLists {
 			label := fmt.Sprintf("w=%d items=%q", w, items)
 			sel, perr := sqlparse.Parse("SELECT " + items + " FROM t")
@@ -250,24 +295,14 @@ func TestProjectDiff(t *testing.T) {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
 			want, wantErr := engine.Operators{}.Project(rel, sel.Items)
-			out, gotErr := vec.Project(b, sel, w)
+			got, gotErr := engine.Operators{Vectorized: true, Workers: w}.Project(rel, sel.Items)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
 			}
-			if fmt.Sprint(out.Cols) != fmt.Sprint(want.Cols) {
-				t.Errorf("%s: cols %v want %v", label, out.Cols, want.Cols)
-				continue
-			}
-			rows := out.ToRows()
-			if len(rows) != len(want.Rows) {
-				t.Errorf("%s: %d rows want %d", label, len(rows), len(want.Rows))
-				continue
-			}
-			for i := range rows {
-				for c := range want.Cols {
-					if !sameVal(want.Rows[i][c], rows[i][c]) {
-						t.Fatalf("%s: cell[%d][%d]: row=%#v vec=%#v", label, i, c, want.Rows[i][c], rows[i][c])
-					}
+			sameRows(t, label, want, got)
+			for i, row := range got.Rows {
+				if cap(row) != len(row) || cap(want.Rows[i]) != len(want.Rows[i]) {
+					t.Fatalf("%s: row %d has cap %d, len %d (reference cap %d)", label, i, cap(row), len(row), cap(want.Rows[i]))
 				}
 			}
 		}
@@ -372,9 +407,8 @@ func TestEmptyRelations(t *testing.T) {
 		t.Fatalf("empty FromStrings: len=%d", b.Len())
 	}
 	pe, _ := sqlparse.ParseExpr("a > 1")
-	idx, err := vec.Filter(b, pe, 3)
-	if err != nil || len(idx) != 0 {
-		t.Fatalf("empty filter: idx=%v err=%v", idx, err)
+	if idx, ok := vec.Filter(b, pe, 3); !ok || len(idx) != 0 {
+		t.Fatalf("empty filter: idx=%v compiled=%v", idx, ok)
 	}
 	sel, _ := sqlparse.Parse("SELECT a, COUNT(*) AS n FROM t GROUP BY a")
 	want, _ := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)

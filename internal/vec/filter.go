@@ -10,12 +10,12 @@ import (
 
 // The filter kernel compiles a predicate tree into bitmap evaluators when
 // every leaf is a supported shape (column/literal comparisons, BETWEEN,
-// IN over literals, IS NULL, LIKE, and AND/OR/NOT over those). Compiled
-// leaves cannot error, so evaluating them eagerly over the whole batch
-// preserves the row path's short-circuit semantics exactly. Any other
-// shape makes the whole predicate fall back to per-row evaluation with
-// the shared expression interpreter, which reproduces the row path's
-// behavior — including its errors — verbatim.
+// IN over literals, IS NULL, LIKE against a string literal, and AND/OR/NOT
+// over those). Compiled leaves cannot error, so evaluating them eagerly
+// over the whole batch preserves the row path's short-circuit semantics
+// exactly. Any other shape declines the whole predicate: the caller runs
+// it on the row path (engine.Operators), which owns evaluation order and
+// errors.
 
 // node is one compiled predicate: three-valued logic as a (true, null)
 // bitmap pair; false is the remainder.
@@ -26,45 +26,20 @@ type node struct {
 }
 
 // Filter evaluates pred over the batch and returns the kept row indexes,
-// ascending — the selection the engine's reference filter would keep.
-func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, error) {
-	n := b.Len()
-	if root, post, ok := compilePred(pred, b); ok {
-		_ = RunSpans(alignedSpans(n, workers), func(w int, sp Span) error {
-			for _, nd := range post {
-				nd.eval(nd, sp.Lo, sp.Hi)
-			}
-			return nil
-		})
-		return root.t.Indices(), nil
+// ascending — the selection the engine's reference filter would keep — and
+// true; or nil and false when pred is not a shape the kernel compiles.
+func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, bool) {
+	root, post, ok := compilePred(pred, b)
+	if !ok {
+		return nil, false
 	}
-	// Whole-predicate fallback: the same spans, evaluator and first-error
-	// contract as the reference filter (the lowest erroring row's error).
-	sps := RowSpans(n, workers)
-	kept := make([][]int, len(sps))
-	err := RunSpans(sps, func(w int, sp Span) error {
-		ev := expr.New()
-		env := &rowEnv{b: b}
-		for i := sp.Lo; i < sp.Hi; i++ {
-			env.i = i
-			ok, err := ev.EvalBool(pred, env)
-			if err != nil {
-				return err
-			}
-			if ok {
-				kept[w] = append(kept[w], i)
-			}
+	_ = RunSpans(alignedSpans(b.Len(), workers), func(w int, sp Span) error {
+		for _, nd := range post {
+			nd.eval(nd, sp.Lo, sp.Hi)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, n)
-	for _, k := range kept {
-		out = append(out, k...)
-	}
-	return out, nil
+	return root.t.Indices(), true
 }
 
 // compilePred compiles e into a bitmap-evaluator tree over b. The post
@@ -508,8 +483,7 @@ func compileLike(t *sqlparse.Like, b *Batch, alloc func(func(*node, int, int)) *
 }
 
 // compileBoolColumn compiles a bare boolean column used as a predicate.
-// Non-boolean bare columns are left to the fallback, which reproduces the
-// row path's behavior for those shapes.
+// Non-boolean bare columns are declined: the row path owns their behavior.
 func compileBoolColumn(t *sqlparse.Column, b *Batch, alloc func(func(*node, int, int)) *node) *node {
 	j := b.ColIndex(t.Name)
 	if j < 0 {

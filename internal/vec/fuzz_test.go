@@ -69,13 +69,20 @@ func FuzzVecDecode(f *testing.F) {
 
 		// Kernels over the decoded batch.
 		pred, _ := sqlparse.ParseExpr("c0 IS NOT NULL AND c0 >= '3'")
-		idx, err := vec.Filter(b, pred, 3)
-		want, wantErr := engine.Operators{}.Filter(rel, pred)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("filter err: vec=%v row=%v", err, wantErr)
+		idx, ok := vec.Filter(b, pred, 3)
+		want, err := engine.Operators{}.Filter(rel, pred)
+		if !ok || err != nil {
+			t.Fatalf("filter: compiled %v, reference err %v", ok, err)
 		}
-		if err == nil && len(idx) != len(want.Rows) {
+		if len(idx) != len(want.Rows) {
 			t.Fatalf("filter kept %d, reference %d", len(idx), len(want.Rows))
+		}
+		for r, i := range idx {
+			for c := range cols {
+				if w, g := want.Rows[r][c], b.Vecs[c].Value(i); w.Kind() != g.Kind() || w.String() != g.String() {
+					t.Fatalf("filter row %d col %d: row=%#v vec=%#v", r, c, w, g)
+				}
+			}
 		}
 		sel, _ := sqlparse.Parse("SELECT c0, COUNT(*) AS n FROM t GROUP BY c0")
 		gotCols, gotRows, err := vec.GroupBy(b, sel, 3)

@@ -214,7 +214,8 @@ func (b *Batch) ColIndex(name string) int {
 }
 
 // FromRows builds a batch from row-major values: FromRowsProjected over
-// every column. ok is always true.
+// every column, as the benchmark's conversion layer times it. ok is always
+// true.
 func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, bool) {
 	keep := make([]int, len(cols))
 	for i := range keep {
@@ -269,9 +270,9 @@ func (b *Batch) ToRows() [][]value.Value {
 	return rows
 }
 
-// rowEnv adapts one batch row to expr.Env for the kernels' expression
-// fallbacks. Reused across rows by mutating i, so per-row evaluation
-// allocates no environment.
+// rowEnv adapts one batch row to expr.Env for Accumulate's group keys and
+// aggregate arguments that are not bare columns. Reused across rows by
+// mutating i, so per-row evaluation allocates no environment.
 type rowEnv struct {
 	b *Batch
 	i int
