@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"pushdowndb/internal/s3api"
+	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/store"
 )
 
@@ -68,5 +70,84 @@ func TestConcurrentlyReportsFirstErrorInArgumentOrder(t *testing.T) {
 	)
 	if err != first {
 		t.Errorf("concurrently = %v, want the first argument's error", err)
+	}
+}
+
+// faultParts sends the selects of the partitions it names through their
+// Fault, and every other call straight to the backend.
+type faultParts struct {
+	s3api.Backend
+	faults map[string]*s3api.Fault
+}
+
+func (b faultParts) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+	if f, ok := b.faults[key]; ok {
+		return f.Select(ctx, bucket, key, req)
+	}
+	return b.Backend.Select(ctx, bucket, key, req)
+}
+
+// TestGroupedScanFaultMidFanOut: a grouped scan folds its responses in
+// partition order, each partition's waiting for the one before it. With the
+// first partition's response last to arrive, the groups still come out in
+// the concatenation's first-seen order. When the third of four partitions
+// fails while the first is stalled in storage, the statement returns the
+// third's error at once: the second and fourth, whose responses wait their
+// turn, stop waiting, the first's select is canceled, and no goroutine is
+// left behind.
+func TestGroupedScanFaultMidFanOut(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	var rows [][]string
+	for i := range 40 {
+		rows = append(rows, []string{fmt.Sprint(i / 5), fmt.Sprint(i)})
+	}
+	if err := PartitionTable(ctx, st, testBucket, "t", []string{"g", "v"}, rows, 4); err != nil {
+		t.Fatal(err)
+	}
+	st.Delete(testBucket, StatsKey("t")) // no pushed tail: the plain scan folds
+	parts := st.TableParts(testBucket, "t")
+	stalled, failing := s3api.NewFault(s3api.NewInProc(st)), s3api.NewFault(s3api.NewInProc(st))
+	backend := faultParts{Backend: s3api.NewInProc(st), faults: map[string]*s3api.Fault{parts[0]: stalled, parts[2]: failing}}
+	db, err := Open(testBucket, WithBackend("s3sim", backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g"
+
+	stalled.StallFor(20 * time.Millisecond)
+	ref, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ref.QueryContext(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := db.QueryContext(ctx, sql)
+	if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("first partition last to arrive: %v, %v; want %v", got, err, want.Rows)
+	}
+
+	stalled.StallFor(time.Minute)
+	failing.FailWith(errors.New("injected partition fault"))
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := db.QueryContext(ctx, sql)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the grouped scan did not return after a partition failed")
+	}
+	if err == nil || !strings.Contains(err.Error(), "injected partition fault") {
+		t.Fatalf("err = %v, want the failed partition's", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the statement returned, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

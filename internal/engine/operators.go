@@ -94,7 +94,7 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 	if pred == nil {
 		return rel, nil
 	}
-	if o.Vectorized {
+	if o.Vectorized && vec.Compiles(pred) {
 		if idx, ok := vec.Filter(o.batch(rel, []sqlparse.Expr{pred}), pred, o.Workers); ok {
 			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
 			for k, i := range idx {
@@ -330,38 +330,21 @@ func (e *Exec) projectLocal(rel *Relation, items []sqlparse.SelectItem) (*Relati
 }
 
 // groupByLocal runs the grouping operator (no keys: a plain aggregation)
-// over rel or, with rel nil, over the typed batches of a grouped scan,
-// folded in partition order into one group table — first-seen group order
-// and the first error are the concatenated relation's.
-func (e *Exec) groupByLocal(rel *Relation, batches []*vec.Batch, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+// over rel or, with a fold, finishes the group table a grouped scan folded
+// its responses into — first-seen group order and the first error are the
+// concatenated relation's.
+func (e *Exec) groupByLocal(rel *Relation, fold *vec.Fold, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	name := "groupby"
 	if len(keys) == 0 {
 		name = "aggregate"
 	}
-	return e.runOp(name, inputRows(rel, batches), func(o Operators) (*Relation, error) {
-		if rel != nil {
-			return o.GroupBy(rel, keys, items)
-		}
-		t := expr.NewGroups(expr.New(), keys, sqlparse.ItemExprs(items))
-		for _, b := range batches {
-			if err := vec.Accumulate(t, b, o.Workers); err != nil {
-				return nil, err
-			}
-		}
-		cols, rows, err := vec.Finish(t, items)
-		return &Relation{Cols: cols, Rows: rows}, err
-	})
-}
-
-// inputRows counts a tail's input rows: rel's, or with rel nil the batches'.
-func inputRows(rel *Relation, batches []*vec.Batch) (n int) {
-	if rel != nil {
-		return len(rel.Rows)
+	if fold != nil {
+		return e.runOp(name, int(fold.Rows), func(Operators) (*Relation, error) {
+			cols, rows, err := vec.Finish(fold.Table, items)
+			return &Relation{Cols: cols, Rows: rows}, err
+		})
 	}
-	for _, b := range batches {
-		n += b.Len()
-	}
-	return n
+	return e.runOp(name, len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
 }
 
 // hashJoinLocal performs the local build/probe and accounts the row work

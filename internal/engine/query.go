@@ -146,17 +146,21 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 	}
 
-	// A grouped tail folds the scan's responses as typed vectors and never
-	// sees a row.
-	grouped := e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates())
+	// A grouped tail folds the scan's responses into its group table as they
+	// arrive and never sees a row.
+	var fold *vec.Fold
+	if e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates()) {
+		items, _, _ := groupSortPlan(sel)
+		fold = vec.NewFold(sel.GroupBy, items)
+	}
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
-	rel, batches, err := e.selectDecoded(scan, table, sc.req, grouped)
+	rel, err := e.selectDecoded(scan, table, sc.req, fold)
 	scan.end(err)
 	if err != nil {
 		return nil, err
 	}
-	if grouped {
-		return e.finishTail(sel, rel, batches)
+	if fold != nil {
+		return e.finishTail(sel, nil, fold, fold.Rows)
 	}
 	if isSimple(sel) {
 		// Fully pushable: selection, projection and LIMIT all went to S3.
@@ -214,14 +218,13 @@ func isSimple(sel *sqlparse.Select) bool {
 // (or joined) relation: grouping/aggregation/projection, ordering and
 // limiting, with the row work accounted on the virtual clock.
 func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
-	return e.finishTail(sel, rel, nil)
+	return e.finishTail(sel, rel, nil, int64(len(rel.Rows)))
 }
 
-// finishTail is finishLocal whose grouping step reads rel or, with rel nil,
-// the typed batches of a grouped scan (groupByLocal): the one tail either
-// input finishes through.
-func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Batch) (*Relation, error) {
-	rowsIn := int64(inputRows(rel, batches))
+// finishTail is finishLocal over rowsIn rows, whose grouping step reads rel
+// or, with a fold, the group table a grouped scan folded (groupByLocal): the
+// one tail either input finishes through.
+func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *vec.Fold, rowsIn int64) (*Relation, error) {
 	st := e.step("local", "local", e.NextStage(), "")
 	st.sp.SetInt("rows_in", rowsIn)
 	st.AddServerRows(rowsIn)
@@ -231,15 +234,13 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 	orderBy := sel.OrderBy // the sort still owed once the switch is done
 	hidden := 0
 	switch {
-	case len(sel.GroupBy) > 0:
+	case len(sel.GroupBy) > 0 || sel.HasAggregates():
 		// ORDER BY may reference group-by expressions the select list
 		// drops; carry them through the grouping as hidden trailing items
 		// and strip them after the sort.
 		var items []sqlparse.SelectItem
 		items, orderBy, hidden = groupSortPlan(sel)
-		rel, err = e.groupByLocal(rel, batches, sel.GroupBy, items)
-	case sel.HasAggregates():
-		rel, err = e.groupByLocal(rel, batches, nil, sel.Items)
+		rel, err = e.groupByLocal(rel, fold, sel.GroupBy, items)
 	default:
 		// Sort before projecting: the projection may drop a column ORDER
 		// BY references (serverColumns pushed it into the scan precisely so
@@ -282,8 +283,11 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, batches []*vec.Ba
 // else — typically a group-by column the select list drops — becomes a
 // hidden trailing item evaluated by the grouping and stripped after the
 // sort. Returns the augmented select items, the ORDER BY over the grouped
-// output, and the hidden column count.
+// output, and the hidden column count; a plain aggregation's are its own.
 func groupSortPlan(sel *sqlparse.Select) (items []sqlparse.SelectItem, orderBy []sqlparse.OrderItem, hidden int) {
+	if len(sel.GroupBy) == 0 {
+		return sel.Items, sel.OrderBy, 0
+	}
 	outNames := map[string]bool{}
 	for _, it := range sel.Items {
 		outNames[sqlparse.NameKey(it.Name())] = true

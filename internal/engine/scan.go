@@ -331,7 +331,7 @@ func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Rela
 // pushed scan on the server (group-by, top-K, the Bloom build) begin with.
 func (e *Exec) selectMetered(name string, stage int, table string, req selectengine.Request, perRow int64) (*Relation, error) {
 	st := e.step(name, name, stage, table)
-	rel, _, err := e.selectDecoded(st, table, req, false)
+	rel, err := e.selectDecoded(st, table, req, nil)
 	if err == nil {
 		st.AddServerRows(int64(len(rel.Rows)) * perRow)
 	}
@@ -341,22 +341,38 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 
 // selectDecoded runs req on every partition of table, metered on st, and
 // decodes each response's body once, inside the fan-out, where LoadTable
-// decodes too: to a vec.Batch for a consumer that folds vectors (typed), and
-// no row is built, or to its part for the rest, whose rows are cut in
-// partition order into the relation once every partition has decoded. The
-// other result is nil. A body that is not the rows its stats claim fails
-// either way.
-func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, typed bool) (*Relation, []*vec.Batch, error) {
+// decodes too: to its part, whose rows are cut in partition order into the
+// relation once every partition has decoded, or with a fold into the fold's
+// group table, and no row is built (the relation is nil). Bodies fold in
+// partition order, as their concatenation would: partition i's waits for
+// partition i-1's fold, and overlaps the selects of the partitions after it.
+// A body that is not the rows its stats claim fails either way.
+func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *vec.Fold) (*Relation, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
-	batches := make([]*vec.Batch, len(keys))
 	parts := make([]part, len(keys))
-	_, err := e.selectOnParts(st, table, req, func(i int, res *selectengine.Result) (err error) {
+	var folded []chan struct{} // folded[i] closes once partition i has folded
+	if fold != nil {
+		folded = make([]chan struct{}, len(keys))
+		for i := range folded {
+			folded[i] = make(chan struct{})
+		}
+	}
+	_, err := e.selectOnParts(st, table, req, func(ctx context.Context, i int, res *selectengine.Result) (err error) {
+		if fold != nil && i > 0 {
+			select {
+			case <-folded[i-1]:
+			case <-ctx.Done(): // another partition failed, or the statement was canceled
+				return ctx.Err()
+			}
+		}
 		dec := st.sp.Child("decode")
 		defer dec.End()
 		claimed := res.Stats.RowsReturned
 		dec.SetInt("rows", claimed)
-		if typed {
-			batches[i], err = vec.FromCSV(res.Columns, res.Body, claimed)
+		if fold != nil {
+			if err = fold.CSV(res.Columns, res.Body, claimed); err == nil {
+				close(folded[i])
+			}
 			return err
 		}
 		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed))
@@ -366,18 +382,18 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, ty
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if typed {
-		st.sp.SetInt("rows", int64(inputRows(nil, batches)))
-		return nil, batches, nil
+	if fold != nil {
+		st.sp.SetInt("rows", fold.Rows)
+		return nil, nil
 	}
 	out, err := cutRows(parts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.sp.SetInt("rows", int64(len(out.Rows)))
-	return out, nil, nil
+	return out, nil
 }
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the

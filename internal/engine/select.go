@@ -35,9 +35,10 @@ func scanSelect(items []sqlparse.SelectItem, where sqlparse.Expr) *sqlparse.Sele
 // selectOnParts runs req against every partition of the table through its
 // backend's pipeline and returns the per-partition results, metered on st.
 // Each partition select becomes a child span of st's. each, when non-nil,
-// sees partition i's response inside the fan-out: a consumer's decode,
-// overlapping the selects still in flight; its error fails the fan-out.
-func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, each func(i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
+// sees partition i's response inside the fan-out, under its context: a
+// consumer's decode, overlapping the selects still in flight, after which
+// the result is not kept (nil); its error fails the fan-out.
+func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, each func(ctx context.Context, i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -48,10 +49,10 @@ func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, ea
 		if err != nil {
 			return fmt.Errorf("engine: select on %s: %w", key, err)
 		}
-		results[i] = res
 		if each != nil {
-			return each(i, res)
+			return each(ctx, i, res)
 		}
+		results[i] = res
 		return nil
 	})
 	if err != nil {

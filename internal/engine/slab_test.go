@@ -62,20 +62,27 @@ func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 // side: decoding a select response's body to rows, a GET's CSV, and sorting
 // cost a fixed number of allocations plus one per chunk as chunks double —
 // not one per row (SortLocal) or two (decodeCSV) — and the typed decodes of
-// a grouped scan (vec.FromCSV, vec.FromStrings) a few per column, none per
+// a grouped scan (vec.Fold, vec.FromStrings) a few per column, none per
 // cell, and no more than 12 bytes for a cell that is a number.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	orderBy := selectOf(t, "SELECT * FROM t ORDER BY o_totalprice DESC, o_orderkey").OrderBy
+	// A fold binds its table to a body's columns once; what each body costs
+	// after that is the pin.
+	count := selectOf(t, "SELECT COUNT(*) AS n FROM t")
+	fold := func(cols []string, body []byte, rows int) func() error {
+		f := vec.NewFold(nil, count.Items)
+		return func() error { return f.CSV(cols, body, int64(rows)) }
+	}
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
 		rel := relOf(cols, cells)
 		for name, run := range map[string]func() error{
 			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows)); return err },
-			"FromCSV":     func() error { _, err := vec.FromCSV(cols, body, int64(rows)); return err },
+			"Fold":        fold(cols, body, rows),
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":   func() error { _, err := cut(decodeCSV(data, nil)); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
@@ -97,7 +104,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 	numBody := csvx.Encode(nil, numbers)
 	for name, run := range map[string]func(){
 		"FromStrings": func() { vec.FromStrings(numCols, numbers, 2) },
-		"FromCSV":     func() { _, _ = vec.FromCSV(numCols, numBody, int64(len(numbers))) },
+		"Fold":        func() { _ = fold(numCols, numBody, len(numbers))() },
 	} {
 		if perCell := float64(allocatedBytes(run)) / float64(len(numbers)*len(numCols)); perCell > 12 {
 			t.Errorf("vec.%s allocates %.1f bytes per numeric cell, want at most 12", name, perCell)
@@ -114,53 +121,59 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestGroupedScanAllocatesPerColumn pins what the grouped scan is for: the
+// TestGroupedScanAllocatesPerChunk pins what the grouped scan is for: the
 // compute side of a Q1-shaped statement over a 4-partition table — the
 // responses come from the result cache, so storage's own work is not in the
-// figure; parse, plan, typed decode of the bodies, fold and finish are —
-// allocates under 13 bytes per returned cell (12.2 measured), about the
-// typed vectors' own payload. Decoding the same responses to rows first cost
-// about 50: 32 for the cell's value.Value and as much again re-laying it out.
-func TestGroupedScanAllocatesPerColumn(t *testing.T) {
+// figure; parse, plan, the chunked decode and fold of the bodies, and finish
+// are — allocates no more over 64k returned rows than over 8k, within a
+// fixed number of bytes and mallocs: each body is decoded a chunk at a time
+// into vectors every chunk reuses, never into vectors as long as the
+// response.
+func TestGroupedScanAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation sizes differ under the race detector")
-	}
-	const rows = 8000
-	cells := make([][]string, rows)
-	for i := range cells {
-		cells[i] = []string{"ANR"[i%3 : i%3+1], "OF"[i%2 : i%2+1], fmt.Sprint(1 + i%50), fmt.Sprintf("%d.%02d", 900+i%9000, i%100),
-			fmt.Sprintf("0.%02d", i%11), fmt.Sprintf("0.%02d", i%9), fmt.Sprintf("199%d-0%d-1%d", i%8, 1+i%9, i%10)}
-	}
-	st := store.New()
-	cols := []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}
-	if err := PartitionTable(context.Background(), st, testBucket, "lineitem", cols, cells, 4); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithResultCache(testCacheBudget))
-	if err != nil {
-		t.Fatal(err)
 	}
 	const q1 = `SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, SUM(l_extendedprice) AS sum_base_price,
 		SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
 		AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
 		FROM lineitem WHERE l_shipdate <= '1998-09-01' GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`
-	var returned int64
-	run := func() {
-		rel, e, err := db.QueryContext(context.Background(), q1)
-		if err != nil || len(rel.Rows) != 6 {
-			t.Fatalf("q1: %v, %v", rel, err)
+	measure := func(rows int) (bytes, mallocs float64) {
+		cells := make([][]string, rows)
+		for i := range cells {
+			cells[i] = []string{"ANR"[i%3 : i%3+1], "OF"[i%2 : i%2+1], fmt.Sprint(1 + i%50), fmt.Sprintf("%d.%02d", 900+i%9000, i%100),
+				fmt.Sprintf("0.%02d", i%11), fmt.Sprintf("0.%02d", i%9), fmt.Sprintf("199%d-0%d-1%d", i%8, 1+i%9, i%10)}
 		}
-		_, returned = e.Metrics.CacheTotals()
+		st := store.New()
+		cols := []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}
+		if err := PartitionTable(context.Background(), st, testBucket, "lineitem", cols, cells, 4); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithResultCache(testCacheBudget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var returned int64
+		run := func() {
+			rel, e, err := db.QueryContext(context.Background(), q1)
+			if err != nil || len(rel.Rows) != 6 {
+				t.Fatalf("q1: %v, %v", rel, err)
+			}
+			_, returned = e.Metrics.CacheTotals()
+		}
+		run() // fills the cache
+		bytes = float64(allocatedBytes(run))
+		if returned == 0 {
+			t.Fatal("the measured run was not served from the result cache")
+		}
+		return bytes, testing.AllocsPerRun(3, run)
 	}
-	run() // fills the cache
-	perCell := float64(allocatedBytes(run)) / float64(rows*6)
-	if returned == 0 {
-		t.Fatal("the measured run was not served from the result cache")
+	smallB, smallN := measure(8 << 10)
+	largeB, largeN := measure(64 << 10)
+	t.Logf("8k rows: %.0f bytes, %.0f mallocs; 64k rows: %.0f bytes, %.0f mallocs", smallB, smallN, largeB, largeN)
+	if largeB-smallB > 64<<10 || largeN-smallN > 64 {
+		t.Errorf("a grouped scan allocates %.0f bytes in %.0f mallocs over 8k returned rows and %.0f in %.0f over 64k; want at most 64 KiB and 64 mallocs more",
+			smallB, smallN, largeB, largeN)
 	}
-	if perCell > 13 {
-		t.Errorf("a grouped scan's compute side allocates %.1f bytes per returned cell, want at most 13", perCell)
-	}
-	t.Logf("%.1f bytes per returned cell", perCell)
 }
 
 // checkRowsDoNotAlias appends to every row of rel and expects the row
@@ -330,5 +343,31 @@ func TestBloomProbeRequestPrintsOnce(t *testing.T) {
 	}) / runs
 	if grew >= 3*uint64(size) {
 		t.Errorf("printing a %d-byte probe request allocates %d bytes (%.1fx), want under 3x", size, grew, float64(grew)/float64(size))
+	}
+}
+
+// TestDeclinedFilterBuildsNoVectors: a predicate the filter kernel does not
+// compile (arithmetic, here) runs the row path on the vectorized set too,
+// and is declined by its shape before any vector is built: over 1,000 rows
+// it allocates no more there than on the reference.
+func TestDeclinedFilterBuildsNoVectors(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rel := &Relation{Cols: []string{"a", "b", "c"}}
+	for i := range 1000 {
+		rel.Rows = append(rel.Rows, Row{value.Int(int64(i)), value.Str("x"), value.Float(float64(i) / 2)})
+	}
+	pred := selectOf(t, "SELECT * FROM t WHERE a + 1 < 500").Where
+	allocs := func(o Operators) float64 {
+		return testing.AllocsPerRun(10, func() {
+			out, err := o.Filter(rel, pred)
+			if err != nil || len(out.Rows) != 499 {
+				t.Fatalf("filter: %v, %v", out, err)
+			}
+		})
+	}
+	if vectorized, reference := allocs(Operators{Vectorized: true, Workers: 1}), allocs(Operators{}); vectorized > reference {
+		t.Errorf("a declined filter allocates %v times vectorized, %v on the reference", vectorized, reference)
 	}
 }

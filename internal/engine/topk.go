@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"slices"
 
@@ -67,7 +68,7 @@ func (e *Exec) SamplingTopK(sql string, sampleSize int64) (*Relation, error) {
 	st := e.step("sample "+table, "sample "+table, stage, table)
 	recs := make([][][]string, len(parts))
 	_, err = e.selectOnParts(st, table, e.db.request(table, keyProbe(sel, keys, max(sampleSize/int64(len(parts)), 1))),
-		func(i int, res *selectengine.Result) (err error) {
+		func(_ context.Context, i int, res *selectengine.Result) (err error) {
 			recs[i], err = res.Records()
 			return err
 		})

@@ -84,8 +84,9 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 }
 
 // runFolded runs sel's SELECT block as a grouped scan does: the filtered
-// rows cut into three batches (the middle one empty) and folded into one
-// group table. A block that groups nothing runs as runLocal runs it.
+// rows cut into three batches (the middle one empty), each folded into one
+// group table, which the scan's tail finishes. A block that groups nothing
+// runs as runLocal runs it.
 func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
 	o := Operators{Vectorized: true, Workers: 2}
 	if len(sel.GroupBy) == 0 && !sel.HasAggregates() {
@@ -96,15 +97,18 @@ func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, er
 		return nil, err
 	}
 	cut := len(rel.Rows) / 2
-	var batches []*vec.Batch
+	fold := vec.NewFold(sel.GroupBy, sel.Items)
 	for _, rows := range [][]Row{rel.Rows[:cut], nil, rel.Rows[cut:]} {
 		b, ok := vec.FromRows(rel.Cols, rows, 1)
 		if !ok {
 			t.Fatalf("ragged wire rows")
 		}
-		batches = append(batches, b)
+		if err := vec.Accumulate(fold.Table, b, 2); err != nil {
+			return nil, err
+		}
+		fold.Rows += int64(len(rows))
 	}
-	return openTestDB(t, store.New()).NewExecContext(context.Background()).groupByLocal(nil, batches, sel.GroupBy, sel.Items)
+	return openTestDB(t, store.New()).NewExecContext(context.Background()).groupByLocal(nil, fold, sel.GroupBy, sel.Items)
 }
 
 func TestBothSidesOfTheWire(t *testing.T) {

@@ -2,6 +2,7 @@ package vec_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/csvx"
@@ -120,11 +121,34 @@ func TestFromStringsDiff(t *testing.T) {
 		rows [][]string
 	}{{cols, srows}, {[]string{"a", "b"}, ragged}} {
 		rel := rowRel(in.cols, in.rows)
-		fromCSV, err := vec.FromCSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
+		// As a select response's body, folded a chunk at a time: grouped by
+		// every column, whose first is distinct per row, each group is its
+		// row's cells as decoded.
+		sel, err := sqlparse.Parse(fmt.Sprintf("SELECT %[1]s FROM t GROUP BY %[1]s", strings.Join(in.cols, ", ")))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches := map[string]*vec.Batch{"FromCSV": fromCSV}
+		for _, chunk := range []int{1, 2, 7, 1024} {
+			was := vec.SetChunkRows(chunk)
+			fold := vec.NewFold(sel.GroupBy, sel.Items)
+			err := fold.CSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
+			vec.SetChunkRows(was)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rows, err := vec.Finish(fold.Table, sel.Items)
+			if err != nil || len(rows) != len(rel.Rows) {
+				t.Fatalf("fold in chunks of %d: %d rows, %v; want %d", chunk, len(rows), err, len(rel.Rows))
+			}
+			for i, row := range rel.Rows {
+				for c := range in.cols {
+					if want, got := row[c], rows[i][c]; !sameVal(want, got) {
+						t.Fatalf("fold in chunks of %d: cell[%d][%s]: row=%#v vec=%#v", chunk, i, in.cols[c], want, got)
+					}
+				}
+			}
+		}
+		batches := map[string]*vec.Batch{}
 		for _, w := range workerCounts {
 			batches[fmt.Sprintf("FromStrings w=%d", w)] = vec.FromStrings(in.cols, in.rows, w)
 		}

@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"slices"
 	"strings"
 
 	"pushdowndb/internal/expr"
@@ -11,11 +12,11 @@ import (
 // The filter kernel compiles a predicate tree into bitmap evaluators when
 // every leaf is a supported shape (column/literal comparisons, BETWEEN,
 // IN over literals, IS NULL, LIKE against a string literal, and AND/OR/NOT
-// over those). Compiled leaves cannot error, so evaluating them eagerly
-// over the whole batch preserves the row path's short-circuit semantics
-// exactly. Any other shape declines the whole predicate: the caller runs
-// it on the row path (engine.Operators), which owns evaluation order and
-// errors.
+// over those; Compiles). Compiled leaves cannot error, so evaluating them
+// eagerly over the whole batch preserves the row path's short-circuit
+// semantics exactly. Any other shape declines the whole predicate: the
+// caller runs it on the row path (engine.Operators), which owns evaluation
+// order and errors.
 
 // node is one compiled predicate: three-valued logic as a (true, null)
 // bitmap pair; false is the remainder.
@@ -29,6 +30,9 @@ type node struct {
 // ascending — the selection the engine's reference filter would keep — and
 // true; or nil and false when pred is not a shape the kernel compiles.
 func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, bool) {
+	if !Compiles(pred) {
+		return nil, false
+	}
 	root, post, ok := compilePred(pred, b)
 	if !ok {
 		return nil, false
@@ -42,9 +46,44 @@ func Filter(b *Batch, pred sqlparse.Expr, workers int) ([]int, bool) {
 	return root.t.Indices(), true
 }
 
-// compilePred compiles e into a bitmap-evaluator tree over b. The post
-// slice lists nodes in evaluation (children-first) order. ok is false
-// when any part of the tree is not a supported kernel shape.
+// Compiles reports whether pred's shape is one Filter compiles, which needs
+// no batch: a caller declines the rest before it builds one. Filter may
+// still decline a predicate that passes, over the batch's columns (a name
+// that does not resolve, a bare column that is not boolean).
+func Compiles(pred sqlparse.Expr) bool {
+	lits := func(es ...sqlparse.Expr) bool {
+		return !slices.ContainsFunc(es, func(e sqlparse.Expr) bool { _, ok := e.(*sqlparse.Literal); return !ok })
+	}
+	col := func(e sqlparse.Expr) bool { _, ok := e.(*sqlparse.Column); return ok }
+	switch t := pred.(type) {
+	case *sqlparse.Binary:
+		switch t.Op {
+		case sqlparse.OpAnd, sqlparse.OpOr:
+			return Compiles(t.L) && Compiles(t.R)
+		case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
+			return (col(t.L) || lits(t.L)) && (col(t.R) || lits(t.R))
+		}
+	case *sqlparse.Unary:
+		return t.Op == "NOT" && Compiles(t.X)
+	case *sqlparse.Between:
+		return col(t.X) && lits(t.Lo, t.Hi)
+	case *sqlparse.In:
+		return col(t.X) && lits(t.List...)
+	case *sqlparse.IsNull:
+		return col(t.X) || lits(t.X)
+	case *sqlparse.Like:
+		return col(t.X) && lits(t.Pattern) && t.Pattern.(*sqlparse.Literal).Val.Kind() == value.KindString
+	case *sqlparse.Column:
+		return true
+	case *sqlparse.Literal:
+		return t.Val.IsNull() || t.Val.Kind() == value.KindBool
+	}
+	return false
+}
+
+// compilePred compiles e, a shape Compiles accepts, into a bitmap-evaluator
+// tree over b. The post slice lists nodes in evaluation (children-first)
+// order. ok is false when a leaf does not compile over b's columns.
 func compilePred(e sqlparse.Expr, b *Batch) (root *node, post []*node, ok bool) {
 	var build func(e sqlparse.Expr) *node
 	alloc := func(eval func(nd *node, lo, hi int)) *node {
@@ -55,28 +94,22 @@ func compilePred(e sqlparse.Expr, b *Batch) (root *node, post []*node, ok bool) 
 	build = func(e sqlparse.Expr) *node {
 		switch t := e.(type) {
 		case *sqlparse.Binary:
-			switch t.Op {
-			case sqlparse.OpAnd, sqlparse.OpOr:
-				a := build(t.L)
-				if a == nil {
-					return nil
-				}
-				c := build(t.R)
-				if c == nil {
-					return nil
-				}
-				isAnd := t.Op == sqlparse.OpAnd
-				nd := alloc(func(nd *node, lo, hi int) { evalLogic(nd, lo, hi, isAnd) })
-				nd.a, nd.b = a, c
-				return nd
-			case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
+			if t.Op != sqlparse.OpAnd && t.Op != sqlparse.OpOr {
 				return compileCmp(t, b, alloc)
 			}
-			return nil
-		case *sqlparse.Unary:
-			if t.Op != "NOT" {
+			a := build(t.L)
+			if a == nil {
 				return nil
 			}
+			c := build(t.R)
+			if c == nil {
+				return nil
+			}
+			isAnd := t.Op == sqlparse.OpAnd
+			nd := alloc(func(nd *node, lo, hi int) { evalLogic(nd, lo, hi, isAnd) })
+			nd.a, nd.b = a, c
+			return nd
+		case *sqlparse.Unary:
 			a := build(t.X)
 			if a == nil {
 				return nil
@@ -94,10 +127,8 @@ func compilePred(e sqlparse.Expr, b *Batch) (root *node, post []*node, ok bool) 
 			return compileLike(t, b, alloc)
 		case *sqlparse.Column:
 			return compileBoolColumn(t, b, alloc)
-		case *sqlparse.Literal:
-			return compileBoolLiteral(t, alloc)
 		}
-		return nil
+		return compileBoolLiteral(e.(*sqlparse.Literal), alloc)
 	}
 	root = build(e)
 	return root, post, root != nil
@@ -149,19 +180,17 @@ type operand struct {
 	lit value.Value
 }
 
-func compileOperand(e sqlparse.Expr, b *Batch) (operand, bool) {
-	switch t := e.(type) {
-	case *sqlparse.Literal:
-		return operand{lit: t.Val}, true
-	case *sqlparse.Column:
+// compileOperand resolves e, a column or a literal; ok is false for a column
+// b does not have.
+func compileOperand(e sqlparse.Expr, b *Batch) (_ operand, ok bool) {
+	if c, isCol := e.(*sqlparse.Column); isCol {
 		// Qualifiers are ignored, as in the row path's Env lookup.
-		j := b.ColIndex(t.Name)
-		if j < 0 {
-			return operand{}, false
+		if j := b.ColIndex(c.Name); j >= 0 {
+			return operand{vec: b.Vecs[j]}, true
 		}
-		return operand{vec: b.Vecs[j]}, true
+		return operand{}, false
 	}
-	return operand{}, false
+	return operand{lit: e.(*sqlparse.Literal).Val}, true
 }
 
 func opHolds(op sqlparse.BinaryOp, c int) bool {
@@ -353,11 +382,7 @@ func compileBetween(t *sqlparse.Between, b *Batch, alloc func(func(*node, int, i
 	if !ok || x.vec == nil {
 		return nil
 	}
-	lo, lok := t.Lo.(*sqlparse.Literal)
-	hi, hok := t.Hi.(*sqlparse.Literal)
-	if !lok || !hok {
-		return nil
-	}
+	lo, hi := t.Lo.(*sqlparse.Literal), t.Hi.(*sqlparse.Literal)
 	if lo.Val.IsNull() || hi.Val.IsNull() {
 		return alloc(evalAllNull)
 	}
@@ -388,11 +413,7 @@ func compileIn(t *sqlparse.In, b *Batch, alloc func(func(*node, int, int)) *node
 	}
 	lits := make([]value.Value, len(t.List))
 	for i, item := range t.List {
-		l, isLit := item.(*sqlparse.Literal)
-		if !isLit {
-			return nil
-		}
-		lits[i] = l.Val
+		lits[i] = item.(*sqlparse.Literal).Val
 	}
 	v, not := x.vec, t.Not
 	return alloc(func(nd *node, lo, hi int) {
@@ -449,11 +470,7 @@ func compileLike(t *sqlparse.Like, b *Batch, alloc func(func(*node, int, int)) *
 	if !ok || x.vec == nil {
 		return nil
 	}
-	p, isLit := t.Pattern.(*sqlparse.Literal)
-	if !isLit || p.Val.Kind() != value.KindString {
-		return nil
-	}
-	pattern := p.Val.AsString()
+	pattern := t.Pattern.(*sqlparse.Literal).Val.AsString()
 	v, not := x.vec, t.Not
 	if v.typed(value.KindString) {
 		strs := v.Strs
@@ -508,19 +525,17 @@ func compileBoolColumn(t *sqlparse.Column, b *Batch, alloc func(func(*node, int,
 	})
 }
 
+// compileBoolLiteral compiles a NULL or boolean literal used as a predicate.
 func compileBoolLiteral(t *sqlparse.Literal, alloc func(func(*node, int, int)) *node) *node {
-	switch t.Val.Kind() {
-	case value.KindNull:
+	if t.Val.IsNull() {
 		return alloc(evalAllNull)
-	case value.KindBool:
-		hold := t.Val.AsBool()
-		return alloc(func(nd *node, lo, hi int) {
-			if hold {
-				for i := lo; i < hi; i++ {
-					nd.t.Set(i)
-				}
-			}
-		})
 	}
-	return nil
+	hold := t.Val.AsBool()
+	return alloc(func(nd *node, lo, hi int) {
+		if hold {
+			for i := lo; i < hi; i++ {
+				nd.t.Set(i)
+			}
+		}
+	})
 }

@@ -3,12 +3,12 @@ package vec_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
-	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -42,27 +42,14 @@ func FuzzVecDecode(f *testing.F) {
 		}
 		b := vec.FromStrings(cols, rows, 3)
 		rel := rowRel(cols, rows)
-		// The same rows as a select response's body, decoded by FromCSV.
-		// Storage writes every row as wide as the columns (value.CSVCell).
-		wide := make([][]string, len(rows))
-		for i, r := range rows {
-			wide[i] = make([]string, len(cols))
-			copy(wide[i], r)
+		if b.Len() != len(rel.Rows) {
+			t.Fatalf("decoded %d rows, reference %d", b.Len(), len(rel.Rows))
 		}
-		fromCSV, err := vec.FromCSV(cols, csvx.Encode(nil, wide), int64(len(rows)))
-		if err != nil {
-			t.Fatalf("FromCSV: %v", err)
-		}
-		for _, b := range []*vec.Batch{b, fromCSV} {
-			if b.Len() != len(rel.Rows) {
-				t.Fatalf("decoded %d rows, reference %d", b.Len(), len(rel.Rows))
-			}
-			for i := range rel.Rows {
-				for c := range cols {
-					w, g := rel.Rows[i][c], b.Vecs[c].Value(i)
-					if w.Kind() != g.Kind() || w.String() != g.String() {
-						t.Fatalf("cell[%d][%d]: row=%#v vec=%#v", i, c, w, g)
-					}
+		for i := range rel.Rows {
+			for c := range cols {
+				w, g := rel.Rows[i][c], b.Vecs[c].Value(i)
+				if w.Kind() != g.Kind() || w.String() != g.String() {
+					t.Fatalf("cell[%d][%d]: row=%#v vec=%#v", i, c, w, g)
 				}
 			}
 		}
@@ -90,13 +77,12 @@ func FuzzVecDecode(f *testing.F) {
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("group-by err: vec=%v row=%v", err, wantErr)
 		}
-		sameGroups := func(what string, gotRows [][]value.Value) {
-			if len(gotRows) != len(wantG.Rows) || len(gotCols) != len(wantG.Cols) {
-				t.Fatalf("%s %d x %d, reference %d x %d",
-					what, len(gotRows), len(gotCols), len(wantG.Rows), len(wantG.Cols))
+		sameGroups := func(what string, wantG *engine.Relation, gotRows [][]value.Value) {
+			if len(gotRows) != len(wantG.Rows) {
+				t.Fatalf("%s %d rows, reference %d", what, len(gotRows), len(wantG.Rows))
 			}
 			for i := range gotRows {
-				for c := range gotCols {
+				for c := range wantG.Cols {
 					w, g := wantG.Rows[i][c], gotRows[i][c]
 					if w.Kind() != g.Kind() || w.String() != g.String() {
 						t.Fatalf("%s[%d][%d]: row=%#v vec=%#v", what, i, c, w, g)
@@ -107,28 +93,44 @@ func FuzzVecDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sameGroups("group-by", gotRows)
+		if len(gotCols) != len(wantG.Cols) {
+			t.Fatalf("group-by %d columns, reference %d", len(gotCols), len(wantG.Cols))
+		}
+		sameGroups("group-by", wantG, gotRows)
 
-		// The grouped scan's fold: the rows cut into one to three slices (the
-		// input's first and last byte choose where), each decoded on its own — so a
-		// column may be typed one way in one slice and another in the next —
-		// and accumulated into one table, against the whole-table reference.
+		// The grouped scan's fold, grouping by every column so that each
+		// distinct row's cells are a group's: the rows cut into one to three
+		// slices (the input's first and last byte choose where), each a select
+		// response's body, as wide as the columns (value.CSVCell), folded in
+		// order a chunk of 1 to 8 rows at a time (the middle byte chooses) —
+		// so a column may be typed one way in one chunk and another in the
+		// next — against the whole-table reference.
+		all, err := sqlparse.Parse(fmt.Sprintf("SELECT %[1]s, COUNT(*) AS n FROM t GROUP BY %[1]s", strings.Join(cols, ", ")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAll, err := engine.Operators{}.GroupBy(rel, all.GroupBy, all.Items)
+		if err != nil {
+			t.Fatalf("reference group-by: %v", err)
+		}
+		wide := make([][]string, len(rows))
+		for i, r := range rows {
+			wide[i] = make([]string, len(cols))
+			copy(wide[i], r)
+		}
 		cuts := []int{0, int(data[0]) % (len(rows) + 1), int(data[len(data)-1]) % (len(rows) + 1), len(rows)}
 		sort.Ints(cuts)
-		table := expr.NewGroups(expr.New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+		defer vec.SetChunkRows(vec.SetChunkRows(1 + int(data[len(data)/2])%8))
+		fold := vec.NewFold(all.GroupBy, all.Items)
 		for k := 1; k < len(cuts); k++ {
-			part := vec.FromStrings(cols, rows[cuts[k-1]:cuts[k]], 2)
-			if err := vec.Accumulate(table, part, k); err != nil {
-				t.Fatalf("accumulate slice %d: %v", k, err)
+			if err := fold.CSV(cols, csvx.Encode(nil, wide[cuts[k-1]:cuts[k]]), int64(cuts[k]-cuts[k-1])); err != nil {
+				t.Fatalf("fold slice %d: %v", k, err)
 			}
 		}
-		var folded [][]value.Value
-		if err := table.Finish(func(row []value.Value) error {
-			folded = append(folded, append([]value.Value(nil), row...))
-			return nil
-		}); err != nil {
+		_, folded, err := vec.Finish(fold.Table, all.Items)
+		if err != nil {
 			t.Fatalf("finish: %v", err)
 		}
-		sameGroups("fold", folded)
+		sameGroups("fold", wantAll, folded)
 	})
 }

@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"strconv"
-
 	"pushdowndb/internal/arena"
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
@@ -42,146 +40,120 @@ func Finish(t *expr.Groups, items []sqlparse.SelectItem) ([]string, [][]value.Va
 // would. One worker folds straight into t; more each fill a partial table
 // over a contiguous span, and the partials merge into t in span order
 // (reproducing the sequential first-seen group order). The speedup comes
-// from rendering group keys straight from typed payloads and feeding
-// aggregate inputs without per-row environment lookups.
+// from the binding: keys and aggregate inputs that are columns are read
+// from their vectors by ordinal, with no per-row environment lookup.
 func Accumulate(t *expr.Groups, b *Batch, workers int) error {
-	// Classify each group key: a resolvable bare column renders its key
-	// bytes from the typed payload; anything else evaluates per row.
-	type keySrc struct {
-		col int // -1: evaluate expr
-		e   sqlparse.Expr
-	}
-	keys := make([]keySrc, len(t.Keys()))
-	for j, g := range t.Keys() {
-		keys[j] = keySrc{col: -1, e: g}
-		if c, ok := g.(*sqlparse.Column); ok {
-			if idx := b.ColIndex(c.Name); idx >= 0 {
-				keys[j].col = idx
-			}
-		}
-	}
-	// Classify each aggregate argument the same way. The classification is
-	// over the aggregate nodes CollectAggregates finds, in the same order
-	// every runner's States() uses.
-	aggNodes := t.Aggregates()
-	type aggSrc struct {
-		star bool
-		col  int // -1: evaluate expr
-		e    sqlparse.Expr
-	}
-	aggSrcs := make([]aggSrc, len(aggNodes))
-	for k, a := range aggNodes {
-		if _, isStar := a.X.(*sqlparse.Star); isStar {
-			aggSrcs[k] = aggSrc{star: true}
-			continue
-		}
-		aggSrcs[k] = aggSrc{col: -1, e: a.X}
-		if c, ok := a.X.(*sqlparse.Column); ok {
-			if idx := b.ColIndex(c.Name); idx >= 0 {
-				aggSrcs[k].col = idx
-			}
-		}
-	}
-
 	sps := RowSpans(b.Len(), workers)
+	if len(sps) <= 1 {
+		return bind(t, b).fold(0, b.Len())
+	}
 	parts := make([]*expr.Groups, len(sps))
 	err := RunSpans(sps, func(w int, sp Span) error {
-		ev := expr.New()
-		env := &rowEnv{b: b}
-		p := t
-		if len(sps) > 1 {
-			p = t.Partial()
-		}
-		var buf []byte
-		keyVals := make([]value.Value, len(keys)) // Insert copies it
-		var memoDays int64
-		var memoStr string
-		memoOK := false
-		for i := sp.Lo; i < sp.Hi; i++ {
-			env.i = i
-			buf = buf[:0]
-			for j := range keys {
-				if c := keys[j].col; c >= 0 {
-					v := b.Vecs[c]
-					if v.Boxed == nil && !v.IsNull(i) {
-						switch v.Kind {
-						case value.KindInt:
-							buf = strconv.AppendInt(buf, v.Ints[i], 10)
-						case value.KindFloat:
-							buf = strconv.AppendFloat(buf, v.Floats[i], 'f', -1, 64)
-						case value.KindString:
-							buf = append(buf, v.Strs[i]...)
-						case value.KindBool:
-							if v.Ints[i] != 0 {
-								buf = append(buf, "true"...)
-							} else {
-								buf = append(buf, "false"...)
-							}
-						case value.KindDate:
-							if !memoOK || v.Ints[i] != memoDays {
-								memoDays, memoStr, memoOK = v.Ints[i], value.FormatDays(v.Ints[i]), true
-							}
-							buf = append(buf, memoStr...)
-						}
-					} else if v.Boxed != nil {
-						buf = append(buf, v.Boxed[i].String()...)
-					}
-					// NULL renders as the empty string: append nothing.
-				} else {
-					v, err := ev.Eval(keys[j].e, env)
-					if err != nil {
-						return err
-					}
-					buf = append(buf, v.String()...)
-				}
-				buf = append(buf, 0)
-			}
-			gs := p.Find(buf)
-			if gs == nil {
-				for j := range keys {
-					if c := keys[j].col; c >= 0 {
-						keyVals[j] = b.Vecs[c].Value(i)
-					} else {
-						v, err := ev.Eval(keys[j].e, env)
-						if err != nil {
-							return err
-						}
-						keyVals[j] = v
-					}
-				}
-				gs = p.Insert(buf, keyVals)
-			}
-			states := gs.States
-			for a := range aggSrcs {
-				switch {
-				case aggSrcs[a].star:
-					if err := states[a].Add(value.Int(1)); err != nil {
-						return err
-					}
-				case aggSrcs[a].col >= 0:
-					if err := states[a].Add(b.Vecs[aggSrcs[a].col].Value(i)); err != nil {
-						return err
-					}
-				default:
-					v, err := ev.Eval(aggSrcs[a].e, env)
-					if err != nil {
-						return err
-					}
-					if err := states[a].Add(v); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		parts[w] = p
-		return nil
+		parts[w] = t.Partial()
+		return bind(parts[w], b).fold(sp.Lo, sp.Hi)
 	})
-	if err != nil || len(sps) == 1 {
-		return err
-	}
 	for _, p := range parts {
-		if err := t.Merge(p); err != nil {
-			return err
+		if err == nil {
+			err = t.Merge(p)
+		}
+	}
+	return err
+}
+
+// binding is Accumulate's first half, done once per batch layout: each group
+// key and aggregate argument of a table resolved to the ordinal of the
+// batch's column it is, or kept as an expression to evaluate per row. fold,
+// the second half, allocates nothing but the table's new groups.
+type binding struct {
+	t          *expr.Groups
+	b          *Batch
+	keys, aggs []source
+	ev         *expr.Evaluator
+	env        rowEnv
+	key        []byte
+	keyVals    []value.Value // Insert copies it
+	day        value.Value   // the last date key rendered, as dayText
+	dayText    []byte
+}
+
+// source is a column's ordinal, or with col < 0 an expression (nil:
+// COUNT(*)'s row marker).
+type source struct {
+	col int
+	e   sqlparse.Expr
+}
+
+func bind(t *expr.Groups, b *Batch) *binding {
+	x := &binding{t: t, b: b, ev: expr.New(), env: rowEnv{b: b}, keyVals: make([]value.Value, len(t.Keys()))}
+	for _, k := range t.Keys() {
+		x.keys = append(x.keys, x.source(k))
+	}
+	for _, a := range t.Aggregates() {
+		if _, star := a.X.(*sqlparse.Star); star {
+			x.aggs = append(x.aggs, source{col: -1})
+		} else {
+			x.aggs = append(x.aggs, x.source(a.X))
+		}
+	}
+	return x
+}
+
+// source resolves e to the batch's column it names, if it is one.
+func (x *binding) source(e sqlparse.Expr) source {
+	if c, ok := e.(*sqlparse.Column); ok {
+		if j := x.b.ColIndex(c.Name); j >= 0 {
+			return source{col: j}
+		}
+	}
+	return source{col: -1, e: e}
+}
+
+// at is s's value at row i.
+func (x *binding) at(s source, i int) (value.Value, error) {
+	switch {
+	case s.col >= 0:
+		return x.b.Vecs[s.col].Value(i), nil
+	case s.e == nil:
+		return value.Int(1), nil
+	}
+	x.env.i = i
+	return x.ev.Eval(s.e, &x.env)
+}
+
+// fold folds rows [lo, hi) of the batch into the table, in row order. Each
+// key is read or evaluated once per row, and a new group keeps the values
+// its key was rendered from.
+func (x *binding) fold(lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		key := x.key[:0]
+		for j, k := range x.keys {
+			kv, err := x.at(k, i)
+			if err != nil {
+				return err
+			}
+			if x.keyVals[j] = kv; kv.Kind() != value.KindDate {
+				key = kv.Append(key) // NULL renders as nothing
+			} else {
+				if kv != x.day {
+					x.day, x.dayText = kv, kv.Append(x.dayText[:0])
+				}
+				key = append(key, x.dayText...)
+			}
+			key = append(key, 0)
+		}
+		x.key = key
+		g := x.t.Find(key)
+		if g == nil {
+			g = x.t.Insert(key, x.keyVals)
+		}
+		for a, s := range x.aggs {
+			v, err := x.at(s, i)
+			if err == nil {
+				err = g.States[a].Add(v)
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,11 +1,13 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"pushdowndb/internal/race"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
@@ -177,25 +179,37 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromCSVRefusesAMiscountedBody: the vectors are sized for the rows a
+// TestFoldRefusesAMiscountedBody: a fold lays its chunks out for the rows a
 // response claims, so a body holding more or fewer, a claim past what the
 // body's bytes can hold, or a body that does not scan is an error, never a
-// short batch, an index panic or an allocation the body cannot back.
-func TestFromCSVRefusesAMiscountedBody(t *testing.T) {
+// short fold, an index panic or an allocation the body cannot back — with
+// the shortfall inside a chunk or at its edge.
+func TestFoldRefusesAMiscountedBody(t *testing.T) {
+	defer SetChunkRows(SetChunkRows(1024))
 	cols := []string{"a", "b"}
-	for _, tc := range []struct {
-		body string
-		rows int64
-	}{
-		{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
-	} {
-		if b, err := FromCSV(cols, []byte(tc.body), tc.rows); err == nil {
-			t.Errorf("FromCSV(%q, %d rows) = %d rows, want an error", tc.body, tc.rows, b.Len())
-		}
+	sel, err := sqlparse.Parse("SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b")
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, err := FromCSV(cols, []byte("1,x\n\n3,\"y,z\"\n"), 3)
-	if err != nil || b.Len() != 3 || b.Vecs[0].Value(2).AsInt() != 3 || b.Vecs[1].Value(2).AsString() != "y,z" || !b.Vecs[0].IsNull(1) {
-		t.Errorf("FromCSV over a well-formed body: %v, %v", b, err)
+	for _, chunk := range []int{1, 2, 1024} {
+		SetChunkRows(chunk)
+		for _, tc := range []struct {
+			body string
+			rows int64
+		}{
+			{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
+		} {
+			if err := NewFold(sel.GroupBy, sel.Items).CSV(cols, []byte(tc.body), tc.rows); err == nil {
+				t.Errorf("chunks of %d: Fold.CSV(%q, %d rows) folded, want an error", chunk, tc.body, tc.rows)
+			}
+		}
+		f := NewFold(sel.GroupBy, sel.Items)
+		err := f.CSV(cols, []byte("1,x\n\n3,\"y,z\"\n"), 3)
+		_, rows, ferr := Finish(f.Table, sel.Items)
+		if err != nil || ferr != nil || f.Rows != 3 || len(rows) != 3 ||
+			rows[0][0].AsInt() != 1 || !rows[1][0].IsNull() || !rows[1][1].IsNull() || rows[2][1].AsString() != "y,z" {
+			t.Errorf("chunks of %d: a well-formed body folds to %v (%d rows), %v, %v", chunk, rows, f.Rows, err, ferr)
+		}
 	}
 }
 
@@ -243,3 +257,34 @@ func BenchmarkJoinPairs(b *testing.B) {
 
 // joinSink keeps the benchmark's result live.
 var joinSink []int
+
+// TestGroupKeyEvaluatedOnce: a group key that is not a bare column is
+// evaluated once per row, and a new group keeps the value its key was
+// rendered from. UPPER allocates its result, so folding 2,000 rows into as
+// many groups costs about one allocation per row more than folding them into
+// one group only if each new group evaluates its key again.
+func TestGroupKeyEvaluatedOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sel, err := sqlparse.Parse("SELECT UPPER(s) AS u, COUNT(*) AS n FROM t GROUP BY UPPER(s)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 2000
+	allocs := func(distinct int) float64 {
+		vals := make([]value.Value, rows)
+		for i := range vals {
+			vals[i] = value.Str(fmt.Sprintf("k%d", i%distinct))
+		}
+		b := NewBatch([]string{"s"}, []*Vector{FromValues(vals)})
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := GroupBy(b, sel, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(rows); many-one > rows/2 {
+		t.Errorf("folding %d rows into one group allocates %v times, into %d groups %v: a new group evaluates its key again", rows, one, rows, many)
+	}
+}

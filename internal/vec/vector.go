@@ -25,6 +25,10 @@ type Vector struct {
 	Nulls  *Bitmap
 	Boxed  []value.Value
 	n      int
+	// The null bitmap and boxed column a vector laid out again (Over) keeps
+	// for its next NULL or mixed-kind column, as it keeps every payload.
+	nulls Bitmap
+	boxed []value.Value
 }
 
 // Len returns the number of rows.
@@ -78,10 +82,10 @@ func (v *Vector) typed(k value.Kind) bool {
 func NewVector(k value.Kind, n int) *Vector { return Over(nil, k, n) }
 
 // Over lays an n-row kind-k vector, zeroed and with no NULLs, over dst's
-// payload array where it has room (a nil dst allocates), for the caller to
-// fill in place: how a decoder that knows a column's kind (colformat) builds
-// the layout FromValues infers, each row group into the previous one's
-// vector. KindNull, the all-NULL column, has no payload.
+// arrays where they have room (a nil dst allocates), for the caller to fill
+// in place: how a decoder builds the layout FromValues infers, each row
+// group or chunk into the previous one's vector, whatever its kind was.
+// KindNull, the all-NULL column, has no payload.
 func Over(dst *Vector, k value.Kind, n int) *Vector {
 	if dst == nil {
 		dst = &Vector{}
@@ -92,17 +96,17 @@ func Over(dst *Vector, k value.Kind, n int) *Vector {
 }
 
 // setKind gives an all-NULL vector kind k and its zeroed payload, in the
-// vector's own array of that payload type when it has room.
+// vector's own array of that payload type when it has room; the other
+// payload arrays keep their storage, empty.
 func (v *Vector) setKind(k value.Kind) {
-	ints, floats, strs := v.Ints, v.Floats, v.Strs
-	v.Kind, v.Ints, v.Floats, v.Strs = k, nil, nil, nil
+	v.Kind, v.Ints, v.Floats, v.Strs = k, v.Ints[:0], v.Floats[:0], v.Strs[:0]
 	switch k {
 	case value.KindInt, value.KindDate, value.KindBool:
-		v.Ints = zeroed(ints, v.n)
+		v.Ints = zeroed(v.Ints, v.n)
 	case value.KindFloat:
-		v.Floats = zeroed(floats, v.n)
+		v.Floats = zeroed(v.Floats, v.n)
 	case value.KindString:
-		v.Strs = zeroed(strs, v.n)
+		v.Strs = zeroed(v.Strs, v.n)
 	}
 }
 
@@ -135,12 +139,12 @@ func (v *Vector) put(i int, x value.Value) {
 		}
 		v.store(i, x)
 	default:
-		boxed := make([]value.Value, v.n)
+		v.boxed = zeroed(v.boxed, v.n)
 		for j := 0; j < i; j++ {
-			boxed[j] = v.Value(j)
+			v.boxed[j] = v.Value(j)
 		}
-		boxed[i] = x
-		*v = Vector{Boxed: boxed, n: v.n}
+		v.boxed[i] = x
+		v.Kind, v.Nulls, v.Boxed = value.KindNull, nil, v.boxed
 	}
 }
 
@@ -163,7 +167,8 @@ func (v *Vector) store(i int, x value.Value) {
 // SetNull flags row i NULL.
 func (v *Vector) SetNull(i int) {
 	if v.Nulls == nil {
-		v.Nulls = NewBitmap(v.n)
+		v.nulls = Bitmap{words: zeroed(v.nulls.words, (v.n+63)/64), n: v.n}
+		v.Nulls = &v.nulls
 	}
 	v.Nulls.Set(i)
 }
