@@ -93,6 +93,16 @@ func TestBitString(t *testing.T) {
 	}
 }
 
+// bindX binds pred to rows of the one column col.
+func bindX(t *testing.T, col string, pred sqlparse.Expr) *expr.Evaluator {
+	t.Helper()
+	ev := &expr.Evaluator{}
+	if err := ev.Bind(expr.Index([]string{col}), pred); err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 // The critical equivalence: the predicate evaluated by the select engine
 // must agree exactly with Filter.Contains.
 func TestSQLPredicateMatchesContains(t *testing.T) {
@@ -102,10 +112,10 @@ func TestSQLPredicateMatchesContains(t *testing.T) {
 		f.Add(i)
 	}
 	pred := f.SQLPredicate(&sqlparse.Column{Name: "x"})
-	ev := expr.New()
+	ev := bindX(t, "x", pred)
 	for x := int64(0); x < 200; x++ {
-		env := expr.MapEnv{"x": value.Str(value.Int(x).String())} // CSV string form
-		got, err := ev.EvalBool(pred, env)
+		row := []value.Value{value.Str(value.Int(x).String())} // CSV string form
+		got, err := ev.EvalBool(pred, row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +133,9 @@ func TestSQLPredicateBitwiseMatchesContains(t *testing.T) {
 		f.Add(i * 7)
 	}
 	pred := f.SQLPredicateBitwise(&sqlparse.Column{Name: "x"})
-	ev := expr.New()
+	ev := bindX(t, "x", pred)
 	for x := int64(0); x < 500; x++ {
-		got, err := ev.EvalBool(pred, expr.MapEnv{"x": value.Int(x)})
+		got, err := ev.EvalBool(pred, []value.Value{value.Int(x)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,9 +300,9 @@ func TestPredicatesPrintAsTheirTrees(t *testing.T) {
 		if !reflect.DeepEqual(back, pred) {
 			t.Errorf("%.80s… parses to another tree", text)
 		}
-		ev := expr.New()
+		ev := bindX(t, "order", pred)
 		for x := int64(0); x < 300; x++ {
-			got, err := ev.EvalBool(pred, expr.MapEnv{"order": value.Int(x)})
+			got, err := ev.EvalBool(pred, []value.Value{value.Int(x)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,7 +127,7 @@ func withFooter(t *testing.T, data []byte, edit func(*footer)) []byte {
 
 // TestOpenRejectsLyingFooter: everything a reader later indexes or sizes an
 // allocation by is checked once, in Open. The first two objects crashed
-// selectengine.Execute before (index out of range in colEnv.Lookup and in
+// selectengine.Execute before (index out of range in its row read and in
 // ChunkStats); a chunk whose own row count disagrees with a self-consistent
 // footer is ReadColumn's to refuse.
 func TestOpenRejectsLyingFooter(t *testing.T) {

@@ -77,7 +77,7 @@ func pastRawLen(t testing.TB) []byte {
 }
 
 // hostileObjects are footers that lie about their object. The first two
-// panicked selectengine.Execute (colEnv.Lookup indexing past a 2-row chunk;
+// panicked selectengine.Execute (its row read indexing past a 2-row chunk;
 // skipGroup's ChunkStats indexing a chunk the group does not have) and
 // nothing in the process recovers; the third sizes the inflate buffer, so
 // it must be refused before a byte is allocated for it; the fourth's chunks

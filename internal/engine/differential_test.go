@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/colformat"
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/s3http"
@@ -159,6 +161,44 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 	} {
 		if err := PartitionTableTo(ctx, put, diffBucket, tbl.name, tbl.header, tbl.rows, tbl.parts); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestUnknownColumnRefusedBeforeScan: a planner that read the table's header
+// binds the statement to it, so a column the table lacks is refused before
+// any partition is read or selected, and nothing is billed for a scan.
+func TestUnknownColumnRefusedBeforeScan(t *testing.T) {
+	ctx := context.Background()
+	st := store.New()
+	diffLoad(t, s3api.NewInProc(st))
+	counting := s3api.NewCounting(s3api.NewInProc(st))
+	for _, vectorized := range []bool{true, false} {
+		db, err := Open(diffBucket, WithBackend("inproc", counting), WithVectorized(vectorized))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex(ctx, "names", "k"); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"SELECT nosuch FROM names WHERE k > 100",
+			"SELECT COUNT(nosuch) FROM names WHERE k > 100",
+			"SELECT k FROM names WHERE k > 100 ORDER BY nosuch",
+			"SELECT k, COUNT(*) FROM names WHERE k > 100 GROUP BY k ORDER BY SUM(nosuch)",
+		} {
+			selects, gets := counting.Selects(), counting.Gets()
+			_, _, err := db.QueryContext(ctx, sql)
+			if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
+				t.Errorf("vectorized=%v %s: err %v, want an unknown column, %q", vectorized, sql, err, s3api.KindBadRequest)
+			}
+			if n := counting.Selects() - selects; n != 0 {
+				t.Errorf("vectorized=%v %s: %d selects reached storage, want none", vectorized, sql, n)
+			}
+			// The planner's one GET: the statistics object, or the header.
+			if n := counting.Gets() - gets; n > 1 {
+				t.Errorf("vectorized=%v %s: %d GETs, want at most the planner's one", vectorized, sql, n)
+			}
 		}
 	}
 }
@@ -451,6 +491,15 @@ func TestDifferentialColumnNames(t *testing.T) {
 		{tables: []string{"names", "names_col"}, sql: "SELECT v FROM %s WHERE _2 = 30", pred: "_2 = 30", proj: "v", want: "v\n30\n30"},
 		{tables: []string{"sig"}, sql: `SELECT v FROM %s WHERE "Σ" = 1`, pred: `"Σ" = 1`, proj: "v", want: "v\n2"},
 		{tables: []string{"sig"}, sql: `SELECT v FROM %s WHERE "ς" = 1`, pred: `"ς" = 1`, proj: "v", want: "unknown column"},
+		// A column the table lacks is refused at bind, whether or not a row
+		// would have evaluated it, and the caller is told it is theirs to fix.
+		{tables: []string{"names", "names_col"}, sql: "SELECT nosuch FROM %s WHERE k > 100", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT k FROM %s WHERE k < 100 OR nosuch = 1", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT k, CASE WHEN k > 0 THEN 1 ELSE nosuch END FROM %s", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT COUNT(nosuch) FROM %s WHERE k > 100", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT nosuch FROM %s", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT k FROM %s ORDER BY nosuch", want: "unknown column"},
+		{tables: []string{"names", "names_col"}, sql: "SELECT * FROM %s WHERE k > 100 ORDER BY nosuch", want: "unknown column"},
 	}
 	// The IndexScan's index, and an always-true indexable conjunct on it.
 	indexes := map[string]string{"names": "k", "sig": "v"}
@@ -504,6 +553,9 @@ func TestDifferentialColumnNames(t *testing.T) {
 					}
 					if ok := got == c.want || (err != nil && strings.Contains(got, c.want)); !ok {
 						t.Errorf("vectorized=%v %s %s: got\n%s\nwant\n%s", vectorized, path, fmt.Sprintf(c.sql, table), got, c.want)
+					}
+					if kind := s3api.KindOf(err); err != nil && path != "server aggregate" && kind != s3api.KindBadRequest {
+						t.Errorf("vectorized=%v %s %s: error kind %q, want %q", vectorized, path, fmt.Sprintf(c.sql, table), kind, s3api.KindBadRequest)
 					}
 				}
 			}
@@ -573,6 +625,20 @@ func TestDifferentialColumnNames(t *testing.T) {
 			}
 			if got := pick(rel, rel.Cols...); got != c.want {
 				t.Errorf("vectorized=%v %s: got\n%s\nthe baseline join answers\n%s", vectorized, c.sql, got, c.want)
+			}
+		}
+		// A join's unknown column is refused as a single table's is, with
+		// rows to evaluate it over or none.
+		for _, sql := range []string{
+			`SELECT a.nosuch FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000`,
+			`SELECT nosuch FROM qa a JOIN qb b ON a.k = b.k2`,
+			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.nosuch = 1`,
+			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5 ORDER BY nosuch`,
+			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000 ORDER BY nosuch`,
+		} {
+			_, _, err := db.QueryContext(ctx, sql)
+			if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
+				t.Errorf("vectorized=%v %s: err %v (kind %q), want an unknown column, %q", vectorized, sql, err, s3api.KindOf(err), s3api.KindBadRequest)
 			}
 		}
 		// The Bloom build side ships k and "my col", the probe side whole rows.

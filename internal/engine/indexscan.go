@@ -420,6 +420,9 @@ func (e *Exec) planAccess(sel *sqlparse.Select, sc *TableScan) (*AccessPlan, err
 	} else if ts, sc.Cols, err = e.tableShape(table, stage); err != nil {
 		return nil, err
 	}
+	if err := bindStatement(sel, sc.Cols); err != nil { // no header held: nothing to refuse
+		return nil, err
+	}
 	filtered := int64(-1)
 	if kind != "" {
 		filtered = e.planTail(sel, kind, ts, stage, ap)

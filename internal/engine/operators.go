@@ -16,7 +16,8 @@ import (
 // and hash join every algorithm of Sections IV–VII ends in, on one surface
 // that takes parsed input (sqlparse expressions, select items, group keys).
 // There is one row path: expr.RowExec — the executor the S3 Select engine
-// runs on the storage side — fed by a cursor over contiguous spans of rows.
+// runs on the storage side — bound once to a relation's header and fed its
+// rows as they are, over contiguous spans.
 // Project runs it on both operator sets, and so does every filter the
 // vec.Filter kernel does not compile; the vectorized set runs the internal/vec
 // kernels (compiled filters, group-by, join) across the worker budget, and
@@ -64,27 +65,14 @@ func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 	return cols
 }
 
-// referencedCols resolves every column the expressions reference against
-// the relation (the name rule, as the reference resolves them) and returns
-// the distinct column indices in first-seen order. Names that do not
-// resolve are dropped: they are lookup misses on both paths.
-func referencedCols(rel *Relation, exprs []sqlparse.Expr) []int {
-	seen := map[int]bool{}
-	var keep []int
-	for _, e := range exprs {
-		for _, name := range sqlparse.Columns(e) {
-			if j := rel.ColIndex(name); j >= 0 && !seen[j] {
-				seen[j] = true
-				keep = append(keep, j)
-			}
-		}
+// batch decodes the columns the expressions read into vectors: their binding
+// to rel's header lists them, and refuses a column rel lacks.
+func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) (*vec.Batch, error) {
+	var ev expr.Evaluator
+	if err := ev.Bind(expr.Index(rel.Cols), exprs...); err != nil {
+		return nil, err
 	}
-	return keep
-}
-
-// batch decodes the columns the expressions reference into vectors.
-func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) *vec.Batch {
-	return vec.FromRowsProjected(rel.Cols, rel.Rows, referencedCols(rel, exprs), o.Workers)
+	return vec.FromRowsProjected(rel.Cols, rel.Rows, ev.Cols(), o.Workers), nil
 }
 
 // Filter keeps the rows matching pred (nil keeps the relation as it is).
@@ -95,7 +83,9 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 		return rel, nil
 	}
 	if o.Vectorized && vec.Compiles(pred) {
-		if idx, ok := vec.Filter(o.batch(rel, []sqlparse.Expr{pred}), pred, o.Workers); ok {
+		if b, err := o.batch(rel, []sqlparse.Expr{pred}); err != nil {
+			return nil, err
+		} else if idx, ok := vec.Filter(b, pred, o.Workers); ok {
 			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
 			for k, i := range idx {
 				out.Rows[k] = rel.Rows[i]
@@ -104,11 +94,11 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 		}
 	}
 	keep := make([]byte, len(rel.Rows)) // 1: the row passes
-	err := o.eachSpan(rel, func(cur *rowEnv, sp vec.Span) error {
-		return cur.run(sp, expr.NewProjection(pred, nil, nil, func([]value.Value) error {
-			keep[cur.i] = 1
+	err := o.eachSpan(rel, func(i *int) (*expr.RowExec, error) {
+		return expr.NewProjection(rel.Cols, pred, nil, func([]value.Value) error {
+			keep[*i] = 1
 			return nil
-		}))
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -130,13 +120,13 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 	w := len(out.Cols)
 	cells := make([]value.Value, len(rel.Rows)*w)
 	exprs := sqlparse.ItemExprs(items)
-	err := o.eachSpan(rel, func(cur *rowEnv, sp vec.Span) error {
-		return cur.run(sp, expr.NewProjection(nil, exprs, cur.star, func(vals []value.Value) error {
-			row := cells[cur.i*w : (cur.i+1)*w : (cur.i+1)*w]
+	err := o.eachSpan(rel, func(i *int) (*expr.RowExec, error) {
+		return expr.NewProjection(rel.Cols, nil, exprs, func(vals []value.Value) error {
+			row := cells[*i*w : (*i+1)*w : (*i+1)*w]
 			copy(row, vals)
-			out.Rows[cur.i] = row
+			out.Rows[*i] = row
 			return nil
-		}))
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -144,16 +134,26 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 	return out, nil
 }
 
-// eachSpan is the row path: fn runs over spans of rel's rows, each with its
-// own cursor — vec.RowSpans on the vectorized set, one span on the
-// reference. The first error in span order is the lowest erroring row's.
-func (o Operators) eachSpan(rel *Relation, fn func(cur *rowEnv, sp vec.Span) error) error {
-	if !o.Vectorized || o.Workers <= 1 {
-		return fn(cursor(rel), vec.Span{Hi: len(rel.Rows)})
+// eachSpan is the row path: rel's rows run in spans (vec.RowSpans on the
+// vectorized set, one span on the reference), each through the block built
+// for it, whose emit reads the row being run from *i; no rows still build
+// one. The first error in span order is the lowest erroring row's.
+func (o Operators) eachSpan(rel *Relation, block func(i *int) (*expr.RowExec, error)) error {
+	run := func(_ int, sp vec.Span) error {
+		var i int
+		x, err := block(&i)
+		for i = sp.Lo; err == nil && i < sp.Hi; i++ {
+			err = x.Add(rel.Rows[i])
+		}
+		if err == nil {
+			err = x.Finish()
+		}
+		return err
 	}
-	return vec.RunSpans(vec.RowSpans(len(rel.Rows), o.Workers), func(_ int, sp vec.Span) error {
-		return fn(cursor(rel), sp)
-	})
+	if !o.Vectorized || o.Workers <= 1 || len(rel.Rows) < 2 {
+		return run(0, vec.Span{Hi: len(rel.Rows)})
+	}
+	return vec.RunSpans(vec.RowSpans(len(rel.Rows), o.Workers), run)
 }
 
 // GroupBy groups rel by the key expressions and evaluates the aggregate
@@ -162,37 +162,20 @@ func (o Operators) eachSpan(rel *Relation, fn func(cur *rowEnv, sp vec.Span) err
 // rows too (COUNT = 0, other aggregates NULL).
 func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	if o.Vectorized {
-		b := o.batch(rel, append(sqlparse.ItemExprs(items), keys...))
+		b, err := o.batch(rel, append(sqlparse.ItemExprs(items), keys...))
+		if err != nil {
+			return nil, err
+		}
 		cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
 		return &Relation{Cols: cols, Rows: rows}, err
 	}
-	cur := cursor(rel)
 	out := &Relation{Cols: itemCols(rel, items)}
-	if err := cur.run(vec.Span{Hi: len(rel.Rows)}, expr.NewAggregation(nil, keys, sqlparse.ItemExprs(items), out.add)); err != nil {
+	if err := o.eachSpan(rel, func(*int) (*expr.RowExec, error) {
+		return expr.NewAggregation(rel.Cols, nil, keys, sqlparse.ItemExprs(items), out.add)
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// run feeds rows [sp.Lo, sp.Hi) of the cursor's relation to x, in order,
-// then finishes it.
-func (cur *rowEnv) run(sp vec.Span, x *expr.RowExec) error {
-	for cur.i = sp.Lo; cur.i < sp.Hi; cur.i++ {
-		cur.row = cur.rel.Rows[cur.i]
-		if err := x.Add(cur); err != nil {
-			return err
-		}
-	}
-	return x.Finish()
-}
-
-// star is the reference's * expansion: one cell per column, as Lookup reads
-// them.
-func (cur *rowEnv) star(dst []value.Value) []value.Value {
-	n := len(dst)
-	dst = append(dst, make([]value.Value, len(cur.rel.Cols))...)
-	copy(dst[n:], cur.row)
-	return dst
 }
 
 // add is the RowExec emit callback that collects output rows into r; the
@@ -269,16 +252,17 @@ func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	for j, o := range orderBy {
 		keyExprs[j] = o.Expr
 	}
-	cur := cursor(rel)
 	ks := make([]keyed, 0, len(rel.Rows))
 	var slab arena.Slab[value.Value]
 	slab.Grow(len(rel.Rows) * len(orderBy))
-	err := cur.run(vec.Span{Hi: len(rel.Rows)}, expr.NewProjection(nil, keyExprs, nil, func(keys []value.Value) error {
-		own := slab.Make(len(keys)) // the executor reuses keys
-		copy(own, keys)
-		ks = append(ks, keyed{keys: own, row: cur.row})
-		return nil
-	}))
+	err := Operators{}.eachSpan(rel, func(i *int) (*expr.RowExec, error) {
+		return expr.NewProjection(rel.Cols, nil, keyExprs, func(keys []value.Value) error {
+			own := slab.Make(len(keys)) // the executor reuses keys
+			copy(own, keys)
+			ks = append(ks, keyed{keys: own, row: rel.Rows[*i]})
+			return nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"pushdowndb/internal/cloudsim"
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
@@ -147,7 +148,7 @@ func (p *QueryPlan) resolve(c *sqlparse.Column) (int, error) {
 		for i, sc := range p.Scans {
 			if strings.EqualFold(c.Qualifier, sc.Alias) || strings.EqualFold(c.Qualifier, sc.Table) {
 				if !sc.has(c.Name) {
-					return -1, fmt.Errorf("engine: column %q is not in table %s %v", c.Name, sc.Table, sc.Cols)
+					return -1, fmt.Errorf("engine: %w %q in table %s %v", expr.ErrUnknownColumn, c.Name, sc.Table, sc.Cols)
 				}
 				return i, nil
 			}
@@ -159,7 +160,7 @@ func (p *QueryPlan) resolve(c *sqlparse.Column) (int, error) {
 			return i, nil
 		}
 	}
-	return -1, fmt.Errorf("engine: column %q is not in any FROM table", c.Name)
+	return -1, fmt.Errorf("engine: %w %q: in no FROM table", expr.ErrUnknownColumn, c.Name)
 }
 
 // scansOf returns the distinct scan indices an expression references.

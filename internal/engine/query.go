@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 	"pushdowndb/internal/vec"
@@ -86,6 +87,24 @@ func (e *Exec) planSelect(sel *sqlparse.Select, strategy string) (p *QueryPlan, 
 	return p, nil
 }
 
+// bindStatement binds what sel's single-table execution reads of the table
+// to its header cols, as storage and the server's tail will, so a column the
+// table lacks is refused before any scan. An ORDER BY over the rows reads
+// what its aliases stand for; over grouped rows, its hidden items.
+func bindStatement(sel *sqlparse.Select, cols []string) error {
+	items, orderBy := sel.Items, orderByOverInput(sel)
+	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
+		items, _, _ = groupSortPlan(sel)
+		orderBy = nil
+	}
+	exprs := append(append(sqlparse.ItemExprs(items), sel.Where), sel.GroupBy...)
+	for _, o := range orderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	var ev expr.Evaluator
+	return ev.Bind(expr.Index(cols), exprs...)
+}
+
 // ExecStatement parses sql and runs it (RunStatement). SELECTs execute
 // exactly as QueryContext does; EXPLAIN [ANALYZE] renders the plan as a
 // one-column relation; CREATE INDEX and DROP INDEX run the catalog
@@ -151,7 +170,10 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 	var fold *vec.Fold
 	if e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates()) {
 		items, _, _ := groupSortPlan(sel)
-		fold = vec.NewFold(sel.GroupBy, items)
+		var err error
+		if fold, err = vec.NewFold(sel.GroupBy, items); err != nil {
+			return nil, err
+		}
 	}
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
 	rel, err := e.selectDecoded(scan, table, sc.req, fold)

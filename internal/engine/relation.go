@@ -35,33 +35,6 @@ func (r *Relation) ColIndex(name string) int {
 	return sqlparse.NewNames(r.Cols).Index(name)
 }
 
-// rowEnv is the expr.Env view of one row of a relation. The row path uses
-// one as a cursor, moving row (rel.Rows[i]) over a span of the rows.
-type rowEnv struct {
-	rel   *Relation
-	names sqlparse.Names // rel's
-	i     int
-	row   Row
-}
-
-// cursor returns a reference cursor over rel.
-func cursor(rel *Relation) *rowEnv {
-	return &rowEnv{rel: rel, names: sqlparse.NewNames(rel.Cols)}
-}
-
-// Lookup reads a cell past the row's end as NULL (value.CSVCell's rule), so
-// a hand-built relation reads as a decoded one.
-func (e *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	i := e.names.Index(name)
-	if i < 0 {
-		return value.Null(), false
-	}
-	if i >= len(e.row) {
-		return value.Null(), true
-	}
-	return e.row[i], true
-}
-
 // LimitLocal truncates to n rows.
 func LimitLocal(rel *Relation, n int) *Relation {
 	if n < 0 || n >= len(rel.Rows) {

@@ -73,7 +73,10 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 	// after that is the pin.
 	count := selectOf(t, "SELECT COUNT(*) AS n FROM t")
 	fold := func(cols []string, body []byte, rows int) func() error {
-		f := vec.NewFold(nil, count.Items)
+		f, err := vec.NewFold(nil, count.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return func() error { return f.CSV(cols, body, int64(rows)) }
 	}
 	for _, rows := range []int{60, 6000} {

@@ -56,7 +56,8 @@ var (
 	}
 )
 
-// wireRelation is the relation the storage side's rowEnv presents.
+// wireRelation is the relation storage's CSV scan presents: each cell text,
+// an empty one NULL.
 func wireRelation() *Relation {
 	rel := &Relation{Cols: wireHeader}
 	for _, fields := range wireRows {
@@ -97,7 +98,10 @@ func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, er
 		return nil, err
 	}
 	cut := len(rel.Rows) / 2
-	fold := vec.NewFold(sel.GroupBy, sel.Items)
+	fold, err := vec.NewFold(sel.GroupBy, sel.Items)
+	if err != nil {
+		return nil, err
+	}
 	for _, rows := range [][]Row{rel.Rows[:cut], nil, rel.Rows[cut:]} {
 		b, ok := vec.FromRows(rel.Cols, rows, 1)
 		if !ok {

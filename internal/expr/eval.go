@@ -5,64 +5,135 @@
 // semantics: Evaluator is the one expression interpreter, AggState the one
 // (order-independent) accumulator, Groups the one group table, and RowExec
 // the one WHERE → project | aggregate executor both sides feed rows to.
+//
+// An evaluator is bound once per statement and header, before any row
+// (Bind): each column reference resolves by the name rule (sqlparse.Names)
+// to a position, and a name the header lacks is refused whatever rows
+// follow. A row is a []value.Value; a column reads the cell at its position,
+// and a cell past the row's end is NULL.
 package expr
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
 
-// Env resolves column references during evaluation.
-type Env interface {
-	// Lookup returns the value of the named column. Qualifier may be empty.
-	Lookup(qualifier, name string) (value.Value, bool)
-}
+// ErrUnknownColumn marks a column reference its header has no column for.
+var ErrUnknownColumn = errors.New("unknown column")
 
-// MapEnv is a simple Env backed by a map (tests, constant folding).
-type MapEnv map[string]value.Value
-
-// Lookup implements Env.
-func (m MapEnv) Lookup(_, name string) (value.Value, bool) {
-	v, ok := m[sqlparse.NameKey(name)]
-	return v, ok
-}
-
-// Evaluator evaluates expressions. The only state it keeps across rows is
-// derived from literals: the decoded BLOOM_CONTAINS bit arrays. A nil
-// *Evaluator is not usable; construct with New.
+// Evaluator evaluates the expressions bound to it. Its binding, keyed by node
+// identity so that a statement's tree stays read-only and shared, is its only
+// state: each column reference's row position and each BLOOM_CONTAINS call's
+// decoded bit array. The zero value has bound nothing.
 type Evaluator struct {
-	bloomCache map[*sqlparse.Call][]byte
+	pos  map[*sqlparse.Column]int
+	bits map[*sqlparse.Call][]byte
+	cols []int // the distinct header positions bound, first-seen
 }
 
-// New returns a fresh Evaluator.
-func New() *Evaluator {
-	return &Evaluator{bloomCache: map[*sqlparse.Call][]byte{}}
+// Index is Bind's index for rows laid out as header: the name rule over it,
+// or none for a nil header (an object with no lines).
+func Index(header []string) func(name string) int {
+	if header == nil {
+		return nil
+	}
+	return sqlparse.NewNames(header).Index
 }
 
-// Eval computes e over env.
-func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
+// Bind adds exprs to ev's binding. index resolves a name to its header
+// position, or -1: an ErrUnknownColumn. A nil index binds every column past
+// the end of every row. A malformed BLOOM_CONTAINS is refused here too. A
+// node ev has bound keeps its position.
+func (ev *Evaluator) Bind(index func(name string) int, exprs ...sqlparse.Expr) error {
+	if ev.pos == nil {
+		ev.pos = map[*sqlparse.Column]int{}
+	}
+	var err error
+	visit := func(n sqlparse.Expr) bool {
+		switch t := n.(type) {
+		case *sqlparse.Column:
+			if _, ok := ev.pos[t]; ok {
+				break
+			}
+			p := math.MaxInt // no header: past every row's end
+			if index != nil {
+				if p = index(t.Name); p < 0 {
+					err = fmt.Errorf("expr: %w %s", ErrUnknownColumn, t)
+					break
+				}
+				if !slices.Contains(ev.cols, p) {
+					ev.cols = append(ev.cols, p)
+				}
+			}
+			ev.pos[t] = p
+		case *sqlparse.Call:
+			if t.Name == "BLOOM_CONTAINS" {
+				err = ev.bindBloom(t)
+			}
+		}
+		return err == nil
+	}
+	for _, e := range exprs {
+		if sqlparse.Walk(e, visit); err != nil {
+			break
+		}
+	}
+	return err
+}
+
+// Cols returns the distinct header positions the bound expressions read, in
+// first-seen order: the cells a scan fills in each row.
+func (ev *Evaluator) Cols() []int { return ev.cols }
+
+// bindBloom decodes a BLOOM_CONTAINS call's bit array (evalBloomContains).
+func (ev *Evaluator) bindBloom(t *sqlparse.Call) error {
+	if len(t.Args) < 6 || len(t.Args)%2 != 0 {
+		return fmt.Errorf("expr: BLOOM_CONTAINS(bitsHex, m, n, a1, b1, ..., x)")
+	}
+	lit, isLit := t.Args[0].(*sqlparse.Literal)
+	if !isLit || lit.Val.Kind() != value.KindString {
+		return fmt.Errorf("expr: BLOOM_CONTAINS bits must be a string literal")
+	}
+	bits, err := hex.DecodeString(lit.Val.AsString())
+	if err != nil {
+		return fmt.Errorf("expr: BLOOM_CONTAINS bad hex: %w", err)
+	}
+	if ev.bits == nil {
+		ev.bits = map[*sqlparse.Call][]byte{}
+	}
+	ev.bits[t] = bits
+	return nil
+}
+
+// Eval computes e, which ev has bound, over row.
+func (ev *Evaluator) Eval(e sqlparse.Expr, row []value.Value) (value.Value, error) {
 	switch t := e.(type) {
 	case *sqlparse.Literal:
 		return t.Val, nil
 	case *sqlparse.Column:
-		v, ok := env.Lookup(t.Qualifier, t.Name)
-		if !ok {
-			return value.Null(), fmt.Errorf("expr: unknown column %s", t.String())
+		p, ok := ev.pos[t]
+		switch {
+		case !ok:
+			return value.Null(), fmt.Errorf("expr: column %s is not bound", t)
+		case p < len(row):
+			return row[p], nil
 		}
-		return v, nil
+		return value.Null(), nil
 	case *sqlparse.Star:
 		return value.Null(), fmt.Errorf("expr: * is not a scalar expression")
 	case *sqlparse.Binary:
-		return ev.evalBinary(t, env)
+		return ev.evalBinary(t, row)
 	case *sqlparse.Unary:
-		return ev.evalUnary(t, env)
+		return ev.evalUnary(t, row)
 	case *sqlparse.IsNull:
-		v, err := ev.Eval(t.X, env)
+		v, err := ev.Eval(t.X, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -71,15 +142,15 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		return value.Bool(v.IsNull()), nil
 	case *sqlparse.Between:
-		x, err := ev.Eval(t.X, env)
+		x, err := ev.Eval(t.X, row)
 		if err != nil {
 			return value.Null(), err
 		}
-		lo, err := ev.Eval(t.Lo, env)
+		lo, err := ev.Eval(t.Lo, row)
 		if err != nil {
 			return value.Null(), err
 		}
-		hi, err := ev.Eval(t.Hi, env)
+		hi, err := ev.Eval(t.Hi, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -92,7 +163,7 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		return value.Bool(in), nil
 	case *sqlparse.In:
-		x, err := ev.Eval(t.X, env)
+		x, err := ev.Eval(t.X, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -101,7 +172,7 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		found := false
 		for _, item := range t.List {
-			v, err := ev.Eval(item, env)
+			v, err := ev.Eval(item, row)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -115,23 +186,23 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		return value.Bool(found), nil
 	case *sqlparse.Like:
-		return ev.evalLike(t, env)
+		return ev.evalLike(t, row)
 	case *sqlparse.Case:
 		for _, w := range t.Whens {
-			c, err := ev.Eval(w.Cond, env)
+			c, err := ev.Eval(w.Cond, row)
 			if err != nil {
 				return value.Null(), err
 			}
 			if value.Truthy(c) {
-				return ev.Eval(w.Result, env)
+				return ev.Eval(w.Result, row)
 			}
 		}
 		if t.Else != nil {
-			return ev.Eval(t.Else, env)
+			return ev.Eval(t.Else, row)
 		}
 		return value.Null(), nil
 	case *sqlparse.Cast:
-		v, err := ev.Eval(t.X, env)
+		v, err := ev.Eval(t.X, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -152,7 +223,7 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 		}
 		return value.Null(), fmt.Errorf("expr: unsupported cast")
 	case *sqlparse.Call:
-		return ev.evalCall(t, env)
+		return ev.evalCall(t, row)
 	case *sqlparse.Aggregate:
 		return value.Null(), fmt.Errorf("expr: aggregate %s evaluated outside aggregation", t.String())
 	default:
@@ -161,16 +232,16 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 }
 
 // EvalBool evaluates e and interprets the result as a predicate.
-func (ev *Evaluator) EvalBool(e sqlparse.Expr, env Env) (bool, error) {
-	v, err := ev.Eval(e, env)
+func (ev *Evaluator) EvalBool(e sqlparse.Expr, row []value.Value) (bool, error) {
+	v, err := ev.Eval(e, row)
 	if err != nil {
 		return false, err
 	}
 	return value.Truthy(v), nil
 }
 
-func (ev *Evaluator) evalUnary(t *sqlparse.Unary, env Env) (value.Value, error) {
-	v, err := ev.Eval(t.X, env)
+func (ev *Evaluator) evalUnary(t *sqlparse.Unary, row []value.Value) (value.Value, error) {
+	v, err := ev.Eval(t.X, row)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -207,18 +278,18 @@ func (ev *Evaluator) evalUnary(t *sqlparse.Unary, env Env) (value.Value, error) 
 	return value.Null(), fmt.Errorf("expr: unknown unary op %q", t.Op)
 }
 
-func (ev *Evaluator) evalBinary(t *sqlparse.Binary, env Env) (value.Value, error) {
+func (ev *Evaluator) evalBinary(t *sqlparse.Binary, row []value.Value) (value.Value, error) {
 	// AND/OR get three-valued logic with short-circuiting.
 	switch t.Op {
 	case sqlparse.OpAnd:
-		l, err := ev.Eval(t.L, env)
+		l, err := ev.Eval(t.L, row)
 		if err != nil {
 			return value.Null(), err
 		}
 		if l.Kind() == value.KindBool && !l.AsBool() {
 			return value.Bool(false), nil
 		}
-		r, err := ev.Eval(t.R, env)
+		r, err := ev.Eval(t.R, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -230,14 +301,14 @@ func (ev *Evaluator) evalBinary(t *sqlparse.Binary, env Env) (value.Value, error
 		}
 		return value.Bool(l.AsBool() && r.AsBool()), nil
 	case sqlparse.OpOr:
-		l, err := ev.Eval(t.L, env)
+		l, err := ev.Eval(t.L, row)
 		if err != nil {
 			return value.Null(), err
 		}
 		if l.Kind() == value.KindBool && l.AsBool() {
 			return value.Bool(true), nil
 		}
-		r, err := ev.Eval(t.R, env)
+		r, err := ev.Eval(t.R, row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -250,11 +321,11 @@ func (ev *Evaluator) evalBinary(t *sqlparse.Binary, env Env) (value.Value, error
 		return value.Bool(l.AsBool() || r.AsBool()), nil
 	}
 
-	l, err := ev.Eval(t.L, env)
+	l, err := ev.Eval(t.L, row)
 	if err != nil {
 		return value.Null(), err
 	}
-	r, err := ev.Eval(t.R, env)
+	r, err := ev.Eval(t.R, row)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -372,12 +443,12 @@ func numOperand(v value.Value) (float64, bool) {
 	return v.Num()
 }
 
-func (ev *Evaluator) evalLike(t *sqlparse.Like, env Env) (value.Value, error) {
-	x, err := ev.Eval(t.X, env)
+func (ev *Evaluator) evalLike(t *sqlparse.Like, row []value.Value) (value.Value, error) {
+	x, err := ev.Eval(t.X, row)
 	if err != nil || x.IsNull() {
 		return value.Null(), err
 	}
-	p, err := ev.Eval(t.Pattern, env)
+	p, err := ev.Eval(t.Pattern, row)
 	if err != nil || p.IsNull() {
 		return value.Null(), err
 	}
@@ -415,14 +486,14 @@ func LikeMatch(p, s string) bool {
 	return pi == len(p)
 }
 
-func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
+func (ev *Evaluator) evalCall(t *sqlparse.Call, row []value.Value) (value.Value, error) {
 	switch t.Name {
 	case "SUBSTRING":
-		s, err := ev.Eval(t.Args[0], env)
+		s, err := ev.Eval(t.Args[0], row)
 		if err != nil {
 			return value.Null(), err
 		}
-		start, err := ev.Eval(t.Args[1], env)
+		start, err := ev.Eval(t.Args[1], row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -436,7 +507,7 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		}
 		length := int64(len(str))
 		if len(t.Args) == 3 {
-			lv, err := ev.Eval(t.Args[2], env)
+			lv, err := ev.Eval(t.Args[2], row)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -450,16 +521,16 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		}
 		return value.Str(substr(str, si, length)), nil
 	case "UPPER":
-		return ev.stringFunc(t, env, strings.ToUpper)
+		return ev.stringFunc(t, row, strings.ToUpper)
 	case "LOWER":
-		return ev.stringFunc(t, env, strings.ToLower)
+		return ev.stringFunc(t, row, strings.ToLower)
 	case "TRIM":
-		return ev.stringFunc(t, env, strings.TrimSpace)
+		return ev.stringFunc(t, row, strings.TrimSpace)
 	case "LENGTH", "CHAR_LENGTH", "CHARACTER_LENGTH":
 		if len(t.Args) != 1 {
 			return value.Null(), fmt.Errorf("expr: %s takes 1 argument", t.Name)
 		}
-		v, err := ev.Eval(t.Args[0], env)
+		v, err := ev.Eval(t.Args[0], row)
 		if err != nil || v.IsNull() {
 			return value.Null(), err
 		}
@@ -468,7 +539,7 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		if len(t.Args) != 1 {
 			return value.Null(), fmt.Errorf("expr: ABS takes 1 argument")
 		}
-		v, err := ev.Eval(t.Args[0], env)
+		v, err := ev.Eval(t.Args[0], row)
 		if err != nil || v.IsNull() {
 			return value.Null(), err
 		}
@@ -484,10 +555,10 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		}
 		return value.Null(), fmt.Errorf("expr: ABS on %s", v.Kind())
 	case "EXTRACT":
-		return ev.evalExtract(t, env)
+		return ev.evalExtract(t, row)
 	case "COALESCE":
 		for _, a := range t.Args {
-			v, err := ev.Eval(a, env)
+			v, err := ev.Eval(a, row)
 			if err != nil {
 				return value.Null(), err
 			}
@@ -500,11 +571,11 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		if len(t.Args) != 2 {
 			return value.Null(), fmt.Errorf("expr: NULLIF takes 2 arguments")
 		}
-		a, err := ev.Eval(t.Args[0], env)
+		a, err := ev.Eval(t.Args[0], row)
 		if err != nil {
 			return value.Null(), err
 		}
-		b, err := ev.Eval(t.Args[1], env)
+		b, err := ev.Eval(t.Args[1], row)
 		if err != nil {
 			return value.Null(), err
 		}
@@ -513,17 +584,17 @@ func (ev *Evaluator) evalCall(t *sqlparse.Call, env Env) (value.Value, error) {
 		}
 		return a, nil
 	case "BLOOM_CONTAINS":
-		return ev.evalBloomContains(t, env)
+		return ev.evalBloomContains(t, row)
 	default:
 		return value.Null(), fmt.Errorf("expr: unknown function %s", t.Name)
 	}
 }
 
-func (ev *Evaluator) stringFunc(t *sqlparse.Call, env Env, fn func(string) string) (value.Value, error) {
+func (ev *Evaluator) stringFunc(t *sqlparse.Call, row []value.Value, fn func(string) string) (value.Value, error) {
 	if len(t.Args) != 1 {
 		return value.Null(), fmt.Errorf("expr: %s takes 1 argument", t.Name)
 	}
-	v, err := ev.Eval(t.Args[0], env)
+	v, err := ev.Eval(t.Args[0], row)
 	if err != nil || v.IsNull() {
 		return value.Null(), err
 	}
@@ -532,15 +603,15 @@ func (ev *Evaluator) stringFunc(t *sqlparse.Call, env Env, fn func(string) strin
 
 // evalExtract implements EXTRACT(YEAR|MONTH|DAY FROM date). String
 // arguments in YYYY-MM-DD form are accepted (CSV semantics).
-func (ev *Evaluator) evalExtract(t *sqlparse.Call, env Env) (value.Value, error) {
+func (ev *Evaluator) evalExtract(t *sqlparse.Call, row []value.Value) (value.Value, error) {
 	if len(t.Args) != 2 {
 		return value.Null(), fmt.Errorf("expr: EXTRACT takes a part and a date")
 	}
-	part, err := ev.Eval(t.Args[0], env)
+	part, err := ev.Eval(t.Args[0], row)
 	if err != nil {
 		return value.Null(), err
 	}
-	x, err := ev.Eval(t.Args[1], env)
+	x, err := ev.Eval(t.Args[1], row)
 	if err != nil || x.IsNull() {
 		return value.Null(), err
 	}
@@ -589,28 +660,17 @@ func substr(s string, start, length int64) string {
 //
 //	BLOOM_CONTAINS(bitsHex, m, n, a1, b1, a2, b2, ..., x)
 //
-// bitsHex is the bit array hex-encoded (bit i = byte i/8, LSB first);
-// m is the bit-array length, n the hash prime, then k (a,b) pairs, and the
-// final argument is the probed integer expression.
-func (ev *Evaluator) evalBloomContains(t *sqlparse.Call, env Env) (value.Value, error) {
-	if len(t.Args) < 6 || len(t.Args)%2 != 0 {
-		return value.Null(), fmt.Errorf("expr: BLOOM_CONTAINS(bitsHex, m, n, a1, b1, ..., x)")
-	}
-	bits, ok := ev.bloomCache[t]
+// bitsHex is the bit array hex-encoded (bit i = byte i/8, LSB first), a
+// string literal decoded once, at bind (bindBloom); m is the bit-array
+// length, n the hash prime, then k (a,b) pairs, and the final argument is
+// the probed integer expression.
+func (ev *Evaluator) evalBloomContains(t *sqlparse.Call, row []value.Value) (value.Value, error) {
+	bits, ok := ev.bits[t]
 	if !ok {
-		lit, isLit := t.Args[0].(*sqlparse.Literal)
-		if !isLit || lit.Val.Kind() != value.KindString {
-			return value.Null(), fmt.Errorf("expr: BLOOM_CONTAINS bits must be a string literal")
-		}
-		var err error
-		bits, err = hex.DecodeString(lit.Val.AsString())
-		if err != nil {
-			return value.Null(), fmt.Errorf("expr: BLOOM_CONTAINS bad hex: %w", err)
-		}
-		ev.bloomCache[t] = bits
+		return value.Null(), fmt.Errorf("expr: %s is not bound", t)
 	}
 	geti := func(e sqlparse.Expr) (int64, error) {
-		v, err := ev.Eval(e, env)
+		v, err := ev.Eval(e, row)
 		if err != nil {
 			return 0, err
 		}
@@ -628,7 +688,7 @@ func (ev *Evaluator) evalBloomContains(t *sqlparse.Call, env Env) (value.Value, 
 	if err != nil {
 		return value.Null(), err
 	}
-	xv, err := ev.Eval(t.Args[len(t.Args)-1], env)
+	xv, err := ev.Eval(t.Args[len(t.Args)-1], row)
 	if err != nil {
 		return value.Null(), err
 	}

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,27 +12,76 @@ import (
 	"pushdowndb/internal/value"
 )
 
-func evalStr(t *testing.T, src string, env Env) value.Value {
+// MapEnv is a test row given by column name: its header is its names,
+// sorted, and row lays it out under a header (a name it lacks is NULL).
+type MapEnv map[string]value.Value
+
+func (m MapEnv) header() []string {
+	var header []string
+	for name := range m {
+		header = append(header, name)
+	}
+	slices.Sort(header)
+	return header
+}
+
+func (m MapEnv) row(header []string) []value.Value {
+	row := make([]value.Value, len(header))
+	for i, h := range header {
+		row[i] = m[h]
+	}
+	return row
+}
+
+// bound is an evaluator bound to exprs.
+func bound(index func(string) int, exprs ...sqlparse.Expr) (*Evaluator, error) {
+	ev := &Evaluator{}
+	return ev, ev.Bind(index, exprs...)
+}
+
+// evalIn binds src to env's header and evaluates it over env's row.
+func evalIn(t *testing.T, src string, env MapEnv) (value.Value, error) {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	v, err := New().Eval(e, env)
+	header := env.header()
+	ev, err := bound(sqlparse.NewNames(header).Index, e)
+	if err != nil {
+		return value.Null(), err
+	}
+	return ev.Eval(e, env.row(header))
+}
+
+func evalStr(t *testing.T, src string, env MapEnv) value.Value {
+	t.Helper()
+	v, err := evalIn(t, src, env)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
 	return v
 }
 
-func evalErr(t *testing.T, src string, env Env) error {
+func evalErr(t *testing.T, src string, env MapEnv) error {
 	t.Helper()
-	e, err := sqlparse.ParseExpr(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	_, err = New().Eval(e, env)
+	_, err := evalIn(t, src, env)
 	return err
+}
+
+// groupsOver is a table over keys and items whose Add reads rows laid out
+// as header.
+func groupsOver(t *testing.T, header []string, keys, items []sqlparse.Expr) *Groups {
+	t.Helper()
+	ev, err := bound(sqlparse.NewNames(header).Index, items...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGroups(ev, keys, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestArithmetic(t *testing.T) {
@@ -184,8 +235,8 @@ func TestStringFuncs(t *testing.T) {
 }
 
 func TestUnknownColumnAndFunction(t *testing.T) {
-	if evalErr(t, "nosuch + 1", MapEnv{}) == nil {
-		t.Error("unknown column should error")
+	if err := evalErr(t, "nosuch + 1", MapEnv{}); !errors.Is(err, ErrUnknownColumn) {
+		t.Errorf("unknown column: %v, want ErrUnknownColumn", err)
 	}
 	if evalErr(t, "NOSUCHFN(1)", MapEnv{}) == nil {
 		t.Error("unknown function should error")
@@ -343,13 +394,14 @@ func TestGroupsExpressionOverAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGroups(New(), nil, sqlparse.ItemExprs(sel.Items))
+	header := []string{"promo", "v"}
+	g := groupsOver(t, header, nil, sqlparse.ItemExprs(sel.Items))
 	rows := []MapEnv{
 		{"promo": value.Int(1), "v": value.Float(10)},
 		{"promo": value.Int(0), "v": value.Float(30)},
 	}
 	for _, row := range rows {
-		if err := g.Add(g.Find(nil), row); err != nil {
+		if err := g.Add(g.Find(nil), row.row(header)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,14 +413,15 @@ func TestGroupsExpressionOverAggregates(t *testing.T) {
 func TestGroupsCountStarAndMerge(t *testing.T) {
 	sel, _ := sqlparse.Parse("SELECT COUNT(*), SUM(v) FROM t")
 	items := sqlparse.ItemExprs(sel.Items)
-	g1, g2 := NewGroups(New(), nil, items), NewGroups(New(), nil, items)
+	header := []string{"v"}
+	g1, g2 := groupsOver(t, header, nil, items), groupsOver(t, header, nil, items)
 	if n := len(CollectAggregates(items)); n != 2 {
 		t.Fatalf("aggregates = %d", n)
 	}
 	// Different tables over the same exprs share the same agg nodes, so merge works.
-	_ = g1.Add(g1.Find(nil), MapEnv{"v": value.Int(1)})
-	_ = g2.Add(g2.Find(nil), MapEnv{"v": value.Int(2)})
-	_ = g2.Add(g2.Find(nil), MapEnv{"v": value.Null()})
+	_ = g1.Add(g1.Find(nil), []value.Value{value.Int(1)})
+	_ = g2.Add(g2.Find(nil), []value.Value{value.Int(2)})
+	_ = g2.Add(g2.Find(nil), []value.Value{value.Null()})
 	if err := g1.Merge(g2); err != nil {
 		t.Fatal(err)
 	}
@@ -399,9 +452,39 @@ func TestBloomContains(t *testing.T) {
 	}
 }
 
+// TestBloomContainsBindsItsBits: the bit array is decoded once, at bind, so
+// a malformed one is refused before any row, with no header and none to
+// evaluate.
+func TestBloomContainsBindsItsBits(t *testing.T) {
+	for src, want := range map[string]string{
+		"BLOOM_CONTAINS('zz', 16, 17, 1, 1, x)":      "bad hex",
+		"BLOOM_CONTAINS('2', 16, 17, 1, 1, x)":       "bad hex",
+		"BLOOM_CONTAINS(x, 16, 17, 1, 1, x)":         "must be a string literal",
+		"BLOOM_CONTAINS(2202, 16, 17, 1, 1, x)":      "must be a string literal",
+		"BLOOM_CONTAINS('22' || '02', 16, 17, 1, x)": "BLOOM_CONTAINS(bitsHex",
+	} {
+		e, err := sqlparse.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bound(nil, e); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: bind err %v, want %q", src, err, want)
+		}
+	}
+	e, _ := sqlparse.ParseExpr("BLOOM_CONTAINS('2202', 16, 17, 1, 1, x)")
+	ev, err := bound(nil, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no header, x reads NULL: the probe of NULL is NULL.
+	if v, err := ev.Eval(e, nil); err != nil || !v.IsNull() {
+		t.Errorf("probe over no header = %v, %v; want NULL", v, err)
+	}
+}
+
 func TestEvalBool(t *testing.T) {
 	e, _ := sqlparse.ParseExpr("1 = 1")
-	ok, err := New().EvalBool(e, MapEnv{})
+	ok, err := (&Evaluator{}).EvalBool(e, nil)
 	if err != nil || !ok {
 		t.Errorf("EvalBool = %v, %v", ok, err)
 	}

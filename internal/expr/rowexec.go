@@ -2,7 +2,6 @@ package expr
 
 import (
 	"slices"
-	"strconv"
 
 	"pushdowndb/internal/arena"
 	"pushdowndb/internal/sqlparse"
@@ -18,15 +17,16 @@ type Group struct {
 }
 
 // Groups is the one group table: groups in first-seen order, looked up by
-// their rendered key bytes, finalized over finalEnv. A table with no key
-// expressions is a plain aggregation and always holds exactly one group,
-// so zero input rows still finalize to one row (COUNT = 0, the other
-// aggregates NULL). Groups, accumulators and keys are cut from arena
-// chunks: O(groups / chunk) allocations, and a group pins its chunks.
+// their rendered key bytes, finalized over one row per group — its aggregate
+// results, then its key values. A table with no key expressions is a plain
+// aggregation and always holds exactly one group, so zero input rows still
+// finalize to one row (COUNT = 0, the other aggregates NULL). Groups,
+// accumulators and keys are cut from arena chunks: O(groups / chunk)
+// allocations, and a group pins its chunks.
 type Groups struct {
-	ev     *Evaluator
+	ev     *Evaluator // the aggregate arguments', which Add evaluates
+	fin    Evaluator  // the finalized items', bound to Finish's rows
 	keys   []sqlparse.Expr
-	items  []sqlparse.Expr
 	final  []sqlparse.Expr // the items as Finish evaluates them (finalItems)
 	aggs   []*sqlparse.Aggregate
 	index  map[string]*Group
@@ -37,16 +37,23 @@ type Groups struct {
 	text   arena.Text
 }
 
-// NewGroups returns an empty table grouping by keys and finalizing to
-// items. ev evaluates aggregate arguments and the finalized items.
-func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) *Groups {
-	aggs := CollectAggregates(items)
-	return newGroups(ev, keys, items, aggs, finalItems(keys, items, aggs))
+// NewGroups returns an empty table grouping by keys and finalizing to items.
+// ev evaluates the aggregate arguments Add reads, bound by the caller to its
+// input rows (nil for a caller that accumulates the groups' states itself).
+// The items bind here, to Finish's rows: one reading a column that is neither
+// a key nor under an aggregate is refused (ErrUnknownColumn).
+func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) (*Groups, error) {
+	t := &Groups{ev: ev, keys: keys, aggs: CollectAggregates(items), index: map[string]*Group{}}
+	var err error
+	if t.final, err = finalItems(&t.fin, keys, items, t.aggs); err != nil {
+		return nil, err
+	}
+	return t.start(), nil
 }
 
-func newGroups(ev *Evaluator, keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate, final []sqlparse.Expr) *Groups {
-	t := &Groups{ev: ev, keys: keys, items: items, final: final, aggs: aggs, index: map[string]*Group{}}
-	if len(keys) == 0 {
+// start inserts a plain aggregation's one group.
+func (t *Groups) start() *Groups {
+	if len(t.keys) == 0 {
 		t.Insert(nil, nil)
 	}
 	return t
@@ -59,7 +66,9 @@ func (t *Groups) Aggregates() []*sqlparse.Aggregate { return t.aggs }
 
 // Partial returns an empty table over t's keys and items, for a worker to
 // fill and Merge to fold back.
-func (t *Groups) Partial() *Groups { return newGroups(New(), t.keys, t.items, t.aggs, t.final) }
+func (t *Groups) Partial() *Groups {
+	return (&Groups{ev: t.ev, fin: t.fin, keys: t.keys, final: t.final, aggs: t.aggs, index: map[string]*Group{}}).start()
+}
 
 // Find returns the group with the rendered key, or nil. The lookup does
 // not materialize the key.
@@ -78,13 +87,13 @@ func (t *Groups) Insert(key []byte, keyVals []value.Value) *Group {
 }
 
 // Add folds one input row into g: each aggregate's argument is evaluated
-// over env and accumulated (COUNT(*) counts the row).
-func (t *Groups) Add(g *Group, env Env) error {
+// over row and accumulated (COUNT(*) counts the row).
+func (t *Groups) Add(g *Group, row []value.Value) error {
 	for i, a := range t.aggs {
 		v := value.Int(1)
 		if _, isStar := a.X.(*sqlparse.Star); !isStar {
 			var err error
-			if v, err = t.ev.Eval(a.X, env); err != nil {
+			if v, err = t.ev.Eval(a.X, row); err != nil {
 				return err
 			}
 		}
@@ -120,71 +129,41 @@ func (t *Groups) Merge(o *Groups) error {
 // group's aggregate results and key values. emit receives each output row
 // in a slice that the next row reuses.
 func (t *Groups) Finish(emit func([]value.Value) error) error {
-	env := &finalEnv{aggs: make([]value.Value, len(t.aggs))}
-	row := make([]value.Value, len(t.final))
+	buf := make([]value.Value, len(t.aggs)+len(t.keys)+len(t.final))
+	in, out := buf[:len(t.aggs)+len(t.keys)], buf[len(t.aggs)+len(t.keys):]
 	for _, g := range t.order {
 		for i := range t.aggs {
-			env.aggs[i] = g.States[i].Final()
+			in[i] = g.States[i].Final()
 		}
-		env.keys = g.keyVals
+		copy(in[len(t.aggs):], g.keyVals)
 		for j, it := range t.final {
-			v, err := t.ev.Eval(it, env)
+			v, err := t.fin.Eval(it, in)
 			if err != nil {
 				return err
 			}
-			row[j] = v
+			out[j] = v
 		}
-		if err := emit(row); err != nil {
+		if err := emit(out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// A finalized item reads its group through reference columns: the
-// qualifier names what is referenced (aggRef, keyRef) and the name is its
-// index. No identifier is spelled with a double quote, so no table column
-// reads as one.
-const (
-	aggRef = `"agg`
-	keyRef = `"key`
-)
-
-// refs returns the n reference columns of a kind, in one array.
-func refs(kind string, n int) []sqlparse.Column {
-	out := make([]sqlparse.Column, n)
-	for i := range out {
-		out[i] = sqlparse.Column{Qualifier: kind, Name: strconv.Itoa(i)}
+// finalItems rewrites the items once, for Finish, binding them into fin:
+// each aggregate, then each largest subtree that is a GROUP BY key, becomes
+// a reference column bound to its place in Finish's row. An aggregate is
+// matched by identity when bare and by SQL text when nested; a key by the
+// name rule when a bare column and by SQL text otherwise (SELECT g % 2 + 1 …
+// GROUP BY g % 2, or a % b … GROUP BY b, a % b). Aggregate arguments are gone
+// by then, so no key rewrite touches one. Any column left is unknown.
+func finalItems(fin *Evaluator, keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate) ([]sqlparse.Expr, error) {
+	refs := make([]sqlparse.Column, len(aggs)+len(keys))
+	fin.pos = make(map[*sqlparse.Column]int, len(refs))
+	for i := range refs {
+		fin.pos[&refs[i]] = i
 	}
-	return out
-}
-
-// finalEnv resolves reference columns to one group's aggregate results and
-// key values; every other column is unknown.
-type finalEnv struct{ aggs, keys []value.Value }
-
-// Lookup implements Env.
-func (e *finalEnv) Lookup(qualifier, name string) (value.Value, bool) {
-	vals := e.aggs
-	switch qualifier {
-	case keyRef:
-		vals = e.keys
-	case aggRef:
-	default:
-		return value.Null(), false
-	}
-	i, _ := strconv.Atoi(name)
-	return vals[i], true
-}
-
-// finalItems rewrites the items once, for Finish. First each aggregate
-// becomes its aggRef (a bare item by identity, a nested one by SQL text);
-// then each largest subtree that is a GROUP BY key becomes its keyRef (a
-// bare key column by the name rule, another key by SQL text: SELECT
-// g % 2 + 1 … GROUP BY g % 2, or a % b … GROUP BY b, a % b). Aggregate
-// arguments are gone by then, so no key rewrite touches one.
-func finalItems(keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate) []sqlparse.Expr {
-	aggRefs, keyRefs := refs(aggRef, len(aggs)), refs(keyRef, len(keys))
+	aggRefs, keyRefs := refs[:len(aggs)], refs[len(aggs):]
 	var aggText []string // printed only for an aggregate inside an expression
 	toAgg := func(n sqlparse.Expr) sqlparse.Expr {
 		if a, ok := n.(*sqlparse.Aggregate); ok {
@@ -196,9 +175,10 @@ func finalItems(keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate) []sqlpa
 	}
 	toKey := func(n sqlparse.Expr) sqlparse.Expr {
 		c, isCol := n.(*sqlparse.Column)
+		_, isRef := fin.pos[c] // only aggregate references are bound yet
 		for k, key := range keys {
 			kc, bare := key.(*sqlparse.Column)
-			if bare && isCol && c.Qualifier != aggRef && sqlparse.SameName(kc.Name, c.Name) || !bare && n.String() == key.String() {
+			if bare && isCol && !isRef && sqlparse.SameName(kc.Name, c.Name) || !bare && n.String() == key.String() {
 				return &keyRefs[k]
 			}
 		}
@@ -221,26 +201,28 @@ func finalItems(keys, items []sqlparse.Expr, aggs []*sqlparse.Aggregate) []sqlpa
 		}
 		final[j] = it
 	}
-	return final
+	return final, fin.Bind(func(string) int { return -1 }, final...)
 }
 
 // RowExec is the one row-at-a-time SELECT block, run on both sides of the
 // wire: the S3 Select engine feeds it scanned object rows, PushdownDB's
-// reference operators feed it relation rows. Each input row goes through
-// WHERE and is then either projected and emitted at once (NewProjection)
-// or folded into a Groups table that Finish emits (NewAggregation). What
-// differs between callers stays with the caller: which of the two shapes
-// the block has, how an input row is an Env, what * expands to (star), and
-// what becomes of an output row (emit — rendering, LIMIT, collection).
-// emit receives each output row in a slice that the next row reuses.
+// reference operators feed it relation rows. It is bound once, to the
+// header its input rows are laid out as; each input row then goes through
+// WHERE and is either projected and emitted at once (NewProjection) or
+// folded into a Groups table that Finish emits (NewAggregation). What differs
+// between callers stays with the caller: which of the two shapes the block
+// has, which cells of each input row it fills (Cols), and what becomes of an
+// output row (emit — rendering, LIMIT, collection). emit receives each
+// output row in a slice that the next row reuses.
 type RowExec struct {
-	ev    *Evaluator
+	ev    Evaluator // bound to the input rows
 	where sqlparse.Expr
 	emit  func(row []value.Value) error
 
-	// A projection: the items, the caller's * expansion, the output row.
+	// A projection: the items, the header width * expands to, the output
+	// row.
 	items []sqlparse.Expr
-	star  func(dst []value.Value) []value.Value
+	width int
 	row   []value.Value
 
 	// An aggregation (groups non-nil): the table, which holds the keys and
@@ -250,52 +232,79 @@ type RowExec struct {
 	keyVals []value.Value
 }
 
-// NewProjection builds the block that emits one row of items per input
-// row passing where (nil passes every row). An aggregate among the items
-// is an evaluation error. star appends the current input row's * expansion
-// to dst; with a nil star, * is an evaluation error too.
-func NewProjection(where sqlparse.Expr, items []sqlparse.Expr, star func(dst []value.Value) []value.Value, emit func(row []value.Value) error) *RowExec {
-	return &RowExec{ev: New(), where: where, items: items, star: star, emit: emit}
+// NewProjection builds the block that emits one row of items per input row
+// passing where (nil passes every row); a * item expands to every column of
+// header. An aggregate among the items is an evaluation error.
+func NewProjection(header []string, where sqlparse.Expr, items []sqlparse.Expr, emit func(row []value.Value) error) (*RowExec, error) {
+	x := &RowExec{where: where, items: items, width: len(header), emit: emit}
+	return x, x.bind(header, items, where, nil)
 }
 
 // NewAggregation builds the block that groups the input rows passing where
 // by keys (none: one group, present even over zero rows) and emits one row
 // of items per group from Finish, in first-seen group order.
-func NewAggregation(where sqlparse.Expr, keys, items []sqlparse.Expr, emit func(row []value.Value) error) *RowExec {
-	ev := New()
-	return &RowExec{
-		ev: ev, where: where, emit: emit,
-		groups: NewGroups(ev, keys, items), keyVals: make([]value.Value, len(keys)),
+func NewAggregation(header []string, where sqlparse.Expr, keys, items []sqlparse.Expr, emit func(row []value.Value) error) (*RowExec, error) {
+	x := &RowExec{where: where, emit: emit, keyVals: make([]value.Value, len(keys))}
+	err := x.bind(header, items, where, keys)
+	if err == nil {
+		x.groups, err = NewGroups(&x.ev, keys, items)
 	}
+	return x, err
 }
 
-// Add runs one input row through the block.
-func (x *RowExec) Add(env Env) error {
+// bind binds the block's expressions to header (nil: none, see
+// Evaluator.Bind) in the order a scan reads their columns: a * item's (every
+// column), the items', WHERE's, the keys'. A block it refuses is unusable.
+func (x *RowExec) bind(header []string, items []sqlparse.Expr, where sqlparse.Expr, keys []sqlparse.Expr) error {
+	x.ev.cols = make([]int, 0, len(header)) // no more positions than the header's
+	if slices.ContainsFunc(items, func(e sqlparse.Expr) bool { _, ok := e.(*sqlparse.Star); return ok }) {
+		for i := range header {
+			x.ev.cols = append(x.ev.cols, i)
+		}
+	}
+	index := Index(header)
+	for _, exprs := range [][]sqlparse.Expr{items, {where}, keys} {
+		if err := x.ev.Bind(index, exprs...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Cols returns the header positions whose cells each input row must fill.
+func (x *RowExec) Cols() []int { return x.ev.Cols() }
+
+// Add runs one input row, laid out as the block's header, through the
+// block. A cell past the row's end is NULL.
+func (x *RowExec) Add(row []value.Value) error {
 	if x.where != nil {
-		ok, err := x.ev.EvalBool(x.where, env)
+		ok, err := x.ev.EvalBool(x.where, row)
 		if err != nil || !ok {
 			return err
 		}
 	}
 	if x.groups == nil {
-		row := x.row[:0]
+		out := x.row[:0]
 		for _, it := range x.items {
-			if _, isStar := it.(*sqlparse.Star); isStar && x.star != nil {
-				row = x.star(row)
+			if _, isStar := it.(*sqlparse.Star); isStar {
+				out = append(out, row[:min(x.width, len(row))]...)
+				for range x.width - len(row) {
+					out = append(out, value.Null())
+				}
 				continue
 			}
-			v, err := x.ev.Eval(it, env)
+			v, err := x.ev.Eval(it, row)
 			if err != nil {
 				return err
 			}
-			row = append(row, v)
+			out = append(out, v)
 		}
-		x.row = row
-		return x.emit(row)
+		x.row = out
+		return x.emit(out)
 	}
 	key := x.key[:0]
 	for i, k := range x.groups.keys {
-		v, err := x.ev.Eval(k, env)
+		v, err := x.ev.Eval(k, row)
 		if err != nil {
 			return err
 		}
@@ -307,7 +316,7 @@ func (x *RowExec) Add(env Env) error {
 	if g == nil {
 		g = x.groups.Insert(key, x.keyVals)
 	}
-	return x.groups.Add(g, env)
+	return x.groups.Add(g, row)
 }
 
 // Finish emits an aggregation's output rows; a projection has already

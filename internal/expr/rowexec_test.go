@@ -30,15 +30,19 @@ func runBlock(t *testing.T, sql string, rows []MapEnv) string {
 		out = append(out, strings.Join(cells, "|"))
 		return nil
 	}
-	var cur MapEnv
-	star := func(dst []value.Value) []value.Value { return append(dst, cur["a"], cur["b"]) }
+	header := []string{"a", "b"}
 	items := sqlparse.ItemExprs(sel.Items)
-	x := NewProjection(sel.Where, items, star, emit)
+	var x *RowExec
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
-		x = NewAggregation(sel.Where, sel.GroupBy, items, emit)
+		x, err = NewAggregation(header, sel.Where, sel.GroupBy, items, emit)
+	} else {
+		x, err = NewProjection(header, sel.Where, items, emit)
 	}
-	for _, cur = range rows {
-		if err := x.Add(cur); err != nil {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	for _, cur := range rows {
+		if err := x.Add(cur.row(header)); err != nil {
 			return "error: " + err.Error()
 		}
 	}
@@ -91,19 +95,28 @@ func TestRowExec(t *testing.T) {
 
 // TestProjectionRejectsAggregatesAndBareStar: what the caller declared a
 // projection stays one — an aggregate among its items is the evaluator's
-// error, as is * when the caller gave no expansion.
+// error — and * is a projection's item only: in a group's items it is no
+// scalar.
 func TestProjectionRejectsAggregatesAndBareStar(t *testing.T) {
 	sel, err := sqlparse.Parse("SELECT SUM(a), * FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	emit := func([]value.Value) error { return nil }
-	row := MapEnv{"a": value.Int(1)}
-	for i, want := range []string{"expr: aggregate SUM(a) evaluated outside aggregation", "expr: * is not a scalar expression"} {
-		x := NewProjection(nil, []sqlparse.Expr{sel.Items[i].Expr}, nil, emit)
-		if err := x.Add(row); fmt.Sprint(err) != want {
-			t.Errorf("item %s: err %v, want %s", sel.Items[i].Expr, err, want)
-		}
+	header, row := []string{"a"}, []value.Value{value.Int(1)}
+	x, err := NewProjection(header, nil, []sqlparse.Expr{sel.Items[0].Expr}, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Add(row); fmt.Sprint(err) != "expr: aggregate SUM(a) evaluated outside aggregation" {
+		t.Errorf("projected SUM(a): err %v", err)
+	}
+	x, err = NewAggregation(header, nil, nil, []sqlparse.Expr{sel.Items[1].Expr}, emit)
+	if err == nil {
+		err = x.Finish()
+	}
+	if fmt.Sprint(err) != "expr: * is not a scalar expression" {
+		t.Errorf("aggregated *: err %v", err)
 	}
 }
 
@@ -112,18 +125,19 @@ func TestProjectionRejectsAggregatesAndBareStar(t *testing.T) {
 func TestGroupsMergeKeepsFirstSeenOrder(t *testing.T) {
 	sel, _ := sqlparse.Parse("SELECT g, SUM(v) FROM t GROUP BY g")
 	items := sqlparse.ItemExprs(sel.Items)
+	header := []string{"g", "v"}
 	fill := func(keys ...string) *Groups {
-		t := NewGroups(New(), sel.GroupBy, items)
+		tbl := groupsOver(t, header, sel.GroupBy, items)
 		for _, k := range keys {
-			g := t.Find([]byte(k))
+			g := tbl.Find([]byte(k))
 			if g == nil {
-				g = t.Insert([]byte(k), []value.Value{value.Str(k)})
+				g = tbl.Insert([]byte(k), []value.Value{value.Str(k)})
 			}
-			_ = t.Add(g, MapEnv{"v": value.Int(1)})
+			_ = tbl.Add(g, []value.Value{value.Str(k), value.Int(1)})
 		}
-		return t
+		return tbl
 	}
-	merged := NewGroups(New(), sel.GroupBy, items)
+	merged := groupsOver(t, header, sel.GroupBy, items)
 	for _, part := range []*Groups{fill("b", "a", "b"), fill("c", "a"), fill("d", "b")} {
 		if err := merged.Merge(part); err != nil {
 			t.Fatal(err)
@@ -149,7 +163,7 @@ func TestGroupsAllocatePerChunk(t *testing.T) {
 	const groups = 10_000
 	var tbl *Groups
 	n := testing.AllocsPerRun(5, func() {
-		tbl = NewGroups(New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+		tbl, _ = NewGroups(nil, sel.GroupBy, sqlparse.ItemExprs(sel.Items))
 		var key []byte
 		vals := make([]value.Value, 1)
 		for i := 0; i < groups; i++ {

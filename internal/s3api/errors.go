@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/store"
 )
 
@@ -58,11 +59,16 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Err }
 
 // KindOf returns the Kind of err if it is (or wraps) a *Error, and "" when
-// it is not a storage error.
+// it is not a storage error; except that a column a statement names and its
+// input lacks (expr.ErrUnknownColumn), which a binding refuses on either side
+// of the wire, is always the caller's to fix: KindBadRequest.
 func KindOf(err error) Kind {
 	var se *Error
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, &se):
 		return se.Kind
+	case errors.Is(err, expr.ErrUnknownColumn):
+		return KindBadRequest
 	}
 	return ""
 }

@@ -313,33 +313,6 @@ func CountNodes(sel *sqlparse.Select) int64 {
 	return n
 }
 
-// cursor is a scan's row cursor: the expr.Env its statement evaluates, and
-// the current row's cells by header position, which * reads.
-type cursor interface {
-	expr.Env
-	at(i int) value.Value
-}
-
-// rowEnv adapts a CSV row to the expression evaluator. All fields are
-// strings, exactly as S3 Select sees CSV data.
-type rowEnv struct {
-	names  sqlparse.Names
-	fields []string
-}
-
-func (r *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	i := r.names.Index(name)
-	return r.at(i), i >= 0
-}
-
-// at reads cell i, NULL when it is empty or past the row's end.
-func (r *rowEnv) at(i int) value.Value {
-	if i < 0 || i >= len(r.fields) || r.fields[i] == "" {
-		return value.Null()
-	}
-	return value.Str(r.fields[i])
-}
-
 // positionalNames returns S3 Select's positional column names _1 … _n: a
 // header-less object's header, and what * expands to over it.
 func positionalNames(n int) []string {
@@ -369,9 +342,12 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		// No header: the first data row's width names the columns.
 		header = positionalNames(len(sc.Fields()))
 	}
-	env := &rowEnv{names: sqlparse.NewNames(header)}
-	exec := newExecutor(sel, header, env)
+	exec, err := newExecutor(sel, header)
+	if err != nil {
+		return nil, err
+	}
 	defer renders.Put(exec.buf)
+	row, reads := make([]value.Value, len(header)), exec.rx.Cols()
 
 	var stats Stats
 	stats.ExprNodes = nodes
@@ -392,9 +368,14 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 		}
 		lastScannedEnd = last + 1
 		stats.RowsScanned++
-		stats.CellsDecoded += int64(len(sc.Fields()))
-		env.fields = sc.Fields()
-		if err := exec.rx.Add(env); err != nil {
+		fields := sc.Fields()
+		stats.CellsDecoded += int64(len(fields))
+		for _, i := range reads { // text, as S3 Select sees CSV; NULL when empty or missing
+			if row[i] = value.Null(); i < len(fields) && fields[i] != "" {
+				row[i] = value.Str(fields[i])
+			}
+		}
+		if err := exec.rx.Add(row); err != nil {
 			return nil, err
 		}
 		if exec.terminatedEarly {
@@ -425,12 +406,16 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 		return nil, err
 	}
 	header := r.Schema().Names()
-	env := &colEnv{names: sqlparse.NewNames(header), cols: make([]*vec.Vector, len(header))}
-	exec := newExecutor(sel, header, env)
+	exec, err := newExecutor(sel, header)
+	if err != nil {
+		return nil, err
+	}
 	defer renders.Put(exec.buf)
 
-	// Column pruning: only the referenced columns are read.
-	needed := neededColumns(sel, env.names, len(header))
+	// Column pruning: only the columns the statement reads are read.
+	needed := exec.rx.Cols()
+	cols, row := make([]*vec.Vector, len(header)), make([]value.Value, len(header))
+	names := sqlparse.NewNames(header)
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
 	// The footer's length and magic, which Open found, are always read.
@@ -438,15 +423,15 @@ func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, e
 
 scan:
 	for g := 0; g < r.NumRowGroups(); g++ {
-		if skipGroup(r, g, sel.Where, env.names) {
+		if skipGroup(r, g, sel.Where, names) {
 			continue
 		}
 		for _, ci := range needed {
-			vals, n, err := r.ReadColumn(g, ci, env.cols[ci])
+			vals, n, err := r.ReadColumn(g, ci, cols[ci])
 			if err != nil {
 				return nil, err
 			}
-			env.cols[ci] = vals
+			cols[ci] = vals
 			stats.BytesScanned += n
 			stats.DecompressBytes += r.ChunkRawLen(g, ci)
 		}
@@ -454,8 +439,10 @@ scan:
 		for i := 0; i < nRows; i++ {
 			stats.RowsScanned++
 			stats.CellsDecoded += int64(len(needed))
-			env.row = i
-			if err := exec.rx.Add(env); err != nil {
+			for _, ci := range needed {
+				row[ci] = cols[ci].Value(i)
+			}
+			if err := exec.rx.Add(row); err != nil {
 				return nil, err
 			}
 			if exec.terminatedEarly {
@@ -469,36 +456,6 @@ scan:
 	}
 	res.Columnar = true
 	return res, nil
-}
-
-// neededColumns lists the header positions a columnar scan has to read: every
-// column for a * item, else the columns the select list, WHERE and GROUP BY
-// reference, in first-seen order. One walk, whatever the select list's length.
-func neededColumns(sel *sqlparse.Select, names sqlparse.Names, ncols int) []int {
-	seen := make([]bool, ncols)
-	var out []int
-	add := func(i int) {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
-	for _, it := range sel.Items {
-		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
-			for i := 0; i < ncols; i++ {
-				add(i)
-			}
-		}
-	}
-	walkSelect(sel, func(e sqlparse.Expr) bool {
-		if c, ok := e.(*sqlparse.Column); ok {
-			if i := names.Index(c.Name); i >= 0 {
-				add(i)
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // skipGroup prunes a row group when the chunk min/max statistics refute any
@@ -560,25 +517,6 @@ func ordered(k value.Kind, mn, mx, lit value.Value) bool {
 		k == value.KindDate && value.FourDigitYear(mn.Days()) && value.FourDigitYear(mx.Days())
 }
 
-// colEnv adapts one row of the scan's column vectors, by header position
-// (nil: not referenced, so never loaded).
-type colEnv struct {
-	names sqlparse.Names
-	cols  []*vec.Vector
-	row   int
-}
-
-func (c *colEnv) Lookup(_, name string) (value.Value, bool) {
-	i := c.names.Index(name)
-	if i < 0 || c.cols[i] == nil {
-		return value.Null(), false
-	}
-	return c.cols[i].Value(c.row), true
-}
-
-// at reads column i, which a * loaded with every other.
-func (c *colEnv) at(i int) value.Value { return c.cols[i].Value(c.row) }
-
 // executor is the storage-specific half of a request. expr.RowExec runs
 // the SELECT block (WHERE, then projection, aggregation or grouping); the
 // executor expands * over the object's header, renders each output row into
@@ -604,25 +542,26 @@ type render struct {
 
 var renders = sync.Pool{New: func() any { return new(render) }}
 
-// newExecutor builds the executor for sel over an object with the given
-// header; env is the scan's row cursor, which * reads the current row from.
-// The caller puts ex.buf back in renders when the scan ends.
-func newExecutor(sel *sqlparse.Select, header []string, env cursor) *executor {
-	ex := &executor{limit: -1, buf: renders.Get().(*render)}
-	ex.buf.body = ex.buf.body[:0]
+// newExecutor builds the executor for sel, bound to an object's header (nil:
+// an object with no lines, which has none): a column the header lacks is
+// refused here, whatever rows follow. The caller puts ex.buf back in renders
+// when the scan ends.
+func newExecutor(sel *sqlparse.Select, header []string) (*executor, error) {
+	ex := &executor{limit: -1}
 	items := sqlparse.ItemExprs(sel.Items)
+	var err error
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
-		ex.rx = expr.NewAggregation(sel.Where, sel.GroupBy, items, ex.emit)
-		return ex
+		ex.rx, err = expr.NewAggregation(header, sel.Where, sel.GroupBy, items, ex.emit)
+	} else {
+		ex.limit = sel.Limit
+		ex.rx, err = expr.NewProjection(header, sel.Where, items, ex.emit)
 	}
-	ex.limit = sel.Limit
-	ex.rx = expr.NewProjection(sel.Where, items, func(dst []value.Value) []value.Value {
-		for i := range header {
-			dst = append(dst, env.at(i))
-		}
-		return dst
-	}, ex.emit)
-	return ex
+	if err != nil {
+		return nil, err
+	}
+	ex.buf = renders.Get().(*render)
+	ex.buf.body = ex.buf.body[:0]
+	return ex, nil
 }
 
 // emit renders one output row into the render buffer, each cell rendered

@@ -1,6 +1,7 @@
 package selectengine
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
@@ -256,6 +258,51 @@ func TestEmptyObject(t *testing.T) {
 		}
 		if want := [][]string{{"0", ""}}; !reflect.DeepEqual(rowsOf(t, res), want) {
 			t.Errorf("header=%v: COUNT(*), SUM(a) rows = %q, want %q", hasHeader, rowsOf(t, res), want)
+		}
+		// No header, so no name to refuse: every column reads NULL over the
+		// rows there are not.
+		for sql, want := range map[string][][]string{
+			"SELECT _3 FROM S3Object WHERE _1 > 0":     nil,
+			"SELECT COUNT(*), SUM(_3) FROM S3Object":   {{"0", ""}},
+			"SELECT MAX(_3) FROM S3Object GROUP BY _3": nil,
+		} {
+			res, err := Execute(nil, Request{SQL: sql, HasHeader: hasHeader, Capabilities: Capabilities{AllowGroupBy: true}})
+			if err != nil {
+				t.Fatalf("header=%v: %s: %v", hasHeader, sql, err)
+			}
+			if got := rowsOf(t, res); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Errorf("header=%v: %s rows = %q, want %q", hasHeader, sql, got, want)
+			}
+		}
+	}
+}
+
+// TestUnknownColumnOverNoRows: an object with a header and no rows binds the
+// statement to that header — a header-only CSV object, a colformat object of
+// no rows — so a column it lacks is refused, as over rows, and a statement
+// it binds answers as a partition with no rows.
+func TestUnknownColumnOverNoRows(t *testing.T) {
+	columnar, err := colformat.Encode(colformat.Schema{{Name: "a", Kind: value.KindInt}, {Name: "b", Kind: value.KindString}}, nil, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"csv": []byte("a,b\n"), "colformat": columnar} {
+		for _, sql := range []string{
+			"SELECT nosuch FROM S3Object",
+			"SELECT a FROM S3Object WHERE a > 0 OR nosuch = 1",
+			"SELECT COUNT(nosuch) FROM S3Object",
+			"SELECT _3 FROM S3Object",
+		} {
+			if _, err := Execute(data, Request{SQL: sql, HasHeader: true}); !errors.Is(err, expr.ErrUnknownColumn) {
+				t.Errorf("%s: %s: err %v, want an unknown column", name, sql, err)
+			}
+		}
+		res := run(t, data, "SELECT COUNT(*), SUM(a), MAX(_2) FROM S3Object")
+		if want := [][]string{{"0", "", ""}}; !reflect.DeepEqual(rowsOf(t, res), want) {
+			t.Errorf("%s: aggregate rows = %q, want %q", name, rowsOf(t, res), want)
+		}
+		if res := run(t, data, "SELECT * FROM S3Object"); len(rowsOf(t, res)) != 0 || !reflect.DeepEqual(res.Columns, []string{"a", "b"}) {
+			t.Errorf("%s: SELECT * = %q over columns %q", name, rowsOf(t, res), res.Columns)
 		}
 	}
 }

@@ -558,3 +558,33 @@ func TestUnknownTableIsBadRequest(t *testing.T) {
 		t.Fatalf("unknown table: want %q, got %q (%v)", KindBadRequest, KindOf(err), err)
 	}
 }
+
+// TestUnknownColumnIsBadRequest: a column the table lacks is the client's
+// mistake on every access path, the planner's baseline included, where the
+// server's own operators would read it: bad_request, never internal. Each
+// statement is planned on the baseline (its EXPLAIN says so without the
+// unknown column).
+func TestUnknownColumnIsBadRequest(t *testing.T) {
+	fx := newFixture(t, "inproc", Config{})
+	cl := NewClient(fx.base)
+	ctx := context.Background()
+	if _, err := cl.Query(ctx, "CREATE INDEX ON orders (o_price)"); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cl.Query(ctx, "EXPLAIN SELECT o_id FROM orders WHERE o_price >= 0 ORDER BY o_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := plan.Relation.Rows[0][0].String(); !strings.Contains(first, ": baseline") {
+		t.Fatalf("the statement's shape is not planned on the baseline: %s", first)
+	}
+	for _, sql := range []string{
+		"SELECT o_id, nosuch FROM orders WHERE o_price >= 0 ORDER BY o_id",
+		"SELECT o_id FROM orders WHERE o_price >= 0 ORDER BY nosuch",
+		"SELECT o_id FROM orders WHERE o_price >= 0 AND (o_id > 0 OR nosuch = 1) ORDER BY o_id",
+	} {
+		if _, err := cl.Query(ctx, sql); KindOf(err) != KindBadRequest || !strings.Contains(err.Error(), "unknown column nosuch") {
+			t.Errorf("%s: want %q for the unknown column, got %q (%v)", sql, KindBadRequest, KindOf(err), err)
+		}
+	}
+}

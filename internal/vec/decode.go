@@ -43,9 +43,10 @@ type Fold struct {
 }
 
 // NewFold returns a fold into a new table grouping by keys (none: a plain
-// aggregation) and finalizing to items.
-func NewFold(keys []sqlparse.Expr, items []sqlparse.SelectItem) *Fold {
-	return &Fold{Table: expr.NewGroups(expr.New(), keys, sqlparse.ItemExprs(items))}
+// aggregation) and finalizing to items (expr.NewGroups).
+func NewFold(keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Fold, error) {
+	t, err := expr.NewGroups(nil, keys, sqlparse.ItemExprs(items))
+	return &Fold{Table: t}, err
 }
 
 // CSV folds body, whose columns are cols, into the table. It fails unless
@@ -54,6 +55,9 @@ func NewFold(keys []sqlparse.Expr, items []sqlparse.SelectItem) *Fold {
 func (f *Fold) CSV(cols []string, body []byte, rows int64) error {
 	if f.bind == nil || !slices.Equal(f.bind.b.Cols, cols) {
 		f.bind = bind(f.Table, csvBatch(cols, 0))
+	}
+	if f.bind.err != nil {
+		return f.bind.err
 	}
 	b, sc := f.bind.b, csvx.NewScanner(body)
 	n := int64(0)

@@ -130,8 +130,10 @@ func TestFromStringsDiff(t *testing.T) {
 		}
 		for _, chunk := range []int{1, 2, 7, 1024} {
 			was := vec.SetChunkRows(chunk)
-			fold := vec.NewFold(sel.GroupBy, sel.Items)
-			err := fold.CSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
+			fold, err := vec.NewFold(sel.GroupBy, sel.Items)
+			if err == nil {
+				err = fold.CSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
+			}
 			vec.SetChunkRows(was)
 			if err != nil {
 				t.Fatal(err)

@@ -184,7 +184,7 @@ type operand struct {
 // b does not have.
 func compileOperand(e sqlparse.Expr, b *Batch) (_ operand, ok bool) {
 	if c, isCol := e.(*sqlparse.Column); isCol {
-		// Qualifiers are ignored, as in the row path's Env lookup.
+		// Qualifiers are ignored, as the row path's binding ignores them.
 		if j := b.ColIndex(c.Name); j >= 0 {
 			return operand{vec: b.Vecs[j]}, true
 		}

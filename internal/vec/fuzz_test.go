@@ -121,7 +121,10 @@ func FuzzVecDecode(f *testing.F) {
 		cuts := []int{0, int(data[0]) % (len(rows) + 1), int(data[len(data)-1]) % (len(rows) + 1), len(rows)}
 		sort.Ints(cuts)
 		defer vec.SetChunkRows(vec.SetChunkRows(1 + int(data[len(data)/2])%8))
-		fold := vec.NewFold(all.GroupBy, all.Items)
+		fold, err := vec.NewFold(all.GroupBy, all.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 1; k < len(cuts); k++ {
 			if err := fold.CSV(cols, csvx.Encode(nil, wide[cuts[k-1]:cuts[k]]), int64(cuts[k]-cuts[k-1])); err != nil {
 				t.Fatalf("fold slice %d: %v", k, err)

@@ -11,7 +11,10 @@ import (
 // group table, the batch accumulated into it, the table finished. Returns
 // the output column names and rows.
 func GroupBy(b *Batch, sel *sqlparse.Select, workers int) ([]string, [][]value.Value, error) {
-	t := expr.NewGroups(expr.New(), sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+	t, err := expr.NewGroups(nil, sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+	if err != nil {
+		return nil, nil, err
+	}
 	if err := Accumulate(t, b, workers); err != nil {
 		return nil, nil, err
 	}
@@ -41,7 +44,7 @@ func Finish(t *expr.Groups, items []sqlparse.SelectItem) ([]string, [][]value.Va
 // over a contiguous span, and the partials merge into t in span order
 // (reproducing the sequential first-seen group order). The speedup comes
 // from the binding: keys and aggregate inputs that are columns are read
-// from their vectors by ordinal, with no per-row environment lookup.
+// from their vectors by ordinal.
 func Accumulate(t *expr.Groups, b *Batch, workers int) error {
 	sps := RowSpans(b.Len(), workers)
 	if len(sps) <= 1 {
@@ -62,14 +65,15 @@ func Accumulate(t *expr.Groups, b *Batch, workers int) error {
 
 // binding is Accumulate's first half, done once per batch layout: each group
 // key and aggregate argument of a table resolved to the ordinal of the
-// batch's column it is, or kept as an expression to evaluate per row. fold,
+// batch's column it is, or bound as an expression to evaluate per row. fold,
 // the second half, allocates nothing but the table's new groups.
 type binding struct {
 	t          *expr.Groups
 	b          *Batch
 	keys, aggs []source
-	ev         *expr.Evaluator
-	env        rowEnv
+	ev         *expr.Evaluator // the expression sources', over row
+	row        []value.Value   // the current row's cells of the columns ev reads
+	err        error           // the first source that did not bind: fold's
 	key        []byte
 	keyVals    []value.Value // Insert copies it
 	day        value.Value   // the last date key rendered, as dayText
@@ -83,8 +87,9 @@ type source struct {
 	e   sqlparse.Expr
 }
 
+// bind refuses a name b lacks (expr.ErrUnknownColumn), whatever rows follow.
 func bind(t *expr.Groups, b *Batch) *binding {
-	x := &binding{t: t, b: b, ev: expr.New(), env: rowEnv{b: b}, keyVals: make([]value.Value, len(t.Keys()))}
+	x := &binding{t: t, b: b, ev: new(expr.Evaluator), keyVals: make([]value.Value, len(t.Keys())), row: make([]value.Value, len(b.Vecs))}
 	for _, k := range t.Keys() {
 		x.keys = append(x.keys, x.source(k))
 	}
@@ -98,17 +103,20 @@ func bind(t *expr.Groups, b *Batch) *binding {
 	return x
 }
 
-// source resolves e to the batch's column it names, if it is one.
+// source resolves e to the batch's column it names, or binds it.
 func (x *binding) source(e sqlparse.Expr) source {
 	if c, ok := e.(*sqlparse.Column); ok {
 		if j := x.b.ColIndex(c.Name); j >= 0 {
 			return source{col: j}
 		}
 	}
+	if err := x.ev.Bind(x.b.ColIndex, e); x.err == nil {
+		x.err = err
+	}
 	return source{col: -1, e: e}
 }
 
-// at is s's value at row i.
+// at is s's value at row i, an expression's over row.
 func (x *binding) at(s source, i int) (value.Value, error) {
 	switch {
 	case s.col >= 0:
@@ -116,15 +124,20 @@ func (x *binding) at(s source, i int) (value.Value, error) {
 	case s.e == nil:
 		return value.Int(1), nil
 	}
-	x.env.i = i
-	return x.ev.Eval(s.e, &x.env)
+	return x.ev.Eval(s.e, x.row)
 }
 
 // fold folds rows [lo, hi) of the batch into the table, in row order. Each
 // key is read or evaluated once per row, and a new group keeps the values
 // its key was rendered from.
 func (x *binding) fold(lo, hi int) error {
+	if x.err != nil {
+		return x.err
+	}
 	for i := lo; i < hi; i++ {
+		for _, c := range x.ev.Cols() {
+			x.row[c] = x.b.Vecs[c].Value(i)
+		}
 		key := x.key[:0]
 		for j, k := range x.keys {
 			kv, err := x.at(k, i)

@@ -199,12 +199,19 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 		}{
 			{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
 		} {
-			if err := NewFold(sel.GroupBy, sel.Items).CSV(cols, []byte(tc.body), tc.rows); err == nil {
+			f, err := NewFold(sel.GroupBy, sel.Items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.CSV(cols, []byte(tc.body), tc.rows); err == nil {
 				t.Errorf("chunks of %d: Fold.CSV(%q, %d rows) folded, want an error", chunk, tc.body, tc.rows)
 			}
 		}
-		f := NewFold(sel.GroupBy, sel.Items)
-		err := f.CSV(cols, []byte("1,x\n\n3,\"y,z\"\n"), 3)
+		f, err := NewFold(sel.GroupBy, sel.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = f.CSV(cols, []byte("1,x\n\n3,\"y,z\"\n"), 3)
 		_, rows, ferr := Finish(f.Table, sel.Items)
 		if err != nil || ferr != nil || f.Rows != 3 || len(rows) != 3 ||
 			rows[0][0].AsInt() != 1 || !rows[1][0].IsNull() || !rows[1][1].IsNull() || rows[2][1].AsString() != "y,z" {

@@ -274,19 +274,3 @@ func (b *Batch) ToRows() [][]value.Value {
 	}
 	return rows
 }
-
-// rowEnv adapts one batch row to expr.Env for Accumulate's group keys and
-// aggregate arguments that are not bare columns. Reused across rows by
-// mutating i, so per-row evaluation allocates no environment.
-type rowEnv struct {
-	b *Batch
-	i int
-}
-
-func (e *rowEnv) Lookup(_, name string) (value.Value, bool) {
-	j := e.b.ColIndex(name)
-	if j < 0 {
-		return value.Null(), false
-	}
-	return e.b.Vecs[j].Value(e.i), true
-}
