@@ -1,7 +1,8 @@
 // Package arena is the allocation rule of the select/GET path in one place:
 // a decoded response or partition costs O(bytes / chunk) allocations, never
-// one per row or per cell. A local hash join (its rows share one array) and
-// a group table (expr.Groups) keep the rule too. Text hands out owned
+// one per row or per cell. A local hash join (its rows share one array), the
+// group table of an aggregation (expr.RowExec) and the rows a block emits
+// into a relation keep the rule too. Text hands out owned
 // strings cut from append-only chunks, Slab windows of backing arrays. Both
 // start at the size of the first request and double up to a fixed cap, so
 // a one-row decode keeps little more than its row alive and a large one

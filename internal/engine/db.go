@@ -40,9 +40,10 @@ type DB struct {
 	// virtual clock and pricing (unit scale by default).
 	Sim cloudsim.Scale
 
-	// vectorized selects the batched columnar local operators (the
-	// default). WithVectorized(false) pins the sequential row-at-a-time
-	// reference they must match byte for byte (see operators.go).
+	// vectorized selects the vectorized local operators (the default: the
+	// filter and join kernels, the row path over worker spans).
+	// WithVectorized(false) pins the sequential reference they must match
+	// byte for byte (see operators.go).
 	vectorized bool
 
 	// statsMu guards what the planner remembers across queries. statsCache
@@ -191,7 +192,7 @@ func WithScanSharing(cfg scanshare.Config) Option {
 }
 
 // WithVectorized(false) runs every local operator on the sequential
-// row-at-a-time reference instead of the vectorized kernels. The results
+// reference: no filter or join kernel, the row path over one span. The results
 // are byte-identical; the switch exists so differential tests and the
 // benchmark oracle can compare the two, not as a tuning knob.
 func WithVectorized(on bool) Option {

@@ -10,14 +10,16 @@ import "pushdowndb/internal/sqlparse"
 
 // serverSideFilter is the baseline access path's scan: it loads the whole
 // table with plain GETs and filters locally, billing one server row per
-// loaded row for the filter pass when there is one (pred non-nil).
-func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr) (*Relation, error) {
+// loaded row for the filter pass when there is one (pred non-nil). A non-nil
+// bind checks the first partition's header before the other partitions are
+// fetched (loadTable).
+func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, bind func(header []string) error) (*Relation, error) {
 	defer e.scope("server filter " + table).end(nil)
 	perRow := int64(0)
 	if pred != nil {
 		perRow = 1
 	}
-	rel, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow)
+	rel, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow, bind)
 	if err != nil {
 		return nil, err
 	}

@@ -17,21 +17,22 @@ import (
 // that takes parsed input (sqlparse expressions, select items, group keys).
 // There is one row path: expr.RowExec — the executor the S3 Select engine
 // runs on the storage side — bound once to a relation's header and fed its
-// rows as they are, over contiguous spans.
-// Project runs it on both operator sets, and so does every filter the
-// vec.Filter kernel does not compile; the vectorized set runs the internal/vec
-// kernels (compiled filters, group-by, join) across the worker budget, and
-// the reference — one span, no vectors — is what they must reproduce byte
-// for byte, for the differential batteries and the benchmark oracle
-// (WithVectorized(false)). Every relation the engine builds is as wide as
-// its header (value.CSVCell). Query execution reaches the operators through
-// one dispatch point (Exec.runOp).
+// rows as they are, over contiguous spans. Project, GroupBy (and the
+// grouped scan's fold, groupFold) and every filter the vec.Filter kernel
+// does not compile run it on both operator sets. The two sets differ in
+// three things only: the vectorized set runs a filter the kernel compiles
+// on the kernel, joins through vec.JoinPairs, and splits the row path over
+// the worker budget (vec.RowSpans); the reference — one span, no vectors —
+// is what it must reproduce byte for byte, for the differential batteries
+// and the benchmark oracle (WithVectorized(false)). Every relation the
+// engine builds is as wide as its header (value.CSVCell). Query execution
+// reaches the operators through one dispatch point (Exec.runOp).
 
 // Operators is the local operator set. The zero value is the sequential
 // reference.
 type Operators struct {
-	// Vectorized runs the internal/vec kernels, and the row path over
-	// vec.RowSpans, on Workers goroutines.
+	// Vectorized runs the filter and join kernels of internal/vec, and the
+	// row path over vec.RowSpans, on Workers goroutines.
 	Vectorized bool
 	Workers    int
 }
@@ -65,16 +66,6 @@ func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 	return cols
 }
 
-// batch decodes the columns the expressions read into vectors: their binding
-// to rel's header lists them, and refuses a column rel lacks.
-func (o Operators) batch(rel *Relation, exprs []sqlparse.Expr) (*vec.Batch, error) {
-	var ev expr.Evaluator
-	if err := ev.Bind(expr.Index(rel.Cols), exprs...); err != nil {
-		return nil, err
-	}
-	return vec.FromRowsProjected(rel.Cols, rel.Rows, ev.Cols(), o.Workers), nil
-}
-
 // Filter keeps the rows matching pred (nil keeps the relation as it is).
 // Kept rows share the input's row slices. A predicate vec.Filter compiles
 // runs on the kernel in the vectorized set; every other runs the row path.
@@ -83,9 +74,11 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 		return rel, nil
 	}
 	if o.Vectorized && vec.Compiles(pred) {
-		if b, err := o.batch(rel, []sqlparse.Expr{pred}); err != nil {
+		var ev expr.Evaluator // lists the columns pred reads, refusing one rel lacks
+		if err := ev.Bind(expr.Index(rel.Cols), pred); err != nil {
 			return nil, err
-		} else if idx, ok := vec.Filter(b, pred, o.Workers); ok {
+		}
+		if idx, ok := vec.Filter(vec.FromRowsProjected(rel.Cols, rel.Rows, ev.Cols(), o.Workers), pred, o.Workers); ok {
 			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
 			for k, i := range idx {
 				out.Rows[k] = rel.Rows[i]
@@ -134,12 +127,21 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 	return out, nil
 }
 
-// eachSpan is the row path: rel's rows run in spans (vec.RowSpans on the
-// vectorized set, one span on the reference), each through the block built
-// for it, whose emit reads the row being run from *i; no rows still build
-// one. The first error in span order is the lowest erroring row's.
+// spans splits n rows as the row path runs them: vec.RowSpans at the worker
+// budget on the vectorized set, one span on the reference.
+func (o Operators) spans(n int) []vec.Span {
+	if !o.Vectorized || o.Workers <= 1 || n < 2 {
+		return []vec.Span{{Hi: n}}
+	}
+	return vec.RowSpans(n, o.Workers)
+}
+
+// eachSpan is the row path: rel's rows run in spans (o.spans), each through
+// the block built for it, whose emit reads the row being run from *i; no
+// rows still build one. The first error in span order is the lowest erroring
+// row's.
 func (o Operators) eachSpan(rel *Relation, block func(i *int) (*expr.RowExec, error)) error {
-	run := func(_ int, sp vec.Span) error {
+	return vec.RunSpans(o.spans(len(rel.Rows)), func(_ int, sp vec.Span) error {
 		var i int
 		x, err := block(&i)
 		for i = sp.Lo; err == nil && i < sp.Hi; i++ {
@@ -149,40 +151,57 @@ func (o Operators) eachSpan(rel *Relation, block func(i *int) (*expr.RowExec, er
 			err = x.Finish()
 		}
 		return err
-	}
-	if !o.Vectorized || o.Workers <= 1 || len(rel.Rows) < 2 {
-		return run(0, vec.Span{Hi: len(rel.Rows)})
-	}
-	return vec.RunSpans(vec.RowSpans(len(rel.Rows), o.Workers), run)
+	})
 }
 
 // GroupBy groups rel by the key expressions and evaluates the aggregate
 // select items, one output row per group in first-seen group order. With no
 // keys it is a plain aggregation, whose one row it yields over zero input
-// rows too (COUNT = 0, other aggregates NULL).
+// rows too (COUNT = 0, other aggregates NULL). It is one aggregation block
+// per span (o.spans), each span after the first a Partial of the first's
+// block that merges into it in span order, so the groups, their order and
+// the first error are one block's over every row.
 func (o Operators) GroupBy(rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
-	if o.Vectorized {
-		b, err := o.batch(rel, append(sqlparse.ItemExprs(items), keys...))
-		if err != nil {
-			return nil, err
-		}
-		cols, rows, err := vec.GroupBy(b, &sqlparse.Select{Items: items, GroupBy: keys}, o.Workers)
-		return &Relation{Cols: cols, Rows: rows}, err
-	}
 	out := &Relation{Cols: itemCols(rel, items)}
-	if err := o.eachSpan(rel, func(*int) (*expr.RowExec, error) {
-		return expr.NewAggregation(rel.Cols, nil, keys, sqlparse.ItemExprs(items), out.add)
-	}); err != nil {
+	x, err := expr.NewAggregation(rel.Cols, nil, keys, sqlparse.ItemExprs(items), out.collect())
+	if err != nil {
+		return nil, err
+	}
+	sps, blocks := o.spans(len(rel.Rows)), []*expr.RowExec{x}
+	for range sps[1:] {
+		blocks = append(blocks, x.Partial())
+	}
+	err = vec.RunSpans(sps, func(w int, sp vec.Span) (err error) {
+		for i := sp.Lo; err == nil && i < sp.Hi; i++ {
+			err = blocks[w].Add(rel.Rows[i])
+		}
+		return err
+	})
+	for _, p := range blocks[1:] {
+		if err == nil {
+			err = x.Merge(p)
+		}
+	}
+	if err == nil {
+		err = x.Finish()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// add is the RowExec emit callback that collects output rows into r; the
-// executor reuses vals, so the row is copied.
-func (r *Relation) add(vals []value.Value) error {
-	r.Rows = append(r.Rows, append(Row(nil), vals...))
-	return nil
+// collect is the RowExec emit that appends each output row to r: a copy
+// (the executor reuses the row it emits) cut from one slab, so the rows cost
+// O(cells / chunk) allocations and each has cap == len.
+func (r *Relation) collect() func([]value.Value) error {
+	var slab arena.Slab[value.Value]
+	return func(vals []value.Value) error {
+		row := slab.Make(len(vals))
+		copy(row, vals)
+		r.Rows = append(r.Rows, row)
+		return nil
+	}
 }
 
 // HashJoin joins left (build side) and right (probe side) on equality of
@@ -314,19 +333,16 @@ func (e *Exec) projectLocal(rel *Relation, items []sqlparse.SelectItem) (*Relati
 }
 
 // groupByLocal runs the grouping operator (no keys: a plain aggregation)
-// over rel or, with a fold, finishes the group table a grouped scan folded
-// its responses into — first-seen group order and the first error are the
+// over rel or, with a fold, finishes the block a grouped scan folded its
+// responses into — first-seen group order and the first error are the
 // concatenated relation's.
-func (e *Exec) groupByLocal(rel *Relation, fold *vec.Fold, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+func (e *Exec) groupByLocal(rel *Relation, fold *groupFold, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	name := "groupby"
 	if len(keys) == 0 {
 		name = "aggregate"
 	}
 	if fold != nil {
-		return e.runOp(name, int(fold.Rows), func(Operators) (*Relation, error) {
-			cols, rows, err := vec.Finish(fold.Table, items)
-			return &Relation{Cols: cols, Rows: rows}, err
-		})
+		return e.runOp(name, int(fold.rows), func(Operators) (*Relation, error) { return fold.out, fold.x.Finish() })
 	}
 	return e.runOp(name, len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
 }

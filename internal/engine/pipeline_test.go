@@ -806,7 +806,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 	for _, st := range p.Steps[1:] {
 		var right *Relation
 		if err == nil {
-			right, err = e.serverSideFilter(p.Scans[st.scan].Table, p.Scans[st.scan].Filter)
+			right, err = e.serverSideFilter(p.Scans[st.scan].Table, p.Scans[st.scan].Filter, nil)
 		}
 		if err == nil {
 			rel, err = e.hashJoinLocal(e.NextStage(), rel, right, st.BuildKey, st.ProbeKey)

@@ -9,7 +9,6 @@ import (
 	"pushdowndb/internal/expr"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
-	"pushdowndb/internal/vec"
 )
 
 // QueryContext is PushdownDB's SQL front end. Single-table SELECTs (WHERE, GROUP
@@ -150,7 +149,13 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		case ap.Strategy == StrategyIndexScan:
 			return e.runIndexScanSelect(sel, sc)
 		case ap.Strategy == StrategyBaseline:
-			rel, err := e.serverSideFilter(table, sc.Filter)
+			var bind func([]string) error
+			if sc.Cols == nil {
+				// Forced: no header was read to bind to, so the first
+				// partition's is, before the other partitions are fetched.
+				bind = func(header []string) error { return bindStatement(sel, header) }
+			}
+			rel, err := e.serverSideFilter(table, sc.Filter, bind)
 			if err != nil {
 				return nil, err
 			}
@@ -165,13 +170,16 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 	}
 
-	// A grouped tail folds the scan's responses into its group table as they
-	// arrive and never sees a row.
-	var fold *vec.Fold
-	if e.db.vectorized && (len(sel.GroupBy) > 0 || sel.HasAggregates()) {
-		items, _, _ := groupSortPlan(sel)
-		var err error
-		if fold, err = vec.NewFold(sel.GroupBy, items); err != nil {
+	// A grouped tail folds the scan's responses into its aggregation block
+	// as they arrive and never sees a relation.
+	var fold *groupFold
+	if grouped(sel) {
+		pushed, err := sc.req.Statement()
+		if err == nil {
+			items, _, _ := groupSortPlan(sel)
+			fold, err = newGroupFold(pushed, sel.GroupBy, items)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -182,7 +190,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		return nil, err
 	}
 	if fold != nil {
-		return e.finishTail(sel, nil, fold, fold.Rows)
+		return e.finishTail(sel, nil, fold, fold.rows)
 	}
 	if isSimple(sel) {
 		// Fully pushable: selection, projection and LIMIT all went to S3.
@@ -206,7 +214,14 @@ func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
 	pushed := &sqlparse.Select{Items: sel.Items, Table: "S3Object", Where: sel.Where, Limit: sel.Limit}
 	if !isSimple(sel) {
 		var cols []string
-		refs, star := serverColumns(sel, nil, nil)
+		over := sel
+		if grouped(sel) {
+			// A grouped tail binds to the columns it is sent before its scan,
+			// so it is never sent *, whose columns only a response names: a *
+			// item fails over any group, whatever columns it would expand to.
+			over = &sqlparse.Select{Items: slices.DeleteFunc(slices.Clone(sel.Items), isStar), GroupBy: sel.GroupBy, OrderBy: sel.OrderBy}
+		}
+		refs, star := serverColumns(over, nil, nil)
 		for _, c := range refs {
 			cols = addColumn(cols, c.Name)
 		}
@@ -233,7 +248,12 @@ func pushedScan(sel *sqlparse.Select, extra sqlparse.Expr) *sqlparse.Select {
 // isSimple reports a statement S3 Select runs whole: selection, projection
 // and LIMIT, no tail for the server.
 func isSimple(sel *sqlparse.Select) bool {
-	return len(sel.GroupBy) == 0 && len(sel.OrderBy) == 0 && !sel.HasAggregates()
+	return len(sel.OrderBy) == 0 && !grouped(sel)
+}
+
+// grouped reports a statement whose tail groups or aggregates.
+func grouped(sel *sqlparse.Select) bool {
+	return len(sel.GroupBy) > 0 || sel.HasAggregates()
 }
 
 // finishLocal runs the server-side tail of a query over an already-scanned
@@ -246,7 +266,7 @@ func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, erro
 // finishTail is finishLocal over rowsIn rows, whose grouping step reads rel
 // or, with a fold, the group table a grouped scan folded (groupByLocal): the
 // one tail either input finishes through.
-func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *vec.Fold, rowsIn int64) (*Relation, error) {
+func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold, rowsIn int64) (*Relation, error) {
 	st := e.step("local", "local", e.NextStage(), "")
 	st.sp.SetInt("rows_in", rowsIn)
 	st.AddServerRows(rowsIn)

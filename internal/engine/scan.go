@@ -40,7 +40,7 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
 		fns[i] = func() (err error) {
-			rels[i], err = e.loadMetered("load "+l.Table, stage, l, perRow)
+			rels[i], err = e.loadMetered("load "+l.Table, stage, l, perRow, nil)
 			return err
 		}
 	}
@@ -55,15 +55,15 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	return e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0)
+	return e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
 }
 
 // loadMetered is LoadTable on a step of its own, metering there perRow units
 // of the server's row work per loaded row: the server-side baselines' pass
-// over every row.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64) (*Relation, error) {
+// over every row. A non-nil bind is loadTable's.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, error) {
 	st := e.step(name, name, stage, l.Table)
-	rel, err := e.loadTable(st, l.Table, l.Cols)
+	rel, err := e.loadTable(st, l.Table, l.Cols, bind)
 	if err == nil {
 		st.AddServerRows(int64(len(rel.Rows)) * perRow)
 	}
@@ -71,8 +71,11 @@ func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64) (*Relat
 	return rel, err
 }
 
-// loadTable is LoadTable metered on st.
-func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error) {
+// loadTable is LoadTable metered on st. With a bind, the first partition is
+// fetched and decoded alone and its header handed to bind, and the others
+// are fetched only if bind accepts it: a statement the table cannot answer
+// costs one GET.
+func (e *Exec) loadTable(st step, table string, cols []string, bind func(header []string) error) (*Relation, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
@@ -80,7 +83,7 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 	s := e.db.store(table)
 	parts := make([]part, len(keys))
 	decodeWorkers := e.partWorkers(len(keys))
-	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
+	fetch := func(ctx context.Context, i int, key string) error {
 		psp := st.sp.Child("get " + key)
 		defer psp.End()
 		data, err := s.Get(ctx, st.Phase, key)
@@ -100,7 +103,18 @@ func (e *Exec) loadTable(st step, table string, cols []string) (*Relation, error
 				fmt.Errorf("engine: table %q: %w", table, err))
 		}
 		return err
-	})
+	}
+	first := 0 // the partitions fetched before the fan-out
+	if bind != nil && len(keys) > 0 {
+		if err = fetch(e.ctx, 0, keys[0]); err == nil {
+			err = bind(parts[0].cols)
+		}
+		if err != nil {
+			return nil, err
+		}
+		first = 1
+	}
+	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, key string) error { return fetch(ctx, first+i, key) })
 	var out *Relation
 	if err == nil {
 		out, err = cutRows(parts)
@@ -306,14 +320,38 @@ func decodeCSV(data []byte, cols []string) (part, error) {
 // modifies.
 func decodeRows(cols []string, body []byte, n int) (part, error) {
 	p := part{cols: cols, cells: make([]value.Value, 0, min(n*len(cols), len(body)))}
+	_, err := scanRows(body, p.row, nil)
+	return p, err
+}
+
+// scanRows is the one loop that types a CSV body with no header line: each
+// line into the row next returns, cell j by value.CSVCell (so a row is as
+// wide as what next returns), then add over that row (nil: none), in order.
+// It returns the lines typed.
+func scanRows(body []byte, next func() []value.Value, add func([]value.Value) error) (int64, error) {
 	sc := csvx.NewScanner(body)
-	for sc.Scan() {
-		row := p.row()
+	n := int64(0)
+	for ; sc.Scan(); n++ {
+		row := next()
 		for j := range row {
 			row[j] = value.CSVCell(sc.Fields(), j)
 		}
+		if add != nil {
+			if err := add(row); err != nil {
+				return n, err
+			}
+		}
 	}
-	return p, sc.Err()
+	return n, sc.Err()
+}
+
+// checkClaim refuses a response whose body held n rows where its stats
+// claim another count.
+func checkClaim(res *selectengine.Result, n int64) error {
+	if n != res.Stats.RowsReturned {
+		return fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(res.Body), res.Stats.RowsReturned)
+	}
+	return nil
 }
 
 // SelectRows runs sql on every partition of table and concatenates the
@@ -343,11 +381,11 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 // decodes each response's body once, inside the fan-out, where LoadTable
 // decodes too: to its part, whose rows are cut in partition order into the
 // relation once every partition has decoded, or with a fold into the fold's
-// group table, and no row is built (the relation is nil). Bodies fold in
+// group table, and no relation is built (it is nil). Bodies fold in
 // partition order, as their concatenation would: partition i's waits for
 // partition i-1's fold, and overlaps the selects of the partitions after it.
 // A body that is not the rows its stats claim fails either way.
-func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *vec.Fold) (*Relation, error) {
+func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *groupFold) (*Relation, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
 	parts := make([]part, len(keys))
 	var folded []chan struct{} // folded[i] closes once partition i has folded
@@ -370,14 +408,14 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 		claimed := res.Stats.RowsReturned
 		dec.SetInt("rows", claimed)
 		if fold != nil {
-			if err = fold.CSV(res.Columns, res.Body, claimed); err == nil {
+			if err = fold.body(res); err == nil {
 				close(folded[i])
 			}
 			return err
 		}
 		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed))
-		if err == nil && int64(parts[i].rows) != claimed {
-			err = fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(res.Body), claimed)
+		if err == nil {
+			err = checkClaim(res, int64(parts[i].rows))
 		}
 		return err
 	})
@@ -385,7 +423,7 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 		return nil, err
 	}
 	if fold != nil {
-		st.sp.SetInt("rows", fold.Rows)
+		st.sp.SetInt("rows", fold.rows)
 		return nil, nil
 	}
 	out, err := cutRows(parts)
@@ -394,6 +432,49 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 	}
 	st.sp.SetInt("rows", int64(len(out.Rows)))
 	return out, nil
+}
+
+// groupFold is a grouped scan's tail: one aggregation block, bound before the
+// scan to the columns its request returns, that each partition's response
+// body folds into row by row, in partition order (selectDecoded), on both
+// operator sets. No relation is built; the groups collect into out when the
+// block finishes.
+type groupFold struct {
+	x    *expr.RowExec
+	cols []string      // the request's output columns, which x is bound to
+	row  []value.Value // the body row being folded, reused
+	rows int64         // the rows folded so far
+	out  *Relation
+}
+
+// newGroupFold binds the grouping of keys and items to the columns pushed,
+// the scan's statement, returns: never *, whose columns only a response
+// would name (pushedScan).
+func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*groupFold, error) {
+	f := &groupFold{cols: make([]string, len(pushed.Items))}
+	for i, it := range pushed.Items {
+		f.cols[i] = it.Name()
+	}
+	f.out = &Relation{Cols: itemCols(&Relation{Cols: f.cols}, items)}
+	var err error
+	f.x, err = expr.NewAggregation(f.cols, nil, keys, sqlparse.ItemExprs(items), f.out.collect())
+	f.row = make([]value.Value, len(f.cols))
+	return f, err
+}
+
+// body folds one response into the block. It fails unless the response
+// names the bound columns and its body holds the rows its stats claim; the
+// rows before the one where that shows are folded already.
+func (f *groupFold) body(res *selectengine.Result) error {
+	if !slices.Equal(res.Columns, f.cols) {
+		return fmt.Errorf("engine: a response's columns %v are not its request's %v", res.Columns, f.cols)
+	}
+	n, err := scanRows(res.Body, func() []value.Value { return f.row }, f.x.Add)
+	f.rows += n
+	if err == nil {
+		err = checkClaim(res, n)
+	}
+	return err
 }
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the

@@ -61,23 +61,25 @@ func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 // TestDecodeAllocatesPerChunk pins the per-response rule on the compute
 // side: decoding a select response's body to rows, a GET's CSV, and sorting
 // cost a fixed number of allocations plus one per chunk as chunks double —
-// not one per row (SortLocal) or two (decodeCSV) — and the typed decodes of
-// a grouped scan (vec.Fold, vec.FromStrings) a few per column, none per
-// cell, and no more than 12 bytes for a cell that is a number.
+// not one per row (SortLocal) or two (decodeCSV) — vec.FromStrings a few per
+// column, none per cell, and no more than 12 bytes for a cell that is a
+// number; a grouped scan's fold of a body (groupFold.body) a few per body,
+// none per row.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	orderBy := selectOf(t, "SELECT * FROM t ORDER BY o_totalprice DESC, o_orderkey").OrderBy
-	// A fold binds its table to a body's columns once; what each body costs
-	// after that is the pin.
+	// A fold binds its block to a body's columns once, before the scan; what
+	// each body costs after that is the pin.
 	count := selectOf(t, "SELECT COUNT(*) AS n FROM t")
 	fold := func(cols []string, body []byte, rows int) func() error {
-		f, err := vec.NewFold(nil, count.Items)
+		f, err := newGroupFold(scanSelect(columnItems(cols), nil), nil, count.Items)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return func() error { return f.CSV(cols, body, int64(rows)) }
+		res := &selectengine.Result{Columns: cols, Body: body, Stats: selectengine.Stats{RowsReturned: int64(rows)}}
+		return func() error { return f.body(res) }
 	}
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
@@ -85,7 +87,6 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		rel := relOf(cols, cells)
 		for name, run := range map[string]func() error{
 			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows)); return err },
-			"Fold":        fold(cols, body, rows),
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":   func() error { _, err := cut(decodeCSV(data, nil)); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
@@ -99,19 +100,21 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 				t.Errorf("%s over %d rows allocates %v times, want at most %v", name, rows, total, limit)
 			}
 		}
+		folder := fold(cols, body, rows)
+		if total := testing.AllocsPerRun(10, func() {
+			if err := folder(); err != nil {
+				t.Fatal(err)
+			}
+		}); total > 8 {
+			t.Errorf("folding a %d-row body allocates %v times, want at most 8 whatever its rows", rows, total)
+		}
 	}
 	numCols, numbers := []string{"a", "b", "c", "d", "e"}, make([][]string, 6000)
 	for i := range numbers {
 		numbers[i] = []string{fmt.Sprint(i), fmt.Sprintf("%d.5", i%89), "1996-03-13", fmt.Sprint(-i), "0.04"}
 	}
-	numBody := csvx.Encode(nil, numbers)
-	for name, run := range map[string]func(){
-		"FromStrings": func() { vec.FromStrings(numCols, numbers, 2) },
-		"Fold":        func() { _ = fold(numCols, numBody, len(numbers))() },
-	} {
-		if perCell := float64(allocatedBytes(run)) / float64(len(numbers)*len(numCols)); perCell > 12 {
-			t.Errorf("vec.%s allocates %.1f bytes per numeric cell, want at most 12", name, perCell)
-		}
+	if perCell := float64(allocatedBytes(func() { vec.FromStrings(numCols, numbers, 2) })) / float64(len(numbers)*len(numCols)); perCell > 12 {
+		t.Errorf("vec.FromStrings allocates %.1f bytes per numeric cell, want at most 12", perCell)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
-	"pushdowndb/internal/vec"
 )
 
 // Both sides of the wire: the S3 Select engine and PushdownDB's local
@@ -85,32 +84,30 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 }
 
 // runFolded runs sel's SELECT block as a grouped scan does: the filtered
-// rows cut into three batches (the middle one empty), each folded into one
-// group table, which the scan's tail finishes. A block that groups nothing
-// runs as runLocal runs it.
+// rows cut into three runs (the middle one empty), each fed in order to the
+// one block groupFold binds to their columns, which the scan's tail
+// finishes. A block that groups nothing runs as runLocal runs it.
 func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
 	o := Operators{Vectorized: true, Workers: 2}
-	if len(sel.GroupBy) == 0 && !sel.HasAggregates() {
+	if !grouped(sel) {
 		return runLocal(o, rel, sel)
 	}
 	rel, err := o.Filter(rel, sel.Where)
 	if err != nil {
 		return nil, err
 	}
-	cut := len(rel.Rows) / 2
-	fold, err := vec.NewFold(sel.GroupBy, sel.Items)
+	fold, err := newGroupFold(scanSelect(columnItems(rel.Cols), nil), sel.GroupBy, sel.Items)
 	if err != nil {
 		return nil, err
 	}
+	cut := len(rel.Rows) / 2
 	for _, rows := range [][]Row{rel.Rows[:cut], nil, rel.Rows[cut:]} {
-		b, ok := vec.FromRows(rel.Cols, rows, 1)
-		if !ok {
-			t.Fatalf("ragged wire rows")
+		for _, row := range rows {
+			if err := fold.x.Add(row); err != nil {
+				return nil, err
+			}
 		}
-		if err := vec.Accumulate(fold.Table, b, 2); err != nil {
-			return nil, err
-		}
-		fold.Rows += int64(len(rows))
+		fold.rows += int64(len(rows))
 	}
 	return openTestDB(t, store.New()).NewExecContext(context.Background()).groupByLocal(nil, fold, sel.GroupBy, sel.Items)
 }

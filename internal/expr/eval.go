@@ -3,8 +3,8 @@
 // engine (storage-side evaluation) and by PushdownDB's local operators
 // (server-side evaluation), so the two sides agree exactly on the dialect's
 // semantics: Evaluator is the one expression interpreter, AggState the one
-// (order-independent) accumulator, Groups the one group table, and RowExec
-// the one WHERE → project | aggregate executor both sides feed rows to.
+// (order-independent) accumulator, and RowExec the one WHERE → project |
+// aggregate executor both sides feed rows to, over the one group table.
 //
 // An evaluator is bound once per statement and header, before any row
 // (Bind): each column reference resolves by the name rule (sqlparse.Names)

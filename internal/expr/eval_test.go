@@ -69,15 +69,15 @@ func evalErr(t *testing.T, src string, env MapEnv) error {
 	return err
 }
 
-// groupsOver is a table over keys and items whose Add reads rows laid out
+// groupsOver is a table over keys and items whose add reads rows laid out
 // as header.
-func groupsOver(t *testing.T, header []string, keys, items []sqlparse.Expr) *Groups {
+func groupsOver(t *testing.T, header []string, keys, items []sqlparse.Expr) *groupTable {
 	t.Helper()
 	ev, err := bound(sqlparse.NewNames(header).Index, items...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGroups(ev, keys, items)
+	g, err := newGroupTable(ev, keys, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +375,11 @@ func TestAggMerge(t *testing.T) {
 	}
 }
 
-// finishRows collects what a Groups table finalizes to.
-func finishRows(t *testing.T, g *Groups) [][]value.Value {
+// finishRows collects what a group table finalizes to.
+func finishRows(t *testing.T, g *groupTable) [][]value.Value {
 	t.Helper()
 	var rows [][]value.Value
-	if err := g.Finish(func(row []value.Value) error {
+	if err := g.finish(func(row []value.Value) error {
 		rows = append(rows, append([]value.Value(nil), row...))
 		return nil
 	}); err != nil {
@@ -401,7 +401,7 @@ func TestGroupsExpressionOverAggregates(t *testing.T) {
 		{"promo": value.Int(0), "v": value.Float(30)},
 	}
 	for _, row := range rows {
-		if err := g.Add(g.Find(nil), row.row(header)); err != nil {
+		if err := g.add(g.find(nil), row.row(header)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,10 +419,10 @@ func TestGroupsCountStarAndMerge(t *testing.T) {
 		t.Fatalf("aggregates = %d", n)
 	}
 	// Different tables over the same exprs share the same agg nodes, so merge works.
-	_ = g1.Add(g1.Find(nil), []value.Value{value.Int(1)})
-	_ = g2.Add(g2.Find(nil), []value.Value{value.Int(2)})
-	_ = g2.Add(g2.Find(nil), []value.Value{value.Null()})
-	if err := g1.Merge(g2); err != nil {
+	_ = g1.add(g1.find(nil), []value.Value{value.Int(1)})
+	_ = g2.add(g2.find(nil), []value.Value{value.Int(2)})
+	_ = g2.add(g2.find(nil), []value.Value{value.Null()})
+	if err := g1.merge(g2); err != nil {
 		t.Fatal(err)
 	}
 	if got := finishRows(t, g1); len(got) != 1 || got[0][0].AsInt() != 3 || got[0][1].AsInt() != 3 {

@@ -8,42 +8,41 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// Group is one group of a Groups table: its key values and one accumulator
+// group is one group of a groupTable: its key values and one accumulator
 // per aggregate of the table's items, in CollectAggregates order.
-type Group struct {
+type group struct {
 	key     string
 	keyVals []value.Value
-	States  []AggState
+	states  []AggState
 }
 
-// Groups is the one group table: groups in first-seen order, looked up by
-// their rendered key bytes, finalized over one row per group — its aggregate
-// results, then its key values. A table with no key expressions is a plain
-// aggregation and always holds exactly one group, so zero input rows still
-// finalize to one row (COUNT = 0, the other aggregates NULL). Groups,
-// accumulators and keys are cut from arena chunks: O(groups / chunk)
-// allocations, and a group pins its chunks.
-type Groups struct {
-	ev     *Evaluator // the aggregate arguments', which Add evaluates
-	fin    Evaluator  // the finalized items', bound to Finish's rows
+// groupTable is the one group table, an aggregation block's: groups in
+// first-seen order, looked up by their rendered key bytes, finalized over one
+// row per group — its aggregate results, then its key values. A table with no
+// key expressions is a plain aggregation and always holds exactly one group,
+// so zero input rows still finalize to one row (COUNT = 0, the other
+// aggregates NULL). Groups, accumulators and keys are cut from arena chunks:
+// O(groups / chunk) allocations, and a group pins its chunks.
+type groupTable struct {
+	ev     *Evaluator // the aggregate arguments', which add evaluates
+	fin    Evaluator  // the finalized items', bound to finish's rows
 	keys   []sqlparse.Expr
-	final  []sqlparse.Expr // the items as Finish evaluates them (finalItems)
+	final  []sqlparse.Expr // the items as finish evaluates them (finalItems)
 	aggs   []*sqlparse.Aggregate
-	index  map[string]*Group
-	order  []*Group
-	groups arena.Slab[Group]
+	index  map[string]*group
+	order  []*group
+	groups arena.Slab[group]
 	states arena.Slab[AggState]
 	vals   arena.Slab[value.Value]
 	text   arena.Text
 }
 
-// NewGroups returns an empty table grouping by keys and finalizing to items.
-// ev evaluates the aggregate arguments Add reads, bound by the caller to its
-// input rows (nil for a caller that accumulates the groups' states itself).
-// The items bind here, to Finish's rows: one reading a column that is neither
-// a key nor under an aggregate is refused (ErrUnknownColumn).
-func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) (*Groups, error) {
-	t := &Groups{ev: ev, keys: keys, aggs: CollectAggregates(items), index: map[string]*Group{}}
+// newGroupTable returns an empty table grouping by keys and finalizing to
+// items, whose aggregate arguments ev evaluates over the input rows. The
+// items bind here, to finish's rows: one reading a column that is neither a
+// key nor under an aggregate is refused (ErrUnknownColumn).
+func newGroupTable(ev *Evaluator, keys, items []sqlparse.Expr) (*groupTable, error) {
+	t := &groupTable{ev: ev, keys: keys, aggs: CollectAggregates(items), index: map[string]*group{}}
 	var err error
 	if t.final, err = finalItems(&t.fin, keys, items, t.aggs); err != nil {
 		return nil, err
@@ -52,43 +51,38 @@ func NewGroups(ev *Evaluator, keys, items []sqlparse.Expr) (*Groups, error) {
 }
 
 // start inserts a plain aggregation's one group.
-func (t *Groups) start() *Groups {
+func (t *groupTable) start() *groupTable {
 	if len(t.keys) == 0 {
-		t.Insert(nil, nil)
+		t.insert(nil, nil)
 	}
 	return t
 }
 
-// Keys and Aggregates are the table's group-key expressions and the
-// aggregate nodes of its items, the latter in Group.States order.
-func (t *Groups) Keys() []sqlparse.Expr             { return t.keys }
-func (t *Groups) Aggregates() []*sqlparse.Aggregate { return t.aggs }
-
-// Partial returns an empty table over t's keys and items, for a worker to
-// fill and Merge to fold back.
-func (t *Groups) Partial() *Groups {
-	return (&Groups{ev: t.ev, fin: t.fin, keys: t.keys, final: t.final, aggs: t.aggs, index: map[string]*Group{}}).start()
+// partial returns an empty table over t's keys and items, sharing t's
+// read-only bindings, for a worker to fill and merge to fold back.
+func (t *groupTable) partial() *groupTable {
+	return (&groupTable{ev: t.ev, fin: t.fin, keys: t.keys, final: t.final, aggs: t.aggs, index: map[string]*group{}}).start()
 }
 
-// Find returns the group with the rendered key, or nil. The lookup does
+// find returns the group with the rendered key, or nil. The lookup does
 // not materialize the key.
-func (t *Groups) Find(key []byte) *Group { return t.index[string(key)] }
+func (t *groupTable) find(key []byte) *group { return t.index[string(key)] }
 
-// Insert adds the group for a key Find did not have, copying key and keyVals.
-func (t *Groups) Insert(key []byte, keyVals []value.Value) *Group {
+// insert adds the group for a key find did not have, copying key and keyVals.
+func (t *groupTable) insert(key []byte, keyVals []value.Value) *group {
 	g := &t.groups.Make(1)[0]
-	g.key, g.keyVals, g.States = t.text.String(key), append(t.vals.Make(len(keyVals))[:0], keyVals...), t.states.Make(len(t.aggs))
+	g.key, g.keyVals, g.states = t.text.String(key), append(t.vals.Make(len(keyVals))[:0], keyVals...), t.states.Make(len(t.aggs))
 	for i, a := range t.aggs {
-		g.States[i].fn = a.Func
+		g.states[i].fn = a.Func
 	}
 	t.index[g.key] = g
 	t.order = append(t.order, g)
 	return g
 }
 
-// Add folds one input row into g: each aggregate's argument is evaluated
+// add folds one input row into g: each aggregate's argument is evaluated
 // over row and accumulated (COUNT(*) counts the row).
-func (t *Groups) Add(g *Group, row []value.Value) error {
+func (t *groupTable) add(g *group, row []value.Value) error {
 	for i, a := range t.aggs {
 		v := value.Int(1)
 		if _, isStar := a.X.(*sqlparse.Star); !isStar {
@@ -97,18 +91,17 @@ func (t *Groups) Add(g *Group, row []value.Value) error {
 				return err
 			}
 		}
-		if err := g.States[i].Add(v); err != nil {
+		if err := g.states[i].Add(v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Merge folds o — a table over the same keys and items, typically one
-// worker's partial — into t. Groups t has not seen are adopted in o's
-// order, so merging partials of contiguous row spans in span order
-// reproduces the sequential first-seen order.
-func (t *Groups) Merge(o *Groups) error {
+// merge folds o — a partial of t, typically one worker's — into t. Groups t
+// has not seen are adopted in o's order, so merging partials of contiguous
+// row spans in span order reproduces the sequential first-seen order.
+func (t *groupTable) merge(o *groupTable) error {
 	for _, g := range o.order {
 		m, ok := t.index[g.key]
 		if !ok {
@@ -116,8 +109,8 @@ func (t *Groups) Merge(o *Groups) error {
 			t.order = append(t.order, g)
 			continue
 		}
-		for i := range m.States {
-			if err := m.States[i].Merge(&g.States[i]); err != nil {
+		for i := range m.states {
+			if err := m.states[i].Merge(&g.states[i]); err != nil {
 				return err
 			}
 		}
@@ -125,15 +118,15 @@ func (t *Groups) Merge(o *Groups) error {
 	return nil
 }
 
-// Finish evaluates the items once per group, in first-seen order, over the
+// finish evaluates the items once per group, in first-seen order, over the
 // group's aggregate results and key values. emit receives each output row
 // in a slice that the next row reuses.
-func (t *Groups) Finish(emit func([]value.Value) error) error {
+func (t *groupTable) finish(emit func([]value.Value) error) error {
 	buf := make([]value.Value, len(t.aggs)+len(t.keys)+len(t.final))
 	in, out := buf[:len(t.aggs)+len(t.keys)], buf[len(t.aggs)+len(t.keys):]
 	for _, g := range t.order {
 		for i := range t.aggs {
-			in[i] = g.States[i].Final()
+			in[i] = g.states[i].Final()
 		}
 		copy(in[len(t.aggs):], g.keyVals)
 		for j, it := range t.final {
@@ -206,14 +199,16 @@ func finalItems(fin *Evaluator, keys, items []sqlparse.Expr, aggs []*sqlparse.Ag
 
 // RowExec is the one row-at-a-time SELECT block, run on both sides of the
 // wire: the S3 Select engine feeds it scanned object rows, PushdownDB's
-// reference operators feed it relation rows. It is bound once, to the
-// header its input rows are laid out as; each input row then goes through
-// WHERE and is either projected and emitted at once (NewProjection) or
-// folded into a Groups table that Finish emits (NewAggregation). What differs
-// between callers stays with the caller: which of the two shapes the block
-// has, which cells of each input row it fills (Cols), and what becomes of an
-// output row (emit — rendering, LIMIT, collection). emit receives each
-// output row in a slice that the next row reuses.
+// local operators relation rows and its grouped scans response rows. It is
+// bound once, to the header its input rows are laid out as; each input row
+// then goes through WHERE and is either projected and emitted at once
+// (NewProjection) or folded into a group table that Finish emits
+// (NewAggregation). What differs between callers stays with the caller:
+// which of the two shapes the block has, which cells of each input row it
+// fills (Cols), what becomes of an output row (emit — rendering, LIMIT,
+// collection), and how many blocks an aggregation's input is split across
+// (Partial, Merge). emit receives each output row in a slice that the next
+// row reuses.
 type RowExec struct {
 	ev    Evaluator // bound to the input rows
 	where sqlparse.Expr
@@ -225,9 +220,9 @@ type RowExec struct {
 	width int
 	row   []value.Value
 
-	// An aggregation (groups non-nil): the table, which holds the keys and
-	// items, and the current row's rendered key and key values.
-	groups  *Groups
+	// An aggregation (table non-nil): the group table, which holds the keys
+	// and items, and the current row's rendered key and key values.
+	table   *groupTable
 	key     []byte
 	keyVals []value.Value
 }
@@ -247,7 +242,7 @@ func NewAggregation(header []string, where sqlparse.Expr, keys, items []sqlparse
 	x := &RowExec{where: where, emit: emit, keyVals: make([]value.Value, len(keys))}
 	err := x.bind(header, items, where, keys)
 	if err == nil {
-		x.groups, err = NewGroups(&x.ev, keys, items)
+		x.table, err = newGroupTable(&x.ev, keys, items)
 	}
 	return x, err
 }
@@ -283,7 +278,7 @@ func (x *RowExec) Add(row []value.Value) error {
 			return err
 		}
 	}
-	if x.groups == nil {
+	if x.table == nil {
 		out := x.row[:0]
 		for _, it := range x.items {
 			if _, isStar := it.(*sqlparse.Star); isStar {
@@ -303,7 +298,7 @@ func (x *RowExec) Add(row []value.Value) error {
 		return x.emit(out)
 	}
 	key := x.key[:0]
-	for i, k := range x.groups.keys {
+	for i, k := range x.table.keys {
 		v, err := x.ev.Eval(k, row)
 		if err != nil {
 			return err
@@ -312,18 +307,32 @@ func (x *RowExec) Add(row []value.Value) error {
 		key = append(v.Append(key), 0)
 	}
 	x.key = key
-	g := x.groups.Find(key)
+	g := x.table.find(key)
 	if g == nil {
-		g = x.groups.Insert(key, x.keyVals)
+		g = x.table.insert(key, x.keyVals)
 	}
-	return x.groups.Add(g, row)
+	return x.table.add(g, row)
 }
+
+// Partial returns an empty block over aggregation x's binding, keys and
+// items, for a worker to fill with a span of x's input; Merge folds it back.
+// It shares x's binding, which no row writes: a partial costs its table and
+// key buffers, whatever the statement.
+func (x *RowExec) Partial() *RowExec {
+	return &RowExec{ev: x.ev, where: x.where, emit: x.emit, table: x.table.partial(), keyVals: make([]value.Value, len(x.keyVals))}
+}
+
+// Merge folds o, a Partial of x fed the rows after x's, into x's groups.
+// Groups x has not seen follow its own in o's first-seen order, so merging
+// the partials of ascending spans in span order groups as one block fed
+// every row would.
+func (x *RowExec) Merge(o *RowExec) error { return x.table.merge(o.table) }
 
 // Finish emits an aggregation's output rows; a projection has already
 // emitted everything.
 func (x *RowExec) Finish() error {
-	if x.groups == nil {
+	if x.table == nil {
 		return nil
 	}
-	return x.groups.Finish(x.emit)
+	return x.table.finish(x.emit)
 }

@@ -126,20 +126,20 @@ func TestGroupsMergeKeepsFirstSeenOrder(t *testing.T) {
 	sel, _ := sqlparse.Parse("SELECT g, SUM(v) FROM t GROUP BY g")
 	items := sqlparse.ItemExprs(sel.Items)
 	header := []string{"g", "v"}
-	fill := func(keys ...string) *Groups {
+	fill := func(keys ...string) *groupTable {
 		tbl := groupsOver(t, header, sel.GroupBy, items)
 		for _, k := range keys {
-			g := tbl.Find([]byte(k))
+			g := tbl.find([]byte(k))
 			if g == nil {
-				g = tbl.Insert([]byte(k), []value.Value{value.Str(k)})
+				g = tbl.insert([]byte(k), []value.Value{value.Str(k)})
 			}
-			_ = tbl.Add(g, []value.Value{value.Str(k), value.Int(1)})
+			_ = tbl.add(g, []value.Value{value.Str(k), value.Int(1)})
 		}
 		return tbl
 	}
 	merged := groupsOver(t, header, sel.GroupBy, items)
-	for _, part := range []*Groups{fill("b", "a", "b"), fill("c", "a"), fill("d", "b")} {
-		if err := merged.Merge(part); err != nil {
+	for _, part := range []*groupTable{fill("b", "a", "b"), fill("c", "a"), fill("d", "b")} {
+		if err := merged.merge(part); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestGroupsMergeKeepsFirstSeenOrder(t *testing.T) {
 
 // TestGroupsAllocatePerChunk pins the group table to allocations per
 // chunk, not per group: 10k groups, each with two aggregates, cost their
-// arena chunks and the index's growth. Insert copies the key and its
+// arena chunks and the index's growth. insert copies the key and its
 // values, so the caller's scratch slices are reused throughout.
 func TestGroupsAllocatePerChunk(t *testing.T) {
 	if race.Enabled {
@@ -161,24 +161,69 @@ func TestGroupsAllocatePerChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	const groups = 10_000
-	var tbl *Groups
+	items := sqlparse.ItemExprs(sel.Items)
+	ev, err := bound(sqlparse.NewNames([]string{"k", "x"}).Index, items...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tbl *groupTable
 	n := testing.AllocsPerRun(5, func() {
-		tbl, _ = NewGroups(nil, sel.GroupBy, sqlparse.ItemExprs(sel.Items))
+		tbl, _ = newGroupTable(ev, sel.GroupBy, items)
 		var key []byte
 		vals := make([]value.Value, 1)
 		for i := 0; i < groups; i++ {
 			key = strconv.AppendInt(key[:0], int64(i), 10)
 			vals[0] = value.Int(int64(i))
-			tbl.Insert(key, vals)
+			tbl.insert(key, vals)
 		}
 	})
 	if n > groups/50 {
 		t.Errorf("inserting %d groups allocates %v times, want at most %d", groups, n, groups/50)
 	}
 	for _, i := range []int{0, groups / 2, groups - 1} {
-		g := tbl.Find([]byte(strconv.Itoa(i)))
-		if g == nil || g.keyVals[0].AsInt() != int64(i) || len(g.States) != 2 {
+		g := tbl.find([]byte(strconv.Itoa(i)))
+		if g == nil || g.keyVals[0].AsInt() != int64(i) || len(g.states) != 2 {
 			t.Fatalf("group %d did not keep its own key: %+v", i, g)
 		}
+	}
+}
+
+// TestGroupKeyEvaluatedOnce: a group key that is not a bare column is
+// evaluated once per row, and a new group keeps the value its key was
+// rendered from. UPPER allocates its result, so folding 2,000 rows into as
+// many groups costs about one allocation per row more than folding them into
+// one group only if each new group evaluates its key again.
+func TestGroupKeyEvaluatedOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	sel, err := sqlparse.Parse("SELECT UPPER(s) AS u, COUNT(*) AS n FROM t GROUP BY UPPER(s)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 2000
+	allocs := func(distinct int) float64 {
+		in := make([][]value.Value, rows)
+		for i := range in {
+			in[i] = []value.Value{value.Str(fmt.Sprintf("k%d", i%distinct))}
+		}
+		return testing.AllocsPerRun(5, func() {
+			groups := 0
+			x, err := NewAggregation([]string{"s"}, nil, sel.GroupBy, sqlparse.ItemExprs(sel.Items), func([]value.Value) error { groups++; return nil })
+			for _, row := range in {
+				if err == nil {
+					err = x.Add(row)
+				}
+			}
+			if err == nil {
+				err = x.Finish()
+			}
+			if err != nil || groups != distinct {
+				t.Fatalf("%d groups, %v; want %d", groups, err, distinct)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(rows); many-one > rows/2 {
+		t.Errorf("folding %d rows into one group allocates %v times, into %d groups %v: a new group evaluates its key again", rows, one, rows, many)
 	}
 }

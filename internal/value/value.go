@@ -215,8 +215,24 @@ func FormatDays(days int64) string {
 	return string(appendDays(buf[:0], days))
 }
 
+// appendDays appends days-since-epoch as YYYY-MM-DD: by arithmetic for the
+// four-digit years (the proleptic Gregorian calendar in 400-year eras from
+// 0000-03-01, H. Hinnant's civil_from_days), through time outside them.
 func appendDays(buf []byte, days int64) []byte {
-	return time.Unix(days*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
+	if !FourDigitYear(days) {
+		return time.Unix(days*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
+	}
+	z := days + 719468 // days since 0000-03-01, positive here
+	era, doe := z/146097, z%146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100) // from March 1st
+	mp := (5*doy + 2) / 153                  // March is 0
+	d, m, y := doy-(153*mp+2)/5+1, mp+3, era*400+yoe
+	if m > 12 {
+		m, y = m-12, y+1
+	}
+	return append(buf, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10),
+		'-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
 }
 
 // FourDigitYear reports whether days renders with a four-digit year, 0001-01-01

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 	"time"
 	"unsafe"
+
+	"pushdowndb/internal/race"
 )
 
 func TestKindString(t *testing.T) {
@@ -314,5 +316,38 @@ func TestQuickHashIntFloatAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendDaysMatchesTime: the arithmetic date rendering is time's, day
+// for day, across every four-digit year, and time's outside them; into a
+// buffer with room it allocates nothing.
+func TestAppendDaysMatchesTime(t *testing.T) {
+	ref := func(d int64) string { return time.Unix(d*86400, 0).UTC().Format("2006-01-02") }
+	buf := make([]byte, 0, 16)
+	first, last := int64(-719162), int64(2932896) // 0001-01-01, 9999-12-31
+	if ref(first) != "0001-01-01" || ref(last) != "9999-12-31" {
+		t.Fatalf("the four-digit years run %s to %s", ref(first), ref(last))
+	}
+	for d := first; d <= last; d++ {
+		if got := appendDays(buf[:0], d); string(got) != ref(d) {
+			t.Fatalf("day %d renders %q, want %q", d, got, ref(d))
+		}
+	}
+	for _, d := range []int64{first - 1, first - 366, last + 1, last + 400000, -1 << 30, 1 << 30} {
+		if got := appendDays(buf[:0], d); string(got) != ref(d) {
+			t.Errorf("day %d renders %q, want %q", d, got, ref(d))
+		}
+	}
+	if race.Enabled {
+		return
+	}
+	days := []int64{first, -1, 0, 8766, 10956, last}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, d := range days {
+			buf = Date(d).Append(buf[:0])
+		}
+	}); n != 0 {
+		t.Errorf("rendering a date into a buffer with room allocates %v times, want 0", n)
 	}
 }

@@ -1,10 +1,12 @@
 // Package vec implements batched columnar execution for PushdownDB's
 // local operators: typed column vectors (int64/float64/string/bool/date
-// payloads plus null bitmaps), selection bitmaps, and the filter, hash-join
-// and group-by kernels that process a column of values per step instead of
-// dispatching an expression interpreter per row. It has no projection and
-// no interpreter fallback: a predicate the filter kernel does not compile,
-// and every projection, run on the engine's row path (engine.Operators).
+// payloads plus null bitmaps), selection bitmaps, and the filter and
+// hash-join kernels that process a column of values per step instead of
+// dispatching an expression interpreter per row, and the worker spans every
+// parallel row loop runs on. It has no projection, no group-by and no
+// interpreter fallback: every projection and group-by, and a predicate the
+// filter kernel does not compile, run on the engine's row path
+// (engine.Operators).
 //
 // Every kernel is a semantic mirror of the corresponding row-at-a-time
 // operator in internal/engine (the engine.Operators reference): the

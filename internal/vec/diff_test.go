@@ -2,10 +2,8 @@ package vec_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
-	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/engine"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
@@ -121,35 +119,6 @@ func TestFromStringsDiff(t *testing.T) {
 		rows [][]string
 	}{{cols, srows}, {[]string{"a", "b"}, ragged}} {
 		rel := rowRel(in.cols, in.rows)
-		// As a select response's body, folded a chunk at a time: grouped by
-		// every column, whose first is distinct per row, each group is its
-		// row's cells as decoded.
-		sel, err := sqlparse.Parse(fmt.Sprintf("SELECT %[1]s FROM t GROUP BY %[1]s", strings.Join(in.cols, ", ")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, chunk := range []int{1, 2, 7, 1024} {
-			was := vec.SetChunkRows(chunk)
-			fold, err := vec.NewFold(sel.GroupBy, sel.Items)
-			if err == nil {
-				err = fold.CSV(in.cols, csvx.Encode(nil, in.rows), int64(len(in.rows)))
-			}
-			vec.SetChunkRows(was)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, rows, err := vec.Finish(fold.Table, sel.Items)
-			if err != nil || len(rows) != len(rel.Rows) {
-				t.Fatalf("fold in chunks of %d: %d rows, %v; want %d", chunk, len(rows), err, len(rel.Rows))
-			}
-			for i, row := range rel.Rows {
-				for c := range in.cols {
-					if want, got := row[c], rows[i][c]; !sameVal(want, got) {
-						t.Fatalf("fold in chunks of %d: cell[%d][%s]: row=%#v vec=%#v", chunk, i, in.cols[c], want, got)
-					}
-				}
-			}
-		}
 		batches := map[string]*vec.Batch{}
 		for _, w := range workerCounts {
 			batches[fmt.Sprintf("FromStrings w=%d", w)] = vec.FromStrings(in.cols, in.rows, w)
@@ -335,18 +304,22 @@ func TestProjectDiff(t *testing.T) {
 	}
 }
 
+// TestGroupByDiff holds the vectorized operator set's group-by — one
+// aggregation block per worker span, merged in span order — to the
+// reference's one block, groups, their order and error text identical.
 func TestGroupByDiff(t *testing.T) {
 	cols, srows := nastyData()
+	rel := rowRel(cols, srows)
 	cases := []struct{ groupBy, items string }{
 		{"flag", "flag, COUNT(*) AS n, SUM(qty) AS sq, AVG(price) AS ap, MIN(name) AS mn, MAX(ship) AS mx"},
 		{"flag, ship", "flag, ship, COUNT(*) AS n, SUM(price) AS sp"},
 		{"qty", "qty, COUNT(*) AS n"},
 		{"mix", "mix, SUM(id) AS s"},
 		{"flag", "flag, SUM(qty + 1) AS s1, AVG(qty) AS aq"},
+		{"ship", "ship, COUNT(*) AS n, MIN(price) AS lo"},
+		{"flag", "flag, SUM(name) AS bad"},
 	}
 	for _, w := range workerCounts {
-		rel := rowRel(cols, srows)
-		b := vec.FromStrings(cols, srows, w)
 		for _, tc := range cases {
 			label := fmt.Sprintf("w=%d group=%q items=%q", w, tc.groupBy, tc.items)
 			sel, perr := sqlparse.Parse("SELECT " + tc.items + " FROM t GROUP BY " + tc.groupBy)
@@ -354,26 +327,11 @@ func TestGroupByDiff(t *testing.T) {
 				t.Fatalf("%s: parse: %v", label, perr)
 			}
 			want, wantErr := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
-			gotCols, gotRows, gotErr := vec.GroupBy(b, sel, w)
+			got, gotErr := engine.Operators{Vectorized: true, Workers: w}.GroupBy(rel, sel.GroupBy, sel.Items)
 			if !sameErr(t, label, wantErr, gotErr) {
 				continue
 			}
-			if fmt.Sprint(gotCols) != fmt.Sprint(want.Cols) {
-				t.Errorf("%s: cols %v want %v", label, gotCols, want.Cols)
-				continue
-			}
-			if len(gotRows) != len(want.Rows) {
-				t.Errorf("%s: %d groups want %d", label, len(gotRows), len(want.Rows))
-				continue
-			}
-			for i := range gotRows {
-				for c := range want.Cols {
-					if !sameVal(want.Rows[i][c], gotRows[i][c]) {
-						t.Fatalf("%s: group %d col %s: row=%#v vec=%#v",
-							label, i, want.Cols[c], want.Rows[i][c], gotRows[i][c])
-					}
-				}
-			}
+			sameRows(t, label, want, got)
 		}
 	}
 }
@@ -438,11 +396,11 @@ func TestEmptyRelations(t *testing.T) {
 	}
 	sel, _ := sqlparse.Parse("SELECT a, COUNT(*) AS n FROM t GROUP BY a")
 	want, _ := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
-	gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
+	got, err := engine.Operators{Vectorized: true, Workers: 3}.GroupBy(rel, sel.GroupBy, sel.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotRows) != len(want.Rows) || fmt.Sprint(gotCols) != fmt.Sprint(want.Cols) {
-		t.Fatalf("empty group-by: %v/%v want %v/%v", gotCols, gotRows, want.Cols, want.Rows)
+	if len(got.Rows) != len(want.Rows) || fmt.Sprint(got.Cols) != fmt.Sprint(want.Cols) {
+		t.Fatalf("empty group-by: %v/%v want %v/%v", got.Cols, got.Rows, want.Cols, want.Rows)
 	}
 }

@@ -2,7 +2,6 @@ package vec_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -71,19 +70,22 @@ func FuzzVecDecode(f *testing.F) {
 				}
 			}
 		}
+		// The group-by on both operator sets: the vectorized set's aggregation
+		// blocks over 3 worker spans, merged in span order, against the
+		// reference's one block.
 		sel, _ := sqlparse.Parse("SELECT c0, COUNT(*) AS n FROM t GROUP BY c0")
-		gotCols, gotRows, err := vec.GroupBy(b, sel, 3)
 		wantG, wantErr := engine.Operators{}.GroupBy(rel, sel.GroupBy, sel.Items)
+		gotG, err := engine.Operators{Vectorized: true, Workers: 3}.GroupBy(rel, sel.GroupBy, sel.Items)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("group-by err: vec=%v row=%v", err, wantErr)
 		}
-		sameGroups := func(what string, wantG *engine.Relation, gotRows [][]value.Value) {
-			if len(gotRows) != len(wantG.Rows) {
-				t.Fatalf("%s %d rows, reference %d", what, len(gotRows), len(wantG.Rows))
+		sameGroups := func(what string, wantG, gotG *engine.Relation) {
+			if len(gotG.Cols) != len(wantG.Cols) || len(gotG.Rows) != len(wantG.Rows) {
+				t.Fatalf("%s %d columns x %d rows, reference %d x %d", what, len(gotG.Cols), len(gotG.Rows), len(wantG.Cols), len(wantG.Rows))
 			}
-			for i := range gotRows {
+			for i := range gotG.Rows {
 				for c := range wantG.Cols {
-					w, g := wantG.Rows[i][c], gotRows[i][c]
+					w, g := wantG.Rows[i][c], gotG.Rows[i][c]
 					if w.Kind() != g.Kind() || w.String() != g.String() {
 						t.Fatalf("%s[%d][%d]: row=%#v vec=%#v", what, i, c, w, g)
 					}
@@ -93,18 +95,13 @@ func FuzzVecDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(gotCols) != len(wantG.Cols) {
-			t.Fatalf("group-by %d columns, reference %d", len(gotCols), len(wantG.Cols))
-		}
-		sameGroups("group-by", wantG, gotRows)
+		sameGroups("group-by", wantG, gotG)
 
-		// The grouped scan's fold, grouping by every column so that each
-		// distinct row's cells are a group's: the rows cut into one to three
-		// slices (the input's first and last byte choose where), each a select
-		// response's body, as wide as the columns (value.CSVCell), folded in
-		// order a chunk of 1 to 8 rows at a time (the middle byte chooses) —
-		// so a column may be typed one way in one chunk and another in the
-		// next — against the whole-table reference.
+		// Span boundaries, grouping by every column so that each distinct
+		// row's cells are a group's: the rows split across 1 to 8 spans (the
+		// middle byte chooses), each folded into its own partial and merged
+		// in span order — where a grouped scan's partitions would cut them —
+		// against the one-block reference.
 		all, err := sqlparse.Parse(fmt.Sprintf("SELECT %[1]s, COUNT(*) AS n FROM t GROUP BY %[1]s", strings.Join(cols, ", ")))
 		if err != nil {
 			t.Fatal(err)
@@ -113,27 +110,11 @@ func FuzzVecDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference group-by: %v", err)
 		}
-		wide := make([][]string, len(rows))
-		for i, r := range rows {
-			wide[i] = make([]string, len(cols))
-			copy(wide[i], r)
-		}
-		cuts := []int{0, int(data[0]) % (len(rows) + 1), int(data[len(data)-1]) % (len(rows) + 1), len(rows)}
-		sort.Ints(cuts)
-		defer vec.SetChunkRows(vec.SetChunkRows(1 + int(data[len(data)/2])%8))
-		fold, err := vec.NewFold(all.GroupBy, all.Items)
+		spans := 1 + int(data[len(data)/2])%8
+		gotAll, err := engine.Operators{Vectorized: true, Workers: spans}.GroupBy(rel, all.GroupBy, all.Items)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("group-by over %d spans: %v", spans, err)
 		}
-		for k := 1; k < len(cuts); k++ {
-			if err := fold.CSV(cols, csvx.Encode(nil, wide[cuts[k-1]:cuts[k]]), int64(cuts[k]-cuts[k-1])); err != nil {
-				t.Fatalf("fold slice %d: %v", k, err)
-			}
-		}
-		_, folded, err := vec.Finish(fold.Table, all.Items)
-		if err != nil {
-			t.Fatalf("finish: %v", err)
-		}
-		sameGroups("fold", wantAll, folded)
+		sameGroups("spans", wantAll, gotAll)
 	})
 }

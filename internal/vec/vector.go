@@ -84,7 +84,7 @@ func NewVector(k value.Kind, n int) *Vector { return Over(nil, k, n) }
 // Over lays an n-row kind-k vector, zeroed and with no NULLs, over dst's
 // arrays where they have room (a nil dst allocates), for the caller to fill
 // in place: how a decoder builds the layout FromValues infers, each row
-// group or chunk into the previous one's vector, whatever its kind was.
+// group into the previous one's vector, whatever its kind was.
 // KindNull, the all-NULL column, has no payload.
 func Over(dst *Vector, k value.Kind, n int) *Vector {
 	if dst == nil {
