@@ -40,11 +40,9 @@ type DB struct {
 	// virtual clock and pricing (unit scale by default).
 	Sim cloudsim.Scale
 
-	// vectorized selects the vectorized local operators (the default: the
-	// filter and join kernels, the row path over worker spans).
-	// WithVectorized(false) pins the sequential reference they must match
-	// byte for byte (see operators.go).
-	vectorized bool
+	// oneSpan runs every local operator over one span, not the worker
+	// budget's (WithVectorized(false)).
+	oneSpan bool
 
 	// statsMu guards what the planner remembers across queries. statsCache
 	// holds table statistics keyed by backend/bucket/table/filter/index-
@@ -191,13 +189,13 @@ func WithScanSharing(cfg scanshare.Config) Option {
 	}
 }
 
-// WithVectorized(false) runs every local operator on the sequential
-// reference: no filter or join kernel, the row path over one span. The results
-// are byte-identical; the switch exists so differential tests and the
-// benchmark oracle can compare the two, not as a tuning knob.
+// WithVectorized(false) runs every local operator over one span instead of
+// the worker budget's. The results are byte-identical; the switch exists so
+// differential tests and the benchmark oracle can compare the two, not as a
+// tuning knob. ROADMAP direction 1(b) deletes it.
 func WithVectorized(on bool) Option {
 	return func(db *DB) error {
-		db.vectorized = on
+		db.oneSpan = !on
 		return nil
 	}
 }
@@ -208,13 +206,12 @@ func WithVectorized(on bool) Option {
 // registered names.
 func Open(bucket string, opts ...Option) (*DB, error) {
 	db := &DB{
-		bucket:     bucket,
-		stores:     map[string]s3api.Metered{},
-		catalog:    map[string]string{},
-		Cfg:        cloudsim.DefaultConfig(),
-		Pricing:    cloudsim.DefaultPricing(),
-		Sim:        cloudsim.Unit(),
-		vectorized: true,
+		bucket:  bucket,
+		stores:  map[string]s3api.Metered{},
+		catalog: map[string]string{},
+		Cfg:     cloudsim.DefaultConfig(),
+		Pricing: cloudsim.DefaultPricing(),
+		Sim:     cloudsim.Unit(),
 	}
 	for _, o := range opts {
 		if err := o(db); err != nil {

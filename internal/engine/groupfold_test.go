@@ -125,7 +125,7 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 }
 
 // TestGroupByAllocatesPerGroup pins the one group-by to allocations per
-// group chunk, on both operator sets: 4 groups over 8k rows and over 64k
+// group chunk, over one span and two: 4 groups over 8k rows and over 64k
 // cost the same within a small constant of mallocs and bytes (no vector and
 // no row grows with the input), and 8k and 64k groups cost O(groups / chunk)
 // mallocs (the output rows are cut from one slab, not allocated one by one).
@@ -141,7 +141,7 @@ func TestGroupByAllocatesPerGroup(t *testing.T) {
 		}
 		return r
 	}
-	for name, o := range map[string]Operators{"reference": {}, "vectorized": {Vectorized: true, Workers: 2}} {
+	for name, o := range map[string]Operators{"one span": {}, "two spans": {Workers: 2}} {
 		run := func(in *Relation, groups int) func() {
 			return func() {
 				if out, err := o.GroupBy(in, sel.GroupBy, sel.Items); err != nil || len(out.Rows) != groups {

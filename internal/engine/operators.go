@@ -15,26 +15,22 @@ import (
 // Local operators: the server-side filter, project, group-by, aggregate
 // and hash join every algorithm of Sections IV–VII ends in, on one surface
 // that takes parsed input (sqlparse expressions, select items, group keys).
-// There is one row path: expr.RowExec — the executor the S3 Select engine
-// runs on the storage side — bound once to a relation's header and fed its
-// rows as they are, over contiguous spans. Project, GroupBy (and the
-// grouped scan's fold, groupFold) and every filter the vec.Filter kernel
-// does not compile run it on both operator sets. The two sets differ in
-// three things only: the vectorized set runs a filter the kernel compiles
-// on the kernel, joins through vec.JoinPairs, and splits the row path over
-// the worker budget (vec.RowSpans); the reference — one span, no vectors —
-// is what it must reproduce byte for byte, for the differential batteries
-// and the benchmark oracle (WithVectorized(false)). Every relation the
-// engine builds is as wide as its header (value.CSVCell). Query execution
+// Each operator has one implementation. Filter, Project and GroupBy (and the
+// grouped scan's fold, groupFold) run expr.RowExec — the executor the S3
+// Select engine runs on the storage side — bound once to a relation's header
+// and fed its rows as they are; HashJoin is one chained hash table over the
+// rows' key cells. Each splits its rows into contiguous spans at the worker
+// count (vec.RowSpans) and merges them in span order, so every answer and
+// the first error are one span's; the zero value runs one span, which is
+// what the tpch Baselines and WithVectorized(false) run. Every relation the
+// engine builds is as wide as its header (value.CSVCell), and no vector is
+// built from its rows: vectors come only from colformat. Query execution
 // reaches the operators through one dispatch point (Exec.runOp).
 
-// Operators is the local operator set. The zero value is the sequential
-// reference.
+// Operators is the local operator set: Workers spans a row loop splits
+// into, one at Workers <= 1.
 type Operators struct {
-	// Vectorized runs the filter and join kernels of internal/vec, and the
-	// row path over vec.RowSpans, on Workers goroutines.
-	Vectorized bool
-	Workers    int
+	Workers int
 }
 
 // columnItems is the select list projecting the named columns.
@@ -66,25 +62,11 @@ func itemCols(rel *Relation, items []sqlparse.SelectItem) []string {
 	return cols
 }
 
-// Filter keeps the rows matching pred (nil keeps the relation as it is).
-// Kept rows share the input's row slices. A predicate vec.Filter compiles
-// runs on the kernel in the vectorized set; every other runs the row path.
+// Filter keeps the rows matching pred (nil keeps the relation as it is) on
+// the row path. Kept rows share the input's row slices.
 func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) {
 	if pred == nil {
 		return rel, nil
-	}
-	if o.Vectorized && vec.Compiles(pred) {
-		var ev expr.Evaluator // lists the columns pred reads, refusing one rel lacks
-		if err := ev.Bind(expr.Index(rel.Cols), pred); err != nil {
-			return nil, err
-		}
-		if idx, ok := vec.Filter(vec.FromRowsProjected(rel.Cols, rel.Rows, ev.Cols(), o.Workers), pred, o.Workers); ok {
-			out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(idx))}
-			for k, i := range idx {
-				out.Rows[k] = rel.Rows[i]
-			}
-			return out, nil
-		}
 	}
 	keep := make([]byte, len(rel.Rows)) // 1: the row passes
 	err := o.eachSpan(rel, func(i *int) (*expr.RowExec, error) {
@@ -105,9 +87,9 @@ func (o Operators) Filter(rel *Relation, pred sqlparse.Expr) (*Relation, error) 
 	return out, nil
 }
 
-// Project evaluates the select items over each row on the row path: no
-// kernel would read vectors. Row i is the window cells[i*w:(i+1)*w:(i+1)*w]
-// of one array, as joinRows writes them.
+// Project evaluates the select items over each row on the row path. Row i
+// is the window cells[i*w:(i+1)*w:(i+1)*w] of one array, as joinRows writes
+// them.
 func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
 	out := &Relation{Cols: itemCols(rel, items), Rows: make([]Row, len(rel.Rows))}
 	w := len(out.Cols)
@@ -127,10 +109,10 @@ func (o Operators) Project(rel *Relation, items []sqlparse.SelectItem) (*Relatio
 	return out, nil
 }
 
-// spans splits n rows as the row path runs them: vec.RowSpans at the worker
-// budget on the vectorized set, one span on the reference.
+// spans splits n rows as every operator runs them: vec.RowSpans at the
+// worker count, one span at Workers <= 1.
 func (o Operators) spans(n int) []vec.Span {
-	if !o.Vectorized || o.Workers <= 1 || n < 2 {
+	if o.Workers <= 1 || n < 2 {
 		return []vec.Span{{Hi: n}}
 	}
 	return vec.RowSpans(n, o.Workers)
@@ -207,7 +189,14 @@ func (r *Relation) collect() func([]value.Value) error {
 // HashJoin joins left (build side) and right (probe side) on equality of
 // the named key columns; the output concatenates both sides' columns, in
 // probe-row order with each probe row's matches in build-row order. NULL
-// keys never match.
+// keys never match. Keys hash and compare by value.Hash and value.Equal, so
+// a numeric-looking string key joins the number it equals.
+//
+// The build side is one chained hash table, not a list per key: head maps a
+// hash to its first build row plus one, next links a row to the next with
+// its hash (-1 ends a chain), linked last to first so chains ascend. The
+// build's hashes and the probe run over spans (o.spans), the probe's matched
+// pairs merging in span order.
 func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
 	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
 	if li < 0 {
@@ -216,43 +205,59 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 	if ri < 0 {
 		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
 	}
-	if o.Vectorized {
-		bi, pi := vec.JoinPairs(vec.FromColumn(left.Rows, li), vec.FromColumn(right.Rows, ri), o.Workers)
-		return joinRows(left, right, bi, pi, o.Workers), nil
-	}
-	build := map[uint64][]int{}
-	for i, lrow := range left.Rows {
-		if k := lrow[li]; !k.IsNull() {
-			build[k.Hash()] = append(build[k.Hash()], i)
+	n := len(left.Rows)
+	hashes := make([]uint64, n)
+	_ = vec.RunSpans(o.spans(n), func(_ int, sp vec.Span) error {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			hashes[i] = left.Rows[i][li].Hash()
+		}
+		return nil
+	})
+	head, next := make(map[uint64]int, n), make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		if !left.Rows[i][li].IsNull() {
+			next[i] = head[hashes[i]] - 1
+			head[hashes[i]] = i + 1
 		}
 	}
-	var bi, pi []int
-	for p, rrow := range right.Rows {
-		k := rrow[ri]
-		if k.IsNull() {
-			continue
-		}
-		for _, i := range build[k.Hash()] {
-			if value.Equal(left.Rows[i][li], k) {
-				bi, pi = append(bi, i), append(pi, p)
+	sps := o.spans(len(right.Rows))
+	parts := make([][]joinPair, len(sps))
+	_ = vec.RunSpans(sps, func(w int, sp vec.Span) error {
+		for p := sp.Lo; p < sp.Hi; p++ {
+			k := right.Rows[p][ri]
+			if k.IsNull() {
+				continue
+			}
+			for i := head[k.Hash()] - 1; i >= 0; i = next[i] {
+				if value.Equal(left.Rows[i][li], k) {
+					parts[w] = append(parts[w], joinPair{b: i, p: p})
+				}
 			}
 		}
+		return nil
+	})
+	pairs := parts[0]
+	if len(parts) > 1 {
+		pairs = slices.Concat(parts...)
 	}
-	return joinRows(left, right, bi, pi, 1), nil
+	return o.joinRows(left, right, pairs), nil
 }
 
-// joinRows writes the joined row of each (build, probe) pair into one array,
-// span-parallel. Row k is the window cells[k*w:(k+1)*w:(k+1)*w]: an append
-// to it reallocates it, never writing into row k+1. A kept row pins the array.
-func joinRows(left, right *Relation, bi, pi []int, workers int) *Relation {
-	out := &Relation{Cols: append(slices.Clip(left.Cols), right.Cols...), Rows: make([]Row, len(bi))}
+// joinPair is one match: build row b, probe row p.
+type joinPair struct{ b, p int }
+
+// joinRows writes the joined row of each pair into one array, over spans.
+// Row k is the window cells[k*w:(k+1)*w:(k+1)*w]: an append to it
+// reallocates it, never writing into row k+1. A kept row pins the array.
+func (o Operators) joinRows(left, right *Relation, pairs []joinPair) *Relation {
+	out := &Relation{Cols: append(slices.Clip(left.Cols), right.Cols...), Rows: make([]Row, len(pairs))}
 	lw, w := len(left.Cols), len(out.Cols)
-	cells := make([]value.Value, len(bi)*w)
-	_ = vec.RunSpans(vec.RowSpans(len(bi), workers), func(_ int, sp vec.Span) error {
+	cells := make([]value.Value, len(pairs)*w)
+	_ = vec.RunSpans(o.spans(len(pairs)), func(_ int, sp vec.Span) error {
 		for k := sp.Lo; k < sp.Hi; k++ {
 			row := cells[k*w : (k+1)*w : (k+1)*w]
-			copy(row, left.Rows[bi[k]])
-			copy(row[lw:], right.Rows[pi[k]])
+			copy(row, left.Rows[pairs[k].b])
+			copy(row[lw:], right.Rows[pairs[k].p])
 			out.Rows[k] = row
 		}
 		return nil
@@ -260,8 +265,7 @@ func joinRows(left, right *Relation, bi, pi []int, workers int) *Relation {
 	return out
 }
 
-// SortLocal orders rows by the given keys (stable), on the sequential
-// reference's executor.
+// SortLocal orders rows by the given keys (stable), over one span.
 func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 	type keyed struct {
 		keys Row
@@ -304,19 +308,17 @@ func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
 }
 
 // runOp is the one point where query execution reaches a local operator:
-// it hands fn the operator set this execution runs — the vectorized kernels
-// at the worker budget, or the sequential reference under
-// WithVectorized(false) — under a span recording the input and output
-// cardinalities and which path ran.
+// it hands fn the operator set this execution runs — spans at the worker
+// budget, or one span under WithVectorized(false) — under a span recording
+// the input and output cardinalities.
 func (e *Exec) runOp(name string, rowsIn int, fn func(Operators) (*Relation, error)) (*Relation, error) {
 	sp := e.parent().Child(name)
-	path := "row"
-	if e.db.vectorized {
-		path = "vec"
-	}
 	sp.SetInt("rows_in", int64(rowsIn))
-	sp.SetStr("path", path)
-	out, err := fn(Operators{Vectorized: e.db.vectorized, Workers: e.workers()})
+	o := Operators{Workers: e.workers()}
+	if e.db.oneSpan {
+		o = Operators{}
+	}
+	out, err := fn(o)
 	if err == nil {
 		sp.SetInt("rows_out", int64(len(out.Rows)))
 	}

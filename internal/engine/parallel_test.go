@@ -46,9 +46,9 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 	}
 }
 
-// TestParallelOperatorsDeterministic pins what still runs on the worker
-// pool against its sequential form: the vectorized kernels at 1, 2, 8 and
-// 33 workers must reproduce the sequential reference byte for byte.
+// TestParallelOperatorsDeterministic pins every operator over worker spans
+// against its one-span form: at 1, 2, 8 and 33 workers each must reproduce
+// the one span byte for byte.
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
@@ -68,7 +68,7 @@ func TestParallelOperatorsDeterministic(t *testing.T) {
 			t.Fatalf("%s reference: %v", name, err)
 		}
 		for _, workers := range []int{1, 2, 8, 33} {
-			got, err := op(Operators{Vectorized: true, Workers: workers})
+			got, err := op(Operators{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s@%d: %v", name, workers, err)
 			}

@@ -221,7 +221,7 @@ func at(keep []int, j int) int {
 // capped at Cores) is the server's worker pool: the paper's compute node is
 // a 32-core r4.8xlarge, and pushdown only pays off against a server that is
 // itself well-utilized, so row work (columnar chunk decode, top-K heaps,
-// Bloom keys, join materialization, the vec kernels) splits across it. Each
+// Bloom keys, every local operator's spans) splits across it. Each
 // worker owns a contiguous ascending row range and partial results merge in
 // worker order, so the output is byte-identical to the workers=1 run.
 func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }

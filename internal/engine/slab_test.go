@@ -226,11 +226,11 @@ func joinSides(n int) (build, probe *Relation) {
 	return build, probe
 }
 
-// joinOperatorSets are the reference and the kernels at two workers.
-var joinOperatorSets = map[string]Operators{"reference": {}, "vectorized": {Vectorized: true, Workers: 2}}
+// joinOperatorSets run the join over one span and over two.
+var joinOperatorSets = map[string]Operators{"one span": {}, "two spans": {Workers: 2}}
 
 // TestHashJoinAllocatesPerJoin pins the join's output to allocations per
-// join, not per row, on both operator sets: 16x the output rows cost only
+// join, not per row, over one span and two: 16x the output rows cost only
 // the pair lists' few extra doublings.
 func TestHashJoinAllocatesPerJoin(t *testing.T) {
 	if race.Enabled {
@@ -251,11 +251,11 @@ func TestHashJoinAllocatesPerJoin(t *testing.T) {
 	}
 }
 
-// TestHashJoinKeysAllocateNoValues pins the kernels' key extraction: each
-// side's key column becomes its vector straight from the rows. A join whose
-// 16k probe keys match nothing allocates under 16 bytes a probe row, about
-// the key vector's 8-byte payload; copying the keys into a []value.Value
-// first cost 32 bytes a row more.
+// TestHashJoinKeysAllocateNoValues pins the join's key reads: both sides'
+// keys are read where they are, in the rows' cells. A join whose 16k probe
+// keys match nothing allocates under 16 bytes a probe row; building a key
+// vector from the rows cost 8 bytes a row, and copying the keys into a
+// []value.Value first 32 bytes more.
 func TestHashJoinKeysAllocateNoValues(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -264,7 +264,7 @@ func TestHashJoinKeysAllocateNoValues(t *testing.T) {
 	for _, row := range probe.Rows {
 		row[0] = value.Int(row[0].AsInt() + 1000) // no build key
 	}
-	o := joinOperatorSets["vectorized"]
+	o := joinOperatorSets["two spans"]
 	perRow := float64(allocatedBytes(func() {
 		if out, err := o.HashJoin(build, probe, "k", "fk"); err != nil {
 			t.Fatal(err)
@@ -274,6 +274,41 @@ func TestHashJoinKeysAllocateNoValues(t *testing.T) {
 	})) / float64(len(probe.Rows))
 	if perRow > 16 {
 		t.Errorf("a join matching none of its probe rows allocates %.1f bytes a probe row, want at most 16", perRow)
+	}
+}
+
+// intKeyRel is a one-column relation of n integer keys cycling through
+// distinct values.
+func intKeyRel(n, distinct int) *Relation {
+	rel := &Relation{Cols: []string{"k"}, Rows: make([]Row, n)}
+	for i := range rel.Rows {
+		rel.Rows[i] = Row{value.Int(int64(i % distinct))}
+	}
+	return rel
+}
+
+// TestHashJoinAllocatesPerSide pins the join build to allocations per side,
+// not per key: a 16x larger build side, every key distinct, against the same
+// probe costs only the head map's own extra tables more (about one
+// allocation per 500 keys), over one span and two. A list of rows per key
+// cost an allocation per key.
+func TestHashJoinAllocatesPerSide(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	probe := intKeyRel(4096, 1000)
+	for name, o := range joinOperatorSets {
+		allocs := func(keys int) float64 {
+			build := intKeyRel(keys, keys)
+			return testing.AllocsPerRun(5, func() {
+				if out, err := o.HashJoin(build, probe, "k", "k"); err != nil || len(out.Rows) != len(probe.Rows) {
+					t.Fatalf("%s, %d keys: %d pairs (%v), want %d", name, keys, len(out.Rows), err, len(probe.Rows))
+				}
+			})
+		}
+		if small, large := allocs(1000), allocs(16000); large-small > 16000/128 {
+			t.Errorf("%s: HashJoin allocates %v times over 1k build keys and %v over 16k, want a small constant apart", name, small, large)
+		}
 	}
 }
 
@@ -352,28 +387,32 @@ func TestBloomProbeRequestPrintsOnce(t *testing.T) {
 	}
 }
 
-// TestDeclinedFilterBuildsNoVectors: a predicate the filter kernel does not
-// compile (arithmetic, here) runs the row path on the vectorized set too,
-// and is declined by its shape before any vector is built: over 1,000 rows
-// it allocates no more there than on the reference.
-func TestDeclinedFilterBuildsNoVectors(t *testing.T) {
+// TestFilterAllocatesPerKeptRow pins the filter to its output: over n rows
+// it allocates the n-byte keep mask, the kept rows' 24-byte slice headers
+// and a constant (each span's bound row program, and the allocator's
+// rounding of the two arrays), at one span and at four. Building vectors
+// from the rows' cells first cost about 20 bytes an input row more.
+func TestFilterAllocatesPerKeptRow(t *testing.T) {
 	if race.Enabled {
-		t.Skip("allocation counts differ under the race detector")
+		t.Skip("allocation sizes differ under the race detector")
 	}
-	rel := &Relation{Cols: []string{"a", "b", "c"}}
-	for i := range 1000 {
-		rel.Rows = append(rel.Rows, Row{value.Int(int64(i)), value.Str("x"), value.Float(float64(i) / 2)})
+	const n = 20000
+	rel := &Relation{Cols: []string{"a", "b", "c", "d"}}
+	for i := range n {
+		rel.Rows = append(rel.Rows, Row{value.Int(int64(i % 50)), value.Str("x"), value.Float(float64(i) / 2), value.Date(int64(8000 + i%2000))})
 	}
-	pred := selectOf(t, "SELECT * FROM t WHERE a + 1 < 500").Where
-	allocs := func(o Operators) float64 {
-		return testing.AllocsPerRun(10, func() {
+	pred := selectOf(t, "SELECT * FROM t WHERE d >= '1994-01-01' AND d < '1995-01-01' AND a < 24").Where
+	for _, o := range []Operators{{}, {Workers: 4}} {
+		var kept int
+		got := allocatedBytes(func() {
 			out, err := o.Filter(rel, pred)
-			if err != nil || len(out.Rows) != 499 {
-				t.Fatalf("filter: %v, %v", out, err)
+			if err != nil {
+				t.Fatal(err)
 			}
+			kept = len(out.Rows)
 		})
-	}
-	if vectorized, reference := allocs(Operators{Vectorized: true, Workers: 1}), allocs(Operators{}); vectorized > reference {
-		t.Errorf("a declined filter allocates %v times vectorized, %v on the reference", vectorized, reference)
+		if want := uint64(n + 24*kept + 16<<10); kept == 0 || got > want {
+			t.Errorf("Workers=%d: filtering %d rows to %d allocates %d bytes, want at most %d", o.Workers, n, kept, got, want)
+		}
 	}
 }

@@ -190,11 +190,7 @@ func TestTraceGroupedScanShape(t *testing.T) {
 	if groups, ok := loc.Int("groups"); !ok || groups != int64(len(rel.Rows)) || groups != 10 {
 		t.Errorf("local groups = %d (ok=%v), want the %d groups returned (10)", groups, ok, len(rel.Rows))
 	}
-	op := loc.Find("groupby")
-	if path, _ := op.Str("path"); path != "vec" {
-		t.Errorf("groupby path = %q, want vec", path)
-	}
-	if in, _ := op.Int("rows_in"); in != 900 {
+	if in, _ := loc.Find("groupby").Int("rows_in"); in != 900 {
 		t.Errorf("groupby rows_in = %d, want 900", in)
 	}
 }

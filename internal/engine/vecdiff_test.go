@@ -17,13 +17,11 @@ import (
 	"pushdowndb/internal/value"
 )
 
-// Vectorized-vs-row differential suite: the same corpus the cross-backend
-// suite runs must produce byte-identical results on the vectorized local
-// operator path (the default) and the row-at-a-time path
+// Spans-vs-one-span differential suite: the same corpus the cross-backend
+// suite runs must produce byte-identical results with the local operators
+// over the worker budget's spans (the default) and over one span
 // (WithVectorized(false)), cold and warm, on both the in-process and the
-// localfs backends. This is the end-to-end pin of the vec package's
-// byte-identity contract; the operator-level twins are pinned in
-// internal/vec's own differential tests.
+// localfs backends. The operator-level battery is operators_test.go's.
 
 func TestVecRowDifferentialCorpus(t *testing.T) {
 	backends := map[string]s3api.Backend{}
@@ -52,31 +50,31 @@ func TestVecRowDifferentialCorpus(t *testing.T) {
 			for _, q := range diffQueries {
 				vecCold, _, err := dbVec.QueryContext(context.Background(), q.sql)
 				if err != nil {
-					t.Fatalf("%s (vec cold): %v", q.name, err)
+					t.Fatalf("%s (spans, cold): %v", q.name, err)
 				}
 				rowCold, _, err := dbRow.QueryContext(context.Background(), q.sql)
 				if err != nil {
-					t.Fatalf("%s (row cold): %v", q.name, err)
+					t.Fatalf("%s (one span, cold): %v", q.name, err)
 				}
 				vecOut, rowOut := render(vecCold, q.ordered), render(rowCold, q.ordered)
 				if vecOut != rowOut {
-					t.Errorf("%s: vectorized differs from row path (cold)\nvec:\n%s\nrow:\n%s",
+					t.Errorf("%s: spans differ from one span (cold)\nspans:\n%s\none span:\n%s",
 						q.name, vecOut, rowOut)
 				}
 				vecWarm, _, err := dbVec.QueryContext(context.Background(), q.sql)
 				if err != nil {
-					t.Fatalf("%s (vec warm): %v", q.name, err)
+					t.Fatalf("%s (spans, warm): %v", q.name, err)
 				}
 				rowWarm, _, err := dbRow.QueryContext(context.Background(), q.sql)
 				if err != nil {
-					t.Fatalf("%s (row warm): %v", q.name, err)
+					t.Fatalf("%s (one span, warm): %v", q.name, err)
 				}
 				if out := render(vecWarm, q.ordered); out != vecOut {
-					t.Errorf("%s: vectorized warm differs from cold\ncold:\n%s\nwarm:\n%s",
+					t.Errorf("%s: spans warm differs from cold\ncold:\n%s\nwarm:\n%s",
 						q.name, vecOut, out)
 				}
 				if out := render(rowWarm, q.ordered); out != rowOut {
-					t.Errorf("%s: row warm differs from cold\ncold:\n%s\nwarm:\n%s",
+					t.Errorf("%s: one span warm differs from cold\ncold:\n%s\nwarm:\n%s",
 						q.name, rowOut, out)
 				}
 			}
@@ -120,7 +118,7 @@ func columnarFixture(t testing.TB) *store.Store {
 }
 
 // TestVecRowColumnarTable pins the columnar decode path: queries over a
-// colformat table agree between the vectorized and row paths, the plain-GET
+// colformat table agree over spans and over one span, the plain-GET
 // load path decodes the binary layout instead of mis-parsing it as CSV, and
 // TableHeader answers from the footer schema.
 func TestVecRowColumnarTable(t *testing.T) {
@@ -149,14 +147,14 @@ func TestVecRowColumnarTable(t *testing.T) {
 	for _, q := range queries {
 		vecRel, _, err := dbVec.QueryContext(context.Background(), q.sql)
 		if err != nil {
-			t.Fatalf("%s (vec): %v", q.name, err)
+			t.Fatalf("%s (spans): %v", q.name, err)
 		}
 		rowRel, _, err := dbRow.QueryContext(context.Background(), q.sql)
 		if err != nil {
-			t.Fatalf("%s (row): %v", q.name, err)
+			t.Fatalf("%s (one span): %v", q.name, err)
 		}
 		if v, r := render(vecRel, q.ordered), render(rowRel, q.ordered); v != r {
-			t.Errorf("%s: vectorized differs from row path over columnar table\nvec:\n%s\nrow:\n%s",
+			t.Errorf("%s: spans differ from one span over columnar table\nspans:\n%s\none span:\n%s",
 				q.name, v, r)
 		}
 	}
@@ -167,7 +165,7 @@ func TestVecRowColumnarTable(t *testing.T) {
 	vecRel := forcedRel(t, dbVec, StrategyBaseline, baseline)
 	rowRel := forcedRel(t, dbRow, StrategyBaseline, baseline)
 	if v, r := render(vecRel, false), render(rowRel, false); v != r {
-		t.Errorf("forced baseline over columnar table: vec\n%s\nrow\n%s", v, r)
+		t.Errorf("forced baseline over columnar table: spans\n%s\none span\n%s", v, r)
 	}
 	if len(vecRel.Rows) != 10 {
 		t.Errorf("forced baseline over columnar table kept %d rows, want 10", len(vecRel.Rows))
@@ -243,12 +241,12 @@ func TestProbeStatsColumnar(t *testing.T) {
 	}
 }
 
-// TestOperatorEdgeCases pins operator-level edge cases the vec package's
-// own differential tests cannot reach, on both operator sets: the
-// nil-predicate identity, the empty-input aggregate synthesis and the
-// short-row rule over a ragged relation.
+// TestOperatorEdgeCases pins operator-level edge cases the differential
+// battery does not reach, over one span and two: the nil-predicate
+// identity, the empty-input aggregate synthesis and the short-row rule over
+// a ragged relation.
 func TestOperatorEdgeCases(t *testing.T) {
-	ref, vecOps := Operators{}, Operators{Vectorized: true, Workers: 2}
+	ref, vecOps := Operators{}, Operators{Workers: 2}
 	rel := &Relation{
 		Cols: []string{"a", "b"},
 		Rows: []Row{
@@ -257,7 +255,7 @@ func TestOperatorEdgeCases(t *testing.T) {
 			{value.Int(3), value.Str("y")},
 		},
 	}
-	for name, o := range map[string]Operators{"reference": ref, "vectorized": vecOps} {
+	for name, o := range map[string]Operators{"one span": ref, "two spans": vecOps} {
 		if out, err := o.Filter(rel, nil); err != nil || out != rel {
 			t.Errorf("%s Filter with no predicate: got (%p, %v), want the input relation", name, out, err)
 		}
@@ -268,14 +266,14 @@ func TestOperatorEdgeCases(t *testing.T) {
 		items := selectOf(t, "SELECT "+src+" FROM t").Items
 		vecAgg, err := vecOps.GroupBy(empty, nil, items)
 		if err != nil {
-			t.Fatalf("vectorized aggregate of empty, %q: %v", src, err)
+			t.Fatalf("two-span aggregate of empty, %q: %v", src, err)
 		}
 		refAgg, err := ref.GroupBy(empty, nil, items)
 		if err != nil {
-			t.Fatalf("reference aggregate of empty, %q: %v", src, err)
+			t.Fatalf("one-span aggregate of empty, %q: %v", src, err)
 		}
 		if v, r := render(vecAgg, true), render(refAgg, true); v != r {
-			t.Errorf("empty-input aggregate %q: vec\n%s\nreference\n%s", src, v, r)
+			t.Errorf("empty-input aggregate %q: two spans\n%s\none span\n%s", src, v, r)
 		}
 		if len(refAgg.Rows) != 1 || refAgg.Rows[0][0].String() != "0" {
 			t.Errorf("empty-input aggregate %q = %v, want one row with COUNT 0", src, refAgg.Rows)
@@ -284,8 +282,8 @@ func TestOperatorEdgeCases(t *testing.T) {
 
 	// A ragged relation follows the short-row rule (value.CSVCell): decoded,
 	// a short row reads NULL past its end and an over-long row's extra cell
-	// is not part of it, so the kernels equal the reference. Hand-built, the
-	// reference reads it the same way.
+	// is not part of it, and spans read it as one span does. Hand-built, one
+	// span reads it the same way.
 	cols := []string{"a", "b"}
 	decoded := relOf(cols, [][]string{{"1", "x"}, {"2"}, {"3", "y", "extra"}})
 	handBuilt := &Relation{Cols: cols, Rows: []Row{
@@ -305,10 +303,10 @@ func TestOperatorEdgeCases(t *testing.T) {
 		vecOut, vecErr := op(vecOps, decoded)
 		refOut, refErr := op(ref, decoded)
 		if vecErr != nil || refErr != nil {
-			t.Fatalf("ragged %s: vec err %v, reference err %v", name, vecErr, refErr)
+			t.Fatalf("ragged %s: two-span err %v, one-span err %v", name, vecErr, refErr)
 		}
 		if v, r := render(vecOut, false), render(refOut, false); v != r {
-			t.Errorf("ragged %s: vec\n%s\nreference\n%s", name, v, r)
+			t.Errorf("ragged %s: two spans\n%s\none span\n%s", name, v, r)
 		}
 		if name == "filter" {
 			// Filter hands back its input's rows as they are.
@@ -325,14 +323,14 @@ func TestOperatorEdgeCases(t *testing.T) {
 
 // TestRaggedRowsDoNotPanic is the operator-level regression for the daemon
 // crash: decoded, a short row's missing join key is a NULL — the row never
-// matches — on both operator sets, at every worker count, where it used to
-// index out of range on a worker goroutine.
+// matches — over one span and over several, where it used to index out of
+// range on a worker goroutine.
 func TestRaggedRowsDoNotPanic(t *testing.T) {
 	left := relOf([]string{"a", "k"}, [][]string{{"1", "10"}, {"2"}, {"3", "30"}})
 	right := relOf([]string{"k2", "w"}, [][]string{{"10", "x"}, {}, {"30", "y"}, {"10", "z"}})
 	const want = "1 | 10 | 10 | x\n3 | 30 | 30 | y\n1 | 10 | 10 | z\n"
 	for name, o := range map[string]Operators{
-		"reference": {}, "vectorized@1": {Vectorized: true, Workers: 1}, "vectorized@4": {Vectorized: true, Workers: 4},
+		"one span": {}, "workers@1": {Workers: 1}, "workers@4": {Workers: 4},
 	} {
 		for _, swap := range []bool{false, true} {
 			l, r, lk, rk := left, right, "k", "k2"
@@ -357,8 +355,8 @@ func TestRaggedRowsDoNotPanic(t *testing.T) {
 
 // TestRaggedObjectEndToEnd is the end-to-end half of the ragged-row
 // regression: partitions holding a short row go through LoadTable into the
-// baseline join and the forced-baseline top-K on both operator sets, which
-// must agree — the short rows' missing keys match nothing and sort as NULL —
+// baseline join and the forced-baseline top-K over the worker budget's spans
+// and over one span, which must agree — the short rows' missing keys match nothing and sort as NULL —
 // and not panic; the sampling top-K answers as the baseline at every sample
 // size.
 // The loader's statistics objects hold the short rows too, shaped to the
@@ -519,7 +517,7 @@ func TestFoldedScanDifferential(t *testing.T) {
 				backend = raggedSelects{backend, ragged}
 			}
 			folded, reference := comp.open(t, backend, 0), comp.open(t, backend, 0)
-			reference.vectorized = false
+			reference.oneSpan = true
 			for _, table := range []string{"f", "fc", "e"} {
 				for _, stmt := range foldStatements {
 					sql := fmt.Sprintf(stmt, table)

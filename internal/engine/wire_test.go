@@ -14,12 +14,12 @@ import (
 )
 
 // Both sides of the wire: the S3 Select engine and PushdownDB's local
-// operators run one SELECT block executor (expr.RowExec), and the vec
-// kernels must reproduce it. The same rows go through all three — as a CSV
-// payload to selectengine.Execute, as a relation of the very values the
-// storage side sees (CSV text, an empty field NULL) to the reference and
-// the vectorized operator sets — and the rendered columns, rows and error
-// text must be identical.
+// operators run one SELECT block executor (expr.RowExec), over one span or
+// many. The same rows go through each — as a CSV payload to
+// selectengine.Execute, as a relation of the very values the storage side
+// sees (CSV text, an empty field NULL) to the operators over one span and
+// over three, and folded as a grouped scan folds them — and the rendered
+// columns, rows and error text must be identical.
 
 var (
 	wireHeader = []string{"id", "qty", "price", "flag", "name"}
@@ -88,7 +88,7 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 // one block groupFold binds to their columns, which the scan's tail
 // finishes. A block that groups nothing runs as runLocal runs it.
 func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
-	o := Operators{Vectorized: true, Workers: 2}
+	o := Operators{Workers: 2}
 	if !grouped(sel) {
 		return runLocal(o, rel, sel)
 	}
@@ -127,9 +127,9 @@ func TestBothSidesOfTheWire(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		for name, run := range map[string]func() (*Relation, error){
-			"reference":  func() (*Relation, error) { return runLocal(Operators{}, rel, sel) },
-			"vectorized": func() (*Relation, error) { return runLocal(Operators{Vectorized: true, Workers: 3}, rel, sel) },
-			"folded":     func() (*Relation, error) { return runFolded(t, rel, sel) },
+			"one span":    func() (*Relation, error) { return runLocal(Operators{}, rel, sel) },
+			"three spans": func() (*Relation, error) { return runLocal(Operators{Workers: 3}, rel, sel) },
+			"folded":      func() (*Relation, error) { return runFolded(t, rel, sel) },
 		} {
 			got, gotErr := run()
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {

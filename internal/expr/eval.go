@@ -454,12 +454,12 @@ func (ev *Evaluator) evalLike(t *sqlparse.Like, row []value.Value) (value.Value,
 	}
 	// The pattern is matched by its text, as the subject is: storage's CSV
 	// cells and the server's typed cells agree.
-	return value.Bool(LikeMatch(p.String(), x.String()) != t.Not), nil
+	return value.Bool(likeMatch(p.String(), x.String()) != t.Not), nil
 }
 
-// LikeMatch reports whether s matches the SQL LIKE pattern p (% = any run,
-// _ = any one byte); the vectorized filter kernel shares it.
-func LikeMatch(p, s string) bool {
+// likeMatch reports whether s matches the SQL LIKE pattern p (% = any run,
+// _ = any one byte).
+func likeMatch(p, s string) bool {
 	// Iterative two-pointer wildcard matching, linear-ish.
 	pi, si := 0, 0
 	star, mark := -1, 0

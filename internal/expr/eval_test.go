@@ -265,8 +265,8 @@ func TestLikeMatcher(t *testing.T) {
 		{"", "x", false},
 	}
 	for _, c := range cases {
-		if got := LikeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
+		if got := likeMatch(c.pat, c.s); got != c.want {
+			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
 		}
 	}
 }
@@ -490,13 +490,13 @@ func TestEvalBool(t *testing.T) {
 	}
 }
 
-// Property: LikeMatch with pattern == string (no wildcards) is equality.
+// Property: likeMatch with pattern == string (no wildcards) is equality.
 func TestQuickLikeExact(t *testing.T) {
 	f := func(s string) bool {
 		if strings.ContainsAny(s, "%_") {
 			return true
 		}
-		return LikeMatch(s, s)
+		return likeMatch(s, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -509,7 +509,7 @@ func TestQuickLikePrefix(t *testing.T) {
 		if strings.ContainsAny(prefix, "%_") {
 			return true
 		}
-		return LikeMatch(prefix+"%", prefix+rest)
+		return likeMatch(prefix+"%", prefix+rest)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,10 +7,9 @@ import (
 
 // The local operator benchmark fixture: one fixture and one case list that
 // bench/ times (vec.filter/groupby/join_mrows_per_s). The cases run the
-// engine's operator set over parsed input, exactly as query execution does
-// (only the referenced columns convert to vectors), over a materialized
-// TPC-H lineitem/part, so the measured cost is local execution, not scan or
-// decode.
+// engine's operators over parsed input, exactly as query execution does,
+// over a materialized TPC-H lineitem/part, so the measured cost is local
+// execution, not scan or decode.
 
 // VecBenchFixture holds the materialized relations the cases run over.
 type VecBenchFixture struct {
@@ -19,13 +18,13 @@ type VecBenchFixture struct {
 	Workers  int
 }
 
-// VecBenchCase is one operator: Run executes it once on the vectorized
-// kernels (at the fixture's worker count) or, with vectorized false, on the
-// sequential reference, and reports the output row count (a cheap checksum
-// the callers compare across the two).
+// VecBenchCase is one operator: Run executes it once over the fixture's
+// worker count of spans or, with spans false, over one span, and reports
+// the output row count (a cheap checksum the callers compare across the
+// two).
 type VecBenchCase struct {
 	Name string
-	Run  func(f *VecBenchFixture, vectorized bool) (int, error)
+	Run  func(f *VecBenchFixture, spans bool) (int, error)
 }
 
 // vecBenchSQL carries the cases' parsed input: a Q6-shaped filter (a date
@@ -43,8 +42,12 @@ func VecBenchCases() []VecBenchCase {
 		panic(err) // a constant: only a bug can break it
 	}
 	run := func(op func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error)) func(*VecBenchFixture, bool) (int, error) {
-		return func(f *VecBenchFixture, vectorized bool) (int, error) {
-			out, err := op(engine.Operators{Vectorized: vectorized, Workers: f.Workers}, f)
+		return func(f *VecBenchFixture, spans bool) (int, error) {
+			o := engine.Operators{}
+			if spans {
+				o.Workers = f.Workers
+			}
+			out, err := op(o, f)
 			if err != nil {
 				return 0, err
 			}

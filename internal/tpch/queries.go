@@ -33,7 +33,7 @@ func Queries() []Query {
 	}
 }
 
-// The Baselines run the server's reference operators (engine.Operators{})
+// The Baselines run the server's operators over one span (engine.Operators{})
 // over what each statement, and Q17's and Q19's extra fragments, parse to:
 // once per process, here.
 var (
@@ -55,7 +55,7 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// local is the reference operator set every Baseline runs.
+// local is the one-span operator set every Baseline runs.
 var local engine.Operators
 
 // planned runs sql through the planner: what is pushed to S3, and how each

@@ -536,37 +536,56 @@ func Equal(a, b Value) bool {
 }
 
 // Hash returns a 64-bit hash consistent with Equal for non-NULL values:
-// numerically equal INT/FLOAT/DATE values hash identically.
+// values Equal calls equal hash identically. Numbers hash by their float64
+// (INT 3, FLOAT 3.0 and a BOOL or DATE of the same payload alike, every NaN
+// alike); a STRING that CoerceNum reads as a number ("3", " 3", "3.0 ")
+// hashes as that number, a YYYY-MM-DD text that FormatDays renders as it is
+// as that day's number, and any other string by its bytes. Two values equal
+// without hashing alike: a BOOL and its text ("true"), which no loaded
+// relation holds, and a DATE outside years 0000-9999 and its text, which
+// FormatDays renders in another shape.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
 	switch v.kind {
 	case KindNull:
-		mix(0)
+		return fnv(offset64, 0)
 	case KindString:
+		if f, ok := CoerceNum(v); ok {
+			return hashNum(f)
+		}
+		if LooksLikeDate(v.s) {
+			if d, err := ParseDate(v.s); err == nil && FormatDays(d.i) == v.s {
+				return hashNum(float64(d.i))
+			}
+		}
+		h := uint64(offset64)
 		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+			h = fnv(h, v.s[i])
 		}
-	default:
-		f, _ := v.Num()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			u := uint64(int64(f))
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		} else {
-			u := math.Float64bits(f)
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		}
+		return h
+	}
+	f, _ := v.Num()
+	return hashNum(f)
+}
+
+// offset64 is the FNV-1a hash of nothing, which fnv extends byte by byte.
+const offset64 = 14695981039346656037
+
+// fnv extends FNV-1a hash h by byte b.
+func fnv(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 1099511628211 }
+
+// hashNum hashes a number by its integer when it is one, else by its bits,
+// every NaN as one.
+func hashNum(f float64) uint64 {
+	u := math.Float64bits(f)
+	switch {
+	case math.IsNaN(f):
+		u = math.Float64bits(math.NaN())
+	case f == math.Trunc(f) && !math.IsInf(f, 0):
+		u = uint64(int64(f))
+	}
+	h := uint64(offset64)
+	for i := 0; i < 8; i++ {
+		h = fnv(h, byte(u>>(8*i)))
 	}
 	return h
 }

@@ -261,6 +261,26 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	if Str("a").Hash() == Str("b").Hash() {
 		t.Error("expected different hashes for distinct strings")
 	}
+	// The property a hash join rests on, over every pair of a corpus of the
+	// values Equal relates across kinds: padded and float-spelled numbers,
+	// NaNs, dates and their texts, booleans and plain strings.
+	d, _ := ParseDate("1994-03-15")
+	corpus := []Value{
+		Int(3), Int(-3), Int(0), Float(3), Float(3.5), Float(-0.0), Float(math.NaN()),
+		Float(math.Float64frombits(0x7ff8000000000002)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Str("3"), Str(" 3"), Str("3 "), Str(" 3.0 "), Str("3.5"), Str("-0"), Str("0"), Str("NaN"), Str(" nan"),
+		Str("+Inf"), Str("-Inf"), Str("003"), Str("1e0"),
+		d, Date(0), Int(d.AsInt()), Str("1994-03-15"), Str("1970-01-01"), Str("1994-3-15"), Str(" 1994-03-15"),
+		Str("1994-02-30"), Bool(true), Bool(false), Int(1), Str("TRUE"),
+		Str(""), Str("a"), Str("item beta"), Str("x3"),
+	}
+	for _, a := range corpus {
+		for _, b := range corpus {
+			if Equal(a, b) && a.Hash() != b.Hash() {
+				t.Errorf("Equal(%#v, %#v) but their hashes differ", a, b)
+			}
+		}
+	}
 }
 
 func TestFloatRendering(t *testing.T) {

@@ -37,21 +37,6 @@ func RowSpans(n, workers int) []Span {
 	return sps
 }
 
-// alignedSpans partitions n rows on 64-bit word boundaries so concurrent
-// bitmap kernels never share a word. Only used for error-free compiled
-// kernels, where the split cannot affect results.
-func alignedSpans(n, workers int) []Span {
-	sps := RowSpans((n+63)/64, workers)
-	for i := range sps {
-		sps[i].Lo <<= 6
-		sps[i].Hi <<= 6
-	}
-	if len(sps) > 0 && sps[len(sps)-1].Hi > n {
-		sps[len(sps)-1].Hi = n
-	}
-	return sps
-}
-
 // colSpans partitions column indexes across workers (column-parallel
 // decode and conversion).
 func colSpans(cols, workers int) []Span { return RowSpans(cols, workers) }

@@ -5,48 +5,25 @@ import (
 	"reflect"
 	"testing"
 
-	"pushdowndb/internal/race"
 	"pushdowndb/internal/value"
 )
 
+// TestBitmapBasics: a vector's null mask flags exactly the rows SetNull
+// named, at lengths on and off the 64-bit word boundaries.
 func TestBitmapBasics(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 1000} {
-		b := NewBitmap(n)
-		if b.Len() != n {
-			t.Fatalf("n=%d: Len=%d", n, b.Len())
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 1000} {
+		v := NewVector(value.KindInt, n)
+		if v.Nulls != nil {
+			t.Fatalf("n=%d: a fresh vector has a null mask", n)
 		}
-		if b.Count() != 0 {
-			t.Fatalf("n=%d: fresh bitmap not empty", n)
+		for i := 0; i < n; i += 3 {
+			v.SetNull(i)
 		}
 		for i := range n {
-			b.Set(i)
-		}
-		if b.Count() != n {
-			t.Fatalf("n=%d: all set, count=%d", n, b.Count())
-		}
-		idx := b.Indices()
-		if len(idx) != n {
-			t.Fatalf("n=%d: Indices len=%d", n, len(idx))
-		}
-		for i, v := range idx {
-			if v != i {
-				t.Fatalf("n=%d: Indices[%d]=%d", n, i, v)
+			if v.IsNull(i) != (i%3 == 0) || v.Nulls.Get(i) != (i%3 == 0) {
+				t.Fatalf("n=%d: row %d null %v", n, i, v.IsNull(i))
 			}
 		}
-		if n > 0 && (!b.Get(n-1) || NewBitmap(n).Get(n-1)) {
-			t.Fatalf("n=%d: Get disagrees with Set", n)
-		}
-	}
-}
-
-func TestBitmapIndicesSparse(t *testing.T) {
-	b := NewBitmap(200)
-	want := []int{0, 1, 63, 64, 65, 126, 127, 128, 199}
-	for _, i := range want {
-		b.Set(i)
-	}
-	if got := b.Indices(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Indices=%v want %v", got, want)
 	}
 }
 
@@ -68,30 +45,6 @@ func TestRowSpans(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("RowSpans(%d,%d)=%v want %v", c.n, c.w, got, c.want)
-		}
-	}
-}
-
-func TestAlignedSpans(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 65, 130, 1000} {
-		for _, w := range []int{1, 2, 3, 7} {
-			sps := alignedSpans(n, w)
-			next := 0
-			for _, sp := range sps {
-				if sp.Lo != next {
-					t.Fatalf("n=%d w=%d: gap at %d (spans %v)", n, w, next, sps)
-				}
-				if sp.Lo%64 != 0 {
-					t.Fatalf("n=%d w=%d: span start %d not word-aligned", n, w, sp.Lo)
-				}
-				if sp.Hi <= sp.Lo {
-					t.Fatalf("n=%d w=%d: empty span %v", n, w, sp)
-				}
-				next = sp.Hi
-			}
-			if next != n {
-				t.Fatalf("n=%d w=%d: spans cover to %d, want %d", n, w, next, n)
-			}
 		}
 	}
 }
@@ -176,48 +129,3 @@ func TestFromRowsRoundTrip(t *testing.T) {
 		t.Fatalf("ToRows=%v want %v", back, rows)
 	}
 }
-
-// intKeys is a vector of n integer keys cycling through distinct values.
-func intKeys(n, distinct int) *Vector {
-	vals := make([]value.Value, n)
-	for i := range vals {
-		vals[i] = value.Int(int64(i % distinct))
-	}
-	return FromValues(vals)
-}
-
-// TestJoinPairsAllocatesPerSide pins the join build to allocations per side,
-// not per key: a 16x larger build side, every key distinct, against the same
-// probe costs only the head map's own extra tables more (about one
-// allocation per 500 keys).
-func TestJoinPairsAllocatesPerSide(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
-	probe := intKeys(4096, 1000)
-	allocs := func(keys int) float64 {
-		build := intKeys(keys, keys)
-		return testing.AllocsPerRun(5, func() {
-			if bi, _ := JoinPairs(build, probe, 2); len(bi) != probe.Len() {
-				t.Fatalf("%d keys: %d pairs, want %d", keys, len(bi), probe.Len())
-			}
-		})
-	}
-	small, large := allocs(1000), allocs(16000)
-	if large-small > 16000/128 {
-		t.Errorf("JoinPairs allocates %v times over 1k build keys and %v over 16k, want a small constant apart", small, large)
-	}
-}
-
-// BenchmarkJoinPairs is a 15k-row build side against a 60k-row probe, each
-// probe key matching one build row.
-func BenchmarkJoinPairs(b *testing.B) {
-	build, probe := intKeys(15000, 15000), intKeys(60000, 15000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		joinSink, _ = JoinPairs(build, probe, 2)
-	}
-}
-
-// joinSink keeps the benchmark's result live.
-var joinSink []int

@@ -46,9 +46,7 @@ func (v *Vector) IsNull(i int) bool {
 }
 
 // Value reconstructs row i as the exact value.Value the column was built
-// from. The returned struct is stack-allocated, so Value-based fallbacks
-// in the kernels are allocation-free and byte-identical to the row path
-// by construction.
+// from, without allocating: how a decoded column becomes row cells.
 func (v *Vector) Value(i int) value.Value {
 	if v.Boxed != nil {
 		return v.Boxed[i]
@@ -69,12 +67,6 @@ func (v *Vector) Value(i int) value.Value {
 		return value.Date(v.Ints[i])
 	}
 	return value.Null()
-}
-
-// typed reports whether the vector has a uniform payload of kind k with
-// direct slice access (boxed and all-null vectors are not typed).
-func (v *Vector) typed(k value.Kind) bool {
-	return v.Boxed == nil && v.Kind == k
 }
 
 // NewVector returns an n-row typed vector of kind k with a zeroed payload
@@ -167,7 +159,7 @@ func (v *Vector) store(i int, x value.Value) {
 // SetNull flags row i NULL.
 func (v *Vector) SetNull(i int) {
 	if v.Nulls == nil {
-		v.nulls = Bitmap{words: zeroed(v.nulls.words, (v.n+63)/64), n: v.n}
+		v.nulls = Bitmap{words: zeroed(v.nulls.words, (v.n+63)/64)}
 		v.Nulls = &v.nulls
 	}
 	v.Nulls.Set(i)
@@ -231,7 +223,7 @@ func FromRows[R ~[]value.Value](cols []string, rows []R, workers int) (*Batch, b
 
 // FromColumn builds column c's vector straight from row-major input, with
 // no intermediate []value.Value: FromValues over the column, as the batch
-// builders and a join's keys need it.
+// builders need it.
 func FromColumn[R ~[]value.Value](rows []R, c int) *Vector {
 	out := NewVector(value.KindNull, len(rows))
 	for i, r := range rows {
@@ -242,9 +234,7 @@ func FromColumn[R ~[]value.Value](rows []R, c int) *Vector {
 
 // FromRowsProjected builds a batch from the columns keep (indices into
 // allCols) of row-major values: only those columns are decoded into
-// vectors, which is what makes vectorized filtering cheap on wide
-// relations — a predicate over 2 of 16 columns converts 2, not 16. Names
-// resolve against allCols, as they would over the rows. Every row is as
+// vectors. Names resolve against allCols, as they would over the rows. Every row is as
 // wide as allCols. Generic over the row type so the engine's
 // []Row passes without reslicing.
 func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) *Batch {
