@@ -105,8 +105,24 @@ func quotedStore(t testing.TB) *store.Store {
 // ς's).
 func diffLoad(t testing.TB, put s3api.Putter) {
 	t.Helper()
-	ctx := context.Background()
-	people := [][]string{
+	for _, tbl := range diffTables {
+		if err := PartitionTableTo(context.Background(), put, diffBucket, tbl.name, tbl.header, tbl.rows, tbl.parts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// diffTable is one table of the differential dataset, and the partitions
+// diffLoad cuts it into.
+type diffTable struct {
+	name   string
+	header []string
+	rows   [][]string
+	parts  int
+}
+
+var diffTables = []diffTable{
+	{"p", []string{"pk", "pname", "score", "zip"}, [][]string{
 		{"1", "Alice", "90.5", "00501"},
 		{"2", "Bob", "NaN", "10001"},
 		{"3", `Smith, Al`, "55", "00501"},
@@ -117,8 +133,8 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"8", "Cleo", "0", "00501"},
 		{"9", "Ava", "NaN", "99999"},
 		{"10", "Dan", "33.125", "10001"},
-	}
-	orders := [][]string{
+	}, 3},
+	{"ord", []string{"ok", "pk", "amount", "tag"}, [][]string{
 		{"100", "1", "50", "web"},
 		{"101", "1", "149.99", ""},
 		{"102", "2", "75", "web"},
@@ -128,8 +144,8 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"106", "7", "500", "web"},
 		{"107", "8", "1", ""},
 		{"108", "10", "42", "phone"},
-	}
-	items := [][]string{
+	}, 2},
+	{"item", []string{"ik", "ok", "qty"}, [][]string{
 		{"1000", "100", "2"},
 		{"1001", "100", "1"},
 		{"1002", "102", "5"},
@@ -137,32 +153,17 @@ func diffLoad(t testing.TB, put s3api.Putter) {
 		{"1004", "106", "9"},
 		{"1005", "106", "4"},
 		{"1006", "108", "7"},
-	}
-	ragged := [][]string{
+	}, 2},
+	{"rag", []string{"rk", "rname", "rd", "rv"}, [][]string{
 		{"1", "ann", "1994-01-01", "10"},
 		{"2", "bo"},                              // no rd, no rv: NULL
 		{"3", "cy", "1995-02-02", "30", "extra"}, // a cell past the header
 		{"4", "dee", "1996-03-03", ""},
 		{"5", "eve", "1997-04-04", "50"},
 		{"6"},
-	}
-	for _, tbl := range []struct {
-		name   string
-		header []string
-		rows   [][]string
-		parts  int
-	}{
-		{"p", []string{"pk", "pname", "score", "zip"}, people, 3},
-		{"ord", []string{"ok", "pk", "amount", "tag"}, orders, 2},
-		{"item", []string{"ik", "ok", "qty"}, items, 2},
-		{"rag", []string{"rk", "rname", "rd", "rv"}, ragged, 2},
-		{"names", []string{"k", "v", "K", "_1"}, namesRows, 2},
-		{"sig", []string{"σ", "v"}, [][]string{{"1", "2"}, {"3", "4"}}, 2},
-	} {
-		if err := PartitionTableTo(ctx, put, diffBucket, tbl.name, tbl.header, tbl.rows, tbl.parts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}, 2},
+	{"names", []string{"k", "v", "K", "_1"}, namesRows, 2},
+	{"sig", []string{"σ", "v"}, [][]string{{"1", "2"}, {"3", "4"}}, 2},
 }
 
 // TestUnknownColumnRefusedBeforeScan: a planner that read the table's header

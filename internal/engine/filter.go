@@ -9,21 +9,17 @@ import "pushdowndb/internal/sqlparse"
 // access path.
 
 // serverSideFilter is the baseline access path's scan: it loads the whole
-// table with plain GETs and filters locally, billing one server row per
-// loaded row for the filter pass when there is one (pred non-nil). A non-nil
-// bind checks the first partition's header before the other partitions are
-// fetched (loadTable).
+// table with plain GETs and keeps the rows pred passes (nil: every row) as
+// each partition decodes, billing one server row per decoded row for the
+// filter pass when there is one. A non-nil bind checks the first
+// partition's header before the other partitions are fetched (loadTable).
 func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, bind func(header []string) error) (*Relation, error) {
 	defer e.scope("server filter " + table).end(nil)
 	perRow := int64(0)
 	if pred != nil {
 		perRow = 1
 	}
-	rel, err := e.loadMetered("load "+table, e.NextStage(), Load{Table: table}, perRow, bind)
-	if err != nil {
-		return nil, err
-	}
-	return e.filterLocal(rel, pred)
+	return e.loadMetered("load "+table, e.NextStage(), Load{Table: table, Where: pred}, perRow, bind)
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.

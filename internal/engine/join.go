@@ -155,26 +155,20 @@ func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *Ta
 		req: db.request(table, scanSelect(columnItems(project), filter))}
 }
 
-// baselineJoin loads both tables in full with plain GETs and evaluates
-// filters and the join locally. No S3 Select anywhere.
+// baselineJoin loads both tables in full with plain GETs, keeps the rows
+// each side's filter passes as they decode, and joins locally. No S3 Select
+// anywhere.
 func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
-	// The server-side filter pass touches every loaded row; meter it in
+	// The server-side filter pass touches every decoded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	rels, err := e.loadTables(stage, 1, Load{Table: j.left.Table}, Load{Table: j.right.Table})
+	rels, err := e.loadTables(stage, 1, Load{Table: j.left.Table, Where: j.left.Filter}, Load{Table: j.right.Table, Where: j.right.Filter})
 	if err != nil {
 		return nil, err
 	}
-	left, right := rels[0], rels[1]
-	if left, err = e.filterLocal(left, j.left.Filter); err != nil {
-		return nil, err
-	}
-	if right, err = e.filterLocal(right, j.right.Filter); err != nil {
-		return nil, err
-	}
-	return e.hashJoinLocal(stage, left, right, j.leftKey, j.rightKey)
+	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
 }
 
 // filteredJoin pushes each side's selection (not projection) into S3

@@ -302,6 +302,27 @@ func TestHashJoinDiff(t *testing.T) {
 	}
 }
 
+// TestHashJoinFarDates: a DATE whose year is outside 0000-9999 joins the
+// text it renders as, which = matches, over one span and over spans, as
+// the nested-loop oracle does; a text that is no day's rendering joins
+// nothing.
+func TestHashJoinFarDates(t *testing.T) {
+	build := &Relation{Cols: []string{"d"}, Rows: []Row{{value.Date(3000000)}, {value.Date(-800000)}, {value.Date(0)}}}
+	probe := &Relation{Cols: []string{"s"}, Rows: []Row{
+		{value.Str("-0221-09-04")}, {value.Str("10183-09-21")}, {value.Str("1970-01-01")}, {value.Str("010183-09-21")}}}
+	want := nestedLoopJoin(build, probe, "d", "s")
+	if len(want.Rows) != 3 {
+		t.Fatalf("the oracle joins %d pairs, want 3", len(want.Rows))
+	}
+	for _, o := range []Operators{{}, {Workers: 2}} {
+		got, err := o.HashJoin(build, probe, "d", "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalRel(t, fmt.Sprintf("Workers=%d", o.Workers), want, got)
+	}
+}
+
 // TestEmptyRelations: every operator over no rows answers as one span does
 // (the plain aggregation its one row).
 func TestEmptyRelations(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"pushdowndb/internal/colformat"
 	"pushdowndb/internal/csvx"
 	"pushdowndb/internal/expr"
+	"pushdowndb/internal/obs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
@@ -19,11 +21,15 @@ import (
 	"pushdowndb/internal/vec"
 )
 
-// Load names a table to load and the columns its plan reads. No Cols
-// loads every column.
+// Load names a table to load, the columns its plan reads and the rows it
+// keeps: no Cols loads every column, no Where every row. Where is evaluated
+// as each partition decodes (loadTable), and the load answers as
+// Operators.Filter over the whole loaded relation would: the same rows, in
+// the same order, or the same error.
 type Load struct {
 	Table string
 	Cols  []string
+	Where sqlparse.Expr
 }
 
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
@@ -34,7 +40,7 @@ func (e *Exec) LoadTables(stage int, loads ...Load) ([]*Relation, error) {
 }
 
 // loadTables is LoadTables metering, on each load's step, perRow units of
-// the server's row work per loaded row.
+// the server's row work per decoded row.
 func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, error) {
 	rels := make([]*Relation, len(loads))
 	fns := make([]func() error, len(loads))
@@ -59,99 +65,239 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...stri
 }
 
 // loadMetered is LoadTable on a step of its own, metering there perRow units
-// of the server's row work per loaded row: the server-side baselines' pass
-// over every row. A non-nil bind is loadTable's.
+// of the server's row work per decoded row: the server-side baselines' pass
+// over every row, which a Where does not shorten. A non-nil bind is
+// loadTable's.
 func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, error) {
 	st := e.step(name, name, stage, l.Table)
-	rel, err := e.loadTable(st, l.Table, l.Cols, bind)
+	rel, decoded, err := e.loadTable(st, l, bind)
 	if err == nil {
-		st.AddServerRows(int64(len(rel.Rows)) * perRow)
+		st.AddServerRows(decoded * perRow)
 	}
 	st.end(err)
 	return rel, err
 }
 
-// loadTable is LoadTable metered on st. With a bind, the first partition is
-// fetched and decoded alone and its header handed to bind, and the others
-// are fetched only if bind accepts it: a statement the table cannot answer
-// costs one GET.
-func (e *Exec) loadTable(st step, table string, cols []string, bind func(header []string) error) (*Relation, error) {
-	keys, err := e.parts(table)
+// loadTable is LoadTable metered on st: the relation of the rows l keeps,
+// and the rows decoded. A bind or a Where needs a header before any row
+// decodes, so partitions are fetched and their headers read one at a time
+// until bind has the first partition's header and l.Where is bound to the
+// first kept header there is (only a zero-byte object has none); the rest
+// are fetched only then, so a statement the table cannot answer costs one
+// GET. Every partition's rows decode inside the fan-out, against the one
+// binding. A predicate's error, binding or row, stops no load: the load's
+// own errors come first, as they would before a filter over the loaded
+// relation ran, and then the first partition's first failing row.
+func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Relation, int64, error) {
+	keys, err := e.parts(l.Table)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s := e.db.store(table)
+	s := e.db.store(l.Table)
 	parts := make([]part, len(keys))
-	decodeWorkers := e.partWorkers(len(keys))
-	fetch := func(ctx context.Context, i int, key string) error {
-		psp := st.sp.Child("get " + key)
-		defer psp.End()
-		data, err := s.Get(ctx, st.Phase, key)
-		if err != nil {
-			return err
-		}
-		psp.SetInt("bytes", int64(len(data)))
-		if colformat.IsColumnar(data) {
-			// Columnar partitions decode straight into typed vectors; the
-			// CSV decoder would mis-parse the binary layout.
-			parts[i], err = fromColumnar(data, decodeWorkers, cols)
-		} else {
-			parts[i], err = decodeCSV(data, cols)
+	workers := e.partWorkers(len(keys))
+	var f *where
+	open := func(ctx context.Context, i int) error {
+		p := &parts[i]
+		p.sp = st.sp.Child("get " + keys[i])
+		data, err := s.Get(ctx, st.Phase, keys[i])
+		if err == nil {
+			p.sp.SetInt("bytes", int64(len(data)))
+			err = p.open(data, l.Cols)
 		}
 		if errors.Is(err, errNoColumn) {
-			err = s3api.NewError("get", e.db.bucket, key, s3api.KindBadRequest,
-				fmt.Errorf("engine: table %q: %w", table, err))
+			err = s3api.NewError("get", e.db.bucket, keys[i], s3api.KindBadRequest,
+				fmt.Errorf("engine: table %q: %w", l.Table, err))
 		}
 		return err
 	}
-	first := 0 // the partitions fetched before the fan-out
-	if bind != nil && len(keys) > 0 {
-		if err = fetch(e.ctx, 0, keys[0]); err == nil {
+
+	next := 0 // the partitions opened before the fan-out, the last of which decodes inside it
+	for next < len(keys) && (bind != nil && next == 0 || l.Where != nil && f == nil) {
+		if next > 0 { // a zero-byte partition, with no rows to keep
+			if err := parts[next-1].decode(nil, workers); err != nil {
+				return nil, 0, err
+			}
+		}
+		err := open(e.ctx, next)
+		if err == nil && bind != nil && next == 0 {
 			err = bind(parts[0].cols)
 		}
 		if err != nil {
-			return nil, err
+			parts[next].sp.End()
+			return nil, 0, err
 		}
-		first = 1
+		if l.Where != nil && len(parts[next].cols) > 0 {
+			f = bindWhere(l.Where, parts[next].cols)
+		}
+		next++
 	}
-	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, key string) error { return fetch(ctx, first+i, key) })
+	first := max(next-1, 0)
+	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, _ string) error {
+		i += first
+		if i >= next {
+			if err := open(ctx, i); err != nil {
+				parts[i].sp.End()
+				return err
+			}
+		}
+		return parts[i].decode(f, workers)
+	})
 	var out *Relation
 	if err == nil {
 		out, err = cutRows(parts)
 	}
-	if err != nil {
-		return nil, err
+	decoded := int64(0)
+	for _, p := range parts {
+		if err == nil {
+			err = p.failed
+		}
+		decoded += p.decoded
 	}
-	st.sp.SetInt("rows", int64(len(out.Rows)))
+	if err != nil {
+		return nil, 0, err
+	}
+	st.sp.SetInt("rows", decoded)
+	st.sp.SetInt("kept", int64(len(out.Rows)))
 	st.sp.SetInt("cols", int64(len(out.Cols)))
-	return out, nil
+	return out, decoded, nil
 }
 
-// part is one partition's decoded rows, row-major in one array: rows rows
-// of len(cols) cells. A scan decodes each partition into its part inside
-// its fan-out, and cuts the rows of all of them once after it (cutRows), so
-// the decode never hands out a window of an array it may still grow.
+// where is a load's predicate, bound once to the first partition's kept
+// header and shared by every partition's decoder, which only reads it. A
+// decoder types a row's cells at cols into a scratch row of its own,
+// evaluates the predicate there (expr's rules, as Operators.Filter applies
+// them), and types the row's other kept cells only if it passes. err is the
+// binding's: no row passes then, and it is every decoded partition's
+// failure.
+type where struct {
+	pred  sqlparse.Expr
+	ev    expr.Evaluator
+	cols  []int  // the kept positions pred reads
+	reads []bool // by kept position: pred reads it
+	err   error
+}
+
+// bindWhere binds pred to a partition's kept header.
+func bindWhere(pred sqlparse.Expr, header []string) *where {
+	f := &where{pred: pred, reads: make([]bool, len(header))}
+	if f.err = f.ev.Bind(expr.Index(header), pred); f.err == nil {
+		f.cols = f.ev.Cols()
+		for _, j := range f.cols {
+			f.reads[j] = true
+		}
+	}
+	return f
+}
+
+// over is f for the decode of part p and the scratch row it evaluates in,
+// nil for none: a part as wide as the header f was bound to starts with
+// f's binding error as its failure; a part of another width keeps its rows,
+// for cutRows to refuse the load.
+func (f *where) over(p *part) (*where, []value.Value) {
+	if f == nil || len(f.reads) != len(p.cols) {
+		return nil, nil
+	}
+	p.failed = f.err
+	return f, make([]value.Value, len(p.cols))
+}
+
+// pass reports whether row, its cells at f.cols typed, passes the predicate.
+// The first row it fails on is p's failure, after which p keeps no row.
+func (f *where) pass(p *part, row []value.Value) bool {
+	ok, err := f.ev.EvalBool(f.pred, row)
+	if err != nil {
+		p.failed = err
+	}
+	return ok && err == nil
+}
+
+// part is one partition: while a load decodes it, the object it was
+// fetched as, its header read (open), and its decoded rows, row-major: rows
+// rows of len(cols) cells in one array (cells) or, when a predicate filters
+// them, in blocks (full, then cells). A scan decodes each partition into
+// its part inside its fan-out, and cuts the rows of all of them once after
+// it (cutRows), so the decode never hands out a window of an array it may
+// still grow.
 type part struct {
-	cols  []string
-	cells []value.Value
-	rows  int
+	cols    []string
+	cells   []value.Value
+	full    [][]value.Value // the filled blocks before cells
+	block   int             // a filtered part's block length in cells; 0 for one array
+	rows    int
+	decoded int64 // the rows decoded, kept or not
+	failed  error // the predicate's first error over the part's rows
+
+	// What open read: the "get <key>" span decode ends, the kept columns'
+	// header positions, and the object's rows — a CSV object's scanner,
+	// past the header line, or a colformat object's reader.
+	sp   *obs.Span
+	keep []int
+	data []byte
+	sc   *csvx.Scanner
+	col  *colformat.Reader
 }
 
-// row appends a zeroed row to p and returns it, for the decoder to fill. It
-// may move p.cells, which is why no row is cut before the decode ends.
+// open reads the header of data, a partition's object, and prunes it to
+// cols (prune): p.cols stays nil for a zero-byte object.
+func (p *part) open(data []byte, cols []string) (err error) {
+	p.data = data
+	if colformat.IsColumnar(data) {
+		// Columnar partitions decode straight into typed vectors; the CSV
+		// decoder would mis-parse the binary layout.
+		if p.col, err = colformat.Open(data); err == nil {
+			p.cols, p.keep, err = prune(p.col.Schema().Names(), cols)
+		}
+		return err
+	}
+	if p.sc = csvx.NewScanner(data); p.sc.Scan() {
+		p.cols, p.keep, err = prune(csvx.CloneRow(p.sc.Fields()), cols)
+	}
+	return cmp.Or(err, p.sc.Err())
+}
+
+// decode types the rows of p, opened, that f keeps (all of them with no f)
+// and ends its span.
+func (p *part) decode(f *where, workers int) error {
+	defer p.sp.End()
+	if p.col != nil {
+		return p.fromColumnar(f, workers)
+	}
+	return p.decodeCSV(f)
+}
+
+// blocks makes p's kept rows grow in blocks of an eighth of bound, the
+// cells the part would hold had every row passed, rounded up to whole rows:
+// a filtered part allocates about what it keeps, and never copies a block,
+// at one allocation per block.
+func (p *part) blocks(bound int) {
+	w := len(p.cols)
+	p.block = max((bound/max(w, 1)+7)/8, 1) * w
+}
+
+// row appends a zeroed row to p and returns it, for the decoder to fill. In
+// one array it may move p.cells, which is why no row is cut before the
+// decode ends; a full block is left as it is and a fresh one started.
 func (p *part) row() []value.Value {
+	w := len(p.cols)
+	if p.block > 0 && cap(p.cells)-len(p.cells) < w {
+		if p.cells != nil {
+			p.full = append(p.full, p.cells)
+		}
+		p.cells = make([]value.Value, 0, p.block)
+	}
 	n := len(p.cells)
-	p.cells = slices.Grow(p.cells, len(p.cols))[:n+len(p.cols)]
+	p.cells = slices.Grow(p.cells, w)[:n+w]
 	p.rows++
 	return p.cells[n:]
 }
 
 // cutRows is the relation of parts' rows in partition order: one []Row for
-// all of them, row k of a part the window cells[k*w:(k+1)*w:(k+1)*w] of its
-// array — an append to a row reallocates it, never writing into the next; a
-// surviving row keeps its partition's array reachable. A part with neither
-// columns nor rows, a zero-byte partition's, is skipped; the rest must be
-// as wide as each other.
+// all of them, row k of an array the window cells[k*w:(k+1)*w:(k+1)*w] — an
+// append to a row reallocates it, never writing into the next; a surviving
+// row keeps its array reachable. A part with neither columns nor rows, a
+// zero-byte partition's, is skipped; the rest must be as wide as each
+// other.
 func cutRows(parts []part) (*Relation, error) {
 	out := &Relation{}
 	n := 0
@@ -170,9 +316,17 @@ func cutRows(parts []part) (*Relation, error) {
 		if w != len(out.Cols) {
 			return nil, fmt.Errorf("engine: partitions differ in width: %v vs %v", out.Cols, p.cols)
 		}
-		for k := range p.rows {
-			out.Rows = append(out.Rows, p.cells[k*w:(k+1)*w:(k+1)*w])
+		cut := func(cells []value.Value, rows int) {
+			for k := range rows {
+				out.Rows = append(out.Rows, cells[k*w:(k+1)*w:(k+1)*w])
+			}
 		}
+		rows := p.rows
+		for _, cells := range p.full {
+			cut(cells, len(cells)/w)
+			rows -= len(cells) / w
+		}
+		cut(p.cells, rows)
 	}
 	return out, nil
 }
@@ -226,78 +380,107 @@ func at(keep []int, j int) int {
 // worker order, so the output is byte-identical to the workers=1 run.
 func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 
-// fromColumnar decodes a colformat object (the paper's Fig. 11 columnar
-// layout) one row group at a time, reading only the chunks of the columns
-// cols name (every column when none), each into its one vector by the
-// worker whose span holds it, and appends the group's rows to the part
-// before the next group overwrites the vectors. Rows come from decoded
-// chunks, never from a count a footer claims.
-func fromColumnar(data []byte, workers int, cols []string) (part, error) {
-	r, err := colformat.Open(data)
-	if err != nil {
-		return part{}, err
-	}
-	var p part
-	var keep []int
-	if p.cols, keep, err = prune(r.Schema().Names(), cols); err != nil {
-		return part{}, err
-	}
+// fromColumnar decodes an opened colformat object (the paper's Fig. 11
+// columnar layout) one row group at a time, reading only the kept columns'
+// chunks, each into its one vector by the worker whose span holds it, and
+// appends the group's rows that f keeps (all of them with no f) to the
+// part before the next group overwrites the vectors. Rows come from
+// decoded chunks, never from a count a footer claims.
+func (p *part) fromColumnar(f *where, workers int) error {
+	f, scratch := f.over(p)
 	vecs := make([]*vec.Vector, len(p.cols))
-	for g := 0; g < r.NumRowGroups(); g++ {
+	for g := 0; g < p.col.NumRowGroups(); g++ {
 		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
 			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
-				vecs[c], _, err = r.ReadColumn(g, at(keep, c), vecs[c])
+				vecs[c], _, err = p.col.ReadColumn(g, at(p.keep, c), vecs[c])
 			}
 			return err
 		})
 		if err != nil {
-			return part{}, err
+			return err
 		}
 		n := 0 // the decoded chunks' length, as vec.NewBatch reads it
 		if len(vecs) > 0 {
 			n = vecs[0].Len()
 		}
-		p.cells = slices.Grow(p.cells, n*len(vecs))
-		for i := range n {
+		p.decoded += int64(n)
+		if f == nil {
+			p.cells = slices.Grow(p.cells, n*len(vecs))
+		} else if p.block == 0 {
+			p.blocks(n * p.col.NumRowGroups() * len(vecs))
+		}
+		for i := 0; i < n && p.failed == nil; i++ {
+			if f != nil {
+				for _, c := range f.cols {
+					scratch[c] = vecs[c].Value(i)
+				}
+				if !f.pass(p, scratch) {
+					continue
+				}
+			}
 			row := p.row()
 			for c, v := range vecs {
-				row[c] = v.Value(i)
+				if f != nil && f.reads[c] {
+					row[c] = scratch[c]
+				} else {
+					row[c] = v.Value(i)
+				}
 			}
 		}
 	}
-	return p, nil
+	return nil
 }
 
-// decodeCSV types a CSV object's cells straight off the scanner: one pass,
-// no intermediate rows of strings, and only the cells of the columns cols
-// name (every column when none). The scanner's fields are views of data,
-// and a Relation outlives the GET that fetched it, so this is where loaded
-// rows come to own their bytes: the kept cells that stay text are copied
-// into the partition's chunks (numbers and dates hold no bytes at all), and
-// the cells go into one array sized from the line count. Every row is as
-// wide as the kept header (value.CSVCell). A zero-byte object has no header
-// to prune: it decodes to no columns and no rows.
-func decodeCSV(data []byte, cols []string) (part, error) {
-	sc := csvx.NewScanner(data)
-	var p part
-	var keep []int
-	if sc.Scan() {
-		var err error
-		if p.cols, keep, err = prune(csvx.CloneRow(sc.Fields()), cols); err != nil {
-			return part{}, err
-		}
-		lines := bytes.Count(data, []byte{'\n'}) // the row count, unless cells hold newlines
-		// A cell takes a byte at least: linear in the object, wide header or not.
-		p.cells = make([]value.Value, 0, min(lines*len(p.cols), len(data)))
+// decodeCSV types an opened CSV object's cells straight off the scanner:
+// one pass, no intermediate rows of strings, and only the kept columns'
+// cells — with f, first the cells it reads and then, for a row it keeps,
+// the rest. The scanner's fields are views of the object, and a Relation
+// outlives the GET that fetched it, so this is where loaded rows come to
+// own their bytes: the kept cells that stay text are copied into the
+// partition's chunks (numbers and dates hold no bytes at all), and a
+// dropped row's cells, typed only in the scratch row, are unreachable once
+// the decode returns. Unfiltered cells go into one array sized from the
+// line count, filtered ones into blocks (part.blocks). Every row is as wide
+// as the kept header (value.CSVCell). A zero-byte object decodes to no
+// columns and no rows.
+func (p *part) decodeCSV(f *where) error {
+	if p.cols == nil {
+		return nil
+	}
+	lines := bytes.Count(p.data, []byte{'\n'}) // the row count, unless cells hold newlines
+	// A cell takes a byte at least: linear in the object, wide header or not.
+	bound := min(lines*len(p.cols), len(p.data))
+	f, scratch := f.over(p)
+	if f != nil {
+		p.blocks(bound)
+	} else {
+		p.cells = make([]value.Value, 0, bound)
 	}
 	var text []byte
 	var chunks arena.Text
-	for sc.Scan() {
+	for sc := p.sc; sc.Scan(); {
 		fields := sc.Fields()
+		p.decoded++
+		if f != nil {
+			if p.failed != nil {
+				continue
+			}
+			for _, j := range f.cols {
+				scratch[j] = value.CSVCell(fields, at(p.keep, j))
+			}
+			if !f.pass(p, scratch) {
+				continue
+			}
+		}
 		row := p.row()
 		text = text[:0]
 		for j := range row {
-			if row[j] = value.CSVCell(fields, at(keep, j)); row[j].Kind() == value.KindString {
+			if f != nil && f.reads[j] {
+				row[j] = scratch[j]
+			} else {
+				row[j] = value.CSVCell(fields, at(p.keep, j))
+			}
+			if row[j].Kind() == value.KindString {
 				text = append(text, row[j].AsString()...)
 			}
 		}
@@ -310,7 +493,7 @@ func decodeCSV(data []byte, cols []string) (part, error) {
 			}
 		}
 	}
-	return p, sc.Err()
+	return p.sc.Err()
 }
 
 // decodeRows types CSV rows with no header line under cols — a select

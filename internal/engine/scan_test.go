@@ -10,16 +10,22 @@ import (
 	"pushdowndb/internal/localfs"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
+	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 )
 
 // TestZeroBytePartition: a zero-byte object is a partition with no rows,
-// wherever it falls in the table's partition order. Loads, SELECT * and
-// the aggregates over table t must answer what they answer over ref, the
+// wherever it falls in the table's partition order. Loads (one with a
+// Where, which binds to the first header there is), SELECT * and the
+// aggregates over table t must answer what they answer over ref, the
 // same table without the empty object — on the in-process backend and on
 // localfs.
 func TestZeroBytePartition(t *testing.T) {
 	const rows = "a,b\n1,x\n2,y\n"
+	where, err := sqlparse.ParseExpr("a > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	backends := map[string]func() s3api.Backend{
 		"inproc":  func() s3api.Backend { return s3api.NewInProc(store.New()) },
 		"localfs": func() s3api.Backend { return localfs.New(t.TempDir()) },
@@ -64,6 +70,13 @@ func TestZeroBytePartition(t *testing.T) {
 					{"SELECT *", query("SELECT * FROM ")},
 					{"COUNT(*)", query("SELECT COUNT(*) FROM ")},
 					{"SUM", query("SELECT SUM(a) FROM ")},
+					{"a Load's Where", func(table string) (*Relation, error) {
+						rels, err := db.NewExec().LoadTables(0, Load{Table: table, Where: where})
+						if err != nil {
+							return nil, err
+						}
+						return rels[0], nil
+					}},
 				} {
 					want, err := c.run("ref")
 					if err != nil {

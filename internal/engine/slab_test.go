@@ -47,6 +47,16 @@ func cut(p part, err error) (*Relation, error) {
 	return cutRows([]part{p})
 }
 
+// loadPart is data decoded as a load decodes a partition of it: opened,
+// then its rows typed through f (nil keeps every row).
+func loadPart(data []byte, cols []string, f *where, workers int) (part, error) {
+	var p part
+	if err := p.open(data, cols); err != nil {
+		return part{}, err
+	}
+	return p, p.decode(f, workers)
+}
+
 // recordsOf is a select response's rows (Result.Records); a body that does
 // not decode to them fails t.
 func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
@@ -88,7 +98,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		for name, run := range map[string]func() error{
 			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows)); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
-			"decodeCSV":   func() error { _, err := cut(decodeCSV(data, nil)); return err },
+			"decodeCSV":   func() error { _, err := cut(loadPart(data, nil, nil, 1)); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
@@ -203,7 +213,7 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, body)
-	rel, err := cut(decodeCSV(csvx.Encode(cols, cells), nil))
+	rel, err := cut(loadPart(csvx.Encode(cols, cells), nil, nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,10 @@ func Queries() []Query {
 	}
 }
 
-// The Baselines run the server's operators over one span (engine.Operators{})
-// over what each statement, and Q17's and Q19's extra fragments, parse to:
-// once per process, here.
+// The Baselines load each table keeping only the rows its own filter passes
+// (engine.Load's Where), and run the server's operators over one span
+// (engine.Operators{}) over the rest of what each statement, and Q17's and
+// Q19's extra fragments, parse to: once per process, here.
 var (
 	q1, q3    = must(sqlparse.Parse(q1SQL)), must(sqlparse.Parse(q3SQL))
 	q6, q14   = must(sqlparse.Parse(q6SQL)), must(sqlparse.Parse(q14SQL))
@@ -81,20 +82,16 @@ const q1SQL = `SELECT l_returnflag, l_linestatus,
 	FROM lineitem WHERE l_shipdate <= '1998-09-02'` + // 1998-12-01 minus 90 days
 	" GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus"
 
-// Q1Baseline GETs lineitem in full, types the seven columns it reads and
-// evaluates everything locally.
+// Q1Baseline GETs lineitem in full, types the seven columns it reads of the
+// rows its WHERE keeps and evaluates everything else locally.
 func Q1Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem",
-		"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate")
+	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q1.Where, Cols: []string{
+		"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}})
 	if err != nil {
 		return nil, e, err
 	}
-	rel, err = local.Filter(rel, q1.Where)
-	if err != nil {
-		return nil, e, err
-	}
-	out, err := local.GroupBy(rel, q1.GroupBy, q1.Items)
+	out, err := local.GroupBy(rels[0], q1.GroupBy, q1.Items)
 	if err != nil {
 		return nil, e, err
 	}
@@ -110,27 +107,19 @@ const q3SQL = "SELECT l_orderkey, o_orderdate, o_shippriority, SUM(l_extendedpri
 	" GROUP BY l_orderkey, o_orderdate, o_shippriority ORDER BY revenue DESC, o_orderdate LIMIT 10"
 
 // Q3Baseline GETs customer, orders and lineitem in full, types the columns
-// it reads and runs both joins, the group-by and the top-10 locally.
+// it reads of the rows each table's filter keeps and runs both joins, the
+// group-by and the top-10 locally.
 func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
 	rels, err := e.LoadTables(stage,
-		engine.Load{Table: "customer", Cols: []string{"c_custkey", "c_mktsegment"}},
-		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}},
-		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}})
+		engine.Load{Table: "customer", Cols: []string{"c_custkey", "c_mktsegment"}, Where: q3Filters[0]},
+		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, Where: q3Filters[1]},
+		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q3Filters[2]})
 	if err != nil {
 		return nil, e, err
 	}
 	cust, ords, line := rels[0], rels[1], rels[2]
-	if cust, err = local.Filter(cust, q3Filters[0]); err != nil {
-		return nil, e, err
-	}
-	if ords, err = local.Filter(ords, q3Filters[1]); err != nil {
-		return nil, e, err
-	}
-	if line, err = local.Filter(line, q3Filters[2]); err != nil {
-		return nil, e, err
-	}
 	co, err := local.HashJoin(cust, ords, "c_custkey", "o_custkey")
 	if err != nil {
 		return nil, e, err
@@ -154,18 +143,16 @@ func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 const q6SQL = "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem" +
 	" WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
 
-// Q6Baseline GETs lineitem in full and filters/aggregates locally.
+// Q6Baseline GETs lineitem in full, keeps the rows its WHERE passes as they
+// decode and aggregates locally.
 func Q6Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rel, err := e.LoadTable("load lineitem", e.NextStage(), "lineitem",
-		"l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
+	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q6.Where,
+		Cols: []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}})
 	if err != nil {
 		return nil, e, err
 	}
-	if rel, err = local.Filter(rel, q6.Where); err != nil {
-		return nil, e, err
-	}
-	out, err := local.GroupBy(rel, nil, q6.Items)
+	out, err := local.GroupBy(rels[0], nil, q6.Items)
 	return out, e, err
 }
 
@@ -175,22 +162,18 @@ const q14SQL = "SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extende
 	" / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue" +
 	" FROM lineitem JOIN part ON l_partkey = p_partkey WHERE l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
 
-// Q14Baseline GETs lineitem and part in full, joins and aggregates locally.
+// Q14Baseline GETs lineitem and part in full, keeps the lineitem rows its
+// WHERE passes as they decode, and joins and aggregates locally.
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
 	rels, err := e.LoadTables(stage,
-		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q14.Where},
 		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}})
 	if err != nil {
 		return nil, e, err
 	}
-	line, part := rels[0], rels[1]
-	line, err = local.Filter(line, q14.Where)
-	if err != nil {
-		return nil, e, err
-	}
-	joined, err := local.HashJoin(line, part, "l_partkey", "p_partkey")
+	joined, err := local.HashJoin(rels[0], rels[1], "l_partkey", "p_partkey")
 	if err != nil {
 		return nil, e, err
 	}
@@ -202,23 +185,18 @@ func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 
 const q17PartFilter = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
 
-// Q17Baseline GETs part and lineitem in full and computes the correlated
-// average locally.
+// Q17Baseline GETs part and lineitem in full, keeps the part rows its filter
+// passes as they decode, and computes the correlated average locally.
 func Q17Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
 	rels, err := e.LoadTables(stage,
 		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_quantity", "l_extendedprice"}},
-		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container"}})
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container"}, Where: q17Part})
 	if err != nil {
 		return nil, e, err
 	}
-	line, part := rels[0], rels[1]
-	part, err = local.Filter(part, q17Part)
-	if err != nil {
-		return nil, e, err
-	}
-	out, err := q17Finish(part, line)
+	out, err := q17Finish(rels[1], rels[0])
 	return out, e, err
 }
 
@@ -281,27 +259,20 @@ const (
 		" OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG') AND p_size BETWEEN 1 AND 15 AND l_quantity BETWEEN 20 AND 30))"
 )
 
-// Q19Baseline GETs both tables in full and evaluates the whole disjunctive
+// Q19Baseline GETs both tables in full, keeps the rows each table's own
+// conjuncts pass as they decode, and evaluates the rest of the disjunctive
 // predicate locally.
 func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
 	stage := e.NextStage()
 	rels, err := e.LoadTables(stage,
-		engine.Load{Table: "lineitem", Cols: []string{
+		engine.Load{Table: "lineitem", Where: q19Line, Cols: []string{
 			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"}},
-		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}})
+		engine.Load{Table: "part", Where: q19Part, Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}})
 	if err != nil {
 		return nil, e, err
 	}
-	line, part := rels[0], rels[1]
-	line, err = local.Filter(line, q19Line)
-	if err != nil {
-		return nil, e, err
-	}
-	if part, err = local.Filter(part, q19Part); err != nil {
-		return nil, e, err
-	}
-	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
+	joined, err := local.HashJoin(rels[1], rels[0], "p_partkey", "l_partkey")
 	if err != nil {
 		return nil, e, err
 	}

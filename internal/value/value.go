@@ -9,6 +9,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -211,19 +212,24 @@ func (v Value) Append(buf []byte) []byte {
 
 // FormatDays renders days-since-epoch as YYYY-MM-DD.
 func FormatDays(days int64) string {
-	var buf [16]byte
+	var buf [24]byte
 	return string(appendDays(buf[:0], days))
 }
 
-// appendDays appends days-since-epoch as YYYY-MM-DD: by arithmetic for the
-// four-digit years (the proleptic Gregorian calendar in 400-year eras from
-// 0000-03-01, H. Hinnant's civil_from_days), through time outside them.
+// appendDays appends days-since-epoch as YYYY-MM-DD in the proleptic
+// Gregorian calendar, by arithmetic for every int64 (H. Hinnant's
+// civil_from_days, in 400-year eras from 0000-03-01). The year is written as
+// the time package writes it: at least four digits, zero-padded, a minus
+// sign before a year before 0000.
 func appendDays(buf []byte, days int64) []byte {
-	if !FourDigitYear(days) {
-		return time.Unix(days*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
+	q, r := days/146097, days%146097
+	if r < 0 {
+		q, r = q-1, r+146097
 	}
-	z := days + 719468 // days since 0000-03-01, positive here
-	era, doe := z/146097, z%146097
+	era, doe := q+4, r+135080 // 1970-01-01 is day 135080 of the era from 1600-03-01, four eras after 0000-03-01
+	if doe >= 146097 {
+		era, doe = era+1, doe-146097
+	}
 	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
 	doy := doe - (365*yoe + yoe/4 - yoe/100) // from March 1st
 	mp := (5*doy + 2) / 153                  // March is 0
@@ -231,33 +237,91 @@ func appendDays(buf []byte, days int64) []byte {
 	if m > 12 {
 		m, y = m-12, y+1
 	}
-	return append(buf, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10),
-		'-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
+	if y < 0 {
+		buf, y = append(buf, '-'), -y
+	}
+	if y < 10000 {
+		buf = append(buf, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10))
+	} else {
+		buf = strconv.AppendInt(buf, y, 10)
+	}
+	return append(buf, '-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
 }
 
 // FourDigitYear reports whether days renders with a four-digit year, 0001-01-01
 // to 9999-12-31: among such days, YYYY-MM-DD text sorts chronologically.
 func FourDigitYear(days int64) bool { return days >= -719162 && days <= 2932896 }
 
-// ParseDate parses YYYY-MM-DD into a DATE value.
+// ParseDate parses the text FormatDays writes — YYYY-MM-DD, and outside
+// years 0000-9999 a longer year or a negative one — into a DATE value.
 func ParseDate(s string) (Value, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return Null(), fmt.Errorf("value: bad date %q: %w", s, err)
+	if d, ok := parseDays(s); ok {
+		return Date(d), nil
 	}
-	return Date(t.Unix() / 86400), nil
+	return Null(), fmt.Errorf("value: bad date %q", s)
 }
 
-// LooksLikeDate reports whether s has the YYYY-MM-DD shape.
+// parseDays reads back a day number from the text FormatDays writes and
+// from nothing else: [-]YYYY-MM-DD in ASCII digits, the year at least four
+// digits, with no zero ahead of a fifth, never -0000, the day one its month
+// has, and the day number an int64.
+func parseDays(s string) (int64, bool) {
+	if !LooksLikeDate(s) {
+		return 0, false
+	}
+	n := len(s)
+	plain := n == 10 // a four-digit year: YYYY-MM-DD
+	y := int64(s[0]-'0')*1000 + int64(s[1]-'0')*100 + int64(s[2]-'0')*10 + int64(s[3]-'0')
+	if !plain {
+		var err error
+		if y, err = strconv.ParseInt(s[:n-6], 10, 64); err != nil {
+			return 0, false
+		}
+	}
+	m := int64(s[n-5]-'0')*10 + int64(s[n-4]-'0')
+	d := int64(s[n-2]-'0')*10 + int64(s[n-1]-'0')
+	if m < 1 || m > 12 || d < 1 || d > monthDays(y, m) {
+		return 0, false
+	}
+	// H. Hinnant's days_from_civil. A text whose year is not four plain
+	// digits must be the day's rendering: that refuses -0000, a zero ahead
+	// of a fifth digit, and a year whose day number wraps past int64.
+	if m <= 2 {
+		y--
+	}
+	era := y / 400
+	if y%400 < 0 {
+		era--
+	}
+	yoe := y - era*400
+	doy := (153*((m+9)%12)+2)/5 + d - 1
+	days := era*146097 + yoe*365 + yoe/4 - yoe/100 + doy - 719468
+	var buf [24]byte
+	return days, plain || string(appendDays(buf[:0], days)) == s
+}
+
+// monthDays is the length of month m of year y.
+func monthDays(y, m int64) int64 {
+	switch {
+	case m == 2 && y%4 == 0 && (y%100 != 0 || y%400 == 0):
+		return 29
+	case m == 2:
+		return 28
+	case m == 4 || m == 6 || m == 9 || m == 11:
+		return 30
+	}
+	return 31
+}
+
+// LooksLikeDate reports whether s has the shape FormatDays writes:
+// [-]YYYY-MM-DD in ASCII digits, the year at least four digits.
 func LooksLikeDate(s string) bool {
-	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+	n := len(s)
+	if n < 10 || s[n-3] != '-' || s[n-6] != '-' || s[0] == '-' && n < 11 {
 		return false
 	}
-	for i, c := range s {
-		if i == 4 || i == 7 {
-			continue
-		}
-		if c < '0' || c > '9' {
+	for i := range n {
+		if c := s[i]; (c < '0' || c > '9') && i != n-3 && i != n-6 && !(i == 0 && c == '-') {
 			return false
 		}
 	}
@@ -271,10 +335,8 @@ func FromCSV(field string) Value {
 	if field == "" {
 		return Null()
 	}
-	if LooksLikeDate(field) {
-		if v, err := ParseDate(field); err == nil {
-			return v
-		}
+	if d, ok := parseDays(field); ok {
+		return Date(d)
 	}
 	if n, ok := ParseNum(field); ok {
 		return n
@@ -474,6 +536,12 @@ func Compare(a, b Value) int {
 			if bn, ok := CoerceNum(b); ok {
 				return CompareFloat(an, bn)
 			}
+		} else if FourDigitYear(a.i) && len(b.s) == 10 {
+			// A date and a valid YYYY-MM-DD, both of years 0000-9999,
+			// sort as their texts do when their days are compared.
+			if d, ok := parseDays(b.s); ok {
+				return cmp.Compare(a.i, d)
+			}
 		}
 		// Rendered into the stack: this runs once per scanned row.
 		var buf [32]byte
@@ -539,11 +607,9 @@ func Equal(a, b Value) bool {
 // values Equal calls equal hash identically. Numbers hash by their float64
 // (INT 3, FLOAT 3.0 and a BOOL or DATE of the same payload alike, every NaN
 // alike); a STRING that CoerceNum reads as a number ("3", " 3", "3.0 ")
-// hashes as that number, a YYYY-MM-DD text that FormatDays renders as it is
-// as that day's number, and any other string by its bytes. Two values equal
-// without hashing alike: a BOOL and its text ("true"), which no loaded
-// relation holds, and a DATE outside years 0000-9999 and its text, which
-// FormatDays renders in another shape.
+// hashes as that number, a text that is some day's FormatDays rendering as
+// that day's number, and any other string by its bytes. A BOOL and its text
+// ("true") are equal without hashing alike; no loaded relation holds both.
 func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindNull:
@@ -552,10 +618,8 @@ func (v Value) Hash() uint64 {
 		if f, ok := CoerceNum(v); ok {
 			return hashNum(f)
 		}
-		if LooksLikeDate(v.s) {
-			if d, err := ParseDate(v.s); err == nil && FormatDays(d.i) == v.s {
-				return hashNum(float64(d.i))
-			}
+		if d, ok := parseDays(v.s); ok {
+			return hashNum(float64(d))
 		}
 		h := uint64(offset64)
 		for i := 0; i < len(v.s); i++ {

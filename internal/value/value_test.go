@@ -1,8 +1,11 @@
 package value
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,17 +124,25 @@ func TestParseDate(t *testing.T) {
 	if v.String() != "1992-06-01" {
 		t.Errorf("round trip = %q", v.String())
 	}
-	if _, err := ParseDate("1992-13-01"); err == nil {
-		t.Error("expected error for month 13")
+	// Outside years 0000-9999 a day's text has a longer or a negative year.
+	for text, days := range map[string]int64{"10183-09-21": 3000000, "-0221-09-04": -800000, "0000-03-01": -719468} {
+		if v, err := ParseDate(text); err != nil || v.Days() != days {
+			t.Errorf("ParseDate(%q) = %v, %v, want day %d", text, v, err, days)
+		}
 	}
-	if _, err := ParseDate("junk"); err == nil {
-		t.Error("expected error for junk")
+	// No text but a day's rendering: no month 13, no day its month lacks, no
+	// -0000, no zero ahead of a fifth year digit, no day past int64.
+	for _, text := range []string{"1992-13-01", "junk", "1994-00-10", "1994-02-29", "1900-02-29", "1994-04-31", "-0000-01-01",
+		"01994-01-01", "+1994-01-01", "99999999999999999-01-01", "25252734927768524-07-28", "-99999999999999999999-01-01"} {
+		if v, err := ParseDate(text); err == nil {
+			t.Errorf("ParseDate(%q) = %v, want an error", text, v)
+		}
 	}
 }
 
 func TestLooksLikeDate(t *testing.T) {
-	good := []string{"1992-03-01", "2020-12-31", "0001-01-01"}
-	bad := []string{"", "1992-3-01", "1992/03/01", "19920301xx", "abcd-ef-gh", "1992-03-011"}
+	good := []string{"1992-03-01", "2020-12-31", "0001-01-01", "10183-09-21", "-0221-09-04"}
+	bad := []string{"", "1992-3-01", "1992/03/01", "19920301xx", "abcd-ef-gh", "1992-03-011", "-123-01-01", "+1992-03-01", "1992-03-0a", "1-992-03-01"}
 	for _, s := range good {
 		if !LooksLikeDate(s) {
 			t.Errorf("LooksLikeDate(%q) = false", s)
@@ -271,6 +282,7 @@ func TestHashConsistentWithEqual(t *testing.T) {
 		Str("3"), Str(" 3"), Str("3 "), Str(" 3.0 "), Str("3.5"), Str("-0"), Str("0"), Str("NaN"), Str(" nan"),
 		Str("+Inf"), Str("-Inf"), Str("003"), Str("1e0"),
 		d, Date(0), Int(d.AsInt()), Str("1994-03-15"), Str("1970-01-01"), Str("1994-3-15"), Str(" 1994-03-15"),
+		Date(3000000), Str("10183-09-21"), Date(-800000), Str("-0221-09-04"), Str("010183-09-21"), Str("-0000-01-01"),
 		Str("1994-02-30"), Bool(true), Bool(false), Int(1), Str("TRUE"),
 		Str(""), Str("a"), Str("item beta"), Str("x3"),
 	}
@@ -317,15 +329,86 @@ func TestQuickCompareAntisymmetric(t *testing.T) {
 	}
 }
 
-// Property: date round trip through formatting for a plausible day range.
+// Property: date round trip through formatting, for a plausible day range
+// and for every int64: far years, negative ones and the extremes.
 func TestQuickDateRoundTrip(t *testing.T) {
-	f := func(d uint16) bool {
-		days := int64(d) // 1970..2149
+	roundTrips := func(days int64) bool {
 		v, err := ParseDate(FormatDays(days))
-		return err == nil && v.Days() == days
+		return err == nil && v.Days() == days && LooksLikeDate(FormatDays(days))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	f := func(d uint16, far int64) bool {
+		return roundTrips(int64(d)) && roundTrips(far) && roundTrips(far>>40) // 1970..2149, any, years -23000..27000
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
+	}
+	for _, days := range []int64{math.MaxInt64, math.MinInt64, 3000000, -800000} {
+		if !roundTrips(days) {
+			t.Errorf("day %d (%s) does not round-trip", days, FormatDays(days))
+		}
+	}
+}
+
+// TestParseDateReadsOnlyRenderings: a text ParseDate accepts is its day's
+// FormatDays rendering, over random [-]Y{4,10}-MM-DD digit texts.
+func TestParseDateReadsOnlyRenderings(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + r.Intn(10))
+		}
+		return string(b)
+	}
+	for i := 0; i < 200_000; i++ {
+		text := digits(4+r.Intn(3)*r.Intn(3)) + "-" + digits(2) + "-" + digits(2)
+		if r.Intn(3) == 0 {
+			text = "-" + text
+		}
+		if v, err := ParseDate(text); err == nil && FormatDays(v.Days()) != text {
+			t.Fatalf("ParseDate(%q) = day %d, which renders as %s", text, v.Days(), FormatDays(v.Days()))
+		}
+	}
+}
+
+// TestCompareDateTextAsRendered: a DATE compared with text orders as its
+// rendering does against the text, whether Compare reads the text as a day
+// (a valid YYYY-MM-DD against a four-digit-year date) or renders the date
+// — over random days, canonical texts, out-of-range and padded texts and
+// far dates.
+func TestCompareDateTextAsRendered(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	day := func() int64 {
+		switch r.Intn(4) {
+		case 0:
+			return r.Int63n(2*2932896) - 2932896 // years -6060 to 9999
+		case 1:
+			return 9000 + r.Int63n(2000) // around the TPC-H dates
+		case 2:
+			return int64(r.Uint64())
+		}
+		return []int64{-719162, -719163, 2932896, 2932897, 3000000, -800000, 0}[r.Intn(7)]
+	}
+	texts := []string{"1994-02-30", "1994-13-01", "1994-00-01", "1994-01-00", "1994-04-31", " 1994-01-01", "1994-01-01 ",
+		"1994-1-01", "0000-03-01", "9999-12-31", "10183-09-21", "-0221-09-04", "x", "", "2000-02-29", "1900-02-29"}
+	for i := 0; i < 100_000; i++ {
+		a := day()
+		var b string
+		switch r.Intn(3) {
+		case 0:
+			b = FormatDays(day())
+		case 1:
+			b = fmt.Sprintf("%04d-%02d-%02d", r.Intn(10000), r.Intn(14), r.Intn(33))
+		default:
+			b = texts[r.Intn(len(texts))]
+		}
+		want := strings.Compare(FormatDays(a), b)
+		if got := Compare(Date(a), Str(b)); got != want {
+			t.Fatalf("Compare(DATE %s, %q) = %d, rendered %d", FormatDays(a), b, got, want)
+		}
+		if got := Compare(Str(b), Date(a)); got != -want {
+			t.Fatalf("Compare(%q, DATE %s) = %d, rendered %d", b, FormatDays(a), got, -want)
+		}
 	}
 }
 
@@ -354,7 +437,7 @@ func TestAppendDaysMatchesTime(t *testing.T) {
 			t.Fatalf("day %d renders %q, want %q", d, got, ref(d))
 		}
 	}
-	for _, d := range []int64{first - 1, first - 366, last + 1, last + 400000, -1 << 30, 1 << 30} {
+	for _, d := range []int64{first - 1, first - 366, last + 1, last + 400000, -1 << 30, 1 << 30, 3000000, -800000, -1 << 40, 1 << 40} {
 		if got := appendDays(buf[:0], d); string(got) != ref(d) {
 			t.Errorf("day %d renders %q, want %q", d, got, ref(d))
 		}
