@@ -9,17 +9,20 @@ import "pushdowndb/internal/sqlparse"
 // access path.
 
 // serverSideFilter is the baseline access path's scan: it loads the whole
-// table with plain GETs and keeps the rows pred passes (nil: every row) as
-// each partition decodes, billing one server row per decoded row for the
-// filter pass when there is one. A non-nil bind checks the first
-// partition's header before the other partitions are fetched (loadTable).
-func (e *Exec) serverSideFilter(table string, pred sqlparse.Expr, bind func(header []string) error) (*Relation, error) {
-	defer e.scope("server filter " + table).end(nil)
+// table with plain GETs, typing l.Cols and keeping the rows l.Where passes
+// (nil: every row) as each partition decodes, and bills one server row per
+// decoded row for the filter pass when there is one. With l's grouping the
+// kept rows fold as they decode, into the fold it returns for the tail to
+// finish (finishTail), and no relation is built. A non-nil bind checks the
+// first partition's header before the other partitions are fetched
+// (loadTable).
+func (e *Exec) serverSideFilter(l Load, bind func(header []string) error) (*Relation, *groupFold, error) {
+	defer e.scope("server filter " + l.Table).end(nil)
 	perRow := int64(0)
-	if pred != nil {
+	if l.Where != nil {
 		perRow = 1
 	}
-	return e.loadMetered("load "+table, e.NextStage(), Load{Table: table, Where: pred}, perRow, bind)
+	return e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind)
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.

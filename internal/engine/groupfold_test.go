@@ -128,16 +128,17 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 // group chunk, over one span and two: 4 groups over 8k rows and over 64k
 // cost the same within a small constant of mallocs and bytes (no vector and
 // no row grows with the input), and 8k and 64k groups cost O(groups / chunk)
-// mallocs (the output rows are cut from one slab, not allocated one by one).
+// mallocs (the output rows are cut from one slab, not allocated one by one;
+// a float sum's exact accumulator is inline in its state).
 func TestGroupByAllocatesPerGroup(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	sel := selectOf(t, "SELECT g, COUNT(*) AS n, SUM(v) AS s, MAX(d) AS hi FROM t GROUP BY g")
+	sel := selectOf(t, "SELECT g, COUNT(*) AS n, SUM(v) AS s, SUM(f) AS fs, MAX(d) AS hi FROM t GROUP BY g")
 	rel := func(rows, groups int) *Relation {
-		r := &Relation{Cols: []string{"g", "v", "d"}, Rows: make([]Row, rows)}
+		r := &Relation{Cols: []string{"g", "v", "d", "f"}, Rows: make([]Row, rows)}
 		for i := range r.Rows {
-			r.Rows[i] = Row{value.Int(int64(i % groups)), value.Int(int64(i)), value.Date(int64(9000 + i%365))}
+			r.Rows[i] = Row{value.Int(int64(i % groups)), value.Int(int64(i)), value.Date(int64(9000 + i%365)), value.Float(float64(i) + 0.25)}
 		}
 		return r
 	}

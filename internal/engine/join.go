@@ -155,20 +155,32 @@ func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *Ta
 		req: db.request(table, scanSelect(columnItems(project), filter))}
 }
 
-// baselineJoin loads both tables in full with plain GETs, keeps the rows
-// each side's filter passes as they decode, and joins locally. No S3 Select
-// anywhere.
+// baselineJoin loads both tables in full with plain GETs, keeping as they
+// decode the rows each side's filter passes, typed in the columns that
+// filter and the server read (TableScan.load), and joins locally. No S3
+// Select anywhere.
 func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
 	// The server-side filter pass touches every decoded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	rels, err := e.loadTables(stage, 1, Load{Table: j.left.Table, Where: j.left.Filter}, Load{Table: j.right.Table, Where: j.right.Filter})
+	rels, err := e.loadTables(stage, 1, j.left.load(), j.right.load())
 	if err != nil {
 		return nil, err
 	}
 	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
+}
+
+// load is the baseline load of sc: the rows its Filter passes, typed in
+// the columns it and Project read (baselineCols); every column with no
+// Project (a *).
+func (sc *TableScan) load() Load {
+	l := Load{Table: sc.Table, Where: sc.Filter}
+	if sc.Project != nil {
+		l.Cols = baselineCols(slices.Clip(sc.Project), sqlparse.ColumnRefs(sc.Filter))
+	}
+	return l
 }
 
 // filteredJoin pushes each side's selection (not projection) into S3

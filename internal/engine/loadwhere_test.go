@@ -181,9 +181,9 @@ func TestLoadWhereReportsTheFirstFailingRow(t *testing.T) {
 }
 
 // TestLoadWhereAllocatesWhatItKeeps: a 60,000-row load that keeps 2 % of
-// its rows allocates at most the kept cells, a []Row slot per kept row and
-// one of its blocks — an eighth of what keeping every row would cost —
-// where typing every row and filtering after cost the whole table's cells.
+// its rows allocates at most half again its kept cells, the first block and
+// a []Row slot per kept row — where typing every row and filtering after
+// cost the whole table's cells, and blocks of an eighth of them 756 KB.
 func TestLoadWhereAllocatesWhatItKeeps(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -215,8 +215,7 @@ func TestLoadWhereAllocatesWhatItKeeps(t *testing.T) {
 		t.Fatalf("the load kept %d rows, want %d", kept, rows/50)
 	}
 	cell := int(unsafe.Sizeof(value.Value{}))
-	block := (rows + 7) / 8 * w * cell
-	limit := kept*w*cell + kept*int(unsafe.Sizeof(Row{})) + block
+	limit := kept*w*cell*3/2 + firstBlock*w*cell + kept*int(unsafe.Sizeof(Row{}))
 	const runs = 5
 	if got := int(allocatedBytes(func() {
 		for range runs {

@@ -344,7 +344,7 @@ func (e *Exec) groupByLocal(rel *Relation, fold *groupFold, keys []sqlparse.Expr
 		name = "aggregate"
 	}
 	if fold != nil {
-		return e.runOp(name, int(fold.rows), func(Operators) (*Relation, error) { return fold.out, fold.x.Finish() })
+		return e.runOp(name, int(fold.rows), func(Operators) (*Relation, error) { return fold.finish() })
 	}
 	return e.runOp(name, len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
 }

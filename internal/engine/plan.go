@@ -492,8 +492,10 @@ func (u *colEquiv) union(a, b string) {
 // silently bind to whichever copy comes first. The exemption: when every
 // table's copy of the name is connected by used equi-join predicates, all
 // copies are equal and any binding is correct. Providers are judged on
-// full table headers, not pushed projections, because the baseline join
-// (including runtime fallbacks to it) materializes every column.
+// full table headers, not the scans' projections: whether a statement is
+// refused follows from what its tables hold, not from which columns one
+// plan carries past its scans (every join strategy, the baseline join's
+// loads included, types only a scan's projection and filter columns).
 func (p *QueryPlan) checkAmbiguousColumns(equated *colEquiv, pushedNames []string) error {
 	names := append([]string{}, pushedNames...)
 	add := func(n string) { names = append(names, n) }

@@ -457,7 +457,7 @@ func TestPushedProjection(t *testing.T) {
 	} {
 		sel := mustParse(t, sql)
 		e := db.NewExec()
-		rows, err := e.serverSideFilter("n", sel.Where, nil)
+		rows, _, err := e.serverSideFilter(Load{Table: "n", Where: sel.Where}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

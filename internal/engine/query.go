@@ -155,9 +155,23 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 				// partition's is, before the other partitions are fetched.
 				bind = func(header []string) error { return bindStatement(sel, header) }
 			}
-			rel, err := e.serverSideFilter(table, sc.Filter, bind)
+			// The load types what the statement reads (every column for a
+			// *), and a grouped tail's rows fold into its block as they
+			// decode.
+			l := Load{Table: table, Where: sc.Filter}
+			if refs, star := serverColumns(sel, []sqlparse.Expr{sc.Filter}, nil); !star {
+				l.Cols = baselineCols(nil, refs)
+			}
+			if grouped(sel) {
+				l.GroupBy = sel.GroupBy
+				l.Items, _, _ = groupSortPlan(sel)
+			}
+			rel, fold, err := e.serverSideFilter(l, bind)
 			if err != nil {
 				return nil, err
+			}
+			if fold != nil {
+				return e.finishTail(sel, nil, fold, fold.rows)
 			}
 			return e.finishLocal(rel, sel)
 		case ap.Pushed != "":
@@ -423,6 +437,20 @@ func serverColumns(sel *sqlparse.Select, kept []sqlparse.Expr, sortable func(*sq
 		}
 	}
 	return refs, false
+}
+
+// baselineCols is cols and the columns refs name, the columns a baseline
+// load types — or nil, every column, for none or when one is positional
+// (sqlparse.Positional): in the narrower header a load keeps, it would
+// denote another column.
+func baselineCols(cols []string, refs []*sqlparse.Column) []string {
+	for _, c := range refs {
+		cols = addColumn(cols, c.Name)
+	}
+	if slices.ContainsFunc(cols, sqlparse.Positional) {
+		return nil
+	}
+	return cols
 }
 
 // addColumn appends name to cols unless cols already names that column.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -25,11 +24,16 @@ import (
 // keeps: no Cols loads every column, no Where every row. Where is evaluated
 // as each partition decodes (loadTable), and the load answers as
 // Operators.Filter over the whole loaded relation would: the same rows, in
-// the same order, or the same error.
+// the same order, or the same error. With Items, the kept rows are grouped
+// by GroupBy (none: one plain aggregation) as they decode, and the load
+// answers as Operators.GroupBy over them would; no relation of the rows is
+// built (groupFold).
 type Load struct {
-	Table string
-	Cols  []string
-	Where sqlparse.Expr
+	Table   string
+	Cols    []string
+	Where   sqlparse.Expr
+	GroupBy []sqlparse.Expr
+	Items   []sqlparse.SelectItem
 }
 
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
@@ -45,8 +49,12 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 	rels := make([]*Relation, len(loads))
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
-		fns[i] = func() (err error) {
-			rels[i], err = e.loadMetered("load "+l.Table, stage, l, perRow, nil)
+		fns[i] = func() error {
+			rel, fold, err := e.loadMetered("load "+l.Table, stage, l, perRow, nil)
+			if err == nil && fold != nil {
+				rel, err = fold.finish()
+			}
+			rels[i] = rel
 			return err
 		}
 	}
@@ -61,34 +69,45 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	return e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
+	rel, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
+	return rel, err
 }
 
 // loadMetered is LoadTable on a step of its own, metering there perRow units
 // of the server's row work per decoded row: the server-side baselines' pass
-// over every row, which a Where does not shorten. A non-nil bind is
-// loadTable's.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, error) {
+// over every row, which a Where does not shorten. A load with Items answers
+// with no relation but the fold its rows went into, every partition's block
+// merged into its block and left for the caller to finish. A non-nil bind
+// is loadTable's.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, *groupFold, error) {
 	st := e.step(name, name, stage, l.Table)
-	rel, decoded, err := e.loadTable(st, l, bind)
+	var fold *groupFold
+	if l.Items != nil {
+		fold = &groupFold{keys: l.GroupBy, items: l.Items}
+	}
+	rel, decoded, err := e.loadTable(st, l, fold, bind)
 	if err == nil {
 		st.AddServerRows(decoded * perRow)
 	}
 	st.end(err)
-	return rel, err
+	return rel, fold, err
 }
 
 // loadTable is LoadTable metered on st: the relation of the rows l keeps,
-// and the rows decoded. A bind or a Where needs a header before any row
-// decodes, so partitions are fetched and their headers read one at a time
-// until bind has the first partition's header and l.Where is bound to the
-// first kept header there is (only a zero-byte object has none); the rest
-// are fetched only then, so a statement the table cannot answer costs one
-// GET. Every partition's rows decode inside the fan-out, against the one
-// binding. A predicate's error, binding or row, stops no load: the load's
-// own errors come first, as they would before a filter over the loaded
-// relation ran, and then the first partition's first failing row.
-func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Relation, int64, error) {
+// or with a fold none, and the rows decoded. A bind, a Where or a fold
+// needs a header before any row decodes, so partitions are fetched and their
+// headers read one at a time until bind has checked the first partition's
+// whole header and l.Where and the fold are bound to the first kept header
+// there is (only a zero-byte object has none); the rest are fetched only
+// then, so a statement the table cannot answer costs one GET. Every
+// partition's rows decode inside the fan-out, against the one binding, and a
+// fold's go into a block of the partition's own (RowExec.Partial), merged
+// in partition order after it. Errors stop no load but its own: those come
+// first, then partitions of different widths (keptCols), then the
+// predicate's (its binding, then the first partition's first failing row),
+// then the grouping's the same way, as they would before a filter and a
+// group-by over the loaded relation ran.
+func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []string) error) (*Relation, int64, error) {
 	keys, err := e.parts(l.Table)
 	if err != nil {
 		return nil, 0, err
@@ -96,14 +115,17 @@ func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Re
 	s := e.db.store(l.Table)
 	parts := make([]part, len(keys))
 	workers := e.partWorkers(len(keys))
-	var f *where
 	open := func(ctx context.Context, i int) error {
 		p := &parts[i]
 		p.sp = st.sp.Child("get " + keys[i])
 		data, err := s.Get(ctx, st.Phase, keys[i])
 		if err == nil {
 			p.sp.SetInt("bytes", int64(len(data)))
-			err = p.open(data, l.Cols)
+			check := bind
+			if i > 0 {
+				check = nil
+			}
+			err = p.open(data, l.Cols, check)
 		}
 		if errors.Is(err, errNoColumn) {
 			err = s3api.NewError("get", e.db.bucket, keys[i], s3api.KindBadRequest,
@@ -112,25 +134,29 @@ func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Re
 		return err
 	}
 
-	next := 0 // the partitions opened before the fan-out, the last of which decodes inside it
-	for next < len(keys) && (bind != nil && next == 0 || l.Where != nil && f == nil) {
+	var header []string // the first kept header, which Where and the fold bind to
+	next := 0           // the partitions opened before the fan-out, the last of which decodes inside it
+	for next < len(keys) && (bind != nil && next == 0 || (l.Where != nil || fold != nil) && header == nil) {
 		if next > 0 { // a zero-byte partition, with no rows to keep
-			if err := parts[next-1].decode(nil, workers); err != nil {
+			if err := parts[next-1].decode(nil, nil, workers); err != nil {
 				return nil, 0, err
 			}
 		}
-		err := open(e.ctx, next)
-		if err == nil && bind != nil && next == 0 {
-			err = bind(parts[0].cols)
-		}
-		if err != nil {
+		if err := open(e.ctx, next); err != nil {
 			parts[next].sp.End()
 			return nil, 0, err
 		}
-		if l.Where != nil && len(parts[next].cols) > 0 {
-			f = bindWhere(l.Where, parts[next].cols)
+		if len(parts[next].cols) > 0 {
+			header = parts[next].cols
 		}
 		next++
+	}
+	var f *where
+	if l.Where != nil && header != nil {
+		f = bindWhere(l.Where, header)
+	}
+	if fold != nil {
+		fold.bindLoad(header, f)
 	}
 	first := max(next-1, 0)
 	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, _ string) error {
@@ -141,11 +167,13 @@ func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Re
 				return err
 			}
 		}
-		return parts[i].decode(f, workers)
+		return parts[i].decode(f, fold, workers)
 	})
 	var out *Relation
-	if err == nil {
+	if err == nil && fold == nil {
 		out, err = cutRows(parts)
+	} else if err == nil {
+		_, err = keptCols(parts)
 	}
 	decoded := int64(0)
 	for _, p := range parts {
@@ -154,10 +182,18 @@ func (e *Exec) loadTable(st step, l Load, bind func(header []string) error) (*Re
 		}
 		decoded += p.decoded
 	}
+	if err == nil && fold != nil {
+		err = fold.merge(parts)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	st.sp.SetInt("rows", decoded)
+	if fold != nil {
+		st.sp.SetInt("kept", fold.rows)
+		st.sp.SetInt("cols", int64(len(fold.cols)))
+		return nil, decoded, nil
+	}
 	st.sp.SetInt("kept", int64(len(out.Rows)))
 	st.sp.SetInt("cols", int64(len(out.Cols)))
 	return out, decoded, nil
@@ -190,16 +226,15 @@ func bindWhere(pred sqlparse.Expr, header []string) *where {
 	return f
 }
 
-// over is f for the decode of part p and the scratch row it evaluates in,
-// nil for none: a part as wide as the header f was bound to starts with
-// f's binding error as its failure; a part of another width keeps its rows,
-// for cutRows to refuse the load.
-func (f *where) over(p *part) (*where, []value.Value) {
+// over is f for the decode of part p, nil for none: a part as wide as the
+// header f was bound to starts with f's binding error as its failure; a part
+// of another width keeps its rows, for the load to refuse (keptCols).
+func (f *where) over(p *part) *where {
 	if f == nil || len(f.reads) != len(p.cols) {
-		return nil, nil
+		return nil
 	}
 	p.failed = f.err
-	return f, make([]value.Value, len(p.cols))
+	return f
 }
 
 // pass reports whether row, its cells at f.cols typed, passes the predicate.
@@ -215,15 +250,16 @@ func (f *where) pass(p *part, row []value.Value) bool {
 // part is one partition: while a load decodes it, the object it was
 // fetched as, its header read (open), and its decoded rows, row-major: rows
 // rows of len(cols) cells in one array (cells) or, when a predicate filters
-// them, in blocks (full, then cells). A scan decodes each partition into
-// its part inside its fan-out, and cuts the rows of all of them once after
-// it (cutRows), so the decode never hands out a window of an array it may
+// them, in blocks (full, then cells) — or, when they fold, none, and rows
+// counts the rows folded. A scan decodes each partition into its part
+// inside its fan-out, and cuts the rows of all of them once after it
+// (cutRows), so the decode never hands out a window of an array it may
 // still grow.
 type part struct {
 	cols    []string
 	cells   []value.Value
 	full    [][]value.Value // the filled blocks before cells
-	block   int             // a filtered part's block length in cells; 0 for one array
+	block   int             // a filtered part's largest block in cells; 0 for one array
 	rows    int
 	decoded int64 // the rows decoded, kept or not
 	failed  error // the predicate's first error over the part's rows
@@ -236,40 +272,113 @@ type part struct {
 	data []byte
 	sc   *csvx.Scanner
 	col  *colformat.Reader
+
+	// What decode runs each row through (take): the predicate, the block
+	// the rows fold into and the cells it reads that f does not, the row
+	// both read, and the block's first error.
+	f       *where
+	x       *expr.RowExec
+	need    []int
+	scratch []value.Value
+	aggErr  error
 }
 
-// open reads the header of data, a partition's object, and prunes it to
-// cols (prune): p.cols stays nil for a zero-byte object.
-func (p *part) open(data []byte, cols []string) (err error) {
+// open reads the header of data, a partition's object, has check (nil:
+// none) judge it whole, and prunes it to cols (prune): p.cols stays nil for
+// a zero-byte object, whose header check sees as nil.
+func (p *part) open(data []byte, cols []string, check func(header []string) error) (err error) {
 	p.data = data
+	var header []string
 	if colformat.IsColumnar(data) {
 		// Columnar partitions decode straight into typed vectors; the CSV
 		// decoder would mis-parse the binary layout.
-		if p.col, err = colformat.Open(data); err == nil {
-			p.cols, p.keep, err = prune(p.col.Schema().Names(), cols)
+		if p.col, err = colformat.Open(data); err != nil {
+			return err
 		}
+		header = p.col.Schema().Names()
+	} else if p.sc = csvx.NewScanner(data); p.sc.Scan() {
+		header = csvx.CloneRow(p.sc.Fields())
+	} else if err = p.sc.Err(); err != nil {
 		return err
 	}
-	if p.sc = csvx.NewScanner(data); p.sc.Scan() {
-		p.cols, p.keep, err = prune(csvx.CloneRow(p.sc.Fields()), cols)
+	if check != nil {
+		if err = check(header); err != nil {
+			return err
+		}
 	}
-	return cmp.Or(err, p.sc.Err())
+	if header != nil {
+		p.cols, p.keep, err = prune(header, cols)
+	}
+	return err
 }
 
 // decode types the rows of p, opened, that f keeps (all of them with no f)
-// and ends its span.
-func (p *part) decode(f *where, workers int) error {
+// and ends its span. With g bound to a header as wide as p's, the rows fold
+// into a block of p's own (RowExec.Partial) instead of staying.
+func (p *part) decode(f *where, g *groupFold, workers int) error {
 	defer p.sp.End()
-	if p.col != nil {
-		return p.fromColumnar(f, workers)
+	p.f = f.over(p)
+	if g != nil && g.err == nil && len(g.cols) == len(p.cols) {
+		p.x, p.need = g.x.Partial(), g.need
 	}
-	return p.decodeCSV(f)
+	if p.f != nil || p.x != nil {
+		p.scratch = make([]value.Value, len(p.cols))
+	}
+	if p.col != nil {
+		return p.fromColumnar(workers)
+	}
+	return p.decodeCSV()
 }
 
-// blocks makes p's kept rows grow in blocks of an eighth of bound, the
-// cells the part would hold had every row passed, rounded up to whole rows:
-// a filtered part allocates about what it keeps, and never copies a block,
-// at one allocation per block.
+// take runs one decoded row through the load, cell(j) typing its kept cell
+// j. With a predicate, the cells it reads type into p.scratch first, and a
+// row it fails goes no further; with a block, the cells the block reads
+// type there too and the row folds into it. Otherwise it returns the row
+// to keep, appended to p and filled.
+func (p *part) take(cell func(j int) value.Value) []value.Value {
+	p.decoded++
+	f := p.f
+	if f != nil {
+		if p.failed != nil {
+			return nil
+		}
+		for _, j := range f.cols {
+			p.scratch[j] = cell(j)
+		}
+		if !f.pass(p, p.scratch) {
+			return nil
+		}
+	}
+	if p.x != nil {
+		for _, j := range p.need {
+			p.scratch[j] = cell(j)
+		}
+		p.rows++
+		if p.aggErr == nil {
+			p.aggErr = p.x.Add(p.scratch)
+		}
+		return nil
+	}
+	row := p.row()
+	for j := range row {
+		if f != nil && f.reads[j] {
+			row[j] = p.scratch[j]
+		} else {
+			row[j] = cell(j)
+		}
+	}
+	return row
+}
+
+// firstBlock is a filtered part's first block, in rows: each block after
+// it is half as large again, to their cap (part.blocks).
+const firstBlock = 256
+
+// blocks makes p's kept rows grow in blocks that start at firstBlock rows
+// and grow by half up to an eighth of bound, the cells the part would hold
+// had every row passed, rounded up to whole rows: a filtered part
+// allocates at most half again what it keeps, past its first block, and
+// never copies a block, at one allocation per block.
 func (p *part) blocks(bound int) {
 	w := len(p.cols)
 	p.block = max((bound/max(w, 1)+7)/8, 1) * w
@@ -281,10 +390,12 @@ func (p *part) blocks(bound int) {
 func (p *part) row() []value.Value {
 	w := len(p.cols)
 	if p.block > 0 && cap(p.cells)-len(p.cells) < w {
+		size := firstBlock * w
 		if p.cells != nil {
 			p.full = append(p.full, p.cells)
+			size = cap(p.cells) / w * 3 / 2 * w
 		}
-		p.cells = make([]value.Value, 0, p.block)
+		p.cells = make([]value.Value, 0, min(size, p.block))
 	}
 	n := len(p.cells)
 	p.cells = slices.Grow(p.cells, w)[:n+w]
@@ -292,35 +403,47 @@ func (p *part) row() []value.Value {
 	return p.cells[n:]
 }
 
+// keptCols is the columns of parts' rows: the first part's with columns or
+// rows (a zero-byte partition has neither), the rest as wide as it.
+func keptCols(parts []part) ([]string, error) {
+	var cols []string
+	for _, p := range parts {
+		if len(p.cols) == 0 && p.rows == 0 {
+			continue
+		}
+		if cols == nil {
+			cols = p.cols
+		}
+		if len(p.cols) != len(cols) {
+			return nil, fmt.Errorf("engine: partitions differ in width: %v vs %v", cols, p.cols)
+		}
+	}
+	return cols, nil
+}
+
 // cutRows is the relation of parts' rows in partition order: one []Row for
 // all of them, row k of an array the window cells[k*w:(k+1)*w:(k+1)*w] — an
 // append to a row reallocates it, never writing into the next; a surviving
-// row keeps its array reachable. A part with neither columns nor rows, a
-// zero-byte partition's, is skipped; the rest must be as wide as each
-// other.
+// row keeps its array reachable. The parts must be as wide as each other
+// (keptCols).
 func cutRows(parts []part) (*Relation, error) {
-	out := &Relation{}
+	cols, err := keptCols(parts)
+	if err != nil {
+		return nil, err
+	}
+	out := &Relation{Cols: cols}
 	n := 0
 	for _, p := range parts {
 		n += p.rows
 	}
 	out.Rows = make([]Row, 0, n)
+	w := len(cols)
+	cut := func(cells []value.Value, rows int) {
+		for k := range rows {
+			out.Rows = append(out.Rows, cells[k*w:(k+1)*w:(k+1)*w])
+		}
+	}
 	for _, p := range parts {
-		if len(p.cols) == 0 && p.rows == 0 {
-			continue
-		}
-		if out.Cols == nil {
-			out.Cols = p.cols
-		}
-		w := len(p.cols)
-		if w != len(out.Cols) {
-			return nil, fmt.Errorf("engine: partitions differ in width: %v vs %v", out.Cols, p.cols)
-		}
-		cut := func(cells []value.Value, rows int) {
-			for k := range rows {
-				out.Rows = append(out.Rows, cells[k*w:(k+1)*w:(k+1)*w])
-			}
-		}
 		rows := p.rows
 		for _, cells := range p.full {
 			cut(cells, len(cells)/w)
@@ -383,12 +506,13 @@ func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
 // fromColumnar decodes an opened colformat object (the paper's Fig. 11
 // columnar layout) one row group at a time, reading only the kept columns'
 // chunks, each into its one vector by the worker whose span holds it, and
-// appends the group's rows that f keeps (all of them with no f) to the
-// part before the next group overwrites the vectors. Rows come from
-// decoded chunks, never from a count a footer claims.
-func (p *part) fromColumnar(f *where, workers int) error {
-	f, scratch := f.over(p)
+// runs the group's rows through the load (take) before the next group
+// overwrites the vectors. Rows come from decoded chunks, never from a count
+// a footer claims.
+func (p *part) fromColumnar(workers int) error {
 	vecs := make([]*vec.Vector, len(p.cols))
+	var i int // the row being taken
+	cell := func(c int) value.Value { return vecs[c].Value(i) }
 	for g := 0; g < p.col.NumRowGroups(); g++ {
 		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
 			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
@@ -403,97 +527,77 @@ func (p *part) fromColumnar(f *where, workers int) error {
 		if len(vecs) > 0 {
 			n = vecs[0].Len()
 		}
-		p.decoded += int64(n)
-		if f == nil {
+		switch {
+		case p.x != nil:
+		case p.f == nil:
 			p.cells = slices.Grow(p.cells, n*len(vecs))
-		} else if p.block == 0 {
+		case p.block == 0:
 			p.blocks(n * p.col.NumRowGroups() * len(vecs))
 		}
-		for i := 0; i < n && p.failed == nil; i++ {
-			if f != nil {
-				for _, c := range f.cols {
-					scratch[c] = vecs[c].Value(i)
-				}
-				if !f.pass(p, scratch) {
-					continue
-				}
-			}
-			row := p.row()
-			for c, v := range vecs {
-				if f != nil && f.reads[c] {
-					row[c] = scratch[c]
-				} else {
-					row[c] = v.Value(i)
-				}
-			}
+		for i = 0; i < n && p.failed == nil; i++ {
+			p.take(cell)
 		}
 	}
 	return nil
 }
 
 // decodeCSV types an opened CSV object's cells straight off the scanner:
-// one pass, no intermediate rows of strings, and only the kept columns'
-// cells — with f, first the cells it reads and then, for a row it keeps,
-// the rest. The scanner's fields are views of the object, and a Relation
-// outlives the GET that fetched it, so this is where loaded rows come to
-// own their bytes: the kept cells that stay text are copied into the
-// partition's chunks (numbers and dates hold no bytes at all), and a
-// dropped row's cells, typed only in the scratch row, are unreachable once
-// the decode returns. Unfiltered cells go into one array sized from the
-// line count, filtered ones into blocks (part.blocks). Every row is as wide
-// as the kept header (value.CSVCell). A zero-byte object decodes to no
-// columns and no rows.
-func (p *part) decodeCSV(f *where) error {
+// one pass, no intermediate rows of strings, and only the cells the load
+// needs of the kept columns (take). The scanner's fields are views of the
+// object, and a Relation outlives the GET that fetched it, so this is where
+// loaded rows come to own their bytes: a kept row's text cells are copied
+// into the partition's chunks (numbers and dates hold no bytes at all),
+// and a dropped or folded row's cells, typed only in the scratch row, are
+// unreachable once the decode returns. Unfiltered cells go into one array
+// sized from the line count, filtered ones into blocks (part.blocks),
+// folded ones nowhere. Every row is as wide as the kept header
+// (value.CSVCell). A zero-byte object decodes to no columns and no rows.
+func (p *part) decodeCSV() error {
 	if p.cols == nil {
 		return nil
 	}
-	lines := bytes.Count(p.data, []byte{'\n'}) // the row count, unless cells hold newlines
-	// A cell takes a byte at least: linear in the object, wide header or not.
-	bound := min(lines*len(p.cols), len(p.data))
-	f, scratch := f.over(p)
-	if f != nil {
-		p.blocks(bound)
-	} else {
-		p.cells = make([]value.Value, 0, bound)
+	if p.x == nil {
+		lines := bytes.Count(p.data, []byte{'\n'}) // the row count, unless cells hold newlines
+		// A cell takes a byte at least: linear in the object, wide header or not.
+		bound := min(lines*len(p.cols), len(p.data))
+		if p.f != nil {
+			p.blocks(bound)
+		} else {
+			p.cells = make([]value.Value, 0, bound)
+		}
 	}
+	var fields []string
+	cell := func(j int) value.Value { return value.CSVCell(fields, at(p.keep, j)) }
 	var text []byte
 	var chunks arena.Text
 	for sc := p.sc; sc.Scan(); {
-		fields := sc.Fields()
-		p.decoded++
-		if f != nil {
-			if p.failed != nil {
-				continue
-			}
-			for _, j := range f.cols {
-				scratch[j] = value.CSVCell(fields, at(p.keep, j))
-			}
-			if !f.pass(p, scratch) {
-				continue
-			}
-		}
-		row := p.row()
-		text = text[:0]
-		for j := range row {
-			if f != nil && f.reads[j] {
-				row[j] = scratch[j]
-			} else {
-				row[j] = value.CSVCell(fields, at(p.keep, j))
-			}
-			if row[j].Kind() == value.KindString {
-				text = append(text, row[j].AsString()...)
-			}
-		}
-		if owned := chunks.String(text); owned != "" {
-			for j, v := range row {
-				if v.Kind() == value.KindString {
-					n := len(v.AsString())
-					row[j], owned = value.Str(owned[:n]), owned[n:]
-				}
-			}
+		fields = sc.Fields()
+		if row := p.take(cell); row != nil {
+			text = ownText(row, &chunks, text)
 		}
 	}
 	return p.sc.Err()
+}
+
+// ownText copies row's text cells into chunks, in one piece, so that row
+// no longer views the bytes they were typed from. buf is scratch, returned
+// for the next call.
+func ownText(row []value.Value, chunks *arena.Text, buf []byte) []byte {
+	buf = buf[:0]
+	for _, v := range row {
+		if v.Kind() == value.KindString {
+			buf = append(buf, v.AsString()...)
+		}
+	}
+	if owned := chunks.String(buf); owned != "" {
+		for j, v := range row {
+			if v.Kind() == value.KindString {
+				n := len(v.AsString())
+				row[j], owned = value.Str(owned[:n]), owned[n:]
+			}
+		}
+	}
+	return buf
 }
 
 // decodeRows types CSV rows with no header line under cols — a select
@@ -617,33 +721,91 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 	return out, nil
 }
 
-// groupFold is a grouped scan's tail: one aggregation block, bound before the
-// scan to the columns its request returns, that each partition's response
-// body folds into row by row, in partition order (selectDecoded), on both
-// operator sets. No relation is built; the groups collect into out when the
-// block finishes.
+// groupFold is a grouped tail that sees no relation: one aggregation block,
+// bound to the columns its input rows are laid out as, that rows fold into
+// as they decode — a pushed scan's response bodies, row by row in partition
+// order (selectDecoded), or a baseline load's partitions, each into a block
+// of its own merged in partition order (loadTable). The groups collect into
+// out when the block finishes.
 type groupFold struct {
-	x    *expr.RowExec
-	cols []string      // the request's output columns, which x is bound to
-	row  []value.Value // the body row being folded, reused
-	rows int64         // the rows folded so far
-	out  *Relation
+	keys  []sqlparse.Expr
+	items []sqlparse.SelectItem
+	x     *expr.RowExec
+	err   error         // x's binding's
+	cols  []string      // the columns x is bound to
+	need  []int         // a load's: the positions x reads that its Where does not
+	row   []value.Value // the body row being folded, reused
+	rows  int64         // the rows folded so far
+	out   *Relation
 }
 
 // newGroupFold binds the grouping of keys and items to the columns pushed,
 // the scan's statement, returns: never *, whose columns only a response
 // would name (pushedScan).
 func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*groupFold, error) {
-	f := &groupFold{cols: make([]string, len(pushed.Items))}
+	f := &groupFold{keys: keys, items: items}
+	cols := make([]string, len(pushed.Items))
 	for i, it := range pushed.Items {
-		f.cols[i] = it.Name()
+		cols[i] = it.Name()
 	}
-	f.out = &Relation{Cols: itemCols(&Relation{Cols: f.cols}, items)}
-	var err error
-	f.x, err = expr.NewAggregation(f.cols, nil, keys, sqlparse.ItemExprs(items), f.out.collect())
-	f.row = make([]value.Value, len(f.cols))
-	return f, err
+	f.bind(cols, false)
+	f.row = make([]value.Value, len(cols))
+	return f, f.err
 }
+
+// bind binds the block to rows laid out as cols (nil: none, every column
+// past a row's end), its output rows collecting into out — owning their
+// text with own, however the rows folded view theirs.
+func (f *groupFold) bind(cols []string, own bool) {
+	f.cols = cols
+	f.out = &Relation{Cols: itemCols(&Relation{Cols: cols}, f.items)}
+	emit := f.out.collect()
+	if own {
+		collect, chunks, buf := emit, &arena.Text{}, []byte(nil)
+		emit = func(row []value.Value) error {
+			buf = ownText(row, chunks, buf)
+			return collect(row)
+		}
+	}
+	f.x, f.err = expr.NewAggregation(cols, nil, f.keys, sqlparse.ItemExprs(f.items), emit)
+}
+
+// bindLoad binds f to a load's first kept header, after its Where (nil:
+// none) types the cells it reads. A folded row's text views its GET's
+// object, and so does a group key or a MIN or MAX kept from it, so the
+// output rows own their text: the result never keeps an object reachable.
+func (f *groupFold) bindLoad(header []string, w *where) {
+	f.bind(header, true)
+	if f.err == nil {
+		for _, j := range f.x.Cols() {
+			if w == nil || !w.reads[j] {
+				f.need = append(f.need, j)
+			}
+		}
+	}
+}
+
+// merge folds the partitions' blocks into f's in partition order, once the
+// grouping has bound and no partition's block failed: the first
+// partition's first failing row is the error, as over the concatenation.
+func (f *groupFold) merge(parts []part) error {
+	err := f.err
+	for _, p := range parts {
+		if err == nil {
+			err = p.aggErr
+		}
+	}
+	for _, p := range parts {
+		if err == nil && p.x != nil {
+			err = f.x.Merge(p.x)
+			f.rows += int64(p.rows)
+		}
+	}
+	return err
+}
+
+// finish emits the block's groups into f's output.
+func (f *groupFold) finish() (*Relation, error) { return f.out, f.x.Finish() }
 
 // body folds one response into the block. It fails unless the response
 // names the bound columns and its body holds the rows its stats claim; the

@@ -51,10 +51,10 @@ func cut(p part, err error) (*Relation, error) {
 // then its rows typed through f (nil keeps every row).
 func loadPart(data []byte, cols []string, f *where, workers int) (part, error) {
 	var p part
-	if err := p.open(data, cols); err != nil {
+	if err := p.open(data, cols, nil); err != nil {
 		return part{}, err
 	}
-	return p, p.decode(f, workers)
+	return p, p.decode(f, nil, workers)
 }
 
 // recordsOf is a select response's rows (Result.Records); a body that does

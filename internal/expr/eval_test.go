@@ -323,7 +323,7 @@ func TestAggStates(t *testing.T) {
 	}
 }
 
-// TestAggSumDoesNotAllocate pins the claim accumulate's comment makes, and
+// TestAggSumDoesNotAllocate pins the claim bigSum.add's comment makes, and
 // that the two-buffer sum is the same exact sum: the values span the whole
 // float64 exponent range and each pass over them adds exactly 1.
 func TestAggSumDoesNotAllocate(t *testing.T) {

@@ -11,10 +11,10 @@ import (
 // float64 accumulation out of two places.
 //
 // First, the expr package entirely: aggregation state (expr.AggState) sums
-// in math/big.Float at fixed precision exactly so that merge order cannot
-// perturb the final digits. Any float32/float64 accumulation introduced
-// there reopens the hole, so inside pkgExpr every float accumulation is a
-// finding.
+// exactly — error-free two-sums into a float64 expansion, math/big.Float
+// at fixed precision past it — so that merge order cannot perturb the
+// final digits. Any float32/float64 accumulation introduced there reopens
+// the hole, so inside pkgExpr every float accumulation is a finding.
 //
 // Second, anywhere in scope: accumulating a float into a variable
 // captured from an enclosing scope, from inside a closure that runs

@@ -11,7 +11,7 @@
 //     printing, unsorted collection) inside a range over a map on result
 //     paths — the byte-identical invariant (PR 2).
 //   - exactagg: no float64 accumulation where merge order can perturb
-//     results — aggregation merges through big.Float (PR 2).
+//     results — aggregation sums and merges exactly (expr.AggState).
 //
 // Two invariants need no analyzer because the compiler keeps them: a
 // priced storage call takes the phase it bills (s3api.Metered), and a

@@ -49,19 +49,23 @@ func (n Names) Index(name string) int {
 			return i
 		}
 	}
-	// _N: digits with no leading zero, N at most the width.
-	if len(name) < 2 || name[0] != '_' || name[1] == '0' {
+	// _N: N at most the width.
+	if !Positional(name) {
 		return -1
 	}
 	pos := 0
-	for i := 1; i < len(name); i++ {
-		c := name[i]
-		if c < '0' || c > '9' {
-			return -1
-		}
+	for _, c := range name[1:] {
 		if pos = pos*10 + int(c-'0'); pos > len(n.keys) {
 			return -1
 		}
 	}
 	return pos - 1
+}
+
+// Positional reports whether name is shaped as _N: an underscore, then
+// digits with no leading zero. Unless a header column has the name, it
+// denotes the N-th column, so what it denotes moves with the header's
+// width and order.
+func Positional(name string) bool {
+	return len(name) >= 2 && name[0] == '_' && name[1] != '0' && strings.Trim(name[1:], "0123456789") == ""
 }

@@ -34,7 +34,8 @@ func Queries() []Query {
 }
 
 // The Baselines load each table keeping only the rows its own filter passes
-// (engine.Load's Where), and run the server's operators over one span
+// (engine.Load's Where) — Q1 and Q6 grouping them as they decode, too
+// (engine.Load's Items) — and run the server's operators over one span
 // (engine.Operators{}) over the rest of what each statement, and Q17's and
 // Q19's extra fragments, parse to: once per process, here.
 var (
@@ -82,20 +83,18 @@ const q1SQL = `SELECT l_returnflag, l_linestatus,
 	FROM lineitem WHERE l_shipdate <= '1998-09-02'` + // 1998-12-01 minus 90 days
 	" GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus"
 
-// Q1Baseline GETs lineitem in full, types the seven columns it reads of the
-// rows its WHERE keeps and evaluates everything else locally.
+// Q1Baseline GETs lineitem in full and, as each partition decodes, groups
+// the rows its WHERE keeps into that partition's block (engine.Load's
+// Items), typing only the seven columns it reads; the blocks merge into the
+// four groups, which sort locally. No lineitem relation is built.
 func Q1Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q1.Where, Cols: []string{
-		"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}})
+	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q1.Where, GroupBy: q1.GroupBy, Items: q1.Items,
+		Cols: []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}})
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := local.GroupBy(rels[0], q1.GroupBy, q1.Items)
-	if err != nil {
-		return nil, e, err
-	}
-	out, err = engine.SortLocal(out, q1.OrderBy)
+	out, err := engine.SortLocal(rels[0], q1.OrderBy)
 	return out, e, err
 }
 
@@ -143,17 +142,17 @@ func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 const q6SQL = "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem" +
 	" WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
 
-// Q6Baseline GETs lineitem in full, keeps the rows its WHERE passes as they
-// decode and aggregates locally.
+// Q6Baseline GETs lineitem in full and aggregates the rows its WHERE passes
+// as each partition decodes, into that partition's block (engine.Load's
+// Items); the blocks merge into the one row.
 func Q6Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q6.Where,
+	rels, err := e.LoadTables(e.NextStage(), engine.Load{Table: "lineitem", Where: q6.Where, Items: q6.Items,
 		Cols: []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}})
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := local.GroupBy(rels[0], nil, q6.Items)
-	return out, e, err
+	return rels[0], e, nil
 }
 
 // --- Q14: promotion effect ---
