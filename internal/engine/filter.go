@@ -22,7 +22,8 @@ func (e *Exec) serverSideFilter(l Load, bind func(header []string) error) (*Rela
 	if l.Where != nil {
 		perRow = 1
 	}
-	return e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind)
+	rel, fold, _, err := e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind)
+	return rel, fold, err
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.

@@ -279,7 +279,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 	})
 	var out *Relation
 	if err == nil {
-		out, err = cutRows(parts)
+		out = cutRows(parts, header) // every part decoded under header
 	}
 	if err == nil && pol == fetchCoalesced {
 		candidates := int64(len(out.Rows))

@@ -155,21 +155,50 @@ func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *Ta
 		req: db.request(table, scanSelect(columnItems(project), filter))}
 }
 
-// baselineJoin loads both tables in full with plain GETs, keeping as they
-// decode the rows each side's filter passes, typed in the columns that
-// filter and the server read (TableScan.load), and joins locally. No S3
-// Select anywhere.
+// baselineJoin loads both tables in full with plain GETs, concurrently,
+// keeping as they decode the rows each side's filter passes, typed in the
+// columns that filter and the server read (TableScan.load): the probe
+// side's rows decode once the build side has loaded, each kept row probing
+// its hash table (Load.Build), so no relation of the probe side's rows is
+// built. No S3 Select anywhere.
 func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
+	var build []*Relation
+	built := make(chan struct{})
+	right := j.right.load()
+	right.BuildKey, right.ProbeKey = j.leftKey, j.rightKey
+	right.await = func() *Relation {
+		<-built
+		if build == nil {
+			return nil
+		}
+		return build[0]
+	}
+	var joined *Relation
+	var kept int64
 	// The server-side filter pass touches every decoded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	rels, err := e.loadTables(stage, 1, j.left.load(), j.right.load())
+	err := concurrently(func() (err error) {
+		defer close(built)
+		build, err = e.loadTables(stage, 1, j.left.load())
+		return err
+	}, func() (err error) {
+		joined, _, kept, err = e.loadMetered("load "+right.Table, stage, right, 1, nil)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
+	// The hash join's row work, as hashJoinLocal meters it: a build row or a
+	// kept probe row each.
+	rowsIn := int64(len(build[0].Rows)) + kept
+	st := e.step("hash join", "hash join", stage, "")
+	st.sp.SetInt("rows_in", rowsIn)
+	st.AddServerRows(rowsIn)
+	st.end(nil)
+	return joined, nil
 }
 
 // load is the baseline load of sc: the rows its Filter passes, typed in

@@ -190,48 +190,24 @@ func (r *Relation) collect() func([]value.Value) error {
 // the named key columns; the output concatenates both sides' columns, in
 // probe-row order with each probe row's matches in build-row order. NULL
 // keys never match. Keys hash and compare by value.Hash and value.Equal, so
-// a numeric-looking string key joins the number it equals.
-//
-// The build side is one chained hash table, not a list per key: head maps a
-// hash to its first build row plus one, next links a row to the next with
-// its hash (-1 ends a chain), linked last to first so chains ascend. The
-// build's hashes and the probe run over spans (o.spans), the probe's matched
+// a numeric-looking string key joins the number it equals. The build side
+// is one hash table (hashTable), which a load probing as it decodes
+// (Load.Build) shares; the probe runs over spans (o.spans), the matched
 // pairs merging in span order.
 func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*Relation, error) {
-	li, ri := left.ColIndex(leftKey), right.ColIndex(rightKey)
-	if li < 0 {
-		return nil, fmt.Errorf("engine: join key %q not in left relation %v", leftKey, left.Cols)
+	li, ri, err := joinKeys(left.Cols, right.Cols, leftKey, rightKey)
+	if err != nil {
+		return nil, err
 	}
-	if ri < 0 {
-		return nil, fmt.Errorf("engine: join key %q not in right relation %v", rightKey, right.Cols)
-	}
-	n := len(left.Rows)
-	hashes := make([]uint64, n)
-	_ = vec.RunSpans(o.spans(n), func(_ int, sp vec.Span) error {
-		for i := sp.Lo; i < sp.Hi; i++ {
-			hashes[i] = left.Rows[i][li].Hash()
-		}
-		return nil
-	})
-	head, next := make(map[uint64]int, n), make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		if !left.Rows[i][li].IsNull() {
-			next[i] = head[hashes[i]] - 1
-			head[hashes[i]] = i + 1
-		}
-	}
+	t := o.hashTable(left.Rows, li)
 	sps := o.spans(len(right.Rows))
 	parts := make([][]joinPair, len(sps))
 	_ = vec.RunSpans(sps, func(w int, sp vec.Span) error {
+		var match []int
 		for p := sp.Lo; p < sp.Hi; p++ {
-			k := right.Rows[p][ri]
-			if k.IsNull() {
-				continue
-			}
-			for i := head[k.Hash()] - 1; i >= 0; i = next[i] {
-				if value.Equal(left.Rows[i][li], k) {
-					parts[w] = append(parts[w], joinPair{b: i, p: p})
-				}
+			match = t.matches(right.Rows[p][ri], match[:0])
+			for _, b := range match {
+				parts[w] = append(parts[w], joinPair{b: b, p: p})
 			}
 		}
 		return nil
@@ -241,6 +217,65 @@ func (o Operators) HashJoin(left, right *Relation, leftKey, rightKey string) (*R
 		pairs = slices.Concat(parts...)
 	}
 	return o.joinRows(left, right, pairs), nil
+}
+
+// joinKeys is the positions of a join's keys in the build side's columns
+// and the probe side's, or the error naming the first that is missing.
+func joinKeys(build, probe []string, buildKey, probeKey string) (int, int, error) {
+	li, ri := sqlparse.NewNames(build).Index(buildKey), sqlparse.NewNames(probe).Index(probeKey)
+	if li < 0 {
+		return 0, 0, fmt.Errorf("engine: join key %q not in left relation %v", buildKey, build)
+	}
+	if ri < 0 {
+		return 0, 0, fmt.Errorf("engine: join key %q not in right relation %v", probeKey, probe)
+	}
+	return li, ri, nil
+}
+
+// hashTable is a join's build side: one chained hash table over the key
+// cells rows[i][k], not a list per key. head maps a hash to its first row
+// plus one, next links a row to the next with its hash (-1 ends a chain),
+// linked last to first so chains ascend. Built, it is only read, so
+// probes may share it.
+type hashTable struct {
+	rows []Row
+	k    int
+	head map[uint64]int
+	next []int
+}
+
+// hashTable builds the table over rows' key cells at k, hashing over spans.
+func (o Operators) hashTable(rows []Row, k int) *hashTable {
+	n := len(rows)
+	hashes := make([]uint64, n)
+	_ = vec.RunSpans(o.spans(n), func(_ int, sp vec.Span) error {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			hashes[i] = rows[i][k].Hash()
+		}
+		return nil
+	})
+	t := &hashTable{rows: rows, k: k, head: make(map[uint64]int, n), next: make([]int, n)}
+	for i := n - 1; i >= 0; i-- {
+		if !rows[i][k].IsNull() {
+			t.next[i] = t.head[hashes[i]] - 1
+			t.head[hashes[i]] = i + 1
+		}
+	}
+	return t
+}
+
+// matches appends to match the rows whose key equals key, ascending; a NULL
+// key matches none.
+func (t *hashTable) matches(key value.Value, match []int) []int {
+	if key.IsNull() {
+		return match
+	}
+	for i := t.head[key.Hash()] - 1; i >= 0; i = t.next[i] {
+		if value.Equal(t.rows[i][t.k], key) {
+			match = append(match, i)
+		}
+	}
+	return match
 }
 
 // joinPair is one match: build row b, probe row p.

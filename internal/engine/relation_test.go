@@ -129,10 +129,13 @@ func TestSortLocalErrors(t *testing.T) {
 func TestCutRowsArityMismatch(t *testing.T) {
 	a, _ := decodeRows([]string{"x"}, []byte("1\n"), 1)
 	b, _ := decodeRows([]string{"x", "y"}, []byte("1,2\n"), 1)
-	if _, err := cutRows([]part{a, b}); err == nil {
+	if _, err := keptCols([]part{a, b}); err == nil {
 		t.Error("arity mismatch should error")
 	}
-	if rel, err := cutRows([]part{{}, b}); err != nil || len(rel.Cols) != 2 || len(rel.Rows) != 1 {
+	if rel, err := cut(b, nil); err != nil || len(rel.Cols) != 2 || len(rel.Rows) != 1 {
+		t.Error("one part's rows")
+	}
+	if cols, err := keptCols([]part{{}, b}); err != nil || len(cols) != 2 {
 		t.Error("a part with neither columns nor rows should be skipped")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"unicode/utf8"
 
 	"pushdowndb/internal/arena"
@@ -27,13 +28,26 @@ import (
 // the same order, or the same error. With Items, the kept rows are grouped
 // by GroupBy (none: one plain aggregation) as they decode, and the load
 // answers as Operators.GroupBy over them would; no relation of the rows is
-// built (groupFold).
+// built (groupFold). With Build, the kept rows probe Build's hash table on
+// BuildKey = ProbeKey as they decode, and the load answers as
+// Operators.HashJoin(Build, <the load without Build>, BuildKey, ProbeKey)
+// would: Build's columns, then the load's, the same rows in the same order,
+// or the same error; only a row that joins types its other cells (probe).
+// A load does not both probe and group.
 type Load struct {
 	Table   string
 	Cols    []string
 	Where   sqlparse.Expr
 	GroupBy []sqlparse.Expr
 	Items   []sqlparse.SelectItem
+
+	Build              *Relation
+	BuildKey, ProbeKey string
+
+	// await, when set, is the build side a probing load waits for before its
+	// rows decode, but not its GETs: nil if it failed, whose error is the
+	// caller's to report (baselineJoin).
+	await func() *Relation
 }
 
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
@@ -50,7 +64,7 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
 		fns[i] = func() error {
-			rel, fold, err := e.loadMetered("load "+l.Table, stage, l, perRow, nil)
+			rel, fold, _, err := e.loadMetered("load "+l.Table, stage, l, perRow, nil)
 			if err == nil && fold != nil {
 				rel, err = fold.finish()
 			}
@@ -69,7 +83,7 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	rel, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
+	rel, _, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
 	return rel, err
 }
 
@@ -77,40 +91,48 @@ func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...stri
 // of the server's row work per decoded row: the server-side baselines' pass
 // over every row, which a Where does not shorten. A load with Items answers
 // with no relation but the fold its rows went into, every partition's block
-// merged into its block and left for the caller to finish. A non-nil bind
-// is loadTable's.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, *groupFold, error) {
+// merged into its block and left for the caller to finish. It also answers
+// the rows its Where kept. A non-nil bind is loadTable's.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, *groupFold, int64, error) {
 	st := e.step(name, name, stage, l.Table)
 	var fold *groupFold
 	if l.Items != nil {
 		fold = &groupFold{keys: l.GroupBy, items: l.Items}
 	}
-	rel, decoded, err := e.loadTable(st, l, fold, bind)
+	rel, decoded, kept, err := e.loadTable(st, l, fold, bind)
 	if err == nil {
 		st.AddServerRows(decoded * perRow)
 	}
 	st.end(err)
-	return rel, fold, err
+	return rel, fold, kept, err
 }
 
-// loadTable is LoadTable metered on st: the relation of the rows l keeps,
-// or with a fold none, and the rows decoded. A bind, a Where or a fold
-// needs a header before any row decodes, so partitions are fetched and their
+// loadTable is LoadTable metered on st: the relation of the rows l keeps
+// (joined to l.Build when it probes), or with a fold none, the rows decoded
+// and the rows l.Where kept. A bind, a Where, a fold or a probe needs a
+// header before any row decodes, so partitions are fetched and their
 // headers read one at a time until bind has checked the first partition's
-// whole header and l.Where and the fold are bound to the first kept header
-// there is (only a zero-byte object has none); the rest are fetched only
-// then, so a statement the table cannot answer costs one GET. Every
-// partition's rows decode inside the fan-out, against the one binding, and a
-// fold's go into a block of the partition's own (RowExec.Partial), merged
-// in partition order after it. Errors stop no load but its own: those come
-// first, then partitions of different widths (keptCols), then the
-// predicate's (its binding, then the first partition's first failing row),
-// then the grouping's the same way, as they would before a filter and a
-// group-by over the loaded relation ran.
-func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []string) error) (*Relation, int64, error) {
+// whole header and l.Where, the fold and the probe are bound to the first
+// kept header there is (only a zero-byte object has none); the rest are
+// fetched only then, so a statement the table cannot answer costs one GET.
+// Every partition's rows decode inside the fan-out, against the one
+// binding, and a fold's go into a block of the partition's own
+// (RowExec.Partial), merged in partition order after it. Errors stop no
+// load but its own: those come first, then partitions of different widths
+// (keptCols), then the predicate's (its binding, then the first
+// partition's first failing row), then the grouping's the same way, then
+// the join keys' (joinKeys), as they would before a filter, a group-by or a
+// hash join over the loaded relation ran.
+func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []string) error) (*Relation, int64, int64, error) {
 	keys, err := e.parts(l.Table)
+	if err == nil && fold != nil && l.Build != nil {
+		err = errors.New("engine: a load does not both probe and group")
+	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
+	}
+	if l.Build != nil {
+		l.await = func() *Relation { return l.Build }
 	}
 	s := e.db.store(l.Table)
 	parts := make([]part, len(keys))
@@ -134,17 +156,17 @@ func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []st
 		return err
 	}
 
-	var header []string // the first kept header, which Where and the fold bind to
+	var header []string // the first kept header, which Where, the fold and the probe bind to
 	next := 0           // the partitions opened before the fan-out, the last of which decodes inside it
-	for next < len(keys) && (bind != nil && next == 0 || (l.Where != nil || fold != nil) && header == nil) {
+	for next < len(keys) && (bind != nil && next == 0 || (l.Where != nil || fold != nil || l.await != nil) && header == nil) {
 		if next > 0 { // a zero-byte partition, with no rows to keep
-			if err := parts[next-1].decode(nil, nil, workers); err != nil {
-				return nil, 0, err
+			if err := parts[next-1].decode(nil, nil, nil, workers); err != nil {
+				return nil, 0, 0, err
 			}
 		}
 		if err := open(e.ctx, next); err != nil {
 			parts[next].sp.End()
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if len(parts[next].cols) > 0 {
 			header = parts[next].cols
@@ -158,6 +180,8 @@ func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []st
 	if fold != nil {
 		fold.bindLoad(header, f)
 	}
+	var j *probe
+	var bound sync.Once
 	first := max(next-1, 0)
 	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, _ string) error {
 		i += first
@@ -167,36 +191,56 @@ func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []st
 				return err
 			}
 		}
-		return parts[i].decode(f, fold, workers)
+		if l.await != nil {
+			bound.Do(func() {
+				if build := l.await(); build != nil {
+					j = bindProbe(build, l, header, f, Operators{Workers: e.workers()})
+				}
+			})
+			if j == nil { // no build side to probe: the partition's rows are not the load's answer
+				parts[i].sp.End()
+				return nil
+			}
+		}
+		return parts[i].decode(f, fold, j, workers)
 	})
-	var out *Relation
-	if err == nil && fold == nil {
-		out, err = cutRows(parts)
-	} else if err == nil {
-		_, err = keptCols(parts)
+	if err == nil && l.await != nil && j == nil {
+		return nil, 0, 0, errNoBuild
 	}
-	decoded := int64(0)
+	var cols []string
+	if err == nil {
+		cols, err = keptCols(parts)
+	}
+	decoded, kept := int64(0), int64(0)
 	for _, p := range parts {
 		if err == nil {
 			err = p.failed
 		}
 		decoded += p.decoded
+		kept += p.kept
 	}
 	if err == nil && fold != nil {
 		err = fold.merge(parts)
 	}
+	if err == nil && j != nil {
+		_, _, err = joinKeys(j.build.Cols, cols, l.BuildKey, l.ProbeKey)
+		cols = append(slices.Clip(j.build.Cols), cols...)
+	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	st.sp.SetInt("rows", decoded)
+	st.sp.SetInt("kept", kept)
 	if fold != nil {
-		st.sp.SetInt("kept", fold.rows)
 		st.sp.SetInt("cols", int64(len(fold.cols)))
-		return nil, decoded, nil
+		return nil, decoded, kept, nil
 	}
-	st.sp.SetInt("kept", int64(len(out.Rows)))
+	out := cutRows(parts, cols)
 	st.sp.SetInt("cols", int64(len(out.Cols)))
-	return out, decoded, nil
+	if j != nil {
+		st.sp.SetInt("joined", int64(len(out.Rows)))
+	}
+	return out, decoded, kept, nil
 }
 
 // where is a load's predicate, bound once to the first partition's kept
@@ -247,21 +291,52 @@ func (f *where) pass(p *part, row []value.Value) bool {
 	return ok && err == nil
 }
 
+// probe is a load's hash join, bound to the first kept header: the build
+// side's hash table (hashTable), shared by every partition's decoder, which
+// only reads it, the probe key's kept position, and the kept positions
+// neither the key nor the Where reads, which a row types only once it has
+// joined. With a key missing the table is empty, no row joins, and the
+// load fails with the keys' error once its own are reported.
+type probe struct {
+	build *Relation
+	t     *hashTable
+	key   int
+	rest  []int
+	width int // the header's
+}
+
+// bindProbe binds the join of l's rows to build on l's keys to header,
+// after f (nil: none) types the cells it reads.
+func bindProbe(build *Relation, l Load, header []string, f *where, o Operators) *probe {
+	bk, pk, err := joinKeys(build.Cols, header, l.BuildKey, l.ProbeKey)
+	rows := build.Rows
+	if err != nil {
+		rows = nil
+	}
+	j := &probe{build: build, t: o.hashTable(rows, bk), key: pk, width: len(header)}
+	for c := range header {
+		if c != pk && (f == nil || !f.reads[c]) {
+			j.rest = append(j.rest, c)
+		}
+	}
+	return j
+}
+
 // part is one partition: while a load decodes it, the object it was
 // fetched as, its header read (open), and its decoded rows, row-major: rows
-// rows of len(cols) cells in one array (cells) or, when a predicate filters
-// them, in blocks (full, then cells) — or, when they fold, none, and rows
-// counts the rows folded. A scan decodes each partition into its part
-// inside its fan-out, and cuts the rows of all of them once after it
-// (cutRows), so the decode never hands out a window of an array it may
-// still grow.
+// rows of width() cells in one array (cells) or, when a predicate filters
+// them or a probe joins them, in blocks (full, then cells) — or, when they
+// fold, none. A scan decodes each partition into its part inside its
+// fan-out, and cuts the rows of all of them once after it (cutRows), so the
+// decode never hands out a window of an array it may still grow.
 type part struct {
 	cols    []string
 	cells   []value.Value
 	full    [][]value.Value // the filled blocks before cells
-	block   int             // a filtered part's largest block in cells; 0 for one array
+	block   int             // a blocked part's largest block in cells; 0 for one array
 	rows    int
 	decoded int64 // the rows decoded, kept or not
+	kept    int64 // the rows the predicate kept (all of them with none)
 	failed  error // the predicate's first error over the part's rows
 
 	// What open read: the "get <key>" span decode ends, the kept columns'
@@ -274,13 +349,18 @@ type part struct {
 	col  *colformat.Reader
 
 	// What decode runs each row through (take): the predicate, the block
-	// the rows fold into and the cells it reads that f does not, the row
-	// both read, and the block's first error.
+	// the rows fold into and the cells it reads that f does not, the probe
+	// and its matches, the row they read, the block's first error, and the
+	// chunks a CSV part's kept text is copied into (own).
 	f       *where
 	x       *expr.RowExec
 	need    []int
+	j       *probe
+	match   []int
 	scratch []value.Value
 	aggErr  error
+	chunks  arena.Text
+	text    []byte
 }
 
 // open reads the header of data, a partition's object, has check (nil:
@@ -314,14 +394,18 @@ func (p *part) open(data []byte, cols []string, check func(header []string) erro
 
 // decode types the rows of p, opened, that f keeps (all of them with no f)
 // and ends its span. With g bound to a header as wide as p's, the rows fold
-// into a block of p's own (RowExec.Partial) instead of staying.
-func (p *part) decode(f *where, g *groupFold, workers int) error {
+// into a block of p's own (RowExec.Partial) instead of staying; with j,
+// only the rows that join stay, joined.
+func (p *part) decode(f *where, g *groupFold, j *probe, workers int) error {
 	defer p.sp.End()
 	p.f = f.over(p)
+	if j != nil && j.width == len(p.cols) { // another width: the load refuses it (keptCols)
+		p.j = j
+	}
 	if g != nil && g.err == nil && len(g.cols) == len(p.cols) {
 		p.x, p.need = g.x.Partial(), g.need
 	}
-	if p.f != nil || p.x != nil {
+	if p.f != nil || p.x != nil || p.j != nil {
 		p.scratch = make([]value.Value, len(p.cols))
 	}
 	if p.col != nil {
@@ -330,67 +414,108 @@ func (p *part) decode(f *where, g *groupFold, workers int) error {
 	return p.decodeCSV()
 }
 
-// take runs one decoded row through the load, cell(j) typing its kept cell
-// j. With a predicate, the cells it reads type into p.scratch first, and a
+// take runs one decoded row through the load, cell(c) typing its kept cell
+// c. With a predicate, the cells it reads type into p.scratch first, and a
 // row it fails goes no further; with a block, the cells the block reads
-// type there too and the row folds into it. Otherwise it returns the row
-// to keep, appended to p and filled.
-func (p *part) take(cell func(j int) value.Value) []value.Value {
+// type there too and the row folds into it. With a probe, the key types
+// there too, and only a row with matches types the rest, owns its text and
+// is kept once per match, after the match's build row. Otherwise the row is
+// kept, appended to p and filled.
+func (p *part) take(cell func(c int) value.Value) {
 	p.decoded++
 	f := p.f
 	if f != nil {
 		if p.failed != nil {
-			return nil
+			return
 		}
-		for _, j := range f.cols {
-			p.scratch[j] = cell(j)
+		for _, c := range f.cols {
+			p.scratch[c] = cell(c)
 		}
 		if !f.pass(p, p.scratch) {
-			return nil
+			return
 		}
 	}
+	p.kept++
 	if p.x != nil {
-		for _, j := range p.need {
-			p.scratch[j] = cell(j)
+		for _, c := range p.need {
+			p.scratch[c] = cell(c)
 		}
-		p.rows++
 		if p.aggErr == nil {
 			p.aggErr = p.x.Add(p.scratch)
 		}
-		return nil
+		return
+	}
+	if j := p.j; j != nil {
+		if f == nil || !f.reads[j.key] {
+			p.scratch[j.key] = cell(j.key)
+		}
+		if p.match = j.t.matches(p.scratch[j.key], p.match[:0]); len(p.match) == 0 {
+			return
+		}
+		for _, c := range j.rest {
+			p.scratch[c] = cell(c)
+		}
+		p.own(p.scratch)
+		for _, b := range p.match {
+			row := p.row()
+			n := copy(row, j.build.Rows[b])
+			copy(row[n:], p.scratch)
+		}
+		return
 	}
 	row := p.row()
-	for j := range row {
-		if f != nil && f.reads[j] {
-			row[j] = p.scratch[j]
+	for c := range row {
+		if f != nil && f.reads[c] {
+			row[c] = p.scratch[c]
 		} else {
-			row[j] = cell(j)
+			row[c] = cell(c)
 		}
 	}
-	return row
+	p.own(row)
 }
 
-// firstBlock is a filtered part's first block, in rows: each block after
-// it is half as large again, to their cap (part.blocks).
-const firstBlock = 256
+// own copies row's text cells into p's chunks when they view p's CSV
+// object (ownText): a Relation outlives the GET that fetched it. A
+// colformat chunk's text is its own already.
+func (p *part) own(row []value.Value) {
+	if p.sc != nil {
+		p.text = ownText(row, &p.chunks, p.text)
+	}
+}
+
+// firstBlock is a filtered part's first block, in rows, and firstJoined a
+// probing part's, whose rows mostly find no match: each block after it is
+// half as large again, to their cap (part.blocks).
+const firstBlock, firstJoined = 256, 64
 
 // blocks makes p's kept rows grow in blocks that start at firstBlock rows
-// and grow by half up to an eighth of bound, the cells the part would hold
-// had every row passed, rounded up to whole rows: a filtered part
-// allocates at most half again what it keeps, past its first block, and
-// never copies a block, at one allocation per block.
+// and grow by half up to an eighth of the rows in bound, the cells the
+// part would hold had every row passed unjoined, rounded up to whole rows:
+// a filtered part allocates at most half again what it keeps, past its
+// first block, and never copies a block, at one allocation per block.
 func (p *part) blocks(bound int) {
-	w := len(p.cols)
-	p.block = max((bound/max(w, 1)+7)/8, 1) * w
+	p.block = max((bound/max(len(p.cols), 1)+7)/8, 1) * p.width()
+}
+
+// width is the cells of one of p's rows: its kept columns, after the build
+// side's when it probes.
+func (p *part) width() int {
+	if p.j != nil {
+		return len(p.j.build.Cols) + len(p.cols)
+	}
+	return len(p.cols)
 }
 
 // row appends a zeroed row to p and returns it, for the decoder to fill. In
 // one array it may move p.cells, which is why no row is cut before the
 // decode ends; a full block is left as it is and a fresh one started.
 func (p *part) row() []value.Value {
-	w := len(p.cols)
+	w := p.width()
 	if p.block > 0 && cap(p.cells)-len(p.cells) < w {
 		size := firstBlock * w
+		if p.j != nil {
+			size = firstJoined * w
+		}
 		if p.cells != nil {
 			p.full = append(p.full, p.cells)
 			size = cap(p.cells) / w * 3 / 2 * w
@@ -421,16 +546,12 @@ func keptCols(parts []part) ([]string, error) {
 	return cols, nil
 }
 
-// cutRows is the relation of parts' rows in partition order: one []Row for
-// all of them, row k of an array the window cells[k*w:(k+1)*w:(k+1)*w] — an
-// append to a row reallocates it, never writing into the next; a surviving
-// row keeps its array reachable. The parts must be as wide as each other
-// (keptCols).
-func cutRows(parts []part) (*Relation, error) {
-	cols, err := keptCols(parts)
-	if err != nil {
-		return nil, err
-	}
+// cutRows is the relation of parts' rows, each as wide as cols, in
+// partition order: one []Row for all of them, row k of an array the window
+// cells[k*w:(k+1)*w:(k+1)*w] — an append to a row reallocates it, never
+// writing into the next; a surviving row keeps its array reachable. The
+// parts must be as wide as each other (keptCols).
+func cutRows(parts []part, cols []string) *Relation {
 	out := &Relation{Cols: cols}
 	n := 0
 	for _, p := range parts {
@@ -451,8 +572,12 @@ func cutRows(parts []part) (*Relation, error) {
 		}
 		cut(p.cells, rows)
 	}
-	return out, nil
+	return out
 }
+
+// errNoBuild fails a probing load whose build side failed to load, which
+// is the error its caller reports (baselineJoin).
+var errNoBuild = errors.New("engine: a probing load's build side failed")
 
 // errNoColumn marks a load naming a column its table's header lacks.
 var errNoColumn = errors.New("no column")
@@ -529,7 +654,7 @@ func (p *part) fromColumnar(workers int) error {
 		}
 		switch {
 		case p.x != nil:
-		case p.f == nil:
+		case p.f == nil && p.j == nil:
 			p.cells = slices.Grow(p.cells, n*len(vecs))
 		case p.block == 0:
 			p.blocks(n * p.col.NumRowGroups() * len(vecs))
@@ -544,14 +669,14 @@ func (p *part) fromColumnar(workers int) error {
 // decodeCSV types an opened CSV object's cells straight off the scanner:
 // one pass, no intermediate rows of strings, and only the cells the load
 // needs of the kept columns (take). The scanner's fields are views of the
-// object, and a Relation outlives the GET that fetched it, so this is where
-// loaded rows come to own their bytes: a kept row's text cells are copied
-// into the partition's chunks (numbers and dates hold no bytes at all),
-// and a dropped or folded row's cells, typed only in the scratch row, are
-// unreachable once the decode returns. Unfiltered cells go into one array
-// sized from the line count, filtered ones into blocks (part.blocks),
-// folded ones nowhere. Every row is as wide as the kept header
-// (value.CSVCell). A zero-byte object decodes to no columns and no rows.
+// object, so this is where loaded rows come to own their bytes: a kept
+// row's text cells are copied into the partition's chunks (part.own;
+// numbers and dates hold no bytes at all), and a dropped, unjoined or
+// folded row's cells, typed only in the scratch row, are unreachable once
+// the decode returns. Unfiltered cells go into one array sized from the
+// line count, filtered or joined ones into blocks (part.blocks), folded
+// ones nowhere. Every row is as wide as the kept header (value.CSVCell). A
+// zero-byte object decodes to no columns and no rows.
 func (p *part) decodeCSV() error {
 	if p.cols == nil {
 		return nil
@@ -560,21 +685,17 @@ func (p *part) decodeCSV() error {
 		lines := bytes.Count(p.data, []byte{'\n'}) // the row count, unless cells hold newlines
 		// A cell takes a byte at least: linear in the object, wide header or not.
 		bound := min(lines*len(p.cols), len(p.data))
-		if p.f != nil {
+		if p.f != nil || p.j != nil {
 			p.blocks(bound)
 		} else {
 			p.cells = make([]value.Value, 0, bound)
 		}
 	}
 	var fields []string
-	cell := func(j int) value.Value { return value.CSVCell(fields, at(p.keep, j)) }
-	var text []byte
-	var chunks arena.Text
+	cell := func(c int) value.Value { return value.CSVCell(fields, at(p.keep, c)) }
 	for sc := p.sc; sc.Scan(); {
 		fields = sc.Fields()
-		if row := p.take(cell); row != nil {
-			text = ownText(row, &chunks, text)
-		}
+		p.take(cell)
 	}
 	return p.sc.Err()
 }
@@ -713,10 +834,11 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 		st.sp.SetInt("rows", fold.rows)
 		return nil, nil
 	}
-	out, err := cutRows(parts)
+	cols, err := keptCols(parts)
 	if err != nil {
 		return nil, err
 	}
+	out := cutRows(parts, cols)
 	st.sp.SetInt("rows", int64(len(out.Rows)))
 	return out, nil
 }
@@ -798,7 +920,7 @@ func (f *groupFold) merge(parts []part) error {
 	for _, p := range parts {
 		if err == nil && p.x != nil {
 			err = f.x.Merge(p.x)
-			f.rows += int64(p.rows)
+			f.rows += p.kept
 		}
 	}
 	return err

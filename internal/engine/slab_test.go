@@ -44,7 +44,11 @@ func cut(p part, err error) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cutRows([]part{p})
+	cols, err := keptCols([]part{p})
+	if err != nil {
+		return nil, err
+	}
+	return cutRows([]part{p}, cols), nil
 }
 
 // loadPart is data decoded as a load decodes a partition of it: opened,
@@ -54,7 +58,7 @@ func loadPart(data []byte, cols []string, f *where, workers int) (part, error) {
 	if err := p.open(data, cols, nil); err != nil {
 		return part{}, err
 	}
-	return p, p.decode(f, nil, workers)
+	return p, p.decode(f, nil, nil, workers)
 }
 
 // recordsOf is a select response's rows (Result.Records); a body that does

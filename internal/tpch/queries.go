@@ -35,7 +35,9 @@ func Queries() []Query {
 
 // The Baselines load each table keeping only the rows its own filter passes
 // (engine.Load's Where) — Q1 and Q6 grouping them as they decode, too
-// (engine.Load's Items) — and run the server's operators over one span
+// (engine.Load's Items), and the joins' probe sides probing the table
+// loaded before them (engine.Load's Build), so a join's probe side is never
+// a relation — and run the server's operators over one span
 // (engine.Operators{}) over the rest of what each statement, and Q17's and
 // Q19's extra fragments, parse to: once per process, here.
 var (
@@ -67,6 +69,24 @@ func planned(sql string) QueryFunc {
 		//lint:ignore ctxflow QueryFunc is context-free, as NewExec is; the root context is born here
 		return db.QueryContext(context.Background(), sql)
 	}
+}
+
+// loadChain loads each of loads in stage, one after another, each after the
+// first probing the relation the one before it answered (engine.Load's
+// Build), and answers the last.
+func loadChain(e *engine.Exec, stage int, loads ...engine.Load) (*engine.Relation, error) {
+	var rel *engine.Relation
+	for i, l := range loads {
+		if i > 0 {
+			l.Build = rel
+		}
+		rels, err := e.LoadTables(stage, l)
+		if err != nil {
+			return nil, err
+		}
+		rel = rels[0]
+	}
+	return rel, nil
 }
 
 // --- Q1: pricing summary report ---
@@ -105,25 +125,18 @@ const q3SQL = "SELECT l_orderkey, o_orderdate, o_shippriority, SUM(l_extendedpri
 	" WHERE c_mktsegment = 'BUILDING' AND o_orderdate < '1995-03-15' AND l_shipdate > '1995-03-15'" +
 	" GROUP BY l_orderkey, o_orderdate, o_shippriority ORDER BY revenue DESC, o_orderdate LIMIT 10"
 
-// Q3Baseline GETs customer, orders and lineitem in full, types the columns
-// it reads of the rows each table's filter keeps and runs both joins, the
-// group-by and the top-10 locally.
+// Q3Baseline GETs customer, orders and lineitem in full, one after another
+// in one stage, types the columns it reads of the rows each table's filter
+// keeps, and joins each kept orders row to customer and each kept lineitem
+// row to that join as they decode; the group-by and the top-10 run locally.
 func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	stage := e.NextStage()
-	rels, err := e.LoadTables(stage,
+	col, err := loadChain(e, e.NextStage(),
 		engine.Load{Table: "customer", Cols: []string{"c_custkey", "c_mktsegment"}, Where: q3Filters[0]},
-		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, Where: q3Filters[1]},
-		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q3Filters[2]})
-	if err != nil {
-		return nil, e, err
-	}
-	cust, ords, line := rels[0], rels[1], rels[2]
-	co, err := local.HashJoin(cust, ords, "c_custkey", "o_custkey")
-	if err != nil {
-		return nil, e, err
-	}
-	col, err := local.HashJoin(co, line, "o_orderkey", "l_orderkey")
+		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, Where: q3Filters[1],
+			BuildKey: "c_custkey", ProbeKey: "o_custkey"},
+		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q3Filters[2],
+			BuildKey: "o_orderkey", ProbeKey: "l_orderkey"})
 	if err != nil {
 		return nil, e, err
 	}
@@ -161,18 +174,14 @@ const q14SQL = "SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extende
 	" / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue" +
 	" FROM lineitem JOIN part ON l_partkey = p_partkey WHERE l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
 
-// Q14Baseline GETs lineitem and part in full, keeps the lineitem rows its
-// WHERE passes as they decode, and joins and aggregates locally.
+// Q14Baseline GETs lineitem and part in full, one after the other in one
+// stage, keeps the lineitem rows its WHERE passes as they decode, joins
+// each part row to them as it decodes, and aggregates locally.
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	stage := e.NextStage()
-	rels, err := e.LoadTables(stage,
+	joined, err := loadChain(e, e.NextStage(),
 		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q14.Where},
-		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}})
-	if err != nil {
-		return nil, e, err
-	}
-	joined, err := local.HashJoin(rels[0], rels[1], "l_partkey", "p_partkey")
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}, BuildKey: "l_partkey", ProbeKey: "p_partkey"})
 	if err != nil {
 		return nil, e, err
 	}
@@ -184,18 +193,19 @@ func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 
 const q17PartFilter = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
 
-// Q17Baseline GETs part and lineitem in full, keeps the part rows its filter
-// passes as they decode, and computes the correlated average locally.
+// Q17Baseline GETs part and lineitem in full, one after the other in one
+// stage, keeps the part rows its filter passes as they decode, joins each
+// lineitem row to them as it decodes, typing the rest of a row only when it
+// joins, and computes the correlated average locally.
 func Q17Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	stage := e.NextStage()
-	rels, err := e.LoadTables(stage,
-		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_quantity", "l_extendedprice"}},
-		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container"}, Where: q17Part})
+	joined, err := loadChain(e, e.NextStage(),
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_brand", "p_container"}, Where: q17Part},
+		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_quantity", "l_extendedprice"}, BuildKey: "p_partkey", ProbeKey: "l_partkey"})
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := q17Finish(rels[1], rels[0])
+	out, err := q17Finish(joined)
 	return out, e, err
 }
 
@@ -213,15 +223,16 @@ func Q17Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	if err != nil {
 		return nil, e, err
 	}
-	out, err := q17Finish(part, line)
+	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
+	if err != nil {
+		return nil, e, err
+	}
+	out, err := q17Finish(joined)
 	return out, e, err
 }
 
-func q17Finish(part, line *engine.Relation) (*engine.Relation, error) {
-	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
-	if err != nil {
-		return nil, err
-	}
+// q17Finish computes Q17's correlated average over part joined to lineitem.
+func q17Finish(joined *engine.Relation) (*engine.Relation, error) {
 	avg, err := local.GroupBy(joined, q17Avg.GroupBy, q17Avg.Items)
 	if err != nil {
 		return nil, err
@@ -258,20 +269,16 @@ const (
 		" OR (p_brand = 'Brand#34' AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG') AND p_size BETWEEN 1 AND 15 AND l_quantity BETWEEN 20 AND 30))"
 )
 
-// Q19Baseline GETs both tables in full, keeps the rows each table's own
-// conjuncts pass as they decode, and evaluates the rest of the disjunctive
-// predicate locally.
+// Q19Baseline GETs both tables in full, part then lineitem in one stage,
+// keeps the rows each table's own conjuncts pass as they decode, joins each
+// kept lineitem row to part as it decodes, and evaluates the rest of the
+// disjunctive predicate locally.
 func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	stage := e.NextStage()
-	rels, err := e.LoadTables(stage,
-		engine.Load{Table: "lineitem", Where: q19Line, Cols: []string{
-			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"}},
-		engine.Load{Table: "part", Where: q19Part, Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}})
-	if err != nil {
-		return nil, e, err
-	}
-	joined, err := local.HashJoin(rels[1], rels[0], "p_partkey", "l_partkey")
+	joined, err := loadChain(e, e.NextStage(),
+		engine.Load{Table: "part", Where: q19Part, Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}},
+		engine.Load{Table: "lineitem", Where: q19Line, BuildKey: "p_partkey", ProbeKey: "l_partkey", Cols: []string{
+			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"}})
 	if err != nil {
 		return nil, e, err
 	}
