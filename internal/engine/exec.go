@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"pushdowndb/internal/cloudsim"
 	"pushdowndb/internal/obs"
@@ -146,35 +149,58 @@ func concurrently(fns ...func() error) error {
 	return nil
 }
 
+// failGrace is how long a fan-out's first failure leaves the partitions
+// before it to fail on their own (forEachPart).
+var failGrace = 100 * time.Millisecond
+
+// errRunning is the error slot of a partition forEachPart still runs.
+var errRunning = errors.New("engine: partition still running")
+
 // forEachPart runs fn over every partition, one goroutine each, and waits
-// for all of them. The first error cancels the shared context, which the
-// calls still in flight see; canceling the execution's own context aborts
-// the fan-out the same way.
+// for all of them. It returns the lowest-index partition's own error: a
+// context.Canceled that reached a partition after a sibling failed is
+// dropped, and a failure cancels the shared context only once no
+// partition before the lowest failing one still runs, so that no error
+// can come first, or failGrace after the first failure. So the fan-out
+// stops as soon as its answer is known, and a partition that fails on its
+// own within failGrace of a later one's failure still reports its error:
+// best-effort against a remote store, in practice always in process.
+// Canceling the execution's own context aborts the fan-out at once.
 func (e *Exec) forEachPart(keys []string, fn func(ctx context.Context, i int, key string) error) error {
 	ctx, cancel := context.WithCancel(e.ctx)
 	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	errs := make([]error, len(keys))
+	for i := range errs {
+		errs[i] = errRunning
+	}
+	var fan struct { // the goroutines' shared state, in one allocation
+		sync.WaitGroup
+		sync.Mutex // guards errs
+		failed     sync.Once
+	}
 	for i, k := range keys {
-		wg.Add(1)
+		fan.Add(1)
 		go func() {
-			defer wg.Done()
-			if err := fn(ctx, i, k); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
+			defer fan.Done()
+			err := fn(ctx, i, k)
+			if err != nil && ctx.Err() != nil && e.ctx.Err() == nil && errors.Is(err, context.Canceled) {
+				err = nil // a sibling's failure canceled it
+			}
+			fan.Lock()
+			defer fan.Unlock()
+			if errs[i] = err; err != nil {
+				fan.failed.Do(func() { time.AfterFunc(failGrace, cancel) })
+			}
+			if j := slices.IndexFunc(errs, func(err error) bool { return err != nil }); j >= 0 && errs[j] != errRunning {
+				cancel() // no partition before the lowest failure still runs, so no error can come first
 			}
 		}()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	fan.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return e.ctx.Err()
 }

@@ -73,6 +73,61 @@ func TestConcurrentlyReportsFirstErrorInArgumentOrder(t *testing.T) {
 	}
 }
 
+// TestForEachPartStopsOnceItsErrorIsKnown pins forEachPart's order with an
+// hour's failGrace, so that only the partitions' order cancels: partition
+// 2's failure cancels nothing while partition 0 still runs, and partition
+// 0's own later failure is the error; once no partition before the lowest
+// failure still runs, the rest are canceled at once. Canceling at every
+// failure would report partition 2's error in the first case, and
+// canceling only after the grace would hang.
+func TestForEachPartStopsOnceItsErrorIsKnown(t *testing.T) {
+	defer func(g time.Duration) { failGrace = g }(failGrace)
+	failGrace = time.Hour
+	db, err := Open(testBucket, WithBackend("inproc", s3api.NewInProc(store.New())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own0, own2 := errors.New("partition 0's own"), errors.New("partition 2's own")
+	for _, c := range []struct {
+		name        string
+		first, want error // partition 0's error, and the fan-out's
+	}{
+		{"partition 0 fails after partition 2", own0, own0},
+		{"partitions 0 and 1 succeed", nil, own2},
+	} {
+		failed2, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			done <- db.NewExec().forEachPart([]string{"a", "b", "c", "d"}, func(ctx context.Context, i int, _ string) error {
+				switch {
+				case i == 2:
+					defer close(failed2)
+					return own2
+				case i == 3 || i == 1 && c.first != nil:
+					<-ctx.Done()
+					return ctx.Err()
+				}
+				<-failed2
+				time.Sleep(20 * time.Millisecond) // partition 2's failure is recorded, and must not cancel this one
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				if i == 0 {
+					return c.first
+				}
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != c.want {
+				t.Errorf("%s: forEachPart = %v, want %v", c.name, err, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: forEachPart still waiting 10 s after its answer was known", c.name)
+		}
+	}
+}
+
 // faultParts sends the selects of the partitions it names through their
 // Fault, and every other call straight to the backend.
 type faultParts struct {
@@ -92,9 +147,9 @@ func (b faultParts) Select(ctx context.Context, bucket, key string, req selecten
 // first partition's response last to arrive, the groups still come out in
 // the concatenation's first-seen order. When the third of four partitions
 // fails while the first is stalled in storage, the statement returns the
-// third's error at once: the second and fourth, whose responses wait their
-// turn, stop waiting, the first's select is canceled, and no goroutine is
-// left behind.
+// third's error once the first has had failGrace to fail on its own: the
+// second and fourth, whose responses wait their turn, stop waiting, the
+// first's select is canceled, and no goroutine is left behind.
 func TestGroupedScanFaultMidFanOut(t *testing.T) {
 	ctx := context.Background()
 	st := store.New()

@@ -274,7 +274,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 			body = append(append(body, frag...), '\n')
 		}
 		var err error
-		parts[i], err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}))
+		parts[i], err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}), nil)
 		return err
 	})
 	var out *Relation

@@ -191,14 +191,18 @@ func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The hash join's row work, as hashJoinLocal meters it: a build row or a
-	// kept probe row each.
-	rowsIn := int64(len(build[0].Rows)) + kept
+	e.joinStep(stage, int64(len(build[0].Rows))+kept, joined)
+	return joined, nil
+}
+
+// joinStep meters a hash join's row work on stage's "hash join" phase, as
+// hashJoinLocal does: rowsIn, a build row or a probe row each.
+func (e *Exec) joinStep(stage int, rowsIn int64, joined *Relation) {
 	st := e.step("hash join", "hash join", stage, "")
 	st.sp.SetInt("rows_in", rowsIn)
+	st.sp.SetInt("joined", int64(len(joined.Rows)))
 	st.AddServerRows(rowsIn)
 	st.end(nil)
-	return joined, nil
 }
 
 // load is the baseline load of sc: the rows its Filter passes, typed in
@@ -214,29 +218,35 @@ func (sc *TableScan) load() Load {
 
 // filteredJoin pushes each side's selection (not projection) into S3
 // Select and joins locally. Both scans run in parallel, like the paper's
-// filtered join.
+// filtered join; the probe side's responses decode once the build side has
+// loaded, each row probing its hash table (pushedJoin), so no relation of
+// the probe side's rows is built.
 func (e *Exec) filteredJoin(j join) (*Relation, error) {
 	stage := e.NextStage()
-	rels := make([]*Relation, 2)
-	scan := func(i int, sc *TableScan) func() error {
-		return func() (err error) {
-			rels[i], err = e.selectMetered("filtered scan "+sc.Table, stage, sc.Table,
-				e.db.request(sc.Table, scanSelect(nil, sc.Filter)), 0)
-			return err
-		}
-	}
-	if err := concurrently(scan(0, j.left), scan(1, j.right)); err != nil {
-		return nil, err
-	}
-	return e.hashJoinLocal(stage, rels[0], rels[1], j.leftKey, j.rightKey)
+	req := func(sc *TableScan) selectengine.Request { return e.db.request(sc.Table, scanSelect(nil, sc.Filter)) }
+	var build, joined *Relation
+	built := make(chan struct{})
+	err := concurrently(func() (err error) {
+		defer close(built)
+		build, err = e.selectMetered("filtered scan "+j.left.Table, stage, j.left.Table, req(j.left), 0)
+		return err
+	}, func() (err error) {
+		joined, err = e.pushedJoin("filtered scan "+j.right.Table, stage, req(j.right), j, func() *Relation {
+			<-built
+			return build
+		})
+		return err
+	})
+	return joined, err
 }
 
 // bloomJoin implements Section V-A2: load the build side with selection
 // and projection pushed down, construct a Bloom filter over its join keys,
-// then ship the filter to S3 as a predicate on the probe side. When the
-// filter cannot fit S3 Select's 256 KB expression limit even after FPR
-// degradation, it falls back to a filtered join whose two scans are forced
-// serial (the paper's "degraded Bloom join").
+// then ship the filter to S3 as a predicate on the probe side, whose rows
+// join the build side's as they decode (pushedJoin). When the filter cannot
+// fit S3 Select's 256 KB expression limit even after FPR degradation, it
+// falls back to a filtered join whose two scans are forced serial (the
+// paper's "degraded Bloom join").
 func (e *Exec) bloomJoin(j join) (*Relation, error) {
 	defer e.scope("bloom join").end(nil)
 	// Phase 1: build side with pushdown; two units of row work per build
@@ -245,14 +255,27 @@ func (e *Exec) bloomJoin(j join) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	right, stage2, err := e.bloomProbe(left, j)
+	req, stage2, err := e.bloomProbe(left, j)
 	if err != nil {
 		return nil, err
 	}
-	// The final hash join overlaps the probe scan; the probe's own stage
-	// keeps the attribution correct even when concurrent work allocates
-	// stages on this Exec.
-	return e.hashJoinLocal(stage2, left, right, j.leftKey, j.rightKey)
+	return e.pushedJoin("bloom probe "+j.right.Table, stage2, req, j, func() *Relation { return left })
+}
+
+// pushedJoin runs req, a pushed scan of j.right's table, on a step named
+// name on stage as the probe side of a hash join on j's keys: as each
+// response decodes, its rows join the build side build waits for (nil: it
+// failed, and the scan fails with errNoBuild; selectDecoded). The join's
+// row work is metered on the probe scan's own stage, which it overlaps
+// (joinStep), so attribution holds when concurrent work allocates stages.
+func (e *Exec) pushedJoin(name string, stage int, req selectengine.Request, j join, build func() *Relation) (*Relation, error) {
+	st := e.step(name, name, stage, j.right.Table)
+	joined, rows, err := e.selectDecoded(st, j.right.Table, req, nil, &probeSide{Load: Load{BuildKey: j.leftKey, ProbeKey: j.rightKey, await: build}})
+	st.end(err)
+	if err == nil {
+		e.joinStep(stage, int64(len(build().Rows))+rows, joined)
+	}
+	return joined, err
 }
 
 // BloomProbe builds a Bloom filter over left's key column and runs the probe
@@ -269,8 +292,13 @@ func (e *Exec) BloomProbe(left *Relation, leftKey, probe, rightKey string, fpr f
 	if err != nil {
 		return nil, 0, err
 	}
-	return e.bloomProbe(left, join{right: right, leftKey: leftKey, rightKey: rightKey,
+	req, stage, err := e.bloomProbe(left, join{right: right, leftKey: leftKey, rightKey: rightKey,
 		bloom: JoinSpec{TargetFPR: fpr, Bitwise: bitwise, Seed: seed}})
+	if err != nil {
+		return nil, 0, err
+	}
+	rel, err := e.selectMetered("bloom probe "+right.Table, stage, right.Table, req, 0)
+	return rel, stage, err
 }
 
 // probeStatement checks BloomProbe's statement and builds its scan.
@@ -290,19 +318,19 @@ func (db *DB) probeStatement(sql string) (*TableScan, error) {
 	return db.joinScan(sel.Table, sqlparse.StripQualifiers(sel.Where), project), nil
 }
 
-// bloomProbe is BloomProbe of left, the build side, into j.right; j.left is
-// not read.
-func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
+// bloomProbe is the request of BloomProbe of left, the build side, into
+// j.right (j.left is not read), and the stage it runs in.
+func (e *Exec) bloomProbe(left *Relation, j join) (selectengine.Request, int, error) {
 	li := left.ColIndex(j.leftKey)
 	if li < 0 {
-		return nil, 0, fmt.Errorf("engine: bloom join key %q not in %v", j.leftKey, left.Cols)
+		return selectengine.Request{}, 0, fmt.Errorf("engine: bloom join key %q not in %v", j.leftKey, left.Cols)
 	}
 	keys := make([]int64, 0, len(left.Rows))
 	for _, r := range left.Rows {
 		if v := r[li]; !v.IsNull() {
 			k, ok := v.IntNum()
 			if !ok {
-				return nil, 0, fmt.Errorf("engine: %w, got %s (%v)", ErrNonIntegerJoinKey, v.Kind(), v)
+				return selectengine.Request{}, 0, fmt.Errorf("engine: %w, got %s (%v)", ErrNonIntegerJoinKey, v.Kind(), v)
 			}
 			keys = append(keys, k)
 		}
@@ -348,6 +376,5 @@ func (e *Exec) bloomProbe(left *Relation, j join) (*Relation, int, error) {
 		where := sqlparse.AndAll([]sqlparse.Expr{j.right.Filter, predicate})
 		probe = e.db.request(j.right.Table, scanSelect(columnItems(j.right.Project), where))
 	}
-	rel, err := e.selectMetered("bloom probe "+j.right.Table, stage2, j.right.Table, probe, 0)
-	return rel, stage2, err
+	return probe, stage2, nil
 }

@@ -685,12 +685,10 @@ func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
 }
 
 // runChainJoin joins the materialized intermediate relation with the
-// step's base table.
+// step's base table: a pushed probe scan's rows join it as they decode
+// (pushedJoin); an IndexScan's candidates after they are fetched.
 func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relation, error) {
 	sc := p.Scans[st.scan]
-	var right *Relation
-	var joinStage int
-	var err error
 	if st.Strategy == StrategyIndexScan {
 		// Probe side through the secondary index: fetch the candidate byte
 		// ranges, re-apply the full pushed filter locally, project to what
@@ -699,11 +697,16 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 		if len(sc.Project) > 0 {
 			items = columnItems(sc.Project)
 		}
-		right, st.RangedGets, joinStage, err = e.indexScan(sc.Table, sc.Index, sc.Filter, items)
-		if err != nil {
+		right, gets, joinStage, err := e.indexScan(sc.Table, sc.Index, sc.Filter, items)
+		if st.RangedGets = gets; err != nil {
 			return nil, err
 		}
+		// The hash join overlaps the scan that produced its probe side; using
+		// that scan's own stage keeps attribution correct under concurrency.
+		return e.hashJoinLocal(joinStage, cur, right, st.BuildKey, st.ProbeKey)
 	}
+	j := join{right: sc, leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom}
+	intermediate := func() *Relation { return cur }
 	if st.Strategy == StrategyBloom {
 		// Building the Bloom filter walks every intermediate row; meter
 		// it to match cloudsim.EstimateBloomProbe's build charge.
@@ -711,26 +714,17 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 		build.sp.SetInt("rows_in", int64(len(cur.Rows)))
 		build.AddServerRows(int64(len(cur.Rows)))
 		build.end(nil)
-		right, joinStage, err = e.bloomProbe(cur, join{right: sc, leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom})
-		if err != nil && errors.Is(err, ErrNonIntegerJoinKey) {
-			st.Strategy = StrategyFiltered
-			st.Reason += "; fell back to filtered: Bloom filters need integer join keys"
-			err = nil
-			right = nil
-		} else if err != nil {
+		req, stage, err := e.bloomProbe(cur, j)
+		if err == nil {
+			return e.pushedJoin("bloom probe "+sc.Table, stage, req, j, intermediate)
+		}
+		if !errors.Is(err, ErrNonIntegerJoinKey) {
 			return nil, err
 		}
+		st.Strategy = StrategyFiltered
+		st.Reason += "; fell back to filtered: Bloom filters need integer join keys"
 	}
-	if right == nil {
-		joinStage = e.NextStage()
-		right, err = e.selectMetered("filtered scan "+sc.Table, joinStage, sc.Table, sc.req, 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// The hash join overlaps the scan that produced its probe side; using
-	// that scan's own stage keeps attribution correct under concurrency.
-	return e.hashJoinLocal(joinStage, cur, right, st.BuildKey, st.ProbeKey)
+	return e.pushedJoin("filtered scan "+sc.Table, e.NextStage(), sc.req, j, intermediate)
 }
 
 // statsNote renders a scan's filtered cardinality and where it came from,

@@ -127,8 +127,8 @@ func TestSortLocalErrors(t *testing.T) {
 }
 
 func TestCutRowsArityMismatch(t *testing.T) {
-	a, _ := decodeRows([]string{"x"}, []byte("1\n"), 1)
-	b, _ := decodeRows([]string{"x", "y"}, []byte("1,2\n"), 1)
+	a, _ := decodeRows([]string{"x"}, []byte("1\n"), 1, nil)
+	b, _ := decodeRows([]string{"x", "y"}, []byte("1,2\n"), 1, nil)
 	if _, err := keptCols([]part{a, b}); err == nil {
 		t.Error("arity mismatch should error")
 	}

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"pushdowndb/internal/arena"
@@ -194,7 +196,7 @@ func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []st
 		if l.await != nil {
 			bound.Do(func() {
 				if build := l.await(); build != nil {
-					j = bindProbe(build, l, header, f, Operators{Workers: e.workers()})
+					j = hashProbe(build, &l, Operators{Workers: e.workers()}).bind(header, f)
 				}
 			})
 			if j == nil { // no build side to probe: the partition's rows are not the load's answer
@@ -291,35 +293,54 @@ func (f *where) pass(p *part, row []value.Value) bool {
 	return ok && err == nil
 }
 
-// probe is a load's hash join, bound to the first kept header: the build
-// side's hash table (hashTable), shared by every partition's decoder, which
-// only reads it, the probe key's kept position, and the kept positions
-// neither the key nor the Where reads, which a row types only once it has
-// joined. With a key missing the table is empty, no row joins, and the
-// load fails with the keys' error once its own are reported.
+// probe is a hash join's probe side bound to a header: the build side's
+// hash table (hashTable), shared by every decoder, which only reads it, the
+// probe key's position in the header, and the positions neither the key
+// nor the Where reads, which a row types only once it has joined. With a
+// key missing the table is empty, no row joins, and the load or scan fails
+// with the keys' error once its own are reported.
 type probe struct {
-	build *Relation
-	t     *hashTable
-	key   int
-	rest  []int
-	width int // the header's
+	build    *Relation
+	t        *hashTable
+	probeKey string
+	cols     []string // the header
+	key      int
+	rest     []int
 }
 
-// bindProbe binds the join of l's rows to build on l's keys to header,
-// after f (nil: none) types the cells it reads.
-func bindProbe(build *Relation, l Load, header []string, f *where, o Operators) *probe {
-	bk, pk, err := joinKeys(build.Cols, header, l.BuildKey, l.ProbeKey)
-	rows := build.Rows
-	if err != nil {
-		rows = nil
-	}
-	j := &probe{build: build, t: o.hashTable(rows, bk), key: pk, width: len(header)}
-	for c := range header {
-		if c != pk && (f == nil || !f.reads[c]) {
-			j.rest = append(j.rest, c)
-		}
+// hashProbe hashes build on l.BuildKey for rows probing it on l.ProbeKey,
+// once bound to their header (bind).
+func hashProbe(build *Relation, l *Load, o Operators) *probe {
+	j := &probe{build: build, t: &hashTable{}, probeKey: l.ProbeKey}
+	if bk := sqlparse.NewNames(build.Cols).Index(l.BuildKey); bk >= 0 {
+		j.t = o.hashTable(build.Rows, bk)
 	}
 	return j
+}
+
+// bind is j bound to header, after f (nil: none) types the cells it reads.
+func (j *probe) bind(header []string, f *where) *probe {
+	b := *j
+	b.cols, b.key, b.rest = header, sqlparse.NewNames(header).Index(j.probeKey), make([]int, 0, len(header))
+	if b.key < 0 {
+		b.key, b.t = 0, &hashTable{}
+	}
+	for c := range header {
+		if c != b.key && (f == nil || !f.reads[c]) {
+			b.rest = append(b.rest, c)
+		}
+	}
+	return &b
+}
+
+// probeSide is a pushed scan's build side (selectDecoded): its keys and
+// await, hashed by the first response to decode, and the last response's
+// binding of it, which a response naming the same columns reuses.
+type probeSide struct {
+	Load
+	hashed sync.Once
+	j      *probe
+	last   atomic.Pointer[probe]
 }
 
 // part is one partition: while a load decodes it, the object it was
@@ -399,7 +420,7 @@ func (p *part) open(data []byte, cols []string, check func(header []string) erro
 func (p *part) decode(f *where, g *groupFold, j *probe, workers int) error {
 	defer p.sp.End()
 	p.f = f.over(p)
-	if j != nil && j.width == len(p.cols) { // another width: the load refuses it (keptCols)
+	if j != nil && len(j.cols) == len(p.cols) { // another width: the load refuses it (keptCols)
 		p.j = j
 	}
 	if g != nil && g.err == nil && len(g.cols) == len(p.cols) {
@@ -691,13 +712,19 @@ func (p *part) decodeCSV() error {
 			p.cells = make([]value.Value, 0, bound)
 		}
 	}
+	return p.scan(p.sc)
+}
+
+// scan is the one loop over a CSV body's lines: each runs through take,
+// its kept cell c typed from field at(p.keep, c) by value.CSVCell.
+func (p *part) scan(sc *csvx.Scanner) error {
 	var fields []string
 	cell := func(c int) value.Value { return value.CSVCell(fields, at(p.keep, c)) }
-	for sc := p.sc; sc.Scan(); {
+	for sc.Scan() {
 		fields = sc.Fields()
 		p.take(cell)
 	}
-	return p.sc.Err()
+	return sc.Err()
 }
 
 // ownText copies row's text cells into chunks, in one piece, so that row
@@ -724,33 +751,19 @@ func ownText(row []value.Value, chunks *arena.Text, buf []byte) []byte {
 // decodeRows types CSV rows with no header line under cols — a select
 // response's body, or the rows an IndexScan fetched by range — by
 // decodeCSV's rule, every row as wide as cols (value.CSVCell), into one
-// array presized for n rows. Text cells view body, which its owner never
-// modifies.
-func decodeRows(cols []string, body []byte, n int) (part, error) {
-	p := part{cols: cols, cells: make([]value.Value, 0, min(n*len(cols), len(body)))}
-	_, err := scanRows(body, p.row, nil)
-	return p, err
-}
-
-// scanRows is the one loop that types a CSV body with no header line: each
-// line into the row next returns, cell j by value.CSVCell (so a row is as
-// wide as what next returns), then add over that row (nil: none), in order.
-// It returns the lines typed.
-func scanRows(body []byte, next func() []value.Value, add func([]value.Value) error) (int64, error) {
-	sc := csvx.NewScanner(body)
-	n := int64(0)
-	for ; sc.Scan(); n++ {
-		row := next()
-		for j := range row {
-			row[j] = value.CSVCell(sc.Fields(), j)
-		}
-		if add != nil {
-			if err := add(row); err != nil {
-				return n, err
-			}
-		}
+// array presized for n rows; or, with j bound to cols, only the joined rows
+// of each row's probe (part.take), in blocks. Text cells view body, which
+// its owner never modifies.
+func decodeRows(cols []string, body []byte, n int, j *probe) (part, error) {
+	p := part{cols: cols}
+	if bound := min(n*len(cols), len(body)); j == nil || len(cols) == 0 {
+		p.cells = make([]value.Value, 0, bound)
+	} else {
+		p.j, p.scratch = j, make([]value.Value, len(cols))
+		p.blocks(bound)
 	}
-	return n, sc.Err()
+	err := p.scan(csvx.NewScanner(body))
+	return p, err
 }
 
 // checkClaim refuses a response whose body held n rows where its stats
@@ -777,9 +790,9 @@ func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Rela
 // pushed scan on the server (group-by, top-K, the Bloom build) begin with.
 func (e *Exec) selectMetered(name string, stage int, table string, req selectengine.Request, perRow int64) (*Relation, error) {
 	st := e.step(name, name, stage, table)
-	rel, err := e.selectDecoded(st, table, req, nil)
+	rel, rows, err := e.selectDecoded(st, table, req, nil, nil)
 	if err == nil {
-		st.AddServerRows(int64(len(rel.Rows)) * perRow)
+		st.AddServerRows(rows * perRow)
 	}
 	st.end(err)
 	return rel, err
@@ -792,8 +805,14 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 // group table, and no relation is built (it is nil). Bodies fold in
 // partition order, as their concatenation would: partition i's waits for
 // partition i-1's fold, and overlaps the selects of the partitions after it.
-// A body that is not the rows its stats claim fails either way.
-func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *groupFold) (*Relation, error) {
+// With on, each response waits for on.await's build side, and its rows
+// probe the build side's hash table on on's keys as they decode, bound to
+// the columns it names: the relation is Operators.HashJoin(build, <the
+// relation without on>, on.BuildKey, on.ProbeKey)'s, or its error, but a
+// response naming the probe key elsewhere than the first does is refused.
+// A body that is not the rows its stats claim fails either way. It also
+// answers the rows the responses held.
+func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *groupFold, on *probeSide) (*Relation, int64, error) {
 	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
 	parts := make([]part, len(keys))
 	var folded []chan struct{} // folded[i] closes once partition i has folded
@@ -811,6 +830,21 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 				return ctx.Err()
 			}
 		}
+		var j *probe
+		if on != nil {
+			on.hashed.Do(func() {
+				if build := on.await(); build != nil {
+					on.j = hashProbe(build, &on.Load, Operators{Workers: e.workers()})
+				}
+			})
+			if on.j == nil { // no build side to probe: the response is not the join's
+				return nil
+			}
+			if j = on.last.Load(); j == nil || !slices.Equal(j.cols, res.Columns) {
+				j = on.j.bind(res.Columns, nil)
+				on.last.Store(j)
+			}
+		}
 		dec := st.sp.Child("decode")
 		defer dec.End()
 		claimed := res.Stats.RowsReturned
@@ -821,26 +855,43 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fo
 			}
 			return err
 		}
-		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed))
+		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed), j)
 		if err == nil {
-			err = checkClaim(res, int64(parts[i].rows))
+			err = checkClaim(res, parts[i].decoded)
 		}
 		return err
 	})
+	if err == nil && on != nil && on.j == nil {
+		err = errNoBuild
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if fold != nil {
 		st.sp.SetInt("rows", fold.rows)
-		return nil, nil
+		return nil, fold.rows, nil
 	}
 	cols, err := keptCols(parts)
+	if err == nil && on != nil {
+		var pk int
+		_, pk, err = joinKeys(on.j.build.Cols, cols, on.BuildKey, on.ProbeKey)
+		for _, p := range parts { // each response bound the columns it names: the key must sit where the relation's does
+			if err == nil && len(p.cols) > 0 && sqlparse.NewNames(p.cols).Index(on.ProbeKey) != pk {
+				err = fmt.Errorf("engine: join key %q is not column %d of every response: %v", on.ProbeKey, pk+1, p.cols)
+			}
+		}
+		cols = append(slices.Clip(on.j.build.Cols), cols...)
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	rows := int64(0)
+	for _, p := range parts {
+		rows += p.decoded
 	}
 	out := cutRows(parts, cols)
-	st.sp.SetInt("rows", int64(len(out.Rows)))
-	return out, nil
+	st.sp.SetInt("rows", rows)
+	return out, rows, nil
 }
 
 // groupFold is a grouped tail that sees no relation: one aggregation block,
@@ -855,8 +906,8 @@ type groupFold struct {
 	x     *expr.RowExec
 	err   error         // x's binding's
 	cols  []string      // the columns x is bound to
-	need  []int         // a load's: the positions x reads that its Where does not
-	row   []value.Value // the body row being folded, reused
+	need  []int         // the positions x reads, a load's Where's left out
+	row   []value.Value // the scratch row a response's rows fold through
 	rows  int64         // the rows folded so far
 	out   *Relation
 }
@@ -870,7 +921,9 @@ func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlpars
 	for i, it := range pushed.Items {
 		cols[i] = it.Name()
 	}
-	f.bind(cols, false)
+	if f.bind(cols, false); f.err == nil {
+		f.need = f.x.Cols()
+	}
 	f.row = make([]value.Value, len(cols))
 	return f, f.err
 }
@@ -936,10 +989,11 @@ func (f *groupFold) body(res *selectengine.Result) error {
 	if !slices.Equal(res.Columns, f.cols) {
 		return fmt.Errorf("engine: a response's columns %v are not its request's %v", res.Columns, f.cols)
 	}
-	n, err := scanRows(res.Body, func() []value.Value { return f.row }, f.x.Add)
-	f.rows += n
-	if err == nil {
-		err = checkClaim(res, n)
+	p := part{cols: f.cols, x: f.x, need: f.need, scratch: f.row}
+	err := p.scan(csvx.NewScanner(res.Body))
+	f.rows += p.decoded
+	if err = cmp.Or(p.aggErr, err); err == nil {
+		err = checkClaim(res, p.decoded)
 	}
 	return err
 }

@@ -31,7 +31,7 @@ func ordersCells(rows int) ([]string, [][]string) {
 
 // relOf is rows typed as a select response's body decodes (decodeRows).
 func relOf(cols []string, rows [][]string) *Relation {
-	rel, err := cut(decodeRows(cols, csvx.Encode(nil, rows), len(rows)))
+	rel, err := cut(decodeRows(cols, csvx.Encode(nil, rows), len(rows), nil))
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +100,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
 		rel := relOf(cols, cells)
 		for name, run := range map[string]func() error{
-			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows)); return err },
+			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows, nil)); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":   func() error { _, err := cut(loadPart(data, nil, nil, 1)); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
@@ -212,7 +212,7 @@ func checkRowsDoNotAlias(t *testing.T, rel *Relation) {
 func TestDecodedRowsDoNotAlias(t *testing.T) {
 	cols, cells := ordersCells(40)
 	cells[7] = cells[7][:2] // ragged rows are windows too
-	body, err := cut(decodeRows(cols, csvx.Encode(nil, cells), len(cells)))
+	body, err := cut(decodeRows(cols, csvx.Encode(nil, cells), len(cells), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
