@@ -129,7 +129,7 @@ func TestHostileColumnarObjectsAreErrors(t *testing.T) {
 		// No chunk is read for this one, so a self-consistent footer is
 		// believed; it must still not crash.
 		_, _ = selectengine.Execute(h.data, selectengine.Request{SQL: "SELECT COUNT(*) FROM S3Object"})
-		if rel, err := cut(loadPart(h.data, nil, nil, 2)); err == nil {
+		if rel, err := loadObject(h.data, nil, 2); err == nil {
 			t.Errorf("%s: fromColumnar returned %d rows, want an error", h.name, len(rel.Rows))
 		}
 	}
@@ -181,7 +181,7 @@ func TestFromColumnarMatchesSelectStar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				rel, err := cut(loadPart(data, nil, nil, workers))
+				rel, err := loadObject(data, nil, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,7 +277,7 @@ func FuzzColformatRead(f *testing.F) {
 			_, _ = selectengine.Execute(data, selectengine.Request{SQL: sql})
 		}
 		// One worker, so it runs inline: goroutines make coverage flicker.
-		if rel, err := cut(loadPart(data, nil, nil, 1)); err == nil {
+		if rel, err := loadObject(data, nil, 1); err == nil {
 			for _, row := range rel.Rows {
 				if len(row) != len(rel.Cols) {
 					t.Fatalf("a %d-cell row under %d columns", len(row), len(rel.Cols))

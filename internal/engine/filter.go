@@ -15,14 +15,14 @@ import "pushdowndb/internal/sqlparse"
 // kept rows fold as they decode, into the fold it returns for the tail to
 // finish (finishTail), and no relation is built. A non-nil bind checks the
 // first partition's header before the other partitions are fetched
-// (loadTable).
+// (loadMetered).
 func (e *Exec) serverSideFilter(l Load, bind func(header []string) error) (*Relation, *groupFold, error) {
 	defer e.scope("server filter " + l.Table).end(nil)
 	perRow := int64(0)
 	if l.Where != nil {
 		perRow = 1
 	}
-	rel, fold, _, err := e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind)
+	rel, fold, _, err := e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind, nil)
 	return rel, fold, err
 }
 

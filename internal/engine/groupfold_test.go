@@ -88,12 +88,12 @@ func TestGroupedScanPartitionBoundaries(t *testing.T) {
 func TestFoldRefusesAMiscountedBody(t *testing.T) {
 	cols := []string{"a", "b"}
 	sel := selectOf(t, "SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b")
-	fold := func() *groupFold {
+	fold := func() *decoder { // a pushed scan's
 		f, err := newGroupFold(scanSelect(columnItems(cols), nil), sel.GroupBy, sel.Items)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f
+		return &decoder{fold: f, header: f.cols}
 	}
 	response := func(body string, rows int64) *selectengine.Result {
 		return &selectengine.Result{Columns: cols, Body: []byte(body), Stats: selectengine.Stats{RowsReturned: rows}}
@@ -104,23 +104,24 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 	}{
 		{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
 	} {
-		if err := fold().body(response(tc.body, tc.rows)); err == nil {
+		if _, err := decodeResponse(fold(), response(tc.body, tc.rows)); err == nil {
 			t.Errorf("folding %q as %d rows succeeded, want an error", tc.body, tc.rows)
 		}
 	}
-	if err := fold().body(&selectengine.Result{Columns: []string{"b", "a"}, Body: []byte("1,2\n"), Stats: selectengine.Stats{RowsReturned: 1}}); err == nil {
+	if _, err := decodeResponse(fold(), &selectengine.Result{Columns: []string{"b", "a"}, Body: []byte("1,2\n"), Stats: selectengine.Stats{RowsReturned: 1}}); err == nil {
 		t.Error("a response naming other columns than its request folded, want an error")
 	}
-	f := fold()
-	err := f.body(response("1,x\n\n3,\"y,z\"\n", 3))
+	d := fold()
+	_, err := decodeResponse(d, response("1,x\n\n3,\"y,z\"\n", 3))
 	var rows []Row
 	if err == nil {
-		err = f.x.Finish()
-		rows = f.out.Rows
+		var out *Relation
+		out, err = d.fold.finish()
+		rows = out.Rows
 	}
-	if err != nil || f.rows != 3 || len(rows) != 3 ||
+	if err != nil || d.fold.rows != 3 || len(rows) != 3 ||
 		rows[0][0].AsInt() != 1 || !rows[1][0].IsNull() || !rows[1][1].IsNull() || rows[2][1].AsString() != "y,z" {
-		t.Errorf("a well-formed body folds to %v (%d rows), %v", rows, f.rows, err)
+		t.Errorf("a well-formed body folds to %v (%d rows), %v", rows, d.fold.rows, err)
 	}
 }
 

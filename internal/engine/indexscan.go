@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -220,26 +219,25 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 	// Hop 2: every data partition with matching byte ranges has them fetched
 	// and metered under pol, under a "fetch <key>" child of the step's span.
 	// The fragments are rows of the object with no header: copied into one
-	// body of the partition's own, a line each, they decode under the
-	// table's header as a select response does, inside the fan-out, and the
+	// body of the partition's own, a line each, they are a part the one
+	// decoder decodes under the table's header, inside the fan-out, and the
 	// rows of every partition are cut in partition order after it.
 	stage2 := e.NextStage()
 	fetch := e.step(fetchSpan, fetchName, stage2, table)
 	s := e.db.store(table)
 	var gets atomic.Int64
-	parts := make([]part, len(dataKeys))
-	err = e.forEachPart(dataKeys, func(ctx context.Context, i int, key string) error {
-		ranges := partRanges[i]
+	d := &decoder{e: e, st: fetch, header: header}
+	out, err := d.finish(d.run(dataKeys, func(ctx context.Context, i int) error {
+		key, ranges, p := dataKeys[i], partRanges[i], &d.parts[i]
 		if len(ranges) == 0 {
-			parts[i].cols = header // no rows, but the columns of an empty answer
+			p.cols = header // no rows, but the columns of an empty answer
 			return nil
 		}
-		ksp := fetch.sp.Child("fetch " + key)
-		defer ksp.End()
+		p.sp = fetch.sp.Child("fetch " + key)
 		var frags [][]byte
 		switch pol {
 		case fetchPerRow:
-			ksp.SetInt("ranges", int64(len(ranges)))
+			p.sp.SetInt("ranges", int64(len(ranges)))
 			for _, rg := range ranges {
 				frag, err := s.GetRange(ctx, fetch.Phase, key, rg[0], rg[1])
 				if err != nil {
@@ -249,7 +247,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 				frags = append(frags, frag)
 			}
 		case fetchMultiRange:
-			ksp.SetInt("ranges", int64(len(ranges)))
+			p.sp.SetInt("ranges", int64(len(ranges)))
 			var err error
 			if frags, err = s.GetRanges(ctx, fetch.Phase, key, ranges); err != nil {
 				return err
@@ -264,8 +262,8 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 				total := fragBytes(got)
 				fetch.AddRangedGetRequest(total, int64(len(batch)))
 				gets.Add(1)
-				ksp.AddInt("bytes", total)
-				ksp.AddInt("ranges", int64(len(batch)))
+				p.sp.AddInt("bytes", total)
+				p.sp.AddInt("ranges", int64(len(batch)))
 				frags = append(frags, got...)
 			}
 		}
@@ -273,18 +271,11 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 		for _, frag := range frags {
 			body = append(append(body, frag...), '\n')
 		}
-		var err error
-		parts[i], err = decodeRows(header, body, bytes.Count(body, []byte{'\n'}), nil)
-		return err
-	})
-	var out *Relation
-	if err == nil {
-		out = cutRows(parts, header) // every part decoded under header
-	}
+		p.openRows(header, body)
+		return nil
+	}))
 	if err == nil && pol == fetchCoalesced {
-		candidates := int64(len(out.Rows))
-		fetch.AddServerRows(candidates)
-		fetch.sp.SetInt("rows", candidates)
+		fetch.AddServerRows(d.decoded)
 		fetch.sp.SetInt("gets", gets.Load())
 	}
 	fetch.end(err)

@@ -159,40 +159,50 @@ func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *Ta
 // keeping as they decode the rows each side's filter passes, typed in the
 // columns that filter and the server read (TableScan.load): the probe
 // side's rows decode once the build side has loaded, each kept row probing
-// its hash table (Load.Build), so no relation of the probe side's rows is
-// built. No S3 Select anywhere.
+// its hash table (buildThenProbe), so no relation of the probe side's rows
+// is built. No S3 Select anywhere.
 func (e *Exec) baselineJoin(j join) (*Relation, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
-	var build []*Relation
-	built := make(chan struct{})
 	right := j.right.load()
 	right.BuildKey, right.ProbeKey = j.leftKey, j.rightKey
-	right.await = func() *Relation {
-		<-built
-		if build == nil {
-			return nil
-		}
-		return build[0]
-	}
 	var joined *Relation
 	var kept int64
 	// The server-side filter pass touches every decoded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
-	err := concurrently(func() (err error) {
-		defer close(built)
-		build, err = e.loadTables(stage, 1, j.left.load())
-		return err
-	}, func() (err error) {
-		joined, _, kept, err = e.loadMetered("load "+right.Table, stage, right, 1, nil)
+	build, err := buildThenProbe(func() (*Relation, error) {
+		rel, _, _, err := e.loadMetered("load "+j.left.Table, stage, j.left.load(), 1, nil, nil)
+		return rel, err
+	}, func(built func() *Relation) (err error) {
+		joined, _, kept, err = e.loadMetered("load "+right.Table, stage, right, 1, nil, built)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.joinStep(stage, int64(len(build[0].Rows))+kept, joined)
+	e.joinStep(stage, int64(len(build.Rows))+kept, joined)
 	return joined, nil
+}
+
+// buildThenProbe runs a hash join's two sides at once, build and probe,
+// whose rows wait to decode until built returns build's relation: nil if
+// it failed, whose error is the one reported (probe's errNoBuild comes
+// after it in argument order). It answers build's relation.
+func buildThenProbe(build func() (*Relation, error), probe func(built func() *Relation) error) (*Relation, error) {
+	var rel *Relation
+	done := make(chan struct{})
+	err := concurrently(func() (err error) {
+		defer close(done)
+		rel, err = build()
+		return err
+	}, func() error {
+		return probe(func() *Relation {
+			<-done
+			return rel
+		})
+	})
+	return rel, err
 }
 
 // joinStep meters a hash join's row work on stage's "hash join" phase, as
@@ -224,17 +234,11 @@ func (sc *TableScan) load() Load {
 func (e *Exec) filteredJoin(j join) (*Relation, error) {
 	stage := e.NextStage()
 	req := func(sc *TableScan) selectengine.Request { return e.db.request(sc.Table, scanSelect(nil, sc.Filter)) }
-	var build, joined *Relation
-	built := make(chan struct{})
-	err := concurrently(func() (err error) {
-		defer close(built)
-		build, err = e.selectMetered("filtered scan "+j.left.Table, stage, j.left.Table, req(j.left), 0)
-		return err
-	}, func() (err error) {
-		joined, err = e.pushedJoin("filtered scan "+j.right.Table, stage, req(j.right), j, func() *Relation {
-			<-built
-			return build
-		})
+	var joined *Relation
+	_, err := buildThenProbe(func() (*Relation, error) {
+		return e.selectMetered("filtered scan "+j.left.Table, stage, j.left.Table, req(j.left), 0)
+	}, func(built func() *Relation) (err error) {
+		joined, err = e.pushedJoin("filtered scan "+j.right.Table, stage, req(j.right), j, built)
 		return err
 	})
 	return joined, err
@@ -270,10 +274,11 @@ func (e *Exec) bloomJoin(j join) (*Relation, error) {
 // (joinStep), so attribution holds when concurrent work allocates stages.
 func (e *Exec) pushedJoin(name string, stage int, req selectengine.Request, j join, build func() *Relation) (*Relation, error) {
 	st := e.step(name, name, stage, j.right.Table)
-	joined, rows, err := e.selectDecoded(st, j.right.Table, req, nil, &probeSide{Load: Load{BuildKey: j.leftKey, ProbeKey: j.rightKey, await: build}})
+	d := &decoder{build: build, buildKey: j.leftKey, probeKey: j.rightKey}
+	joined, err := e.selectDecoded(st, j.right.Table, req, d)
 	st.end(err)
 	if err == nil {
-		e.joinStep(stage, int64(len(build().Rows))+rows, joined)
+		e.joinStep(stage, int64(len(build().Rows))+d.decoded, joined)
 	}
 	return joined, err
 }

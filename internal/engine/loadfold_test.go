@@ -209,7 +209,7 @@ func TestLoadFoldEdges(t *testing.T) {
 	for _, c := range []struct{ table, where, sql, want string }{
 		{"late_fail", "", "SELECT y, SUM(CAST(x AS INT)) AS s FROM t GROUP BY y", `"bad1"`},
 		{"where_later", "CASE WHEN y = 'worse' THEN CAST(y AS INT) ELSE 1 END > 0", "SELECT SUM(CAST(x AS INT)) AS s FROM t", `"worse"`},
-		{"widths", "x > 0", "SELECT y, SUM(x) AS s FROM t GROUP BY y", "differ in width"},
+		{"widths", "x > 0", "SELECT y, SUM(x) AS s FROM t GROUP BY y", "differ in columns"},
 	} {
 		sel := selectOf(t, c.sql)
 		var where sqlparse.Expr

@@ -201,8 +201,8 @@ func TestLoadProbeEdges(t *testing.T) {
 		{"zero_first", "", "k", "x", nil, true, ""},
 		{"no_header", "", "k", "x", nil, false, `join key "x" not in right relation []`},
 		{"no_header", "", "nosuch", "x", nil, false, `join key "nosuch" not in left relation`},
-		{"widths", "", "k", "x", nil, false, "differ in width"},
-		{"widths", "x > 0", "nosuch", "x", nil, false, "differ in width"},
+		{"widths", "", "k", "x", nil, false, "differ in columns"},
+		{"widths", "x > 0", "nosuch", "x", nil, false, "differ in columns"},
 		{"zero_first", "", "k", "nosuch", nil, false, `join key "nosuch" not in right relation [x y]`},
 		{"zero_first", "", "nosuch", "nosuch", nil, false, `join key "nosuch" not in left relation`},
 		{"widths", "", "nosuch", "x", []string{"z"}, false, `no column "z"`},

@@ -198,7 +198,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 	}
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
-	rel, _, err := e.selectDecoded(scan, table, sc.req, fold, nil)
+	rel, err := e.selectDecoded(scan, table, sc.req, &decoder{fold: fold})
 	scan.end(err)
 	if err != nil {
 		return nil, err

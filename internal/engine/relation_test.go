@@ -127,15 +127,22 @@ func TestSortLocalErrors(t *testing.T) {
 }
 
 func TestCutRowsArityMismatch(t *testing.T) {
-	a, _ := decodeRows([]string{"x"}, []byte("1\n"), 1, nil)
-	b, _ := decodeRows([]string{"x", "y"}, []byte("1,2\n"), 1, nil)
-	if _, err := keptCols([]part{a, b}); err == nil {
+	rows := func(cols []string, body string) part {
+		var p part
+		p.openRows(cols, []byte(body))
+		return p
+	}
+	b := func() part { return rows([]string{"x", "y"}, "1,2\n") }
+	if _, err := decodeParts(&decoder{}, rows([]string{"x"}, "1\n"), b()); err == nil {
 		t.Error("arity mismatch should error")
 	}
-	if rel, err := cut(b, nil); err != nil || len(rel.Cols) != 2 || len(rel.Rows) != 1 {
+	if _, err := decodeParts(&decoder{}, b(), rows([]string{"y", "x"}, "2,1\n")); err == nil {
+		t.Error("the same columns in another order should error")
+	}
+	if rel, err := decodeParts(&decoder{}, b()); err != nil || len(rel.Cols) != 2 || len(rel.Rows) != 1 {
 		t.Error("one part's rows")
 	}
-	if cols, err := keptCols([]part{{}, b}); err != nil || len(cols) != 2 {
+	if rel, err := decodeParts(&decoder{}, part{}, b()); err != nil || len(rel.Cols) != 2 {
 		t.Error("a part with neither columns nor rows should be skipped")
 	}
 }

@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"pushdowndb/internal/arena"
@@ -25,7 +23,7 @@ import (
 
 // Load names a table to load, the columns its plan reads and the rows it
 // keeps: no Cols loads every column, no Where every row. Where is evaluated
-// as each partition decodes (loadTable), and the load answers as
+// as each partition decodes (decoder), and the load answers as
 // Operators.Filter over the whole loaded relation would: the same rows, in
 // the same order, or the same error. With Items, the kept rows are grouped
 // by GroupBy (none: one plain aggregation) as they decode, and the load
@@ -45,32 +43,24 @@ type Load struct {
 
 	Build              *Relation
 	BuildKey, ProbeKey string
-
-	// await, when set, is the build side a probing load waits for before its
-	// rows decode, but not its GETs: nil if it failed, whose error is the
-	// caller's to report (baselineJoin).
-	await func() *Relation
 }
 
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
 // each on its own "load <table>" phase, and returns them in argument
 // order — the opening move of the baseline plans.
 func (e *Exec) LoadTables(stage int, loads ...Load) ([]*Relation, error) {
-	return e.loadTables(stage, 0, loads...)
-}
-
-// loadTables is LoadTables metering, on each load's step, perRow units of
-// the server's row work per decoded row.
-func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, error) {
 	rels := make([]*Relation, len(loads))
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
-		fns[i] = func() error {
-			rel, fold, _, err := e.loadMetered("load "+l.Table, stage, l, perRow, nil)
-			if err == nil && fold != nil {
-				rel, err = fold.finish()
+		fns[i] = func() (err error) {
+			var build func() *Relation
+			if l.Build != nil {
+				build = func() *Relation { return l.Build }
 			}
-			rels[i] = rel
+			var fold *groupFold
+			if rels[i], fold, _, err = e.loadMetered("load "+l.Table, stage, l, 0, nil, build); err == nil && fold != nil {
+				rels[i], err = fold.finish()
+			}
 			return err
 		}
 	}
@@ -85,173 +75,299 @@ func (e *Exec) loadTables(stage int, perRow int64, loads ...Load) ([]*Relation, 
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	rel, _, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil)
+	rel, _, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil, nil)
 	return rel, err
 }
 
-// loadMetered is LoadTable on a step of its own, metering there perRow units
-// of the server's row work per decoded row: the server-side baselines' pass
-// over every row, which a Where does not shorten. A load with Items answers
-// with no relation but the fold its rows went into, every partition's block
-// merged into its block and left for the caller to finish. It also answers
-// the rows its Where kept. A non-nil bind is loadTable's.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error) (*Relation, *groupFold, int64, error) {
+// loadMetered is LoadTable of l on a step of its own, metering there perRow
+// units of the server's row work per decoded row: the server-side
+// baselines' pass over every row, which a Where does not shorten. Its parts
+// are GET objects (part.open); a non-nil bind judges the first one's whole
+// header before the others are fetched, and build is the build side l's
+// rows probe. A load with Items answers no relation but the fold its rows
+// went into, for the caller to finish. It also answers the rows Where kept.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error, build func() *Relation) (*Relation, *groupFold, int64, error) {
 	st := e.step(name, name, stage, l.Table)
-	var fold *groupFold
+	d := &decoder{e: e, st: st, where: l.Where, build: build, buildKey: l.BuildKey, probeKey: l.ProbeKey}
 	if l.Items != nil {
-		fold = &groupFold{keys: l.GroupBy, items: l.Items}
+		d.fold = &groupFold{keys: l.GroupBy, items: l.Items}
 	}
-	rel, decoded, kept, err := e.loadTable(st, l, fold, bind)
-	if err == nil {
-		st.AddServerRows(decoded * perRow)
-	}
-	st.end(err)
-	return rel, fold, kept, err
-}
-
-// loadTable is LoadTable metered on st: the relation of the rows l keeps
-// (joined to l.Build when it probes), or with a fold none, the rows decoded
-// and the rows l.Where kept. A bind, a Where, a fold or a probe needs a
-// header before any row decodes, so partitions are fetched and their
-// headers read one at a time until bind has checked the first partition's
-// whole header and l.Where, the fold and the probe are bound to the first
-// kept header there is (only a zero-byte object has none); the rest are
-// fetched only then, so a statement the table cannot answer costs one GET.
-// Every partition's rows decode inside the fan-out, against the one
-// binding, and a fold's go into a block of the partition's own
-// (RowExec.Partial), merged in partition order after it. Errors stop no
-// load but its own: those come first, then partitions of different widths
-// (keptCols), then the predicate's (its binding, then the first
-// partition's first failing row), then the grouping's the same way, then
-// the join keys' (joinKeys), as they would before a filter, a group-by or a
-// hash join over the loaded relation ran.
-func (e *Exec) loadTable(st step, l Load, fold *groupFold, bind func(header []string) error) (*Relation, int64, int64, error) {
+	d.serial = bind != nil || d.where != nil || d.fold != nil || d.build != nil
 	keys, err := e.parts(l.Table)
-	if err == nil && fold != nil && l.Build != nil {
+	if err == nil && d.fold != nil && d.build != nil {
 		err = errors.New("engine: a load does not both probe and group")
 	}
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if l.Build != nil {
-		l.await = func() *Relation { return l.Build }
-	}
-	s := e.db.store(l.Table)
-	parts := make([]part, len(keys))
-	workers := e.partWorkers(len(keys))
-	open := func(ctx context.Context, i int) error {
-		p := &parts[i]
-		p.sp = st.sp.Child("get " + keys[i])
-		data, err := s.Get(ctx, st.Phase, keys[i])
-		if err == nil {
-			p.sp.SetInt("bytes", int64(len(data)))
-			check := bind
-			if i > 0 {
-				check = nil
+	var rel *Relation
+	if err == nil {
+		s := e.db.store(l.Table)
+		rel, err = d.finish(d.run(keys, func(ctx context.Context, i int) error {
+			p := &d.parts[i]
+			p.sp = st.sp.Child("get " + keys[i])
+			data, err := s.Get(ctx, st.Phase, keys[i])
+			if err == nil {
+				p.sp.SetInt("bytes", int64(len(data)))
+				check := bind
+				if i > 0 {
+					check = nil
+				}
+				err = p.open(data, l.Cols, check)
 			}
-			err = p.open(data, l.Cols, check)
-		}
-		if errors.Is(err, errNoColumn) {
-			err = s3api.NewError("get", e.db.bucket, keys[i], s3api.KindBadRequest,
-				fmt.Errorf("engine: table %q: %w", l.Table, err))
-		}
-		return err
+			if errors.Is(err, errNoColumn) {
+				err = s3api.NewError("get", e.db.bucket, keys[i], s3api.KindBadRequest,
+					fmt.Errorf("engine: table %q: %w", l.Table, err))
+			}
+			return err
+		}))
 	}
+	if err == nil {
+		st.AddServerRows(d.decoded * perRow)
+	}
+	st.end(err)
+	return rel, d.fold, d.kept, err
+}
 
-	var header []string // the first kept header, which Where, the fold and the probe bind to
-	next := 0           // the partitions opened before the fan-out, the last of which decodes inside it
-	for next < len(keys) && (bind != nil && next == 0 || (l.Where != nil || fold != nil || l.await != nil) && header == nil) {
-		if next > 0 { // a zero-byte partition, with no rows to keep
-			if err := parts[next-1].decode(nil, nil, nil, workers); err != nil {
-				return nil, 0, 0, err
-			}
+// decoder is the one decode of a scan's partitions. A partition is a part
+// its source opens: a GET object (loadMetered), a select response
+// (selectDecoded) or an index fetch's fragments (indexFetch). run fans the
+// parts out, decode runs each part's rows through the consumers bound once —
+// a Where and a fold's aggregation block, bound to one header, and a probe
+// of the build side, hashed and bound once — and finish answers once, after
+// the fan-out.
+type decoder struct {
+	e  *Exec
+	st step // the step the scan is metered on
+
+	// The consumers, and how the parts meet them.
+	where              sqlparse.Expr    // the rows kept (a load's)
+	fold               *groupFold       // the block the kept rows fold into
+	build              func() *Relation // the build side the kept rows probe, waited for once: nil if it failed
+	buildKey, probeKey string
+	serial             bool // open parts one at a time until one names a header, which where and fold bind to (a load's)
+
+	parts   []part
+	header  []string // what where and fold are bound to: a part naming another decodes no row
+	f       *where
+	first   int             // the first part with a header, which folds straight into the block
+	turns   []chan struct{} // a fold bound before the scan (a pushed scan's): turns[i] closes once part i has folded
+	workers int             // one part's decode's worker budget (partWorkers)
+	hashed  sync.Once
+	j       *probe // nil if the build side failed
+
+	decoded, kept int64 // the rows decoded, and kept by where (finish)
+}
+
+// run fans the parts of keys out: each is opened by open (its span,
+// columns and rows: part.open, part.response or part.openRows), then
+// decoded. Serial, parts open one at a time first until one names a header
+// (those before it are zero-byte objects), so a statement the table cannot
+// answer costs one GET, and where and the fold bind to that header.
+func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error) error {
+	d.parts = make([]part, len(keys))
+	d.workers = d.e.partWorkers(len(keys))
+	next := 0 // the parts opened before the fan-out, the last of which decodes inside it
+	for d.serial && next < len(keys) && (next == 0 || d.header == nil) {
+		if next > 0 {
+			d.parts[next-1].sp.End()
 		}
-		if err := open(e.ctx, next); err != nil {
-			parts[next].sp.End()
-			return nil, 0, 0, err
+		if err := open(d.e.ctx, next); err != nil {
+			d.parts[next].sp.End()
+			return err
 		}
-		if len(parts[next].cols) > 0 {
-			header = parts[next].cols
+		if cols := d.parts[next].cols; len(cols) > 0 {
+			d.header = cols
 		}
 		next++
 	}
-	var f *where
-	if l.Where != nil && header != nil {
-		f = bindWhere(l.Where, header)
+	if d.serial {
+		if d.where != nil && d.header != nil {
+			f := &where{pred: d.where, reads: make([]bool, len(d.header))}
+			if f.err = f.ev.Bind(expr.Index(d.header), d.where); f.err == nil {
+				f.cols = f.ev.Cols()
+				for _, j := range f.cols {
+					f.reads[j] = true
+				}
+			}
+			d.f = f
+		}
+		if d.fold != nil {
+			d.fold.bind(d.header, d.f, true)
+		}
 	}
-	if fold != nil {
-		fold.bindLoad(header, f)
+	if d.fold != nil && !d.serial {
+		d.turns = make([]chan struct{}, len(keys))
+		for i := range d.turns {
+			d.turns[i] = make(chan struct{})
+		}
 	}
-	var j *probe
-	var bound sync.Once
-	first := max(next-1, 0)
-	err = e.forEachPart(keys[first:], func(ctx context.Context, i int, _ string) error {
-		i += first
+	d.first = max(next-1, 0)
+	return d.e.forEachPart(keys[d.first:], func(ctx context.Context, i int, _ string) error {
+		i += d.first
 		if i >= next {
 			if err := open(ctx, i); err != nil {
-				parts[i].sp.End()
+				d.parts[i].sp.End()
 				return err
 			}
 		}
-		if l.await != nil {
-			bound.Do(func() {
-				if build := l.await(); build != nil {
-					j = hashProbe(build, &l, Operators{Workers: e.workers()}).bind(header, f)
-				}
-			})
-			if j == nil { // no build side to probe: the partition's rows are not the load's answer
-				parts[i].sp.End()
+		return d.decode(ctx, i)
+	})
+}
+
+// decode types the rows of part i, opened, through the consumers and ends
+// its span. With turns, a part waits for the one before it to fold; a
+// response decodes under a "decode" span and fails unless its body held the
+// rows its stats claim. A part folds into the fold's block when its turn
+// has come, else into a RowExec.Partial of it (finish merges it); with the
+// build side failed, or naming another header than the consumers', it keeps
+// no row (finish refuses the latter: keptCols). Decoded, a part drops its
+// source.
+func (d *decoder) decode(ctx context.Context, i int) (err error) {
+	p := &d.parts[i]
+	if d.turns != nil {
+		if i > d.first {
+			select {
+			case <-d.turns[i-1]:
+			case <-ctx.Done(): // another partition failed, or the statement was canceled
+				return ctx.Err()
+			}
+		}
+		defer func() {
+			if err == nil {
+				close(d.turns[i])
+			}
+		}()
+	}
+	if p.res != nil {
+		p.sp = d.st.sp.Child("decode")
+		p.sp.SetInt("rows", p.res.Stats.RowsReturned)
+	}
+	defer p.sp.End()
+	if len(p.cols) > 0 {
+		if d.header != nil && !sameCols(p.cols, d.header) {
+			return nil
+		}
+		if p.f = d.f; p.f != nil {
+			p.failed = p.f.err
+		}
+		if d.build != nil {
+			if p.j = d.probeFor(p.cols); p.j == nil || !sameCols(p.cols, p.j.cols) {
 				return nil
 			}
 		}
-		return parts[i].decode(f, fold, j, workers)
+		if g := d.fold; g != nil && g.err == nil {
+			p.x, p.need = g.x, g.need
+			if i > d.first && d.turns == nil {
+				p.x = g.x.Partial()
+			}
+		}
+		if d.turns != nil && i > d.first { // the part before has folded: its scratch row is free
+			p.scratch = d.parts[i-1].scratch
+		}
+		if p.scratch == nil && (p.f != nil || p.x != nil || p.j != nil) {
+			p.scratch = make([]value.Value, len(p.cols))
+		}
+	}
+	if p.col != nil {
+		err = p.fromColumnar(d.workers)
+	} else if err = p.decodeCSV(); err == nil && p.res != nil {
+		err = checkClaim(p.res, p.decoded)
+	}
+	p.data, p.sc, p.col, p.res = nil, csvx.Scanner{}, nil, nil
+	return err
+}
+
+// probeFor is the probe of the build side, waited for and hashed once,
+// bound once to header, the first a part names, after the predicate types
+// the cells it reads; nil if the build side failed. A part naming another
+// header probes nothing: finish refuses it (keptCols).
+func (d *decoder) probeFor(header []string) *probe {
+	d.hashed.Do(func() {
+		build := d.build()
+		if build == nil {
+			return
+		}
+		j := &probe{build: build, t: &hashTable{}, cols: header, key: sqlparse.NewNames(header).Index(d.probeKey), rest: make([]int, 0, len(header))}
+		if bk := sqlparse.NewNames(build.Cols).Index(d.buildKey); bk >= 0 && j.key >= 0 {
+			j.t = Operators{Workers: d.e.workers()}.hashTable(build.Rows, bk)
+		}
+		j.key = max(j.key, 0)
+		for c := range header {
+			if c != j.key && (d.f == nil || !d.f.reads[c]) {
+				j.rest = append(j.rest, c)
+			}
+		}
+		d.j = j
 	})
-	if err == nil && l.await != nil && j == nil {
-		return nil, 0, 0, errNoBuild
+	return d.j
+}
+
+// finish is the scan's one answer, given its fan-out's error: the relation
+// of the parts' kept rows, cut in partition order (cutRows) — or with a
+// fold none, every part's block merged into the fold's in partition order,
+// for the caller to finish — with the rows decoded and kept counted in d
+// and on the step's span. Errors come in the order the materialized path
+// would report them: the fan-out's (a part's source), then a failed build
+// side (errNoBuild), then parts naming different headers (keptCols), then
+// the predicate's (its binding, then the first part's first failing row),
+// then the grouping's the same way, then the join keys' (joinKeys).
+func (d *decoder) finish(err error) (*Relation, error) {
+	if err == nil && d.build != nil && d.probeFor(d.header) == nil {
+		err = errNoBuild
 	}
 	var cols []string
 	if err == nil {
-		cols, err = keptCols(parts)
+		cols, err = keptCols(d.parts, d.header)
 	}
-	decoded, kept := int64(0), int64(0)
-	for _, p := range parts {
+	for _, p := range d.parts {
 		if err == nil {
 			err = p.failed
 		}
-		decoded += p.decoded
-		kept += p.kept
+		d.decoded += p.decoded
+		d.kept += p.kept
 	}
-	if err == nil && fold != nil {
-		err = fold.merge(parts)
+	if g := d.fold; g != nil {
+		// The fold's merge, once the grouping has bound and no part's rows
+		// failed it (the first part's first failing row, as over the
+		// concatenation): the parts' own blocks, in partition order.
+		if err == nil {
+			err = g.err
+		}
+		for _, p := range d.parts {
+			if err == nil {
+				err = p.aggErr
+			}
+		}
+		for _, p := range d.parts {
+			if err == nil && p.x != nil && p.x != g.x {
+				err = g.x.Merge(p.x)
+			}
+		}
+		g.rows = d.kept
 	}
-	if err == nil && j != nil {
-		_, _, err = joinKeys(j.build.Cols, cols, l.BuildKey, l.ProbeKey)
-		cols = append(slices.Clip(j.build.Cols), cols...)
+	if err == nil && d.j != nil {
+		_, _, err = joinKeys(d.j.build.Cols, cols, d.buildKey, d.probeKey)
+		cols = append(slices.Clip(d.j.build.Cols), cols...)
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	st.sp.SetInt("rows", decoded)
-	st.sp.SetInt("kept", kept)
-	if fold != nil {
-		st.sp.SetInt("cols", int64(len(fold.cols)))
-		return nil, decoded, kept, nil
+	d.st.sp.SetInt("rows", d.decoded)
+	d.st.sp.SetInt("kept", d.kept)
+	d.st.sp.SetInt("cols", int64(len(cols)))
+	if d.fold != nil {
+		return nil, nil
 	}
-	out := cutRows(parts, cols)
-	st.sp.SetInt("cols", int64(len(out.Cols)))
-	if j != nil {
-		st.sp.SetInt("joined", int64(len(out.Rows)))
+	out := cutRows(d.parts, cols)
+	if d.j != nil {
+		d.st.sp.SetInt("joined", int64(len(out.Rows)))
 	}
-	return out, decoded, kept, nil
+	return out, nil
 }
 
-// where is a load's predicate, bound once to the first partition's kept
-// header and shared by every partition's decoder, which only reads it. A
-// decoder types a row's cells at cols into a scratch row of its own,
-// evaluates the predicate there (expr's rules, as Operators.Filter applies
-// them), and types the row's other kept cells only if it passes. err is the
-// binding's: no row passes then, and it is every decoded partition's
-// failure.
+// where is a load's predicate, bound once to the first kept header (run)
+// and only read by every part's decoder: a row types its cells at cols into
+// the part's scratch row, the predicate runs there (expr's rules, as
+// Operators.Filter applies them), and only a row it passes types its other
+// kept cells. err is the binding's, every decoded part's failure then.
 type where struct {
 	pred  sqlparse.Expr
 	ev    expr.Evaluator
@@ -260,96 +376,26 @@ type where struct {
 	err   error
 }
 
-// bindWhere binds pred to a partition's kept header.
-func bindWhere(pred sqlparse.Expr, header []string) *where {
-	f := &where{pred: pred, reads: make([]bool, len(header))}
-	if f.err = f.ev.Bind(expr.Index(header), pred); f.err == nil {
-		f.cols = f.ev.Cols()
-		for _, j := range f.cols {
-			f.reads[j] = true
-		}
-	}
-	return f
-}
-
-// over is f for the decode of part p, nil for none: a part as wide as the
-// header f was bound to starts with f's binding error as its failure; a part
-// of another width keeps its rows, for the load to refuse (keptCols).
-func (f *where) over(p *part) *where {
-	if f == nil || len(f.reads) != len(p.cols) {
-		return nil
-	}
-	p.failed = f.err
-	return f
-}
-
-// pass reports whether row, its cells at f.cols typed, passes the predicate.
-// The first row it fails on is p's failure, after which p keeps no row.
-func (f *where) pass(p *part, row []value.Value) bool {
-	ok, err := f.ev.EvalBool(f.pred, row)
-	if err != nil {
-		p.failed = err
-	}
-	return ok && err == nil
-}
-
-// probe is a hash join's probe side bound to a header: the build side's
-// hash table (hashTable), shared by every decoder, which only reads it, the
-// probe key's position in the header, and the positions neither the key
-// nor the Where reads, which a row types only once it has joined. With a
-// key missing the table is empty, no row joins, and the load or scan fails
-// with the keys' error once its own are reported.
+// probe is a hash join's probe side bound to a header (decoder.probeFor):
+// the build side's hash table (hashTable), shared by every decoder, which
+// only reads it, the probe key's position in the header, and the positions
+// neither the key nor the Where reads, which a row types only once it has
+// joined. With a key missing the table is empty, no row joins, and the scan
+// fails with the keys' error once its own are reported.
 type probe struct {
-	build    *Relation
-	t        *hashTable
-	probeKey string
-	cols     []string // the header
-	key      int
-	rest     []int
+	build *Relation
+	t     *hashTable
+	cols  []string // the header
+	key   int
+	rest  []int
 }
 
-// hashProbe hashes build on l.BuildKey for rows probing it on l.ProbeKey,
-// once bound to their header (bind).
-func hashProbe(build *Relation, l *Load, o Operators) *probe {
-	j := &probe{build: build, t: &hashTable{}, probeKey: l.ProbeKey}
-	if bk := sqlparse.NewNames(build.Cols).Index(l.BuildKey); bk >= 0 {
-		j.t = o.hashTable(build.Rows, bk)
-	}
-	return j
-}
-
-// bind is j bound to header, after f (nil: none) types the cells it reads.
-func (j *probe) bind(header []string, f *where) *probe {
-	b := *j
-	b.cols, b.key, b.rest = header, sqlparse.NewNames(header).Index(j.probeKey), make([]int, 0, len(header))
-	if b.key < 0 {
-		b.key, b.t = 0, &hashTable{}
-	}
-	for c := range header {
-		if c != b.key && (f == nil || !f.reads[c]) {
-			b.rest = append(b.rest, c)
-		}
-	}
-	return &b
-}
-
-// probeSide is a pushed scan's build side (selectDecoded): its keys and
-// await, hashed by the first response to decode, and the last response's
-// binding of it, which a response naming the same columns reuses.
-type probeSide struct {
-	Load
-	hashed sync.Once
-	j      *probe
-	last   atomic.Pointer[probe]
-}
-
-// part is one partition: while a load decodes it, the object it was
-// fetched as, its header read (open), and its decoded rows, row-major: rows
-// rows of width() cells in one array (cells) or, when a predicate filters
-// them or a probe joins them, in blocks (full, then cells) — or, when they
-// fold, none. A scan decodes each partition into its part inside its
-// fan-out, and cuts the rows of all of them once after it (cutRows), so the
-// decode never hands out a window of an array it may still grow.
+// part is one partition while its scan decodes it: what its source opened,
+// and its decoded rows, row-major: rows rows of width() cells in one array
+// (cells) or, when a predicate filters them or a probe joins them, in
+// blocks (full, then cells) — or, when they fold, none. The rows of every
+// part are cut once after the fan-out (cutRows), so the decode never hands
+// out a window of an array it may still grow.
 type part struct {
 	cols    []string
 	cells   []value.Value
@@ -360,19 +406,23 @@ type part struct {
 	kept    int64 // the rows the predicate kept (all of them with none)
 	failed  error // the predicate's first error over the part's rows
 
-	// What open read: the "get <key>" span decode ends, the kept columns'
-	// header positions, and the object's rows — a CSV object's scanner,
-	// past the header line, or a colformat object's reader.
-	sp   *obs.Span
-	keep []int
-	data []byte
-	sc   *csvx.Scanner
-	col  *colformat.Reader
+	// What its source opened: the span decode ends, the kept columns'
+	// header positions, and the rows — a CSV scanner over data, past any
+	// header line, or a colformat object's reader. A select response's
+	// result holds the count its stats claim; object marks a GET's CSV
+	// object, whose kept text a row copies (own).
+	sp     *obs.Span
+	keep   []int
+	data   []byte
+	sc     csvx.Scanner
+	col    *colformat.Reader
+	res    *selectengine.Result
+	object bool
 
 	// What decode runs each row through (take): the predicate, the block
 	// the rows fold into and the cells it reads that f does not, the probe
 	// and its matches, the row they read, the block's first error, and the
-	// chunks a CSV part's kept text is copied into (own).
+	// chunks a CSV object's kept text is copied into (own).
 	f       *where
 	x       *expr.RowExec
 	need    []int
@@ -397,7 +447,7 @@ func (p *part) open(data []byte, cols []string, check func(header []string) erro
 			return err
 		}
 		header = p.col.Schema().Names()
-	} else if p.sc = csvx.NewScanner(data); p.sc.Scan() {
+	} else if p.sc, p.object = *csvx.NewScanner(data), true; p.sc.Scan() {
 		header = csvx.CloneRow(p.sc.Fields())
 	} else if err = p.sc.Err(); err != nil {
 		return err
@@ -413,26 +463,17 @@ func (p *part) open(data []byte, cols []string, check func(header []string) erro
 	return err
 }
 
-// decode types the rows of p, opened, that f keeps (all of them with no f)
-// and ends its span. With g bound to a header as wide as p's, the rows fold
-// into a block of p's own (RowExec.Partial) instead of staying; with j,
-// only the rows that join stay, joined.
-func (p *part) decode(f *where, g *groupFold, j *probe, workers int) error {
-	defer p.sp.End()
-	p.f = f.over(p)
-	if j != nil && len(j.cols) == len(p.cols) { // another width: the load refuses it (keptCols)
-		p.j = j
-	}
-	if g != nil && g.err == nil && len(g.cols) == len(p.cols) {
-		p.x, p.need = g.x.Partial(), g.need
-	}
-	if p.f != nil || p.x != nil || p.j != nil {
-		p.scratch = make([]value.Value, len(p.cols))
-	}
-	if p.col != nil {
-		return p.fromColumnar(workers)
-	}
-	return p.decodeCSV()
+// openRows opens body, CSV rows with no header line, under cols: an index
+// fetch's fragments, or a select response's body (response). Text cells
+// view body, which its owner never modifies.
+func (p *part) openRows(cols []string, body []byte) {
+	p.cols, p.data, p.sc = cols, body, *csvx.NewScanner(body)
+}
+
+// response opens res, a select response, as a part.
+func (p *part) response(res *selectengine.Result) {
+	p.openRows(res.Columns, res.Body)
+	p.res = res
 }
 
 // take runs one decoded row through the load, cell(c) typing its kept cell
@@ -452,7 +493,8 @@ func (p *part) take(cell func(c int) value.Value) {
 		for _, c := range f.cols {
 			p.scratch[c] = cell(c)
 		}
-		if !f.pass(p, p.scratch) {
+		if ok, err := f.ev.EvalBool(f.pred, p.scratch); !ok || err != nil {
+			p.failed = err // the first row it fails on: p keeps no row after it
 			return
 		}
 	}
@@ -497,9 +539,10 @@ func (p *part) take(cell func(c int) value.Value) {
 
 // own copies row's text cells into p's chunks when they view p's CSV
 // object (ownText): a Relation outlives the GET that fetched it. A
-// colformat chunk's text is its own already.
+// colformat chunk's text is its own already, and a response's body or an
+// index fetch's fragments hold only the rows they answer.
 func (p *part) own(row []value.Value) {
-	if p.sc != nil {
+	if p.object {
 		p.text = ownText(row, &p.chunks, p.text)
 	}
 }
@@ -549,23 +592,27 @@ func (p *part) row() []value.Value {
 	return p.cells[n:]
 }
 
-// keptCols is the columns of parts' rows: the first part's with columns or
-// rows (a zero-byte partition has neither), the rest as wide as it.
-func keptCols(parts []part) ([]string, error) {
-	var cols []string
+// keptCols is the columns of parts' rows: header, or with none the first
+// part's with columns or rows (a zero-byte partition has neither). Every
+// other such part must name the same columns in the same order, or its rows
+// would join the relation by position.
+func keptCols(parts []part, header []string) ([]string, error) {
+	cols := header
 	for _, p := range parts {
 		if len(p.cols) == 0 && p.rows == 0 {
 			continue
 		}
 		if cols == nil {
 			cols = p.cols
-		}
-		if len(p.cols) != len(cols) {
-			return nil, fmt.Errorf("engine: partitions differ in width: %v vs %v", cols, p.cols)
+		} else if !sameCols(p.cols, cols) {
+			return nil, fmt.Errorf("engine: partitions differ in columns: %v vs %v", cols, p.cols)
 		}
 	}
 	return cols, nil
 }
+
+// sameCols reports whether a and b name the same columns in the same order.
+func sameCols(a, b []string) bool { return slices.EqualFunc(a, b, sqlparse.SameName) }
 
 // cutRows is the relation of parts' rows, each as wide as cols, in
 // partition order: one []Row for all of them, row k of an array the window
@@ -596,8 +643,8 @@ func cutRows(parts []part, cols []string) *Relation {
 	return out
 }
 
-// errNoBuild fails a probing load whose build side failed to load, which
-// is the error its caller reports (baselineJoin).
+// errNoBuild fails a probing scan whose build side failed to load, which
+// is the error its caller reports (buildThenProbe).
 var errNoBuild = errors.New("engine: a probing load's build side failed")
 
 // errNoColumn marks a load naming a column its table's header lacks.
@@ -687,44 +734,31 @@ func (p *part) fromColumnar(workers int) error {
 	return nil
 }
 
-// decodeCSV types an opened CSV object's cells straight off the scanner:
-// one pass, no intermediate rows of strings, and only the cells the load
-// needs of the kept columns (take). The scanner's fields are views of the
-// object, so this is where loaded rows come to own their bytes: a kept
-// row's text cells are copied into the partition's chunks (part.own;
-// numbers and dates hold no bytes at all), and a dropped, unjoined or
-// folded row's cells, typed only in the scratch row, are unreachable once
-// the decode returns. Unfiltered cells go into one array sized from the
-// line count, filtered or joined ones into blocks (part.blocks), folded
-// ones nowhere. Every row is as wide as the kept header (value.CSVCell). A
-// zero-byte object decodes to no columns and no rows.
+// decodeCSV types a CSV part's cells straight off its scanner — a GET's
+// object, a response's body or an index fetch's fragments alike — in one
+// pass, only the cells the consumers need (take), each by value.CSVCell, so
+// every row is as wide as the kept header. A dropped, unjoined or folded
+// row's cells live only in the scratch row. Unfiltered cells go into one
+// array sized from the line count (at most data's length: a cell takes a
+// byte), filtered or joined ones into blocks (part.blocks), folded ones
+// nowhere. A part with no rows' source (an index partition no range
+// reached) has no rows.
 func (p *part) decodeCSV() error {
-	if p.cols == nil {
-		return nil
-	}
 	if p.x == nil {
-		lines := bytes.Count(p.data, []byte{'\n'}) // the row count, unless cells hold newlines
-		// A cell takes a byte at least: linear in the object, wide header or not.
-		bound := min(lines*len(p.cols), len(p.data))
+		bound := min(bytes.Count(p.data, []byte{'\n'})*len(p.cols), len(p.data))
 		if p.f != nil || p.j != nil {
 			p.blocks(bound)
 		} else {
 			p.cells = make([]value.Value, 0, bound)
 		}
 	}
-	return p.scan(p.sc)
-}
-
-// scan is the one loop over a CSV body's lines: each runs through take,
-// its kept cell c typed from field at(p.keep, c) by value.CSVCell.
-func (p *part) scan(sc *csvx.Scanner) error {
 	var fields []string
 	cell := func(c int) value.Value { return value.CSVCell(fields, at(p.keep, c)) }
-	for sc.Scan() {
-		fields = sc.Fields()
+	for p.sc.Scan() {
+		fields = p.sc.Fields()
 		p.take(cell)
 	}
-	return sc.Err()
+	return p.sc.Err()
 }
 
 // ownText copies row's text cells into chunks, in one piece, so that row
@@ -746,24 +780,6 @@ func ownText(row []value.Value, chunks *arena.Text, buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// decodeRows types CSV rows with no header line under cols — a select
-// response's body, or the rows an IndexScan fetched by range — by
-// decodeCSV's rule, every row as wide as cols (value.CSVCell), into one
-// array presized for n rows; or, with j bound to cols, only the joined rows
-// of each row's probe (part.take), in blocks. Text cells view body, which
-// its owner never modifies.
-func decodeRows(cols []string, body []byte, n int, j *probe) (part, error) {
-	p := part{cols: cols}
-	if bound := min(n*len(cols), len(body)); j == nil || len(cols) == 0 {
-		p.cells = make([]value.Value, 0, bound)
-	} else {
-		p.j, p.scratch = j, make([]value.Value, len(cols))
-		p.blocks(bound)
-	}
-	err := p.scan(csvx.NewScanner(body))
-	return p, err
 }
 
 // checkClaim refuses a response whose body held n rows where its stats
@@ -790,125 +806,57 @@ func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Rela
 // pushed scan on the server (group-by, top-K, the Bloom build) begin with.
 func (e *Exec) selectMetered(name string, stage int, table string, req selectengine.Request, perRow int64) (*Relation, error) {
 	st := e.step(name, name, stage, table)
-	rel, rows, err := e.selectDecoded(st, table, req, nil, nil)
+	d := &decoder{}
+	rel, err := e.selectDecoded(st, table, req, d)
 	if err == nil {
-		st.AddServerRows(rows * perRow)
+		st.AddServerRows(d.decoded * perRow)
 	}
 	st.end(err)
 	return rel, err
 }
 
-// selectDecoded runs req on every partition of table, metered on st, and
-// decodes each response's body once, inside the fan-out, where LoadTable
-// decodes too: to its part, whose rows are cut in partition order into the
-// relation once every partition has decoded, or with a fold into the fold's
-// group table, and no relation is built (it is nil). Bodies fold in
-// partition order, as their concatenation would: partition i's waits for
-// partition i-1's fold, and overlaps the selects of the partitions after it.
-// With on, each response waits for on.await's build side, and its rows
-// probe the build side's hash table on on's keys as they decode, bound to
-// the columns it names: the relation is Operators.HashJoin(build, <the
-// relation without on>, on.BuildKey, on.ProbeKey)'s, or its error, but a
-// response naming the probe key elsewhere than the first does is refused.
-// A body that is not the rows its stats claim fails either way. It also
-// answers the rows the responses held.
-func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, fold *groupFold, on *probeSide) (*Relation, int64, error) {
-	keys, _ := e.parts(table) // memoized; a failure is selectOnParts's to report
-	parts := make([]part, len(keys))
-	var folded []chan struct{} // folded[i] closes once partition i has folded
-	if fold != nil {
-		folded = make([]chan struct{}, len(keys))
-		for i := range folded {
-			folded[i] = make(chan struct{})
-		}
+// selectDecoded runs req on every partition of table, metered on st, each
+// response a part decoded through d as it arrives, inside the fan-out: the
+// relation of the rows in partition order, or with d's fold none. A fold is
+// bound before the scan to the columns the request returns (newGroupFold),
+// and the responses fold straight into its block in partition order, as
+// their concatenation would: response i waits for response i-1's fold, and
+// overlaps the selects after it. With d's build side, the relation is
+// Operators.HashJoin(build, <the relation without it>, buildKey,
+// probeKey)'s, or its error.
+func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, d *decoder) (*Relation, error) {
+	keys, err := e.parts(table)
+	if err != nil {
+		return nil, err
 	}
-	_, err := e.selectOnParts(st, table, req, func(ctx context.Context, i int, res *selectengine.Result) (err error) {
-		if fold != nil && i > 0 {
-			select {
-			case <-folded[i-1]:
-			case <-ctx.Done(): // another partition failed, or the statement was canceled
-				return ctx.Err()
-			}
-		}
-		var j *probe
-		if on != nil {
-			on.hashed.Do(func() {
-				if build := on.await(); build != nil {
-					on.j = hashProbe(build, &on.Load, Operators{Workers: e.workers()})
-				}
-			})
-			if on.j == nil { // no build side to probe: the response is not the join's
-				return nil
-			}
-			if j = on.last.Load(); j == nil || !slices.Equal(j.cols, res.Columns) {
-				j = on.j.bind(res.Columns, nil)
-				on.last.Store(j)
-			}
-		}
-		dec := st.sp.Child("decode")
-		defer dec.End()
-		claimed := res.Stats.RowsReturned
-		dec.SetInt("rows", claimed)
-		if fold != nil {
-			if err = fold.body(res); err == nil {
-				close(folded[i])
-			}
-			return err
-		}
-		parts[i], err = decodeRows(res.Columns, res.Body, csvx.RowBound(res.Body, len(res.Columns), claimed), j)
+	d.e, d.st = e, st
+	if d.fold != nil {
+		d.header = d.fold.cols
+	}
+	return d.finish(d.run(keys, func(ctx context.Context, i int) error {
+		res, err := e.doSelect(ctx, st, table, keys[i], req)
 		if err == nil {
-			err = checkClaim(res, parts[i].decoded)
+			d.parts[i].response(res)
 		}
 		return err
-	})
-	if err == nil && on != nil && on.j == nil {
-		err = errNoBuild
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if fold != nil {
-		st.sp.SetInt("rows", fold.rows)
-		return nil, fold.rows, nil
-	}
-	cols, err := keptCols(parts)
-	if err == nil && on != nil {
-		var pk int
-		_, pk, err = joinKeys(on.j.build.Cols, cols, on.BuildKey, on.ProbeKey)
-		for _, p := range parts { // each response bound the columns it names: the key must sit where the relation's does
-			if err == nil && len(p.cols) > 0 && sqlparse.NewNames(p.cols).Index(on.ProbeKey) != pk {
-				err = fmt.Errorf("engine: join key %q is not column %d of every response: %v", on.ProbeKey, pk+1, p.cols)
-			}
-		}
-		cols = append(slices.Clip(on.j.build.Cols), cols...)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	rows := int64(0)
-	for _, p := range parts {
-		rows += p.decoded
-	}
-	out := cutRows(parts, cols)
-	st.sp.SetInt("rows", rows)
-	return out, rows, nil
+	}))
 }
 
 // groupFold is a grouped tail that sees no relation: one aggregation block,
 // bound to the columns its input rows are laid out as, that rows fold into
-// as they decode — a pushed scan's response bodies, row by row in partition
-// order (selectDecoded), or a baseline load's partitions, each into a block
-// of its own merged in partition order (loadTable). The groups collect into
-// out when the block finishes.
+// as they decode (decoder) — a pushed scan's responses straight into it in
+// partition order, a load's first partition with a header straight into it
+// and each after it into a block of its own (RowExec.Partial), merged in
+// partition order once every partition has decoded, since a load's decodes
+// run at once. The groups collect into out when the block finishes.
 type groupFold struct {
 	keys  []sqlparse.Expr
 	items []sqlparse.SelectItem
 	x     *expr.RowExec
-	err   error         // x's binding's
-	cols  []string      // the columns x is bound to
-	need  []int         // the positions x reads, a load's Where's left out
-	row   []value.Value // the scratch row a response's rows fold through
-	rows  int64         // the rows folded so far
+	err   error    // x's binding's
+	cols  []string // the columns x is bound to
+	need  []int    // the positions x reads, a load's Where's left out
+	rows  int64    // the rows folded
 	out   *Relation
 }
 
@@ -916,22 +864,21 @@ type groupFold struct {
 // the scan's statement, returns: never *, whose columns only a response
 // would name (pushedScan).
 func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*groupFold, error) {
-	f := &groupFold{keys: keys, items: items}
 	cols := make([]string, len(pushed.Items))
 	for i, it := range pushed.Items {
 		cols[i] = it.Name()
 	}
-	if f.bind(cols, false); f.err == nil {
-		f.need = f.x.Cols()
-	}
-	f.row = make([]value.Value, len(cols))
+	f := &groupFold{keys: keys, items: items}
+	f.bind(cols, nil, false)
 	return f, f.err
 }
 
 // bind binds the block to rows laid out as cols (nil: none, every column
-// past a row's end), its output rows collecting into out — owning their
-// text with own, however the rows folded view theirs.
-func (f *groupFold) bind(cols []string, own bool) {
+// past a row's end), after w (nil: none) types the cells it reads, its
+// output rows collecting into out — owning their text with own: a row
+// folded from a GET's object views it, and so does a group key or a MIN or
+// MAX kept from it, and the result never keeps an object reachable.
+func (f *groupFold) bind(cols []string, w *where, own bool) {
 	f.cols = cols
 	f.out = &Relation{Cols: itemCols(&Relation{Cols: cols}, f.items)}
 	emit := f.out.collect()
@@ -942,61 +889,15 @@ func (f *groupFold) bind(cols []string, own bool) {
 			return collect(row)
 		}
 	}
-	f.x, f.err = expr.NewAggregation(cols, nil, f.keys, sqlparse.ItemExprs(f.items), emit)
-}
-
-// bindLoad binds f to a load's first kept header, after its Where (nil:
-// none) types the cells it reads. A folded row's text views its GET's
-// object, and so does a group key or a MIN or MAX kept from it, so the
-// output rows own their text: the result never keeps an object reachable.
-func (f *groupFold) bindLoad(header []string, w *where) {
-	f.bind(header, true)
-	if f.err == nil {
-		for _, j := range f.x.Cols() {
-			if w == nil || !w.reads[j] {
-				f.need = append(f.need, j)
-			}
-		}
+	if f.x, f.err = expr.NewAggregation(cols, nil, f.keys, sqlparse.ItemExprs(f.items), emit); f.err == nil && w != nil {
+		f.need = slices.DeleteFunc(slices.Clone(f.x.Cols()), func(j int) bool { return w.reads[j] })
+	} else if f.err == nil {
+		f.need = f.x.Cols()
 	}
-}
-
-// merge folds the partitions' blocks into f's in partition order, once the
-// grouping has bound and no partition's block failed: the first
-// partition's first failing row is the error, as over the concatenation.
-func (f *groupFold) merge(parts []part) error {
-	err := f.err
-	for _, p := range parts {
-		if err == nil {
-			err = p.aggErr
-		}
-	}
-	for _, p := range parts {
-		if err == nil && p.x != nil {
-			err = f.x.Merge(p.x)
-			f.rows += p.kept
-		}
-	}
-	return err
 }
 
 // finish emits the block's groups into f's output.
 func (f *groupFold) finish() (*Relation, error) { return f.out, f.x.Finish() }
-
-// body folds one response into the block. It fails unless the response
-// names the bound columns and its body holds the rows its stats claim; the
-// rows before the one where that shows are folded already.
-func (f *groupFold) body(res *selectengine.Result) error {
-	if !slices.Equal(res.Columns, f.cols) {
-		return fmt.Errorf("engine: a response's columns %v are not its request's %v", res.Columns, f.cols)
-	}
-	p := part{cols: f.cols, x: f.x, need: f.need, scratch: f.row}
-	err := p.scan(csvx.NewScanner(res.Body))
-	f.rows += p.decoded
-	if err = cmp.Or(p.aggErr, err); err == nil {
-		err = checkClaim(res, p.decoded)
-	}
-	return err
-}
 
 // SelectAgg runs an aggregate-only sql on every partition and merges the
 // single-row results column-wise, each column by the aggregate of the item

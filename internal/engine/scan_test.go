@@ -96,6 +96,42 @@ func TestZeroBytePartition(t *testing.T) {
 	}
 }
 
+// TestPermutedHeadersAreRefused: partitions whose headers name the same
+// columns in another order are no table a relation can be cut from by
+// position. Joined by position, SELECT * FROM t WHERE a > 3 answered
+// [[5 6] [7 8]] on the baseline (the WHERE bound to partition 0's
+// positions) and [[5 6] [3 4] [7 8]] pushed (every response labelled with
+// the first's columns), where the rows are (5,6), (4,3) and (8,7). Planned,
+// forced baseline and forced filtered, the statement is refused, with the
+// same error.
+func TestPermutedHeadersAreRefused(t *testing.T) {
+	st := store.New()
+	st.Put(testBucket, store.PartitionKey("t", 0), []byte("a,b\n1,2\n5,6\n"))
+	st.Put(testBucket, store.PartitionKey("t", 1), []byte("b,a\n3,4\n7,8\n"))
+	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT * FROM t WHERE a > 3"
+	const want = "engine: partitions differ in columns: [a b] vs [b a]"
+	ctx := context.Background()
+	for name, run := range map[string]func() (*Relation, error){
+		"planned": func() (*Relation, error) { rel, _, err := db.QueryContext(ctx, sql); return rel, err },
+		"baseline": func() (*Relation, error) {
+			rel, _, err := db.QueryForced(ctx, sql, StrategyBaseline)
+			return rel, err
+		},
+		"filtered": func() (*Relation, error) {
+			rel, _, err := db.QueryForced(ctx, sql, StrategyFiltered)
+			return rel, err
+		},
+	} {
+		if rel, err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, %v; want %q", name, rel, err, want)
+		}
+	}
+}
+
 // miscountedSelects adds a copy of the first line of every non-empty select
 // response's body (extra) or drops its last line, in a copy of the body
 // (responses are shared), leaving the stats as storage counted them.

@@ -47,7 +47,7 @@ func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, ea
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
 		res, err := e.doSelect(ctx, st, table, key, req)
 		if err != nil {
-			return fmt.Errorf("engine: select on %s: %w", key, err)
+			return err
 		}
 		if each != nil {
 			return each(ctx, i, res)
@@ -63,13 +63,13 @@ func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, ea
 
 // doSelect issues one S3 Select against an object of table through its
 // backend's pipeline, billed to st, and describes it on a "select <key>"
-// child of st's span by how the pipeline served it.
+// child of st's span by how the pipeline served it. Its error names key.
 func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req selectengine.Request) (*selectengine.Result, error) {
 	sp := st.sp.Child("select " + key)
 	defer sp.End()
 	res, err := e.db.store(table).Select(ctx, st.Phase, key, req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: select on %s: %w", key, err)
 	}
 	how := res.Served
 	if how.Cache != "" {

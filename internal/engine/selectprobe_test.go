@@ -134,7 +134,8 @@ func (b misclaim) Select(ctx context.Context, bucket, key string, req selectengi
 // TestSelectProbeEdges: the responses and errors a probing scan must
 // answer as the scanned relation's HashJoin does — zero-byte partitions,
 // whose responses name no columns, a table whose only object has no header
-// at all, partitions of different widths, unknown probe and build keys, and
+// at all, partitions of different widths or names (refused, as the scanned
+// relation is), unknown probe and build keys, and
 // a body that is not the rows its stats claim, in the last partition only
 // or behind an unknown key (the claim's error wins).
 func TestSelectProbeEdges(t *testing.T) {
@@ -170,11 +171,11 @@ func TestSelectProbeEdges(t *testing.T) {
 		{"zero_first", "nosuch", "nosuch", false, `join key "nosuch" not in left relation`},
 		{"no_header", "k", "x", false, `join key "x" not in right relation []`},
 		{"no_header", "nosuch", "x", false, `join key "nosuch" not in left relation`},
-		{"widths", "k", "x", false, "differ in width"},
-		{"widths", "nosuch", "x", false, "differ in width"},
+		{"widths", "k", "x", false, "differ in columns"},
+		{"widths", "nosuch", "x", false, "differ in columns"},
 		{"liar", "k", "x", false, "not the 3 rows its stats claim"},
 		{"liar", "nosuch", "nosuch", true, "not the 3 rows its stats claim"},
-		{"renamed", "k", "x", false, ""},
+		{"renamed", "k", "x", false, "differ in columns"},
 	} {
 		b := build
 		if c.empty {
@@ -192,10 +193,11 @@ func TestSelectProbeEdges(t *testing.T) {
 }
 
 // TestSelectProbeRefusesAMovedKey: where a response names the probe key
-// at another position than the first response does, or not at all,
-// HashJoin over the scanned relation joins whatever cell sits at the
-// first's position, and the probing scan, which binds each response to the
-// columns it names, refuses instead.
+// at another position than the first response does, or not at all, a join
+// by position would join whatever cell sits at the first's position; the
+// probing scan, which binds each response to the columns it names, refuses
+// the responses instead, as every scan refuses partitions naming different
+// columns (keptCols).
 func TestSelectProbeRefusesAMovedKey(t *testing.T) {
 	st := store.New()
 	for name, headers := range map[string][][]string{"permuted": {{"x", "y"}, {"y", "x"}}, "renamed": {{"x", "y"}, {"x", "z"}}} {
@@ -209,8 +211,8 @@ func TestSelectProbeRefusesAMovedKey(t *testing.T) {
 	}
 	build := cellsRel([]string{"k"}, [][]string{{"1"}})
 	for _, c := range []struct{ table, key, want string }{
-		{"permuted", "x", `join key "x" is not column 1 of every response: [y x]`},
-		{"renamed", "y", `join key "y" is not column 2 of every response: [x z]`},
+		{"permuted", "x", `partitions differ in columns: [x y] vs [y x]`},
+		{"renamed", "y", `partitions differ in columns: [x y] vs [x z]`},
 	} {
 		j := join{right: &TableScan{Table: c.table}, leftKey: "k", rightKey: c.key}
 		_, err := db.NewExec().pushedJoin("probe", 0, db.request(c.table, scanSelect(nil, nil)), j, func() *Relation { return build })

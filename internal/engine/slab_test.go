@@ -29,36 +29,51 @@ func ordersCells(rows int) ([]string, [][]string) {
 	return []string{"o_orderkey", "o_orderdate", "o_totalprice", "o_orderpriority", "o_clerk"}, cells
 }
 
-// relOf is rows typed as a select response's body decodes (decodeRows).
+// relOf is rows typed as a select response's body decodes (decodeResponse).
 func relOf(cols []string, rows [][]string) *Relation {
-	rel, err := cut(decodeRows(cols, csvx.Encode(nil, rows), len(rows), nil))
+	rel, err := decodeResponse(&decoder{}, responseOf(cols, csvx.Encode(nil, rows), len(rows)))
 	if err != nil {
 		panic(err)
 	}
 	return rel
 }
 
-// cut is the relation of one decoded partition, cut as a scan cuts its
-// partitions' rows (cutRows).
-func cut(p part, err error) (*Relation, error) {
-	if err != nil {
-		return nil, err
-	}
-	cols, err := keptCols([]part{p})
-	if err != nil {
-		return nil, err
-	}
-	return cutRows([]part{p}, cols), nil
+// responseOf is a select response naming cols whose stats claim rows rows
+// of body.
+func responseOf(cols []string, body []byte, rows int) *selectengine.Result {
+	return &selectengine.Result{Columns: cols, Body: body, Stats: selectengine.Stats{RowsReturned: int64(rows)}}
 }
 
-// loadPart is data decoded as a load decodes a partition of it: opened,
-// then its rows typed through f (nil keeps every row).
-func loadPart(data []byte, cols []string, f *where, workers int) (part, error) {
+// decodeParts decodes parts, opened, one after another as one scan's
+// partitions through the one decoder, with d's consumers (none in a zero
+// decoder), and finishes: the first part's error, else the finish's.
+func decodeParts(d *decoder, parts ...part) (*Relation, error) {
+	d.parts = parts
+	var err error
+	for i := range d.parts {
+		if err == nil {
+			err = d.decode(context.Background(), i)
+		}
+	}
+	return d.finish(err)
+}
+
+// decodeResponse decodes res as a scan's one select response through d,
+// reusing d's parts.
+func decodeResponse(d *decoder, res *selectengine.Result) (*Relation, error) {
+	d.parts = append(d.parts[:0], part{})
+	d.parts[0].response(res)
+	return d.finish(d.decode(context.Background(), 0))
+}
+
+// loadObject is data decoded as a load decodes a partition of it, on
+// workers: opened, then every row typed.
+func loadObject(data []byte, cols []string, workers int) (*Relation, error) {
 	var p part
 	if err := p.open(data, cols, nil); err != nil {
-		return part{}, err
+		return nil, err
 	}
-	return p, p.decode(f, nil, nil, workers)
+	return decodeParts(&decoder{workers: workers}, p)
 }
 
 // recordsOf is a select response's rows (Result.Records); a body that does
@@ -77,8 +92,8 @@ func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 // cost a fixed number of allocations plus one per chunk as chunks double —
 // not one per row (SortLocal) or two (decodeCSV) — vec.FromStrings a few per
 // column, none per cell, and no more than 12 bytes for a cell that is a
-// number; a grouped scan's fold of a body (groupFold.body) a few per body,
-// none per row.
+// number; a grouped scan's fold of a response into its block a few per
+// body, none per row.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -92,17 +107,17 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := &selectengine.Result{Columns: cols, Body: body, Stats: selectengine.Stats{RowsReturned: int64(rows)}}
-		return func() error { return f.body(res) }
+		d, res := &decoder{fold: f, header: f.cols}, responseOf(cols, body, rows)
+		return func() error { _, err := decodeResponse(d, res); return err }
 	}
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
-		rel := relOf(cols, cells)
+		rel, res := relOf(cols, cells), responseOf(cols, body, rows)
 		for name, run := range map[string]func() error{
-			"decodeRows":  func() error { _, err := cut(decodeRows(cols, body, rows, nil)); return err },
+			"response":    func() error { _, err := decodeResponse(&decoder{}, res); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
-			"decodeCSV":   func() error { _, err := cut(loadPart(data, nil, nil, 1)); return err },
+			"decodeCSV":   func() error { _, err := loadObject(data, nil, 1); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
@@ -212,18 +227,118 @@ func checkRowsDoNotAlias(t *testing.T, rel *Relation) {
 func TestDecodedRowsDoNotAlias(t *testing.T) {
 	cols, cells := ordersCells(40)
 	cells[7] = cells[7][:2] // ragged rows are windows too
-	body, err := cut(decodeRows(cols, csvx.Encode(nil, cells), len(cells), nil))
+	body, err := decodeResponse(&decoder{}, responseOf(cols, csvx.Encode(nil, cells), len(cells)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, body)
-	rel, err := cut(loadPart(csvx.Encode(cols, cells), nil, nil, 1))
+	rel, err := loadObject(csvx.Encode(cols, cells), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, rel)
 	if !reflect.DeepEqual(rel, body) {
-		t.Errorf("decodeCSV and decodeRows disagree:\n got %v\nwant %v", rel.Rows, body.Rows)
+		t.Errorf("a GET object and a response decode differently:\n got %v\nwant %v", rel.Rows, body.Rows)
+	}
+}
+
+// decodeSource decodes parts, rows under cols, through d as one scan whose
+// source is each partition as a GET object (its header line first), as a
+// select response, or as an index fetch's fragments: its relation, or with
+// a fold the fold's groups.
+func decodeSource(t *testing.T, d *decoder, source string, cols []string, parts [][][]string) (*Relation, error) {
+	t.Helper()
+	d.e = openTestDB(t, store.New()).NewExecContext(context.Background())
+	rel, err := d.finish(d.run(make([]string, len(parts)), func(_ context.Context, i int) error {
+		p := &d.parts[i]
+		switch source {
+		case "object":
+			return p.open(csvx.Encode(cols, parts[i]), nil, nil)
+		case "response":
+			p.response(responseOf(cols, csvx.Encode(nil, parts[i]), len(parts[i])))
+		default:
+			p.openRows(cols, csvx.Encode(nil, parts[i]))
+		}
+		return nil
+	}))
+	if err == nil && d.fold != nil {
+		rel, err = d.fold.finish()
+	}
+	return rel, err
+}
+
+// TestEverySourceDecodesAlike: the one decoder decodes a GET object, a
+// select response and an index fetch's fragments of the same rows alike
+// through every consumer — none, a Where, a fold into a grouping, a probe
+// of a build side — to the same rows in the same order, typed alike, or the
+// same error: over four partitions, one of them empty, with NULL, text,
+// quoted, date and ragged cells.
+func TestEverySourceDecodesAlike(t *testing.T) {
+	cols := []string{"k", "n", "s", "d"}
+	parts := [][][]string{
+		{{"1", "10", "a", "1996-03-13"}, {"2", "", "b,c", "1996-03-14"}, {"3", "2.5"}},
+		{},
+		{{"1", "-4", "", "1997-01-01"}, {"", "7", "x\"y", "1996-03-13"}},
+		{{"2", "x", "z", "1998-12-01"}, {"4", "5", "w", ""}},
+	}
+	expr := func(s string) sqlparse.Expr {
+		e, err := sqlparse.ParseExpr(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	build := cellsRel([]string{"bk", "tag"}, [][]string{{"1", "one"}, {"2", "two"}, {"1", "uno"}, {"", "null"}})
+	grouping := func(sql string) func(source string) *decoder {
+		sel := selectOf(t, sql)
+		return func(source string) *decoder {
+			if source != "response" { // a load's: bound to the first kept header
+				return &decoder{fold: &groupFold{keys: sel.GroupBy, items: sel.Items}, serial: true}
+			}
+			f, err := newGroupFold(scanSelect(columnItems(cols), nil), sel.GroupBy, sel.Items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &decoder{fold: f, header: f.cols} // a pushed scan's
+		}
+	}
+	probing := func(key string) func(string) *decoder {
+		return func(string) *decoder {
+			return &decoder{build: func() *Relation { return build }, buildKey: "bk", probeKey: key, serial: true}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		decoder func(source string) *decoder
+		fails   bool
+	}{
+		{"plain", func(string) *decoder { return &decoder{} }, false},
+		{"where", func(string) *decoder { return &decoder{where: expr("k >= 2 OR s IS NULL"), serial: true} }, false},
+		{"where failing", func(string) *decoder { return &decoder{where: expr("CAST(n AS INT) > 0"), serial: true} }, true},
+		{"where unbound", func(string) *decoder { return &decoder{where: expr("nosuch > 0"), serial: true} }, true},
+		{"fold", grouping("SELECT k, COUNT(*) AS c, MIN(s) AS lo, MAX(d) AS hi FROM t GROUP BY k"), false},
+		{"fold failing", grouping("SELECT k, SUM(n) AS sn FROM t GROUP BY k"), true},
+		{"probe", probing("k"), false},
+		{"probe unknown key", probing("nosuch"), true},
+	} {
+		var want *Relation
+		var wantErr error
+		for i, source := range []string{"object", "response", "fragments"} {
+			got, err := decodeSource(t, c.decoder(source), source, cols, parts)
+			if (err != nil) != c.fails {
+				t.Fatalf("%s over a %s: %v, %v; want an error: %v", c.name, source, got, err, c.fails)
+			}
+			if i == 0 {
+				want, wantErr = got, err
+				continue
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s: a %s fails with %v, a GET object with %v", c.name, source, err, wantErr)
+			}
+			if err == nil {
+				identicalRel(t, c.name+" over a "+source, want, got)
+			}
+		}
 	}
 }
 

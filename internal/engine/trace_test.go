@@ -158,12 +158,22 @@ func TestTraceThreeTableJoinShape(t *testing.T) {
 // TestTraceGroupedScanShape: a grouped scan's trace keeps the names the
 // layer breakdown classifies by. The typed decode is one "decode" span per
 // partition under the scan, the fold a groupby operator span under "local",
-// and the cardinalities are attributes: rows in, groups out.
+// and the cardinalities are attributes: rows in, groups out. The forced
+// baseline's folded load bills its local step the rows its WHERE kept, not
+// the rows it decoded.
 func TestTraceGroupedScanShape(t *testing.T) {
+	const sql = "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM events WHERE k < 900 GROUP BY g ORDER BY g"
 	db, _ := newTestDB(t)
 	tr := obs.New("t", "query")
-	rel, _, err := db.QueryContext(obs.WithTrace(context.Background(), tr),
-		"SELECT g, COUNT(*) AS n, SUM(v) AS s FROM events WHERE k < 900 GROUP BY g ORDER BY g")
+	if _, _, err := db.QueryForced(obs.WithTrace(context.Background(), tr), sql, StrategyBaseline); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if in, _ := tr.Snapshot().Find("local").Int("rows_in"); in != 900 {
+		t.Errorf("forced baseline: local rows_in = %d, want the 900 rows kept", in)
+	}
+	tr = obs.New("t", "query")
+	rel, _, err := db.QueryContext(obs.WithTrace(context.Background(), tr), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
