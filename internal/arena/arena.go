@@ -11,7 +11,10 @@
 // joined row keeps its join's whole array. Not for concurrent use.
 package arena
 
-import "strings"
+import (
+	"strings"
+	"unsafe"
+)
 
 const (
 	maxTextChunk = 64 << 10 // bytes
@@ -21,19 +24,24 @@ const (
 // Text is an append-only run of string chunks.
 type Text struct{ chunk strings.Builder }
 
-// String returns an owned copy of b. A strings.Builder with room to spare
-// appends in place, so what it returned earlier is neither moved nor copied.
-func (t *Text) String(b []byte) string {
-	if len(b) == 0 {
+// String returns an owned copy of b (Own).
+func (t *Text) String(b []byte) string { return t.Own(unsafe.String(unsafe.SliceData(b), len(b)), 0) }
+
+// Own returns an owned copy of s, from a new chunk of at least room bytes
+// (up to the cap) when the current one lacks the room: a caller that knows
+// its total pre-sizes. A strings.Builder with room to spare appends in
+// place, so what it returned earlier is neither moved nor copied.
+func (t *Text) Own(s string, room int) string {
+	if len(s) == 0 {
 		return "" // pins no chunk
 	}
-	if t.chunk.Cap()-t.chunk.Len() < len(b) {
-		size := min(2*t.chunk.Cap(), maxTextChunk)
+	if t.chunk.Cap()-t.chunk.Len() < len(s) {
+		size := min(max(2*t.chunk.Cap(), room), maxTextChunk)
 		t.chunk.Reset()
-		t.chunk.Grow(max(size, len(b)))
+		t.chunk.Grow(max(size, len(s)))
 	}
 	start := t.chunk.Len()
-	t.chunk.Write(b)
+	t.chunk.WriteString(s)
 	return t.chunk.String()[start:]
 }
 

@@ -168,7 +168,7 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable string, valuePred sqlpar
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	results, err := e.selectOnParts(st, idxTable, e.db.request(idxTable, index.Probe(valuePred)), nil)
+	results, err := e.selectOnParts(st, idxTable, e.db.request(idxTable, index.Probe(valuePred)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -591,7 +591,7 @@ func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.E
 	} else {
 		cs.source = StatsFromProbe
 		st := e.step("plan probe "+table, "plan probe "+table, stage, table)
-		results, err := e.selectOnParts(st, table, e.db.request(table, probe), nil)
+		results, err := e.selectOnParts(st, table, e.db.request(table, probe))
 		st.end(err)
 		if err != nil {
 			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)

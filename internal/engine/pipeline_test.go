@@ -114,12 +114,12 @@ func newHeldSelects(t *testing.T, st *store.Store) *heldSelects {
 
 func (g *heldSelects) release() { g.once.Do(func() { close(g.gate) }) }
 
-func (g *heldSelects) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+func (g *heldSelects) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	if strings.Contains(req.SQL, pipeMark) {
 		g.entered <- struct{}{}
 		<-g.gate
 	}
-	return g.Counting.Select(ctx, bucket, key, req)
+	return g.Counting.Lend(ctx, bucket, key, req, sink)
 }
 
 // awaitPasses waits for n held Selects.
@@ -540,11 +540,11 @@ type requestLog struct {
 	reqs []selectengine.Request
 }
 
-func (l *requestLog) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+func (l *requestLog) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	l.mu.Lock()
 	l.reqs = append(l.reqs, req)
 	l.mu.Unlock()
-	return l.Local.Select(ctx, bucket, key, req)
+	return l.Local.Lend(ctx, bucket, key, req, sink)
 }
 
 // take returns the requests kept since the last take.

@@ -143,6 +143,7 @@ type decoder struct {
 	build              func() *Relation // the build side the kept rows probe, waited for once: nil if it failed
 	buildKey, probeKey string
 	serial             bool // open parts one at a time until one names a header, which where and fold bind to (a load's)
+	lends              bool // open decodes each part it opens (run)
 
 	parts   []part
 	header  []string // what where and fold are bound to: a part naming another decodes no row
@@ -158,9 +159,10 @@ type decoder struct {
 
 // run fans the parts of keys out: each is opened by open (its span,
 // columns and rows: part.open, part.response or part.openRows), then
-// decoded. Serial, parts open one at a time first until one names a header
-// (those before it are zero-byte objects), so a statement the table cannot
-// answer costs one GET, and where and the fold bind to that header.
+// decoded (by open itself with lends: a lent response, in its sink). Serial,
+// parts open one at a time first until one names a header (those before it
+// are zero-byte objects), so a statement the table cannot answer costs one
+// GET, and where and the fold bind to that header.
 func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error) error {
 	d.parts = make([]part, len(keys))
 	d.workers = d.e.partWorkers(len(keys))
@@ -190,7 +192,7 @@ func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error
 			d.f = f
 		}
 		if d.fold != nil {
-			d.fold.bind(d.header, d.f, true)
+			d.fold.bind(d.header, d.f)
 		}
 	}
 	if d.fold != nil && !d.serial {
@@ -203,7 +205,7 @@ func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error
 	return d.e.forEachPart(keys[d.first:], func(ctx context.Context, i int, _ string) error {
 		i += d.first
 		if i >= next {
-			if err := open(ctx, i); err != nil {
+			if err := open(ctx, i); err != nil || d.lends {
 				d.parts[i].sp.End()
 				return err
 			}
@@ -409,20 +411,20 @@ type part struct {
 	// What its source opened: the span decode ends, the kept columns'
 	// header positions, and the rows — a CSV scanner over data, past any
 	// header line, or a colformat object's reader. A select response's
-	// result holds the count its stats claim; object marks a GET's CSV
-	// object, whose kept text a row copies (own).
-	sp     *obs.Span
-	keep   []int
-	data   []byte
-	sc     csvx.Scanner
-	col    *colformat.Reader
-	res    *selectengine.Result
-	object bool
+	// result holds the count its stats claim; lent marks a GET's CSV object
+	// or a lent body, whose kept text a row copies (own).
+	sp   *obs.Span
+	keep []int
+	data []byte
+	sc   csvx.Scanner
+	col  *colformat.Reader
+	res  *selectengine.Result
+	lent bool
 
 	// What decode runs each row through (take): the predicate, the block
 	// the rows fold into and the cells it reads that f does not, the probe
 	// and its matches, the row they read, the block's first error, and the
-	// chunks a CSV object's kept text is copied into (own).
+	// chunks lent text is copied into (own), each new one of room bytes.
 	f       *where
 	x       *expr.RowExec
 	need    []int
@@ -431,7 +433,7 @@ type part struct {
 	scratch []value.Value
 	aggErr  error
 	chunks  arena.Text
-	text    []byte
+	room    int
 }
 
 // open reads the header of data, a partition's object, has check (nil:
@@ -447,7 +449,7 @@ func (p *part) open(data []byte, cols []string, check func(header []string) erro
 			return err
 		}
 		header = p.col.Schema().Names()
-	} else if p.sc, p.object = *csvx.NewScanner(data), true; p.sc.Scan() {
+	} else if p.sc, p.lent = *csvx.NewScanner(data), true; p.sc.Scan() {
 		header = csvx.CloneRow(p.sc.Fields())
 	} else if err = p.sc.Err(); err != nil {
 		return err
@@ -473,7 +475,7 @@ func (p *part) openRows(cols []string, body []byte) {
 // response opens res, a select response, as a part.
 func (p *part) response(res *selectengine.Result) {
 	p.openRows(res.Columns, res.Body)
-	p.res = res
+	p.res, p.lent, p.room = res, res.Lent(), len(res.Body)
 }
 
 // take runs one decoded row through the load, cell(c) typing its kept cell
@@ -537,13 +539,16 @@ func (p *part) take(cell func(c int) value.Value) {
 	p.own(row)
 }
 
-// own copies row's text cells into p's chunks when they view p's CSV
-// object (ownText): a Relation outlives the GET that fetched it. A
-// colformat chunk's text is its own already, and a response's body or an
-// index fetch's fragments hold only the rows they answer.
+// own copies row's text cells into p's chunks when they view lent text, a
+// response's into chunks as long as its body, which holds all of its text: a
+// Relation outlives the GET and the sink it came from. A colformat chunk's
+// text is its own already, and an owned body or an index fetch's fragments
+// hold only the rows they answer.
 func (p *part) own(row []value.Value) {
-	if p.object {
-		p.text = ownText(row, &p.chunks, p.text)
+	for j, v := range row {
+		if p.lent && v.Kind() == value.KindString {
+			row[j] = value.Str(p.chunks.Own(v.AsString(), p.room))
+		}
 	}
 }
 
@@ -761,27 +766,6 @@ func (p *part) decodeCSV() error {
 	return p.sc.Err()
 }
 
-// ownText copies row's text cells into chunks, in one piece, so that row
-// no longer views the bytes they were typed from. buf is scratch, returned
-// for the next call.
-func ownText(row []value.Value, chunks *arena.Text, buf []byte) []byte {
-	buf = buf[:0]
-	for _, v := range row {
-		if v.Kind() == value.KindString {
-			buf = append(buf, v.AsString()...)
-		}
-	}
-	if owned := chunks.String(buf); owned != "" {
-		for j, v := range row {
-			if v.Kind() == value.KindString {
-				n := len(v.AsString())
-				row[j], owned = value.Str(owned[:n]), owned[n:]
-			}
-		}
-	}
-	return buf
-}
-
 // checkClaim refuses a response whose body held n rows where its stats
 // claim another count.
 func checkClaim(res *selectengine.Result, n int64) error {
@@ -816,29 +800,28 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 }
 
 // selectDecoded runs req on every partition of table, metered on st, each
-// response a part decoded through d as it arrives, inside the fan-out: the
-// relation of the rows in partition order, or with d's fold none. A fold is
-// bound before the scan to the columns the request returns (newGroupFold),
-// and the responses fold straight into its block in partition order, as
-// their concatenation would: response i waits for response i-1's fold, and
-// overlaps the selects after it. With d's build side, the relation is
-// Operators.HashJoin(build, <the relation without it>, buildKey,
-// probeKey)'s, or its error.
+// response a part decoded through d in the sink it is lent to, inside the
+// fan-out: the relation of the rows in partition order, or with d's fold
+// none. A fold is bound before the scan to the columns the request returns
+// (newGroupFold), and the responses fold straight into its block in
+// partition order, as their concatenation would: response i waits for
+// response i-1's fold, and overlaps the selects after it. With d's build
+// side, the relation is Operators.HashJoin(build, <the relation without
+// it>, buildKey, probeKey)'s, or its error.
 func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, d *decoder) (*Relation, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
-	d.e, d.st = e, st
+	d.e, d.st, d.lends = e, st, true
 	if d.fold != nil {
 		d.header = d.fold.cols
 	}
 	return d.finish(d.run(keys, func(ctx context.Context, i int) error {
-		res, err := e.doSelect(ctx, st, table, keys[i], req)
-		if err == nil {
+		return e.doSelect(ctx, st, table, keys[i], req, func(res *selectengine.Result) error {
 			d.parts[i].response(res)
-		}
-		return err
+			return d.decode(ctx, i)
+		})
 	}))
 }
 
@@ -869,27 +852,17 @@ func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlpars
 		cols[i] = it.Name()
 	}
 	f := &groupFold{keys: keys, items: items}
-	f.bind(cols, nil, false)
+	f.bind(cols, nil)
 	return f, f.err
 }
 
 // bind binds the block to rows laid out as cols (nil: none, every column
 // past a row's end), after w (nil: none) types the cells it reads, its
-// output rows collecting into out — owning their text with own: a row
-// folded from a GET's object views it, and so does a group key or a MIN or
-// MAX kept from it, and the result never keeps an object reachable.
-func (f *groupFold) bind(cols []string, w *where, own bool) {
+// output rows collecting into out.
+func (f *groupFold) bind(cols []string, w *where) {
 	f.cols = cols
 	f.out = &Relation{Cols: itemCols(&Relation{Cols: cols}, f.items)}
-	emit := f.out.collect()
-	if own {
-		collect, chunks, buf := emit, &arena.Text{}, []byte(nil)
-		emit = func(row []value.Value) error {
-			buf = ownText(row, chunks, buf)
-			return collect(row)
-		}
-	}
-	if f.x, f.err = expr.NewAggregation(cols, nil, f.keys, sqlparse.ItemExprs(f.items), emit); f.err == nil && w != nil {
+	if f.x, f.err = expr.NewAggregation(cols, nil, f.keys, sqlparse.ItemExprs(f.items), f.out.collect()); f.err == nil && w != nil {
 		f.need = slices.DeleteFunc(slices.Clone(f.x.Cols()), func(j int) bool { return w.reads[j] })
 	} else if f.err == nil {
 		f.need = f.x.Cols()
@@ -932,7 +905,7 @@ func (e *Exec) selectAgg(phaseName string, stage int, table string, req selecten
 	}
 	st := e.step(phaseName, phaseName, stage, table)
 	defer func() { st.end(err) }()
-	results, err := e.selectOnParts(st, table, req, nil)
+	results, err := e.selectOnParts(st, table, req)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,9 @@ import (
 // table's backend pipeline (composed in Open: result cache over scan
 // sharing over the backend, whichever are configured), which bills it from
 // the Served stamp it left on the response (s3api.Metered.Select), and is
-// traced in one place, doSelect. Results may be shared with the cache and
-// with other queries — callers must not mutate them.
+// traced and lent to its consumer in one place, doSelect. Results may be
+// shared with the cache and with other queries — callers must not mutate
+// them.
 
 // request is every S3 Select request the engine sends table: stmt, printed
 // once, with the table's header and its backend's advertised capabilities.
@@ -33,27 +34,19 @@ func scanSelect(items []sqlparse.SelectItem, where sqlparse.Expr) *sqlparse.Sele
 }
 
 // selectOnParts runs req against every partition of the table through its
-// backend's pipeline and returns the per-partition results, metered on st.
-// Each partition select becomes a child span of st's. each, when non-nil,
-// sees partition i's response inside the fan-out, under its context: a
-// consumer's decode, overlapping the selects still in flight, after which
-// the result is not kept (nil); its error fails the fan-out.
-func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, each func(ctx context.Context, i int, res *selectengine.Result) error) ([]*selectengine.Result, error) {
+// backend's pipeline and returns the per-partition results, owned, metered
+// on st. Each partition select becomes a child span of st's.
+func (e *Exec) selectOnParts(st step, table string, req selectengine.Request) ([]*selectengine.Result, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*selectengine.Result, len(keys))
 	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		res, err := e.doSelect(ctx, st, table, key, req)
-		if err != nil {
-			return err
-		}
-		if each != nil {
-			return each(ctx, i, res)
-		}
-		results[i] = res
-		return nil
+		return e.doSelect(ctx, st, table, key, req, func(res *selectengine.Result) error {
+			results[i] = res.Own()
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -61,33 +54,44 @@ func (e *Exec) selectOnParts(st step, table string, req selectengine.Request, ea
 	return results, nil
 }
 
+// consumed carries a sink's error back through the pipeline, which returns
+// it as is, for doSelect to tell it from storage's.
+type consumed struct{ error }
+
 // doSelect issues one S3 Select against an object of table through its
-// backend's pipeline, billed to st, and describes it on a "select <key>"
-// child of st's span by how the pipeline served it. Its error names key.
-func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req selectengine.Request) (*selectengine.Result, error) {
+// backend's pipeline, billed to st, describes it on a "select <key>" child
+// of st's span by how the pipeline served it, ends the span and lends the
+// response to sink. A storage error names key; sink's comes back as is.
+func (e *Exec) doSelect(ctx context.Context, st step, table, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	sp := st.sp.Child("select " + key)
 	defer sp.End()
-	res, err := e.db.store(table).Select(ctx, st.Phase, key, req)
-	if err != nil {
-		return nil, fmt.Errorf("engine: select on %s: %w", key, err)
-	}
-	how := res.Served
-	if how.Cache != "" {
-		sp.SetStr("cache", how.Cache)
-	}
-	if how.Sharers > 1 {
-		sp.SetInt("sharers", int64(how.Sharers))
-	}
-	if how.Sharers > 0 {
-		share := "leader"
-		if how.Coalesced {
-			share = "sharer"
+	err := e.db.store(table).Select(ctx, st.Phase, key, req, func(res *selectengine.Result) error {
+		how := res.Served
+		if how.Cache != "" {
+			sp.SetStr("cache", how.Cache)
 		}
-		sp.SetStr("share", share)
+		if how.Sharers > 1 {
+			sp.SetInt("sharers", int64(how.Sharers))
+		}
+		if how.Sharers > 0 {
+			share := "leader"
+			if how.Coalesced {
+				share = "sharer"
+			}
+			sp.SetStr("share", share)
+		}
+		sp.SetInt("rows", res.Stats.RowsReturned)
+		sp.SetInt("bytes", res.Stats.BytesReturned)
+		sp.End()
+		if err := sink(res); err != nil {
+			return consumed{err}
+		}
+		return nil
+	})
+	if ce, ok := err.(consumed); ok || err == nil {
+		return ce.error
 	}
-	sp.SetInt("rows", res.Stats.RowsReturned)
-	sp.SetInt("bytes", res.Stats.BytesReturned)
-	return res, nil
+	return fmt.Errorf("engine: select on %s: %w", key, err)
 }
 
 // cachedScanFrac reports what fraction of a table's partitions have req's

@@ -244,18 +244,27 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 
 // decodeSource decodes parts, rows under cols, through d as one scan whose
 // source is each partition as a GET object (its header line first), as a
-// select response, or as an index fetch's fragments: its relation, or with
-// a fold the fold's groups.
+// select response, as one lent by storage (selectengine.Run, decoded in
+// its sink and poisoned once the sink returns), or as an index fetch's
+// fragments: its relation, or with a fold the fold's groups.
 func decodeSource(t *testing.T, d *decoder, source string, cols []string, parts [][][]string) (*Relation, error) {
 	t.Helper()
-	d.e = openTestDB(t, store.New()).NewExecContext(context.Background())
-	rel, err := d.finish(d.run(make([]string, len(parts)), func(_ context.Context, i int) error {
+	d.e, d.lends = openTestDB(t, store.New()).NewExecContext(context.Background()), source == "lent"
+	rel, err := d.finish(d.run(make([]string, len(parts)), func(ctx context.Context, i int) error {
 		p := &d.parts[i]
 		switch source {
 		case "object":
 			return p.open(csvx.Encode(cols, parts[i]), nil, nil)
 		case "response":
 			p.response(responseOf(cols, csvx.Encode(nil, parts[i]), len(parts[i])))
+		case "lent":
+			req := selectengine.Request{SQL: "SELECT * FROM S3Object", HasHeader: true}
+			return selectengine.Run(csvx.Encode(cols, parts[i]), req, func(res *selectengine.Result) error {
+				d.parts[i].response(res)
+				err := d.decode(ctx, i)
+				poison(res.Body)
+				return err
+			})
 		default:
 			p.openRows(cols, csvx.Encode(nil, parts[i]))
 		}
@@ -272,7 +281,9 @@ func decodeSource(t *testing.T, d *decoder, source string, cols []string, parts 
 // through every consumer — none, a Where, a fold into a grouping, a probe
 // of a build side — to the same rows in the same order, typed alike, or the
 // same error: over four partitions, one of them empty, with NULL, text,
-// quoted, date and ragged cells.
+// quoted, date and ragged cells. So does a response storage lends, whose
+// body is poisoned once decoded, through every consumer a response meets
+// (a Where is a load's): nothing the decode keeps views it.
 func TestEverySourceDecodesAlike(t *testing.T) {
 	cols := []string{"k", "n", "s", "d"}
 	parts := [][][]string{
@@ -292,7 +303,7 @@ func TestEverySourceDecodesAlike(t *testing.T) {
 	grouping := func(sql string) func(source string) *decoder {
 		sel := selectOf(t, sql)
 		return func(source string) *decoder {
-			if source != "response" { // a load's: bound to the first kept header
+			if source != "response" && source != "lent" { // a load's: bound to the first kept header
 				return &decoder{fold: &groupFold{keys: sel.GroupBy, items: sel.Items}, serial: true}
 			}
 			f, err := newGroupFold(scanSelect(columnItems(cols), nil), sel.GroupBy, sel.Items)
@@ -323,8 +334,13 @@ func TestEverySourceDecodesAlike(t *testing.T) {
 	} {
 		var want *Relation
 		var wantErr error
-		for i, source := range []string{"object", "response", "fragments"} {
-			got, err := decodeSource(t, c.decoder(source), source, cols, parts)
+		for i, source := range []string{"object", "response", "fragments", "lent"} {
+			d := c.decoder(source)
+			if source == "lent" && d.where != nil {
+				continue
+			}
+			d.serial = d.serial && source != "lent" // a response's parts decode at once
+			got, err := decodeSource(t, d, source, cols, parts)
 			if (err != nil) != c.fails {
 				t.Fatalf("%s over a %s: %v, %v; want an error: %v", c.name, source, got, err, c.fails)
 			}

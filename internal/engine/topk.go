@@ -2,11 +2,8 @@ package engine
 
 import (
 	"cmp"
-	"context"
 	"math"
-	"slices"
 
-	"pushdowndb/internal/selectengine"
 	"pushdowndb/internal/sqlparse"
 )
 
@@ -66,13 +63,15 @@ func (e *Exec) SamplingTopK(sql string, sampleSize int64) (*Relation, error) {
 		keys = append(keys, o.Expr)
 	}
 	st := e.step("sample "+table, "sample "+table, stage, table)
-	recs := make([][][]string, len(parts))
-	_, err = e.selectOnParts(st, table, e.db.request(table, keyProbe(sel, keys, max(sampleSize/int64(len(parts)), 1))),
-		func(_ context.Context, i int, res *selectengine.Result) (err error) {
-			recs[i], err = res.Records()
-			return err
-		})
-	rows := slices.Concat(recs...)
+	results, err := e.selectOnParts(st, table, e.db.request(table, keyProbe(sel, keys, max(sampleSize/int64(len(parts)), 1))))
+	var rows [][]string
+	for _, res := range results {
+		var recs [][]string
+		if recs, err = res.Records(); err != nil {
+			break
+		}
+		rows = append(rows, recs...)
+	}
 	st.AddServerRows(int64(len(rows)))
 	st.sp.SetInt("rows", int64(len(rows)))
 	st.end(err)

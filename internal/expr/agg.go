@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 
+	"pushdowndb/internal/arena"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/value"
 )
@@ -31,6 +32,7 @@ type AggState struct {
 	minV    value.Value
 	maxV    value.Value
 	seen    bool
+	text    *arena.Text // a RowExec group's: MIN and MAX keep text in it (own)
 }
 
 // bigSum is an exact sum in a high-precision big.Float, sums[cur].
@@ -254,15 +256,24 @@ func (a *AggState) Add(v value.Value) error {
 		}
 	case sqlparse.AggMin:
 		if !a.seen || value.Compare(v, a.minV) < 0 {
-			a.minV = v
+			a.minV = own(v, a.text)
 		}
 	case sqlparse.AggMax:
 		if !a.seen || value.Compare(v, a.maxV) > 0 {
-			a.maxV = v
+			a.maxV = own(v, a.text)
 		}
 	}
 	a.seen = true
 	return nil
+}
+
+// own is v with its text copied into text (nil: v): what a block keeps
+// across rows must not view an input row, whose bytes may be lent.
+func own(v value.Value, text *arena.Text) value.Value {
+	if text != nil && v.Kind() == value.KindString {
+		return value.Str(text.Own(v.AsString(), 0))
+	}
+	return v
 }
 
 // Merge combines another accumulator of the same function (used when

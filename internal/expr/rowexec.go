@@ -68,12 +68,16 @@ func (t *groupTable) partial() *groupTable {
 // not materialize the key.
 func (t *groupTable) find(key []byte) *group { return t.index[string(key)] }
 
-// insert adds the group for a key find did not have, copying key and keyVals.
+// insert adds the group for a key find did not have, copying key and
+// keyVals and their text (own), as its MIN and MAX states do.
 func (t *groupTable) insert(key []byte, keyVals []value.Value) *group {
 	g := &t.groups.Make(1)[0]
-	g.key, g.keyVals, g.states = t.text.String(key), append(t.vals.Make(len(keyVals))[:0], keyVals...), t.states.Make(len(t.aggs))
+	g.key, g.keyVals, g.states = t.text.String(key), t.vals.Make(len(keyVals)), t.states.Make(len(t.aggs))
+	for i, v := range keyVals {
+		g.keyVals[i] = own(v, &t.text)
+	}
 	for i, a := range t.aggs {
-		g.states[i].fn = a.Func
+		g.states[i].fn, g.states[i].text = a.Func, &t.text
 	}
 	t.index[g.key] = g
 	t.order = append(t.order, g)

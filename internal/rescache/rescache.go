@@ -11,7 +11,7 @@
 // happened.
 //
 // Cached *selectengine.Result values are shared between the cache and
-// every reader; they are treated as immutable after insertion.
+// every reader; they are owned (Result.Own) and immutable after insertion.
 package rescache
 
 import (
@@ -110,37 +110,36 @@ type layer struct {
 	inner   s3api.Selector
 }
 
-// Over returns a Selector that answers inner's Selects from c, keyed under
+// Over returns a Selector that answers inner's requests from c, keyed under
 // the registered backend name (one cache serves every backend of a DB). A
-// hit returns a per-caller copy of the shared entry stamped CacheHit and
+// hit lends a per-caller copy of the shared entry stamped CacheHit and
 // never reaches inner. A miss snapshots the object's generation, asks
-// inner, stamps CacheMiss and fills at the snapshot — so a response that
-// raced an invalidation is dropped — unless the response was coalesced
-// onto another request's pass below (Served.Coalesced): the request that
-// led the pass fills, the riders only record an in-flight dedup.
+// inner, stamps CacheMiss and fills at the snapshot with an owned copy —
+// so a response that raced an invalidation is dropped — unless the response
+// was coalesced onto another request's pass below (Served.Coalesced): the
+// request that led the pass fills, the riders only record an in-flight dedup.
 func (c *Cache) Over(backend string, inner s3api.Selector) s3api.Selector {
 	return &layer{cache: c, backend: backend, inner: inner}
 }
 
-func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+func (l *layer) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	k := Key{Backend: l.backend, Bucket: bucket, Object: key, Query: req.Fingerprint()}
 	if cached, ok := l.cache.Get(k); ok {
 		res := *cached
 		res.Served = selectengine.Served{Cache: selectengine.CacheHit}
-		return &res, nil
+		return sink(&res)
 	}
 	gen := l.cache.Generation(bucket, key)
-	res, err := l.inner.Select(ctx, bucket, key, req)
-	if err != nil {
-		return nil, err
-	}
-	res.Served.Cache = selectengine.CacheMiss
-	if res.Served.Coalesced {
-		l.cache.NoteInflightDedup()
-	} else {
-		l.cache.Put(k, gen, res)
-	}
-	return res, nil
+	return l.inner.Lend(ctx, bucket, key, req, func(res *selectengine.Result) error {
+		res.Served.Cache = selectengine.CacheMiss
+		if res.Served.Coalesced {
+			l.cache.NoteInflightDedup()
+		} else {
+			res = res.Own()
+			l.cache.Put(k, gen, res)
+		}
+		return sink(res)
+	})
 }
 
 // Resident counts how many of a bucket's objects have req's response
@@ -325,9 +324,9 @@ func keySize(k Key) int64 {
 
 // resultSize approximates the memory footprint of a cached response: the
 // entry, the column names with their string headers, and the body's array.
-// The body is charged exactly: selectengine copies a response's rows into
-// an array of their length (cap equals len), and cap is what is charged, so
-// a body with spare room past its end would be charged that room too.
+// The body is charged exactly: an owned body is an array of its rows'
+// length (cap equals len: Result.Own), and cap is what is charged, so a
+// body with spare room past its end would be charged that room too.
 func resultSize(r *selectengine.Result) int64 {
 	const (
 		entryOverhead = 128

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/selectengine"
 )
 
@@ -242,11 +243,53 @@ func TestNoteInflightDedup(t *testing.T) {
 	}
 }
 
-// innerFunc is the select stage below the cache layer.
+// innerFunc is the select stage below the cache layer, lending the owned
+// result it returns.
 type innerFunc func(req selectengine.Request) (*selectengine.Result, error)
 
-func (f innerFunc) Select(_ context.Context, _, _ string, req selectengine.Request) (*selectengine.Result, error) {
-	return f(req)
+func (f innerFunc) Lend(_ context.Context, _, _ string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	r, err := f(req)
+	if err != nil {
+		return err
+	}
+	return sink(r)
+}
+
+// lent is what sel lends for key, as the sink saw it.
+func lent(sel s3api.Selector, key string, req selectengine.Request) (r *selectengine.Result, err error) {
+	err = sel.Lend(context.Background(), "bkt", key, req, func(got *selectengine.Result) error { r = got; return nil })
+	return r, err
+}
+
+// lendingObject is a select stage lending, as storage does, req's response
+// over data, whose body it overwrites once the sink returns.
+type lendingObject []byte
+
+func (data lendingObject) Lend(_ context.Context, _, _ string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	return selectengine.Run(data, req, func(r *selectengine.Result) error {
+		err := sink(r)
+		for i := range r.Body {
+			r.Body[i] = '#'
+		}
+		return err
+	})
+}
+
+// TestFillOwnsALentResponse: a miss fills with its own copy of a lent
+// response, which the sink reads too, so a later hit answers what the miss
+// did however storage reuses its buffer.
+func TestFillOwnsALentResponse(t *testing.T) {
+	c := New(1 << 20)
+	sel := c.Over("b", lendingObject("x\n1\n2\n"))
+	req := selectengine.Request{SQL: "SELECT x FROM S3Object", HasHeader: true}
+	miss, err := lent(sel, "t/part0000.csv", req)
+	if err != nil || miss.Lent() || string(miss.Body) != "1\n2\n" {
+		t.Fatalf("miss: %+v, %v; want the filled copy, owned", miss, err)
+	}
+	hit, err := lent(sel, "t/part0000.csv", req)
+	if err != nil || hit.Served.Cache != selectengine.CacheHit || string(hit.Body) != "1\n2\n" {
+		t.Fatalf("hit: %+v, %v; want the rows the miss saw", hit, err)
+	}
 }
 
 // TestLayerStampsAndFillProtocol walks the layer's three outcomes: a miss
@@ -264,14 +307,13 @@ func TestLayerStampsAndFillProtocol(t *testing.T) {
 		r.Served = served
 		return r, nil
 	}))
-	ctx := context.Background()
 	req := selectengine.Request{SQL: "SELECT x FROM S3Object", HasHeader: true}
 
-	miss, err := sel.Select(ctx, "bkt", "t/part0000.csv", req)
+	miss, err := lent(sel, "t/part0000.csv", req)
 	if err != nil || miss.Served.Cache != selectengine.CacheMiss || calls != 1 {
 		t.Fatalf("first select: %+v, %v after %d inner calls; want a stamped miss", miss, err, calls)
 	}
-	hit, err := sel.Select(ctx, "bkt", "t/part0000.csv", req)
+	hit, err := lent(sel, "t/part0000.csv", req)
 	if err != nil || hit.Served != (selectengine.Served{Cache: selectengine.CacheHit}) || calls != 1 {
 		t.Fatalf("repeat: %+v, %v after %d inner calls; want a hit that reached nothing", hit, err, calls)
 	}
@@ -286,7 +328,7 @@ func TestLayerStampsAndFillProtocol(t *testing.T) {
 	}
 
 	served = selectengine.Served{Sharers: 3, Coalesced: true}
-	rider, err := sel.Select(ctx, "bkt", "t/part0001.csv", req)
+	rider, err := lent(sel, "t/part0001.csv", req)
 	if err != nil || rider.Served.Cache != selectengine.CacheMiss || rider.Served.Sharers != 3 {
 		t.Fatalf("coalesced select: %+v, %v", rider, err)
 	}

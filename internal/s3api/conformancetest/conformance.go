@@ -44,6 +44,7 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("MultiRangeEdges", func(t *testing.T) { testMultiRangeEdges(t, mk(t)) })
 	t.Run("Select", func(t *testing.T) { testSelect(t, mk(t)) })
 	t.Run("SelectReportsFormat", func(t *testing.T) { testSelectReportsFormat(t, mk(t)) })
+	t.Run("Lend", func(t *testing.T) { testLend(t, mk(t)) })
 	t.Run("ReservedKeyCharacters", func(t *testing.T) { testReservedKeyCharacters(t, mk(t)) })
 	t.Run("ListAndSize", func(t *testing.T) { testListAndSize(t, mk(t)) })
 	t.Run("CanceledContext", func(t *testing.T) { testCanceledContext(t, mk(t)) })
@@ -269,6 +270,36 @@ func testSelectReportsFormat(t *testing.T, env Env) {
 		}
 		if res.Columnar != want {
 			t.Errorf("Select(%s).Columnar = %v, want %v", key, res.Columnar, want)
+		}
+	}
+}
+
+// testLend: the backend in the lending form (s3api.Lending: its own Lend,
+// or its Select's result lent) lends exactly what Select returns, and a
+// sink's error comes back as is.
+func testLend(t *testing.T, env Env) {
+	col, err := colformat.Encode(colformat.Schema{{Name: "k", Kind: value.KindInt}}, [][]value.Value{{value.Int(1)}, {value.Int(2)}}, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Put("b", "col", col)
+	env.Put("b", "csv", csvx.Encode([]string{"k", "v"}, [][]string{{"1", "a,b"}, {"2", ""}}))
+	boom := errors.New("sink failed")
+	for _, key := range []string{"col", "csv"} {
+		req := selectengine.Request{SQL: "SELECT * FROM S3Object", HasHeader: true}
+		want, err := env.Backend.Select(ctxb(), "b", key, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got selectengine.Result
+		if err := s3api.Lending(env.Backend).Lend(ctxb(), "b", key, req, func(res *selectengine.Result) error {
+			got = *res.Own()
+			return boom
+		}); err != boom {
+			t.Errorf("Lend(%s) = %v, want the sink's error as is", key, err)
+		}
+		if !reflect.DeepEqual(got.Columns, want.Columns) || string(got.Body) != string(want.Body) || got.Stats != want.Stats || got.Columnar != want.Columnar {
+			t.Errorf("Lend(%s) lent %+v, Select returned %+v", key, got, *want)
 		}
 	}
 }

@@ -68,6 +68,12 @@ func (c *Counting) Select(ctx context.Context, bucket, key string, req selecteng
 	return c.Backend.Select(ctx, bucket, key, req)
 }
 
+// Lend implements Selector, counted as a Select.
+func (c *Counting) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	c.selects.Add(1)
+	return Lending(c.Backend).Lend(ctx, bucket, key, req, sink)
+}
+
 // List implements Backend.
 func (c *Counting) List(ctx context.Context, bucket, prefix string) ([]string, error) {
 	c.lists.Add(1)

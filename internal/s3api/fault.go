@@ -125,6 +125,14 @@ func (f *Fault) Select(ctx context.Context, bucket, key string, req selectengine
 	return f.Backend.Select(ctx, bucket, key, req)
 }
 
+// Lend implements Selector, faulted as a Select.
+func (f *Fault) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	if err := f.inject(ctx, "select", bucket, key); err != nil {
+		return err
+	}
+	return Lending(f.Backend).Lend(ctx, bucket, key, req, sink)
+}
+
 // List implements Backend.
 func (f *Fault) List(ctx context.Context, bucket, prefix string) ([]string, error) {
 	if err := f.inject(ctx, "list", bucket, prefix); err != nil {

@@ -26,9 +26,9 @@ type Metered struct {
 }
 
 // NewMetered binds backend b, registered under name, to bucket; its select
-// pipeline is b's own Select until Over layers it.
+// pipeline is b's own (Lending) until Over layers it.
 func NewMetered(name, bucket string, b Backend) Metered {
-	return Metered{name: name, bucket: bucket, b: b, sel: b}
+	return Metered{name: name, bucket: bucket, b: b, sel: Lending(b)}
 }
 
 // Over returns m with its select pipeline wrapped by layer, which is given
@@ -66,24 +66,23 @@ func (m Metered) GetRanges(ctx context.Context, ph *cloudsim.Phase, key string, 
 }
 
 // Select runs an S3 Select against an object through the select pipeline
-// and bills the response to ph by how the pipeline served it: a cache hit
-// reached no backend and costs only the local re-parse; a pass shared by n
-// requests is billed 1/n to each plus the sharer's own local re-filter
-// work; anything else is one direct request.
-func (m Metered) Select(ctx context.Context, ph *cloudsim.Phase, key string, req selectengine.Request) (*selectengine.Result, error) {
-	res, err := m.sel.Select(ctx, m.bucket, key, req)
-	if err != nil {
-		return nil, err
-	}
-	switch how := res.Served; {
-	case how.Cache == selectengine.CacheHit:
-		ph.AddCacheHit(res.Stats.BytesReturned)
-	case how.Sharers > 1:
-		ph.AddSharedSelectRequest(selectReq(how.Pass), int64(how.Sharers), how.LocalRows)
-	default:
-		ph.AddSelectRequest(selectReq(res.Stats))
-	}
-	return res, nil
+// and bills the response to ph by how the pipeline served it, before
+// lending it to sink (Selector.Lend): a cache hit reached no backend and
+// costs only the local re-parse; a pass shared by n requests is billed 1/n
+// to each plus the sharer's own local re-filter work; anything else is one
+// direct request.
+func (m Metered) Select(ctx context.Context, ph *cloudsim.Phase, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	return m.sel.Lend(ctx, m.bucket, key, req, func(res *selectengine.Result) error {
+		switch how := res.Served; {
+		case how.Cache == selectengine.CacheHit:
+			ph.AddCacheHit(res.Stats.BytesReturned)
+		case how.Sharers > 1:
+			ph.AddSharedSelectRequest(selectReq(how.Pass), int64(how.Sharers), how.LocalRows)
+		default:
+			ph.AddSelectRequest(selectReq(res.Stats))
+		}
+		return sink(res)
+	})
 }
 
 // selectReq converts select-engine stats into the cost model's request

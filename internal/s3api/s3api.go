@@ -40,7 +40,10 @@ type Backend interface {
 	GetRange(ctx context.Context, bucket, key string, first, last int64) ([]byte, error)
 	// GetRanges returns several inclusive ranges in one request.
 	GetRanges(ctx context.Context, bucket, key string, ranges [][2]int64) ([][]byte, error)
-	Selector
+	// Select runs an S3 Select request against one object. The returned
+	// Result's header belongs to the caller; its owned Columns and Body may
+	// be shared and must not be mutated.
+	Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error)
 	// List returns the keys under a prefix, sorted. A missing bucket
 	// lists empty, not an error (matching S3).
 	List(ctx context.Context, bucket, prefix string) ([]string, error)
@@ -54,16 +57,36 @@ type Backend interface {
 	Profile() Profile
 }
 
-// Selector is the S3 Select call on its own. The engine's select pipeline
-// is a stack of Selectors — the result cache and the scan-sharing
+// Selector is the S3 Select call in its lending form. The engine's select
+// pipeline is a stack of Selectors — the result cache and the scan-sharing
 // coordinator each wrap the one below and stamp Result.Served — bottoming
-// out in a Backend; every other storage operation keeps seeing the raw
-// Backend.
+// out in a backend (Lending); every other storage operation keeps seeing
+// the raw Backend.
 type Selector interface {
-	// Select runs an S3 Select request against one object. The returned
-	// Result's header belongs to the caller; its Columns and Body may be
-	// shared and must not be mutated.
-	Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error)
+	// Lend runs an S3 Select request against one object and hands the
+	// response to sink, as Select returns it but for a lent body
+	// (Result.Lent), which nothing may view once sink returns. sink's error
+	// comes back as is, neither wrapped nor kinded.
+	Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error
+}
+
+// Lending is b itself when it lends (Local, Counting, Fault), else b's
+// Select lending its owned result (the s3http client, test doubles).
+func Lending(b Backend) Selector {
+	if s, ok := b.(Selector); ok {
+		return s
+	}
+	return owned{b}
+}
+
+type owned struct{ Backend }
+
+func (o owned) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	res, err := o.Select(ctx, bucket, key, req)
+	if err != nil {
+		return err
+	}
+	return sink(res)
 }
 
 // Putter is the optional write surface backends expose for loading data
@@ -90,7 +113,7 @@ type Objects interface {
 
 // Local is the storage-side executor: the one implementation of the
 // context check, the range rule, the capability clamp, the S3 Select call
-// and the error kinds, over any Objects. It is both Backend and Putter.
+// and the error kinds, over any Objects. It is Backend, Selector and Putter.
 type Local struct {
 	objs    Objects
 	caps    selectengine.Capabilities
@@ -193,22 +216,28 @@ func (l *Local) GetRanges(ctx context.Context, bucket, key string, ranges [][2]i
 	return out, nil
 }
 
-// Select implements Backend. The request's capabilities are clamped to
-// what this backend advertises, so asking for a switched-off extension
-// fails with KindUnsupported; any other rejection is a bad request.
-func (l *Local) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+// Select implements Backend: Lend's response, owned.
+func (l *Local) Select(ctx context.Context, bucket, key string, req selectengine.Request) (res *selectengine.Result, err error) {
+	err = l.Lend(ctx, bucket, key, req, func(r *selectengine.Result) error { res = r.Own(); return nil })
+	return res, err
+}
+
+// Lend implements Selector: selectengine.Run. The request's capabilities
+// are clamped to what this backend advertises, so asking for a switched-off
+// extension fails with KindUnsupported; any other rejection is a bad request.
+func (l *Local) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	data, err := l.read(ctx, "select", bucket, key)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Capabilities = req.Capabilities.Intersect(l.caps)
-	res, err := selectengine.Execute(data, req)
-	if errors.Is(err, selectengine.ErrUnsupported) {
-		return nil, NewError("select", bucket, key, KindUnsupported, err)
-	} else if err != nil {
-		return nil, NewError("select", bucket, key, KindBadRequest, err)
+	lent := false
+	if err = selectengine.Run(data, req, func(res *selectengine.Result) error { lent = true; return sink(res) }); lent || err == nil {
+		return err
+	} else if errors.Is(err, selectengine.ErrUnsupported) {
+		return NewError("select", bucket, key, KindUnsupported, err)
 	}
-	return res, nil
+	return NewError("select", bucket, key, KindBadRequest, err)
 }
 
 // List implements Backend.

@@ -224,22 +224,22 @@ type layer struct {
 	inner   s3api.Selector
 }
 
-// Over returns a Selector that coordinates inner's Selects, keyed under
+// Over returns a Selector that coordinates inner's requests, keyed under
 // the registered backend name (one coordinator serves every backend of a
 // DB). Every call that reaches inner is one backend pass.
 func (c *Coordinator) Over(backend string, inner s3api.Selector) s3api.Selector {
 	return &layer{c: c, backend: backend, inner: inner}
 }
 
-// Select coordinates one request: it joins an identical in-flight pass,
+// Lend coordinates one request: it joins an identical in-flight pass,
 // joins an open batch on the same object, or starts a new pass (waiting
-// out the batching window when the request is merge-eligible). The
-// returned Result is the caller's own header over its rows — the shared
-// response verbatim for singleflight shares, the locally re-filtered rows
-// for merged ones — stamped with the pass accounting. On any shared-pass
-// failure every waiter falls back to its own direct backend call, so a
-// sharer never fares worse than running alone.
-func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine.Request) (*selectengine.Result, error) {
+// out the batching window when the request is merge-eligible). sink gets
+// the caller's own header over its rows — the shared response verbatim for
+// singleflight shares, the locally re-filtered rows for merged ones —
+// stamped with the pass accounting. On any shared-pass failure every
+// waiter falls back to its own direct backend call, so a sharer never
+// fares worse than running alone.
+func (l *layer) Lend(ctx context.Context, bucket, key string, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	c := l.c
 	fp := req.Fingerprint()
 	obj := objIdent{backend: l.backend, bucket: bucket, object: key, epoch: c.epoch.Load()}
@@ -256,7 +256,7 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 		ent := cl.byFP[fp]
 		ent.waiters++
 		c.mu.Unlock()
-		return l.wait(ctx, obj, cl, ent, req)
+		return l.wait(ctx, obj, cl, ent, req, sink)
 	}
 	// Join an open batch on the same object with a new predicate.
 	if cl, ok := c.open[obj]; ok && sel != nil && !cl.fired &&
@@ -272,7 +272,7 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 			close(cl.full)
 		}
 		c.mu.Unlock()
-		return l.wait(ctx, obj, cl, ent, req)
+		return l.wait(ctx, obj, cl, ent, req, sink)
 	}
 	// Start a new pass, leading it.
 	cl := &call{
@@ -293,14 +293,15 @@ func (l *layer) Select(ctx context.Context, bucket, key string, req selectengine
 	}
 	c.mu.Unlock()
 
-	l.lead(ctx, obj, cl, batching)
-	return l.wait(ctx, obj, cl, ent, req)
+	return l.lead(ctx, obj, cl, batching, req, sink)
 }
 
 // lead runs the pass: wait out the batching window (mergeable passes
 // only), freeze the batch, issue one backend call, route rows to every
-// entry and publish the completion.
-func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool) {
+// entry, publish the completion and hand the leader its entry's result
+// (wait), all in the call's sink: a solo pass nobody joined stays lent, one
+// shared across goroutines is owned first.
+func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	c := l.c
 	if batching {
 		timer := time.NewTimer(c.cfg.Window)
@@ -323,22 +324,18 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 	copy(entries, cl.entries)
 	c.mu.Unlock()
 
-	var (
-		res *selectengine.Result
-		err error
-	)
-	if len(entries) == 1 {
-		// Solo pass (possibly with many identical waiters): push the
-		// request verbatim.
-		res, err = l.inner.Select(ctx, obj.bucket, obj.object, entries[0].req)
-		if err == nil {
+	// A solo pass (possibly with many identical waiters) pushes the request
+	// verbatim, a merged one the union of the entries'.
+	pass := entries[0].req
+	if cl.merged = len(entries) > 1; cl.merged {
+		pass = mergeRequest(entries)
+	}
+	passed := false
+	err := l.inner.Lend(ctx, obj.bucket, obj.object, pass, func(res *selectengine.Result) error {
+		passed = true
+		if !cl.merged {
 			entries[0].res = res
-		}
-	} else {
-		merged := mergeRequest(entries)
-		cl.merged = true
-		res, err = l.inner.Select(ctx, obj.bucket, obj.object, merged)
-		if err == nil {
+		} else {
 			// Route rows: re-execute each entry's own request (a header, no
 			// scan range: mergeable) over the merged response, its header
 			// line then its body. The merged pass returned every referenced
@@ -354,13 +351,23 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 				ent.localRows = res.Stats.RowsReturned
 			}
 		}
+		l.publish(obj, cl, res, nil)
+		return l.wait(ctx, obj, cl, entries[0], req, sink)
+	})
+	if passed {
+		return err
 	}
+	l.publish(obj, cl, nil, err)
+	return l.wait(ctx, obj, cl, entries[0], req, sink)
+}
 
-	// Publish: seal joins (remove from the maps), snapshot the sharer
-	// count — consistent for every waiter — then wake them.
+// publish seals the call against joins, snapshots its sharer count —
+// consistent for every waiter — and counts the pass (its response res, or
+// its error), then owns a solo response several waiters share and wakes them.
+func (l *layer) publish(obj objIdent, cl *call, res *selectengine.Result, err error) {
+	c := l.c
 	c.mu.Lock()
-	cl.err = err
-	if err == nil {
+	if cl.err = err; res != nil {
 		cl.pass = res.Stats
 	}
 	for fp, ent := range cl.byFP {
@@ -374,22 +381,23 @@ func (l *layer) lead(ctx context.Context, obj objIdent, cl *call, batching bool)
 		c.stats.SharedPasses++
 		c.stats.Sharers += int64(cl.sharers)
 		c.stats.Coalesced += int64(cl.sharers - 1)
-		if err == nil {
-			c.stats.ScanBytesSaved += int64(cl.sharers-1) * res.Stats.BytesScanned
-			c.stats.ReturnBytesSaved += int64(cl.sharers-1) * res.Stats.BytesReturned
-		}
+		c.stats.ScanBytesSaved += int64(cl.sharers-1) * cl.pass.BytesScanned
+		c.stats.ReturnBytesSaved += int64(cl.sharers-1) * cl.pass.BytesReturned
 	}
 	if cl.merged {
 		c.stats.MergedPasses++
 	}
 	c.mu.Unlock()
+	if res != nil && cl.sharers > 1 && !cl.merged {
+		cl.entries[0].res = res.Own()
+	}
 	close(cl.done)
 }
 
-// wait blocks until the call completes, then stamps the caller's own copy
-// of its entry's result — falling back to a direct backend call when the
-// pass or this entry's slice of it failed.
-func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, req selectengine.Request) (*selectengine.Result, error) {
+// wait blocks until the call completes, then lends sink the caller's own
+// copy of its entry's result, stamped — falling back to a direct backend
+// call when the pass or this entry's slice of it failed.
+func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, req selectengine.Request, sink func(*selectengine.Result) error) error {
 	<-cl.done
 	c := l.c
 	if cl.err != nil || ent.err != nil {
@@ -399,12 +407,10 @@ func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, re
 		c.stats.Fallbacks++
 		c.stats.BackendSelects++
 		c.mu.Unlock()
-		res, err := l.inner.Select(ctx, obj.bucket, obj.object, req)
-		if err != nil {
-			return nil, err
-		}
-		res.Served = selectengine.Served{Sharers: 1, Pass: res.Stats}
-		return res, nil
+		return l.inner.Lend(ctx, obj.bucket, obj.object, req, func(res *selectengine.Result) error {
+			res.Served = selectengine.Served{Sharers: 1, Pass: res.Stats}
+			return sink(res)
+		})
 	}
 	c.mu.Lock()
 	coalesced := cl.leaderTaken
@@ -418,7 +424,7 @@ func (l *layer) wait(ctx context.Context, obj objIdent, cl *call, ent *entry, re
 		Pass:      cl.pass,
 		LocalRows: ent.localRows,
 	}
-	return &res, nil
+	return sink(&res)
 }
 
 // mergeRequest builds the one pushed Select standing in for every entry:

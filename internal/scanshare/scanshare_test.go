@@ -28,22 +28,39 @@ func testData() []byte {
 }
 
 // selectorFunc adapts a function to the s3api.Selector the coordinator
-// layers over; every call is one backend pass.
-type selectorFunc func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error)
+// layers over; every call is one backend pass: req run over the object the
+// function returns, lent as storage lends it, and the body overwritten once
+// the sink returns, so a sharer reading a lent body after that sees it.
+type selectorFunc func(ctx context.Context, req selectengine.Request) ([]byte, error)
 
-func (f selectorFunc) Select(ctx context.Context, _, _ string, req selectengine.Request) (*selectengine.Result, error) {
-	return f(ctx, req)
+func (f selectorFunc) Lend(ctx context.Context, _, _ string, req selectengine.Request, sink func(*selectengine.Result) error) error {
+	data, err := f(ctx, req)
+	if err != nil {
+		return err
+	}
+	return selectengine.Run(data, req, func(res *selectengine.Result) error {
+		err := sink(res)
+		for i := range res.Body {
+			res.Body[i] = '#'
+		}
+		return err
+	})
 }
 
-// share runs one request on the test object through c layered over fn.
-func share(c *Coordinator, fn selectorFunc, req selectengine.Request) (*selectengine.Result, error) {
-	return c.Over("s3", fn).Select(context.Background(), "b", "t/part0", req)
+// share runs one request on the test object through c layered over fn and
+// returns what it lent, owned.
+func share(c *Coordinator, fn selectorFunc, req selectengine.Request) (res *selectengine.Result, err error) {
+	err = c.Over("s3", fn).Lend(context.Background(), "b", "t/part0", req, func(r *selectengine.Result) error {
+		res = r.Own()
+		return nil
+	})
+	return res, err
 }
 
 // backend returns a selector over data that counts calls and records
 // every pushed SQL.
 func backend(data []byte, calls *atomic.Int64, sqls *[]string, mu *sync.Mutex) selectorFunc {
-	return func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	return func(ctx context.Context, req selectengine.Request) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -53,7 +70,7 @@ func backend(data []byte, calls *atomic.Int64, sqls *[]string, mu *sync.Mutex) s
 			*sqls = append(*sqls, req.SQL)
 			mu.Unlock()
 		}
-		return selectengine.Execute(data, req)
+		return data, nil
 	}
 }
 
@@ -179,11 +196,11 @@ func TestSingleflightOnlyModeDoesNotMerge(t *testing.T) {
 	c := New(Config{Window: -1})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) ([]byte, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
-		return selectengine.Execute(data, req)
+		return data, nil
 	})
 	reqA := scanReq("SELECT k FROM S3Object WHERE g = 1")
 	reqB := scanReq("SELECT k FROM S3Object WHERE g = 2")
@@ -228,11 +245,11 @@ func TestAggregatesCoalesceButNeverMerge(t *testing.T) {
 	c := New(Config{Window: 200 * time.Millisecond})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) ([]byte, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
-		return selectengine.Execute(data, req)
+		return data, nil
 	})
 	req := scanReq("SELECT COUNT(*), SUM(v) FROM S3Object WHERE g < 4")
 	var wg sync.WaitGroup
@@ -272,11 +289,11 @@ func TestInvalidationSplitsShares(t *testing.T) {
 	c := New(Config{Window: -1})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) ([]byte, error) {
 		calls.Add(1)
 		entered <- struct{}{}
 		<-gate
-		return selectengine.Execute(data, req)
+		return data, nil
 	})
 	req := scanReq("SELECT k FROM S3Object WHERE g = 1")
 	var wg sync.WaitGroup
@@ -307,12 +324,12 @@ func TestMergedPassFailureFallsBackPerWaiter(t *testing.T) {
 	var calls atomic.Int64
 	c := New(Config{Window: 200 * time.Millisecond})
 	boom := errors.New("merged pass rejected")
-	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) (*selectengine.Result, error) {
+	fn := selectorFunc(func(ctx context.Context, req selectengine.Request) ([]byte, error) {
 		calls.Add(1)
 		if strings.Contains(req.SQL, " OR ") {
 			return nil, boom
 		}
-		return selectengine.Execute(data, req)
+		return data, nil
 	})
 	reqs := []selectengine.Request{
 		scanReq("SELECT k FROM S3Object WHERE g = 1"),

@@ -1,6 +1,7 @@
 package selectengine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -152,6 +153,38 @@ func TestResponseAllocatesOnce(t *testing.T) {
 	got, body := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(len(res.Body))
 	if limit := body*5/4 + allowance; got > limit {
 		t.Errorf("a %d-row response allocates %d bytes for a %d-byte body, want at most %d", res.Stats.RowsReturned, got, body, limit)
+	}
+}
+
+// TestLentResponseAllocatesNoBody: a warm Run lends its sink the buffer the
+// rows were rendered into, so a sink that reads a 15k-row response where it
+// lies costs the scan's parsing and set-up, and not a byte of the body.
+func TestLentResponseAllocatesNoBody(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep the pooled buffer on its P
+	const runs, allowance = 10, 32 << 10
+	data := lineitemCSV(15000)
+	var body, lines int
+	run := func() {
+		err := Run(data, Request{SQL: projectSQL, HasHeader: true}, func(res *Result) error {
+			body, lines = len(res.Body), bytes.Count(res.Body, []byte{'\n'})
+			return nil
+		})
+		if err != nil || lines != 15000 {
+			t.Fatalf("%v: a sink read %d lines, want 15000", err, lines)
+		}
+	}
+	run() // warms the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > allowance {
+		t.Errorf("a warm Run lending a %d-byte body allocates %d bytes, want at most %d", body, got, allowance)
 	}
 }
 

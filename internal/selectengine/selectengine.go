@@ -7,10 +7,10 @@
 // behaviour behind the paper's Fig. 11 observation).
 //
 // A response is its CSV body, on every backend and on the wire: each output
-// row's text is rendered once, into a buffer the package's scans reuse, and
-// copied once into a body of exactly its length that the response owns;
-// whoever reads the rows decodes that body once. Stats is what storage
-// counted while writing it, never derived from it.
+// row's text is rendered once, into a buffer the package's scans reuse and
+// Run lends as the body while its sink runs; Execute copies it once into a
+// body of exactly its length (Result.Own). Whoever reads the rows decodes
+// the body once. Stats is what storage counted while writing it.
 //
 // A name denotes the first header column equal to it case-insensitively,
 // failing that _N (1 ≤ N ≤ width) the N-th column, and otherwise no column:
@@ -27,6 +27,7 @@ package selectengine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,13 +146,15 @@ type Stats struct {
 }
 
 // Result is one response: Columns names its cells, and Body holds its rows
-// as CSV text, a line per row and no header line (csvx's dialect). The body
-// is the response's own, exactly its length (cap equals len, so what holds
-// it holds no more), and is never modified once returned.
+// as CSV text, a line per row and no header line (csvx's dialect). A lent
+// body (Lent) is reused once its sink returns; an owned one (Own) is exactly
+// its length (cap equals len, so what holds it holds no more) and is never
+// modified.
 type Result struct {
 	Columns []string
 	Body    []byte
 	Stats   Stats
+	lent    bool
 	// Columnar reports that the scanned object was in the columnar
 	// format. The planner's stats probe reads it to learn a table's
 	// storage format without issuing any extra request.
@@ -192,6 +195,20 @@ const (
 	CacheMiss = "miss"
 )
 
+// Lent reports whether r's body is Run's render buffer (see Result).
+func (r *Result) Lent() bool { return r.lent }
+
+// Own returns r if its body is owned, else a copy of r over a copy of the
+// body of exactly its length.
+func (r *Result) Own() *Result {
+	if !r.lent {
+		return r
+	}
+	own := *r
+	own.lent, own.Body = false, append(make([]byte, 0, len(r.Body)), r.Body...)
+	return &own
+}
+
 // Records decodes the body into rows of cells, each row as wide as Columns,
 // and fails unless it holds Stats.RowsReturned of them (Check). It allocates
 // one array for every cell and one for the rows, sized by what the body can
@@ -227,25 +244,33 @@ func (r *Result) scan(row func(fields []string)) error {
 	return nil
 }
 
-// Execute runs the request against one object payload.
-func Execute(data []byte, req Request) (*Result, error) {
+// Execute runs the request against one object payload: Run's response, owned.
+func Execute(data []byte, req Request) (res *Result, err error) {
+	err = Run(data, req, func(r *Result) error { res = r.Own(); return nil })
+	return res, err
+}
+
+// Run runs the request against one object payload and lends the response
+// to sink: its Result and body are reused once sink returns (Own keeps a
+// copy). sink runs last, and its error comes back as is.
+func Run(data []byte, req Request, sink func(*Result) error) error {
 	if len(req.SQL) > MaxSQLBytes {
-		return nil, fmt.Errorf("selectengine: SQL expression is %d bytes; limit is %d", len(req.SQL), MaxSQLBytes)
+		return fmt.Errorf("selectengine: SQL expression is %d bytes; limit is %d", len(req.SQL), MaxSQLBytes)
 	}
 	sel, err := req.Statement()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := validate(sel, req.Capabilities); err != nil {
-		return nil, err
+		return err
 	}
 	if colformat.IsColumnar(data) {
 		if req.ScanRange != nil {
-			return nil, fmt.Errorf("selectengine: ScanRange is only supported for CSV objects")
+			return fmt.Errorf("selectengine: ScanRange is only supported for CSV objects")
 		}
-		return executeColumnar(data, sel, req)
+		return runColumnar(data, sel, sink)
 	}
-	return executeCSV(data, sel, req)
+	return runCSV(data, sel, req, sink)
 }
 
 func validate(sel *sqlparse.Select, caps Capabilities) error {
@@ -323,7 +348,7 @@ func positionalNames(n int) []string {
 	return names
 }
 
-func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error) {
+func runCSV(data []byte, sel *sqlparse.Select, req Request, sink func(*Result) error) error {
 	nodes := CountNodes(sel)
 
 	// Fields are views of data (csvx.Scanner); they are read for as long as
@@ -344,10 +369,10 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 	}
 	exec, err := newExecutor(sel, header)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer renders.Put(exec.buf)
-	row, reads := make([]value.Value, len(header)), exec.rx.Cols()
+	defer exec.buf.done()
+	row, reads := exec.buf.row, exec.rx.Cols()
 
 	var stats Stats
 	stats.ExprNodes = nodes
@@ -376,14 +401,14 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 			}
 		}
 		if err := exec.rx.Add(row); err != nil {
-			return nil, err
+			return err
 		}
 		if exec.terminatedEarly {
 			break
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	switch {
 	case req.ScanRange != nil:
@@ -397,24 +422,24 @@ func executeCSV(data []byte, sel *sqlparse.Select, req Request) (*Result, error)
 	default:
 		stats.BytesScanned = int64(len(data))
 	}
-	return exec.finish(sel, header, &stats)
+	return exec.finish(sel, header, &stats, false, sink)
 }
 
-func executeColumnar(data []byte, sel *sqlparse.Select, req Request) (*Result, error) {
+func runColumnar(data []byte, sel *sqlparse.Select, sink func(*Result) error) error {
 	r, err := colformat.Open(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	header := r.Schema().Names()
 	exec, err := newExecutor(sel, header)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer renders.Put(exec.buf)
+	defer exec.buf.done()
 
 	// Column pruning: only the columns the statement reads are read.
 	needed := exec.rx.Cols()
-	cols, row := make([]*vec.Vector, len(header)), make([]value.Value, len(header))
+	cols, row := make([]*vec.Vector, len(header)), exec.buf.row
 	names := sqlparse.NewNames(header)
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
@@ -429,7 +454,7 @@ scan:
 		for _, ci := range needed {
 			vals, n, err := r.ReadColumn(g, ci, cols[ci])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cols[ci] = vals
 			stats.BytesScanned += n
@@ -443,19 +468,14 @@ scan:
 				row[ci] = cols[ci].Value(i)
 			}
 			if err := exec.rx.Add(row); err != nil {
-				return nil, err
+				return err
 			}
 			if exec.terminatedEarly {
 				break scan
 			}
 		}
 	}
-	res, err := exec.finish(sel, header, &stats)
-	if err != nil {
-		return nil, err
-	}
-	res.Columnar = true
-	return res, nil
+	return exec.finish(sel, header, &stats, true, sink)
 }
 
 // skipGroup prunes a row group when the chunk min/max statistics refute any
@@ -533,21 +553,34 @@ type executor struct {
 	rows, returned int64   // Stats.RowsReturned and BytesReturned so far
 }
 
-// render is a scan's scratch space: the response's rows so far and the cell
-// being rendered. Scans take one from renders and put it back when they end,
-// so a buffer grown to one response's size renders the next without growing.
+// render is a scan's scratch space: its executor and input row, the
+// response's rows so far, the cell being rendered and the Result lent over
+// them. Scans take one from renders and put it back when they end (done), so
+// a buffer grown to one response's size renders the next without growing.
 type render struct {
+	ex         executor
+	row        []value.Value
 	body, text []byte
+	res        Result
 }
 
 var renders = sync.Pool{New: func() any { return new(render) }}
 
+// done puts b back in renders, keeping no view of the scan's object.
+func (b *render) done() {
+	clear(b.row)
+	b.ex, b.res = executor{}, Result{}
+	renders.Put(b)
+}
+
 // newExecutor builds the executor for sel, bound to an object's header (nil:
-// an object with no lines, which has none): a column the header lacks is
-// refused here, whatever rows follow. The caller puts ex.buf back in renders
-// when the scan ends.
+// an object with no lines, which has none), in a render whose row is as wide:
+// a column the header lacks is refused here, whatever rows follow. The
+// caller calls ex.buf.done when the scan ends.
 func newExecutor(sel *sqlparse.Select, header []string) (*executor, error) {
-	ex := &executor{limit: -1}
+	buf := renders.Get().(*render)
+	ex := &buf.ex
+	*ex = executor{limit: -1, buf: buf}
 	items := sqlparse.ItemExprs(sel.Items)
 	var err error
 	if len(sel.GroupBy) > 0 || sel.HasAggregates() {
@@ -557,10 +590,10 @@ func newExecutor(sel *sqlparse.Select, header []string) (*executor, error) {
 		ex.rx, err = expr.NewProjection(header, sel.Where, items, ex.emit)
 	}
 	if err != nil {
+		buf.done()
 		return nil, err
 	}
-	ex.buf = renders.Get().(*render)
-	ex.buf.body = ex.buf.body[:0]
+	buf.row, buf.body = slices.Grow(buf.row[:0], len(header))[:len(header)], buf.body[:0]
 	return ex, nil
 }
 
@@ -588,17 +621,16 @@ func (ex *executor) emit(vals []value.Value) error {
 	return nil
 }
 
-// finish runs the statement's last rows out and returns the response: its
-// body is the rendered rows copied into an array of exactly their length,
-// the one allocation a response's bytes cost (nil when there are none).
-func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) (*Result, error) {
+// finish runs the statement's last rows out and lends sink the response
+// (Run): its body is the rendered rows, capped at their length.
+func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats, columnar bool, sink func(*Result) error) error {
 	if err := ex.rx.Finish(); err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Stats: *stats}
+	res := &ex.buf.res
+	*res = Result{Stats: *stats, Columnar: columnar, lent: true}
 	if n := len(ex.buf.body); n > 0 {
-		res.Body = make([]byte, n)
-		copy(res.Body, ex.buf.body)
+		res.Body = ex.buf.body[:n:n]
 	}
 	for _, it := range sel.Items {
 		if _, isStar := it.Expr.(*sqlparse.Star); isStar {
@@ -608,5 +640,5 @@ func (ex *executor) finish(sel *sqlparse.Select, header []string, stats *Stats) 
 		res.Columns = append(res.Columns, it.Name())
 	}
 	res.Stats.RowsReturned, res.Stats.BytesReturned = ex.rows, ex.returned
-	return res, nil
+	return sink(res)
 }
