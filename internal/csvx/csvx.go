@@ -67,13 +67,6 @@ func AppendField[T string | []byte](buf []byte, f T) []byte {
 	return append(buf, '"')
 }
 
-// RowBound is how many rows a count claimed for a body of width-cell rows
-// may presize: no more than the body can hold, a row taking a byte per cell
-// at least (its separators and its line end).
-func RowBound(body []byte, width int, claimed int64) int {
-	return int(max(0, min(claimed, int64(len(body)/max(width, 1)))))
-}
-
 // Encode renders rows (with optional header) to a byte slice.
 func Encode(header []string, rows [][]string) []byte {
 	var sb strings.Builder

@@ -256,7 +256,7 @@ func (e *Exec) sampleTopGroups(q *groupQuery, n int) ([]string, error) {
 	// table read it: 3 and 03 are one group.
 	counts := map[string]int64{}
 	for _, r := range rows {
-		counts[value.FromCSV(r[0]).String()]++
+		counts[r[0].String()]++
 	}
 	// The most frequent first, ties in group order.
 	ranked := make([]string, 0, len(counts))

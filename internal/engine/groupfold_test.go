@@ -104,15 +104,15 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 	}{
 		{"1,2\n3,4\n", 1}, {"1,2\n3,4\n", 3}, {"1,2\n", 1 << 40}, {"1,2\n", -1}, {"1,\"2\n", 1},
 	} {
-		if _, err := decodeResponse(fold(), response(tc.body, tc.rows)); err == nil {
+		if _, err := decodeResponse(context.Background(), fold(), response(tc.body, tc.rows)); err == nil {
 			t.Errorf("folding %q as %d rows succeeded, want an error", tc.body, tc.rows)
 		}
 	}
-	if _, err := decodeResponse(fold(), &selectengine.Result{Columns: []string{"b", "a"}, Body: []byte("1,2\n"), Stats: selectengine.Stats{RowsReturned: 1}}); err == nil {
+	if _, err := decodeResponse(context.Background(), fold(), &selectengine.Result{Columns: []string{"b", "a"}, Body: []byte("1,2\n"), Stats: selectengine.Stats{RowsReturned: 1}}); err == nil {
 		t.Error("a response naming other columns than its request folded, want an error")
 	}
 	d := fold()
-	_, err := decodeResponse(d, response("1,x\n\n3,\"y,z\"\n", 3))
+	_, err := decodeResponse(context.Background(), d, response("1,x\n\n3,\"y,z\"\n", 3))
 	var rows []Row
 	if err == nil {
 		var out *Relation

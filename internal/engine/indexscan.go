@@ -153,8 +153,8 @@ const (
 
 // indexRangeProbe is hop 1 of the index path: it lists the data and index
 // partitions, checks they are aligned, pushes the offsets select against
-// every index object (result-cache aware via selectOnParts) and parses the
-// matching byte ranges, per data partition and in index order.
+// every index object, each response decoded as a part (selectParts), and
+// parses the matching byte ranges, per data partition and in index order.
 func (e *Exec) indexRangeProbe(st step, table, idxTable string, valuePred sqlparse.Expr) (dataKeys []string, partRanges [][][2]int64, err error) {
 	dataKeys, err = e.parts(table)
 	if err != nil {
@@ -168,17 +168,13 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable string, valuePred sqlpar
 		return nil, nil, fmt.Errorf("engine: index %s has %d partitions, table %s has %d",
 			idxTable, len(idxKeys), table, len(dataKeys))
 	}
-	results, err := e.selectOnParts(st, idxTable, e.db.request(idxTable, index.Probe(valuePred)))
+	parts, err := e.selectParts(st, idxTable, e.db.request(idxTable, index.Probe(valuePred)), &decoder{})
 	if err != nil {
 		return nil, nil, err
 	}
-	partRanges = make([][][2]int64, len(results))
-	for i, res := range results {
-		rows, err := res.Records()
-		if err == nil {
-			partRanges[i], err = index.ParseRanges(rows)
-		}
-		if err != nil {
+	partRanges = make([][][2]int64, len(parts))
+	for i, rows := range parts {
+		if partRanges[i], err = index.ParseRanges(rows); err != nil {
 			return nil, nil, fmt.Errorf("engine: %s: %w", idxKeys[i], err)
 		}
 	}
@@ -565,10 +561,11 @@ func indexScanStats(cand *IndexCandidate) cloudsim.IndexScanStats {
 // probeStats returns the table's planning statistics plus the row count
 // matching idxPred, from the DB's stats cache or else from one probe —
 // COUNT(*) and a SUM(CASE ...) count per predicate — run over the sample of
-// the table's statistics object ts, locally, or, for a table with no usable
-// object (ts == nil), pushed to storage once per partition: a scan of the
-// whole table. Shape-dependent fields (Cols, FilterNodes, ProjCols, Profile,
-// CachedFrac) are left for the caller.
+// the table's statistics object ts, locally, every count but the first
+// scaled to the table, or, for a table with no usable object (ts == nil) or
+// a probe the sample cannot evaluate, pushed to storage once per partition:
+// a scan of the whole table. Shape-dependent fields (Cols, FilterNodes,
+// ProjCols, Profile, CachedFrac) are left for the caller.
 func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.Expr, stage int) (cs cachedStats, cached bool, err error) {
 	key := fmt.Sprintf("%s\x00%s\x00%s\x00%v\x00idx=%v", e.db.store(table).Name(), e.db.bucket, table, filter, idxPred)
 	e.db.statsMu.Lock()
@@ -584,37 +581,46 @@ func (e *Exec) probeStats(ts *statsObj, table string, filter, idxPred sqlparse.E
 			probe.Items = append(probe.Items, sqlparse.SelectItem{Expr: sumCase(pred, &sqlparse.Literal{Val: value.Int(1)})})
 		}
 	}
-	counts := e.sampleCounts(ts, table, probe, stage)
+	var counts []int64
+	if ts != nil {
+		rows, st, serr := e.sampleSelect(ts, table, probe, stage)
+		if serr == nil {
+			if counts, err = probeCounts(table, [][]Row{rows}, len(probe.Items)); err == nil {
+				for i := range counts {
+					counts[i] = ts.scaled(counts[i])
+				}
+				counts[0] = ts.rows
+				st.sp.SetInt("matched", counts[min(1, len(counts)-1)])
+			}
+		}
+		st.end(cmp.Or(serr, err))
+	}
 	cs.source = StatsFromObject
 	if counts != nil {
 		cs.stats = ts.tableStats()
-	} else {
+	} else if err == nil {
 		cs.source = StatsFromProbe
 		st := e.step("plan probe "+table, "plan probe "+table, stage, table)
-		results, err := e.selectOnParts(st, table, e.db.request(table, probe))
+		d := &decoder{}
+		var parts [][]Row
+		if parts, err = e.selectParts(st, table, e.db.request(table, probe), d); err != nil {
+			err = fmt.Errorf("engine: planning probe for %s: %w", table, err)
+		} else {
+			counts, err = probeCounts(table, parts, len(probe.Items))
+		}
 		st.end(err)
-		if err != nil {
-			return cs, false, fmt.Errorf("engine: planning probe for %s: %w", table, err)
+		cs.stats = cloudsim.PlanTableStats{Partitions: len(d.parts), Columnar: len(d.parts) > 0}
+		for _, p := range d.parts {
+			cs.stats.Bytes += p.scanned
+			cs.stats.Columnar = cs.stats.Columnar && p.columnar
 		}
-		counts = make([]int64, len(probe.Items))
-		cs.stats = cloudsim.PlanTableStats{Partitions: len(results), Columnar: len(results) > 0}
-		for _, res := range results {
-			rows, err := res.Records()
-			if err != nil || len(rows) != 1 || len(rows[0]) != len(counts) {
-				return cs, false, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
-			}
-			for i, f := range rows[0] {
-				n, _ := value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
-				counts[i] += n
-			}
-			cs.stats.Bytes += res.Stats.BytesScanned
-			cs.stats.Columnar = cs.stats.Columnar && res.Columnar
-		}
-		cs.stats.Rows = counts[0]
+	}
+	if err != nil {
+		return cs, false, err
 	}
 	// counts follow the probe's items: every row, then the rows the filter and the index
 	// predicate keep, where there is one.
-	cs.stats.FilteredRows, cs.idxMatched = counts[0], counts[0]
+	cs.stats.Rows, cs.stats.FilteredRows, cs.idxMatched = counts[0], counts[0], counts[0]
 	if filter != nil {
 		cs.stats.FilteredRows = counts[1]
 	}

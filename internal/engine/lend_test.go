@@ -33,6 +33,11 @@ func (p poisoning) Lend(ctx context.Context, bucket, key string, req selectengin
 	})
 }
 
+// copying hides its backend's Lend: every response reaches the engine as
+// Select's owned copy (s3api.Lending's adapter), which no later scan's
+// reuse of storage's render buffer can reach.
+type copying struct{ s3api.Backend }
+
 func poison(body []byte) {
 	for i := range body {
 		body[i] = '#'
@@ -57,10 +62,21 @@ func petsStore(t *testing.T) *store.Store {
 // TestLentBodiesAreNotKept: a pushed grouped scan over five partitions with
 // text group keys and MIN and MAX over text answers under the poisoning
 // backend, with and without the result cache and scan sharing over it,
-// what it answers over the plain backend: the fold owns the keys and the
-// MIN and MAX it keeps across rows, and a kept row its text.
+// what it answers over a copying one: the fold owns the keys and the
+// MIN and MAX it keeps across rows, and a kept row its text. So do the
+// small readers of a response, answers and plans alike: the planner's
+// remote probe of a table without a statistics object, SamplingTopK's sample
+// of a text key, S3SideGroupBy and SelectAgg's MIN and MAX over text, and
+// the planner's sample of text group keys pushed as an s3-groupby; a pushed
+// tail planned from a sample must pass its check (a threshold or group key
+// that viewed a lent body fails it, and the fallback would hide that). At
+// one P the sample's render buffer is the one the pushed scan's storage
+// renders its responses into next, and poisons.
 func TestLentBodiesAreNotKept(t *testing.T) {
-	st := petsStore(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	st, bare := petsStore(t), petsStore(t)
+	buildIndex(t, bare, testBucket, "pets", "n")
+	dropStats(bare, testBucket, "pets")
 	grouped := "SELECT kind, MIN(name) AS lo, MAX(name) AS hi, COUNT(*) AS c, SUM(n) AS s FROM pets GROUP BY kind"
 	rows := "SELECT name, kind FROM pets WHERE n < 5"
 	ctx := context.Background()
@@ -77,7 +93,57 @@ func TestLentBodiesAreNotKept(t *testing.T) {
 		}
 		return rel.String()
 	}
-	plain := openTestDB(t, st)
+	// The small readers, each over its store and options: the answer, and
+	// the plan where there is one.
+	readers := []struct {
+		name string
+		st   *store.Store
+		opts []Option
+		run  func(db *DB) (string, error)
+	}{
+		{"the remote probe", bare, nil, func(db *DB) (string, error) {
+			rel, e, err := db.QueryContext(ctx, "SELECT name, kind FROM pets WHERE n < 2")
+			if err == nil && e.QueryPlan().Scans[0].StatsSource != StatsFromProbe {
+				t.Fatalf("the remote probe did not run:\n%s", e.QueryPlan())
+			}
+			return fmt.Sprint(rel, e.QueryPlan()), err
+		}},
+		{"SamplingTopK of a text key", st, nil, func(db *DB) (string, error) {
+			e := db.NewExecContext(ctx)
+			rel, err := e.SamplingTopK("SELECT name, kind FROM pets ORDER BY name DESC LIMIT 5", 60)
+			if err == nil && (accessOf(e).Pushed != PushedTopK || accessOf(e).Fallback != "") {
+				err = fmt.Errorf("the sample's threshold did not hold:\n%s", e.QueryPlan())
+			}
+			return fmt.Sprint(rel, e.QueryPlan()), err
+		}},
+		{"S3SideGroupBy", st, nil, func(db *DB) (string, error) {
+			rel, err := db.NewExecContext(ctx).S3SideGroupBy("SELECT kind, SUM(n) AS s, COUNT(*) AS c FROM pets GROUP BY kind")
+			return fmt.Sprint(rel), err
+		}},
+		{"SelectAgg over text", st, nil, func(db *DB) (string, error) {
+			e := db.NewExecContext(ctx)
+			row, err := e.SelectAgg("agg", e.NextStage(), "pets", "SELECT MIN(name), MAX(name), COUNT(*) FROM S3Object")
+			return fmt.Sprint(row), err
+		}},
+		{"sampled text group keys", st, []Option{pushScale}, func(db *DB) (string, error) {
+			rel, e, err := db.QueryContext(ctx, "SELECT kind, COUNT(*) AS c, MAX(name) AS hi FROM pets GROUP BY kind")
+			if ap := accessOf(e); err == nil && ap != nil && ap.Fallback != "" {
+				err = fmt.Errorf("the sampled groups' check failed:\n%s", e.QueryPlan())
+			}
+			return fmt.Sprint(rel, e.QueryPlan()), err
+		}},
+	}
+	answer := func(db *DB, name string, run func(db *DB) (string, error)) string {
+		got, err := run(db)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return got
+	}
+	plain, err := Open(testBucket, WithBackend("s3sim", copying{s3api.NewInProc(st)}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, opts := range [][]Option{nil, {WithResultCache(1 << 20)}, {WithResultCache(1 << 20), WithScanSharing(scanshare.Config{})}} {
 		db, err := Open(testBucket, append([]Option{WithBackend("s3sim", poisoning{s3api.NewInProc(st)})}, opts...)...)
 		if err != nil {
@@ -93,9 +159,27 @@ func TestLentBodiesAreNotKept(t *testing.T) {
 				}
 			}
 		}
+		for _, r := range readers {
+			clean, err := Open(testBucket, append([]Option{WithBackend("s3sim", copying{s3api.NewInProc(r.st)})}, append(r.opts, opts...)...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(testBucket, append([]Option{WithBackend("s3sim", poisoning{s3api.NewInProc(r.st)})}, append(r.opts, opts...)...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 { // cold, then warm where a cache is on
+				if got, want := answer(db, r.name, r.run), answer(clean, r.name, r.run); got != want {
+					t.Errorf("%d options, %s: poisoned lent bodies changed the answer:\n%s\nwant\n%s", len(opts), r.name, got, want)
+				}
+			}
+		}
 	}
 	if !strings.Contains(run(plain, grouped, StrategyFiltered), "owl, barn") {
 		t.Fatal("the grouped answer lost its quoted key")
+	}
+	if _, e, err := openOver(t, testBucket, st, pushScale).QueryContext(ctx, "SELECT kind, COUNT(*) AS c, MAX(name) AS hi FROM pets GROUP BY kind"); err != nil || accessOf(e).Pushed != PushedGroupBy {
+		t.Fatalf("the sampled text group keys were not pushed (%v):\n%s", err, e.QueryPlan())
 	}
 }
 

@@ -728,7 +728,7 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 }
 
 // statsNote renders a scan's filtered cardinality and where it came from,
-// for EXPLAIN: a count scaled from a sample (see sampleCounts) carries a ~.
+// for EXPLAIN: a count scaled from a sample (see probeStats) carries a ~.
 func statsNote(st cloudsim.PlanTableStats, source string, cached bool) string {
 	note := fmt.Sprintf("%d after filter, from %s", st.FilteredRows, source)
 	if source == StatsFromObject && st.Rows > statsSampleRows && st.FilteredRows != st.Rows {

@@ -35,11 +35,11 @@ type tailPush struct {
 	req     selectengine.Request // the S3 Select request every partition is sent
 	estRows int64                // rows expected over a top-K's threshold: the sample's, scaled to the table
 	// The s3-groupby request returns, per key tuple of groups (the sample's,
-	// as rendered cells in first-seen order; one empty tuple for a plain
-	// aggregation), the group's row count and then aggs, the statement's
-	// distinct aggregates other than COUNT(*); a keyed request ends in
-	// COUNT(*) and the count of rows outside every group.
-	groups [][]string
+	// typed, in first-seen order; one empty tuple for a plain aggregation),
+	// the group's row count and then aggs, the statement's distinct
+	// aggregates other than COUNT(*); a keyed request ends in COUNT(*) and
+	// the count of rows outside every group.
+	groups []Row
 	aggs   []*sqlparse.Aggregate
 }
 
@@ -165,16 +165,16 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		}
 	}
 	if len(exprs) == 0 {
-		ap.push = e.db.groupPush(sel, [][]string{nil})
+		ap.push = e.db.groupPush(sel, []Row{nil})
 		return -1
 	}
 	if ts == nil {
 		ap.NotPushed = "the table has no usable statistics object"
 		return -1
 	}
-	// Their values in the sample rows WHERE keeps, by the rule sampleCounts
-	// follows: the sample is a CSV object and the select engine the one
-	// estimator.
+	// Their values in the sample rows WHERE keeps, typed, by the rule
+	// probeStats follows: the sample is a CSV object and the select engine
+	// the one estimator.
 	rows, st, err := e.sampleSelect(ts, sel.Table, keyProbe(sel, exprs, -1), stage)
 	if err == nil {
 		st.sp.SetInt("matched", int64(len(rows)))
@@ -195,7 +195,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		return filtered
 	}
 	if nkeys == 0 {
-		ap.push = e.db.groupPush(sel, [][]string{nil})
+		ap.push = e.db.groupPush(sel, []Row{nil})
 		return filtered
 	}
 
@@ -206,21 +206,24 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	// Against any other literal, = is byte equality of the rendered cell,
 	// which is what the server's group table keys on.
 	seen := map[string]int{}
-	var groups [][]string
+	var groups []Row
 	var counts []int
+	var tuple []byte
 	for _, r := range rows {
-		r = r[:nkeys]
-		tuple := strings.Join(r, "\x00")
-		g, ok := seen[tuple]
+		r, tuple = r[:nkeys], tuple[:0]
+		for _, c := range r {
+			tuple = append(c.Append(tuple), 0)
+		}
+		g, ok := seen[string(tuple)]
 		if !ok {
 			for i, c := range r {
-				if _, numeric := value.CoerceNum(value.Str(c)); numeric {
+				if _, numeric := value.CoerceNum(value.Str(c.String())); numeric {
 					ap.NotPushed = fmt.Sprintf("key value %s = %q reads as a number: comparison would coerce it, and = must be byte equality", exprs[i], c)
 					return filtered
 				}
 			}
 			g = len(groups)
-			seen[tuple], groups, counts = g, append(groups, r), append(counts, 0)
+			seen[string(tuple)], groups, counts = g, append(groups, r), append(counts, 0)
 		}
 		counts[g]++
 	}
@@ -230,8 +233,11 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 	}
 	ap.Sample = fmt.Sprintf("%d groups in the sample, the rarest %d times", len(groups), slices.Min(counts))
 	if slices.Min(counts) < 2 {
-		ap.NotPushed = fmt.Sprintf("group (%s) is in the sample once: groups it never met are likely",
-			strings.Join(groups[slices.Index(counts, 1)], ", "))
+		once := make([]string, nkeys)
+		for i, c := range groups[slices.Index(counts, 1)] {
+			once[i] = c.String()
+		}
+		ap.NotPushed = fmt.Sprintf("group (%s) is in the sample once: groups it never met are likely", strings.Join(once, ", "))
 		return filtered
 	}
 	push := e.db.groupPush(sel, groups)
@@ -260,7 +266,7 @@ func keyProbe(sel *sqlparse.Select, exprs []sqlparse.Expr, limit int64) *sqlpars
 // Every key must be of one class over rows and more, other such rows
 // (oneClass); then topKPush reads the threshold off rows' first key. It
 // says why there is none.
-func (db *DB) topKThreshold(sel *sqlparse.Select, keys []sqlparse.Expr, rows, more [][]string, ap *AccessPlan) (why string) {
+func (db *DB) topKThreshold(sel *sqlparse.Select, keys []sqlparse.Expr, rows, more []Row, ap *AccessPlan) (why string) {
 	if why = oneClass(keys, slices.Concat(rows, more), 0); why != "" {
 		return why
 	}
@@ -275,11 +281,11 @@ func (db *DB) topKThreshold(sel *sqlparse.Select, keys []sqlparse.Expr, rows, mo
 // and storage compares a CSV cell as text where the server compares the typed
 // cell it decodes — so what a threshold keeps, what a stable sort makes of the
 // survivors, and which cell is a partition's MIN would depend on the path.
-func oneClass(exprs []sqlparse.Expr, rows [][]string, from int) (why string) {
+func oneClass(exprs []sqlparse.Expr, rows []Row, from int) (why string) {
 	for col := from; col < len(exprs); col++ {
 		class := value.KindNull
 		for _, r := range rows {
-			v := value.FromCSV(r[col])
+			v := r[col]
 			if v.IsNull() {
 				continue
 			}
@@ -305,14 +311,14 @@ func oneClass(exprs []sqlparse.Expr, rows [][]string, from int) (why string) {
 // stable sort and, over keys of one class (topKThreshold checks the sample's),
 // one order on both sides, so every row of the answer comes back, ties at T
 // included, in table order. estRows counts the sample rows that pass.
-func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string, ap *AccessPlan) (why string) {
+func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows []Row, ap *AccessPlan) (why string) {
 	if sel.Limit > int64(len(rows)) {
 		return fmt.Sprintf("LIMIT %d is more than the %d sample rows the filter keeps", sel.Limit, len(rows))
 	}
 	desc := sel.OrderBy[0].Desc
 	vals := make([]value.Value, len(rows))
 	for i, r := range rows {
-		vals[i] = value.FromCSV(r[0])
+		vals[i] = r[0]
 	}
 	slices.SortFunc(vals, func(a, b value.Value) int {
 		if desc {
@@ -348,7 +354,7 @@ func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows [][]string,
 // SUM(CASE WHEN p_1 OR ... OR p_G THEN 0 ELSE 1 END). Every item has a short
 // alias: unaliased, the storage side names each column by its SQL text. A
 // plain aggregation (one group, no keys) sends the aggregates as they are.
-func (db *DB) groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
+func (db *DB) groupPush(sel *sqlparse.Select, groups []Row) *tailPush {
 	push := &tailPush{groups: groups, aggs: pushedAggs(sel)}
 	var items []sqlparse.SelectItem
 	add := func(fn sqlparse.AggFunc, x sqlparse.Expr) {
@@ -363,10 +369,10 @@ func (db *DB) groupPush(sel *sqlparse.Select, groups [][]string) *tailPush {
 		var conj []sqlparse.Expr
 		for i, c := range g {
 			col := &sqlparse.Column{Name: sel.GroupBy[i].(*sqlparse.Column).Name}
-			if c == "" { // CSV cannot tell NULL from the empty string: storage reads both as NULL
+			if c.IsNull() { // CSV cannot tell NULL from the empty string: storage reads both as NULL
 				conj = append(conj, &sqlparse.IsNull{X: col})
-			} else {
-				conj = append(conj, &sqlparse.Binary{Op: sqlparse.OpEq, L: col, R: &sqlparse.Literal{Val: value.Str(c)}})
+			} else { // the cell's text: its rendering, for a key that does not read as a number
+				conj = append(conj, &sqlparse.Binary{Op: sqlparse.OpEq, L: col, R: &sqlparse.Literal{Val: value.Str(c.String())}})
 			}
 		}
 		p := sqlparse.AndAll(conj)
@@ -461,11 +467,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 		if keyed && num(vals[0]) == 0 {
 			continue // in the sample, not in what this table holds now
 		}
-		r := make(Row, 0, len(partial.Cols))
-		for _, c := range g {
-			r = append(r, value.FromCSV(c))
-		}
-		partial.Rows = append(partial.Rows, append(r, vals...))
+		partial.Rows = append(partial.Rows, slices.Concat(g, vals))
 	}
 	// Every filtered row fell in exactly one known group, or the answer is
 	// not trusted: misses and overlaps are caught, not argued away.

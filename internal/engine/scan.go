@@ -270,8 +270,8 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 	}
 	if p.col != nil {
 		err = p.fromColumnar(d.workers)
-	} else if err = p.decodeCSV(); err == nil && p.res != nil {
-		err = checkClaim(p.res, p.decoded)
+	} else if err = p.decodeCSV(); err == nil && p.res != nil && p.decoded != p.res.Stats.RowsReturned {
+		err = fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(p.res.Body), p.res.Stats.RowsReturned)
 	}
 	p.data, p.sc, p.col, p.res = nil, csvx.Scanner{}, nil, nil
 	return err
@@ -399,14 +399,16 @@ type probe struct {
 // part are cut once after the fan-out (cutRows), so the decode never hands
 // out a window of an array it may still grow.
 type part struct {
-	cols    []string
-	cells   []value.Value
-	full    [][]value.Value // the filled blocks before cells
-	block   int             // a blocked part's largest block in cells; 0 for one array
-	rows    int
-	decoded int64 // the rows decoded, kept or not
-	kept    int64 // the rows the predicate kept (all of them with none)
-	failed  error // the predicate's first error over the part's rows
+	cols     []string
+	cells    []value.Value
+	full     [][]value.Value // the filled blocks before cells
+	block    int             // a blocked part's largest block in cells; 0 for one array
+	rows     int
+	decoded  int64 // the rows decoded, kept or not
+	kept     int64 // the rows the predicate kept (all of them with none)
+	failed   error // the predicate's first error over the part's rows
+	scanned  int64 // a response's Stats.BytesScanned and Columnar, read once the part has decoded
+	columnar bool
 
 	// What its source opened: the span decode ends, the kept columns'
 	// header positions, and the rows — a CSV scanner over data, past any
@@ -475,7 +477,7 @@ func (p *part) openRows(cols []string, body []byte) {
 // response opens res, a select response, as a part.
 func (p *part) response(res *selectengine.Result) {
 	p.openRows(res.Columns, res.Body)
-	p.res, p.lent, p.room = res, res.Lent(), len(res.Body)
+	p.res, p.lent, p.scanned, p.columnar = res, res.Lent(), res.Stats.BytesScanned, res.Columnar
 }
 
 // take runs one decoded row through the load, cell(c) typing its kept cell
@@ -539,14 +541,24 @@ func (p *part) take(cell func(c int) value.Value) {
 	p.own(row)
 }
 
-// own copies row's text cells into p's chunks when they view lent text, a
-// response's into chunks as long as its body, which holds all of its text: a
-// Relation outlives the GET and the sink it came from. A colformat chunk's
+// own copies row's text cells into p's chunks when they view lent text: a
+// Relation outlives the GET and the sink it came from. A response's first
+// chunk is sized for the rows its stats claim, each with the text of the
+// first row that owns some, up to its body's length. A colformat chunk's
 // text is its own already, and an owned body or an index fetch's fragments
 // hold only the rows they answer.
 func (p *part) own(row []value.Value) {
 	for j, v := range row {
 		if p.lent && v.Kind() == value.KindString {
+			if p.room == 0 && p.res != nil {
+				text := 0
+				for _, c := range row {
+					if c.Kind() == value.KindString {
+						text += len(c.AsString())
+					}
+				}
+				p.room = int(min(int64(text)*p.res.Stats.RowsReturned, int64(len(p.res.Body))))
+			}
 			row[j] = value.Str(p.chunks.Own(v.AsString(), p.room))
 		}
 	}
@@ -766,15 +778,6 @@ func (p *part) decodeCSV() error {
 	return p.sc.Err()
 }
 
-// checkClaim refuses a response whose body held n rows where its stats
-// claim another count.
-func checkClaim(res *selectengine.Result, n int64) error {
-	if n != res.Stats.RowsReturned {
-		return fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(res.Body), res.Stats.RowsReturned)
-	}
-	return nil
-}
-
 // SelectRows runs sql on every partition of table and concatenates the
 // returned rows into a typed relation.
 func (e *Exec) SelectRows(phaseName string, stage int, table, sql string) (*Relation, error) {
@@ -823,6 +826,28 @@ func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, d 
 			return d.decode(ctx, i)
 		})
 	}))
+}
+
+// selectParts is selectDecoded's rows cut by partition: rows[i] are
+// partition i's response's, windows of the one relation, typed and owned.
+func (e *Exec) selectParts(st step, table string, req selectengine.Request, d *decoder) ([][]Row, error) {
+	rel, err := e.selectDecoded(st, table, req, d)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]Row, len(d.parts))
+	for i, p := range d.parts {
+		rows[i], rel.Rows = rel.Rows[:p.rows:p.rows], rel.Rows[p.rows:]
+	}
+	return rows, nil
+}
+
+// decodeResponse decodes res, a scan's one select response, through d,
+// reusing d's parts: the sample's (sampleSelect).
+func decodeResponse(ctx context.Context, d *decoder, res *selectengine.Result) (*Relation, error) {
+	d.parts = append(d.parts[:0], part{})
+	d.parts[0].response(res)
+	return d.finish(d.decode(ctx, 0))
 }
 
 // groupFold is a grouped tail that sees no relation: one aggregation block,
@@ -883,8 +908,8 @@ func (e *Exec) SelectAgg(phaseName string, stage int, table, sql string) (Row, e
 	return e.selectAgg(phaseName, stage, table, e.db.request(table, stmt))
 }
 
-// selectAgg is SelectAgg over req. An item that is not a bare aggregate has
-// no merge: a bad_request, before any partition is asked.
+// selectAgg is SelectAgg over req, one row a partition. An item that is not
+// a bare aggregate has no merge: a bad_request, before any partition is asked.
 func (e *Exec) selectAgg(phaseName string, stage int, table string, req selectengine.Request) (_ Row, err error) {
 	stmt, err := req.Statement()
 	if err != nil {
@@ -905,24 +930,19 @@ func (e *Exec) selectAgg(phaseName string, stage int, table string, req selecten
 	}
 	st := e.step(phaseName, phaseName, stage, table)
 	defer func() { st.end(err) }()
-	results, err := e.selectOnParts(st, table, req)
+	parts, err := e.selectParts(st, table, req, &decoder{})
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		rows, err := res.Records()
-		if err != nil {
-			return nil, err
-		}
+	for _, rows := range parts {
 		if len(rows) != 1 {
 			return nil, fmt.Errorf("engine: aggregate select returned %d rows", len(rows))
 		}
 		if len(rows[0]) != len(states) {
-			return nil, fmt.Errorf("engine: aggregate select returned %d columns, expected %d",
-				len(rows[0]), len(states))
+			return nil, fmt.Errorf("engine: aggregate select returned %d columns, expected %d", len(rows[0]), len(states))
 		}
-		for j, f := range rows[0] {
-			if err := states[j].Add(value.FromCSV(f)); err != nil {
+		for j, v := range rows[0] {
+			if err := states[j].Add(v); err != nil {
 				return nil, err
 			}
 		}

@@ -33,27 +33,6 @@ func scanSelect(items []sqlparse.SelectItem, where sqlparse.Expr) *sqlparse.Sele
 	return &sqlparse.Select{Items: items, Table: "S3Object", Where: where, Limit: -1}
 }
 
-// selectOnParts runs req against every partition of the table through its
-// backend's pipeline and returns the per-partition results, owned, metered
-// on st. Each partition select becomes a child span of st's.
-func (e *Exec) selectOnParts(st step, table string, req selectengine.Request) ([]*selectengine.Result, error) {
-	keys, err := e.parts(table)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*selectengine.Result, len(keys))
-	err = e.forEachPart(keys, func(ctx context.Context, i int, key string) error {
-		return e.doSelect(ctx, st, table, key, req, func(res *selectengine.Result) error {
-			results[i] = res.Own()
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // consumed carries a sink's error back through the pipeline, which returns
 // it as is, for doSelect to tell it from storage's.
 type consumed struct{ error }

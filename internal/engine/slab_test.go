@@ -31,7 +31,7 @@ func ordersCells(rows int) ([]string, [][]string) {
 
 // relOf is rows typed as a select response's body decodes (decodeResponse).
 func relOf(cols []string, rows [][]string) *Relation {
-	rel, err := decodeResponse(&decoder{}, responseOf(cols, csvx.Encode(nil, rows), len(rows)))
+	rel, err := decodeResponse(context.Background(), &decoder{}, responseOf(cols, csvx.Encode(nil, rows), len(rows)))
 	if err != nil {
 		panic(err)
 	}
@@ -58,14 +58,6 @@ func decodeParts(d *decoder, parts ...part) (*Relation, error) {
 	return d.finish(err)
 }
 
-// decodeResponse decodes res as a scan's one select response through d,
-// reusing d's parts.
-func decodeResponse(d *decoder, res *selectengine.Result) (*Relation, error) {
-	d.parts = append(d.parts[:0], part{})
-	d.parts[0].response(res)
-	return d.finish(d.decode(context.Background(), 0))
-}
-
 // loadObject is data decoded as a load decodes a partition of it, on
 // workers: opened, then every row typed.
 func loadObject(data []byte, cols []string, workers int) (*Relation, error) {
@@ -76,13 +68,17 @@ func loadObject(data []byte, cols []string, workers int) (*Relation, error) {
 	return decodeParts(&decoder{workers: workers}, p)
 }
 
-// recordsOf is a select response's rows (Result.Records); a body that does
-// not decode to them fails t.
+// recordsOf is a select response's rows, its body read by a CSV scanner,
+// each row's cells as text, once Check has found it the rows of
+// len(Columns) cells its stats claim; a body that is not fails t.
 func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 	t.Helper()
-	rows, err := res.Records()
-	if err != nil {
-		t.Fatalf("Records: %v", err)
+	if err := res.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	rows := [][]string{}
+	for sc := csvx.NewScanner(res.Body); sc.Scan(); {
+		rows = append(rows, csvx.CloneRow(sc.Fields()))
 	}
 	return rows
 }
@@ -93,7 +89,8 @@ func recordsOf(t testing.TB, res *selectengine.Result) [][]string {
 // not one per row (SortLocal) or two (decodeCSV) — vec.FromStrings a few per
 // column, none per cell, and no more than 12 bytes for a cell that is a
 // number; a grouped scan's fold of a response into its block a few per
-// body, none per row.
+// body, none per row; and a small reader's decode of a response a few per
+// response, none per row.
 func TestDecodeAllocatesPerChunk(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -108,14 +105,14 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, res := &decoder{fold: f, header: f.cols}, responseOf(cols, body, rows)
-		return func() error { _, err := decodeResponse(d, res); return err }
+		return func() error { _, err := decodeResponse(context.Background(), d, res); return err }
 	}
 	for _, rows := range []int{60, 6000} {
 		cols, cells := ordersCells(rows)
 		data, body := csvx.Encode(cols, cells), csvx.Encode(nil, cells)
 		rel, res := relOf(cols, cells), responseOf(cols, body, rows)
 		for name, run := range map[string]func() error{
-			"response":    func() error { _, err := decodeResponse(&decoder{}, res); return err },
+			"response":    func() error { _, err := decodeResponse(context.Background(), &decoder{}, res); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
 			"decodeCSV":   func() error { _, err := loadObject(data, nil, 1); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
@@ -136,6 +133,17 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 			}
 		}); total > 8 {
 			t.Errorf("folding a %d-row body allocates %v times, want at most 8 whatever its rows", rows, total)
+		}
+		// The small readers' decode (the planner's sample, a probe's or an
+		// aggregate select's responses): a fresh decoder, its part, the
+		// cells, the relation and its rows and the scanner's own few, per
+		// response, not per row.
+		if total := testing.AllocsPerRun(10, func() {
+			if _, err := decodeResponse(context.Background(), &decoder{}, res); err != nil {
+				t.Fatal(err)
+			}
+		}); total > 10 {
+			t.Errorf("a small reader's decode of a %d-row response allocates %v times, want at most 10 whatever its rows", rows, total)
 		}
 	}
 	numCols, numbers := []string{"a", "b", "c", "d", "e"}, make([][]string, 6000)
@@ -227,7 +235,7 @@ func checkRowsDoNotAlias(t *testing.T, rel *Relation) {
 func TestDecodedRowsDoNotAlias(t *testing.T) {
 	cols, cells := ordersCells(40)
 	cells[7] = cells[7][:2] // ragged rows are windows too
-	body, err := decodeResponse(&decoder{}, responseOf(cols, csvx.Encode(nil, cells), len(cells)))
+	body, err := decodeResponse(context.Background(), &decoder{}, responseOf(cols, csvx.Encode(nil, cells), len(cells)))
 	if err != nil {
 		t.Fatal(err)
 	}

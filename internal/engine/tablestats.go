@@ -252,42 +252,41 @@ func (ts *statsObj) scaled(n int64) int64 {
 // sampleSelect runs stmt over the table's sample with the select engine itself
 // — the one estimator — and charges the query sample_rows units of row work,
 // on the step "plan stats <table>", which the caller ends once it has said
-// what it found. The response's rows come decoded (Result.Records): an
-// allocation per response, not per row.
-func (e *Exec) sampleSelect(ts *statsObj, table string, stmt *sqlparse.Select, stage int) ([][]string, step, error) {
+// what it found. The response is lent to a sink that decodes it as a part
+// (decodeResponse): its rows come typed, and own their text.
+func (e *Exec) sampleSelect(ts *statsObj, table string, stmt *sqlparse.Select, stage int) ([]Row, step, error) {
 	st := e.step("plan stats "+table, "plan stats "+table, stage, table)
 	st.AddServerSeconds(float64(ts.sampleRows) * e.db.Cfg.RowWorkSecPerRow)
-	res, err := selectengine.Execute(ts.sample, e.db.request(table, stmt))
+	var rel *Relation
+	err := selectengine.Run(ts.sample, e.db.request(table, stmt), func(res *selectengine.Result) (err error) {
+		rel, err = decodeResponse(e.ctx, &decoder{}, res)
+		return err
+	})
 	if err != nil {
 		return nil, st, err
 	}
 	st.sp.SetInt("bytes", int64(len(ts.sample)))
 	st.sp.SetInt("sample_rows", ts.sampleRows)
 	st.sp.SetStr("source", StatsFromObject)
-	rows, err := res.Records()
-	return rows, st, err
+	return rel.Rows, st, nil
 }
 
-// sampleCounts runs a probe — COUNT(*), then SUM(CASE …) counts — over
-// the table's sample (sampleSelect) and scales every count but the first to
-// the table (scaled). nil means no object, or a probe that cannot be evaluated
-// locally: the remote probe gives the counts, or the reason.
-func (e *Exec) sampleCounts(ts *statsObj, table string, probe *sqlparse.Select, stage int) []int64 {
-	if ts == nil {
-		return nil
+// probeCounts sums the counts of table's planning probe over its responses'
+// rows, one a response of one cell per item: an INT, or NULL — a SUM over
+// no rows — as zero.
+func probeCounts(table string, parts [][]Row, items int) ([]int64, error) {
+	counts := make([]int64, items)
+	for _, rows := range parts {
+		ok := len(rows) == 1 && len(rows[0]) == items
+		for i := 0; ok && i < items; i++ {
+			k := rows[0][i].Kind()
+			ok = k == value.KindInt || k == value.KindNull
+			n, _ := rows[0][i].IntNum()
+			counts[i] += n
+		}
+		if !ok {
+			return nil, fmt.Errorf("engine: planning probe for %s returned unexpected shape", table)
+		}
 	}
-	rows, st, err := e.sampleSelect(ts, table, probe, stage)
-	if err != nil || len(rows) != 1 {
-		st.end(err)
-		return nil
-	}
-	counts := make([]int64, len(rows[0]))
-	for i, f := range rows[0] {
-		counts[i], _ = value.FromCSV(f).IntNum() // a SUM over no rows is NULL: zero
-		counts[i] = ts.scaled(counts[i])
-	}
-	counts[0] = ts.rows
-	st.sp.SetInt("matched", counts[min(1, len(counts)-1)])
-	st.end(nil)
-	return counts
+	return counts, nil
 }

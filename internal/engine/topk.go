@@ -62,19 +62,7 @@ func (e *Exec) SamplingTopK(sql string, sampleSize int64) (*Relation, error) {
 	for _, o := range orderByOverInput(sel) {
 		keys = append(keys, o.Expr)
 	}
-	st := e.step("sample "+table, "sample "+table, stage, table)
-	results, err := e.selectOnParts(st, table, e.db.request(table, keyProbe(sel, keys, max(sampleSize/int64(len(parts)), 1))))
-	var rows [][]string
-	for _, res := range results {
-		var recs [][]string
-		if recs, err = res.Records(); err != nil {
-			break
-		}
-		rows = append(rows, recs...)
-	}
-	st.AddServerRows(int64(len(rows)))
-	st.sp.SetInt("rows", int64(len(rows)))
-	st.end(err)
+	sample, err := e.selectMetered("sample "+table, stage, table, e.db.request(table, keyProbe(sel, keys, max(sampleSize/int64(len(parts)), 1))), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -83,16 +71,17 @@ func (e *Exec) SamplingTopK(sql string, sampleSize int64) (*Relation, error) {
 	// they miss would order one way in storage and another on the server.
 	// The planner's sample, the statistics object's, is checked too.
 	ap := &AccessPlan{Strategy: StrategyFiltered, Reason: "forced: the threshold of a sample of the first rows"}
-	var strided [][]string
+	var strided []Row
 	if ts != nil {
+		var st step
 		strided, st, err = e.sampleSelect(ts, table, keyProbe(sel, keys, -1), stage)
 		st.end(err)
 	}
 	if err != nil {
 		ap.NotPushed = "the keys do not evaluate over the statistics sample: " + err.Error()
-	} else if ap.NotPushed = e.db.topKThreshold(sel, keys, rows, strided, ap); ap.push != nil {
+	} else if ap.NotPushed = e.db.topKThreshold(sel, keys, sample.Rows, strided, ap); ap.push != nil {
 		// The sample's pass rate over the table: about K·N/S rows (§VII-B).
-		ap.Pushed, ap.EstRows = PushedTopK, ap.push.estRows*max(n, int64(len(rows)))/int64(len(rows))
+		ap.Pushed, ap.EstRows = PushedTopK, ap.push.estRows*max(n, int64(len(sample.Rows)))/int64(len(sample.Rows))
 	}
 	sc := &TableScan{Table: table, Alias: sel.Alias, Backend: e.db.store(table).Name(), req: e.db.request(table, pushedScan(sel, nil)), Access: ap}
 	e.plan = &QueryPlan{Sel: sel, Scans: []*TableScan{sc}, exec: e}

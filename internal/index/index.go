@@ -204,20 +204,15 @@ func Probe(valuePred sqlparse.Expr) *sqlparse.Select {
 	}
 }
 
-// ParseRanges decodes the rows a Probe select returned into inclusive
-// byte ranges, in the order returned.
-func ParseRanges(rows [][]string) ([][2]int64, error) {
+// ParseRanges reads the rows a Probe select returned, typed, as inclusive
+// byte ranges, in the order returned: each row two INT cells.
+func ParseRanges(rows [][]value.Value) ([][2]int64, error) {
 	ranges := make([][2]int64, 0, len(rows))
 	for _, r := range rows {
-		if len(r) != 2 {
+		if len(r) != 2 || r[0].Kind() != value.KindInt || r[1].Kind() != value.KindInt {
 			return nil, fmt.Errorf("index: bad index entry %v", r)
 		}
-		first, err1 := strconv.ParseInt(r[0], 10, 64)
-		last, err2 := strconv.ParseInt(r[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("index: bad index entry %v", r)
-		}
-		ranges = append(ranges, [2]int64{first, last})
+		ranges = append(ranges, [2]int64{r[0].AsInt(), r[1].AsInt()})
 	}
 	return ranges, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/value"
 )
 
 func TestKeys(t *testing.T) {
@@ -161,9 +162,11 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
-// FuzzParseRanges feeds arbitrary rows — lines of comma-separated cells —
-// to the index probe's range parser: it must not panic, and it returns
-// ranges, one per row in order, exactly when every row is two integers.
+// FuzzParseRanges feeds arbitrary rows — lines of comma-separated cells,
+// typed as a response's decode types them (value.FromCSV) — to the index
+// probe's range parser: it must not panic, and it returns ranges, one per
+// row in order, exactly when every row is two cells strconv reads as
+// integers.
 func FuzzParseRanges(f *testing.F) {
 	f.Add("0,10\n11,25")
 	f.Add("5,5")
@@ -173,12 +176,17 @@ func FuzzParseRanges(f *testing.F) {
 	f.Add("-0,+7\n9223372036854775807,9223372036854775808")
 	f.Fuzz(func(t *testing.T, text string) {
 		var rows [][]string
+		var typed [][]value.Value
 		if text != "" {
 			for _, line := range strings.Split(text, "\n") {
 				rows = append(rows, strings.Split(line, ","))
+				typed = append(typed, nil)
+				for _, cell := range rows[len(rows)-1] {
+					typed[len(typed)-1] = append(typed[len(typed)-1], value.FromCSV(cell))
+				}
 			}
 		}
-		ranges, err := ParseRanges(rows)
+		ranges, err := ParseRanges(typed)
 		var want [][2]int64
 		for _, r := range rows {
 			if len(r) != 2 {

@@ -227,7 +227,11 @@ func TestHostileSelectResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := res.Records(); err != nil || !reflect.DeepEqual(rows, [][]string{{"1", "2"}, {`x,"y"`, ""}}) {
+	var rows [][]string
+	for sc := csvx.NewScanner(res.Body); sc.Scan(); {
+		rows = append(rows, csvx.CloneRow(sc.Fields()))
+	}
+	if err := res.Check(); err != nil || !reflect.DeepEqual(rows, [][]string{{"1", "2"}, {`x,"y"`, ""}}) {
 		t.Errorf("well-formed response decodes to %q, %v", rows, err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // FuzzExecute runs a statement the fuzzer writes over an object it writes.
 // Execute may refuse either, but must not panic, and a response must be its
-// body: exactly Stats.RowsReturned rows of len(Columns) cells (Records), whose
+// body: exactly Stats.RowsReturned rows of len(Columns) cells (bodyRows), whose
 // text plus one separator each adds up to Stats.BytesReturned. A statement
 // that parses runs twice, as text and as the request NewRequest builds from
 // its statement, and must answer — or fail — alike; one that does not parse
@@ -43,7 +43,7 @@ func FuzzExecute(f *testing.F) {
 			t.Fatalf("%q answers %q %q %+v as text, %q %q %+v from its statement", sql,
 				res.Columns, res.Body, res.Stats, cres.Columns, cres.Body, cres.Stats)
 		}
-		rows, err := res.Records()
+		rows, err := bodyRows(res)
 		if err != nil {
 			t.Fatalf("the body %q does not decode to its %d rows of %q: %v", res.Body, res.Stats.RowsReturned, res.Columns, err)
 		}

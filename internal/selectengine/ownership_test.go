@@ -321,9 +321,11 @@ func TestColumnarScanAllocatesPerScan(t *testing.T) {
 	}
 }
 
-// TestRecordsAllocatesPerResponse pins the decode the planner's sample and
-// every small consumer of a response use: one array for the cells, one for
-// the rows and the scanner's own few, whatever the row count.
+// TestRecordsAllocatesPerResponse pins the one read of a response's records
+// this package still makes: Check, which every response off the wire passes
+// before its rows are decoded, walks them in the scanner's own few arrays,
+// whatever the row count, and keeps none of them. (The rows' decode itself
+// is the engine's, pinned per response by TestDecodeAllocatesPerChunk.)
 func TestRecordsAllocatesPerResponse(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -333,8 +335,15 @@ func TestRecordsAllocatesPerResponse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if total := testing.AllocsPerRun(10, func() { rowsOf(t, res) }); total > 6 {
-			t.Errorf("decoding a %d-row response allocates %v times, want at most 6", rows, total)
+		if res.Stats.RowsReturned != int64(rows) {
+			t.Fatalf("a %d-row projection returned %d rows", rows, res.Stats.RowsReturned)
+		}
+		if total := testing.AllocsPerRun(10, func() {
+			if err := res.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}); total > 6 {
+			t.Errorf("checking a %d-row response allocates %v times, want at most 6", rows, total)
 		}
 	}
 }

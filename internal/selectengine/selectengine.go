@@ -9,8 +9,9 @@
 // A response is its CSV body, on every backend and on the wire: each output
 // row's text is rendered once, into a buffer the package's scans reuse and
 // Run lends as the body while its sink runs; Execute copies it once into a
-// body of exactly its length (Result.Own). Whoever reads the rows decodes
-// the body once. Stats is what storage counted while writing it.
+// body of exactly its length (Result.Own). Stats is what storage counted
+// while writing it, and Check holds a body to it; whoever reads the rows
+// decodes the body once, into cells of its own (the engine's partitions).
 //
 // A name denotes the first header column equal to it case-insensitively,
 // failing that _N (1 ≤ N ≤ width) the N-th column, and otherwise no column:
@@ -209,33 +210,12 @@ func (r *Result) Own() *Result {
 	return &own
 }
 
-// Records decodes the body into rows of cells, each row as wide as Columns,
-// and fails unless it holds Stats.RowsReturned of them (Check). It allocates
-// one array for every cell and one for the rows, sized by what the body can
-// hold (csvx.RowBound), not by the count a response claims. Cells view the body.
-func (r *Result) Records() ([][]string, error) {
-	w := len(r.Columns)
-	n := csvx.RowBound(r.Body, w, r.Stats.RowsReturned)
-	rows, cells := make([][]string, 0, n), make([]string, 0, n*w)
-	if err := r.scan(func(fields []string) {
-		cells = append(cells, fields...)
-		rows = append(rows, cells[len(cells)-w:len(cells):len(cells)])
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // Check fails unless the body holds Stats.RowsReturned rows, each as wide as
 // Columns. It keeps no cell.
-func (r *Result) Check() error { return r.scan(func([]string) {}) }
-
-// scan is Check, handing each row's fields (valid during the call) to row.
-func (r *Result) scan(row func(fields []string)) error {
+func (r *Result) Check() error {
 	sc, n := csvx.NewScanner(r.Body), int64(0)
 	more := sc.Scan()
 	for ; more && n < r.Stats.RowsReturned && len(sc.Fields()) == len(r.Columns); more = sc.Scan() {
-		row(sc.Fields())
 		n++
 	}
 	if more || sc.Err() != nil || n != r.Stats.RowsReturned {

@@ -29,17 +29,32 @@ func (p poisoning) Lend(ctx context.Context, bucket, key string, req selectengin
 	})
 }
 
+// copying hides its backend's Lend: every response reaches the engine as
+// Select's owned copy (s3api.Lending's adapter), which no later scan's
+// reuse of storage's render buffer can reach.
+type copying struct{ s3api.Backend }
+
 // TestTPCHKeepsNoLentBody: every TPC-H statement answers under the poisoning
-// backend what it answers over the plain one — the SQL set planned, the
+// backend what it answers over a copying one — the SQL set planned, the
 // single-table statements forced onto each access path, two-table joins of
 // every column forced onto each join algorithm, and the hand plans — so no
-// answer views a response storage lent.
+// answer views a response storage lent. So do the small readers of a
+// response over text: SamplingTopK's sample, the hand group-bys (the
+// S3-side one's SelectAgg, the hybrid one's sample of the table's
+// statistics object), SelectAgg's MIN and MAX, and, over tables without
+// statistics objects, the planner's remote probe.
 func TestTPCHKeepsNoLentBody(t *testing.T) {
 	ctx := context.Background()
-	st := store.New()
+	st, bare := store.New(), store.New()
 	ds, err := LoadWithIndexes(ctx, st, Dataset{SF: 0.002, Seed: 42, Bucket: "tpch", Partitions: 4})
+	if err == nil {
+		_, err = LoadWithIndexes(ctx, bare, ds)
+	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, table := range []string{"customer", "orders", "lineitem", "part"} {
+		bare.Delete(ds.Bucket, engine.StatsKey(table))
 	}
 	open := func(b s3api.Backend) *engine.DB {
 		db, err := engine.Open(ds.Bucket, engine.WithBackend("s3sim", b))
@@ -48,7 +63,8 @@ func TestTPCHKeepsNoLentBody(t *testing.T) {
 		}
 		return db
 	}
-	plain, poisoned := open(s3api.NewInProc(st)), open(poisoning{s3api.NewInProc(st)})
+	plain, poisoned := open(copying{s3api.NewInProc(st)}), open(poisoning{s3api.NewInProc(st)})
+	plainBare, poisonedBare := open(copying{s3api.NewInProc(bare)}), open(poisoning{s3api.NewInProc(bare)})
 
 	runs := map[string]func(db *engine.DB) (*engine.Relation, error){}
 	for _, q := range goldenQueries {
@@ -93,9 +109,30 @@ func TestTPCHKeepsNoLentBody(t *testing.T) {
 			}
 		}
 	}
+	runs["SamplingTopK over text"] = func(db *engine.DB) (*engine.Relation, error) {
+		return db.NewExecContext(ctx).SamplingTopK("SELECT l_orderkey, l_comment FROM lineitem ORDER BY l_comment DESC LIMIT 5", 200)
+	}
+	const grouped = "SELECT l_shipmode, SUM(l_quantity) AS q, COUNT(*) AS n FROM lineitem GROUP BY l_shipmode"
+	runs["S3SideGroupBy"] = func(db *engine.DB) (*engine.Relation, error) { return db.NewExecContext(ctx).S3SideGroupBy(grouped) }
+	runs["HybridGroupBy"] = func(db *engine.DB) (*engine.Relation, error) {
+		return db.NewExecContext(ctx).HybridGroupBy(grouped, engine.HybridGroupByOptions{S3Groups: 3})
+	}
+	runs["SelectAgg over text"] = func(db *engine.DB) (*engine.Relation, error) {
+		e := db.NewExecContext(ctx)
+		row, err := e.SelectAgg("agg", e.NextStage(), "lineitem", "SELECT MIN(l_comment), MAX(l_shipinstruct), COUNT(*) FROM S3Object")
+		return &engine.Relation{Cols: []string{"lo", "hi", "n"}, Rows: []engine.Row{row}}, err
+	}
+	dbs := map[string][2]*engine.DB{}
+	for name := range runs {
+		dbs[name] = [2]*engine.DB{plain, poisoned}
+	}
+	for _, q := range goldenQueries {
+		runs["no statistics object, planned "+q.name] = runs["planned "+q.name]
+		dbs["no statistics object, planned "+q.name] = [2]*engine.DB{plainBare, poisonedBare}
+	}
 	for name, run := range runs {
-		want, wantErr := run(plain)
-		got, err := run(poisoned)
+		want, wantErr := run(dbs[name][0])
+		got, err := run(dbs[name][1])
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Errorf("%s: poisoned %v, plain %v", name, err, wantErr)
 			continue
