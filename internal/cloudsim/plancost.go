@@ -49,7 +49,7 @@ type PlanTableStats struct {
 	CachedFrac float64
 	// LocalRows is how many rows the access path hands the server-side tail,
 	// which charges each one unit of row work on a stage of its own
-	// (engine.finishLocal); 0 prices no tail. Only the single-table estimates
+	// (engine.finishTail); 0 prices no tail. Only the single-table estimates
 	// (EstimateFilteredScan, EstimateBaselineScan, EstimateIndexScan) read it.
 	LocalRows int64
 }

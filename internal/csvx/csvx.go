@@ -9,6 +9,7 @@
 package csvx
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -124,6 +125,15 @@ func view(b []byte) string {
 func (s *Scanner) Scan() bool {
 	if s.err != nil || s.pos >= len(s.data) {
 		return false
+	}
+	if s.fields == nil {
+		// Sized once, from the first row's commas: every row of a payload
+		// is about as wide, so fields grows no more after it.
+		row := s.data[s.pos:]
+		if nl := bytes.IndexByte(row, '\n'); nl >= 0 {
+			row = row[:nl]
+		}
+		s.fields = make([]string, 0, bytes.Count(row, []byte{','})+1)
 	}
 	s.fields = s.fields[:0]
 	s.first = s.pos

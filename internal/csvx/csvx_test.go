@@ -292,3 +292,26 @@ func TestScanDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestNewScannerSizesItsFieldsOnce pins a new scanner's cost: its first row
+// sizes the field slice once, from that row's commas, so a scanner over a
+// 16-field payload allocates the slice and nothing more however many rows
+// it splits (growing it by append cost 5 allocations first).
+func TestNewScannerSizesItsFieldsOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	row := strings.TrimSuffix(strings.Repeat("12,", 16), ",") + "\n"
+	data := []byte(strings.Repeat(row, 100))
+	var sc Scanner
+	if n := testing.AllocsPerRun(100, func() {
+		sc = *NewScanner(data)
+		for sc.Scan() {
+			if len(sc.Fields()) != 16 {
+				t.Fatal("short scan")
+			}
+		}
+	}); n != 1 {
+		t.Errorf("a new scanner over 100 rows of 16 fields allocates %v times, want 1", n)
+	}
+}

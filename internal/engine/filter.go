@@ -22,8 +22,9 @@ func (e *Exec) serverSideFilter(l Load, bind func(header []string) error) (*Rela
 	if l.Where != nil {
 		perRow = 1
 	}
-	rel, fold, _, err := e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind, nil)
-	return rel, fold, err
+	d := l.decoder()
+	rel, err := e.loadMetered("load "+l.Table, e.NextStage(), l, perRow, bind, d)
+	return rel, d.fold, err
 }
 
 // IndexFilterOptions tunes the Section IV-A index strategy.
@@ -52,7 +53,7 @@ func (e *Exec) IndexFilter(sql string, opts IndexFilterOptions) (*Relation, erro
 	if opts.MultiRange {
 		pol = fetchMultiRange
 	}
-	rel, _, _, err := e.indexFetch(sel.Table, cand.Entry.Column, indexValuePred(cand.Pred), pol)
+	rel, _, _, err := e.indexFetch(sel.Table, cand, nil, pol, &decoder{})
 	return rel, err
 }
 

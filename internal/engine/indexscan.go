@@ -181,18 +181,18 @@ func (e *Exec) indexRangeProbe(st step, table, idxTable string, valuePred sqlpar
 	return dataKeys, partRanges, nil
 }
 
-// indexFetch runs the two-hop index access over the index on
-// table(column): the pushed probe of the index objects with valuePred (a
-// predicate over the value column) and the data table's header from a tiny
-// ranged GET, then the matching data rows fetched by byte range under pol.
-// It returns the fetched relation (full-width rows; under fetchCoalesced a
-// superset of the matches, which callers must re-filter), the number of
-// multi-range GETs fetchCoalesced issued, and the fetch stage (hash joins
-// overlap it). The two figure policies meter under the phase names Fig. 1
-// has always reported and charge no server row work: they fetch exactly
-// the matching rows.
-func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fetchPolicy) (*Relation, int64, int, error) {
-	idxTable := index.Table(table, column)
+// indexFetch runs the two-hop index access through cand's index: the
+// pushed probe of the index objects with the predicate cand resolves, over
+// the value column, and the data table's header from a tiny ranged GET,
+// then the matching data rows fetched by byte range under pol and decoded
+// through d, typed in cols (none: every column). It returns what d answers
+// (under fetchCoalesced the candidates are a superset of the matches, which
+// d's where must re-filter), the number of multi-range GETs fetchCoalesced
+// issued, and the fetch stage (hash joins overlap it). The two figure
+// policies meter under the phase names Fig. 1 has always reported and
+// charge no server row work: they fetch exactly the matching rows.
+func (e *Exec) indexFetch(table string, cand *IndexCandidate, cols []string, pol fetchPolicy, d *decoder) (*Relation, int64, int, error) {
+	idxTable, valuePred := index.Table(table, cand.Entry.Column), indexValuePred(cand.Pred)
 	probeName, fetchName := "index select "+table, "index fetch "+table
 	probeSpan, fetchSpan := probeName, fetchName
 	if pol != fetchCoalesced {
@@ -211,6 +211,10 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	header, keep, err := prune(header, cols)
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("engine: table %q: %w", table, err)
+	}
 
 	// Hop 2: every data partition with matching byte ranges has them fetched
 	// and metered under pol, under a "fetch <key>" child of the step's span.
@@ -222,7 +226,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 	fetch := e.step(fetchSpan, fetchName, stage2, table)
 	s := e.db.store(table)
 	var gets atomic.Int64
-	d := &decoder{e: e, st: fetch, header: header}
+	d.e, d.st, d.header = e, fetch, header
 	out, err := d.finish(d.run(dataKeys, func(ctx context.Context, i int) error {
 		key, ranges, p := dataKeys[i], partRanges[i], &d.parts[i]
 		if len(ranges) == 0 {
@@ -268,6 +272,7 @@ func (e *Exec) indexFetch(table, column string, valuePred sqlparse.Expr, pol fet
 			body = append(append(body, frag...), '\n')
 		}
 		p.openRows(header, body)
+		p.keep = keep
 		return nil
 	}))
 	if err == nil && pol == fetchCoalesced {
@@ -288,21 +293,6 @@ func fragBytes(frags [][]byte) int64 {
 		total += int64(len(f))
 	}
 	return total
-}
-
-// indexScan is the IndexScan access path whole: the two-hop fetch through
-// cand's index, the full filter re-applied over the fetched candidates,
-// then the projection (nil items keep every column). Beside the rows it
-// returns the multi-range GETs issued and the fetch stage.
-func (e *Exec) indexScan(table string, cand *IndexCandidate, filter sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, int64, int, error) {
-	rel, gets, stage, err := e.indexFetch(table, cand.Entry.Column, indexValuePred(cand.Pred), fetchCoalesced)
-	if err == nil {
-		rel, err = e.filterLocal(rel, filter)
-	}
-	if err == nil && items != nil {
-		rel, err = e.projectLocal(rel, items)
-	}
-	return rel, gets, stage, err
 }
 
 // AccessPlan records the planner's access decision for a single-table query
@@ -655,16 +645,4 @@ func returnedCols(req *sqlparse.Select, tableCols int) int {
 		return n
 	}
 	return 0
-}
-
-// runIndexScanSelect executes a single-table SELECT through the IndexScan
-// access path: fetch candidates, re-apply the full WHERE locally, then run
-// the usual local tail (grouping, ordering, projection, limit).
-func (e *Exec) runIndexScanSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error) {
-	rel, gets, _, err := e.indexScan(sel.Table, sc.Index, sc.Filter, nil)
-	if err != nil {
-		return nil, err
-	}
-	sc.Access.RangedGets = gets
-	return e.finishLocal(rel, sel)
 }

@@ -52,27 +52,40 @@ type join struct {
 	left, right       *TableScan
 	leftKey, rightKey string
 	bloom             JoinSpec // the Bloom filter's knobs; SQL is not read
+	joinTail
+}
+
+// joinTail is what a statement's last join's joined rows meet as they
+// decode: the rows the residual passes (nil: all) fold into fold (nil: none,
+// they are the join's answer), each bound to the joined header (probeFor).
+type joinTail struct {
+	residual sqlparse.Expr
+	fold     *groupFold
 }
 
 // Join runs js's statement with one Section-V algorithm: StrategyBaseline,
 // StrategyFiltered or StrategyBloom. A statement of another shape, or another
 // algorithm, is a KindBadRequest error saying why. Aggregates over the joined
-// rows are the server's, unbilled, as the planner's tail is.
+// rows are the server's, unbilled, as the planner's tail is, folded into as
+// the rows join.
 func (e *Exec) Join(js JoinSpec, algorithm string) (*Relation, error) {
-	run := map[string]func(join) (*Relation, error){
+	run := map[string]func(join) (*Relation, int64, error){
 		StrategyBaseline: e.baselineJoin, StrategyFiltered: e.filteredJoin, StrategyBloom: e.bloomJoin}[algorithm]
 	j, items, err := e.db.joinStatement(js, algorithm)
 	if err == nil && run == nil {
 		err = forcedError(e.db, j.left.Table, algorithm, "not a join algorithm (baseline, filtered or bloom)")
 	}
+	if items != nil {
+		j.fold = &groupFold{items: items}
+	}
 	var joined *Relation
 	if err == nil {
-		joined, err = run(j)
+		joined, _, err = run(j)
 	}
 	if err != nil || items == nil {
 		return joined, err
 	}
-	return e.groupByLocal(joined, nil, nil, items)
+	return e.groupByLocal(nil, j.fold, nil, items)
 }
 
 // joinStatement checks js's statement and builds the join it describes, with
@@ -159,30 +172,31 @@ func (db *DB) joinScan(table string, filter sqlparse.Expr, project []string) *Ta
 // keeping as they decode the rows each side's filter passes, typed in the
 // columns that filter and the server read (TableScan.load): the probe
 // side's rows decode once the build side has loaded, each kept row probing
-// its hash table (buildThenProbe), so no relation of the probe side's rows
-// is built. No S3 Select anywhere.
-func (e *Exec) baselineJoin(j join) (*Relation, error) {
+// its hash table (buildThenProbe) and the joined rows meeting j's tail, so
+// no relation of the probe side's rows is built. No S3 Select anywhere.
+func (e *Exec) baselineJoin(j join) (*Relation, int64, error) {
 	defer e.scope("baseline join").end(nil)
 	stage := e.NextStage()
-	right := j.right.load()
-	right.BuildKey, right.ProbeKey = j.leftKey, j.rightKey
+	left, right := j.left.load(), j.right.load()
+	right.BuildKey, right.ProbeKey, right.Residual = j.leftKey, j.rightKey, j.residual
+	probe := right.decoder()
+	probe.fold = j.fold
 	var joined *Relation
-	var kept int64
 	// The server-side filter pass touches every decoded row; meter it in
 	// the load phases so execution matches the planner's baseline
 	// estimate (cloudsim.EstimateBaselineJoin).
 	build, err := buildThenProbe(func() (*Relation, error) {
-		rel, _, _, err := e.loadMetered("load "+j.left.Table, stage, j.left.load(), 1, nil, nil)
-		return rel, err
+		return e.loadMetered("load "+left.Table, stage, left, 1, nil, left.decoder())
 	}, func(built func() *Relation) (err error) {
-		joined, _, kept, err = e.loadMetered("load "+right.Table, stage, right, 1, nil, built)
+		probe.build = built
+		joined, err = e.loadMetered("load "+right.Table, stage, right, 1, nil, probe)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	e.joinStep(stage, int64(len(build.Rows))+kept, joined)
-	return joined, nil
+	e.joinStep(stage, int64(len(build.Rows))+probe.kept, probe.joined)
+	return joined, probe.joined, nil
 }
 
 // buildThenProbe runs a hash join's two sides at once, build and probe,
@@ -205,12 +219,12 @@ func buildThenProbe(build func() (*Relation, error), probe func(built func() *Re
 	return rel, err
 }
 
-// joinStep meters a hash join's row work on stage's "hash join" phase, as
-// hashJoinLocal does: rowsIn, a build row or a probe row each.
-func (e *Exec) joinStep(stage int, rowsIn int64, joined *Relation) {
+// joinStep meters a hash join's row work on stage's "hash join" phase:
+// rowsIn, a build row or a probe row each, which made joined rows.
+func (e *Exec) joinStep(stage int, rowsIn, joined int64) {
 	st := e.step("hash join", "hash join", stage, "")
 	st.sp.SetInt("rows_in", rowsIn)
-	st.sp.SetInt("joined", int64(len(joined.Rows)))
+	st.sp.SetInt("joined", joined)
 	st.AddServerRows(rowsIn)
 	st.end(nil)
 }
@@ -231,17 +245,18 @@ func (sc *TableScan) load() Load {
 // filtered join; the probe side's responses decode once the build side has
 // loaded, each row probing its hash table (pushedJoin), so no relation of
 // the probe side's rows is built.
-func (e *Exec) filteredJoin(j join) (*Relation, error) {
+func (e *Exec) filteredJoin(j join) (*Relation, int64, error) {
 	stage := e.NextStage()
 	req := func(sc *TableScan) selectengine.Request { return e.db.request(sc.Table, scanSelect(nil, sc.Filter)) }
 	var joined *Relation
+	var n int64
 	_, err := buildThenProbe(func() (*Relation, error) {
 		return e.selectMetered("filtered scan "+j.left.Table, stage, j.left.Table, req(j.left), 0)
 	}, func(built func() *Relation) (err error) {
-		joined, err = e.pushedJoin("filtered scan "+j.right.Table, stage, req(j.right), j, built)
+		joined, n, err = e.pushedJoin("filtered scan "+j.right.Table, stage, req(j.right), j, built)
 		return err
 	})
-	return joined, err
+	return joined, n, err
 }
 
 // bloomJoin implements Section V-A2: load the build side with selection
@@ -251,17 +266,17 @@ func (e *Exec) filteredJoin(j join) (*Relation, error) {
 // fit S3 Select's 256 KB expression limit even after FPR degradation, it
 // falls back to a filtered join whose two scans are forced serial (the
 // paper's "degraded Bloom join").
-func (e *Exec) bloomJoin(j join) (*Relation, error) {
+func (e *Exec) bloomJoin(j join) (*Relation, int64, error) {
 	defer e.scope("bloom join").end(nil)
 	// Phase 1: build side with pushdown; two units of row work per build
 	// row: the hash table and the filter insert.
 	left, err := e.selectMetered("bloom build "+j.left.Table, e.NextStage(), j.left.Table, j.left.req, 2)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	req, stage2, err := e.bloomProbe(left, j)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return e.pushedJoin("bloom probe "+j.right.Table, stage2, req, j, func() *Relation { return left })
 }
@@ -269,18 +284,19 @@ func (e *Exec) bloomJoin(j join) (*Relation, error) {
 // pushedJoin runs req, a pushed scan of j.right's table, on a step named
 // name on stage as the probe side of a hash join on j's keys: as each
 // response decodes, its rows join the build side build waits for (nil: it
-// failed, and the scan fails with errNoBuild; selectDecoded). The join's
-// row work is metered on the probe scan's own stage, which it overlaps
-// (joinStep), so attribution holds when concurrent work allocates stages.
-func (e *Exec) pushedJoin(name string, stage int, req selectengine.Request, j join, build func() *Relation) (*Relation, error) {
+// failed, and the scan fails with errNoBuild; selectDecoded) and meet j's
+// tail: it answers the rows the residual keeps, none with a fold, and the
+// rows joined. The join's row work is metered on the probe scan's own stage,
+// which it overlaps (joinStep), so attribution holds under concurrency.
+func (e *Exec) pushedJoin(name string, stage int, req selectengine.Request, j join, build func() *Relation) (*Relation, int64, error) {
 	st := e.step(name, name, stage, j.right.Table)
-	d := &decoder{build: build, buildKey: j.leftKey, probeKey: j.rightKey}
+	d := &decoder{build: build, buildKey: j.leftKey, probeKey: j.rightKey, residual: j.residual, fold: j.fold}
 	joined, err := e.selectDecoded(st, j.right.Table, req, d)
 	st.end(err)
 	if err == nil {
-		e.joinStep(stage, int64(len(build().Rows))+d.decoded, joined)
+		e.joinStep(stage, int64(len(build().Rows))+d.decoded, d.joined)
 	}
-	return joined, err
+	return joined, d.joined, err
 }
 
 // BloomProbe builds a Bloom filter over left's key column and runs the probe

@@ -225,18 +225,131 @@ func TestLoadProbeEdges(t *testing.T) {
 	}
 }
 
-// TestLoadProbeRefusesAFold: a load does not both probe and group.
-func TestLoadProbeRefusesAFold(t *testing.T) {
-	st := store.New()
-	st.Put(diffBucket, store.PartitionKey("t", 0), csvx.Encode([]string{"x"}, [][]string{{"1"}}))
-	db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)))
+// tailCase is what a probe's joined rows meet: a residual (nil: none), then
+// a fold (no items: none).
+type tailCase struct {
+	residual sqlparse.Expr
+	fold     foldCase
+}
+
+// joinTails are what a probe's joined rows meet, over a probe side of
+// tbl's columns keyed by key joining probeBuild's: a residual alone, one
+// failing on its first row (a CAST of a tag) and one naming a column no
+// header has; a fold alone; and a residual and then a fold — a grouping by
+// the probe key, a sum failing on its first row, and one behind the failing
+// residual, whose error must win.
+func joinTails(t *testing.T, key string) []tailCase {
+	q := `"` + key + `"`
+	cases := [][2]string{
+		{"btag > 'b3'", ""},
+		{"CAST(btag AS INT) > 0", ""},
+		{"nosuch = 1", ""},
+		{"", "SELECT COUNT(*) AS n, MIN(btag) AS mn FROM t"},
+		{q + " IS NOT NULL AND btag <> 'b0'", "SELECT " + q + ", COUNT(*) AS n, MAX(btag) AS mx FROM t GROUP BY " + q},
+		{"btag <> 'b1'", "SELECT SUM(CAST(btag AS INT)) AS s FROM t"},
+		{"CAST(btag AS INT) > 0", "SELECT SUM(CAST(btag AS INT)) AS s FROM t"},
+	}
+	out := make([]tailCase, len(cases))
+	for i, c := range cases {
+		if c[0] != "" {
+			out[i].residual = mustExpr(t, c[0])
+		}
+		if c[1] != "" {
+			sel := selectOf(t, c[1])
+			out[i].fold = foldCase{sql: c[1], keys: sel.GroupBy, items: sel.Items}
+		}
+	}
+	return out
+}
+
+// mustExpr parses sql as an expression.
+func mustExpr(t *testing.T, sql string) sqlparse.Expr {
+	t.Helper()
+	x, err := sqlparse.ParseExpr(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := selectOf(t, "SELECT COUNT(*) AS n FROM t")
-	_, err = db.NewExec().LoadTables(0, Load{Table: "t", Items: sel.Items, Build: cellsRel([]string{"k"}, nil), BuildKey: "k", ProbeKey: "x"})
-	if err == nil || !strings.Contains(err.Error(), "both probe and group") {
-		t.Errorf("a probing fold: %v", err)
+	return x
+}
+
+// joinedTail is what a join's tail answers over joined, the relation of its
+// joined rows, or the error before it (err): Operators.Filter by the
+// residual, then Operators.GroupBy by the fold when it has items.
+func joinedTail(joined *Relation, err error, residual sqlparse.Expr, fold foldCase) (*Relation, error) {
+	if err == nil {
+		joined, err = Operators{}.Filter(joined, residual)
+	}
+	if err == nil && fold.items != nil {
+		joined, err = Operators{}.GroupBy(joined, fold.keys, fold.items)
+	}
+	return joined, err
+}
+
+// TestLoadProbeFoldsItsJoinedRows: over the differential tables as CSV and
+// as colformat, at 1 and 7 partitions, every column as the probe key, with
+// and without a Where, a probing load with a Residual, a grouping (Items)
+// or both answers as LoadTables, Operators.HashJoin, Operators.Filter by the
+// residual and Operators.GroupBy do: the same rows or groups in the same
+// order, typed alike, or the same error — the Where's, then the keys', then
+// the residual's, then the grouping's.
+func TestLoadProbeFoldsItsJoinedRows(t *testing.T) {
+	ctx := context.Background()
+	build, empty := probeBuild(), &Relation{Cols: []string{"bk", "btag"}}
+	for _, format := range []string{"csv", "colformat"} {
+		for _, parts := range []int{1, 7} {
+			st := store.New()
+			for _, tbl := range diffTables {
+				var err error
+				if format == "csv" {
+					err = PartitionTable(ctx, st, diffBucket, tbl.name, tbl.header, tbl.rows, parts)
+				} else {
+					schema, rows := columnarOf(tbl)
+					err = PartitionTableColumnar(st, diffBucket, tbl.name, schema, rows, parts, 2, true)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compared, failed := 0, 0
+			for _, tbl := range diffTables {
+				for _, key := range append(tbl.header, "nosuch") {
+					for _, where := range []sqlparse.Expr{nil, mustExpr(t, `"`+tbl.header[len(tbl.header)-1]+`" IS NOT NULL`)} {
+						for _, tail := range joinTails(t, key) {
+							for _, b := range []*Relation{build, empty} {
+								l := Load{Table: tbl.name, Where: where, Build: b, BuildKey: "bk", ProbeKey: key,
+									Residual: tail.residual, GroupBy: tail.fold.keys, Items: tail.fold.items}
+								label := fmt.Sprintf("%s parts=%d %s WHERE %v: %d build rows on bk = %s, residual %v, %s",
+									format, parts, tbl.name, where, len(b.Rows), key, tail.residual, tail.fold.sql)
+								plain := Load{Table: tbl.name, Where: where}
+								var want *Relation
+								loaded, wantErr := db.NewExecContext(ctx).LoadTables(0, plain)
+								if wantErr == nil {
+									want, wantErr = Operators{}.HashJoin(b, loaded[0], "bk", key)
+									want, wantErr = joinedTail(want, wantErr, tail.residual, tail.fold)
+								}
+								got, gotErr := db.NewExecContext(ctx).LoadTables(0, l)
+								if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+									t.Fatalf("%s: HashJoin, Filter and GroupBy's error %v, the probing load's %v", label, wantErr, gotErr)
+								}
+								if wantErr != nil {
+									failed++
+									continue
+								}
+								identicalRel(t, label, want, got[0])
+								compared++
+							}
+						}
+					}
+				}
+			}
+			if compared == 0 || failed == 0 {
+				t.Errorf("%s parts=%d: %d answers compared and %d failures, want some of both", format, parts, compared, failed)
+			}
+		}
 	}
 }
 

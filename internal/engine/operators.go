@@ -361,10 +361,6 @@ func (e *Exec) runOp(name string, rowsIn int, fn func(Operators) (*Relation, err
 	return out, err
 }
 
-func (e *Exec) filterLocal(rel *Relation, pred sqlparse.Expr) (*Relation, error) {
-	return e.runOp("filter", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Filter(rel, pred) })
-}
-
 func (e *Exec) projectLocal(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
 	return e.runOp("project", len(rel.Rows), func(o Operators) (*Relation, error) { return o.Project(rel, items) })
 }
@@ -382,19 +378,4 @@ func (e *Exec) groupByLocal(rel *Relation, fold *groupFold, keys []sqlparse.Expr
 		return e.runOp(name, int(fold.rows), func(Operators) (*Relation, error) { return fold.finish() })
 	}
 	return e.runOp(name, len(rel.Rows), func(o Operators) (*Relation, error) { return o.GroupBy(rel, keys, items) })
-}
-
-// hashJoinLocal performs the local build/probe and accounts the row work
-// on the given stage's "hash join" phase (the stage of the scan that
-// produced the probe side, which the join overlaps).
-func (e *Exec) hashJoinLocal(stage int, left, right *Relation, leftKey, rightKey string) (*Relation, error) {
-	rowsIn := len(left.Rows) + len(right.Rows)
-	st := e.step("hash join", "hash join", stage, "")
-	st.sp.SetInt("rows_in", int64(rowsIn))
-	st.AddServerRows(int64(rowsIn))
-	out, err := e.runOp("hash join local", rowsIn, func(o Operators) (*Relation, error) {
-		return o.HashJoin(left, right, leftKey, rightKey)
-	})
-	st.end(err)
-	return out, err
 }

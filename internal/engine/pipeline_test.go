@@ -801,7 +801,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 		t.Fatal(err)
 	}
 	first := p.Steps[0]
-	rel, err := e.baselineJoin(join{left: p.Scans[first.buildIdx], right: p.Scans[first.probeIdx],
+	rel, _, err := e.baselineJoin(join{left: p.Scans[first.buildIdx], right: p.Scans[first.probeIdx],
 		leftKey: first.BuildKey, rightKey: first.ProbeKey})
 	for _, st := range p.Steps[1:] {
 		var right *Relation
@@ -809,14 +809,14 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 			right, _, err = e.serverSideFilter(Load{Table: p.Scans[st.scan].Table, Where: p.Scans[st.scan].Filter}, nil)
 		}
 		if err == nil {
-			rel, err = e.hashJoinLocal(e.NextStage(), rel, right, st.BuildKey, st.ProbeKey)
+			rel, err = (Operators{}).HashJoin(rel, right, st.BuildKey, st.ProbeKey)
 		}
 	}
-	if err == nil && p.Residual != nil {
-		rel, err = e.filterLocal(rel, p.Residual)
+	if err == nil {
+		rel, err = (Operators{}).Filter(rel, p.Residual)
 	}
 	if err == nil {
-		rel, err = e.finishLocal(rel, p.Sel)
+		rel, err = e.finishTail(p.Sel, rel, nil)
 	}
 	if err != nil {
 		t.Fatalf("%s: baseline: %v", sql, err)
@@ -828,16 +828,22 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 // filter reads stays in storage on every path a join step can take — the
 // Bloom build and probe, a chain's filtered scan, Bloom probe and IndexScan,
 // and a Bloom join over a text key falling back to the baseline join (first
-// join) or a filtered scan (chain). Each statement, forced down its path,
-// answers as the baseline join does, cold and warm, through every
-// select-pipeline composition over CSV and columnar tables (the index, and
-// so the IndexScan, is CSV's only).
+// join) or a filtered scan (chain) — and so does each last join whose rows
+// meet a residual and a grouped tail as they decode. Each statement, forced
+// down its path, answers as the baseline join does, cold and warm, through
+// every select-pipeline composition over CSV and columnar tables (the
+// index, and so the IndexScan, is CSV's only).
 func TestJoinPathsShipOnlyServerColumns(t *testing.T) {
 	st := joinFixture(t)
 	const (
 		pair  = "SELECT o.o_ok, o.o_price FROM jc%[1]s c JOIN jo%[1]s o ON %[2]s WHERE c.c_seg = 'A' AND o.o_od < '1995-06-01' ORDER BY o.o_ok"
 		chain = "SELECT c.c_ck, o.o_ok, l.l_price FROM jc%[1]s c JOIN jo%[1]s o ON c.c_ck = o.o_ck JOIN jl%[1]s l ON %[2]s " +
 			"WHERE c.c_seg = 'A' AND %[3]s ORDER BY c.c_ck, o.o_ok, l.l_price"
+		// The last join's rows meet a residual and fold into the groups.
+		pairTail = "SELECT o.o_ck, COUNT(*) AS n, SUM(o.o_price) AS s FROM jc%[1]s c JOIN jo%[1]s o ON %[2]s " +
+			"WHERE c.c_seg = 'A' AND o.o_od < '1995-06-01' AND (c.c_bal > 10 OR o.o_price < 20) GROUP BY o.o_ck ORDER BY o.o_ck"
+		chainTail = "SELECT c.c_ck, COUNT(*) AS n, SUM(l.l_price) AS s FROM jc%[1]s c JOIN jo%[1]s o ON c.c_ck = o.o_ck JOIN jl%[1]s l ON %[2]s " +
+			"WHERE c.c_seg = 'A' AND %[3]s AND (l.l_price > 3 OR o.o_price < 10) GROUP BY c.c_ck ORDER BY c.c_ck"
 	)
 	cases := []struct {
 		name, sql     string // sql takes the tables' suffix
@@ -851,6 +857,11 @@ func TestJoinPathsShipOnlyServerColumns(t *testing.T) {
 		{"chain-bloom", fmt.Sprintf(chain, "%[1]s", "o.o_ok = l.l_ok", "l.l_sd > '1995-06-01'"), 1, StrategyBloom, StrategyBloom, []string{"c_seg", "l_sd"}},
 		{"chain-bloom-text-key", fmt.Sprintf(chain, "%[1]s", "o.o_code = l.l_code", "l.l_sd > '1995-06-01'"), 1, StrategyBloom, StrategyFiltered, []string{"c_seg", "l_sd"}},
 		{"chain-indexscan", fmt.Sprintf(chain, "%[1]s", "o.o_ok = l.l_ok", "l.l_qty <= 2"), 1, StrategyIndexScan, StrategyIndexScan, []string{"c_seg", "l_qty"}},
+		{"bloom-tail", fmt.Sprintf(pairTail, "%[1]s", "c.c_ck = o.o_ck"), 0, StrategyBloom, StrategyBloom, []string{"c_seg", "o_od"}},
+		{"bloom-text-key-tail", fmt.Sprintf(pairTail, "%[1]s", "c.c_code = o.o_code"), 0, StrategyBloom, StrategyBaseline, []string{"c_seg", "o_od"}},
+		{"chain-filtered-tail", fmt.Sprintf(chainTail, "%[1]s", "o.o_ok = l.l_ok", "l.l_sd > '1995-06-01'"), 1, StrategyFiltered, StrategyFiltered, []string{"c_seg", "l_sd"}},
+		{"chain-bloom-tail", fmt.Sprintf(chainTail, "%[1]s", "o.o_ok = l.l_ok", "l.l_sd > '1995-06-01'"), 1, StrategyBloom, StrategyBloom, []string{"c_seg", "l_sd"}},
+		{"chain-indexscan-tail", fmt.Sprintf(chainTail, "%[1]s", "o.o_ok = l.l_ok", "l.l_qty <= 2"), 1, StrategyIndexScan, StrategyIndexScan, []string{"c_seg", "l_qty"}},
 	}
 	plain := composition{}.open(t, s3api.NewInProc(st), 0)
 	for _, suffix := range []string{"", "_c"} {

@@ -629,26 +629,35 @@ func (e *Exec) runPlan(p *QueryPlan) (rel *Relation, err error) {
 }
 
 // runJoins executes a planned multi-table select, recording each step's
-// actual cardinality and cost deltas.
+// actual cardinality and cost deltas; the last step's joined rows meet the
+// residual and a grouped tail's fold as they decode (joinTail).
 func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 	var cur *Relation
-	var err error
+	tail := joinTail{residual: p.Residual}
+	if grouped(p.Sel) {
+		items, _, _ := groupSortPlan(p.Sel)
+		tail.fold = &groupFold{keys: p.Sel.GroupBy, items: items}
+	}
 	for i, st := range p.Steps {
 		t0 := e.Metrics.RuntimeSeconds()
 		c0 := e.Cost().Total()
 		_, _, ret0, get0 := e.Metrics.Totals()
 		sc := e.scope(fmt.Sprintf("join %d", i+1))
 		sc.sp.SetStr("strategy", st.Strategy)
+		t := joinTail{}
+		if i == len(p.Steps)-1 {
+			t = tail
+		}
+		var err error
 		if st.first {
-			cur, err = e.runFirstJoin(p, st)
+			cur, st.ActualRows, err = e.runFirstJoin(p, st, t)
 		} else {
-			cur, err = e.runChainJoin(p, st, cur)
+			cur, st.ActualRows, err = e.runChainJoin(p, st, cur, t)
 		}
 		if err != nil {
 			sc.end(err)
 			return nil, err
 		}
-		st.ActualRows = int64(len(cur.Rows))
 		st.ActualSec = e.Metrics.RuntimeSeconds() - t0
 		st.ActualUSD = e.Cost().Total() - c0
 		_, _, ret1, get1 := e.Metrics.Totals()
@@ -658,25 +667,20 @@ func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 		sc.sp.SetFloat("actual_usd", st.ActualUSD)
 		sc.end(nil)
 	}
-	if p.Residual != nil {
-		cur, err = e.filterLocal(cur, p.Residual)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return e.finishLocal(cur, p.Sel)
+	return e.finishTail(p.Sel, cur, tail.fold)
 }
 
 // runFirstJoin executes the first step (two base tables) with the chosen
-// join operator over the planned scans. A Bloom plan over non-integer keys
-// falls back to the baseline join at run time (the probe cannot be built).
-func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
+// join operator over the planned scans, its rows meeting t. A Bloom plan over
+// non-integer keys falls back to the baseline join at run time (the probe
+// cannot be built).
+func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep, t joinTail) (*Relation, int64, error) {
 	j := join{left: p.Scans[st.buildIdx], right: p.Scans[st.probeIdx],
-		leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom}
+		leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom, joinTail: t}
 	if st.Strategy == StrategyBloom {
-		rel, err := e.bloomJoin(j)
+		rel, n, err := e.bloomJoin(j)
 		if err == nil || !errors.Is(err, ErrNonIntegerJoinKey) {
-			return rel, err
+			return rel, n, err
 		}
 		st.Strategy = StrategyBaseline
 		st.Reason += "; fell back to baseline: Bloom filters need integer join keys"
@@ -685,28 +689,25 @@ func (e *Exec) runFirstJoin(p *QueryPlan, st *JoinStep) (*Relation, error) {
 }
 
 // runChainJoin joins the materialized intermediate relation with the
-// step's base table: a pushed probe scan's rows join it as they decode
-// (pushedJoin); an IndexScan's candidates after they are fetched.
-func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relation, error) {
+// step's base table, its rows meeting t: a pushed probe scan's or an
+// IndexScan's fetched candidates' rows join it as they decode (pushedJoin).
+func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation, t joinTail) (*Relation, int64, error) {
 	sc := p.Scans[st.scan]
+	intermediate := func() *Relation { return cur }
 	if st.Strategy == StrategyIndexScan {
 		// Probe side through the secondary index: fetch the candidate byte
-		// ranges, re-apply the full pushed filter locally, project to what
-		// the query needs.
-		var items []sqlparse.SelectItem
-		if len(sc.Project) > 0 {
-			items = columnItems(sc.Project)
-		}
-		right, gets, joinStage, err := e.indexScan(sc.Table, sc.Index, sc.Filter, items)
+		// ranges, typing the columns the filter and the server read. The
+		// hash join overlaps the fetch that produced its probe side; using
+		// that fetch's own stage keeps attribution correct under concurrency.
+		d := &decoder{where: sc.Filter, build: intermediate, buildKey: st.BuildKey, probeKey: st.ProbeKey, residual: t.residual, fold: t.fold}
+		rel, gets, stage, err := e.indexFetch(sc.Table, sc.Index, sc.load().Cols, fetchCoalesced, d)
 		if st.RangedGets = gets; err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		// The hash join overlaps the scan that produced its probe side; using
-		// that scan's own stage keeps attribution correct under concurrency.
-		return e.hashJoinLocal(joinStage, cur, right, st.BuildKey, st.ProbeKey)
+		e.joinStep(stage, int64(len(cur.Rows))+d.kept, d.joined)
+		return rel, d.joined, nil
 	}
-	j := join{right: sc, leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom}
-	intermediate := func() *Relation { return cur }
+	j := join{right: sc, leftKey: st.BuildKey, rightKey: st.ProbeKey, bloom: planBloom, joinTail: t}
 	if st.Strategy == StrategyBloom {
 		// Building the Bloom filter walks every intermediate row; meter
 		// it to match cloudsim.EstimateBloomProbe's build charge.
@@ -719,7 +720,7 @@ func (e *Exec) runChainJoin(p *QueryPlan, st *JoinStep, cur *Relation) (*Relatio
 			return e.pushedJoin("bloom probe "+sc.Table, stage, req, j, intermediate)
 		}
 		if !errors.Is(err, ErrNonIntegerJoinKey) {
-			return nil, err
+			return nil, 0, err
 		}
 		st.Strategy = StrategyFiltered
 		st.Reason += "; fell back to filtered: Bloom filters need integer join keys"

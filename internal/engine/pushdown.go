@@ -443,7 +443,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 			ap.Fallback = FallbackShortThreshold
 			return nil, nil
 		}
-		return e.finishLocal(rel, sel)
+		return e.finishTail(sel, rel, nil)
 	}
 	row, err := e.selectAgg("s3 aggregate", e.NextStage(), sel.Table, push.req)
 	if err != nil {
@@ -492,7 +492,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 	for i, o := range sel.OrderBy {
 		tail.OrderBy[i] = sqlparse.OrderItem{Expr: push.overPartials(o.Expr), Desc: o.Desc}
 	}
-	return e.finishLocal(partial, &tail)
+	return e.finishTail(&tail, partial, nil)
 }
 
 // partialCol names the merged-partials column of the request's i-th distinct

@@ -461,7 +461,7 @@ func TestPushedProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.finishLocal(rows, sel)
+		want, err := e.finishTail(sel, rows, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

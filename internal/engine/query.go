@@ -147,7 +147,12 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 	if ap := sc.Access; ap != nil {
 		switch {
 		case ap.Strategy == StrategyIndexScan:
-			return e.runIndexScanSelect(sel, sc)
+			// Fetch the candidates, the full WHERE re-applied as they decode.
+			rel, gets, _, err := e.indexFetch(table, sc.Index, nil, fetchCoalesced, &decoder{where: sc.Filter})
+			if ap.RangedGets = gets; err != nil {
+				return nil, err
+			}
+			return e.finishTail(sel, rel, nil)
 		case ap.Strategy == StrategyBaseline:
 			var bind func([]string) error
 			if sc.Cols == nil {
@@ -170,10 +175,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 			if err != nil {
 				return nil, err
 			}
-			if fold != nil {
-				return e.finishTail(sel, nil, fold, fold.rows)
-			}
-			return e.finishLocal(rel, sel)
+			return e.finishTail(sel, rel, fold)
 		case ap.Pushed != "":
 			if rel, err := e.runTail(sel, ap); rel != nil || err != nil {
 				return rel, err
@@ -203,9 +205,6 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	if fold != nil {
-		return e.finishTail(sel, nil, fold, fold.rows)
-	}
 	if isSimple(sel) {
 		// Fully pushable: selection, projection and LIMIT all went to S3.
 		if sel.Limit >= 0 {
@@ -213,7 +212,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 		return rel, nil
 	}
-	return e.finishLocal(rel, sel)
+	return e.finishTail(sel, rel, fold)
 }
 
 // pushedScan is the S3 Select request the pushed-scan path sends for a
@@ -270,17 +269,13 @@ func grouped(sel *sqlparse.Select) bool {
 	return len(sel.GroupBy) > 0 || sel.HasAggregates()
 }
 
-// finishLocal runs the server-side tail of a query over an already-scanned
-// (or joined) relation: grouping/aggregation/projection, ordering and
-// limiting, with the row work accounted on the virtual clock.
-func (e *Exec) finishLocal(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
-	return e.finishTail(sel, rel, nil, int64(len(rel.Rows)))
-}
-
-// finishTail is finishLocal over rowsIn rows, whose grouping step reads rel
-// or, with a fold, the group table a grouped scan folded (groupByLocal): the
-// one tail either input finishes through.
-func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold, rowsIn int64) (*Relation, error) {
+// finishTail runs the server-side tail of sel — grouping, aggregation or
+// projection, ordering and limiting, its row work accounted on the virtual
+// clock — over rel, an already-scanned or joined relation, or, with a fold
+// (nil: none), over the group table a grouped scan or join folded its rows
+// into (groupByLocal): the one tail either input finishes through.
+func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold) (*Relation, error) {
+	rowsIn := fold.rowsIn(rel)
 	st := e.step("local", "local", e.NextStage(), "")
 	st.sp.SetInt("rows_in", rowsIn)
 	st.AddServerRows(rowsIn)
@@ -470,7 +465,7 @@ func isAlias(sel *sqlparse.Select, name string) bool {
 	return false
 }
 
-// writeLocalTail describes the server-side tail finishLocal will run for
+// writeLocalTail describes the server-side tail finishTail will run for
 // sel, one indented "server:" line per step (QueryPlan.String).
 func writeLocalTail(b *strings.Builder, indent string, sel *sqlparse.Select) {
 	if len(sel.GroupBy) > 0 {

@@ -13,7 +13,7 @@ import (
 	"pushdowndb/internal/store"
 )
 
-// --- ORDER BY over a column the projection drops (query.go finishLocal) ---
+// --- ORDER BY over a column the projection drops (query.go finishTail) ---
 
 func TestOrderByColumnDroppedByProjection(t *testing.T) {
 	st := store.New()

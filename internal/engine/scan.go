@@ -21,19 +21,17 @@ import (
 	"pushdowndb/internal/vec"
 )
 
-// Load names a table to load, the columns its plan reads and the rows it
-// keeps: no Cols loads every column, no Where every row. Where is evaluated
-// as each partition decodes (decoder), and the load answers as
-// Operators.Filter over the whole loaded relation would: the same rows, in
-// the same order, or the same error. With Items, the kept rows are grouped
-// by GroupBy (none: one plain aggregation) as they decode, and the load
-// answers as Operators.GroupBy over them would; no relation of the rows is
-// built (groupFold). With Build, the kept rows probe Build's hash table on
-// BuildKey = ProbeKey as they decode, and the load answers as
-// Operators.HashJoin(Build, <the load without Build>, BuildKey, ProbeKey)
-// would: Build's columns, then the load's, the same rows in the same order,
-// or the same error; only a row that joins types its other cells (probe).
-// A load does not both probe and group.
+// Load names a table to load, the columns its plan reads (none: every
+// column) and what its rows meet as each partition decodes (decoder): Where
+// (none: all rows pass), as Operators.Filter over the loaded relation would
+// apply it; with Build, a probe of Build's hash table on BuildKey =
+// ProbeKey, as Operators.HashJoin(Build, <the load without Build>,
+// BuildKey, ProbeKey) and then Operators.Filter by Residual would join and
+// keep them, only a row that joins typing its other cells (probe); with
+// Items, a grouping by GroupBy (none: one plain aggregation) of the rows it
+// would keep, as Operators.GroupBy would group them, with no relation of
+// them built (groupFold). The load answers as those operators would: the
+// same rows or groups in the same order, typed alike, or the same error.
 type Load struct {
 	Table   string
 	Cols    []string
@@ -43,6 +41,20 @@ type Load struct {
 
 	Build              *Relation
 	BuildKey, ProbeKey string
+	Residual           sqlparse.Expr
+}
+
+// decoder is the decode of l's rows through its consumers: its Where, its
+// probe of Build with the Residual, and its grouping's fold.
+func (l Load) decoder() *decoder {
+	d := &decoder{where: l.Where, buildKey: l.BuildKey, probeKey: l.ProbeKey, residual: l.Residual}
+	if l.Build != nil {
+		d.build = func() *Relation { return l.Build }
+	}
+	if l.Items != nil {
+		d.fold = &groupFold{keys: l.GroupBy, items: l.Items}
+	}
+	return d
 }
 
 // LoadTables loads the tables of one stage concurrently (see LoadTable),
@@ -53,13 +65,9 @@ func (e *Exec) LoadTables(stage int, loads ...Load) ([]*Relation, error) {
 	fns := make([]func() error, len(loads))
 	for i, l := range loads {
 		fns[i] = func() (err error) {
-			var build func() *Relation
-			if l.Build != nil {
-				build = func() *Relation { return l.Build }
-			}
-			var fold *groupFold
-			if rels[i], fold, _, err = e.loadMetered("load "+l.Table, stage, l, 0, nil, build); err == nil && fold != nil {
-				rels[i], err = fold.finish()
+			d := l.decoder()
+			if rels[i], err = e.loadMetered("load "+l.Table, stage, l, 0, nil, d); err == nil && d.fold != nil {
+				rels[i], err = d.fold.finish()
 			}
 			return err
 		}
@@ -75,28 +83,20 @@ func (e *Exec) LoadTables(stage int, loads ...Load) ([]*Relation, error) {
 // typed (all of them when none are named); the GETs, and their bill, are
 // whole either way.
 func (e *Exec) LoadTable(phaseName string, stage int, table string, cols ...string) (*Relation, error) {
-	rel, _, _, err := e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil, nil)
-	return rel, err
+	return e.loadMetered(phaseName, stage, Load{Table: table, Cols: cols}, 0, nil, &decoder{})
 }
 
-// loadMetered is LoadTable of l on a step of its own, metering there perRow
-// units of the server's row work per decoded row: the server-side
-// baselines' pass over every row, which a Where does not shorten. Its parts
-// are GET objects (part.open); a non-nil bind judges the first one's whole
-// header before the others are fetched, and build is the build side l's
-// rows probe. A load with Items answers no relation but the fold its rows
-// went into, for the caller to finish. It also answers the rows Where kept.
-func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error, build func() *Relation) (*Relation, *groupFold, int64, error) {
+// loadMetered is LoadTable of l through d, its decoder (Load.decoder), on a
+// step of its own, metering there perRow units of the server's row work per
+// decoded row: the server-side baselines' pass over every row, which a Where
+// does not shorten. Its parts are GET objects (part.open); a non-nil bind
+// judges the first one's whole header before the others are fetched. With a
+// fold it answers no relation, for the caller to finish d's fold.
+func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind func(header []string) error, d *decoder) (*Relation, error) {
 	st := e.step(name, name, stage, l.Table)
-	d := &decoder{e: e, st: st, where: l.Where, build: build, buildKey: l.BuildKey, probeKey: l.ProbeKey}
-	if l.Items != nil {
-		d.fold = &groupFold{keys: l.GroupBy, items: l.Items}
-	}
+	d.e, d.st = e, st
 	d.serial = bind != nil || d.where != nil || d.fold != nil || d.build != nil
 	keys, err := e.parts(l.Table)
-	if err == nil && d.fold != nil && d.build != nil {
-		err = errors.New("engine: a load does not both probe and group")
-	}
 	var rel *Relation
 	if err == nil {
 		s := e.db.store(l.Table)
@@ -123,7 +123,7 @@ func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind fu
 		st.AddServerRows(d.decoded * perRow)
 	}
 	st.end(err)
-	return rel, d.fold, d.kept, err
+	return rel, err
 }
 
 // decoder is the one decode of a scan's partitions. A partition is a part
@@ -131,19 +131,20 @@ func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind fu
 // (selectDecoded) or an index fetch's fragments (indexFetch). run fans the
 // parts out, decode runs each part's rows through the consumers bound once —
 // a Where and a fold's aggregation block, bound to one header, and a probe
-// of the build side, hashed and bound once — and finish answers once, after
-// the fan-out.
+// of the build side, hashed and bound once, whose joined rows meet a residual
+// and the fold — and finish answers once, after the fan-out.
 type decoder struct {
 	e  *Exec
 	st step // the step the scan is metered on
 
 	// The consumers, and how the parts meet them.
 	where              sqlparse.Expr    // the rows kept (a load's)
-	fold               *groupFold       // the block the kept rows fold into
+	fold               *groupFold       // the block the kept, or joined and passed, rows fold into
 	build              func() *Relation // the build side the kept rows probe, waited for once: nil if it failed
 	buildKey, probeKey string
-	serial             bool // open parts one at a time until one names a header, which where and fold bind to (a load's)
-	lends              bool // open decodes each part it opens (run)
+	residual           sqlparse.Expr // the joined rows kept
+	serial             bool          // open parts one at a time until one names a header, which where and fold bind to (a load's)
+	lends              bool          // open decodes each part it opens (run)
 
 	parts   []part
 	header  []string // what where and fold are bound to: a part naming another decodes no row
@@ -154,7 +155,7 @@ type decoder struct {
 	hashed  sync.Once
 	j       *probe // nil if the build side failed
 
-	decoded, kept int64 // the rows decoded, and kept by where (finish)
+	decoded, kept, joined int64 // the rows decoded, kept by where and joined by the probe (finish)
 }
 
 // run fans the parts of keys out: each is opened by open (its span,
@@ -162,7 +163,7 @@ type decoder struct {
 // decoded (by open itself with lends: a lent response, in its sink). Serial,
 // parts open one at a time first until one names a header (those before it
 // are zero-byte objects), so a statement the table cannot answer costs one
-// GET, and where and the fold bind to that header.
+// GET, and where and the fold (a probe's: probeFor) bind to that header.
 func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error) error {
 	d.parts = make([]part, len(keys))
 	d.workers = d.e.partWorkers(len(keys))
@@ -180,20 +181,11 @@ func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error
 		}
 		next++
 	}
-	if d.serial {
-		if d.where != nil && d.header != nil {
-			f := &where{pred: d.where, reads: make([]bool, len(d.header))}
-			if f.err = f.ev.Bind(expr.Index(d.header), d.where); f.err == nil {
-				f.cols = f.ev.Cols()
-				for _, j := range f.cols {
-					f.reads[j] = true
-				}
-			}
-			d.f = f
-		}
-		if d.fold != nil {
-			d.fold.bind(d.header, d.f)
-		}
+	if d.where != nil && d.header != nil {
+		d.f = newWhere(d.header, d.where)
+	}
+	if d.serial && d.fold != nil && d.build == nil {
+		d.fold.bind(d.header, d.f)
 	}
 	if d.fold != nil && !d.serial {
 		d.turns = make([]chan struct{}, len(keys))
@@ -254,6 +246,9 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 			if p.j = d.probeFor(p.cols); p.j == nil || !sameCols(p.cols, p.j.cols) {
 				return nil
 			}
+			if p.j.res != nil {
+				p.resErr = p.j.res.err
+			}
 		}
 		if g := d.fold; g != nil && g.err == nil {
 			p.x, p.need = g.x, g.need
@@ -262,10 +257,11 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 			}
 		}
 		if d.turns != nil && i > d.first { // the part before has folded: its scratch row is free
-			p.scratch = d.parts[i-1].scratch
+			p.wide, p.scratch = d.parts[i-1].wide, d.parts[i-1].scratch
 		}
 		if p.scratch == nil && (p.f != nil || p.x != nil || p.j != nil) {
-			p.scratch = make([]value.Value, len(p.cols))
+			p.wide = make([]value.Value, p.width())
+			p.scratch = p.wide[len(p.wide)-len(p.cols):]
 		}
 	}
 	if p.col != nil {
@@ -279,8 +275,9 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 
 // probeFor is the probe of the build side, waited for and hashed once,
 // bound once to header, the first a part names, after the predicate types
-// the cells it reads; nil if the build side failed. A part naming another
-// header probes nothing: finish refuses it (keptCols).
+// the cells it reads, the residual and the fold then to the joined header;
+// nil if the build side failed. A part naming another header probes
+// nothing: finish refuses it (keptCols).
 func (d *decoder) probeFor(header []string) *probe {
 	d.hashed.Do(func() {
 		build := d.build()
@@ -297,6 +294,13 @@ func (d *decoder) probeFor(header []string) *probe {
 				j.rest = append(j.rest, c)
 			}
 		}
+		joined := append(slices.Clip(build.Cols), header...)
+		if d.residual != nil {
+			j.res = newWhere(joined, d.residual)
+		}
+		if d.fold != nil {
+			d.fold.bind(joined, nil)
+		}
 		d.j = j
 	})
 	return d.j
@@ -305,12 +309,13 @@ func (d *decoder) probeFor(header []string) *probe {
 // finish is the scan's one answer, given its fan-out's error: the relation
 // of the parts' kept rows, cut in partition order (cutRows) — or with a
 // fold none, every part's block merged into the fold's in partition order,
-// for the caller to finish — with the rows decoded and kept counted in d
-// and on the step's span. Errors come in the order the materialized path
-// would report them: the fan-out's (a part's source), then a failed build
-// side (errNoBuild), then parts naming different headers (keptCols), then
-// the predicate's (its binding, then the first part's first failing row),
-// then the grouping's the same way, then the join keys' (joinKeys).
+// for the caller to finish — with the rows decoded, kept and joined counted
+// in d and on the step's span. Errors come in the order the materialized
+// path would report them: the fan-out's (a part's source), then a failed
+// build side (errNoBuild), then parts naming different headers (keptCols),
+// then the predicate's (its binding, then the first part's first failing
+// row), then the join keys' (joinKeys), then the residual's and then the
+// grouping's the same way.
 func (d *decoder) finish(err error) (*Relation, error) {
 	if err == nil && d.build != nil && d.probeFor(d.header) == nil {
 		err = errNoBuild
@@ -325,6 +330,19 @@ func (d *decoder) finish(err error) (*Relation, error) {
 		}
 		d.decoded += p.decoded
 		d.kept += p.kept
+		d.joined += p.joined
+	}
+	if err == nil && d.j != nil {
+		_, _, err = joinKeys(d.j.build.Cols, cols, d.buildKey, d.probeKey)
+		cols = append(slices.Clip(d.j.build.Cols), cols...)
+		if err == nil && d.j.res != nil {
+			err = d.j.res.err
+		}
+	}
+	for _, p := range d.parts {
+		if err == nil {
+			err = p.resErr
+		}
 	}
 	if g := d.fold; g != nil {
 		// The fold's merge, once the grouping has bound and no part's rows
@@ -337,17 +355,13 @@ func (d *decoder) finish(err error) (*Relation, error) {
 			if err == nil {
 				err = p.aggErr
 			}
+			g.rows += int64(p.rows)
 		}
 		for _, p := range d.parts {
 			if err == nil && p.x != nil && p.x != g.x {
 				err = g.x.Merge(p.x)
 			}
 		}
-		g.rows = d.kept
-	}
-	if err == nil && d.j != nil {
-		_, _, err = joinKeys(d.j.build.Cols, cols, d.buildKey, d.probeKey)
-		cols = append(slices.Clip(d.j.build.Cols), cols...)
 	}
 	if err != nil {
 		return nil, err
@@ -355,21 +369,21 @@ func (d *decoder) finish(err error) (*Relation, error) {
 	d.st.sp.SetInt("rows", d.decoded)
 	d.st.sp.SetInt("kept", d.kept)
 	d.st.sp.SetInt("cols", int64(len(cols)))
+	if d.j != nil {
+		d.st.sp.SetInt("joined", d.joined)
+	}
 	if d.fold != nil {
 		return nil, nil
 	}
-	out := cutRows(d.parts, cols)
-	if d.j != nil {
-		d.st.sp.SetInt("joined", int64(len(out.Rows)))
-	}
-	return out, nil
+	return cutRows(d.parts, cols), nil
 }
 
-// where is a load's predicate, bound once to the first kept header (run)
-// and only read by every part's decoder: a row types its cells at cols into
-// the part's scratch row, the predicate runs there (expr's rules, as
-// Operators.Filter applies them), and only a row it passes types its other
-// kept cells. err is the binding's, every decoded part's failure then.
+// where is a load's predicate, bound once to the first kept header (run),
+// or a join's residual, bound to the joined header (probeFor), and only read
+// by every part's decoder: a row types its cells at cols into the part's
+// scratch row, the predicate runs there (expr's rules, as Operators.Filter
+// applies them), and only a row it passes types its other kept cells. err
+// is the binding's, every decoded part's failure then.
 type where struct {
 	pred  sqlparse.Expr
 	ev    expr.Evaluator
@@ -378,26 +392,48 @@ type where struct {
 	err   error
 }
 
+// newWhere binds pred to header.
+func newWhere(header []string, pred sqlparse.Expr) *where {
+	f := &where{pred: pred, reads: make([]bool, len(header))}
+	if f.err = f.ev.Bind(expr.Index(header), pred); f.err == nil {
+		f.cols = f.ev.Cols()
+		for _, j := range f.cols {
+			f.reads[j] = true
+		}
+	}
+	return f
+}
+
+// passes reports whether row passes f, keeping in *failed the error of a
+// row it fails on.
+func (f *where) passes(row []value.Value, failed *error) bool {
+	ok, err := f.ev.EvalBool(f.pred, row)
+	*failed = err
+	return ok && err == nil
+}
+
 // probe is a hash join's probe side bound to a header (decoder.probeFor):
 // the build side's hash table (hashTable), shared by every decoder, which
-// only reads it, the probe key's position in the header, and the positions
+// only reads it, the probe key's position in the header, the positions
 // neither the key nor the Where reads, which a row types only once it has
-// joined. With a key missing the table is empty, no row joins, and the scan
-// fails with the keys' error once its own are reported.
+// joined, and the residual the joined rows meet. With a key missing the
+// table is empty, no row joins, and the scan fails with the keys' error once
+// its own are reported.
 type probe struct {
 	build *Relation
 	t     *hashTable
 	cols  []string // the header
 	key   int
 	rest  []int
+	res   *where // nil: every joined row passes
 }
 
 // part is one partition while its scan decodes it: what its source opened,
 // and its decoded rows, row-major: rows rows of width() cells in one array
 // (cells) or, when a predicate filters them or a probe joins them, in
-// blocks (full, then cells) — or, when they fold, none. The rows of every
-// part are cut once after the fan-out (cutRows), so the decode never hands
-// out a window of an array it may still grow.
+// blocks (full, then cells) — or, when they fold, none, rows counting them.
+// The rows of every part are cut once after the fan-out (cutRows), so the
+// decode never hands out a window of an array it may still grow.
 type part struct {
 	cols     []string
 	cells    []value.Value
@@ -406,7 +442,9 @@ type part struct {
 	rows     int
 	decoded  int64 // the rows decoded, kept or not
 	kept     int64 // the rows the predicate kept (all of them with none)
+	joined   int64 // the joined rows the probe made, before the residual
 	failed   error // the predicate's first error over the part's rows
+	resErr   error // the residual's first error over the part's joined rows
 	scanned  int64 // a response's Stats.BytesScanned and Columnar, read once the part has decoded
 	columnar bool
 
@@ -425,14 +463,16 @@ type part struct {
 
 	// What decode runs each row through (take): the predicate, the block
 	// the rows fold into and the cells it reads that f does not, the probe
-	// and its matches, the row they read, the block's first error, and the
-	// chunks lent text is copied into (own), each new one of room bytes.
+	// and its matches, the row they read (scratch, the tail of wide, whose
+	// head a joined row's build cells fill), the block's first error, and
+	// the chunks lent text is copied into (own), each new one of room bytes.
 	f       *where
 	x       *expr.RowExec
 	need    []int
 	j       *probe
 	match   []int
 	scratch []value.Value
+	wide    []value.Value
 	aggErr  error
 	chunks  arena.Text
 	room    int
@@ -482,11 +522,12 @@ func (p *part) response(res *selectengine.Result) {
 
 // take runs one decoded row through the load, cell(c) typing its kept cell
 // c. With a predicate, the cells it reads type into p.scratch first, and a
-// row it fails goes no further; with a block, the cells the block reads
-// type there too and the row folds into it. With a probe, the key types
-// there too, and only a row with matches types the rest, owns its text and
-// is kept once per match, after the match's build row. Otherwise the row is
-// kept, appended to p and filled.
+// row it fails goes no further. With a probe, the key types there too, and
+// only a row with matches types the rest; each match's joined row, the
+// match's build row and then the row, meets the residual, and one it passes
+// folds into the block or, with none, owns its text and is kept. Otherwise,
+// with a block, the cells the block reads type into p.scratch too and the
+// row folds into it; with none the row is kept, appended to p and filled.
 func (p *part) take(cell func(c int) value.Value) {
 	p.decoded++
 	f := p.f
@@ -497,21 +538,11 @@ func (p *part) take(cell func(c int) value.Value) {
 		for _, c := range f.cols {
 			p.scratch[c] = cell(c)
 		}
-		if ok, err := f.ev.EvalBool(f.pred, p.scratch); !ok || err != nil {
-			p.failed = err // the first row it fails on: p keeps no row after it
-			return
+		if !f.passes(p.scratch, &p.failed) {
+			return // after the first row it fails on, p keeps no row
 		}
 	}
 	p.kept++
-	if p.x != nil {
-		for _, c := range p.need {
-			p.scratch[c] = cell(c)
-		}
-		if p.aggErr == nil {
-			p.aggErr = p.x.Add(p.scratch)
-		}
-		return
-	}
 	if j := p.j; j != nil {
 		if f == nil || !f.reads[j.key] {
 			p.scratch[j.key] = cell(j.key)
@@ -522,12 +553,27 @@ func (p *part) take(cell func(c int) value.Value) {
 		for _, c := range j.rest {
 			p.scratch[c] = cell(c)
 		}
-		p.own(p.scratch)
-		for _, b := range p.match {
-			row := p.row()
-			n := copy(row, j.build.Rows[b])
-			copy(row[n:], p.scratch)
+		if p.x == nil {
+			p.own(p.scratch)
 		}
+		p.joined += int64(len(p.match))
+		for _, b := range p.match {
+			copy(p.wide, j.build.Rows[b])
+			switch {
+			case p.resErr != nil || j.res != nil && !j.res.passes(p.wide, &p.resErr): // after the first joined row it fails on, none
+			case p.x != nil:
+				p.foldRow(p.wide)
+			default:
+				copy(p.row(), p.wide)
+			}
+		}
+		return
+	}
+	if p.x != nil {
+		for _, c := range p.need {
+			p.scratch[c] = cell(c)
+		}
+		p.foldRow(p.scratch)
 		return
 	}
 	row := p.row()
@@ -539,6 +585,14 @@ func (p *part) take(cell func(c int) value.Value) {
 		}
 	}
 	p.own(row)
+}
+
+// foldRow adds row to p's block, which adds no row after its first error.
+func (p *part) foldRow(row []value.Value) {
+	p.rows++
+	if p.aggErr == nil {
+		p.aggErr = p.x.Add(row)
+	}
 }
 
 // own copies row's text cells into p's chunks when they view lent text: a
@@ -810,14 +864,15 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 // partition order, as their concatenation would: response i waits for
 // response i-1's fold, and overlaps the selects after it. With d's build
 // side, the relation is Operators.HashJoin(build, <the relation without
-// it>, buildKey, probeKey)'s, or its error.
+// it>, buildKey, probeKey)'s filtered by d's residual, or its error, and a
+// fold is bound to the joined header once the build side is in (probeFor).
 func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, d *decoder) (*Relation, error) {
 	keys, err := e.parts(table)
 	if err != nil {
 		return nil, err
 	}
 	d.e, d.st, d.lends = e, st, true
-	if d.fold != nil {
+	if d.fold != nil && d.build == nil {
 		d.header = d.fold.cols
 	}
 	return d.finish(d.run(keys, func(ctx context.Context, i int) error {
@@ -856,7 +911,9 @@ func decodeResponse(ctx context.Context, d *decoder, res *selectengine.Result) (
 // partition order, a load's first partition with a header straight into it
 // and each after it into a block of its own (RowExec.Partial), merged in
 // partition order once every partition has decoded, since a load's decodes
-// run at once. The groups collect into out when the block finishes.
+// run at once. A join's fold takes the joined rows its residual passes,
+// bound to their header once the build side is in (probeFor). The groups
+// collect into out when the block finishes.
 type groupFold struct {
 	keys  []sqlparse.Expr
 	items []sqlparse.SelectItem
@@ -872,12 +929,8 @@ type groupFold struct {
 // the scan's statement, returns: never *, whose columns only a response
 // would name (pushedScan).
 func newGroupFold(pushed *sqlparse.Select, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*groupFold, error) {
-	cols := make([]string, len(pushed.Items))
-	for i, it := range pushed.Items {
-		cols[i] = it.Name()
-	}
 	f := &groupFold{keys: keys, items: items}
-	f.bind(cols, nil)
+	f.bind(itemCols(&Relation{}, pushed.Items), nil)
 	return f, f.err
 }
 
@@ -892,6 +945,14 @@ func (f *groupFold) bind(cols []string, w *where) {
 	} else if f.err == nil {
 		f.need = f.x.Cols()
 	}
+}
+
+// rowsIn is the rows f folded or, with no fold, rel's.
+func (f *groupFold) rowsIn(rel *Relation) int64 {
+	if f == nil {
+		return int64(len(rel.Rows))
+	}
+	return f.rows
 }
 
 // finish emits the block's groups into f's output.

@@ -21,24 +21,34 @@ import (
 // (pushedJoin), and answers as selectMetered over the same request and then
 // Operators.HashJoin do: the same columns, rows in the same order, typed
 // alike, or the same error. Its pairs are also held to the nested-loop
-// oracle over value.Equal (nestedLoopJoin).
+// oracle over value.Equal (nestedLoopJoin). Its joined rows meet a tail —
+// a residual, then a fold — as they decode, and answer as Operators.Filter
+// and Operators.GroupBy over either join do.
 
-// checkSelectProbe compares the probing scan of req over table with
-// selectMetered and HashJoin's answer over the same request, and returns
-// the error both answered (nil: none) and the rows joined.
-func checkSelectProbe(t *testing.T, db *DB, label, table string, req selectengine.Request, build *Relation, buildKey, probeKey string) (int, error) {
+// checkSelectProbe compares the probing scan of req over table, its joined
+// rows meeting tail, with selectMetered, HashJoin and the tail's operators'
+// answer over the same request, and returns the error both answered (nil:
+// none) and the rows answered.
+func checkSelectProbe(t *testing.T, db *DB, label, table string, req selectengine.Request, build *Relation, buildKey, probeKey string, tail tailCase) (int, error) {
 	t.Helper()
 	ctx := context.Background()
 	var want, oracle *Relation
 	rel, wantErr := db.NewExecContext(ctx).selectMetered("scan", 0, table, req, 0)
 	if wantErr == nil {
 		want, wantErr = (Operators{}).HashJoin(build, rel, buildKey, probeKey)
+		want, wantErr = joinedTail(want, wantErr, tail.residual, tail.fold)
 	}
 	if wantErr == nil {
-		oracle = nestedLoopJoin(build, rel, buildKey, probeKey)
+		oracle, _ = joinedTail(nestedLoopJoin(build, rel, buildKey, probeKey), nil, tail.residual, tail.fold)
 	}
-	j := join{right: &TableScan{Table: table}, leftKey: buildKey, rightKey: probeKey}
-	got, gotErr := db.NewExecContext(ctx).pushedJoin("probe", 0, req, j, func() *Relation { return build })
+	j := join{right: &TableScan{Table: table}, leftKey: buildKey, rightKey: probeKey, joinTail: joinTail{residual: tail.residual}}
+	if tail.fold.items != nil {
+		j.fold = &groupFold{keys: tail.fold.keys, items: tail.fold.items}
+	}
+	got, _, gotErr := db.NewExecContext(ctx).pushedJoin("probe", 0, req, j, func() *Relation { return build })
+	if gotErr == nil && j.fold != nil {
+		got, gotErr = j.fold.finish()
+	}
 	if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 		t.Fatalf("%s: HashJoin's error %v, the probing scan's %v", label, wantErr, gotErr)
 	}
@@ -57,7 +67,10 @@ func checkSelectProbe(t *testing.T, db *DB, label, table string, req selectengin
 // them) and a projection, a probing scan answers as selectMetered and then
 // Operators.HashJoin do, and its pairs are the nested loop's: over duplicate
 // and NULL build keys, padded, float and date spellings, a far date, an
-// empty build side, and a key neither side has.
+// empty build side, and a key neither side has. Over every column, its
+// joined rows meeting a residual, a fold or both as they decode (joinTails)
+// answer as Operators.Filter and Operators.GroupBy over either join do, or
+// with the same error.
 func TestSelectProbeMatchesHashJoin(t *testing.T) {
 	ctx := context.Background()
 	build, empty := probeBuild(), &Relation{Cols: []string{"bk", "btag"}}
@@ -94,14 +107,20 @@ func TestSelectProbeMatchesHashJoin(t *testing.T) {
 					for _, cols := range [][]string{nil, {tbl.header[len(tbl.header)-1], key}} {
 						for _, where := range wheres {
 							req := db.request(tbl.name, scanSelect(columnItems(cols), where))
-							for _, b := range []*Relation{build, empty} {
-								label := fmt.Sprintf("%s parts=%d %s cols=%v WHERE %v: %d build rows on bk = %s",
-									format, parts, tbl.name, cols, where, len(b.Rows), key)
-								n, err := checkSelectProbe(t, db, label, tbl.name, req, b, "bk", key)
-								if err != nil {
-									failed++
+							tails := []tailCase{{}}
+							if cols == nil && where == nil {
+								tails = append(tails, joinTails(t, key)...)
+							}
+							for _, tail := range tails {
+								for _, b := range []*Relation{build, empty} {
+									label := fmt.Sprintf("%s parts=%d %s cols=%v WHERE %v: %d build rows on bk = %s, residual %v, %s",
+										format, parts, tbl.name, cols, where, len(b.Rows), key, tail.residual, tail.fold.sql)
+									n, err := checkSelectProbe(t, db, label, tbl.name, req, b, "bk", key, tail)
+									if err != nil {
+										failed++
+									}
+									joined += n
 								}
-								joined += n
 							}
 						}
 					}
@@ -184,7 +203,7 @@ func TestSelectProbeEdges(t *testing.T) {
 		label := fmt.Sprintf("%s: %d build rows on %s = %s", c.table, len(b.Rows), c.buildKey, c.probeKey)
 		req := db.request(c.table, scanSelect(nil, nil))
 		for range 20 { // the responses' decodes race; the answer must not
-			_, err := checkSelectProbe(t, db, label, c.table, req, b, c.buildKey, c.probeKey)
+			_, err := checkSelectProbe(t, db, label, c.table, req, b, c.buildKey, c.probeKey, tailCase{})
 			if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s: error %v, want %q", label, err, c.want)
 			}
@@ -215,7 +234,7 @@ func TestSelectProbeRefusesAMovedKey(t *testing.T) {
 		{"renamed", "y", `partitions differ in columns: [x y] vs [x z]`},
 	} {
 		j := join{right: &TableScan{Table: c.table}, leftKey: "k", rightKey: c.key}
-		_, err := db.NewExec().pushedJoin("probe", 0, db.request(c.table, scanSelect(nil, nil)), j, func() *Relation { return build })
+		_, _, err := db.NewExec().pushedJoin("probe", 0, db.request(c.table, scanSelect(nil, nil)), j, func() *Relation { return build })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s on %s: %v, want %q", c.table, c.key, err, c.want)
 		}
@@ -244,7 +263,7 @@ func TestSelectProbeAllocatesPerMatch(t *testing.T) {
 	req := db.request("lineitem", scanSelect(nil, nil))
 	j := join{right: &TableScan{Table: "lineitem"}, leftKey: "p_partkey", rightKey: "l_partkey"}
 	probe := func() *Relation {
-		rel, err := db.NewExecContext(context.Background()).pushedJoin("probe", 0, req, j, func() *Relation { return build })
+		rel, _, err := db.NewExecContext(context.Background()).pushedJoin("probe", 0, req, j, func() *Relation { return build })
 		if err != nil {
 			t.Fatal(err)
 		}

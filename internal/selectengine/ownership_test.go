@@ -271,7 +271,11 @@ func TestConcurrentScansShareNoBody(t *testing.T) {
 // other 15 own: their string chunks' text, and under 3 KB a group for their
 // footer entries and flate's Huffman tables (1.8 KB measured). Decoding
 // each group into fresh vectors cost its four payloads and inflate buffers
-// again, 20 KB a group.
+// again, 20 KB a group. Nor does a warm scan make a payload array: it
+// decodes into the vectors the scan before it left in the pooled render, so
+// a one-group scan allocates its string text and under 4 KB besides, where
+// its four payload arrays alone are 10 KB (16 KB measured with fresh
+// vectors, 5 KB pooled).
 func TestColumnarScanAllocatesPerScan(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation sizes differ under the race detector")
@@ -286,7 +290,7 @@ func TestColumnarScanAllocatesPerScan(t *testing.T) {
 	}
 	// Every column is read and no row group can be pruned, or returned from.
 	const sql = "SELECT * FROM S3Object WHERE s IS NULL"
-	scan := func(rows [][]value.Value) (allocated, text uint64) {
+	scan := func(rows [][]value.Value) (allocated, text, first uint64) {
 		data, err := colformat.Encode(schema, rows, groupRows, true)
 		if err != nil {
 			t.Fatal(err)
@@ -298,6 +302,7 @@ func TestColumnarScanAllocatesPerScan(t *testing.T) {
 		for g := 1; g < r.NumRowGroups(); g++ {
 			text += uint64(r.ChunkRawLen(g, 2))
 		}
+		first = uint64(r.ChunkRawLen(0, 2))
 		run := func() {
 			res, err := Execute(data, Request{SQL: sql})
 			if err != nil || res.Stats.RowsScanned != int64(len(rows)) || res.Stats.RowsReturned != 0 {
@@ -311,10 +316,13 @@ func TestColumnarScanAllocatesPerScan(t *testing.T) {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs, text
+		return (after.TotalAlloc - before.TotalAlloc) / runs, text, first
 	}
-	one, _ := scan(rows[:groupRows])
-	sixteen, text := scan(rows)
+	one, _, first := scan(rows[:groupRows])
+	sixteen, text, _ := scan(rows)
+	if limit := first + 4<<10; one > limit {
+		t.Errorf("a warm scan of one row group allocates %d bytes: want at most %d (%d of it its string text), no payload array", one, limit, first)
+	}
 	if limit := one + text + 15*3<<10; sixteen > limit {
 		t.Errorf("a scan of 16 row groups allocates %d bytes, one of its groups %d: want at most %d (%d of it the other groups' string text)",
 			sixteen, one, limit, text)

@@ -419,7 +419,12 @@ func runColumnar(data []byte, sel *sqlparse.Select, sink func(*Result) error) er
 
 	// Column pruning: only the columns the statement reads are read.
 	needed := exec.rx.Cols()
-	cols, row := make([]*vec.Vector, len(header)), exec.buf.row
+	// The pooled render's vectors: a column decodes into the one the last
+	// scan left at its position (vec.Over lays it out again at any kind).
+	if b := exec.buf; len(b.vecs) < len(header) {
+		b.vecs = append(b.vecs, make([]*vec.Vector, len(header)-len(b.vecs))...)
+	}
+	cols, row := exec.buf.vecs[:len(header)], exec.buf.row
 	names := sqlparse.NewNames(header)
 	var stats Stats
 	stats.ExprNodes = CountNodes(sel)
@@ -533,22 +538,31 @@ type executor struct {
 	rows, returned int64   // Stats.RowsReturned and BytesReturned so far
 }
 
-// render is a scan's scratch space: its executor and input row, the
-// response's rows so far, the cell being rendered and the Result lent over
-// them. Scans take one from renders and put it back when they end (done), so
-// a buffer grown to one response's size renders the next without growing.
+// render is a scan's scratch space: its executor and input row, a columnar
+// scan's column vectors, the response's rows so far, the cell being rendered
+// and the Result lent over them. Scans take one from renders and put it back
+// when they end (done), so a buffer grown to one response's size renders the
+// next without growing, and a columnar scan decodes into the vectors the
+// last one did.
 type render struct {
 	ex         executor
 	row        []value.Value
+	vecs       []*vec.Vector
 	body, text []byte
 	res        Result
 }
 
 var renders = sync.Pool{New: func() any { return new(render) }}
 
-// done puts b back in renders, keeping no view of the scan's object.
+// done puts b back in renders, keeping no view of the scan's object: its
+// vectors keep their arrays but no text.
 func (b *render) done() {
 	clear(b.row)
+	for _, v := range b.vecs {
+		if v != nil {
+			v.Forget()
+		}
+	}
 	b.ex, b.res = executor{}, Result{}
 	renders.Put(b)
 }

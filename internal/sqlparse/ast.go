@@ -153,7 +153,7 @@ func isPlainIdent(s string) bool {
 			return false
 		}
 	}
-	return !keywords[strings.ToUpper(s)]
+	return keyword(s) == ""
 }
 
 // Literal is a constant value.

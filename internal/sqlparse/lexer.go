@@ -30,9 +30,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
-			return Token{Type: TokKeyword, Text: up, Pos: start}, nil
+		if kw := keyword(word); kw != "" {
+			return Token{Type: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Type: TokIdent, Text: word, Pos: start}, nil
 	case c >= '0' && c <= '9':

@@ -94,3 +94,44 @@ func TestNamesIndexAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestKeywordLookupAllocatesNothing pins the lexer's keyword lookup at no
+// allocation: lexing a statement of lowercase keywords and identifiers,
+// numbers and operators (no string literal, whose text is its own), and
+// the identifier check a rendering quotes by, each fold the word's case on
+// the stack. Lowercase keywords still lex upper-cased.
+func TestKeywordLookupAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const sql = "select l_returnflag, sum(l_quantity) as sum_qty from lineitem where l_quantity <= 24 and l_discount between 0.05 and 0.07 group by l_returnflag"
+	lex := func() {
+		l := NewLexer(sql)
+		for {
+			tok, err := l.Next()
+			if err != nil || tok.Type == TokEOF {
+				return
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, lex); n != 0 {
+		t.Errorf("lexing %q allocates %v times, want 0", sql, n)
+	}
+	l := NewLexer("select")
+	if tok, _ := l.Next(); tok.Type != TokKeyword || tok.Text != "SELECT" {
+		t.Errorf("select lexes as %v %q, want the keyword SELECT", tok.Type, tok.Text)
+	}
+	for _, word := range []string{"l_shipdate", "substring", "timestamps"} {
+		if n := testing.AllocsPerRun(100, func() { _ = isPlainIdent(word) }); n != 0 {
+			t.Errorf("isPlainIdent(%q) allocates %v times, want 0", word, n)
+		}
+	}
+	for k := range keywords {
+		if len(k) > maxKeyword {
+			t.Errorf("keyword %s is longer than maxKeyword, %d bytes: the lookup cannot fold it", k, maxKeyword)
+		}
+	}
+	if quoteIdent("substring") != `"substring"` || quoteIdent("timestamps") != "timestamps" {
+		t.Errorf("quoteIdent quotes %q and %q, want only the keyword quoted", quoteIdent("substring"), quoteIdent("timestamps"))
+	}
+}

@@ -54,21 +54,42 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords reserved by the dialect. Identifiers matching these (case
-// insensitively) lex as TokKeyword.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AS": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "LIKE": true, "BETWEEN": true, "IS": true,
-	"NULL": true, "TRUE": true, "FALSE": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "CAST": true, "ASC": true,
-	"DESC": true, "SUM": true, "COUNT": true, "MIN": true, "MAX": true,
-	"AVG": true, "SUBSTRING": true, "DATE": true, "INT": true,
-	"INTEGER": true, "FLOAT": true, "DECIMAL": true, "STRING": true,
-	"BOOL": true, "TIMESTAMP": true, "UTCNOW": true, "DISTINCT": true,
-	"HAVING": true, "ESCAPE": true, "EXTRACT": true, "JOIN": true,
-	"INNER": true, "ON": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true,
+// keywords reserved by the dialect, each mapping to its own spelling.
+// Identifiers matching these (case insensitively) lex as TokKeyword.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AS", "AND", "OR",
+		"NOT", "IN", "LIKE", "BETWEEN", "IS", "NULL", "TRUE", "FALSE", "CASE", "WHEN",
+		"THEN", "ELSE", "END", "CAST", "ASC", "DESC", "SUM", "COUNT", "MIN", "MAX",
+		"AVG", "SUBSTRING", "DATE", "INT", "INTEGER", "FLOAT", "DECIMAL", "STRING",
+		"BOOL", "TIMESTAMP", "UTCNOW", "DISTINCT", "HAVING", "ESCAPE", "EXTRACT", "JOIN",
+		"INNER", "ON", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeyword is the length of the longest keyword.
+const maxKeyword = len("SUBSTRING")
+
+// keyword is the keyword word spells in any case, in its table spelling, or
+// "" for none. word is upper-cased into a stack buffer, and a map index by
+// a converted byte slice does not allocate, so neither does keyword.
+func keyword(word string) string {
+	var buf [maxKeyword]byte
+	if len(word) > len(buf) {
+		return ""
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(word)])]
 }
 
 // Note: CREATE, DROP and INDEX are deliberately NOT reserved. They only

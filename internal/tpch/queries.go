@@ -128,19 +128,16 @@ const q3SQL = "SELECT l_orderkey, o_orderdate, o_shippriority, SUM(l_extendedpri
 // Q3Baseline GETs customer, orders and lineitem in full, one after another
 // in one stage, types the columns it reads of the rows each table's filter
 // keeps, and joins each kept orders row to customer and each kept lineitem
-// row to that join as they decode; the group-by and the top-10 run locally.
+// row to that join as they decode, grouping the joined rows as they join;
+// the top-10 runs locally.
 func Q3Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	col, err := loadChain(e, e.NextStage(),
+	out, err := loadChain(e, e.NextStage(),
 		engine.Load{Table: "customer", Cols: []string{"c_custkey", "c_mktsegment"}, Where: q3Filters[0]},
 		engine.Load{Table: "orders", Cols: []string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"}, Where: q3Filters[1],
 			BuildKey: "c_custkey", ProbeKey: "o_custkey"},
 		engine.Load{Table: "lineitem", Cols: []string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q3Filters[2],
-			BuildKey: "o_orderkey", ProbeKey: "l_orderkey"})
-	if err != nil {
-		return nil, e, err
-	}
-	out, err := local.GroupBy(col, q3.GroupBy, q3.Items)
+			BuildKey: "o_orderkey", ProbeKey: "l_orderkey", GroupBy: q3.GroupBy, Items: q3.Items})
 	if err != nil {
 		return nil, e, err
 	}
@@ -176,16 +173,13 @@ const q14SQL = "SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extende
 
 // Q14Baseline GETs lineitem and part in full, one after the other in one
 // stage, keeps the lineitem rows its WHERE passes as they decode, joins
-// each part row to them as it decodes, and aggregates locally.
+// each part row to them as it decodes, and aggregates the joined rows as
+// they join.
 func Q14Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	joined, err := loadChain(e, e.NextStage(),
+	out, err := loadChain(e, e.NextStage(),
 		engine.Load{Table: "lineitem", Cols: []string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}, Where: q14.Where},
-		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}, BuildKey: "l_partkey", ProbeKey: "p_partkey"})
-	if err != nil {
-		return nil, e, err
-	}
-	out, err := local.GroupBy(joined, nil, q14.Items)
+		engine.Load{Table: "part", Cols: []string{"p_partkey", "p_type"}, BuildKey: "l_partkey", ProbeKey: "p_partkey", Items: q14.Items})
 	return out, e, err
 }
 
@@ -272,20 +266,14 @@ const (
 // Q19Baseline GETs both tables in full, part then lineitem in one stage,
 // keeps the rows each table's own conjuncts pass as they decode, joins each
 // kept lineitem row to part as it decodes, and evaluates the rest of the
-// disjunctive predicate locally.
+// disjunctive predicate over each joined row and aggregates the rows it
+// passes as they join.
 func Q19Baseline(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	e := db.NewExec()
-	joined, err := loadChain(e, e.NextStage(),
+	out, err := loadChain(e, e.NextStage(),
 		engine.Load{Table: "part", Where: q19Part, Cols: []string{"p_partkey", "p_brand", "p_container", "p_size"}},
 		engine.Load{Table: "lineitem", Where: q19Line, BuildKey: "p_partkey", ProbeKey: "l_partkey", Cols: []string{
-			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"}})
-	if err != nil {
-		return nil, e, err
-	}
-	matched, err := local.Filter(joined, q19Match.Where)
-	if err != nil {
-		return nil, e, err
-	}
-	out, err := local.GroupBy(matched, nil, q19Match.Items)
+			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"},
+			Residual: q19Match.Where, Items: q19Match.Items})
 	return out, e, err
 }

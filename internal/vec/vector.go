@@ -102,6 +102,14 @@ func (v *Vector) setKind(k value.Kind) {
 	}
 }
 
+// Forget drops v's text, every string its payload and boxed arrays hold up
+// to their capacity, keeping the arrays for the next Over: a pooled vector
+// keeps no decoded object reachable.
+func (v *Vector) Forget() {
+	clear(v.Strs[:cap(v.Strs)])
+	clear(v.boxed[:cap(v.boxed)])
+}
+
 // zeroed returns n zero elements, in s's array when it has room.
 func zeroed[T any](s []T, n int) []T {
 	s = slices.Grow(s[:0], n)[:n]
