@@ -61,7 +61,7 @@ func main() {
 		backend = flag.String("backend", "inproc", "storage backend: inproc (simulated in-region S3) or localfs (objects on disk under -fsroot)")
 		fsroot  = flag.String("fsroot", "", "localfs backend root directory (default: a temp dir)")
 		sim     = flag.Float64("sim", 1, "simulate the data at N× its actual size for the virtual clock, cost model and join planner")
-		workers = flag.Int("workers", 1, "worker goroutines for server-side operators (capped at the cost model's cores); the virtual clock and the join planner both price row work at this parallelism")
+		workers = flag.Int("workers", 1, "server parallelism the virtual clock and the join planner price row work at (capped at the cost model's cores); execution runs one goroutine per partition whatever it is")
 		cacheMB = flag.Int("cache-mb", 0, "select-result cache budget in MiB (0 = off): repeated scans are served from the compute tier with zero storage requests, and the planner prices resident scans as cache hits")
 	)
 	flag.Var(&tables, "table", "name=path.csv (repeatable)")

@@ -79,14 +79,15 @@ func DefaultComputationAwarePricing() ComputationAwarePricing {
 type Config struct {
 	// Cores on the compute node (r4.8xlarge has 32 physical cores).
 	Cores int
-	// Workers is how many goroutines the server's local operators spread
-	// their row work across (hash join build/probe, group-by partials,
-	// filter, top-K heaps, CSV decode). The budget is capped at Cores;
-	// 0 or 1 means sequential execution, the configuration the other
-	// constants were calibrated against. The parallelizable server terms
-	// of the bottleneck model — bulk parse, select-response parse and
-	// per-row work — divide their wall-clock by WorkerBudget() while the
-	// total CPU seconds consumed stay the same; request issuance stays
+	// Workers models the server's parallelism: how many cores its row
+	// work (hash join build/probe, group-by, filter, top-K heaps, CSV
+	// decode) is priced as spread across. It is priced, not spawned: the
+	// engine runs one goroutine per partition whatever it is. The budget
+	// is capped at Cores; 0 or 1 means sequential, the configuration the
+	// other constants were calibrated against. The parallelizable server
+	// terms of the bottleneck model — bulk parse, select-response parse
+	// and per-row work — divide their wall-clock by WorkerBudget() while
+	// the total CPU seconds consumed stay the same; request issuance stays
 	// serial.
 	Workers int
 	// RequestRTTSec is the latency of one S3 HTTP round trip.

@@ -129,7 +129,7 @@ func TestHostileColumnarObjectsAreErrors(t *testing.T) {
 		// No chunk is read for this one, so a self-consistent footer is
 		// believed; it must still not crash.
 		_, _ = selectengine.Execute(h.data, selectengine.Request{SQL: "SELECT COUNT(*) FROM S3Object"})
-		if rel, err := loadObject(h.data, nil, 2); err == nil {
+		if rel, err := loadObject(h.data, nil); err == nil {
 			t.Errorf("%s: fromColumnar returned %d rows, want an error", h.name, len(rel.Rows))
 		}
 	}
@@ -180,23 +180,21 @@ func TestFromColumnarMatchesSelectStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 3} {
-				rel, err := loadObject(data, nil, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := make([][]string, len(rel.Rows))
-				for i, row := range rel.Rows {
-					for _, v := range row {
-						got[i] = append(got[i], v.String())
-					}
-				}
-				if want := recordsOf(t, res); !reflect.DeepEqual(rel.Cols, res.Columns) || !reflect.DeepEqual(got, want) {
-					t.Fatalf("compress=%v workers=%d: fromColumnar and SELECT * disagree:\n got %v %v\nwant %v %v",
-						compress, workers, rel.Cols, got, res.Columns, want)
-				}
-				checkRowsDoNotAlias(t, rel)
+			rel, err := loadObject(data, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got := make([][]string, len(rel.Rows))
+			for i, row := range rel.Rows {
+				for _, v := range row {
+					got[i] = append(got[i], v.String())
+				}
+			}
+			if want := recordsOf(t, res); !reflect.DeepEqual(rel.Cols, res.Columns) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("compress=%v: fromColumnar and SELECT * disagree:\n got %v %v\nwant %v %v",
+					compress, rel.Cols, got, res.Columns, want)
+			}
+			checkRowsDoNotAlias(t, rel)
 			if !obj.asCSV {
 				continue
 			}
@@ -277,7 +275,7 @@ func FuzzColformatRead(f *testing.F) {
 			_, _ = selectengine.Execute(data, selectengine.Request{SQL: sql})
 		}
 		// One worker, so it runs inline: goroutines make coverage flicker.
-		if rel, err := loadObject(data, nil, 1); err == nil {
+		if rel, err := loadObject(data, nil); err == nil {
 			for _, row := range rel.Rows {
 				if len(row) != len(rel.Cols) {
 					t.Fatalf("a %d-cell row under %d columns", len(row), len(rel.Cols))

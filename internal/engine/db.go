@@ -40,10 +40,6 @@ type DB struct {
 	// virtual clock and pricing (unit scale by default).
 	Sim cloudsim.Scale
 
-	// oneSpan runs every local operator over one span, not the worker
-	// budget's (WithVectorized(false)).
-	oneSpan bool
-
 	// statsMu guards what the planner remembers across queries. statsCache
 	// holds table statistics keyed by backend/bucket/table/filter/index-
 	// predicate, so repeated queries plan from cached stats instead of
@@ -148,7 +144,8 @@ func WithScale(s cloudsim.Scale) Option {
 	}
 }
 
-// WithWorkers sets the server-side worker budget (Config.Workers).
+// WithWorkers sets the server-side worker budget (Config.Workers), which the
+// virtual clock and the planner price row work at; it starts no goroutine.
 func WithWorkers(n int) Option {
 	return func(db *DB) error {
 		db.Cfg.Workers = n
@@ -189,15 +186,11 @@ func WithScanSharing(cfg scanshare.Config) Option {
 	}
 }
 
-// WithVectorized(false) runs every local operator over one span instead of
-// the worker budget's. The results are byte-identical; the switch exists so
-// differential tests and the benchmark oracle can compare the two, not as a
-// tuning knob. ROADMAP direction 1(b) deletes it.
-func WithVectorized(on bool) Option {
-	return func(db *DB) error {
-		db.oneSpan = !on
-		return nil
-	}
+// WithVectorized is inert: every local operator is one loop over its rows,
+// whatever it is given. It stays only because the benchmark's oracle names
+// it; ROADMAP direction 1(b) deletes it.
+func WithVectorized(bool) Option {
+	return func(*DB) error { return nil }
 }
 
 // Open returns a DB over the named bucket with the paper's default cost

@@ -174,32 +174,30 @@ func TestUnknownColumnRefusedBeforeScan(t *testing.T) {
 	st := store.New()
 	diffLoad(t, s3api.NewInProc(st))
 	counting := s3api.NewCounting(s3api.NewInProc(st))
-	for _, vectorized := range []bool{true, false} {
-		db, err := Open(diffBucket, WithBackend("inproc", counting), WithVectorized(vectorized))
-		if err != nil {
-			t.Fatal(err)
+	db, err := Open(diffBucket, WithBackend("inproc", counting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex(ctx, "names", "k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT nosuch FROM names WHERE k > 100",
+		"SELECT COUNT(nosuch) FROM names WHERE k > 100",
+		"SELECT k FROM names WHERE k > 100 ORDER BY nosuch",
+		"SELECT k, COUNT(*) FROM names WHERE k > 100 GROUP BY k ORDER BY SUM(nosuch)",
+	} {
+		selects, gets := counting.Selects(), counting.Gets()
+		_, _, err := db.QueryContext(ctx, sql)
+		if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("%s: err %v, want an unknown column, %q", sql, err, s3api.KindBadRequest)
 		}
-		if err := db.CreateIndex(ctx, "names", "k"); err != nil {
-			t.Fatal(err)
+		if n := counting.Selects() - selects; n != 0 {
+			t.Errorf("%s: %d selects reached storage, want none", sql, n)
 		}
-		for _, sql := range []string{
-			"SELECT nosuch FROM names WHERE k > 100",
-			"SELECT COUNT(nosuch) FROM names WHERE k > 100",
-			"SELECT k FROM names WHERE k > 100 ORDER BY nosuch",
-			"SELECT k, COUNT(*) FROM names WHERE k > 100 GROUP BY k ORDER BY SUM(nosuch)",
-		} {
-			selects, gets := counting.Selects(), counting.Gets()
-			_, _, err := db.QueryContext(ctx, sql)
-			if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
-				t.Errorf("vectorized=%v %s: err %v, want an unknown column, %q", vectorized, sql, err, s3api.KindBadRequest)
-			}
-			if n := counting.Selects() - selects; n != 0 {
-				t.Errorf("vectorized=%v %s: %d selects reached storage, want none", vectorized, sql, n)
-			}
-			// The planner's one GET: the statistics object, or the header.
-			if n := counting.Gets() - gets; n > 1 {
-				t.Errorf("vectorized=%v %s: %d GETs, want at most the planner's one", vectorized, sql, n)
-			}
+		// The planner's one GET: the statistics object, or the header.
+		if n := counting.Gets() - gets; n > 1 {
+			t.Errorf("%s: %d GETs, want at most the planner's one", sql, n)
 		}
 	}
 }
@@ -385,7 +383,7 @@ func TestDifferentialIndexedQueries(t *testing.T) {
 // over-long row's extra cell is not part of the row, so each filter over
 // the ragged table answers byte-identically on every path the planner can
 // choose — the pushed scan, the baseline load, the IndexScan and the
-// planner's own choice — and so does a join, under both operator sets.
+// planner's own choice — and so does a join.
 func TestDifferentialRaggedTable(t *testing.T) {
 	ctx := context.Background()
 	st := store.New()
@@ -396,60 +394,58 @@ func TestDifferentialRaggedTable(t *testing.T) {
 		{"rv IS NULL", "rk, rname", ""},
 		{"rd IS NULL OR rv > 20", "rk, rv", ""},
 	}
-	for _, vectorized := range []bool{true, false} {
-		db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)), WithVectorized(vectorized))
+	db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex(ctx, "rag", "rk"); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range filters {
+		sql := "SELECT " + f.proj + " FROM rag WHERE " + f.pred
+		planned, _, err := db.QueryContext(ctx, sql)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if err := db.CreateIndex(ctx, "rag", "rk"); err != nil {
-			t.Fatal(err)
+		want := render(planned, false)
+		if f.want != "" && want != f.want {
+			t.Errorf("%s:\n%s\nwant\n%s", sql, want, f.want)
 		}
-		for _, f := range filters {
-			sql := "SELECT " + f.proj + " FROM rag WHERE " + f.pred
-			planned, _, err := db.QueryContext(ctx, sql)
+		// The IndexScan reads through rk's index behind an always-true
+		// conjunct on it.
+		indexed := "SELECT " + f.proj + " FROM rag WHERE rk >= 1 AND (" + f.pred + ")"
+		for _, run := range []struct{ strategy, sql string }{
+			{StrategyFiltered, sql}, {StrategyBaseline, sql}, {StrategyIndexScan, indexed},
+		} {
+			rel, _, err := db.QueryForced(ctx, run.sql, run.strategy)
 			if err != nil {
-				t.Fatalf("vectorized=%v %s: %v", vectorized, sql, err)
+				t.Fatalf("forced %s %s: %v", run.strategy, run.sql, err)
 			}
-			want := render(planned, false)
-			if f.want != "" && want != f.want {
-				t.Errorf("vectorized=%v %s:\n%s\nwant\n%s", vectorized, sql, want, f.want)
-			}
-			// The IndexScan reads through rk's index behind an always-true
-			// conjunct on it.
-			indexed := "SELECT " + f.proj + " FROM rag WHERE rk >= 1 AND (" + f.pred + ")"
-			for _, run := range []struct{ strategy, sql string }{
-				{StrategyFiltered, sql}, {StrategyBaseline, sql}, {StrategyIndexScan, indexed},
-			} {
-				rel, _, err := db.QueryForced(ctx, run.sql, run.strategy)
-				if err != nil {
-					t.Fatalf("vectorized=%v forced %s %s: %v", vectorized, run.strategy, run.sql, err)
-				}
-				if got := render(rel, false); got != want {
-					t.Errorf("vectorized=%v forced %s %s:\n%s\nplanned\n%s", vectorized, run.strategy, run.sql, got, want)
-				}
+			if got := render(rel, false); got != want {
+				t.Errorf("forced %s %s:\n%s\nplanned\n%s", run.strategy, run.sql, got, want)
 			}
 		}
-		// An index on rd holds the short row's missing cell as NULL.
-		if err := db.CreateIndex(ctx, "rag", "rd"); err != nil {
-			t.Fatal(err)
-		}
-		sql := "SELECT " + filters[0].proj + " FROM rag WHERE " + filters[0].pred
-		if rel, _, err := db.QueryForced(ctx, sql, StrategyIndexScan); err != nil || render(rel, false) != filters[0].want {
-			t.Errorf("vectorized=%v forced IndexScan on rd: %v, %v; want\n%s", vectorized, rel, err, filters[0].want)
-		}
-		const joinSQL = "SELECT rk, rname, rd, rv, pk, pname, score, zip FROM rag JOIN p ON rag.rk = p.pk WHERE rd > '1994-06-01'"
-		planned, _, err := db.QueryContext(ctx, joinSQL)
-		if err != nil {
-			t.Fatalf("vectorized=%v join: %v", vectorized, err)
-		}
-		baseline, err := db.NewExecContext(ctx).Join(JoinSpec{SQL: "SELECT * FROM rag JOIN p ON rag.rk = p.pk WHERE rag.rd > '1994-06-01'"},
-			StrategyBaseline)
-		if err != nil {
-			t.Fatalf("vectorized=%v baseline join: %v", vectorized, err)
-		}
-		if got, want := render(baseline, false), render(planned, false); got != want || len(planned.Rows) != 3 {
-			t.Errorf("vectorized=%v baseline join:\n%s\nplanned\n%s", vectorized, got, want)
-		}
+	}
+	// An index on rd holds the short row's missing cell as NULL.
+	if err := db.CreateIndex(ctx, "rag", "rd"); err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT " + filters[0].proj + " FROM rag WHERE " + filters[0].pred
+	if rel, _, err := db.QueryForced(ctx, sql, StrategyIndexScan); err != nil || render(rel, false) != filters[0].want {
+		t.Errorf("forced IndexScan on rd: %v, %v; want\n%s", rel, err, filters[0].want)
+	}
+	const joinSQL = "SELECT rk, rname, rd, rv, pk, pname, score, zip FROM rag JOIN p ON rag.rk = p.pk WHERE rd > '1994-06-01'"
+	planned, _, err := db.QueryContext(ctx, joinSQL)
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	baseline, err := db.NewExecContext(ctx).Join(JoinSpec{SQL: "SELECT * FROM rag JOIN p ON rag.rk = p.pk WHERE rag.rd > '1994-06-01'"},
+		StrategyBaseline)
+	if err != nil {
+		t.Fatalf("baseline join: %v", err)
+	}
+	if got, want := render(baseline, false), render(planned, false); got != want || len(planned.Rows) != 3 {
+		t.Errorf("baseline join:\n%s\nplanned\n%s", got, want)
 	}
 }
 
@@ -459,7 +455,7 @@ func TestDifferentialRaggedTable(t *testing.T) {
 // else the positional _N, else none. Each statement answers alike — or
 // fails alike — planned, forced onto the filtered scan, the baseline load or
 // the IndexScan, as a server-side aggregate, and over a columnar copy of
-// names, under both operator sets. So do joins over names only
+// names. So do joins over names only
 // quoting reads (a keyword, a space): planned Bloom and filtered joins that
 // project, filter and key on them, and the Bloom and filtered join
 // operators, each as the baseline join answers.
@@ -504,60 +500,58 @@ func TestDifferentialColumnNames(t *testing.T) {
 	}
 	// The IndexScan's index, and an always-true indexable conjunct on it.
 	indexes := map[string]string{"names": "k", "sig": "v"}
-	for _, vectorized := range []bool{true, false} {
-		db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)), WithVectorized(vectorized))
-		if err != nil {
+	db, err := Open(diffBucket, WithBackend("inproc", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for table, col := range indexes {
+		if err := db.CreateIndex(ctx, table, col); err != nil {
 			t.Fatal(err)
 		}
-		for table, col := range indexes {
-			if err := db.CreateIndex(ctx, table, col); err != nil {
-				t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, table := range c.tables {
+			forced := func(strategy, sql string) func(*Exec) (*Relation, error) {
+				return func(*Exec) (*Relation, error) {
+					rel, _, err := db.QueryForced(ctx, sql, strategy)
+					return rel, err
+				}
 			}
-		}
-		for _, c := range cases {
-			for _, table := range c.tables {
-				forced := func(strategy, sql string) func(*Exec) (*Relation, error) {
-					return func(*Exec) (*Relation, error) {
-						rel, _, err := db.QueryForced(ctx, sql, strategy)
-						return rel, err
-					}
+			sql := fmt.Sprintf(c.sql, table)
+			paths := map[string]func(e *Exec) (*Relation, error){
+				"planned":  forced("", sql),
+				"filtered": forced(StrategyFiltered, sql),
+				"baseline": forced(StrategyBaseline, sql),
+			}
+			if col, ok := indexes[table]; ok && c.proj != "" {
+				pred := col + " >= 0"
+				if c.pred != "" {
+					pred += " AND (" + c.pred + ")"
 				}
-				sql := fmt.Sprintf(c.sql, table)
-				paths := map[string]func(e *Exec) (*Relation, error){
-					"planned":  forced("", sql),
-					"filtered": forced(StrategyFiltered, sql),
-					"baseline": forced(StrategyBaseline, sql),
-				}
-				if col, ok := indexes[table]; ok && c.proj != "" {
-					pred := col + " >= 0"
-					if c.pred != "" {
-						pred += " AND (" + c.pred + ")"
-					}
-					paths["index"] = forced(StrategyIndexScan, "SELECT "+c.proj+" FROM "+table+" WHERE "+pred)
-				}
-				if c.agg != "" {
-					paths["server aggregate"] = func(e *Exec) (*Relation, error) {
-						rel, err := e.LoadTable("load", 0, table)
-						if err != nil {
-							return nil, err
-						}
-						return localRef(rel, "SELECT "+c.agg+" FROM t")
-					}
-				}
-				for path, run := range paths {
-					rel, err := run(db.NewExecContext(ctx))
-					got := ""
+				paths["index"] = forced(StrategyIndexScan, "SELECT "+c.proj+" FROM "+table+" WHERE "+pred)
+			}
+			if c.agg != "" {
+				paths["server aggregate"] = func(e *Exec) (*Relation, error) {
+					rel, err := e.LoadTable("load", 0, table)
 					if err != nil {
-						got = err.Error()
-					} else {
-						got = render(rel, false)
+						return nil, err
 					}
-					if ok := got == c.want || (err != nil && strings.Contains(got, c.want)); !ok {
-						t.Errorf("vectorized=%v %s %s: got\n%s\nwant\n%s", vectorized, path, fmt.Sprintf(c.sql, table), got, c.want)
-					}
-					if kind := s3api.KindOf(err); err != nil && path != "server aggregate" && kind != s3api.KindBadRequest {
-						t.Errorf("vectorized=%v %s %s: error kind %q, want %q", vectorized, path, fmt.Sprintf(c.sql, table), kind, s3api.KindBadRequest)
-					}
+					return localRef(rel, "SELECT "+c.agg+" FROM t")
+				}
+			}
+			for path, run := range paths {
+				rel, err := run(db.NewExecContext(ctx))
+				got := ""
+				if err != nil {
+					got = err.Error()
+				} else {
+					got = render(rel, false)
+				}
+				if ok := got == c.want || (err != nil && strings.Contains(got, c.want)); !ok {
+					t.Errorf("%s %s: got\n%s\nwant\n%s", path, fmt.Sprintf(c.sql, table), got, c.want)
+				}
+				if kind := s3api.KindOf(err); err != nil && path != "server aggregate" && kind != s3api.KindBadRequest {
+					t.Errorf("%s %s: error kind %q, want %q", path, fmt.Sprintf(c.sql, table), kind, s3api.KindBadRequest)
 				}
 			}
 		}
@@ -578,80 +572,78 @@ func TestDifferentialColumnNames(t *testing.T) {
 		}
 		return render(out, false)
 	}
-	for _, vectorized := range []bool{true, false} {
-		db := openOver(t, quotedBucket, qst, WithVectorized(vectorized), WithScale(cloudsim.Scale{DataRatio: 1e3, PartRatio: 8}))
-		e := db.NewExecContext(ctx)
-		baseline := func(sql string) *Relation {
-			rel, err := e.Join(JoinSpec{SQL: sql}, StrategyBaseline)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rel
-		}
-		lowK := baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5")
-		qc, err := e.LoadTable("load", 0, "qc")
+	db = openOver(t, quotedBucket, qst, WithScale(cloudsim.Scale{DataRatio: 1e3, PartRatio: 8}))
+	e := db.NewExecContext(ctx)
+	baseline := func(sql string) *Relation {
+		rel, err := e.Join(JoinSpec{SQL: sql}, StrategyBaseline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if qc, err = localRef(qc, `SELECT * FROM t WHERE "w x" = 1`); err != nil {
-			t.Fatal(err)
-		}
-		chain, err := (Operators{}).HashJoin(baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 500"), qc, "order", "from")
+		return rel
+	}
+	lowK := baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5")
+	qc, err := e.LoadTable("load", 0, "qc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qc, err = localRef(qc, `SELECT * FROM t WHERE "w x" = 1`); err != nil {
+		t.Fatal(err)
+	}
+	chain, err := HashJoin(baseline("SELECT * FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 500"), qc, "order", "from")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql        string
+		strategies []string
+		want       string
+	}{
+		{`SELECT b."order", a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "order", "k")},
+		{`SELECT a."my col", b.k2 FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "my col", "k2")},
+		{`SELECT a.k, b.v FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`, []string{StrategyBloom},
+			pick(baseline(`SELECT * FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`), "k", "v")},
+		{`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 500 AND c."w x" = 1`,
+			[]string{StrategyBloom, StrategyFiltered}, pick(chain, "k", "w x")},
+	} {
+		rel, pe, err := db.QueryContext(ctx, c.sql)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: %v", c.sql, err)
+			continue
 		}
-		for _, c := range []struct {
-			sql        string
-			strategies []string
-			want       string
-		}{
-			{`SELECT b."order", a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "order", "k")},
-			{`SELECT a."my col", b.k2 FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5`, []string{StrategyBloom}, pick(lowK, "my col", "k2")},
-			{`SELECT a.k, b.v FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`, []string{StrategyBloom},
-				pick(baseline(`SELECT * FROM qa a JOIN qb b ON a.k = b."order" WHERE a.k < 5`), "k", "v")},
-			{`SELECT a.k, c."w x" FROM qa a JOIN qb b ON a.k = b.k2 JOIN qc c ON b."order" = c."from" WHERE a.k < 500 AND c."w x" = 1`,
-				[]string{StrategyBloom, StrategyFiltered}, pick(chain, "k", "w x")},
-		} {
-			rel, pe, err := db.QueryContext(ctx, c.sql)
-			if err != nil {
-				t.Errorf("vectorized=%v %s: %v", vectorized, c.sql, err)
-				continue
-			}
-			var strategies []string
-			for _, st := range pe.QueryPlan().Steps {
-				strategies = append(strategies, st.Strategy)
-			}
-			if !slices.Equal(strategies, c.strategies) {
-				t.Errorf("vectorized=%v %s ran %v, want %v", vectorized, c.sql, strategies, c.strategies)
-			}
-			if got := pick(rel, rel.Cols...); got != c.want {
-				t.Errorf("vectorized=%v %s: got\n%s\nthe baseline join answers\n%s", vectorized, c.sql, got, c.want)
-			}
+		var strategies []string
+		for _, st := range pe.QueryPlan().Steps {
+			strategies = append(strategies, st.Strategy)
 		}
-		// A join's unknown column is refused as a single table's is, with
-		// rows to evaluate it over or none.
-		for _, sql := range []string{
-			`SELECT a.nosuch FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000`,
-			`SELECT nosuch FROM qa a JOIN qb b ON a.k = b.k2`,
-			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.nosuch = 1`,
-			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5 ORDER BY nosuch`,
-			`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000 ORDER BY nosuch`,
-		} {
-			_, _, err := db.QueryContext(ctx, sql)
-			if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
-				t.Errorf("vectorized=%v %s: err %v (kind %q), want an unknown column, %q", vectorized, sql, err, s3api.KindOf(err), s3api.KindBadRequest)
-			}
+		if !slices.Equal(strategies, c.strategies) {
+			t.Errorf("%s ran %v, want %v", c.sql, strategies, c.strategies)
 		}
-		// The Bloom build side ships k and "my col", the probe side whole rows.
-		sql := `SELECT SUM(a."my col") AS s, COUNT(b.v) AS n, SUM(b."order") AS o FROM qa a JOIN qb b ON a.k = b."order" WHERE a."my col" < 50`
-		want := baseline(sql).String()
-		for _, algo := range []string{StrategyFiltered, StrategyBloom} {
-			rel, err := e.Join(JoinSpec{SQL: sql}, algo)
-			if err != nil {
-				t.Errorf("vectorized=%v %s join: %v", vectorized, algo, err)
-			} else if got := rel.String(); got != want {
-				t.Errorf("vectorized=%v %s join: got\n%s\nthe baseline join answers\n%s", vectorized, algo, got, want)
-			}
+		if got := pick(rel, rel.Cols...); got != c.want {
+			t.Errorf("%s: got\n%s\nthe baseline join answers\n%s", c.sql, got, c.want)
+		}
+	}
+	// A join's unknown column is refused as a single table's is, with
+	// rows to evaluate it over or none.
+	for _, sql := range []string{
+		`SELECT a.nosuch FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000`,
+		`SELECT nosuch FROM qa a JOIN qb b ON a.k = b.k2`,
+		`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.nosuch = 1`,
+		`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k < 5 ORDER BY nosuch`,
+		`SELECT a.k FROM qa a JOIN qb b ON a.k = b.k2 WHERE a.k > 1000 ORDER BY nosuch`,
+	} {
+		_, _, err := db.QueryContext(ctx, sql)
+		if !errors.Is(err, expr.ErrUnknownColumn) || s3api.KindOf(err) != s3api.KindBadRequest {
+			t.Errorf("%s: err %v (kind %q), want an unknown column, %q", sql, err, s3api.KindOf(err), s3api.KindBadRequest)
+		}
+	}
+	// The Bloom build side ships k and "my col", the probe side whole rows.
+	sql := `SELECT SUM(a."my col") AS s, COUNT(b.v) AS n, SUM(b."order") AS o FROM qa a JOIN qb b ON a.k = b."order" WHERE a."my col" < 50`
+	want := baseline(sql).String()
+	for _, algo := range []string{StrategyFiltered, StrategyBloom} {
+		rel, err := e.Join(JoinSpec{SQL: sql}, algo)
+		if err != nil {
+			t.Errorf("%s join: %v", algo, err)
+		} else if got := rel.String(); got != want {
+			t.Errorf("%s join: got\n%s\nthe baseline join answers\n%s", algo, got, want)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func TestLocalOperators(t *testing.T) {
 func TestHashJoinLocal(t *testing.T) {
 	left := relOf([]string{"id", "name"}, [][]string{{"1", "a"}, {"2", "b"}, {"3", "c"}})
 	right := relOf([]string{"fk", "val"}, [][]string{{"2", "x"}, {"2", "y"}, {"9", "z"}})
-	j, err := (Operators{}).HashJoin(left, right, "id", "fk")
+	j, err := HashJoin(left, right, "id", "fk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestHashJoinLocal(t *testing.T) {
 	if j.Cols[0] != "id" || j.Cols[3] != "val" {
 		t.Errorf("join cols = %v", j.Cols)
 	}
-	if _, err := (Operators{}).HashJoin(left, right, "nope", "fk"); err == nil {
+	if _, err := HashJoin(left, right, "nope", "fk"); err == nil {
 		t.Error("bad key should error")
 	}
 }

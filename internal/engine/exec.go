@@ -73,10 +73,6 @@ func (db *DB) NewExecContext(ctx context.Context) *Exec {
 // DB returns the owning database.
 func (e *Exec) DB() *DB { return e.db }
 
-// workers is the server-side parallelism budget local operators run with
-// (the cost model's Workers knob, capped at Cores).
-func (e *Exec) workers() int { return e.db.Cfg.WorkerBudget() }
-
 // NextStage allocates the next sequential stage index.
 func (e *Exec) NextStage() int {
 	e.mu.Lock()

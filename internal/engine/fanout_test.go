@@ -171,7 +171,7 @@ func TestGroupedScanFaultMidFanOut(t *testing.T) {
 	const sql = "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g"
 
 	stalled.StallFor(20 * time.Millisecond)
-	ref, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(false))
+	ref, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)))
 	if err != nil {
 		t.Fatal(err)
 	}

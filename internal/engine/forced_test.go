@@ -119,7 +119,7 @@ func TestForcedStrategies(t *testing.T) {
 // TestLikePatternPerRow: a LIKE whose pattern is a column matches each row
 // against that row's own pattern — a NULL pattern keeps nothing, a number
 // matches as its text — on the forced baseline, the forced filtered scan and
-// the planner's choice, on both operator sets at 1 and 3 workers, over a
+// the planner's choice, at 1 and 3 workers, over a
 // table of three partitions.
 func TestLikePatternPerRow(t *testing.T) {
 	ctx := context.Background()
@@ -136,29 +136,27 @@ func TestLikePatternPerRow(t *testing.T) {
 		"SELECT name, flag FROM lk WHERE name NOT LIKE flag":      "xb|a%\nqq|_",
 		"SELECT name, name LIKE flag FROM lk WHERE flag LIKE '_'": "q|true\nqq|false\n5|true",
 	} {
-		for _, vectorized := range []bool{true, false} {
-			for _, workers := range []int{1, 3} {
-				db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(vectorized), WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{1, 3} {
+			db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strategy := range []string{StrategyBaseline, StrategyFiltered, "planned"} {
+				var rel *Relation
+				if strategy == "planned" {
+					rel, _, err = db.QueryContext(ctx, sql)
+				} else {
+					rel, _, err = db.QueryForced(ctx, sql, strategy)
 				}
-				for _, strategy := range []string{StrategyBaseline, StrategyFiltered, "planned"} {
-					var rel *Relation
-					if strategy == "planned" {
-						rel, _, err = db.QueryContext(ctx, sql)
-					} else {
-						rel, _, err = db.QueryForced(ctx, sql, strategy)
-					}
-					if err != nil {
-						t.Fatalf("%s (%s, vectorized %v, %d workers): %v", sql, strategy, vectorized, workers, err)
-					}
-					var lines []string
-					for _, row := range rel.Rows {
-						lines = append(lines, row[0].String()+"|"+row[1].String())
-					}
-					if got := strings.Join(lines, "\n"); got != want {
-						t.Errorf("%s (%s, vectorized %v, %d workers):\n%s\nwant:\n%s", sql, strategy, vectorized, workers, got, want)
-					}
+				if err != nil {
+					t.Fatalf("%s (%s, %d workers): %v", sql, strategy, workers, err)
+				}
+				var lines []string
+				for _, row := range rel.Rows {
+					lines = append(lines, row[0].String()+"|"+row[1].String())
+				}
+				if got := strings.Join(lines, "\n"); got != want {
+					t.Errorf("%s (%s, %d workers):\n%s\nwant:\n%s", sql, strategy, workers, got, want)
 				}
 			}
 		}

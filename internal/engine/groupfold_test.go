@@ -18,8 +18,7 @@ import (
 // response into the statement's one aggregation block, in partition order,
 // so its answer — or its error — must be the forced baseline's (the whole
 // objects decoded, then the relation grouped: another decode and another
-// way into the block), byte for byte, on both operator sets and at any
-// worker budget. The columns change layout from partition to partition: m
+// way into the block), byte for byte, at any worker budget. The columns change layout from partition to partition: m
 // mixes INT and FLOAT cells, as storage renders an integral FLOAT as 0; n
 // runs NULL across partition edges; d is a date key; s turns to text in the
 // last partition, where SUM(s) fails.
@@ -61,21 +60,19 @@ func TestGroupedScanPartitionBoundaries(t *testing.T) {
 		}
 		return fmt.Sprintf("%v %v", rel.Cols, rel.Rows)
 	}
-	for _, vectorized := range []bool{true, false} {
-		for _, workers := range []int{1, 2, 7} {
-			db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(vectorized), WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 7} {
+		db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range statements {
+			want, _, wantErr := db.QueryForced(ctx, sql, StrategyBaseline)
+			got, e, err := db.QueryContext(ctx, sql)
+			if sc := e.QueryPlan().Scans[0]; sc.Access != nil && sc.Access.Pushed != "" {
+				t.Fatalf("%s: pushed %s; the test wants the folded scan", sql, sc.Access.Pushed)
 			}
-			for _, sql := range statements {
-				want, _, wantErr := db.QueryForced(ctx, sql, StrategyBaseline)
-				got, e, err := db.QueryContext(ctx, sql)
-				if sc := e.QueryPlan().Scans[0]; sc.Access != nil && sc.Access.Pushed != "" {
-					t.Fatalf("%s: pushed %s; the test wants the folded scan", sql, sc.Access.Pushed)
-				}
-				if g, w := render(got, err), render(want, wantErr); g != w {
-					t.Errorf("vectorized=%v workers=%d: %s\n got %s\nwant %s", vectorized, workers, sql, g, w)
-				}
+			if g, w := render(got, err), render(want, wantErr); g != w {
+				t.Errorf("workers=%d: %s\n got %s\nwant %s", workers, sql, g, w)
 			}
 		}
 	}
@@ -126,7 +123,7 @@ func TestFoldRefusesAMiscountedBody(t *testing.T) {
 }
 
 // TestGroupByAllocatesPerGroup pins the one group-by to allocations per
-// group chunk, over one span and two: 4 groups over 8k rows and over 64k
+// group chunk: 4 groups over 8k rows and over 64k
 // cost the same within a small constant of mallocs and bytes (no vector and
 // no row grows with the input), and 8k and 64k groups cost O(groups / chunk)
 // mallocs (the output rows are cut from one slab, not allocated one by one;
@@ -143,26 +140,24 @@ func TestGroupByAllocatesPerGroup(t *testing.T) {
 		}
 		return r
 	}
-	for name, o := range map[string]Operators{"one span": {}, "two spans": {Workers: 2}} {
-		run := func(in *Relation, groups int) func() {
-			return func() {
-				if out, err := o.GroupBy(in, sel.GroupBy, sel.Items); err != nil || len(out.Rows) != groups {
-					t.Fatalf("%s: %d groups (%v), want %d", name, len(out.Rows), err, groups)
-				}
+	run := func(in *Relation, groups int) func() {
+		return func() {
+			if out, err := GroupBy(in, sel.GroupBy, sel.Items); err != nil || len(out.Rows) != groups {
+				t.Fatalf("%d groups (%v), want %d", len(out.Rows), err, groups)
 			}
 		}
-		allocs := func(rows, groups int) float64 { return testing.AllocsPerRun(3, run(rel(rows, groups), groups)) }
-		if small, large := allocs(8<<10, 4), allocs(64<<10, 4); large-small > 8 {
-			t.Errorf("%s: 4 groups over 8k rows allocate %v times, over 64k %v; want at most 8 apart", name, small, large)
-		}
-		small, large := rel(8<<10, 4), rel(64<<10, 4)
-		if sb, lb := allocatedBytes(run(small, 4)), allocatedBytes(run(large, 4)); lb > sb+16<<10 {
-			t.Errorf("%s: 4 groups over 8k rows allocate %d bytes, over 64k %d; want at most 16 KiB more", name, sb, lb)
-		}
-		for _, groups := range []int{8 << 10, 64 << 10} {
-			if n, limit := allocs(groups, groups), 256+groups/32; n > float64(limit) {
-				t.Errorf("%s: %d groups allocate %v times, want at most %d", name, groups, n, limit)
-			}
+	}
+	allocs := func(rows, groups int) float64 { return testing.AllocsPerRun(3, run(rel(rows, groups), groups)) }
+	if small, large := allocs(8<<10, 4), allocs(64<<10, 4); large-small > 8 {
+		t.Errorf("4 groups over 8k rows allocate %v times, over 64k %v; want at most 8 apart", small, large)
+	}
+	small, large := rel(8<<10, 4), rel(64<<10, 4)
+	if sb, lb := allocatedBytes(run(small, 4)), allocatedBytes(run(large, 4)); lb > sb+16<<10 {
+		t.Errorf("4 groups over 8k rows allocate %d bytes, over 64k %d; want at most 16 KiB more", sb, lb)
+	}
+	for _, groups := range []int{8 << 10, 64 << 10} {
+		if n, limit := allocs(groups, groups), 256+groups/32; n > float64(limit) {
+			t.Errorf("%d groups allocate %v times, want at most %d", groups, n, limit)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // The folded load: a Load with Items groups the rows its Where keeps as
-// each partition decodes, and answers as Operators.GroupBy over the loaded
+// each partition decodes, and answers as GroupBy over the loaded
 // and filtered relation does: the same groups in the same order, typed
 // alike, or the same error.
 
@@ -48,16 +48,16 @@ func foldCases(t *testing.T, tbl diffTable) []foldCase {
 }
 
 // foldWant is what the fold must answer: the load, its Where's filter and
-// then Operators{}.GroupBy.
+// then GroupBy.
 func foldWant(e *Exec, table string, where sqlparse.Expr, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
 	loaded, err := e.LoadTable("load "+table, e.NextStage(), table)
 	if err == nil {
-		loaded, err = Operators{}.Filter(loaded, where)
+		loaded, err = Filter(loaded, where)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return Operators{}.GroupBy(loaded, keys, items)
+	return GroupBy(loaded, keys, items)
 }
 
 // foldGot is the folded load.
@@ -87,7 +87,7 @@ func checkFold(t *testing.T, db *DB, label, table string, where sqlparse.Expr, k
 // TestLoadFoldMatchesGroupBy: over the differential tables — NULLs, NaNs,
 // ragged rows, the name-rule headers — as CSV and as colformat, at 1, 2 and
 // 7 partitions, with and without a Where and with and without keys, a
-// folded load answers as LoadTable, Operators.Filter and Operators.GroupBy
+// folded load answers as LoadTable, Filter and GroupBy
 // do: the same groups in the same order, typed alike, or the same error.
 func TestLoadFoldMatchesGroupBy(t *testing.T) {
 	ctx := context.Background()

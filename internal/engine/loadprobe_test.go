@@ -18,7 +18,7 @@ import (
 
 // The probing load: a Load with Build joins the rows its Where keeps to
 // Build's hash table as each partition decodes, and answers as
-// Operators.HashJoin(Build, <the load without Build>, BuildKey, ProbeKey)
+// HashJoin(Build, <the load without Build>, BuildKey, ProbeKey)
 // does: the same columns, rows in the same order, typed alike, or the same
 // error. Its pairs are also held to the nested-loop oracle over
 // value.Equal (nestedLoopJoin), which shares no hashing with either.
@@ -49,7 +49,7 @@ func probeBuild() *Relation {
 }
 
 // probeWant is what a probing load must answer: the load without Build,
-// then Operators{}.HashJoin — and, when that answers, the pairs the
+// then HashJoin — and, when that answers, the pairs the
 // nested-loop oracle finds.
 func probeWant(e *Exec, l Load) (want, oracle *Relation, err error) {
 	build := l.Build
@@ -58,7 +58,7 @@ func probeWant(e *Exec, l Load) (want, oracle *Relation, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if want, err = (Operators{}).HashJoin(build, rels[0], l.BuildKey, l.ProbeKey); err != nil {
+	if want, err = HashJoin(build, rels[0], l.BuildKey, l.ProbeKey); err != nil {
 		return nil, nil, err
 	}
 	return want, nestedLoopJoin(build, rels[0], l.BuildKey, l.ProbeKey), nil
@@ -87,7 +87,7 @@ func checkProbe(t *testing.T, db *DB, label string, l Load) (int, error) {
 // NaNs, ragged rows, the name-rule headers — as CSV and as colformat, at 1,
 // 2 and 7 partitions, every column as the probe key, with and without a
 // Where and a pruned column list, a probing load answers as LoadTables and
-// then Operators.HashJoin do, and its pairs are the nested loop's: over
+// then HashJoin do, and its pairs are the nested loop's: over
 // duplicate and NULL build keys, padded, float and date spellings, a far
 // date, an empty build side, and a key neither side has.
 func TestLoadProbeMatchesHashJoin(t *testing.T) {
@@ -273,14 +273,14 @@ func mustExpr(t *testing.T, sql string) sqlparse.Expr {
 }
 
 // joinedTail is what a join's tail answers over joined, the relation of its
-// joined rows, or the error before it (err): Operators.Filter by the
-// residual, then Operators.GroupBy by the fold when it has items.
+// joined rows, or the error before it (err): Filter by the
+// residual, then GroupBy by the fold when it has items.
 func joinedTail(joined *Relation, err error, residual sqlparse.Expr, fold foldCase) (*Relation, error) {
 	if err == nil {
-		joined, err = Operators{}.Filter(joined, residual)
+		joined, err = Filter(joined, residual)
 	}
 	if err == nil && fold.items != nil {
-		joined, err = Operators{}.GroupBy(joined, fold.keys, fold.items)
+		joined, err = GroupBy(joined, fold.keys, fold.items)
 	}
 	return joined, err
 }
@@ -288,8 +288,8 @@ func joinedTail(joined *Relation, err error, residual sqlparse.Expr, fold foldCa
 // TestLoadProbeFoldsItsJoinedRows: over the differential tables as CSV and
 // as colformat, at 1 and 7 partitions, every column as the probe key, with
 // and without a Where, a probing load with a Residual, a grouping (Items)
-// or both answers as LoadTables, Operators.HashJoin, Operators.Filter by the
-// residual and Operators.GroupBy do: the same rows or groups in the same
+// or both answers as LoadTables, HashJoin, Filter by the
+// residual and GroupBy do: the same rows or groups in the same
 // order, typed alike, or the same error — the Where's, then the keys', then
 // the residual's, then the grouping's.
 func TestLoadProbeFoldsItsJoinedRows(t *testing.T) {
@@ -328,7 +328,7 @@ func TestLoadProbeFoldsItsJoinedRows(t *testing.T) {
 								var want *Relation
 								loaded, wantErr := db.NewExecContext(ctx).LoadTables(0, plain)
 								if wantErr == nil {
-									want, wantErr = Operators{}.HashJoin(b, loaded[0], "bk", key)
+									want, wantErr = HashJoin(b, loaded[0], "bk", key)
 									want, wantErr = joinedTail(want, wantErr, tail.residual, tail.fold)
 								}
 								got, gotErr := db.NewExecContext(ctx).LoadTables(0, l)

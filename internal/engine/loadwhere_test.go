@@ -17,7 +17,7 @@ import (
 )
 
 // The filtered load: a Load's Where keeps, as each partition decodes, the
-// rows Operators.Filter keeps over the loaded relation, in their order, and
+// rows Filter keeps over the loaded relation, in their order, and
 // fails as that filter fails.
 
 // columnarOf is tbl as colformat rows: each column of the one kind its
@@ -73,7 +73,7 @@ func wherePreds(tbl diffTable) []wherePred {
 // TestLoadWhereMatchesFilter: over the differential tables — NULLs, NaNs,
 // ragged rows, the name-rule headers — as CSV and as colformat, at 1, 2 and
 // 7 partitions, with every column loaded and with a pruned list, a load's
-// Where answers as LoadTable and then Operators.Filter do: the same rows in
+// Where answers as LoadTable and then Filter do: the same rows in
 // the same order, typed alike, or the same error.
 func TestLoadWhereMatchesFilter(t *testing.T) {
 	ctx := context.Background()
@@ -114,7 +114,7 @@ func TestLoadWhereMatchesFilter(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						want, wantErr := Operators{}.Filter(loaded, pred)
+						want, wantErr := Filter(loaded, pred)
 						rels, gotErr := e.LoadTables(e.NextStage(), Load{Table: tbl.name, Cols: cols, Where: pred})
 						if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
 							t.Fatalf("%s: Filter's error %v, the load's %v", label, wantErr, gotErr)
@@ -137,7 +137,7 @@ func TestLoadWhereMatchesFilter(t *testing.T) {
 
 // TestLoadWhereReportsTheFirstFailingRow: a predicate that fails in
 // partitions 1 and 2 fails the load with partition 1's first failing row,
-// as one span over the loaded relation does — however the partitions'
+// as Filter over the loaded relation does — however the partitions'
 // decodes race, and though partition 2's failing row comes first in it
 // and partition 1's only after 20,000 rows.
 func TestLoadWhereReportsTheFirstFailingRow(t *testing.T) {
@@ -168,7 +168,7 @@ func TestLoadWhereReportsTheFirstFailingRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := Operators{}.Filter(loaded, pred)
+	_, want := Filter(loaded, pred)
 	if want == nil || !strings.Contains(want.Error(), `"bad1"`) {
 		t.Fatalf("Filter's error %v, want the CAST of bad1's", want)
 	}

@@ -7,21 +7,25 @@ import (
 	"testing"
 
 	"pushdowndb/internal/csvx"
+	"pushdowndb/internal/expr"
 	"pushdowndb/internal/s3api"
 	"pushdowndb/internal/sqlparse"
 	"pushdowndb/internal/store"
 	"pushdowndb/internal/value"
 )
 
-// The operator battery: every operator over worker spans must answer as it
-// does over one span (Operators{}), rows and error text identical, on data
-// that exercises the value layer's coercion corners — NULLs, NaN, dates,
-// numeric-looking strings, space padding, date texts and mixed-kind
-// columns — at worker counts that leave spans of uneven length. The join's
-// oracle is a nested loop over value.Equal, which shares nothing with the
-// hash table.
+// The operator battery: each operator, one loop over its rows, answers as
+// its oracle does, rows and error text identical, on data that exercises
+// the value layer's coercion corners — NULLs, NaN, dates, numeric-looking
+// strings, space padding, date texts and mixed-kind columns. A row operator's
+// oracle is the operator over each row on its own (rowByRow); the group-by's
+// is one block fed the rows cut into pieces, merged in order (cutFold), as a
+// grouped load's partitions are; the join's is a nested loop over
+// value.Equal, which shares nothing with the hash table.
 
-var spanCounts = []int{2, 3, 7}
+// cutCounts are the pieces cutFold cuts a relation into: pieces of uneven
+// length.
+var cutCounts = []int{2, 3, 7}
 
 // nastyData builds a CSV-shaped table:
 //
@@ -95,7 +99,7 @@ func cellsRel(cols []string, cells [][]string) *Relation {
 func sameAnswer(t *testing.T, label string, want, got *Relation, wantErr, gotErr error) {
 	t.Helper()
 	if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
-		t.Errorf("%s: one span err=%v, spans err=%v", label, wantErr, gotErr)
+		t.Errorf("%s: oracle err=%v, operator err=%v", label, wantErr, gotErr)
 		return
 	}
 	if wantErr == nil {
@@ -103,14 +107,74 @@ func sameAnswer(t *testing.T, label string, want, got *Relation, wantErr, gotErr
 	}
 }
 
-// eachSpanCount runs op over one span and over each of spanCounts, and
-// holds every answer to the one span's.
-func eachSpanCount(t *testing.T, label string, op func(Operators) (*Relation, error)) {
+// rowByRow is a row operator's oracle: op over each row of rel as a relation
+// of its own, their rows concatenated in order, or the first row's error;
+// over no rows, op's own answer.
+func rowByRow(rel *Relation, op func(*Relation) (*Relation, error)) (*Relation, error) {
+	if len(rel.Rows) == 0 {
+		return op(rel)
+	}
+	var out *Relation
+	for _, row := range rel.Rows {
+		one, err := op(&Relation{Cols: rel.Cols, Rows: []Row{row}})
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = &Relation{Cols: one.Cols, Rows: []Row{}}
+		}
+		out.Rows = append(out.Rows, one.Rows...)
+	}
+	return out, nil
+}
+
+// checkRowByRow holds op over rel to its rowByRow oracle.
+func checkRowByRow(t *testing.T, label string, rel *Relation, op func(*Relation) (*Relation, error)) {
 	t.Helper()
-	want, wantErr := op(Operators{})
-	for _, w := range spanCounts {
-		got, gotErr := op(Operators{Workers: w})
-		sameAnswer(t, fmt.Sprintf("w=%d %s", w, label), want, got, wantErr, gotErr)
+	want, wantErr := rowByRow(rel, op)
+	got, gotErr := op(rel)
+	sameAnswer(t, label, want, got, wantErr, gotErr)
+}
+
+// cutFold is GroupBy's oracle: rel's rows cut into n contiguous pieces, as a
+// grouped load's partitions cut them, the first fed to one aggregation
+// block and each later one to a RowExec.Partial of it, merged in order.
+func cutFold(rel *Relation, n int, keys []sqlparse.Expr, items []sqlparse.SelectItem) (*Relation, error) {
+	out := &Relation{Cols: itemCols(rel, items)}
+	x, err := expr.NewAggregation(rel.Cols, nil, keys, sqlparse.ItemExprs(items), out.collect())
+	if err != nil {
+		return nil, err
+	}
+	blocks := []*expr.RowExec{x}
+	for k := 1; k < n; k++ {
+		blocks = append(blocks, x.Partial())
+	}
+	for k, b := range blocks {
+		for _, row := range rel.Rows[len(rel.Rows)*k/n : len(rel.Rows)*(k+1)/n] {
+			if err := b.Add(row); err != nil {
+				return nil, err
+			}
+		}
+		if k > 0 {
+			if err := x.Merge(b); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := x.Finish(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkCutFold holds GroupBy over rel to cutFold's answer at each of
+// cutCounts.
+func checkCutFold(t *testing.T, label string, rel *Relation, keys []sqlparse.Expr, items []sqlparse.SelectItem) {
+	t.Helper()
+	got, gotErr := GroupBy(rel, keys, items)
+	for _, n := range cutCounts {
+		want, wantErr := cutFold(rel, n, keys, items)
+		sameAnswer(t, fmt.Sprintf("%d pieces %s", n, label), want, got, wantErr, gotErr)
 	}
 }
 
@@ -155,13 +219,12 @@ func TestFilterDiff(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", pred, err)
 		}
-		eachSpanCount(t, fmt.Sprintf("pred=%q", pred), func(o Operators) (*Relation, error) { return o.Filter(rel, pe) })
+		checkRowByRow(t, fmt.Sprintf("pred=%q", pred), rel, func(r *Relation) (*Relation, error) { return Filter(r, pe) })
 	}
 }
 
 // TestFilterErrDiff: NOT over a non-boolean column errors in the evaluator,
-// and every span count surfaces the one span's error — the lowest erroring
-// row's.
+// and the filter surfaces the lowest erroring row's error.
 func TestFilterErrDiff(t *testing.T) {
 	rel := cellsRel(nastyData())
 	for _, pred := range []string{"NOT name", "qty > 40 OR NOT name", "id > 100 AND NOT mix"} {
@@ -169,16 +232,16 @@ func TestFilterErrDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (Operators{}).Filter(rel, pe); err == nil {
-			t.Fatalf("%s: one span kept its rows; want an error", pred)
+		if _, err := Filter(rel, pe); err == nil {
+			t.Fatalf("%s: the filter kept its rows; want an error", pred)
 		}
-		eachSpanCount(t, pred, func(o Operators) (*Relation, error) { return o.Filter(rel, pe) })
+		checkRowByRow(t, pred, rel, func(r *Relation) (*Relation, error) { return Filter(r, pe) })
 	}
 }
 
-// TestProjectDiff: spans project as one span does, and every projected row
-// is its own window (cap == len), so an append to one row never writes into
-// the next.
+// TestProjectDiff: the projection answers row by row, and every projected
+// row is its own window (cap == len), so an append to one row never writes
+// into the next.
 func TestProjectDiff(t *testing.T) {
 	rel := cellsRel(nastyData())
 	for _, items := range []string{
@@ -193,12 +256,12 @@ func TestProjectDiff(t *testing.T) {
 		"id, mix + 1",               // arithmetic on "x0": the first text cell
 	} {
 		sel := selectOf(t, "SELECT "+items+" FROM t")
-		eachSpanCount(t, fmt.Sprintf("items=%q", items), func(o Operators) (*Relation, error) {
-			out, err := o.Project(rel, sel.Items)
+		checkRowByRow(t, fmt.Sprintf("items=%q", items), rel, func(r *Relation) (*Relation, error) {
+			out, err := Project(r, sel.Items)
 			if err == nil {
 				for i, row := range out.Rows {
 					if cap(row) != len(row) {
-						t.Fatalf("Workers=%d items=%q: row %d has cap %d, len %d", o.Workers, items, i, cap(row), len(row))
+						t.Fatalf("items=%q: row %d has cap %d, len %d", items, i, cap(row), len(row))
 					}
 				}
 			}
@@ -207,9 +270,9 @@ func TestProjectDiff(t *testing.T) {
 	}
 }
 
-// TestGroupByDiff holds the span-parallel group-by — one aggregation block
-// per span, merged in span order — to one span's one block: groups, their
-// order and error text identical.
+// TestGroupByDiff holds the group-by's one block to the rows cut into
+// pieces, one block per piece merged in order (cutFold): groups, their order
+// and error text identical.
 func TestGroupByDiff(t *testing.T) {
 	rel := cellsRel(nastyData())
 	for _, tc := range []struct{ groupBy, items string }{
@@ -223,9 +286,7 @@ func TestGroupByDiff(t *testing.T) {
 		{"flag", "flag, SUM(name) AS bad"},
 	} {
 		sel := selectOf(t, "SELECT "+tc.items+" FROM t GROUP BY "+tc.groupBy)
-		eachSpanCount(t, fmt.Sprintf("group=%q items=%q", tc.groupBy, tc.items), func(o Operators) (*Relation, error) {
-			return o.GroupBy(rel, sel.GroupBy, sel.Items)
-		})
+		checkCutFold(t, fmt.Sprintf("group=%q items=%q", tc.groupBy, tc.items), rel, sel.GroupBy, sel.Items)
 	}
 }
 
@@ -275,8 +336,7 @@ func joinProbeData() ([]string, [][]string) {
 	return []string{"rid", "tag"}, rows
 }
 
-// TestHashJoinDiff holds the join over one span and over spans to the
-// nested-loop oracle, on every key column against the probe's, build and
+// TestHashJoinDiff holds the join to the nested-loop oracle, on every key column against the probe's, build and
 // probe sides both ways.
 func TestHashJoinDiff(t *testing.T) {
 	left := cellsRel(nastyData())
@@ -291,21 +351,18 @@ func TestHashJoinDiff(t *testing.T) {
 			if len(want.Rows) == 0 {
 				t.Fatalf("key %s: the oracle joins nothing", key)
 			}
-			for _, o := range []Operators{{}, {Workers: 2}, {Workers: 3}, {Workers: 7}} {
-				got, err := o.HashJoin(b, p, bk, pk)
-				if err != nil {
-					t.Fatal(err)
-				}
-				identicalRel(t, fmt.Sprintf("Workers=%d key=%s swap=%v", o.Workers, key, swap), want, got)
+			got, err := HashJoin(b, p, bk, pk)
+			if err != nil {
+				t.Fatal(err)
 			}
+			identicalRel(t, fmt.Sprintf("key=%s swap=%v", key, swap), want, got)
 		}
 	}
 }
 
 // TestHashJoinFarDates: a DATE whose year is outside 0000-9999 joins the
-// text it renders as, which = matches, over one span and over spans, as
-// the nested-loop oracle does; a text that is no day's rendering joins
-// nothing.
+// text it renders as, which = matches, as the nested-loop oracle does; a
+// text that is no day's rendering joins nothing.
 func TestHashJoinFarDates(t *testing.T) {
 	build := &Relation{Cols: []string{"d"}, Rows: []Row{{value.Date(3000000)}, {value.Date(-800000)}, {value.Date(0)}}}
 	probe := &Relation{Cols: []string{"s"}, Rows: []Row{
@@ -314,32 +371,32 @@ func TestHashJoinFarDates(t *testing.T) {
 	if len(want.Rows) != 3 {
 		t.Fatalf("the oracle joins %d pairs, want 3", len(want.Rows))
 	}
-	for _, o := range []Operators{{}, {Workers: 2}} {
-		got, err := o.HashJoin(build, probe, "d", "s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalRel(t, fmt.Sprintf("Workers=%d", o.Workers), want, got)
+	got, err := HashJoin(build, probe, "d", "s")
+	if err != nil {
+		t.Fatal(err)
 	}
+	identicalRel(t, "far dates", want, got)
 }
 
-// TestEmptyRelations: every operator over no rows answers as one span does
-// (the plain aggregation its one row).
+// TestEmptyRelations: every operator over no rows answers no rows under its
+// columns, but the plain aggregation its one row.
 func TestEmptyRelations(t *testing.T) {
 	rel := cellsRel([]string{"a", "b"}, nil)
 	grouped := selectOf(t, "SELECT a, COUNT(*) AS n FROM t GROUP BY a")
 	agg := selectOf(t, "SELECT COUNT(*) AS n, SUM(b) AS s FROM t WHERE a > 1")
-	for name, op := range map[string]func(Operators) (*Relation, error){
-		"filter":    func(o Operators) (*Relation, error) { return o.Filter(rel, agg.Where) },
-		"project":   func(o Operators) (*Relation, error) { return o.Project(rel, grouped.Items[:1]) },
-		"groupby":   func(o Operators) (*Relation, error) { return o.GroupBy(rel, grouped.GroupBy, grouped.Items) },
-		"aggregate": func(o Operators) (*Relation, error) { return o.GroupBy(rel, nil, agg.Items) },
-		"join":      func(o Operators) (*Relation, error) { return o.HashJoin(rel, rel, "a", "b") },
+	for name, tc := range map[string]struct {
+		op   func() (*Relation, error)
+		want string
+	}{
+		"filter":    {func() (*Relation, error) { return Filter(rel, agg.Where) }, "a|b\n"},
+		"project":   {func() (*Relation, error) { return Project(rel, grouped.Items[:1]) }, "a\n"},
+		"groupby":   {func() (*Relation, error) { return GroupBy(rel, grouped.GroupBy, grouped.Items) }, "a|n\n"},
+		"aggregate": {func() (*Relation, error) { return GroupBy(rel, nil, agg.Items) }, "n|s\n0|"},
+		"join":      {func() (*Relation, error) { return HashJoin(rel, rel, "a", "b") }, "a|b|a|b\n"},
 	} {
-		eachSpanCount(t, name, op)
-	}
-	if out, err := (Operators{Workers: 3}).GroupBy(rel, nil, agg.Items); err != nil || render(out, true) != "n|s\n0|" {
-		t.Errorf("aggregate over no rows: %v, %v", out, err)
+		if out, err := tc.op(); err != nil || render(out, true) != tc.want {
+			t.Errorf("%s over no rows: %v, %v; want\n%s", name, out, err, tc.want)
+		}
 	}
 }
 
@@ -381,10 +438,10 @@ func TestJoinMatchesWhatEqualsMatches(t *testing.T) {
 }
 
 // FuzzOperators feeds arbitrary bytes, decoded as a CSV table, through the
-// operators: the filter and the group-by over 3 spans against one span, the
-// self-join on c0 over 3 spans against its nested-loop oracle, and a
-// group-by over every column across 1 to 8 spans, where a grouped scan's
-// partitions would cut the rows.
+// operators: the filter against its row-by-row oracle, the group-by against
+// the rows cut into 3 pieces, the self-join on c0 against its nested-loop
+// oracle, and a group-by over every column against the rows cut into 1 to 8
+// pieces, where a grouped scan's partitions would cut them.
 func FuzzOperators(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n3,\n"))
 	f.Add([]byte("a,b\n1\n2,3,x\n"))
@@ -401,17 +458,13 @@ func FuzzOperators(f *testing.F) {
 			cols[i] = fmt.Sprintf("c%d", i)
 		}
 		rel := cellsRel(cols, cells)
-		spans := Operators{Workers: 3}
-		same := func(what string, op func(Operators) (*Relation, error)) {
-			want, wantErr := op(Operators{})
-			got, gotErr := op(spans)
-			sameAnswer(t, what, want, got, wantErr, gotErr)
-		}
 		pred, _ := sqlparse.ParseExpr("c0 IS NOT NULL AND c0 >= '3'")
-		same("filter", func(o Operators) (*Relation, error) { return o.Filter(rel, pred) })
+		checkRowByRow(t, "filter", rel, func(r *Relation) (*Relation, error) { return Filter(r, pred) })
 		sel, _ := sqlparse.Parse("SELECT c0, COUNT(*) AS n FROM t GROUP BY c0")
-		same("group-by", func(o Operators) (*Relation, error) { return o.GroupBy(rel, sel.GroupBy, sel.Items) })
-		got, err := spans.HashJoin(rel, rel, "c0", "c0")
+		want, wantErr := cutFold(rel, 3, sel.GroupBy, sel.Items)
+		got, gotErr := GroupBy(rel, sel.GroupBy, sel.Items)
+		sameAnswer(t, "group-by", want, got, wantErr, gotErr)
+		got, err = HashJoin(rel, rel, "c0", "c0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,15 +474,15 @@ func FuzzOperators(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Operators{}.GroupBy(rel, all.GroupBy, all.Items)
+		got, err = GroupBy(rel, all.GroupBy, all.Items)
 		if err != nil {
-			t.Fatalf("group-by over one span: %v", err)
+			t.Fatalf("group-by: %v", err)
 		}
 		n := 1 + int(data[len(data)/2])%8
-		got, err = Operators{Workers: n}.GroupBy(rel, all.GroupBy, all.Items)
+		want, err = cutFold(rel, n, all.GroupBy, all.Items)
 		if err != nil {
-			t.Fatalf("group-by over %d spans: %v", n, err)
+			t.Fatalf("group-by over %d pieces: %v", n, err)
 		}
-		identicalRel(t, fmt.Sprintf("group-by over %d spans", n), want, got)
+		identicalRel(t, fmt.Sprintf("group-by over %d pieces", n), want, got)
 	})
 }

@@ -46,35 +46,27 @@ func identicalRel(t *testing.T, name string, a, b *Relation) {
 	}
 }
 
-// TestParallelOperatorsDeterministic pins every operator over worker spans
-// against its one-span form: at 1, 2, 8 and 33 workers each must reproduce
-// the one span byte for byte.
+// TestParallelOperatorsDeterministic pins every operator over a relation of
+// floats (summation-order sensitive), NULLs and repeated keys to its oracle:
+// the row operators to their answers row by row, the join to the nested
+// loop, the group-by and the plain aggregation to the rows cut into pieces
+// merged in order — as the engine's partitions, its only parallelism, cut
+// them.
 func TestParallelOperatorsDeterministic(t *testing.T) {
 	rel := parallelTestRelation(1000)
 	right := parallelTestRelation(400)
 	proj := selectOf(t, "SELECT id, v * 2 AS dbl, g FROM t WHERE v > 0 AND g <> 3")
 	grouped := selectOf(t, "SELECT g, SUM(v) AS s, COUNT(*) AS n, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av FROM t GROUP BY g")
 	agg := selectOf(t, "SELECT SUM(v) AS s, COUNT(*) AS n FROM t")
-	ops := map[string]func(Operators) (*Relation, error){
-		"filter":    func(o Operators) (*Relation, error) { return o.Filter(rel, proj.Where) },
-		"project":   func(o Operators) (*Relation, error) { return o.Project(rel, proj.Items) },
-		"hashjoin":  func(o Operators) (*Relation, error) { return o.HashJoin(rel, right, "g", "g") },
-		"groupby":   func(o Operators) (*Relation, error) { return o.GroupBy(rel, grouped.GroupBy, grouped.Items) },
-		"aggregate": func(o Operators) (*Relation, error) { return o.GroupBy(rel, nil, agg.Items) },
+	checkRowByRow(t, "filter", rel, func(r *Relation) (*Relation, error) { return Filter(r, proj.Where) })
+	checkRowByRow(t, "project", rel, func(r *Relation) (*Relation, error) { return Project(r, proj.Items) })
+	joined, err := HashJoin(rel, right, "g", "g")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, op := range ops {
-		ref, err := op(Operators{})
-		if err != nil {
-			t.Fatalf("%s reference: %v", name, err)
-		}
-		for _, workers := range []int{1, 2, 8, 33} {
-			got, err := op(Operators{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s@%d: %v", name, workers, err)
-			}
-			identicalRel(t, fmt.Sprintf("%s@%d", name, workers), ref, got)
-		}
-	}
+	identicalRel(t, "hashjoin", nestedLoopJoin(rel, right, "g", "g"), joined)
+	checkCutFold(t, "groupby", rel, grouped.GroupBy, grouped.Items)
+	checkCutFold(t, "aggregate", rel, nil, agg.Items)
 }
 
 // openWithWorkers opens a DB over st with a worker budget of workers.

@@ -809,11 +809,11 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 			right, _, err = e.serverSideFilter(Load{Table: p.Scans[st.scan].Table, Where: p.Scans[st.scan].Filter}, nil)
 		}
 		if err == nil {
-			rel, err = (Operators{}).HashJoin(rel, right, st.BuildKey, st.ProbeKey)
+			rel, err = HashJoin(rel, right, st.BuildKey, st.ProbeKey)
 		}
 	}
 	if err == nil {
-		rel, err = (Operators{}).Filter(rel, p.Residual)
+		rel, err = Filter(rel, p.Residual)
 	}
 	if err == nil {
 		rel, err = e.finishTail(p.Sel, rel, nil)

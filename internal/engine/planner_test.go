@@ -157,7 +157,7 @@ func TestPlannerThreeTableChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join2, err := (Operators{}).HashJoin(join1, itemsRel, "ok", "iok")
+	join2, err := HashJoin(join1, itemsRel, "ok", "iok")
 	if err != nil {
 		t.Fatal(err)
 	}

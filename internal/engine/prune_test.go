@@ -165,7 +165,7 @@ func TestPrunedLoadShortRowReadsNull(t *testing.T) {
 		if d := rel.Rows[1][rel.ColIndex("d")]; !d.IsNull() {
 			t.Errorf("the short row's D = %v, want NULL", d)
 		}
-		got, err := engine.Operators{}.Filter(rel, pred)
+		got, err := engine.Filter(rel, pred)
 		if err != nil {
 			t.Fatal(err)
 		}

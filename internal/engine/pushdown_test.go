@@ -148,33 +148,31 @@ func TestPushdownDifferential(t *testing.T) {
 			loadPush(t, st, "n", nastyHeader, nastyKinds, nastyRows(), 3, columnar)
 		}
 		dropStats(without, pushBucket, "n")
-		for _, vectorized := range []bool{false, true} {
-			dbWith := openOver(t, pushBucket, with, pushScale, WithVectorized(vectorized))
-			// Every eligible tail runs pushed: the price is test (d)'s subject.
-			dbWith.Cfg.S3NodeSecPerRow = 0
-			dbWithout := openOver(t, pushBucket, without, pushScale, WithVectorized(vectorized))
-			for _, q := range pushStatements {
-				what := fmt.Sprintf("columnar=%v vectorized=%v %q", columnar, vectorized, q.sql)
-				sql := fmt.Sprintf(q.sql, "n")
-				got, e := queryOrErr(dbWith, sql, q.ordered)
-				want, plain := queryOrErr(dbWithout, sql, q.ordered)
-				if got != want || got == "error" {
-					t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, got, want)
+		dbWith := openOver(t, pushBucket, with, pushScale)
+		// Every eligible tail runs pushed: the price is test (d)'s subject.
+		dbWith.Cfg.S3NodeSecPerRow = 0
+		dbWithout := openOver(t, pushBucket, without, pushScale)
+		for _, q := range pushStatements {
+			what := fmt.Sprintf("columnar=%v %q", columnar, q.sql)
+			sql := fmt.Sprintf(q.sql, "n")
+			got, e := queryOrErr(dbWith, sql, q.ordered)
+			want, plain := queryOrErr(dbWithout, sql, q.ordered)
+			if got != want || got == "error" {
+				t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, got, want)
+			}
+			ap := accessOf(e)
+			if pushed := ""; ap != nil && ap.Fallback == "" {
+				if pushed = ap.Pushed; pushed != q.pushed {
+					t.Errorf("%s: ran with %q pushed, want %q\n%s", what, pushed, q.pushed, e.QueryPlan())
 				}
-				ap := accessOf(e)
-				if pushed := ""; ap != nil && ap.Fallback == "" {
-					if pushed = ap.Pushed; pushed != q.pushed {
-						t.Errorf("%s: ran with %q pushed, want %q\n%s", what, pushed, q.pushed, e.QueryPlan())
-					}
-				}
-				// Without the object only a plain aggregation is pushed: it
-				// needs no sample.
-				if pa := accessOf(plain); pa != nil && pa.Pushed != "" && strings.Contains(sql, "GROUP BY") {
-					t.Errorf("%s: pushed %q without a statistics object", what, pa.Pushed)
-				}
-				if strings.Contains(plain.Metrics.Report(), "plan ") {
-					t.Errorf("%s: planning without an object left a phase:\n%s", what, plain.Metrics.Report())
-				}
+			}
+			// Without the object only a plain aggregation is pushed: it
+			// needs no sample.
+			if pa := accessOf(plain); pa != nil && pa.Pushed != "" && strings.Contains(sql, "GROUP BY") {
+				t.Errorf("%s: pushed %q without a statistics object", what, pa.Pushed)
+			}
+			if strings.Contains(plain.Metrics.Report(), "plan ") {
+				t.Errorf("%s: planning without an object left a phase:\n%s", what, plain.Metrics.Report())
 			}
 		}
 	}
@@ -431,25 +429,23 @@ func TestPushedProjection(t *testing.T) {
 		}
 	}
 
-	// A constant per row finishes like any scan, on both operator sets.
+	// A constant per row finishes like any scan.
 	st := store.New()
 	loadPush(t, st, "n", nastyHeader, nastyKinds, nastyRows(), 3, false)
-	for _, vectorized := range []bool{false, true} {
-		db := openOver(t, pushBucket, st, WithVectorized(vectorized))
-		rel, e, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n, SUM(2) AS s FROM n WHERE id > 7")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(rel, true); got != "n|s\n70|140" || !strings.Contains(e.Metrics.Report(), "scan n") {
-			t.Errorf("vectorized=%v: %s\n%s", vectorized, got, e.Metrics.Report())
-		}
+	db := openOver(t, pushBucket, st)
+	rel, e, err := db.QueryContext(context.Background(), "SELECT COUNT(*) AS n, SUM(2) AS s FROM n WHERE id > 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render(rel, true); got != "n|s\n70|140" || !strings.Contains(e.Metrics.Report(), "scan n") {
+		t.Errorf("%s\n%s", got, e.Metrics.Report())
 	}
 
 	// A * beside other items is pushed as one *: the server-side projection
 	// expands it and evaluates the rest, so the pushed scan — plain, and
 	// behind a top-K threshold — answers column for column what the baseline
 	// load of whole rows answers.
-	db := openOver(t, pushBucket, st, pushScale)
+	db = openOver(t, pushBucket, st, pushScale)
 	for _, sql := range []string{
 		"SELECT *, id + 1 AS nxt FROM n WHERE id > 70 ORDER BY score, id",
 		"SELECT *, id + 1 AS nxt FROM n WHERE score < 1000 ORDER BY score DESC, id LIMIT 4",
@@ -605,7 +601,7 @@ var fuzzCells = func() [][]string {
 
 // fuzzInput encodes a table over nastyHeader — id is the row number, every
 // other cell one byte indexing its column's fuzzCells — behind two bytes
-// choosing the layout (partitions, format, operator set) and the statement.
+// choosing the layout (partitions, format) and the statement.
 // A row may be ragged: endRow ends it before its column, and the last cell's
 // byte with pastHeader set adds a cell past the header.
 func fuzzInput(layout, statement byte, rows [][]string) []byte {
@@ -655,7 +651,7 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		parts, columnar, vectorized := 1+int(data[0]%3), data[0]/3%2 == 1, data[0]/6%2 == 1
+		parts, columnar := 1+int(data[0]%3), data[0]/3%2 == 1
 		q := pushStatements[int(data[1])%len(pushStatements)]
 		var rows [][]string
 		for cells := data[2:]; len(cells) >= 5 && len(rows) < 300; cells = cells[5:] {
@@ -687,7 +683,7 @@ func FuzzSingleTablePushdown(f *testing.F) {
 		st := store.New()
 		loadPush(t, st, "n", nastyHeader, kinds, rows, parts, columnar)
 		sql := fmt.Sprintf(q.sql, "n")
-		db := openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized))
+		db := openOver(t, pushBucket, st, pushScale)
 		db.Cfg.S3NodeSecPerRow = 0 // every eligible tail runs pushed
 		got, e := queryOrErr(db, sql, q.ordered)
 		// A top-K statement also runs by hand, sampling the S first rows of
@@ -701,14 +697,14 @@ func FuzzSingleTablePushdown(f *testing.F) {
 			}
 		}
 		dropStats(st, pushBucket, "n")
-		want, _ := queryOrErr(openOver(t, pushBucket, st, pushScale, WithVectorized(vectorized)), sql, q.ordered)
+		want, _ := queryOrErr(openOver(t, pushBucket, st, pushScale), sql, q.ordered)
 		if want != "error" && got != want {
-			t.Fatalf("%q over %d rows in %d partitions, columnar=%v vectorized=%v\nwith the statistics object:\n%s\nwithout:\n%s\n%s",
-				sql, len(rows), parts, columnar, vectorized, got, want, e.QueryPlan())
+			t.Fatalf("%q over %d rows in %d partitions, columnar=%v\nwith the statistics object:\n%s\nwithout:\n%s\n%s",
+				sql, len(rows), parts, columnar, got, want, e.QueryPlan())
 		}
 		if want != "error" && sampled != "" && sampled != want {
-			t.Fatalf("%q over %d rows in %d partitions, columnar=%v vectorized=%v\nsampling %d rows:\n%s\nwithout the statistics object:\n%s\n%s",
-				sql, len(rows), parts, columnar, vectorized, sample, sampled, want, se.QueryPlan())
+			t.Fatalf("%q over %d rows in %d partitions, columnar=%v\nsampling %d rows:\n%s\nwithout the statistics object:\n%s\n%s",
+				sql, len(rows), parts, columnar, sample, sampled, want, se.QueryPlan())
 		}
 		runtime.ReadMemStats(&after)
 		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {

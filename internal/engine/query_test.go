@@ -214,28 +214,26 @@ func TestTextThatIsNotANumberFailsArithmetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "expr: arithmetic on non-numeric STRING and INT"
-	for _, vectorized := range []bool{true, false} {
-		db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)), WithVectorized(vectorized))
-		if err != nil {
-			t.Fatal(err)
+	db, err := Open(testBucket, WithBackend("s3sim", s3api.NewInProc(st)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for where, sql := range map[string]string{
+		"pushed projection":  "SELECT c + 1 FROM t",
+		"pushed WHERE":       "SELECT k FROM t WHERE c + 1 > 0",
+		"server projection":  "SELECT c + 1 AS x FROM t ORDER BY k",
+		"ORDER BY key":       "SELECT k FROM t ORDER BY c + 1",
+		"aggregate argument": "SELECT SUM(c + 1) AS s FROM t",
+		"group key":          "SELECT COUNT(*) AS n FROM t GROUP BY c + 1",
+		"literal":            "SELECT k FROM t WHERE '12abc' + 1 = 13",
+	} {
+		if _, _, err := db.QueryContext(context.Background(), sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s (%s): err = %v, want %q", where, sql, err, want)
 		}
-		for where, sql := range map[string]string{
-			"pushed projection":  "SELECT c + 1 FROM t",
-			"pushed WHERE":       "SELECT k FROM t WHERE c + 1 > 0",
-			"server projection":  "SELECT c + 1 AS x FROM t ORDER BY k",
-			"ORDER BY key":       "SELECT k FROM t ORDER BY c + 1",
-			"aggregate argument": "SELECT SUM(c + 1) AS s FROM t",
-			"group key":          "SELECT COUNT(*) AS n FROM t GROUP BY c + 1",
-			"literal":            "SELECT k FROM t WHERE '12abc' + 1 = 13",
-		} {
-			if _, _, err := db.QueryContext(context.Background(), sql); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("vectorized=%v, %s (%s): err = %v, want %q", vectorized, where, sql, err, want)
-			}
-		}
-		// Text that is a number, space around it or not, computes.
-		rel, _, err := db.QueryContext(context.Background(), "SELECT SUM(c + 1) AS s FROM t WHERE k <> 2")
-		if err != nil || render(rel, true) != "s\n21" {
-			t.Errorf("vectorized=%v: SUM(c + 1) over '12' and ' 7 ' = %v, %v; want 21", vectorized, rel, err)
-		}
+	}
+	// Text that is a number, space around it or not, computes.
+	rel, _, err := db.QueryContext(context.Background(), "SELECT SUM(c + 1) AS s FROM t WHERE k <> 2")
+	if err != nil || render(rel, true) != "s\n21" {
+		t.Errorf("SUM(c + 1) over '12' and ' 7 ' = %v, %v; want 21", rel, err)
 	}
 }

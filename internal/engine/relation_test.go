@@ -43,13 +43,13 @@ func selectOf(t testing.TB, sql string) *sqlparse.Select {
 	return sel
 }
 
-// localRef runs sql over rel on the reference operators, as runLocal runs
-// it, then its ORDER BY: the local operator tests' statement form (the FROM
+// localRef runs sql over rel on the local operators, as runLocal runs it,
+// then its ORDER BY: the local operator tests' statement form (the FROM
 // table is not read).
 func localRef(rel *Relation, sql string) (*Relation, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err == nil {
-		rel, err = runLocal(Operators{}, rel, sel)
+		rel, err = runLocal(rel, sel)
 	}
 	if err == nil && len(sel.OrderBy) > 0 {
 		rel, err = SortLocal(rel, sel.OrderBy)
@@ -201,7 +201,7 @@ func TestAggregateLocalEmptyInput(t *testing.T) {
 func TestHashJoinLocalNullKeys(t *testing.T) {
 	left := relOf([]string{"k", "l"}, [][]string{{"", "a"}, {"1", "b"}})
 	right := relOf([]string{"k2", "r"}, [][]string{{"", "x"}, {"1", "y"}})
-	out, err := (Operators{}).HashJoin(left, right, "k", "k2")
+	out, err := HashJoin(left, right, "k", "k2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,15 +23,15 @@ import (
 
 // Load names a table to load, the columns its plan reads (none: every
 // column) and what its rows meet as each partition decodes (decoder): Where
-// (none: all rows pass), as Operators.Filter over the loaded relation would
-// apply it; with Build, a probe of Build's hash table on BuildKey =
-// ProbeKey, as Operators.HashJoin(Build, <the load without Build>,
-// BuildKey, ProbeKey) and then Operators.Filter by Residual would join and
-// keep them, only a row that joins typing its other cells (probe); with
-// Items, a grouping by GroupBy (none: one plain aggregation) of the rows it
-// would keep, as Operators.GroupBy would group them, with no relation of
-// them built (groupFold). The load answers as those operators would: the
-// same rows or groups in the same order, typed alike, or the same error.
+// (none: all rows pass), as Filter over the loaded relation would apply it;
+// with Build, a probe of Build's hash table on BuildKey = ProbeKey, as
+// HashJoin(Build, <the load without Build>, BuildKey, ProbeKey) and then
+// Filter by Residual would join and keep them, only a row that joins typing
+// its other cells (probe); with Items, a grouping by GroupBy (none: one
+// plain aggregation) of the rows it would keep, as GroupBy would group them,
+// with no relation of them built (groupFold). The load answers as those
+// operators would: the same rows or groups in the same order, typed alike,
+// or the same error.
 type Load struct {
 	Table   string
 	Cols    []string
@@ -146,14 +146,13 @@ type decoder struct {
 	serial             bool          // open parts one at a time until one names a header, which where and fold bind to (a load's)
 	lends              bool          // open decodes each part it opens (run)
 
-	parts   []part
-	header  []string // what where and fold are bound to: a part naming another decodes no row
-	f       *where
-	first   int             // the first part with a header, which folds straight into the block
-	turns   []chan struct{} // a fold bound before the scan (a pushed scan's): turns[i] closes once part i has folded
-	workers int             // one part's decode's worker budget (partWorkers)
-	hashed  sync.Once
-	j       *probe // nil if the build side failed
+	parts  []part
+	header []string // what where and fold are bound to: a part naming another decodes no row
+	f      *where
+	first  int             // the first part with a header, which folds straight into the block
+	turns  []chan struct{} // a fold bound before the scan (a pushed scan's): turns[i] closes once part i has folded
+	hashed sync.Once
+	j      *probe // nil if the build side failed
 
 	decoded, kept, joined int64 // the rows decoded, kept by where and joined by the probe (finish)
 }
@@ -166,7 +165,6 @@ type decoder struct {
 // GET, and where and the fold (a probe's: probeFor) bind to that header.
 func (d *decoder) run(keys []string, open func(ctx context.Context, i int) error) error {
 	d.parts = make([]part, len(keys))
-	d.workers = d.e.partWorkers(len(keys))
 	next := 0 // the parts opened before the fan-out, the last of which decodes inside it
 	for d.serial && next < len(keys) && (next == 0 || d.header == nil) {
 		if next > 0 {
@@ -265,7 +263,7 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 		}
 	}
 	if p.col != nil {
-		err = p.fromColumnar(d.workers)
+		err = p.fromColumnar()
 	} else if err = p.decodeCSV(); err == nil && p.res != nil && p.decoded != p.res.Stats.RowsReturned {
 		err = fmt.Errorf("engine: a %d-byte response body is not the %d rows its stats claim", len(p.res.Body), p.res.Stats.RowsReturned)
 	}
@@ -286,7 +284,7 @@ func (d *decoder) probeFor(header []string) *probe {
 		}
 		j := &probe{build: build, t: &hashTable{}, cols: header, key: sqlparse.NewNames(header).Index(d.probeKey), rest: make([]int, 0, len(header))}
 		if bk := sqlparse.NewNames(build.Cols).Index(d.buildKey); bk >= 0 && j.key >= 0 {
-			j.t = Operators{Workers: d.e.workers()}.hashTable(build.Rows, bk)
+			j.t = newHashTable(build.Rows, bk)
 		}
 		j.key = max(j.key, 0)
 		for c := range header {
@@ -381,9 +379,9 @@ func (d *decoder) finish(err error) (*Relation, error) {
 // where is a load's predicate, bound once to the first kept header (run),
 // or a join's residual, bound to the joined header (probeFor), and only read
 // by every part's decoder: a row types its cells at cols into the part's
-// scratch row, the predicate runs there (expr's rules, as Operators.Filter
-// applies them), and only a row it passes types its other kept cells. err
-// is the binding's, every decoded part's failure then.
+// scratch row, the predicate runs there (expr's rules, as Filter applies
+// them), and only a row it passes types its other kept cells. err is the
+// binding's, every decoded part's failure then.
 type where struct {
 	pred  sqlparse.Expr
 	ev    expr.Evaluator
@@ -755,37 +753,21 @@ func at(keep []int, j int) int {
 	return keep[j]
 }
 
-// partWorkers is the worker budget of one partition's decode inside a
-// fan-out over n partitions, whose decodes already run concurrently: the
-// budget splits across the fan-out, so total decode concurrency matches the
-// Cores budget the cost model prices. That budget (cloudsim.Config.Workers,
-// capped at Cores) is the server's worker pool: the paper's compute node is
-// a 32-core r4.8xlarge, and pushdown only pays off against a server that is
-// itself well-utilized, so row work (columnar chunk decode, top-K heaps,
-// Bloom keys, every local operator's spans) splits across it. Each
-// worker owns a contiguous ascending row range and partial results merge in
-// worker order, so the output is byte-identical to the workers=1 run.
-func (e *Exec) partWorkers(n int) int { return max(e.workers()/max(n, 1), 1) }
-
 // fromColumnar decodes an opened colformat object (the paper's Fig. 11
 // columnar layout) one row group at a time, reading only the kept columns'
-// chunks, each into its one vector by the worker whose span holds it, and
-// runs the group's rows through the load (take) before the next group
-// overwrites the vectors. Rows come from decoded chunks, never from a count
-// a footer claims.
-func (p *part) fromColumnar(workers int) error {
+// chunks, each into its one vector, and runs the group's rows through the
+// load (take) before the next group overwrites the vectors. Rows come from
+// decoded chunks, never from a count a footer claims.
+func (p *part) fromColumnar() error {
 	vecs := make([]*vec.Vector, len(p.cols))
 	var i int // the row being taken
 	cell := func(c int) value.Value { return vecs[c].Value(i) }
 	for g := 0; g < p.col.NumRowGroups(); g++ {
-		err := vec.RunSpans(vec.RowSpans(len(vecs), workers), func(w int, sp vec.Span) (err error) {
-			for c := sp.Lo; c < sp.Hi && err == nil; c++ {
-				vecs[c], _, err = p.col.ReadColumn(g, at(p.keep, c), vecs[c])
+		for c := range vecs {
+			var err error
+			if vecs[c], _, err = p.col.ReadColumn(g, at(p.keep, c), vecs[c]); err != nil {
+				return err
 			}
-			return err
-		})
-		if err != nil {
-			return err
 		}
 		n := 0 // the decoded chunks' length, as vec.NewBatch reads it
 		if len(vecs) > 0 {
@@ -863,8 +845,8 @@ func (e *Exec) selectMetered(name string, stage int, table string, req selecteng
 // (newGroupFold), and the responses fold straight into its block in
 // partition order, as their concatenation would: response i waits for
 // response i-1's fold, and overlaps the selects after it. With d's build
-// side, the relation is Operators.HashJoin(build, <the relation without
-// it>, buildKey, probeKey)'s filtered by d's residual, or its error, and a
+// side, the relation is HashJoin(build, <the relation without it>,
+// buildKey, probeKey)'s filtered by d's residual, or its error, and a
 // fold is bound to the joined header once the build side is in (probeFor).
 func (e *Exec) selectDecoded(st step, table string, req selectengine.Request, d *decoder) (*Relation, error) {
 	keys, err := e.parts(table)

@@ -19,11 +19,11 @@ import (
 // The probing scan: a pushed scan carrying a build side joins each
 // response's rows to the build side's hash table as the response decodes
 // (pushedJoin), and answers as selectMetered over the same request and then
-// Operators.HashJoin do: the same columns, rows in the same order, typed
+// HashJoin do: the same columns, rows in the same order, typed
 // alike, or the same error. Its pairs are also held to the nested-loop
 // oracle over value.Equal (nestedLoopJoin). Its joined rows meet a tail —
-// a residual, then a fold — as they decode, and answer as Operators.Filter
-// and Operators.GroupBy over either join do.
+// a residual, then a fold — as they decode, and answer as Filter
+// and GroupBy over either join do.
 
 // checkSelectProbe compares the probing scan of req over table, its joined
 // rows meeting tail, with selectMetered, HashJoin and the tail's operators'
@@ -35,7 +35,7 @@ func checkSelectProbe(t *testing.T, db *DB, label, table string, req selectengin
 	var want, oracle *Relation
 	rel, wantErr := db.NewExecContext(ctx).selectMetered("scan", 0, table, req, 0)
 	if wantErr == nil {
-		want, wantErr = (Operators{}).HashJoin(build, rel, buildKey, probeKey)
+		want, wantErr = HashJoin(build, rel, buildKey, probeKey)
 		want, wantErr = joinedTail(want, wantErr, tail.residual, tail.fold)
 	}
 	if wantErr == nil {
@@ -65,11 +65,11 @@ func checkSelectProbe(t *testing.T, db *DB, label, table string, req selectengin
 // 2 and 7 partitions (so some responses hold no rows), every column as the
 // probe key, with and without a pushed WHERE (one that keeps no row among
 // them) and a projection, a probing scan answers as selectMetered and then
-// Operators.HashJoin do, and its pairs are the nested loop's: over duplicate
+// HashJoin do, and its pairs are the nested loop's: over duplicate
 // and NULL build keys, padded, float and date spellings, a far date, an
 // empty build side, and a key neither side has. Over every column, its
 // joined rows meeting a residual, a fold or both as they decode (joinTails)
-// answer as Operators.Filter and Operators.GroupBy over either join do, or
+// answer as Filter and GroupBy over either join do, or
 // with the same error.
 func TestSelectProbeMatchesHashJoin(t *testing.T) {
 	ctx := context.Background()
@@ -275,7 +275,7 @@ func TestSelectProbeAllocatesPerMatch(t *testing.T) {
 	materialized := func() {
 		rel, err := db.NewExecContext(context.Background()).selectMetered("scan", 0, "lineitem", req, 0)
 		if err == nil {
-			_, err = (Operators{}).HashJoin(build, rel, "p_partkey", "l_partkey")
+			_, err = HashJoin(build, rel, "p_partkey", "l_partkey")
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -58,14 +58,14 @@ func decodeParts(d *decoder, parts ...part) (*Relation, error) {
 	return d.finish(err)
 }
 
-// loadObject is data decoded as a load decodes a partition of it, on
-// workers: opened, then every row typed.
-func loadObject(data []byte, cols []string, workers int) (*Relation, error) {
+// loadObject is data decoded as a load decodes a partition of it: opened,
+// then every row typed.
+func loadObject(data []byte, cols []string) (*Relation, error) {
 	var p part
 	if err := p.open(data, cols, nil); err != nil {
 		return nil, err
 	}
-	return decodeParts(&decoder{workers: workers}, p)
+	return decodeParts(&decoder{}, p)
 }
 
 // recordsOf is a select response's rows, its body read by a CSV scanner,
@@ -114,7 +114,7 @@ func TestDecodeAllocatesPerChunk(t *testing.T) {
 		for name, run := range map[string]func() error{
 			"response":    func() error { _, err := decodeResponse(context.Background(), &decoder{}, res); return err },
 			"FromStrings": func() error { vec.FromStrings(cols, cells, 2); return nil },
-			"decodeCSV":   func() error { _, err := loadObject(data, nil, 1); return err },
+			"decodeCSV":   func() error { _, err := loadObject(data, nil); return err },
 			"SortLocal":   func() error { _, err := SortLocal(rel, orderBy); return err },
 		} {
 			total := testing.AllocsPerRun(10, func() {
@@ -240,7 +240,7 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRowsDoNotAlias(t, body)
-	rel, err := loadObject(csvx.Encode(cols, cells), nil, 1)
+	rel, err := loadObject(csvx.Encode(cols, cells), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,28 +379,23 @@ func joinSides(n int) (build, probe *Relation) {
 	return build, probe
 }
 
-// joinOperatorSets run the join over one span and over two.
-var joinOperatorSets = map[string]Operators{"one span": {}, "two spans": {Workers: 2}}
-
 // TestHashJoinAllocatesPerJoin pins the join's output to allocations per
-// join, not per row, over one span and two: 16x the output rows cost only
-// the pair lists' few extra doublings.
+// join, not per row: 16x the output rows cost only the pair list's few extra
+// doublings.
 func TestHashJoinAllocatesPerJoin(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	for name, o := range joinOperatorSets {
-		allocs := func(n int) float64 {
-			build, probe := joinSides(n)
-			return testing.AllocsPerRun(5, func() {
-				if out, err := o.HashJoin(build, probe, "k", "fk"); err != nil || len(out.Rows) != n {
-					t.Fatalf("%s: %d rows (%v), want %d", name, len(out.Rows), err, n)
-				}
-			})
-		}
-		if small, large := allocs(1000), allocs(16000); large-small > 32 {
-			t.Errorf("%s: HashJoin allocates %v times for 1k output rows and %v for 16k, want a small constant apart", name, small, large)
-		}
+	allocs := func(n int) float64 {
+		build, probe := joinSides(n)
+		return testing.AllocsPerRun(5, func() {
+			if out, err := HashJoin(build, probe, "k", "fk"); err != nil || len(out.Rows) != n {
+				t.Fatalf("%d rows (%v), want %d", len(out.Rows), err, n)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(16000); large-small > 32 {
+		t.Errorf("HashJoin allocates %v times for 1k output rows and %v for 16k, want a small constant apart", small, large)
 	}
 }
 
@@ -417,9 +412,8 @@ func TestHashJoinKeysAllocateNoValues(t *testing.T) {
 	for _, row := range probe.Rows {
 		row[0] = value.Int(row[0].AsInt() + 1000) // no build key
 	}
-	o := joinOperatorSets["two spans"]
 	perRow := float64(allocatedBytes(func() {
-		if out, err := o.HashJoin(build, probe, "k", "fk"); err != nil {
+		if out, err := HashJoin(build, probe, "k", "fk"); err != nil {
 			t.Fatal(err)
 		} else if len(out.Rows) != 0 {
 			t.Fatalf("%d rows, want none", len(out.Rows))
@@ -443,44 +437,40 @@ func intKeyRel(n, distinct int) *Relation {
 // TestHashJoinAllocatesPerSide pins the join build to allocations per side,
 // not per key: a 16x larger build side, every key distinct, against the same
 // probe costs only the head map's own extra tables more (about one
-// allocation per 500 keys), over one span and two. A list of rows per key
-// cost an allocation per key.
+// allocation per 500 keys). A list of rows per key cost an allocation per
+// key.
 func TestHashJoinAllocatesPerSide(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	probe := intKeyRel(4096, 1000)
-	for name, o := range joinOperatorSets {
-		allocs := func(keys int) float64 {
-			build := intKeyRel(keys, keys)
-			return testing.AllocsPerRun(5, func() {
-				if out, err := o.HashJoin(build, probe, "k", "k"); err != nil || len(out.Rows) != len(probe.Rows) {
-					t.Fatalf("%s, %d keys: %d pairs (%v), want %d", name, keys, len(out.Rows), err, len(probe.Rows))
-				}
-			})
-		}
-		if small, large := allocs(1000), allocs(16000); large-small > 16000/128 {
-			t.Errorf("%s: HashJoin allocates %v times over 1k build keys and %v over 16k, want a small constant apart", name, small, large)
-		}
+	allocs := func(keys int) float64 {
+		build := intKeyRel(keys, keys)
+		return testing.AllocsPerRun(5, func() {
+			if out, err := HashJoin(build, probe, "k", "k"); err != nil || len(out.Rows) != len(probe.Rows) {
+				t.Fatalf("%d keys: %d pairs (%v), want %d", keys, len(out.Rows), err, len(probe.Rows))
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(16000); large-small > 16000/128 {
+		t.Errorf("HashJoin allocates %v times over 1k build keys and %v over 16k, want a small constant apart", small, large)
 	}
 }
 
 // TestJoinedRowsDoNotAlias: a joined row is a window of the join's one
 // array with no spare capacity, so an append to it never reaches the next.
 func TestJoinedRowsDoNotAlias(t *testing.T) {
-	for name, o := range joinOperatorSets {
-		build, probe := joinSides(300)
-		out, err := o.HashJoin(build, probe, "k", "fk")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, row := range out.Rows {
-			if len(row) != 4 || cap(row) != len(row) {
-				t.Fatalf("%s: row %d has len %d cap %d, want 4 and 4", name, k, len(row), cap(row))
-			}
-		}
-		checkRowsDoNotAlias(t, out)
+	build, probe := joinSides(300)
+	out, err := HashJoin(build, probe, "k", "fk")
+	if err != nil {
+		t.Fatal(err)
 	}
+	for k, row := range out.Rows {
+		if len(row) != 4 || cap(row) != len(row) {
+			t.Fatalf("row %d has len %d cap %d, want 4 and 4", k, len(row), cap(row))
+		}
+	}
+	checkRowsDoNotAlias(t, out)
 }
 
 // TestSortLocalIsStable: rows with equal keys keep their input order, in
@@ -542,8 +532,8 @@ func TestBloomProbeRequestPrintsOnce(t *testing.T) {
 
 // TestFilterAllocatesPerKeptRow pins the filter to its output: over n rows
 // it allocates the n-byte keep mask, the kept rows' 24-byte slice headers
-// and a constant (each span's bound row program, and the allocator's
-// rounding of the two arrays), at one span and at four. Building vectors
+// and a constant (the bound row program, and the allocator's rounding of
+// the two arrays). Building vectors
 // from the rows' cells first cost about 20 bytes an input row more.
 func TestFilterAllocatesPerKeptRow(t *testing.T) {
 	if race.Enabled {
@@ -555,17 +545,15 @@ func TestFilterAllocatesPerKeptRow(t *testing.T) {
 		rel.Rows = append(rel.Rows, Row{value.Int(int64(i % 50)), value.Str("x"), value.Float(float64(i) / 2), value.Date(int64(8000 + i%2000))})
 	}
 	pred := selectOf(t, "SELECT * FROM t WHERE d >= '1994-01-01' AND d < '1995-01-01' AND a < 24").Where
-	for _, o := range []Operators{{}, {Workers: 4}} {
-		var kept int
-		got := allocatedBytes(func() {
-			out, err := o.Filter(rel, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept = len(out.Rows)
-		})
-		if want := uint64(n + 24*kept + 16<<10); kept == 0 || got > want {
-			t.Errorf("Workers=%d: filtering %d rows to %d allocates %d bytes, want at most %d", o.Workers, n, kept, got, want)
+	var kept int
+	got := allocatedBytes(func() {
+		out, err := Filter(rel, pred)
+		if err != nil {
+			t.Fatal(err)
 		}
+		kept = len(out.Rows)
+	})
+	if want := uint64(n + 24*kept + 16<<10); kept == 0 || got > want {
+		t.Errorf("filtering %d rows to %d allocates %d bytes, want at most %d", n, kept, got, want)
 	}
 }

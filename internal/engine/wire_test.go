@@ -14,11 +14,10 @@ import (
 )
 
 // Both sides of the wire: the S3 Select engine and PushdownDB's local
-// operators run one SELECT block executor (expr.RowExec), over one span or
-// many. The same rows go through each — as a CSV payload to
-// selectengine.Execute, as a relation of the very values the storage side
-// sees (CSV text, an empty field NULL) to the operators over one span and
-// over three, and folded as a grouped scan folds them — and the rendered
+// operators run one SELECT block executor (expr.RowExec). The same rows go
+// through each — as a CSV payload to selectengine.Execute, as a relation of
+// the very values the storage side sees (CSV text, an empty field NULL) to
+// the operators, and folded as a grouped scan folds them — and the rendered
 // columns, rows and error text must be identical.
 
 var (
@@ -71,16 +70,16 @@ func wireRelation() *Relation {
 	return rel
 }
 
-// runLocal runs sel's SELECT block with the operator set.
-func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
-	rel, err := o.Filter(rel, sel.Where)
+// runLocal runs sel's SELECT block with the local operators.
+func runLocal(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
+	rel, err := Filter(rel, sel.Where)
 	switch {
 	case err != nil:
 		return nil, err
 	case len(sel.GroupBy) > 0 || sel.HasAggregates():
-		return o.GroupBy(rel, sel.GroupBy, sel.Items)
+		return GroupBy(rel, sel.GroupBy, sel.Items)
 	}
-	return o.Project(rel, sel.Items)
+	return Project(rel, sel.Items)
 }
 
 // runFolded runs sel's SELECT block as a grouped scan does: the filtered
@@ -88,11 +87,10 @@ func runLocal(o Operators, rel *Relation, sel *sqlparse.Select) (*Relation, erro
 // one block groupFold binds to their columns, which the scan's tail
 // finishes. A block that groups nothing runs as runLocal runs it.
 func runFolded(t *testing.T, rel *Relation, sel *sqlparse.Select) (*Relation, error) {
-	o := Operators{Workers: 2}
 	if !grouped(sel) {
-		return runLocal(o, rel, sel)
+		return runLocal(rel, sel)
 	}
-	rel, err := o.Filter(rel, sel.Where)
+	rel, err := Filter(rel, sel.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -127,9 +125,8 @@ func TestBothSidesOfTheWire(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		for name, run := range map[string]func() (*Relation, error){
-			"one span":    func() (*Relation, error) { return runLocal(Operators{}, rel, sel) },
-			"three spans": func() (*Relation, error) { return runLocal(Operators{Workers: 3}, rel, sel) },
-			"folded":      func() (*Relation, error) { return runFolded(t, rel, sel) },
+			"local":  func() (*Relation, error) { return runLocal(rel, sel) },
+			"folded": func() (*Relation, error) { return runFolded(t, rel, sel) },
 		} {
 			got, gotErr := run()
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -172,9 +169,9 @@ func TestReferenceAllocatesNothingPerRow(t *testing.T) {
 	pred := selectOf(t, "SELECT * FROM t WHERE v > 100 OR g = 'none'").Where
 	grouped := selectOf(t, "SELECT g, COUNT(*) AS n, SUM(v) AS s, MAX(k) AS hi FROM t GROUP BY g, v % 2")
 	for name, op := range map[string]func(*Relation) (*Relation, error){
-		"Filter": func(rel *Relation) (*Relation, error) { return Operators{}.Filter(rel, pred) },
+		"Filter": func(rel *Relation) (*Relation, error) { return Filter(rel, pred) },
 		"GroupBy": func(rel *Relation) (*Relation, error) {
-			return Operators{}.GroupBy(rel, grouped.GroupBy, grouped.Items)
+			return GroupBy(rel, grouped.GroupBy, grouped.Items)
 		},
 	} {
 		allocs := func(rel *Relation) float64 {

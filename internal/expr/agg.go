@@ -14,8 +14,8 @@ import (
 //
 // Float sums accumulate exactly, rounding once at Final, so the result is
 // independent of accumulation and merge order — the property the
-// worker-parallel operators and partition-parallel scans rely on for
-// byte-identical results at any parallelism. The exact sum is held as a
+// partition-parallel scans rely on for byte-identical results however
+// their partitions cut the rows. The exact sum is held as a
 // short expansion (parts) while it fits one, which costs no allocation, and
 // past that in a high-precision big.Float, which holds the exact sum of any
 // set of float64s.

@@ -59,7 +59,8 @@ func (t *groupTable) start() *groupTable {
 }
 
 // partial returns an empty table over t's keys and items, sharing t's
-// read-only bindings, for a worker to fill and merge to fold back.
+// read-only bindings, for one partition's rows to fill and merge to fold
+// back.
 func (t *groupTable) partial() *groupTable {
 	return (&groupTable{ev: t.ev, fin: t.fin, keys: t.keys, final: t.final, aggs: t.aggs, index: map[string]*group{}}).start()
 }
@@ -102,9 +103,9 @@ func (t *groupTable) add(g *group, row []value.Value) error {
 	return nil
 }
 
-// merge folds o — a partial of t, typically one worker's — into t. Groups t
-// has not seen are adopted in o's order, so merging partials of contiguous
-// row spans in span order reproduces the sequential first-seen order.
+// merge folds o — a partial of t, typically one partition's — into t. Groups
+// t has not seen are adopted in o's order, so merging partials of contiguous
+// row runs in order reproduces the sequential first-seen order.
 func (t *groupTable) merge(o *groupTable) error {
 	for _, g := range o.order {
 		m, ok := t.index[g.key]
@@ -319,7 +320,7 @@ func (x *RowExec) Add(row []value.Value) error {
 }
 
 // Partial returns an empty block over aggregation x's binding, keys and
-// items, for a worker to fill with a span of x's input; Merge folds it back.
+// items, for one partition's share of x's input; Merge folds it back.
 // It shares x's binding, which no row writes: a partial costs its table and
 // key buffers, whatever the statement.
 func (x *RowExec) Partial() *RowExec {
@@ -328,8 +329,8 @@ func (x *RowExec) Partial() *RowExec {
 
 // Merge folds o, a Partial of x fed the rows after x's, into x's groups.
 // Groups x has not seen follow its own in o's first-seen order, so merging
-// the partials of ascending spans in span order groups as one block fed
-// every row would.
+// the partials of ascending row runs in order groups as one block fed every
+// row would.
 func (x *RowExec) Merge(o *RowExec) error { return x.table.merge(o.table) }
 
 // Finish emits an aggregation's output rows; a projection has already

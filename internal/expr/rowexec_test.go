@@ -120,8 +120,8 @@ func TestProjectionRejectsAggregatesAndBareStar(t *testing.T) {
 	}
 }
 
-// TestGroupsMergeKeepsFirstSeenOrder: merging span partials in span order
-// yields the group order one sequential pass would have.
+// TestGroupsMergeKeepsFirstSeenOrder: merging partials of contiguous row
+// runs in order yields the group order one sequential pass would have.
 func TestGroupsMergeKeepsFirstSeenOrder(t *testing.T) {
 	sel, _ := sqlparse.Parse("SELECT g, SUM(v) FROM t GROUP BY g")
 	items := sqlparse.ItemExprs(sel.Items)

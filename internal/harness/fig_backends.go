@@ -54,8 +54,8 @@ func RunBackends(ctx context.Context, env *Env) (*Result, error) {
 	sameOnEveryBackend := acrossX(sameRows)
 	for _, profile := range BackendProfiles() {
 		if _, err := res.sweep(ctx, env.TPCH(s3api.WithProfile(profile)), []string{profile.Name}, func(db *engine.DB, _ int) ([]series, check) {
-			// Full worker budget: server-side parse and row work run across
-			// all 32 cores, so the backend link is what differentiates.
+			// Full worker budget: server-side parse and row work are priced
+			// across all 32 cores, so the backend link is what differentiates.
 			db.Cfg.Workers = db.Cfg.Cores
 			return []series{{name: "Planner", run: query(db, listing2SQL(loosestAcctbal, "")), note: planned(true)}}, sameOnEveryBackend
 		}); err != nil {

@@ -11,10 +11,11 @@ import (
 // figure: 1 (the sequential seed server) up to the paper node's 32 cores.
 var ParallelWorkerCounts = []int{1, 2, 4, 8, 16, 32}
 
-// RunParallel sweeps the server's worker budget and reports (a) the
-// server-side group-by baseline, whose load-parse and row work dominate
-// and therefore speed up with the budget until the network transfer
-// bound, and (b) what the cost-based join planner chooses for the
+// RunParallel sweeps the server's worker budget — which the virtual clock
+// and the planner price row work at, and which starts no goroutine — and
+// reports (a) the server-side group-by baseline, whose load-parse and row
+// work dominate and therefore speed up with the budget until the network
+// transfer bound, and (b) what the cost-based join planner chooses for the
 // Listing-2 join at the same budgets. A faster server makes the baseline
 // join's full-table loads cheaper relative to S3-side pushdown, so the
 // planner's strategy flips from bloom toward baseline as workers grow —

@@ -12,16 +12,18 @@ import (
 // execution, not scan or decode.
 
 // VecBenchFixture holds the materialized relations the cases run over.
+// Workers is inert: each operator is one loop over its rows. It stays only
+// because bench/ sets it; ROADMAP direction 1(a) deletes it.
 type VecBenchFixture struct {
 	Lineitem *engine.Relation
 	Part     *engine.Relation
 	Workers  int
 }
 
-// VecBenchCase is one operator: Run executes it once over the fixture's
-// worker count of spans or, with spans false, over one span, and reports
-// the output row count (a cheap checksum the callers compare across the
-// two).
+// VecBenchCase is one operator: Run executes it once over the fixture and
+// reports the output row count (a cheap checksum). Its bool argument is
+// inert, kept only because bench/ passes it; ROADMAP direction 1(a)
+// deletes it.
 type VecBenchCase struct {
 	Name string
 	Run  func(f *VecBenchFixture, spans bool) (int, error)
@@ -41,13 +43,9 @@ func VecBenchCases() []VecBenchCase {
 	if err != nil {
 		panic(err) // a constant: only a bug can break it
 	}
-	run := func(op func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error)) func(*VecBenchFixture, bool) (int, error) {
-		return func(f *VecBenchFixture, spans bool) (int, error) {
-			o := engine.Operators{}
-			if spans {
-				o.Workers = f.Workers
-			}
-			out, err := op(o, f)
+	run := func(op func(f *VecBenchFixture) (*engine.Relation, error)) func(*VecBenchFixture, bool) (int, error) {
+		return func(f *VecBenchFixture, _ bool) (int, error) {
+			out, err := op(f)
 			if err != nil {
 				return 0, err
 			}
@@ -55,14 +53,14 @@ func VecBenchCases() []VecBenchCase {
 		}
 	}
 	return []VecBenchCase{
-		{Name: "filter", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
-			return o.Filter(f.Lineitem, sel.Where)
+		{Name: "filter", Run: run(func(f *VecBenchFixture) (*engine.Relation, error) {
+			return engine.Filter(f.Lineitem, sel.Where)
 		})},
-		{Name: "groupby", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
-			return o.GroupBy(f.Lineitem, sel.GroupBy, sel.Items)
+		{Name: "groupby", Run: run(func(f *VecBenchFixture) (*engine.Relation, error) {
+			return engine.GroupBy(f.Lineitem, sel.GroupBy, sel.Items)
 		})},
-		{Name: "join", Run: run(func(o engine.Operators, f *VecBenchFixture) (*engine.Relation, error) {
-			return o.HashJoin(f.Part, f.Lineitem, "p_partkey", "l_partkey")
+		{Name: "join", Run: run(func(f *VecBenchFixture) (*engine.Relation, error) {
+			return engine.HashJoin(f.Part, f.Lineitem, "p_partkey", "l_partkey")
 		})},
 	}
 }

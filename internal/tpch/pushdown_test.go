@@ -91,9 +91,7 @@ func TestSingleTablePushdown(t *testing.T) {
 	}
 
 	// Test (a) on TPC-H, and the old path: without the object every keyed
-	// statement runs the scan and the local tail it always ran. One plain
-	// answer per statement serves both operator sets, which the vec/row
-	// batteries hold to the same bytes.
+	// statement runs the scan and the local tail it always ran.
 	dbWithout := open(without)
 	for _, table := range []string{"lineitem", "lineitem_col"} {
 		for _, q := range pushdownStatements {
@@ -109,18 +107,16 @@ func TestSingleTablePushdown(t *testing.T) {
 			if got := phaseNames(plain); got != wantPhases {
 				t.Errorf("%s over %s without the statistics object: phases %s, want %s", q.name, table, got, wantPhases)
 			}
-			for _, vectorized := range []bool{false, true} {
-				what := fmt.Sprintf("%s over %s, vectorized=%v", q.name, table, vectorized)
-				got, e, err := open(with, engine.WithVectorized(vectorized)).QueryContext(ctx, sql)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if g, w := renderRows(got, q.ordered), renderRows(want, q.ordered); g != w {
-					t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, g, w)
-				}
-				if ap := e.QueryPlan().Scans[0].Access; ap == nil || ap.Pushed != q.pushed || ap.Fallback != "" {
-					t.Errorf("%s: want %q pushed and its check to hold:\n%s", what, q.pushed, e.QueryPlan())
-				}
+			what := fmt.Sprintf("%s over %s", q.name, table)
+			got, e, err := open(with).QueryContext(ctx, sql)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if g, w := renderRows(got, q.ordered), renderRows(want, q.ordered); g != w {
+				t.Errorf("%s: answers differ\nwith the statistics object:\n%s\nwithout:\n%s", what, g, w)
+			}
+			if ap := e.QueryPlan().Scans[0].Access; ap == nil || ap.Pushed != q.pushed || ap.Fallback != "" {
+				t.Errorf("%s: want %q pushed and its check to hold:\n%s", what, q.pushed, e.QueryPlan())
 			}
 		}
 	}

@@ -37,9 +37,9 @@ func Queries() []Query {
 // (engine.Load's Where) — Q1 and Q6 grouping them as they decode, too
 // (engine.Load's Items), and the joins' probe sides probing the table
 // loaded before them (engine.Load's Build), so a join's probe side is never
-// a relation — and run the server's operators over one span
-// (engine.Operators{}) over the rest of what each statement, and Q17's and
-// Q19's extra fragments, parse to: once per process, here.
+// a relation — and run the server's operators (engine.HashJoin, GroupBy,
+// Filter) over the rest of what each statement, and Q17's and Q19's extra
+// fragments, parse to: once per process, here.
 var (
 	q1, q3    = must(sqlparse.Parse(q1SQL)), must(sqlparse.Parse(q3SQL))
 	q6, q14   = must(sqlparse.Parse(q6SQL)), must(sqlparse.Parse(q14SQL))
@@ -58,9 +58,6 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
-
-// local is the one-span operator set every Baseline runs.
-var local engine.Operators
 
 // planned runs sql through the planner: what is pushed to S3, and how each
 // join runs, is PushdownDB's choice.
@@ -217,7 +214,7 @@ func Q17Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 	if err != nil {
 		return nil, e, err
 	}
-	joined, err := local.HashJoin(part, line, "p_partkey", "l_partkey")
+	joined, err := engine.HashJoin(part, line, "p_partkey", "l_partkey")
 	if err != nil {
 		return nil, e, err
 	}
@@ -227,19 +224,19 @@ func Q17Optimized(db *engine.DB) (*engine.Relation, *engine.Exec, error) {
 
 // q17Finish computes Q17's correlated average over part joined to lineitem.
 func q17Finish(joined *engine.Relation) (*engine.Relation, error) {
-	avg, err := local.GroupBy(joined, q17Avg.GroupBy, q17Avg.Items)
+	avg, err := engine.GroupBy(joined, q17Avg.GroupBy, q17Avg.Items)
 	if err != nil {
 		return nil, err
 	}
-	withAvg, err := local.HashJoin(joined, avg, "p_partkey", "avg_key")
+	withAvg, err := engine.HashJoin(joined, avg, "p_partkey", "avg_key")
 	if err != nil {
 		return nil, err
 	}
-	small, err := local.Filter(withAvg, q17Small.Where)
+	small, err := engine.Filter(withAvg, q17Small.Where)
 	if err != nil {
 		return nil, err
 	}
-	return local.GroupBy(small, nil, q17Small.Items)
+	return engine.GroupBy(small, nil, q17Small.Items)
 }
 
 // --- Q19: discounted revenue ---

@@ -10,12 +10,10 @@ import (
 	"pushdowndb/internal/store"
 )
 
-// Vectorized-vs-row differential over the TPC-H goldens: the same query set
-// on the same dataset must render byte-identically through the vectorized
-// local operators (the default goldenDB path, which TestGoldenQueries
-// already pins against checked-in answers) and through the row-at-a-time
-// path, cold and warm. Under -race this also exercises the vec kernels'
-// span-parallel bitmap writes on real query shapes.
+// The TPC-H goldens through the result cache: the same query set on the
+// same dataset must render the checked-in answers (which TestGoldenQueries
+// pins without a cache) cold, when every select response fills the cache,
+// and warm, when every one is served from it.
 func TestGoldenVecRowDifferential(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are being rewritten")
@@ -25,17 +23,12 @@ func TestGoldenVecRowDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(vectorized bool) *engine.DB {
-		db, err := engine.Open(ds.Bucket,
-			engine.WithBackend("s3sim", s3api.NewInProc(st)),
-			engine.WithResultCache(64<<20),
-			engine.WithVectorized(vectorized))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
+	db, err := engine.Open(ds.Bucket,
+		engine.WithBackend("s3sim", s3api.NewInProc(st)),
+		engine.WithResultCache(64<<20))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dbVec, dbRow := open(true), open(false)
 	for _, q := range goldenQueries {
 		t.Run(q.name, func(t *testing.T) {
 			want, err := os.ReadFile(goldenPath(q.name))
@@ -43,20 +36,12 @@ func TestGoldenVecRowDifferential(t *testing.T) {
 				t.Fatalf("missing golden (regenerate with -update): %v", err)
 			}
 			for _, pass := range []string{"cold", "warm"} {
-				vecRel, _, err := dbVec.QueryContext(context.Background(), q.sql)
+				rel, _, err := db.QueryContext(context.Background(), q.sql)
 				if err != nil {
-					t.Fatalf("vec %s: %v", pass, err)
+					t.Fatalf("%s: %v", pass, err)
 				}
-				rowRel, _, err := dbRow.QueryContext(context.Background(), q.sql)
-				if err != nil {
-					t.Fatalf("row %s: %v", pass, err)
-				}
-				vecOut, rowOut := renderGolden(vecRel), renderGolden(rowRel)
-				if vecOut != rowOut {
-					t.Errorf("%s: vectorized differs from row path\nvec:\n%s\nrow:\n%s", pass, vecOut, rowOut)
-				}
-				if vecOut != string(want) {
-					t.Errorf("%s: vectorized answer drifted from golden\ngot:\n%s\nwant:\n%s", pass, vecOut, want)
+				if got := renderGolden(rel); got != string(want) {
+					t.Errorf("%s: answer drifted from golden\ngot:\n%s\nwant:\n%s", pass, got, want)
 				}
 			}
 		})

@@ -1,9 +1,10 @@
 // Package vec holds the typed column vectors PushdownDB decodes columnar
 // data into (int64/float64/string/bool/date payloads plus null bitmaps, or
-// boxed values for a column that mixes kinds) and the worker spans every
-// parallel row loop runs on, here and in the engine. It has no operators:
-// every filter, projection, group-by and join runs on the engine's row path
-// (engine.Operators), and no engine code builds a vector from rows. The
+// boxed values for a column that mixes kinds). It has no operators: every
+// filter, projection, group-by and join runs on the engine's row path
+// (engine.Filter, Project, GroupBy, HashJoin), one loop over the rows, and
+// no engine code builds a vector from rows. Only the benchmark's row↔vector
+// converters (FromStrings, FromRows) split their columns across workers. The
 // decoders lay every column out through one rule (Vector.put), and the
 // differential and fuzz tests pin each vector's cells to the row path's.
 package vec

@@ -12,14 +12,13 @@ import (
 // input's bytes. Every row is as wide as cols (value.CSVCell).
 func FromStrings(cols []string, rows [][]string, workers int) *Batch {
 	b := &Batch{Cols: cols, Vecs: make([]*Vector, len(cols)), n: len(rows), names: sqlparse.NewNames(cols)}
-	RunSpans(colSpans(len(cols), workers), func(w int, sp Span) error {
+	runSpans(spans(len(cols), workers), func(sp span) {
 		for c := sp.Lo; c < sp.Hi; c++ {
 			b.Vecs[c] = NewVector(value.KindNull, len(rows))
 			for i, r := range rows {
 				b.Vecs[c].put(i, value.CSVCell(r, c))
 			}
 		}
-		return nil
 	})
 	return b
 }

@@ -2,17 +2,18 @@ package vec
 
 import "sync"
 
-// The worker pool every parallel row loop runs on, here and in the engine:
-// workers own contiguous ascending ranges and partial results merge in
-// worker order, so output (and the first error surfaced) is identical for
-// every worker budget, including the sequential workers=1 run.
+// The worker pool the bench-only converters (FromStrings, FromRows) split
+// their columns across: workers own contiguous ascending ranges, so output
+// is identical for every worker budget, including the sequential workers=1
+// run. The engine starts no goroutine here: its parallelism is per
+// partition.
 
-// Span is one worker's contiguous half-open range [Lo, Hi).
-type Span struct{ Lo, Hi int }
+// span is one worker's contiguous half-open range [Lo, Hi).
+type span struct{ Lo, Hi int }
 
-// RowSpans partitions n rows into at most workers contiguous spans of
-// near-equal size, in ascending row order.
-func RowSpans(n, workers int) []Span {
+// spans partitions n columns into at most workers contiguous spans of
+// near-equal size, in ascending order.
+func spans(n, workers int) []span {
 	if workers < 1 {
 		workers = 1
 	}
@@ -22,7 +23,7 @@ func RowSpans(n, workers int) []Span {
 	if n == 0 {
 		return nil
 	}
-	sps := make([]Span, 0, workers)
+	sps := make([]span, 0, workers)
 	per := n / workers
 	extra := n % workers // the first `extra` spans get one more row
 	lo := 0
@@ -31,39 +32,26 @@ func RowSpans(n, workers int) []Span {
 		if w < extra {
 			hi++
 		}
-		sps = append(sps, Span{Lo: lo, Hi: hi})
+		sps = append(sps, span{Lo: lo, Hi: hi})
 		lo = hi
 	}
 	return sps
 }
 
-// colSpans partitions column indexes across workers (column-parallel
-// decode and conversion).
-func colSpans(cols, workers int) []Span { return RowSpans(cols, workers) }
-
-// RunSpans executes fn(w, span) for every span, one goroutine per span, and
-// returns the first error in span order. A single span runs inline.
-func RunSpans(sps []Span, fn func(w int, sp Span) error) error {
-	if len(sps) == 0 {
-		return nil
-	}
+// runSpans executes fn(sp) for every span, one goroutine per span. A single
+// span runs inline.
+func runSpans(sps []span, fn func(sp span)) {
 	if len(sps) == 1 {
-		return fn(0, sps[0])
+		fn(sps[0])
+		return
 	}
-	errs := make([]error, len(sps))
 	var wg sync.WaitGroup
-	for w := range sps {
+	for _, sp := range sps {
 		wg.Add(1)
-		go func(w int) {
+		go func(sp span) {
 			defer wg.Done()
-			errs[w] = fn(w, sps[w])
-		}(w)
+			fn(sp)
+		}(sp)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

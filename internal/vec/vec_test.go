@@ -30,21 +30,21 @@ func TestBitmapBasics(t *testing.T) {
 func TestRowSpans(t *testing.T) {
 	cases := []struct {
 		n, w int
-		want []Span
+		want []span
 	}{
 		{0, 4, nil},
-		{10, 1, []Span{{0, 10}}},
-		{10, 3, []Span{{0, 4}, {4, 7}, {7, 10}}},
-		{3, 8, []Span{{0, 1}, {1, 2}, {2, 3}}},
-		{5, 0, []Span{{0, 5}}},
+		{10, 1, []span{{0, 10}}},
+		{10, 3, []span{{0, 4}, {4, 7}, {7, 10}}},
+		{3, 8, []span{{0, 1}, {1, 2}, {2, 3}}},
+		{5, 0, []span{{0, 5}}},
 	}
 	for _, c := range cases {
-		got := RowSpans(c.n, c.w)
+		got := spans(c.n, c.w)
 		if len(got) == 0 {
 			got = nil
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("RowSpans(%d,%d)=%v want %v", c.n, c.w, got, c.want)
+			t.Errorf("spans(%d,%d)=%v want %v", c.n, c.w, got, c.want)
 		}
 	}
 }

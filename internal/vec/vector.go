@@ -248,13 +248,12 @@ func FromColumn[R ~[]value.Value](rows []R, c int) *Vector {
 func FromRowsProjected[R ~[]value.Value](allCols []string, rows []R, keep []int, workers int) *Batch {
 	cols := make([]string, len(keep))
 	vecs := make([]*Vector, len(keep))
-	RunSpans(colSpans(len(keep), workers), func(w int, sp Span) error {
+	runSpans(spans(len(keep), workers), func(sp span) {
 		for k := sp.Lo; k < sp.Hi; k++ {
 			c := keep[k]
 			cols[k] = allCols[c]
 			vecs[k] = FromColumn(rows, c)
 		}
-		return nil
 	})
 	return &Batch{Cols: cols, Vecs: vecs, n: len(rows), names: sqlparse.NewNames(allCols), keep: keep}
 }
