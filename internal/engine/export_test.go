@@ -22,3 +22,6 @@ func DiffSQL() []string {
 	}
 	return out
 }
+
+// RankRows is TestTopKTailMatchesSortLimit's table of n rows.
+func RankRows(n int) [][]string { return rankRows(n) }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -241,48 +242,125 @@ func joinRows(left, right *Relation, pairs []joinPair) *Relation {
 	return out
 }
 
-// SortLocal orders rows by the given keys (stable).
+// SortLocal orders rows by the given keys (stable): TopKLocal keeping every
+// row.
 func SortLocal(rel *Relation, orderBy []sqlparse.OrderItem) (*Relation, error) {
-	type keyed struct {
-		keys Row
-		row  Row
+	return TopKLocal(rel, orderBy, -1)
+}
+
+// TopKLocal is the first k rows (k < 0: all) of rel stably sorted by the
+// given keys, ranked by a topRows that holds at most k of them: every row's
+// keys evaluate, in order, so an error is the lowest erroring row's.
+func TopKLocal(rel *Relation, orderBy []sqlparse.OrderItem, k int) (*Relation, error) {
+	sk := newSortKeys(rel.Cols, orderBy)
+	if sk.err != nil {
+		return nil, sk.err
 	}
-	keyExprs := make([]sqlparse.Expr, len(orderBy))
-	for j, o := range orderBy {
-		keyExprs[j] = o.Expr
-	}
-	ks := make([]keyed, 0, len(rel.Rows))
-	var slab arena.Slab[value.Value]
-	slab.Grow(len(rel.Rows) * len(orderBy))
-	var i int
-	x, err := expr.NewProjection(rel.Cols, nil, keyExprs, func(keys []value.Value) error {
-		own := slab.Make(len(keys)) // the executor reuses keys
-		copy(own, keys)
-		ks = append(ks, keyed{keys: own, row: rel.Rows[i]})
-		return nil
-	})
-	if err == nil {
-		err = runRows(x, rel, &i)
-	}
-	if err != nil {
-		return nil, err
-	}
-	slices.SortStableFunc(ks, func(a, b keyed) int {
-		for j, o := range orderBy {
-			if c := value.Compare(a.keys[j], b.keys[j]); c != 0 {
-				if o.Desc {
-					c = -c
-				}
-				return c
-			}
+	t := topRows{order: orderBy, k: k}
+	t.expect(len(rel.Rows), len(orderBy))
+	keys := make([]value.Value, len(orderBy))
+	for i, row := range rel.Rows {
+		if err := sk.eval(row, keys); err != nil {
+			return nil, err
 		}
-		return 0
-	})
-	out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(ks))}
-	for i, k := range ks {
-		out.Rows[i] = k.row
+		t.add(keys, int64(i), len(keys))
+	}
+	top := t.sorted()
+	out := &Relation{Cols: rel.Cols, Rows: make([]Row, len(top))}
+	for i, r := range top {
+		out.Rows[i] = rel.Rows[r.seq]
 	}
 	return out, nil
+}
+
+// topRows ranks rows by their sort keys and then by their order of arrival
+// (seq), holding the k best (k < 0: every one) in slots of their own, keys
+// first. Once k are held it is a max-heap, its worst row on top, which a
+// better row replaces; below k it only collects, so a sort of every row
+// builds no heap. A slot is cut from a slab as a row is admitted: a ranking
+// holds no more than the rows it admits, whatever its k.
+type topRows struct {
+	order []sqlparse.OrderItem
+	k     int
+	held  []ranked
+	slab  arena.Slab[value.Value]
+}
+
+// ranked is a held row: its slot and its order of arrival.
+type ranked struct {
+	cells []value.Value
+	seq   int64
+}
+
+// add offers the row arriving as seq with keys, and returns the slot of w
+// cells it now holds, keys filled, for the caller to fill the rest; nil if
+// it ranks below the k held. seq must ascend from call to call.
+func (t *topRows) add(keys []value.Value, seq int64, w int) []value.Value {
+	if t.k < 0 || len(t.held) < t.k {
+		slot := t.slab.Make(w)
+		copy(slot, keys)
+		t.held = append(t.held, ranked{slot, seq})
+		for i := len(t.held)/2 - 1; len(t.held) == t.k && i >= 0; i-- {
+			t.down(i) // k held: heapify them
+		}
+		return slot
+	}
+	if t.k == 0 || t.compare(keys, seq, t.held[0]) >= 0 {
+		return nil
+	}
+	top := &t.held[0]
+	slot := top.cells
+	copy(slot, keys)
+	top.seq = seq
+	t.down(0)
+	return slot
+}
+
+// expect makes the slots of the next rows rows of w cells, as many as t
+// can hold, come from one array, and their places in held from another.
+func (t *topRows) expect(rows, w int) {
+	if t.k >= 0 {
+		rows = min(rows, t.k)
+	}
+	t.slab.Grow(rows * w)
+	t.held = slices.Grow(t.held, rows)
+}
+
+// compare orders the row with keys arriving as seq against r: keys by
+// value.Compare, each DESC one reversed, then arrival.
+func (t *topRows) compare(keys []value.Value, seq int64, r ranked) int {
+	for j, o := range t.order {
+		if c := value.Compare(keys[j], r.cells[j]); c != 0 {
+			if o.Desc {
+				c = -c
+			}
+			return c
+		}
+	}
+	return cmp.Compare(seq, r.seq)
+}
+
+// down sifts held[i] down the max-heap.
+func (t *topRows) down(i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(t.held) && t.compare(t.held[c].cells, t.held[c].seq, t.held[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		t.held[i], t.held[worst] = t.held[worst], t.held[i]
+		i = worst
+	}
+}
+
+// sorted returns the rows held, best first.
+func (t *topRows) sorted() []ranked {
+	slices.SortFunc(t.held, func(a, b ranked) int { return t.compare(a.cells, a.seq, b) })
+	return t.held
 }
 
 // runOp is the one point where query execution reaches a local operator:

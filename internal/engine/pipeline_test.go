@@ -816,7 +816,7 @@ func baselineAnswer(t *testing.T, db *DB, sql string) *Relation {
 		rel, err = Filter(rel, p.Residual)
 	}
 	if err == nil {
-		rel, err = e.finishTail(p.Sel, rel, nil)
+		rel, err = e.finishTail(p.Sel, rel, nil, nil)
 	}
 	if err != nil {
 		t.Fatalf("%s: baseline: %v", sql, err)

@@ -667,7 +667,7 @@ func (e *Exec) runJoins(p *QueryPlan) (*Relation, error) {
 		sc.sp.SetFloat("actual_usd", st.ActualUSD)
 		sc.end(nil)
 	}
-	return e.finishTail(p.Sel, cur, tail.fold)
+	return e.finishTail(p.Sel, cur, tail.fold, nil)
 }
 
 // runFirstJoin executes the first step (two base tables) with the chosen

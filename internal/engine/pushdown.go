@@ -191,7 +191,7 @@ func (e *Exec) planTail(sel *sqlparse.Select, kind string, ts *statsObj, stage i
 		}
 		return filtered
 	}
-	if ap.NotPushed = oneClass(exprs, rows, nkeys); ap.NotPushed != "" {
+	if ap.NotPushed = oneClass(exprs, nkeys, rows); ap.NotPushed != "" {
 		return filtered
 	}
 	if nkeys == 0 {
@@ -267,37 +267,39 @@ func keyProbe(sel *sqlparse.Select, exprs []sqlparse.Expr, limit int64) *sqlpars
 // (oneClass); then topKPush reads the threshold off rows' first key. It
 // says why there is none.
 func (db *DB) topKThreshold(sel *sqlparse.Select, keys []sqlparse.Expr, rows, more []Row, ap *AccessPlan) (why string) {
-	if why = oneClass(keys, slices.Concat(rows, more), 0); why != "" {
+	if why = oneClass(keys, 0, rows, more); why != "" {
 		return why
 	}
 	return db.topKPush(sel, keys[0], rows, ap)
 }
 
 // oneClass names the first of exprs[from:] whose non-NULL sample cells —
-// rows holds every expression's — are not all numbers, all dates, or all text
+// each of rows holds every expression's — are not all numbers, all dates, or all text
 // that does not read as a number, and is "" when there is none. Within a
 // class comparison is one total order on both sides of the wire; across them
 // it is not an order at all (9 < 10 as numbers, 10 < 5x and 5x < 9 as text),
 // and storage compares a CSV cell as text where the server compares the typed
 // cell it decodes — so what a threshold keeps, what a stable sort makes of the
 // survivors, and which cell is a partition's MIN would depend on the path.
-func oneClass(exprs []sqlparse.Expr, rows []Row, from int) (why string) {
+func oneClass(exprs []sqlparse.Expr, from int, rows ...[]Row) (why string) {
 	for col := from; col < len(exprs); col++ {
 		class := value.KindNull
-		for _, r := range rows {
-			v := r[col]
-			if v.IsNull() {
-				continue
+		for _, rs := range rows {
+			for _, r := range rs {
+				v := r[col]
+				if v.IsNull() {
+					continue
+				}
+				k := v.Kind()
+				if k == value.KindFloat {
+					k = value.KindInt
+				}
+				// " 5" is text to the loader, a number to a comparison.
+				if _, numeric := value.CoerceNum(v); k == value.KindString && numeric || class != value.KindNull && k != class {
+					return fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[col])
+				}
+				class = k
 			}
-			k := v.Kind()
-			if k == value.KindFloat {
-				k = value.KindInt
-			}
-			// " 5" is text to the loader, a number to a comparison.
-			if _, numeric := value.CoerceNum(v); k == value.KindString && numeric || class != value.KindNull && k != class {
-				return fmt.Sprintf("%s mixes numbers, dates and text in the sample: storage orders them as CSV text, the server as typed cells", exprs[col])
-			}
-			class = k
 		}
 	}
 	return ""
@@ -305,37 +307,36 @@ func oneClass(exprs []sqlparse.Expr, rows []Row, from int) (why string) {
 
 // topKPush reads the threshold off the sample — rows holds the first sort key
 // of every sample row WHERE keeps — into ap.push and ap.Sample, or says why
-// it cannot. The K best must all be non-NULL and, if numeric, finite. The
-// sample is a subset of the table, so at least K table rows pass `key >= T`;
-// >= and <= are value.Compare, which is also the comparator of the server's
-// stable sort and, over keys of one class (topKThreshold checks the sample's),
-// one order on both sides, so every row of the answer comes back, ties at T
+// it cannot. The K best, ranked by the server's comparator (topRows) and no
+// other row kept, must all be non-NULL and, if numeric, finite. The sample
+// is a subset of the table, so at least K table rows pass `key >= T`; >= and
+// <= are value.Compare, which is also the comparator of the server's stable
+// sort and, over keys of one class (topKThreshold checks the sample's), one
+// order on both sides, so every row of the answer comes back, ties at T
 // included, in table order. estRows counts the sample rows that pass.
 func (db *DB) topKPush(sel *sqlparse.Select, key sqlparse.Expr, rows []Row, ap *AccessPlan) (why string) {
 	if sel.Limit > int64(len(rows)) {
 		return fmt.Sprintf("LIMIT %d is more than the %d sample rows the filter keeps", sel.Limit, len(rows))
 	}
-	desc := sel.OrderBy[0].Desc
-	vals := make([]value.Value, len(rows))
+	k, desc := int(sel.Limit), sel.OrderBy[0].Desc
+	top := topRows{order: sel.OrderBy[:1], k: k}
+	top.expect(k, 1)
 	for i, r := range rows {
-		vals[i] = r[0]
+		top.add(r[:1], int64(i), 1)
 	}
-	slices.SortFunc(vals, func(a, b value.Value) int {
-		if desc {
-			a, b = b, a
-		}
-		return value.Compare(a, b)
-	})
-	k := int(sel.Limit)
-	for _, v := range vals[:k] {
+	best := top.sorted()
+	for _, b := range best {
+		v := b.cells[0]
 		if f, numeric := v.Num(); v.IsNull() || (numeric && (math.IsNaN(f) || math.IsInf(f, 0))) {
 			return fmt.Sprintf("%q is among the sample's %d best keys: no threshold to compare against", v.String(), k)
 		}
 	}
-	t := &sqlparse.Literal{Val: vals[k-1]}
-	pass := k
-	for pass < len(vals) && value.Compare(vals[pass], t.Val) == 0 {
-		pass++
+	t := &sqlparse.Literal{Val: best[k-1].cells[0]}
+	pass := 0 // the sample rows that rank as T or better
+	for _, r := range rows {
+		if c := value.Compare(r[0], t.Val); c == 0 || c < 0 != desc {
+			pass++
+		}
 	}
 	var pred sqlparse.Expr = &sqlparse.Binary{Op: sqlparse.OpGe, L: key, R: t}
 	if !desc { // NULL sorts first
@@ -431,19 +432,21 @@ func (p *tailPush) aggIndex(a *sqlparse.Aggregate) int {
 // runTail executes the pushed tail the access plan chose. A nil relation
 // means its check failed — ap.Fallback says how — and the statement is to be
 // rerun on the plain filtered path.
-func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) {
+func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan, rk *rank) (*Relation, error) {
 	push := ap.push
 	if ap.Pushed == PushedTopK {
-		rel, err := e.selectMetered("threshold scan "+sel.Table, e.NextStage(), sel.Table, push.req, 0)
-		if err != nil {
+		name, d := "threshold scan "+sel.Table, &decoder{rank: rk}
+		st := e.step(name, name, e.NextStage(), sel.Table)
+		rel, err := e.selectDecoded(st, sel.Table, push.req, d)
+		if st.end(err); err != nil {
 			return nil, err
 		}
-		if ap.ActualRows = int64(len(rel.Rows)); ap.ActualRows < sel.Limit {
+		if ap.ActualRows = d.kept; ap.ActualRows < sel.Limit {
 			// The sample promised K rows: the object is stale in content.
 			ap.Fallback = FallbackShortThreshold
 			return nil, nil
 		}
-		return e.finishTail(sel, rel, nil)
+		return e.finishTail(sel, rel, nil, rk)
 	}
 	row, err := e.selectAgg("s3 aggregate", e.NextStage(), sel.Table, push.req)
 	if err != nil {
@@ -492,7 +495,7 @@ func (e *Exec) runTail(sel *sqlparse.Select, ap *AccessPlan) (*Relation, error) 
 	for i, o := range sel.OrderBy {
 		tail.OrderBy[i] = sqlparse.OrderItem{Expr: push.overPartials(o.Expr), Desc: o.Desc}
 	}
-	return e.finishTail(&tail, partial, nil)
+	return e.finishTail(&tail, partial, nil, nil)
 }
 
 // partialCol names the merged-partials column of the request's i-th distinct

@@ -277,7 +277,7 @@ func TestPushdownGuardCatchesOverlap(t *testing.T) {
 	db := openOver(t, pushBucket, st)
 	sel := mustParse(t, "SELECT zip, COUNT(*) AS n FROM z GROUP BY zip")
 	ap := &AccessPlan{Pushed: PushedGroupBy, push: db.groupPush(sel, []Row{{value.Str("00501")}, {value.Str("501")}})}
-	rel, err := db.NewExec().runTail(sel, ap)
+	rel, err := db.NewExec().runTail(sel, ap, nil)
 	if err != nil || rel != nil || ap.Fallback != FallbackGroupsOverlap {
 		t.Fatalf("two groups matching the same four rows: relation %v, error %v, fallback %q", rel, err, ap.Fallback)
 	}
@@ -457,7 +457,7 @@ func TestPushedProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.finishTail(sel, rows, nil)
+		want, err := e.finishTail(sel, rows, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

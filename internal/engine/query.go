@@ -144,15 +144,16 @@ func (db *DB) RunStatement(ctx context.Context, sql string, st sqlparse.Statemen
 // says.
 func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error) {
 	table := sel.Table
+	rk := newRank(sel) // a top-K's scan answers only its K best rows
 	if ap := sc.Access; ap != nil {
 		switch {
 		case ap.Strategy == StrategyIndexScan:
 			// Fetch the candidates, the full WHERE re-applied as they decode.
-			rel, gets, _, err := e.indexFetch(table, sc.Index, nil, fetchCoalesced, &decoder{where: sc.Filter})
+			rel, gets, _, err := e.indexFetch(table, sc.Index, nil, fetchCoalesced, &decoder{where: sc.Filter, rank: rk})
 			if ap.RangedGets = gets; err != nil {
 				return nil, err
 			}
-			return e.finishTail(sel, rel, nil)
+			return e.finishTail(sel, rel, nil, rk)
 		case ap.Strategy == StrategyBaseline:
 			var bind func([]string) error
 			if sc.Cols == nil {
@@ -163,7 +164,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 			// The load types what the statement reads (every column for a
 			// *), and a grouped tail's rows fold into its block as they
 			// decode.
-			l := Load{Table: table, Where: sc.Filter}
+			l := Load{Table: table, Where: sc.Filter, rank: rk}
 			if refs, star := serverColumns(sel, []sqlparse.Expr{sc.Filter}, nil); !star {
 				l.Cols = baselineCols(nil, refs)
 			}
@@ -175,9 +176,9 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 			if err != nil {
 				return nil, err
 			}
-			return e.finishTail(sel, rel, fold)
+			return e.finishTail(sel, rel, fold, rk)
 		case ap.Pushed != "":
-			if rel, err := e.runTail(sel, ap); rel != nil || err != nil {
+			if rel, err := e.runTail(sel, ap, rk); rel != nil || err != nil {
 				return rel, err
 			}
 			// The pushed tail's check failed: the right answer is one plain
@@ -200,7 +201,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 	}
 	scan := e.step("scan "+table, "scan "+table, e.NextStage(), table)
-	rel, err := e.selectDecoded(scan, table, sc.req, &decoder{fold: fold})
+	rel, err := e.selectDecoded(scan, table, sc.req, &decoder{fold: fold, rank: rk})
 	scan.end(err)
 	if err != nil {
 		return nil, err
@@ -212,7 +213,7 @@ func (e *Exec) runSelect(sel *sqlparse.Select, sc *TableScan) (*Relation, error)
 		}
 		return rel, nil
 	}
-	return e.finishTail(sel, rel, fold)
+	return e.finishTail(sel, rel, fold, rk)
 }
 
 // pushedScan is the S3 Select request the pushed-scan path sends for a
@@ -273,9 +274,20 @@ func grouped(sel *sqlparse.Select) bool {
 // projection, ordering and limiting, its row work accounted on the virtual
 // clock — over rel, an already-scanned or joined relation, or, with a fold
 // (nil: none), over the group table a grouped scan or join folded its rows
-// into (groupByLocal): the one tail either input finishes through.
-func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold) (*Relation, error) {
-	rowsIn := fold.rowsIn(rel)
+// into (groupByLocal): the one tail either input finishes through. With a
+// rank (nil: none) rel holds only the K rows the scan ranked best, in order,
+// and the tail's input is the rows the scan kept. A LIMIT K tail ranks K
+// (TopKLocal), and projects only the rows it answers.
+func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold, rk *rank) (*Relation, error) {
+	var rowsIn int64 // the rows folded, ranked or given
+	switch {
+	case fold != nil:
+		rowsIn = fold.rows
+	case rk != nil:
+		rowsIn = rk.rows
+	default:
+		rowsIn = int64(len(rel.Rows))
+	}
 	st := e.step("local", "local", e.NextStage(), "")
 	st.sp.SetInt("rows_in", rowsIn)
 	st.AddServerRows(rowsIn)
@@ -298,12 +310,15 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold) 
 		// it is available here). Aliases are rewritten to their underlying
 		// expressions, which the pre-projection relation can evaluate; the
 		// projection preserves row order.
-		if len(orderBy) > 0 {
-			rel, err = SortLocal(rel, orderByOverInput(sel))
+		if len(orderBy) > 0 && rk == nil {
+			rel, err = TopKLocal(rel, orderByOverInput(sel), int(sel.Limit))
 			if err != nil {
 				return nil, err
 			}
-			orderBy = nil
+		}
+		orderBy = nil
+		if sel.Limit >= 0 {
+			rel = LimitLocal(rel, int(sel.Limit))
 		}
 		rel, err = e.projectLocal(rel, sel.Items)
 	}
@@ -314,7 +329,7 @@ func (e *Exec) finishTail(sel *sqlparse.Select, rel *Relation, fold *groupFold) 
 		st.sp.SetInt("groups", int64(len(rel.Rows)))
 	}
 	if len(orderBy) > 0 {
-		rel, err = SortLocal(rel, orderBy)
+		rel, err = TopKLocal(rel, orderBy, int(sel.Limit))
 		if err != nil {
 			return nil, err
 		}

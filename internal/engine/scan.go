@@ -2,9 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"unicode/utf8"
@@ -29,7 +31,8 @@ import (
 // Filter by Residual would join and keep them, only a row that joins typing
 // its other cells (probe); with Items, a grouping by GroupBy (none: one
 // plain aggregation) of the rows it would keep, as GroupBy would group them,
-// with no relation of them built (groupFold). The load answers as those
+// with no relation of them built (groupFold); with a rank, the K best of the
+// rows it would keep, as TopKLocal would rank them. The load answers as those
 // operators would: the same rows or groups in the same order, typed alike,
 // or the same error.
 type Load struct {
@@ -42,12 +45,14 @@ type Load struct {
 	Build              *Relation
 	BuildKey, ProbeKey string
 	Residual           sqlparse.Expr
+
+	rank *rank
 }
 
 // decoder is the decode of l's rows through its consumers: its Where, its
-// probe of Build with the Residual, and its grouping's fold.
+// probe of Build with the Residual, its grouping's fold and its rank.
 func (l Load) decoder() *decoder {
-	d := &decoder{where: l.Where, buildKey: l.BuildKey, probeKey: l.ProbeKey, residual: l.Residual}
+	d := &decoder{where: l.Where, buildKey: l.BuildKey, probeKey: l.ProbeKey, residual: l.Residual, rank: l.rank}
 	if l.Build != nil {
 		d.build = func() *Relation { return l.Build }
 	}
@@ -130,9 +135,10 @@ func (e *Exec) loadMetered(name string, stage int, l Load, perRow int64, bind fu
 // its source opens: a GET object (loadMetered), a select response
 // (selectDecoded) or an index fetch's fragments (indexFetch). run fans the
 // parts out, decode runs each part's rows through the consumers bound once —
-// a Where and a fold's aggregation block, bound to one header, and a probe
-// of the build side, hashed and bound once, whose joined rows meet a residual
-// and the fold — and finish answers once, after the fan-out.
+// a Where and a fold's aggregation block, bound to one header, a probe of
+// the build side, hashed and bound once, whose joined rows meet a residual
+// and the fold, and a rank of the kept rows — and finish answers once, after
+// the fan-out.
 type decoder struct {
 	e  *Exec
 	st step // the step the scan is metered on
@@ -143,16 +149,20 @@ type decoder struct {
 	build              func() *Relation // the build side the kept rows probe, waited for once: nil if it failed
 	buildKey, probeKey string
 	residual           sqlparse.Expr // the joined rows kept
+	rank               *rank         // the kept rows' K best, the answer (not with fold or build)
 	serial             bool          // open parts one at a time until one names a header, which where and fold bind to (a load's)
 	lends              bool          // open decodes each part it opens (run)
 
-	parts  []part
-	header []string // what where and fold are bound to: a part naming another decodes no row
-	f      *where
-	first  int             // the first part with a header, which folds straight into the block
-	turns  []chan struct{} // a fold bound before the scan (a pushed scan's): turns[i] closes once part i has folded
-	hashed sync.Once
-	j      *probe // nil if the build side failed
+	parts   []part
+	header  []string // what where and fold are bound to: a part naming another decodes no row
+	f       *where
+	first   int             // the first part with a header, which folds straight into the block
+	turns   []chan struct{} // a fold bound before the scan (a pushed scan's): turns[i] closes once part i has folded
+	hashed  sync.Once
+	j       *probe // nil if the build side failed
+	keyed   sync.Once
+	keys    *sortKeys // the rank's, bound to keyCols
+	keyCols []string
 
 	decoded, kept, joined int64 // the rows decoded, kept by where and joined by the probe (finish)
 }
@@ -248,6 +258,12 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 				p.resErr = p.j.res.err
 			}
 		}
+		if d.rank != nil { // never with a probe or a fold
+			if p.rk = d.rankFor(p.cols); !sameCols(p.cols, d.keyCols) {
+				return nil
+			}
+			p.top, p.keyVals, p.rankErr = topRows{order: d.rank.order, k: d.rank.k}, make([]value.Value, len(d.rank.order)), p.rk.err
+		}
 		if g := d.fold; g != nil && g.err == nil {
 			p.x, p.need = g.x, g.need
 			if i > d.first && d.turns == nil {
@@ -257,7 +273,7 @@ func (d *decoder) decode(ctx context.Context, i int) (err error) {
 		if d.turns != nil && i > d.first { // the part before has folded: its scratch row is free
 			p.wide, p.scratch = d.parts[i-1].wide, d.parts[i-1].scratch
 		}
-		if p.scratch == nil && (p.f != nil || p.x != nil || p.j != nil) {
+		if p.scratch == nil && (p.f != nil || p.x != nil || p.j != nil || p.rk != nil) {
 			p.wide = make([]value.Value, p.width())
 			p.scratch = p.wide[len(p.wide)-len(p.cols):]
 		}
@@ -304,16 +320,24 @@ func (d *decoder) probeFor(header []string) *probe {
 	return d.j
 }
 
+// rankFor is the rank's keys bound once to header, the first a part names,
+// after the predicate types the cells it reads. A part naming another
+// header ranks nothing: finish refuses it (keptCols).
+func (d *decoder) rankFor(header []string) *sortKeys {
+	d.keyed.Do(func() { d.keys, d.keyCols = newSortKeys(header, d.rank.order), header })
+	return d.keys
+}
+
 // finish is the scan's one answer, given its fan-out's error: the relation
-// of the parts' kept rows, cut in partition order (cutRows) — or with a
-// fold none, every part's block merged into the fold's in partition order,
-// for the caller to finish — with the rows decoded, kept and joined counted
-// in d and on the step's span. Errors come in the order the materialized
-// path would report them: the fan-out's (a part's source), then a failed
-// build side (errNoBuild), then parts naming different headers (keptCols),
-// then the predicate's (its binding, then the first part's first failing
-// row), then the join keys' (joinKeys), then the residual's and then the
-// grouping's the same way.
+// of the parts' kept rows, cut in partition order (cutRows), or with a rank
+// their K best (ranked) — or with a fold none, every part's block merged
+// into the fold's in partition order, for the caller to finish — with the
+// rows decoded, kept and joined counted in d and on the step's span. Errors
+// come in the order the materialized path would report them: the fan-out's
+// (a part's source), then a failed build side (errNoBuild), then parts
+// naming different headers (keptCols), then the predicate's (its binding,
+// then the first part's first failing row), then the join keys' (joinKeys),
+// then the residual's, the rank's keys' and the grouping's the same way.
 func (d *decoder) finish(err error) (*Relation, error) {
 	if err == nil && d.build != nil && d.probeFor(d.header) == nil {
 		err = errNoBuild
@@ -339,7 +363,7 @@ func (d *decoder) finish(err error) (*Relation, error) {
 	}
 	for _, p := range d.parts {
 		if err == nil {
-			err = p.resErr
+			err = cmp.Or(p.resErr, p.rankErr) // a probe's or a rank's
 		}
 	}
 	if g := d.fold; g != nil {
@@ -373,7 +397,55 @@ func (d *decoder) finish(err error) (*Relation, error) {
 	if d.fold != nil {
 		return nil, nil
 	}
+	if d.rank != nil {
+		return d.ranked(cols), nil
+	}
 	return cutRows(d.parts, cols), nil
+}
+
+// ranked is the relation of the K best rows the parts hold, best first, as
+// over their concatenation: the parts' sorted rows merged, a tie going to
+// the earlier part. The rank's rows are the rows the scan kept.
+func (d *decoder) ranked(cols []string) *Relation {
+	n := 0
+	for i := range d.parts {
+		n += len(d.parts[i].top.sorted())
+	}
+	out := &Relation{Cols: cols, Rows: make([]Row, 0, min(n, d.rank.k))}
+	for len(out.Rows) < cap(out.Rows) {
+		var best *topRows
+		for i := range d.parts {
+			t := &d.parts[i].top
+			if len(t.held) > 0 && (best == nil || t.compare(t.held[0].cells, math.MaxInt64, best.held[0]) < 0) {
+				best = t
+			}
+		}
+		out.Rows = append(out.Rows, best.held[0].cells[len(d.rank.order):])
+		best.held = best.held[1:]
+	}
+	d.rank.rows = d.kept
+	return out
+}
+
+// binding is expressions bound to a header, only read once bound: the
+// positions they read, as a list and by position, and the binding's error.
+type binding struct {
+	ev    expr.Evaluator
+	cols  []int  // the positions the expressions read
+	reads []bool // by position: an expression reads it
+	err   error
+}
+
+// bind binds exprs to header.
+func bind(header []string, exprs ...sqlparse.Expr) binding {
+	b := binding{reads: make([]bool, len(header))}
+	if b.err = b.ev.Bind(expr.Index(header), exprs...); b.err == nil {
+		b.cols = b.ev.Cols()
+		for _, j := range b.cols {
+			b.reads[j] = true
+		}
+	}
+	return b
 }
 
 // where is a load's predicate, bound once to the first kept header (run),
@@ -383,23 +455,62 @@ func (d *decoder) finish(err error) (*Relation, error) {
 // them), and only a row it passes types its other kept cells. err is the
 // binding's, every decoded part's failure then.
 type where struct {
-	pred  sqlparse.Expr
-	ev    expr.Evaluator
-	cols  []int  // the kept positions pred reads
-	reads []bool // by kept position: pred reads it
-	err   error
+	pred sqlparse.Expr
+	binding
 }
 
 // newWhere binds pred to header.
 func newWhere(header []string, pred sqlparse.Expr) *where {
-	f := &where{pred: pred, reads: make([]bool, len(header))}
-	if f.err = f.ev.Bind(expr.Index(header), pred); f.err == nil {
-		f.cols = f.ev.Cols()
-		for _, j := range f.cols {
-			f.reads[j] = true
+	return &where{pred: pred, binding: bind(header, pred)}
+}
+
+// sortKeys is an ORDER BY's keys bound to a header: TopKLocal's, or a
+// rank's, bound once to the first header a part names (rankFor) and only
+// read by every part's decoder.
+type sortKeys struct {
+	order []sqlparse.OrderItem
+	binding
+}
+
+// newSortKeys binds order's keys to header.
+func newSortKeys(header []string, order []sqlparse.OrderItem) *sortKeys {
+	exprs := make([]sqlparse.Expr, len(order))
+	for j, o := range order {
+		exprs[j] = o.Expr
+	}
+	return &sortKeys{order: order, binding: bind(header, exprs...)}
+}
+
+// eval writes row's keys into keys, or fails with the first failing key's
+// error.
+func (s *sortKeys) eval(row, keys []value.Value) (err error) {
+	for j, o := range s.order {
+		if keys[j], err = s.ev.Eval(o.Expr, row); err != nil {
+			return err
 		}
 	}
-	return f
+	return nil
+}
+
+// rank is an ungrouped ORDER BY … LIMIT K tail (newRank): its keys over the
+// scan's columns and K. A scan's decoder ranks its kept rows by it as they
+// decode, each part holding its K best (topRows), and answers only the K
+// best of all (decoder.ranked): SortLocal and then LimitLocal's rows, which
+// the tail only projects. rows is the rows the scan kept, what the tail
+// would have sorted.
+type rank struct {
+	order []sqlparse.OrderItem
+	k     int
+	rows  int64
+}
+
+// newRank is sel's rank, or nil if sel's tail ranks no rows as they decode:
+// a grouped tail, or one with no ORDER BY or no LIMIT.
+func newRank(sel *sqlparse.Select) *rank {
+	if grouped(sel) || len(sel.OrderBy) == 0 || sel.Limit < 0 {
+		return nil
+	}
+	return &rank{order: orderByOverInput(sel), k: int(sel.Limit)}
 }
 
 // passes reports whether row passes f, keeping in *failed the error of a
@@ -443,6 +554,7 @@ type part struct {
 	joined   int64 // the joined rows the probe made, before the residual
 	failed   error // the predicate's first error over the part's rows
 	resErr   error // the residual's first error over the part's joined rows
+	rankErr  error // the rank's keys' first error over the part's kept rows
 	scanned  int64 // a response's Stats.BytesScanned and Columnar, read once the part has decoded
 	columnar bool
 
@@ -461,14 +573,18 @@ type part struct {
 
 	// What decode runs each row through (take): the predicate, the block
 	// the rows fold into and the cells it reads that f does not, the probe
-	// and its matches, the row they read (scratch, the tail of wide, whose
-	// head a joined row's build cells fill), the block's first error, and
-	// the chunks lent text is copied into (own), each new one of room bytes.
+	// and its matches, the rank's keys, the part's best rows and a row's key
+	// values, the row they read (scratch, the tail of wide, whose head a
+	// joined row's build cells fill), the block's first error, and the chunks
+	// lent text is copied into (own), each new one of room bytes.
 	f       *where
 	x       *expr.RowExec
 	need    []int
 	j       *probe
 	match   []int
+	rk      *sortKeys
+	top     topRows
+	keyVals []value.Value
 	scratch []value.Value
 	wide    []value.Value
 	aggErr  error
@@ -525,7 +641,8 @@ func (p *part) response(res *selectengine.Result) {
 // match's build row and then the row, meets the residual, and one it passes
 // folds into the block or, with none, owns its text and is kept. Otherwise,
 // with a block, the cells the block reads type into p.scratch too and the
-// row folds into it; with none the row is kept, appended to p and filled.
+// row folds into it; with a rank, the row is ranked (rankRow); with neither
+// the row is kept, appended to p and filled.
 func (p *part) take(cell func(c int) value.Value) {
 	p.decoded++
 	f := p.f
@@ -574,6 +691,10 @@ func (p *part) take(cell func(c int) value.Value) {
 		p.foldRow(p.scratch)
 		return
 	}
+	if p.rk != nil {
+		p.rankRow(cell)
+		return
+	}
 	row := p.row()
 	for c := range row {
 		if f != nil && f.reads[c] {
@@ -583,6 +704,37 @@ func (p *part) take(cell func(c int) value.Value) {
 		}
 	}
 	p.own(row)
+}
+
+// rankRow types a kept row's key cells into p.scratch and evaluates its keys
+// there; only a row among the part's K best so far types its other cells,
+// into the slot it takes from the worst, and owns its text. After the first
+// row whose keys fail, p ranks no row.
+func (p *part) rankRow(cell func(c int) value.Value) {
+	if p.rankErr != nil {
+		return
+	}
+	for _, c := range p.rk.cols {
+		if p.f == nil || !p.f.reads[c] {
+			p.scratch[c] = cell(c)
+		}
+	}
+	if p.rankErr = p.rk.eval(p.scratch, p.keyVals); p.rankErr != nil {
+		return
+	}
+	slot := p.top.add(p.keyVals, p.kept-1, len(p.keyVals)+len(p.cols))
+	if slot == nil {
+		return
+	}
+	row := slot[len(p.keyVals):]
+	for c := range row {
+		if p.rk.reads[c] || p.f != nil && p.f.reads[c] {
+			row[c] = p.scratch[c]
+		} else {
+			row[c] = cell(c)
+		}
+	}
+	p.own(slot)
 }
 
 // foldRow adds row to p's block, which adds no row after its first error.
@@ -774,7 +926,7 @@ func (p *part) fromColumnar() error {
 			n = vecs[0].Len()
 		}
 		switch {
-		case p.x != nil:
+		case p.x != nil || p.rk != nil:
 		case p.f == nil && p.j == nil:
 			p.cells = slices.Grow(p.cells, n*len(vecs))
 		case p.block == 0:
@@ -798,10 +950,14 @@ func (p *part) fromColumnar() error {
 // reached) has no rows.
 func (p *part) decodeCSV() error {
 	if p.x == nil {
-		bound := min(bytes.Count(p.data, []byte{'\n'})*len(p.cols), len(p.data))
-		if p.f != nil || p.j != nil {
+		lines := bytes.Count(p.data, []byte{'\n'})
+		bound := min(lines*len(p.cols), len(p.data))
+		switch {
+		case p.rk != nil:
+			p.top.expect(lines+1, len(p.keyVals)+len(p.cols))
+		case p.f != nil || p.j != nil:
 			p.blocks(bound)
-		} else {
+		default:
 			p.cells = make([]value.Value, 0, bound)
 		}
 	}
@@ -927,14 +1083,6 @@ func (f *groupFold) bind(cols []string, w *where) {
 	} else if f.err == nil {
 		f.need = f.x.Cols()
 	}
-}
-
-// rowsIn is the rows f folded or, with no fold, rel's.
-func (f *groupFold) rowsIn(rel *Relation) int64 {
-	if f == nil {
-		return int64(len(rel.Rows))
-	}
-	return f.rows
 }
 
 // finish emits the block's groups into f's output.

@@ -31,7 +31,7 @@ func RunParallel(ctx context.Context, env *Env) (*Result, error) {
 		Title:  "Server-side operators vs worker budget (32-core node)",
 		XLabel: "workers",
 		Notes: []string{
-			"group-by results are byte-identical at every worker count (deterministic merge order)",
+			"the worker budget only prices the row work: one loop runs at every budget, so the group-by answers alike at each",
 			fmt.Sprintf("planner series records the strategy chosen for the Listing-2 join at c_acctbal <= %s; est columns are its per-strategy runtime estimates", loosestAcctbal),
 			"row work and load parsing divide their wall-clock across the worker budget; request issuance, network transfer and S3-side scans do not",
 		},
